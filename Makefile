@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build bench bench-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build bench bench-compare bench-e2e bench-e2e-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -63,7 +63,7 @@ warmstart-smoke:
 # bench runs the paper-table and convolution-engine benchmarks and archives
 # both a benchstat-compatible text file and a JSON rendering under results/,
 # stamped with today's date.
-BENCH_PATTERN ?= Table2|Table3|Convolve|Smooth|TilePipeline|TileCache|WarmStart
+BENCH_PATTERN ?= Table2|Table3|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 
@@ -87,3 +87,23 @@ bench-compare:
 		echo "bench-compare: need two archived reports (or OLD=... NEW=...)"; exit 2; fi; \
 	echo "comparing $$old -> $$new"; \
 	$(GO) run ./cmd/benchjson -compare "$$old" "$$new"
+
+# bench-e2e runs the repo benchmark (benchmark/, BENCHMARK.json) — every
+# workload once per seed, each in a fresh process as the driver runs them —
+# and archives the run set under results/. E2E_OUT names the archive, so a
+# parent checkout and a change can be measured into two files.
+E2E_SEEDS ?= 1,2,3,4,5,6,7,8,9,10
+E2E_OUT ?= results/E2E_$(BENCH_STAMP).json
+
+bench-e2e:
+	@mkdir -p $(dir $(E2E_OUT))
+	bash benchmark/run.sh run --seeds $(E2E_SEEDS) --out $(E2E_OUT)
+	@echo "wrote $(E2E_OUT)"
+
+# bench-e2e-compare prints ok/regressed/unresolved per workload and
+# end-to-end metric for a parent run set A and a change run set B, and
+# fails when any row regressed.
+bench-e2e-compare:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then \
+		echo "bench-e2e-compare: need A=parent.json B=change.json"; exit 2; fi
+	bash benchmark/run.sh compare $(A) $(B)

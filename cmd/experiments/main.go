@@ -199,14 +199,17 @@ func (h *harness) fig4() error {
 	mask := layout.Rasterize(h.grid, h.px)
 	corners := sim.ProcessCorners(h.setup.Params.DefocusNM, h.setup.Params.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
-	for i, c := range corners {
-		aerial, err := h.setup.Sim.Aerial(mask, c)
+	for _, g := range sim.FocusGroups(corners) {
+		aerial, err := h.setup.Sim.Aerial(mask, g.Lead)
 		if err != nil {
 			return err
 		}
-		printed[i] = h.setup.Sim.PrintHard(aerial, c)
-		if err := render.SaveField(h.path("fig4", "printed_"+c.Name+".png"), printed[i]); err != nil {
-			return err
+		for _, i := range g.Members {
+			c := corners[i]
+			printed[i] = h.setup.Sim.PrintHard(aerial, c)
+			if err := render.SaveField(h.path("fig4", "printed_"+c.Name+".png"), printed[i]); err != nil {
+				return err
+			}
 		}
 	}
 	band, _ := metrics.PVBand(printed, h.px)

@@ -72,17 +72,22 @@ func main() {
 	params := mosaic.DefaultEvalParams()
 	corners := sim.ProcessCorners(params.DefocusNM, params.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
-	for i, c := range corners {
-		aerial, z, err := setup.Sim.Simulate(mask, c)
+	// Corners of one focus plane share the aerial image; only the print
+	// (dose) differs.
+	for _, g := range sim.FocusGroups(corners) {
+		aerial, err := setup.Sim.Aerial(mask, g.Lead)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printed[i] = z
-		if err := render.SaveField(filepath.Join(*out, "aerial_"+c.Name+".png"), aerial); err != nil {
-			log.Fatal(err)
-		}
-		if err := render.SaveField(filepath.Join(*out, "printed_"+c.Name+".png"), z); err != nil {
-			log.Fatal(err)
+		for _, i := range g.Members {
+			c := corners[i]
+			printed[i] = setup.Sim.PrintHard(aerial, c)
+			if err := render.SaveField(filepath.Join(*out, "aerial_"+c.Name+".png"), aerial); err != nil {
+				log.Fatal(err)
+			}
+			if err := render.SaveField(filepath.Join(*out, "printed_"+c.Name+".png"), printed[i]); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	band, area := metrics.PVBand(printed, cfg.PixelNM)

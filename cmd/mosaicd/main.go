@@ -199,7 +199,15 @@ func runWorker(addr, join, advertise string, capacity int, drainTimeout time.Dur
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	runc := make(chan error, 1)
-	go func() { runc <- wk.Run(ctx, join, advertise) }()
+	go func() {
+		err := wk.Run(ctx, join, advertise)
+		if errors.Is(err, cluster.ErrVersionMismatch) {
+			// The coordinator is another build: this worker's tiles would
+			// not be bit-identical to its own, and retrying cannot fix that.
+			log.Fatalf("worker: %v", err)
+		}
+		runc <- err
+	}()
 	log.Printf("worker listening on %s (advertise=%s capacity=%d coordinator=%s)",
 		ln.Addr(), advertise, capacity, join)
 

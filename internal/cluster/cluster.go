@@ -45,6 +45,12 @@ var (
 	// coordinator's per-worker caps make it rare, but a second coordinator
 	// (or an operator curl) can still oversubscribe a worker.
 	ErrWorkerBusy = errors.New("cluster: worker at capacity")
+	// ErrVersionMismatch refuses a join from a worker whose numeric
+	// generation (cache.DigestVersion) differs from the coordinator's: its
+	// tiles would not be bit-identical to locally computed ones. It is
+	// permanent for the two builds involved, so the worker stops instead
+	// of retrying.
+	ErrVersionMismatch = errors.New("cluster: worker and coordinator builds differ in numeric generation")
 )
 
 // Cluster metrics: fleet health, lease churn, where tiles actually ran,

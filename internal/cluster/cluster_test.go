@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
+	"mosaic/internal/httpapi"
 	"mosaic/internal/ilt"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
@@ -567,6 +569,28 @@ func TestWorkerRunRejoins(t *testing.T) {
 			t.Fatal("worker did not leave the fleet on shutdown")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWorkerRunStopsOnVersionMismatch: a coordinator of another numeric
+// generation refuses the join for good, so Run must return the typed
+// error after one attempt instead of retrying forever.
+func TestWorkerRunStopsOnVersionMismatch(t *testing.T) {
+	var joins atomic.Int32
+	ctl := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		joins.Add(1)
+		httpapi.Error(w, http.StatusConflict, httpapi.CodeVersionMismatch, "coordinator is generation 99")
+	}))
+	t.Cleanup(ctl.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := NewWorker(WorkerConfig{Capacity: 1}).Run(ctx, ctl.URL, "http://127.0.0.1:1")
+	if !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("Run returned %v, want ErrVersionMismatch", err)
+	}
+	if n := joins.Load(); n != 1 {
+		t.Fatalf("%d join attempts, want exactly 1", n)
 	}
 }
 

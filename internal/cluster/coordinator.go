@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/cache"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
@@ -87,6 +88,15 @@ type WorkerStatus struct {
 	TilesDone     int64     `json:"tiles_done"`
 	JoinedAt      time.Time `json:"joined_at"`
 	LastHeartbeat time.Time `json:"last_heartbeat"`
+}
+
+// joinRequest is the body of POST /v1/cluster/join.
+type joinRequest struct {
+	Addr     string `json:"addr"`
+	Capacity int    `json:"capacity"`
+	// DigestVersion is the worker's cache.DigestVersion: the generation of
+	// the numeric path, which must match the coordinator's.
+	DigestVersion int `json:"digest_version"`
 }
 
 // JoinReply tells a joining worker its identity and cadence.
@@ -488,19 +498,24 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 // Handler returns the coordinator's control-plane API. Errors use the
 // shared httpapi envelope, like every other mosaic endpoint:
 //
-//	POST /v1/cluster/join       {"addr":"http://host:port","capacity":2} -> JoinReply
+//	POST /v1/cluster/join       {"addr":"http://host:port","capacity":2,"digest_version":3} -> JoinReply, or 409 (other build)
 //	POST /v1/cluster/heartbeat  {"worker_id":"..."} -> 200, or 404 (rejoin)
 //	POST /v1/cluster/leave      {"worker_id":"..."} -> 200
 //	GET  /v1/cluster/workers    fleet listing with in-flight counts
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Addr     string `json:"addr"`
-			Capacity int    `json:"capacity"`
-		}
+		var req joinRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, "decoding join request: "+err.Error())
+			return
+		}
+		// A worker of another numeric generation (one built before the
+		// field existed sends none, which reads 0) would break the
+		// cluster == local bit-identity; refuse it for good.
+		if req.DigestVersion != cache.DigestVersion {
+			httpapi.Error(w, http.StatusConflict, httpapi.CodeVersionMismatch,
+				fmt.Sprintf("%v: worker digest_version %d, coordinator %d", ErrVersionMismatch, req.DigestVersion, cache.DigestVersion))
 			return
 		}
 		reply, err := c.Join(req.Addr, req.Capacity)

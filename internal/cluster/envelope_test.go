@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"mosaic/internal/cache"
 	"mosaic/internal/httpapi"
 )
 
@@ -104,12 +106,33 @@ func TestClusterErrorEnvelopes(t *testing.T) {
 		}
 	})
 
+	t.Run("other-generation worker refused", func(t *testing.T) {
+		// A mismatched generation, and a join body from a build that
+		// predates the field (it reads as generation 0).
+		for _, body := range []string{
+			fmt.Sprintf(`{"addr":"http://127.0.0.1:1","capacity":1,"digest_version":%d}`, cache.DigestVersion+1),
+			`{"addr":"http://127.0.0.1:1","capacity":1}`,
+		} {
+			resp := post(ctl.URL+"/v1/cluster/join", body)
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("%s: status %d, want 409", body, resp.StatusCode)
+			}
+			if code := clusterErrorCode(t, resp); code != httpapi.CodeVersionMismatch {
+				t.Fatalf("%s: code %q, want %q", body, code, httpapi.CodeVersionMismatch)
+			}
+		}
+		if n := len(c.Workers()); n != 0 {
+			t.Fatalf("%d workers registered by refused joins", n)
+		}
+	})
+
 	t.Run("closed coordinator refuses joins", func(t *testing.T) {
 		closed := NewCoordinator(Config{})
 		srv := httptest.NewServer(closed.Handler())
 		t.Cleanup(srv.Close)
 		closed.Close()
-		resp := post(srv.URL+"/v1/cluster/join", `{"addr":"http://127.0.0.1:1","capacity":1}`)
+		resp := post(srv.URL+"/v1/cluster/join",
+			fmt.Sprintf(`{"addr":"http://127.0.0.1:1","capacity":1,"digest_version":%d}`, cache.DigestVersion))
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status %d, want 503", resp.StatusCode)
 		}

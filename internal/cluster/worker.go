@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"mosaic/internal/cache"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
 	"mosaic/internal/sim"
@@ -196,14 +198,20 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 // coordinator that forgets the worker (restart, heartbeat-TTL expiry
 // during a network blip) answers 404 and Run rejoins under a fresh
 // identity. On ctx cancel the worker leaves gracefully. Run only fails
-// fatally on ctx cancellation — join errors retry forever, because a
-// fleet worker's job is to keep trying to be part of the fleet.
+// fatally on ctx cancellation or ErrVersionMismatch (the coordinator is
+// another build and will never accept this one) — other join errors retry
+// forever, because a fleet worker's job is to keep trying to be part of
+// the fleet.
 func (wk *Worker) Run(ctx context.Context, coordinatorURL, selfURL string) error {
 	for {
 		reply, err := wk.join(ctx, coordinatorURL, selfURL)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
+			}
+			if errors.Is(err, ErrVersionMismatch) {
+				obs.Logger().Error("cluster: join refused, not retrying", "coordinator", coordinatorURL, "err", err)
+				return err
 			}
 			obs.Logger().Warn("cluster: join failed, retrying", "coordinator", coordinatorURL, "err", err)
 			select {
@@ -243,7 +251,7 @@ func (wk *Worker) heartbeatLoop(ctx context.Context, coordinatorURL string, repl
 			return ctx.Err()
 		case <-t.C:
 		}
-		code, err := wk.post(ctx, coordinatorURL+"/v1/cluster/heartbeat", map[string]string{"worker_id": reply.WorkerID}, nil)
+		code, _, err := wk.post(ctx, coordinatorURL+"/v1/cluster/heartbeat", map[string]string{"worker_id": reply.WorkerID}, nil)
 		switch {
 		case err != nil && ctx.Err() != nil:
 			return ctx.Err()
@@ -260,10 +268,13 @@ func (wk *Worker) heartbeatLoop(ctx context.Context, coordinatorURL string, repl
 
 func (wk *Worker) join(ctx context.Context, coordinatorURL, selfURL string) (*JoinReply, error) {
 	var reply JoinReply
-	code, err := wk.post(ctx, coordinatorURL+"/v1/cluster/join",
-		map[string]any{"addr": selfURL, "capacity": wk.capacity}, &reply)
+	code, refusal, err := wk.post(ctx, coordinatorURL+"/v1/cluster/join",
+		joinRequest{Addr: selfURL, Capacity: wk.capacity, DigestVersion: cache.DigestVersion}, &reply)
 	if err != nil {
 		return nil, err
+	}
+	if refusal.Code == httpapi.CodeVersionMismatch {
+		return nil, fmt.Errorf("%w (%s)", ErrVersionMismatch, refusal.Message)
 	}
 	if code != http.StatusOK {
 		return nil, fmt.Errorf("cluster: join rejected: HTTP %d", code)
@@ -276,28 +287,36 @@ func (wk *Worker) join(ctx context.Context, coordinatorURL, selfURL string) (*Jo
 
 // post sends one JSON request and decodes the response into out (when
 // non-nil and the status is 200). The status code is returned for all
-// well-formed exchanges so callers can branch on 404.
-func (wk *Worker) post(ctx context.Context, url string, body any, out any) (int, error) {
+// well-formed exchanges so callers can branch on 404, together with the
+// error envelope of a non-200 answer (zero when the body carried none).
+func (wk *Worker) post(ctx context.Context, url string, body any, out any) (status int, refusal httpapi.ErrorBody, err error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return 0, err
+		return 0, refusal, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {
-		return 0, err
+		return 0, refusal, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := wk.client.Do(req)
 	if err != nil {
-		return 0, err
+		return 0, refusal, err
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
+		var env httpapi.Envelope
+		// A body that is not the envelope leaves env zero: the status
+		// code alone then decides, as before.
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&env)
+		return resp.StatusCode, env.Error, nil
+	}
+	if out != nil {
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("decoding %s response: %w", url, err)
+			return resp.StatusCode, refusal, fmt.Errorf("decoding %s response: %w", url, err)
 		}
-		return resp.StatusCode, nil
+		return resp.StatusCode, refusal, nil
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-	return resp.StatusCode, nil
+	return resp.StatusCode, refusal, nil
 }

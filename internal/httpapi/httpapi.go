@@ -34,6 +34,7 @@ const (
 	CodeUnknownWorker   = "unknown_worker"   // cluster: heartbeat from an unregistered worker
 	CodeClusterClosed   = "cluster_closed"   // cluster: coordinator is shutting down
 	CodeWorkerBusy      = "worker_busy"      // cluster: worker is at its tile capacity
+	CodeVersionMismatch = "version_mismatch" // cluster: joining worker's numeric generation differs from the coordinator's
 )
 
 // ErrorBody is the inner error object.

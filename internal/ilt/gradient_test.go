@@ -50,7 +50,7 @@ func testOptimizer(t *testing.T, mode Mode) (*Optimizer, *geom.Layout) {
 
 // objectiveAt evaluates the configured objective for the mask derived from
 // parameter field p.
-func objectiveAt(o *Optimizer, p *grid.Field, models []cornerModel, target *grid.Field, samples []geom.Sample) float64 {
+func objectiveAt(o *Optimizer, p *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) float64 {
 	mask := maskFromParams(p, o.Cfg.ThetaM)
 	return o.evalState(mask, models, target, samples).objective
 }
@@ -63,14 +63,9 @@ func checkGradient(t *testing.T, o *Optimizer, layout *geom.Layout) {
 	target := layout.Rasterize(n, o.Sim.Cfg.PixelNM)
 	samples := layout.SamplePoints(o.Cfg.EPESampleNM)
 
-	corners := o.corners()
-	models := make([]cornerModel, len(corners))
-	for i, c := range corners {
-		m, err := o.buildCornerModel(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[i] = m
+	models, err := o.buildModels()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	p := paramsFromMask(target, o.Cfg.ThetaM)
@@ -170,10 +165,11 @@ func TestTruncatedStackOpenFrameUnit(t *testing.T) {
 	// intensity 1 so the resist threshold keeps its calibration.
 	o, _ := testOptimizer(t, ModeFast)
 	o.Cfg.GradKernels = 3
-	m, err := o.buildCornerModel(o.corners()[0])
+	models, err := o.buildModels()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := models[0]
 	dc := 0.0
 	for i, f := range m.freqs {
 		v := f.At(m.k, m.k)

@@ -33,7 +33,6 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
-	"mosaic/internal/par"
 	"mosaic/internal/sim"
 	"mosaic/internal/sraf"
 )
@@ -355,21 +354,12 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	start := time.Now()
 	var diagSec float64 // TrackMetrics evaluation time, excluded from RuntimeSec
 	cfg := o.Cfg
-	corners := o.corners()
 
-	// Pre-fetch per-corner gradient models: either the Eq. 21 combined
-	// kernel or the configured number of SOCS kernels. The corner builds
-	// are independent (the kernel cache is single-flight per defocus), so
-	// cold-cache construction overlaps across corners.
-	models := make([]cornerModel, len(corners))
-	errs := make([]error, len(corners))
-	par.For(len(corners), func(i int) {
-		models[i], errs[i] = o.buildCornerModel(corners[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	// Pre-fetch the gradient model of every focus plane: either the Eq. 21
+	// combined kernel or the configured number of SOCS kernels.
+	models, err := o.buildModels()
+	if err != nil {
+		return nil, err
 	}
 
 	best := &Result{Objective: math.Inf(1)}
@@ -570,7 +560,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 // probe evaluates exactly the mask iteration 0 would see). Ties go to
 // the seed: an exact repeat of a library pattern then starts from its
 // converged mask.
-func (o *Optimizer) probeSeed(seed, def *grid.Field, models []cornerModel, target *grid.Field, samples []geom.Sample) bool {
+func (o *Optimizer) probeSeed(seed, def *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) bool {
 	cfg := o.Cfg
 	sm := maskFromParams(paramsFromSeed(seed, cfg.ThetaM), cfg.ThetaM)
 	ss := o.evalState(sm, models, target, samples)

@@ -14,25 +14,51 @@ import (
 	"mosaic/internal/sim"
 )
 
-// cornerModel bundles a process corner with the kernel stack the descent
-// loop images through: either the single Eq. 21 combined kernel or the
-// top-GradKernels SOCS kernels with weights renormalized to unit
-// open-frame intensity (so the resist threshold keeps its meaning under
-// truncation).
-type cornerModel struct {
-	c       sim.Corner
-	k       int // frequency block half-width
-	freqs   []*grid.CField
-	weights []float64
+// focusModel bundles the process corners of one focus plane with the kernel
+// stack the descent loop images them through: either the single Eq. 21
+// combined kernel or the top-GradKernels SOCS kernels with weights
+// renormalized to unit open-frame intensity (so the resist threshold keeps
+// its meaning under truncation). The corners of a plane differ only in
+// dose, which enters at the resist step, so they share everything here.
+type focusModel struct {
+	sim.FocusGroup           // Members index the process corner list; 0 is the nominal condition
+	doses          []float64 // dose of each member
+	k              int       // frequency block half-width
+	freqs          []*grid.CField
+	weights        []float64
 }
 
-// buildCornerModel resolves the gradient kernel stack for one corner.
-func (o *Optimizer) buildCornerModel(c sim.Corner) (cornerModel, error) {
-	ks, err := o.Sim.Kernels(c.DefocusNM)
-	if err != nil {
-		return cornerModel{}, err
+// buildModels resolves the gradient kernel stack of every focus plane of
+// the process corner set. The builds are independent (the kernel cache is
+// single-flight per defocus), so cold-cache construction overlaps across
+// planes.
+func (o *Optimizer) buildModels() ([]focusModel, error) {
+	corners := o.corners()
+	groups := sim.FocusGroups(corners)
+	models := make([]focusModel, len(groups))
+	errs := make([]error, len(groups))
+	par.For(len(groups), func(i int) {
+		models[i], errs[i] = o.buildFocusModel(corners, groups[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	m := cornerModel{c: c, k: ks.K}
+	return models, nil
+}
+
+// buildFocusModel resolves the gradient kernel stack for one focus group
+// of corners.
+func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (focusModel, error) {
+	ks, err := o.Sim.Kernels(g.Lead.DefocusNM)
+	if err != nil {
+		return focusModel{}, err
+	}
+	m := focusModel{FocusGroup: g, k: ks.K}
+	for _, ci := range g.Members {
+		m.doses = append(m.doses, corners[ci].Dose)
+	}
 	if o.Cfg.GradKernels <= 0 {
 		m.freqs = []*grid.CField{ks.Combined()}
 		m.weights = []float64{1}
@@ -50,7 +76,7 @@ func (o *Optimizer) buildCornerModel(c sim.Corner) (cornerModel, error) {
 		dc += ks.Weights[i] * (real(v)*real(v) + imag(v)*imag(v))
 	}
 	if dc <= 0 {
-		return cornerModel{}, fmt.Errorf("ilt: truncated kernel stack has zero open-frame intensity")
+		return focusModel{}, fmt.Errorf("ilt: truncated kernel stack has zero open-frame intensity")
 	}
 	m.weights = make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -59,12 +85,11 @@ func (o *Optimizer) buildCornerModel(c sim.Corner) (cornerModel, error) {
 	return m, nil
 }
 
-// cornerState is the forward state at one corner for the current mask.
-type cornerState struct {
-	model  cornerModel
+// focusState is the forward state at one focus plane for the current mask.
+type focusState struct {
+	model  focusModel
 	fields []*grid.CField // A_k = M conv h_k, one per gradient kernel
 	i      *grid.Field    // aerial intensity (before dose)
-	z      *grid.Field    // sigmoid printed pattern (Eq. 4, dose applied)
 }
 
 // iterState is everything the objective and gradient share in one
@@ -72,8 +97,9 @@ type cornerState struct {
 // pool; release returns them once the iteration is done with the state.
 type iterState struct {
 	specBand *grid.CField // band-limited FFT of the current mask
-	corners  []cornerState
-	epeW     *grid.Field // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
+	planes   []focusState
+	z        []*grid.Field // sigmoid printed pattern per corner (Eq. 4, dose applied), in corner-list order
+	epeW     *grid.Field   // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
 
 	objective float64
 	fTarget   float64
@@ -88,19 +114,21 @@ func (st *iterState) release() {
 		grid.PutC(st.specBand)
 		st.specBand = nil
 	}
-	for i := range st.corners {
-		cs := &st.corners[i]
-		for _, f := range cs.fields {
+	for i := range st.planes {
+		fs := &st.planes[i]
+		for _, f := range fs.fields {
 			grid.PutC(f)
 		}
-		cs.fields = nil
-		if cs.i != nil {
-			grid.Put(cs.i)
-			cs.i = nil
+		fs.fields = nil
+		if fs.i != nil {
+			grid.Put(fs.i)
+			fs.i = nil
 		}
-		if cs.z != nil {
-			grid.Put(cs.z)
-			cs.z = nil
+	}
+	for i, z := range st.z {
+		if z != nil {
+			grid.Put(z)
+			st.z[i] = nil
 		}
 	}
 	if st.epeW != nil {
@@ -109,46 +137,50 @@ func (st *iterState) release() {
 	}
 }
 
-// evalState runs the forward model at every corner and evaluates the
-// objective of the configured mode.
-func (o *Optimizer) evalState(mask *grid.Field, models []cornerModel, target *grid.Field, samples []geom.Sample) *iterState {
-	// All corner models share the optics configuration, hence the same
-	// frequency block half-width. The per-corner forward passes are
-	// independent (they only read the shared mask spectrum) and each writes
-	// its own pre-sized slot, so the corners run concurrently; the serial
-	// objective summation below keeps the floating-point order — and hence
-	// the result — deterministic.
+// evalState runs the forward model once per focus plane, prints every
+// corner of the plane from the shared intensity at its own dose, and
+// evaluates the objective of the configured mode.
+func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *iterState {
+	// All models share the optics configuration, hence the same frequency
+	// block half-width. The per-plane forward passes are independent (they
+	// only read the shared mask spectrum) and each writes its own pre-sized
+	// slots, so the planes run concurrently; the serial objective summation
+	// below keeps the floating-point order — and hence the result —
+	// deterministic.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].k)}
-	st.corners = make([]cornerState, len(models))
+	st.planes = make([]focusState, len(models))
+	corners := 0
+	for _, m := range models {
+		corners += len(m.Members)
+	}
+	st.z = make([]*grid.Field, corners)
 	par.For(len(models), func(mi int) {
 		m := models[mi]
-		label := m.c.Name
-		if label == "" {
-			label = "custom"
-		}
-		csp := obs.Span("ilt.forward." + label)
-		cs := cornerState{model: m, i: grid.Get(mask.W, mask.H).Zero()}
-		cs.fields = make([]*grid.CField, len(m.freqs))
+		fsp := obs.Span("ilt.forward." + m.Lead.SpanLabel())
+		fs := focusState{model: m, i: grid.Get(mask.W, mask.H).Zero()}
+		fs.fields = make([]*grid.CField, len(m.freqs))
 		par.For(len(m.freqs), func(ki int) {
-			cs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k)
+			fs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k)
 		})
-		for ki, f := range cs.fields {
-			f.AccumAbs2(cs.i, m.weights[ki])
+		for ki, f := range fs.fields {
+			f.AccumAbs2(fs.i, m.weights[ki])
 		}
-		cs.z = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), cs.i, m.c.Dose)
-		st.corners[mi] = cs
-		csp.End()
+		for j, ci := range m.Members {
+			st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, m.doses[j])
+		}
+		st.planes[mi] = fs
+		fsp.End()
 	})
 
-	zNom := st.corners[0].z
+	zNom := st.z[0]
 	switch o.Cfg.Mode {
 	case ModeFast:
 		st.fTarget = o.idObjective(zNom, target)
 	case ModeExact:
 		st.fTarget, st.epeW = o.epeObjective(zNom, target, samples)
 	}
-	for _, cs := range st.corners[1:] {
-		st.fPvb += o.pvbTerm(cs.z, target)
+	for _, z := range st.z[1:] {
+		st.fPvb += o.pvbTerm(z, target)
 	}
 	st.objective = o.Cfg.Alpha*st.fTarget + o.Cfg.Beta*st.fPvb
 	if o.Cfg.SmoothWeight > 0 {
@@ -319,13 +351,16 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int, pvbNM2 float64) {
 	px := o.Sim.Cfg.PixelNM
 	mp := o.metricParams()
-	res := metrics.MeasureEPE(st.corners[0].i, 1, o.Sim.Resist.Threshold, px, samples, mp)
+	// The nominal condition is corner 0, which leads plane 0.
+	res := metrics.MeasureEPE(st.planes[0].i, 1, o.Sim.Resist.Threshold, px, samples, mp)
 	epe = metrics.CountViolations(res)
-	printed := make([]*grid.Field, len(st.corners))
-	for i, cs := range st.corners {
-		printed[i] = o.Sim.Resist.PrintInto(grid.Get(cs.i.W, cs.i.H), cs.i, cs.model.c.Dose)
+	printed := make([]*grid.Field, len(st.z))
+	for _, fs := range st.planes {
+		for j, ci := range fs.model.Members {
+			printed[ci] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, fs.model.doses[j])
+		}
 	}
-	_, pvbNM2 = metrics.PVBand(printed, px)
+	pvbNM2 = metrics.PVBandArea(printed, px)
 	for _, p := range printed {
 		grid.Put(p)
 	}
@@ -344,70 +379,71 @@ func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int,
 // which is exactly the closed forms of Eq. 14/15 (exact mode, with the EPE
 // weight map folded into dF/dZ) and Eq. 17 (fast mode). The correlation is
 // evaluated in the frequency domain using the same band-limited kernels.
-func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []cornerModel, target *grid.Field, samples []geom.Sample) *grid.Field {
+//
+// The adjoint is linear in W_c, and the corners of one focus plane share
+// A, H and the renormalized kernel weights, so their W_c are summed first
+// and each plane costs one adjoint pass however many corners it holds.
+func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *grid.Field {
 	cfg := o.Cfg
 	thetaZ := o.Sim.Resist.ThetaZ
 	// The returned gradient comes from the workspace pool; runRaster
 	// releases it at the end of the iteration.
 	grad := grid.Get(mask.W, mask.H).Zero()
 
-	for ci, cs := range st.corners {
-		if ci == 0 && cfg.Alpha == 0 {
-			continue
-		}
-		if ci > 0 && cfg.Beta == 0 {
-			continue
-		}
-		// dF/dZ_c for this corner (fully overwritten below, no zeroing).
-		dFdZ := grid.Get(mask.W, mask.H)
-		if ci == 0 {
-			switch cfg.Mode {
-			case ModeFast:
+	for _, fs := range st.planes {
+		// W = sum over the plane's corners of dF/dZ * theta_Z * Z(1-Z) * dose.
+		w := grid.Get(mask.W, mask.H).Zero()
+		live := false
+		for j, ci := range fs.model.Members {
+			z, dose := st.z[ci].Data, fs.model.doses[j]
+			switch {
+			case ci > 0 && cfg.Beta != 0:
+				for i, zv := range z {
+					w.Data[i] += cfg.Beta * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
+				}
+			case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeFast:
 				g := int(cfg.Gamma)
-				for i, v := range cs.z.Data {
-					dFdZ.Data[i] = cfg.Alpha * float64(g) * ipow(v-target.Data[i], g-1)
+				for i, zv := range z {
+					w.Data[i] += cfg.Alpha * float64(g) * ipow(zv-target.Data[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
 				}
-			case ModeExact:
-				for i, v := range cs.z.Data {
-					dFdZ.Data[i] = cfg.Alpha * st.epeW.Data[i] * 2 * (v - target.Data[i])
+			case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeExact:
+				for i, zv := range z {
+					w.Data[i] += cfg.Alpha * st.epeW.Data[i] * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
 				}
+			default:
+				continue
 			}
-		} else {
-			for i, v := range cs.z.Data {
-				dFdZ.Data[i] = cfg.Beta * 2 * (v - target.Data[i])
-			}
+			live = true
 		}
-		// W_c = dF/dZ * theta_Z * Z(1-Z) * dose.
-		dose := cs.model.c.Dose
-		for i, zv := range cs.z.Data {
-			dFdZ.Data[i] *= thetaZ * zv * (1 - zv) * dose
+		if !live {
+			grid.Put(w)
+			continue
 		}
 
 		// Adjoint pass. Each kernel contributes
 		//   2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W .* A_ki) ) }
 		// and the inverse transform is linear, so the per-kernel band
 		// blocks accumulate in the frequency domain and ONE pruned inverse
-		// per corner replaces one per kernel — with GradKernels=8 and
-		// three corners that cuts the iteration's inverse transforms from
-		// 24 to 3. Each worker chunk keeps its forward scratch and partial
-		// band block resident across its kernels (no pool round-trips per
-		// kernel), and the tiny partials merge serially in chunk order, so
-		// the reduction is bit-deterministic regardless of scheduling.
-		k := cs.model.k
-		bw := 2*k + 1
+		// per plane replaces one per kernel. Each worker chunk keeps its
+		// forward scratch and partial band block resident across its
+		// kernels (no pool round-trips per kernel), and the tiny partials
+		// merge serially in chunk order, so the reduction is
+		// bit-deterministic regardless of scheduling.
+		m := fs.model
+		bw := 2*m.k + 1
 		n := mask.W
-		parts := make([]*grid.CField, len(cs.model.freqs)) // indexed by chunk lo
-		par.ForChunks(len(cs.model.freqs), func(lo, hi int) {
+		parts := make([]*grid.CField, len(m.freqs)) // indexed by chunk lo
+		par.ForChunks(len(m.freqs), func(lo, hi int) {
 			term := grid.GetC(n, n)
 			blk := grid.GetC(bw, bw)
 			part := grid.GetC(bw, bw).Zero()
 			for ki := lo; ki < hi; ki++ {
-				for i, av := range cs.fields[ki].Data {
-					term.Data[i] = av * complex(dFdZ.Data[i], 0)
+				for i, av := range fs.fields[ki].Data {
+					term.Data[i] = av * complex(w.Data[i], 0)
 				}
-				fft.ForwardBandLimited(term, k, blk) // term becomes scratch
-				scale := complex(2*cs.model.weights[ki], 0)
-				for i, kv := range cs.model.freqs[ki].Data {
+				fft.ForwardBandLimited(term, m.k, blk) // term becomes scratch
+				scale := complex(2*m.weights[ki], 0)
+				for i, kv := range m.freqs[ki].Data {
 					part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
 				}
 			}
@@ -415,22 +451,22 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []cornerMod
 			grid.PutC(term)
 			parts[lo] = part
 		})
-		cornerBlk := grid.GetC(bw, bw).Zero()
+		planeBlk := grid.GetC(bw, bw).Zero()
 		for _, part := range parts {
 			if part == nil {
 				continue
 			}
-			cornerBlk.AddC(part)
+			planeBlk.AddC(part)
 			grid.PutC(part)
 		}
 		field := grid.GetC(n, n)
-		fft.InverseBandLimited(cornerBlk, n, n, field)
-		grid.PutC(cornerBlk)
+		fft.InverseBandLimited(planeBlk, n, n, field)
+		grid.PutC(planeBlk)
 		for i, v := range field.Data {
 			grad.Data[i] += real(v)
 		}
 		grid.PutC(field)
-		grid.Put(dFdZ)
+		grid.Put(w)
 	}
 	if cfg.SmoothWeight > 0 {
 		smoothGradient(grad, mask, cfg.SmoothWeight)

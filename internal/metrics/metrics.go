@@ -162,25 +162,39 @@ func PVBand(printed []*grid.Field, pixelNM float64) (band *grid.Field, areaNM2 f
 	if len(printed) == 0 {
 		panic("metrics: PVBand needs at least one printed image")
 	}
-	union := printed[0].Clone()
-	inter := printed[0].Clone()
-	for _, z := range printed[1:] {
-		for i, v := range z.Data {
-			if v > 0 {
-				union.Data[i] = 1
-			} else {
-				inter.Data[i] = 0
+	band = grid.NewLike(printed[0])
+	count := bandPixels(printed, band.Data)
+	return band, float64(count) * pixelNM * pixelNM
+}
+
+// PVBandArea is PVBand without the band image: only the area in nm^2, for
+// callers that score every iteration and would discard the field.
+func PVBandArea(printed []*grid.Field, pixelNM float64) float64 {
+	if len(printed) == 0 {
+		panic("metrics: PVBandArea needs at least one printed image")
+	}
+	return float64(bandPixels(printed, nil)) * pixelNM * pixelNM
+}
+
+// bandPixels counts the pixels printed under some but not all of the
+// images and, when mark is non-nil, sets mark to 1 at each of them.
+func bandPixels(printed []*grid.Field, mark []float64) int {
+	count := 0
+	for i, v := range printed[0].Data {
+		some, all := v > 0, v > 0
+		for _, z := range printed[1:] {
+			on := z.Data[i] > 0
+			some = some || on
+			all = all && on
+		}
+		if some && !all {
+			count++
+			if mark != nil {
+				mark[i] = 1
 			}
 		}
 	}
-	band = union.Sub(inter)
-	count := 0
-	for _, v := range band.Data {
-		if v > 0 {
-			count++
-		}
-	}
-	return band, float64(count) * pixelNM * pixelNM
+	return count
 }
 
 // ShapeViolations counts holes in the nominal printed image. The contest's
@@ -204,7 +218,8 @@ type Report struct {
 	AerialNominal   *grid.Field
 }
 
-// AerialFunc produces the aerial image of a mask at one process corner.
+// AerialFunc produces the aerial image of a mask at one process corner,
+// before dose (which the resist step applies).
 // Evaluation is expressed against it so the metrics stay agnostic of how
 // the image is formed — a plain simulator whose grid covers the mask, or
 // the tile pipeline's stitched full-layout simulation.
@@ -219,8 +234,8 @@ func Evaluate(s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params,
 }
 
 // EvaluateCtx is Evaluate under a context: cancellation is honored between
-// process-corner simulations, so a canceled evaluation stops within one
-// corner's worth of work.
+// focus-plane simulations, so a canceled evaluation stops within one
+// plane's worth of work.
 func EvaluateCtx(ctx context.Context, s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	return EvaluateWithCtx(ctx, s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
 }
@@ -234,22 +249,28 @@ func EvaluateWith(aerial AerialFunc, rm resist.Model, pixelNM float64, mask *gri
 }
 
 // EvaluateWithCtx is EvaluateWith under a context, with EvaluateCtx's
-// cancellation semantics.
+// cancellation semantics. Corners that share a focus plane differ only in
+// dose, which the resist applies, so aerial is called once per plane (with
+// the plane's first corner) and every corner of the plane prints from that
+// one image.
 func EvaluateWithCtx(ctx context.Context, aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
 	var aerialNominal *grid.Field
-	for i, c := range corners {
+	for _, g := range sim.FocusGroups(corners) {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("metrics: evaluation canceled before corner %s: %w", c.Name, err)
+			return nil, fmt.Errorf("metrics: evaluation canceled before corner %s: %w", g.Lead.Name, err)
 		}
-		img, err := aerial(mask, c)
+		img, err := aerial(mask, g.Lead)
 		if err != nil {
-			return nil, fmt.Errorf("metrics: simulating corner %s: %w", c.Name, err)
+			return nil, fmt.Errorf("metrics: simulating corner %s: %w", g.Lead.Name, err)
 		}
-		printed[i] = rm.Print(img, c.Dose)
-		if c.DefocusNM == 0 && c.Dose == 1 {
-			aerialNominal = img
+		for _, ci := range g.Members {
+			c := corners[ci]
+			printed[ci] = rm.Print(img, c.Dose)
+			if c.DefocusNM == 0 && c.Dose == 1 {
+				aerialNominal = img
+			}
 		}
 	}
 	if aerialNominal == nil {

@@ -1,9 +1,13 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"mosaic/internal/bench"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/optics"
@@ -142,6 +146,41 @@ func TestPVBandIdenticalCorners(t *testing.T) {
 	}
 }
 
+// TestPVBandAreaMatchesPVBand pins the count-only form to the band image:
+// the same pixels, hence the same area bit for bit, on random prints.
+func TestPVBandAreaMatchesPVBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		printed := make([]*grid.Field, 1+rng.Intn(4))
+		for i := range printed {
+			printed[i] = grid.New(16, 16)
+			for j := range printed[i].Data {
+				if rng.Intn(2) == 1 {
+					printed[i].Data[j] = 1
+				}
+			}
+		}
+		band, area := PVBand(printed, 3)
+		if got := PVBandArea(printed, 3); got != area {
+			t.Fatalf("trial %d: PVBandArea %g, PVBand area %g", trial, got, area)
+		}
+		for j := range band.Data {
+			some, all := false, true
+			for _, z := range printed {
+				some = some || z.Data[j] > 0
+				all = all && z.Data[j] > 0
+			}
+			want := 0.0
+			if some && !all {
+				want = 1
+			}
+			if band.Data[j] != want {
+				t.Fatalf("trial %d pixel %d: band %g, want %g", trial, j, band.Data[j], want)
+			}
+		}
+	}
+}
+
 func TestScore(t *testing.T) {
 	got := Score(10, 100, 2, 1)
 	want := 10.0 + 4*100 + 5000*2 + 10000*1
@@ -230,5 +269,96 @@ func TestBilinearInterpolation(t *testing.T) {
 	// Clamping outside the grid.
 	if got := bilinear(f, -5, -5, 1); got != 0 {
 		t.Fatalf("clamped corner: %g", got)
+	}
+}
+
+// evaluateUnshared is the evaluation as it ran before corners of one focus
+// plane shared an aerial image: every corner is imaged on its own. It
+// exists only as the reference the shared evaluation is pinned to.
+func evaluateUnshared(aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
+	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
+	printed := make([]*grid.Field, len(corners))
+	var aerialNominal *grid.Field
+	for i, c := range corners {
+		img, err := aerial(mask, c)
+		if err != nil {
+			return nil, err
+		}
+		printed[i] = rm.Print(img, c.Dose)
+		if c.DefocusNM == 0 && c.Dose == 1 {
+			aerialNominal = img
+		}
+	}
+	if aerialNominal == nil {
+		return nil, fmt.Errorf("corner set lacks the nominal condition")
+	}
+	samples := layout.SamplePoints(p.EPESampleNM)
+	epes := MeasureEPE(aerialNominal, 1, rm.Threshold, pixelNM, samples, p)
+	band, area := PVBand(printed, pixelNM)
+	shape := ShapeViolations(printed[0])
+	nEPE := CountViolations(epes)
+	return &Report{
+		Testcase:        layout.Name,
+		EPEViolations:   nEPE,
+		EPEResults:      epes,
+		PVBandNM2:       area,
+		PVBand:          band,
+		ShapeViolations: shape,
+		RuntimeSec:      runtimeSec,
+		Score:           Score(runtimeSec, area, nEPE, shape),
+		PrintedNominal:  printed[0],
+		AerialNominal:   aerialNominal,
+	}, nil
+}
+
+// TestEvaluateImagesEachFocusPlaneOnce: the evaluation calls its
+// AerialFunc once per focus plane (2 for the paper's window, 1 at zero
+// defocus) and still reports exactly what imaging every corner would, on
+// the whole benchmark suite at the repo benchmark's resolution.
+func TestEvaluateImagesEachFocusPlaneOnce(t *testing.T) {
+	c := optics.Default()
+	c.GridSize = 128
+	c.PixelNM = bench.ClipNM / 128
+	s, err := sim.New(c, resist.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Resist.Threshold, err = s.CalibrateThreshold(); err != nil {
+		t.Fatal(err)
+	}
+	layouts, err := bench.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, defocus := range []float64{25, 0} {
+		p := DefaultParams()
+		p.DefocusNM = defocus
+		planes := len(sim.FocusGroups(sim.ProcessCorners(p.DefocusNM, p.DoseDelta)))
+		if defocus == 0 {
+			layouts = layouts[:1] // the collapsed window needs one clip, not the suite
+		}
+		for _, layout := range layouts {
+			mask := layout.Rasterize(c.GridSize, c.PixelNM)
+			calls := 0
+			counting := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
+				calls++
+				return s.Aerial(m, c)
+			}
+			got, err := EvaluateWith(counting, s.Resist, c.PixelNM, mask, layout, p, 1.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != planes {
+				t.Fatalf("%s defocus %g: %d aerial calls, want %d", layout.Name, defocus, calls, planes)
+			}
+			want, err := evaluateUnshared(s.Aerial, s.Resist, c.PixelNM, mask, layout, p, 1.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s defocus %g: shared evaluation differs from the per-corner one (score %v vs %v, PVB %v vs %v)",
+					layout.Name, defocus, got.Score, want.Score, got.PVBandNM2, want.PVBandNM2)
+			}
+		}
 	}
 }

@@ -29,9 +29,9 @@ type Corner struct {
 // Nominal returns the nominal process condition (best focus, unit dose).
 func Nominal() Corner { return Corner{Name: "nominal", DefocusNM: 0, Dose: 1} }
 
-// spanLabel names the per-corner timing span; unnamed ad-hoc corners
-// share one label so the metric set stays bounded.
-func (c Corner) spanLabel() string {
+// SpanLabel names the timing spans of the focus plane the corner leads;
+// unnamed ad-hoc corners share one label so the metric set stays bounded.
+func (c Corner) SpanLabel() string {
 	if c.Name == "" {
 		return "custom"
 	}
@@ -48,6 +48,33 @@ func ProcessCorners(defocusNM, doseDelta float64) []Corner {
 		{Name: "inner", DefocusNM: defocusNM, Dose: 1 - doseDelta},
 		{Name: "outer", DefocusNM: defocusNM, Dose: 1 + doseDelta},
 	}
+}
+
+// FocusGroup is the set of process corners that share one focus plane.
+// Dose enters at the resist step (Eq. 4), not in the optics, so every
+// corner of a group has the same kernel fields and the same aerial image:
+// image the group once, then print each member at its own dose.
+type FocusGroup struct {
+	Lead    Corner // first member: carries the group's DefocusNM and names its spans
+	Members []int  // indices into the corner slice FocusGroups was given, ascending
+}
+
+// FocusGroups partitions corners by DefocusNM, keeping groups in order of
+// first appearance. The paper's corner set (ProcessCorners) yields two
+// groups, {nominal} and {inner, outer} — or a single one at zero defocus.
+func FocusGroups(corners []Corner) []FocusGroup {
+	var groups []FocusGroup
+next:
+	for i, c := range corners {
+		for gi := range groups {
+			if groups[gi].Lead.DefocusNM == c.DefocusNM {
+				groups[gi].Members = append(groups[gi].Members, i)
+				continue next
+			}
+		}
+		groups = append(groups, FocusGroup{Lead: c, Members: []int{i}})
+	}
+	return groups
 }
 
 // Simulator evaluates the forward lithography process for one optical
@@ -146,7 +173,7 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer obs.Span("sim.aerial." + c.spanLabel()).End()
+	defer obs.Span("sim.aerial." + c.SpanLabel()).End()
 	spec := s.SpectrumBand(mask, ks.K)
 	img := grid.New(mask.W, mask.H)
 	parts := make([]*grid.Field, len(ks.Freqs)) // indexed by chunk lo
@@ -178,7 +205,7 @@ func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, err
 	if err != nil {
 		return nil, err
 	}
-	defer obs.Span("sim.aerial_combined." + c.spanLabel()).End()
+	defer obs.Span("sim.aerial_combined." + c.SpanLabel()).End()
 	spec := s.SpectrumBand(mask, ks.K)
 	field := s.FieldFromSpectrumBand(spec, ks.Combined(), ks.K)
 	grid.PutC(spec)

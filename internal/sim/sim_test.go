@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mosaic/internal/grid"
@@ -47,6 +48,33 @@ func TestProcessCorners(t *testing.T) {
 	}
 	if cs[1].DefocusNM != 25 || cs[2].DefocusNM != 25 {
 		t.Fatal("process corners must be defocused")
+	}
+}
+
+func TestFocusGroups(t *testing.T) {
+	// The paper's window: nominal alone, the two dose corners together.
+	gs := FocusGroups(ProcessCorners(25, 0.02))
+	if len(gs) != 2 {
+		t.Fatalf("got %d focus groups, want 2", len(gs))
+	}
+	if gs[0].Lead.Name != "nominal" || !reflect.DeepEqual(gs[0].Members, []int{0}) {
+		t.Fatalf("first group %+v, want nominal alone", gs[0])
+	}
+	if gs[1].Lead.Name != "inner" || gs[1].Lead.DefocusNM != 25 || !reflect.DeepEqual(gs[1].Members, []int{1, 2}) {
+		t.Fatalf("second group %+v, want inner+outer led by inner", gs[1])
+	}
+	// Zero defocus collapses the window onto the nominal plane.
+	gs = FocusGroups(ProcessCorners(0, 0.02))
+	if len(gs) != 1 || !reflect.DeepEqual(gs[0].Members, []int{0, 1, 2}) {
+		t.Fatalf("zero-defocus groups %+v, want one group of three", gs)
+	}
+	// Interleaved planes keep first-appearance order and ascending members.
+	gs = FocusGroups([]Corner{{DefocusNM: 10}, {DefocusNM: -10}, {DefocusNM: 10, Dose: 2}})
+	if len(gs) != 2 || !reflect.DeepEqual(gs[0].Members, []int{0, 2}) || !reflect.DeepEqual(gs[1].Members, []int{1}) {
+		t.Fatalf("interleaved groups %+v", gs)
+	}
+	if FocusGroups(nil) != nil {
+		t.Fatal("no corners must give no groups")
 	}
 }
 
