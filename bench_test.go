@@ -28,21 +28,27 @@ var benchSetupCache *Setup
 func benchSetup(b *testing.B) *Setup {
 	b.Helper()
 	if benchSetupCache == nil {
-		cfg := DefaultOptics()
-		cfg.GridSize = benchGrid
-		cfg.PixelNM = 1024.0 / benchGrid
-		s, err := NewSetup(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Pre-build the defocus kernel set so its one-time construction
-		// cost never lands inside a measurement loop.
-		if _, err := s.Sim.Kernels(s.Params.DefocusNM); err != nil {
-			b.Fatal(err)
-		}
-		benchSetupCache = s
+		benchSetupCache = newBenchSetup(b, benchGrid)
 	}
 	return benchSetupCache
+}
+
+// newBenchSetup calibrates a setup of px pixels over the 1024 nm clip.
+func newBenchSetup(b *testing.B, px int) *Setup {
+	b.Helper()
+	cfg := DefaultOptics()
+	cfg.GridSize = px
+	cfg.PixelNM = 1024.0 / float64(px)
+	s, err := NewSetup(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Pre-build the defocus kernel set so its one-time construction
+	// cost never lands inside a measurement loop.
+	if _, err := s.Sim.Kernels(s.Params.DefocusNM); err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 func benchLayout(b *testing.B, name string) *Layout {
@@ -286,18 +292,28 @@ func BenchmarkMicroRasterize(b *testing.B) {
 
 func BenchmarkMicroIteration(b *testing.B) {
 	// One full gradient-descent iteration (fast mode): the unit the
-	// paper's runtime scales with.
-	s := benchSetup(b)
+	// paper's runtime scales with. Both grids cover the same 1024 nm clip,
+	// hence share one imaging grid (64): the per-kernel transforms cost the
+	// same on both and only the per-plane resampling and the pixel loops
+	// grow with the pixel count.
 	layout := benchLayout(b, "B4")
 	cfg := DefaultConfig(ModeFast)
 	cfg.MaxIter = 1
 	cfg.Jumps = 0
 	cfg.SRAFInit = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Optimize(cfg, layout); err != nil {
-			b.Fatal(err)
-		}
+	for _, px := range []int{benchGrid, 2 * benchGrid} {
+		b.Run(fmt.Sprintf("grid=%d", px), func(b *testing.B) {
+			s := benchSetup(b)
+			if px != benchGrid {
+				s = newBenchSetup(b, px)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Optimize(cfg, layout); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -34,11 +34,16 @@ import (
 // them at 1e-12.
 
 // Pruned-transform counters: how often the engine skipped work versus fell
-// back to a full transform (rectangular grids take the reference path).
+// back to a full transform (rectangular grids take the reference path), and
+// how many grid points the pruned transforms covered (w*h per call, both
+// directions). Callers run transforms of different sizes — the per-kernel
+// ones on the imaging grid, the resampling ones on the mask grid — so the
+// call counts alone do not measure work; the points do.
 var (
 	prunedInverse  = obs.NewCounter("fft_pruned_inverse_total")
 	prunedForward  = obs.NewCounter("fft_pruned_forward_total")
 	prunedFallback = obs.NewCounter("fft_pruned_fallback_total")
+	prunedPoints   = obs.NewCounter("fft_pruned_points_total")
 )
 
 func checkBlock(blk *grid.CField, w, h int) int {
@@ -74,6 +79,7 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 		return
 	}
 	prunedInverse.Inc()
+	prunedPoints.Add(int64(w * h))
 	n := w
 	p := getPlan(n)
 	dst.Zero()
@@ -107,14 +113,15 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	// reused across consecutive x. The previous per-band-row scatter
 	// instead made 2k+1 full stride-n passes over dst, touching every
 	// cache line of a 512^2/1024^2 grid once per band row.
-	sy := make([]int, rows)
-	for bi := range sy {
-		sy[bi] = (bi - k + n) % n
-	}
+	// Band row bi holds frequency bi-k: the negative ones land in the last
+	// k entries of the destination row, the rest in the first k+1.
 	for x := 0; x < n; x++ {
 		d := dst.Data[x*n : x*n+n]
-		for bi, s := range sy {
-			d[s] = ws.Data[bi*n+x]
+		for bi := 0; bi < k; bi++ {
+			d[n-k+bi] = ws.Data[bi*n+x]
+		}
+		for bi := k; bi < rows; bi++ {
+			d[bi-k] = ws.Data[bi*n+x]
 		}
 	}
 	grid.PutC(ws)
@@ -158,6 +165,7 @@ func embedInto(dst *grid.CField, blk *grid.CField, k int) {
 func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
 	checkBlock(blk, src.W, src.H)
 	prunedForward.Inc()
+	prunedPoints.Add(int64(src.W * src.H))
 	pw := getPlan(src.W)
 	rowPass := func(lo, hi int) {
 		for y := lo; y < hi; y++ {
@@ -209,6 +217,7 @@ func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
 func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
 	checkBlock(blk, f.W, f.H)
 	prunedForward.Inc()
+	prunedPoints.Add(int64(f.W * f.H))
 	ws := grid.GetC(f.W, f.H)
 	pn := getPlan(f.W)
 	var ph *plan

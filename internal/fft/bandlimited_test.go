@@ -143,15 +143,21 @@ func TestPrunedCountersVisible(t *testing.T) {
 	blk := grid.NewC(3, 3)
 	blk.Set(1, 1, 1)
 	dst := grid.NewC(16, 16)
+	pts0 := prunedPoints.Value()
 	InverseBandLimited(blk, 16, 16, dst)
 	ForwardBandLimited(dst, 1, blk)
+	ForwardBandLimitedReal(grid.New(8, 8), 1, blk)
 	txt := obs.MetricsText()
-	for _, name := range []string{"fft_pruned_inverse_total", "fft_pruned_forward_total"} {
+	for _, name := range []string{"fft_pruned_inverse_total", "fft_pruned_forward_total", "fft_pruned_points_total"} {
 		if !strings.Contains(txt, name) {
 			t.Errorf("metrics dump missing %s", name)
 		}
 	}
 	if prunedInverse.Value() == 0 || prunedForward.Value() == 0 {
 		t.Error("pruned counters did not advance")
+	}
+	// One w*h per pruned call, whatever its direction or size.
+	if got, want := prunedPoints.Value()-pts0, int64(16*16+16*16+8*8); got != want {
+		t.Errorf("pruned points advanced by %d, want %d", got, want)
 	}
 }

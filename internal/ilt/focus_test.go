@@ -10,22 +10,30 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 	"mosaic/internal/optics"
-	"mosaic/internal/par"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 )
 
-// referenceGradient is the per-corner gradient the optimizer used before
-// the adjoint was merged across the corners of a focus plane: every corner
-// gets its own W_c and its own adjoint pass (G pruned forwards + one pruned
-// inverse). It exists only as the reference the merged gradient is pinned
-// to.
+// referenceGradient is an independent full-resolution reference for the
+// optimizer's coarse, plane-merged gradient: every corner gets its own W_c
+// and its own adjoint pass, and every kernel field A_k is imaged here on the
+// mask grid (sim.Spectrum + sim.FieldFromSpectrum, full transforms) instead
+// of being read from the optimizer's imaging-grid state. Only the printed
+// patterns Z_c and the EPE weight map are taken from st.
 func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *grid.Field {
 	cfg := o.Cfg
 	thetaZ := o.Sim.Resist.ThetaZ
-	grad := grid.New(mask.W, mask.H)
+	n := mask.W
+	spec := o.Sim.Spectrum(mask)
+	grad := grid.New(n, n)
 	for _, fs := range st.planes {
-		for j, ci := range fs.model.Members {
+		m := fs.model
+		k := m.ig.K
+		fields := make([]*grid.CField, len(m.freqs))
+		for ki, kf := range m.freqs {
+			fields[ki] = o.Sim.FieldFromSpectrum(spec, kf, k)
+		}
+		for j, ci := range m.Members {
 			if ci == 0 && cfg.Alpha == 0 {
 				continue
 			}
@@ -33,7 +41,7 @@ func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *g
 				continue
 			}
 			z := st.z[ci]
-			dFdZ := grid.New(mask.W, mask.H)
+			dFdZ := grid.New(n, n)
 			if ci == 0 {
 				switch cfg.Mode {
 				case ModeFast:
@@ -51,40 +59,29 @@ func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *g
 					dFdZ.Data[i] = cfg.Beta * 2 * (v - target.Data[i])
 				}
 			}
-			dose := fs.model.doses[j]
+			dose := m.doses[j]
 			for i, zv := range z.Data {
 				dFdZ.Data[i] *= thetaZ * zv * (1 - zv) * dose
 			}
 
-			k := fs.model.k
-			bw := 2*k + 1
-			n := mask.W
-			parts := make([]*grid.CField, len(fs.model.freqs))
-			par.ForChunks(len(fs.model.freqs), func(lo, hi int) {
+			cornerSpec := grid.NewC(n, n)
+			for ki, kf := range m.freqs {
 				term := grid.NewC(n, n)
-				blk := grid.NewC(bw, bw)
-				part := grid.NewC(bw, bw)
-				for ki := lo; ki < hi; ki++ {
-					for i, av := range fs.fields[ki].Data {
-						term.Data[i] = av * complex(dFdZ.Data[i], 0)
-					}
-					fft.ForwardBandLimited(term, k, blk)
-					scale := complex(2*fs.model.weights[ki], 0)
-					for i, kv := range fs.model.freqs[ki].Data {
-						part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
-					}
+				for i, av := range fields[ki].Data {
+					term.Data[i] = av * complex(dFdZ.Data[i], 0)
 				}
-				parts[lo] = part
-			})
-			cornerBlk := grid.NewC(bw, bw)
-			for _, part := range parts {
-				if part != nil {
-					cornerBlk.AddC(part)
+				fft.Forward2D(term)
+				scale := complex(2*m.weights[ki], 0)
+				for dy := -k; dy <= k; dy++ {
+					for dx := -k; dx <= k; dx++ {
+						sx, sy := (dx+n)%n, (dy+n)%n
+						kv := kf.At(dx+k, dy+k)
+						cornerSpec.Set(sx, sy, cornerSpec.At(sx, sy)+term.At(sx, sy)*complex(real(kv), -imag(kv))*scale)
+					}
 				}
 			}
-			field := grid.NewC(n, n)
-			fft.InverseBandLimited(cornerBlk, n, n, field)
-			for i, v := range field.Data {
+			fft.Inverse2D(cornerSpec)
+			for i, v := range cornerSpec.Data {
 				grad.Data[i] += real(v)
 			}
 		}
@@ -170,28 +167,39 @@ func benchSim(t *testing.T) *sim.Simulator {
 	return s
 }
 
-// TestFFTBudgetPerIteration pins the transform count of one descent
-// iteration to inverse = D*(G+1), forward = 1 + D*G for D focus planes and
-// G gradient kernels: an accidental extra transform fails here instead of
-// showing up as an unexplained slowdown.
+// TestFFTBudgetPerIteration pins the transform budget of one descent
+// iteration for D focus planes and G gradient kernels on an N-px mask grid
+// with an Nc-px imaging grid (Nc < N): D*(G+2)+1 pruned inverses and as many
+// pruned forwards, covering 2*D*(G+1)*Nc^2 + 2*(D+1)*N^2 grid points — per
+// plane G field inverses, G adjoint forwards and one resampling transform
+// each way on the imaging grid, plus the plane's two resampling transforms,
+// the mask spectrum and the merged gradient inverse on the mask grid. An
+// accidental extra transform, or a per-kernel one that slipped back onto the
+// mask grid, fails here instead of showing up as an unexplained slowdown.
 func TestFFTBudgetPerIteration(t *testing.T) {
 	inverse := obs.NewCounter("fft_pruned_inverse_total")
 	forward := obs.NewCounter("fft_pruned_forward_total")
 	fallback := obs.NewCounter("fft_pruned_fallback_total")
+	points := obs.NewCounter("fft_pruned_points_total")
 	layout, err := bench.Layout("B1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := benchSim(t)
+	const n, nc = 128, 64
+	if ig := sim.NewImagingGrid(s.Cfg.GridSize, s.Cfg.BandLimitK()); ig.N != n || ig.Nc != nc {
+		t.Fatalf("imaging grid %d on mask grid %d, want %d on %d", ig.Nc, ig.N, nc, n)
+	}
 	cases := []struct {
-		name     string
-		mode     Mode
-		defocus  float64
-		inv, fwd int64
+		name    string
+		mode    Mode
+		defocus float64
+		d, g    int64
+		calls   int64 // D*(G+2)+1, each direction
 	}{
-		{"fast", ModeFast, 25, 18, 17},        // D=2, G=8
-		{"exact", ModeExact, 25, 50, 49},      // D=2, G=24
-		{"fast-one-plane", ModeFast, 0, 9, 9}, // D=1, G=8
+		{"fast", ModeFast, 25, 2, 8, 21},
+		{"exact", ModeExact, 25, 2, 24, 53},
+		{"fast-one-plane", ModeFast, 0, 1, 8, 11},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(tc.mode)
@@ -205,7 +213,7 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if _, err := o.buildModels(); err != nil {
 			t.Fatal(err)
 		}
-		inv0, fwd0, fb0, it0 := inverse.Value(), forward.Value(), fallback.Value(), iterations.Value()
+		inv0, fwd0, fb0, pts0, it0 := inverse.Value(), forward.Value(), fallback.Value(), points.Value(), iterations.Value()
 		if _, err := o.Run(layout); err != nil {
 			t.Fatal(err)
 		}
@@ -213,11 +221,15 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if iters != 3 {
 			t.Fatalf("%s: %d iterations, want 3", tc.name, iters)
 		}
-		if got := inverse.Value() - inv0; got != tc.inv*iters {
-			t.Errorf("%s: %d pruned inverses over %d iterations, want %d per iteration", tc.name, got, iters, tc.inv)
+		if got := inverse.Value() - inv0; got != tc.calls*iters {
+			t.Errorf("%s: %d pruned inverses over %d iterations, want %d per iteration", tc.name, got, iters, tc.calls)
 		}
-		if got := forward.Value() - fwd0; got != tc.fwd*iters {
-			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per iteration", tc.name, got, iters, tc.fwd)
+		if got := forward.Value() - fwd0; got != tc.calls*iters {
+			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per iteration", tc.name, got, iters, tc.calls)
+		}
+		wantPts := 2*tc.d*(tc.g+1)*nc*nc + 2*(tc.d+1)*n*n
+		if got := points.Value() - pts0; got != wantPts*iters {
+			t.Errorf("%s: %d pruned-transform points over %d iterations, want %d per iteration", tc.name, got, iters, wantPts)
 		}
 		if got := fallback.Value() - fb0; got != 0 {
 			t.Errorf("%s: %d pruned-transform fallbacks, want 0", tc.name, got)

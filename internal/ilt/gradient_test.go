@@ -56,8 +56,16 @@ func objectiveAt(o *Optimizer, p *grid.Field, models []focusModel, target *grid.
 }
 
 // checkGradient compares the analytic dF/dP against central finite
-// differences at a spread of probe pixels.
+// differences at a spread of probe pixels of testOptimizer's 64-px grid.
 func checkGradient(t *testing.T, o *Optimizer, layout *geom.Layout) {
+	t.Helper()
+	// Probe pixels in and around the features where the gradient is live.
+	checkGradientAt(t, o, layout, [][2]int{
+		{24, 32}, {20, 32}, {26, 20}, {30, 32}, {38, 30}, {40, 18}, {44, 40}, {10, 10},
+	})
+}
+
+func checkGradientAt(t *testing.T, o *Optimizer, layout *geom.Layout, probes [][2]int) {
 	t.Helper()
 	n := o.Sim.Cfg.GridSize
 	target := layout.Rasterize(n, o.Sim.Cfg.PixelNM)
@@ -77,10 +85,6 @@ func checkGradient(t *testing.T, o *Optimizer, layout *geom.Layout) {
 		grad.Data[i] = g * o.Cfg.ThetaM * mv * (1 - mv)
 	}
 
-	// Probe pixels in and around the features where the gradient is live.
-	probes := [][2]int{
-		{24, 32}, {20, 32}, {26, 20}, {30, 32}, {38, 30}, {40, 18}, {44, 40}, {10, 10},
-	}
 	const eps = 1e-4
 	checked := 0
 	gLo, gHi := grad.MinMax()
@@ -160,6 +164,60 @@ func TestGradientFiniteDifferenceExactWithSmooth(t *testing.T) {
 	checkGradient(t, o, layout)
 }
 
+// TestGradientFiniteDifference128 repeats the finite-difference check on a
+// 128-px grid over the paper's 1024 nm field, where the imaging grid (64) is
+// half the mask grid and has the benchmark's K = 14: testOptimizer's layout
+// and probes at twice the size.
+func TestGradientFiniteDifference128(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  Mode
+		tweak func(*Config)
+	}{
+		{"fast", ModeFast, func(*Config) {}},
+		{"exact", ModeExact, func(*Config) {}},
+		{"combined-kernel", ModeFast, func(c *Config) { c.GradKernels = 0 }},
+		{"pvb-only", ModeFast, func(c *Config) { c.Alpha, c.Beta = 0, 1 }},
+		{"exact-smooth", ModeExact, func(c *Config) { c.SmoothWeight = 0.25 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			small, layout := testOptimizer(t, tc.mode)
+			c := small.Sim.Cfg
+			c.GridSize = 128
+			s, err := sim.New(c, resist.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Resist.Threshold, err = s.CalibrateThreshold(); err != nil {
+				t.Fatal(err)
+			}
+			if ig := sim.NewImagingGrid(c.GridSize, c.BandLimitK()); ig.Nc != 64 {
+				t.Fatalf("imaging grid %d, want 64", ig.Nc)
+			}
+			cfg := small.Cfg
+			tc.tweak(&cfg)
+			o, err := New(s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			big := &geom.Layout{Name: "grad-test-128", SizeNM: 2 * layout.SizeNM}
+			for _, poly := range layout.Polys {
+				scaled := make(geom.Polygon, len(poly))
+				for i, pt := range poly {
+					scaled[i] = geom.Point{X: 2 * pt.X, Y: 2 * pt.Y}
+				}
+				big.Polys = append(big.Polys, scaled)
+			}
+			if err := big.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			checkGradientAt(t, o, big, [][2]int{
+				{48, 64}, {40, 64}, {52, 40}, {60, 64}, {76, 60}, {80, 36}, {88, 80}, {20, 20},
+			})
+		})
+	}
+}
+
 func TestTruncatedStackOpenFrameUnit(t *testing.T) {
 	// The renormalized truncated stack must image a clear mask to
 	// intensity 1 so the resist threshold keeps its calibration.
@@ -172,7 +230,7 @@ func TestTruncatedStackOpenFrameUnit(t *testing.T) {
 	m := models[0]
 	dc := 0.0
 	for i, f := range m.freqs {
-		v := f.At(m.k, m.k)
+		v := f.At(m.ig.K, m.ig.K)
 		dc += m.weights[i] * (real(v)*real(v) + imag(v)*imag(v))
 	}
 	if diff := dc - 1; diff > 1e-9 || diff < -1e-9 {

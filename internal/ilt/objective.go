@@ -21,9 +21,9 @@ import (
 // its meaning under truncation). The corners of a plane differ only in
 // dose, which enters at the resist step, so they share everything here.
 type focusModel struct {
-	sim.FocusGroup           // Members index the process corner list; 0 is the nominal condition
-	doses          []float64 // dose of each member
-	k              int       // frequency block half-width
+	sim.FocusGroup                 // Members index the process corner list; 0 is the nominal condition
+	doses          []float64       // dose of each member
+	ig             sim.ImagingGrid // grid the kernel fields live on; ig.K is the frequency block half-width
 	freqs          []*grid.CField
 	weights        []float64
 }
@@ -55,7 +55,7 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 	if err != nil {
 		return focusModel{}, err
 	}
-	m := focusModel{FocusGroup: g, k: ks.K}
+	m := focusModel{FocusGroup: g, ig: sim.NewImagingGrid(o.Sim.Cfg.GridSize, ks.K)}
 	for _, ci := range g.Members {
 		m.doses = append(m.doses, corners[ci].Dose)
 	}
@@ -88,13 +88,13 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 // focusState is the forward state at one focus plane for the current mask.
 type focusState struct {
 	model  focusModel
-	fields []*grid.CField // A_k = M conv h_k, one per gradient kernel
-	i      *grid.Field    // aerial intensity (before dose)
+	fields []*grid.CField // A_k = M conv h_k on the imaging grid, one per gradient kernel
+	i      *grid.Field    // aerial intensity (before dose) on the mask grid
 }
 
 // iterState is everything the objective and gradient share in one
-// iteration. Every full-grid buffer it holds comes from the workspace
-// pool; release returns them once the iteration is done with the state.
+// iteration. Every grid buffer it holds comes from the workspace pool;
+// release returns them once the iteration is done with the state.
 type iterState struct {
 	specBand *grid.CField // band-limited FFT of the current mask
 	planes   []focusState
@@ -147,7 +147,7 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 	// slots, so the planes run concurrently; the serial objective summation
 	// below keeps the floating-point order — and hence the result —
 	// deterministic.
-	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].k)}
+	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].ig.K)}
 	st.planes = make([]focusState, len(models))
 	corners := 0
 	for _, m := range models {
@@ -157,14 +157,16 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 	par.For(len(models), func(mi int) {
 		m := models[mi]
 		fsp := obs.Span("ilt.forward." + m.Lead.SpanLabel())
-		fs := focusState{model: m, i: grid.Get(mask.W, mask.H).Zero()}
+		fs := focusState{model: m}
 		fs.fields = make([]*grid.CField, len(m.freqs))
 		par.For(len(m.freqs), func(ki int) {
-			fs.fields[ki] = o.Sim.FieldFromSpectrumBand(st.specBand, m.freqs[ki], m.k)
+			fs.fields[ki] = m.ig.Field(st.specBand, m.freqs[ki])
 		})
+		ic := grid.Get(m.ig.Nc, m.ig.Nc).Zero()
 		for ki, f := range fs.fields {
-			f.AccumAbs2(fs.i, m.weights[ki])
+			f.AccumAbs2(ic, m.weights[ki])
 		}
+		fs.i = m.ig.Interpolate(ic)
 		for j, ci := range m.Members {
 			st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, m.doses[j])
 		}
@@ -386,13 +388,15 @@ func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int,
 func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *grid.Field {
 	cfg := o.Cfg
 	thetaZ := o.Sim.Resist.ThetaZ
-	// The returned gradient comes from the workspace pool; runRaster
-	// releases it at the end of the iteration.
-	grad := grid.Get(mask.W, mask.H).Zero()
+	n := mask.W
+	bw := 2*models[0].ig.K + 1
+	// Sum over planes and kernels of the adjoint band blocks; every model
+	// shares the optics, hence the block size.
+	gradBlk := grid.GetC(bw, bw).Zero()
 
 	for _, fs := range st.planes {
 		// W = sum over the plane's corners of dF/dZ * theta_Z * Z(1-Z) * dose.
-		w := grid.Get(mask.W, mask.H).Zero()
+		w := grid.Get(n, n).Zero()
 		live := false
 		for j, ci := range fs.model.Members {
 			z, dose := st.z[ci].Data, fs.model.doses[j]
@@ -420,28 +424,30 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusMode
 			continue
 		}
 
-		// Adjoint pass. Each kernel contributes
+		// Adjoint pass, on the imaging grid: W is carried there once by the
+		// transpose of the forward interpolation, and each kernel contributes
 		//   2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W .* A_ki) ) }
-		// and the inverse transform is linear, so the per-kernel band
-		// blocks accumulate in the frequency domain and ONE pruned inverse
-		// per plane replaces one per kernel. Each worker chunk keeps its
-		// forward scratch and partial band block resident across its
-		// kernels (no pool round-trips per kernel), and the tiny partials
-		// merge serially in chunk order, so the reduction is
-		// bit-deterministic regardless of scheduling.
+		// The inverse transform is linear, so the per-kernel band blocks
+		// accumulate in the frequency domain — across kernels here and across
+		// planes below — and ONE mask-grid inverse per iteration replaces one
+		// per kernel and plane. Each worker chunk keeps its forward scratch
+		// and partial band block resident across its kernels (no pool
+		// round-trips per kernel), and the tiny partials merge serially in
+		// chunk order, so the reduction is bit-deterministic regardless of
+		// scheduling.
 		m := fs.model
-		bw := 2*m.k + 1
-		n := mask.W
+		nc := m.ig.Nc
+		wc := m.ig.Restrict(w)
 		parts := make([]*grid.CField, len(m.freqs)) // indexed by chunk lo
 		par.ForChunks(len(m.freqs), func(lo, hi int) {
-			term := grid.GetC(n, n)
+			term := grid.GetC(nc, nc)
 			blk := grid.GetC(bw, bw)
 			part := grid.GetC(bw, bw).Zero()
 			for ki := lo; ki < hi; ki++ {
 				for i, av := range fs.fields[ki].Data {
-					term.Data[i] = av * complex(w.Data[i], 0)
+					term.Data[i] = av * complex(wc.Data[i], 0)
 				}
-				fft.ForwardBandLimited(term, m.k, blk) // term becomes scratch
+				fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
 				scale := complex(2*m.weights[ki], 0)
 				for i, kv := range m.freqs[ki].Data {
 					part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
@@ -451,23 +457,25 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusMode
 			grid.PutC(term)
 			parts[lo] = part
 		})
-		planeBlk := grid.GetC(bw, bw).Zero()
+		grid.Put(wc)
 		for _, part := range parts {
 			if part == nil {
 				continue
 			}
-			planeBlk.AddC(part)
+			gradBlk.AddC(part)
 			grid.PutC(part)
 		}
-		field := grid.GetC(n, n)
-		fft.InverseBandLimited(planeBlk, n, n, field)
-		grid.PutC(planeBlk)
-		for i, v := range field.Data {
-			grad.Data[i] += real(v)
-		}
-		grid.PutC(field)
-		grid.Put(w)
 	}
+	field := grid.GetC(n, n)
+	fft.InverseBandLimited(gradBlk, n, n, field)
+	grid.PutC(gradBlk)
+	// The returned gradient comes from the workspace pool; runRaster
+	// releases it at the end of the iteration.
+	grad := grid.Get(n, n)
+	for i, v := range field.Data {
+		grad.Data[i] = real(v)
+	}
+	grid.PutC(field)
 	if cfg.SmoothWeight > 0 {
 		smoothGradient(grad, mask, cfg.SmoothWeight)
 	}

@@ -1,0 +1,102 @@
+package sim
+
+import (
+	"fmt"
+
+	"mosaic/internal/fft"
+	"mosaic/internal/grid"
+)
+
+// ImagingGrid is the grid the per-kernel SOCS work runs on. Every kernel
+// lives on the central (2K+1)^2 frequency block, so a field A_k = M conv h_k
+// is fully determined by 2K+1 samples per axis and the products the model
+// forms from it — |A_k|^2 (bandwidth 2K) in the forward pass, and the +/-K
+// band of W.A_k (bandwidth 3K) in the adjoint — are alias-free on any grid
+// of at least 4K+1 samples. The imaging grid is the smallest power-of-two
+// grid of that size, capped at the mask grid: the per-kernel transforms cost
+// Nc^2 whatever the mask's pixel count, and each focus plane is resampled
+// between the two grids once (Interpolate forward, Restrict in the adjoint).
+// When Nc == N both resamplings are the identity and are skipped.
+type ImagingGrid struct {
+	N  int // mask grid side
+	K  int // half-width of the optical frequency block
+	Nc int // imaging grid side: min(N, NextPow2(4K+1))
+}
+
+// NewImagingGrid derives the imaging grid of an n x n mask grid imaged
+// through kernels of frequency half-width k.
+func NewImagingGrid(n, k int) ImagingGrid {
+	if k < 0 || 2*k+1 > n {
+		panic(fmt.Sprintf("sim: frequency block half-width %d does not fit grid size %d", k, n))
+	}
+	nc := fft.NextPow2(4*k + 1)
+	if nc > n {
+		nc = n
+	}
+	return ImagingGrid{N: n, K: k, Nc: nc}
+}
+
+// Field convolves the band-limited mask spectrum (as returned by
+// SpectrumBand) with one kernel's frequency response and returns the complex
+// optical field sampled on the imaging grid — every (N/Nc)-th sample of the
+// full-grid field FieldFromSpectrum computes. The inverse transform
+// normalizes by 1/Nc^2 where the mask-grid one divides by N^2, hence the
+// Nc^2/N^2 factor (a power of two, so exact). The returned field comes from
+// the workspace pool; release it with grid.PutC when done.
+func (g ImagingGrid) Field(specBand, kf *grid.CField) *grid.CField {
+	bw := 2*g.K + 1
+	scale := float64(g.Nc*g.Nc) / float64(g.N*g.N)
+	blk := grid.GetC(bw, bw)
+	for i, v := range specBand.Data {
+		p := v * kf.Data[i]
+		blk.Data[i] = complex(real(p)*scale, imag(p)*scale)
+	}
+	out := grid.GetC(g.Nc, g.Nc)
+	fft.InverseBandLimited(blk, g.Nc, g.Nc, out)
+	grid.PutC(blk)
+	return out
+}
+
+// Interpolate Fourier-interpolates a real field of bandwidth 2K — a focus
+// plane's intensity sum_k w_k |A_k|^2 — from the imaging grid to the mask
+// grid. It is exact: the 4K+1 frequencies the field can hold are distinct on
+// both grids. It takes ownership of ic (released to the workspace pool, or
+// returned as is when the two grids coincide); the result is the caller's,
+// to keep or to release with grid.Put.
+func (g ImagingGrid) Interpolate(ic *grid.Field) *grid.Field {
+	if g.Nc == g.N {
+		return ic
+	}
+	return g.resample(ic, g.N, float64(g.N*g.N)/float64(g.Nc*g.Nc))
+}
+
+// Restrict is the transpose of Interpolate: it carries a mask-grid
+// sensitivity dF/dI back to the imaging grid, <Interpolate(x), y> =
+// <x, Restrict(y)>. Ownership follows Interpolate.
+func (g ImagingGrid) Restrict(w *grid.Field) *grid.Field {
+	if g.Nc == g.N {
+		return w
+	}
+	return g.resample(w, g.Nc, 1)
+}
+
+// resample moves the +/-2K band of src to an n x n grid, scaling the
+// spectrum by scale, and releases src.
+func (g ImagingGrid) resample(src *grid.Field, n int, scale float64) *grid.Field {
+	bw := 4*g.K + 1
+	blk := grid.GetC(bw, bw)
+	fft.ForwardBandLimitedReal(src, 2*g.K, blk)
+	grid.Put(src)
+	for i, v := range blk.Data {
+		blk.Data[i] = complex(real(v)*scale, imag(v)*scale)
+	}
+	field := grid.GetC(n, n)
+	fft.InverseBandLimited(blk, n, n, field)
+	grid.PutC(blk)
+	out := grid.Get(n, n)
+	for i, v := range field.Data {
+		out.Data[i] = real(v)
+	}
+	grid.PutC(field)
+	return out
+}

@@ -128,8 +128,9 @@ func (s *Simulator) SpectrumBand(mask *grid.Field, k int) *grid.CField {
 // FieldFromSpectrum convolves the mask (given by its full spectrum) with
 // one kernel (given by its frequency response on the central block of
 // half-width K) and returns the complex optical field on the full grid.
-// This is the reference implementation; the hot paths go through
-// FieldFromSpectrumBand, which the equivalence tests pin to this one.
+// This is the mask-grid reference implementation; the hot paths image on
+// the imaging grid (ImagingGrid.Field), which the equivalence tests pin to
+// this one.
 func (s *Simulator) FieldFromSpectrum(spec *grid.CField, kf *grid.CField, k int) *grid.CField {
 	n := s.Cfg.GridSize
 	out := grid.NewC(n, n)
@@ -144,30 +145,15 @@ func (s *Simulator) FieldFromSpectrum(spec *grid.CField, kf *grid.CField, k int)
 	return out
 }
 
-// FieldFromSpectrumBand convolves the band-limited mask spectrum (as
-// returned by SpectrumBand) with one kernel's frequency response and
-// returns the complex optical field on the full grid, using the pruned
-// inverse transform. The returned field comes from the workspace pool;
-// release it with grid.PutC when done.
-func (s *Simulator) FieldFromSpectrumBand(specBand, kf *grid.CField, k int) *grid.CField {
-	n := s.Cfg.GridSize
-	blk := grid.GetC(2*k+1, 2*k+1)
-	for i, v := range specBand.Data {
-		blk.Data[i] = v * kf.Data[i]
-	}
-	out := grid.GetC(n, n)
-	fft.InverseBandLimited(blk, n, n, out)
-	grid.PutC(blk)
-	return out
-}
-
 // Aerial computes the aerial image with the full SOCS stack (Eq. 2):
 // I = sum_k w_k |M conv h_k|^2 at the corner's defocus. Dose is NOT applied
-// here; it scales intensity at the resist step. Kernel convolutions run in
-// parallel across available cores, each worker chunk accumulating into its
-// own pooled partial image; the partials merge serially in chunk order, so
-// the floating-point sum — and hence the image — is bit-deterministic
-// regardless of how the chunks were scheduled.
+// here; it scales intensity at the resist step. The kernel fields and their
+// squared moduli are formed on the imaging grid and the summed intensity is
+// interpolated to the mask grid once (see ImagingGrid). Kernel convolutions
+// run in parallel across available cores, each worker chunk accumulating
+// into its own pooled partial image; the partials merge serially in chunk
+// order, so the floating-point sum — and hence the image — is
+// bit-deterministic regardless of how the chunks were scheduled.
 func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	ks, err := s.Kernels(c.DefocusNM)
 	if err != nil {
@@ -175,12 +161,13 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	}
 	defer obs.Span("sim.aerial." + c.SpanLabel()).End()
 	spec := s.SpectrumBand(mask, ks.K)
-	img := grid.New(mask.W, mask.H)
+	ig := NewImagingGrid(s.Cfg.GridSize, ks.K)
+	img := grid.Get(ig.Nc, ig.Nc).Zero()
 	parts := make([]*grid.Field, len(ks.Freqs)) // indexed by chunk lo
 	par.ForChunks(len(ks.Freqs), func(lo, hi int) {
-		part := grid.Get(mask.W, mask.H).Zero()
+		part := grid.Get(ig.Nc, ig.Nc).Zero()
 		for i := lo; i < hi; i++ {
-			field := s.FieldFromSpectrumBand(spec, ks.Freqs[i], ks.K)
+			field := ig.Field(spec, ks.Freqs[i])
 			field.AccumAbs2(part, ks.Weights[i])
 			grid.PutC(field)
 		}
@@ -194,7 +181,7 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 		grid.Put(part)
 	}
 	grid.PutC(spec)
-	return img, nil
+	return ig.Interpolate(img), nil
 }
 
 // AerialCombined computes the aerial image with the combined single kernel
@@ -207,11 +194,12 @@ func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, err
 	}
 	defer obs.Span("sim.aerial_combined." + c.SpanLabel()).End()
 	spec := s.SpectrumBand(mask, ks.K)
-	field := s.FieldFromSpectrumBand(spec, ks.Combined(), ks.K)
+	ig := NewImagingGrid(s.Cfg.GridSize, ks.K)
+	field := ig.Field(spec, ks.Combined())
 	grid.PutC(spec)
 	img := field.Abs2()
 	grid.PutC(field)
-	return img, nil
+	return ig.Interpolate(img), nil
 }
 
 // PrintHard applies the hard-threshold resist (Eq. 3) at the corner's dose.
