@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build bench bench-compare bench-e2e bench-e2e-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build fuzz-smoke bench bench-compare bench-e2e bench-e2e-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -27,6 +27,24 @@ test:
 
 build:
 	$(GO) build ./...
+
+# fuzz-smoke runs every fuzz target for FUZZ_TIME each: the binary
+# decoders behind internal/frame (error or exact round-trip, never a
+# panic, never an allocation sized by a length field beyond the input)
+# and the two text/stream layout parsers. go test takes one -fuzz target
+# per run. Minimization is capped in executions, not time: the default
+# 60 s per new corpus entry would eat a 5 s budget whole.
+FUZZ_TIME ?= 5s
+FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult ilt:FuzzSnapshot \
+	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
+	geom:FuzzParse gds:FuzzParse
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz ./internal/$${t%%:*} $${t##*:}"; \
+		$(GO) test ./internal/$${t%%:*} -run='^$$' -fuzz="^$${t##*:}$$" \
+			-fuzztime=$(FUZZ_TIME) -fuzzminimizetime=10x || exit 1; \
+	done
 
 # serve-smoke boots the mosaicd job service and drives one tiny job
 # through the HTTP API end to end (submit, poll, result, mask, drain).

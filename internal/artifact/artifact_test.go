@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 )
@@ -405,7 +407,7 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 
 	// Flip one byte deep inside leaf 1's payload. The CRC catches it,
 	// and Verify must attribute the failure to exactly that leaf.
-	path := s.blobPath(digests[1])
+	path := s.blobs.Path(digests[1].String())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +433,7 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 
 	// A payload that still frames correctly but was swapped wholesale
 	// (CRC recomputed by an attacker) is caught by the content hash.
-	swapped := frame(blobMagic, []byte("not the original payload"))
+	swapped := frame.Encode(blobMagic, []byte("not the original payload"))
 	if err := os.WriteFile(path, swapped, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -469,16 +471,12 @@ func TestManifestDigestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *back != *m1 {
-		t.Fatalf("manifest round-trip: %+v != %+v", back, m1)
+	if again, err := back.Encode(); err != nil || !bytes.Equal(again, p1) {
+		t.Fatalf("manifest round-trip: %s != %s (err %v)", again, p1, err)
 	}
 
-	// Any bits-affecting field change must move the digest.
-	m2.Opt.StepSize *= 1.0000001
-	p3, _ := m2.Encode()
-	if HashBlob(p1) == HashBlob(p3) {
-		t.Fatal("optimizer change did not move the manifest digest")
-	}
+	// The geometry digest must move the manifest digest (every parameter
+	// field is perturbed in turn by cluster.TestBitsFieldSensitivity).
 	m3 := testManifest()
 	m3.Layout.Geometry = testDigest(7)
 	p4, _ := m3.Encode()
@@ -493,9 +491,9 @@ func testManifest() *Manifest {
 		DigestVersion: 3,
 		Build:         "test@rev",
 		Layout:        ManifestLayout{Name: "clip", SizeNM: 2048, Polygons: 4, Geometry: testDigest(5)},
-		Optics:        ManifestOptics{WavelengthNM: 193, NA: 1.35, SigmaIn: 0.5, SigmaOut: 0.8, Kernels: 12},
-		Resist:        ManifestResist{Threshold: 0.3, ThetaZ: 50},
-		Opt:           ManifestOpt{Mode: 1, Alpha: 1, Beta: 0.5, StepSize: 2, MaxIter: 40, GradKernels: 6},
+		Optics:        map[string]any{"wavelength_nm": 193.0, "na": 1.35, "kernels": 12},
+		Resist:        map[string]any{"threshold": 0.3, "theta_z": 50.0},
+		Opt:           map[string]any{"mode": 1, "alpha": 1.0, "beta": 0.5, "max_iter": 40},
 		Tiling:        ManifestTiling{Tiled: true, WindowPx: 512, PixelNM: 4, CoreNM: 1024, HaloNM: 512, SeamNM: 128, Cols: 2, Rows: 2},
 	}
 }

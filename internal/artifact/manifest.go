@@ -1,13 +1,11 @@
 package artifact
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"mosaic/internal/cache"
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
@@ -15,33 +13,39 @@ import (
 	"mosaic/internal/tile"
 )
 
-// ManifestSchema versions the manifest JSON layout.
-const ManifestSchema = 1
+// ManifestSchema versions the manifest JSON layout. 2: the parameter
+// sections are derived from ilt.Bits (gaining obj_tol, optics.pixel_nm
+// and optics.grid_size) and a seeded run records its seed's digest.
+const ManifestSchema = 2
 
 // Manifest is the canonical record of every input that determined a
-// run's bits: the target geometry, the imaging and resist models, the
-// full optimizer parameter set (the same fields the tile-cache digest
-// and the cluster wire codec cover), the tiling decomposition, the
-// cache digest generation, and the build that ran it. It deliberately
+// run's bits: the target geometry, the imaging and resist models and the
+// full optimizer parameter set (rendered from ilt.Bits, the same list
+// the tile-cache digest and the cluster wire codec are derived from),
+// any warm-start seed, the tiling decomposition, the cache digest
+// generation, and the build that ran it. It deliberately
 // excludes job IDs, timestamps, worker counts, and runtimes: two runs
 // of the same work must anchor the same manifest digest whether they
 // were cold, cached, local, or distributed.
 //
 // The payload is the manifest's JSON — Go's json.Marshal is
 // deterministic for a fixed struct (field order, shortest-round-trip
-// floats), so equal manifests produce equal bytes and one digest. The
-// optimizer field list mirrors cache.RequestKey and the cluster's
-// encodeTileJob; the three must stay in sync when ilt.Config grows a
-// bits-affecting field.
+// floats), so equal manifests produce equal bytes and one digest.
 type Manifest struct {
 	Schema        int    `json:"schema"`
 	DigestVersion int    `json:"digest_version"` // cache/numeric-path generation
 	Build         string `json:"build"`          // version @ VCS revision of the binary
 
 	Layout ManifestLayout `json:"layout"`
-	Optics ManifestOptics `json:"optics"`
-	Resist ManifestResist `json:"resist"`
-	Opt    ManifestOpt    `json:"optimizer"`
+	// Optics, Resist and Opt are the ilt.Bits sections: one key per
+	// bits-determining parameter.
+	Optics map[string]any `json:"optics"`
+	Resist map[string]any `json:"resist"`
+	Opt    map[string]any `json:"optimizer"`
+	// Seed is the digest of Config.SeedMask (ilt.AppendSeed stream) when
+	// the run was handed one; per-tile library seeds are attributed on
+	// the tile provenance instead.
+	Seed   *Digest        `json:"seed,omitempty"`
 	Tiling ManifestTiling `json:"tiling"`
 }
 
@@ -53,51 +57,6 @@ type ManifestLayout struct {
 	SizeNM   float64 `json:"size_nm"`
 	Polygons int     `json:"polygons"`
 	Geometry Digest  `json:"geometry"`
-}
-
-// ManifestOptics is the imaging system (physical parameters plus the
-// SOCS truncation order).
-type ManifestOptics struct {
-	WavelengthNM float64 `json:"wavelength_nm"`
-	NA           float64 `json:"na"`
-	SigmaIn      float64 `json:"sigma_in"`
-	SigmaOut     float64 `json:"sigma_out"`
-	Kernels      int     `json:"kernels"`
-}
-
-// ManifestResist is the calibrated resist model.
-type ManifestResist struct {
-	Threshold float64 `json:"threshold"`
-	ThetaZ    float64 `json:"theta_z"`
-}
-
-// ManifestOpt is the optimizer parameter set — the encodeTileJob /
-// cache.RequestKey field set, hooks and diagnostics excluded.
-type ManifestOpt struct {
-	Mode           int     `json:"mode"`
-	Alpha          float64 `json:"alpha"`
-	Beta           float64 `json:"beta"`
-	Gamma          float64 `json:"gamma"`
-	SmoothWeight   float64 `json:"smooth_weight"`
-	ThetaM         float64 `json:"theta_m"`
-	ThetaEPE       float64 `json:"theta_epe"`
-	StepSize       float64 `json:"step_size"`
-	StepDecay      float64 `json:"step_decay"`
-	Momentum       float64 `json:"momentum"`
-	MaxIter        int     `json:"max_iter"`
-	GradTol        float64 `json:"grad_tol"`
-	Jumps          int     `json:"jumps"`
-	JumpFactor     float64 `json:"jump_factor"`
-	SRAFInit       bool    `json:"sraf_init"`
-	BiasNM         float64 `json:"bias_nm"`
-	SRAFDistNM     float64 `json:"sraf_dist_nm"`
-	SRAFWidthNM    float64 `json:"sraf_width_nm"`
-	SRAFMinLenNM   float64 `json:"sraf_min_len_nm"`
-	GradKernels    int     `json:"grad_kernels"`
-	EPEThresholdNM float64 `json:"epe_threshold_nm"`
-	EPESampleNM    float64 `json:"epe_sample_nm"`
-	DefocusNM      float64 `json:"defocus_nm"`
-	DoseDelta      float64 `json:"dose_delta"`
 }
 
 // ManifestTiling is the decomposition the run used: window resolution
@@ -127,49 +86,18 @@ func NewManifest(layout *geom.Layout, ws *sim.Simulator, cfg ilt.Config, plan *t
 			Name:     layout.Name,
 			SizeNM:   layout.SizeNM,
 			Polygons: len(layout.Polys),
-			Geometry: geometryDigest(layout),
-		},
-		Optics: ManifestOptics{
-			WavelengthNM: ws.Cfg.WavelengthNM,
-			NA:           ws.Cfg.NA,
-			SigmaIn:      ws.Cfg.SigmaIn,
-			SigmaOut:     ws.Cfg.SigmaOut,
-			Kernels:      ws.Cfg.Kernels,
-		},
-		Resist: ManifestResist{
-			Threshold: ws.Resist.Threshold,
-			ThetaZ:    ws.Resist.ThetaZ,
-		},
-		Opt: ManifestOpt{
-			Mode:           int(cfg.Mode),
-			Alpha:          cfg.Alpha,
-			Beta:           cfg.Beta,
-			Gamma:          cfg.Gamma,
-			SmoothWeight:   cfg.SmoothWeight,
-			ThetaM:         cfg.ThetaM,
-			ThetaEPE:       cfg.ThetaEPE,
-			StepSize:       cfg.StepSize,
-			StepDecay:      cfg.StepDecay,
-			Momentum:       cfg.Momentum,
-			MaxIter:        cfg.MaxIter,
-			GradTol:        cfg.GradTol,
-			Jumps:          cfg.Jumps,
-			JumpFactor:     cfg.JumpFactor,
-			SRAFInit:       cfg.SRAFInit,
-			BiasNM:         cfg.SRAFRules.BiasNM,
-			SRAFDistNM:     cfg.SRAFRules.SRAFDistNM,
-			SRAFWidthNM:    cfg.SRAFRules.SRAFWidthNM,
-			SRAFMinLenNM:   cfg.SRAFRules.SRAFMinLenNM,
-			GradKernels:    cfg.GradKernels,
-			EPEThresholdNM: cfg.EPEThresholdNM,
-			EPESampleNM:    cfg.EPESampleNM,
-			DefocusNM:      cfg.DefocusNM,
-			DoseDelta:      cfg.DoseDelta,
+			Geometry: frame.Digest(layout.AppendBits),
 		},
 		Tiling: ManifestTiling{
 			WindowPx: ws.Cfg.GridSize,
 			PixelNM:  ws.Cfg.PixelNM,
 		},
+	}
+	sections := ilt.Bits{Optics: &ws.Cfg, Resist: &ws.Resist, Cfg: &cfg}.Sections()
+	m.Optics, m.Resist, m.Opt = sections["optics"], sections["resist"], sections["optimizer"]
+	if cfg.SeedMask != nil {
+		d := Digest(frame.Digest(func(w *frame.Writer) { ilt.AppendSeed(w, cfg.SeedMask) }))
+		m.Seed = &d
 	}
 	if plan != nil {
 		m.Tiling.Tiled = true
@@ -198,27 +126,4 @@ func DecodeManifest(payload []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("artifact: decoding manifest: %w", err)
 	}
 	return &m, nil
-}
-
-// geometryDigest hashes the layout geometry — size, ring lengths, and
-// every coordinate as an IEEE-754 bit pattern, in order — so the
-// manifest commits to the exact target without embedding a full-chip
-// coordinate dump.
-func geometryDigest(l *geom.Layout) Digest {
-	h := sha256.New()
-	var b [8]byte
-	w64 := func(v uint64) { binary.LittleEndian.PutUint64(b[:], v); h.Write(b[:]) }
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	wf(l.SizeNM)
-	w64(uint64(len(l.Polys)))
-	for _, p := range l.Polys {
-		w64(uint64(len(p)))
-		for _, pt := range p {
-			wf(pt.X)
-			wf(pt.Y)
-		}
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
 }

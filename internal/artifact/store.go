@@ -1,10 +1,9 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/cas"
+	"mosaic/internal/frame"
 	"mosaic/internal/obs"
 )
 
@@ -65,8 +66,8 @@ type BlobRef struct {
 // rebuilt from the log on Open. Safe for concurrent use; concurrent
 // Commits batch their fsyncs.
 type Store struct {
-	dir string
-	log *os.File // anchors.log; writes serialized through the batcher
+	blobs cas.Dir  // dir/blobs/<2-hex>/<sha256>.blob, fsynced MTAB frames
+	log   *os.File // anchors.log; writes serialized through the batcher
 
 	// wmu guards the anchor batcher state below.
 	wmu       sync.Mutex
@@ -96,7 +97,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("artifact: creating store dir: %w", err)
 	}
 	s := &Store{
-		dir:        dir,
+		blobs:      cas.Dir{Root: filepath.Join(dir, "blobs"), Ext: ".blob", Magic: blobMagic, Sync: true},
 		byJob:      make(map[string]*Record),
 		byManifest: make(map[Digest][]*Record),
 		byRoot:     make(map[Digest][]*Record),
@@ -123,33 +124,17 @@ func (s *Store) replay(f *os.File) error {
 	if err != nil {
 		return fmt.Errorf("artifact: reading anchor log: %w", err)
 	}
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeader {
-			break
-		}
-		if binary.LittleEndian.Uint32(rest[0:]) != anchorMagic {
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[4:])
-		if n > maxPayload || frameHeader+int(n) > len(rest) {
-			break
-		}
-		payload := rest[frameHeader : frameHeader+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[8:]) {
-			break
-		}
+	off, defect := frame.Scan(anchorMagic, data, func(payload []byte) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
+			return err
 		}
 		s.index(&rec)
-		off += frameHeader + int(n)
-	}
-	if off < len(data) {
+		return nil
+	})
+	if defect != nil {
 		obs.Logger().Warn("artifact: truncating torn anchor-log tail",
-			"valid_bytes", off, "dropped_bytes", len(data)-off)
+			"valid_bytes", off, "dropped_bytes", len(data)-off, "err", defect)
 		if err := f.Truncate(int64(off)); err != nil {
 			return fmt.Errorf("artifact: truncating torn anchor log: %w", err)
 		}
@@ -172,13 +157,6 @@ func (s *Store) index(rec *Record) {
 	}
 }
 
-// blobPath is the sharded on-disk location of a blob (two hex digits
-// give 256 shards, keeping listings short at millions of blobs).
-func (s *Store) blobPath(d Digest) string {
-	h := d.String()
-	return filepath.Join(s.dir, "blobs", h[:2], h+".blob")
-}
-
 // PutBlob writes payload as a content-addressed MTAB blob and returns
 // its digest. Blobs are immutable and deduplicated — a payload already
 // stored (the same cell anchored by another job) costs a stat, not a
@@ -186,29 +164,13 @@ func (s *Store) blobPath(d Digest) string {
 // readers only ever see whole frames.
 func (s *Store) PutBlob(payload []byte) (Digest, error) {
 	d := HashBlob(payload)
-	path := s.blobPath(d)
-	if _, err := os.Stat(path); err == nil {
+	key := d.String()
+	if s.blobs.Has(key) {
 		mBlobsDeduped.Inc()
 		return d, nil
 	}
-	shard := filepath.Dir(path)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return d, fmt.Errorf("artifact: creating blob shard: %w", err)
-	}
-	tmp, err := os.CreateTemp(shard, ".blob-*")
-	if err != nil {
-		return d, fmt.Errorf("artifact: creating blob temp file: %w", err)
-	}
-	_, werr := tmp.Write(frame(blobMagic, payload))
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return d, fmt.Errorf("artifact: writing blob %s: %v", d, fmt.Sprint(werr, serr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return d, fmt.Errorf("artifact: installing blob %s: %w", d, err)
+	if _, err := s.blobs.Put(key, frame.Encode(blobMagic, payload)); err != nil {
+		return d, fmt.Errorf("artifact: writing blob %s: %w", d, err)
 	}
 	mBlobsWritten.Inc()
 	mBlobBytes.Add(int64(len(payload)))
@@ -233,16 +195,14 @@ func (s *Store) Blob(d Digest) ([]byte, error) {
 // rawBlob reads and unframes a blob file without checking the content
 // address — Verify re-derives digests itself from these bytes.
 func (s *Store) rawBlob(d Digest) ([]byte, error) {
-	data, err := os.ReadFile(s.blobPath(d))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: blob %s", ErrNotFound, d)
-		}
-		return nil, fmt.Errorf("artifact: reading blob %s: %w", d, err)
-	}
-	payload, err := unframe(blobMagic, data)
-	if err != nil {
+	payload, err := s.blobs.Get(d.String())
+	switch {
+	case errors.Is(err, cas.ErrNotFound):
+		return nil, fmt.Errorf("%w: blob %s", ErrNotFound, d)
+	case errors.Is(err, cas.ErrCorrupt):
 		return nil, fmt.Errorf("%w: blob %s: %v", ErrCorrupt, d, err)
+	case err != nil:
+		return nil, fmt.Errorf("artifact: reading blob %s: %w", d, err)
 	}
 	return payload, nil
 }
@@ -287,7 +247,7 @@ func (s *Store) Commit(jobID string, manifest []byte, leaves []Leaf) (*Record, e
 	if err != nil {
 		return nil, fmt.Errorf("artifact: encoding anchor record: %w", err)
 	}
-	if err := s.appendAnchor(frame(anchorMagic, payload)); err != nil {
+	if err := s.appendAnchor(frame.Encode(anchorMagic, payload)); err != nil {
 		return nil, err
 	}
 	s.imu.Lock()

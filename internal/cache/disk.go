@@ -1,46 +1,25 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
-	"path/filepath"
 
-	"mosaic/internal/grid"
+	"mosaic/internal/cas"
+	"mosaic/internal/frame"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 )
 
-// Disk tier layout: dir/<2-hex-digit shard>/<digest>.mtc, one entry per
-// file. The entry is a single frame in the repo's binary-codec idiom
-// (journal MJRN, cluster MTRS, snapshot MOSNAP01):
-//
-//	[4] magic   "MTCE" (uint32 LE)
-//	[4] length  (uint32 LE; payload bytes)
-//	[4] crc32   (IEEE, over the payload)
-//	[n] payload: version, windowPx, objective, iterations, runtimeSec,
-//	    seeded, then the continuous mask as IEEE-754 bit patterns
-//	    (8-byte LE)
-//
-// The binary mask is re-derived by thresholding on read, exactly as the
-// journal and cluster codecs do, so a cached result is indistinguishable
-// from a freshly computed one. Writes go to a temp file in the shard
-// directory and are atomically renamed into place: readers only ever see
-// whole entries, and a crashed writer leaves only an ignorable temp
-// file. Any defect found on read — bad magic, short file, CRC mismatch,
-// implausible window, version skew — quarantines the entry (renamed to
-// .corrupt) and reports a miss: a damaged cache costs a recompute, never
-// a failed run.
+// Disk tier: a cas.Dir of MTCE frames, dir/<2-hex-digit shard>/<digest>.mtc,
+// whose payload is the entry version followed by the shared result body
+// (ilt.NewResultFrame). Any defect found on read — bad magic, short file,
+// CRC mismatch, implausible window, version skew — quarantines the entry
+// (renamed to .corrupt) and reports a miss: a damaged cache costs a
+// recompute, never a failed run.
 const (
 	diskMagic   uint32 = 0x4543544d // "MTCE"
 	diskVersion        = 2
-
-	// maxEntryPayload bounds an entry before allocation, like the cluster
-	// codec's frame cap: a corrupt length field must not OOM the process.
-	maxEntryPayload = 1 << 30
 )
 
 // initDir creates the disk tier's root directory.
@@ -54,12 +33,7 @@ func (s *Store) initDir() error {
 	return nil
 }
 
-// entryPath returns the sharded path of key's entry. Two hex digits give
-// 256 shards, keeping directory listings short at millions of entries.
-func (s *Store) entryPath(key Key) string {
-	h := key.String()
-	return filepath.Join(s.dir, h[:2], h+".mtc")
-}
+func (s *Store) disk() cas.Dir { return cas.Dir{Root: s.dir, Ext: ".mtc", Magic: diskMagic} }
 
 // diskPut persists a result. Best-effort: any failure is logged and the
 // entry simply stays absent.
@@ -67,55 +41,9 @@ func (s *Store) diskPut(key Key, res *ilt.Result) {
 	if s.dir == "" || res == nil || res.MaskGray == nil {
 		return
 	}
-	var payload bytes.Buffer
-	w64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		payload.Write(b[:])
-	}
-	w64(diskVersion)
-	w64(uint64(res.MaskGray.W))
-	w64(math.Float64bits(res.Objective))
-	w64(uint64(res.Iterations))
-	w64(math.Float64bits(res.RuntimeSec))
-	if res.Seeded {
-		w64(1)
-	} else {
-		w64(0)
-	}
-	for _, v := range res.MaskGray.Data {
-		w64(math.Float64bits(v))
-	}
-
-	var frame bytes.Buffer
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], diskMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload.Bytes()))
-	frame.Write(hdr[:])
-	frame.Write(payload.Bytes())
-
-	path := s.entryPath(key)
-	shard := filepath.Dir(path)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		obs.Logger().Warn("cache: creating shard dir", "dir", shard, "err", err)
-		return
-	}
-	tmp, err := os.CreateTemp(shard, ".mtc-*")
-	if err != nil {
-		obs.Logger().Warn("cache: creating temp entry", "dir", shard, "err", err)
-		return
-	}
-	_, werr := tmp.Write(frame.Bytes())
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		obs.Logger().Warn("cache: writing entry", "path", path, "err", fmt.Sprint(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		obs.Logger().Warn("cache: installing entry", "path", path, "err", err)
+	entry := ilt.NewResultFrame(diskVersion, res).Seal(diskMagic)
+	if _, err := s.disk().Put(key.String(), entry); err != nil {
+		obs.Logger().Warn("cache: writing entry", "key", key, "err", err)
 	}
 }
 
@@ -125,75 +53,33 @@ func (s *Store) diskGet(key Key) (*ilt.Result, bool) {
 	if s.dir == "" {
 		return nil, false
 	}
-	path := s.entryPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			obs.Logger().Warn("cache: reading entry", "path", path, "err", err)
+	payload, err := s.disk().Get(key.String())
+	if err == nil {
+		r := frame.NewReader(payload)
+		r.Version(diskVersion)
+		res := ilt.ReadResult(r)
+		if err = r.Done(); err == nil {
+			return res, true
 		}
-		return nil, false
+		err = fmt.Errorf("%w: %v", cas.ErrCorrupt, err)
 	}
-	res, err := decodeEntry(data)
-	if err != nil {
-		s.quarantine(path, err)
-		return nil, false
+	switch {
+	case errors.Is(err, cas.ErrNotFound):
+	case errors.Is(err, cas.ErrCorrupt):
+		s.quarantine(key, err)
+	default:
+		obs.Logger().Warn("cache: reading entry", "key", key, "err", err)
 	}
-	return res, true
+	return nil, false
 }
 
-// decodeEntry validates one entry file and rebuilds its result.
-func decodeEntry(data []byte) (*ilt.Result, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("entry is %d bytes, shorter than a frame header", len(data))
-	}
-	if got := binary.LittleEndian.Uint32(data[0:]); got != diskMagic {
-		return nil, fmt.Errorf("entry magic %#x, want %#x", got, diskMagic)
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	if n > maxEntryPayload || int(n) != len(data)-12 {
-		return nil, fmt.Errorf("entry payload length %d does not match %d file bytes", n, len(data))
-	}
-	payload := data[12:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, fmt.Errorf("entry CRC mismatch")
-	}
-	if len(payload) < 48 {
-		return nil, fmt.Errorf("entry payload is %d bytes, shorter than its scalars", len(payload))
-	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-	if v := r64(0); v != diskVersion {
-		return nil, fmt.Errorf("entry version %d, want %d", v, diskVersion)
-	}
-	w := int(int64(r64(8)))
-	if w <= 0 || w > 1<<15 || len(payload) != 48+8*w*w {
-		return nil, fmt.Errorf("payload length %d does not fit a %d px window", len(payload), w)
-	}
-	res := &ilt.Result{
-		Objective:  math.Float64frombits(r64(16)),
-		Iterations: int(int64(r64(24))),
-		RuntimeSec: math.Float64frombits(r64(32)),
-		Seeded:     r64(40) != 0,
-		MaskGray:   grid.New(w, w),
-	}
-	for i := range res.MaskGray.Data {
-		res.MaskGray.Data[i] = math.Float64frombits(r64(48 + 8*i))
-	}
-	res.Mask = res.MaskGray.Threshold(0.5)
-	return res, nil
-}
-
-// quarantine moves a defective entry aside (path.corrupt) so the next
-// lookup recomputes and re-persists a clean one; the renamed file is
-// kept for postmortems rather than deleted.
-func (s *Store) quarantine(path string, cause error) {
+// quarantine moves a defective entry aside so the next lookup recomputes
+// and re-persists a clean one.
+func (s *Store) quarantine(key Key, cause error) {
 	s.mu.Lock()
 	s.stats.Corrupt++
 	s.mu.Unlock()
 	mCorrupt.Inc()
-	obs.Logger().Warn("cache: quarantining corrupt entry", "path", path, "err", cause)
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		// Rename failed (permissions, concurrent removal): fall back to
-		// removal so the defective entry cannot be served next time.
-		os.Remove(path)
-	}
+	obs.Logger().Warn("cache: quarantining corrupt entry", "key", key, "err", cause)
+	s.disk().Quarantine(key.String())
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,45 +147,6 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 	c := NewCoordinator(cfg)
 	t.Cleanup(c.Close)
 	return c
-}
-
-func TestFrameRoundTripAndCorruption(t *testing.T) {
-	payload := []byte("tile job bytes \x00\xff")
-	var buf bytes.Buffer
-	n, err := writeFrame(&buf, magicTileJob, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12+len(payload) || buf.Len() != n {
-		t.Fatalf("frame wrote %d bytes, want %d", buf.Len(), 12+len(payload))
-	}
-	got, rn, err := readFrame(bytes.NewReader(buf.Bytes()), magicTileJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn != n || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip read %d bytes %q, want %d bytes %q", rn, got, n, payload)
-	}
-
-	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicTileResult); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	flipped := append([]byte(nil), buf.Bytes()...)
-	flipped[14] ^= 0x01 // payload corruption must trip the CRC
-	if _, _, err := readFrame(bytes.NewReader(flipped), magicTileJob); err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("corrupted payload: %v, want a CRC error", err)
-	}
-	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())-1]), magicTileJob); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-	huge := make([]byte, 12)
-	copy(huge, buf.Bytes()[:4])
-	for i := 4; i < 8; i++ {
-		huge[i] = 0xff // length far beyond the payload cap
-	}
-	if _, _, err := readFrame(bytes.NewReader(huge), magicTileJob); err == nil {
-		t.Fatal("oversized frame length accepted")
-	}
 }
 
 func TestTileJobCodecRoundTrip(t *testing.T) {

@@ -1,16 +1,11 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
-	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 	"mosaic/internal/optics"
@@ -18,157 +13,19 @@ import (
 	"mosaic/internal/tile"
 )
 
-// Wire format. Every message is one frame:
-//
-//	[4] magic   (uint32 LE; distinguishes job from result frames)
-//	[4] length  (uint32 LE; payload bytes)
-//	[4] crc32   (IEEE, over the payload)
-//	[n] payload
-//
-// Payload scalars are 8-byte little-endian values; floats are IEEE-754
-// bit patterns so the round trip is exact (the bit-identity guarantee
-// survives the wire, exactly as in the MOSNAP01 snapshot codec). Strings
-// and sequences are length-prefixed. A tile-job payload is a
-// self-contained work order: tile index, window grid, the full imaging
-// and optimizer configuration, the calibrated resist model, the window's
-// clipped geometry, and its EPE samples. A tile-result payload mirrors
-// the tile journal's record: the scalars plus the continuous mask (the
-// binary mask is re-derived by thresholding, exactly as the journal
-// does).
+// Wire format. Every message is one frame (internal/frame) whose magic
+// distinguishes job from result, carrying the canonical scalar stream:
+// floats are IEEE-754 bit patterns so the round trip is exact and the
+// bit-identity guarantee survives the wire. A tile-job payload is a
+// self-contained work order: tile index, window grid, the imaging,
+// resist and optimizer parameters (ilt.Bits), the window's clipped
+// geometry, its EPE samples and any warm-start seed. A tile-result
+// payload is the tile index, the shared result body (ilt.NewResultFrame)
+// and the worker's trace spans.
 const (
 	magicTileJob    uint32 = 0x424a544d // "MTJB"
 	magicTileResult uint32 = 0x5352544d // "MTRS"
-
-	// maxFramePayload bounds a frame before any allocation: a corrupt or
-	// hostile length field must not OOM the receiver. 1 GiB holds a
-	// 11585^2 float64 window, far beyond any plan's power-of-two cap.
-	maxFramePayload = 1 << 30
 )
-
-// writeFrame emits one framed payload, returning the bytes written.
-func writeFrame(w io.Writer, magic uint32, payload []byte) (int, error) {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(payload)
-	return len(hdr) + n, err
-}
-
-// readFrame reads one frame, checks its magic and CRC, and returns the
-// payload and the total bytes consumed.
-func readFrame(r io.Reader, wantMagic uint32) ([]byte, int, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("cluster: reading frame header: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != wantMagic {
-		return nil, 0, fmt.Errorf("cluster: frame magic %#x, want %#x", got, wantMagic)
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxFramePayload {
-		return nil, 0, fmt.Errorf("cluster: frame payload %d exceeds the %d byte cap", n, maxFramePayload)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("cluster: reading frame payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:]) {
-		return nil, 0, fmt.Errorf("cluster: frame CRC mismatch")
-	}
-	return payload, len(hdr) + int(n), nil
-}
-
-// wireWriter accumulates a payload.
-type wireWriter struct{ b bytes.Buffer }
-
-func (w *wireWriter) i64(v int64) {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], uint64(v))
-	w.b.Write(s[:])
-}
-
-func (w *wireWriter) f64(v float64) {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], math.Float64bits(v))
-	w.b.Write(s[:])
-}
-
-func (w *wireWriter) boolean(v bool) {
-	if v {
-		w.i64(1)
-	} else {
-		w.i64(0)
-	}
-}
-
-func (w *wireWriter) str(s string) {
-	w.i64(int64(len(s)))
-	w.b.WriteString(s)
-}
-
-// wireReader consumes a payload, latching the first error.
-type wireReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("cluster: "+format, args...)
-	}
-}
-
-func (r *wireReader) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail("truncated payload at byte %d", r.off)
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) f64() float64 {
-	return math.Float64frombits(uint64(r.i64()))
-}
-
-func (r *wireReader) boolean() bool { return r.i64() != 0 }
-
-func (r *wireReader) str() string {
-	n := r.i64()
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || r.off+int(n) > len(r.data) {
-		r.fail("string length %d exceeds the payload", n)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// count reads a sequence length and bounds it: each element occupies at
-// least per bytes, so the remaining payload caps the plausible count.
-func (r *wireReader) count(per int) int {
-	n := r.i64()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || int(n) > (len(r.data)-r.off)/per {
-		r.fail("sequence length %d exceeds the payload", n)
-		return 0
-	}
-	return int(n)
-}
 
 // tileJob is the worker-side decoding of one tile work order.
 type tileJob struct {
@@ -186,174 +43,51 @@ type tileJob struct {
 // (OnIter, OnSnapshot, Resume) do not cross the wire — the scheduler has
 // already forced them off for tiled runs.
 func encodeTileJob(req *tile.Request) []byte {
-	w := &wireWriter{}
-	w.i64(int64(req.Tile.Index))
-	w.i64(int64(req.Plan.WindowPx))
-	w.f64(req.Plan.PixelNM)
-
-	oc := req.Sim.Cfg
-	w.f64(oc.WavelengthNM)
-	w.f64(oc.NA)
-	w.f64(oc.SigmaIn)
-	w.f64(oc.SigmaOut)
-	w.f64(oc.PixelNM)
-	w.i64(int64(oc.GridSize))
-	w.i64(int64(oc.Kernels))
-
-	w.f64(req.Sim.Resist.Threshold)
-	w.f64(req.Sim.Resist.ThetaZ)
-
-	c := req.Cfg
-	w.i64(int64(c.Mode))
-	w.f64(c.Alpha)
-	w.f64(c.Beta)
-	w.f64(c.Gamma)
-	w.f64(c.SmoothWeight)
-	w.f64(c.ThetaM)
-	w.f64(c.ThetaEPE)
-	w.f64(c.StepSize)
-	w.f64(c.StepDecay)
-	w.f64(c.Momentum)
-	w.i64(int64(c.MaxIter))
-	w.f64(c.GradTol)
-	w.i64(int64(c.Jumps))
-	w.f64(c.JumpFactor)
-	w.boolean(c.SRAFInit)
-	w.f64(c.SRAFRules.BiasNM)
-	w.f64(c.SRAFRules.SRAFDistNM)
-	w.f64(c.SRAFRules.SRAFWidthNM)
-	w.f64(c.SRAFRules.SRAFMinLenNM)
-	w.i64(int64(c.GradKernels))
-	w.f64(c.EPEThresholdNM)
-	w.f64(c.EPESampleNM)
-	w.f64(c.DefocusNM)
-	w.f64(c.DoseDelta)
-	w.f64(c.ObjTol)
-
-	l := req.Tile.Layout
-	w.str(l.Name)
-	w.f64(l.SizeNM)
-	w.i64(int64(len(l.Polys)))
-	for _, p := range l.Polys {
-		w.i64(int64(len(p)))
-		for _, pt := range p {
-			w.f64(pt.X)
-			w.f64(pt.Y)
-		}
+	seed := req.Cfg.SeedMask
+	n := 4096 // scalars, name and a typical window's geometry; grows if not
+	if seed != nil {
+		n += 8 * len(seed.Data)
 	}
-
-	w.i64(int64(len(req.Samples)))
-	for _, s := range req.Samples {
-		w.f64(s.Pt.X)
-		w.f64(s.Pt.Y)
-		w.boolean(s.Horizontal)
-		w.f64(s.InwardX)
-		w.f64(s.InwardY)
-	}
+	w := frame.NewFrame(n)
+	w.I64(int64(req.Tile.Index))
+	w.I64(int64(req.Plan.WindowPx))
+	w.F64(req.Plan.PixelNM)
+	ilt.Bits{Optics: &req.Sim.Cfg, Resist: &req.Sim.Resist, Cfg: &req.Cfg}.Append(w)
+	w.Str(req.Tile.Layout.Name)
+	req.Tile.Layout.AppendBits(w)
+	geom.AppendSamples(w, req.Samples)
 
 	// Warm-start seed: the retrieved mask must cross the wire so a remote
-	// worker starts its descent exactly where a local run would.
-	if c.SeedMask != nil {
-		w.boolean(true)
-		w.i64(int64(c.SeedMask.W))
-		for _, v := range c.SeedMask.Data {
-			w.f64(v)
-		}
-	} else {
-		w.boolean(false)
+	// worker starts its descent exactly where a local run would. Its
+	// square-only (flag, side, samples) form predates ilt.AppendSeed and
+	// is kept so mixed-build fleets interoperate.
+	w.Bool(seed != nil)
+	if seed != nil {
+		w.I64(int64(seed.W))
+		w.Floats(seed.Data)
 	}
-	return w.b.Bytes()
+	return w.Payload()
 }
 
 // decodeTileJob rebuilds a work order from a job payload.
 func decodeTileJob(payload []byte) (*tileJob, error) {
-	r := &wireReader{data: payload}
-	j := &tileJob{}
-	j.TileIndex = int(r.i64())
-	j.WindowPx = int(r.i64())
-	j.PixelNM = r.f64()
-
-	j.Optics.WavelengthNM = r.f64()
-	j.Optics.NA = r.f64()
-	j.Optics.SigmaIn = r.f64()
-	j.Optics.SigmaOut = r.f64()
-	j.Optics.PixelNM = r.f64()
-	j.Optics.GridSize = int(r.i64())
-	j.Optics.Kernels = int(r.i64())
-
-	j.Resist.Threshold = r.f64()
-	j.Resist.ThetaZ = r.f64()
-
-	c := &j.Cfg
-	c.Mode = ilt.Mode(r.i64())
-	c.Alpha = r.f64()
-	c.Beta = r.f64()
-	c.Gamma = r.f64()
-	c.SmoothWeight = r.f64()
-	c.ThetaM = r.f64()
-	c.ThetaEPE = r.f64()
-	c.StepSize = r.f64()
-	c.StepDecay = r.f64()
-	c.Momentum = r.f64()
-	c.MaxIter = int(r.i64())
-	c.GradTol = r.f64()
-	c.Jumps = int(r.i64())
-	c.JumpFactor = r.f64()
-	c.SRAFInit = r.boolean()
-	c.SRAFRules.BiasNM = r.f64()
-	c.SRAFRules.SRAFDistNM = r.f64()
-	c.SRAFRules.SRAFWidthNM = r.f64()
-	c.SRAFRules.SRAFMinLenNM = r.f64()
-	c.GradKernels = int(r.i64())
-	c.EPEThresholdNM = r.f64()
-	c.EPESampleNM = r.f64()
-	c.DefocusNM = r.f64()
-	c.DoseDelta = r.f64()
-	c.ObjTol = r.f64()
-
-	j.Layout = &geom.Layout{Name: r.str(), SizeNM: r.f64()}
-	nPolys := r.count(8)
-	for i := 0; i < nPolys && r.err == nil; i++ {
-		nPts := r.count(16)
-		poly := make(geom.Polygon, nPts)
-		for k := range poly {
-			poly[k].X = r.f64()
-			poly[k].Y = r.f64()
-		}
-		j.Layout.Polys = append(j.Layout.Polys, poly)
+	r := frame.NewReader(payload)
+	j := &tileJob{Layout: &geom.Layout{}}
+	j.TileIndex = int(r.I64())
+	j.WindowPx = int(r.I64())
+	j.PixelNM = r.F64()
+	ilt.Bits{Optics: &j.Optics, Resist: &j.Resist, Cfg: &j.Cfg}.Read(r)
+	j.Layout.Name = r.Str()
+	j.Layout.ReadBits(r)
+	j.Samples = geom.ReadSamples(r)
+	if r.Bool() {
+		side := r.I64()
+		j.Cfg.SeedMask = r.Grid(side, side)
 	}
-
-	nSamples := r.count(40)
-	j.Samples = make([]geom.Sample, nSamples)
-	for i := range j.Samples {
-		s := &j.Samples[i]
-		s.Pt.X = r.f64()
-		s.Pt.Y = r.f64()
-		s.Horizontal = r.boolean()
-		s.InwardX = r.f64()
-		s.InwardY = r.f64()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("cluster: decoding tile job: %w", err)
 	}
-
-	if r.boolean() && r.err == nil {
-		sw := int(r.i64())
-		if r.err == nil && (sw <= 0 || sw > 1<<15 || sw*sw > (len(payload)-r.off)/8) {
-			r.fail("seed mask size %d px exceeds the payload", int64(sw))
-		}
-		if r.err == nil {
-			seed := grid.New(sw, sw)
-			for i := range seed.Data {
-				seed.Data[i] = r.f64()
-			}
-			c.SeedMask = seed
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after tile job", len(payload)-r.off)
-	}
-	if j.WindowPx <= 0 || j.WindowPx > 1<<15 {
+	if j.WindowPx <= 0 || j.WindowPx > frame.MaxFieldDim {
 		return nil, fmt.Errorf("cluster: implausible window size %d px", j.WindowPx)
 	}
 	return j, nil
@@ -369,68 +103,61 @@ const (
 // encodeSpans appends a span section: the worker's buffered trace events,
 // shipped back piggybacked on the result frame so the coordinator can
 // assemble one cross-process trace.
-func encodeSpans(w *wireWriter, spans []obs.SpanEvent) {
-	w.i64(int64(len(spans)))
+func encodeSpans(w *frame.Writer, spans []obs.SpanEvent) {
+	w.I64(int64(len(spans)))
 	for _, ev := range spans {
-		w.str(ev.Name)
-		w.str(ev.TraceID)
-		w.str(ev.SpanID)
-		w.str(ev.ParentID)
-		w.i64(ev.Start.UnixMicro())
-		w.i64(ev.Dur.Microseconds())
-		w.boolean(ev.Instant)
-		w.i64(int64(len(ev.Attrs)))
+		w.Put(&ev.Name, &ev.TraceID, &ev.SpanID, &ev.ParentID)
+		w.I64(ev.Start.UnixMicro())
+		w.I64(ev.Dur.Microseconds())
+		w.Bool(ev.Instant)
+		w.I64(int64(len(ev.Attrs)))
 		for _, a := range ev.Attrs {
-			w.str(a.Key)
+			w.Str(a.Key)
 			switch v := a.Value.(type) {
 			case string:
-				w.i64(attrKindString)
-				w.str(v)
+				w.I64(attrKindString)
+				w.Str(v)
 			case int64:
-				w.i64(attrKindInt)
-				w.i64(v)
+				w.I64(attrKindInt)
+				w.I64(v)
 			case float64:
-				w.i64(attrKindFloat)
-				w.f64(v)
+				w.I64(attrKindFloat)
+				w.F64(v)
 			default:
 				// Unknown kinds degrade to their string form rather than
 				// corrupting the frame.
-				w.i64(attrKindString)
-				w.str(fmt.Sprint(v))
+				w.I64(attrKindString)
+				w.Str(fmt.Sprint(v))
 			}
 		}
 	}
 }
 
 // decodeSpans reads the span section written by encodeSpans.
-func decodeSpans(r *wireReader) []obs.SpanEvent {
-	n := r.count(8 * 7) // name/trace/span/parent lengths + start + dur + instant
+func decodeSpans(r *frame.Reader) []obs.SpanEvent {
+	n := r.Count(8 * 7) // name/trace/span/parent lengths + start + dur + instant
 	if n == 0 {
 		return nil
 	}
 	spans := make([]obs.SpanEvent, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		ev := obs.SpanEvent{
-			Name:     r.str(),
-			TraceID:  r.str(),
-			SpanID:   r.str(),
-			ParentID: r.str(),
-		}
-		ev.Start = time.UnixMicro(r.i64())
-		ev.Dur = time.Duration(r.i64()) * time.Microsecond
-		ev.Instant = r.boolean()
-		nAttrs := r.count(8 * 3) // key length + kind + value
-		for k := 0; k < nAttrs && r.err == nil; k++ {
-			a := obs.Attr{Key: r.str()}
-			switch kind := r.i64(); kind {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var ev obs.SpanEvent
+		r.Get(&ev.Name, &ev.TraceID, &ev.SpanID, &ev.ParentID)
+		ev.Start = time.UnixMicro(r.I64())
+		ev.Dur = time.Duration(r.I64()) * time.Microsecond
+		ev.Instant = r.Bool()
+		nAttrs := r.Count(8 * 3) // key length + kind + value
+		for k := 0; k < nAttrs && r.Err() == nil; k++ {
+			a := obs.Attr{Key: r.Str()}
+			switch kind := r.I64(); kind {
 			case attrKindString:
-				a.Value = r.str()
+				a.Value = r.Str()
 			case attrKindInt:
-				a.Value = r.i64()
+				a.Value = r.I64()
 			case attrKindFloat:
-				a.Value = r.f64()
+				a.Value = r.F64()
 			default:
-				r.fail("unknown span attribute kind %d", kind)
+				r.Fail("cluster: unknown span attribute kind %d", kind)
 			}
 			ev.Attrs = append(ev.Attrs, a)
 		}
@@ -447,55 +174,24 @@ func encodeTileResult(index int, res *ilt.Result, spans []obs.SpanEvent) ([]byte
 	if res == nil || res.MaskGray == nil {
 		return nil, fmt.Errorf("cluster: tile %d result has no gray mask", index)
 	}
-	w := &wireWriter{}
-	w.i64(int64(index))
-	w.i64(int64(res.MaskGray.W))
-	w.f64(res.Objective)
-	w.i64(int64(res.Iterations))
-	w.f64(res.RuntimeSec)
-	w.boolean(res.Seeded)
-	for _, v := range res.MaskGray.Data {
-		w.f64(v)
-	}
+	w := ilt.NewResultFrame(int64(index), res)
 	encodeSpans(w, spans)
-	return w.b.Bytes(), nil
+	return w.Payload(), nil
 }
 
-// decodeTileResult rebuilds a tile result and its shipped spans. The
-// binary mask is re-derived by thresholding the gray mask, exactly as the
-// tile journal does, so a remote result is indistinguishable from a
-// journaled local one. A payload ending at the mask data (no span section)
-// decodes with nil spans, so pre-tracing peers interoperate.
+// decodeTileResult rebuilds a tile result and its shipped spans. A
+// payload ending at the mask data (no span section) decodes with nil
+// spans, so pre-tracing peers interoperate.
 func decodeTileResult(payload []byte) (int, *ilt.Result, []obs.SpanEvent, error) {
-	r := &wireReader{data: payload}
-	idx := int(r.i64())
-	wpx := int(r.i64())
-	res := &ilt.Result{
-		Objective:  r.f64(),
-		Iterations: int(r.i64()),
-		RuntimeSec: r.f64(),
-		Seeded:     r.boolean(),
-	}
-	if r.err != nil {
-		return 0, nil, nil, r.err
-	}
-	if wpx <= 0 || wpx > 1<<15 || len(payload) < 48+8*wpx*wpx {
-		return 0, nil, nil, fmt.Errorf("cluster: result payload %d bytes does not fit a %d px window", len(payload), wpx)
-	}
-	res.MaskGray = grid.New(wpx, wpx)
-	for i := range res.MaskGray.Data {
-		res.MaskGray.Data[i] = r.f64()
-	}
+	r := frame.NewReader(payload)
+	idx := int(r.I64())
+	res := ilt.ReadResult(r)
 	var spans []obs.SpanEvent
-	if r.off < len(payload) {
+	if r.Len() > 0 {
 		spans = decodeSpans(r)
 	}
-	if r.err != nil {
-		return 0, nil, nil, r.err
+	if err := r.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("cluster: decoding tile result: %w", err)
 	}
-	if r.off != len(payload) {
-		return 0, nil, nil, fmt.Errorf("cluster: %d trailing bytes after tile result", len(payload)-r.off)
-	}
-	res.Mask = res.MaskGray.Threshold(0.5)
 	return idx, res, spans, nil
 }

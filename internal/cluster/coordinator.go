@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mosaic/internal/cache"
+	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
@@ -437,18 +438,15 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 		c.mu.Unlock()
 	}()
 
-	var frame bytes.Buffer
-	if _, err := writeFrame(&frame, magicTileJob, payload); err != nil {
-		return nil, &dispatchError{err: err, permanent: true}
-	}
-	httpReq, err := http.NewRequestWithContext(dctx, http.MethodPost, w.addr+"/v1/cluster/tile", bytes.NewReader(frame.Bytes()))
+	job := frame.Encode(magicTileJob, payload)
+	httpReq, err := http.NewRequestWithContext(dctx, http.MethodPost, w.addr+"/v1/cluster/tile", bytes.NewReader(job))
 	if err != nil {
 		return nil, &dispatchError{err: err, permanent: true}
 	}
 	httpReq.Header.Set("Content-Type", "application/octet-stream")
 	httpReq.Header.Set("Traceparent", dspan.Context().Traceparent())
 	resp, err := c.client.Do(httpReq)
-	mBytesSent.Add(int64(frame.Len()))
+	mBytesSent.Add(int64(len(job)))
 	if err != nil {
 		if dctx.Err() != nil && ctx.Err() == nil {
 			mLeasesExpired.Inc()
@@ -473,7 +471,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 			permanent: true,
 		}
 	}
-	body, n, err := readFrame(resp.Body, magicTileResult)
+	body, n, err := frame.Read(resp.Body, magicTileResult)
 	if err != nil {
 		return nil, &dispatchError{err: err, removeWorker: true}
 	}

@@ -1,0 +1,239 @@
+package cluster
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"mosaic/internal/artifact"
+	"mosaic/internal/cache"
+	"mosaic/internal/geom"
+	"mosaic/internal/grid"
+	"mosaic/internal/ilt"
+	"mosaic/internal/obs"
+	"mosaic/internal/optics"
+	"mosaic/internal/resist"
+	"mosaic/internal/sim"
+	"mosaic/internal/sraf"
+	"mosaic/internal/tile"
+	"mosaic/internal/warmstart"
+)
+
+// goldenRequest is a tile request with every bits-determining field
+// written out, so the pinned bytes below do not move when a default does.
+func goldenRequest(seeded bool) *tile.Request {
+	req := &tile.Request{
+		Plan: &tile.Plan{WindowPx: 16, PixelNM: 8},
+		Tile: &tile.Tile{Index: 5, Layout: &geom.Layout{
+			Name:   "golden_t1x1",
+			SizeNM: 128,
+			Polys: []geom.Polygon{
+				geom.Rect{X: 16, Y: 24, W: 48, H: 32}.Polygon(),
+				geom.Rect{X: 80, Y: 8, W: 24, H: 96}.Polygon(),
+			},
+		}},
+		Sim: &sim.Simulator{
+			Cfg:    optics.Config{WavelengthNM: 193, NA: 1.35, SigmaIn: 0.6, SigmaOut: 0.9, PixelNM: 8, GridSize: 16, Kernels: 6},
+			Resist: resist.Model{Threshold: 0.2265625, ThetaZ: 50},
+		},
+		Cfg: ilt.Config{
+			Mode: ilt.ModeExact, Alpha: 1, Beta: 0.35, Gamma: 4, SmoothWeight: 0.015625,
+			ThetaM: 4, ThetaEPE: 2, StepSize: 1.5, StepDecay: 0.97, Momentum: 0.25,
+			MaxIter: 20, GradTol: 1e-5, Jumps: 2, JumpFactor: 4, SRAFInit: true,
+			SRAFRules:   sraf.Rules{BiasNM: 4, SRAFDistNM: 70, SRAFWidthNM: 20, SRAFMinLenNM: 80},
+			GradKernels: 8, EPEThresholdNM: 15, EPESampleNM: 40, DefocusNM: 25, DoseDelta: 0.02,
+			ObjTol: 1e-6,
+		},
+		Samples: []geom.Sample{
+			{Pt: geom.Point{X: 16, Y: 40}, InwardX: 1},
+			{Pt: geom.Point{X: 40, Y: 24}, Horizontal: true, InwardY: 1},
+			{Pt: geom.Point{X: 104, Y: 56}, InwardX: -1},
+		},
+	}
+	if seeded {
+		req.Cfg.SeedMask = goldenField(0.25)
+	}
+	return req
+}
+
+func goldenField(base float64) *grid.Field {
+	g := grid.New(16, 16)
+	for i := range g.Data {
+		g.Data[i] = base + float64(i)/512
+	}
+	return g
+}
+
+func goldenResult() *ilt.Result {
+	g := goldenField(0.125)
+	return &ilt.Result{MaskGray: g, Mask: g.Threshold(0.5), Objective: 8243.25, Iterations: 17, RuntimeSec: 1.625, Seeded: true}
+}
+
+func sha(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+// TestGoldenBytes pins the formats that must stay byte-identical across
+// builds: the tile-cache key (a moved key silently cools every live
+// cache), the MTJB/MTRS payloads (a mixed-build worker fleet must
+// interoperate) and the MTCE entry file. The hex values were captured at
+// the commit before the shared encoding kernel landed; if one moves, the
+// format changed — bump its version instead of re-pinning.
+func TestGoldenBytes(t *testing.T) {
+	check := func(name, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
+		}
+	}
+	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "615cec98c55a41e9ede3d17832f40ef206aa6e559ba6d3b25c79678086f32c82")
+	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "08ea5765a06676a3224b242b4fe7c1b167fa232beae4791aef97169aa3eb4543")
+	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "84b4118aeb1480e97519cae4701a7d52ccf42bcfefd7886d741f262e6fde2357")
+	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "c04976243a251af72faaf96cf5ebfa286623b90bd25f1db97db6432ddc855b5d")
+
+	spans := []obs.SpanEvent{{
+		Name: "worker.tile", TraceID: "00112233445566778899aabbccddeeff", SpanID: "0123456789abcdef", ParentID: "fedcba9876543210",
+		Start: time.UnixMicro(1_700_000_000_123_456), Dur: 1500 * time.Microsecond,
+		Attrs: []obs.Attr{obs.String("tile.cache", "miss"), obs.Int("tile.index", 5), {Key: "score", Value: 0.5}},
+	}, {Name: "ilt.iter", TraceID: "00112233445566778899aabbccddeeff", SpanID: "1111111111111111", Start: time.UnixMicro(1_700_000_000_200_000), Instant: true}}
+	payload, err := encodeTileResult(5, goldenResult(), spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MTRS payload", sha(payload), "925a3a25ba26a4e15eabf446deff12ec46a9d2bdf96d550344f2a0f2b391dfd8")
+
+	dir := t.TempDir()
+	store, err := cache.Open(cache.Options{Dir: dir, MemBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cache.RequestKey(goldenRequest(false))
+	store.Put(key, goldenResult())
+	h := key.String()
+	entry, err := os.ReadFile(filepath.Join(dir, h[:2], h+".mtc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MTCE entry file", sha(entry), "ae91f21ffa2e2ffa61d3cd5d89bc637efb3f859ac283f1ac641b9a21f111c8f8")
+}
+
+// TestBitsFieldSensitivity perturbs every row of ilt.Bits.Fields in turn
+// and requires everything derived from that one list to notice: the
+// tile-cache key, the MTJB work order, the provenance manifest digest
+// and the warm-start family. The seed is the one input the family
+// deliberately ignores (a library is looked up before a seed exists).
+func TestBitsFieldSensitivity(t *testing.T) {
+	type derived struct {
+		key      cache.Key
+		job      string
+		manifest artifact.Digest
+		family   warmstart.Family
+	}
+	derive := func(req *tile.Request) derived {
+		t.Helper()
+		man, err := artifact.NewManifest(req.Tile.Layout, req.Sim, req.Cfg, nil, 0).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return derived{
+			key:      cache.RequestKey(req),
+			job:      sha(encodeTileJob(req)),
+			manifest: artifact.HashBlob(man),
+			family:   warmstart.FamilyKey(req.Sim, req.Plan.WindowPx, req.Plan.PixelNM, req.Cfg),
+		}
+	}
+	base := derive(goldenRequest(false))
+
+	rows := 0
+	ilt.Bits{Optics: &optics.Config{}, Resist: &resist.Model{}, Cfg: &ilt.Config{}}.Fields(func(string, string, any) { rows++ })
+	for i := 0; i < rows; i++ {
+		req := goldenRequest(false)
+		var field string
+		row := 0
+		ilt.Bits{Optics: &req.Sim.Cfg, Resist: &req.Sim.Resist, Cfg: &req.Cfg}.Fields(func(section, name string, p any) {
+			if row++; row-1 != i {
+				return
+			}
+			field = section + "." + name
+			switch p := p.(type) {
+			case *float64:
+				*p += 0.125
+			case *int:
+				*p++
+			case *bool:
+				*p = !*p
+			default:
+				t.Fatalf("%s: unexpected field kind %T", field, p)
+			}
+		})
+		got := derive(req)
+		if got.key == base.key || got.job == base.job || got.manifest == base.manifest || got.family == base.family {
+			t.Errorf("%s: key moved %v, job moved %v, manifest moved %v, family moved %v — all four must",
+				field, got.key != base.key, got.job != base.job, got.manifest != base.manifest, got.family != base.family)
+		}
+	}
+
+	seeded := derive(goldenRequest(true))
+	if seeded.key == base.key || seeded.job == base.job || seeded.manifest == base.manifest {
+		t.Error("a warm-start seed must move the cache key, the work order and the manifest digest")
+	}
+	if seeded.family != base.family {
+		t.Error("a warm-start seed must not move the library family")
+	}
+	other := goldenRequest(true)
+	other.Cfg.SeedMask.Data[3] += 0.5
+	if got := derive(other); got.key == seeded.key || got.job == seeded.job || got.manifest == seeded.manifest {
+		t.Error("the seed's values, not just its presence, must reach the key, the work order and the manifest")
+	}
+}
+
+// FuzzDecodeTileJob: error or exact round-trip, never a panic.
+func FuzzDecodeTileJob(f *testing.F) {
+	f.Add(encodeTileJob(goldenRequest(false)))
+	f.Add(encodeTileJob(goldenRequest(true)))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		j, err := decodeTileJob(payload)
+		if err != nil {
+			return
+		}
+		again := encodeTileJob(&tile.Request{
+			Plan: &tile.Plan{WindowPx: j.WindowPx, PixelNM: j.PixelNM},
+			Tile: &tile.Tile{Index: j.TileIndex, Layout: j.Layout},
+			Sim:  &sim.Simulator{Cfg: j.Optics, Resist: j.Resist},
+			Cfg:  j.Cfg, Samples: j.Samples,
+		})
+		if !bytes.Equal(again, payload) {
+			t.Fatal("decoded work order does not re-encode to its bytes")
+		}
+	})
+}
+
+// FuzzDecodeTileResult: error or exact round-trip, never a panic.
+func FuzzDecodeTileResult(f *testing.F) {
+	spans := []obs.SpanEvent{{Name: "worker.tile", TraceID: "aa", Start: time.UnixMicro(5), Dur: time.Millisecond,
+		Attrs: []obs.Attr{obs.String("k", "v"), obs.Int("i", 1), {Key: "f", Value: 0.5}}}}
+	with, _ := encodeTileResult(5, goldenResult(), spans)
+	without, _ := encodeTileResult(5, goldenResult(), nil)
+	f.Add(with)
+	f.Add(without)
+	f.Add(without[:len(without)-8]) // a pre-tracing peer's frame: no span section
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		idx, res, spans, err := decodeTileResult(payload)
+		if err != nil {
+			return
+		}
+		again, err := encodeTileResult(idx, res, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A frame ending at the mask decodes like one with zero spans.
+		if !bytes.Equal(again, payload) && !(len(spans) == 0 && bytes.Equal(again[:len(again)-8], payload)) {
+			t.Fatal("decoded tile result does not re-encode to its bytes")
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/obs"
 	"mosaic/internal/tile"
 )
@@ -31,16 +32,15 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 		},
 		{Name: "bare", TraceID: "aaaa", SpanID: "dddd", Start: base, Dur: time.Microsecond},
 	}
-	w := &wireWriter{}
-	encodeSpans(w, in)
-	payload := w.b.Bytes()
-	r := &wireReader{data: payload}
-	out := decodeSpans(r)
-	if r.err != nil {
-		t.Fatal(r.err)
+	encode := func(spans []obs.SpanEvent) []byte {
+		w := frame.NewFrame(0)
+		encodeSpans(w, spans)
+		return w.Payload()
 	}
-	if r.off != len(payload) {
-		t.Fatalf("decode consumed %d of %d bytes", r.off, len(payload))
+	r := frame.NewReader(encode(in))
+	out := decodeSpans(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("got %d spans, want %d", len(out), len(in))
@@ -61,25 +61,21 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 
 	// An attribute value of an unknown Go type must degrade to its string
 	// form, not corrupt the frame.
-	w2 := &wireWriter{}
-	encodeSpans(w2, []obs.SpanEvent{{Name: "odd", Attrs: []obs.Attr{{Key: "b", Value: true}}}})
-	r2 := &wireReader{data: w2.b.Bytes()}
+	r2 := frame.NewReader(encode([]obs.SpanEvent{{Name: "odd", Attrs: []obs.Attr{{Key: "b", Value: true}}}}))
 	odd := decodeSpans(r2)
-	if r2.err != nil || len(odd) != 1 || odd[0].Attrs[0].Value != "true" {
-		t.Fatalf("unknown attr kind did not degrade to string: %+v err=%v", odd, r2.err)
+	if r2.Err() != nil || len(odd) != 1 || odd[0].Attrs[0].Value != "true" {
+		t.Fatalf("unknown attr kind did not degrade to string: %+v err=%v", odd, r2.Err())
 	}
 
 	// An unknown wire kind (a corrupt or future frame) must fail loudly.
-	w3 := &wireWriter{}
-	encodeSpans(w3, []obs.SpanEvent{{Name: "x", Attrs: []obs.Attr{obs.Int("k", 1)}}})
-	bad := w3.b.Bytes()
+	bad := encode([]obs.SpanEvent{{Name: "x", Attrs: []obs.Attr{obs.Int("k", 1)}}})
 	// The kind word sits right after the spans' fixed fields and the attr
 	// key; patch it to garbage.
 	kindOff := len(bad) - 16 // kind + value are the last two words
 	binary.LittleEndian.PutUint64(bad[kindOff:], 99)
-	r3 := &wireReader{data: bad}
+	r3 := frame.NewReader(bad)
 	decodeSpans(r3)
-	if r3.err == nil {
+	if r3.Err() == nil {
 		t.Fatal("unknown span attribute kind accepted")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mosaic/internal/cache"
+	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
 	"mosaic/internal/sim"
@@ -117,7 +118,7 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 		httpapi.Error(rw, http.StatusServiceUnavailable, httpapi.CodeWorkerBusy, ErrWorkerBusy.Error())
 		return
 	}
-	payload, _, err := readFrame(r.Body, magicTileJob)
+	payload, _, err := frame.Read(r.Body, magicTileJob)
 	if err != nil {
 		httpapi.Error(rw, http.StatusBadRequest, httpapi.CodeBadRequest, "reading tile job: "+err.Error())
 		return
@@ -185,12 +186,7 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 	obs.Logger().Info("cluster: tile optimized",
 		"tile", job.TileIndex, "window_px", job.WindowPx, "elapsed", time.Since(start).Round(time.Millisecond))
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	var frame bytes.Buffer
-	if _, err := writeFrame(&frame, magicTileResult, out); err != nil {
-		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, "framing tile result: "+err.Error())
-		return
-	}
-	rw.Write(frame.Bytes())
+	rw.Write(frame.Encode(magicTileResult, out))
 }
 
 // Run joins the coordinator at coordinatorURL, advertising selfURL as

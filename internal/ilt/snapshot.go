@@ -1,12 +1,9 @@
 package ilt
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 )
 
@@ -76,167 +73,69 @@ func (s *Snapshot) validate(n int) error {
 	return nil
 }
 
-// Snapshot binary format: a fixed magic/version header, the scalar state,
-// then the length-prefixed fields, followed by a CRC32 of everything
-// before it. Floats are stored as IEEE-754 bit patterns so the round trip
-// is exact — the bit-identical resume guarantee survives serialization.
-const snapMagic = "MOSNAP01"
+// Snapshot file format: one MSNP frame whose payload is the version, the
+// scalar state, the three rasters, then the per-iteration history. Floats
+// travel as IEEE-754 bit patterns, so the bit-identical resume guarantee
+// survives serialization.
+const (
+	snapMagic   uint32 = 0x504e534d // "MSNP"
+	snapVersion        = 2          // 1 was the pre-frame MOSNAP01 envelope
 
-func putF64(b *bytes.Buffer, v float64) {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], math.Float64bits(v))
-	b.Write(s[:])
+	// histStatBytes is the encoded size of one IterStats record.
+	histStatBytes = 11 * 8
+)
+
+// scalars lists the snapshot's fixed-size fields in payload order.
+func (s *Snapshot) scalars() []any {
+	return []any{&s.Iter, &s.Step, &s.Jumps, &s.BestObjective, &s.BestSurrogate}
 }
 
-func putI64(b *bytes.Buffer, v int64) {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], uint64(v))
-	b.Write(s[:])
-}
-
-func putField(b *bytes.Buffer, f *grid.Field) {
-	if f == nil {
-		putI64(b, -1)
-		return
-	}
-	putI64(b, int64(f.W))
-	putI64(b, int64(f.H))
-	for _, v := range f.Data {
-		putF64(b, v)
-	}
+// scalars lists one history record's fields in payload order.
+func (st *IterStats) scalars() []any {
+	return []any{&st.Iter, &st.Objective, &st.FTarget, &st.FPvb, &st.GradRMS,
+		&st.ProxyEPE, &st.ProxyPVBandNM2, &st.ProxyScore,
+		&st.EPEViolations, &st.PVBandNM2, &st.Score}
 }
 
 // MarshalBinary encodes the snapshot for storage (checkpoint files, the
 // job-service drain path).
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(snapMagic)
-	putI64(&b, int64(s.Iter))
-	putF64(&b, s.Step)
-	putI64(&b, int64(s.Jumps))
-	putF64(&b, s.BestObjective)
-	putF64(&b, s.BestSurrogate)
-	putField(&b, s.P)
-	putField(&b, s.Velocity)
-	putField(&b, s.BestGray)
-	putI64(&b, int64(len(s.History)))
-	for _, st := range s.History {
-		putI64(&b, int64(st.Iter))
-		putF64(&b, st.Objective)
-		putF64(&b, st.FTarget)
-		putF64(&b, st.FPvb)
-		putF64(&b, st.GradRMS)
-		putI64(&b, int64(st.ProxyEPE))
-		putF64(&b, st.ProxyPVBandNM2)
-		putF64(&b, st.ProxyScore)
-		putI64(&b, int64(st.EPEViolations))
-		putF64(&b, st.PVBandNM2)
-		putF64(&b, st.Score)
+	n := 128 + histStatBytes*len(s.History)
+	if s.P != nil {
+		n += 3 * 8 * len(s.P.Data) // P, velocity and best mask share one size
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
-	b.Write(crc[:])
-	return b.Bytes(), nil
-}
-
-type snapReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *snapReader) f64() float64 {
-	if r.err != nil {
-		return 0
+	w := frame.NewFrame(n)
+	w.I64(snapVersion)
+	w.Put(s.scalars()...)
+	w.Field(s.P)
+	w.Field(s.Velocity)
+	w.Field(s.BestGray)
+	w.I64(int64(len(s.History)))
+	for i := range s.History {
+		w.Put(s.History[i].scalars()...)
 	}
-	if r.off+8 > len(r.data) {
-		r.err = fmt.Errorf("ilt: truncated snapshot at byte %d", r.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *snapReader) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.err = fmt.Errorf("ilt: truncated snapshot at byte %d", r.off)
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *snapReader) field() *grid.Field {
-	w := r.i64()
-	if r.err != nil || w < 0 {
-		return nil
-	}
-	h := r.i64()
-	if r.err != nil {
-		return nil
-	}
-	if w > 1<<20 || h < 0 || h > 1<<20 || r.off+8*int(w*h) > len(r.data) {
-		r.err = fmt.Errorf("ilt: snapshot field dimensions %dx%d exceed the payload", w, h)
-		return nil
-	}
-	f := grid.New(int(w), int(h))
-	for i := range f.Data {
-		f.Data[i] = r.f64()
-	}
-	return f
+	return w.Seal(snapMagic), nil
 }
 
 // UnmarshalBinary decodes a snapshot written by MarshalBinary, rejecting
-// corrupt or truncated payloads via the trailing CRC.
+// corrupt, truncated or other-version files.
 func (s *Snapshot) UnmarshalBinary(data []byte) error {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return fmt.Errorf("ilt: not a snapshot (bad magic)")
+	payload, err := frame.Decode(snapMagic, data)
+	if err != nil {
+		return fmt.Errorf("ilt: not a snapshot: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return fmt.Errorf("ilt: snapshot CRC mismatch")
-	}
-	r := &snapReader{data: body, off: len(snapMagic)}
-	s.Iter = int(r.i64())
-	s.Step = r.f64()
-	s.Jumps = int(r.i64())
-	s.BestObjective = r.f64()
-	s.BestSurrogate = r.f64()
-	s.P = r.field()
-	s.Velocity = r.field()
-	s.BestGray = r.field()
-	n := r.i64()
-	if r.err != nil {
-		return r.err
-	}
-	if n < 0 || n > 1<<24 {
-		return fmt.Errorf("ilt: snapshot history length %d is implausible", n)
-	}
-	s.History = make([]IterStats, n)
+	r := frame.NewReader(payload)
+	r.Version(snapVersion)
+	r.Get(s.scalars()...)
+	s.P = r.Field()
+	s.Velocity = r.Field()
+	s.BestGray = r.Field()
+	s.History = make([]IterStats, r.Count(histStatBytes))
 	for i := range s.History {
-		st := &s.History[i]
-		st.Iter = int(r.i64())
-		st.Objective = r.f64()
-		st.FTarget = r.f64()
-		st.FPvb = r.f64()
-		st.GradRMS = r.f64()
-		st.ProxyEPE = int(r.i64())
-		st.ProxyPVBandNM2 = r.f64()
-		st.ProxyScore = r.f64()
-		st.EPEViolations = int(r.i64())
-		st.PVBandNM2 = r.f64()
-		st.Score = r.f64()
+		r.Get(s.History[i].scalars()...)
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(body) {
-		return fmt.Errorf("ilt: %d trailing bytes after snapshot payload", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("ilt: decoding snapshot: %w", err)
 	}
 	return nil
 }

@@ -434,3 +434,37 @@ func TestTiledJobJournals(t *testing.T) {
 		t.Fatal("finished tiled job left its journal behind")
 	}
 }
+
+// TestRestoreSkipsTornCheckpoint: a .job cut short (what a crash during
+// a non-atomic checkpoint write used to leave) must cost only itself —
+// the intact checkpoint next to it is restored and runs to completion.
+func TestRestoreSkipsTornCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	meta, err := json.Marshal(checkpointMeta{
+		ID:          "job-intact",
+		Spec:        JobSpec{Layout: testLayoutText, MaxIter: 2},
+		SubmittedAt: time.Now(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-intact.job"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-torn.job"), meta[:len(meta)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(testServerConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	if _, err := s.Status("job-torn"); err == nil {
+		t.Fatal("a truncated checkpoint was restored")
+	}
+	fin := waitFor(t, s, "job-intact", 60*time.Second, func(st *Status) bool { return st.State.terminal() })
+	if fin.State != StateDone || !fin.Resumed {
+		t.Fatalf("intact checkpoint finished %s (resumed=%v, %s), want a resumed done job", fin.State, fin.Resumed, fin.Error)
+	}
+}

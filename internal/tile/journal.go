@@ -1,16 +1,11 @@
 package tile
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"os"
 	"sync"
 
-	"mosaic/internal/grid"
+	"mosaic/internal/frame"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 )
@@ -59,8 +54,9 @@ func (j *MemJournal) Record(index int, res *ilt.Result) error {
 	return nil
 }
 
-// FileJournal is an append-only on-disk Journal. Each record is length-
-// framed and CRC-protected; a torn tail (the record a crashed worker was
+// FileJournal is an append-only on-disk Journal. Each record is one MJRN
+// frame holding the tile index and the shared result body
+// (ilt.NewResultFrame); a torn tail (the record a crashed worker was
 // mid-write on) is detected and ignored on load, so a journal survives
 // kill -9 semantics without recovery tooling.
 type FileJournal struct {
@@ -103,35 +99,13 @@ func (j *FileJournal) Record(index int, res *ilt.Result) error {
 	if res == nil || res.MaskGray == nil {
 		return fmt.Errorf("tile: journaling tile %d without a gray mask", index)
 	}
-	var payload bytes.Buffer
-	w64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		payload.Write(b[:])
-	}
-	w64(uint64(index))
-	w64(uint64(res.MaskGray.W))
-	w64(math.Float64bits(res.Objective))
-	w64(uint64(res.Iterations))
-	w64(math.Float64bits(res.RuntimeSec))
-	for _, v := range res.MaskGray.Data {
-		w64(math.Float64bits(v))
-	}
-
-	var frame bytes.Buffer
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], journalMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload.Bytes()))
-	frame.Write(hdr[:])
-	frame.Write(payload.Bytes())
-
+	record := ilt.NewResultFrame(int64(index), res).Seal(journalMagic)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("tile: journal %s is closed", j.path)
 	}
-	if _, err := j.f.Write(frame.Bytes()); err != nil {
+	if _, err := j.f.Write(record); err != nil {
 		return fmt.Errorf("tile: appending journal record: %w", err)
 	}
 	return nil
@@ -152,62 +126,21 @@ func (j *FileJournal) Load(p *Plan) (map[int]*ilt.Result, error) {
 		return nil, fmt.Errorf("tile: reading journal: %w", err)
 	}
 	out := make(map[int]*ilt.Result)
-	off := 0
-	for off+12 <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:]) != journalMagic {
-			obs.Logger().Warn("tile journal: bad record magic; ignoring tail",
-				"path", j.path, "offset", off)
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(data[off+4:]))
-		crc := binary.LittleEndian.Uint32(data[off+8:])
-		if off+12+n > len(data) {
-			obs.Logger().Warn("tile journal: torn trailing record; ignoring",
-				"path", j.path, "offset", off)
-			break
-		}
-		payload := data[off+12 : off+12+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			obs.Logger().Warn("tile journal: CRC mismatch; ignoring tail",
-				"path", j.path, "offset", off)
-			break
-		}
-		idx, res, err := decodeJournalPayload(payload)
-		if err != nil {
-			obs.Logger().Warn("tile journal: undecodable record; ignoring tail",
-				"path", j.path, "offset", off, "err", err)
-			break
+	off, defect := frame.Scan(journalMagic, data, func(payload []byte) error {
+		r := frame.NewReader(payload)
+		idx := int(r.I64())
+		res := ilt.ReadResult(r)
+		if err := r.Done(); err != nil {
+			return err
 		}
 		if idx >= 0 && idx < len(p.Tiles) && res.MaskGray.W == p.WindowPx {
 			out[idx] = res
 		}
-		off += 12 + n
+		return nil
+	})
+	if defect != nil {
+		obs.Logger().Warn("tile journal: defective record; ignoring tail",
+			"path", j.path, "offset", off, "err", defect)
 	}
 	return out, nil
-}
-
-// decodeJournalPayload rebuilds one tile result from a record payload.
-// The binary mask is re-derived by thresholding the gray mask, exactly as
-// the optimizer produced it.
-func decodeJournalPayload(b []byte) (int, *ilt.Result, error) {
-	if len(b) < 40 {
-		return 0, nil, io.ErrUnexpectedEOF
-	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-	idx := int(int64(r64(0)))
-	w := int(int64(r64(8)))
-	if w <= 0 || w > 1<<16 || len(b) != 40+8*w*w {
-		return 0, nil, fmt.Errorf("payload length %d does not fit a %d px window", len(b), w)
-	}
-	res := &ilt.Result{
-		Objective:  math.Float64frombits(r64(16)),
-		Iterations: int(int64(r64(24))),
-		RuntimeSec: math.Float64frombits(r64(32)),
-		MaskGray:   grid.New(w, w),
-	}
-	for i := range res.MaskGray.Data {
-		res.MaskGray.Data[i] = math.Float64frombits(r64(40 + 8*i))
-	}
-	res.Mask = res.MaskGray.Threshold(0.5)
-	return idx, res, nil
 }

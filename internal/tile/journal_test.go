@@ -53,6 +53,30 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	}
 	j1.Close()
 
+	// A warm-started tile's Seeded flag feeds provenance and the seeded /
+	// cold iteration histograms, so it must survive the journal like the
+	// cache and the wire keep it: re-record one journaled tile as seeded
+	// (the later record of an index wins).
+	j1b, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := j1b.Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seededIdx := -1
+	for idx, res := range first {
+		seeded := *res
+		seeded.Seeded = true
+		if err := j1b.Record(idx, &seeded); err != nil {
+			t.Fatal(err)
+		}
+		seededIdx = idx
+		break
+	}
+	j1b.Close()
+
 	// Append garbage to simulate a torn record from the crash.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -74,6 +98,9 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	}
 	if len(prior) == 0 {
 		t.Fatal("journal recorded no tiles before the crash")
+	}
+	if !prior[seededIdx].Seeded {
+		t.Fatal("a journal-resumed tile lost Result.Seeded")
 	}
 
 	reran := 0

@@ -1,172 +1,90 @@
 package warmstart
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
-	"os"
-	"path/filepath"
 
+	"mosaic/internal/cas"
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 )
 
-// Library layout on disk: dir/<2-hex-digit shard>/<content key>.mwe, one
-// entry per file, in the repo's binary-frame idiom (cache MTCE, artifact
-// MTAB, journal MJRN):
-//
-//	[4] magic   "MWLE" (uint32 LE)
-//	[4] length  (uint32 LE; payload bytes)
-//	[4] crc32   (IEEE, over the payload)
-//	[n] payload: version, family (32 raw bytes), windowPx, pixelNM,
-//	    offX, offY, the signature (polys, areaFrac, wFrac, hFrac, K,
-//	    descriptor), then the continuous mask as IEEE-754 bit patterns
-//
-// Writes are atomic (temp file + rename); anything that fails to decode
-// is quarantined as .corrupt and the library recomputes — a damaged
-// entry costs a cold start, never a failed run.
-const (
-	libMagic uint32 = 0x454c574d // "MWLE"
+// Library layout on disk: a cas.Dir of MWLE frames,
+// dir/<2-hex-digit shard>/<content key>.mwe, whose payload is: version,
+// family (32 raw bytes), windowPx, pixelNM, offX, offY, the signature
+// (polys, areaFrac, wFrac, hFrac, K, descriptor), then the continuous
+// mask. Anything that fails to decode — or whose recomputed content key
+// is not the name it is stored under — is quarantined as .corrupt and
+// the library recomputes: a damaged entry costs a cold start, never a
+// failed run.
+const libMagic uint32 = 0x454c574d // "MWLE"
 
-	// maxLibPayload bounds an entry before allocation, like the cluster
-	// codec's frame cap: a corrupt length field must not OOM the process.
-	maxLibPayload = 1 << 30
-)
+func (l *Library) disk() cas.Dir { return cas.Dir{Root: l.dir, Ext: ".mwe", Magic: libMagic} }
 
-// libHeaderBytes is the payload size before the descriptor and mask:
-// version, windowPx, pixelNM, offX, offY, polys, areaFrac, wFrac, hFrac,
-// K (10 scalars) plus the 32-byte family digest.
-const libHeaderBytes = 10*8 + 32
+// encodeLibEntry lays out one entry's payload.
+func encodeLibEntry(e *entry, windowPx int, pixelNM float64, mask *grid.Field) *frame.Writer {
+	w := frame.NewFrame(128 + 8*len(e.sig.Desc) + 8*len(mask.Data))
+	w.I64(libVersion)
+	w.Raw(e.fam[:])
+	w.Put(&windowPx, &pixelNM)
+	w.Put(e.scalars()...)
+	w.I64(SignatureK)
+	w.Floats(e.sig.Desc[:])
+	w.Floats(mask.Data)
+	return w
+}
 
 // writeEntry persists one library entry. Best-effort: failures are
 // logged and the entry simply stays memory-only for this process.
 func (l *Library) writeEntry(e *entry, windowPx int, pixelNM float64, mask *grid.Field) {
-	var payload bytes.Buffer
-	w64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		payload.Write(b[:])
-	}
-	w64(libVersion)
-	payload.Write(e.fam[:])
-	w64(uint64(windowPx))
-	w64(math.Float64bits(pixelNM))
-	w64(uint64(int64(e.offX)))
-	w64(uint64(int64(e.offY)))
-	w64(uint64(int64(e.sig.Polys)))
-	w64(math.Float64bits(e.sig.AreaFrac))
-	w64(math.Float64bits(e.sig.WFrac))
-	w64(math.Float64bits(e.sig.HFrac))
-	w64(uint64(SignatureK))
-	for _, v := range e.sig.Desc {
-		w64(math.Float64bits(v))
-	}
-	for _, v := range mask.Data {
-		w64(math.Float64bits(v))
-	}
-
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], libMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload.Bytes()))
-
-	path := l.entryPath(e.key)
-	shard := filepath.Dir(path)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		obs.Logger().Warn("warmstart: creating shard dir", "dir", shard, "err", err)
-		return
-	}
-	tmp, err := os.CreateTemp(shard, ".mwe-*")
-	if err != nil {
-		obs.Logger().Warn("warmstart: creating temp entry", "dir", shard, "err", err)
-		return
-	}
-	_, werr := tmp.Write(hdr[:])
-	if werr == nil {
-		_, werr = tmp.Write(payload.Bytes())
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		obs.Logger().Warn("warmstart: writing entry", "path", path, "err", fmt.Sprint(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		obs.Logger().Warn("warmstart: installing entry", "path", path, "err", err)
+	data := encodeLibEntry(e, windowPx, pixelNM, mask).Seal(libMagic)
+	if _, err := l.disk().Put(e.key, data); err != nil {
+		obs.Logger().Warn("warmstart: writing entry", "key", e.key, "err", err)
 	}
 }
 
-// readMask loads the stored mask behind an index entry, re-validating
-// the frame and that the mask fits the requesting window.
-func (l *Library) readMask(e *entry, windowPx int) (*grid.Field, error) {
-	data, err := os.ReadFile(l.entryPath(e.key))
+// readEntry loads and fully verifies the entry stored under key: the
+// frame must hold, the payload must decode, and its content must hash
+// back to key.
+func (l *Library) readEntry(key string) (*entry, *grid.Field, error) {
+	payload, err := l.disk().Get(key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	got, mask, err := decodeLibEntry(data)
+	e, mask, err := decodeLibEntry(payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if got.key != e.key {
-		return nil, fmt.Errorf("entry content digest %s does not match index key %s", got.key, e.key)
+	if e.key != key {
+		return nil, nil, fmt.Errorf("entry content digest %s does not match its key %s", e.key, key)
 	}
-	if mask.W != windowPx || mask.H != windowPx {
-		return nil, fmt.Errorf("entry mask is %dx%d, window wants %dx%d", mask.W, mask.H, windowPx, windowPx)
-	}
-	return mask, nil
+	return e, mask, nil
 }
 
-// decodeLibEntry validates one entry file and rebuilds its index record
-// and stored mask.
-func decodeLibEntry(data []byte) (*entry, *grid.Field, error) {
-	if len(data) < 12 {
-		return nil, nil, fmt.Errorf("entry is %d bytes, shorter than a frame header", len(data))
-	}
-	if got := binary.LittleEndian.Uint32(data[0:]); got != libMagic {
-		return nil, nil, fmt.Errorf("entry magic %#x, want %#x", got, libMagic)
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	if n > maxLibPayload || int(n) != len(data)-12 {
-		return nil, nil, fmt.Errorf("entry payload length %d does not match %d file bytes", n, len(data))
-	}
-	payload := data[12:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, nil, fmt.Errorf("entry CRC mismatch")
-	}
-	if len(payload) < libHeaderBytes {
-		return nil, nil, fmt.Errorf("entry payload is %d bytes, shorter than its scalars", len(payload))
-	}
-	r64 := func(off int) uint64 { return binary.LittleEndian.Uint64(payload[off:]) }
-	if v := r64(0); v != libVersion {
-		return nil, nil, fmt.Errorf("entry version %d, want %d", v, libVersion)
-	}
+// scalars lists the entry's fixed-size fields in payload order.
+func (e *entry) scalars() []any {
+	return []any{&e.offX, &e.offY, &e.sig.Polys, &e.sig.AreaFrac, &e.sig.WFrac, &e.sig.HFrac}
+}
+
+// decodeLibEntry rebuilds an entry's index record and stored mask from
+// its payload.
+func decodeLibEntry(payload []byte) (*entry, *grid.Field, error) {
+	r := frame.NewReader(payload)
+	r.Version(libVersion)
 	e := &entry{}
-	copy(e.fam[:], payload[8:40])
-	windowPx := int(int64(r64(40)))
-	e.offX = int(int64(r64(56)))
-	e.offY = int(int64(r64(64)))
-	e.sig.Polys = int(int64(r64(72)))
-	e.sig.AreaFrac = math.Float64frombits(r64(80))
-	e.sig.WFrac = math.Float64frombits(r64(88))
-	e.sig.HFrac = math.Float64frombits(r64(96))
-	if k := int(int64(r64(104))); k != SignatureK {
-		return nil, nil, fmt.Errorf("entry descriptor is %dx%d, this build wants %dx%d", k, k, SignatureK, SignatureK)
-	}
-	const descBytes = 8 * SignatureK * SignatureK
-	if windowPx <= 0 || windowPx > 1<<15 ||
-		len(payload) != libHeaderBytes+descBytes+8*windowPx*windowPx {
-		return nil, nil, fmt.Errorf("payload length %d does not fit a %d px window", len(payload), windowPx)
+	copy(e.fam[:], r.Raw(len(e.fam)))
+	windowPx := r.I64()
+	r.F64() // pixelNM: recorded for inspection, covered by the family digest
+	r.Get(e.scalars()...)
+	if k := r.I64(); r.Err() == nil && k != SignatureK {
+		r.Fail("entry descriptor is %dx%d, this build wants %dx%d", k, k, SignatureK, SignatureK)
 	}
 	for i := range e.sig.Desc {
-		e.sig.Desc[i] = math.Float64frombits(r64(libHeaderBytes + 8*i))
+		e.sig.Desc[i] = r.F64()
 	}
-	mask := grid.New(windowPx, windowPx)
-	base := libHeaderBytes + descBytes
-	for i := range mask.Data {
-		mask.Data[i] = math.Float64frombits(r64(base + 8*i))
+	mask := r.Grid(windowPx, windowPx)
+	if err := r.Done(); err != nil {
+		return nil, nil, err
 	}
 	e.key = entryKey(e.fam, &e.sig)
 	return e, mask, nil

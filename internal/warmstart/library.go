@@ -2,17 +2,13 @@ package warmstart
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
@@ -23,8 +19,9 @@ import (
 // libVersion is folded into every family digest and entry frame. Bump it
 // whenever the signature definition, distance inputs, or entry encoding
 // change, so stale libraries miss instead of seeding from incompatible
-// descriptors.
-const libVersion = 1
+// descriptors. 2: the family digest is the full ilt.Bits stream (gains
+// ObjTol).
+const libVersion = 2
 
 // DefaultObjTol is the plateau tolerance attached to seeded windows when
 // Options.ObjTol is zero: any measurable proxy-objective improvement
@@ -43,81 +40,16 @@ type Family [sha256.Size]byte
 // String renders the family digest as lowercase hex.
 func (f Family) String() string { return hex.EncodeToString(f[:]) }
 
-// FamilyKey digests the configuration the same way cache.RequestKey
-// does (8-byte LE scalars, IEEE-754 bit patterns), minus the geometry,
-// samples, and any warm-start seed already attached.
+// FamilyKey digests the same configuration stream cache.RequestKey does
+// (ilt.Bits in canonical order), minus the geometry, the samples, and
+// any warm-start seed already attached.
 func FamilyKey(ws *sim.Simulator, windowPx int, pixelNM float64, cfg ilt.Config) Family {
-	d := newDigest()
-	d.i64(libVersion)
-	d.i64(int64(windowPx))
-	d.f64(pixelNM)
-
-	oc := ws.Cfg
-	d.f64(oc.WavelengthNM)
-	d.f64(oc.NA)
-	d.f64(oc.SigmaIn)
-	d.f64(oc.SigmaOut)
-	d.f64(oc.PixelNM)
-	d.i64(int64(oc.GridSize))
-	d.i64(int64(oc.Kernels))
-
-	d.f64(ws.Resist.Threshold)
-	d.f64(ws.Resist.ThetaZ)
-
-	d.i64(int64(cfg.Mode))
-	d.f64(cfg.Alpha)
-	d.f64(cfg.Beta)
-	d.f64(cfg.Gamma)
-	d.f64(cfg.SmoothWeight)
-	d.f64(cfg.ThetaM)
-	d.f64(cfg.ThetaEPE)
-	d.f64(cfg.StepSize)
-	d.f64(cfg.StepDecay)
-	d.f64(cfg.Momentum)
-	d.i64(int64(cfg.MaxIter))
-	d.f64(cfg.GradTol)
-	d.i64(int64(cfg.Jumps))
-	d.f64(cfg.JumpFactor)
-	d.boolean(cfg.SRAFInit)
-	d.f64(cfg.SRAFRules.BiasNM)
-	d.f64(cfg.SRAFRules.SRAFDistNM)
-	d.f64(cfg.SRAFRules.SRAFWidthNM)
-	d.f64(cfg.SRAFRules.SRAFMinLenNM)
-	d.i64(int64(cfg.GradKernels))
-	d.f64(cfg.EPEThresholdNM)
-	d.f64(cfg.EPESampleNM)
-	d.f64(cfg.DefocusNM)
-	d.f64(cfg.DoseDelta)
-	return Family(d.sum())
-}
-
-// digester mirrors the cache package's canonical encoder.
-type digester struct{ h hash.Hash }
-
-func newDigest() *digester { return &digester{h: sha256.New()} }
-
-func (d *digester) i64(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	d.h.Write(b[:])
-}
-
-func (d *digester) f64(v float64) { d.i64(int64(math.Float64bits(v))) }
-
-func (d *digester) boolean(v bool) {
-	if v {
-		d.i64(1)
-	} else {
-		d.i64(0)
-	}
-}
-
-func (d *digester) raw(b []byte) { d.h.Write(b) }
-
-func (d *digester) sum() [sha256.Size]byte {
-	var k [sha256.Size]byte
-	copy(k[:], d.h.Sum(nil))
-	return k
+	return frame.Digest(func(w *frame.Writer) {
+		w.I64(libVersion)
+		w.I64(int64(windowPx))
+		w.F64(pixelNM)
+		ilt.Bits{Optics: &ws.Cfg, Resist: &ws.Resist, Cfg: &cfg}.Append(w)
+	})
 }
 
 // entryKey content-addresses one library entry: family plus the
@@ -125,16 +57,11 @@ func (d *digester) sum() [sha256.Size]byte {
 // excluded, so translated repeats of one pattern dedup to a single
 // stored mask.
 func entryKey(fam Family, sig *Signature) string {
-	d := newDigest()
-	d.raw(fam[:])
-	for _, v := range sig.Desc {
-		d.f64(v)
-	}
-	d.f64(sig.AreaFrac)
-	d.i64(int64(sig.Polys))
-	d.f64(sig.WFrac)
-	d.f64(sig.HFrac)
-	k := d.sum()
+	k := frame.Digest(func(w *frame.Writer) {
+		w.Raw(fam[:])
+		w.Floats(sig.Desc[:])
+		w.Put(&sig.AreaFrac, &sig.Polys, &sig.WFrac, &sig.HFrac)
+	})
 	return hex.EncodeToString(k[:])
 }
 
@@ -255,54 +182,26 @@ func Open(opts Options) (*Library, error) {
 	return l, nil
 }
 
-// load scans the shard directories and rebuilds the in-memory signature
+// load walks the library directory and rebuilds the in-memory signature
 // index. Entries that fail to decode — or whose content digest does not
 // match their filename — are quarantined, exactly like the tile cache's
-// disk tier. Scan order is deterministic (sorted directory listings).
+// disk tier. Scan order is deterministic (cas.Dir.Walk is sorted).
 func (l *Library) load() {
-	shards, err := os.ReadDir(l.dir)
-	if err != nil {
-		return
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(l.dir, sh.Name()))
+	l.disk().Walk(func(key string) {
+		e, _, err := l.readEntry(key)
 		if err != nil {
-			continue
+			l.quarantine(key, err)
+			return
 		}
-		names := make([]string, 0, len(files))
-		for _, f := range files {
-			if strings.HasSuffix(f.Name(), ".mwe") {
-				names = append(names, f.Name())
-			}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if !l.keys[e.key] {
+			l.keys[e.key] = true
+			l.seq++
+			e.seq = l.seq
+			l.byFam[e.fam] = append(l.byFam[e.fam], e)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			path := filepath.Join(l.dir, sh.Name(), name)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			e, _, err := decodeLibEntry(data)
-			if err == nil && e.key+".mwe" != name {
-				err = fmt.Errorf("entry content digest %s does not match filename", e.key)
-			}
-			if err != nil {
-				l.quarantine(path, err)
-				continue
-			}
-			l.mu.Lock()
-			if !l.keys[e.key] {
-				l.keys[e.key] = true
-				l.seq++
-				e.seq = l.seq
-				l.byFam[e.fam] = append(l.byFam[e.fam], e)
-			}
-			l.mu.Unlock()
-		}
-	}
+	})
 }
 
 // Epoch returns the library's current harvest sequence number. A run
@@ -354,7 +253,7 @@ func (l *Library) lookup(fam Family, sig *Signature, epoch int64) (*entry, float
 // drop quarantines an entry whose on-disk frame failed on retrieval and
 // removes it from the index so it cannot match again.
 func (l *Library) drop(e *entry, cause error) {
-	l.quarantine(l.entryPath(e.key), cause)
+	l.quarantine(e.key, cause)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.keys, e.key)
@@ -367,19 +266,13 @@ func (l *Library) drop(e *entry, cause error) {
 	l.byFam[e.fam] = live
 }
 
-func (l *Library) quarantine(path string, cause error) {
+func (l *Library) quarantine(key string, cause error) {
 	l.mu.Lock()
 	l.stats.Corrupt++
 	l.mu.Unlock()
 	mCorrupt.Inc()
-	obs.Logger().Warn("warmstart: quarantining corrupt entry", "path", path, "err", cause)
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		os.Remove(path)
-	}
-}
-
-func (l *Library) entryPath(key string) string {
-	return filepath.Join(l.dir, key[:2], key+".mwe")
+	obs.Logger().Warn("warmstart: quarantining corrupt entry", "key", key, "err", cause)
+	l.disk().Quarantine(key)
 }
 
 // Attempt tracks one window's warm-start lifecycle from lookup to
@@ -425,7 +318,10 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 
 	e, dist, ok := l.lookup(fam, sig, epoch)
 	if ok {
-		mask, err := l.readMask(e, windowPx)
+		_, mask, err := l.readEntry(e.key)
+		if err == nil && mask.W != windowPx {
+			err = fmt.Errorf("entry mask is %d px, window wants %d px", mask.W, windowPx)
+		}
 		if err != nil {
 			l.drop(e, err)
 			ok = false

@@ -1,11 +1,13 @@
 package warmstart
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
@@ -334,4 +336,29 @@ func TestHarvestDisabled(t *testing.T) {
 	if st := l.Stats(); st.Harvested != 0 || st.Entries != 0 {
 		t.Fatalf("read-only library harvested anyway: %+v", st)
 	}
+}
+
+// FuzzDecodeEntry: error or exact round-trip, never a panic.
+func FuzzDecodeEntry(f *testing.F) {
+	sig, offX, offY := Compute(testLayout(8, 16), testWindowPx, testPixelNM)
+	e := &entry{sig: *sig, offX: offX, offY: offY}
+	e.fam[0] = 7
+	mask := grid.New(testWindowPx, testWindowPx)
+	mask.Data[5] = 0.75
+	seed := encodeLibEntry(e, testWindowPx, testPixelNM, mask).Payload()
+	f.Add(seed)
+	f.Add(seed[:len(seed)-8])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, mask, err := decodeLibEntry(payload)
+		if err != nil {
+			return
+		}
+		if got.key != entryKey(got.fam, &got.sig) {
+			t.Fatal("decoded entry's key is not its content address")
+		}
+		pixelNM := frame.NewReader(payload[48:56]).F64() // decoded but not kept
+		if again := encodeLibEntry(got, mask.W, pixelNM, mask).Payload(); !bytes.Equal(again, payload) {
+			t.Fatal("decoded entry does not re-encode to its bytes")
+		}
+	})
 }
