@@ -40,11 +40,9 @@ func main() {
 	tileNM := flag.Float64("tile-nm", 0, "shard the layout into core tiles of this pitch in nm (0 = untiled)")
 	haloNM := flag.Float64("halo-nm", 0, "minimum optical halo around each tile core in nm (0 = lambda/NA)")
 	tileWorkers := flag.Int("tile-workers", 0, "core-reservation hint: concurrent tile optimizations, bounded by the compute pool (0 = pool capacity)")
-	artifactDir := flag.String("artifact-dir", "", "directory for the Merkle-anchored artifact store; the run commits a verifiable provenance record (empty = no provenance)")
 	out := flag.String("out", "mosaic-out", "output directory")
 	tracePerfetto := flag.String("trace-perfetto", "", "write the run's span tree as Perfetto trace_event JSON to this file")
-	cacheFlags := cli.AddCacheFlags(flag.CommandLine, 0) // off unless asked for: one-shot runs mostly benefit via -cache-dir
-	warmFlags := cli.AddWarmFlags(flag.CommandLine)
+	storeFlags := cli.AddStoreFlags(flag.CommandLine, 0) // memory tier off unless asked for: one-shot runs mostly benefit via -cache-dir
 	obsFlags := cli.AddObsFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -76,30 +74,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	topts := mosaic.TileOptions{TileNM: *tileNM, HaloNM: *haloNM, Workers: *tileWorkers}
-	// Sharded runs check the tile-result cache before optimizing each
-	// window; with -cache-dir a later run of the same (or an overlapping)
-	// layout serves its repeated cells from disk.
-	topts.Cache, err = cacheFlags.Open()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// With -warm-lib each window is seeded from the nearest previously
-	// converged pattern (and harvested back), cutting iterations on
-	// layouts similar to past runs.
-	topts.WarmStart, err = warmFlags.Open()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// With -artifact-dir the run's results are committed as a Merkle-
-	// anchored provenance record; re-running the same inputs anchors the
+	// Every run checks the tile-result cache before optimizing a window
+	// (with -cache-dir a later run of the same, or an overlapping, layout
+	// serves its repeated cells from disk), seeds each window from the
+	// nearest previously converged pattern under -warm-lib (and harvests
+	// it back), and with -artifact-dir commits its results as a Merkle-
+	// anchored provenance record: re-running the same inputs anchors the
 	// same digests, so two runs can attest equality by comparing them.
-	if *artifactDir != "" {
-		topts.Artifact, err = mosaic.OpenArtifactStore(*artifactDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer topts.Artifact.Close()
+	stores, err := storeFlags.Open()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stores.Close()
+	topts := mosaic.TileOptions{
+		TileNM: *tileNM, HaloNM: *haloNM, Workers: *tileWorkers,
+		Cache: stores.Cache, WarmStart: stores.WarmStart, Artifact: stores.Artifact,
 	}
 
 	if *method != "" {

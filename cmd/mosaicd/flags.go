@@ -16,7 +16,6 @@ type options struct {
 	queue         int
 	grid          int
 	checkpointDir string
-	artifactDir   string
 	drainTimeout  time.Duration
 	tileRetries   int
 	worker        bool
@@ -24,13 +23,12 @@ type options struct {
 	advertise     string
 	leaseTTL      time.Duration
 	heartbeatTTL  time.Duration
-	cache         *cli.CacheFlags
-	warm          *cli.WarmFlags
+	stores        *cli.StoreFlags
 	obs           *cli.ObsFlags
 }
 
 // defineFlags registers every mosaicd flag on fs, including the shared
-// cache and observability flag sets.
+// store and observability flag sets.
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
@@ -38,7 +36,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.queue, "queue", 64, "maximum queued jobs")
 	fs.IntVar(&o.grid, "grid", 512, "default simulation grid size (power of two); jobs may override")
 	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for drain checkpoints and tile journals (empty = no fault tolerance)")
-	fs.StringVar(&o.artifactDir, "artifact-dir", "", "directory for the Merkle-anchored artifact store; every completed job commits a verifiable provenance record (empty = no provenance)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 60*time.Second, "how long a shutdown waits for in-flight jobs to checkpoint")
 	fs.IntVar(&o.tileRetries, "tile-retries", 1, "extra attempts a failed tile gets in sharded jobs")
 	fs.BoolVar(&o.worker, "worker", false, "run as a cluster worker serving tile jobs (requires -join)")
@@ -46,8 +43,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.advertise, "advertise", "", "base URL the coordinator dials for this worker (default: derived from -addr)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 5*time.Minute, "coordinator: how long one dispatched tile may run before reassignment")
 	fs.DurationVar(&o.heartbeatTTL, "heartbeat-ttl", 15*time.Second, "coordinator: how long a silent worker stays in the fleet")
-	o.cache = cli.AddCacheFlags(fs, 256) // jobs share the daemon cache: memory tier on by default
-	o.warm = cli.AddWarmFlags(fs)
+	o.stores = cli.AddStoreFlags(fs, 256) // jobs share the daemon cache: memory tier on by default
 	o.obs = cli.AddObsFlags(fs)
 	return o
 }

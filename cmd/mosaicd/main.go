@@ -4,8 +4,9 @@
 // gracefully — in-flight jobs checkpoint into -checkpoint-dir and a
 // restarted daemon resumes them bit-identically. A content-addressed
 // tile-result cache (-cache-mem, plus -cache-dir for a tier that
-// survives restarts) is shared by every sharded job: repeated cells are
-// optimized once and served from the cache afterwards, bit-identically.
+// survives restarts) is shared by every job: repeated cells and
+// resubmitted clips are optimized once and served from the cache
+// afterwards, bit-identically.
 //
 // Usage:
 //
@@ -15,12 +16,12 @@
 //
 //	mosaicd -worker -join http://coordinator:8080 -addr :8081
 //
-// register themselves and the coordinator dispatches the tiles of
-// sharded jobs to them (falling back to local execution when no workers
-// are joined). Tile results are bit-identical wherever they run, so a
-// cluster run equals a local run. A SIGTERM on a worker leaves the fleet
-// and finishes in-flight HTTP exchanges; the coordinator reassigns its
-// leases.
+// register themselves and the coordinator dispatches every job's tiles
+// (a clip job is one tile) to them, falling back to local execution when
+// no workers are joined. Tile results are bit-identical wherever they
+// run, so a cluster run equals a local run. A SIGTERM on a worker leaves
+// the fleet and finishes in-flight HTTP exchanges; the coordinator
+// reassigns its leases.
 //
 // API (see internal/serve and internal/cluster):
 //
@@ -73,6 +74,9 @@ func main() {
 	if o.workers < 0 {
 		log.Fatal(&mosaic.ConfigError{Field: "workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", o.workers)})
 	}
+	if o.tileRetries < 0 {
+		log.Fatal(&mosaic.ConfigError{Field: "tile-retries", Reason: fmt.Sprintf("must be >= 0 (0 = fail fast), got %d", o.tileRetries)})
+	}
 
 	if o.worker {
 		runWorker(o.addr, o.join, o.advertise, o.workers, o.drainTimeout)
@@ -85,33 +89,18 @@ func main() {
 	})
 	defer coord.Close()
 
-	// One cache for the whole daemon: every sharded job of every tenant
-	// shares it, and the lookup runs before the coordinator so warm tiles
-	// never touch the fleet.
-	tileCache, err := o.cache.Open()
+	// One cache, one warm-start library and one artifact store for the
+	// whole daemon. Every job of every tenant shares the cache, and the
+	// lookup runs before the coordinator so warm tiles never touch the
+	// fleet; every completed job harvests its converged windows into the
+	// library, and later jobs with similar patterns start their descent
+	// from them; every completed job anchors its provenance record in the
+	// store, queryable under /v1/artifacts and verifiable across restarts.
+	stores, err := o.stores.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// One warm-start library for the whole daemon: every completed job
-	// harvests its converged windows, and later jobs with similar
-	// patterns start their descent from them.
-	warmLib, err := o.warm.Open()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// One artifact store for the whole daemon: every completed job anchors
-	// its provenance record here, queryable under /v1/artifacts and
-	// verifiable across restarts.
-	var artifacts *mosaic.ArtifactStore
-	if o.artifactDir != "" {
-		artifacts, err = mosaic.OpenArtifactStore(o.artifactDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer artifacts.Close()
-	}
+	defer stores.Close()
 
 	optics := mosaic.DefaultOptics()
 	optics.GridSize = o.grid
@@ -122,9 +111,9 @@ func main() {
 		CheckpointDir: o.checkpointDir,
 		TileRetries:   o.tileRetries,
 		TileRunner:    coord,
-		TileCache:     tileCache,
-		ArtifactStore: artifacts,
-		WarmStart:     warmLib,
+		TileCache:     stores.Cache,
+		ArtifactStore: stores.Artifact,
+		WarmStart:     stores.WarmStart,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -144,7 +133,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	log.Printf("listening on %s (workers=%d grid=%d checkpoint-dir=%q cache-dir=%q cache-mem=%dMiB)",
-		ln.Addr(), o.workers, o.grid, o.checkpointDir, o.cache.Dir, o.cache.MemMiB)
+		ln.Addr(), o.workers, o.grid, o.checkpointDir, o.stores.CacheDir, o.stores.CacheMemMiB)
 
 	select {
 	case err := <-errc:

@@ -59,8 +59,8 @@ type ManifestLayout struct {
 	Geometry Digest  `json:"geometry"`
 }
 
-// ManifestTiling is the decomposition the run used: window resolution
-// for an untiled run, the full plan geometry for a sharded one.
+// ManifestTiling is the decomposition the run used; a clip that fits
+// the simulation grid records its 1x1 zero-halo plan.
 type ManifestTiling struct {
 	Tiled    bool    `json:"tiled"`
 	WindowPx int     `json:"window_px"`
@@ -73,9 +73,8 @@ type ManifestTiling struct {
 }
 
 // NewManifest assembles the canonical manifest for one run: ws is the
-// window simulator the tiles (or the whole untiled clip) ran on, plan
-// is nil for an untiled run, and seamNM is the stitch band actually
-// used after clamping.
+// window simulator the plan's tiles ran on and seamNM is the stitch band
+// actually used after clamping.
 func NewManifest(layout *geom.Layout, ws *sim.Simulator, cfg ilt.Config, plan *tile.Plan, seamNM float64) *Manifest {
 	bi := obs.ReadBuild()
 	m := &Manifest{
@@ -89,8 +88,14 @@ func NewManifest(layout *geom.Layout, ws *sim.Simulator, cfg ilt.Config, plan *t
 			Geometry: frame.Digest(layout.AppendBits),
 		},
 		Tiling: ManifestTiling{
+			Tiled:    len(plan.Tiles) > 1,
 			WindowPx: ws.Cfg.GridSize,
 			PixelNM:  ws.Cfg.PixelNM,
+			CoreNM:   plan.CoreNM,
+			HaloNM:   plan.HaloNM,
+			SeamNM:   seamNM,
+			Cols:     plan.Cols,
+			Rows:     plan.Rows,
 		},
 	}
 	sections := ilt.Bits{Optics: &ws.Cfg, Resist: &ws.Resist, Cfg: &cfg}.Sections()
@@ -98,14 +103,6 @@ func NewManifest(layout *geom.Layout, ws *sim.Simulator, cfg ilt.Config, plan *t
 	if cfg.SeedMask != nil {
 		d := Digest(frame.Digest(func(w *frame.Writer) { ilt.AppendSeed(w, cfg.SeedMask) }))
 		m.Seed = &d
-	}
-	if plan != nil {
-		m.Tiling.Tiled = true
-		m.Tiling.CoreNM = plan.CoreNM
-		m.Tiling.HaloNM = plan.HaloNM
-		m.Tiling.SeamNM = seamNM
-		m.Tiling.Cols = plan.Cols
-		m.Tiling.Rows = plan.Rows
 	}
 	return m
 }

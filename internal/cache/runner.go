@@ -20,19 +20,20 @@ type Runner struct {
 	inner tile.Runner
 }
 
-// NewRunner wraps inner with store. A nil inner runs tiles in-process
-// (tile.RunWindow), exactly like the scheduler's default; a nil store
-// returns inner's results uncached.
+// NewRunner wraps inner with store. A nil inner is the in-process
+// tile.LocalRunner, the scheduler's default; a nil store returns inner's
+// results uncached.
 func NewRunner(store *Store, inner tile.Runner) *Runner {
+	if inner == nil {
+		inner = tile.LocalRunner{}
+	}
 	return &Runner{store: store, inner: inner}
 }
 
 // LocalCompute reports whether the wrapped runner computes on this
 // machine's cores, forwarding the scheduler's core-reservation decision
 // through the decorator (see tile.LocalComputer).
-func (r *Runner) LocalCompute() bool {
-	return r.inner == nil || tile.IsLocalCompute(r.inner)
-}
+func (r *Runner) LocalCompute() bool { return tile.IsLocalCompute(r.inner) }
 
 // RunTile serves the request from the cache when possible. Empty windows
 // bypass the cache entirely — RunWindow short-circuits them to a shared
@@ -40,11 +41,11 @@ func (r *Runner) LocalCompute() bool {
 // would inflate the hit rate on sparse layouts.
 func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
 	if r.store == nil || len(req.Tile.Layout.Polys) == 0 {
-		return r.runInner(ctx, req)
+		return r.inner.RunTile(ctx, req)
 	}
 	key := RequestKey(req)
 	res, tier, err := r.store.GetOrCompute(ctx, key, func() (*ilt.Result, error) {
-		return r.runInner(ctx, req)
+		return r.inner.RunTile(ctx, req)
 	})
 	if err != nil {
 		return nil, err
@@ -59,11 +60,4 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 		req.Prov.Key = key.String()
 	}
 	return res, nil
-}
-
-func (r *Runner) runInner(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	if r.inner != nil {
-		return r.inner.RunTile(ctx, req)
-	}
-	return tile.RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
 }

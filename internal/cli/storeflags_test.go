@@ -10,10 +10,10 @@ import (
 	"mosaic/internal/ilt"
 )
 
-func parseWarm(t *testing.T, args ...string) *WarmFlags {
+func parseWarm(t *testing.T, args ...string) *StoreFlags {
 	t.Helper()
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := AddWarmFlags(fs)
+	f := AddStoreFlags(fs, 0)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -22,20 +22,20 @@ func parseWarm(t *testing.T, args ...string) *WarmFlags {
 
 func TestWarmFlagsOff(t *testing.T) {
 	f := parseWarm(t)
-	if !f.Harvest {
+	if !f.WarmHarvest {
 		t.Fatal("harvesting must default on")
 	}
-	lib, err := f.Open()
-	if err != nil || lib != nil {
-		t.Fatalf("unset -warm-lib must disable warm-start: lib=%v err=%v", lib, err)
+	st, err := f.Open()
+	if err != nil || st != (Stores{}) {
+		t.Fatalf("unset flags must open no store: %+v err=%v", st, err)
 	}
 }
 
 func TestWarmFlagsOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "lib")
 	f := parseWarm(t, "-warm-lib", dir, "-warm-max-dist", "0.1")
-	lib, err := f.Open()
-	if err != nil || lib == nil {
+	st, err := f.Open()
+	if err != nil || st.WarmStart == nil {
 		t.Fatalf("valid flags failed to open a library: %v", err)
 	}
 	if _, err := os.Stat(dir); err != nil {

@@ -319,13 +319,10 @@ const maxDispatchAttempts = 4
 // local execution by construction — workers run the same tile.RunWindow
 // path on a bit-equal work order.
 func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	if len(req.Tile.Layout.Polys) == 0 {
-		// Empty windows are cheaper to run than to ship.
-		mTilesLocal.Inc()
-		return tile.RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
-	}
+	// Empty windows are cheaper to run than to ship.
+	ship := len(req.Tile.Layout.Polys) > 0
 	var payload []byte // encoded lazily: local-only runs never pay for it
-	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
+	for attempt := 0; ship && attempt < maxDispatchAttempts; attempt++ {
 		w, err := c.acquire(ctx)
 		if err != nil {
 			return nil, err
@@ -364,7 +361,7 @@ func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Resu
 			"tile", req.Tile.Index, "worker", w.id, "attempt", attempt+1, "err", derr.err)
 	}
 	mTilesLocal.Inc()
-	return tile.RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
+	return tile.LocalRunner{}.RunTile(ctx, req)
 }
 
 // acquire blocks until some worker has a free in-flight slot and claims

@@ -136,7 +136,7 @@ func TestBitsFieldSensitivity(t *testing.T) {
 	}
 	derive := func(req *tile.Request) derived {
 		t.Helper()
-		man, err := artifact.NewManifest(req.Tile.Layout, req.Sim, req.Cfg, nil, 0).Encode()
+		man, err := artifact.NewManifest(req.Tile.Layout, req.Sim, req.Cfg, req.Plan, 0).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}

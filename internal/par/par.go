@@ -49,7 +49,7 @@ func call(i int, fn func(int)) (pe *PanicError) {
 // *PanicError identifying the first panicking task; the remaining tasks
 // still run to completion first.
 func For(n int, fn func(i int)) {
-	ForN(runtime.GOMAXPROCS(0), n, fn)
+	forN(runtime.GOMAXPROCS(0), n, fn)
 }
 
 // ForChunks partitions [0, n) into at most GOMAXPROCS contiguous chunks
@@ -70,17 +70,17 @@ func ForChunks(n int, fn func(lo, hi int)) {
 	if chunks > n {
 		chunks = n
 	}
-	ForN(chunks, chunks, func(c int) {
+	forN(chunks, chunks, func(c int) {
 		fn(c*n/chunks, (c+1)*n/chunks)
 	})
 }
 
-// ForN is For with an explicit concurrency bound: at most workers tasks
+// forN is For with an explicit concurrency bound: at most workers tasks
 // run at once. The bound is an upper limit, not a demand — the loop runs
 // on the caller plus up to workers-1 helper goroutines, each helper backed
 // by a pool token, and degrades gracefully (down to a plain inline loop)
 // when the pool is saturated.
-func ForN(workers, n int, fn func(i int)) {
+func forN(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -131,7 +131,7 @@ func ForN(workers, n int, fn func(i int)) {
 		go func() {
 			// The token MUST return to the pool no matter how the helper
 			// exits — releaseToken runs before wg.Done (LIFO defers), so
-			// by the time ForN returns every helper token is back even if
+			// by the time forN returns every helper token is back even if
 			// every task panicked.
 			defer wg.Done()
 			defer releaseToken()

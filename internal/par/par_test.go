@@ -21,7 +21,7 @@ func TestForCoversAll(t *testing.T) {
 func TestForNForcedConcurrency(t *testing.T) {
 	const n = 200
 	var sum atomic.Int64
-	ForN(8, n, func(i int) { sum.Add(int64(i)) })
+	forN(8, n, func(i int) { sum.Add(int64(i)) })
 	if got := sum.Load(); got != n*(n-1)/2 {
 		t.Fatalf("sum %d, want %d", got, n*(n-1)/2)
 	}
@@ -30,7 +30,7 @@ func TestForNForcedConcurrency(t *testing.T) {
 func TestForNSequentialFallback(t *testing.T) {
 	// workers <= 1 must execute in order on the calling goroutine.
 	order := make([]int, 0, 5)
-	ForN(1, 5, func(i int) { order = append(order, i) })
+	forN(1, 5, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("out of order: %v", order)
@@ -58,12 +58,12 @@ func TestForNWorkerPanicRepanicsOnCaller(t *testing.T) {
 			t.Fatal("panic stack missing")
 		}
 	}()
-	ForN(4, 100, func(i int) {
+	forN(4, 100, func(i int) {
 		if i == 37 {
 			panic("boom")
 		}
 	})
-	t.Fatal("ForN returned despite a panicking task")
+	t.Fatal("forN returned despite a panicking task")
 }
 
 func TestForNSerialPanicKeepsIndex(t *testing.T) {
@@ -73,12 +73,12 @@ func TestForNSerialPanicKeepsIndex(t *testing.T) {
 			t.Fatalf("recovered %v, want *PanicError with index 3", pe)
 		}
 	}()
-	ForN(1, 5, func(i int) {
+	forN(1, 5, func(i int) {
 		if i == 3 {
 			panic("serial boom")
 		}
 	})
-	t.Fatal("serial ForN returned despite a panicking task")
+	t.Fatal("serial forN returned despite a panicking task")
 }
 
 func TestForNAllTasksRunDespitePanic(t *testing.T) {
@@ -86,7 +86,7 @@ func TestForNAllTasksRunDespitePanic(t *testing.T) {
 	var ran atomic.Int64
 	func() {
 		defer func() { recover() }()
-		ForN(8, 200, func(i int) {
+		forN(8, 200, func(i int) {
 			if i == 0 {
 				panic("early")
 			}
@@ -129,7 +129,7 @@ func TestForChunksPanicPropagates(t *testing.T) {
 
 func TestForNNegative(t *testing.T) {
 	called := false
-	ForN(4, -3, func(int) { called = true })
+	forN(4, -3, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for negative n")
 	}

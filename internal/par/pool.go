@@ -23,7 +23,7 @@ import (
 //     reservation has strict priority: while any outer task waits, inner
 //     loops get no new helpers, so tile-level parallelism claims cores
 //     first and inner parallelism soaks up only the remainder.
-//   - Inner helpers (acquireTokens): the data-parallel loops (For, ForN,
+//   - Inner helpers (acquireTokens): the data-parallel loops (For, forN,
 //     ForChunks) take however many unreserved tokens are free right now
 //     and fall back to inline execution on the calling goroutine when none
 //     are — never queueing. A saturated pool therefore costs a parallel

@@ -19,10 +19,10 @@ func TestForNPanicReturnsTokens(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("ForN returned despite panicking tasks")
+					t.Fatal("forN returned despite panicking tasks")
 				}
 			}()
-			ForN(8, 64, func(i int) { panic("boom") })
+			forN(8, 64, func(i int) { panic("boom") })
 		}()
 		if got := TokensInUse(); got != base {
 			t.Fatalf("round %d: %d tokens in use after panic, want %d", round, got, base)
@@ -31,7 +31,7 @@ func TestForNPanicReturnsTokens(t *testing.T) {
 	// The pool must still hand out tokens afterwards: a full-width loop
 	// runs to completion and covers every index.
 	var ran atomic.Int64
-	ForN(8, 64, func(i int) { ran.Add(1) })
+	forN(8, 64, func(i int) { ran.Add(1) })
 	if got := ran.Load(); got != 64 {
 		t.Fatalf("post-panic loop ran %d tasks, want 64", got)
 	}

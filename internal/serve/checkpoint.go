@@ -18,13 +18,13 @@ import (
 // Checkpoint layout under Config.CheckpointDir:
 //
 //	<id>.job     — JSON job metadata (spec, priority, submit time)
-//	<id>.snap    — latest ilt snapshot of an untiled run (one MSNP frame)
-//	<id>.journal — tile journal of a sharded run (appended continuously)
+//	<id>.snap    — latest ilt snapshot of a one-window run (one MSNP frame)
+//	<id>.journal — tile journal of the run (appended as tiles complete)
 //
 // A drain writes .job for every queued and running job and .snap for
-// untiled running jobs, each through a temp file and a rename so a crash
-// mid-drain leaves a whole file or none; sharded jobs already journal
-// while they run. New
+// running jobs that have a snapshot (only a one-window job's optimizer
+// emits them), each through a temp file and a rename so a crash mid-drain
+// leaves a whole file or none; every job journals while it runs. New
 // scans the directory and re-queues every .job it finds; completed tiles
 // and finished iterations are not recomputed.
 

@@ -21,11 +21,10 @@ import (
 // registrations — keep the two in sync:
 //
 //	POST /v1/jobs                        submit a JobSpec, returns 202 + Status
-//	GET  /v1/jobs                        list jobs; ?status=, ?limit=, ?cursor= paginate
+//	GET  /v1/jobs                        one JobPage of jobs; ?status=, ?limit=, ?cursor=
 //	GET  /v1/jobs/{id}                   one job's status and progress
 //	GET  /v1/jobs/{id}/result            finished job's result summary (score, EPE...)
 //	GET  /v1/jobs/{id}/mask              finished job's mask; Accept selects PGM or raw frame
-//	GET  /v1/jobs/{id}/mask.pgm          deprecated alias of /mask forcing PGM
 //	GET  /v1/jobs/{id}/provenance        anchored artifact record: manifest digest,
 //	                                     Merkle root, per-tile leaves, cache attribution
 //	GET  /v1/jobs/{id}/events            live telemetry as SSE (resumable via
@@ -69,7 +68,6 @@ func (s *Server) routes() []route {
 		{"GET /v1/jobs/{id}", s.handleStatus},
 		{"GET /v1/jobs/{id}/result", s.handleResult},
 		{"GET /v1/jobs/{id}/mask", s.handleMask},
-		{"GET /v1/jobs/{id}/mask.pgm", s.handleMaskPGM},
 		{"GET /v1/jobs/{id}/provenance", s.handleProvenance},
 		{"GET /v1/jobs/{id}/events", s.handleEvents},
 		{"GET /v1/jobs/{id}/trace", s.handleTrace},
@@ -136,17 +134,11 @@ type JobPage struct {
 	NextCursor string    `json:"next_cursor,omitempty"`
 }
 
-// handleList serves GET /v1/jobs. With no query parameters it keeps the
-// original contract — the complete list as a bare JSON array. Any of
-// ?status= (filter by state), ?limit= (page size, default 100, max
-// 1000), or ?cursor= (opaque, from a previous page) switches to the
-// paginated JobPage shape.
+// handleList serves GET /v1/jobs: one JobPage, narrowed by ?status=
+// (filter by state), ?limit= (page size, default 100, max 1000) and
+// ?cursor= (opaque, from a previous page).
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	if !q.Has("status") && !q.Has("limit") && !q.Has("cursor") {
-		httpapi.JSON(w, http.StatusOK, s.List())
-		return
-	}
 	var filter State
 	if v := q.Get("status"); v != "" {
 		filter = State(v)
@@ -229,21 +221,19 @@ func negotiateMask(accept string) string {
 	return ""
 }
 
-// serveMask writes a finished job's mask in the negotiated
-// representation; forcePGM is the deprecated mask.pgm alias.
-func (s *Server) serveMask(w http.ResponseWriter, r *http.Request, forcePGM bool) {
+// handleMask writes a finished job's mask in the negotiated
+// representation.
+func (s *Server) handleMask(w http.ResponseWriter, r *http.Request) {
 	res, _, err := s.Result(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	mt := pgmMediaType
-	if !forcePGM {
-		if mt = negotiateMask(r.Header.Get("Accept")); mt == "" {
-			httpapi.Error(w, http.StatusNotAcceptable, httpapi.CodeNotAcceptable,
-				fmt.Sprintf("mask is available as %s or %s", pgmMediaType, maskGrayMediaType))
-			return
-		}
+	mt := negotiateMask(r.Header.Get("Accept"))
+	if mt == "" {
+		httpapi.Error(w, http.StatusNotAcceptable, httpapi.CodeNotAcceptable,
+			fmt.Sprintf("mask is available as %s or %s", pgmMediaType, maskGrayMediaType))
+		return
 	}
 	w.Header().Set("Content-Type", mt)
 	switch mt {
@@ -252,19 +242,6 @@ func (s *Server) serveMask(w http.ResponseWriter, r *http.Request, forcePGM bool
 	default:
 		render.WritePGM(w, res.Mask)
 	}
-}
-
-func (s *Server) handleMask(w http.ResponseWriter, r *http.Request) {
-	s.serveMask(w, r, false)
-}
-
-// handleMaskPGM is the deprecated pre-negotiation route; it answers
-// exactly as /mask with no Accept header, plus deprecation headers
-// pointing clients at the successor.
-func (s *Server) handleMaskPGM(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "</v1/jobs/"+r.PathValue("id")+"/mask>; rel=\"successor-version\"")
-	s.serveMask(w, r, true)
 }
 
 // ProvenanceBody is the JSON body of GET /v1/jobs/{id}/provenance: the

@@ -91,9 +91,9 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 }
 
-// TestListPagination covers GET /v1/jobs: the legacy bare-array shape
-// with no parameters, and the paginated JobPage shape under ?status=,
-// ?limit=, ?cursor=.
+// TestListPagination covers GET /v1/jobs: always a JobPage, the whole
+// list on one default-sized page with no parameters, narrowed and walked
+// under ?status=, ?limit=, ?cursor=.
 func TestListPagination(t *testing.T) {
 	s, err := New(testServerConfig(""))
 	if err != nil {
@@ -120,21 +120,19 @@ func TestListPagination(t *testing.T) {
 		queued = append(queued, st.ID)
 	}
 
-	// Legacy shape: a bare JSON array, exactly as before the redesign.
+	// No parameters: the same JobPage shape, everything on one page.
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := readAll(t, resp)
-	if !bytes.HasPrefix(bytes.TrimSpace(raw), []byte("[")) {
-		t.Fatalf("GET /v1/jobs without params must stay a bare array, got %.60s", raw)
+	var first JobPage
+	if err := json.Unmarshal(raw, &first); err != nil {
+		t.Fatalf("GET /v1/jobs without params must answer a JobPage: %v (%.60s)", err, raw)
 	}
-	var all []*Status
-	if err := json.Unmarshal(raw, &all); err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 6 {
-		t.Fatalf("list returned %d jobs, want 6", len(all))
+	all := first.Jobs
+	if len(all) != 6 || first.NextCursor != "" {
+		t.Fatalf("list returned %d jobs (next cursor %q), want 6 on one page", len(all), first.NextCursor)
 	}
 
 	// Paged: walk the full list two jobs at a time, collecting IDs.
@@ -423,7 +421,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 }
 
 // TestMaskContentNegotiation covers GET /v1/jobs/{id}/mask (Accept
-// selects PGM or the raw MTGF frame) and the deprecated mask.pgm alias.
+// selects PGM or the raw MTGF frame).
 func TestMaskContentNegotiation(t *testing.T) {
 	s, err := New(testServerConfig(""))
 	if err != nil {
@@ -497,21 +495,5 @@ func TestMaskContentNegotiation(t *testing.T) {
 		t.Fatalf("406 code %q", code)
 	}
 
-	// The deprecated alias still serves PGM — even under an Accept that
-	// would negotiate differently — and carries migration headers.
-	resp = getAccept(ts.URL+"/v1/jobs/"+st.ID+"/mask.pgm", "application/octet-stream")
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("mask.pgm response misses the Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/mask>") || !strings.Contains(link, "successor-version") {
-		t.Fatalf("mask.pgm Link header %q does not point at the successor", link)
-	}
-	body, resp := readAll(t, resp)
-	if ct := resp.Header.Get("Content-Type"); ct != "image/x-portable-graymap" {
-		t.Fatalf("mask.pgm served %q, want PGM", ct)
-	}
-	if !bytes.HasPrefix(body, []byte("P")) {
-		t.Fatalf("mask.pgm body is not a PGM image: %.20q", body)
-	}
 	_ = fmt.Sprint() // keep fmt imported if unused elsewhere
 }

@@ -79,7 +79,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	})
 
 	t.Run("unknown job id", func(t *testing.T) {
-		gets := []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/mask.pgm"}
+		gets := []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/mask"}
 		for _, path := range gets {
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {
@@ -109,7 +109,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		waitFor(t, s, st.ID, 30*time.Second, func(st *Status) bool { return st.State == StateRunning })
 		for _, path := range []string{
 			fmt.Sprintf("/v1/jobs/%s/result", st.ID),
-			fmt.Sprintf("/v1/jobs/%s/mask.pgm", st.ID),
+			fmt.Sprintf("/v1/jobs/%s/mask", st.ID),
 		} {
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {

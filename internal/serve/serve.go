@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,22 +81,22 @@ type Config struct {
 	// the pixel size is re-derived per job so the grid covers the
 	// layout (or one tile of a sharded run).
 	Optics mosaic.OpticsConfig
-	// CheckpointDir, when non-empty, enables fault tolerance: sharded
-	// jobs journal completed tiles continuously, Shutdown checkpoints
-	// queued and in-flight jobs, and New resumes them.
+	// CheckpointDir, when non-empty, enables fault tolerance: jobs
+	// journal completed tiles continuously, Shutdown checkpoints queued
+	// and in-flight jobs, and New resumes them.
 	CheckpointDir string
 	// TileRetries / TileRetryBackoff set the per-tile retry policy of
-	// sharded jobs (see mosaic.TileOptions).
+	// every job (see mosaic.TileOptions); a clip job is one tile.
 	TileRetries      int
 	TileRetryBackoff time.Duration
 	// Tune, when non-nil, adjusts every job's optimizer configuration
 	// after the spec has been applied (test determinism, site policy).
 	Tune func(*mosaic.Config)
-	// TileRunner, when non-nil, executes the tiles of sharded jobs — e.g.
-	// a cluster.Coordinator dispatching to a worker fleet. Nil runs tiles
+	// TileRunner, when non-nil, executes every job's tiles — e.g. a
+	// cluster.Coordinator dispatching to a worker fleet. Nil runs tiles
 	// in-process.
 	TileRunner mosaic.TileRunner
-	// TileCache, when non-nil, is shared by every sharded job: tiles
+	// TileCache, when non-nil, is shared by every job: tiles
 	// whose content address was optimized before — by any job, any
 	// tenant, any earlier process when the cache has a disk tier — are
 	// served from the cache instead of being optimized (or dispatched to
@@ -230,22 +229,6 @@ func (s *Server) Status(id string) (*Status, error) {
 		return nil, ErrNotFound
 	}
 	return j.status(), nil
-}
-
-// List returns every known job's status in submission order.
-func (s *Server) List() []*Status {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
-	out := make([]*Status, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.status()
-	}
-	return out
 }
 
 // Provenance returns a finished job's anchored artifact record.
@@ -453,18 +436,16 @@ func (s *Server) worker() {
 // jobOptics derives the imaging configuration for one job: the spec's
 // grid (or the server default) at a pixel size that makes the grid cover
 // exactly the layout, or one tile core of a sharded run.
-func (s *Server) jobOptics(j *job) (mosaic.OpticsConfig, bool) {
+func (s *Server) jobOptics(j *job) mosaic.OpticsConfig {
 	cfg := s.cfg.Optics
 	if j.spec.Grid > 0 {
 		cfg.GridSize = j.spec.Grid
 	}
-	tiled := j.spec.TileNM > 0 && j.spec.TileNM < j.layout.SizeNM
-	if tiled {
+	cfg.PixelNM = j.layout.SizeNM / float64(cfg.GridSize)
+	if j.spec.TileNM > 0 && j.spec.TileNM < j.layout.SizeNM {
 		cfg.PixelNM = j.spec.TileNM / float64(cfg.GridSize)
-	} else {
-		cfg.PixelNM = j.layout.SizeNM / float64(cfg.GridSize)
 	}
-	return cfg, tiled
+	return cfg
 }
 
 // setupFor returns the cached Setup for an imaging configuration,
@@ -563,8 +544,7 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 
 // execute runs the optimization and evaluation for one job.
 func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, *mosaic.Report, error) {
-	ocfg, tiled := s.jobOptics(j)
-	setup, err := s.setupFor(ocfg)
+	setup, err := s.setupFor(s.jobOptics(j))
 	if err != nil {
 		return nil, nil, fmt.Errorf("building setup: %w", err)
 	}
@@ -608,23 +588,22 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, *mo
 	}
 
 	if s.cfg.CheckpointDir != "" {
-		if tiled {
-			// Sharded runs journal continuously: a crash or drain loses at
-			// most the tiles in flight.
-			jl, err := mosaic.OpenTileJournal(filepath.Join(s.cfg.CheckpointDir, j.id+".journal"))
-			if err != nil {
-				return nil, nil, fmt.Errorf("opening tile journal: %w", err)
-			}
-			defer jl.Close()
-			topts.Journal = jl
-		} else {
-			// Untiled runs keep the latest per-iteration snapshot in memory;
-			// a drain persists it.
-			cfg.OnSnapshot = func(sn *mosaic.Snapshot) {
-				j.mu.Lock()
-				j.snap = sn
-				j.mu.Unlock()
-			}
+		// Both checkpoint mechanisms are always armed. The journal records
+		// every completed window, so a crash or drain loses at most the
+		// windows in flight; the latest per-iteration snapshot is kept in
+		// memory for a drain to persist. The snapshot hook only reaches the
+		// optimizer of a one-window job — the only kind that has a single
+		// optimizer to resume.
+		jl, err := mosaic.OpenTileJournal(s.checkpointPath(j.id, ".journal"))
+		if err != nil {
+			return nil, nil, fmt.Errorf("opening tile journal: %w", err)
+		}
+		defer jl.Close()
+		topts.Journal = jl
+		cfg.OnSnapshot = func(sn *mosaic.Snapshot) {
+			j.mu.Lock()
+			j.snap = sn
+			j.mu.Unlock()
 		}
 	}
 	j.mu.Lock()

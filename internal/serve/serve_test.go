@@ -135,9 +135,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("implausible result summary: %+v", sum)
 	}
 
-	code, body = get("/v1/jobs/" + st.ID + "/mask.pgm")
+	code, body = get("/v1/jobs/" + st.ID + "/mask")
 	if code != http.StatusOK || !bytes.HasPrefix(body, []byte("P5\n64 64\n")) {
-		t.Fatalf("mask.pgm: status %d, head %q", code, body[:min(len(body), 16)])
+		t.Fatalf("mask: status %d, head %q", code, body[:min(len(body), 16)])
 	}
 
 	if code, body = get("/v1/jobs"); code != http.StatusOK || !bytes.Contains(body, []byte(st.ID)) {

@@ -79,25 +79,23 @@ type LocalComputer interface {
 	LocalCompute() bool
 }
 
-// IsLocalCompute reports whether r computes tiles in-process: the
-// scheduler's default runner, or any Runner declaring so via
-// LocalComputer.
+// IsLocalCompute reports whether r computes tiles in-process, as declared
+// via LocalComputer.
 func IsLocalCompute(r Runner) bool {
-	if _, ok := r.(localRunner); ok {
-		return true
-	}
 	lc, ok := r.(LocalComputer)
 	return ok && lc.LocalCompute()
 }
 
-// localRunner optimizes tiles in-process on the window simulator.
-type localRunner struct{}
+// LocalRunner optimizes tiles in-process on the window simulator: the
+// scheduler's default, what the cache and warm-start decorators wrap
+// when given no inner runner, and the cluster coordinator's fallback.
+type LocalRunner struct{}
 
-func (localRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
+func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
 	return RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
 }
 
-func (localRunner) LocalCompute() bool { return true }
+func (LocalRunner) LocalCompute() bool { return true }
 
 // emptyResults shares one all-dark result per window size (keyed by
 // windowPx). Sparse full-chip layouts are mostly empty windows, and
@@ -210,7 +208,7 @@ type Result struct {
 	Prov       []Provenance  // per-tile attribution, parallel to Tiles
 	Workers    int           // worker bound actually used
 	SeamNM     float64       // seam band actually used (after clamping)
-	RuntimeSec float64       // wall time of the whole pipeline run
+	RuntimeSec float64       // wall time of the whole pipeline run, less tile DiagnosticsSec
 }
 
 // resolveWorkers applies the Options default and tile-count clamp.
@@ -230,10 +228,12 @@ func (p *Plan) resolveWorkers(workers int) int {
 // Optimize runs one ilt.Optimizer per tile on a bounded worker pool and
 // stitches the results into a full-layout mask. ws must be the window
 // simulator (grid = Plan.WindowPx at Plan.PixelNM); cfg is the per-tile
-// optimizer configuration (TrackMetrics and OnIter are forced off — use
-// Options.OnTile for progress). The SOCS kernel stacks for every process
-// corner are built once before the pool starts and shared read-only by
-// all workers.
+// optimizer configuration. Its per-optimizer hooks (TrackMetrics, OnIter,
+// OnSnapshot, Resume) reach the optimizer only when the plan has a single
+// window; across several they would interleave, so a multi-window run
+// forces them off — use Options.OnTile for progress and Options.Journal
+// for checkpoints. The SOCS kernel stacks for every process corner are
+// built once before the pool starts and shared read-only by all workers.
 //
 // Results are deterministic in plan order regardless of scheduling. The
 // first tile error cancels the remaining work and is returned; ctx
@@ -241,6 +241,9 @@ func (p *Plan) resolveWorkers(workers int) int {
 func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, opts Options) (*Result, error) {
 	if err := p.checkWindowSim(ws); err != nil {
 		return nil, err
+	}
+	if opts.Retries < 0 {
+		return nil, fmt.Errorf("tile: Retries must be >= 0, got %d", opts.Retries)
 	}
 	ctx, runSpan := obs.StartSpan(ctx, "tile.pipeline",
 		obs.String("layout", p.Layout.Name), obs.Int("tiles", len(p.Tiles)))
@@ -255,14 +258,17 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		}
 	}
 
-	// Per-tile configuration: diagnostics and checkpoint hooks off (they
-	// would interleave across workers — tiled runs checkpoint through the
-	// journal instead); everything else as given.
+	// Per-tile configuration: with more than one window the diagnostics
+	// and checkpoint hooks go off (they would interleave across workers —
+	// such runs checkpoint through the journal instead); a one-window plan
+	// is the clip-level optimizer run and keeps them.
 	tcfg := cfg
-	tcfg.TrackMetrics = false
-	tcfg.OnIter = nil
-	tcfg.OnSnapshot = nil
-	tcfg.Resume = nil
+	if len(p.Tiles) > 1 {
+		tcfg.TrackMetrics = false
+		tcfg.OnIter = nil
+		tcfg.OnSnapshot = nil
+		tcfg.Resume = nil
+	}
 
 	samples := p.splitSamples(p.Layout.SamplePoints(cfg.EPESampleNM))
 
@@ -290,7 +296,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 
 	runner := opts.Runner
 	if runner == nil {
-		runner = localRunner{}
+		runner = LocalRunner{}
 	}
 	// Core reservations only make sense for in-process compute: a remote
 	// runner's workers are I/O-bound dispatchers that block on the network
@@ -399,6 +405,17 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		seamNM = 0
 	}
 	mask, gray, seamNM := p.Stitch(results, seamNM)
+	// TrackMetrics evaluations are diagnostics, not synthesis: like the
+	// optimizer's own RuntimeSec, the run's excludes the time this run
+	// spent in them. A result adopted from a journal or served by a cache
+	// may carry the DiagnosticsSec of the run that computed it; only
+	// fresh computations count.
+	runtimeSec := time.Since(start).Seconds()
+	for i, r := range results {
+		if tier := provs[i].Tier; tier == "" || tier == "miss" {
+			runtimeSec -= r.DiagnosticsSec
+		}
+	}
 	out := &Result{
 		Mask:       mask,
 		MaskGray:   gray,
@@ -406,7 +423,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		Prov:       provs,
 		Workers:    workers,
 		SeamNM:     seamNM,
-		RuntimeSec: time.Since(start).Seconds(),
+		RuntimeSec: runtimeSec,
 	}
 	runSpan.End()
 	obs.Logger().Debug("tile pipeline finished",

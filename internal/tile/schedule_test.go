@@ -1,9 +1,24 @@
 package tile
 
 import (
+	"context"
 	"testing"
 	"time"
 )
+
+// TestOptimizeRejectsNegativeRetries is the regression test for the nil
+// result a negative retry budget used to produce: the attempt loop ran
+// zero times, returned (nil, nil), and the scheduler dereferenced it.
+func TestOptimizeRejectsNegativeRetries(t *testing.T) {
+	p, err := NewPlan(testLayout(), 8, 512, DefaultHaloNM(testOptics(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Optimize(context.Background(), testSim(t, p.WindowPx), testConfig(), Options{Retries: -1})
+	if err == nil || res != nil {
+		t.Fatalf("Retries -1 returned (%v, %v), want a nil result and an error", res, err)
+	}
+}
 
 // TestFullJitterBounds checks the retry jitter stays in (0, d] and
 // actually spreads — a degenerate constant wait would put simultaneous

@@ -21,22 +21,23 @@ type Runner struct {
 	epoch int64
 }
 
-// NewRunner wraps inner with lib. A nil inner runs tiles in-process,
-// exactly like the scheduler's default; a nil lib passes requests
+// NewRunner wraps inner with lib. A nil inner is the in-process
+// tile.LocalRunner, the scheduler's default; a nil lib passes requests
 // through untouched. The library epoch is captured here, once per run:
 // entries harvested while this runner is in flight stay invisible to it,
 // keeping a run against an initially-empty library bit-identical to a
 // disabled one.
 func NewRunner(lib *Library, inner tile.Runner) *Runner {
+	if inner == nil {
+		inner = tile.LocalRunner{}
+	}
 	return &Runner{lib: lib, inner: inner, epoch: lib.Epoch()}
 }
 
 // LocalCompute reports whether the wrapped runner computes on this
 // machine's cores, forwarding the scheduler's core-reservation decision
 // through the decorator (see tile.LocalComputer).
-func (r *Runner) LocalCompute() bool {
-	return r.inner == nil || tile.IsLocalCompute(r.inner)
-}
+func (r *Runner) LocalCompute() bool { return tile.IsLocalCompute(r.inner) }
 
 // RunTile consults the library, runs the (possibly seeded) request, and
 // finishes the attempt — histograms, fallback accounting, harvest. The
@@ -44,15 +45,15 @@ func (r *Runner) LocalCompute() bool {
 // workers and participates in the cache key like any other config field.
 func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
 	if r.lib == nil {
-		return r.runInner(ctx, req)
+		return r.inner.RunTile(ctx, req)
 	}
 	cfg, att := r.lib.Prepare(r.epoch, req.Cfg, req.Sim, req.Plan.WindowPx, req.Plan.PixelNM, req.Tile.Layout)
 	if att == nil {
-		return r.runInner(ctx, req)
+		return r.inner.RunTile(ctx, req)
 	}
 	seeded := *req
 	seeded.Cfg = cfg
-	res, err := r.runInner(ctx, &seeded)
+	res, err := r.inner.RunTile(ctx, &seeded)
 	if err != nil {
 		return nil, err
 	}
@@ -69,11 +70,4 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 	obs.CurrentSpan(ctx).SetAttrs(obs.String("tile.warmstart", state))
 	att.Finish(res)
 	return res, nil
-}
-
-func (r *Runner) runInner(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	if r.inner != nil {
-		return r.inner.RunTile(ctx, req)
-	}
-	return tile.RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
 }

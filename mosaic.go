@@ -351,10 +351,12 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 	return rep, wrapCanceled(err)
 }
 
-// TileOptions configures full-layout sharded optimization: a layout larger
-// than the simulation grid is decomposed into halo-padded core tiles that
-// are optimized concurrently and stitched into one mask (see
-// internal/tile).
+// TileOptions configures OptimizeLayout's pipeline: the layout is
+// decomposed into halo-padded core tiles that are optimized concurrently
+// and stitched into one mask (see internal/tile). Every option applies to
+// every run — a layout that fits the simulation grid is a one-window plan
+// and is scheduled, retried, journaled, cached, seeded, dispatched and
+// anchored like any tile.
 type TileOptions struct {
 	// TileNM is the core tile pitch in nm. 0 derives it from the setup:
 	// GridSize * PixelNM (one grid's worth of layout per tile).
@@ -378,7 +380,8 @@ type TileOptions struct {
 	// OnTile, when non-nil, observes tile completions (for progress).
 	OnTile func(done, total int)
 	// Retries is the number of extra attempts a failed tile gets before
-	// its error fails the run; 0 fails fast.
+	// its error fails the run; 0 fails fast. Negative values are rejected
+	// with a *ConfigError.
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubling per
 	// attempt; 0 defaults to 100 ms when Retries > 0.
@@ -401,8 +404,8 @@ type TileOptions struct {
 	// other guarantee is unchanged. See OpenTileCache.
 	Cache *TileCache
 	// Artifact, when non-nil, commits the completed run to the
-	// provenance store: every tile result (and the untiled result)
-	// becomes a content-addressed blob, anchored by a Merkle tree over
+	// provenance store: every tile result becomes a content-addressed
+	// blob, anchored by a Merkle tree over
 	// the digests plus the canonical job manifest. A commit failure
 	// fails the run — a run that claims provenance is auditable or it
 	// is not returned. See OpenArtifactStore.
@@ -423,13 +426,13 @@ type TileOptions struct {
 }
 
 // LayoutResult is the outcome of OptimizeLayout: a mask covering the whole
-// layout, with the per-tile optimizer results when the run was sharded.
+// layout, with the per-tile optimizer results.
 type LayoutResult struct {
 	Mask     *Field // binary full-layout mask
 	MaskGray *Field // continuous mask before binarization
 
-	Tiled      bool      // whether the layout was sharded
-	Tiles      []*Result // per-tile results in row-major order; one entry for an untiled run
+	Tiled      bool      // whether the layout was sharded into more than one window
+	Tiles      []*Result // per-tile results in row-major order; one entry for a one-window run
 	Workers    int       // worker bound actually used
 	SeamNM     float64   // cross-fade band actually used
 	Iterations int       // optimizer iterations summed over tiles
@@ -444,7 +447,7 @@ type LayoutResult struct {
 }
 
 // fitsGrid reports whether layout covers exactly the setup's simulation
-// grid, i.e. whether the untiled optimizer can take it directly.
+// grid, i.e. whether the clip-level optimizer and evaluator take it whole.
 func (s *Setup) fitsGrid(layout *Layout) bool {
 	return math.Abs(float64(s.Sim.Cfg.GridSize)*s.Sim.Cfg.PixelNM-layout.SizeNM) <= 1e-9
 }
@@ -452,16 +455,22 @@ func (s *Setup) fitsGrid(layout *Layout) bool {
 // tilePlan decomposes layout per opts at the setup's pixel size and
 // returns the plan together with the window simulator (the setup's own
 // simulator when the window matches its grid, otherwise a new one sharing
-// the calibrated resist model).
+// the calibrated resist model). A layout that fits the setup grid and is
+// not sharded smaller by opts.TileNM is the degenerate plan: one zero-halo
+// window that is the setup's grid, so the clip-level optimizer runs on it
+// unchanged.
 func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *Simulator, error) {
 	px := s.Sim.Cfg.PixelNM
-	coreNM := opts.TileNM
-	if coreNM <= 0 {
-		coreNM = float64(s.Sim.Cfg.GridSize) * px
-	}
-	haloNM := opts.HaloNM
-	if haloNM <= 0 {
-		haloNM = tile.DefaultHaloNM(s.Sim.Cfg)
+	coreNM, haloNM := opts.TileNM, opts.HaloNM
+	if s.fitsGrid(layout) && (coreNM <= 0 || coreNM >= layout.SizeNM) {
+		coreNM, haloNM = layout.SizeNM, 0
+	} else {
+		if coreNM <= 0 {
+			coreNM = float64(s.Sim.Cfg.GridSize) * px
+		}
+		if haloNM <= 0 {
+			haloNM = tile.DefaultHaloNM(s.Sim.Cfg)
+		}
 	}
 	plan, err := tile.NewPlan(layout, px, coreNM, haloNM)
 	if err != nil {
@@ -478,47 +487,22 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *Simulat
 	return plan, ws, nil
 }
 
-// OptimizeLayout optimizes a layout of arbitrary extent. A layout that
-// fits the setup grid (and is not explicitly sharded smaller by
-// opts.TileNM) runs through the untiled optimizer unchanged — bit-identical
-// to Optimize. Anything larger is decomposed into halo-padded tiles,
-// optimized concurrently on opts.Workers workers, and stitched into one
-// full-layout mask. ctx cancels a tiled run between tiles.
+// OptimizeLayout optimizes a layout of arbitrary extent through one
+// pipeline: the layout is decomposed into halo-padded windows, each window
+// runs under warm-start, cache and opts.Runner on the scheduler (retries,
+// journal, compute-pool reservations), and the windows are stitched into
+// one full-layout mask. A layout that fits the setup grid (and is not
+// explicitly sharded smaller by opts.TileNM) is a one-window plan — the
+// result is bit-identical to Optimize, and cfg's per-optimizer hooks
+// (TrackMetrics, OnIter, OnSnapshot, Resume) reach the optimizer, which
+// across several windows they cannot. ctx cancels the run within one
+// optimizer iteration.
 func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, opts TileOptions) (*LayoutResult, error) {
 	if opts.Workers < 0 {
 		return nil, &ConfigError{Field: "TileOptions.Workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", opts.Workers)}
 	}
-	if s.fitsGrid(layout) && (opts.TileNM <= 0 || opts.TileNM >= layout.SizeNM) {
-		// The warm-start library treats the whole grid as one window: an
-		// untiled run retrieves, seeds, and harvests exactly like a tile.
-		runCfg := cfg
-		var att *warmstart.Attempt
-		if opts.WarmStart != nil {
-			runCfg, att = opts.WarmStart.Prepare(opts.WarmStart.Epoch(), cfg,
-				s.Sim, s.Sim.Cfg.GridSize, s.Sim.Cfg.PixelNM, layout)
-		}
-		res, err := s.OptimizeCtx(ctx, runCfg, layout)
-		if err != nil {
-			return nil, err
-		}
-		att.Finish(res)
-		prov := TileProvenance{}
-		if att != nil && att.SeedKey != "" && res.Seeded {
-			prov.Seed = att.SeedKey
-		}
-		out := &LayoutResult{
-			Mask:       res.Mask,
-			MaskGray:   res.MaskGray,
-			Tiles:      []*Result{res},
-			Workers:    1,
-			Iterations: res.Iterations,
-			RuntimeSec: res.RuntimeSec,
-			Provenance: []TileProvenance{prov},
-		}
-		if err := s.recordArtifact(opts, cfg, layout, out, s.Sim, nil); err != nil {
-			return nil, err
-		}
-		return out, nil
+	if opts.Retries < 0 {
+		return nil, &ConfigError{Field: "TileOptions.Retries", Reason: fmt.Sprintf("must be >= 0 (0 = fail fast), got %d", opts.Retries)}
 	}
 	plan, ws, err := s.tilePlan(layout, opts)
 	if err != nil {
@@ -561,7 +545,7 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 	out := &LayoutResult{
 		Mask:       res.Mask,
 		MaskGray:   res.MaskGray,
-		Tiled:      true,
+		Tiled:      len(plan.Tiles) > 1,
 		Tiles:      res.Tiles,
 		Workers:    res.Workers,
 		SeamNM:     res.SeamNM,

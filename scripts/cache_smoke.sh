@@ -66,7 +66,7 @@ run_job() {
         curl -fsS "$BASE/v1/jobs/$ID" >&2 || true
         exit 1
     fi
-    curl -fsS -o "$1" "$BASE/v1/jobs/$ID/mask.pgm"
+    curl -fsS -o "$1" "$BASE/v1/jobs/$ID/mask"
 }
 
 start_daemon

@@ -3,8 +3,10 @@
 # coordinator (local fallback) as the reference, then rerun it on a
 # coordinator with two joined workers, SIGKILL one worker mid-run, and
 # require the cluster's stitched mask to be byte-identical to the
-# reference — lease reassignment and all. Needs only curl, cmp, and a
-# POSIX shell.
+# reference — lease reassignment and all. An untiled clip job goes the
+# same way: it is one window of the same pipeline, so with a worker joined
+# it must run remotely and still equal the local mask. Needs only curl,
+# cmp, and a POSIX shell.
 #
 # The cluster run also exercises the tracing surface: a live SSE
 # subscriber must observe per-iteration telemetry, and the assembled
@@ -39,8 +41,11 @@ wait_healthy() { # $1 = base url, $2 = log file
     exit 1
 }
 
-submit() { # prints the job id
-    curl -fsS -X POST "$BASE/v1/jobs" -d "$SPEC" \
+# The same clip untiled: one window covering the whole 1024 nm field.
+CLIP_SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 90\nRECT 700 760 180 96\nRECT 680 180 110 110\nRECT 140 720 130 100\n","mode":"fast","max_iter":20}'
+
+submit() { # $1 = spec (default: the sharded one); prints the job id
+    curl -fsS -X POST "$BASE/v1/jobs" -d "${1:-$SPEC}" \
         | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p'
 }
 
@@ -70,7 +75,11 @@ ID=$(submit)
 [ -n "$ID" ] || { echo "cluster-smoke: reference submit returned no job id" >&2; exit 1; }
 echo "cluster-smoke: reference job $ID running locally"
 wait_done "$ID"
-curl -fsS -o "$DIR/ref.pgm" "$BASE/v1/jobs/$ID/mask.pgm"
+curl -fsS -o "$DIR/ref.pgm" "$BASE/v1/jobs/$ID/mask"
+IDC=$(submit "$CLIP_SPEC")
+[ -n "$IDC" ] || { echo "cluster-smoke: reference clip submit returned no job id" >&2; exit 1; }
+wait_done "$IDC"
+curl -fsS -o "$DIR/ref-clip.pgm" "$BASE/v1/jobs/$IDC/mask"
 kill -TERM "$REF_PID"
 wait "$REF_PID" || { echo "cluster-smoke: reference daemon exited non-zero" >&2; cat "$DIR/ref.log" >&2; exit 1; }
 PIDS=""
@@ -125,7 +134,7 @@ kill -9 "$W1_PID"
 echo "cluster-smoke: SIGKILLed worker 1 holding live leases ($LEASES granted)"
 
 wait_done "$ID2"
-curl -fsS -o "$DIR/cluster.pgm" "$BASE/v1/jobs/$ID2/mask.pgm"
+curl -fsS -o "$DIR/cluster.pgm" "$BASE/v1/jobs/$ID2/mask"
 
 cmp -s "$DIR/ref.pgm" "$DIR/cluster.pgm" || {
     echo "cluster-smoke: cluster mask differs from the local reference" >&2
@@ -143,6 +152,26 @@ curl -fsS "$BASE/metrics" | grep -E 'cluster_tiles_remote_total [1-9]' >/dev/nul
     exit 1
 }
 echo "cluster-smoke: lease reassignment and remote execution confirmed"
+
+# ---- An untiled job is dispatched too (worker 2 is still in the fleet).
+remote_tiles() {
+    curl -fsS "$BASE/metrics" | sed -n 's/^cluster_tiles_remote_total \([0-9]*\)$/\1/p'
+}
+REMOTE1=$(remote_tiles)
+IDC2=$(submit "$CLIP_SPEC")
+[ -n "$IDC2" ] || { echo "cluster-smoke: cluster clip submit returned no job id" >&2; exit 1; }
+wait_done "$IDC2"
+REMOTE2=$(remote_tiles)
+[ "${REMOTE2:-0}" -gt "${REMOTE1:-0}" ] || {
+    echo "cluster-smoke: untiled job did not run remotely (cluster_tiles_remote_total $REMOTE1 -> $REMOTE2)" >&2
+    exit 1
+}
+curl -fsS -o "$DIR/cluster-clip.pgm" "$BASE/v1/jobs/$IDC2/mask"
+cmp -s "$DIR/ref-clip.pgm" "$DIR/cluster-clip.pgm" || {
+    echo "cluster-smoke: remotely run clip mask differs from the local reference" >&2
+    exit 1
+}
+echo "cluster-smoke: untiled job ran on the fleet (remote tiles $REMOTE1 -> $REMOTE2), mask byte-identical"
 
 # ---- Tracing: the live stream saw the optimizer converge...
 wait "$SSE_PID" 2>/dev/null || true

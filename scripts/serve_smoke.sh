@@ -1,8 +1,10 @@
 #!/bin/sh
 # Smoke test of the mosaicd job service: build the daemon, start it on a
 # local port, submit a tiny optimization over HTTP, poll it to completion,
-# assert a numeric score and a PGM mask, then shut the daemon down with
-# SIGTERM and require a clean drain. Needs only curl and a POSIX shell.
+# assert a numeric score and a PGM mask, resubmit it and require a cache
+# hit with the same mask bytes, then shut the daemon down with SIGTERM
+# mid-job and require a clean drain and a resumed job. Needs only curl
+# and a POSIX shell.
 set -eu
 
 PORT="${PORT:-18321}"
@@ -25,23 +27,34 @@ for _ in $(seq 1 50); do
 done
 [ -n "$ok" ] || { echo "smoke: daemon never became healthy" >&2; cat "$DIR/mosaicd.log" >&2; exit 1; }
 
-ID=$(curl -fsS -X POST "$BASE/v1/jobs" \
-        -d '{"benchmark":"B1","mode":"fast","max_iter":2}' \
-    | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
-[ -n "$ID" ] || { echo "smoke: submit returned no job id" >&2; exit 1; }
-echo "smoke: submitted job $ID"
+metric() {
+    v=$(curl -fsS "$BASE/metrics" | awk -v m="$1" '$1 == m { print $2 }')
+    echo "${v:-0}"
+}
 
-STATE=""
-for _ in $(seq 1 300); do
-    STATE=$(curl -fsS "$BASE/v1/jobs/$ID" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-    case "$STATE" in done|failed|canceled) break ;; esac
-    sleep 0.2
-done
-if [ "$STATE" != done ]; then
-    echo "smoke: job ended in state '$STATE'" >&2
-    curl -fsS "$BASE/v1/jobs/$ID" >&2 || true
-    exit 1
-fi
+# run_b1 MASKFILE: submit the tiny B1 job, poll it to completion, fetch
+# its mask; leaves the job id in ID.
+run_b1() {
+    ID=$(curl -fsS -X POST "$BASE/v1/jobs" \
+            -d '{"benchmark":"B1","mode":"fast","max_iter":2}' \
+        | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
+    [ -n "$ID" ] || { echo "smoke: submit returned no job id" >&2; exit 1; }
+    STATE=""
+    for _ in $(seq 1 300); do
+        STATE=$(curl -fsS "$BASE/v1/jobs/$ID" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+        case "$STATE" in done|failed|canceled) break ;; esac
+        sleep 0.2
+    done
+    if [ "$STATE" != done ]; then
+        echo "smoke: job ended in state '$STATE'" >&2
+        curl -fsS "$BASE/v1/jobs/$ID" >&2 || true
+        exit 1
+    fi
+    curl -fsS -o "$1" "$BASE/v1/jobs/$ID/mask"
+}
+
+run_b1 "$DIR/mask.pgm"
+echo "smoke: submitted job $ID"
 
 SCORE=$(curl -fsS "$BASE/v1/jobs/$ID/result" \
     | sed -n 's/.*"score":\([0-9][0-9.eE+-]*\).*/\1/p')
@@ -50,9 +63,19 @@ case "$SCORE" in
 esac
 echo "smoke: job done, score $SCORE"
 
-curl -fsS -o "$DIR/mask.pgm" "$BASE/v1/jobs/$ID/mask.pgm"
 MAGIC=$(head -c 2 "$DIR/mask.pgm")
-[ "$MAGIC" = "P5" ] || { echo "smoke: mask.pgm is not a PGM (got '$MAGIC')" >&2; exit 1; }
+[ "$MAGIC" = "P5" ] || { echo "smoke: mask is not a PGM (got '$MAGIC')" >&2; exit 1; }
+
+# The same clip again: an untiled job is one window of the same pipeline
+# as a sharded one, so the daemon's default memory cache serves it.
+HITS1=$(metric cache_hits_total)
+run_b1 "$DIR/mask2.pgm"
+HITS2=$(metric cache_hits_total)
+[ "$HITS2" -gt "$HITS1" ] || {
+    echo "smoke: resubmitted clip missed the cache (hits $HITS1 -> $HITS2)" >&2; exit 1; }
+cmp "$DIR/mask.pgm" "$DIR/mask2.pgm" || {
+    echo "smoke: cached clip mask differs from the cold run" >&2; exit 1; }
+echo "smoke: resubmitted clip served from cache (hits $HITS1 -> $HITS2), mask byte-identical"
 
 # grep without -q so the pipe is read to EOF (curl dies with SIGPIPE noise
 # otherwise).

@@ -71,7 +71,7 @@ run_job() {
         curl -fsS "$BASE/v1/jobs/$ID" >&2 || true
         exit 1
     fi
-    curl -fsS -o "$2" "$BASE/v1/jobs/$ID/mask.pgm"
+    curl -fsS -o "$2" "$BASE/v1/jobs/$ID/mask"
     curl -fsS "$BASE/v1/jobs/$ID/result"
 }
 
