@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build fuzz-smoke bench bench-compare bench-e2e bench-e2e-compare serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build fuzz-smoke bench bench-compare bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -37,7 +37,7 @@ build:
 FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult ilt:FuzzSnapshot \
 	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
-	geom:FuzzParse gds:FuzzParse
+	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -125,3 +125,17 @@ bench-e2e-compare:
 	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then \
 		echo "bench-e2e-compare: need A=parent.json B=change.json"; exit 2; fi
 	bash benchmark/run.sh compare $(A) $(B)
+
+# bench-e2e-pairs is the measurement a performance claim rests on: PARENT
+# is git-archived into a temp dir and it and this checkout run the repo
+# benchmark on PAIRS interleaved seeds, the side that goes first
+# alternating; the merged run sets land in results/E2E_<STAMP>_parent.json
+# and _change.json (STAMP defaults to today) and bench-e2e-compare's
+# verdicts are printed last. ~4 min a pair; see scripts/e2e_pairs.sh for
+# SEED0 / WORKLOADS.
+PAIRS ?= 10
+
+bench-e2e-pairs:
+	@if [ -z "$(PARENT)" ]; then \
+		echo "bench-e2e-pairs: need PARENT=<rev> [PAIRS=10] [STAMP=yyyymmdd]"; exit 2; fi
+	PAIRS=$(PAIRS) ./scripts/e2e_pairs.sh $(PARENT)

@@ -13,6 +13,7 @@ import (
 
 	"mosaic/internal/cas"
 	"mosaic/internal/frame"
+	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 )
 
@@ -66,8 +67,9 @@ type BlobRef struct {
 // rebuilt from the log on Open. Safe for concurrent use; concurrent
 // Commits batch their fsyncs.
 type Store struct {
-	blobs cas.Dir  // dir/blobs/<2-hex>/<sha256>.blob, fsynced MTAB frames
-	log   *os.File // anchors.log; writes serialized through the batcher
+	blobs   cas.Dir  // dir/blobs/<2-hex>/<sha256>.blob, fsynced MTAB frames
+	quality cas.Dir  // dir/quality/<2-hex>/<key>.mtq, see quality.go
+	log     *os.File // anchors.log; writes serialized through the batcher
 
 	// wmu guards the anchor batcher state below.
 	wmu       sync.Mutex
@@ -98,6 +100,7 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{
 		blobs:      cas.Dir{Root: filepath.Join(dir, "blobs"), Ext: ".blob", Magic: blobMagic, Sync: true},
+		quality:    cas.Dir{Root: filepath.Join(dir, "quality"), Ext: ".mtq", Magic: qualityMagic},
 		byJob:      make(map[string]*Record),
 		byManifest: make(map[Digest][]*Record),
 		byRoot:     make(map[Digest][]*Record),
@@ -175,6 +178,33 @@ func (s *Store) PutBlob(payload []byte) (Digest, error) {
 	mBlobsWritten.Inc()
 	mBlobBytes.Add(int64(len(payload)))
 	return d, nil
+}
+
+// PutResult stores a tile result as the blob of its EncodeResult payload
+// and returns its leaf digest. The digest is memoised on the result, so a
+// result the tile cache serves to job after job is encoded and hashed for
+// the first of them; the rest pay the dedup stat.
+func (s *Store) PutResult(res *ilt.Result) (Digest, error) {
+	var payload []byte
+	d, err := res.LeafDigest(func(r *ilt.Result) (d [32]byte, err error) {
+		if payload, err = EncodeResult(r); err == nil {
+			d = HashBlob(payload)
+		}
+		return d, err
+	})
+	if err != nil {
+		return d, err
+	}
+	if payload == nil { // digest memoised by an earlier job
+		if s.blobs.Has(Digest(d).String()) {
+			mBlobsDeduped.Inc()
+			return d, nil
+		}
+		if payload, err = EncodeResult(res); err != nil {
+			return d, err
+		}
+	}
+	return s.PutBlob(payload)
 }
 
 // Blob returns the stored payload behind a digest, proving it on the

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"mosaic/internal/geom"
 	"mosaic/internal/ilt"
 	"mosaic/internal/optics"
+	"mosaic/internal/par"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
@@ -222,5 +224,40 @@ func TestOptimizeCachePersistsAcrossStores(t *testing.T) {
 	sameMasks(t, first, second)
 	if st := s2.Stats(); st.Misses != 0 || st.Hits != 2 {
 		t.Fatalf("restarted-store stats %+v: want everything off disk", st)
+	}
+}
+
+// TestCachedRunTakesNoCore: the compute-pool reservation is taken where a
+// tile computes (tile.LocalRunner), so a run served whole from the cache
+// finishes while every core is reserved by other work — a hit job never
+// queues behind another job's running tile.
+func TestCachedRunTakesNoCore(t *testing.T) {
+	p, ws, cfg := e2ePlan(t)
+	store := mustOpen(t, Options{})
+	cold, err := p.Optimize(context.Background(), ws, cfg, tile.Options{Runner: NewRunner(store, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < par.Capacity(); i++ {
+		res, err := par.Reserve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Release()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Runner: NewRunner(store, nil)})
+	if err != nil {
+		t.Fatalf("all-hit run with the pool saturated: %v", err)
+	}
+	sameMasks(t, cold, warm)
+
+	// A miss does wait for a core.
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := p.Optimize(ctx, ws, cfg, tile.Options{Runner: NewRunner(mustOpen(t, Options{}), nil)}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cold run with the pool saturated: %v, want it to wait for a reservation", err)
 	}
 }

@@ -30,11 +30,6 @@ func NewRunner(store *Store, inner tile.Runner) *Runner {
 	return &Runner{store: store, inner: inner}
 }
 
-// LocalCompute reports whether the wrapped runner computes on this
-// machine's cores, forwarding the scheduler's core-reservation decision
-// through the decorator (see tile.LocalComputer).
-func (r *Runner) LocalCompute() bool { return tile.IsLocalCompute(r.inner) }
-
 // RunTile serves the request from the cache when possible. Empty windows
 // bypass the cache entirely — RunWindow short-circuits them to a shared
 // all-dark mask far cheaper than a lookup, and counting them as hits

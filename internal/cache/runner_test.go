@@ -14,7 +14,7 @@ import (
 )
 
 // countingRunner is a fake inner runner standing in for the cluster
-// coordinator: no LocalComputer, every call counted.
+// coordinator: every call counted.
 type countingRunner struct {
 	calls atomic.Int64
 	res   *ilt.Result
@@ -24,11 +24,6 @@ func (c *countingRunner) RunTile(ctx context.Context, req *tile.Request) (*ilt.R
 	c.calls.Add(1)
 	return c.res, nil
 }
-
-// localFake is a fake in-process runner declaring itself via LocalComputer.
-type localFake struct{ countingRunner }
-
-func (*localFake) LocalCompute() bool { return true }
 
 func TestRunnerServesRepeatsFromCache(t *testing.T) {
 	inner := &countingRunner{res: fakeResult(8, 1)}
@@ -103,32 +98,6 @@ func TestRunnerNilStorePassThrough(t *testing.T) {
 	}
 	if got := inner.calls.Load(); got != 2 {
 		t.Fatalf("nil store cached anyway: %d inner calls, want 2", got)
-	}
-}
-
-// TestRunnerLocalCompute pins the core-reservation forwarding: the
-// decorator is local exactly when what it wraps is, so wrapping the
-// in-process runner keeps the scheduler's reservations and wrapping the
-// coordinator keeps them off.
-func TestRunnerLocalCompute(t *testing.T) {
-	store := mustOpen(t, Options{})
-	cases := []struct {
-		name  string
-		inner tile.Runner
-		want  bool
-	}{
-		{"nil inner (in-process default)", nil, true},
-		{"remote-like inner", &countingRunner{}, false},
-		{"declared-local inner", &localFake{}, true},
-	}
-	for _, tc := range cases {
-		r := NewRunner(store, tc.inner)
-		if got := r.LocalCompute(); got != tc.want {
-			t.Errorf("%s: LocalCompute() = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := tile.IsLocalCompute(r); got != tc.want {
-			t.Errorf("%s: tile.IsLocalCompute = %v, want %v", tc.name, got, tc.want)
-		}
 	}
 }
 

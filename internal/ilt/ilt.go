@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"mosaic/internal/geom"
@@ -233,6 +234,26 @@ type Result struct {
 	// excluded from RuntimeSec so the reported runtime — and any Eq. 22
 	// score it feeds — reflects the optimization itself.
 	DiagnosticsSec float64
+
+	// leaf memoises LeafDigest. It makes a Result non-copyable (go vet
+	// flags it): build a variant field by field, so it starts unmemoised.
+	leaf atomic.Pointer[[32]byte]
+}
+
+// LeafDigest returns hash(r), computed at most once per result. A result
+// is immutable once it is returned — the tile cache serves the same one
+// to every job that repeats its window — so the content address the
+// artifact store anchors it under is hashed for the first job only.
+// Racing first calls both hash and store the same value.
+func (r *Result) LeafDigest(hash func(*Result) ([32]byte, error)) ([32]byte, error) {
+	if d := r.leaf.Load(); d != nil {
+		return *d, nil
+	}
+	d, err := hash(r)
+	if err == nil {
+		r.leaf.Store(&d)
+	}
+	return d, err
 }
 
 // Optimizer runs MOSAIC mask optimization against one forward model.

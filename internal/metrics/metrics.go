@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/resist"
@@ -35,6 +36,14 @@ func DefaultParams() Params {
 		DefocusNM:      25,
 		DoseDelta:      0.02,
 	}
+}
+
+// AppendBits writes every evaluation constant to the canonical scalar
+// stream: a key over them (the artifact store's quality side-car) misses
+// when any one moves. A new Params field belongs here; a test perturbs
+// each field by reflection and fails on one this list forgot.
+func (p *Params) AppendBits(w *frame.Writer) {
+	w.Put(&p.EPEThresholdNM, &p.EPESampleNM, &p.EPESearchNM, &p.DefocusNM, &p.DoseDelta)
 }
 
 // Score weights reconstructed from the ICCAD 2013 problem-C scoring
@@ -216,6 +225,33 @@ type Report struct {
 	Score           float64
 	PrintedNominal  *grid.Field
 	AerialNominal   *grid.Field
+}
+
+// Quality is the scalar part of a Report that depends only on the mask,
+// the target and the evaluation constants — everything but the rasters,
+// the per-sample list and the run's own wall time. It is what a served
+// job answers with and what the artifact store keeps beside an anchored
+// record; RuntimeSec and Score are folded in when it is read.
+type Quality struct {
+	Testcase        string
+	EPEViolations   int
+	PVBandNM2       float64
+	ShapeViolations int
+}
+
+// Quality extracts the report's runtime-free scalars.
+func (r *Report) Quality() Quality {
+	return Quality{
+		Testcase:        r.Testcase,
+		EPEViolations:   r.EPEViolations,
+		PVBandNM2:       r.PVBandNM2,
+		ShapeViolations: r.ShapeViolations,
+	}
+}
+
+// Score evaluates Eq. 22 for a run that took runtimeSec.
+func (q Quality) Score(runtimeSec float64) float64 {
+	return Score(runtimeSec, q.PVBandNM2, q.EPEViolations, q.ShapeViolations)
 }
 
 // AerialFunc produces the aerial image of a mask at one process corner,

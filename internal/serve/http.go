@@ -224,7 +224,7 @@ func negotiateMask(accept string) string {
 // handleMask writes a finished job's mask in the negotiated
 // representation.
 func (s *Server) handleMask(w http.ResponseWriter, r *http.Request) {
-	res, _, err := s.Result(r.PathValue("id"))
+	res, err := s.Result(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -267,10 +267,14 @@ type CacheAttribution struct {
 	Journal int `json:"journal"`
 	// Remote counts tiles computed on cluster workers.
 	Remote int `json:"remote"`
+	// Report tells where the job's scores came from: "hit" when the
+	// store's quality side-car already held this anchored run's
+	// evaluation, "miss" when the job evaluated the mask itself.
+	Report string `json:"report"`
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	rec, err := s.Provenance(r.PathValue("id"))
+	rec, report, err := s.Provenance(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -281,6 +285,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		MerkleRoot:     rec.Root.String(),
 		CreatedAt:      rec.CreatedAt,
 		Leaves:         rec.Leaves,
+		Cache:          CacheAttribution{Report: report},
 	}
 	for _, l := range rec.Leaves {
 		switch l.Tier {

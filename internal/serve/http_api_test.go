@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -351,6 +353,92 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	}
 	if warmProv.Cache.Hits == 0 {
 		t.Fatalf("warm run shows no cache hits: %+v", warmProv.Cache)
+	}
+
+	// The warm run's scores come from the quality side-car the cold run
+	// left beside the record, not from a second evaluation: same /result
+	// body apart from the job's identity and its own wall time, no
+	// tile.evaluate span in its trace, and the verdict on the provenance
+	// rollup and the counters.
+	summary := func(id string) ResultSummary {
+		t.Helper()
+		var sum ResultSummary
+		raw, _ := readAll(t, mustGet(t, ts.URL+"/v1/jobs/"+id+"/result"))
+		if err := json.Unmarshal(raw, &sum); err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	// sameScores fails unless got equals the cold run's body field by
+	// field, except id, runtime_sec and the runtime term of score.
+	coldSum := summary(cold.ID)
+	sameScores := func(what string, got ResultSummary) {
+		t.Helper()
+		if got.ID == coldSum.ID {
+			t.Fatalf("%s: result carries the cold job's id", what)
+		}
+		if gq, cq := got.Score-got.RuntimeSec, coldSum.Score-coldSum.RuntimeSec; math.Abs(gq-cq) > 1e-9 {
+			t.Fatalf("%s: quality score %v, cold run %v", what, gq, cq)
+		}
+		got.ID, got.RuntimeSec, got.Score = coldSum.ID, coldSum.RuntimeSec, coldSum.Score
+		if got != coldSum {
+			t.Fatalf("%s: result %+v differs from the cold run's %+v", what, got, coldSum)
+		}
+	}
+	hasEvaluateSpan := func(id string) bool {
+		t.Helper()
+		raw, _ := readAll(t, mustGet(t, ts.URL+"/v1/jobs/"+id+"/trace"))
+		if !bytes.Contains(raw, []byte(`"serve.evaluate"`)) {
+			t.Fatalf("job %s: serve.job span carries no serve.evaluate attribute", id)
+		}
+		return bytes.Contains(raw, []byte(`"name":"tile.evaluate"`))
+	}
+	sameScores("warm run", summary(warm.ID))
+	if prov.Cache.Report != "miss" || warmProv.Cache.Report != "hit" {
+		t.Fatalf("report verdicts cold=%q warm=%q, want miss then hit", prov.Cache.Report, warmProv.Cache.Report)
+	}
+	if !hasEvaluateSpan(cold.ID) || hasEvaluateSpan(warm.ID) {
+		t.Fatal("tile.evaluate must be in the cold job's trace and absent from the warm job's")
+	}
+
+	// One flipped byte in the side-car: quarantined, evaluated again, the
+	// same body — and the record still proves out, because the side-car
+	// is no part of it.
+	cars := sidecars(t, dir)
+	if len(cars) != 1 {
+		t.Fatalf("store holds %d side-cars, want exactly one for the one anchored run", len(cars))
+	}
+	var sidecar, intact string
+	for rel, data := range cars {
+		sidecar, intact = filepath.Join(dir, rel), data
+	}
+	flipped := []byte(intact)
+	flipped[len(flipped)/2] ^= 0x01
+	if err := os.WriteFile(sidecar, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, quarantined := mReportHits.Value(), mReportMisses.Value(), mReportQuarantined.Value()
+	healed := runJob()
+	if healed.State != StateDone {
+		t.Fatalf("job over a corrupt side-car ended %s: %s", healed.State, healed.Error)
+	}
+	sameScores("run over a corrupt side-car", summary(healed.ID))
+	if mReportHits.Value() != hits || mReportMisses.Value() != misses+1 || mReportQuarantined.Value() != quarantined+1 {
+		t.Fatalf("report counters moved by hits %d misses %d quarantined %d, want 0/1/1",
+			mReportHits.Value()-hits, mReportMisses.Value()-misses, mReportQuarantined.Value()-quarantined)
+	}
+	if _, err := os.Stat(sidecar + ".corrupt"); err != nil {
+		t.Fatalf("corrupt side-car was not quarantined: %v", err)
+	}
+	if !reflect.DeepEqual(sidecars(t, dir), cars) {
+		t.Fatal("recomputed side-car differs from the original bytes")
+	}
+	rec, _, err := s.Provenance(healed.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := store.Verify(rec); !rep.OK {
+		t.Fatalf("record fails verification after side-car corruption: %+v", rep)
 	}
 
 	// Digest-addressed error paths with a store present.

@@ -15,6 +15,7 @@ import (
 
 	"mosaic"
 	"mosaic/internal/geom"
+	"mosaic/internal/metrics"
 )
 
 // JobSpec is a submitted optimization request (the POST /v1/jobs body).
@@ -42,7 +43,8 @@ type JobSpec struct {
 	HaloNM float64 `json:"halo_nm,omitempty"`
 	// TileWorkers is the job's core-reservation hint: how many tiles it
 	// tries to run concurrently, each holding one reservation in the
-	// process-global compute pool; 0 means the pool capacity (GOMAXPROCS).
+	// process-global compute pool while it computes (a cached tile holds
+	// none); 0 means the pool capacity (GOMAXPROCS).
 	// Negative values are rejected at submission.
 	TileWorkers int `json:"tile_workers,omitempty"`
 
@@ -175,6 +177,14 @@ type ResultSummary struct {
 	MerkleRoot     string `json:"merkle_root,omitempty"`
 }
 
+// evaluation is a finished job's scalar quality — all a job keeps of its
+// metrics.Report, whose rasters no route reads — and where it came from.
+// The run's own wall time is folded in by summary.
+type evaluation struct {
+	metrics.Quality
+	source string // "hit": the artifact store's quality side-car; "miss": evaluated
+}
+
 // job is the server-side record behind a Status.
 type job struct {
 	id       string
@@ -195,7 +205,7 @@ type job struct {
 	prog      Progress
 	err       error
 	result    *mosaic.LayoutResult
-	report    *mosaic.Report
+	eval      evaluation
 	snap      *mosaic.Snapshot // latest checkpoint while running (untiled)
 	resume    *mosaic.Snapshot // restored checkpoint to seed the next run
 	cancel    func(error)      // cancels the running context with a cause
@@ -241,12 +251,12 @@ func (j *job) summary() *ResultSummary {
 	defer j.mu.Unlock()
 	sum := &ResultSummary{
 		ID:              j.id,
-		Testcase:        j.report.Testcase,
-		Score:           j.report.Score,
-		EPEViolations:   j.report.EPEViolations,
-		PVBandNM2:       j.report.PVBandNM2,
-		ShapeViolations: j.report.ShapeViolations,
-		RuntimeSec:      j.report.RuntimeSec,
+		Testcase:        j.eval.Testcase,
+		Score:           j.eval.Score(j.result.RuntimeSec),
+		EPEViolations:   j.eval.EPEViolations,
+		PVBandNM2:       j.eval.PVBandNM2,
+		ShapeViolations: j.eval.ShapeViolations,
+		RuntimeSec:      j.result.RuntimeSec,
 		Iterations:      j.result.Iterations,
 		Tiled:           j.result.Tiled,
 		MaskW:           j.result.Mask.W,

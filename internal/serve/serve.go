@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mosaic"
+	"mosaic/internal/artifact"
 	"mosaic/internal/obs"
 )
 
@@ -67,6 +68,15 @@ var (
 	mQueueDepth      = obs.NewGauge("serve_queue_depth")
 	mJobsRunning     = obs.NewGauge("serve_jobs_running")
 	mJobSeconds      = obs.NewHistogram("serve_job_seconds")
+)
+
+// Evaluation metrics: finished jobs whose quality came from the artifact
+// store's side-car, jobs that were evaluated (no store, or no entry yet),
+// and defective side-car entries quarantined on the way.
+var (
+	mReportHits        = obs.NewCounter("serve_report_hits_total")
+	mReportMisses      = obs.NewCounter("serve_report_misses_total")
+	mReportQuarantined = obs.NewCounter("serve_report_quarantined_total")
 )
 
 // Config configures a Server.
@@ -231,23 +241,25 @@ func (s *Server) Status(id string) (*Status, error) {
 	return j.status(), nil
 }
 
-// Provenance returns a finished job's anchored artifact record.
-func (s *Server) Provenance(id string) (*mosaic.ArtifactRecord, error) {
+// Provenance returns a finished job's anchored artifact record, and where
+// the job's scores came from: "hit" (the record's quality side-car) or
+// "miss" (an evaluation of the mask).
+func (s *Server) Provenance(id string) (rec *mosaic.ArtifactRecord, report string, err error) {
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j == nil {
-		return nil, ErrNotFound
+		return nil, "", ErrNotFound
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
-		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
+		return nil, "", fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
 	}
 	if j.result == nil || j.result.Artifact == nil {
-		return nil, ErrNoProvenance
+		return nil, "", ErrNoProvenance
 	}
-	return j.result.Artifact, nil
+	return j.result.Artifact, j.eval.source, nil
 }
 
 // List pagination bounds: the page size when ?limit= is absent, and the
@@ -329,20 +341,21 @@ func (s *Server) ListPage(filter State, limit int, cursor string) ([]*Status, st
 	return out, "", nil
 }
 
-// Result returns a finished job's mask and report.
-func (s *Server) Result(id string) (*mosaic.LayoutResult, *mosaic.Report, error) {
+// Result returns a finished job's mask and per-tile results; its scores
+// are Summary's.
+func (s *Server) Result(id string) (*mosaic.LayoutResult, error) {
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j == nil {
-		return nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
-		return nil, nil, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
+		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
 	}
-	return j.result, j.report, nil
+	return j.result, nil
 }
 
 // Summary returns a finished job's result summary.
@@ -489,7 +502,7 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 		defer stop()
 	}
 
-	result, report, err := s.execute(runCtx, j)
+	result, eval, err := s.execute(runCtx, j)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -499,7 +512,7 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	case err == nil:
 		j.state = StateDone
 		j.result = result
-		j.report = report
+		j.eval = eval
 		j.prog.TilesDone = j.prog.TilesTotal
 		mJobsDone.Inc()
 		s.removeCheckpoint(j.id)
@@ -543,10 +556,10 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 }
 
 // execute runs the optimization and evaluation for one job.
-func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, *mosaic.Report, error) {
+func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, evaluation, error) {
 	setup, err := s.setupFor(s.jobOptics(j))
 	if err != nil {
-		return nil, nil, fmt.Errorf("building setup: %w", err)
+		return nil, evaluation{}, fmt.Errorf("building setup: %w", err)
 	}
 
 	cfg := mosaic.DefaultConfig(j.spec.mode())
@@ -596,7 +609,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, *mo
 		// optimizer to resume.
 		jl, err := mosaic.OpenTileJournal(s.checkpointPath(j.id, ".journal"))
 		if err != nil {
-			return nil, nil, fmt.Errorf("opening tile journal: %w", err)
+			return nil, evaluation{}, fmt.Errorf("opening tile journal: %w", err)
 		}
 		defer jl.Close()
 		topts.Journal = jl
@@ -613,13 +626,47 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, *mo
 
 	res, err := setup.OptimizeLayout(ctx, cfg, j.layout, topts)
 	if err != nil {
-		return nil, nil, err
+		return nil, evaluation{}, err
 	}
-	rep, err := setup.EvaluateLayoutCtx(ctx, res.Mask, j.layout, topts, res.RuntimeSec)
+	eval, err := s.evaluate(ctx, setup, j, res, topts)
 	if err != nil {
-		return nil, nil, err
+		return nil, evaluation{}, err
 	}
-	return res, rep, nil
+	obs.CurrentSpan(ctx).SetAttrs(obs.String("serve.evaluate", eval.source))
+	return res, eval, nil
+}
+
+// evaluate scores a finished run. The quality of an anchored run is a pure
+// function of the anchored bits and the evaluation constants, and the
+// artifact store keeps it beside the record: a repeat of anchored work —
+// every tile a cache hit — costs a lookup here instead of re-imaging the
+// stitched mask at every focus plane, which was most of such a job.
+func (s *Server) evaluate(ctx context.Context, setup *mosaic.Setup, j *job, res *mosaic.LayoutResult, topts mosaic.TileOptions) (evaluation, error) {
+	store, rec := s.cfg.ArtifactStore, res.Artifact
+	if rec != nil {
+		q, err := store.Quality(rec, setup.Params)
+		if err == nil {
+			mReportHits.Inc()
+			return evaluation{Quality: q, source: "hit"}, nil
+		}
+		if errors.Is(err, artifact.ErrCorrupt) {
+			mReportQuarantined.Inc()
+			obs.Logger().Warn("serve: quarantined corrupt quality side-car", "job", j.id, "err", err)
+		}
+	}
+	mReportMisses.Inc()
+	rep, err := setup.EvaluateLayoutCtx(ctx, res.Mask, j.layout, topts, 0)
+	if err != nil {
+		return evaluation{}, err
+	}
+	q := rep.Quality()
+	if rec != nil {
+		if err := store.PutQuality(rec, setup.Params, q); err != nil {
+			// Derived data: without it the next repeat evaluates again.
+			obs.Logger().Warn("serve: storing quality side-car", "job", j.id, "err", err)
+		}
+	}
+	return evaluation{Quality: q, source: "miss"}, nil
 }
 
 // Shutdown drains the server: running jobs are canceled with a drain

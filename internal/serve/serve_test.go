@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -286,6 +287,13 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testServerConfig(dir)
 	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
+	artDir := t.TempDir()
+	art, err := mosaic.OpenArtifactStore(artDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Close()
+	cfg.ArtifactStore = art
 
 	// Gate the optimizer at the end of its third iteration so the drain
 	// deterministically lands mid-run: the job blocks at the gate, the
@@ -358,7 +366,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	if fin.Progress.Iter != 6 {
 		t.Fatalf("resumed job reports %d iterations, want 6", fin.Progress.Iter)
 	}
-	res, _, err := s2.Result(st.ID)
+	res, err := s2.Result(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +407,51 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 			t.Fatalf("finished job left %s checkpoint behind", ext)
 		}
 	}
+
+	// The resumed job anchored the same work as a cold, uninterrupted job
+	// on another server with another store, so the quality side-car it
+	// left is the same file: same key, same bytes.
+	coldDir := t.TempDir()
+	coldArt, err := mosaic.OpenArtifactStore(coldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coldArt.Close()
+	coldCfg := testServerConfig("")
+	coldCfg.ArtifactStore = coldArt
+	s3, err := New(coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s3)
+	cst, err := s3.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := waitFor(t, s3, cst.ID, 60*time.Second, func(st *Status) bool { return st.State.terminal() }); c.State != StateDone {
+		t.Fatalf("cold job finished %s (%s)", c.State, c.Error)
+	}
+	resumedCars, coldCars := sidecars(t, artDir), sidecars(t, coldDir)
+	if len(resumedCars) != 1 || !reflect.DeepEqual(resumedCars, coldCars) {
+		t.Fatalf("resumed run's side-cars %v differ from the cold run's %v", resumedCars, coldCars)
+	}
+}
+
+// sidecars maps each quality side-car under an artifact dir (by its path
+// below the dir) to its bytes.
+func sidecars(t *testing.T, artifactDir string) map[string]string {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(artifactDir, "quality", "*", "*.mtq"))
+	out := make(map[string]string, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(artifactDir, p)
+		out[rel] = string(data)
+	}
+	return out
 }
 
 // TestTiledJobJournals runs a sharded job end to end under a checkpoint

@@ -67,9 +67,9 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	}
 	seededIdx := -1
 	for idx, res := range first {
-		seeded := *res
-		seeded.Seeded = true
-		if err := j1b.Record(idx, &seeded); err != nil {
+		seeded := &ilt.Result{Mask: res.Mask, MaskGray: res.MaskGray, Objective: res.Objective,
+			Iterations: res.Iterations, RuntimeSec: res.RuntimeSec, Seeded: true}
+		if err := j1b.Record(idx, seeded); err != nil {
 			t.Fatal(err)
 		}
 		seededIdx = idx

@@ -68,34 +68,28 @@ type Runner interface {
 	RunTile(ctx context.Context, req *Request) (*ilt.Result, error)
 }
 
-// LocalComputer is an optional Runner refinement reporting whether tiles
-// run on this machine's cores. The scheduler gates its per-tile core
-// reservations on it: a remote dispatcher (the cluster coordinator) is
-// I/O-bound and must not be serialized behind local GOMAXPROCS, while a
-// decorator wrapping the in-process runner (the result cache) still
-// needs the reservations. Runners that do not implement it are assumed
-// remote, preserving the previous non-nil-Runner behavior.
-type LocalComputer interface {
-	LocalCompute() bool
-}
-
-// IsLocalCompute reports whether r computes tiles in-process, as declared
-// via LocalComputer.
-func IsLocalCompute(r Runner) bool {
-	lc, ok := r.(LocalComputer)
-	return ok && lc.LocalCompute()
-}
-
 // LocalRunner optimizes tiles in-process on the window simulator: the
 // scheduler's default, what the cache and warm-start decorators wrap
-// when given no inner runner, and the cluster coordinator's fallback.
+// when given no inner runner, and the cluster coordinator's fallback. It
+// is the one place a tile takes a core: a window that computes holds one
+// reservation in the global compute pool (par.Reserve) for as long as it
+// runs. Reservations have priority over inner (ilt/fft) helper tokens, so
+// the tile level claims cores first and the machine never runs more
+// tiles than cores, whichever jobs they belong to. Everything in front of
+// this runner — a cache hit, a journal adoption, a remote dispatch —
+// never computes here and so never queues behind a tile that does.
 type LocalRunner struct{}
 
 func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
+	if len(req.Tile.Layout.Polys) > 0 { // an empty window computes nothing
+		res, err := par.Reserve(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer res.Release()
+	}
 	return RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
 }
-
-func (LocalRunner) LocalCompute() bool { return true }
 
 // emptyResults shares one all-dark result per window size (keyed by
 // windowPx). Sparse full-chip layouts are mostly empty windows, and
@@ -151,13 +145,14 @@ var (
 // Options tunes one Plan.Optimize run.
 type Options struct {
 	// Workers is a core-reservation hint: the number of tiles the
-	// scheduler tries to run concurrently, each holding one reservation in
-	// the global compute pool (par.Reserve). 0 means the pool capacity
-	// (GOMAXPROCS). The hint is an upper bound, not a demand — actual
-	// concurrency is bounded by the pool, with queued tile reservations
-	// taking cores ahead of inner (ilt/fft) parallelism, and whatever the
-	// tile level leaves idle is soaked up by those inner loops. Results
-	// are bit-identical for any value.
+	// scheduler hands to the runner concurrently. A tile that computes
+	// in-process holds one reservation in the global compute pool while it
+	// does (see LocalRunner). 0 means the pool capacity (GOMAXPROCS). The
+	// hint is an upper bound, not a demand — actual compute concurrency is
+	// bounded by the pool, with queued tile reservations taking cores
+	// ahead of inner (ilt/fft) parallelism, and whatever the tile level
+	// leaves idle is soaked up by those inner loops. Results are
+	// bit-identical for any value.
 	Workers int
 
 	// SeamNM is the width of the raised-cosine cross-fade band centered
@@ -298,14 +293,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	if runner == nil {
 		runner = LocalRunner{}
 	}
-	// Core reservations only make sense for in-process compute: a remote
-	// runner's workers are I/O-bound dispatchers that block on the network
-	// while the fleet computes, so gating them on local cores would
-	// serialize the fleet behind this machine's GOMAXPROCS. Decorated
-	// local runners (the result cache) declare themselves via
-	// LocalComputer and keep the reservations.
-	reserve := IsLocalCompute(runner)
-
 	workers := p.resolveWorkers(opts.Workers)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -330,19 +317,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Admission: each concurrently running tile holds one core
-			// reservation in the global compute pool. Reservations have
-			// priority over inner (ilt/fft) helper tokens, so the tile
-			// level claims cores first; when the hint exceeds the pool,
-			// surplus workers block here and the machine never runs more
-			// tiles than cores. A canceled run abandons the wait.
-			if reserve {
-				res, err := par.Reserve(ctx)
-				if err != nil {
-					return
-				}
-				defer res.Release()
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(p.Tiles) || ctx.Err() != nil {

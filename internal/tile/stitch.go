@@ -8,6 +8,7 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 	"mosaic/internal/metrics"
+	"mosaic/internal/obs"
 	"mosaic/internal/par"
 	"mosaic/internal/sim"
 )
@@ -184,6 +185,9 @@ func (p *Plan) Evaluate(ws *sim.Simulator, mask *grid.Field, mp metrics.Params, 
 // EvaluateCtx is Evaluate under a context; cancellation is honored between
 // process-corner simulations.
 func (p *Plan) EvaluateCtx(ctx context.Context, ws *sim.Simulator, mask *grid.Field, mp metrics.Params, runtimeSec float64) (*metrics.Report, error) {
+	ctx, sp := obs.StartSpan(ctx, "tile.evaluate",
+		obs.String("layout", p.Layout.Name), obs.Int("tiles", len(p.Tiles)))
+	defer sp.End()
 	aerial := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
 		return p.Aerial(ws, m, c)
 	}

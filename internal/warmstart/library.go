@@ -1,6 +1,7 @@
 package warmstart
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -124,6 +125,29 @@ type Library struct {
 	byFam map[Family][]*entry
 	keys  map[string]bool
 	stats Stats
+
+	// Recently prepared seeds, most recent first: a window that repeats —
+	// every tile of a resubmitted job — is handed the seed it was handed
+	// before instead of a fresh read, decode and translation of the entry.
+	seeds     *list.List // of *preparedSeed
+	seedBy    map[seedID]*list.Element
+	seedBytes int64
+}
+
+// seedMemoBytes bounds the prepared seeds a library keeps in memory.
+const seedMemoBytes = 64 << 20
+
+// seedID names one prepared seed: a stored mask in one window frame.
+type seedID struct {
+	entry  string
+	dx, dy int
+}
+
+// preparedSeed is an entry's mask translated into a window's frame. It
+// is shared by every run handed it and never written.
+type preparedSeed struct {
+	id   seedID
+	mask *grid.Field
 }
 
 var (
@@ -171,6 +195,8 @@ func Open(opts Options) (*Library, error) {
 		harvest: opts.Harvest,
 		byFam:   make(map[Family][]*entry),
 		keys:    make(map[string]bool),
+		seeds:   list.New(),
+		seedBy:  make(map[seedID]*list.Element),
 	}
 	if l.maxDist == 0 {
 		l.maxDist = DefaultMaxDist
@@ -318,10 +344,7 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 
 	e, dist, ok := l.lookup(fam, sig, epoch)
 	if ok {
-		_, mask, err := l.readEntry(e.key)
-		if err == nil && mask.W != windowPx {
-			err = fmt.Errorf("entry mask is %d px, window wants %d px", mask.W, windowPx)
-		}
+		seed, err := l.seedFor(e, offX-e.offX, offY-e.offY, windowPx)
 		if err != nil {
 			l.drop(e, err)
 			ok = false
@@ -330,7 +353,7 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 			l.mu.Lock()
 			l.stats.Hits++
 			l.mu.Unlock()
-			cfg.SeedMask = Translate(mask, offX-e.offX, offY-e.offY)
+			cfg.SeedMask = seed
 			if cfg.ObjTol == 0 {
 				cfg.ObjTol = l.objTol
 			}
@@ -345,6 +368,43 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 		l.mu.Unlock()
 	}
 	return cfg, att
+}
+
+// seedFor returns entry e's stored mask translated by (dx, dy) into a
+// windowPx frame: the memoised seed when this library prepared it
+// recently, otherwise read from disk, verified, translated and memoised.
+func (l *Library) seedFor(e *entry, dx, dy, windowPx int) (*grid.Field, error) {
+	id := seedID{entry: e.key, dx: dx, dy: dy}
+	l.mu.Lock()
+	if el, ok := l.seedBy[id]; ok {
+		l.seeds.MoveToFront(el)
+		l.mu.Unlock()
+		return el.Value.(*preparedSeed).mask, nil
+	}
+	l.mu.Unlock()
+
+	_, mask, err := l.readEntry(e.key)
+	if err != nil {
+		return nil, err
+	}
+	if mask.W != windowPx {
+		return nil, fmt.Errorf("entry mask is %d px, window wants %d px", mask.W, windowPx)
+	}
+	seed := Translate(mask, dx, dy)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if el, ok := l.seedBy[id]; ok { // a concurrent window prepared it first
+		return el.Value.(*preparedSeed).mask, nil
+	}
+	l.seedBy[id] = l.seeds.PushFront(&preparedSeed{id: id, mask: seed})
+	l.seedBytes += 8 * int64(len(seed.Data))
+	for l.seedBytes > seedMemoBytes && l.seeds.Len() > 1 {
+		old := l.seeds.Remove(l.seeds.Back()).(*preparedSeed)
+		delete(l.seedBy, old.id)
+		l.seedBytes -= 8 * int64(len(old.mask.Data))
+	}
+	return seed, nil
 }
 
 // Finish completes an attempt: it observes the seeded/cold iteration

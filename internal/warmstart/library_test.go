@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"mosaic/internal/frame"
@@ -181,6 +182,53 @@ func TestHarvestRetrieveRoundTrip(t *testing.T) {
 	att2.Finish(&ilt.Result{MaskGray: mask, Iterations: 2, Seeded: true})
 	if st := l2.Stats(); st.Entries != 1 || st.Harvested != 0 {
 		t.Fatalf("translated repeat was not deduped: %+v", st)
+	}
+}
+
+// TestPreparedSeedIsShared: a window that repeats is handed the seed the
+// library prepared before — one immutable raster shared by concurrent
+// runs, not a fresh read, decode and translation per window — while
+// another frame of the same entry gets its own, and the memo stays inside
+// its byte budget.
+func TestPreparedSeedIsShared(t *testing.T) {
+	ws := testSim(t)
+	cfg := ilt.DefaultConfig(ilt.ModeFast)
+	mask := grid.New(testWindowPx, testWindowPx)
+	for i := range mask.Data {
+		mask.Data[i] = float64(i%5) / 5
+	}
+	l, err := Open(Options{Dir: t.TempDir(), Harvest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	harvestOne(t, l, ws, cfg, testLayout(0, 0), mask, l.Epoch())
+	epoch := l.Epoch()
+
+	seeds := make([]*grid.Field, 8)
+	var wg sync.WaitGroup
+	for i := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runCfg, _ := l.Prepare(epoch, cfg, ws, testWindowPx, testPixelNM, testLayout(0, 0))
+			seeds[i] = runCfg.SeedMask
+		}()
+	}
+	wg.Wait()
+	for i, s := range seeds {
+		if s == nil || s != seeds[0] {
+			t.Fatalf("window %d was handed seed %p, window 0 %p: want one shared raster", i, s, seeds[0])
+		}
+	}
+	if !seeds[0].Equal(mask, 0) {
+		t.Fatal("shared seed is not the stored mask")
+	}
+	shifted, _ := l.Prepare(epoch, cfg, ws, testWindowPx, testPixelNM, testLayout(64, 8))
+	if shifted.SeedMask == seeds[0] || !shifted.SeedMask.Equal(Translate(mask, 64/testPixelNM, 8/testPixelNM), 0) {
+		t.Fatal("another frame of the entry must get its own translated seed")
+	}
+	if l.seeds.Len() != 2 || l.seedBytes != 2*8*int64(len(mask.Data)) || l.seedBytes > seedMemoBytes {
+		t.Fatalf("memo holds %d seeds, %d bytes", l.seeds.Len(), l.seedBytes)
 	}
 }
 

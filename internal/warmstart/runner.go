@@ -34,11 +34,6 @@ func NewRunner(lib *Library, inner tile.Runner) *Runner {
 	return &Runner{lib: lib, inner: inner, epoch: lib.Epoch()}
 }
 
-// LocalCompute reports whether the wrapped runner computes on this
-// machine's cores, forwarding the scheduler's core-reservation decision
-// through the decorator (see tile.LocalComputer).
-func (r *Runner) LocalCompute() bool { return tile.IsLocalCompute(r.inner) }
-
 // RunTile consults the library, runs the (possibly seeded) request, and
 // finishes the attempt — histograms, fallback accounting, harvest. The
 // seed rides Config.SeedMask, so it crosses the cluster wire to remote

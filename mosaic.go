@@ -371,7 +371,9 @@ type TileOptions struct {
 	SeamNM float64
 	// Workers is a core-reservation hint: how many tiles the scheduler
 	// tries to run concurrently, each holding one reservation in the
-	// process-global compute pool. 0 means the pool capacity (GOMAXPROCS).
+	// process-global compute pool while it computes in-process (a tile
+	// served from the cache or dispatched to a worker holds none). 0 means
+	// the pool capacity (GOMAXPROCS).
 	// It is an upper bound, not a demand — actual concurrency never
 	// exceeds the pool, and cores the tile level leaves idle are soaked up
 	// by inner (optimizer/FFT) parallelism. Results are bit-identical for
@@ -575,11 +577,7 @@ func (s *Setup) recordArtifact(opts TileOptions, cfg Config, layout *Layout, out
 	}
 	leaves := make([]artifact.Leaf, len(out.Tiles))
 	for i, res := range out.Tiles {
-		payload, err := artifact.EncodeResult(res)
-		if err != nil {
-			return fmt.Errorf("mosaic: encoding tile %d artifact: %w", i, err)
-		}
-		d, err := opts.Artifact.PutBlob(payload)
+		d, err := opts.Artifact.PutResult(res)
 		if err != nil {
 			return fmt.Errorf("mosaic: storing tile %d artifact: %w", i, err)
 		}

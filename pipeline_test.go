@@ -17,8 +17,6 @@ type flakyRunner struct {
 	calls, failures atomic.Int32
 }
 
-func (r *flakyRunner) LocalCompute() bool { return true }
-
 func (r *flakyRunner) RunTile(ctx context.Context, req *TileRequest) (*Result, error) {
 	if r.calls.Add(1) <= r.failures.Load() {
 		return nil, errors.New("injected tile failure")

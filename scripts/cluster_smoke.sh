@@ -5,8 +5,11 @@
 # require the cluster's stitched mask to be byte-identical to the
 # reference — lease reassignment and all. An untiled clip job goes the
 # same way: it is one window of the same pipeline, so with a worker joined
-# it must run remotely and still equal the local mask. Needs only curl,
-# cmp, and a POSIX shell.
+# it must run remotely and still equal the local mask. Both daemons anchor
+# their jobs in an artifact store, and the quality side-cars the cluster
+# run leaves beside its records must be the files the local run left: same
+# names (same Merkle roots and manifests), same bytes. Needs only curl,
+# cmp, diff, and a POSIX shell.
 #
 # The cluster run also exercises the tracing surface: a live SSE
 # subscriber must observe per-iteration telemetry, and the assembled
@@ -66,7 +69,8 @@ wait_done() { # $1 = job id
 
 # ---- Reference: the same daemon with no workers joined (local fallback).
 "$DIR/mosaicd" -addr "127.0.0.1:$PORT_C" -grid 64 \
-    -checkpoint-dir "$DIR/ckpt-ref" -log-level info >"$DIR/ref.log" 2>&1 &
+    -checkpoint-dir "$DIR/ckpt-ref" -artifact-dir "$DIR/art-ref" \
+    -log-level info >"$DIR/ref.log" 2>&1 &
 REF_PID=$!
 PIDS="$REF_PID"
 wait_healthy "$BASE" "$DIR/ref.log"
@@ -86,8 +90,8 @@ PIDS=""
 
 # ---- Cluster: coordinator + 2 workers, one of which dies mid-run.
 "$DIR/mosaicd" -addr "127.0.0.1:$PORT_C" -grid 64 \
-    -checkpoint-dir "$DIR/ckpt-cluster" -heartbeat-ttl 3s \
-    -log-level info >"$DIR/coord.log" 2>&1 &
+    -checkpoint-dir "$DIR/ckpt-cluster" -artifact-dir "$DIR/art-cluster" \
+    -heartbeat-ttl 3s -log-level info >"$DIR/coord.log" 2>&1 &
 COORD_PID=$!
 PIDS="$COORD_PID"
 wait_healthy "$BASE" "$DIR/coord.log"
@@ -172,6 +176,18 @@ cmp -s "$DIR/ref-clip.pgm" "$DIR/cluster-clip.pgm" || {
     exit 1
 }
 echo "cluster-smoke: untiled job ran on the fleet (remote tiles $REMOTE1 -> $REMOTE2), mask byte-identical"
+
+# ---- Both runs anchored the same work, so they left the same side-cars.
+[ "$(find "$DIR/art-ref/quality" -name '*.mtq' | wc -l)" -eq 2 ] || {
+    echo "cluster-smoke: reference store does not hold one quality side-car per job" >&2
+    exit 1
+}
+diff -r "$DIR/art-ref/quality" "$DIR/art-cluster/quality" >/dev/null || {
+    echo "cluster-smoke: cluster run's quality side-cars differ from the local run's" >&2
+    diff -r "$DIR/art-ref/quality" "$DIR/art-cluster/quality" >&2 || true
+    exit 1
+}
+echo "cluster-smoke: quality side-cars are byte-identical to the local run's"
 
 # ---- Tracing: the live stream saw the optimizer converge...
 wait "$SSE_PID" 2>/dev/null || true

@@ -97,7 +97,15 @@ ST_A2=$(curl -fsS "$BASE/v1/jobs/$JOB_A2")
     echo "provenance-smoke: warm run changed the manifest digest" >&2; exit 1; }
 [ "$(field "$ST_A2" merkle_root)" = "$ROOT_A" ] || {
     echo "provenance-smoke: warm run changed the Merkle root" >&2; exit 1; }
-echo "provenance-smoke: warm run reproduced the digests bit-for-bit"
+# Its scores came from the quality side-car the cold run left beside the
+# record — which the verify calls below walk past untouched.
+case $(curl -fsS "$BASE/v1/jobs/$JOB_A2/provenance") in
+    *'"report":"hit"'*) ;;
+    *) echo "provenance-smoke: warm run re-evaluated instead of reading the side-car" >&2; exit 1 ;;
+esac
+[ "$(find "$DIR/artifacts/quality" -name '*.mtq' | wc -l)" -eq 1 ] || {
+    echo "provenance-smoke: expected one quality side-car for the one anchored run" >&2; exit 1; }
+echo "provenance-smoke: warm run reproduced the digests bit-for-bit and read its scores from the side-car"
 
 # A second, different job — the untouched control artifact.
 JOB_B=$(run_job "$LAYOUT_B")
