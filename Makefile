@@ -131,8 +131,7 @@ bench-e2e-compare:
 # benchmark on PAIRS interleaved seeds, the side that goes first
 # alternating; the merged run sets land in results/E2E_<STAMP>_parent.json
 # and _change.json (STAMP defaults to today) and bench-e2e-compare's
-# verdicts are printed last. ~4 min a pair; see scripts/e2e_pairs.sh for
-# SEED0 / WORKLOADS.
+# verdicts are printed last. ~4 min a pair.
 PAIRS ?= 10
 
 bench-e2e-pairs:

@@ -34,11 +34,10 @@ const (
 )
 
 // qualityKey addresses the side-car entry of one anchored run under one
-// set of evaluation constants. version is cache.DigestVersion everywhere
-// but in the test that shows another generation misses.
-func qualityKey(rec *Record, p metrics.Params, version int) Digest {
+// set of evaluation constants, in this build's numeric-path generation.
+func qualityKey(rec *Record, p metrics.Params) Digest {
 	return frame.Digest(func(w *frame.Writer) {
-		w.I64(int64(version))
+		w.I64(cache.DigestVersion)
 		w.Raw(rec.Root[:])
 		w.Raw(rec.Manifest[:])
 		p.AppendBits(w)
@@ -80,7 +79,7 @@ func decodeQuality(payload []byte, key Digest) (metrics.Quality, error) {
 // defective — it has then been quarantined, so the caller evaluates and
 // stores a clean one.
 func (s *Store) Quality(rec *Record, p metrics.Params) (metrics.Quality, error) {
-	key := qualityKey(rec, p, cache.DigestVersion)
+	key := qualityKey(rec, p)
 	payload, err := s.quality.Get(key.String())
 	if err == nil {
 		var q metrics.Quality
@@ -103,7 +102,7 @@ func (s *Store) Quality(rec *Record, p metrics.Params) (metrics.Quality, error) 
 // is a cache of a recomputable value: it is not fsynced (a torn write
 // fails its CRC and is recomputed) and not counted as a blob.
 func (s *Store) PutQuality(rec *Record, p metrics.Params, q metrics.Quality) error {
-	key := qualityKey(rec, p, cache.DigestVersion)
+	key := qualityKey(rec, p)
 	if _, err := s.quality.Put(key.String(), encodeQuality(key, q).Seal(qualityMagic)); err != nil {
 		return fmt.Errorf("artifact: writing quality of %s: %w", rec.Root, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mosaic/internal/cache"
+	"mosaic/internal/frame"
 	"mosaic/internal/ilt"
 	"mosaic/internal/metrics"
 )
@@ -65,7 +66,7 @@ func TestQualitySideCar(t *testing.T) {
 
 	// One flipped byte: quarantined, reported, gone — and a fresh entry
 	// can take its place.
-	key := qualityKey(rec, p, cache.DigestVersion).String()
+	key := qualityKey(rec, p).String()
 	path := s.quality.Path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -88,7 +89,7 @@ func TestQualitySideCar(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An intact frame written for another key is as defective as a torn one.
-	other := qualityKey(rec, p, cache.DigestVersion+1)
+	other := testDigest(9)
 	if err := os.WriteFile(path, encodeQuality(other, want).Seal(qualityMagic), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +102,16 @@ func TestQualitySideCar(t *testing.T) {
 	if rep := s.Verify(rec); !rep.OK {
 		t.Fatalf("Verify after side-car traffic: %+v", rep)
 	}
-	if refs := s.ByBlob(Digest(qualityKey(rec, p, cache.DigestVersion))); len(refs) != 0 {
+	if refs := s.ByBlob(Digest(qualityKey(rec, p))); len(refs) != 0 {
 		t.Fatalf("side-car key is indexed as a blob: %+v", refs)
 	}
 }
 
 // TestPutResultMemoisesLeafDigest: a result anchored again — by another
 // job, from several goroutines at once, into another store — keeps the
-// digest its bytes hash to, and a store that has the digest memoised but
-// not the blob still writes the blob.
+// digest its bytes hash to, a store that has the digest memoised but not
+// the blob still writes the blob, and a copy that carries the memo and is
+// then edited is anchored under its own content, not the original's.
 func TestPutResultMemoisesLeafDigest(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -160,6 +162,38 @@ func TestPutResultMemoisesLeafDigest(t *testing.T) {
 	if _, err := s.PutResult(&ilt.Result{}); err == nil {
 		t.Fatal("PutResult accepted a result with no mask")
 	}
+
+	// A value copy takes the memo with it (go vet flags `*res` for that;
+	// reflection does not). Each field the blob covers, edited on such a
+	// copy, must reach the digest and the stored bytes.
+	edits := map[string]func(*ilt.Result){
+		"Objective":  func(r *ilt.Result) { r.Objective++ },
+		"Iterations": func(r *ilt.Result) { r.Iterations++ },
+		"MaskGray":   func(r *ilt.Result) { r.MaskGray = testResult(8, 4).MaskGray },
+	}
+	for name, edit := range edits {
+		cp := reflect.New(reflect.TypeOf(res).Elem())
+		cp.Elem().Set(reflect.ValueOf(res).Elem())
+		edited := cp.Interface().(*ilt.Result)
+		if d, err := s.PutResult(edited); err != nil || d != want {
+			t.Fatalf("unedited copy = %s, %v; want the original's digest", d, err)
+		}
+		edit(edited)
+		payload, err := EncodeResult(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.PutResult(edited)
+		if err != nil || d != HashBlob(payload) || d == want {
+			t.Fatalf("copy with edited %s anchored as %s, %v; want %s", name, d, err, HashBlob(payload))
+		}
+		if got, err := s.Blob(d); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("copy with edited %s: stored blob: %v", name, err)
+		}
+	}
+	if d, err := s.PutResult(res); err != nil || d != want {
+		t.Fatalf("original after its copies were edited = %s, %v", d, err)
+	}
 }
 
 // TestQualityKeySensitivity: every input of the key moves it — each
@@ -168,8 +202,8 @@ func TestPutResultMemoisesLeafDigest(t *testing.T) {
 func TestQualityKeySensitivity(t *testing.T) {
 	rec := &Record{Root: testDigest(1), Manifest: testDigest(2)}
 	p := metrics.DefaultParams()
-	base := qualityKey(rec, p, cache.DigestVersion)
-	if qualityKey(rec, p, cache.DigestVersion) != base {
+	base := qualityKey(rec, p)
+	if qualityKey(rec, p) != base {
 		t.Fatal("key is not deterministic")
 	}
 
@@ -178,17 +212,30 @@ func TestQualityKeySensitivity(t *testing.T) {
 		q := p
 		f := reflect.ValueOf(&q).Elem().Field(i)
 		f.SetFloat(f.Float() + 0.5)
-		if qualityKey(rec, q, cache.DigestVersion) == base {
+		if qualityKey(rec, q) == base {
 			t.Errorf("Params.%s does not reach the key", v.Type().Field(i).Name)
 		}
 	}
-	if qualityKey(rec, p, cache.DigestVersion+1) == base {
+	// The generation: the key is this digest with cache.DigestVersion in
+	// front, so a bumped build addresses other entries.
+	generation := func(version int64) Digest {
+		return frame.Digest(func(w *frame.Writer) {
+			w.I64(version)
+			w.Raw(rec.Root[:])
+			w.Raw(rec.Manifest[:])
+			p.AppendBits(w)
+		})
+	}
+	if generation(cache.DigestVersion) != base {
+		t.Error("key is not the digest of (DigestVersion, root, manifest, Params)")
+	}
+	if generation(cache.DigestVersion+1) == base {
 		t.Error("DigestVersion does not reach the key")
 	}
-	if qualityKey(&Record{Root: testDigest(3), Manifest: rec.Manifest}, p, cache.DigestVersion) == base {
+	if qualityKey(&Record{Root: testDigest(3), Manifest: rec.Manifest}, p) == base {
 		t.Error("Merkle root does not reach the key")
 	}
-	if qualityKey(&Record{Root: rec.Root, Manifest: testDigest(3)}, p, cache.DigestVersion) == base {
+	if qualityKey(&Record{Root: rec.Root, Manifest: testDigest(3)}, p) == base {
 		t.Error("manifest digest does not reach the key")
 	}
 

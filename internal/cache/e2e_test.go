@@ -228,7 +228,7 @@ func TestOptimizeCachePersistsAcrossStores(t *testing.T) {
 }
 
 // TestCachedRunTakesNoCore: the compute-pool reservation is taken where a
-// tile computes (tile.LocalRunner), so a run served whole from the cache
+// tile computes (tile.RunWindow), so a run served whole from the cache
 // finishes while every core is reserved by other work — a hit job never
 // queues behind another job's running tile.
 func TestCachedRunTakesNoCore(t *testing.T) {

@@ -1,11 +1,11 @@
 package cache
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
 	"mosaic/internal/ilt"
+	"mosaic/internal/lru"
 	"mosaic/internal/obs"
 )
 
@@ -38,15 +38,12 @@ type Options struct {
 // are safe for concurrent use; a Store is meant to be shared across
 // every job of a process.
 type Store struct {
-	dir       string
-	memBudget int64
+	dir string
 
-	mu       sync.Mutex
-	lru      *list.List // of *memEntry; front = most recently used
-	byKey    map[Key]*list.Element
-	memBytes int64
-	flights  map[Key]*flight
-	stats    Stats
+	mu      sync.Mutex
+	mem     *lru.Cache[Key, *ilt.Result] // the memory tier
+	flights map[Key]*flight
+	stats   Stats
 }
 
 // Stats is a point-in-time snapshot of one store's activity. The
@@ -59,13 +56,6 @@ type Stats struct {
 	Corrupt   int64 // disk entries quarantined
 	Entries   int   // memory-tier entries resident now
 	Bytes     int64 // memory-tier bytes resident now
-}
-
-// memEntry is one memory-tier resident.
-type memEntry struct {
-	key   Key
-	res   *ilt.Result
-	bytes int64
 }
 
 // flight is one in-progress computation; concurrent requests for the
@@ -88,11 +78,9 @@ func Open(opts Options) (*Store, error) {
 		budget = 0
 	}
 	s := &Store{
-		dir:       opts.Dir,
-		memBudget: budget,
-		lru:       list.New(),
-		byKey:     make(map[Key]*list.Element),
-		flights:   make(map[Key]*flight),
+		dir:     opts.Dir,
+		mem:     lru.New[Key, *ilt.Result](budget),
+		flights: make(map[Key]*flight),
 	}
 	if err := s.initDir(); err != nil {
 		return nil, err
@@ -105,8 +93,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = s.lru.Len()
-	st.Bytes = s.memBytes
+	st.Entries = s.mem.Len()
+	st.Bytes = s.mem.Bytes()
 	return st
 }
 
@@ -128,9 +116,7 @@ const (
 func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.Result, error)) (*ilt.Result, string, error) {
 	for {
 		s.mu.Lock()
-		if el, ok := s.byKey[key]; ok {
-			s.lru.MoveToFront(el)
-			res := el.Value.(*memEntry).res
+		if res, ok := s.mem.Get(key); ok {
 			s.stats.Hits++
 			s.mu.Unlock()
 			mHits.Inc()
@@ -220,30 +206,14 @@ func resultBytes(res *ilt.Result) int64 {
 // tail to stay within budget. Results larger than the whole budget are
 // simply not kept resident.
 func (s *Store) memAdd(key Key, res *ilt.Result) {
-	if s.memBudget == 0 {
-		return
-	}
-	e := &memEntry{key: key, res: res, bytes: resultBytes(res)}
-	if e.bytes > s.memBudget {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
+	added, evicted := s.mem.Add(key, res, resultBytes(res))
+	if !added {
 		return
 	}
-	s.byKey[key] = s.lru.PushFront(e)
-	s.memBytes += e.bytes
-	for s.memBytes > s.memBudget {
-		back := s.lru.Back()
-		victim := back.Value.(*memEntry)
-		s.lru.Remove(back)
-		delete(s.byKey, victim.key)
-		s.memBytes -= victim.bytes
-		s.stats.Evictions++
-		mEvictions.Inc()
-	}
-	mEntries.Set(float64(s.lru.Len()))
-	mBytes.Set(float64(s.memBytes))
+	s.stats.Evictions += int64(evicted)
+	mEvictions.Add(int64(evicted))
+	mEntries.Set(float64(s.mem.Len()))
+	mBytes.Set(float64(s.mem.Bytes()))
 }

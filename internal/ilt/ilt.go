@@ -236,22 +236,34 @@ type Result struct {
 	DiagnosticsSec float64
 
 	// leaf memoises LeafDigest. It makes a Result non-copyable (go vet
-	// flags it): build a variant field by field, so it starts unmemoised.
-	leaf atomic.Pointer[[32]byte]
+	// flags it): build a variant field by field.
+	leaf atomic.Pointer[leafMemo]
 }
 
-// LeafDigest returns hash(r), computed at most once per result. A result
-// is immutable once it is returned — the tile cache serves the same one
-// to every job that repeats its window — so the content address the
-// artifact store anchors it under is hashed for the first job only.
-// Racing first calls both hash and store the same value.
+// leafMemo is a memoised LeafDigest with the runtime-free content it was
+// computed over — the gray mask (by identity: a returned raster is never
+// written), the objective and the iteration count.
+type leafMemo struct {
+	digest     [32]byte
+	gray       *grid.Field
+	objective  float64
+	iterations int
+}
+
+// LeafDigest returns hash(r), computed once for as long as r keeps its
+// runtime-free content. A result is immutable once it is returned — the
+// tile cache serves the same one to every job that repeats its window —
+// so the content address the artifact store anchors it under is hashed
+// for the first job only. A result that does not match its memo any more
+// (a copy that was then edited) is hashed afresh. Racing first calls both
+// hash and store the same value.
 func (r *Result) LeafDigest(hash func(*Result) ([32]byte, error)) ([32]byte, error) {
-	if d := r.leaf.Load(); d != nil {
-		return *d, nil
+	if m := r.leaf.Load(); m != nil && m.gray == r.MaskGray && m.objective == r.Objective && m.iterations == r.Iterations {
+		return m.digest, nil
 	}
 	d, err := hash(r)
 	if err == nil {
-		r.leaf.Store(&d)
+		r.leaf.Store(&leafMemo{digest: d, gray: r.MaskGray, objective: r.Objective, iterations: r.Iterations})
 	}
 	return d, err
 }

@@ -70,24 +70,10 @@ type Runner interface {
 
 // LocalRunner optimizes tiles in-process on the window simulator: the
 // scheduler's default, what the cache and warm-start decorators wrap
-// when given no inner runner, and the cluster coordinator's fallback. It
-// is the one place a tile takes a core: a window that computes holds one
-// reservation in the global compute pool (par.Reserve) for as long as it
-// runs. Reservations have priority over inner (ilt/fft) helper tokens, so
-// the tile level claims cores first and the machine never runs more
-// tiles than cores, whichever jobs they belong to. Everything in front of
-// this runner — a cache hit, a journal adoption, a remote dispatch —
-// never computes here and so never queues behind a tile that does.
+// when given no inner runner, and the cluster coordinator's fallback.
 type LocalRunner struct{}
 
 func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
-	if len(req.Tile.Layout.Polys) > 0 { // an empty window computes nothing
-		res, err := par.Reserve(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer res.Release()
-	}
 	return RunWindow(ctx, req.Sim, req.Cfg, req.Tile.Layout, req.Plan.WindowPx, req.Plan.PixelNM, req.Samples)
 }
 
@@ -117,11 +103,27 @@ func emptyWindowResult(windowPx int) *ilt.Result {
 // and sparse full-chip layouts are mostly empty windows. Empty windows
 // are counted under tile_empty_total — not as cache traffic — so hit-rate
 // stats reflect real optimizations avoided.
+//
+// It is also the one place a tile takes a core: a window that computes
+// holds one reservation in the global compute pool (par.Reserve) for as
+// long as it runs. Reservations have priority over inner (ilt/fft) helper
+// tokens, so the tile level claims cores first and a process never runs
+// more tiles than cores, whichever jobs — or, on a worker, whichever
+// coordinator requests — they belong to. Everything in front of this call
+// (a cache hit, a journal adoption, a remote dispatch, an empty window)
+// computes nothing here and so never queues behind a tile that does. The
+// wait for a core is part of what the caller times (tile_seconds, the
+// tile.optimize span).
 func RunWindow(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, layout *geom.Layout, windowPx int, pixelNM float64, samples []geom.Sample) (*ilt.Result, error) {
 	if len(layout.Polys) == 0 {
 		tileEmpty.Inc()
 		return emptyWindowResult(windowPx), nil
 	}
+	core, err := par.Reserve(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer core.Release()
 	opt, err := ilt.New(ws, cfg)
 	if err != nil {
 		return nil, err
@@ -147,7 +149,7 @@ type Options struct {
 	// Workers is a core-reservation hint: the number of tiles the
 	// scheduler hands to the runner concurrently. A tile that computes
 	// in-process holds one reservation in the global compute pool while it
-	// does (see LocalRunner). 0 means the pool capacity (GOMAXPROCS). The
+	// does (see RunWindow). 0 means the pool capacity (GOMAXPROCS). The
 	// hint is an upper bound, not a demand — actual compute concurrency is
 	// bounded by the pool, with queued tile reservations taking cores
 	// ahead of inner (ilt/fft) parallelism, and whatever the tile level

@@ -1,7 +1,6 @@
 package warmstart
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/lru"
 	"mosaic/internal/obs"
 	"mosaic/internal/sim"
 )
@@ -126,12 +126,11 @@ type Library struct {
 	keys  map[string]bool
 	stats Stats
 
-	// Recently prepared seeds, most recent first: a window that repeats —
-	// every tile of a resubmitted job — is handed the seed it was handed
-	// before instead of a fresh read, decode and translation of the entry.
-	seeds     *list.List // of *preparedSeed
-	seedBy    map[seedID]*list.Element
-	seedBytes int64
+	// Recently prepared seeds: a window that repeats — every tile of a
+	// resubmitted job — is handed the seed it was handed before instead of
+	// a fresh read, decode and translation of the entry. A prepared seed
+	// is shared by every run handed it and never written.
+	seeds *lru.Cache[seedID, *grid.Field]
 }
 
 // seedMemoBytes bounds the prepared seeds a library keeps in memory.
@@ -141,13 +140,6 @@ const seedMemoBytes = 64 << 20
 type seedID struct {
 	entry  string
 	dx, dy int
-}
-
-// preparedSeed is an entry's mask translated into a window's frame. It
-// is shared by every run handed it and never written.
-type preparedSeed struct {
-	id   seedID
-	mask *grid.Field
 }
 
 var (
@@ -195,8 +187,7 @@ func Open(opts Options) (*Library, error) {
 		harvest: opts.Harvest,
 		byFam:   make(map[Family][]*entry),
 		keys:    make(map[string]bool),
-		seeds:   list.New(),
-		seedBy:  make(map[seedID]*list.Element),
+		seeds:   lru.New[seedID, *grid.Field](seedMemoBytes),
 	}
 	if l.maxDist == 0 {
 		l.maxDist = DefaultMaxDist
@@ -376,12 +367,11 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 func (l *Library) seedFor(e *entry, dx, dy, windowPx int) (*grid.Field, error) {
 	id := seedID{entry: e.key, dx: dx, dy: dy}
 	l.mu.Lock()
-	if el, ok := l.seedBy[id]; ok {
-		l.seeds.MoveToFront(el)
-		l.mu.Unlock()
-		return el.Value.(*preparedSeed).mask, nil
-	}
+	seed, ok := l.seeds.Get(id)
 	l.mu.Unlock()
+	if ok {
+		return seed, nil
+	}
 
 	_, mask, err := l.readEntry(e.key)
 	if err != nil {
@@ -390,20 +380,14 @@ func (l *Library) seedFor(e *entry, dx, dy, windowPx int) (*grid.Field, error) {
 	if mask.W != windowPx {
 		return nil, fmt.Errorf("entry mask is %d px, window wants %d px", mask.W, windowPx)
 	}
-	seed := Translate(mask, dx, dy)
+	seed = Translate(mask, dx, dy)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if el, ok := l.seedBy[id]; ok { // a concurrent window prepared it first
-		return el.Value.(*preparedSeed).mask, nil
+	if first, ok := l.seeds.Get(id); ok { // a concurrent window prepared it first
+		return first, nil
 	}
-	l.seedBy[id] = l.seeds.PushFront(&preparedSeed{id: id, mask: seed})
-	l.seedBytes += 8 * int64(len(seed.Data))
-	for l.seedBytes > seedMemoBytes && l.seeds.Len() > 1 {
-		old := l.seeds.Remove(l.seeds.Back()).(*preparedSeed)
-		delete(l.seedBy, old.id)
-		l.seedBytes -= 8 * int64(len(old.mask.Data))
-	}
+	l.seeds.Add(id, seed, 8*int64(len(seed.Data)))
 	return seed, nil
 }
 

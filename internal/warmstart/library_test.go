@@ -227,8 +227,8 @@ func TestPreparedSeedIsShared(t *testing.T) {
 	if shifted.SeedMask == seeds[0] || !shifted.SeedMask.Equal(Translate(mask, 64/testPixelNM, 8/testPixelNM), 0) {
 		t.Fatal("another frame of the entry must get its own translated seed")
 	}
-	if l.seeds.Len() != 2 || l.seedBytes != 2*8*int64(len(mask.Data)) || l.seedBytes > seedMemoBytes {
-		t.Fatalf("memo holds %d seeds, %d bytes", l.seeds.Len(), l.seedBytes)
+	if n, b := l.seeds.Len(), l.seeds.Bytes(); n != 2 || b != 2*8*int64(len(mask.Data)) || b > seedMemoBytes {
+		t.Fatalf("memo holds %d seeds, %d bytes", n, b)
 	}
 }
 

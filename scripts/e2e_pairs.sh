@@ -5,21 +5,21 @@
 #   scripts/e2e_pairs.sh PARENT_REV        (or: make bench-e2e-pairs PARENT=<rev>)
 #
 # `git archive`s PARENT_REV into a temp dir and runs it and this checkout
-# through their own benchmark/run.sh, one seed per pair (SEED0, SEED0+1, …),
+# through their own benchmark/run.sh, one seed per pair (1601, 1602, …),
 # the side that goes first alternating from pair to pair so that slow
 # drift of the shared host lands on both sides alike. The per-pair run sets
 # are merged into results/E2E_<STAMP>_parent.json and …_change.json, a
 # table of every timing metric per pair is printed with the number of
 # pairs the change won, and `run.sh compare` gives the verdicts.
 #
-# Environment: PAIRS (10), SEED0 (1601), STAMP (today, yyyymmdd),
-# WORKLOADS (comma-separated subset; default all four), SECONDS_PER_RUN
-# (the benchmark's own run length). Needs git, tar, awk and a POSIX shell.
+# Environment: PAIRS (10) and STAMP (the output name; today, yyyymmdd).
+# Every run is the full benchmark — all four workloads at its own run
+# length. Needs git, tar, awk and a POSIX shell.
 set -eu
 
 PARENT="${1:?usage: scripts/e2e_pairs.sh PARENT_REV}"
 PAIRS="${PAIRS:-10}"
-SEED0="${SEED0:-1601}"
+SEED0=1601
 STAMP="${STAMP:-$(date +%Y%m%d)}"
 cd "$(dirname "$0")/.."
 OUT_PARENT="results/E2E_${STAMP}_parent.json"
@@ -34,15 +34,10 @@ mkdir "$TMP/parent" "$TMP/sets"
 git archive "$PARENT" | tar -x -C "$TMP/parent"
 echo "e2e-pairs: parent $(git rev-parse --short "$PARENT") in $TMP/parent, change = this checkout, $PAIRS pairs from seed $SEED0"
 
-EXTRA=""
-[ -z "${WORKLOADS:-}" ] || EXTRA="$EXTRA --workloads $WORKLOADS"
-[ -z "${SECONDS_PER_RUN:-}" ] || EXTRA="$EXTRA --seconds $SECONDS_PER_RUN"
-
 run_side() { # $1 = parent|change, $2 = pair, $3 = seed
     tree=.
     [ "$1" = change ] || tree="$TMP/parent"
-    # shellcheck disable=SC2086 # EXTRA is a flag list
-    bash "$tree/benchmark/run.sh" run --seeds "$3" --out "$TMP/sets/$1_$2.json" $EXTRA 2>&1 | sed "s/^/  $1: /"
+    bash "$tree/benchmark/run.sh" run --seeds "$3" --out "$TMP/sets/$1_$2.json" 2>&1 | sed "s/^/  $1: /"
     [ -s "$TMP/sets/$1_$2.json" ] || { echo "e2e-pairs: $1 run of pair $2 failed" >&2; exit 1; }
 }
 
