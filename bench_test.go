@@ -380,7 +380,7 @@ func BenchmarkTilePipeline(b *testing.B) {
 // into a fresh cache every iteration (every tile misses), "warm" reuses
 // one primed cache (every tile hits and no optimizer runs). The gap is
 // the per-layout cost the cache removes; hits/op and misses/op are
-// reported so the archived JSON carries the hit rate alongside the
+// reported so the archived text carries the hit rate alongside the
 // timing.
 func BenchmarkTileCacheWarm(b *testing.B) {
 	s := benchSetup(b)
@@ -466,8 +466,8 @@ func BenchmarkAblationMomentum(b *testing.B) {
 // "cold" optimizes each jittered placement from the rule-based init,
 // "seeded" retrieves the harvested converged mask and starts there. Both
 // report the optimizer iterations actually spent as iters/op, so the
-// archived JSON carries the iteration cut alongside the wall-clock one
-// (benchjson -compare gates on both).
+// archived text carries the iteration cut alongside the wall-clock one
+// (TestWarmStartIterationCut pins the counts).
 func BenchmarkWarmStartSeeded(b *testing.B) {
 	s := benchSetup(b)
 	cfg := DefaultConfig(ModeFast)

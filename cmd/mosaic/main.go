@@ -27,6 +27,23 @@ import (
 	"mosaic/internal/render"
 )
 
+// checkFlags rejects, before the kernel build, the values the run would
+// refuse or could not honour. tiled reports whether -tile-nm shards the
+// layout into more than one window.
+func checkFlags(tileNM, haloNM float64, tileWorkers int, converge, tiled bool) error {
+	switch {
+	case tileNM < 0:
+		return &mosaic.ConfigError{Field: "tile-nm", Reason: fmt.Sprintf("must be >= 0 (0 = untiled), got %g", tileNM)}
+	case haloNM < 0:
+		return &mosaic.ConfigError{Field: "halo-nm", Reason: fmt.Sprintf("must be >= 0 (0 = lambda/NA), got %g", haloNM)}
+	case tileWorkers < 0:
+		return &mosaic.ConfigError{Field: "tile-workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", tileWorkers)}
+	case converge && tiled:
+		return &mosaic.ConfigError{Field: "converge", Reason: "a sharded run has one convergence history per tile and writes no converge.csv; drop -converge or -tile-nm"}
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mosaic: ")
@@ -52,10 +69,6 @@ func main() {
 	}
 	defer obsCleanup()
 
-	if *tileWorkers < 0 {
-		log.Fatal(&mosaic.ConfigError{Field: "tile-workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", *tileWorkers)})
-	}
-
 	layout, err := cli.LoadLayoutArg(*testcase, *layoutPath)
 	if err != nil {
 		log.Fatal(err)
@@ -63,6 +76,9 @@ func main() {
 	cfg := mosaic.DefaultOptics()
 	cfg.GridSize = *gridSize
 	tiled := *tileNM > 0 && *tileNM < layout.SizeNM
+	if err := checkFlags(*tileNM, *haloNM, *tileWorkers, *converge, tiled); err != nil {
+		log.Fatal(err)
+	}
 	if tiled {
 		// Sharded run: -grid sets the resolution of one core tile; the
 		// padded optimization windows are sized by the tile planner.
@@ -170,7 +186,7 @@ func main() {
 	target := layout.Rasterize(res.Mask.W, cfg.PixelNM)
 	must(render.SavePNG(filepath.Join(*out, "overlay.png"), render.Overlay(target, rep.PrintedNominal, rep.PVBand)))
 
-	if *converge && !res.Tiled {
+	if *converge {
 		f, err := os.Create(filepath.Join(*out, "converge.csv"))
 		if err != nil {
 			log.Fatal(err)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"time"
 
+	"mosaic"
 	"mosaic/internal/cli"
 )
 
@@ -32,7 +34,7 @@ type options struct {
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
-	fs.IntVar(&o.workers, "workers", 1, "concurrently running jobs (or, in -worker mode, the core-reservation hint for concurrent tiles; 0 = compute pool capacity)")
+	fs.IntVar(&o.workers, "workers", 1, "concurrently running jobs (or, in -worker mode, concurrently served tiles, each holding one core reservation while it computes); 0 is taken as 1")
 	fs.IntVar(&o.queue, "queue", 64, "maximum queued jobs")
 	fs.IntVar(&o.grid, "grid", 512, "default simulation grid size (power of two); jobs may override")
 	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for drain checkpoints and tile journals (empty = no fault tolerance)")
@@ -46,4 +48,15 @@ func defineFlags(fs *flag.FlagSet) *options {
 	o.stores = cli.AddStoreFlags(fs, 256) // jobs share the daemon cache: memory tier on by default
 	o.obs = cli.AddObsFlags(fs)
 	return o
+}
+
+// validate rejects the flag values neither serving mode can honour.
+func (o *options) validate() error {
+	if o.workers < 0 {
+		return &mosaic.ConfigError{Field: "workers", Reason: fmt.Sprintf("must be >= 0 (0 is taken as 1), got %d", o.workers)}
+	}
+	if o.tileRetries < 0 {
+		return &mosaic.ConfigError{Field: "tile-retries", Reason: fmt.Sprintf("must be >= 0 (0 = fail fast), got %d", o.tileRetries)}
+	}
+	return nil
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
+	"mosaic"
 	"mosaic/internal/cli"
 )
 
@@ -66,5 +68,40 @@ func TestReadmeDocumentsFlags(t *testing.T) {
 		if !registered[name] {
 			t.Errorf("README documents -%s but mosaicd does not register it", name)
 		}
+	}
+}
+
+// TestValidateFlags: negative counts are typed errors; zero is legal and
+// the -workers help says what it does (serve.New and cluster.NewWorker
+// both run one at a time), not what the tile-level hint of the same name
+// does.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-workers", "0", "-tile-retries", "0"}, ""},
+		{[]string{"-workers", "-1"}, "workers"},
+		{[]string{"-tile-retries", "-1"}, "tile-retries"},
+	} {
+		fs := flag.NewFlagSet("mosaicd", flag.ContinueOnError)
+		o := defineFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := o.validate()
+		var ce *mosaic.ConfigError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%v: rejected: %v", tc.args, err)
+		case tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field):
+			t.Errorf("%v: got %v, want a *ConfigError on %s", tc.args, err, tc.field)
+		}
+	}
+	fs := flag.NewFlagSet("mosaicd", flag.ContinueOnError)
+	defineFlags(fs)
+	if usage := fs.Lookup("workers").Usage; strings.Contains(usage, "pool capacity") || !strings.Contains(usage, "0 is taken as 1") {
+		t.Errorf("-workers help %q does not say that 0 runs one at a time", usage)
 	}
 }

@@ -71,11 +71,8 @@ func main() {
 	}
 	defer obsCleanup()
 
-	if o.workers < 0 {
-		log.Fatal(&mosaic.ConfigError{Field: "workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", o.workers)})
-	}
-	if o.tileRetries < 0 {
-		log.Fatal(&mosaic.ConfigError{Field: "tile-retries", Reason: fmt.Sprintf("must be >= 0 (0 = fail fast), got %d", o.tileRetries)})
+	if err := o.validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	if o.worker {

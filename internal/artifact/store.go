@@ -372,14 +372,6 @@ func (s *Store) Job(jobID string) (*Record, bool) {
 	return rec, ok
 }
 
-// ByManifest returns every record sharing a manifest digest — every
-// run of the same work — in commit order.
-func (s *Store) ByManifest(d Digest) []*Record {
-	s.imu.Lock()
-	defer s.imu.Unlock()
-	return append([]*Record(nil), s.byManifest[d]...)
-}
-
 // ByBlob returns every (job, leaf) anchoring a blob digest, in commit
 // order — which jobs a stored tile result participates in.
 func (s *Store) ByBlob(d Digest) []BlobRef {

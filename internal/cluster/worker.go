@@ -8,13 +8,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"mosaic/internal/cache"
 	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
+	"mosaic/internal/optics"
+	"mosaic/internal/par"
+	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
 )
@@ -45,16 +47,14 @@ type Worker struct {
 	name     string
 	slots    chan struct{}
 
-	simMu sync.Mutex
-	sims  map[string]*simEntry
+	sims par.Memo[simKey, *sim.Simulator]
 }
 
-// simEntry caches one Simulator (and its kernel build) per imaging
-// configuration, mirroring serve's per-config setup cache.
-type simEntry struct {
-	once sync.Once
-	sim  *sim.Simulator
-	err  error
+// simKey is what determines a Simulator: one is kept per imaging
+// configuration and resist model.
+type simKey struct {
+	optics optics.Config
+	resist resist.Model
 }
 
 // NewWorker builds a worker executor.
@@ -75,7 +75,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		client:   client,
 		name:     name,
 		slots:    make(chan struct{}, cfg.Capacity),
-		sims:     make(map[string]*simEntry),
 	}
 }
 
@@ -84,18 +83,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // model arrives calibrated from the coordinator, so workers never
 // recalibrate (a recalibration could diverge and break bit-identity).
 func (w *Worker) simFor(job *tileJob) (*sim.Simulator, error) {
-	key := fmt.Sprintf("%+v|%+v", job.Optics, job.Resist)
-	w.simMu.Lock()
-	e := w.sims[key]
-	if e == nil {
-		e = &simEntry{}
-		w.sims[key] = e
-	}
-	w.simMu.Unlock()
-	e.once.Do(func() {
-		e.sim, e.err = sim.New(job.Optics, job.Resist)
+	s, _, err := w.sims.Do(simKey{job.Optics, job.Resist}, func() (*sim.Simulator, error) {
+		return sim.New(job.Optics, job.Resist)
 	})
-	return e.sim, e.err
+	return s, err
 }
 
 // Handler returns the worker's data-plane API:

@@ -161,3 +161,41 @@ func TestPrunedCountersVisible(t *testing.T) {
 		t.Errorf("pruned points advanced by %d, want %d", got, want)
 	}
 }
+
+// metricNames returns the set of metric names in a metrics dump.
+func metricNames() map[string]bool {
+	names := make(map[string]bool)
+	for _, line := range strings.Split(obs.MetricsText(), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		names[line[:strings.IndexAny(line, "{ ")]] = true
+	}
+	return names
+}
+
+// TestTransformSizesMintNoMetricNames: 2-D transforms at sizes this process
+// has never seen are counted (one call, W*H points each) under the names
+// that already exist — a metric name is never made from the input.
+func TestTransformSizesMintNoMetricNames(t *testing.T) {
+	Forward2D(grid.NewC(4, 4)) // the counters exist from here on
+	before := metricNames()
+	calls0, pts0 := tf2dTotal.Value(), tf2dPoints.Value()
+	Forward2D(grid.NewC(2, 4096))
+	Inverse2D(grid.NewC(8192, 2))
+	if got, want := tf2dTotal.Value()-calls0, int64(2); got != want {
+		t.Errorf("fft_2d_transforms_total advanced by %d, want %d", got, want)
+	}
+	if got, want := tf2dPoints.Value()-pts0, int64(2*4096+8192*2); got != want {
+		t.Errorf("fft_2d_points_total advanced by %d, want %d", got, want)
+	}
+	after := metricNames()
+	for name := range after {
+		if !before[name] {
+			t.Errorf("transform size minted metric name %s", name)
+		}
+	}
+	if !after["fft_2d_points_total"] || !after["fft_2d_transforms_total"] {
+		t.Errorf("metrics dump lacks the 2-D transform counters: %v", after)
+	}
+}

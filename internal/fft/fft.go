@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 	"sync"
 
 	"mosaic/internal/grid"
@@ -182,24 +181,13 @@ func Inverse2D(c *grid.CField) {
 	}
 }
 
-// 2-D transform counters: a process-wide total plus one counter per grid
-// size, so a metrics scrape shows exactly how the FFT budget is spent.
+// 2-D transform counters: calls and the points they covered (W*H a
+// call), so a metrics scrape shows how the FFT budget is spent under
+// names that do not depend on the input.
 var (
 	tf2dTotal  = obs.NewCounter("fft_2d_transforms_total")
-	tf2dBySize sync.Map // int64 (W<<32|H) -> *obs.Counter
+	tf2dPoints = obs.NewCounter("fft_2d_points_total")
 )
-
-func count2D(w, h int) {
-	tf2dTotal.Inc()
-	key := int64(w)<<32 | int64(h)
-	if c, ok := tf2dBySize.Load(key); ok {
-		c.(*obs.Counter).Inc()
-		return
-	}
-	c := obs.NewCounter("fft_2d_transforms_" + strconv.Itoa(w) + "x" + strconv.Itoa(h) + "_total")
-	tf2dBySize.Store(key, c)
-	c.Inc()
-}
 
 // parallelElems is the field size (in elements) above which the row and
 // column passes of a 2-D transform fan out across cores via par.ForChunks.
@@ -208,7 +196,8 @@ func count2D(w, h int) {
 const parallelElems = 1 << 16
 
 func transform2D(c *grid.CField, inverse bool) {
-	count2D(c.W, c.H)
+	tf2dTotal.Inc()
+	tf2dPoints.Add(int64(c.W * c.H))
 	pw := getPlan(c.W)
 	ph := getPlan(c.H)
 	parallel := c.W*c.H >= parallelElems

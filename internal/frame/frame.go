@@ -37,6 +37,14 @@ const (
 	MaxFieldDim = 1 << 15
 )
 
+// SquareFits reports whether an n x n float64 raster fits one frame
+// (n <= 8192 for a power of two). A window result beyond it can be
+// neither journaled, cached, anchored nor dispatched, so planners and
+// validators refuse such a grid before anything is allocated.
+func SquareFits(n int) bool {
+	return n > 0 && n <= MaxFieldDim && 8*n*n <= MaxPayload
+}
+
 func putHeader(hdr []byte, magic uint32, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))

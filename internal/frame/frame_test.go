@@ -255,3 +255,13 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// TestSquareFits: the largest power-of-two raster one frame carries is
+// 8192 px; sizes whose byte count would overflow are refused, not wrapped.
+func TestSquareFits(t *testing.T) {
+	for n, want := range map[int]bool{0: false, -4: false, 1: true, 8192: true, 11585: true, 11586: false, 16384: false, 1 << 30: false, 1 << 62: false} {
+		if got := SquareFits(n); got != want {
+			t.Errorf("SquareFits(%d) = %v, want %v", n, got, want)
+		}
+	}
+}

@@ -82,13 +82,6 @@ func (f *Field) Fill(v float64) *Field {
 	return f
 }
 
-// CopyFrom copies src into f. Dimensions must match.
-func (f *Field) CopyFrom(src *Field) *Field {
-	f.check(src)
-	copy(f.Data, src.Data)
-	return f
-}
-
 func (f *Field) check(g *Field) {
 	if f.W != g.W || f.H != g.H {
 		panic(fmt.Sprintf("grid: dimension mismatch %dx%d vs %dx%d", f.W, f.H, g.W, g.H))

@@ -347,18 +347,12 @@ func (o *Optimizer) RunCtx(ctx context.Context, layout *geom.Layout) (*Result, e
 	return o.runRaster(ctx, layout, target, samples)
 }
 
-// RunRaster optimizes against a pre-rasterized target and an explicit EPE
-// sample set, both on the simulator grid. It is the entry point for the
-// tile scheduler, which rasterizes each clipped window itself and assigns
-// full-layout samples to windows — resampling the clipped geometry would
-// let artificial cut edges at window borders spawn spurious EPE
-// constraints.
-func (o *Optimizer) RunRaster(layout *geom.Layout, target *grid.Field, samples []geom.Sample) (*Result, error) {
-	return o.RunRasterCtx(context.Background(), layout, target, samples)
-}
-
-// RunRasterCtx is RunRaster under a context, with RunCtx's cancellation
-// semantics.
+// RunRasterCtx optimizes against a pre-rasterized target and an explicit
+// EPE sample set, both on the simulator grid, with RunCtx's cancellation
+// semantics. It is the entry point for the tile scheduler, which
+// rasterizes each clipped window itself and assigns full-layout samples to
+// windows — resampling the clipped geometry would let artificial cut edges
+// at window borders spawn spurious EPE constraints.
 func (o *Optimizer) RunRasterCtx(ctx context.Context, layout *geom.Layout, target *grid.Field, samples []geom.Sample) (*Result, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("ilt: invalid layout: %w", err)

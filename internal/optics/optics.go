@@ -15,12 +15,12 @@ package optics
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"mosaic/internal/grid"
 	"mosaic/internal/linalg"
 	"mosaic/internal/obs"
+	"mosaic/internal/par"
 )
 
 // Config describes the imaging system and the mask sampling grid.
@@ -294,50 +294,31 @@ func (ks *KernelSet) Combined() *grid.CField {
 
 // kernel cache: building a kernel set costs seconds (TCC assembly plus the
 // eigensolve), and experiments reuse the same configuration many times.
-// Entries are single-flight: concurrent callers of one configuration share
-// a single build (waiters block on the entry's once), while different
-// configurations — e.g. the per-corner defocus prefetch — build in
-// parallel instead of serializing on a cache-wide lock.
+// Different configurations — e.g. the per-corner defocus prefetch — build
+// in parallel; a failed build is retried by the next call.
 var (
-	cache sync.Map // cacheKey -> *cacheEntry
+	cache par.Memo[cacheKey, *KernelSet]
 
 	cacheHits   = obs.NewCounter("optics_kernel_cache_hits_total")
 	cacheMisses = obs.NewCounter("optics_kernel_cache_misses_total")
 )
 
-type cacheEntry struct {
-	once sync.Once
-	ks   *KernelSet
-	err  error
-}
-
-func cacheKey(c Config, defocus float64) string {
-	return fmt.Sprintf("%g|%g|%g|%g|%g|%d|%d|%g",
-		c.WavelengthNM, c.NA, c.SigmaIn, c.SigmaOut, c.PixelNM, c.GridSize, c.Kernels, defocus)
+type cacheKey struct {
+	cfg       Config
+	defocusNM float64
 }
 
 // Kernels returns a cached SOCS kernel set for (c, defocusNM), building it
 // on first use. It is safe for concurrent use; concurrent first requests
 // for the same configuration share one build.
 func Kernels(c Config, defocusNM float64) (*KernelSet, error) {
-	key := cacheKey(c, defocusNM)
-	v, ok := cache.Load(key)
-	if !ok {
-		v, _ = cache.LoadOrStore(key, &cacheEntry{})
-	}
-	e := v.(*cacheEntry)
-	built := false
-	e.once.Do(func() {
-		built = true
-		cacheMisses.Inc()
-		e.ks, e.err = BuildKernels(c, defocusNM)
-		if e.err != nil {
-			// Do not cache failures: let a later call retry the build.
-			cache.Delete(key)
-		}
+	ks, built, err := cache.Do(cacheKey{c, defocusNM}, func() (*KernelSet, error) {
+		return BuildKernels(c, defocusNM)
 	})
-	if !built {
+	if built {
+		cacheMisses.Inc()
+	} else {
 		cacheHits.Inc()
 	}
-	return e.ks, e.err
+	return ks, err
 }

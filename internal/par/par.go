@@ -42,6 +42,25 @@ func call(i int, fn func(int)) (pe *PanicError) {
 	return nil
 }
 
+// Catch runs fn and returns a panic in it as a *PanicError (Index -1; a
+// *PanicError re-raised by a loop of this package is passed through with
+// its task's stack) instead of unwinding further. It is for goroutines
+// whose panic would otherwise end the process for one bad input: a job
+// runner, a tile scheduler.
+func Catch(fn func()) (pe *PanicError) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case *PanicError:
+			pe = v
+		default:
+			pe = &PanicError{Index: -1, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
+
 // For runs fn(i) for every i in [0, n), fanning out across however many
 // pool tokens are currently free (at most GOMAXPROCS). It returns when all
 // calls have completed. fn must be safe to call concurrently for distinct

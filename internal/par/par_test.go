@@ -134,3 +134,25 @@ func TestForNNegative(t *testing.T) {
 		t.Fatal("fn called for negative n")
 	}
 }
+
+// TestCatch: a panic becomes a value with a stack; one re-raised by a loop
+// keeps the index and stack of the task that panicked; no panic, nil.
+func TestCatch(t *testing.T) {
+	if pe := Catch(func() {}); pe != nil {
+		t.Fatalf("no panic, got %v", pe)
+	}
+	pe := Catch(func() { panic("boom") })
+	if pe == nil || pe.Value != "boom" || pe.Index != -1 || len(pe.Stack) == 0 {
+		t.Fatalf("direct panic recovered as %+v", pe)
+	}
+	pe = Catch(func() {
+		For(8, func(i int) {
+			if i == 5 {
+				panic("task")
+			}
+		})
+	})
+	if pe == nil || pe.Value != "task" || pe.Index != 5 {
+		t.Fatalf("loop panic recovered as %+v, want the task's own PanicError", pe)
+	}
+}

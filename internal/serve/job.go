@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mosaic"
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/metrics"
 )
@@ -68,8 +69,12 @@ func (sp *JobSpec) validate() error {
 		return fmt.Errorf("max_iter %d is negative", sp.MaxIter)
 	case sp.Grid < 0 || (sp.Grid > 0 && sp.Grid&(sp.Grid-1) != 0):
 		return fmt.Errorf("grid %d is not a positive power of two", sp.Grid)
+	case sp.Grid > 0 && !frame.SquareFits(sp.Grid):
+		return fmt.Errorf("grid %d: a %dx%d raster exceeds the %d-byte frame every result travels in", sp.Grid, sp.Grid, sp.Grid, frame.MaxPayload)
 	case sp.TileNM < 0:
 		return fmt.Errorf("tile_nm %g is negative", sp.TileNM)
+	case sp.HaloNM < 0:
+		return fmt.Errorf("halo_nm %g is negative (0 = the optical default)", sp.HaloNM)
 	case sp.TileWorkers < 0:
 		return fmt.Errorf("tile_workers %d is negative (0 = compute pool capacity)", sp.TileWorkers)
 	case sp.DeadlineMS < 0:

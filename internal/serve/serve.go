@@ -18,6 +18,7 @@ import (
 	"mosaic"
 	"mosaic/internal/artifact"
 	"mosaic/internal/obs"
+	"mosaic/internal/par"
 )
 
 // Service-level errors; the HTTP layer maps them to status codes.
@@ -138,14 +139,9 @@ type Server struct {
 	wg       sync.WaitGroup
 	running  atomic.Int64
 
-	setupMu sync.Mutex
-	setups  map[string]*setupEntry
-}
-
-type setupEntry struct {
-	once  sync.Once
-	setup *mosaic.Setup
-	err   error
+	// setups holds one Setup (kernels + resist calibration) per imaging
+	// configuration.
+	setups par.Memo[mosaic.OpticsConfig, *mosaic.Setup]
 }
 
 // New builds a server, resumes any jobs checkpointed in cfg.CheckpointDir
@@ -161,9 +157,8 @@ func New(cfg Config) (*Server, error) {
 		cfg.Optics = mosaic.DefaultOptics()
 	}
 	s := &Server{
-		cfg:    cfg,
-		jobs:   make(map[string]*job),
-		setups: make(map[string]*setupEntry),
+		cfg:  cfg,
+		jobs: make(map[string]*job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.restore(); err != nil {
@@ -461,21 +456,6 @@ func (s *Server) jobOptics(j *job) mosaic.OpticsConfig {
 	return cfg
 }
 
-// setupFor returns the cached Setup for an imaging configuration,
-// building (kernels + resist calibration) at most once per configuration.
-func (s *Server) setupFor(cfg mosaic.OpticsConfig) (*mosaic.Setup, error) {
-	key := fmt.Sprintf("%d@%g/%d", cfg.GridSize, cfg.PixelNM, cfg.Kernels)
-	s.setupMu.Lock()
-	e := s.setups[key]
-	if e == nil {
-		e = &setupEntry{}
-		s.setups[key] = e
-	}
-	s.setupMu.Unlock()
-	e.once.Do(func() { e.setup, e.err = mosaic.NewSetup(cfg) })
-	return e.setup, e.err
-}
-
 // runJob executes one job to a terminal (or interrupted) state.
 func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	// Root the job's distributed trace: every span and event below —
@@ -502,7 +482,17 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 		defer stop()
 	}
 
-	result, eval, err := s.execute(runCtx, j)
+	var (
+		result *mosaic.LayoutResult
+		eval   evaluation
+		err    error
+	)
+	// What validation misses costs one job, not the daemon: a worker
+	// goroutine has no caller to unwind into.
+	if pe := par.Catch(func() { result, eval, err = s.execute(runCtx, j) }); pe != nil {
+		obs.Logger().Error("serve: job panicked", "job", j.id, "panic", pe.Value, "stack", string(pe.Stack))
+		err = fmt.Errorf("internal error: panic: %v", pe.Value)
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -557,7 +547,8 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 
 // execute runs the optimization and evaluation for one job.
 func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, evaluation, error) {
-	setup, err := s.setupFor(s.jobOptics(j))
+	optics := s.jobOptics(j)
+	setup, _, err := s.setups.Do(optics, func() (*mosaic.Setup, error) { return mosaic.NewSetup(optics) })
 	if err != nil {
 		return nil, evaluation{}, fmt.Errorf("building setup: %w", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,6 +228,100 @@ func TestDeadlineFailsJob(t *testing.T) {
 	if got.State != StateFailed || !strings.Contains(got.Error, "deadline") {
 		t.Fatalf("got state %s (%q), want a deadline failure", got.State, got.Error)
 	}
+}
+
+// TestJobSpecValidate: an accepted field is honoured or the submission is
+// refused — and zero stays the "default" it is documented as.
+func TestJobSpecValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		ok   bool
+	}{
+		{"zero options", JobSpec{Benchmark: "B1"}, true},
+		{"explicit tiling", JobSpec{Benchmark: "B1", Grid: 64, TileNM: 512, HaloNM: 160, TileWorkers: 1}, true},
+		{"largest grid one frame holds", JobSpec{Benchmark: "B1", Grid: 8192}, true},
+		{"grid beyond one frame", JobSpec{Benchmark: "B1", Grid: 16384}, false},
+		{"grid that overflows", JobSpec{Benchmark: "B1", Grid: 1 << 62}, false},
+		{"grid not a power of two", JobSpec{Benchmark: "B1", Grid: 48}, false},
+		{"negative tile_nm", JobSpec{Benchmark: "B1", TileNM: -5}, false},
+		{"negative halo_nm", JobSpec{Benchmark: "B1", TileNM: 512, HaloNM: -1}, false},
+		{"negative tile_workers", JobSpec{Benchmark: "B1", TileWorkers: -1}, false},
+	} {
+		if err := tc.spec.validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestDaemonSurvivesItsInput is the regression test for three job bodies
+// that took the whole process down (two panicked with makeslice on a worker
+// goroutine, one never left the tile planner) and for the net under them:
+// whatever validation misses — here a Tune hook that panics — fails one job
+// and the server keeps serving.
+func TestDaemonSurvivesItsInput(t *testing.T) {
+	cfg := testServerConfig("")
+	tune := cfg.Tune
+	var bug atomic.Bool
+	cfg.Tune = func(c *mosaic.Config) {
+		if bug.Load() {
+			panic("tune bug")
+		}
+		tune(c)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"benchmark":"B1","grid":1073741824}`,
+		`{"benchmark":"B1","grid":64,"tile_nm":512,"halo_nm":1e12}`,
+		`{"benchmark":"B1","grid":64,"tile_nm":1e-9}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusBadRequest {
+			resp.Body.Close()
+			continue
+		}
+		var st Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.ID == "" {
+			t.Fatalf("submit %s: status %d, no job (%v)", body, resp.StatusCode, err)
+		}
+		resp.Body.Close()
+		got := waitFor(t, s, st.ID, 10*time.Second, func(st *Status) bool { return st.State.terminal() })
+		if got.State != StateFailed || got.Error == "" {
+			t.Fatalf("submit %s: job ended %s (%q), want failed with a reason", body, got.State, got.Error)
+		}
+	}
+
+	bug.Store(true)
+	st, err := s.Submit(JobSpec{Layout: testLayoutText, MaxIter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitFor(t, s, st.ID, 10*time.Second, func(st *Status) bool { return st.State.terminal() })
+	if got.State != StateFailed || !strings.Contains(got.Error, "panic: tune bug") {
+		t.Fatalf("panicking job ended %s (%q), want failed naming the panic", got.State, got.Error)
+	}
+	bug.Store(false)
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the bad jobs: %v, %v", resp, err)
+	}
+	resp.Body.Close()
+	st, err = s.Submit(JobSpec{Layout: testLayoutText, MaxIter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, s, st.ID, 30*time.Second, func(st *Status) bool { return st.State == StateDone })
 }
 
 func TestQueueLimit(t *testing.T) {

@@ -333,7 +333,14 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 				// provs[i] is race-free: exactly one worker claims index i
 				// (next.Add), and the slice is read only after wg.Wait.
 				req := &Request{Plan: p, Tile: t, Sim: ws, Cfg: tcfg, Samples: samples[i], Prov: &provs[i]}
-				res, err := p.optimizeTileRetry(tctx, runner, req, opts)
+				var res *ilt.Result
+				var err error
+				// A panicking runner is this tile's error: left alone it
+				// would end the process from a goroutine nobody can recover.
+				if pe := par.Catch(func() { res, err = p.optimizeTileRetry(tctx, runner, req, opts) }); pe != nil {
+					obs.Logger().Error("tile: runner panicked", "tile", i, "panic", pe.Value, "stack", string(pe.Stack))
+					err = fmt.Errorf("panic: %v", pe.Value)
+				}
 				if err != nil {
 					sp.SetAttrs(obs.String("error", err.Error()))
 					sp.End()

@@ -2,8 +2,11 @@ package tile
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
+
+	"mosaic/internal/ilt"
 )
 
 // TestOptimizeRejectsNegativeRetries is the regression test for the nil
@@ -46,5 +49,23 @@ func TestFullJitterBounds(t *testing.T) {
 	}
 	if hi-lo < d/4 {
 		t.Fatalf("2000 draws spanned only [%s, %s]; the jitter is not spreading", lo, hi)
+	}
+}
+
+type panicRunner struct{}
+
+func (panicRunner) RunTile(context.Context, *Request) (*ilt.Result, error) { panic("runner bug") }
+
+// TestOptimizeTurnsRunnerPanicIntoTileError: the scheduler's goroutines
+// have no caller to unwind into, so a panicking runner used to end the
+// process; it is that tile's error.
+func TestOptimizeTurnsRunnerPanicIntoTileError(t *testing.T) {
+	p, err := NewPlan(testLayout(), 8, 512, DefaultHaloNM(testOptics(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Optimize(context.Background(), testSim(t, p.WindowPx), testConfig(), Options{Runner: panicRunner{}})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "panic: runner bug") {
+		t.Fatalf("panicking runner returned (%v, %v), want an error naming the panic", res, err)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/optics"
 )
@@ -99,6 +100,15 @@ func NewPlan(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (*Plan, error
 	if haloNM < 0 {
 		return nil, fmt.Errorf("tile: halo must be non-negative, got %g", haloNM)
 	}
+	// Sizes are bounded as floats first: converting an out-of-range float
+	// to int is undefined, and nextPow2 and the tile loop below never end
+	// on what it yields.
+	if layout.SizeNM/pixelNM > frame.MaxFieldDim {
+		return nil, fmt.Errorf("tile: layout of %g nm at %g nm pixels exceeds the %d px raster bound", layout.SizeNM, pixelNM, frame.MaxFieldDim)
+	}
+	if haloNM/pixelNM > frame.MaxFieldDim {
+		return nil, fmt.Errorf("tile: halo of %g nm at %g nm pixels exceeds the %d px raster bound", haloNM, pixelNM, frame.MaxFieldDim)
+	}
 	fullPx := int(math.Round(layout.SizeNM / pixelNM))
 	if fullPx < 1 || math.Abs(float64(fullPx)*pixelNM-layout.SizeNM) > 1e-6 {
 		return nil, fmt.Errorf("tile: layout size %g nm is not a whole number of %g nm pixels", layout.SizeNM, pixelNM)
@@ -112,6 +122,9 @@ func NewPlan(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (*Plan, error
 	}
 	haloMinPx := int(math.Ceil(haloNM/pixelNM - 1e-9))
 	windowPx := nextPow2(corePx + 2*haloMinPx)
+	if !frame.SquareFits(windowPx) {
+		return nil, fmt.Errorf("tile: a %d px window (core %g nm + 2 x halo %g nm at %g nm pixels) does not fit a %d-byte frame", windowPx, coreNM, haloNM, pixelNM, frame.MaxPayload)
+	}
 	haloPx := (windowPx - corePx) / 2
 
 	p := &Plan{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
@@ -452,5 +453,36 @@ func TestHaloSufficiency(t *testing.T) {
 		seamEPE(refRep.EPEResults, seams, band, mp.EPESearchNM), gs, bs)
 	if bs <= gs {
 		t.Fatalf("zero halo did not degrade the seam: good=%.1f nm, bad=%.1f nm", gs, bs)
+	}
+}
+
+// TestNewPlanBoundsItsRasters: sizes no raster codec in the tree can carry
+// are refused before anything is allocated or looped over. The first case
+// used to panic in the kernel build (a 2^38 px window), the second never
+// left the tile loop (6.5e13 px across).
+func TestNewPlanBoundsItsRasters(t *testing.T) {
+	l := testLayout()
+	for _, tc := range []struct {
+		name                    string
+		pixelNM, coreNM, haloNM float64
+	}{
+		{"halo wider than any raster", 8, 512, 1e12},
+		{"layout wider than any raster", 1e-9 / 64, 1e-9, 0},
+		{"window beyond one frame", 8, 512, 8 * 8192},
+		{"halo overflowing int", 8, 512, 1e300},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := NewPlan(l, tc.pixelNM, tc.coreNM, tc.haloNM)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: NewPlan accepted it", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: NewPlan is still running", tc.name)
+		}
 	}
 }

@@ -359,11 +359,13 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 // anchored like any tile.
 type TileOptions struct {
 	// TileNM is the core tile pitch in nm. 0 derives it from the setup:
-	// GridSize * PixelNM (one grid's worth of layout per tile).
+	// GridSize * PixelNM (one grid's worth of layout per tile). Negative
+	// values are rejected with a *ConfigError.
 	TileNM float64
 	// HaloNM is the minimum optical guard band around each core. 0 uses
 	// the imaging configuration's λ/NA ambit. The padded window rounds up
-	// to a power-of-two grid, which only widens the halo.
+	// to a power-of-two grid, which only widens the halo. Negative values
+	// are rejected with a *ConfigError.
 	HaloNM float64
 	// SeamNM is the width of the raised-cosine cross-fade applied where
 	// tile cores meet. 0 uses half the effective halo; negative forces a
@@ -462,15 +464,21 @@ func (s *Setup) fitsGrid(layout *Layout) bool {
 // window that is the setup's grid, so the clip-level optimizer runs on it
 // unchanged.
 func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *Simulator, error) {
+	if opts.TileNM < 0 {
+		return nil, nil, &ConfigError{Field: "TileOptions.TileNM", Reason: fmt.Sprintf("must be >= 0 (0 = one grid per tile), got %g", opts.TileNM)}
+	}
+	if opts.HaloNM < 0 {
+		return nil, nil, &ConfigError{Field: "TileOptions.HaloNM", Reason: fmt.Sprintf("must be >= 0 (0 = the λ/NA ambit), got %g", opts.HaloNM)}
+	}
 	px := s.Sim.Cfg.PixelNM
 	coreNM, haloNM := opts.TileNM, opts.HaloNM
-	if s.fitsGrid(layout) && (coreNM <= 0 || coreNM >= layout.SizeNM) {
+	if s.fitsGrid(layout) && (coreNM == 0 || coreNM >= layout.SizeNM) {
 		coreNM, haloNM = layout.SizeNM, 0
 	} else {
-		if coreNM <= 0 {
+		if coreNM == 0 {
 			coreNM = float64(s.Sim.Cfg.GridSize) * px
 		}
-		if haloNM <= 0 {
+		if haloNM == 0 {
 			haloNM = tile.DefaultHaloNM(s.Sim.Cfg)
 		}
 	}

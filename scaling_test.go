@@ -145,3 +145,45 @@ func TestOptimizeLayoutRejectsNegativeRetries(t *testing.T) {
 		t.Fatalf("got %v (%T), want a *ConfigError on TileOptions.Retries", err, err)
 	}
 }
+
+// TestTileGeometryOptionsRejectNegative: a negative TileNM or HaloNM used to
+// mean "default" without a word (the untiled and λ/NA fallbacks matched
+// <= 0); both are typed errors on every path that plans tiles, and zero is
+// still the documented default.
+func TestTileGeometryOptionsRejectNegative(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := &Layout{Name: "wide", SizeNM: 1024, Polys: smallLayout().Polys}
+	for _, tc := range []struct {
+		name   string
+		layout *Layout
+		opts   TileOptions
+		field  string // "" = accepted
+	}{
+		{"zero on a one-window layout", smallLayout(), TileOptions{}, ""},
+		{"zero on a sharded layout", wide, TileOptions{}, ""},
+		{"negative TileNM, one window", smallLayout(), TileOptions{TileNM: -5}, "TileOptions.TileNM"},
+		{"negative TileNM, sharded", wide, TileOptions{TileNM: -5}, "TileOptions.TileNM"},
+		{"negative HaloNM, one window", smallLayout(), TileOptions{HaloNM: -1}, "TileOptions.HaloNM"},
+		{"negative HaloNM, sharded", wide, TileOptions{TileNM: 512, HaloNM: -1}, "TileOptions.HaloNM"},
+	} {
+		_, _, err := s.tilePlan(tc.layout, tc.opts)
+		var ce *ConfigError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field):
+			t.Errorf("%s: got %v, want a *ConfigError on %s", tc.name, err, tc.field)
+		}
+	}
+	// The two entry points that plan tiles both surface it.
+	var ce *ConfigError
+	if _, err := s.OptimizeLayout(context.Background(), DefaultConfig(ModeFast), smallLayout(), TileOptions{HaloNM: -1}); !errors.As(err, &ce) {
+		t.Errorf("OptimizeLayout: got %v, want a *ConfigError", err)
+	}
+	if _, err := s.EvaluateLayout(&Field{W: 128, H: 128, Data: make([]float64, 128*128)}, wide, TileOptions{TileNM: -5}, 0); !errors.As(err, &ce) {
+		t.Errorf("EvaluateLayout: got %v, want a *ConfigError", err)
+	}
+}

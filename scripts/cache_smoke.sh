@@ -8,40 +8,15 @@
 # Needs only curl and a POSIX shell.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${PORT:-18331}"
 BASE="http://127.0.0.1:$PORT"
-DIR="$(mktemp -d)"
-PID=""
-trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null; rm -rf "$DIR"' EXIT INT TERM
+smoke_init cache-smoke
+LOG="$DIR/mosaicd.log"
 
-echo "cache-smoke: building mosaicd"
-go build -o "$DIR/mosaicd" ./cmd/mosaicd
-
-start_daemon() {
-    "$DIR/mosaicd" -addr "127.0.0.1:$PORT" -grid 64 \
-        -cache-dir "$DIR/cache" -log-level warn >>"$DIR/mosaicd.log" 2>&1 &
-    PID=$!
-    ok=""
-    for _ in $(seq 1 50); do
-        if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then ok=1; break; fi
-        sleep 0.2
-    done
-    [ -n "$ok" ] || {
-        echo "cache-smoke: daemon never became healthy" >&2
-        cat "$DIR/mosaicd.log" >&2; exit 1; }
-}
-
-stop_daemon() {
-    kill -TERM "$PID"
-    wait "$PID" || {
-        echo "cache-smoke: daemon exited non-zero" >&2
-        cat "$DIR/mosaicd.log" >&2; exit 1; }
-    PID=""
-}
-
-metric() {
-    v=$(curl -fsS "$BASE/metrics" | awk -v m="$1" '$1 == m { print $2 }')
-    echo "${v:-0}"
+start() {
+    start_daemon "$PORT" "$LOG" -grid 64 -cache-dir "$DIR/cache" -log-level warn
 }
 
 # A 1024 nm clip holding the same two-bar cell at (0,0) and (+512,+512):
@@ -51,25 +26,12 @@ LAYOUT='CLIP cache-smoke 1024\nRECT 160 144 96 224\nRECT 312 144 56 224\nRECT 67
 # run_job MASKFILE: submit the sharded repeated-cell job, wait for it,
 # fetch its mask.
 run_job() {
-    ID=$(curl -fsS -X POST "$BASE/v1/jobs" \
-            -d "{\"layout\":\"$LAYOUT\",\"mode\":\"fast\",\"max_iter\":2,\"grid\":64,\"tile_nm\":512,\"tile_workers\":1}" \
-        | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
-    [ -n "$ID" ] || { echo "cache-smoke: submit returned no job id" >&2; exit 1; }
-    STATE=""
-    for _ in $(seq 1 600); do
-        STATE=$(curl -fsS "$BASE/v1/jobs/$ID" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        case "$STATE" in done|failed|canceled) break ;; esac
-        sleep 0.2
-    done
-    if [ "$STATE" != done ]; then
-        echo "cache-smoke: job $ID ended in state '$STATE'" >&2
-        curl -fsS "$BASE/v1/jobs/$ID" >&2 || true
-        exit 1
-    fi
+    ID=$(submit "{\"layout\":\"$LAYOUT\",\"mode\":\"fast\",\"max_iter\":2,\"grid\":64,\"tile_nm\":512,\"tile_workers\":1}")
+    wait_done "$ID"
     curl -fsS -o "$1" "$BASE/v1/jobs/$ID/mask"
 }
 
-start_daemon
+start
 
 run_job "$DIR/mask1.pgm"
 HITS1=$(metric cache_hits_total)
@@ -92,13 +54,13 @@ echo "cache-smoke: warm run served from cache (hits $HITS1 -> $HITS2), mask byte
 # Durable-tier damage: corrupt one entry while the daemon is down (a
 # restart empties the memory tier, forcing the disk read), then require
 # quarantine + recompute instead of a failed job or a wrong mask.
-stop_daemon
+stop_daemon "$PID" "$LOG"
 ENTRY=$(find "$DIR/cache" -name '*.mtc' | head -1)
 [ -n "$ENTRY" ] || { echo "cache-smoke: no durable entries written" >&2; exit 1; }
 printf 'CORRUPT' >>"$ENTRY"
 echo "cache-smoke: corrupted $(basename "$ENTRY")"
 
-start_daemon
+start
 run_job "$DIR/mask3.pgm"
 CORRUPT=$(metric cache_corrupt_total)
 [ "$CORRUPT" -gt 0 ] || {
@@ -112,5 +74,5 @@ HITS3=$(metric cache_hits_total)
     echo "cache-smoke: restarted daemon served nothing from disk" >&2; exit 1; }
 echo "cache-smoke: corrupt entry quarantined and recomputed (cache_corrupt_total=$CORRUPT), mask byte-identical"
 
-stop_daemon
+stop_daemon "$PID" "$LOG"
 echo "cache-smoke: ok"

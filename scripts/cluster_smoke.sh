@@ -18,92 +18,46 @@
 # one job trace ID.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT_C="${PORT_C:-18331}"
 PORT_W1="${PORT_W1:-18332}"
 PORT_W2="${PORT_W2:-18333}"
 BASE="http://127.0.0.1:$PORT_C"
-DIR="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; rm -rf "$DIR"' EXIT INT TERM
-
-echo "cluster-smoke: building mosaicd"
-go build -o "$DIR/mosaicd" ./cmd/mosaicd
+smoke_init cluster-smoke
 
 # A 1024 nm clip sharding 2x2 at 512 nm with geometry in every quadrant,
 # sized so each tile runs long enough to be killed mid-flight.
 SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 90\nRECT 700 760 180 96\nRECT 680 180 110 110\nRECT 140 720 130 100\n","mode":"fast","max_iter":120,"tile_nm":512,"tile_workers":4}'
 
-wait_healthy() { # $1 = base url, $2 = log file
-    i=0
-    while [ "$i" -lt 50 ]; do
-        if curl -fsS "$1/healthz" >/dev/null 2>&1; then return 0; fi
-        i=$((i + 1)); sleep 0.2
-    done
-    echo "cluster-smoke: $1 never became healthy" >&2
-    cat "$2" >&2
-    exit 1
-}
-
 # The same clip untiled: one window covering the whole 1024 nm field.
 CLIP_SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 90\nRECT 700 760 180 96\nRECT 680 180 110 110\nRECT 140 720 130 100\n","mode":"fast","max_iter":20}'
 
-submit() { # $1 = spec (default: the sharded one); prints the job id
-    curl -fsS -X POST "$BASE/v1/jobs" -d "${1:-$SPEC}" \
-        | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p'
-}
-
-wait_done() { # $1 = job id
-    state=""
-    i=0
-    while [ "$i" -lt 600 ]; do
-        state=$(curl -fsS "$BASE/v1/jobs/$1" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        case "$state" in done|failed|canceled) break ;; esac
-        i=$((i + 1)); sleep 0.2
-    done
-    if [ "$state" != done ]; then
-        echo "cluster-smoke: job $1 ended in state '$state'" >&2
-        curl -fsS "$BASE/v1/jobs/$1" >&2 || true
-        return 1
-    fi
-}
-
 # ---- Reference: the same daemon with no workers joined (local fallback).
-"$DIR/mosaicd" -addr "127.0.0.1:$PORT_C" -grid 64 \
-    -checkpoint-dir "$DIR/ckpt-ref" -artifact-dir "$DIR/art-ref" \
-    -log-level info >"$DIR/ref.log" 2>&1 &
-REF_PID=$!
-PIDS="$REF_PID"
-wait_healthy "$BASE" "$DIR/ref.log"
+start_daemon "$PORT_C" "$DIR/ref.log" -grid 64 \
+    -checkpoint-dir "$DIR/ckpt-ref" -artifact-dir "$DIR/art-ref" -log-level info
 
-ID=$(submit)
-[ -n "$ID" ] || { echo "cluster-smoke: reference submit returned no job id" >&2; exit 1; }
+ID=$(submit "$SPEC")
 echo "cluster-smoke: reference job $ID running locally"
 wait_done "$ID"
 curl -fsS -o "$DIR/ref.pgm" "$BASE/v1/jobs/$ID/mask"
 IDC=$(submit "$CLIP_SPEC")
-[ -n "$IDC" ] || { echo "cluster-smoke: reference clip submit returned no job id" >&2; exit 1; }
 wait_done "$IDC"
 curl -fsS -o "$DIR/ref-clip.pgm" "$BASE/v1/jobs/$IDC/mask"
-kill -TERM "$REF_PID"
-wait "$REF_PID" || { echo "cluster-smoke: reference daemon exited non-zero" >&2; cat "$DIR/ref.log" >&2; exit 1; }
-PIDS=""
+stop_daemon "$PID" "$DIR/ref.log"
 
 # ---- Cluster: coordinator + 2 workers, one of which dies mid-run.
-"$DIR/mosaicd" -addr "127.0.0.1:$PORT_C" -grid 64 \
+start_daemon "$PORT_C" "$DIR/coord.log" -grid 64 \
     -checkpoint-dir "$DIR/ckpt-cluster" -artifact-dir "$DIR/art-cluster" \
-    -heartbeat-ttl 3s -log-level info >"$DIR/coord.log" 2>&1 &
-COORD_PID=$!
-PIDS="$COORD_PID"
-wait_healthy "$BASE" "$DIR/coord.log"
+    -heartbeat-ttl 3s -log-level info
+COORD_PID=$PID
 
-"$DIR/mosaicd" -worker -join "$BASE" -addr "127.0.0.1:$PORT_W1" -workers 2 \
-    -log-level info >"$DIR/worker1.log" 2>&1 &
-W1_PID=$!
-PIDS="$PIDS $W1_PID"
-"$DIR/mosaicd" -worker -join "$BASE" -addr "127.0.0.1:$PORT_W2" -workers 2 \
-    -log-level info >"$DIR/worker2.log" 2>&1 &
-W2_PID=$!
-PIDS="$PIDS $W2_PID"
+spawn_daemon "$DIR/worker1.log" -worker -join "$BASE" -addr "127.0.0.1:$PORT_W1" -workers 2 \
+    -log-level info
+W1_PID=$PID
+spawn_daemon "$DIR/worker2.log" -worker -join "$BASE" -addr "127.0.0.1:$PORT_W2" -workers 2 \
+    -log-level info
+W2_PID=$PID
 
 i=0
 while [ "$i" -lt 50 ]; do
@@ -114,8 +68,7 @@ done
 [ "$FLEET" -eq 2 ] || { echo "cluster-smoke: fleet stuck at $FLEET workers, want 2" >&2; cat "$DIR/coord.log" >&2; exit 1; }
 echo "cluster-smoke: 2 workers joined"
 
-ID2=$(submit)
-[ -n "$ID2" ] || { echo "cluster-smoke: cluster submit returned no job id" >&2; exit 1; }
+ID2=$(submit "$SPEC")
 
 # Subscribe to the job's live event stream for the whole run; the stream
 # closes itself when the job reaches a terminal state.
@@ -129,11 +82,11 @@ PIDS="$PIDS $SSE_PID"
 i=0
 LEASES=""
 while [ "$i" -lt 600 ]; do
-    LEASES=$(curl -fsS "$BASE/metrics" | sed -n 's/^cluster_leases_granted_total \([0-9]*\)$/\1/p')
-    [ -n "$LEASES" ] && [ "$LEASES" -ge 4 ] && break
+    LEASES=$(metric cluster_leases_granted_total)
+    [ "$LEASES" -ge 4 ] && break
     i=$((i + 1)); sleep 0.1
 done
-[ -n "$LEASES" ] && [ "$LEASES" -ge 4 ] || { echo "cluster-smoke: tile leases were never granted" >&2; cat "$DIR/coord.log" >&2; exit 1; }
+[ "$LEASES" -ge 4 ] || { echo "cluster-smoke: tile leases were never granted" >&2; cat "$DIR/coord.log" >&2; exit 1; }
 kill -9 "$W1_PID"
 echo "cluster-smoke: SIGKILLed worker 1 holding live leases ($LEASES granted)"
 
@@ -158,15 +111,11 @@ curl -fsS "$BASE/metrics" | grep -E 'cluster_tiles_remote_total [1-9]' >/dev/nul
 echo "cluster-smoke: lease reassignment and remote execution confirmed"
 
 # ---- An untiled job is dispatched too (worker 2 is still in the fleet).
-remote_tiles() {
-    curl -fsS "$BASE/metrics" | sed -n 's/^cluster_tiles_remote_total \([0-9]*\)$/\1/p'
-}
-REMOTE1=$(remote_tiles)
+REMOTE1=$(metric cluster_tiles_remote_total)
 IDC2=$(submit "$CLIP_SPEC")
-[ -n "$IDC2" ] || { echo "cluster-smoke: cluster clip submit returned no job id" >&2; exit 1; }
 wait_done "$IDC2"
-REMOTE2=$(remote_tiles)
-[ "${REMOTE2:-0}" -gt "${REMOTE1:-0}" ] || {
+REMOTE2=$(metric cluster_tiles_remote_total)
+[ "$REMOTE2" -gt "$REMOTE1" ] || {
     echo "cluster-smoke: untiled job did not run remotely (cluster_tiles_remote_total $REMOTE1 -> $REMOTE2)" >&2
     exit 1
 }
@@ -229,7 +178,5 @@ grep -q '"name":"cluster.reassign"' "$TRACE_OUT" || {
 echo "cluster-smoke: assembled trace covers all tiles under one trace ID ($TRACE_OUT)"
 
 kill -TERM "$W2_PID" 2>/dev/null || true
-kill -TERM "$COORD_PID"
-wait "$COORD_PID" || { echo "cluster-smoke: coordinator exited non-zero" >&2; cat "$DIR/coord.log" >&2; exit 1; }
-PIDS=""
+stop_daemon "$COORD_PID" "$DIR/coord.log"
 echo "cluster-smoke: ok"

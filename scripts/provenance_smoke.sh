@@ -9,36 +9,16 @@
 # artifact still verifies clean. Needs only curl and a POSIX shell.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${PORT:-18341}"
 BASE="http://127.0.0.1:$PORT"
-DIR="$(mktemp -d)"
-PID=""
-trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null; rm -rf "$DIR"' EXIT INT TERM
+smoke_init provenance-smoke
+LOG="$DIR/mosaicd.log"
 
-echo "provenance-smoke: building mosaicd"
-go build -o "$DIR/mosaicd" ./cmd/mosaicd
-
-start_daemon() {
-    "$DIR/mosaicd" -addr "127.0.0.1:$PORT" -grid 64 \
-        -artifact-dir "$DIR/artifacts" -cache-dir "$DIR/cache" \
-        -log-level warn >>"$DIR/mosaicd.log" 2>&1 &
-    PID=$!
-    ok=""
-    for _ in $(seq 1 50); do
-        if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then ok=1; break; fi
-        sleep 0.2
-    done
-    [ -n "$ok" ] || {
-        echo "provenance-smoke: daemon never became healthy" >&2
-        cat "$DIR/mosaicd.log" >&2; exit 1; }
-}
-
-stop_daemon() {
-    kill -TERM "$PID"
-    wait "$PID" || {
-        echo "provenance-smoke: daemon exited non-zero" >&2
-        cat "$DIR/mosaicd.log" >&2; exit 1; }
-    PID=""
+start() {
+    start_daemon "$PORT" "$LOG" -grid 64 \
+        -artifact-dir "$DIR/artifacts" -cache-dir "$DIR/cache" -log-level warn
 }
 
 # Two distinct 1024 nm clips, each sharded into four 512 nm tiles.
@@ -47,36 +27,18 @@ LAYOUT_B='CLIP prov-b 1024\nRECT 128 128 256 96\nRECT 128 448 256 96\nRECT 640 1
 
 # run_job LAYOUT: submit the sharded job, wait for it, print its id.
 run_job() {
-    ID=$(curl -fsS -X POST "$BASE/v1/jobs" \
-            -d "{\"layout\":\"$1\",\"mode\":\"fast\",\"max_iter\":2,\"grid\":64,\"tile_nm\":512,\"tile_workers\":1}" \
-        | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
-    [ -n "$ID" ] || { echo "provenance-smoke: submit returned no job id" >&2; exit 1; }
-    STATE=""
-    for _ in $(seq 1 600); do
-        STATE=$(curl -fsS "$BASE/v1/jobs/$ID" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
-        case "$STATE" in done|failed|canceled) break ;; esac
-        sleep 0.2
-    done
-    if [ "$STATE" != done ]; then
-        echo "provenance-smoke: job $ID ended in state '$STATE'" >&2
-        curl -fsS "$BASE/v1/jobs/$ID" >&2 || true
-        exit 1
-    fi
+    ID=$(submit "{\"layout\":\"$1\",\"mode\":\"fast\",\"max_iter\":2,\"grid\":64,\"tile_nm\":512,\"tile_workers\":1}")
+    wait_done "$ID"
     echo "$ID"
 }
 
-# field JSON KEY: extract a 64-hex digest field from a JSON blob.
-field() {
-    echo "$1" | sed -n "s/.*\"$2\":\"\([0-9a-f]\{64\}\)\".*/\1/p"
-}
-
-start_daemon
+start
 
 # Cold run: the job anchors an artifact record and it verifies clean.
 JOB_A=$(run_job "$LAYOUT_A")
 ST_A=$(curl -fsS "$BASE/v1/jobs/$JOB_A")
-MAN_A=$(field "$ST_A" manifest_digest)
-ROOT_A=$(field "$ST_A" merkle_root)
+MAN_A=$(json_str "$ST_A" manifest_digest)
+ROOT_A=$(json_str "$ST_A" merkle_root)
 [ -n "$MAN_A" ] && [ -n "$ROOT_A" ] || {
     echo "provenance-smoke: done status carries no artifact digests: $ST_A" >&2; exit 1; }
 PROV_A=$(curl -fsS "$BASE/v1/jobs/$JOB_A/provenance")
@@ -93,9 +55,9 @@ echo "provenance-smoke: cold run anchored and verified (root ${ROOT_A%"${ROOT_A#
 # commits to the computation, not to when or where it ran.
 JOB_A2=$(run_job "$LAYOUT_A")
 ST_A2=$(curl -fsS "$BASE/v1/jobs/$JOB_A2")
-[ "$(field "$ST_A2" manifest_digest)" = "$MAN_A" ] || {
+[ "$(json_str "$ST_A2" manifest_digest)" = "$MAN_A" ] || {
     echo "provenance-smoke: warm run changed the manifest digest" >&2; exit 1; }
-[ "$(field "$ST_A2" merkle_root)" = "$ROOT_A" ] || {
+[ "$(json_str "$ST_A2" merkle_root)" = "$ROOT_A" ] || {
     echo "provenance-smoke: warm run changed the Merkle root" >&2; exit 1; }
 # Its scores came from the quality side-car the cold run left beside the
 # record — which the verify calls below walk past untouched.
@@ -110,7 +72,7 @@ echo "provenance-smoke: warm run reproduced the digests bit-for-bit and read its
 # A second, different job — the untouched control artifact.
 JOB_B=$(run_job "$LAYOUT_B")
 ST_B=$(curl -fsS "$BASE/v1/jobs/$JOB_B")
-ROOT_B=$(field "$ST_B" merkle_root)
+ROOT_B=$(json_str "$ST_B" merkle_root)
 LEAVES_B=$(curl -fsS "$BASE/v1/jobs/$JOB_B/provenance" \
     | grep -o '"blob":"[0-9a-f]*"' | sed 's/.*"blob":"\(.*\)"/\1/')
 [ "$ROOT_B" != "$ROOT_A" ] || {
@@ -124,7 +86,7 @@ for d in $LEAVES_A; do
     VICTIM="$d"; break
 done
 [ -n "$VICTIM" ] || { echo "provenance-smoke: no unshared leaf to corrupt" >&2; exit 1; }
-stop_daemon
+stop_daemon "$PID" "$LOG"
 BLOB="$DIR/artifacts/blobs/$(echo "$VICTIM" | cut -c1-2)/$VICTIM.blob"
 [ -f "$BLOB" ] || { echo "provenance-smoke: blob $BLOB not on disk" >&2; exit 1; }
 SIZE=$(wc -c <"$BLOB")
@@ -133,7 +95,7 @@ echo "provenance-smoke: flipped one byte in leaf blob $VICTIM"
 
 # Across the restart: the damaged artifact fails verification naming
 # the leaf; the untouched artifact still proves clean from its bytes.
-start_daemon
+start
 VER_A=$(curl -fsS "$BASE/v1/artifacts/$ROOT_A/verify")
 case "$VER_A" in
     *'"ok":false'*) ;;
@@ -152,5 +114,5 @@ case $(curl -fsS "$BASE/v1/artifacts/$ROOT_B/verify") in
 esac
 echo "provenance-smoke: corruption detected at the named leaf; untouched artifact verifies clean"
 
-stop_daemon
+stop_daemon "$PID" "$LOG"
 echo "provenance-smoke: ok"
