@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build loc fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -27,6 +27,11 @@ test:
 
 build:
 	$(GO) build ./...
+
+# loc prints the line counts ROADMAP item 8 tracks: non-test Go outside
+# benchmark/, scripts/*.sh, check.yml and this file.
+loc:
+	@./scripts/loc.sh
 
 # fuzz-smoke runs every fuzz target for FUZZ_TIME each: the binary
 # decoders behind internal/frame (error or exact round-trip, never a

@@ -51,8 +51,8 @@ func main() {
 		log.Fatalf("mask must be square, got %dx%d", mask.W, mask.H)
 	}
 
-	cfg := mosaic.DefaultOptics()
-	cfg.PixelNM = layout.SizeNM / float64(mask.W)
+	// The mask raster covers the layout: its width is the grid.
+	cfg, _ := mosaic.JobOptics(mosaic.DefaultOptics(), mask.W, layout, 0)
 	var rep *mosaic.Report
 	if *tileNM > 0 {
 		// Tiled evaluation: the mask grid need not be a valid FFT size;
@@ -69,7 +69,6 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		cfg.GridSize = mask.W
 		setup, err := mosaic.NewSetup(cfg)
 		if err != nil {
 			log.Fatal(err)

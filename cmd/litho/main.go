@@ -48,9 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := mosaic.DefaultOptics()
-	cfg.GridSize = *gridSize
-	cfg.PixelNM = layout.SizeNM / float64(*gridSize)
+	cfg, _ := mosaic.JobOptics(mosaic.DefaultOptics(), *gridSize, layout, 0)
 	setup, err := mosaic.NewSetup(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -27,10 +27,27 @@ import (
 	"mosaic/internal/render"
 )
 
+// pipelineFlags are the flags only the MOSAIC pipeline reads. A -method
+// baseline is one whole-clip pass that prints its scores — no mode, no
+// tiles, no stores, no span tree, no output files — and would silently
+// ignore them.
+var pipelineFlags = []string{
+	"mode", "iter", "converge", "tile-nm", "halo-nm", "tile-workers", "trace-perfetto",
+	"cache-dir", "cache-mem", "warm-lib", "warm-max-dist", "warm-harvest", "artifact-dir", "out",
+}
+
 // checkFlags rejects, before the kernel build, the values the run would
 // refuse or could not honour. tiled reports whether -tile-nm shards the
-// layout into more than one window.
-func checkFlags(tileNM, haloNM float64, tileWorkers int, converge, tiled bool) error {
+// layout into more than one window; set holds the names of the flags the
+// command line gave.
+func checkFlags(tileNM, haloNM float64, tileWorkers int, converge, tiled bool, method string, set map[string]bool) error {
+	if method != "" {
+		for _, name := range pipelineFlags {
+			if set[name] {
+				return &mosaic.ConfigError{Field: name, Reason: fmt.Sprintf("a -method %s baseline does not read it; drop -method or -%s", method, name)}
+			}
+		}
+	}
 	switch {
 	case tileNM < 0:
 		return &mosaic.ConfigError{Field: "tile-nm", Reason: fmt.Sprintf("must be >= 0 (0 = untiled), got %g", tileNM)}
@@ -73,23 +90,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := mosaic.DefaultOptics()
-	cfg.GridSize = *gridSize
-	tiled := *tileNM > 0 && *tileNM < layout.SizeNM
-	if err := checkFlags(*tileNM, *haloNM, *tileWorkers, *converge, tiled); err != nil {
+	// Under a -tile-nm that shards the layout, -grid sets the resolution of
+	// one core tile; the padded optimization windows are sized by the tile
+	// planner.
+	cfg, tiled := mosaic.JobOptics(mosaic.DefaultOptics(), *gridSize, layout, *tileNM)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*tileNM, *haloNM, *tileWorkers, *converge, tiled, *method, set); err != nil {
 		log.Fatal(err)
 	}
-	if tiled {
-		// Sharded run: -grid sets the resolution of one core tile; the
-		// padded optimization windows are sized by the tile planner.
-		cfg.PixelNM = *tileNM / float64(*gridSize)
-	} else {
-		cfg.PixelNM = layout.SizeNM / float64(*gridSize)
+	optMode, err := mosaic.ParseMode(strings.ToLower(*mode))
+	if err != nil {
+		log.Fatal(err)
 	}
 	setup, err := mosaic.NewSetup(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *method != "" {
+		runBaseline(setup, layout, *method)
+		return
+	}
+
 	// Every run checks the tile-result cache before optimizing a window
 	// (with -cache-dir a later run of the same, or an overlapping, layout
 	// serves its repeated cells from disk), seeds each window from the
@@ -107,20 +129,7 @@ func main() {
 		Cache: stores.Cache, WarmStart: stores.WarmStart, Artifact: stores.Artifact,
 	}
 
-	if *method != "" {
-		runBaseline(setup, layout, *method, *out)
-		return
-	}
-
-	var optCfg mosaic.Config
-	switch strings.ToLower(*mode) {
-	case "fast":
-		optCfg = mosaic.DefaultConfig(mosaic.ModeFast)
-	case "exact":
-		optCfg = mosaic.DefaultConfig(mosaic.ModeExact)
-	default:
-		log.Fatalf("unknown mode %q (want fast or exact)", *mode)
-	}
+	optCfg := mosaic.DefaultConfig(optMode)
 	if *maxIter > 0 {
 		optCfg.MaxIter = *maxIter
 	}
@@ -222,7 +231,7 @@ func main() {
 	fmt.Printf("outputs in %s\n", *out)
 }
 
-func runBaseline(setup *mosaic.Setup, layout *mosaic.Layout, name, out string) {
+func runBaseline(setup *mosaic.Setup, layout *mosaic.Layout, name string) {
 	var m mosaic.Method
 	for _, cand := range mosaic.Methods() {
 		if strings.EqualFold(cand.Name(), name) ||
@@ -236,9 +245,6 @@ func runBaseline(setup *mosaic.Setup, layout *mosaic.Layout, name, out string) {
 	}
 	rr, err := setup.Run(m, layout)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s on %s: %.1fs\n", rr.Method, layout.Name, rr.RuntimeSec)

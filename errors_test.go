@@ -99,6 +99,12 @@ func TestOptimizeCtxGridMismatch(t *testing.T) {
 	if _, err := s.Optimize(DefaultConfig(ModeFast), big); !errors.Is(err, ErrGridMismatch) {
 		t.Fatalf("got %v, want ErrGridMismatch", err)
 	}
+	// A baseline Method takes the clip whole too. This is cmd/mosaic's
+	// -method run under a -tile-nm that halved the pixel: it used to score
+	// the 1024 nm clip on a grid covering 512 nm of it and exit 0.
+	if _, err := s.Run(Methods()[0], big); !errors.Is(err, ErrGridMismatch) {
+		t.Fatalf("Run: got %v, want ErrGridMismatch", err)
+	}
 }
 
 func TestEvaluateCtxCanceled(t *testing.T) {

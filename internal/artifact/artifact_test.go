@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/tile"
 )
 
 func testDigest(b byte) Digest {
@@ -184,8 +186,8 @@ func TestStoreCommitAndLookup(t *testing.T) {
 	manifest := []byte(`{"schema":1}`)
 	// Leaves arrive out of order; Commit must sort by index.
 	rec, err := s.Commit("job-1", manifest, []Leaf{
-		{Index: 1, Blob: b2, Worker: "w2", Tier: "miss"},
-		{Index: 0, Blob: b1, Tier: "disk", Key: "cachekey"},
+		{Index: 1, Blob: b2, Provenance: tile.Provenance{Worker: "w2", Tier: tile.TierMiss}},
+		{Index: 0, Blob: b1, Provenance: tile.Provenance{Tier: tile.TierDisk, Key: "cachekey"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +200,6 @@ func TestStoreCommitAndLookup(t *testing.T) {
 		t.Fatalf("root %s, want %s", rec.Root, wantRoot)
 	}
 
-	if got, ok := s.Job("job-1"); !ok || got.Root != rec.Root {
-		t.Fatal("Job lookup failed")
-	}
 	if got, ok := s.Resolve(rec.Root); !ok || got.JobID != "job-1" {
 		t.Fatal("Resolve by root failed")
 	}
@@ -261,8 +260,8 @@ func TestStoreReopenReplaysAnchors(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, want := range []*Record{rec1, rec2} {
-		got, ok := s2.Job(want.JobID)
-		if !ok || got.Root != want.Root || got.Manifest != want.Manifest {
+		got, ok := s2.Resolve(want.Root)
+		if !ok || got.JobID != want.JobID || got.Manifest != want.Manifest {
 			t.Fatalf("replayed %s = %+v, want %+v", want.JobID, got, want)
 		}
 	}
@@ -276,6 +275,40 @@ func TestStoreReopenReplaysAnchors(t *testing.T) {
 	}
 }
 
+// TestAnchorLogOfThePreviousBuildReplays: a leaf gained "seed" when it
+// began embedding tile.Provenance, and nothing else about its wire form
+// moved — an unseeded leaf encodes to the bytes the previous build wrote,
+// and a log of such records (no seed field) replays with the attribution
+// it has.
+func TestAnchorLogOfThePreviousBuildReplays(t *testing.T) {
+	blob, man, root := testDigest(1), testDigest(2), testDigest(3)
+	const oldLeaf = `{"index":0,"blob":"%s","key":"cachekey","worker":"10.0.0.7:8081","tier":"disk"}`
+	leaf := Leaf{Blob: blob, Provenance: tile.Provenance{Key: "cachekey", Worker: "10.0.0.7:8081", Tier: tile.TierDisk}}
+	if got, err := json.Marshal(leaf); err != nil || string(got) != fmt.Sprintf(oldLeaf, blob) {
+		t.Fatalf("unseeded leaf encodes as %s (%v), the previous build wrote "+oldLeaf, got, err, blob)
+	}
+	seeded := leaf
+	seeded.Seed = "entrykey"
+	if got, _ := json.Marshal(seeded); !strings.HasSuffix(string(got), `,"tier":"disk","seed":"entrykey"}`) {
+		t.Fatalf("seeded leaf encodes as %s, want seed appended", got)
+	}
+
+	dir := t.TempDir()
+	rec := fmt.Sprintf(`{"job_id":"old","manifest":"%s","root":"%s","leaves":[`+oldLeaf+`],"created_at":"2026-09-30T12:00:00Z"}`, man, root, blob)
+	if err := os.WriteFile(filepath.Join(dir, "anchors.log"), frame.Encode(anchorMagic, []byte(rec)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, ok := s.Resolve(root)
+	if !ok || got.JobID != "old" || len(got.Leaves) != 1 || got.Leaves[0] != leaf {
+		t.Fatalf("replayed %+v, want job old with leaf %+v", got, leaf)
+	}
+}
+
 func TestStoreReopenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -283,7 +316,8 @@ func TestStoreReopenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1, _ := s.PutBlob([]byte("alpha"))
-	if _, err := s.Commit("job-a", []byte("{m1}"), []Leaf{{Index: 0, Blob: b1}}); err != nil {
+	recA, err := s.Commit("job-a", []byte("{m1}"), []Leaf{{Index: 0, Blob: b1}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -303,7 +337,7 @@ func TestStoreReopenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Job("job-a"); !ok {
+	if _, ok := s2.Resolve(recA.Root); !ok {
 		t.Fatal("valid prefix record lost during torn-tail recovery")
 	}
 	after, _ := os.Stat(logPath)
@@ -321,7 +355,7 @@ func TestStoreReopenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if got, ok := s3.Job("job-b"); !ok || got.Root != rec.Root {
+	if got, ok := s3.Resolve(rec.Root); !ok || got.JobID != "job-b" {
 		t.Fatal("record appended after truncation did not survive reopen")
 	}
 }
@@ -337,6 +371,7 @@ func TestConcurrentCommitsBatchFsyncs(t *testing.T) {
 	batchesBefore := mAnchorBatches.Value()
 	var wg sync.WaitGroup
 	errs := make([]error, jobs)
+	recs := make([]*Record, jobs)
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -346,7 +381,7 @@ func TestConcurrentCommitsBatchFsyncs(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			_, errs[i] = s.Commit(fmt.Sprintf("job-%d", i), []byte(fmt.Sprintf("{m%d}", i)), []Leaf{{Index: 0, Blob: b}})
+			recs[i], errs[i] = s.Commit(fmt.Sprintf("job-%d", i), []byte(fmt.Sprintf("{m%d}", i)), []Leaf{{Index: 0, Blob: b}})
 		}(i)
 	}
 	wg.Wait()
@@ -356,7 +391,7 @@ func TestConcurrentCommitsBatchFsyncs(t *testing.T) {
 		}
 	}
 	for i := 0; i < jobs; i++ {
-		if _, ok := s.Job(fmt.Sprintf("job-%d", i)); !ok {
+		if _, ok := s.Resolve(recs[i].Root); !ok {
 			t.Fatalf("job-%d missing after concurrent commit", i)
 		}
 	}

@@ -15,13 +15,15 @@ import (
 	"mosaic/internal/frame"
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
+	"mosaic/internal/tile"
 )
 
 // Leaf is one anchored tile result: the content address of its stored
 // blob plus the attribution of where the bits came from. Attribution
 // travels on the anchor record, not in the blob, because it must not
-// affect the content digest — the same cell computed by any worker or
-// served from any cache tier anchors the same leaf.
+// affect the content digest — the same cell computed by any worker,
+// served from any cache tier or started from any seed anchors the same
+// leaf.
 type Leaf struct {
 	// Index is the tile's plan (row-major) position; an untiled run
 	// anchors one leaf at index 0.
@@ -29,18 +31,10 @@ type Leaf struct {
 	// Blob is the content address of the stored result payload — the
 	// Merkle leaf digest.
 	Blob Digest `json:"blob"`
-	// Key is the tile-cache content address of the request
-	// (cache.RequestKey hex) when a cache was consulted, cross-linking
-	// the artifact to the cache entry that can reproduce it.
-	Key string `json:"key,omitempty"`
-	// Worker is the cluster worker (advertised address) that computed
-	// the tile; empty means this process.
-	Worker string `json:"worker,omitempty"`
-	// Tier tells how the result was obtained: a cache tier ("mem",
-	// "disk", "flight", "miss"), "journal" for a result adopted from a
-	// crash/drain journal, "empty" for a window with no geometry, or
-	// "" for a fresh computation with no cache in play.
-	Tier string `json:"tier,omitempty"`
+	// Provenance is the tile's attribution as the scheduler recorded it
+	// (key, worker, tier, seed), flattened into the leaf's JSON; Key
+	// cross-links the artifact to the cache entry that can reproduce it.
+	tile.Provenance
 }
 
 // Record is one anchored job: its manifest digest, the Merkle root
@@ -80,7 +74,6 @@ type Store struct {
 
 	// imu guards the index maps.
 	imu        sync.Mutex
-	byJob      map[string]*Record
 	byManifest map[Digest][]*Record
 	byRoot     map[Digest][]*Record
 	byBlob     map[Digest][]BlobRef
@@ -101,7 +94,6 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		blobs:      cas.Dir{Root: filepath.Join(dir, "blobs"), Ext: ".blob", Magic: blobMagic, Sync: true},
 		quality:    cas.Dir{Root: filepath.Join(dir, "quality"), Ext: ".mtq", Magic: qualityMagic},
-		byJob:      make(map[string]*Record),
 		byManifest: make(map[Digest][]*Record),
 		byRoot:     make(map[Digest][]*Record),
 		byBlob:     make(map[Digest][]BlobRef),
@@ -151,7 +143,6 @@ func (s *Store) replay(f *os.File) error {
 // index adds a record to the lookup maps; the caller holds imu (or is
 // the single-threaded replay).
 func (s *Store) index(rec *Record) {
-	s.byJob[rec.JobID] = rec // latest record wins for a re-run job ID
 	s.byManifest[rec.Manifest] = append(s.byManifest[rec.Manifest], rec)
 	s.byRoot[rec.Root] = append(s.byRoot[rec.Root], rec)
 	s.byBlob[rec.Manifest] = append(s.byBlob[rec.Manifest], BlobRef{JobID: rec.JobID, Leaf: ManifestLeaf})
@@ -362,14 +353,6 @@ func (s *Store) Close() error {
 	}
 	s.wmu.Unlock()
 	return s.log.Close()
-}
-
-// Job returns the most recent record anchored under a job ID.
-func (s *Store) Job(jobID string) (*Record, bool) {
-	s.imu.Lock()
-	defer s.imu.Unlock()
-	rec, ok := s.byJob[jobID]
-	return rec, ok
 }
 
 // ByBlob returns every (job, leaf) anchoring a blob digest, in commit

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -124,6 +125,17 @@ func TestOptimizeCachedBitIdentical(t *testing.T) {
 	}
 }
 
+// openJournal opens a fresh on-disk tile journal, closed with the test.
+func openJournal(t *testing.T) *tile.FileJournal {
+	t.Helper()
+	j, err := tile.OpenFileJournal(filepath.Join(t.TempDir(), "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j
+}
+
 // failingRunner trips the test if the scheduler ever reaches it.
 type failingRunner struct{ t *testing.T }
 
@@ -139,7 +151,7 @@ func (f *failingRunner) RunTile(context.Context, *tile.Request) (*ilt.Result, er
 func TestJournaledTilesBypassCache(t *testing.T) {
 	p, ws, cfg := e2ePlan(t)
 	ctx := context.Background()
-	j := tile.NewMemJournal()
+	j := openJournal(t)
 	cold, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Journal: j})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +186,7 @@ func TestCacheHitsStillJournaled(t *testing.T) {
 
 	// Warm cache, fresh journal: every tile is served without optimizing,
 	// yet every tile must land in the journal.
-	j := tile.NewMemJournal()
+	j := openJournal(t)
 	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Journal: j, Runner: NewRunner(store, nil)})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"mosaic/internal/ilt"
 	"mosaic/internal/lru"
 	"mosaic/internal/obs"
+	"mosaic/internal/tile"
 )
 
 // Cache metrics: lookups served from the store (any tier), lookups that
@@ -98,21 +99,13 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Tier labels for the span attribute and GetOrCompute's report.
-const (
-	TierMem    = "mem"    // served from the memory tier
-	TierDisk   = "disk"   // served from the disk tier (promoted to memory)
-	TierFlight = "flight" // served by waiting on a concurrent computation
-	TierMiss   = "miss"   // computed
-)
-
 // GetOrCompute returns the result for key, running compute at most once
 // across concurrent callers when the store has no entry. The returned
-// tier says how the call was served (TierMem/TierDisk/TierFlight on a
-// hit, TierMiss when compute ran). Compute errors are never cached: the
-// leader's error is reported to it, and waiters retry the lookup
-// themselves (so one canceled job cannot poison another job waiting on
-// the same key). ctx bounds only this caller's wait.
+// tier says how the call was served (tile.TierMem/TierDisk/TierFlight on
+// a hit, tile.TierMiss when compute ran). Compute errors are never
+// cached: the leader's error is reported to it, and waiters retry the
+// lookup themselves (so one canceled job cannot poison another job
+// waiting on the same key). ctx bounds only this caller's wait.
 func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.Result, error)) (*ilt.Result, string, error) {
 	for {
 		s.mu.Lock()
@@ -120,7 +113,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 			s.stats.Hits++
 			s.mu.Unlock()
 			mHits.Inc()
-			return res, TierMem, nil
+			return res, tile.TierMem, nil
 		}
 		if f, ok := s.flights[key]; ok {
 			s.mu.Unlock()
@@ -139,7 +132,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 			s.stats.Hits++
 			s.mu.Unlock()
 			mHits.Inc()
-			return f.res, TierFlight, nil
+			return f.res, tile.TierFlight, nil
 		}
 		f := &flight{done: make(chan struct{})}
 		s.flights[key] = f
@@ -164,7 +157,7 @@ func (s *Store) lead(key Key, compute func() (*ilt.Result, error)) (*ilt.Result,
 		s.stats.Hits++
 		s.mu.Unlock()
 		mHits.Inc()
-		return res, TierDisk, nil
+		return res, tile.TierDisk, nil
 	}
 	res, err := compute()
 	if err != nil {
@@ -175,7 +168,7 @@ func (s *Store) lead(key Key, compute func() (*ilt.Result, error)) (*ilt.Result,
 	s.stats.Misses++
 	s.mu.Unlock()
 	mMisses.Inc()
-	return res, TierMiss, nil
+	return res, tile.TierMiss, nil
 }
 
 // Put stores a result under key in both tiers. Results entering the

@@ -11,6 +11,7 @@ import (
 
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/tile"
 )
 
 // fakeResult builds a small deterministic result; seed varies the bits so
@@ -63,11 +64,11 @@ func TestStoreMemTier(t *testing.T) {
 	compute := func() (*ilt.Result, error) { calls++; return want, nil }
 
 	got, tier, err := s.GetOrCompute(context.Background(), testKey(1), compute)
-	if err != nil || got != want || tier != TierMiss {
+	if err != nil || got != want || tier != tile.TierMiss {
 		t.Fatalf("cold lookup: res=%p tier=%q err=%v, want computed %p", got, tier, err, want)
 	}
 	got, tier, err = s.GetOrCompute(context.Background(), testKey(1), compute)
-	if err != nil || got != want || tier != TierMem {
+	if err != nil || got != want || tier != tile.TierMem {
 		t.Fatalf("warm lookup: res=%p tier=%q err=%v", got, tier, err)
 	}
 	if calls != 1 {
@@ -123,12 +124,12 @@ func TestSingleflight(t *testing.T) {
 		if results[i] != want {
 			t.Fatalf("goroutine %d got a different result", i)
 		}
-		if tiers[i] == TierMiss {
+		if tiers[i] == tile.TierMiss {
 			misses++
 		}
 	}
 	if misses != 1 {
-		t.Fatalf("%d goroutines report TierMiss, want exactly the leader", misses)
+		t.Fatalf("%d goroutines report tile.TierMiss, want exactly the leader", misses)
 	}
 	if st := s.Stats(); st.Misses != 1 || st.Hits != n-1 {
 		t.Fatalf("stats %+v, want 1 miss and %d hits", st, n-1)
@@ -179,7 +180,7 @@ func TestSingleflightLeaderErrorNotCached(t *testing.T) {
 		t.Fatalf("leader error = %v, want %v", err, boom)
 	}
 	<-waiterDone
-	if waiterRes != want || waiterTier != TierMiss {
+	if waiterRes != want || waiterTier != tile.TierMiss {
 		t.Fatalf("waiter res=%p tier=%q, want to recompute %p itself", waiterRes, waiterTier, want)
 	}
 	if st := s.Stats(); st.Misses != 1 {
@@ -230,17 +231,17 @@ func TestStoreLRUEviction(t *testing.T) {
 	if st := s.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Bytes != 2*per {
 		t.Fatalf("stats %+v, want 1 eviction with 2 entries resident", st)
 	}
-	if _, tier, _ := s.GetOrCompute(bg, testKey(1), val(1)); tier != TierMem {
+	if _, tier, _ := s.GetOrCompute(bg, testKey(1), val(1)); tier != tile.TierMem {
 		t.Fatalf("recently used key evicted (tier %q)", tier)
 	}
-	if _, tier, _ := s.GetOrCompute(bg, testKey(2), val(2)); tier != TierMiss {
+	if _, tier, _ := s.GetOrCompute(bg, testKey(2), val(2)); tier != tile.TierMiss {
 		t.Fatalf("LRU victim still resident (tier %q)", tier)
 	}
 
 	// An entry larger than the whole budget must pass through uncached
 	// without evicting the residents.
 	before := s.Stats()
-	if _, tier, _ := s.GetOrCompute(bg, testKey(9), func() (*ilt.Result, error) { return fakeResult(64, 9), nil }); tier != TierMiss {
+	if _, tier, _ := s.GetOrCompute(bg, testKey(9), func() (*ilt.Result, error) { return fakeResult(64, 9), nil }); tier != tile.TierMiss {
 		t.Fatalf("oversized entry tier %q", tier)
 	}
 	if st := s.Stats(); st.Entries != before.Entries || st.Evictions != before.Evictions {
@@ -252,7 +253,7 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := fakeResult(16, 5)
 	s1 := mustOpen(t, Options{Dir: dir})
-	if _, tier, err := s1.GetOrCompute(context.Background(), testKey(6), func() (*ilt.Result, error) { return want, nil }); err != nil || tier != TierMiss {
+	if _, tier, err := s1.GetOrCompute(context.Background(), testKey(6), func() (*ilt.Result, error) { return want, nil }); err != nil || tier != tile.TierMiss {
 		t.Fatalf("seed lookup tier=%q err=%v", tier, err)
 	}
 
@@ -262,13 +263,13 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 	got, tier, err := s2.GetOrCompute(context.Background(), testKey(6), func() (*ilt.Result, error) {
 		return nil, errors.New("disk hit must not recompute")
 	})
-	if err != nil || tier != TierDisk {
+	if err != nil || tier != tile.TierDisk {
 		t.Fatalf("disk lookup tier=%q err=%v", tier, err)
 	}
 	sameBits(t, want, got)
 	// The disk hit promoted the entry: the next lookup is a memory hit.
-	if _, tier, _ := s2.GetOrCompute(context.Background(), testKey(6), nil); tier != TierMem {
-		t.Fatalf("promoted entry tier=%q, want %q", tier, TierMem)
+	if _, tier, _ := s2.GetOrCompute(context.Background(), testKey(6), nil); tier != tile.TierMem {
+		t.Fatalf("promoted entry tier=%q, want %q", tier, tile.TierMem)
 	}
 }
 
@@ -280,7 +281,7 @@ func TestStoreDiskOnly(t *testing.T) {
 	s.GetOrCompute(context.Background(), testKey(7), func() (*ilt.Result, error) { return want, nil })
 	for i := 0; i < 2; i++ {
 		got, tier, err := s.GetOrCompute(context.Background(), testKey(7), nil)
-		if err != nil || tier != TierDisk {
+		if err != nil || tier != tile.TierDisk {
 			t.Fatalf("lookup %d: tier=%q err=%v", i, tier, err)
 		}
 		sameBits(t, want, got)
@@ -336,7 +337,7 @@ func TestStoreCorruptEntryRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corrupt entry surfaced as an error: %v", err)
 			}
-			if !recomputed || tier != TierMiss {
+			if !recomputed || tier != tile.TierMiss {
 				t.Fatalf("corrupt entry served as a hit (tier %q)", tier)
 			}
 			sameBits(t, want, got)
@@ -350,7 +351,7 @@ func TestStoreCorruptEntryRecovery(t *testing.T) {
 			// The recompute re-persisted a clean entry: a third store serves
 			// it from disk again.
 			got3, tier, err := mustOpen(t, Options{Dir: dir}).GetOrCompute(context.Background(), testKey(8), nil)
-			if err != nil || tier != TierDisk {
+			if err != nil || tier != tile.TierDisk {
 				t.Fatalf("re-persisted entry tier=%q err=%v", tier, err)
 			}
 			sameBits(t, want, got3)

@@ -18,13 +18,13 @@
 //     that expires if the worker hangs; a worker that misses heartbeats
 //     is declared dead and its leases are canceled. Either way the tile
 //     is reassigned (to another worker, or run locally when the fleet is
-//     empty) and the PR-4 tile journal guarantees completed tiles are
-//     never recomputed.
+//     empty) and the tile journal (tile.FileJournal) guarantees
+//     completed tiles are never recomputed.
 //
 // The control plane (join, heartbeat, leave, worker listing) is small
 // JSON; the data plane (tile jobs and results, dominated by float64
-// rasters) uses compact MOSNAP01-style binary frames with a length and
-// CRC32 header.
+// rasters) uses internal/frame's binary frames: magic, length and CRC32
+// around one scalar stream.
 package cluster
 
 import (

@@ -60,7 +60,8 @@ func encodeTileJob(req *tile.Request) []byte {
 	// Warm-start seed: the retrieved mask must cross the wire so a remote
 	// worker starts its descent exactly where a local run would. Its
 	// square-only (flag, side, samples) form predates ilt.AppendSeed and
-	// is kept so mixed-build fleets interoperate.
+	// is kept because join admits any build of this cache.DigestVersion:
+	// the frame's bytes are what such a fleet shares (TestGoldenBytes).
 	w.Bool(seed != nil)
 	if seed != nil {
 		w.I64(int64(seed.W))

@@ -14,9 +14,6 @@ import (
 	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
-	"mosaic/internal/optics"
-	"mosaic/internal/par"
-	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
 )
@@ -46,15 +43,6 @@ type Worker struct {
 	client   *http.Client
 	name     string
 	slots    chan struct{}
-
-	sims par.Memo[simKey, *sim.Simulator]
-}
-
-// simKey is what determines a Simulator: one is kept per imaging
-// configuration and resist model.
-type simKey struct {
-	optics optics.Config
-	resist resist.Model
 }
 
 // NewWorker builds a worker executor.
@@ -76,17 +64,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		name:     name,
 		slots:    make(chan struct{}, cfg.Capacity),
 	}
-}
-
-// simFor returns the cached simulator for a job's imaging configuration,
-// building the kernel set at most once per configuration. The resist
-// model arrives calibrated from the coordinator, so workers never
-// recalibrate (a recalibration could diverge and break bit-identity).
-func (w *Worker) simFor(job *tileJob) (*sim.Simulator, error) {
-	s, _, err := w.sims.Do(simKey{job.Optics, job.Resist}, func() (*sim.Simulator, error) {
-		return sim.New(job.Optics, job.Resist)
-	})
-	return s, err
 }
 
 // Handler returns the worker's data-plane API:
@@ -119,7 +96,10 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 		httpapi.Error(rw, http.StatusBadRequest, httpapi.CodeBadRequest, "decoding tile job: "+err.Error())
 		return
 	}
-	ws, err := w.simFor(job)
+	// The resist model arrives calibrated from the coordinator, so workers
+	// never recalibrate (a recalibration could diverge and break
+	// bit-identity); kernel sets are memoised process-wide by optics.
+	ws, err := sim.New(job.Optics, job.Resist)
 	if err != nil {
 		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, "building simulator: "+err.Error())
 		return

@@ -275,24 +275,6 @@ func transposeSquare(c *grid.CField) {
 	}
 }
 
-// Shift swaps quadrants so that the zero-frequency component moves from
-// index (0,0) to (W/2, H/2) (or back; Shift is its own inverse for even
-// dimensions). Dimensions must be even.
-func Shift(c *grid.CField) {
-	if c.W%2 != 0 || c.H%2 != 0 {
-		panic("fft: Shift requires even dimensions")
-	}
-	hw, hh := c.W/2, c.H/2
-	for y := 0; y < hh; y++ {
-		for x := 0; x < c.W; x++ {
-			x2 := (x + hw) % c.W
-			y2 := y + hh
-			i, j := y*c.W+x, y2*c.W+x2
-			c.Data[i], c.Data[j] = c.Data[j], c.Data[i]
-		}
-	}
-}
-
 // ExtractCenter pulls the centered (2k+1) x (2k+1) low-frequency block out
 // of an *unshifted* spectrum c: frequencies fx, fy in [-k, k], returned as a
 // (2k+1)^2 field indexed with (0,0) at fx=fy=-k.

@@ -183,35 +183,6 @@ func TestForward2DSeparability(t *testing.T) {
 	}
 }
 
-func TestShiftInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	c := grid.NewC(8, 8)
-	for i := range c.Data {
-		c.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	orig := c.Clone()
-	Shift(c)
-	if c.EqualC(orig, 1e-15) {
-		t.Fatal("Shift did nothing")
-	}
-	Shift(c)
-	if !c.EqualC(orig, 0) {
-		t.Fatal("Shift twice is not identity")
-	}
-}
-
-func TestShiftMovesDC(t *testing.T) {
-	c := grid.NewC(8, 8)
-	c.Set(0, 0, 1)
-	Shift(c)
-	if c.At(4, 4) != 1 {
-		t.Fatalf("DC not moved to center, got %v at (4,4)", c.At(4, 4))
-	}
-	if c.At(0, 0) != 0 {
-		t.Fatal("DC still at origin")
-	}
-}
-
 func TestExtractEmbedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	spec := grid.NewC(32, 32)

@@ -73,26 +73,3 @@ func CountHoles(f *grid.Field) int {
 	}
 	return holes
 }
-
-// BoundaryPixels returns a binary field marking feature pixels of f that
-// are 4-adjacent to at least one background pixel (or the border). Used for
-// contour rendering.
-func BoundaryPixels(f *grid.Field) *grid.Field {
-	out := grid.NewLike(f)
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			if f.At(x, y) == 0 {
-				continue
-			}
-			edge := x == 0 || x == f.W-1 || y == 0 || y == f.H-1
-			if !edge {
-				edge = f.At(x-1, y) == 0 || f.At(x+1, y) == 0 ||
-					f.At(x, y-1) == 0 || f.At(x, y+1) == 0
-			}
-			if edge {
-				out.Set(x, y, 1)
-			}
-		}
-	}
-	return out
-}

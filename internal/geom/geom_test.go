@@ -270,23 +270,6 @@ func TestCountHoles(t *testing.T) {
 	}
 }
 
-func TestBoundaryPixels(t *testing.T) {
-	l := &Layout{Name: "b", SizeNM: 32, Polys: []Polygon{square(8, 8, 16)}}
-	f := l.Rasterize(32, 1)
-	b := BoundaryPixels(f)
-	// Interior pixel not boundary; edge pixel is.
-	if b.At(15, 15) != 0 {
-		t.Fatal("interior marked as boundary")
-	}
-	if b.At(8, 15) != 1 {
-		t.Fatal("edge pixel not marked")
-	}
-	// Boundary count of a 16x16 square is the perimeter ring: 16*4-4.
-	if got := int(b.Sum()); got != 60 {
-		t.Fatalf("boundary pixels %d, want 60", got)
-	}
-}
-
 // Property: every EPE sample lies exactly on an edge of its polygon and
 // every inward normal is unit length and axis-aligned.
 func TestSamplePointsOnEdgesProperty(t *testing.T) {

@@ -91,23 +91,6 @@ func (c *CField) ScaleC(s complex128) *CField {
 	return c
 }
 
-// Conj conjugates every element in place and returns c.
-func (c *CField) Conj() *CField {
-	for i, v := range c.Data {
-		c.Data[i] = cmplx.Conj(v)
-	}
-	return c
-}
-
-// Real returns the real parts as a new Field.
-func (c *CField) Real() *Field {
-	f := New(c.W, c.H)
-	for i, v := range c.Data {
-		f.Data[i] = real(v)
-	}
-	return f
-}
-
 // Abs2 returns |c|^2 element-wise as a new Field.
 func (c *CField) Abs2() *Field {
 	f := New(c.W, c.H)

@@ -55,9 +55,6 @@ func (f *Field) Set(x, y int, v float64) { f.Data[y*f.W+x] = v }
 // Row returns the backing slice for row y (shared, not copied).
 func (f *Field) Row(y int) []float64 { return f.Data[y*f.W : (y+1)*f.W] }
 
-// In reports whether (x, y) lies inside the field.
-func (f *Field) In(x, y int) bool { return x >= 0 && x < f.W && y >= 0 && y < f.H }
-
 // Clone returns a deep copy of f.
 func (f *Field) Clone() *Field {
 	g := New(f.W, f.H)
@@ -97,24 +94,6 @@ func (f *Field) Add(g *Field) *Field {
 	return f
 }
 
-// Sub sets f = f - g element-wise and returns f.
-func (f *Field) Sub(g *Field) *Field {
-	f.check(g)
-	for i, v := range g.Data {
-		f.Data[i] -= v
-	}
-	return f
-}
-
-// Mul sets f = f * g element-wise (Hadamard product) and returns f.
-func (f *Field) Mul(g *Field) *Field {
-	f.check(g)
-	for i, v := range g.Data {
-		f.Data[i] *= v
-	}
-	return f
-}
-
 // Scale multiplies every element by s and returns f.
 func (f *Field) Scale(s float64) *Field {
 	for i := range f.Data {
@@ -128,14 +107,6 @@ func (f *Field) AddScaled(g *Field, s float64) *Field {
 	f.check(g)
 	for i, v := range g.Data {
 		f.Data[i] += s * v
-	}
-	return f
-}
-
-// Apply replaces every element v with fn(v) and returns f.
-func (f *Field) Apply(fn func(float64) float64) *Field {
-	for i, v := range f.Data {
-		f.Data[i] = fn(v)
 	}
 	return f
 }
@@ -189,17 +160,6 @@ func (f *Field) RMS() float64 {
 	return sqrt(s / float64(len(f.Data)))
 }
 
-// CountAbove returns the number of elements strictly greater than thr.
-func (f *Field) CountAbove(thr float64) int {
-	n := 0
-	for _, v := range f.Data {
-		if v > thr {
-			n++
-		}
-	}
-	return n
-}
-
 // Threshold returns a new binary field: 1 where f > thr, else 0.
 func (f *Field) Threshold(thr float64) *Field {
 	g := New(f.W, f.H)
@@ -224,24 +184,6 @@ func (f *Field) Crop(x0, y0, w, h int) *Field {
 	return g
 }
 
-// Paste copies src into f with src's top-left corner at (x0, y0). Parts of
-// src that fall outside f are ignored.
-func (f *Field) Paste(src *Field, x0, y0 int) {
-	for y := 0; y < src.H; y++ {
-		ty := y0 + y
-		if ty < 0 || ty >= f.H {
-			continue
-		}
-		for x := 0; x < src.W; x++ {
-			tx := x0 + x
-			if tx < 0 || tx >= f.W {
-				continue
-			}
-			f.Set(tx, ty, src.At(x, y))
-		}
-	}
-}
-
 // Downsample returns a field reduced by integer factor k in each dimension,
 // averaging each k x k block. W and H must be divisible by k.
 func (f *Field) Downsample(k int) *Field {
@@ -260,23 +202,6 @@ func (f *Field) Downsample(k int) *Field {
 				}
 			}
 			g.Set(x, y, s*inv)
-		}
-	}
-	return g
-}
-
-// Upsample returns a field enlarged by integer factor k using nearest-
-// neighbor replication.
-func (f *Field) Upsample(k int) *Field {
-	if k <= 0 {
-		panic("grid: non-positive upsample factor")
-	}
-	g := New(f.W*k, f.H*k)
-	for y := 0; y < g.H; y++ {
-		src := f.Row(y / k)
-		dst := g.Row(y)
-		for x := 0; x < g.W; x++ {
-			dst[x] = src[x/k]
 		}
 	}
 	return g

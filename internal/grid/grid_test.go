@@ -44,19 +44,6 @@ func TestFromRows(t *testing.T) {
 	}
 }
 
-func TestIn(t *testing.T) {
-	f := New(3, 2)
-	cases := []struct {
-		x, y int
-		want bool
-	}{{0, 0, true}, {2, 1, true}, {3, 0, false}, {0, 2, false}, {-1, 0, false}}
-	for _, c := range cases {
-		if f.In(c.x, c.y) != c.want {
-			t.Errorf("In(%d,%d) != %v", c.x, c.y, c.want)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	f := New(2, 2).Fill(1)
 	g := f.Clone()
@@ -71,12 +58,6 @@ func TestArithmetic(t *testing.T) {
 	b := FromRows([][]float64{{10, 20}, {30, 40}})
 	if got := a.Clone().Add(b).At(1, 1); got != 44 {
 		t.Errorf("Add: %g", got)
-	}
-	if got := b.Clone().Sub(a).At(0, 0); got != 9 {
-		t.Errorf("Sub: %g", got)
-	}
-	if got := a.Clone().Mul(b).At(0, 1); got != 90 {
-		t.Errorf("Mul: %g", got)
 	}
 	if got := a.Clone().Scale(2).At(1, 0); got != 4 {
 		t.Errorf("Scale: %g", got)
@@ -101,14 +82,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 	New(2, 2).Add(New(3, 2))
 }
 
-func TestApply(t *testing.T) {
-	f := FromRows([][]float64{{1, 4}, {9, 16}})
-	f.Apply(math.Sqrt)
-	if f.At(1, 1) != 4 {
-		t.Fatalf("Apply: %g", f.At(1, 1))
-	}
-}
-
 func TestMinMaxRMS(t *testing.T) {
 	f := FromRows([][]float64{{-3, 0}, {4, 0}})
 	lo, hi := f.MinMax()
@@ -127,9 +100,6 @@ func TestThresholdAndCount(t *testing.T) {
 	if b.At(0, 0) != 0 || b.At(0, 1) != 1 || b.At(1, 0) != 0 {
 		t.Fatal("Threshold wrong (strict >)")
 	}
-	if f.CountAbove(0.4) != 3 {
-		t.Fatalf("CountAbove: %d", f.CountAbove(0.4))
-	}
 }
 
 func TestCropPaste(t *testing.T) {
@@ -139,13 +109,6 @@ func TestCropPaste(t *testing.T) {
 	if c.At(1, 1) != 5 {
 		t.Fatal("Crop misaligned")
 	}
-	g := New(4, 4)
-	g.Paste(c, 1, 0)
-	if g.At(2, 1) != 5 {
-		t.Fatal("Paste misaligned")
-	}
-	// Out-of-bounds paste is clipped, not panicking.
-	g.Paste(c, 3, 3)
 }
 
 func TestDownUpSample(t *testing.T) {
@@ -158,10 +121,6 @@ func TestDownUpSample(t *testing.T) {
 	d := f.Downsample(2)
 	if d.W != 2 || d.At(0, 0) != 1 || d.At(1, 1) != 4 {
 		t.Fatalf("Downsample: %+v", d)
-	}
-	u := d.Upsample(2)
-	if !u.Equal(f, 0) {
-		t.Fatal("Upsample(Downsample) != original for block-constant field")
 	}
 }
 
@@ -179,7 +138,8 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// Property: Add then Sub returns the original field.
+// Property: adding b and then subtracting it (AddScaled by -1) returns the
+// original field.
 func TestAddSubRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -190,7 +150,7 @@ func TestAddSubRoundTripProperty(t *testing.T) {
 			b.Data[i] = rng.NormFloat64()
 		}
 		orig := a.Clone()
-		a.Add(b).Sub(b)
+		a.Add(b).AddScaled(b, -1)
 		return a.Equal(orig, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -226,14 +186,6 @@ func TestCFieldOps(t *testing.T) {
 	if a.At(0, 0) != 25 {
 		t.Fatalf("Abs2: %g", a.At(0, 0))
 	}
-	r := c.Real()
-	if r.At(0, 0) != 3 {
-		t.Fatalf("Real: %g", r.At(0, 0))
-	}
-	c2 := c.Clone().Conj()
-	if c2.At(0, 0) != complex(3, -4) {
-		t.Fatal("Conj")
-	}
 	dst := New(2, 2)
 	c.AccumAbs2(dst, 2)
 	if dst.At(0, 0) != 50 {
@@ -244,8 +196,10 @@ func TestCFieldOps(t *testing.T) {
 func TestToComplexRoundTrip(t *testing.T) {
 	f := FromRows([][]float64{{1, 2}, {3, 4}})
 	c := ToComplex(f)
-	if !c.Real().Equal(f, 0) {
-		t.Fatal("ToComplex/Real round trip")
+	for i, v := range f.Data {
+		if c.Data[i] != complex(v, 0) {
+			t.Fatalf("ToComplex: element %d is %v, want %g+0i", i, c.Data[i], v)
+		}
 	}
 }
 
@@ -286,15 +240,6 @@ func TestDownsampleBadFactorPanics(t *testing.T) {
 		}
 	}()
 	New(6, 6).Downsample(4)
-}
-
-func TestUpsampleBadFactorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(4, 4).Upsample(0)
 }
 
 func TestMinMaxEmptyPanics(t *testing.T) {

@@ -19,8 +19,9 @@
 // The binary mask constraint is relaxed through the sigmoid transform
 // M = sig(theta_M * P) (Eq. 8) so that descent runs on the unconstrained
 // pixel variables P. Gradients are computed in closed form (Eq. 14-17)
-// using the combined-kernel convolution of Eq. 21 by default, or the full
-// SOCS stack when Config.FullSOCSGradient is set.
+// using the combined-kernel convolution of Eq. 21 when Config.GradKernels
+// is 0, or the top Config.GradKernels kernels of the SOCS stack otherwise
+// (8 for MOSAIC_fast, the whole stack for MOSAIC_exact).
 package ilt
 
 import (

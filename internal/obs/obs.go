@@ -44,11 +44,6 @@ func SetLogger(l *slog.Logger) {
 	logger.Store(l)
 }
 
-// SetLogLevel adjusts the level of the default handler (and of any
-// handler constructed with LogLevelVar). Custom loggers installed via
-// SetLogger govern their own level.
+// SetLogLevel adjusts the level of the default handler. Custom loggers
+// installed via SetLogger govern their own level.
 func SetLogLevel(l slog.Level) { logLevel.Set(l) }
-
-// LogLevelVar exposes the shared level so custom handlers can track
-// SetLogLevel.
-func LogLevelVar() *slog.LevelVar { return logLevel }

@@ -227,7 +227,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 
 func TestLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
-	SetLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: LogLevelVar()})))
+	SetLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: logLevel})))
 	defer SetLogger(nil)
 
 	SetLogLevel(slog.LevelWarn)

@@ -19,11 +19,6 @@ type TraceContext struct {
 	ParentID string
 }
 
-// Valid reports whether the context carries a usable trace and span ID.
-func (tc TraceContext) Valid() bool {
-	return len(tc.TraceID) == 32 && len(tc.SpanID) == 16
-}
-
 // Traceparent renders the context as a W3C traceparent header value:
 // "00-<trace-id>-<span-id>-01".
 func (tc TraceContext) Traceparent() string {

@@ -17,7 +17,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	_, sp := StartSpan(context.Background(), "root")
 	defer sp.End()
 	tc := sp.Context()
-	if !tc.Valid() {
+	if len(tc.TraceID) != 32 || len(tc.SpanID) != 16 {
 		t.Fatalf("StartSpan produced invalid trace context %+v", tc)
 	}
 	hdr := tc.Traceparent()

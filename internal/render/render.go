@@ -8,7 +8,6 @@ import (
 	"image"
 	"image/color"
 	"image/png"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -32,36 +31,6 @@ func Gray(f *grid.Field, lo, hi float64) *image.Gray {
 				v = 255
 			}
 			img.SetGray(x, y, color.Gray{Y: uint8(v)})
-		}
-	}
-	return img
-}
-
-// Heat renders a field with a simple blue-black-yellow diverging ramp,
-// useful for signed data like gradients.
-func Heat(f *grid.Field) *image.RGBA {
-	lo, hi := f.MinMax()
-	m := hi
-	if -lo > m {
-		m = -lo
-	}
-	if m == 0 {
-		m = 1
-	}
-	img := image.NewRGBA(image.Rect(0, 0, f.W, f.H))
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			v := f.At(x, y) / m // [-1, 1]
-			var c color.RGBA
-			c.A = 255
-			if v >= 0 {
-				c.R = uint8(255 * v)
-				c.G = uint8(220 * v)
-			} else {
-				c.B = uint8(255 * -v)
-				c.G = uint8(80 * -v)
-			}
-			img.Set(x, y, c)
 		}
 	}
 	return img
@@ -96,9 +65,6 @@ func Overlay(target, printed, pvband *grid.Field) *image.RGBA {
 	}
 	return img
 }
-
-// WritePNG encodes img to w.
-func WritePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }
 
 // SavePNG writes img to path, creating parent directories as needed.
 func SavePNG(path string, img image.Image) error {

@@ -30,19 +30,6 @@ func TestGrayMapping(t *testing.T) {
 	}
 }
 
-func TestHeatSigns(t *testing.T) {
-	f := grid.FromRows([][]float64{{-1, 0, 1}})
-	img := Heat(f)
-	neg := img.RGBAAt(0, 0)
-	pos := img.RGBAAt(2, 0)
-	if neg.B == 0 || neg.R != 0 {
-		t.Fatalf("negative color %+v", neg)
-	}
-	if pos.R == 0 || pos.B != 0 {
-		t.Fatalf("positive color %+v", pos)
-	}
-}
-
 func TestOverlayLayers(t *testing.T) {
 	target := grid.New(4, 4)
 	target.Set(1, 1, 1)
@@ -64,17 +51,6 @@ func TestOverlayLayers(t *testing.T) {
 	img2 := Overlay(target, nil, nil)
 	if img2.Bounds().Dx() != 4 {
 		t.Fatal("nil layers broke dimensions")
-	}
-}
-
-func TestWritePNG(t *testing.T) {
-	f := grid.New(8, 8).Fill(0.5)
-	var buf bytes.Buffer
-	if err := WritePNG(&buf, Gray(f, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := png.Decode(&buf); err != nil {
-		t.Fatalf("invalid png: %v", err)
 	}
 }
 

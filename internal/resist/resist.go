@@ -30,12 +30,6 @@ func (m Model) Sigmoid(i float64) float64 {
 	return 1 / (1 + math.Exp(-m.ThetaZ*(i-m.Threshold)))
 }
 
-// SigmoidDeriv returns dZ/dI at intensity i: theta_Z * Z * (1 - Z).
-func (m Model) SigmoidDeriv(i float64) float64 {
-	z := m.Sigmoid(i)
-	return m.ThetaZ * z * (1 - z)
-}
-
 // Print applies the hard threshold of Eq. 3 to an aerial image scaled by
 // dose, producing a binary printed pattern.
 func (m Model) Print(i *grid.Field, dose float64) *grid.Field {

@@ -2,7 +2,6 @@ package resist
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -37,20 +36,6 @@ func TestSigmoidMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSigmoidDerivMatchesFiniteDifference(t *testing.T) {
-	m := Default()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		x := m.Threshold + rng.NormFloat64()*0.05
-		const eps = 1e-6
-		num := (m.Sigmoid(x+eps) - m.Sigmoid(x-eps)) / (2 * eps)
-		ana := m.SigmoidDeriv(x)
-		if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
-			t.Fatalf("x=%g: deriv %g vs numeric %g", x, ana, num)
-		}
 	}
 }
 

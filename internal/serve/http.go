@@ -14,6 +14,7 @@ import (
 	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
 	"mosaic/internal/render"
+	"mosaic/internal/tile"
 )
 
 // Handler returns the server's HTTP API. The route list below is the
@@ -288,14 +289,14 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		Cache:          CacheAttribution{Report: report},
 	}
 	for _, l := range rec.Leaves {
-		switch l.Tier {
-		case "mem", "disk", "flight":
+		switch l.Class() {
+		case tile.ClassHit:
 			body.Cache.Hits++
-		case "empty":
+		case tile.ClassEmpty:
 			body.Cache.Empty++
-		case "journal":
+		case tile.ClassJournal:
 			body.Cache.Journal++
-		default:
+		case tile.ClassComputed:
 			body.Cache.Computed++
 		}
 		if l.Worker != "" {

@@ -17,6 +17,7 @@ import (
 	"mosaic"
 	"mosaic/internal/artifact"
 	"mosaic/internal/httpapi"
+	"mosaic/internal/tile"
 )
 
 // TestErrorEnvelopeCodes pins the stable machine-readable code of every
@@ -283,6 +284,23 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	if counted != 4 {
 		t.Fatalf("cache attribution %+v does not cover all 4 leaves", prov.Cache)
 	}
+	// The rollup is tile.Provenance.Class's answer on the served leaves.
+	sameRollup := func(what string, p ProvenanceBody) {
+		t.Helper()
+		byClass, remote := map[tile.Class]int{}, 0
+		for _, l := range p.Leaves {
+			byClass[l.Class()]++
+			if l.Worker != "" {
+				remote++
+			}
+		}
+		want := CacheAttribution{Hits: byClass[tile.ClassHit], Computed: byClass[tile.ClassComputed],
+			Empty: byClass[tile.ClassEmpty], Journal: byClass[tile.ClassJournal], Remote: remote, Report: p.Cache.Report}
+		if p.Cache != want {
+			t.Fatalf("%s: rollup %+v, the leaves classify as %+v", what, p.Cache, want)
+		}
+	}
+	sameRollup("cold run", prov)
 
 	// The manifest blob is fetchable as JSON and matches the digest.
 	resp := mustGet(t, ts.URL+"/v1/artifacts/"+prov.ManifestDigest)
@@ -354,6 +372,7 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	if warmProv.Cache.Hits == 0 {
 		t.Fatalf("warm run shows no cache hits: %+v", warmProv.Cache)
 	}
+	sameRollup("warm run", warmProv)
 
 	// The warm run's scores come from the quality side-car the cold run
 	// left beside the record, not from a second evaluation: same /result

@@ -58,13 +58,14 @@ type JobSpec struct {
 
 // validate rejects malformed specs before they enter the queue.
 func (sp *JobSpec) validate() error {
+	_, modeErr := mosaic.ParseMode(sp.Mode)
 	switch {
 	case sp.Benchmark == "" && sp.Layout == "":
 		return fmt.Errorf("spec needs a benchmark or a layout")
 	case sp.Benchmark != "" && sp.Layout != "":
 		return fmt.Errorf("spec has both a benchmark and a layout; pick one")
-	case sp.Mode != "" && sp.Mode != "fast" && sp.Mode != "exact":
-		return fmt.Errorf("mode %q is not fast or exact", sp.Mode)
+	case modeErr != nil:
+		return modeErr
 	case sp.MaxIter < 0:
 		return fmt.Errorf("max_iter %d is negative", sp.MaxIter)
 	case sp.Grid < 0 || (sp.Grid > 0 && sp.Grid&(sp.Grid-1) != 0):
@@ -95,12 +96,10 @@ func (sp *JobSpec) resolveLayout() (*mosaic.Layout, error) {
 	return l, nil
 }
 
-// mode returns the spec's optimizer mode.
+// mode returns the (validated) spec's optimizer mode.
 func (sp *JobSpec) mode() mosaic.Mode {
-	if sp.Mode == "exact" {
-		return mosaic.ModeExact
-	}
-	return mosaic.ModeFast
+	m, _ := mosaic.ParseMode(sp.Mode)
+	return m
 }
 
 // State is a job's lifecycle position.

@@ -96,10 +96,9 @@ type Config struct {
 	// journal completed tiles continuously, Shutdown checkpoints queued
 	// and in-flight jobs, and New resumes them.
 	CheckpointDir string
-	// TileRetries / TileRetryBackoff set the per-tile retry policy of
-	// every job (see mosaic.TileOptions); a clip job is one tile.
-	TileRetries      int
-	TileRetryBackoff time.Duration
+	// TileRetries is the number of extra attempts a failed tile of any
+	// job gets (see mosaic.TileOptions.Retries); a clip job is one tile.
+	TileRetries int
 	// Tune, when non-nil, adjusts every job's optimizer configuration
 	// after the spec has been applied (test determinism, site policy).
 	Tune func(*mosaic.Config)
@@ -134,6 +133,8 @@ type Server struct {
 	cond     *sync.Cond
 	queue    jobQueue
 	jobs     map[string]*job
+	finished []string // IDs of terminal jobs still in jobs, oldest first
+	retain   int      // how many of them are kept: retainJobs (a test lowers it)
 	seq      int64
 	draining bool
 	wg       sync.WaitGroup
@@ -157,8 +158,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.Optics = mosaic.DefaultOptics()
 	}
 	s := &Server{
-		cfg:  cfg,
-		jobs: make(map[string]*job),
+		cfg:    cfg,
+		jobs:   make(map[string]*job),
+		retain: retainJobs,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.restore(); err != nil {
@@ -169,6 +171,26 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	return s, nil
+}
+
+// retainJobs bounds the finished jobs a server remembers. Each pins its
+// LayoutResult, span buffer and event ring, so without a bound a daemon
+// grows with every job it has ever run; past it the oldest finished job
+// is forgotten and its ID answers ErrNotFound like one never issued.
+const retainJobs = 4096
+
+// retire records that job id reached a terminal state and forgets the
+// oldest terminal jobs beyond the retention bound. Queued, running and
+// interrupted jobs are not in the list and so are never forgotten. The
+// caller must not hold the job's lock (lock order is s.mu, then j.mu).
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, id)
+	for len(s.finished) > s.retain {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // newID returns a 12-hex-digit job ID.
@@ -393,6 +415,7 @@ func (s *Server) Cancel(id string) (*Status, error) {
 		j.tel.publish("state", map[string]any{"state": string(StateCanceled)})
 		j.tel.closeLog()
 		s.removeCheckpoint(id)
+		s.retire(id)
 		return j.status(), nil
 	case j.state == StateRunning:
 		cancel := j.cancel
@@ -441,21 +464,6 @@ func (s *Server) worker() {
 	}
 }
 
-// jobOptics derives the imaging configuration for one job: the spec's
-// grid (or the server default) at a pixel size that makes the grid cover
-// exactly the layout, or one tile core of a sharded run.
-func (s *Server) jobOptics(j *job) mosaic.OpticsConfig {
-	cfg := s.cfg.Optics
-	if j.spec.Grid > 0 {
-		cfg.GridSize = j.spec.Grid
-	}
-	cfg.PixelNM = j.layout.SizeNM / float64(cfg.GridSize)
-	if j.spec.TileNM > 0 && j.spec.TileNM < j.layout.SizeNM {
-		cfg.PixelNM = j.spec.TileNM / float64(cfg.GridSize)
-	}
-	return cfg
-}
-
 // runJob executes one job to a terminal (or interrupted) state.
 func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	// Root the job's distributed trace: every span and event below —
@@ -495,7 +503,6 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	}
 
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.cancel = nil
 	j.finished = time.Now()
 	switch {
@@ -540,14 +547,19 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 		ev["error"] = j.err.Error()
 	}
 	j.tel.publish("state", ev)
-	if j.state.terminal() {
+	terminal := j.state.terminal()
+	if terminal {
 		j.tel.closeLog()
+	}
+	j.mu.Unlock()
+	if terminal {
+		s.retire(j.id)
 	}
 }
 
 // execute runs the optimization and evaluation for one job.
 func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, evaluation, error) {
-	optics := s.jobOptics(j)
+	optics, _ := mosaic.JobOptics(s.cfg.Optics, j.spec.Grid, j.layout, j.spec.TileNM)
 	setup, _, err := s.setups.Do(optics, func() (*mosaic.Setup, error) { return mosaic.NewSetup(optics) })
 	if err != nil {
 		return nil, evaluation{}, fmt.Errorf("building setup: %w", err)
@@ -573,16 +585,15 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, eva
 	}
 
 	topts := mosaic.TileOptions{
-		TileNM:       j.spec.TileNM,
-		HaloNM:       j.spec.HaloNM,
-		Workers:      j.spec.TileWorkers,
-		Retries:      s.cfg.TileRetries,
-		RetryBackoff: s.cfg.TileRetryBackoff,
-		Runner:       s.cfg.TileRunner,
-		Cache:        s.cfg.TileCache,
-		Artifact:     s.cfg.ArtifactStore,
-		ArtifactJob:  j.id,
-		WarmStart:    s.cfg.WarmStart,
+		TileNM:      j.spec.TileNM,
+		HaloNM:      j.spec.HaloNM,
+		Workers:     j.spec.TileWorkers,
+		Retries:     s.cfg.TileRetries,
+		Runner:      s.cfg.TileRunner,
+		Cache:       s.cfg.TileCache,
+		Artifact:    s.cfg.ArtifactStore,
+		ArtifactJob: j.id,
+		WarmStart:   s.cfg.WarmStart,
 		OnTile: func(done, total int) {
 			j.mu.Lock()
 			j.prog.TilesDone = done

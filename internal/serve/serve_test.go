@@ -247,10 +247,17 @@ func TestJobSpecValidate(t *testing.T) {
 		{"negative tile_nm", JobSpec{Benchmark: "B1", TileNM: -5}, false},
 		{"negative halo_nm", JobSpec{Benchmark: "B1", TileNM: 512, HaloNM: -1}, false},
 		{"negative tile_workers", JobSpec{Benchmark: "B1", TileWorkers: -1}, false},
+		{"mode fast", JobSpec{Benchmark: "B1", Mode: "fast"}, true},
+		{"mode exact", JobSpec{Benchmark: "B1", Mode: "exact"}, true},
+		{"mode in another case", JobSpec{Benchmark: "B1", Mode: "Exact"}, false},
+		{"unknown mode", JobSpec{Benchmark: "B1", Mode: "quick"}, false},
 	} {
 		if err := tc.spec.validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+	if (&JobSpec{}).mode() != mosaic.ModeFast || (&JobSpec{Mode: "exact"}).mode() != mosaic.ModeExact {
+		t.Error("mode(): want fast by default and exact when the spec says so")
 	}
 }
 
@@ -322,6 +329,96 @@ func TestDaemonSurvivesItsInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, s, st.ID, 30*time.Second, func(st *Status) bool { return st.State == StateDone })
+}
+
+// TestFinishedJobsAreBounded: a daemon forgets its oldest finished jobs
+// past the retention bound (their IDs answer 404) and nothing else —
+// queued, running and interrupted jobs stay however old they are.
+func TestFinishedJobsAreBounded(t *testing.T) {
+	s, err := New(testServerConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.retain = 2
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	submit := func(maxIter int) string {
+		t.Helper()
+		st, err := s.Submit(JobSpec{Layout: testLayoutText, MaxIter: maxIter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	gone := func(id string) {
+		t.Helper()
+		if _, err := s.Status(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("job %s past the bound: Status = %v, want ErrNotFound", id, err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/jobs/%s past the bound: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	listed := func() []string {
+		t.Helper()
+		page, next, err := s.ListPage("", 0, "")
+		if err != nil || next != "" {
+			t.Fatalf("list: %v (next %q)", err, next)
+		}
+		var ids []string
+		for _, st := range page {
+			ids = append(ids, st.ID)
+		}
+		return ids
+	}
+
+	// The two oldest jobs never finish on their own: one holds the single
+	// worker, one waits behind it. Three later ones are canceled while
+	// queued, which makes them terminal without a worker.
+	running := submit(100000)
+	waitFor(t, s, running, 30*time.Second, func(st *Status) bool { return st.State == StateRunning })
+	waiting := submit(100000)
+	c := []string{submit(1), submit(1), submit(1)}
+	for _, id := range c {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone(c[0])
+	if got, want := listed(), []string{running, waiting, c[1], c[2]}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after three finished jobs the list is %v, want %v", got, want)
+	}
+	for _, id := range c[1:] {
+		if st, err := s.Status(id); err != nil || st.State != StateCanceled {
+			t.Fatalf("job %s within the bound: %+v, %v", id, st, err)
+		}
+	}
+
+	// A job that finishes on a worker is counted the same way.
+	if _, err := s.Cancel(running); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, s, running, 30*time.Second, func(st *Status) bool { return st.State == StateCanceled })
+	gone(c[1])
+	waitFor(t, s, waiting, 30*time.Second, func(st *Status) bool { return st.State == StateRunning })
+
+	// A drain interrupts the running job; interrupted is not finished, so
+	// even a bound of zero keeps it for the restart to resume.
+	s.mu.Lock()
+	s.retain = 0
+	s.mu.Unlock()
+	shutdown(t, s)
+	if st, err := s.Status(waiting); err != nil || st.State != StateInterrupted {
+		t.Fatalf("drained job: %+v, %v; want it kept as interrupted", st, err)
+	}
+	if got, want := listed(), []string{running, waiting, c[2]}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the drain the list is %v, want %v", got, want)
+	}
 }
 
 func TestQueueLimit(t *testing.T) {

@@ -207,11 +207,6 @@ func (s *Simulator) PrintHard(aerial *grid.Field, c Corner) *grid.Field {
 	return s.Resist.Print(aerial, c.Dose)
 }
 
-// PrintSoft applies the sigmoid resist (Eq. 4) at the corner's dose.
-func (s *Simulator) PrintSoft(aerial *grid.Field, c Corner) *grid.Field {
-	return s.Resist.PrintSigmoid(aerial, c.Dose)
-}
-
 // Simulate runs the full forward process at a corner and returns both the
 // aerial image and the binary printed pattern.
 func (s *Simulator) Simulate(mask *grid.Field, c Corner) (aerial, printed *grid.Field, err error) {

@@ -214,7 +214,7 @@ func TestPrintSoftMatchesHardAwayFromEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	hard := s.PrintHard(img, Nominal())
-	soft := s.PrintSoft(img, Nominal())
+	soft := s.Resist.PrintSigmoid(img, Nominal().Dose)
 	for i := range hard.Data {
 		// Where the sigmoid is saturated, the two must agree.
 		if soft.Data[i] > 0.99 && hard.Data[i] != 1 {

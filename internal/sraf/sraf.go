@@ -94,22 +94,6 @@ func DistanceNM(target *grid.Field, pixelNM float64) *grid.Field {
 	return d
 }
 
-// Dilate returns target grown by radiusNM: every background pixel within
-// radiusNM of a feature becomes a feature pixel.
-func Dilate(target *grid.Field, pixelNM, radiusNM float64) *grid.Field {
-	if radiusNM <= 0 {
-		return target.Clone()
-	}
-	d := DistanceNM(target, pixelNM)
-	out := grid.NewLike(target)
-	for i, v := range d.Data {
-		if v <= radiusNM {
-			out.Data[i] = 1
-		}
-	}
-	return out
-}
-
 // Apply produces the rule-based OPC mask for a rasterized target: the
 // target dilated by the edge bias, plus scatter bars in the distance band
 // [SRAFDistNM, SRAFDistNM+SRAFWidthNM] around features. Bars only appear

@@ -44,21 +44,6 @@ func TestDistanceMonotoneAway(t *testing.T) {
 	}
 }
 
-func TestDilate(t *testing.T) {
-	f := targetWithLine(64, 30, 4)
-	g := Dilate(f, 1, 3)
-	if g.At(28, 32) != 1 || g.At(36, 32) != 1 {
-		t.Fatal("dilation missing")
-	}
-	if g.At(25, 32) != 0 {
-		t.Fatal("dilation overshoot")
-	}
-	// Zero radius is a no-op copy.
-	if !Dilate(f, 1, 0).Equal(f, 0) {
-		t.Fatal("zero-radius dilate changed the field")
-	}
-}
-
 func TestApplyIsolatedLineGetsSRAF(t *testing.T) {
 	f := targetWithLine(256, 120, 16) // isolated 16 px line, 1 nm/px
 	r := Rules{BiasNM: 2, SRAFDistNM: 30, SRAFWidthNM: 8, SRAFMinLenNM: 40}

@@ -23,37 +23,6 @@ type Journal interface {
 	Record(index int, res *ilt.Result) error
 }
 
-// MemJournal is an in-process Journal for tests and single-process
-// retries.
-type MemJournal struct {
-	mu   sync.Mutex
-	done map[int]*ilt.Result
-}
-
-// NewMemJournal returns an empty in-memory journal.
-func NewMemJournal() *MemJournal { return &MemJournal{done: make(map[int]*ilt.Result)} }
-
-// Load returns a copy of the recorded results.
-func (j *MemJournal) Load(p *Plan) (map[int]*ilt.Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[int]*ilt.Result, len(j.done))
-	for i, r := range j.done {
-		if r.MaskGray != nil && r.MaskGray.W == p.WindowPx && r.MaskGray.H == p.WindowPx {
-			out[i] = r
-		}
-	}
-	return out, nil
-}
-
-// Record stores the result.
-func (j *MemJournal) Record(index int, res *ilt.Result) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.done[index] = res
-	return nil
-}
-
 // FileJournal is an append-only on-disk Journal. Each record is one MJRN
 // frame holding the tile index and the shared result body
 // (ilt.NewResultFrame); a torn tail (the record a crashed worker was
@@ -89,9 +58,6 @@ func (j *FileJournal) Close() error {
 	j.f = nil
 	return err
 }
-
-// Path returns the journal's file path.
-func (j *FileJournal) Path() string { return j.path }
 
 // Record appends one tile result. The frame is assembled in memory and
 // written with a single Write call so concurrent appends stay whole.

@@ -42,7 +42,7 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	_, err = p.Optimize(ctx, ws, cfg, Options{
 		Workers: 1,
 		Journal: j1,
-		OnTile: func(done, total int, _ *Tile, _ *ilt.Result) {
+		OnTile: func(done, total int) {
 			if done == 1 {
 				cancel() // crash after the first completed tile
 			}
@@ -107,7 +107,7 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	res, err := p.Optimize(context.Background(), ws, cfg, Options{
 		Workers: 1,
 		Journal: j2,
-		OnTile:  func(done, total int, _ *Tile, _ *ilt.Result) { reran++ },
+		OnTile:  func(done, total int) { reran++ },
 	})
 	if err != nil {
 		t.Fatal(err)

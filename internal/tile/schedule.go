@@ -39,23 +39,56 @@ type Request struct {
 
 // Provenance attributes one tile result: where it was computed and how
 // it was served. All fields are optional — an in-process, uncached run
-// legitimately attributes nothing.
+// legitimately attributes nothing. It is the one attribution record: the
+// scheduler fills it, LayoutResult reports it and an anchored artifact
+// leaf embeds it, so the JSON names are the leaf's wire names.
 type Provenance struct {
-	// Worker is the cluster worker (advertised address) that computed
-	// the tile; empty means this process.
-	Worker string
-	// Tier is how the result was obtained: a cache tier ("mem", "disk",
-	// "flight", "miss"), "journal" for a result adopted from a resume
-	// journal, "empty" for a window with no geometry, or "" for a fresh
-	// computation with no cache in play.
-	Tier string
 	// Key is the tile-cache content address of the request (hex), set
 	// when a cache decorator was consulted.
-	Key string
+	Key string `json:"key,omitempty"`
+	// Worker is the cluster worker (advertised address) that computed
+	// the tile; empty means this process.
+	Worker string `json:"worker,omitempty"`
+	// Tier is how the result was obtained: one of the Tier constants, or
+	// "" for a fresh computation with no cache in play.
+	Tier string `json:"tier,omitempty"`
 	// Seed is the warm-start library entry (content key, hex) the tile's
 	// optimization was seeded from; empty when the run started cold or
 	// the retrieved seed was rejected by the optimizer's probe.
-	Seed string
+	Seed string `json:"seed,omitempty"`
+}
+
+// Provenance.Tier values.
+const (
+	TierMem     = "mem"     // served from the cache's memory tier
+	TierDisk    = "disk"    // served from the cache's disk tier (promoted to memory)
+	TierFlight  = "flight"  // served by waiting on a concurrent computation
+	TierMiss    = "miss"    // computed after a cache lookup missed
+	TierJournal = "journal" // adopted from a resume journal
+	TierEmpty   = "empty"   // window with no geometry: nothing to optimize
+)
+
+// Class is what producing a tile cost the run that reports it.
+type Class int
+
+const (
+	ClassComputed Class = iota // optimized for this run (Tier "" or TierMiss)
+	ClassHit                   // served by the tile cache, any tier
+	ClassEmpty                 // short-circuited for having no geometry
+	ClassJournal               // adopted from a resume journal
+)
+
+// Class classifies the tile by its Tier.
+func (p Provenance) Class() Class {
+	switch p.Tier {
+	case TierMem, TierDisk, TierFlight:
+		return ClassHit
+	case TierEmpty:
+		return ClassEmpty
+	case TierJournal:
+		return ClassJournal
+	}
+	return ClassComputed
 }
 
 // Runner executes one tile optimization. The scheduler is runner-agnostic:
@@ -157,16 +190,9 @@ type Options struct {
 	// bit-identical for any value.
 	Workers int
 
-	// SeamNM is the width of the raised-cosine cross-fade band centered
-	// on each interior core boundary. 0 selects the default (half the
-	// effective halo); negative disables blending (hard cut at core
-	// boundaries). Values are clamped so the band fits inside the halo
-	// overlap.
-	SeamNM float64
-
 	// OnTile, when non-nil, is called after each tile finishes, under a
 	// lock (never concurrently), with the number of tiles done so far.
-	OnTile func(done, total int, t *Tile, res *ilt.Result)
+	OnTile func(done, total int)
 
 	// Retries is the number of additional attempts a failed tile gets
 	// before its error fails the whole run. 0 keeps the previous fail-fast
@@ -247,8 +273,10 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	defer runSpan.End()
 	start := time.Now()
 
-	// Build the shared kernel stacks up front so workers never race the
-	// (serialized) construction: one build per distinct defocus.
+	// Build the shared kernel stacks up front, one per distinct defocus.
+	// optics.Kernels is single-flight, so workers could not race the
+	// construction anyway; building here surfaces a build error before the
+	// pool starts instead of once per tile.
 	for _, c := range sim.ProcessCorners(cfg.DefocusNM, cfg.DoseDelta) {
 		if _, err := ws.Kernels(c.DefocusNM); err != nil {
 			return nil, fmt.Errorf("tile: building kernels for corner %s: %w", c.Name, err)
@@ -281,7 +309,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		}
 		for i, res := range prior {
 			results[i] = res
-			provs[i] = Provenance{Tier: "journal"}
+			provs[i] = Provenance{Tier: TierJournal}
 			resumed++
 			tileJournalHits.Inc()
 		}
@@ -356,7 +384,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 				}
 				results[i] = res
 				if len(t.Layout.Polys) == 0 && provs[i].Tier == "" {
-					provs[i].Tier = "empty"
+					provs[i].Tier = TierEmpty
 				}
 				tileOpts.Inc()
 				tileSeconds.Observe(sp.End().Seconds())
@@ -366,7 +394,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 					obs.Float("objective", res.Objective), obs.Int("iterations", res.Iterations))
 				if opts.OnTile != nil {
 					notifyMu.Lock()
-					opts.OnTile(n, len(p.Tiles), t, res)
+					opts.OnTile(n, len(p.Tiles))
 					notifyMu.Unlock()
 				}
 			}
@@ -380,14 +408,9 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		return nil, err
 	}
 
-	seamNM := opts.SeamNM
-	if seamNM == 0 {
-		seamNM = p.HaloNM / 2
-	}
-	if seamNM < 0 {
-		seamNM = 0
-	}
-	mask, gray, seamNM := p.Stitch(results, seamNM)
+	// The cross-fade band is half the effective halo, clamped by Stitch to
+	// what the window overlap holds.
+	mask, gray, seamNM := p.Stitch(results, p.HaloNM/2)
 	// TrackMetrics evaluations are diagnostics, not synthesis: like the
 	// optimizer's own RuntimeSec, the run's excludes the time this run
 	// spent in them. A result adopted from a journal or served by a cache
@@ -395,7 +418,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	// fresh computations count.
 	runtimeSec := time.Since(start).Seconds()
 	for i, r := range results {
-		if tier := provs[i].Tier; tier == "" || tier == "miss" {
+		if provs[i].Class() == ClassComputed {
 			runtimeSec -= r.DiagnosticsSec
 		}
 	}

@@ -219,7 +219,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		var seen []int
 		res, err := p.Optimize(context.Background(), ws, cfg, Options{
 			Workers: workers,
-			OnTile:  func(done, total int, _ *Tile, _ *ilt.Result) { seen = append(seen, done) },
+			OnTile:  func(done, total int) { seen = append(seen, done) },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -24,11 +24,13 @@ import (
 // ObjTol).
 const libVersion = 2
 
-// DefaultObjTol is the plateau tolerance attached to seeded windows when
-// Options.ObjTol is zero: any measurable proxy-objective improvement
-// resets the plateau, so a seeded run only stops early once the descent
-// has literally nothing left to gain — early exit can cut iterations but
-// never the best-iterate score.
+// DefaultObjTol is the plateau tolerance attached to a window's optimizer
+// config when — and only when — a seed is attached and the config names
+// none: any measurable proxy-objective improvement resets the plateau, so
+// a seeded run only stops early once the descent has literally nothing
+// left to gain — early exit can cut iterations but never the best-iterate
+// score. Misses and disabled libraries never touch the config, keeping
+// those runs bit-identical to unseeded ones.
 const DefaultObjTol = 1e-6
 
 // Family partitions the library by everything that determines a
@@ -81,13 +83,6 @@ type Options struct {
 	// A read-only consumer (e.g. a CI job against a golden library)
 	// leaves it false.
 	Harvest bool
-
-	// ObjTol is the plateau tolerance attached to a window's optimizer
-	// config when — and only when — a seed is attached, letting a
-	// converged warm start stop early. 0 selects DefaultObjTol; misses
-	// and disabled libraries never touch the config, keeping those runs
-	// bit-identical to unseeded ones.
-	ObjTol float64
 }
 
 // Stats is a point-in-time snapshot of library activity.
@@ -117,7 +112,6 @@ type entry struct {
 type Library struct {
 	dir     string
 	maxDist float64
-	objTol  float64
 	harvest bool
 
 	mu    sync.Mutex
@@ -166,9 +160,6 @@ func Open(opts Options) (*Library, error) {
 	if opts.MaxDist < 0 {
 		return nil, &ilt.ConfigError{Field: "WarmStart.MaxDist", Reason: fmt.Sprintf("signature distance threshold must be >= 0, got %g", opts.MaxDist)}
 	}
-	if opts.ObjTol < 0 {
-		return nil, &ilt.ConfigError{Field: "WarmStart.ObjTol", Reason: fmt.Sprintf("plateau tolerance must be >= 0, got %g", opts.ObjTol)}
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, &ilt.ConfigError{Field: "WarmStart.Dir", Reason: fmt.Sprintf("creating library dir: %v", err)}
 	}
@@ -183,7 +174,6 @@ func Open(opts Options) (*Library, error) {
 	l := &Library{
 		dir:     opts.Dir,
 		maxDist: opts.MaxDist,
-		objTol:  opts.ObjTol,
 		harvest: opts.Harvest,
 		byFam:   make(map[Family][]*entry),
 		keys:    make(map[string]bool),
@@ -191,9 +181,6 @@ func Open(opts Options) (*Library, error) {
 	}
 	if l.maxDist == 0 {
 		l.maxDist = DefaultMaxDist
-	}
-	if l.objTol == 0 {
-		l.objTol = DefaultObjTol
 	}
 	l.load()
 	return l, nil
@@ -346,7 +333,7 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 			l.mu.Unlock()
 			cfg.SeedMask = seed
 			if cfg.ObjTol == 0 {
-				cfg.ObjTol = l.objTol
+				cfg.ObjTol = DefaultObjTol
 			}
 			att.SeedKey = e.key
 			att.Dist = dist

@@ -100,9 +100,6 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{Dir: t.TempDir(), MaxDist: -0.1}); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
 		t.Fatalf("negative MaxDist: got %v, want ConfigError on WarmStart.MaxDist", err)
 	}
-	if _, err := Open(Options{Dir: t.TempDir(), ObjTol: -1}); !errors.As(err, &cerr) || cerr.Field != "WarmStart.ObjTol" {
-		t.Fatalf("negative ObjTol: got %v, want ConfigError on WarmStart.ObjTol", err)
-	}
 
 	// A path under a regular file cannot be created (ENOTDIR), which holds
 	// even when the test runs as root (a read-only mode bit would not).

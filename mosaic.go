@@ -120,9 +120,6 @@ type (
 	// anywhere in any layout — are optimized once and served from the
 	// cache afterwards (see TileOptions.Cache and OpenTileCache).
 	TileCache = cache.Store
-	// TileCacheOptions configures a TileCache (disk directory, memory
-	// budget).
-	TileCacheOptions = cache.Options
 	// ArtifactStore is the durable provenance store: every completed run
 	// commits its tile results as content-addressed blobs anchored by a
 	// Merkle tree over their digests plus the canonical job manifest
@@ -150,9 +147,6 @@ type (
 	// retrieved mask instead of the rule-based init (see
 	// TileOptions.WarmStart and OpenWarmStartLibrary).
 	WarmStartLibrary = warmstart.Library
-	// WarmStartOptions configures a WarmStartLibrary (directory, distance
-	// threshold, harvesting).
-	WarmStartOptions = warmstart.Options
 	// WarmStartStats is a snapshot of warm-start library activity.
 	WarmStartStats = warmstart.Stats
 )
@@ -193,6 +187,19 @@ const (
 	ModeFast  = ilt.ModeFast
 	ModeExact = ilt.ModeExact
 )
+
+// ParseMode reads a mode as the command line and the job API spell it:
+// "fast" or "exact", "" meaning the default, fast. Anything else is a
+// *ConfigError on "mode".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "fast":
+		return ModeFast, nil
+	case "exact":
+		return ModeExact, nil
+	}
+	return ModeFast, &ConfigError{Field: "mode", Reason: fmt.Sprintf("%q is not fast or exact", s)}
+}
 
 // Observability: the pipeline records metrics (kernel-build time, FFT
 // counts, per-corner simulation time, per-iteration optimizer time) into
@@ -301,10 +308,8 @@ func (s *Setup) Optimize(cfg Config, layout *Layout) (*Result, error) {
 // Snapshot/resume checkpointing is reached through Config.OnSnapshot and
 // Config.Resume.
 func (s *Setup) OptimizeCtx(ctx context.Context, cfg Config, layout *Layout) (*Result, error) {
-	if layout != nil {
-		if got := float64(s.Sim.Cfg.GridSize) * s.Sim.Cfg.PixelNM; math.Abs(got-layout.SizeNM) > 1e-9 {
-			return nil, gridMismatch("simulation grid covers %g nm but layout clip %q is %g nm (use OptimizeLayout for oversized layouts)", got, layout.Name, layout.SizeNM)
-		}
+	if err := s.checkFits(layout); err != nil {
+		return nil, err
 	}
 	o, err := ilt.New(s.Sim, cfg)
 	if err != nil {
@@ -344,8 +349,8 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 		}
 		return nil, gridMismatch("mask raster is %dx%d but the simulation grid is %dx%d", w, h, n, n)
 	}
-	if got := float64(n) * s.Sim.Cfg.PixelNM; layout != nil && math.Abs(got-layout.SizeNM) > 1e-9 {
-		return nil, gridMismatch("simulation grid covers %g nm but layout clip %q is %g nm", got, layout.Name, layout.SizeNM)
+	if err := s.checkFits(layout); err != nil {
+		return nil, err
 	}
 	rep, err := metrics.EvaluateCtx(ctx, s.Sim, mask, layout, s.Params, runtimeSec)
 	return rep, wrapCanceled(err)
@@ -367,10 +372,6 @@ type TileOptions struct {
 	// to a power-of-two grid, which only widens the halo. Negative values
 	// are rejected with a *ConfigError.
 	HaloNM float64
-	// SeamNM is the width of the raised-cosine cross-fade applied where
-	// tile cores meet. 0 uses half the effective halo; negative forces a
-	// hard cut.
-	SeamNM float64
 	// Workers is a core-reservation hint: how many tiles the scheduler
 	// tries to run concurrently, each holding one reservation in the
 	// process-global compute pool while it computes in-process (a tile
@@ -456,6 +457,42 @@ func (s *Setup) fitsGrid(layout *Layout) bool {
 	return math.Abs(float64(s.Sim.Cfg.GridSize)*s.Sim.Cfg.PixelNM-layout.SizeNM) <= 1e-9
 }
 
+// checkFits returns an ErrGridMismatch for a layout fitsGrid refuses: the
+// clip-level calls would rasterize it on a grid covering another extent.
+// A nil layout is left for the callee to reject.
+func (s *Setup) checkFits(layout *Layout) error {
+	if layout == nil || s.fitsGrid(layout) {
+		return nil
+	}
+	return gridMismatch("simulation grid covers %g nm but layout clip %q is %g nm (OptimizeLayout and EvaluateLayout take any extent)",
+		float64(s.Sim.Cfg.GridSize)*s.Sim.Cfg.PixelNM, layout.Name, layout.SizeNM)
+}
+
+// shards reports whether a core tile pitch splits layout into more than
+// one tile; 0, or a pitch the layout fits inside, leaves it whole.
+func shards(layout *Layout, tileNM float64) bool {
+	return tileNM > 0 && tileNM < layout.SizeNM
+}
+
+// JobOptics returns the imaging configuration a job over layout runs at,
+// as every front-end derives it: base on a grid of gridSize pixels (0
+// keeps base.GridSize) whose pixel size makes the grid cover the layout
+// exactly — or, when tileNM shards the layout (TileOptions.TileNM), one
+// core tile, the tile planner sizing the padded windows from there.
+// sharded reports which.
+func JobOptics(base OpticsConfig, gridSize int, layout *Layout, tileNM float64) (cfg OpticsConfig, sharded bool) {
+	cfg = base
+	if gridSize > 0 {
+		cfg.GridSize = gridSize
+	}
+	extent := layout.SizeNM
+	if sharded = shards(layout, tileNM); sharded {
+		extent = tileNM
+	}
+	cfg.PixelNM = extent / float64(cfg.GridSize)
+	return cfg, sharded
+}
+
 // tilePlan decomposes layout per opts at the setup's pixel size and
 // returns the plan together with the window simulator (the setup's own
 // simulator when the window matches its grid, otherwise a new one sharing
@@ -472,7 +509,7 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *Simulat
 	}
 	px := s.Sim.Cfg.PixelNM
 	coreNM, haloNM := opts.TileNM, opts.HaloNM
-	if s.fitsGrid(layout) && (coreNM == 0 || coreNM >= layout.SizeNM) {
+	if s.fitsGrid(layout) && !shards(layout, coreNM) {
 		coreNM, haloNM = layout.SizeNM, 0
 	} else {
 		if coreNM == 0 {
@@ -518,10 +555,6 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 	if err != nil {
 		return nil, err
 	}
-	var onTile func(done, total int, t *tile.Tile, r *ilt.Result)
-	if opts.OnTile != nil {
-		onTile = func(done, total int, _ *tile.Tile, _ *ilt.Result) { opts.OnTile(done, total) }
-	}
 	runner := opts.Runner
 	if opts.Cache != nil {
 		// The cache decorates whatever runner the options name (the
@@ -538,8 +571,7 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 	}
 	res, err := plan.Optimize(ctx, ws, cfg, tile.Options{
 		Workers:      opts.Workers,
-		SeamNM:       opts.SeamNM,
-		OnTile:       onTile,
+		OnTile:       opts.OnTile,
 		Retries:      opts.Retries,
 		RetryBackoff: opts.RetryBackoff,
 		Journal:      opts.Journal,
@@ -589,11 +621,7 @@ func (s *Setup) recordArtifact(opts TileOptions, cfg Config, layout *Layout, out
 		if err != nil {
 			return fmt.Errorf("mosaic: storing tile %d artifact: %w", i, err)
 		}
-		leaves[i] = artifact.Leaf{Index: i, Blob: d}
-		if i < len(out.Provenance) {
-			p := out.Provenance[i]
-			leaves[i].Key, leaves[i].Worker, leaves[i].Tier = p.Key, p.Worker, p.Tier
-		}
+		leaves[i] = artifact.Leaf{Index: i, Blob: d, Provenance: out.Provenance[i]}
 	}
 	jobID := opts.ArtifactJob
 	if jobID == "" {
@@ -642,8 +670,13 @@ func (s *Setup) EvaluateLayoutCtx(ctx context.Context, mask *Field, layout *Layo
 }
 
 // Run executes any Method (MOSAIC or a baseline) on a layout and evaluates
-// the resulting mask, timing the synthesis.
+// the resulting mask, timing the synthesis. Methods work on the whole
+// clip: a layout the setup grid does not cover exactly returns
+// ErrGridMismatch instead of a silently mis-scored report.
 func (s *Setup) Run(m Method, layout *Layout) (*RunResult, error) {
+	if err := s.checkFits(layout); err != nil {
+		return nil, err
+	}
 	return opc.RunAndEvaluate(s.Sim, m, layout, s.Params)
 }
 

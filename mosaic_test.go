@@ -2,7 +2,10 @@ package mosaic
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +193,58 @@ func TestNewMOSAICMethod(t *testing.T) {
 	m := NewMOSAICMethod(cfg)
 	if m.Name() != "MOSAIC_exact" {
 		t.Fatalf("name %s", m.Name())
+	}
+}
+
+// TestJobOptics pins the imaging configuration every front-end runs a job
+// at — cmd/mosaic, cmd/litho, cmd/evaluate and the daemon each derived it
+// by hand before — to the values those copies produced.
+func TestJobOptics(t *testing.T) {
+	base := DefaultOptics() // 512 px
+	served := smallOptics() // a daemon started with -grid 64
+	for _, tc := range []struct {
+		name      string
+		base      OpticsConfig
+		grid      int
+		sizeNM    float64
+		tileNM    float64
+		wantGrid  int
+		wantPixel float64
+		sharded   bool
+	}{
+		{"the grid covers the layout", base, 512, 1024, 0, 512, 2, false},
+		{"grid 0 keeps the base grid", served, 0, 1024, 0, 64, 16, false},
+		{"grid overrides the base grid", served, 256, 1024, 0, 256, 4, false},
+		{"a pitch the layout fits inside leaves it whole", served, 0, 1024, 2048, 64, 16, false},
+		{"a pitch equal to the layout leaves it whole", served, 0, 1024, 1024, 64, 16, false},
+		{"a smaller pitch shards: the grid covers one core", served, 0, 1024, 512, 64, 8, true},
+		{"sharded under a grid override", base, 128, 2048, 512, 128, 4, true},
+		{"a negative pitch is the planner's to reject, not a shard", served, 0, 1024, -5, 64, 16, false},
+	} {
+		layout := &Layout{Name: "l", SizeNM: tc.sizeNM}
+		got, sharded := JobOptics(tc.base, tc.grid, layout, tc.tileNM)
+		want := tc.base
+		want.GridSize, want.PixelNM = tc.wantGrid, tc.wantPixel
+		if got != want || sharded != tc.sharded {
+			t.Errorf("%s: got %+v sharded=%v, want %+v sharded=%v", tc.name, got, sharded, want, tc.sharded)
+		}
+	}
+}
+
+// TestParseMode: one reading of fast|exact for the job API ("" is the
+// default there) and the command line (which lower-cases -mode first, as
+// it always has; the API stays case-sensitive).
+func TestParseMode(t *testing.T) {
+	for in, want := range map[string]Mode{"": ModeFast, "fast": ModeFast, "exact": ModeExact} {
+		if got, err := ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"quick", "FAST", "Exact", "fast ", "0"} {
+		_, err := ParseMode(in)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "mode" || !strings.Contains(err.Error(), strconv.Quote(in)) {
+			t.Errorf("ParseMode(%q) = %v; want a *ConfigError on mode quoting the input", in, err)
+		}
 	}
 }

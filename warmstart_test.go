@@ -2,6 +2,7 @@ package mosaic
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -208,5 +209,64 @@ func TestWarmStartTiled(t *testing.T) {
 	}
 	if warmRep.Score > coldRep.Score {
 		t.Fatalf("seeded tiled run scored %.0f, worse than cold %.0f", warmRep.Score, coldRep.Score)
+	}
+}
+
+// TestAnchoredLeavesAreTheTileProvenance: a leaf of the anchored record is
+// the attribution the scheduler reported for that tile — one record, not a
+// copy of some of its fields (the copy dropped the warm-start seed) — and
+// it is what a reopened store replays from anchors.log.
+func TestAnchoredLeavesAreTheTileProvenance(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := warmCfg(6)
+	layout := cacheLayout()
+	ctx := context.Background()
+	lib, err := OpenWarmStartLibrary(t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prime the library: the next run's windows are all seeded from it.
+	if _, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{TileNM: 512, Workers: 1, WarmStart: lib}); err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := OpenTileCache("", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artDir := t.TempDir()
+	art, err := OpenArtifactStore(artDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{TileNM: 512, Workers: 1, WarmStart: lib, Cache: tiles, Artifact: art})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Artifact.Leaves) != 4 || len(res.Provenance) != 4 {
+		t.Fatalf("%d leaves, %d provenance records; want 4 of each", len(res.Artifact.Leaves), len(res.Provenance))
+	}
+	for i, leaf := range res.Artifact.Leaves {
+		p := res.Provenance[i]
+		if p.Seed == "" || p.Key == "" || p.Tier != "miss" {
+			t.Fatalf("tile %d: provenance %+v, want a seeded cache miss with its key", i, p)
+		}
+		if leaf.Index != i || leaf.Provenance != p {
+			t.Errorf("leaf %d carries %+v, the run reported %+v", leaf.Index, leaf.Provenance, p)
+		}
+	}
+	if err := art.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenArtifactStore(artDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	rec, ok := reopened.Resolve(res.Artifact.Root)
+	if !ok || !reflect.DeepEqual(rec.Leaves, res.Artifact.Leaves) {
+		t.Fatalf("replayed leaves %+v, anchored %+v", rec, res.Artifact.Leaves)
 	}
 }
