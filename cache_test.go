@@ -35,7 +35,7 @@ func TestOptimizeLayoutTileCache(t *testing.T) {
 	layout := cacheLayout()
 	cfg := DefaultConfig(ModeFast)
 	cfg.MaxIter = 4
-	// Single-chunk gradients keep tiles bit-reproducible across runs.
+	// Single-kernel gradients keep the four tiles cheap.
 	cfg.GradKernels = 1
 	cfg.SRAFInit = false
 

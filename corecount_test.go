@@ -1,0 +1,79 @@
+package mosaic
+
+import (
+	"context"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"mosaic/internal/par"
+)
+
+// TestBitsIndependentOfCoreCount carries internal/ilt's test of the same
+// name through the pipeline: a Setup built (and its resist threshold
+// calibrated) under each GOMAXPROCS, then a 2 x 2 OptimizeLayout with the
+// paper's multi-kernel gradients into a fresh cache and artifact store,
+// must arrive at the same tile-cache keys, the same manifest and the same
+// Merkle root — so a cache directory, an artifact store or a cluster worker
+// can move between hosts of different sizes. Not parallel: it sets
+// GOMAXPROCS for the whole process, and restores it.
+func TestBitsIndependentOfCoreCount(t *testing.T) {
+	par.Capacity() // size the pool on the whole machine before GOMAXPROCS drops to 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	layout := cacheLayout()
+	cfg := DefaultConfig(ModeFast)
+	cfg.MaxIter = 4
+	type anchored struct {
+		Threshold      float64
+		Keys           []string
+		Manifest, Root string
+	}
+	measure := func() anchored {
+		s, err := NewSetup(smallOptics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := OpenTileCache("", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := OpenArtifactStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer art.Close()
+		res, err := s.OptimizeLayout(context.Background(), cfg, layout, TileOptions{TileNM: 512, Cache: store, Artifact: art})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := anchored{Threshold: s.Sim.Resist.Threshold, Manifest: res.Artifact.Manifest.String(), Root: res.Artifact.Root.String()}
+		for _, p := range res.Provenance {
+			got.Keys = append(got.Keys, p.Key)
+		}
+		return got
+	}
+
+	runtime.GOMAXPROCS(1)
+	want := measure()
+	if len(want.Keys) != 4 || want.Keys[0] == "" {
+		t.Fatalf("expected four keyed tiles, got %q", want.Keys)
+	}
+	for _, procs := range []int{2, 3, 5} {
+		runtime.GOMAXPROCS(procs)
+		got := measure()
+		for _, row := range []struct {
+			name      string
+			got, want any
+		}{
+			{"calibrated threshold", got.Threshold, want.Threshold},
+			{"tile-cache keys", got.Keys, want.Keys},
+			{"manifest digest", got.Manifest, want.Manifest},
+			{"Merkle root", got.Root, want.Root},
+		} {
+			if !reflect.DeepEqual(row.got, row.want) {
+				t.Errorf("%s: GOMAXPROCS=%d has %v, GOMAXPROCS=1 has %v", row.name, procs, row.got, row.want)
+			}
+		}
+	}
+}

@@ -30,7 +30,7 @@ import (
 // changes, codec changes — so stale entries miss instead of serving the
 // old bits. The rule: if a change would fail a bit-identity test against
 // the previous build, it needs a version bump.
-const DigestVersion = 4
+const DigestVersion = 5
 
 // Key is the content address of one tile result: a SHA-256 over the
 // canonical encoding of the request (see RequestKey).
@@ -54,7 +54,9 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // Deliberately excluded: the window layout's Name (it embeds the tile's
 // position in the full layout, and position must not affect the key —
 // translation-shifted copies of a cell share one entry), the tile's
-// plan coordinates, and anything about where or when the request runs.
+// plan coordinates, and anything about where or when the request runs —
+// the host's core count included: no sum in the numeric path is folded in
+// an order that depends on it (TestBitsIndependentOfCoreCount).
 // Polygon and sample order are hashed as given rather than sorted: a
 // reordering changes the key and costs a recompute, never a wrong hit.
 func RequestKey(req *tile.Request) Key {

@@ -55,8 +55,7 @@ func e2ePlan(t *testing.T) (*tile.Plan, *sim.Simulator, ilt.Config) {
 	}
 	ws.Resist.Threshold = thr
 
-	// GradKernels = 1 keeps the gradient reduction single-chunk so runs
-	// are bit-reproducible regardless of GOMAXPROCS.
+	// GradKernels = 1 keeps the runs cheap.
 	cfg := ilt.DefaultConfig(ilt.ModeFast)
 	cfg.MaxIter = 4
 	cfg.GradKernels = 1

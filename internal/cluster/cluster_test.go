@@ -90,7 +90,7 @@ func sharedEnv(t *testing.T) *testEnv {
 
 		cfg := ilt.DefaultConfig(ilt.ModeFast)
 		cfg.MaxIter = 6
-		cfg.GradKernels = 1 // single-chunk gradient: bit-reproducible across GOMAXPROCS
+		cfg.GradKernels = 1
 		cfg.SRAFInit = false
 
 		ref, err := plan.Optimize(context.Background(), ws, cfg, tile.Options{Workers: 2})

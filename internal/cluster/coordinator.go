@@ -72,10 +72,7 @@ type remoteWorker struct {
 // the dispatch context when the holding worker dies; the context deadline
 // enforces expiry when the worker merely hangs.
 type lease struct {
-	id       int64
 	workerID string
-	tileIdx  int
-	expires  time.Time
 	cancel   context.CancelFunc
 }
 
@@ -418,18 +415,16 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 	dctx, dspan := obs.StartSpan(dctx, "cluster.dispatch",
 		obs.Int("tile", tileIdx), obs.String("worker", w.id), obs.String("worker_addr", w.addr))
 	defer dspan.End()
-	l := &lease{workerID: w.id, tileIdx: tileIdx, cancel: cancel}
 	c.mu.Lock()
 	c.seq++
-	l.id = c.seq
-	l.expires = time.Now().Add(c.cfg.LeaseTTL)
-	c.leases[l.id] = l
+	id := c.seq
+	c.leases[id] = &lease{workerID: w.id, cancel: cancel}
 	c.mu.Unlock()
 	mLeasesGranted.Inc()
 	defer func() {
 		cancel()
 		c.mu.Lock()
-		delete(c.leases, l.id)
+		delete(c.leases, id)
 		w.inflight--
 		c.cond.Broadcast()
 		c.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
-	"mosaic/internal/par"
 )
 
 // Band-limited pruned transforms.
@@ -102,11 +101,7 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 			transform(row, p, true)
 		}
 	}
-	if n*n >= parallelElems {
-		par.ForChunks(rows, rowPass)
-	} else {
-		rowPass(0, rows)
-	}
+	chunked(n*n, rows, rowPass)
 	// Cache-blocked scatter: walking dst row-major (x outer) writes each
 	// destination row's 2k+1 band entries as two contiguous runs, and the
 	// workspace columns it reads span only 2k+1 cache lines that are
@@ -137,11 +132,7 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 			}
 		}
 	}
-	if n*n >= parallelElems {
-		par.ForChunks(n, pass)
-	} else {
-		pass(0, n)
-	}
+	chunked(n*n, n, pass)
 	transposeSquare(dst)
 }
 
@@ -172,11 +163,7 @@ func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
 			transform(src.Row(y), pw, false)
 		}
 	}
-	if src.W*src.H >= parallelElems {
-		par.ForChunks(src.H, rowPass)
-	} else {
-		rowPass(0, src.H)
-	}
+	chunked(src.W*src.H, src.H, rowPass)
 	bandColumns(src, k, blk)
 }
 
@@ -201,11 +188,7 @@ func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
 		}
 		grid.PutC(scratch)
 	}
-	if w*h >= parallelElems {
-		par.ForChunks(2*k+1, pass)
-	} else {
-		pass(0, 2*k+1)
-	}
+	chunked(w*h, 2*k+1, pass)
 }
 
 // ForwardBandLimitedReal computes the central band-limited block of the
@@ -234,11 +217,7 @@ func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
 			realForwardInto(ws.Row(y), f.Row(y), pn, ph)
 		}
 	}
-	if f.W*f.H >= parallelElems {
-		par.ForChunks(f.H, rowPass)
-	} else {
-		rowPass(0, f.H)
-	}
+	chunked(f.W*f.H, f.H, rowPass)
 	bandColumns(ws, k, blk)
 	grid.PutC(ws)
 }

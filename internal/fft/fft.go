@@ -190,28 +190,34 @@ var (
 )
 
 // parallelElems is the field size (in elements) above which the row and
-// column passes of a 2-D transform fan out across cores via par.ForChunks.
-// Below it, goroutine overhead beats the win; the threshold corresponds to
-// a 256x256 grid, where a full pass costs hundreds of microseconds.
+// column passes of a 2-D transform fan out across cores. Below it,
+// goroutine overhead beats the win; the threshold corresponds to a 256x256
+// grid, where a full pass costs hundreds of microseconds.
 const parallelElems = 1 << 16
+
+// chunked runs pass over the n rows or columns of a transform of elems
+// elements: as one call below parallelElems, as contiguous chunks across
+// cores from there up. Each row or column is its own output, so the chunk
+// boundaries never reach the bits.
+func chunked(elems, n int, pass func(lo, hi int)) {
+	if elems >= parallelElems {
+		par.ForChunks(n, pass)
+	} else {
+		pass(0, n)
+	}
+}
 
 func transform2D(c *grid.CField, inverse bool) {
 	tf2dTotal.Inc()
 	tf2dPoints.Add(int64(c.W * c.H))
 	pw := getPlan(c.W)
 	ph := getPlan(c.H)
-	parallel := c.W*c.H >= parallelElems
 	rows := func(p *plan) {
-		pass := func(lo, hi int) {
+		chunked(c.W*c.H, c.H, func(lo, hi int) {
 			for y := lo; y < hi; y++ {
 				transform(c.Row(y), p, inverse)
 			}
-		}
-		if parallel {
-			par.ForChunks(c.H, pass)
-		} else {
-			pass(0, c.H)
-		}
+		})
 	}
 	rows(pw)
 	if c.W == c.H {
@@ -225,7 +231,7 @@ func transform2D(c *grid.CField, inverse bool) {
 	}
 	// Rectangular fallback: columns via a pooled scratch buffer (one per
 	// worker chunk).
-	colPass := func(lo, hi int) {
+	chunked(c.W*c.H, c.W, func(lo, hi int) {
 		scratch := grid.GetC(c.H, 1)
 		col := scratch.Data
 		for x := lo; x < hi; x++ {
@@ -238,12 +244,7 @@ func transform2D(c *grid.CField, inverse bool) {
 			}
 		}
 		grid.PutC(scratch)
-	}
-	if parallel {
-		par.ForChunks(c.W, colPass)
-	} else {
-		colPass(0, c.W)
-	}
+	})
 }
 
 // transposeSquare transposes a square field in place with cache blocking.

@@ -144,9 +144,8 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 	// All models share the optics configuration, hence the same frequency
 	// block half-width. The per-plane forward passes are independent (they
 	// only read the shared mask spectrum) and each writes its own pre-sized
-	// slots, so the planes run concurrently; the serial objective summation
-	// below keeps the floating-point order — and hence the result —
-	// deterministic.
+	// slots, so the planes run concurrently; every sum — the SOCS one inside
+	// Image, the objective below — is serial and in index order.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].ig.K)}
 	st.planes = make([]focusState, len(models))
 	corners := 0
@@ -158,15 +157,7 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 		m := models[mi]
 		fsp := obs.Span("ilt.forward." + m.Lead.SpanLabel())
 		fs := focusState{model: m}
-		fs.fields = make([]*grid.CField, len(m.freqs))
-		par.For(len(m.freqs), func(ki int) {
-			fs.fields[ki] = m.ig.Field(st.specBand, m.freqs[ki])
-		})
-		ic := grid.Get(m.ig.Nc, m.ig.Nc).Zero()
-		for ki, f := range fs.fields {
-			f.AccumAbs2(ic, m.weights[ki])
-		}
-		fs.i = m.ig.Interpolate(ic)
+		fs.fields, fs.i = m.ig.Image(st.specBand, m.freqs, m.weights)
 		for j, ci := range m.Members {
 			st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, m.doses[j])
 		}
@@ -430,40 +421,30 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusMode
 		// The inverse transform is linear, so the per-kernel band blocks
 		// accumulate in the frequency domain — across kernels here and across
 		// planes below — and ONE mask-grid inverse per iteration replaces one
-		// per kernel and plane. Each worker chunk keeps its forward scratch
-		// and partial band block resident across its kernels (no pool
-		// round-trips per kernel), and the tiny partials merge serially in
-		// chunk order, so the reduction is bit-deterministic regardless of
-		// scheduling.
+		// per kernel and plane. The kernels map in parallel, each into its own
+		// band block; the blocks fold serially, in kernel then plane order.
 		m := fs.model
 		nc := m.ig.Nc
 		wc := m.ig.Restrict(w)
-		parts := make([]*grid.CField, len(m.freqs)) // indexed by chunk lo
-		par.ForChunks(len(m.freqs), func(lo, hi int) {
+		blks := make([]*grid.CField, len(m.freqs))
+		par.For(len(m.freqs), func(ki int) {
 			term := grid.GetC(nc, nc)
-			blk := grid.GetC(bw, bw)
-			part := grid.GetC(bw, bw).Zero()
-			for ki := lo; ki < hi; ki++ {
-				for i, av := range fs.fields[ki].Data {
-					term.Data[i] = av * complex(wc.Data[i], 0)
-				}
-				fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
-				scale := complex(2*m.weights[ki], 0)
-				for i, kv := range m.freqs[ki].Data {
-					part.Data[i] += blk.Data[i] * complex(real(kv), -imag(kv)) * scale
-				}
+			for i, av := range fs.fields[ki].Data {
+				term.Data[i] = av * complex(wc.Data[i], 0)
 			}
-			grid.PutC(blk)
+			blk := grid.GetC(bw, bw)
+			fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
 			grid.PutC(term)
-			parts[lo] = part
+			scale := complex(2*m.weights[ki], 0)
+			for i, kv := range m.freqs[ki].Data {
+				blk.Data[i] = blk.Data[i] * complex(real(kv), -imag(kv)) * scale
+			}
+			blks[ki] = blk
 		})
 		grid.Put(wc)
-		for _, part := range parts {
-			if part == nil {
-				continue
-			}
-			gradBlk.AddC(part)
-			grid.PutC(part)
+		for _, blk := range blks {
+			gradBlk.AddC(blk)
+			grid.PutC(blk)
 		}
 	}
 	field := grid.GetC(n, n)

@@ -5,7 +5,9 @@
 // so nested parallelism (tiles over ilt iterations over fft passes) never
 // oversubscribes the machine; coarse outer tasks claim cores first through
 // Reserve. On a single-core machine everything degrades to a plain loop
-// with no goroutine overhead.
+// with no goroutine overhead. The loops parallelize over outputs only —
+// every task writes its own — and callers fold sums serially, in index
+// order, so no result depends on the core count or the pool's state.
 package par
 
 import (
@@ -74,13 +76,13 @@ func For(n int, fn func(i int)) {
 // ForChunks partitions [0, n) into at most GOMAXPROCS contiguous chunks
 // and runs fn(lo, hi) once per chunk, chunks in parallel. It is the
 // worker-local variant of For: each invocation of fn owns its half-open
-// range exclusively, so per-chunk scratch (accumulators, pooled buffers)
-// can be allocated once per chunk instead of once per element.
+// range exclusively, so per-chunk scratch (pooled buffers) can be
+// allocated once per chunk instead of once per element.
 //
-// The chunk geometry depends only on GOMAXPROCS and n — never on how many
-// pool tokens happen to be free — so per-chunk results (and any caller
-// that merges them in chunk order) are bit-identical whether the chunks
-// ran on one core or many. Panics propagate like For.
+// Where the chunks fall depends on the core count, so fn must write only
+// outputs indexed inside its range (the FFT row and column passes, its
+// only callers, do): a sum folded per chunk would carry the core count
+// into its bits. Panics propagate like For.
 func ForChunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

@@ -31,10 +31,6 @@ import (
 //     1-tile run still fans out over every idle core, and a 16-tile run on
 //     4 cores degrades each tile to clean inline execution instead of
 //     context-thrashing 16*GOMAXPROCS goroutines.
-//
-// Work distribution inside a loop remains dynamic (atomic task counter),
-// but chunk geometry is fixed by GOMAXPROCS alone (see ForChunks), so
-// results never depend on how many tokens happened to be free.
 
 // Pool observability: instantaneous token occupancy and reservation count,
 // plus how often loops went inline (saturated) versus spawned helpers.

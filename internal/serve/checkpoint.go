@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,13 +12,15 @@ import (
 	"time"
 
 	"mosaic"
+	"mosaic/internal/cache"
 	"mosaic/internal/cas"
 	"mosaic/internal/obs"
 )
 
 // Checkpoint layout under Config.CheckpointDir:
 //
-//	<id>.job     — JSON job metadata (spec, priority, submit time)
+//	<id>.job     — JSON job metadata (spec, priority, submit time, and the
+//	               numeric generation the other two files were computed under)
 //	<id>.snap    — latest ilt snapshot of a one-window run (one MSNP frame)
 //	<id>.journal — tile journal of the run (appended as tiles complete)
 //
@@ -26,13 +29,17 @@ import (
 // emits them), each through a temp file and a rename so a crash mid-drain
 // leaves a whole file or none; every job journals while it runs. New
 // scans the directory and re-queues every .job it finds; completed tiles
-// and finished iterations are not recomputed.
+// and finished iterations are not recomputed — unless another numeric
+// generation computed them, in which case the job starts over.
 
 type checkpointMeta struct {
 	ID          string    `json:"id"`
 	Spec        JobSpec   `json:"spec"`
 	Priority    int       `json:"priority"`
 	SubmittedAt time.Time `json:"submitted_at"`
+	// DigestVersion is the cache.DigestVersion of the build that wrote the
+	// job's .snap and .journal.
+	DigestVersion int `json:"digest_version"`
 }
 
 // checkpointLocked persists a job's checkpoint files; the caller holds
@@ -42,10 +49,11 @@ func (s *Server) checkpointLocked(j *job) bool {
 		return false
 	}
 	meta := checkpointMeta{
-		ID:          j.id,
-		Spec:        j.spec,
-		Priority:    j.priority,
-		SubmittedAt: j.submitted,
+		ID:            j.id,
+		Spec:          j.spec,
+		Priority:      j.priority,
+		SubmittedAt:   j.submitted,
+		DigestVersion: cache.DigestVersion,
 	}
 	data, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
@@ -107,7 +115,12 @@ func (s *Server) restore() error {
 }
 
 // restoreOne rebuilds a job from its .job meta file, picking up a .snap
-// checkpoint when one exists.
+// checkpoint when one exists. Progress checkpointed by a build of another
+// numeric generation (or by one that did not say) is discarded: replaying
+// its snapshot would continue that build's trajectory with this build's
+// numerics and cache the mix under this build's content key, and adopting
+// its journal would stitch its tiles beside this build's under one Merkle
+// root.
 func (s *Server) restoreOne(path string) (*job, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -136,6 +149,15 @@ func (s *Server) restoreOne(path string) (*job, error) {
 		state:     StateQueued,
 		resumed:   true,
 		submitted: meta.SubmittedAt,
+	}
+	if meta.DigestVersion != cache.DigestVersion {
+		obs.Logger().Warn("serve: checkpoint is of another numeric generation; restarting the job from iteration 0",
+			"job", meta.ID, "digest_version", meta.DigestVersion, "want", cache.DigestVersion)
+		for _, ext := range []string{".snap", ".journal"} {
+			if err := os.Remove(s.checkpointPath(meta.ID, ext)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, fmt.Errorf("discarding stale %s: %w", ext, err)
+			}
+		}
 	}
 	if blob, err := os.ReadFile(s.checkpointPath(meta.ID, ".snap")); err == nil {
 		var sn mosaic.Snapshot

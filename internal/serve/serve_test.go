@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mosaic"
+	"mosaic/internal/cache"
 )
 
 // testLayoutText is a two-bar 512 nm clip in the text layout format.
@@ -27,9 +28,8 @@ RECT 64 120 384 80
 RECT 64 312 384 80
 `
 
-// testServerConfig is a small, deterministic server: 64 px grid, 6 SOCS
-// kernels, single-kernel gradients so runs are bit-reproducible across
-// kill/resume regardless of GOMAXPROCS.
+// testServerConfig is a small server: 64 px grid, 6 SOCS kernels,
+// single-kernel gradients.
 func testServerConfig(dir string) Config {
 	opt := mosaic.DefaultOptics()
 	opt.GridSize = 64
@@ -471,22 +471,13 @@ func TestQueueOrdersByPriority(t *testing.T) {
 	}
 }
 
-// TestDrainResumeBitIdentical is the acceptance test of the serving
-// layer's fault tolerance: a drained server checkpoints its in-flight
-// job, a restarted server resumes it, and the final mask is bit-identical
-// to an uninterrupted run of the same configuration.
-func TestDrainResumeBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testServerConfig(dir)
-	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
-	artDir := t.TempDir()
-	art, err := mosaic.OpenArtifactStore(artDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer art.Close()
-	cfg.ArtifactStore = art
-
+// drainMidRun submits spec to a server of *cfg, drains the server while
+// the job is between its third and fourth iteration, and returns the
+// job's id once the .job and .snap checkpoints are on disk. It gates the
+// optimizer through cfg.Tune; the gate stays open afterwards, so a
+// restarted server takes the same cfg.
+func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
+	t.Helper()
 	// Gate the optimizer at the end of its third iteration so the drain
 	// deterministically lands mid-run: the job blocks at the gate, the
 	// drain cancels its (already blocked) context, and only then does the
@@ -505,7 +496,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 		}
 	}
 
-	s1, err := New(cfg)
+	s1, err := New(*cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,34 +528,18 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 		t.Fatalf("drained job is %s, want interrupted", got.State)
 	}
 	for _, ext := range []string{".job", ".snap"} {
-		if _, err := os.Stat(filepath.Join(dir, st.ID+ext)); err != nil {
+		if _, err := os.Stat(filepath.Join(cfg.CheckpointDir, st.ID+ext)); err != nil {
 			t.Fatalf("drain left no %s checkpoint: %v", ext, err)
 		}
 	}
+	return st.ID
+}
 
-	// A fresh server picks the job up and finishes it.
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, s2)
-	fin := waitFor(t, s2, st.ID, 60*time.Second, func(st *Status) bool { return st.State.terminal() })
-	if fin.State != StateDone {
-		t.Fatalf("resumed job finished %s (%s), want done", fin.State, fin.Error)
-	}
-	if !fin.Resumed {
-		t.Fatal("resumed job does not report Resumed")
-	}
-	if fin.Progress.Iter != 6 {
-		t.Fatalf("resumed job reports %d iterations, want 6", fin.Progress.Iter)
-	}
-	res, err := s2.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the identical configuration run uninterrupted, in this
-	// same process, through the library directly.
+// coldRun is the reference of the checkpoint tests: spec run
+// uninterrupted under cfg's optics and tuning, in this same process,
+// through the library directly.
+func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
+	t.Helper()
 	opt := cfg.Optics
 	opt.PixelNM = 512.0 / float64(opt.GridSize)
 	setup, err := mosaic.NewSetup(opt)
@@ -576,12 +551,55 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := mosaic.DefaultConfig(mosaic.ModeFast)
-	ref.MaxIter = 6
+	ref.MaxIter = spec.MaxIter
 	cfg.Tune(&ref)
 	want, err := setup.OptimizeLayout(context.Background(), ref, layout, mosaic.TileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// TestDrainResumeBitIdentical is the acceptance test of the serving
+// layer's fault tolerance: a drained server checkpoints its in-flight
+// job, a restarted server resumes it, and the final mask is bit-identical
+// to an uninterrupted run of the same configuration.
+func TestDrainResumeBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testServerConfig(dir)
+	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
+	artDir := t.TempDir()
+	art, err := mosaic.OpenArtifactStore(artDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Close()
+	cfg.ArtifactStore = art
+
+	id := drainMidRun(t, &cfg, spec)
+
+	// A fresh server picks the job up and finishes it.
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s2)
+	fin := waitFor(t, s2, id, 60*time.Second, func(st *Status) bool { return st.State.terminal() })
+	if fin.State != StateDone {
+		t.Fatalf("resumed job finished %s (%s), want done", fin.State, fin.Error)
+	}
+	if !fin.Resumed {
+		t.Fatal("resumed job does not report Resumed")
+	}
+	if fin.Progress.Iter != 6 {
+		t.Fatalf("resumed job reports %d iterations, want 6", fin.Progress.Iter)
+	}
+	res, err := s2.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := coldRun(t, cfg, spec)
 	for i, v := range want.Mask.Data {
 		if res.Mask.Data[i] != v {
 			t.Fatalf("resumed mask differs from uninterrupted run at pixel %d", i)
@@ -595,7 +613,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 
 	// The finished job's checkpoint files are gone.
 	for _, ext := range []string{".job", ".snap", ".journal"} {
-		if _, err := os.Stat(filepath.Join(dir, st.ID+ext)); err == nil {
+		if _, err := os.Stat(filepath.Join(dir, id+ext)); err == nil {
 			t.Fatalf("finished job left %s checkpoint behind", ext)
 		}
 	}
@@ -626,6 +644,106 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	resumedCars, coldCars := sidecars(t, artDir), sidecars(t, coldDir)
 	if len(resumedCars) != 1 || !reflect.DeepEqual(resumedCars, coldCars) {
 		t.Fatalf("resumed run's side-cars %v differ from the cold run's %v", resumedCars, coldCars)
+	}
+}
+
+// TestCheckpointOfAnotherGenerationRestarts: a checkpoint whose meta names
+// another numeric generation — or none, as every build before the field
+// did — must not resume. The snapshot on disk is nudged to stand in for
+// that generation's numerics; the restarted job has to ignore it, run from
+// iteration 0, and leave the gray mask and the cache entry of a cold run.
+func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
+	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
+	var want *mosaic.LayoutResult
+	for name, rewrite := range map[string]func(meta map[string]any){
+		"differs": func(meta map[string]any) { meta["digest_version"] = cache.DigestVersion - 1 },
+		"absent":  func(meta map[string]any) { delete(meta, "digest_version") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testServerConfig(dir)
+			store, err := mosaic.OpenTileCache("", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.TileCache = store
+			id := drainMidRun(t, &cfg, spec)
+			if want == nil {
+				want = coldRun(t, cfg, spec)
+			}
+
+			metaPath := filepath.Join(dir, id+".job")
+			data, err := os.ReadFile(metaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta map[string]any
+			if err := json.Unmarshal(data, &meta); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := meta["digest_version"].(float64); int(v) != cache.DigestVersion {
+				t.Fatalf("drained meta carries digest_version %v, want %d", meta["digest_version"], cache.DigestVersion)
+			}
+			rewrite(meta)
+			if data, err = json.Marshal(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(metaPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snapPath := filepath.Join(dir, id+".snap")
+			blob, err := os.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sn mosaic.Snapshot
+			if err := sn.UnmarshalBinary(blob); err != nil {
+				t.Fatal(err)
+			}
+			for i := range sn.P.Data {
+				sn.P.Data[i] += 0.25
+			}
+			if blob, err = sn.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snapPath, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, s2)
+			if _, err := os.Stat(snapPath); err == nil {
+				t.Fatal("the other generation's snapshot survived the restart")
+			}
+			sameGray := func(id, what string) {
+				t.Helper()
+				if fin := waitFor(t, s2, id, 60*time.Second, func(st *Status) bool { return st.State.terminal() }); fin.State != StateDone {
+					t.Fatalf("%s finished %s (%s), want done", what, fin.State, fin.Error)
+				}
+				res, err := s2.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.MaskGray.Equal(want.MaskGray, 0) {
+					t.Fatalf("%s: gray mask differs from a cold run's", what)
+				}
+			}
+			sameGray(id, "restarted job")
+			// The entry the restarted job stored is what the next repeat is
+			// served: resubmit and require a hit with the same bits.
+			hits := store.Stats().Hits
+			again, err := s2.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameGray(again.ID, "cached repeat")
+			if got := store.Stats().Hits - hits; got != 1 {
+				t.Fatalf("repeat took %d cache hits, want 1", got)
+			}
+		})
 	}
 }
 

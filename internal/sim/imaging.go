@@ -5,6 +5,7 @@ import (
 
 	"mosaic/internal/fft"
 	"mosaic/internal/grid"
+	"mosaic/internal/par"
 )
 
 // ImagingGrid is the grid the per-kernel SOCS work runs on. Every kernel
@@ -55,6 +56,25 @@ func (g ImagingGrid) Field(specBand, kf *grid.CField) *grid.CField {
 	fft.InverseBandLimited(blk, g.Nc, g.Nc, out)
 	grid.PutC(blk)
 	return out
+}
+
+// Image is the SOCS sum of Eq. 2, I = sum_k w_k |M conv h_k|^2, and the one
+// place the forward model is written: the kernel fields are computed in
+// parallel, each into its own buffer, their squared moduli are folded
+// serially in kernel order on the imaging grid, and the sum is interpolated
+// to the mask grid once. Parallel over outputs, serial over sums: the bits do
+// not depend on how many cores ran it. Fields and image come from the
+// workspace pool; release them with grid.PutC and grid.Put.
+func (g ImagingGrid) Image(specBand *grid.CField, freqs []*grid.CField, weights []float64) ([]*grid.CField, *grid.Field) {
+	fields := make([]*grid.CField, len(freqs))
+	par.For(len(freqs), func(k int) {
+		fields[k] = g.Field(specBand, freqs[k])
+	})
+	ic := grid.Get(g.Nc, g.Nc).Zero()
+	for k, f := range fields {
+		f.AccumAbs2(ic, weights[k])
+	}
+	return fields, g.Interpolate(ic)
 }
 
 // Interpolate Fourier-interpolates a real field of bandwidth 2K — a focus

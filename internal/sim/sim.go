@@ -13,7 +13,6 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 	"mosaic/internal/optics"
-	"mosaic/internal/par"
 	"mosaic/internal/resist"
 )
 
@@ -147,59 +146,40 @@ func (s *Simulator) FieldFromSpectrum(spec *grid.CField, kf *grid.CField, k int)
 
 // Aerial computes the aerial image with the full SOCS stack (Eq. 2):
 // I = sum_k w_k |M conv h_k|^2 at the corner's defocus. Dose is NOT applied
-// here; it scales intensity at the resist step. The kernel fields and their
-// squared moduli are formed on the imaging grid and the summed intensity is
-// interpolated to the mask grid once (see ImagingGrid). Kernel convolutions
-// run in parallel across available cores, each worker chunk accumulating
-// into its own pooled partial image; the partials merge serially in chunk
-// order, so the floating-point sum — and hence the image — is
-// bit-deterministic regardless of how the chunks were scheduled.
+// here; it scales intensity at the resist step. The sum is ImagingGrid.Image,
+// whose bits depend on the mask and the kernels only — not on the core count
+// or on how the kernel convolutions were scheduled.
 func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	ks, err := s.Kernels(c.DefocusNM)
 	if err != nil {
 		return nil, err
 	}
 	defer obs.Span("sim.aerial." + c.SpanLabel()).End()
-	spec := s.SpectrumBand(mask, ks.K)
-	ig := NewImagingGrid(s.Cfg.GridSize, ks.K)
-	img := grid.Get(ig.Nc, ig.Nc).Zero()
-	parts := make([]*grid.Field, len(ks.Freqs)) // indexed by chunk lo
-	par.ForChunks(len(ks.Freqs), func(lo, hi int) {
-		part := grid.Get(ig.Nc, ig.Nc).Zero()
-		for i := lo; i < hi; i++ {
-			field := ig.Field(spec, ks.Freqs[i])
-			field.AccumAbs2(part, ks.Weights[i])
-			grid.PutC(field)
-		}
-		parts[lo] = part
-	})
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		img.Add(part)
-		grid.Put(part)
-	}
-	grid.PutC(spec)
-	return ig.Interpolate(img), nil
+	return s.image(mask, ks.K, ks.Freqs, ks.Weights), nil
 }
 
 // AerialCombined computes the aerial image with the combined single kernel
-// of Eq. 21: I ~= |M conv H|^2 where H = sum_k w_k h_k. This is the fast
-// path used inside gradient descent.
+// of Eq. 21: I ~= |M conv H|^2 where H = sum_k w_k h_k — the SOCS sum of a
+// one-kernel stack of unit weight.
 func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, error) {
 	ks, err := s.Kernels(c.DefocusNM)
 	if err != nil {
 		return nil, err
 	}
 	defer obs.Span("sim.aerial_combined." + c.SpanLabel()).End()
-	spec := s.SpectrumBand(mask, ks.K)
-	ig := NewImagingGrid(s.Cfg.GridSize, ks.K)
-	field := ig.Field(spec, ks.Combined())
+	return s.image(mask, ks.K, []*grid.CField{ks.Combined()}, []float64{1}), nil
+}
+
+// image runs ImagingGrid.Image on the mask's band-limited spectrum and
+// keeps only the intensity.
+func (s *Simulator) image(mask *grid.Field, k int, freqs []*grid.CField, weights []float64) *grid.Field {
+	spec := s.SpectrumBand(mask, k)
+	fields, img := NewImagingGrid(s.Cfg.GridSize, k).Image(spec, freqs, weights)
 	grid.PutC(spec)
-	img := field.Abs2()
-	grid.PutC(field)
-	return ig.Interpolate(img), nil
+	for _, f := range fields {
+		grid.PutC(f)
+	}
+	return img
 }
 
 // PrintHard applies the hard-threshold resist (Eq. 3) at the corner's dose.

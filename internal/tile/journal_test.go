@@ -172,9 +172,9 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	}
 
 	res, err := p.Optimize(context.Background(), ws, cfg, Options{
-		Workers:      2,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
+		Workers: 2,
+		Retries: 2,
+		backoff: time.Millisecond,
 		tileFault: func(index, attempt int) error {
 			if attempt == 0 {
 				return fmt.Errorf("injected transient fault on tile %d", index)
@@ -193,9 +193,9 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 
 	// A persistent fault must still fail once attempts are exhausted.
 	_, err = p.Optimize(context.Background(), ws, cfg, Options{
-		Workers:      1,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
+		Workers: 1,
+		Retries: 1,
+		backoff: time.Millisecond,
 		tileFault: func(index, attempt int) error {
 			return errors.New("injected persistent fault")
 		},

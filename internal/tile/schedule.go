@@ -196,13 +196,10 @@ type Options struct {
 
 	// Retries is the number of additional attempts a failed tile gets
 	// before its error fails the whole run. 0 keeps the previous fail-fast
-	// behavior. Context cancellation is never retried.
+	// behavior. The wait before the first retry is drawn from
+	// retryBackoff, doubling on each subsequent attempt, and is
+	// interruptible by context cancellation, which is never retried.
 	Retries int
-
-	// RetryBackoff is the wait before the first retry, doubling on each
-	// subsequent attempt. 0 defaults to 100 ms when Retries > 0. The wait
-	// is interruptible by context cancellation.
-	RetryBackoff time.Duration
 
 	// Journal, when non-nil, records each completed tile and pre-loads
 	// tiles a previous run already finished, so a restarted run optimizes
@@ -220,7 +217,14 @@ type Options struct {
 	// attempt of a tile; a non-nil return fails that attempt. Test hook
 	// for the retry and journal paths.
 	tileFault func(index, attempt int) error
+
+	// backoff, when positive, replaces retryBackoff. Test hook: a retry
+	// test need not wait out production's interval.
+	backoff time.Duration
 }
+
+// retryBackoff is the base wait before a failed tile's first retry.
+const retryBackoff = 100 * time.Millisecond
 
 // Result is the outcome of a tiled optimization run.
 type Result struct {
@@ -444,9 +448,9 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 // jitter; cancellation is returned immediately (a canceled run must not
 // burn backoff time).
 func (p *Plan) optimizeTileRetry(ctx context.Context, runner Runner, req *Request, opts Options) (*ilt.Result, error) {
-	backoff := opts.RetryBackoff
+	backoff := opts.backoff
 	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
+		backoff = retryBackoff
 	}
 	var lastErr error
 	for attempt := 0; attempt <= opts.Retries; attempt++ {

@@ -59,9 +59,8 @@ func testSim(t *testing.T, gridSize int) *sim.Simulator {
 	return s
 }
 
-// testConfig is a deterministic optimizer configuration: GradKernels = 1
-// keeps the gradient reduction single-chunk so runs are bit-reproducible
-// regardless of GOMAXPROCS.
+// testConfig is a cheap optimizer configuration: six iterations of
+// single-kernel gradients from the bare target.
 func testConfig() ilt.Config {
 	cfg := ilt.DefaultConfig(ilt.ModeFast)
 	cfg.MaxIter = 6

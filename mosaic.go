@@ -24,7 +24,6 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"time"
 
 	"mosaic/internal/artifact"
 	"mosaic/internal/bench"
@@ -385,12 +384,10 @@ type TileOptions struct {
 	// OnTile, when non-nil, observes tile completions (for progress).
 	OnTile func(done, total int)
 	// Retries is the number of extra attempts a failed tile gets before
-	// its error fails the run; 0 fails fast. Negative values are rejected
+	// its error fails the run, each after a jittered wait that starts at
+	// up to 100 ms and doubles; 0 fails fast. Negative values are rejected
 	// with a *ConfigError.
 	Retries int
-	// RetryBackoff is the wait before the first retry, doubling per
-	// attempt; 0 defaults to 100 ms when Retries > 0.
-	RetryBackoff time.Duration
 	// Journal, when non-nil, records completed tiles and lets a restarted
 	// run skip tiles a previous (crashed or drained) run already
 	// finished. See OpenTileJournal.
@@ -570,12 +567,11 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 		runner = warmstart.NewRunner(opts.WarmStart, runner)
 	}
 	res, err := plan.Optimize(ctx, ws, cfg, tile.Options{
-		Workers:      opts.Workers,
-		OnTile:       opts.OnTile,
-		Retries:      opts.Retries,
-		RetryBackoff: opts.RetryBackoff,
-		Journal:      opts.Journal,
-		Runner:       runner,
+		Workers: opts.Workers,
+		OnTile:  opts.OnTile,
+		Retries: opts.Retries,
+		Journal: opts.Journal,
+		Runner:  runner,
 	})
 	if err != nil {
 		return nil, wrapCanceled(err)

@@ -107,7 +107,7 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 		}
 		r = &flakyRunner{}
 		r.failures.Store(1)
-		run(t, ctx, cfg, TileOptions{Runner: r, Retries: 1, RetryBackoff: time.Millisecond})
+		run(t, ctx, cfg, TileOptions{Runner: r, Retries: 1})
 		if n := r.calls.Load(); n != 2 {
 			t.Fatalf("runner invoked %d times under Retries 1, want 2", n)
 		}

@@ -2,8 +2,10 @@
 # Multi-process smoke test of the cluster: run a sharded job on a lone
 # coordinator (local fallback) as the reference, then rerun it on a
 # coordinator with two joined workers, SIGKILL one worker mid-run, and
-# require the cluster's stitched mask to be byte-identical to the
-# reference — lease reassignment and all. An untiled clip job goes the
+# require the cluster's stitched mask — the binary PGM and the raw
+# continuous raster — to be byte-identical to the reference, lease
+# reassignment and all. The workers run under GOMAXPROCS 1 and 3, so the
+# comparison spans three core counts. An untiled clip job goes the
 # same way: it is one window of the same pipeline, so with a worker joined
 # it must run remotely and still equal the local mask. Both daemons anchor
 # their jobs in an artifact store, and the quality side-cars the cluster
@@ -33,6 +35,20 @@ SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 
 # The same clip untiled: one window covering the whole 1024 nm field.
 CLIP_SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 90\nRECT 700 760 180 96\nRECT 680 180 110 110\nRECT 140 720 130 100\n","mode":"fast","max_iter":20}'
 
+# fetch_masks ID STEM: the job's binary mask as $DIR/STEM.pgm and its raw
+# continuous mask (one MTGF frame of float64 bits) as $DIR/STEM.gray.
+fetch_masks() {
+    curl -fsS -o "$DIR/$2.pgm" "$BASE/v1/jobs/$1/mask"
+    curl -fsS -H 'Accept: application/vnd.mosaic.maskgray' -o "$DIR/$2.gray" "$BASE/v1/jobs/$1/mask"
+}
+
+# same_masks STEM1 STEM2 WHAT: both renderings byte-identical, or exit.
+same_masks() {
+    for ext in pgm gray; do
+        cmp -s "$DIR/$1.$ext" "$DIR/$2.$ext" || die "$3 differs from the local reference (.$ext)"
+    done
+}
+
 # ---- Reference: the same daemon with no workers joined (local fallback).
 start_daemon "$PORT_C" "$DIR/ref.log" -grid 64 \
     -checkpoint-dir "$DIR/ckpt-ref" -artifact-dir "$DIR/art-ref" -log-level info
@@ -40,10 +56,10 @@ start_daemon "$PORT_C" "$DIR/ref.log" -grid 64 \
 ID=$(submit "$SPEC")
 echo "cluster-smoke: reference job $ID running locally"
 wait_done "$ID"
-curl -fsS -o "$DIR/ref.pgm" "$BASE/v1/jobs/$ID/mask"
+fetch_masks "$ID" ref
 IDC=$(submit "$CLIP_SPEC")
 wait_done "$IDC"
-curl -fsS -o "$DIR/ref-clip.pgm" "$BASE/v1/jobs/$IDC/mask"
+fetch_masks "$IDC" ref-clip
 stop_daemon "$PID" "$DIR/ref.log"
 
 # ---- Cluster: coordinator + 2 workers, one of which dies mid-run.
@@ -52,12 +68,17 @@ start_daemon "$PORT_C" "$DIR/coord.log" -grid 64 \
     -heartbeat-ttl 3s -log-level info
 COORD_PID=$PID
 
+# The fleet is heterogeneous: neither worker has the coordinator's core
+# count, and the bits must not notice.
+export GOMAXPROCS=1
 spawn_daemon "$DIR/worker1.log" -worker -join "$BASE" -addr "127.0.0.1:$PORT_W1" -workers 2 \
     -log-level info
 W1_PID=$PID
+export GOMAXPROCS=3
 spawn_daemon "$DIR/worker2.log" -worker -join "$BASE" -addr "127.0.0.1:$PORT_W2" -workers 2 \
     -log-level info
 W2_PID=$PID
+unset GOMAXPROCS
 
 i=0
 while [ "$i" -lt 50 ]; do
@@ -91,13 +112,9 @@ kill -9 "$W1_PID"
 echo "cluster-smoke: SIGKILLed worker 1 holding live leases ($LEASES granted)"
 
 wait_done "$ID2"
-curl -fsS -o "$DIR/cluster.pgm" "$BASE/v1/jobs/$ID2/mask"
-
-cmp -s "$DIR/ref.pgm" "$DIR/cluster.pgm" || {
-    echo "cluster-smoke: cluster mask differs from the local reference" >&2
-    exit 1
-}
-echo "cluster-smoke: cluster mask is byte-identical to the local run"
+fetch_masks "$ID2" cluster
+same_masks ref cluster "cluster mask"
+echo "cluster-smoke: cluster mask, binary and continuous, is byte-identical to the local run"
 
 grep -E "worker removed|reassigning tile" "$DIR/coord.log" >/dev/null || {
     echo "cluster-smoke: coordinator log shows no lease reassignment after the SIGKILL" >&2
@@ -119,12 +136,9 @@ REMOTE2=$(metric cluster_tiles_remote_total)
     echo "cluster-smoke: untiled job did not run remotely (cluster_tiles_remote_total $REMOTE1 -> $REMOTE2)" >&2
     exit 1
 }
-curl -fsS -o "$DIR/cluster-clip.pgm" "$BASE/v1/jobs/$IDC2/mask"
-cmp -s "$DIR/ref-clip.pgm" "$DIR/cluster-clip.pgm" || {
-    echo "cluster-smoke: remotely run clip mask differs from the local reference" >&2
-    exit 1
-}
-echo "cluster-smoke: untiled job ran on the fleet (remote tiles $REMOTE1 -> $REMOTE2), mask byte-identical"
+fetch_masks "$IDC2" cluster-clip
+same_masks ref-clip cluster-clip "remotely run clip mask"
+echo "cluster-smoke: untiled job ran on the fleet (remote tiles $REMOTE1 -> $REMOTE2), masks byte-identical"
 
 # ---- Both runs anchored the same work, so they left the same side-cars.
 [ "$(find "$DIR/art-ref/quality" -name '*.mtq' | wc -l)" -eq 2 ] || {

@@ -7,9 +7,8 @@ import (
 )
 
 // warmCfg is the shared optimizer configuration for the warm-start façade
-// tests: single-chunk gradients keep runs bit-reproducible, and the
-// fixed iteration budget (no SRAF seeding, no jumps) makes iteration
-// counts deterministic.
+// tests: single-kernel gradients keep runs cheap, and the fixed iteration
+// budget (no SRAF seeding, no jumps) makes iteration counts deterministic.
 func warmCfg(maxIter int) Config {
 	cfg := DefaultConfig(ModeFast)
 	cfg.MaxIter = maxIter
