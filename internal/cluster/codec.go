@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mosaic/internal/frame"
@@ -145,7 +146,11 @@ func decodeSpans(r *frame.Reader) []obs.SpanEvent {
 		var ev obs.SpanEvent
 		r.Get(&ev.Name, &ev.TraceID, &ev.SpanID, &ev.ParentID)
 		ev.Start = time.UnixMicro(r.I64())
-		ev.Dur = time.Duration(r.I64()) * time.Microsecond
+		us := r.I64()
+		if us > math.MaxInt64/1000 || us < math.MinInt64/1000 {
+			r.Fail("cluster: span duration %d us overflows a time.Duration", us)
+		}
+		ev.Dur = time.Duration(us) * time.Microsecond
 		ev.Instant = r.Bool()
 		nAttrs := r.Count(8 * 3) // key length + kind + value
 		for k := 0; k < nAttrs && r.Err() == nil; k++ {

@@ -136,29 +136,19 @@ func (c Config) SourcePoints() (pts [][2]float64, weight float64) {
 	return pts, 1 / float64(len(pts))
 }
 
-// tccOp is a dense Hermitian TCC matrix exposed as a linalg.HermOp.
-type tccOp struct{ m *linalg.CMatrix }
-
-func (t tccOp) Dim() int { return t.m.R }
-
-func (t tccOp) Apply(x []complex128) []complex128 { return t.m.MatVec(x) }
-
-// BuildTCC assembles the Hopkins TCC matrix over the central frequency
-// block of half-width k: T[a][b] = sum_s J(s) P(f_a + f_s) conj(P(f_b + f_s)).
-// Frequency samples are enumerated row-major over the (2k+1) x (2k+1)
-// block, index (0,0) at fx = fy = -k*df.
-func BuildTCC(c Config, defocusNM float64) *linalg.CMatrix {
+// shiftedPupils evaluates the pupil at every (frequency sample + source
+// point) pair of the central block of half-width BandLimitK:
+// pupilAt[s][a] = P(f_a + f_s), samples enumerated row-major over the
+// (2k+1) x (2k+1) block, index 0 at fx = fy = -k*df. w is the weight every
+// source point carries.
+func shiftedPupils(c Config, defocusNM float64) (pupilAt [][]complex128, w float64) {
 	k := c.BandLimitK()
 	n := 2*k + 1
-	dim := n * n
 	df := c.freqStep()
 	pts, w := c.SourcePoints()
-
-	// Pre-evaluate the pupil at every (sample + source point) pair.
-	// pupilAt[s][a] = P(f_a + f_s).
-	pupilAt := make([][]complex128, len(pts))
+	pupilAt = make([][]complex128, len(pts))
 	for s, p := range pts {
-		row := make([]complex128, dim)
+		row := make([]complex128, n*n)
 		idx := 0
 		for iy := -k; iy <= k; iy++ {
 			fy := float64(iy)*df + p[1]
@@ -170,12 +160,23 @@ func BuildTCC(c Config, defocusNM float64) *linalg.CMatrix {
 		}
 		pupilAt[s] = row
 	}
+	return pupilAt, w
+}
 
+// BuildTCC assembles the dense Hopkins TCC matrix over the central
+// frequency block (see shiftedPupils for the sample order):
+// T[a][b] = sum_s J(s) P(f_a + f_s) conj(P(f_b + f_s)). It visits every
+// pair of samples, three quarters of which no source point joins, and is
+// kept as the reference the tests hold newSparseTCC to; BuildKernels does
+// not call it.
+func BuildTCC(c Config, defocusNM float64) *linalg.CMatrix {
+	pupilAt, w := shiftedPupils(c, defocusNM)
+	dim := len(pupilAt[0])
 	t := linalg.NewCMatrix(dim, dim)
 	for a := 0; a < dim; a++ {
 		for b := a; b < dim; b++ {
 			var sum complex128
-			for s := range pts {
+			for s := range pupilAt {
 				pa := pupilAt[s][a]
 				if pa == 0 {
 					continue
@@ -190,6 +191,121 @@ func BuildTCC(c Config, defocusNM float64) *linalg.CMatrix {
 			t.Set(a, b, sum)
 			if a != b {
 				t.Set(b, a, complex(real(sum), -imag(sum)))
+			}
+		}
+	}
+	return t
+}
+
+// sparseTCC is the matrix of BuildTCC in row-compressed form: a row keeps
+// only the columns some source point puts inside the pupil together with
+// it, ascending. At the default annulus that is a quarter of the entries;
+// every other entry of the dense matrix is an exact zero.
+//
+// The stored values and the products of Apply are those of the dense path
+// bit for bit, which the kernel set needs (see DESIGN.md, "The TCC
+// operator"): each entry adds the same terms in the same (ascending
+// source) order, and a row of Apply adds the same products in the same
+// (ascending column) order minus the ones with a zero factor — each of
+// which is a zero, added to a running sum that starts at +0 and therefore
+// is never -0, so leaving it out changes no bit of the sum.
+type sparseTCC struct {
+	rowPtr []int // row i is cols/vals[rowPtr[i]:rowPtr[i+1]], cols ascending
+	cols   []int32
+	vals   []complex128
+}
+
+func (t *sparseTCC) Dim() int { return len(t.rowPtr) - 1 }
+
+// Apply computes y = T x into a fresh slice (linalg.HermOp).
+func (t *sparseTCC) Apply(x []complex128) []complex128 {
+	y := make([]complex128, t.Dim())
+	for i := range y {
+		lo, hi := t.rowPtr[i], t.rowPtr[i+1]
+		cols := t.cols[lo:hi]
+		var s complex128
+		for p, v := range t.vals[lo:hi] {
+			s += v * x[cols[p]]
+		}
+		y[i] = s
+	}
+	return y
+}
+
+// newSparseTCC assembles the TCC source point by source point over the
+// samples each one puts inside the pupil — sum_s nnz_s^2 products instead
+// of dim^2 * S visited pairs — without ever holding a dim x dim array.
+func newSparseTCC(c Config, defocusNM float64) *sparseTCC {
+	pupilAt, w := shiftedPupils(c, defocusNM)
+	dim := len(pupilAt[0])
+
+	// in[s] lists the samples source point s puts inside the pupil,
+	// ascending.
+	in := make([][]int32, len(pupilAt))
+	for s, row := range pupilAt {
+		for a, p := range row {
+			if p != 0 {
+				in[s] = append(in[s], int32(a))
+			}
+		}
+	}
+
+	// A row holds the union of the lists of the source points that reach it.
+	t := &sparseTCC{rowPtr: make([]int, dim+1)}
+	counted := make([]int, dim) // row (+1) that last counted this column
+	for a := 0; a < dim; a++ {
+		n := 0
+		for s, list := range in {
+			if pupilAt[s][a] == 0 {
+				continue
+			}
+			for _, b := range list {
+				if counted[b] != a+1 {
+					counted[b] = a + 1
+					n++
+				}
+			}
+		}
+		t.rowPtr[a+1] = t.rowPtr[a] + n
+	}
+	t.cols = make([]int32, t.rowPtr[dim])
+	t.vals = make([]complex128, t.rowPtr[dim])
+
+	// Values as BuildTCC forms them: the upper triangle of row a summed in
+	// source order, scaled by w, and mirrored by conjugation into the rows
+	// below — which, filled in ascending a, have received their columns
+	// left of the diagonal in ascending order when their own turn comes.
+	next := append([]int(nil), t.rowPtr[:dim]...) // next free slot of each row
+	put := func(row, col int, v complex128) {
+		t.cols[next[row]], t.vals[next[row]] = int32(col), v
+		next[row]++
+	}
+	from := make([]int, len(in)) // how many samples of in[s] lie below row a
+	sums := make([]complex128, dim)
+	touched := make([]bool, dim)
+	for a := 0; a < dim; a++ {
+		for s, list := range in {
+			row := pupilAt[s]
+			pa := row[a]
+			if pa == 0 {
+				continue
+			}
+			for _, b := range list[from[s]:] { // a itself and the samples above it
+				pb := row[b]
+				sums[b] += pa * complex(real(pb), -imag(pb))
+				touched[b] = true
+			}
+			from[s]++
+		}
+		for b := a; b < dim; b++ {
+			if !touched[b] {
+				continue
+			}
+			sum := sums[b] * complex(w, 0)
+			sums[b], touched[b] = 0, false
+			put(a, b, sum)
+			if a != b {
+				put(b, a, complex(real(sum), -imag(sum)))
 			}
 		}
 	}
@@ -224,12 +340,12 @@ func BuildKernels(c Config, defocusNM float64) (*KernelSet, error) {
 		return nil, err
 	}
 	sp := obs.Span("optics.build_kernels")
-	t := BuildTCC(c, defocusNM)
+	tcc := newSparseTCC(c, defocusNM)
 	nk := c.Kernels
-	if nk > t.R {
-		nk = t.R
+	if nk > tcc.Dim() {
+		nk = tcc.Dim()
 	}
-	eig, vecs := linalg.HermEigTopK(tccOp{t}, nk, 200, 1e-9)
+	eig, vecs := linalg.HermEigTopK(tcc, nk, 200, 1e-9)
 
 	k := c.BandLimitK()
 	n := 2*k + 1

@@ -68,14 +68,18 @@ func TestHTTPErrorPaths(t *testing.T) {
 	})
 
 	t.Run("invalid spec", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
-		if err != nil {
-			t.Fatal(err)
+		// The two grids are the ones that were accepted and then died in
+		// the worker, grid 1 with a panic stack for a message.
+		for _, body := range []string{`{}`, `{"benchmark":"B1","grid":1}`, `{"benchmark":"B1","grid":2}`} {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("submit %s: status %d, want 400", body, resp.StatusCode)
+			}
+			errorBody(t, resp)
 		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("empty spec: status %d, want 400", resp.StatusCode)
-		}
-		errorBody(t, resp)
 	})
 
 	t.Run("unknown job id", func(t *testing.T) {

@@ -56,6 +56,11 @@ type JobSpec struct {
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
+// minGrid is the smallest grid mosaic.NewSetup accepts; a job on a smaller
+// one would be queued only to fail when its setup is built
+// (TestJobSpecValidate holds the two bounds together).
+const minGrid = 4
+
 // validate rejects malformed specs before they enter the queue.
 func (sp *JobSpec) validate() error {
 	_, modeErr := mosaic.ParseMode(sp.Mode)
@@ -70,6 +75,8 @@ func (sp *JobSpec) validate() error {
 		return fmt.Errorf("max_iter %d is negative", sp.MaxIter)
 	case sp.Grid < 0 || (sp.Grid > 0 && sp.Grid&(sp.Grid-1) != 0):
 		return fmt.Errorf("grid %d is not a positive power of two", sp.Grid)
+	case sp.Grid > 0 && sp.Grid < minGrid:
+		return fmt.Errorf("grid %d is too small to hold the threshold calibration line (minimum %d)", sp.Grid, minGrid)
 	case sp.Grid > 0 && !frame.SquareFits(sp.Grid):
 		return fmt.Errorf("grid %d: a %dx%d raster exceeds the %d-byte frame every result travels in", sp.Grid, sp.Grid, sp.Grid, frame.MaxPayload)
 	case sp.TileNM < 0:

@@ -244,6 +244,9 @@ func TestJobSpecValidate(t *testing.T) {
 		{"grid beyond one frame", JobSpec{Benchmark: "B1", Grid: 16384}, false},
 		{"grid that overflows", JobSpec{Benchmark: "B1", Grid: 1 << 62}, false},
 		{"grid not a power of two", JobSpec{Benchmark: "B1", Grid: 48}, false},
+		{"grid without a pixel beside the calibration line", JobSpec{Benchmark: "B1", Grid: 1}, false},
+		{"grid without a pixel inside the calibration line", JobSpec{Benchmark: "B1", Grid: 2}, false},
+		{"smallest grid that calibrates", JobSpec{Benchmark: "B1", Grid: 4}, true},
 		{"negative tile_nm", JobSpec{Benchmark: "B1", TileNM: -5}, false},
 		{"negative halo_nm", JobSpec{Benchmark: "B1", TileNM: 512, HaloNM: -1}, false},
 		{"negative tile_workers", JobSpec{Benchmark: "B1", TileWorkers: -1}, false},
@@ -254,6 +257,17 @@ func TestJobSpecValidate(t *testing.T) {
 	} {
 		if err := tc.spec.validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	// What validate lets through on "grid", NewSetup must set up — a refusal
+	// there reaches the client as a failed job, after the queue wait.
+	for _, grid := range []int{1, 2, 4, 8} {
+		optics := mosaic.DefaultOptics()
+		optics.GridSize = grid
+		_, setupErr := mosaic.NewSetup(optics)
+		specErr := (&JobSpec{Benchmark: "B1", Grid: grid}).validate()
+		if (setupErr == nil) != (specErr == nil) {
+			t.Errorf("grid %d: validate() = %v but NewSetup = %v", grid, specErr, setupErr)
 		}
 	}
 	if (&JobSpec{}).mode() != mosaic.ModeFast || (&JobSpec{Mode: "exact"}).mode() != mosaic.ModeExact {

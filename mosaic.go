@@ -36,6 +36,7 @@ import (
 	"mosaic/internal/obs"
 	"mosaic/internal/opc"
 	"mosaic/internal/optics"
+	"mosaic/internal/par"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
@@ -279,12 +280,30 @@ type Setup struct {
 	Params EvalParams
 }
 
-// NewSetup builds a simulator for cfg, calibrates the resist threshold so
-// well-resolved features print on target, and returns the ready-to-use
-// setup. Kernel construction runs on first use and is cached process-wide.
+// minGrid is the smallest grid sim.CalibrateThreshold's test line fits on:
+// a clear line a quarter of the field wide with a dark pixel beside it.
+const minGrid = 4
+
+// NewSetup builds a simulator for cfg together with the SOCS kernel set of
+// every focus plane of the default process window (the corners of
+// sim.ProcessCorners at Params.DefocusNM: nominal and defocused), the
+// planes concurrently where cores are free, then calibrates the resist
+// threshold on the nominal plane so well-resolved features print on
+// target. When it returns, optimizing or evaluating at those corners
+// builds no kernel; the sets are cached process-wide, so a second Setup of
+// the same cfg builds none either. A plane that fails to build fails
+// NewSetup. A grid below 4 pixels cannot hold the calibration line and is
+// a *ConfigError.
 func NewSetup(cfg OpticsConfig) (*Setup, error) {
+	if cfg.GridSize > 0 && cfg.GridSize < minGrid {
+		return nil, &ConfigError{Field: "OpticsConfig.GridSize", Reason: fmt.Sprintf("must be >= %d to hold the threshold calibration line, got %d", minGrid, cfg.GridSize)}
+	}
 	s, err := sim.New(cfg, resist.Default())
 	if err != nil {
+		return nil, err
+	}
+	params := metrics.DefaultParams()
+	if err := buildPlanes(s, sim.ProcessCorners(params.DefocusNM, params.DoseDelta)); err != nil {
 		return nil, err
 	}
 	thr, err := s.CalibrateThreshold()
@@ -292,7 +311,24 @@ func NewSetup(cfg OpticsConfig) (*Setup, error) {
 		return nil, fmt.Errorf("mosaic: calibrating resist threshold: %w", err)
 	}
 	s.Resist.Threshold = thr
-	return &Setup{Sim: s, Params: metrics.DefaultParams()}, nil
+	return &Setup{Sim: s, Params: params}, nil
+}
+
+// buildPlanes builds (or finds cached) the kernel set of every focus plane
+// of corners, the planes concurrently, and returns the first plane's error
+// in corner order.
+func buildPlanes(s *Simulator, corners []Corner) error {
+	planes := sim.FocusGroups(corners)
+	errs := make([]error, len(planes))
+	par.For(len(planes), func(i int) {
+		_, errs[i] = s.Kernels(planes[i].Lead.DefocusNM)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("mosaic: building SOCS kernels at %g nm defocus: %w", planes[i].Lead.DefocusNM, err)
+		}
+	}
+	return nil
 }
 
 // Optimize runs the ILT optimizer with an explicit configuration.

@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mosaic/internal/obs"
+	"mosaic/internal/par"
+	"mosaic/internal/sim"
 )
 
 // smallOptics keeps the root-package tests fast: a 512 nm clip at 8 nm/px.
@@ -40,11 +45,82 @@ func TestNewSetupCalibrates(t *testing.T) {
 	}
 }
 
+// TestNewSetupRejectsBadConfig: a grid the optics refuse is an error, a
+// grid too small for the calibration line (1 used to panic inside
+// sim.CalibrateThreshold, 2 to fail late with "implausible threshold 0") is
+// a *ConfigError, and neither builds a kernel first; 4 is the smallest grid
+// that sets up.
 func TestNewSetupRejectsBadConfig(t *testing.T) {
-	c := smallOptics()
-	c.GridSize = 77
-	if _, err := NewSetup(c); err == nil {
-		t.Fatal("invalid grid accepted")
+	misses := obs.NewCounter("optics_kernel_cache_misses_total")
+	for _, tc := range []struct {
+		grid        int
+		ok, typed   bool
+		description string
+	}{
+		{77, false, false, "not a power of two"},
+		{1, false, true, "no pixel beside the line"},
+		{2, false, true, "no pixel inside the line"},
+		{4, true, false, "smallest grid with a line"},
+	} {
+		c := smallOptics()
+		c.GridSize = tc.grid
+		before := misses.Value()
+		_, err := NewSetup(c)
+		if (err == nil) != tc.ok {
+			t.Errorf("grid %d (%s): err = %v, want ok = %v", tc.grid, tc.description, err, tc.ok)
+			continue
+		}
+		var ce *ConfigError
+		if errors.As(err, &ce) != tc.typed || (tc.typed && ce.Field != "OpticsConfig.GridSize") {
+			t.Errorf("grid %d (%s): err = %v, want a *ConfigError on OpticsConfig.GridSize: %v", tc.grid, tc.description, err, tc.typed)
+		}
+		if built := misses.Value() - before; !tc.ok && built != 0 {
+			t.Errorf("grid %d (%s): %d kernel sets built before the refusal", tc.grid, tc.description, built)
+		}
+	}
+}
+
+// TestNewSetupBuildsEveryPlane is the contract in NewSetup's doc comment:
+// a fresh configuration costs two kernel builds in all (nominal and
+// defocused), both inside NewSetup, whether or not a second core is there
+// to overlap them — asking for any default process corner afterwards is a
+// cache hit. Not parallel: it sets GOMAXPROCS for the whole process.
+func TestNewSetupBuildsEveryPlane(t *testing.T) {
+	par.Capacity() // size the pool on the whole machine before GOMAXPROCS drops to 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	misses := obs.NewCounter("optics_kernel_cache_misses_total")
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		c := smallOptics()
+		c.WavelengthNM += float64(procs) / 4 // a configuration no other test has built
+		before := misses.Value()
+		s, err := NewSetup(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := misses.Value() - before; got != 2 {
+			t.Errorf("GOMAXPROCS %d: NewSetup built %d kernel sets, want 2", procs, got)
+		}
+		for _, corner := range sim.ProcessCorners(s.Params.DefocusNM, s.Params.DoseDelta) {
+			if _, err := s.Sim.Kernels(corner.DefocusNM); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := misses.Value() - before; got != 2 {
+			t.Errorf("GOMAXPROCS %d: %d kernel sets built once every corner was asked for, want the 2 of NewSetup", procs, got)
+		}
+	}
+}
+
+// TestBuildPlanesReturnsPlaneError: no OpticsConfig that sim.New accepts
+// makes a kernel build fail, so the failing plane is a simulator made
+// around sim.New; its error must come back, naming the plane.
+func TestBuildPlanesReturnsPlaneError(t *testing.T) {
+	bad := smallOptics()
+	bad.NA = 0
+	err := buildPlanes(&Simulator{Cfg: bad}, sim.ProcessCorners(25, 0.02))
+	if err == nil || !strings.Contains(err.Error(), "0 nm defocus") || !strings.Contains(err.Error(), "NA must be positive") {
+		t.Fatalf("err = %v, want the nominal plane's build error", err)
 	}
 }
 

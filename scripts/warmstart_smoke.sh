@@ -3,7 +3,7 @@
 # a run against an empty library must be byte-identical to one with
 # warm-start disabled; a translated repeat of a harvested cell must be
 # seeded from the library (hit counters rise) and score no worse than
-# the cold run; a corrupt on-disk entry must be quarantined across a
+# the cold run, runtime aside; a corrupt on-disk entry must be quarantined across a
 # restart and recomputed, never failing a job. The daemon runs with the
 # tile cache fully off (-cache-mem 0, no -cache-dir) so cache hits
 # cannot mask what the warm-start path does. Needs only curl and a
@@ -37,10 +37,17 @@ run_job() {
     curl -fsS "$BASE/v1/jobs/$ID/result"
 }
 
+# quality RESULT: the score without its runtime term — a few ms of wall
+# time are all that tells two runs of equal quality apart, and which of
+# them is slower is the host's doing.
+quality() {
+    awk -v s="$(json_num "$1" score)" -v t="$(json_num "$1" runtime_sec)" 'BEGIN { printf "%.6f\n", s - t }'
+}
+
 # --- 1. Disabled vs empty library: byte-identical masks -----------------
 start
 R0=$(run_job "$LAYOUT_BASE" "$DIR/mask-disabled.pgm")
-SCORE0=$(json_num "$R0" score)
+SCORE0=$(quality "$R0")
 stop_daemon "$PID" "$LOG"
 echo "warmstart-smoke: disabled run done (score=$SCORE0)"
 
@@ -58,7 +65,7 @@ echo "warmstart-smoke: empty-library run byte-identical to disabled, harvested $
 
 # --- 2. Translated repeat: seeded, scores no worse ----------------------
 R2=$(run_job "$LAYOUT_SHIFT" "$DIR/mask-seeded.pgm")
-SCORE2=$(json_num "$R2" score)
+SCORE2=$(quality "$R2")
 HITS=$(metric warmstart_hits_total)
 [ "$HITS" -gt 0 ] || {
     echo "warmstart-smoke: translated repeat never hit the library (hits=$HITS)" >&2; exit 1; }
