@@ -28,7 +28,7 @@ test:
 build:
 	$(GO) build ./...
 
-# loc prints the line counts ROADMAP item 8 tracks: non-test Go outside
+# loc prints the line counts ROADMAP item 7 tracks: non-test Go outside
 # benchmark/, scripts/*.sh, check.yml and this file.
 loc:
 	@./scripts/loc.sh
@@ -117,11 +117,13 @@ bench-e2e-compare:
 	bash benchmark/run.sh compare $(A) $(B)
 
 # bench-e2e-pairs is the measurement a performance claim rests on: PARENT
-# is git-archived into a temp dir and it and this checkout run the repo
-# benchmark on PAIRS interleaved seeds, the side that goes first
-# alternating; the merged run sets land in results/E2E_<STAMP>_parent.json
-# and _change.json (STAMP defaults to today) and bench-e2e-compare's
-# verdicts are printed last. ~4 min a pair.
+# and the change (HEAD, or the tracked and staged files of a dirty tree)
+# are both git-archived into temp dirs — the checkout's own side read
+# ~8 % slow on a 1.5 ms median — and run the repo benchmark on PAIRS
+# interleaved seeds, the side that goes first alternating; the merged run
+# sets land in results/E2E_<STAMP>_parent.json and _change.json (STAMP
+# defaults to today) and bench-e2e-compare's verdicts are printed last.
+# ~4 min a pair.
 PAIRS ?= 10
 
 bench-e2e-pairs:

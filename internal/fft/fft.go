@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"mosaic/internal/grid"
@@ -196,15 +197,16 @@ var (
 const parallelElems = 1 << 16
 
 // chunked runs pass over the n rows or columns of a transform of elems
-// elements: as one call below parallelElems, as contiguous chunks across
-// cores from there up. Each row or column is its own output, so the chunk
-// boundaries never reach the bits.
+// elements: as one call below parallelElems, as at most GOMAXPROCS
+// contiguous chunks in parallel from there up. Each row or column is its
+// own output, so the chunk boundaries never reach the bits.
 func chunked(elems, n int, pass func(lo, hi int)) {
-	if elems >= parallelElems {
-		par.ForChunks(n, pass)
-	} else {
+	if elems < parallelElems {
 		pass(0, n)
+		return
 	}
+	chunks := min(runtime.GOMAXPROCS(0), n)
+	par.For(chunks, func(c int) { pass(c*n/chunks, (c+1)*n/chunks) })
 }
 
 func transform2D(c *grid.CField, inverse bool) {

@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"mosaic/internal/grid"
+	"mosaic/internal/par"
 )
 
 func TestNextPow2(t *testing.T) {
@@ -276,4 +278,41 @@ func TestRectangular2D(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChunkedCoversAllDisjoint: from parallelElems up the passes cover
+// [0, n) exactly once with no empty chunk; below it there is exactly one
+// pass(0, n), a plain call.
+func TestChunkedCoversAllDisjoint(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		seen := make([]atomic.Int32, n)
+		chunked(parallelElems, n, func(lo, hi int) {
+			if lo >= hi {
+				t.Errorf("n=%d: empty chunk [%d,%d)", n, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				seen[i].Add(1)
+			}
+		})
+		for i := range seen {
+			if got := seen[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d covered %d times", n, i, got)
+			}
+		}
+		var calls [][2]int
+		chunked(parallelElems-1, n, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+		if len(calls) != 1 || calls[0] != [2]int{0, n} {
+			t.Fatalf("n=%d below the threshold: passes %v, want one [0 %d]", n, calls, n)
+		}
+	}
+}
+
+func TestChunkedPanicPropagates(t *testing.T) {
+	defer func() {
+		if _, ok := recover().(*par.PanicError); !ok {
+			t.Fatal("want *par.PanicError from a panicking pass")
+		}
+	}()
+	chunked(parallelElems, 10, func(lo, hi int) { panic("pass boom") })
+	t.Fatal("chunked returned despite a panicking pass")
 }

@@ -184,7 +184,7 @@ func FuzzReadResult(f *testing.F) {
 // FuzzSnapshot: error or exact round-trip, never a panic.
 func FuzzSnapshot(f *testing.F) {
 	g := codecResult(2).MaskGray
-	full, _ := (&Snapshot{Iter: 3, P: g, Velocity: g, BestGray: g, Step: 0.5, Jumps: 1,
+	full, _ := (&Snapshot{Iter: 3, P: g, Velocity: g, BestGray: g, Step: 0.5, Jumps: 1, Stall: 1, Seeded: true,
 		History: []IterStats{{Iter: 0, Objective: 2}, {Iter: 1, Score: 7}}}).MarshalBinary()
 	bare, _ := (&Snapshot{P: g}).MarshalBinary()
 	f.Add(full)

@@ -107,8 +107,7 @@ type Config struct {
 	// jumps the same way), so a warm-started run that begins near its
 	// optimum stops after a few iterations instead of exhausting MaxIter.
 	// 0 disables it (the paper's behavior, bit-identical to builds
-	// without the knob). Plateau progress is not captured in snapshots; a
-	// resumed run restarts its stall counter.
+	// without the knob).
 	ObjTol float64
 
 	// GradKernels selects the imaging fidelity inside the descent loop:
@@ -397,6 +396,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	var velocity *grid.Field // heavy-ball state, allocated on first use
 	var p, mask *grid.Field
 	iter := 0
+	stall := 0 // consecutive iterations without an ObjTol-sized improvement
 
 	if snap := cfg.Resume; snap != nil {
 		// Restore the loop state exactly as the checkpoint left it; the
@@ -408,9 +408,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		mask = maskFromParams(p, cfg.ThetaM)
 		step = snap.Step
 		jumps = snap.Jumps
+		stall = snap.Stall
 		if snap.Velocity != nil {
 			velocity = snap.Velocity.Clone()
 		}
+		best.Seeded = snap.Seeded
 		best.Objective = snap.BestObjective
 		bestSurrogate = snap.BestSurrogate
 		if snap.BestGray != nil {
@@ -432,7 +434,6 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		}
 		mask = maskFromParams(p, cfg.ThetaM)
 	}
-	stall := 0 // consecutive iterations without an ObjTol-sized improvement
 
 	for ; iter < cfg.MaxIter; iter++ {
 		// Honor cancellation between iterations: the forward model and
@@ -562,7 +563,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		// iterations are now complete). Runs that exit the loop above via
 		// break are finished and need no snapshot.
 		if cfg.OnSnapshot != nil && iter+1 < cfg.MaxIter {
-			cfg.OnSnapshot(snapshot(iter+1, p, velocity, step, jumps, best, bestSurrogate))
+			cfg.OnSnapshot(snapshot(iter+1, p, velocity, step, jumps, stall, best, bestSurrogate))
 		}
 	}
 

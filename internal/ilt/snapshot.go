@@ -9,10 +9,10 @@ import (
 
 // Snapshot is a checkpoint of the descent loop between two iterations: the
 // unconstrained pixel variables P (the mask is recomputed as sig(theta_M*P)
-// on resume), the step/jump schedule, the heavy-ball velocity, and the
-// best-iterate bookkeeping of Alg. 1 line 9. The optimizer is RNG-free by
-// construction, so resuming from a snapshot replays the remaining
-// iterations bit-identically to an uninterrupted run.
+// on resume), the step/jump schedule, the ObjTol plateau counter, the
+// heavy-ball velocity, and the best-iterate bookkeeping of Alg. 1 line 9.
+// The optimizer is RNG-free by construction, so resuming from a snapshot
+// replays the remaining iterations bit-identically to an uninterrupted run.
 //
 // Snapshots are emitted through Config.OnSnapshot after every completed
 // iteration and consumed through Config.Resume. All fields are deep copies;
@@ -27,6 +27,10 @@ type Snapshot struct {
 
 	Step  float64 // current step size after decay/jumps
 	Jumps int     // jump-technique budget remaining
+	Stall int     // consecutive iterations without an ObjTol-sized improvement
+
+	// Seeded is Result.Seeded of the run: it started from Config.SeedMask.
+	Seeded bool
 
 	// Best-iterate state (Alg. 1 line 9).
 	BestObjective float64     // lowest Eq. 7 proxy score seen
@@ -37,12 +41,14 @@ type Snapshot struct {
 }
 
 // snapshot deep-copies the loop state into a Snapshot.
-func snapshot(iter int, p, velocity *grid.Field, step float64, jumps int, best *Result, bestSurrogate float64) *Snapshot {
+func snapshot(iter int, p, velocity *grid.Field, step float64, jumps, stall int, best *Result, bestSurrogate float64) *Snapshot {
 	s := &Snapshot{
 		Iter:          iter,
 		P:             p.Clone(),
 		Step:          step,
 		Jumps:         jumps,
+		Stall:         stall,
+		Seeded:        best.Seeded,
 		BestObjective: best.Objective,
 		BestSurrogate: bestSurrogate,
 		History:       append([]IterStats(nil), best.History...),
@@ -79,7 +85,7 @@ func (s *Snapshot) validate(n int) error {
 // survives serialization.
 const (
 	snapMagic   uint32 = 0x504e534d // "MSNP"
-	snapVersion        = 2          // 1 was the pre-frame MOSNAP01 envelope
+	snapVersion        = 3          // 2 lacked Stall and Seeded
 
 	// histStatBytes is the encoded size of one IterStats record.
 	histStatBytes = 11 * 8
@@ -87,7 +93,7 @@ const (
 
 // scalars lists the snapshot's fixed-size fields in payload order.
 func (s *Snapshot) scalars() []any {
-	return []any{&s.Iter, &s.Step, &s.Jumps, &s.BestObjective, &s.BestSurrogate}
+	return []any{&s.Iter, &s.Step, &s.Jumps, &s.Stall, &s.Seeded, &s.BestObjective, &s.BestSurrogate}
 }
 
 // scalars lists one history record's fields in payload order.

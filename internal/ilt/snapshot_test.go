@@ -80,6 +80,42 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	if res.Objective != ref.Objective {
 		t.Fatalf("objective differs: %v vs %v", res.Objective, ref.Objective)
 	}
+
+	// The seeded plateau run every warm-started job is: it stops on the
+	// ObjTol stall counter, so a snapshot has to carry the counter and
+	// Result.Seeded for a resume at any iteration to end where the
+	// uninterrupted run does.
+	so := *o
+	so.Cfg.SeedMask = ref.MaskGray
+	so.Cfg.ObjTol = 1e-6
+	so.Cfg.Jumps = 0
+	var snaps []*Snapshot
+	so.Cfg.OnSnapshot = func(s *Snapshot) { snaps = append(snaps, s) }
+	seeded, err := so.Run(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seeded.Seeded || seeded.Iterations >= so.Cfg.MaxIter || len(snaps) < 2 {
+		t.Fatalf("seeded run: Seeded=%v, %d iterations, %d snapshots; want a plateau stop after the second",
+			seeded.Seeded, seeded.Iterations, len(snaps))
+	}
+	so.Cfg.OnSnapshot = nil
+	for _, snap := range snaps {
+		so.Cfg.Resume = snap
+		res, err := so.Run(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != seeded.Iterations || !res.Seeded {
+			t.Fatalf("resumed at %d: %d iterations, Seeded=%v; uninterrupted: %d, true",
+				snap.Iter, res.Iterations, res.Seeded, seeded.Iterations)
+		}
+		for i, v := range seeded.MaskGray.Data {
+			if res.MaskGray.Data[i] != v {
+				t.Fatalf("resumed at %d: gray mask differs at pixel %d: %v vs %v", snap.Iter, i, res.MaskGray.Data[i], v)
+			}
+		}
+	}
 }
 
 func TestSnapshotCodecRejectsCorruption(t *testing.T) {

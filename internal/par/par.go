@@ -73,76 +73,26 @@ func For(n int, fn func(i int)) {
 	forN(runtime.GOMAXPROCS(0), n, fn)
 }
 
-// ForChunks partitions [0, n) into at most GOMAXPROCS contiguous chunks
-// and runs fn(lo, hi) once per chunk, chunks in parallel. It is the
-// worker-local variant of For: each invocation of fn owns its half-open
-// range exclusively, so per-chunk scratch (pooled buffers) can be
-// allocated once per chunk instead of once per element.
-//
-// Where the chunks fall depends on the core count, so fn must write only
-// outputs indexed inside its range (the FFT row and column passes, its
-// only callers, do): a sum folded per chunk would carry the core count
-// into its bits. Panics propagate like For.
-func ForChunks(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	chunks := runtime.GOMAXPROCS(0)
-	if chunks > n {
-		chunks = n
-	}
-	forN(chunks, chunks, func(c int) {
-		fn(c*n/chunks, (c+1)*n/chunks)
-	})
-}
-
-// forN is For with an explicit concurrency bound: at most workers tasks
-// run at once. The bound is an upper limit, not a demand — the loop runs
-// on the caller plus up to workers-1 helper goroutines, each helper backed
-// by a pool token, and degrades gracefully (down to a plain inline loop)
-// when the pool is saturated.
+// forN is For with an explicit bound: the caller and up to workers-1 helper
+// goroutines, each backed by a pool token, run the same claim-next loop — a
+// plain in-order loop on the caller when the pool is saturated. Every task
+// runs; the first panic caught is re-raised once all have.
 func forN(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	helpers := 0
-	if workers > 1 {
-		helpers = acquireTokens(workers - 1)
-	}
+	helpers := acquireTokens(min(workers, n) - 1)
 	if helpers == 0 {
-		// Saturated pool (or workers <= 1): run inline on the caller, in
-		// order. Like the parallel path, a panicking task does not stop
-		// the others; the first panic re-propagates once the loop drains.
 		poolInlineTotal.Inc()
-		var first *PanicError
-		for i := 0; i < n; i++ {
-			if pe := call(i, fn); pe != nil && first == nil {
-				first = pe
-			}
-		}
-		if first != nil {
-			panic(first)
-		}
-		return
 	}
 	poolHelpersTotal.Add(int64(helpers))
 
 	var next atomic.Int64
-	var firstPanic atomic.Pointer[PanicError]
+	var first atomic.Pointer[PanicError]
 	body := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			if pe := call(i, fn); pe != nil {
-				// Keep the first panic; a panicking worker stops
-				// claiming tasks while the others drain the range.
-				firstPanic.CompareAndSwap(nil, pe)
-				return
+				first.CompareAndSwap(nil, pe)
 			}
 		}
 	}
@@ -150,10 +100,8 @@ func forN(workers, n int, fn func(i int)) {
 	wg.Add(helpers)
 	for h := 0; h < helpers; h++ {
 		go func() {
-			// The token MUST return to the pool no matter how the helper
-			// exits — releaseToken runs before wg.Done (LIFO defers), so
-			// by the time forN returns every helper token is back even if
-			// every task panicked.
+			// The token returns before wg.Done (LIFO defers), so every
+			// helper token is back by the time forN returns.
 			defer wg.Done()
 			defer releaseToken()
 			body()
@@ -161,7 +109,7 @@ func forN(workers, n int, fn func(i int)) {
 	}
 	body() // the caller's own core always participates
 	wg.Wait()
-	if pe := firstPanic.Load(); pe != nil {
+	if pe := first.Load(); pe != nil {
 		panic(pe)
 	}
 }

@@ -98,33 +98,25 @@ func TestForNAllTasksRunDespitePanic(t *testing.T) {
 	}
 }
 
-func TestForChunksCoversAllDisjoint(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		seen := make([]atomic.Int32, n)
-		ForChunks(n, func(lo, hi int) {
-			if lo >= hi {
-				t.Errorf("n=%d: empty chunk [%d,%d)", n, lo, hi)
+// TestForNEveryTaskRunsWhenEveryWorkerPanics: a panic costs a worker one
+// task, not the rest of its share — with two workers and two panicking
+// tasks the other eight still run before the first panic surfaces.
+func TestForNEveryTaskRunsWhenEveryWorkerPanics(t *testing.T) {
+	var ran atomic.Int64
+	pe := Catch(func() {
+		forN(2, 10, func(i int) {
+			if i < 2 {
+				panic("boom")
 			}
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
+			ran.Add(1)
 		})
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("n=%d: index %d covered %d times", n, i, got)
-			}
-		}
+	})
+	if pe == nil || pe.Value != "boom" {
+		t.Fatalf("recovered %+v, want the task's *PanicError", pe)
 	}
-}
-
-func TestForChunksPanicPropagates(t *testing.T) {
-	defer func() {
-		if _, ok := recover().(*PanicError); !ok {
-			t.Fatal("want *PanicError from a panicking chunk")
-		}
-	}()
-	ForChunks(10, func(lo, hi int) { panic("chunk boom") })
-	t.Fatal("ForChunks returned despite a panicking chunk")
+	if got := ran.Load(); got != 8 {
+		t.Fatalf("%d non-panicking tasks ran, want 8", got)
+	}
 }
 
 func TestForNNegative(t *testing.T) {

@@ -66,7 +66,7 @@ func TestNestedLoopsNeverExceedCapacity(t *testing.T) {
 	}()
 
 	// Outer layer: more reservation-holding tasks than cores, each running
-	// nested For/ForChunks layers that try to fan out further.
+	// nested For layers that try to fan out further.
 	outer := 2*capTokens + 2
 	var wg sync.WaitGroup
 	wg.Add(outer)
@@ -80,9 +80,9 @@ func TestNestedLoopsNeverExceedCapacity(t *testing.T) {
 			}
 			defer res.Release()
 			For(8, func(int) {
-				ForChunks(64, func(lo, hi int) {
+				For(4, func(c int) {
 					s := 0.0
-					for i := lo; i < hi; i++ {
+					for i := c * 16; i < (c+1)*16; i++ {
 						s += float64(i)
 					}
 					_ = s

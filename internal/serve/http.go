@@ -397,22 +397,15 @@ func (s *Server) handleArtifactVerify(w http.ResponseWriter, r *http.Request) {
 	httpapi.JSON(w, http.StatusOK, body)
 }
 
-// lookup returns the job record behind an id.
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
 // handleEvents streams a job's telemetry as Server-Sent Events. Each frame
 // is `id: <seq>` + `event: <type>` + `data: <JobEvent JSON>`; a client
 // reconnecting with a Last-Event-ID header (or ?after= query parameter)
 // replays everything it missed from the retained ring before going live.
 // The stream ends when the job reaches a terminal state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, ErrNotFound)
+	j, err := s.lookup(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -483,9 +476,9 @@ func writeSSE(w http.ResponseWriter, ev JobEvent) error {
 // handleTrace exports the job's assembled span tree — local spans plus
 // those shipped back from workers — as Chrome/Perfetto trace_event JSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, ErrNotFound)
+	j, err := s.lookup(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	out := obs.PerfettoTrace("coordinator", j.tel.buf.Events())

@@ -247,13 +247,21 @@ func (s *Server) enqueue(j *job) error {
 	return nil
 }
 
+// lookup returns the job record behind an id, or ErrNotFound.
+func (s *Server) lookup(id string) (*job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		return j, nil
+	}
+	return nil, ErrNotFound
+}
+
 // Status returns a job's current status.
 func (s *Server) Status(id string) (*Status, error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		return nil, ErrNotFound
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	return j.status(), nil
 }
@@ -262,11 +270,9 @@ func (s *Server) Status(id string) (*Status, error) {
 // the job's scores came from: "hit" (the record's quality side-car) or
 // "miss" (an evaluation of the mask).
 func (s *Server) Provenance(id string) (rec *mosaic.ArtifactRecord, report string, err error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		return nil, "", ErrNotFound
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, "", err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -361,11 +367,9 @@ func (s *Server) ListPage(filter State, limit int, cursor string) ([]*Status, st
 // Result returns a finished job's mask and per-tile results; its scores
 // are Summary's.
 func (s *Server) Result(id string) (*mosaic.LayoutResult, error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		return nil, ErrNotFound
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -377,11 +381,9 @@ func (s *Server) Result(id string) (*mosaic.LayoutResult, error) {
 
 // Summary returns a finished job's result summary.
 func (s *Server) Summary(id string) (*ResultSummary, error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		return nil, ErrNotFound
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
 	done := j.state == StateDone
@@ -397,12 +399,11 @@ func (s *Server) Summary(id string) (*ResultSummary, error) {
 // it from consideration immediately; a running job stops within one
 // optimizer iteration (or one tile boundary), freeing its worker.
 func (s *Server) Cancel(id string) (*Status, error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	if j == nil {
-		s.mu.Unlock()
-		return nil, ErrNotFound
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
+	s.mu.Lock()
 	j.mu.Lock()
 	switch {
 	case j.state == StateQueued:

@@ -13,6 +13,7 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 	"mosaic/internal/optics"
+	"mosaic/internal/par"
 	"mosaic/internal/resist"
 )
 
@@ -98,6 +99,23 @@ func New(cfg optics.Config, rm resist.Model) (*Simulator, error) {
 // Kernels returns the (cached) SOCS kernel set for the given defocus.
 func (s *Simulator) Kernels(defocusNM float64) (*optics.KernelSet, error) {
 	return optics.Kernels(s.Cfg, defocusNM)
+}
+
+// BuildPlanes builds (or finds cached) the kernel set of every focus plane
+// of corners, the planes concurrently where cores are free, and returns
+// the first plane's error in corner order.
+func (s *Simulator) BuildPlanes(corners []Corner) error {
+	planes := FocusGroups(corners)
+	errs := make([]error, len(planes))
+	par.For(len(planes), func(i int) {
+		_, errs[i] = s.Kernels(planes[i].Lead.DefocusNM)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("sim: building SOCS kernels at %g nm defocus: %w", planes[i].Lead.DefocusNM, err)
+		}
+	}
+	return nil
 }
 
 // Spectrum returns the full 2-D FFT of the mask.

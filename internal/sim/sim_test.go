@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mosaic/internal/grid"
@@ -280,5 +281,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	c = optics.Default()
 	if _, err := New(c, resist.Model{Threshold: 0.2, ThetaZ: 0}); err == nil {
 		t.Fatal("zero resist steepness accepted")
+	}
+}
+
+// TestBuildPlanesReturnsPlaneError: no optics.Config that New accepts
+// makes a kernel build fail, so the failing plane is a simulator made
+// around New; its error must come back, naming the plane.
+func TestBuildPlanesReturnsPlaneError(t *testing.T) {
+	bad := testSim(t).Cfg
+	bad.NA = 0
+	err := (&Simulator{Cfg: bad}).BuildPlanes(ProcessCorners(25, 0.02))
+	if err == nil || !strings.Contains(err.Error(), "0 nm defocus") || !strings.Contains(err.Error(), "NA must be positive") {
+		t.Fatalf("err = %v, want the nominal plane's build error", err)
 	}
 }

@@ -277,14 +277,12 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	defer runSpan.End()
 	start := time.Now()
 
-	// Build the shared kernel stacks up front, one per distinct defocus.
+	// Build the shared kernel stacks up front, one per focus plane.
 	// optics.Kernels is single-flight, so workers could not race the
 	// construction anyway; building here surfaces a build error before the
 	// pool starts instead of once per tile.
-	for _, c := range sim.ProcessCorners(cfg.DefocusNM, cfg.DoseDelta) {
-		if _, err := ws.Kernels(c.DefocusNM); err != nil {
-			return nil, fmt.Errorf("tile: building kernels for corner %s: %w", c.Name, err)
-		}
+	if err := ws.BuildPlanes(sim.ProcessCorners(cfg.DefocusNM, cfg.DoseDelta)); err != nil {
+		return nil, err
 	}
 
 	// Per-tile configuration: with more than one window the diagnostics

@@ -36,7 +36,6 @@ import (
 	"mosaic/internal/obs"
 	"mosaic/internal/opc"
 	"mosaic/internal/optics"
-	"mosaic/internal/par"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
@@ -303,7 +302,7 @@ func NewSetup(cfg OpticsConfig) (*Setup, error) {
 		return nil, err
 	}
 	params := metrics.DefaultParams()
-	if err := buildPlanes(s, sim.ProcessCorners(params.DefocusNM, params.DoseDelta)); err != nil {
+	if err := s.BuildPlanes(sim.ProcessCorners(params.DefocusNM, params.DoseDelta)); err != nil {
 		return nil, err
 	}
 	thr, err := s.CalibrateThreshold()
@@ -312,23 +311,6 @@ func NewSetup(cfg OpticsConfig) (*Setup, error) {
 	}
 	s.Resist.Threshold = thr
 	return &Setup{Sim: s, Params: params}, nil
-}
-
-// buildPlanes builds (or finds cached) the kernel set of every focus plane
-// of corners, the planes concurrently, and returns the first plane's error
-// in corner order.
-func buildPlanes(s *Simulator, corners []Corner) error {
-	planes := sim.FocusGroups(corners)
-	errs := make([]error, len(planes))
-	par.For(len(planes), func(i int) {
-		_, errs[i] = s.Kernels(planes[i].Lead.DefocusNM)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("mosaic: building SOCS kernels at %g nm defocus: %w", planes[i].Lead.DefocusNM, err)
-		}
-	}
-	return nil
 }
 
 // Optimize runs the ILT optimizer with an explicit configuration.

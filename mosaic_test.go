@@ -112,15 +112,34 @@ func TestNewSetupBuildsEveryPlane(t *testing.T) {
 	}
 }
 
-// TestBuildPlanesReturnsPlaneError: no OpticsConfig that sim.New accepts
-// makes a kernel build fail, so the failing plane is a simulator made
-// around sim.New; its error must come back, naming the plane.
-func TestBuildPlanesReturnsPlaneError(t *testing.T) {
-	bad := smallOptics()
-	bad.NA = 0
-	err := buildPlanes(&Simulator{Cfg: bad}, sim.ProcessCorners(25, 0.02))
-	if err == nil || !strings.Contains(err.Error(), "0 nm defocus") || !strings.Contains(err.Error(), "NA must be positive") {
-		t.Fatalf("err = %v, want the nominal plane's build error", err)
+// TestOptimizeLayoutBuildsEveryWindowPlane is the sharded twin: the window
+// grid differs from the setup grid, so Plan.Optimize owes one build per
+// focus plane of the window simulator — before the first tile, at any core
+// count — and a second run of the plan builds none. Not parallel: it sets
+// GOMAXPROCS for the whole process.
+func TestOptimizeLayoutBuildsEveryWindowPlane(t *testing.T) {
+	par.Capacity() // size the pool on the whole machine before GOMAXPROCS drops to 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	misses := obs.NewCounter("optics_kernel_cache_misses_total")
+	cfg := DefaultConfig(ModeFast)
+	cfg.MaxIter = 1
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		c := smallOptics()
+		c.WavelengthNM -= float64(procs) / 4 // a configuration no other test has built
+		s, err := NewSetup(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := misses.Value()
+		for run := 1; run <= 2; run++ {
+			if _, err := s.OptimizeLayout(context.Background(), cfg, cacheLayout(), TileOptions{TileNM: 512}); err != nil {
+				t.Fatal(err)
+			}
+			if got := misses.Value() - before; got != 2 {
+				t.Errorf("GOMAXPROCS %d: %d window-grid kernel sets built after run %d, want 2", procs, got, run)
+			}
+		}
 	}
 }
 

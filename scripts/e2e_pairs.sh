@@ -4,13 +4,17 @@
 #
 #   scripts/e2e_pairs.sh PARENT_REV        (or: make bench-e2e-pairs PARENT=<rev>)
 #
-# `git archive`s PARENT_REV into a temp dir and runs it and this checkout
-# through their own benchmark/run.sh, one seed per pair (1601, 1602, …),
+# `git archive`s PARENT_REV and the change into two temp dirs — the change
+# is HEAD, or `git stash create`'s commit of a dirty tree (tracked and
+# staged files; an untracked one is refused: `git add` it) — and runs each
+# through its own benchmark/run.sh, one seed per pair (1601, 1602, …),
 # the side that goes first alternating from pair to pair so that slow
 # drift of the shared host lands on both sides alike. The per-pair run sets
 # are merged into results/E2E_<STAMP>_parent.json and …_change.json, a
 # table of every timing metric per pair is printed with the number of
-# pairs the change won, and `run.sh compare` gives the verdicts.
+# pairs the change won, and `run.sh compare` gives the verdicts. Both sides
+# run from scratch directories because the checkout's side of a 1.5 ms
+# median read ≈ 8 % slow against an archived parent (PRs 17–20).
 #
 # Environment: PAIRS (10) and STAMP (the output name; today, yyyymmdd).
 # Every run is the full benchmark — all four workloads at its own run
@@ -28,16 +32,20 @@ for f in "$OUT_PARENT" "$OUT_CHANGE"; do
     [ ! -e "$f" ] || { echo "e2e-pairs: $f exists; pick another STAMP" >&2; exit 2; }
 done
 
+untracked="$(git ls-files --others --exclude-standard)"
+[ -z "$untracked" ] || { echo "e2e-pairs: untracked files would be left out of the change side; git add them:" >&2; echo "$untracked" >&2; exit 2; }
+CHANGE="$(git stash create)"
+CHANGE="${CHANGE:-HEAD}"
+
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT INT TERM
-mkdir "$TMP/parent" "$TMP/sets"
+mkdir "$TMP/parent" "$TMP/change" "$TMP/sets"
 git archive "$PARENT" | tar -x -C "$TMP/parent"
-echo "e2e-pairs: parent $(git rev-parse --short "$PARENT") in $TMP/parent, change = this checkout, $PAIRS pairs from seed $SEED0"
+git archive "$CHANGE" | tar -x -C "$TMP/change"
+echo "e2e-pairs: parent $(git rev-parse --short "$PARENT") and change $(git rev-parse --short "$CHANGE") under $TMP, $PAIRS pairs from seed $SEED0"
 
 run_side() { # $1 = parent|change, $2 = pair, $3 = seed
-    tree=.
-    [ "$1" = change ] || tree="$TMP/parent"
-    bash "$tree/benchmark/run.sh" run --seeds "$3" --out "$TMP/sets/$1_$2.json" 2>&1 | sed "s/^/  $1: /"
+    bash "$TMP/$1/benchmark/run.sh" run --seeds "$3" --out "$TMP/sets/$1_$2.json" 2>&1 | sed "s/^/  $1: /"
     [ -s "$TMP/sets/$1_$2.json" ] || { echo "e2e-pairs: $1 run of pair $2 failed" >&2; exit 1; }
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# The four line counts ROADMAP item 8 and every simplicity PR quote, so
+# The four line counts ROADMAP item 7 and every simplicity PR quote, so
 # they are a command instead of arithmetic redone by hand (make loc).
 set -eu
 cd "$(dirname "$0")/.."
