@@ -35,14 +35,16 @@ loc:
 
 # fuzz-smoke runs every fuzz target for FUZZ_TIME each: the binary
 # decoders behind internal/frame (error or exact round-trip, never a
-# panic, never an allocation sized by a length field beyond the input)
-# and the two text/stream layout parsers. go test takes one -fuzz target
-# per run. Minimization is capped in executions, not time: the default
-# 60 s per new corpus entry would eat a 5 s budget whole.
+# panic, never an allocation sized by a length field beyond the input),
+# the two text/stream layout parsers, and the admission gate (a job body
+# or a TileOptions is refused with a typed error, or runs to completion).
+# go test takes one -fuzz target per run. Minimization is capped in
+# executions, not time: the default 60 s per new corpus entry would eat a
+# 5 s budget whole.
 FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult ilt:FuzzSnapshot \
 	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
-	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse
+	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse serve:FuzzAdmit
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -36,79 +36,110 @@ var pipelineFlags = []string{
 	"cache-dir", "cache-mem", "warm-lib", "warm-max-dist", "warm-harvest", "artifact-dir", "out",
 }
 
-// checkFlags rejects, before the kernel build, the values the run would
-// refuse or could not honour. tiled reports whether -tile-nm shards the
-// layout into more than one window; set holds the names of the flags the
-// command line gave.
-func checkFlags(tileNM, haloNM float64, tileWorkers int, converge, tiled bool, method string, set map[string]bool) error {
-	if method != "" {
+// options is every mosaic flag destination.
+type options struct {
+	testcase, layoutPath, mode, method, out, tracePerfetto string
+	grid, iter, tileWorkers                                int
+	tileNM, haloNM                                         float64
+	converge                                               bool
+	stores                                                 *cli.StoreFlags
+	obs                                                    *cli.ObsFlags
+}
+
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.testcase, "testcase", "", "built-in benchmark name (B1..B10)")
+	fs.StringVar(&o.layoutPath, "layout", "", "layout file (alternative to -testcase)")
+	fs.StringVar(&o.mode, "mode", "fast", "MOSAIC mode: fast or exact")
+	fs.StringVar(&o.method, "method", "", "run a baseline instead: rulebased, modelbased, plainilt")
+	fs.IntVar(&o.grid, "grid", 512, "simulation grid size (power of two); with -tile-nm it sets the core tile resolution")
+	fs.IntVar(&o.iter, "iter", 0, "override max iterations (0 = paper default)")
+	fs.BoolVar(&o.converge, "converge", false, "track full metrics per iteration (slow) and write converge.csv")
+	fs.Float64Var(&o.tileNM, "tile-nm", 0, "shard the layout into core tiles of this pitch in nm (0 = untiled)")
+	fs.Float64Var(&o.haloNM, "halo-nm", 0, "minimum optical halo around each tile core in nm (0 = lambda/NA)")
+	fs.IntVar(&o.tileWorkers, "tile-workers", 0, "core-reservation hint: concurrent tile optimizations, bounded by the compute pool (0 = pool capacity)")
+	fs.StringVar(&o.out, "out", "mosaic-out", "output directory")
+	fs.StringVar(&o.tracePerfetto, "trace-perfetto", "", "write the run's span tree as Perfetto trace_event JSON to this file")
+	o.stores = cli.AddStoreFlags(fs, 0) // memory tier off unless asked for: one-shot runs mostly benefit via -cache-dir
+	o.obs = cli.AddObsFlags(fs)
+	return o
+}
+
+// run is a command line that passed admission: what to optimize, at which
+// optics, under which configuration.
+type run struct {
+	layout *mosaic.Layout
+	optics mosaic.OpticsConfig
+	cfg    mosaic.Config
+	topts  mosaic.TileOptions
+}
+
+// admit turns the parsed flags into a run, or into the typed error of the
+// first thing that could not be honoured — before any kernel is built or
+// directory created. The command's own rules are here (a -method baseline
+// reads no pipeline flag, a sharded run writes no converge.csv); every
+// rule about the numbers is mosaic.Admit's. set holds the names of the
+// flags the command line gave.
+func (o *options) admit(set map[string]bool) (*run, error) {
+	layout, err := cli.LoadLayoutArg(o.testcase, o.layoutPath)
+	if err != nil {
+		return nil, err
+	}
+	if o.method != "" {
 		for _, name := range pipelineFlags {
 			if set[name] {
-				return &mosaic.ConfigError{Field: name, Reason: fmt.Sprintf("a -method %s baseline does not read it; drop -method or -%s", method, name)}
+				return nil, &mosaic.ConfigError{Field: name, Reason: fmt.Sprintf("a -method %s baseline does not read it; drop -method or -%s", o.method, name)}
 			}
 		}
 	}
-	switch {
-	case tileNM < 0:
-		return &mosaic.ConfigError{Field: "tile-nm", Reason: fmt.Sprintf("must be >= 0 (0 = untiled), got %g", tileNM)}
-	case haloNM < 0:
-		return &mosaic.ConfigError{Field: "halo-nm", Reason: fmt.Sprintf("must be >= 0 (0 = lambda/NA), got %g", haloNM)}
-	case tileWorkers < 0:
-		return &mosaic.ConfigError{Field: "tile-workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", tileWorkers)}
-	case converge && tiled:
-		return &mosaic.ConfigError{Field: "converge", Reason: "a sharded run has one convergence history per tile and writes no converge.csv; drop -converge or -tile-nm"}
+	// Under a -tile-nm that shards the layout, -grid sets the resolution of
+	// one core tile; the padded optimization windows are sized by the tile
+	// planner.
+	optics, tiled := mosaic.JobOptics(mosaic.DefaultOptics(), o.grid, layout, o.tileNM)
+	if o.converge && tiled {
+		return nil, &mosaic.ConfigError{Field: "converge", Reason: "a sharded run has one convergence history per tile and writes no converge.csv; drop -converge or -tile-nm"}
 	}
-	return nil
+	mode, err := mosaic.ParseMode(strings.ToLower(o.mode))
+	if err != nil {
+		return nil, err
+	}
+	cfg := mosaic.DefaultConfig(mode)
+	if o.iter != 0 {
+		cfg.MaxIter = o.iter
+	}
+	cfg.TrackMetrics = o.converge
+	topts := mosaic.TileOptions{TileNM: o.tileNM, HaloNM: o.haloNM, Workers: o.tileWorkers}
+	if err := mosaic.Admit(mosaic.DefaultOptics(), o.grid, layout, cfg, topts); err != nil {
+		return nil, err
+	}
+	return &run{layout: layout, optics: optics, cfg: cfg, topts: topts}, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mosaic: ")
-	testcase := flag.String("testcase", "", "built-in benchmark name (B1..B10)")
-	layoutPath := flag.String("layout", "", "layout file (alternative to -testcase)")
-	mode := flag.String("mode", "fast", "MOSAIC mode: fast or exact")
-	method := flag.String("method", "", "run a baseline instead: rulebased, modelbased, plainilt")
-	gridSize := flag.Int("grid", 512, "simulation grid size (power of two); with -tile-nm it sets the core tile resolution")
-	maxIter := flag.Int("iter", 0, "override max iterations (0 = paper default)")
-	converge := flag.Bool("converge", false, "track full metrics per iteration (slow) and write converge.csv")
-	tileNM := flag.Float64("tile-nm", 0, "shard the layout into core tiles of this pitch in nm (0 = untiled)")
-	haloNM := flag.Float64("halo-nm", 0, "minimum optical halo around each tile core in nm (0 = lambda/NA)")
-	tileWorkers := flag.Int("tile-workers", 0, "core-reservation hint: concurrent tile optimizations, bounded by the compute pool (0 = pool capacity)")
-	out := flag.String("out", "mosaic-out", "output directory")
-	tracePerfetto := flag.String("trace-perfetto", "", "write the run's span tree as Perfetto trace_event JSON to this file")
-	storeFlags := cli.AddStoreFlags(flag.CommandLine, 0) // memory tier off unless asked for: one-shot runs mostly benefit via -cache-dir
-	obsFlags := cli.AddObsFlags(flag.CommandLine)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	obsCleanup, err := obsFlags.Setup()
+	obsCleanup, err := o.obs.Setup()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer obsCleanup()
 
-	layout, err := cli.LoadLayoutArg(*testcase, *layoutPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Under a -tile-nm that shards the layout, -grid sets the resolution of
-	// one core tile; the padded optimization windows are sized by the tile
-	// planner.
-	cfg, tiled := mosaic.JobOptics(mosaic.DefaultOptics(), *gridSize, layout, *tileNM)
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(*tileNM, *haloNM, *tileWorkers, *converge, tiled, *method, set); err != nil {
-		log.Fatal(err)
-	}
-	optMode, err := mosaic.ParseMode(strings.ToLower(*mode))
+	r, err := o.admit(set)
 	if err != nil {
 		log.Fatal(err)
 	}
-	setup, err := mosaic.NewSetup(cfg)
+	layout, optics, optCfg, topts := r.layout, r.optics, r.cfg, r.topts
+	setup, err := mosaic.NewSetup(optics)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *method != "" {
-		runBaseline(setup, layout, *method)
+	if o.method != "" {
+		runBaseline(setup, layout, o.method)
 		return
 	}
 
@@ -119,21 +150,12 @@ func main() {
 	// it back), and with -artifact-dir commits its results as a Merkle-
 	// anchored provenance record: re-running the same inputs anchors the
 	// same digests, so two runs can attest equality by comparing them.
-	stores, err := storeFlags.Open()
+	stores, err := o.stores.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stores.Close()
-	topts := mosaic.TileOptions{
-		TileNM: *tileNM, HaloNM: *haloNM, Workers: *tileWorkers,
-		Cache: stores.Cache, WarmStart: stores.WarmStart, Artifact: stores.Artifact,
-	}
-
-	optCfg := mosaic.DefaultConfig(optMode)
-	if *maxIter > 0 {
-		optCfg.MaxIter = *maxIter
-	}
-	optCfg.TrackMetrics = *converge
+	topts.Cache, topts.WarmStart, topts.Artifact = stores.Cache, stores.WarmStart, stores.Artifact
 
 	// Stream convergence so long runs are not silent: one line per
 	// iteration at the default (info) log level.
@@ -157,7 +179,7 @@ func main() {
 	// span tree and exported for ui.perfetto.dev.
 	ctx := context.Background()
 	var traceBuf *mosaic.TraceBuffer
-	if *tracePerfetto != "" {
+	if o.tracePerfetto != "" {
 		traceBuf = mosaic.NewTraceBuffer(0)
 		ctx = mosaic.WithTraceBuffer(ctx, traceBuf)
 	}
@@ -170,33 +192,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	if traceBuf != nil {
-		if err := os.WriteFile(*tracePerfetto, mosaic.PerfettoTrace("mosaic", traceBuf.Events()), 0o644); err != nil {
+		if err := os.WriteFile(o.tracePerfetto, mosaic.PerfettoTrace("mosaic", traceBuf.Events()), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("perfetto trace (%d events) written to %s\n", traceBuf.Len(), *tracePerfetto)
+		fmt.Printf("perfetto trace (%d events) written to %s\n", traceBuf.Len(), o.tracePerfetto)
 	}
 	must := func(err error) {
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	must(render.SavePGM(filepath.Join(*out, "mask.pgm"), res.Mask))
-	must(render.SaveField(filepath.Join(*out, "mask.png"), res.Mask))
+	must(render.SavePGM(filepath.Join(o.out, "mask.pgm"), res.Mask))
+	must(render.SaveField(filepath.Join(o.out, "mask.png"), res.Mask))
 	// The mask as manufacturing geometry: vectorized polygons in GDSII.
-	traced := mosaic.TraceMask(layout.Name+"_mask", res.Mask, cfg.PixelNM)
-	must(mosaic.SaveGDS(filepath.Join(*out, "mask.gds"), traced, 1))
-	shots := len(mosaic.MaskRectangles(res.Mask, cfg.PixelNM))
-	must(render.SaveField(filepath.Join(*out, "printed_nominal.png"), rep.PrintedNominal))
-	must(render.SaveField(filepath.Join(*out, "pvband.png"), rep.PVBand))
-	target := layout.Rasterize(res.Mask.W, cfg.PixelNM)
-	must(render.SavePNG(filepath.Join(*out, "overlay.png"), render.Overlay(target, rep.PrintedNominal, rep.PVBand)))
+	traced := mosaic.TraceMask(layout.Name+"_mask", res.Mask, optics.PixelNM)
+	must(mosaic.SaveGDS(filepath.Join(o.out, "mask.gds"), traced, 1))
+	shots := len(mosaic.MaskRectangles(res.Mask, optics.PixelNM))
+	must(render.SaveField(filepath.Join(o.out, "printed_nominal.png"), rep.PrintedNominal))
+	must(render.SaveField(filepath.Join(o.out, "pvband.png"), rep.PVBand))
+	target := layout.Rasterize(res.Mask.W, optics.PixelNM)
+	must(render.SavePNG(filepath.Join(o.out, "overlay.png"), render.Overlay(target, rep.PrintedNominal, rep.PVBand)))
 
-	if *converge {
-		f, err := os.Create(filepath.Join(*out, "converge.csv"))
+	if o.converge {
+		f, err := os.Create(filepath.Join(o.out, "converge.csv"))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -209,12 +231,8 @@ func main() {
 		must(f.Close())
 	}
 
-	iters := 0
-	for _, tr := range res.Tiles {
-		iters += tr.Iterations
-	}
 	fmt.Printf("%s on %s: %d iterations in %.1fs\n",
-		optCfg.Mode, layout.Name, iters, res.RuntimeSec)
+		optCfg.Mode, layout.Name, res.Iterations, res.RuntimeSec)
 	if res.Tiled {
 		fmt.Printf("tiles:          %d (%d workers, seam %.0f nm)\n",
 			len(res.Tiles), res.Workers, res.SeamNM)
@@ -228,7 +246,7 @@ func main() {
 		fmt.Printf("manifest:       %s\n", res.Artifact.Manifest)
 		fmt.Printf("merkle root:    %s\n", res.Artifact.Root)
 	}
-	fmt.Printf("outputs in %s\n", *out)
+	fmt.Printf("outputs in %s\n", o.out)
 }
 
 func runBaseline(setup *mosaic.Setup, layout *mosaic.Layout, name string) {

@@ -1,71 +1,124 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
+	"os"
 	"testing"
 
 	"mosaic"
 	"mosaic/internal/cli"
+	"mosaic/internal/obs"
 )
 
-// TestCheckFlags: a flag value the run would ignore or refuse is a typed
-// error before the kernel build; zero keeps meaning "default".
+// admitArgs parses a command line and runs the pre-build admission on it.
+func admitArgs(t *testing.T, args ...string) error {
+	t.Helper()
+	fs := flag.NewFlagSet("mosaic", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	_, err := o.admit(set)
+	return err
+}
+
+func wantField(t *testing.T, name string, err error, field string) {
+	t.Helper()
+	var ce *mosaic.ConfigError
+	switch {
+	case field == "" && err != nil:
+		t.Errorf("%s: rejected: %v", name, err)
+	case field != "" && (!errors.As(err, &ce) || ce.Field != field):
+		t.Errorf("%s: got %v, want a *ConfigError on %s", name, err, field)
+	}
+}
+
+// TestCheckFlags: the command's own rules — a -method baseline reads no
+// pipeline flag, a sharded run writes no converge.csv — are typed errors
+// before the kernel build; zero keeps meaning "default".
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		tileNM, haloNM float64
-		tileWorkers    int
-		converge       bool
-		tiled          bool
-		method         string
-		set            []string // flags given on the command line
-		field          string   // "" = accepted
+		name  string
+		args  []string
+		field string // "" = accepted
 	}{
-		{name: "defaults"},
-		{name: "sharded", tileNM: 512, haloNM: 160, tileWorkers: 2, tiled: true},
-		{name: "converge untiled", converge: true},
-		{name: "converge with a tile pitch that does not shard", tileNM: 2048, converge: true},
-		{name: "negative tile-nm", tileNM: -5, field: "tile-nm"},
-		{name: "negative halo-nm", tileNM: 512, haloNM: -1, tiled: true, field: "halo-nm"},
-		{name: "negative tile-workers", tileWorkers: -1, field: "tile-workers"},
-		{name: "converge sharded", tileNM: 512, converge: true, tiled: true, field: "converge"},
-		{name: "baseline", method: "rulebased", set: []string{"testcase", "method", "grid", "v"}},
-		{name: "pipeline flags without -method", tileNM: 512, tiled: true, set: []string{"tile-nm", "cache-dir", "out"}},
+		{"defaults", nil, ""},
+		{"sharded", []string{"-tile-nm", "512", "-halo-nm", "160", "-tile-workers", "2"}, ""},
+		{"converge untiled", []string{"-converge"}, ""},
+		{"converge with a tile pitch that does not shard", []string{"-tile-nm", "2048", "-converge"}, ""},
+		{"converge sharded", []string{"-tile-nm", "512", "-converge"}, "converge"},
+		{"mode in capitals", []string{"-mode", "EXACT"}, ""},
+		{"unknown mode", []string{"-mode", "quick"}, "mode"},
+		{"baseline", []string{"-method", "rulebased", "-grid", "64", "-v"}, ""},
+		{"pipeline flags without -method", []string{"-tile-nm", "512", "-cache-dir", "c", "-out", "o"}, ""},
 		// The reproduced command line: -tile-nm shrank the pixel under a
 		// baseline that never tiles, and the stores were opened for nothing.
-		{name: "baseline with -tile-nm and stores", method: "rulebased", tileNM: 512, tiled: true,
-			set: []string{"testcase", "method", "grid", "tile-nm", "artifact-dir", "cache-dir", "out"}, field: "tile-nm"},
-		{name: "baseline with -mode", method: "modelbased", set: []string{"mode"}, field: "mode"},
-		{name: "baseline with -iter", method: "modelbased", set: []string{"iter"}, field: "iter"},
-		{name: "baseline with -converge", method: "modelbased", converge: true, set: []string{"converge"}, field: "converge"},
-		{name: "baseline with -halo-nm", method: "modelbased", haloNM: 160, set: []string{"halo-nm"}, field: "halo-nm"},
-		{name: "baseline with -tile-workers", method: "modelbased", tileWorkers: 2, set: []string{"tile-workers"}, field: "tile-workers"},
-		{name: "baseline with -trace-perfetto", method: "plainilt", set: []string{"trace-perfetto"}, field: "trace-perfetto"},
-		{name: "baseline with -out", method: "plainilt", set: []string{"out"}, field: "out"},
+		{"baseline with -tile-nm and stores", []string{"-method", "rulebased", "-grid", "64", "-tile-nm", "512", "-artifact-dir", "a", "-cache-dir", "c", "-out", "o"}, "tile-nm"},
+		{"baseline with -mode", []string{"-method", "modelbased", "-mode", "exact"}, "mode"},
+		{"baseline with -iter", []string{"-method", "modelbased", "-iter", "3"}, "iter"},
+		{"baseline with -converge", []string{"-method", "modelbased", "-converge"}, "converge"},
+		{"baseline with -halo-nm", []string{"-method", "modelbased", "-halo-nm", "160"}, "halo-nm"},
+		{"baseline with -tile-workers", []string{"-method", "modelbased", "-tile-workers", "2"}, "tile-workers"},
+		{"baseline with -trace-perfetto", []string{"-method", "plainilt", "-trace-perfetto", "t.json"}, "trace-perfetto"},
+		{"baseline with -out", []string{"-method", "plainilt", "-out", "o"}, "out"},
 	} {
-		set := map[string]bool{}
-		for _, name := range tc.set {
-			set[name] = true
-		}
-		err := checkFlags(tc.tileNM, tc.haloNM, tc.tileWorkers, tc.converge, tc.tiled, tc.method, set)
-		var ce *mosaic.ConfigError
-		switch {
-		case tc.field == "" && err != nil:
-			t.Errorf("%s: rejected: %v", tc.name, err)
-		case tc.field != "" && (!errors.As(err, &ce) || ce.Field != tc.field):
-			t.Errorf("%s: got %v, want a *ConfigError on %s", tc.name, err, tc.field)
-		}
+		wantField(t, tc.name, admitArgs(t, append([]string{"-testcase", "B1"}, tc.args...)...), tc.field)
 	}
 	// The store flags are registered by internal/cli: one added there must
 	// not become a flag a -method run silently ignores.
-	fs := flag.NewFlagSet("mosaic", flag.ContinueOnError)
+	fs := flag.NewFlagSet("stores", flag.ContinueOnError)
 	cli.AddStoreFlags(fs, 0)
 	fs.VisitAll(func(f *flag.Flag) {
-		err := checkFlags(0, 0, 0, false, false, "rulebased", map[string]bool{f.Name: true})
-		var ce *mosaic.ConfigError
-		if !errors.As(err, &ce) || ce.Field != f.Name {
-			t.Errorf("-method with -%s: got %v, want a *ConfigError on %s", f.Name, err, f.Name)
-		}
+		err := admitArgs(t, "-testcase", "B1", "-method", "rulebased", "-"+f.Name+"="+f.DefValue)
+		wantField(t, "-method with -"+f.Name, err, f.Name)
 	})
+}
+
+// TestAdmitFlags feeds the shared table of requests no layer can run
+// (testdata/inadmissible.json, see the root package's TestAdmitRefusals)
+// through the command line: each is refused on the library's field name
+// before NewSetup — -iter -3, which used to run the default budget
+// without a word, among them — and no kernel set is built.
+func TestAdmitFlags(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/inadmissible.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Name, Field string
+		Job         map[string]any
+		Retries     *int // the command has no retry flag
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber() // a flag value is the number as the file spells it
+	if err := dec.Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	flagOf := map[string]string{"benchmark": "testcase", "grid": "grid", "max_iter": "iter",
+		"tile_nm": "tile-nm", "halo_nm": "halo-nm", "tile_workers": "tile-workers"}
+	misses := obs.NewCounter("optics_kernel_cache_misses_total")
+	before, ran := misses.Value(), 0
+	for _, row := range rows {
+		if row.Retries != nil {
+			continue
+		}
+		var args []string
+		for key, val := range row.Job {
+			args = append(args, "-"+flagOf[key], fmt.Sprint(val))
+		}
+		wantField(t, row.Name, admitArgs(t, args...), row.Field)
+		ran++
+	}
+	if ran < 10 {
+		t.Errorf("only %d rows of the shared table reached the command line", ran)
+	}
+	if built := misses.Value() - before; built != 0 {
+		t.Errorf("%d kernel sets were built on the way to the refusals", built)
+	}
 }

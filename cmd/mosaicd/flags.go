@@ -50,13 +50,14 @@ func defineFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// validate rejects the flag values neither serving mode can honour.
+// validate rejects the flag values neither serving mode can honour. The
+// numbers every job inherits (-grid, -tile-retries) are mosaic.Admit's to
+// judge, asked about the plainest job there is, a contest-size clip with
+// no options: a daemon that refuses it would answer 400 to everything.
 func (o *options) validate() error {
 	if o.workers < 0 {
 		return &mosaic.ConfigError{Field: "workers", Reason: fmt.Sprintf("must be >= 0 (0 is taken as 1), got %d", o.workers)}
 	}
-	if o.tileRetries < 0 {
-		return &mosaic.ConfigError{Field: "tile-retries", Reason: fmt.Sprintf("must be >= 0 (0 = fail fast), got %d", o.tileRetries)}
-	}
-	return nil
+	return mosaic.Admit(mosaic.DefaultOptics(), o.grid, &mosaic.Layout{Name: "probe", SizeNM: 1024},
+		mosaic.DefaultConfig(mosaic.ModeFast), mosaic.TileOptions{Retries: o.tileRetries})
 }

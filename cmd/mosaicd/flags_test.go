@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -74,17 +77,46 @@ func TestReadmeDocumentsFlags(t *testing.T) {
 // TestValidateFlags: negative counts are typed errors; zero is legal and
 // the -workers help says what it does (serve.New and cluster.NewWorker
 // both run one at a time), not what the tile-level hint of the same name
-// does.
+// does. What every job inherits from the flags (-grid, -tile-retries) is
+// refused as mosaic.Admit refuses it: the rows of the shared table
+// (testdata/inadmissible.json, see the root package's TestAdmitRefusals)
+// the daemon's flags can spell get the same field here.
 func TestValidateFlags(t *testing.T) {
-	for _, tc := range []struct {
+	type flagCase struct {
 		args  []string
 		field string // "" = accepted
-	}{
+	}
+	cases := []flagCase{
 		{nil, ""},
-		{[]string{"-workers", "0", "-tile-retries", "0"}, ""},
+		{[]string{"-workers", "0", "-tile-retries", "0", "-grid", "64"}, ""},
 		{[]string{"-workers", "-1"}, "workers"},
-		{[]string{"-tile-retries", "-1"}, "tile-retries"},
-	} {
+	}
+	raw, err := os.ReadFile("../../testdata/inadmissible.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Field   string
+		Job     struct{ Grid json.Number }
+		Retries *int
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		switch {
+		case row.Retries != nil:
+			cases = append(cases, flagCase{[]string{"-tile-retries", strconv.Itoa(*row.Retries)}, row.Field})
+		case row.Field == "OpticsConfig.GridSize":
+			cases = append(cases, flagCase{[]string{"-grid", row.Job.Grid.String()}, row.Field})
+		}
+	}
+	if len(cases) < 8 {
+		t.Fatalf("only %d cases: the shared table lost its grid and retry rows", len(cases))
+	}
+	for _, tc := range cases {
 		fs := flag.NewFlagSet("mosaicd", flag.ContinueOnError)
 		o := defineFlags(fs)
 		if err := fs.Parse(tc.args); err != nil {

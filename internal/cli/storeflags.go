@@ -1,13 +1,11 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 
 	"mosaic/internal/artifact"
 	"mosaic/internal/cache"
-	"mosaic/internal/ilt"
 	"mosaic/internal/warmstart"
 )
 
@@ -69,9 +67,10 @@ func AddStoreFlags(fs *flag.FlagSet, defaultCacheMemMiB int64) *StoreFlags {
 	return f
 }
 
-// Open opens the stores the parsed flags describe. Invalid values — a
-// negative distance, an unwritable library directory — surface as
-// *ilt.ConfigError naming the flag. Close the result when done.
+// Open opens the stores the parsed flags describe. What the warm-start
+// library refuses — a negative distance, an unwritable directory — is its
+// *ilt.ConfigError, naming the library's field (WarmStart.MaxDist,
+// WarmStart.Dir). Close the result when done.
 func (f *StoreFlags) Open() (Stores, error) {
 	var s Stores
 	var err error
@@ -84,16 +83,8 @@ func (f *StoreFlags) Open() (Stores, error) {
 			return Stores{}, fmt.Errorf("opening tile cache: %w", err)
 		}
 	}
-	if f.WarmMaxDist < 0 {
-		return Stores{}, &ilt.ConfigError{Field: "warm-max-dist", Reason: fmt.Sprintf("must be >= 0 (0 = default), got %g", f.WarmMaxDist)}
-	}
 	if f.WarmLib != "" {
-		s.WarmStart, err = warmstart.Open(warmstart.Options{Dir: f.WarmLib, MaxDist: f.WarmMaxDist, Harvest: f.WarmHarvest})
-		var cerr *ilt.ConfigError
-		if errors.As(err, &cerr) && cerr.Field == "WarmStart.Dir" {
-			return Stores{}, &ilt.ConfigError{Field: "warm-lib", Reason: cerr.Reason}
-		}
-		if err != nil {
+		if s.WarmStart, err = warmstart.Open(warmstart.Options{Dir: f.WarmLib, MaxDist: f.WarmMaxDist, Harvest: f.WarmHarvest}); err != nil {
 			return Stores{}, fmt.Errorf("opening warm-start library: %w", err)
 		}
 	}

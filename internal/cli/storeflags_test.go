@@ -43,28 +43,29 @@ func TestWarmFlagsOpen(t *testing.T) {
 	}
 }
 
+// TestWarmFlagsInvalid: what the library refuses reaches the command line
+// as the library's own typed error — its field names, no flag-name table
+// kept in step with them.
 func TestWarmFlagsInvalid(t *testing.T) {
 	var cerr *ilt.ConfigError
 
 	f := parseWarm(t, "-warm-lib", t.TempDir(), "-warm-max-dist", "-0.5")
-	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "warm-max-dist" {
-		t.Fatalf("negative -warm-max-dist: got %v, want ConfigError on warm-max-dist", err)
+	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
+		t.Fatalf("negative -warm-max-dist: got %v, want ConfigError on WarmStart.MaxDist", err)
 	}
-	// A negative distance is rejected even before the library path is
-	// looked at, so the error names the flag the user must fix.
+	// With warm-start off nothing reads the distance.
 	f = parseWarm(t, "-warm-max-dist", "-1")
-	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "warm-max-dist" {
-		t.Fatalf("negative distance with warm-start off: got %v", err)
+	if st, err := f.Open(); err != nil || st.WarmStart != nil {
+		t.Fatalf("a distance with warm-start off: got %+v, %v", st, err)
 	}
 
-	// An unusable directory (a path under a regular file) surfaces as a
-	// ConfigError naming -warm-lib, remapped from the library's own field.
+	// An unusable directory (a path under a regular file).
 	file := filepath.Join(t.TempDir(), "plain")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f = parseWarm(t, "-warm-lib", filepath.Join(file, "lib"))
-	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "warm-lib" {
-		t.Fatalf("unusable -warm-lib: got %v, want ConfigError on warm-lib", err)
+	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "WarmStart.Dir" {
+		t.Fatalf("unusable -warm-lib: got %v, want ConfigError on WarmStart.Dir", err)
 	}
 }

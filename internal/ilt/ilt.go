@@ -274,34 +274,46 @@ type Optimizer struct {
 	Cfg Config
 }
 
-// New validates the configuration and returns an Optimizer. Invalid
-// configurations are reported as a *ConfigError naming the field.
-func New(s *sim.Simulator, cfg Config) (*Optimizer, error) {
+// Validate reports the first optimizer rule cfg breaks as a *ConfigError
+// naming the field; gridSize is the grid of the simulator the run descends
+// on. It is the one home of these rules: New applies it, and the admission
+// gate (mosaic.Admit) applies it before any simulator exists.
+func (cfg *Config) Validate(gridSize int) error {
 	switch {
-	case s == nil:
-		return nil, fmt.Errorf("ilt: nil simulator")
 	case cfg.Alpha < 0 || cfg.Beta < 0 || cfg.Alpha+cfg.Beta == 0:
-		return nil, &ConfigError{Field: "Alpha,Beta", Reason: fmt.Sprintf("objective weights alpha=%g beta=%g must be non-negative and not both zero", cfg.Alpha, cfg.Beta)}
+		return &ConfigError{Field: "Alpha,Beta", Reason: fmt.Sprintf("objective weights alpha=%g beta=%g must be non-negative and not both zero", cfg.Alpha, cfg.Beta)}
 	case cfg.Gamma < 2 || int(cfg.Gamma)%2 != 0:
-		return nil, &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be a positive even integer >= 2, got %g", cfg.Gamma)}
+		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be a positive even integer >= 2, got %g", cfg.Gamma)}
 	case cfg.ThetaM <= 0:
-		return nil, &ConfigError{Field: "ThetaM", Reason: "sigmoid steepness must be positive"}
+		return &ConfigError{Field: "ThetaM", Reason: "sigmoid steepness must be positive"}
 	case cfg.ThetaEPE <= 0:
-		return nil, &ConfigError{Field: "ThetaEPE", Reason: "sigmoid steepness must be positive"}
+		return &ConfigError{Field: "ThetaEPE", Reason: "sigmoid steepness must be positive"}
 	case cfg.StepSize <= 0:
-		return nil, &ConfigError{Field: "StepSize", Reason: "must be positive"}
+		return &ConfigError{Field: "StepSize", Reason: "must be positive"}
 	case cfg.MaxIter <= 0:
-		return nil, &ConfigError{Field: "MaxIter", Reason: "must be positive"}
+		return &ConfigError{Field: "MaxIter", Reason: fmt.Sprintf("must be positive, got %d", cfg.MaxIter)}
 	case cfg.Momentum < 0 || cfg.Momentum >= 1:
-		return nil, &ConfigError{Field: "Momentum", Reason: fmt.Sprintf("must be in [0, 1), got %g", cfg.Momentum)}
+		return &ConfigError{Field: "Momentum", Reason: fmt.Sprintf("must be in [0, 1), got %g", cfg.Momentum)}
 	case cfg.EPEThresholdNM <= 0:
-		return nil, &ConfigError{Field: "EPEThresholdNM", Reason: "must be positive"}
+		return &ConfigError{Field: "EPEThresholdNM", Reason: "must be positive"}
 	case cfg.EPESampleNM <= 0:
-		return nil, &ConfigError{Field: "EPESampleNM", Reason: "must be positive"}
+		return &ConfigError{Field: "EPESampleNM", Reason: "must be positive"}
 	case cfg.ObjTol < 0:
-		return nil, &ConfigError{Field: "ObjTol", Reason: fmt.Sprintf("plateau tolerance must be >= 0, got %g", cfg.ObjTol)}
-	case cfg.SeedMask != nil && (cfg.SeedMask.W != s.Cfg.GridSize || cfg.SeedMask.H != s.Cfg.GridSize):
-		return nil, &ConfigError{Field: "SeedMask", Reason: fmt.Sprintf("seed raster is %dx%d but the simulator grid is %dx%d", cfg.SeedMask.W, cfg.SeedMask.H, s.Cfg.GridSize, s.Cfg.GridSize)}
+		return &ConfigError{Field: "ObjTol", Reason: fmt.Sprintf("plateau tolerance must be >= 0, got %g", cfg.ObjTol)}
+	case cfg.SeedMask != nil && (cfg.SeedMask.W != gridSize || cfg.SeedMask.H != gridSize):
+		return &ConfigError{Field: "SeedMask", Reason: fmt.Sprintf("seed raster is %dx%d but the simulator grid is %dx%d", cfg.SeedMask.W, cfg.SeedMask.H, gridSize, gridSize)}
+	}
+	return nil
+}
+
+// New validates the configuration (Config.Validate) and returns an
+// Optimizer.
+func New(s *sim.Simulator, cfg Config) (*Optimizer, error) {
+	if s == nil {
+		return nil, fmt.Errorf("ilt: nil simulator")
+	}
+	if err := cfg.Validate(s.Cfg.GridSize); err != nil {
+		return nil, err
 	}
 	return &Optimizer{Sim: s, Cfg: cfg}, nil
 }

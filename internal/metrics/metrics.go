@@ -266,7 +266,7 @@ type AerialFunc func(mask *grid.Field, c sim.Corner) (*grid.Field, error)
 // the optimization wall time to be folded into the score (pass 0 to score
 // quality only).
 func Evaluate(s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
-	return EvaluateWith(s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
+	return EvaluateCtx(context.Background(), s, mask, layout, p, runtimeSec)
 }
 
 // EvaluateCtx is Evaluate under a context: cancellation is honored between
@@ -276,19 +276,13 @@ func EvaluateCtx(ctx context.Context, s *sim.Simulator, mask *grid.Field, layout
 	return EvaluateWithCtx(ctx, s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
 }
 
-// EvaluateWith is Evaluate with the forward imaging injected: aerial forms
-// the image at each corner, rm thresholds it, pixelNM scales areas and EPE
-// measurements. mask and the images aerial returns must share one grid
-// that covers layout at pixelNM resolution.
-func EvaluateWith(aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
-	return EvaluateWithCtx(context.Background(), aerial, rm, pixelNM, mask, layout, p, runtimeSec)
-}
-
-// EvaluateWithCtx is EvaluateWith under a context, with EvaluateCtx's
-// cancellation semantics. Corners that share a focus plane differ only in
-// dose, which the resist applies, so aerial is called once per plane (with
-// the plane's first corner) and every corner of the plane prints from that
-// one image.
+// EvaluateWithCtx is EvaluateCtx with the forward imaging injected: aerial
+// forms the image at each corner, rm thresholds it, pixelNM scales areas
+// and EPE measurements. mask and the images aerial returns must share one
+// grid that covers layout at pixelNM resolution. Corners that share a
+// focus plane differ only in dose, which the resist applies, so aerial is
+// called once per plane (with the plane's first corner) and every corner of
+// the plane prints from that one image.
 func EvaluateWithCtx(ctx context.Context, aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
 	printed := make([]*grid.Field, len(corners))

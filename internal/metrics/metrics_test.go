@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -344,7 +345,7 @@ func TestEvaluateImagesEachFocusPlaneOnce(t *testing.T) {
 				calls++
 				return s.Aerial(m, c)
 			}
-			got, err := EvaluateWith(counting, s.Resist, c.PixelNM, mask, layout, p, 1.5)
+			got, err := EvaluateWithCtx(context.Background(), counting, s.Resist, c.PixelNM, mask, layout, p, 1.5)
 			if err != nil {
 				t.Fatal(err)
 			}

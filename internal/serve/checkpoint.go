@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +50,7 @@ func (s *Server) checkpointLocked(j *job) bool {
 	meta := checkpointMeta{
 		ID:            j.id,
 		Spec:          j.spec,
-		Priority:      j.priority,
+		Priority:      j.spec.Priority,
 		SubmittedAt:   j.submitted,
 		DigestVersion: cache.DigestVersion,
 	}
@@ -101,13 +100,7 @@ func (s *Server) restore() error {
 			obs.Logger().Warn("serve: skipping unreadable checkpoint", "path", path, "err", err)
 			continue
 		}
-		s.mu.Lock()
-		s.seq++
-		j.seq = s.seq
-		heap.Push(&s.queue, j)
-		s.jobs[j.id] = j
-		mQueueDepth.Set(float64(s.queue.Len()))
-		s.mu.Unlock()
+		_ = s.enqueue(j) // refuses only submissions, never a resumed job
 		mJobsResumed.Inc()
 		obs.Logger().Info("serve: resumed checkpointed job", "job", j.id)
 	}
@@ -133,23 +126,11 @@ func (s *Server) restoreOne(path string) (*job, error) {
 	if meta.ID == "" {
 		return nil, errors.New("checkpoint meta lacks a job id")
 	}
-	if err := meta.Spec.validate(); err != nil {
-		return nil, err
-	}
-	layout, err := meta.Spec.resolveLayout()
+	j, err := s.newJob(meta.ID, meta.Spec, meta.SubmittedAt)
 	if err != nil {
 		return nil, err
 	}
-	j := &job{
-		id:        meta.ID,
-		priority:  meta.Priority,
-		spec:      meta.Spec,
-		layout:    layout,
-		tel:       newJobTelemetry(),
-		state:     StateQueued,
-		resumed:   true,
-		submitted: meta.SubmittedAt,
-	}
+	j.resumed = true
 	if meta.DigestVersion != cache.DigestVersion {
 		obs.Logger().Warn("serve: checkpoint is of another numeric generation; restarting the job from iteration 0",
 			"job", meta.ID, "digest_version", meta.DigestVersion, "want", cache.DigestVersion)

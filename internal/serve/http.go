@@ -21,7 +21,8 @@ import (
 // reference clients read and a test pins against the actual mux
 // registrations — keep the two in sync:
 //
-//	POST /v1/jobs                        submit a JobSpec, returns 202 + Status
+//	POST /v1/jobs                        submit a JobSpec, returns 202 + Status; a spec
+//	                                     no layer could run (mosaic.Admit) is a 400
 //	GET  /v1/jobs                        one JobPage of jobs; ?status=, ?limit=, ?cursor=
 //	GET  /v1/jobs/{id}                   one job's status and progress
 //	GET  /v1/jobs/{id}/result            finished job's result summary (score, EPE...)
@@ -94,8 +95,6 @@ func writeError(w http.ResponseWriter, err error) {
 		httpapi.Error(w, http.StatusConflict, httpapi.CodeConflict, err.Error())
 	case errors.As(err, &qf):
 		httpapi.RetryError(w, http.StatusTooManyRequests, httpapi.CodeQueueFull, err.Error(), qf.RetryAfter)
-	case errors.Is(err, ErrQueueFull):
-		httpapi.RetryError(w, http.StatusTooManyRequests, httpapi.CodeQueueFull, err.Error(), defaultRetryAfter)
 	case errors.Is(err, ErrDraining):
 		httpapi.Error(w, http.StatusServiceUnavailable, httpapi.CodeDraining, err.Error())
 	default:

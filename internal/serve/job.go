@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mosaic"
-	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/metrics"
 )
@@ -30,7 +29,8 @@ type JobSpec struct {
 
 	// Mode is "fast" (default) or "exact".
 	Mode string `json:"mode,omitempty"`
-	// MaxIter overrides the mode's iteration budget; 0 keeps the default.
+	// MaxIter overrides the mode's iteration budget; 0 keeps the default,
+	// a negative value is rejected at submission.
 	MaxIter int `json:"max_iter,omitempty"`
 	// Grid overrides the simulation grid size (power of two); 0 keeps the
 	// server's configured grid. The pixel size is derived so the grid
@@ -38,7 +38,8 @@ type JobSpec struct {
 	Grid int `json:"grid,omitempty"`
 
 	// TileNM shards the run into cores of this pitch when positive and
-	// smaller than the layout; 0 runs untiled.
+	// smaller than the layout; 0 runs untiled. A pitch that leaves the
+	// layout off the TileNM/Grid pixel grid is rejected at submission.
 	TileNM float64 `json:"tile_nm,omitempty"`
 	// HaloNM overrides the optical guard band of a sharded run.
 	HaloNM float64 `json:"halo_nm,omitempty"`
@@ -56,12 +57,10 @@ type JobSpec struct {
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
-// minGrid is the smallest grid mosaic.NewSetup accepts; a job on a smaller
-// one would be queued only to fail when its setup is built
-// (TestJobSpecValidate holds the two bounds together).
-const minGrid = 4
-
-// validate rejects malformed specs before they enter the queue.
+// validate rejects what is the job API's own to reject: the target, the
+// spelling of the mode, the deadline. Every rule about the numbers a run is
+// made of (grid, iterations, tile geometry) is mosaic.Admit's, which newJob
+// calls next.
 func (sp *JobSpec) validate() error {
 	_, modeErr := mosaic.ParseMode(sp.Mode)
 	switch {
@@ -71,20 +70,6 @@ func (sp *JobSpec) validate() error {
 		return fmt.Errorf("spec has both a benchmark and a layout; pick one")
 	case modeErr != nil:
 		return modeErr
-	case sp.MaxIter < 0:
-		return fmt.Errorf("max_iter %d is negative", sp.MaxIter)
-	case sp.Grid < 0 || (sp.Grid > 0 && sp.Grid&(sp.Grid-1) != 0):
-		return fmt.Errorf("grid %d is not a positive power of two", sp.Grid)
-	case sp.Grid > 0 && sp.Grid < minGrid:
-		return fmt.Errorf("grid %d is too small to hold the threshold calibration line (minimum %d)", sp.Grid, minGrid)
-	case sp.Grid > 0 && !frame.SquareFits(sp.Grid):
-		return fmt.Errorf("grid %d: a %dx%d raster exceeds the %d-byte frame every result travels in", sp.Grid, sp.Grid, sp.Grid, frame.MaxPayload)
-	case sp.TileNM < 0:
-		return fmt.Errorf("tile_nm %g is negative", sp.TileNM)
-	case sp.HaloNM < 0:
-		return fmt.Errorf("halo_nm %g is negative (0 = the optical default)", sp.HaloNM)
-	case sp.TileWorkers < 0:
-		return fmt.Errorf("tile_workers %d is negative (0 = compute pool capacity)", sp.TileWorkers)
 	case sp.DeadlineMS < 0:
 		return fmt.Errorf("deadline_ms %d is negative", sp.DeadlineMS)
 	}
@@ -103,10 +88,16 @@ func (sp *JobSpec) resolveLayout() (*mosaic.Layout, error) {
 	return l, nil
 }
 
-// mode returns the (validated) spec's optimizer mode.
-func (sp *JobSpec) mode() mosaic.Mode {
-	m, _ := mosaic.ParseMode(sp.Mode)
-	return m
+// config returns the optimizer configuration the (validated) spec asks
+// for: the mode's defaults under its iteration budget. A negative budget
+// is carried, for mosaic.Admit to refuse.
+func (sp *JobSpec) config() mosaic.Config {
+	mode, _ := mosaic.ParseMode(sp.Mode)
+	cfg := mosaic.DefaultConfig(mode)
+	if sp.MaxIter != 0 {
+		cfg.MaxIter = sp.MaxIter
+	}
+	return cfg
 }
 
 // State is a job's lifecycle position.
@@ -198,12 +189,11 @@ type evaluation struct {
 
 // job is the server-side record behind a Status.
 type job struct {
-	id       string
-	seq      int64 // submission order, breaks priority ties
-	priority int
-	spec     JobSpec
-	layout   *mosaic.Layout
-	tel      *jobTelemetry // immutable pointer; has its own lock
+	id     string
+	seq    int64 // submission order, breaks ties of spec.Priority
+	spec   JobSpec
+	layout *mosaic.Layout
+	tel    *jobTelemetry // immutable pointer; has its own lock
 
 	// mu guards everything below. Lock ordering: Server.mu before job.mu,
 	// never the reverse.

@@ -58,17 +58,19 @@ func (e *QueueFullError) Error() string {
 
 func (e *QueueFullError) Unwrap() error { return ErrQueueFull }
 
-// Queue metrics.
+// Queue metrics; mJobsEnded counts the jobs end moved into each state.
 var (
-	mJobsSubmitted   = obs.NewCounter("serve_jobs_submitted_total")
-	mJobsDone        = obs.NewCounter("serve_jobs_done_total")
-	mJobsFailed      = obs.NewCounter("serve_jobs_failed_total")
-	mJobsCanceled    = obs.NewCounter("serve_jobs_canceled_total")
-	mJobsInterrupted = obs.NewCounter("serve_jobs_interrupted_total")
-	mJobsResumed     = obs.NewCounter("serve_jobs_resumed_total")
-	mQueueDepth      = obs.NewGauge("serve_queue_depth")
-	mJobsRunning     = obs.NewGauge("serve_jobs_running")
-	mJobSeconds      = obs.NewHistogram("serve_job_seconds")
+	mJobsSubmitted = obs.NewCounter("serve_jobs_submitted_total")
+	mJobsEnded     = map[State]*obs.Counter{
+		StateDone:        obs.NewCounter("serve_jobs_done_total"),
+		StateFailed:      obs.NewCounter("serve_jobs_failed_total"),
+		StateCanceled:    obs.NewCounter("serve_jobs_canceled_total"),
+		StateInterrupted: obs.NewCounter("serve_jobs_interrupted_total"),
+	}
+	mJobsResumed = obs.NewCounter("serve_jobs_resumed_total")
+	mQueueDepth  = obs.NewGauge("serve_queue_depth")
+	mJobsRunning = obs.NewGauge("serve_jobs_running")
+	mJobSeconds  = obs.NewHistogram("serve_job_seconds")
 )
 
 // Evaluation metrics: finished jobs whose quality came from the artifact
@@ -176,22 +178,9 @@ func New(cfg Config) (*Server, error) {
 // retainJobs bounds the finished jobs a server remembers. Each pins its
 // LayoutResult, span buffer and event ring, so without a bound a daemon
 // grows with every job it has ever run; past it the oldest finished job
-// is forgotten and its ID answers ErrNotFound like one never issued.
+// is forgotten (by end) and its ID answers ErrNotFound like one never
+// issued. Queued, running and interrupted jobs are never forgotten.
 const retainJobs = 4096
-
-// retire records that job id reached a terminal state and forgets the
-// oldest terminal jobs beyond the retention bound. Queued, running and
-// interrupted jobs are not in the list and so are never forgotten. The
-// caller must not hold the job's lock (lock order is s.mu, then j.mu).
-func (s *Server) retire(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finished = append(s.finished, id)
-	for len(s.finished) > s.retain {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
-}
 
 // newID returns a 12-hex-digit job ID.
 func newID() string {
@@ -202,23 +191,52 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Submit validates a spec and enqueues it, returning the queued status.
-func (s *Server) Submit(spec JobSpec) (*Status, error) {
+// tileOptions returns what every job of this server runs its tiles with,
+// under the tile geometry sp asks for.
+func (s *Server) tileOptions(sp *JobSpec) mosaic.TileOptions {
+	return mosaic.TileOptions{
+		TileNM:    sp.TileNM,
+		HaloNM:    sp.HaloNM,
+		Workers:   sp.TileWorkers,
+		Retries:   s.cfg.TileRetries,
+		Runner:    s.cfg.TileRunner,
+		Cache:     s.cfg.TileCache,
+		Artifact:  s.cfg.ArtifactStore,
+		WarmStart: s.cfg.WarmStart,
+	}
+}
+
+// newJob is the one way a spec becomes a queued job, submitted now or
+// restored from a checkpoint: the API's own rules, the target clip, then
+// mosaic.Admit on exactly the optics, configuration and tile options
+// execute will run it with — so a job that cannot run is an error here,
+// before it takes a queue slot, a worker or a kernel build.
+func (s *Server) newJob(id string, spec JobSpec, submitted time.Time) (*job, error) {
 	if err := spec.validate(); err != nil {
-		return nil, fmt.Errorf("serve: invalid spec: %w", err)
+		return nil, err
 	}
 	layout, err := spec.resolveLayout()
 	if err != nil {
-		return nil, fmt.Errorf("serve: invalid spec: %w", err)
+		return nil, err
 	}
-	j := &job{
-		id:        newID(),
-		priority:  spec.Priority,
+	if err := mosaic.Admit(s.cfg.Optics, spec.Grid, layout, spec.config(), s.tileOptions(&spec)); err != nil {
+		return nil, err
+	}
+	return &job{
+		id:        id,
 		spec:      spec,
 		layout:    layout,
 		tel:       newJobTelemetry(),
 		state:     StateQueued,
-		submitted: time.Now(),
+		submitted: submitted,
+	}, nil
+}
+
+// Submit admits a spec (newJob) and enqueues it, returning its status.
+func (s *Server) Submit(spec JobSpec) (*Status, error) {
+	j, err := s.newJob(newID(), spec, time.Now())
+	if err != nil {
+		return nil, fmt.Errorf("serve: invalid spec: %w", err)
 	}
 	if err := s.enqueue(j); err != nil {
 		return nil, err
@@ -228,15 +246,19 @@ func (s *Server) Submit(spec JobSpec) (*Status, error) {
 	return j.status(), nil
 }
 
-// enqueue adds a job under the queue bound.
+// enqueue adds a job to the queue. The drain flag and the queue bound
+// apply to submissions; a restored job was inside the bound of the server
+// that checkpointed it.
 func (s *Server) enqueue(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return ErrDraining
-	}
-	if s.queue.Len() >= s.cfg.QueueLimit {
-		return &QueueFullError{Limit: s.cfg.QueueLimit, RetryAfter: defaultRetryAfter}
+	if !j.resumed {
+		if s.draining {
+			return ErrDraining
+		}
+		if s.queue.Len() >= s.cfg.QueueLimit {
+			return &QueueFullError{Limit: s.cfg.QueueLimit, RetryAfter: defaultRetryAfter}
+		}
 	}
 	s.seq++
 	j.seq = s.seq
@@ -257,6 +279,23 @@ func (s *Server) lookup(id string) (*job, error) {
 	return nil, ErrNotFound
 }
 
+// done returns the job behind id once it is done, and ErrNotDone (naming
+// the state) while it is not or when it ended otherwise. A done job's
+// result and evaluation no longer change, so callers read them unlocked.
+func (s *Server) done(id string) (*job, error) {
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	j.mu.Lock()
+	st := j.state
+	j.mu.Unlock()
+	if st != StateDone {
+		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, st)
+	}
+	return j, nil
+}
+
 // Status returns a job's current status.
 func (s *Server) Status(id string) (*Status, error) {
 	j, err := s.lookup(id)
@@ -270,16 +309,11 @@ func (s *Server) Status(id string) (*Status, error) {
 // the job's scores came from: "hit" (the record's quality side-car) or
 // "miss" (an evaluation of the mask).
 func (s *Server) Provenance(id string) (rec *mosaic.ArtifactRecord, report string, err error) {
-	j, err := s.lookup(id)
+	j, err := s.done(id)
 	if err != nil {
 		return nil, "", err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil, "", fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
-	}
-	if j.result == nil || j.result.Artifact == nil {
+	if j.result.Artifact == nil {
 		return nil, "", ErrNoProvenance
 	}
 	return j.result.Artifact, j.eval.source, nil
@@ -367,69 +401,88 @@ func (s *Server) ListPage(filter State, limit int, cursor string) ([]*Status, st
 // Result returns a finished job's mask and per-tile results; its scores
 // are Summary's.
 func (s *Server) Result(id string) (*mosaic.LayoutResult, error) {
-	j, err := s.lookup(id)
+	j, err := s.done(id)
 	if err != nil {
 		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
 	}
 	return j.result, nil
 }
 
 // Summary returns a finished job's result summary.
 func (s *Server) Summary(id string) (*ResultSummary, error) {
-	j, err := s.lookup(id)
+	j, err := s.done(id)
 	if err != nil {
 		return nil, err
-	}
-	j.mu.Lock()
-	done := j.state == StateDone
-	st := j.state
-	j.mu.Unlock()
-	if !done {
-		return nil, fmt.Errorf("%w (state %s)", ErrNotDone, st)
 	}
 	return j.summary(), nil
 }
 
-// Cancel stops a queued or running job. Cancelling a queued job removes
-// it from consideration immediately; a running job stops within one
-// optimizer iteration (or one tile boundary), freeing its worker.
+// Cancel stops a queued or running job. Cancelling a queued job ends it
+// immediately (the worker that later pops it skips it); a running job
+// stops within one optimizer iteration (or one tile boundary), freeing its
+// worker, and ends in runJob.
 func (s *Server) Cancel(id string) (*Status, error) {
 	j, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	if s.end(j, StateQueued, StateCanceled, errCanceledByUser) != "" {
+		return j.status(), nil
+	}
 	j.mu.Lock()
-	switch {
-	case j.state == StateQueued:
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.err = errCanceledByUser
-		mJobsCanceled.Inc()
-		j.mu.Unlock()
-		s.mu.Unlock()
-		j.tel.publish("state", map[string]any{"state": string(StateCanceled)})
-		j.tel.closeLog()
-		s.removeCheckpoint(id)
-		s.retire(id)
-		return j.status(), nil
-	case j.state == StateRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		s.mu.Unlock()
-		cancel(errCanceledByUser)
-		return j.status(), nil
-	default:
-		st := j.state
-		j.mu.Unlock()
-		s.mu.Unlock()
+	st, cancel := j.state, j.cancel
+	j.mu.Unlock()
+	if st != StateRunning || cancel == nil {
 		return nil, fmt.Errorf("%w (state %s)", ErrFinished, st)
 	}
+	cancel(errCanceledByUser)
+	return j.status(), nil
+}
+
+// end is the one way a job ends: it moves j out of state from — and does
+// nothing, returning "", when j is no longer in it — into state to, and
+// returns the state reached. An interrupted job is one a restarted server
+// resumes, so to == StateInterrupted holds only if its checkpoint was
+// written; otherwise the job is canceled with err. The state event carries
+// the error. A terminal state closes the event log, deletes the checkpoint
+// files and puts the job on the retention list (retainJobs); an
+// interrupted one keeps all three. The caller holds neither lock.
+func (s *Server) end(j *job, from, to State, err error) State {
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return ""
+	}
+	if to == StateInterrupted {
+		if s.checkpointLocked(j) {
+			err = nil
+		} else {
+			to = StateCanceled
+		}
+	}
+	j.state, j.err, j.cancel = to, err, nil
+	ev := map[string]any{"state": string(to)}
+	if err != nil {
+		ev["error"] = err.Error()
+	}
+	j.tel.publish("state", ev)
+	if to.terminal() {
+		j.finished = time.Now()
+		j.tel.closeLog()
+	}
+	j.mu.Unlock()
+	mJobsEnded[to].Inc()
+	if to.terminal() {
+		s.removeCheckpoint(j.id)
+		s.mu.Lock() // after j.mu is released: the lock order is s.mu, then j.mu
+		s.finished = append(s.finished, j.id)
+		for len(s.finished) > s.retain {
+			delete(s.jobs, s.finished[0])
+			s.finished = s.finished[1:]
+		}
+		s.mu.Unlock()
+	}
+	return to
 }
 
 // worker pops jobs off the priority queue until drain.
@@ -465,14 +518,15 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job to a terminal (or interrupted) state.
+// runJob executes one job and ends it (end) by how execute returned.
 func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	// Root the job's distributed trace: every span and event below —
 	// including spans shipped back from remote workers — collects into the
 	// job's telemetry buffer under one trace ID.
 	ctx = obs.ContextWithBuffer(ctx, j.tel.buf)
+	mode, _ := mosaic.ParseMode(j.spec.Mode) // newJob has refused what does not parse
 	ctx, sp := obs.StartSpan(ctx, "serve.job",
-		obs.String("job", j.id), obs.String("mode", j.spec.mode().String()))
+		obs.String("job", j.id), obs.String("mode", mode.String()))
 	j.tel.setTraceID(sp.Context().TraceID)
 	j.tel.publish("state", map[string]any{"state": string(StateRunning)})
 	mJobsRunning.Set(float64(s.running.Add(1)))
@@ -503,59 +557,25 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 		err = fmt.Errorf("internal error: panic: %v", pe.Value)
 	}
 
-	j.mu.Lock()
-	j.cancel = nil
-	j.finished = time.Now()
+	to, canceled := StateFailed, errors.Is(err, mosaic.ErrCanceled)
 	switch {
 	case err == nil:
-		j.state = StateDone
+		to = StateDone
+		j.mu.Lock()
 		j.result = result
 		j.eval = eval
 		j.prog.TilesDone = j.prog.TilesTotal
-		mJobsDone.Inc()
-		s.removeCheckpoint(j.id)
-	case errors.Is(err, mosaic.ErrCanceled) && errors.Is(context.Cause(ctx), errDrained):
+		j.mu.Unlock()
+	case canceled && errors.Is(context.Cause(ctx), errDrained):
 		// Graceful drain: checkpoint what we have and let a restarted
 		// server pick the job back up.
-		if s.checkpointLocked(j) {
-			j.state = StateInterrupted
-			j.err = nil
-			j.finished = time.Time{}
-			mJobsInterrupted.Inc()
-		} else {
-			j.state = StateCanceled
-			j.err = err
-			mJobsCanceled.Inc()
-		}
-	case errors.Is(err, mosaic.ErrCanceled) && errors.Is(err, context.DeadlineExceeded):
-		j.state = StateFailed
-		j.err = fmt.Errorf("deadline of %d ms exceeded: %w", j.spec.DeadlineMS, err)
-		mJobsFailed.Inc()
-		s.removeCheckpoint(j.id)
-	case errors.Is(err, mosaic.ErrCanceled):
-		j.state = StateCanceled
-		j.err = err
-		mJobsCanceled.Inc()
-		s.removeCheckpoint(j.id)
-	default:
-		j.state = StateFailed
-		j.err = err
-		mJobsFailed.Inc()
-		s.removeCheckpoint(j.id)
+		to = StateInterrupted
+	case canceled && errors.Is(err, context.DeadlineExceeded):
+		err = fmt.Errorf("deadline of %d ms exceeded: %w", j.spec.DeadlineMS, err)
+	case canceled:
+		to = StateCanceled
 	}
-	ev := map[string]any{"state": string(j.state)}
-	if j.err != nil {
-		ev["error"] = j.err.Error()
-	}
-	j.tel.publish("state", ev)
-	terminal := j.state.terminal()
-	if terminal {
-		j.tel.closeLog()
-	}
-	j.mu.Unlock()
-	if terminal {
-		s.retire(j.id)
-	}
+	s.end(j, StateRunning, to, err)
 }
 
 // execute runs the optimization and evaluation for one job.
@@ -566,10 +586,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, eva
 		return nil, evaluation{}, fmt.Errorf("building setup: %w", err)
 	}
 
-	cfg := mosaic.DefaultConfig(j.spec.mode())
-	if j.spec.MaxIter > 0 {
-		cfg.MaxIter = j.spec.MaxIter
-	}
+	cfg := j.spec.config()
 	if s.cfg.Tune != nil {
 		s.cfg.Tune(&cfg)
 	}
@@ -585,22 +602,13 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, eva
 		}
 	}
 
-	topts := mosaic.TileOptions{
-		TileNM:      j.spec.TileNM,
-		HaloNM:      j.spec.HaloNM,
-		Workers:     j.spec.TileWorkers,
-		Retries:     s.cfg.TileRetries,
-		Runner:      s.cfg.TileRunner,
-		Cache:       s.cfg.TileCache,
-		Artifact:    s.cfg.ArtifactStore,
-		ArtifactJob: j.id,
-		WarmStart:   s.cfg.WarmStart,
-		OnTile: func(done, total int) {
-			j.mu.Lock()
-			j.prog.TilesDone = done
-			j.prog.TilesTotal = total
-			j.mu.Unlock()
-		},
+	topts := s.tileOptions(&j.spec)
+	topts.ArtifactJob = j.id
+	topts.OnTile = func(done, total int) {
+		j.mu.Lock()
+		j.prog.TilesDone = done
+		j.prog.TilesTotal = total
+		j.mu.Unlock()
 	}
 
 	if s.cfg.CheckpointDir != "" {
@@ -714,27 +722,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	var firstErr error
-	for _, j := range queued {
-		j.mu.Lock()
-		if j.state != StateQueued { // canceled while waiting
-			j.mu.Unlock()
-			continue
+	for _, j := range queued { // a job canceled while it waited is no longer queued: end skips it
+		if s.end(j, StateQueued, StateInterrupted, errDrained) == StateCanceled && s.cfg.CheckpointDir != "" && firstErr == nil {
+			firstErr = fmt.Errorf("serve: checkpointing queued job %s failed", j.id)
 		}
-		if s.checkpointLocked(j) {
-			j.state = StateInterrupted
-			mJobsInterrupted.Inc()
-		} else {
-			j.state = StateCanceled
-			j.err = errDrained
-			j.finished = time.Now()
-			mJobsCanceled.Inc()
-			if s.cfg.CheckpointDir != "" && firstErr == nil {
-				firstErr = fmt.Errorf("serve: checkpointing queued job %s failed", j.id)
-			}
-		}
-		j.tel.publish("state", map[string]any{"state": string(j.state)})
-		j.tel.closeLog()
-		j.mu.Unlock()
 	}
 	return firstErr
 }
@@ -745,8 +736,8 @@ type jobQueue []*job
 
 func (q jobQueue) Len() int { return len(q) }
 func (q jobQueue) Less(a, b int) bool {
-	if q[a].priority != q[b].priority {
-		return q[a].priority > q[b].priority
+	if q[a].spec.Priority != q[b].spec.Priority {
+		return q[a].spec.Priority > q[b].spec.Priority
 	}
 	return q[a].seq < q[b].seq
 }

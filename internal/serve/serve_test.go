@@ -231,8 +231,15 @@ func TestDeadlineFailsJob(t *testing.T) {
 }
 
 // TestJobSpecValidate: an accepted field is honoured or the submission is
-// refused — and zero stays the "default" it is documented as.
+// refused — and zero stays the "default" it is documented as. The rules
+// about the numbers are mosaic.Admit's, so the spec goes the way every
+// spec goes: through newJob.
 func TestJobSpecValidate(t *testing.T) {
+	s := &Server{cfg: Config{Optics: mosaic.DefaultOptics()}}
+	admit := func(spec JobSpec) error {
+		_, err := s.newJob("id", spec, time.Time{})
+		return err
+	}
 	for _, tc := range []struct {
 		name string
 		spec JobSpec
@@ -244,34 +251,29 @@ func TestJobSpecValidate(t *testing.T) {
 		{"grid beyond one frame", JobSpec{Benchmark: "B1", Grid: 16384}, false},
 		{"grid that overflows", JobSpec{Benchmark: "B1", Grid: 1 << 62}, false},
 		{"grid not a power of two", JobSpec{Benchmark: "B1", Grid: 48}, false},
+		{"negative grid", JobSpec{Benchmark: "B1", Grid: -64}, false},
 		{"grid without a pixel beside the calibration line", JobSpec{Benchmark: "B1", Grid: 1}, false},
 		{"grid without a pixel inside the calibration line", JobSpec{Benchmark: "B1", Grid: 2}, false},
 		{"smallest grid that calibrates", JobSpec{Benchmark: "B1", Grid: 4}, true},
 		{"negative tile_nm", JobSpec{Benchmark: "B1", TileNM: -5}, false},
 		{"negative halo_nm", JobSpec{Benchmark: "B1", TileNM: 512, HaloNM: -1}, false},
 		{"negative tile_workers", JobSpec{Benchmark: "B1", TileWorkers: -1}, false},
+		{"negative max_iter", JobSpec{Benchmark: "B1", MaxIter: -3}, false},
+		{"negative deadline_ms", JobSpec{Benchmark: "B1", DeadlineMS: -1}, false},
+		{"neither benchmark nor layout", JobSpec{}, false},
+		{"both benchmark and layout", JobSpec{Benchmark: "B1", Layout: testLayoutText}, false},
+		{"any priority", JobSpec{Benchmark: "B1", Priority: -7}, true},
 		{"mode fast", JobSpec{Benchmark: "B1", Mode: "fast"}, true},
 		{"mode exact", JobSpec{Benchmark: "B1", Mode: "exact"}, true},
 		{"mode in another case", JobSpec{Benchmark: "B1", Mode: "Exact"}, false},
 		{"unknown mode", JobSpec{Benchmark: "B1", Mode: "quick"}, false},
 	} {
-		if err := tc.spec.validate(); (err == nil) != tc.ok {
-			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		if err := admit(tc.spec); (err == nil) != tc.ok {
+			t.Errorf("%s: newJob = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
-	// What validate lets through on "grid", NewSetup must set up — a refusal
-	// there reaches the client as a failed job, after the queue wait.
-	for _, grid := range []int{1, 2, 4, 8} {
-		optics := mosaic.DefaultOptics()
-		optics.GridSize = grid
-		_, setupErr := mosaic.NewSetup(optics)
-		specErr := (&JobSpec{Benchmark: "B1", Grid: grid}).validate()
-		if (setupErr == nil) != (specErr == nil) {
-			t.Errorf("grid %d: validate() = %v but NewSetup = %v", grid, specErr, setupErr)
-		}
-	}
-	if (&JobSpec{}).mode() != mosaic.ModeFast || (&JobSpec{Mode: "exact"}).mode() != mosaic.ModeExact {
-		t.Error("mode(): want fast by default and exact when the spec says so")
+	if (&JobSpec{}).config().Mode != mosaic.ModeFast || (&JobSpec{Mode: "exact"}).config().Mode != mosaic.ModeExact {
+		t.Error("config(): want fast by default and exact when the spec says so")
 	}
 }
 
@@ -471,7 +473,7 @@ func TestQueueLimit(t *testing.T) {
 func TestQueueOrdersByPriority(t *testing.T) {
 	var q jobQueue
 	for i, pr := range []int{0, 5, 0, 5, -1} {
-		heap.Push(&q, &job{id: fmt.Sprintf("j%d", i), priority: pr, seq: int64(i)})
+		heap.Push(&q, &job{id: fmt.Sprintf("j%d", i), spec: JobSpec{Priority: pr}, seq: int64(i)})
 	}
 	var order []string
 	for q.Len() > 0 {

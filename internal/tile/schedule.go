@@ -269,9 +269,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	if err := p.checkWindowSim(ws); err != nil {
 		return nil, err
 	}
-	if opts.Retries < 0 {
-		return nil, fmt.Errorf("tile: Retries must be >= 0, got %d", opts.Retries)
-	}
 	ctx, runSpan := obs.StartSpan(ctx, "tile.pipeline",
 		obs.String("layout", p.Layout.Name), obs.Int("tiles", len(p.Tiles)))
 	defer runSpan.End()
@@ -451,7 +448,9 @@ func (p *Plan) optimizeTileRetry(ctx context.Context, runner Runner, req *Reques
 		backoff = retryBackoff
 	}
 	var lastErr error
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
+	// The first attempt always runs: a negative budget (mosaic.Admit refuses
+	// one) is no retries, never a nil result.
+	for attempt := 0; attempt == 0 || attempt <= opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

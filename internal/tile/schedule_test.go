@@ -2,6 +2,7 @@ package tile
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,17 +10,24 @@ import (
 	"mosaic/internal/ilt"
 )
 
-// TestOptimizeRejectsNegativeRetries is the regression test for the nil
-// result a negative retry budget used to produce: the attempt loop ran
-// zero times, returned (nil, nil), and the scheduler dereferenced it.
-func TestOptimizeRejectsNegativeRetries(t *testing.T) {
+// TestNegativeRetriesMeansNone is the regression test for the nil result a
+// negative retry budget used to produce: the attempt loop ran zero times,
+// returned (nil, nil), and the scheduler dereferenced it. mosaic.Admit
+// refuses such a budget before a plan exists; a caller that skips the gate
+// gets one attempt per tile and that attempt's error.
+func TestNegativeRetriesMeansNone(t *testing.T) {
 	p, err := NewPlan(testLayout(), 8, 512, DefaultHaloNM(testOptics(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Optimize(context.Background(), testSim(t, p.WindowPx), testConfig(), Options{Retries: -1})
-	if err == nil || res != nil {
-		t.Fatalf("Retries -1 returned (%v, %v), want a nil result and an error", res, err)
+	attempts := 0
+	fault := errors.New("injected")
+	res, err := p.Optimize(context.Background(), testSim(t, p.WindowPx), testConfig(), Options{
+		Retries: -1, Workers: 1,
+		tileFault: func(index, attempt int) error { attempts++; return fault },
+	})
+	if !errors.Is(err, fault) || res != nil || attempts != 1 {
+		t.Fatalf("Retries -1 returned (%v, %v) after %d attempts, want the first attempt's error", res, err, attempts)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 
 	"mosaic/internal/frame"
 	"mosaic/internal/geom"
+	"mosaic/internal/ilt"
 	"mosaic/internal/optics"
 )
 
@@ -73,69 +74,93 @@ type Plan struct {
 	HaloNM   float64 // effective halo after power-of-two rounding
 	WindowNM float64 // CoreNM + 2*HaloNM (as rounded)
 
-	CorePx   int // core pitch in pixels
-	HaloPx   int // effective halo in pixels (left/bottom side)
-	WindowPx int // window grid size, a power of two
-	FullPx   int // full-layout raster size (layout SizeNM / PixelNM)
+	// The Geometry the plan was built from.
+	CorePx, HaloPx, WindowPx, FullPx int
 
 	Cols, Rows int
 	Tiles      []Tile
 }
 
-// NewPlan decomposes layout into core tiles of pitch coreNM with at least
-// haloNM of padding. The padded window is rounded up to the next
-// power-of-two pixel count (the optics/FFT grid constraint), which only
-// ever enlarges the halo. The layout size must be an integer number of
-// pixels; the core pitch is rounded to the pixel grid.
-func NewPlan(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (*Plan, error) {
+// Geometry is the pixel arithmetic of a Plan: what NewPlan derives from
+// its four numbers before it clips a window. It costs no allocation, so
+// the admission gate (mosaic.Admit) computes it to refuse a request whose
+// plan NewPlan would refuse.
+type Geometry struct {
+	CorePx   int // core pitch, at most FullPx
+	HaloPx   int // effective halo (left/bottom side) after power-of-two rounding
+	WindowPx int // window grid size, a power of two that fits one frame
+	FullPx   int // full-layout raster size (layout SizeNM / PixelNM)
+}
+
+// NewGeometry validates layout and sizes its tiling: core tiles of pitch
+// coreNM (rounded to the pixel grid) with at least haloNM of padding, the
+// padded window rounded up to the next power-of-two pixel count (the
+// optics/FFT grid constraint), which only ever enlarges the halo. The
+// layout must be a whole number of pixels; layout, halo and window must
+// fit the rasters of internal/frame. A refusal is an *ilt.ConfigError
+// naming the library field the number came from.
+func NewGeometry(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (Geometry, error) {
+	refuse := func(field, format string, args ...any) (Geometry, error) {
+		return Geometry{}, &ilt.ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
 	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("tile: invalid layout: %w", err)
+		return refuse("Layout", "%v", err)
 	}
-	if pixelNM <= 0 {
-		return nil, fmt.Errorf("tile: pixel size must be positive, got %g", pixelNM)
+	// Every bound is written so that a NaN fails it.
+	if !(pixelNM > 0) {
+		return refuse("OpticsConfig.PixelNM", "must be positive, got %g", pixelNM)
 	}
-	if coreNM <= 0 {
-		return nil, fmt.Errorf("tile: core tile size must be positive, got %g", coreNM)
+	if !(coreNM > 0) {
+		return refuse("TileOptions.TileNM", "core tile size must be positive, got %g", coreNM)
 	}
-	if haloNM < 0 {
-		return nil, fmt.Errorf("tile: halo must be non-negative, got %g", haloNM)
+	if !(haloNM >= 0) {
+		return refuse("TileOptions.HaloNM", "must be >= 0, got %g", haloNM)
 	}
 	// Sizes are bounded as floats first: converting an out-of-range float
-	// to int is undefined, and nextPow2 and the tile loop below never end
+	// to int is undefined, and nextPow2 and NewPlan's tile loop never end
 	// on what it yields.
-	if layout.SizeNM/pixelNM > frame.MaxFieldDim {
-		return nil, fmt.Errorf("tile: layout of %g nm at %g nm pixels exceeds the %d px raster bound", layout.SizeNM, pixelNM, frame.MaxFieldDim)
+	if !(layout.SizeNM/pixelNM <= frame.MaxFieldDim) {
+		return refuse("Layout.SizeNM", "%g nm at %g nm pixels exceeds the %d px raster bound", layout.SizeNM, pixelNM, frame.MaxFieldDim)
 	}
-	if haloNM/pixelNM > frame.MaxFieldDim {
-		return nil, fmt.Errorf("tile: halo of %g nm at %g nm pixels exceeds the %d px raster bound", haloNM, pixelNM, frame.MaxFieldDim)
+	if !(haloNM/pixelNM <= frame.MaxFieldDim) {
+		return refuse("TileOptions.HaloNM", "%g nm at %g nm pixels exceeds the %d px raster bound", haloNM, pixelNM, frame.MaxFieldDim)
 	}
 	fullPx := int(math.Round(layout.SizeNM / pixelNM))
 	if fullPx < 1 || math.Abs(float64(fullPx)*pixelNM-layout.SizeNM) > 1e-6 {
-		return nil, fmt.Errorf("tile: layout size %g nm is not a whole number of %g nm pixels", layout.SizeNM, pixelNM)
+		return refuse("Layout.SizeNM", "%g nm is not a whole number of %g nm pixels (a tile pitch, or a grid, that divides the layout gives one)", layout.SizeNM, pixelNM)
 	}
-	corePx := int(math.Round(coreNM / pixelNM))
+	corePx := fullPx // a pitch the layout fits inside leaves it whole
+	if coreNM < layout.SizeNM {
+		corePx = int(math.Round(coreNM / pixelNM))
+	}
 	if corePx < 1 {
-		return nil, fmt.Errorf("tile: core tile %g nm is smaller than one %g nm pixel", coreNM, pixelNM)
-	}
-	if corePx > fullPx {
-		corePx = fullPx
+		return refuse("TileOptions.TileNM", "core tile %g nm is smaller than one %g nm pixel", coreNM, pixelNM)
 	}
 	haloMinPx := int(math.Ceil(haloNM/pixelNM - 1e-9))
 	windowPx := nextPow2(corePx + 2*haloMinPx)
 	if !frame.SquareFits(windowPx) {
-		return nil, fmt.Errorf("tile: a %d px window (core %g nm + 2 x halo %g nm at %g nm pixels) does not fit a %d-byte frame", windowPx, coreNM, haloNM, pixelNM, frame.MaxPayload)
+		return refuse("TileOptions.TileNM,TileOptions.HaloNM", "a %d px window (core %g nm + 2 x halo %g nm at %g nm pixels) does not fit a %d-byte frame", windowPx, coreNM, haloNM, pixelNM, frame.MaxPayload)
 	}
-	haloPx := (windowPx - corePx) / 2
+	return Geometry{CorePx: corePx, HaloPx: (windowPx - corePx) / 2, WindowPx: windowPx, FullPx: fullPx}, nil
+}
 
+// NewPlan decomposes layout into the windows of NewGeometry, each holding
+// the layout's geometry clipped to it.
+func NewPlan(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (*Plan, error) {
+	g, err := NewGeometry(layout, pixelNM, coreNM, haloNM)
+	if err != nil {
+		return nil, err
+	}
+	corePx, haloPx, fullPx := g.CorePx, g.HaloPx, g.FullPx
 	p := &Plan{
 		Layout:   layout,
 		PixelNM:  pixelNM,
 		CoreNM:   float64(corePx) * pixelNM,
 		HaloNM:   float64(haloPx) * pixelNM,
-		WindowNM: float64(windowPx) * pixelNM,
+		WindowNM: float64(g.WindowPx) * pixelNM,
 		CorePx:   corePx,
 		HaloPx:   haloPx,
-		WindowPx: windowPx,
+		WindowPx: g.WindowPx,
 		FullPx:   fullPx,
 	}
 	p.Cols = (fullPx + corePx - 1) / corePx
@@ -153,13 +178,7 @@ func NewPlan(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (*Plan, error
 				WinX0:  c*corePx - haloPx,
 				WinY0:  r*corePx - haloPx,
 			}
-			win := geom.Rect{
-				X: float64(t.WinX0) * pixelNM,
-				Y: float64(t.WinY0) * pixelNM,
-				W: p.WindowNM,
-				H: p.WindowNM,
-			}
-			t.Layout = layout.Window(fmt.Sprintf("%s_t%dx%d", layout.Name, c, r), win)
+			t.Layout = layout.Window(fmt.Sprintf("%s_t%dx%d", layout.Name, c, r), p.windowRect(&t))
 			p.Tiles = append(p.Tiles, t)
 		}
 	}

@@ -20,7 +20,6 @@ package mosaic
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"os"
@@ -47,10 +46,6 @@ import (
 type (
 	// OpticsConfig describes the imaging system and mask grid.
 	OpticsConfig = optics.Config
-	// ResistModel is the photoresist threshold/sigmoid model.
-	ResistModel = resist.Model
-	// KernelSet is a SOCS decomposition of the imaging system.
-	KernelSet = optics.KernelSet
 	// Field is a dense 2-D raster (mask, image, band...).
 	Field = grid.Field
 	// Layout is a rectilinear layout clip.
@@ -61,10 +56,6 @@ type (
 	Point = geom.Point
 	// Rect is an axis-aligned rectangle in nm.
 	Rect = geom.Rect
-	// Corner is one lithography process condition.
-	Corner = sim.Corner
-	// Simulator is the forward lithography model.
-	Simulator = sim.Simulator
 	// Config holds every ILT optimizer parameter.
 	Config = ilt.Config
 	// Mode selects MOSAIC_fast or MOSAIC_exact.
@@ -75,8 +66,6 @@ type (
 	IterStats = ilt.IterStats
 	// Report is a full contest-metric evaluation of a mask.
 	Report = metrics.Report
-	// EvalParams are the evaluation constants (th_epe etc.).
-	EvalParams = metrics.Params
 	// Method is any mask synthesis approach (MOSAIC or a baseline).
 	Method = opc.Method
 	// RunResult is one (method, testcase) harness outcome.
@@ -85,35 +74,15 @@ type (
 	Cutline = metrics.Cutline
 	// PWPoint is one (defocus, dose, CD) sample of a Bossung matrix.
 	PWPoint = metrics.PWPoint
-	// Complexity summarizes mask manufacturability (edges, fragments).
-	Complexity = metrics.Complexity
-	// MRCViolation is one mask-rule-check finding.
-	MRCViolation = metrics.MRCViolation
-	// SpanTimer is a running obs span; End records its duration.
-	SpanTimer = obs.SpanTimer
-	// TraceContext is a position in a distributed trace (trace/span/parent
-	// IDs); see StartSpan and the traceparent helpers in internal/obs.
-	TraceContext = obs.TraceContext
 	// TraceBuffer collects the span events of one trace for export.
 	TraceBuffer = obs.SpanBuffer
-	// SpanEvent is one completed span or instant event of a trace.
-	SpanEvent = obs.SpanEvent
-	// TraceAttr is a key/value attribute on a span or event.
-	TraceAttr = obs.Attr
 	// Snapshot is an optimizer checkpoint: emitted via Config.OnSnapshot,
 	// consumed via Config.Resume for bit-identical kill/resume.
 	Snapshot = ilt.Snapshot
-	// TileJournal records completed tiles of a sharded run for
-	// crash/drain resume (see TileOptions.Journal).
-	TileJournal = tile.Journal
-	// FileTileJournal is the append-only on-disk TileJournal.
-	FileTileJournal = tile.FileJournal
 	// TileRunner executes one tile of a sharded run; the default runs
 	// in-process, internal/cluster's Coordinator runs on a worker fleet
 	// (see TileOptions.Runner).
 	TileRunner = tile.Runner
-	// TileRequest is the work order a TileRunner receives.
-	TileRequest = tile.Request
 	// TileCache is a content-addressed tile-result store: repeated
 	// windows — the same cell geometry under the same configuration,
 	// anywhere in any layout — are optimized once and served from the
@@ -127,13 +96,8 @@ type (
 	// ArtifactRecord is one anchored run: job ID, manifest digest,
 	// Merkle root, and the per-tile leaves with attribution.
 	ArtifactRecord = artifact.Record
-	// ArtifactDigest is a SHA-256 content address in the artifact store.
-	ArtifactDigest = artifact.Digest
 	// ArtifactLeaf is one anchored tile result (digest + attribution).
 	ArtifactLeaf = artifact.Leaf
-	// ArtifactManifest is the canonical record of every input that
-	// determined a run's bits.
-	ArtifactManifest = artifact.Manifest
 	// VerifyReport is the outcome of re-proving a stored artifact from
 	// leaf bytes to its anchored Merkle root.
 	VerifyReport = artifact.VerifyReport
@@ -146,13 +110,11 @@ type (
 	// retrieved mask instead of the rule-based init (see
 	// TileOptions.WarmStart and OpenWarmStartLibrary).
 	WarmStartLibrary = warmstart.Library
-	// WarmStartStats is a snapshot of warm-start library activity.
-	WarmStartStats = warmstart.Stats
 )
 
 // OpenTileJournal opens (creating if absent) an on-disk tile journal for
 // TileOptions.Journal; close it when the run finishes.
-func OpenTileJournal(path string) (*FileTileJournal, error) { return tile.OpenFileJournal(path) }
+func OpenTileJournal(path string) (*tile.FileJournal, error) { return tile.OpenFileJournal(path) }
 
 // OpenTileCache opens a content-addressed tile-result cache for
 // TileOptions.Cache. dir is the durable tier's directory ("" keeps the
@@ -200,42 +162,16 @@ func ParseMode(s string) (Mode, error) {
 	return ModeFast, &ConfigError{Field: "mode", Reason: fmt.Sprintf("%q is not fast or exact", s)}
 }
 
-// Observability: the pipeline records metrics (kernel-build time, FFT
-// counts, per-corner simulation time, per-iteration optimizer time) into
-// a process-wide registry and logs through a shared log/slog logger.
-// Config.OnIter streams per-iteration statistics during optimization; the
-// knobs below surface the rest without importing internal packages.
+// Observability: the pipeline records metrics into a process-wide registry
+// (internal/obs) and logs through a shared log/slog logger; Config.OnIter
+// streams per-iteration statistics during optimization.
 
 // Logger returns the process-wide pipeline logger (default: stderr text
 // at warn level).
 func Logger() *slog.Logger { return obs.Logger() }
 
-// SetLogger replaces the pipeline logger; nil restores the default.
-func SetLogger(l *slog.Logger) { obs.SetLogger(l) }
-
-// SetLogLevel adjusts the default logger's level (e.g. slog.LevelDebug).
-func SetLogLevel(l slog.Level) { obs.SetLogLevel(l) }
-
-// WriteMetrics dumps every pipeline metric in Prometheus text format.
-func WriteMetrics(w io.Writer) error { return obs.WriteMetrics(w) }
-
-// MetricsText returns the WriteMetrics dump as a string.
+// MetricsText returns every pipeline metric in Prometheus text format.
 func MetricsText() string { return obs.MetricsText() }
-
-// Span starts a named timing span that feeds the metrics registry (and
-// the JSONL trace when one is active); call End on the result.
-func Span(name string) SpanTimer { return obs.Span(name) }
-
-// ServeDebug serves net/http/pprof, /debug/vars and /metrics on addr in
-// the background, returning the bound address.
-func ServeDebug(addr string) (string, error) { return obs.ServeDebug(addr) }
-
-// StartTraceFile begins writing one JSON object per completed span to a
-// file; StopTrace flushes and closes it.
-func StartTraceFile(path string) error { return obs.StartTraceFile(path) }
-
-// StopTrace ends span tracing started by StartTraceFile.
-func StopTrace() error { return obs.StopTrace() }
 
 // NewTraceBuffer returns a buffer retaining at most max span events
 // (a default cap when max <= 0).
@@ -248,16 +184,10 @@ func WithTraceBuffer(ctx context.Context, buf *TraceBuffer) context.Context {
 	return obs.ContextWithBuffer(ctx, buf)
 }
 
-// StartSpan starts a hierarchical, attribute-carrying span under ctx,
-// rooting a new trace when ctx carries none. End the returned span.
-func StartSpan(ctx context.Context, name string, attrs ...TraceAttr) (context.Context, *obs.ActiveSpan) {
-	return obs.StartSpan(ctx, name, attrs...)
-}
-
 // PerfettoTrace renders collected span events as Chrome/Perfetto
 // trace_event JSON (loadable in ui.perfetto.dev). localProc names the
 // lane for events produced by this process.
-func PerfettoTrace(localProc string, evs []SpanEvent) []byte {
+func PerfettoTrace(localProc string, evs []obs.SpanEvent) []byte {
 	return obs.PerfettoTrace(localProc, evs)
 }
 
@@ -270,18 +200,14 @@ func DefaultOptics() OpticsConfig { return optics.Default() }
 func DefaultConfig(mode Mode) Config { return ilt.DefaultConfig(mode) }
 
 // DefaultEvalParams returns the paper's evaluation constants.
-func DefaultEvalParams() EvalParams { return metrics.DefaultParams() }
+func DefaultEvalParams() metrics.Params { return metrics.DefaultParams() }
 
 // Setup bundles a calibrated forward simulator with evaluation parameters;
 // it is the entry point for optimization and evaluation.
 type Setup struct {
-	Sim    *Simulator
-	Params EvalParams
+	Sim    *sim.Simulator
+	Params metrics.Params
 }
-
-// minGrid is the smallest grid sim.CalibrateThreshold's test line fits on:
-// a clear line a quarter of the field wide with a dark pixel beside it.
-const minGrid = 4
 
 // NewSetup builds a simulator for cfg together with the SOCS kernel set of
 // every focus plane of the default process window (the corners of
@@ -291,11 +217,12 @@ const minGrid = 4
 // target. When it returns, optimizing or evaluating at those corners
 // builds no kernel; the sets are cached process-wide, so a second Setup of
 // the same cfg builds none either. A plane that fails to build fails
-// NewSetup. A grid below 4 pixels cannot hold the calibration line and is
-// a *ConfigError.
+// NewSetup. A grid Admit would refuse — not a power of two, below 4 pixels
+// (it cannot hold the calibration line), beyond one frame — is a
+// *ConfigError before any kernel is built.
 func NewSetup(cfg OpticsConfig) (*Setup, error) {
-	if cfg.GridSize > 0 && cfg.GridSize < minGrid {
-		return nil, &ConfigError{Field: "OpticsConfig.GridSize", Reason: fmt.Sprintf("must be >= %d to hold the threshold calibration line, got %d", minGrid, cfg.GridSize)}
+	if err := checkGrid(cfg.GridSize); err != nil {
+		return nil, err
 	}
 	s, err := sim.New(cfg, resist.Default())
 	if err != nil {
@@ -378,16 +305,15 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 // and stitched into one mask (see internal/tile). Every option applies to
 // every run — a layout that fits the simulation grid is a one-window plan
 // and is scheduled, retried, journaled, cached, seeded, dispatched and
-// anchored like any tile.
+// anchored like any tile. A negative TileNM, HaloNM, Workers or Retries is
+// a *ConfigError (see Admit); zero is each one's default.
 type TileOptions struct {
 	// TileNM is the core tile pitch in nm. 0 derives it from the setup:
-	// GridSize * PixelNM (one grid's worth of layout per tile). Negative
-	// values are rejected with a *ConfigError.
+	// GridSize * PixelNM (one grid's worth of layout per tile).
 	TileNM float64
 	// HaloNM is the minimum optical guard band around each core. 0 uses
 	// the imaging configuration's λ/NA ambit. The padded window rounds up
-	// to a power-of-two grid, which only widens the halo. Negative values
-	// are rejected with a *ConfigError.
+	// to a power-of-two grid, which only widens the halo.
 	HaloNM float64
 	// Workers is a core-reservation hint: how many tiles the scheduler
 	// tries to run concurrently, each holding one reservation in the
@@ -397,19 +323,18 @@ type TileOptions struct {
 	// It is an upper bound, not a demand — actual concurrency never
 	// exceeds the pool, and cores the tile level leaves idle are soaked up
 	// by inner (optimizer/FFT) parallelism. Results are bit-identical for
-	// any value. Negative values are rejected with a *ConfigError.
+	// any value.
 	Workers int
 	// OnTile, when non-nil, observes tile completions (for progress).
 	OnTile func(done, total int)
 	// Retries is the number of extra attempts a failed tile gets before
 	// its error fails the run, each after a jittered wait that starts at
-	// up to 100 ms and doubles; 0 fails fast. Negative values are rejected
-	// with a *ConfigError.
+	// up to 100 ms and doubles; 0 fails fast.
 	Retries int
 	// Journal, when non-nil, records completed tiles and lets a restarted
 	// run skip tiles a previous (crashed or drained) run already
 	// finished. See OpenTileJournal.
-	Journal TileJournal
+	Journal tile.Journal
 	// Runner, when non-nil, executes tiles in place of the in-process
 	// optimizer — e.g. a cluster.Coordinator dispatching to a worker
 	// fleet. Scheduling, retries, journaling, and stitching are unchanged,
@@ -466,27 +391,15 @@ type LayoutResult struct {
 	Artifact *ArtifactRecord
 }
 
-// fitsGrid reports whether layout covers exactly the setup's simulation
-// grid, i.e. whether the clip-level optimizer and evaluator take it whole.
-func (s *Setup) fitsGrid(layout *Layout) bool {
-	return math.Abs(float64(s.Sim.Cfg.GridSize)*s.Sim.Cfg.PixelNM-layout.SizeNM) <= 1e-9
-}
-
 // checkFits returns an ErrGridMismatch for a layout fitsGrid refuses: the
 // clip-level calls would rasterize it on a grid covering another extent.
 // A nil layout is left for the callee to reject.
 func (s *Setup) checkFits(layout *Layout) error {
-	if layout == nil || s.fitsGrid(layout) {
+	if layout == nil || fitsGrid(s.Sim.Cfg, layout) {
 		return nil
 	}
 	return gridMismatch("simulation grid covers %g nm but layout clip %q is %g nm (OptimizeLayout and EvaluateLayout take any extent)",
-		float64(s.Sim.Cfg.GridSize)*s.Sim.Cfg.PixelNM, layout.Name, layout.SizeNM)
-}
-
-// shards reports whether a core tile pitch splits layout into more than
-// one tile; 0, or a pitch the layout fits inside, leaves it whole.
-func shards(layout *Layout, tileNM float64) bool {
-	return tileNM > 0 && tileNM < layout.SizeNM
+		s.Sim.Cfg.FieldNM(), layout.Name, layout.SizeNM)
 }
 
 // JobOptics returns the imaging configuration a job over layout runs at,
@@ -494,10 +407,10 @@ func shards(layout *Layout, tileNM float64) bool {
 // keeps base.GridSize) whose pixel size makes the grid cover the layout
 // exactly — or, when tileNM shards the layout (TileOptions.TileNM), one
 // core tile, the tile planner sizing the padded windows from there.
-// sharded reports which.
+// sharded reports which; whether the result can run is Admit's to say.
 func JobOptics(base OpticsConfig, gridSize int, layout *Layout, tileNM float64) (cfg OpticsConfig, sharded bool) {
 	cfg = base
-	if gridSize > 0 {
+	if gridSize != 0 {
 		cfg.GridSize = gridSize
 	}
 	extent := layout.SizeNM
@@ -508,33 +421,13 @@ func JobOptics(base OpticsConfig, gridSize int, layout *Layout, tileNM float64) 
 	return cfg, sharded
 }
 
-// tilePlan decomposes layout per opts at the setup's pixel size and
-// returns the plan together with the window simulator (the setup's own
-// simulator when the window matches its grid, otherwise a new one sharing
-// the calibrated resist model). A layout that fits the setup grid and is
-// not sharded smaller by opts.TileNM is the degenerate plan: one zero-halo
-// window that is the setup's grid, so the clip-level optimizer runs on it
-// unchanged.
-func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *Simulator, error) {
-	if opts.TileNM < 0 {
-		return nil, nil, &ConfigError{Field: "TileOptions.TileNM", Reason: fmt.Sprintf("must be >= 0 (0 = one grid per tile), got %g", opts.TileNM)}
-	}
-	if opts.HaloNM < 0 {
-		return nil, nil, &ConfigError{Field: "TileOptions.HaloNM", Reason: fmt.Sprintf("must be >= 0 (0 = the λ/NA ambit), got %g", opts.HaloNM)}
-	}
-	px := s.Sim.Cfg.PixelNM
-	coreNM, haloNM := opts.TileNM, opts.HaloNM
-	if s.fitsGrid(layout) && !shards(layout, coreNM) {
-		coreNM, haloNM = layout.SizeNM, 0
-	} else {
-		if coreNM == 0 {
-			coreNM = float64(s.Sim.Cfg.GridSize) * px
-		}
-		if haloNM == 0 {
-			haloNM = tile.DefaultHaloNM(s.Sim.Cfg)
-		}
-	}
-	plan, err := tile.NewPlan(layout, px, coreNM, haloNM)
+// tilePlan decomposes layout per opts (tileExtent) at the setup's pixel
+// size and returns the plan together with the window simulator: the
+// setup's own simulator when the window matches its grid, otherwise a new
+// one sharing the calibrated resist model.
+func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Simulator, error) {
+	coreNM, haloNM := tileExtent(s.Sim.Cfg, layout, opts)
+	plan, err := tile.NewPlan(layout, s.Sim.Cfg.PixelNM, coreNM, haloNM)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -558,13 +451,11 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *Simulat
 // result is bit-identical to Optimize, and cfg's per-optimizer hooks
 // (TrackMetrics, OnIter, OnSnapshot, Resume) reach the optimizer, which
 // across several windows they cannot. ctx cancels the run within one
-// optimizer iteration.
+// optimizer iteration. A request Admit would refuse is refused here, with
+// the same *ConfigError, before anything is planned or built.
 func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, opts TileOptions) (*LayoutResult, error) {
-	if opts.Workers < 0 {
-		return nil, &ConfigError{Field: "TileOptions.Workers", Reason: fmt.Sprintf("must be >= 0 (0 = compute pool capacity), got %d", opts.Workers)}
-	}
-	if opts.Retries < 0 {
-		return nil, &ConfigError{Field: "TileOptions.Retries", Reason: fmt.Sprintf("must be >= 0 (0 = fail fast), got %d", opts.Retries)}
+	if err := admit(s.Sim.Cfg, layout, &cfg, opts); err != nil {
+		return nil, err
 	}
 	plan, ws, err := s.tilePlan(layout, opts)
 	if err != nil {
@@ -621,7 +512,7 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 // anchor record binding them under a Merkle root. A failure fails the
 // run — when provenance is requested, the result is auditable or it is
 // not returned. No-op when no store is configured.
-func (s *Setup) recordArtifact(opts TileOptions, cfg Config, layout *Layout, out *LayoutResult, ws *Simulator, plan *tile.Plan) error {
+func (s *Setup) recordArtifact(opts TileOptions, cfg Config, layout *Layout, out *LayoutResult, ws *sim.Simulator, plan *tile.Plan) error {
 	if opts.Artifact == nil {
 		return nil
 	}
@@ -672,7 +563,7 @@ func (s *Setup) EvaluateLayoutCtx(ctx context.Context, mask *Field, layout *Layo
 		}
 		return nil, gridMismatch("mask raster is %dx%d but layout %q needs %dx%d at %g nm/px", w, h, layout.Name, fullPx, fullPx, px)
 	}
-	if s.fitsGrid(layout) {
+	if fitsGrid(s.Sim.Cfg, layout) {
 		return s.EvaluateCtx(ctx, mask, layout, runtimeSec)
 	}
 	plan, ws, err := s.tilePlan(layout, opts)
@@ -707,9 +598,6 @@ func Methods() []Method {
 	}
 }
 
-// NewMOSAICMethod wraps an explicit optimizer configuration as a Method.
-func NewMOSAICMethod(cfg Config) Method { return &opc.MOSAIC{Cfg: cfg} }
-
 // ProcessWindow measures the critical dimension at a cutline through a
 // defocus x dose matrix (Bossung data) for a mask — the analysis behind
 // the process-window term the optimizer minimizes.
@@ -725,10 +613,10 @@ func DepthOfFocus(points []PWPoint, targetCD, tol float64) (lo, hi float64, ok b
 }
 
 // MaskComplexity measures a binarized mask's manufacturing complexity.
-func MaskComplexity(mask *Field) Complexity { return metrics.MaskComplexity(mask) }
+func MaskComplexity(mask *Field) metrics.Complexity { return metrics.MaskComplexity(mask) }
 
 // MRC checks a mask against minimum-width and minimum-space rules.
-func MRC(mask *Field, pixelNM, minWidthNM, minSpaceNM float64) []MRCViolation {
+func MRC(mask *Field, pixelNM, minWidthNM, minSpaceNM float64) []metrics.MRCViolation {
 	return metrics.MRC(mask, pixelNM, minWidthNM, minSpaceNM)
 }
 

@@ -45,22 +45,23 @@ func TestNewSetupCalibrates(t *testing.T) {
 	}
 }
 
-// TestNewSetupRejectsBadConfig: a grid the optics refuse is an error, a
-// grid too small for the calibration line (1 used to panic inside
-// sim.CalibrateThreshold, 2 to fail late with "implausible threshold 0") is
-// a *ConfigError, and neither builds a kernel first; 4 is the smallest grid
-// that sets up.
+// TestNewSetupRejectsBadConfig: a grid Admit would refuse — not a power of
+// two, or too small for the calibration line (1 used to panic inside
+// sim.CalibrateThreshold, 2 to fail late with "implausible threshold 0") —
+// is the same *ConfigError from NewSetup, before a kernel is built; 4 is
+// the smallest grid that sets up.
 func TestNewSetupRejectsBadConfig(t *testing.T) {
 	misses := obs.NewCounter("optics_kernel_cache_misses_total")
 	for _, tc := range []struct {
 		grid        int
-		ok, typed   bool
+		ok          bool
 		description string
 	}{
-		{77, false, false, "not a power of two"},
-		{1, false, true, "no pixel beside the line"},
-		{2, false, true, "no pixel inside the line"},
-		{4, true, false, "smallest grid with a line"},
+		{77, false, "not a power of two"},
+		{0, false, "unset"},
+		{1, false, "no pixel beside the line"},
+		{2, false, "no pixel inside the line"},
+		{4, true, "smallest grid with a line"},
 	} {
 		c := smallOptics()
 		c.GridSize = tc.grid
@@ -71,8 +72,8 @@ func TestNewSetupRejectsBadConfig(t *testing.T) {
 			continue
 		}
 		var ce *ConfigError
-		if errors.As(err, &ce) != tc.typed || (tc.typed && ce.Field != "OpticsConfig.GridSize") {
-			t.Errorf("grid %d (%s): err = %v, want a *ConfigError on OpticsConfig.GridSize: %v", tc.grid, tc.description, err, tc.typed)
+		if !tc.ok && (!errors.As(err, &ce) || ce.Field != "OpticsConfig.GridSize") {
+			t.Errorf("grid %d (%s): err = %v, want a *ConfigError on OpticsConfig.GridSize", tc.grid, tc.description, err)
 		}
 		if built := misses.Value() - before; !tc.ok && built != 0 {
 			t.Errorf("grid %d (%s): %d kernel sets built before the refusal", tc.grid, tc.description, built)
@@ -283,14 +284,6 @@ func TestLayoutFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewMOSAICMethod(t *testing.T) {
-	cfg := DefaultConfig(ModeExact)
-	m := NewMOSAICMethod(cfg)
-	if m.Name() != "MOSAIC_exact" {
-		t.Fatalf("name %s", m.Name())
-	}
-}
-
 // TestJobOptics pins the imaging configuration every front-end runs a job
 // at — cmd/mosaic, cmd/litho, cmd/evaluate and the daemon each derived it
 // by hand before — to the values those copies produced.
@@ -314,7 +307,8 @@ func TestJobOptics(t *testing.T) {
 		{"a pitch equal to the layout leaves it whole", served, 0, 1024, 1024, 64, 16, false},
 		{"a smaller pitch shards: the grid covers one core", served, 0, 1024, 512, 64, 8, true},
 		{"sharded under a grid override", base, 128, 2048, 512, 128, 4, true},
-		{"a negative pitch is the planner's to reject, not a shard", served, 0, 1024, -5, 64, 16, false},
+		{"a negative pitch is Admit's to refuse, not a shard", served, 0, 1024, -5, 64, 16, false},
+		{"so is a negative grid, which is carried", served, -64, 1024, 0, -64, -16, false},
 	} {
 		layout := &Layout{Name: "l", SizeNM: tc.sizeNM}
 		got, sharded := JobOptics(tc.base, tc.grid, layout, tc.tileNM)

@@ -17,7 +17,7 @@ type flakyRunner struct {
 	calls, failures atomic.Int32
 }
 
-func (r *flakyRunner) RunTile(ctx context.Context, req *TileRequest) (*Result, error) {
+func (r *flakyRunner) RunTile(ctx context.Context, req *tile.Request) (*Result, error) {
 	if r.calls.Add(1) <= r.failures.Load() {
 		return nil, errors.New("injected tile failure")
 	}

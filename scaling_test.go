@@ -148,8 +148,8 @@ func TestOptimizeLayoutRejectsNegativeRetries(t *testing.T) {
 
 // TestTileGeometryOptionsRejectNegative: a negative TileNM or HaloNM used to
 // mean "default" without a word (the untiled and λ/NA fallbacks matched
-// <= 0); both are typed errors on every path that plans tiles, and zero is
-// still the documented default.
+// <= 0); both are typed errors of the gate every path that plans tiles goes
+// through, and zero is still the documented default.
 func TestTileGeometryOptionsRejectNegative(t *testing.T) {
 	s, err := NewSetup(smallOptics())
 	if err != nil {
@@ -169,7 +169,8 @@ func TestTileGeometryOptionsRejectNegative(t *testing.T) {
 		{"negative HaloNM, one window", smallLayout(), TileOptions{HaloNM: -1}, "TileOptions.HaloNM"},
 		{"negative HaloNM, sharded", wide, TileOptions{TileNM: 512, HaloNM: -1}, "TileOptions.HaloNM"},
 	} {
-		_, _, err := s.tilePlan(tc.layout, tc.opts)
+		cfg := DefaultConfig(ModeFast)
+		err := admit(s.Sim.Cfg, tc.layout, &cfg, tc.opts)
 		var ce *ConfigError
 		switch {
 		case tc.field == "" && err != nil:
