@@ -199,7 +199,7 @@ func main() {
 		if err := os.WriteFile(o.tracePerfetto, mosaic.PerfettoTrace("mosaic", traceBuf.Events()), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("perfetto trace (%d events) written to %s\n", traceBuf.Len(), o.tracePerfetto)
+		fmt.Printf("perfetto trace (%d events, %d dropped) written to %s\n", traceBuf.Len(), traceBuf.Dropped(), o.tracePerfetto)
 	}
 	must := func(err error) {
 		if err != nil {

@@ -63,8 +63,7 @@ type Stats struct {
 // same key wait on it instead of duplicating the work.
 type flight struct {
 	done chan struct{}
-	res  *ilt.Result
-	err  error
+	res  *ilt.Result // nil when the leader failed
 }
 
 // Open creates a store. With a non-empty Dir the directory is created;
@@ -122,10 +121,10 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 			case <-ctx.Done():
 				return nil, "", ctx.Err()
 			}
-			if f.err != nil {
-				// The leader failed — its error may be its own
-				// cancellation. Loop and try again (likely becoming the
-				// leader); our own cancellation exits above.
+			if f.res == nil {
+				// The leader failed — with an error that may be its own
+				// cancellation, or a panic. Loop and try again (likely
+				// becoming the leader); our own cancellation exits above.
 				continue
 			}
 			s.mu.Lock()
@@ -137,13 +136,17 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 		f := &flight{done: make(chan struct{})}
 		s.flights[key] = f
 		s.mu.Unlock()
+		// Released in a defer: a compute that panics must not leave the
+		// key wedged for its own retry and every later job.
+		defer func() {
+			s.mu.Lock()
+			delete(s.flights, key)
+			s.mu.Unlock()
+			close(f.done)
+		}()
 
 		res, tier, err := s.lead(key, compute)
-		f.res, f.err = res, err
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		close(f.done)
+		f.res = res
 		return res, tier, err
 	}
 }

@@ -3,11 +3,13 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
@@ -185,6 +187,49 @@ func TestSingleflightLeaderErrorNotCached(t *testing.T) {
 	}
 	if st := s.Stats(); st.Misses != 1 {
 		t.Fatalf("stats %+v: only the successful compute counts as a miss", st)
+	}
+}
+
+// TestPanickingLeaderReleasesFlight: a compute that panics (the tile
+// scheduler recovers it and retries the tile) must not leave its key
+// wedged. A waiter that was parked on the flight, and a later lookup,
+// both compute for themselves; at the parent both blocked until their
+// context ended.
+func TestPanickingLeaderReleasesFlight(t *testing.T) {
+	s := mustOpen(t, Options{})
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		s.GetOrCompute(context.Background(), testKey(10), func() (*ilt.Result, error) {
+			close(leaderIn)
+			<-release
+			panic("optimizer bug")
+		})
+	}()
+	<-leaderIn
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	want := fakeResult(8, 5)
+	waiter := make(chan error, 1)
+	go func() {
+		res, tier, err := s.GetOrCompute(ctx, testKey(10), func() (*ilt.Result, error) { return want, nil })
+		if err == nil && (res != want || tier != tile.TierMiss) {
+			err = fmt.Errorf("res=%p tier=%q, want to recompute %p itself", res, tier, want)
+		}
+		waiter <- err
+	}()
+	close(release)
+	if r := <-leaderDone; r != "optimizer bug" {
+		t.Fatalf("leader recovered %v, want its own panic re-raised", r)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter on a panicked flight: %v", err)
+	}
+	if _, tier, err := s.GetOrCompute(ctx, testKey(10), nil); err != nil || tier != tile.TierMem {
+		t.Fatalf("lookup after the panicked flight: tier=%q err=%v, want a memory hit", tier, err)
 	}
 }
 

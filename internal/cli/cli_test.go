@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"flag"
 	"io"
 	"log/slog"
@@ -71,14 +72,16 @@ func TestObsFlagsSetup(t *testing.T) {
 	if f.Addr == "" {
 		t.Fatal("Setup did not record the debug server address")
 	}
-	obs.Span("cli.test").End() // register at least one metric to scrape
+	_, sp := obs.StartSpan(context.Background(), obs.OpticsBuildKernels)
+	sp.End() // one observation to scrape, one line to trace
 	resp, err := http.Get("http://" + f.Addr + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "# TYPE span_cli_test_seconds histogram") {
+	if !strings.Contains(string(body), "# TYPE span_optics_build_kernels_seconds histogram") ||
+		strings.Contains(string(body), "span_optics_build_kernels_seconds_count 0\n") {
 		t.Fatalf("/metrics dump unexpected:\n%s", body)
 	}
 	cleanup()
@@ -86,7 +89,7 @@ func TestObsFlagsSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"name":"cli.test"`) {
+	if !strings.Contains(string(data), `"name":"optics.build_kernels"`) {
 		t.Fatalf("trace file missing span event:\n%s", data)
 	}
 }

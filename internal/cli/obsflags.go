@@ -86,9 +86,11 @@ func (f *ObsFlags) Setup() (cleanup func(), err error) {
 			"addr", addr, "endpoints", "/debug/pprof/ /debug/vars /metrics")
 	}
 	if f.Trace != "" {
-		if err := obs.StartTraceFile(f.Trace); err != nil {
+		file, err := os.Create(f.Trace)
+		if err != nil {
 			return nil, fmt.Errorf("starting trace: %w", err)
 		}
+		obs.StartTrace(file)
 		obs.Logger().Info("span trace enabled", "file", f.Trace)
 	}
 	return func() { obs.StopTrace() }, nil

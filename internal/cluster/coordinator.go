@@ -351,7 +351,7 @@ func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Resu
 			c.removeWorker(w.id, fmt.Sprintf("tile %d dispatch failed: %v", req.Tile.Index, derr.err))
 		}
 		mTilesReassigned.Inc()
-		obs.Event(ctx, "cluster.reassign",
+		obs.Event(ctx, obs.ClusterReassign,
 			obs.Int("tile", req.Tile.Index), obs.String("worker", w.id),
 			obs.Int("attempt", attempt+1), obs.String("error", derr.err.Error()))
 		obs.Logger().Warn("cluster: reassigning tile",
@@ -412,7 +412,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 	// The dispatch span is the remote subtree's parent: its identity goes
 	// out on the Traceparent header, and the worker's shipped spans come
 	// back as its children.
-	dctx, dspan := obs.StartSpan(dctx, "cluster.dispatch",
+	dctx, dspan := obs.StartSpan(dctx, obs.ClusterDispatch,
 		obs.Int("tile", tileIdx), obs.String("worker", w.id), obs.String("worker_addr", w.addr))
 	defer dspan.End()
 	c.mu.Lock()
@@ -436,13 +436,15 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 		return nil, &dispatchError{err: err, permanent: true}
 	}
 	httpReq.Header.Set("Content-Type", "application/octet-stream")
-	httpReq.Header.Set("Traceparent", dspan.Context().Traceparent())
+	if tc := dspan.Context(); tc.TraceID != "" {
+		httpReq.Header.Set("Traceparent", tc.Traceparent())
+	}
 	resp, err := c.client.Do(httpReq)
 	mBytesSent.Add(int64(len(job)))
 	if err != nil {
 		if dctx.Err() != nil && ctx.Err() == nil {
 			mLeasesExpired.Inc()
-			obs.Event(dctx, "cluster.lease_expired",
+			obs.Event(dctx, obs.ClusterLeaseExpired,
 				obs.Int("tile", tileIdx), obs.String("worker", w.id))
 			return nil, &dispatchError{err: fmt.Errorf("cluster: lease on tile %d expired after %s: %w", tileIdx, c.cfg.LeaseTTL, err), removeWorker: true}
 		}

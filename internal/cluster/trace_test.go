@@ -117,7 +117,7 @@ func TestDistributedTracePropagation(t *testing.T) {
 
 	buf := obs.NewSpanBuffer(0)
 	ctx := obs.ContextWithBuffer(context.Background(), buf)
-	ctx, root := obs.StartSpan(ctx, "test.job")
+	ctx, root := obs.StartSpan(ctx, obs.ServeJob)
 	res, err := env.plan.Optimize(ctx, env.ws, env.cfg, tile.Options{Workers: 4, Runner: c})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestTraceSurvivesWorkerDeath(t *testing.T) {
 
 	buf := obs.NewSpanBuffer(0)
 	ctx := obs.ContextWithBuffer(context.Background(), buf)
-	ctx, root := obs.StartSpan(ctx, "test.job")
+	ctx, root := obs.StartSpan(ctx, obs.ServeJob)
 	res, err := env.plan.Optimize(ctx, env.ws, env.cfg, tile.Options{Workers: 4, Runner: c})
 	if err != nil {
 		t.Fatal(err)

@@ -110,11 +110,11 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 	// result frame, so the coordinator assembles one cross-process trace.
 	ctx := r.Context()
 	var buf *obs.SpanBuffer
-	var tileSpan *obs.ActiveSpan
+	var tileSpan *obs.Span
 	if tc, err := obs.ParseTraceparent(r.Header.Get("Traceparent")); err == nil {
 		buf = obs.NewSpanBuffer(0)
 		ctx = obs.ContextWithRemote(ctx, tc, buf)
-		ctx, tileSpan = obs.StartSpan(ctx, "worker.tile", obs.Int("tile", job.TileIndex))
+		ctx, tileSpan = obs.StartSpan(ctx, obs.WorkerTile, obs.Int("tile", job.TileIndex))
 	}
 
 	start := time.Now()

@@ -82,7 +82,7 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				samples := layout.SamplePoints(cfg.EPESampleNM)
-				mask := maskFromParams(paramsFromMask(target, cfg.ThetaM), cfg.ThetaM)
+				mask := maskFromParams(paramsFromMask(target, cfg.ThetaM, initEps), cfg.ThetaM)
 				st := o.evalState(mask, models, target, samples)
 				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask, models, target, samples))})
 				st.release()

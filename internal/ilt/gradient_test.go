@@ -76,7 +76,7 @@ func checkGradientAt(t *testing.T, o *Optimizer, layout *geom.Layout, probes [][
 		t.Fatal(err)
 	}
 
-	p := paramsFromMask(target, o.Cfg.ThetaM)
+	p := paramsFromMask(target, o.Cfg.ThetaM, initEps)
 	mask := maskFromParams(p, o.Cfg.ThetaM)
 	st := o.evalState(mask, models, target, samples)
 	grad := o.gradient(st, mask, models, target, samples)

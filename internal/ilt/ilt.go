@@ -388,7 +388,7 @@ var (
 
 // runRaster is the core loop of Alg. 1 on a rasterized target.
 func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *grid.Field, samples []geom.Sample) (*Result, error) {
-	ctx, runSpan := obs.StartSpan(ctx, "ilt.run", obs.String("layout", layout.Name))
+	ctx, runSpan := obs.StartSpan(ctx, obs.IltRun, obs.String("layout", layout.Name))
 	defer runSpan.End()
 	start := time.Now()
 	var diagSec float64 // TrackMetrics evaluation time, excluded from RuntimeSec
@@ -440,9 +440,9 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		m0 := o.InitialMask(target)
 		if cfg.SeedMask != nil && o.probeSeed(cfg.SeedMask, m0, models, target, samples) {
 			best.Seeded = true
-			p = paramsFromSeed(cfg.SeedMask, cfg.ThetaM)
+			p = paramsFromMask(cfg.SeedMask, cfg.ThetaM, seedEps)
 		} else {
-			p = paramsFromMask(m0, cfg.ThetaM)
+			p = paramsFromMask(m0, cfg.ThetaM, initEps)
 		}
 		mask = maskFromParams(p, cfg.ThetaM)
 	}
@@ -454,14 +454,15 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("ilt: run canceled before iteration %d: %w", iter, err)
 		}
-		iterStart := time.Now()
-		var diagDur time.Duration
+		// The per-iteration spans are timed on context.Background(): under
+		// ctx each would land in the job's span buffer beside the ilt.iter
+		// instant that already marks the iteration there.
+		_, iterSpan := obs.StartSpan(context.Background(), obs.IltIteration)
 		// endIter records the iteration's optimizer time (diagnostic
 		// evaluation excluded) and must run on every loop exit path.
 		endIter := func() {
-			obs.ObserveSpan("ilt.iteration", iterStart, time.Since(iterStart)-diagDur)
+			iterSpan.End()
 			iterations.Inc()
-			diagSec += diagDur.Seconds()
 		}
 		state := o.evalState(mask, models, target, samples)
 		grad := o.gradient(state, mask, models, target, samples)
@@ -487,9 +488,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			ProxyScore:     proxyScore,
 		}
 		if cfg.TrackMetrics {
-			dsp := obs.Span("ilt.track_metrics")
+			_, dsp := obs.StartSpan(context.Background(), obs.IltTrackMetrics)
 			rep, err := metrics.Evaluate(o.Sim, mask.Threshold(0.5), layout, o.metricParams(), 0)
-			diagDur = dsp.End()
+			diagDur := dsp.End()
+			iterSpan.Exclude(diagDur)
+			diagSec += diagDur.Seconds()
 			if err != nil {
 				return nil, err
 			}
@@ -501,7 +504,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		if cfg.OnIter != nil {
 			cfg.OnIter(st)
 		}
-		obs.Event(ctx, "ilt.iter",
+		obs.Event(ctx, obs.IltIter,
 			obs.Int("iter", st.Iter),
 			obs.Float("objective", st.Objective),
 			obs.Float("grad_rms", st.GradRMS),
@@ -603,11 +606,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 // converged mask.
 func (o *Optimizer) probeSeed(seed, def *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) bool {
 	cfg := o.Cfg
-	sm := maskFromParams(paramsFromSeed(seed, cfg.ThetaM), cfg.ThetaM)
+	sm := maskFromParams(paramsFromMask(seed, cfg.ThetaM, seedEps), cfg.ThetaM)
 	ss := o.evalState(sm, models, target, samples)
 	seedObj := ss.objective
 	ss.release()
-	dm := maskFromParams(paramsFromMask(def, cfg.ThetaM), cfg.ThetaM)
+	dm := maskFromParams(paramsFromMask(def, cfg.ThetaM, initEps), cfg.ThetaM)
 	ds := o.evalState(dm, models, target, samples)
 	defObj := ds.objective
 	ds.release()
@@ -623,31 +626,21 @@ func (o *Optimizer) metricParams() metrics.Params {
 	return p
 }
 
-// paramsFromMask inverts Eq. 8 on a (possibly binary) mask, clamping to
-// (eps, 1-eps) so the logit stays finite.
-func paramsFromMask(m *grid.Field, thetaM float64) *grid.Field {
-	const eps = 0.02
-	p := grid.NewLike(m)
-	for i, v := range m.Data {
-		if v < eps {
-			v = eps
-		} else if v > 1-eps {
-			v = 1 - eps
-		}
-		p.Data[i] = math.Log(v/(1-v)) / thetaM
-	}
-	return p
-}
-
-// paramsFromSeed is paramsFromMask with a near-lossless clamp: a
-// warm-start seed is an already-converged continuous mask, and the
-// rule-based init's wide eps would pull its saturated pixels back toward
+// The two clamps of paramsFromMask. The rule-based init is binary and
+// gets a wide one. A warm-start seed is an already-converged continuous
+// mask, and the wide clamp would pull its saturated pixels back toward
 // the threshold — degrading the seed before iteration 0 ever evaluates
-// it. Only exact 0/1 (where the logit diverges) are nudged, so the
+// it — so only exact 0/1 (where the logit diverges) are nudged: the
 // seeded run's first iterate reproduces the stored mask's quality and
 // best-iterate selection can never end below it.
-func paramsFromSeed(m *grid.Field, thetaM float64) *grid.Field {
-	const eps = 1e-12
+const (
+	initEps = 0.02
+	seedEps = 1e-12
+)
+
+// paramsFromMask inverts Eq. 8 on a (possibly binary) mask, clamping to
+// (eps, 1-eps) so the logit stays finite.
+func paramsFromMask(m *grid.Field, thetaM, eps float64) *grid.Field {
 	p := grid.NewLike(m)
 	for i, v := range m.Data {
 		if v < eps {

@@ -1,12 +1,15 @@
 package ilt
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
+	"mosaic/internal/obs"
 )
 
 func TestModeString(t *testing.T) {
@@ -63,14 +66,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestMaskParamsRoundTrip(t *testing.T) {
 	m := grid.FromRows([][]float64{{0.1, 0.5}, {0.9, 0.3}})
-	p := paramsFromMask(m, 4)
+	p := paramsFromMask(m, 4, initEps)
 	back := maskFromParams(p, 4)
 	if !back.Equal(m, 1e-9) {
 		t.Fatalf("round trip: %v vs %v", back.Data, m.Data)
 	}
 	// Binary masks are clamped, not infinite.
 	b := grid.FromRows([][]float64{{0, 1}})
-	pb := paramsFromMask(b, 4)
+	pb := paramsFromMask(b, 4, initEps)
 	for _, v := range pb.Data {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatal("logit blew up on binary input")
@@ -206,6 +209,54 @@ func TestTrackMetricsFillsStats(t *testing.T) {
 	for _, st := range res.History {
 		if st.Score <= 0 {
 			t.Fatalf("iteration %d: tracked score %g", st.Iter, st.Score)
+		}
+	}
+}
+
+// TestIterationSpanExcludesDiagnostics: span_ilt_iteration_seconds is the
+// optimizer's time. An iteration's span and its ilt.track_metrics span
+// must both fit before the next iteration starts; if the first still
+// contained the second they would overrun it by the diagnostic's length.
+func TestIterationSpanExcludesDiagnostics(t *testing.T) {
+	o, layout := testOptimizer(t, ModeFast)
+	o.Cfg.MaxIter = 4
+	o.Cfg.TrackMetrics = true
+	var trace bytes.Buffer
+	obs.StartTrace(&trace)
+	_, err := o.Run(layout)
+	obs.StopTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type stamp struct{ ts, dur int64 }
+	var iters, diags []stamp
+	dec := json.NewDecoder(&trace)
+	for dec.More() {
+		var ev struct {
+			Name  string `json:"name"`
+			TS    int64  `json:"ts_us"`
+			DurUS int64  `json:"dur_us"`
+		}
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Name {
+		case "ilt.iteration":
+			iters = append(iters, stamp{ev.TS, ev.DurUS})
+		case "ilt.track_metrics":
+			diags = append(diags, stamp{ev.TS, ev.DurUS})
+		}
+	}
+	if len(iters) != 4 || len(diags) != 4 {
+		t.Fatalf("%d ilt.iteration and %d ilt.track_metrics lines, want 4 and 4", len(iters), len(diags))
+	}
+	for i := 0; i+1 < len(iters); i++ {
+		if diags[i].dur <= 0 {
+			t.Fatalf("iteration %d: diagnostic took %d µs", i, diags[i].dur)
+		}
+		if room := iters[i+1].ts - iters[i].ts; iters[i].dur+diags[i].dur > room {
+			t.Errorf("iteration %d: span %d µs + diagnostics %d µs exceed the %d µs to the next iteration",
+				i, iters[i].dur, diags[i].dur, room)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ilt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -155,7 +156,7 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 	st.z = make([]*grid.Field, corners)
 	par.For(len(models), func(mi int) {
 		m := models[mi]
-		fsp := obs.Span("ilt.forward." + m.Lead.SpanLabel())
+		_, fsp := obs.StartSpan(context.Background(), obs.IltForward[m.Lead.SpanLabel()])
 		fs := focusState{model: m}
 		fs.fields, fs.i = m.ig.Image(st.specBand, m.freqs, m.weights)
 		for j, ci := range m.Members {

@@ -93,8 +93,9 @@ func NewInfo(name string, labels map[string]string) *Info {
 	})
 }
 
-// labelString renders the label set in {k="v",...} form, keys sorted.
-func (i *Info) labelString() string {
+// render walks the label set in key order and joins the pairs, each
+// printed with pair, inside braces.
+func (i *Info) render(pair string) string {
 	keys := make([]string, 0, len(i.labels))
 	for k := range i.labels {
 		keys = append(keys, k)
@@ -106,30 +107,17 @@ func (i *Info) labelString() string {
 		if j > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", k, i.labels[k])
+		fmt.Fprintf(&sb, pair, k, i.labels[k])
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
 
+// labelString renders the label set in Prometheus {k="v",...} form.
+func (i *Info) labelString() string { return i.render("%s=%q") }
+
 // String implements expvar.Var with a JSON object of the labels.
-func (i *Info) String() string {
-	keys := make([]string, 0, len(i.labels))
-	for k := range i.labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for j, k := range keys {
-		if j > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%q:%q", k, i.labels[k])
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
+func (i *Info) String() string { return i.render("%q:%q") }
 
 // Histogram counts observations into fixed buckets with inclusive upper
 // bounds (Prometheus "le" semantics); an implicit +Inf bucket catches the

@@ -3,10 +3,14 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"crypto/rand"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -132,61 +136,128 @@ func TestRegisterKindMismatchPanics(t *testing.T) {
 }
 
 func TestSpanFeedsHistogram(t *testing.T) {
-	sp := Span("test.span")
+	h := IltTrackMetrics.hist
+	if h != NewHistogram("span_ilt_track_metrics_seconds") {
+		t.Fatal("span histogram is not registered under span_<name>_seconds")
+	}
+	before := h.Count()
+	_, sp := StartSpan(context.Background(), IltTrackMetrics)
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d < time.Millisecond {
 		t.Fatalf("span duration %v too short", d)
 	}
-	h := NewHistogram("span_test_span_seconds")
-	if h.Count() < 1 {
+	if h.Count() != before+1 {
 		t.Fatal("span did not record into its histogram")
 	}
-	ObserveSpan("test.span", time.Now().Add(-2*time.Millisecond), 2*time.Millisecond)
-	if h.Count() < 2 {
-		t.Fatal("ObserveSpan did not record")
+}
+
+// traceLines decodes a JSONL trace into one map per line.
+func traceLines(t *testing.T, data []byte) []map[string]any {
+	t.Helper()
+	var lines []map[string]any
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		lines = append(lines, m)
 	}
+	return lines
 }
 
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	StartTrace(&buf)
-	sp := Span("trace.one")
+	_, sp := StartSpan(context.Background(), OpticsBuildKernels)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	ObserveSpan("trace.two", time.Now().Add(-5*time.Millisecond), 5*time.Millisecond)
+	_, sp = StartSpan(context.Background(), IltIteration)
+	sp.End()
 	if err := StopTrace(); err != nil {
 		t.Fatal(err)
 	}
 	// A span ended after StopTrace must not be emitted.
-	Span("trace.late").End()
+	_, sp = StartSpan(context.Background(), IltRun)
+	sp.End()
 
-	var events []TraceEvent
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var ev TraceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
+	events := traceLines(t, buf.Bytes())
 	if len(events) != 2 {
 		t.Fatalf("got %d trace events, want 2: %+v", len(events), events)
 	}
-	if events[0].Name != "trace.one" || events[1].Name != "trace.two" {
+	if events[0]["name"] != "optics.build_kernels" || events[1]["name"] != "ilt.iteration" {
 		t.Fatalf("event names: %+v", events)
 	}
-	if events[0].DurUS < 1000 {
-		t.Fatalf("trace.one duration %d µs, want >= 1000", events[0].DurUS)
-	}
-	if events[1].DurUS != 5000 {
-		t.Fatalf("trace.two duration %d µs, want 5000", events[1].DurUS)
+	if events[0]["dur_us"].(float64) < 1000 {
+		t.Fatalf("first span duration %v µs, want >= 1000", events[0]["dur_us"])
 	}
 	for _, ev := range events {
-		if ev.StartUS <= 0 {
-			t.Fatalf("event %q has non-positive start %d", ev.Name, ev.StartUS)
+		if ev["ts_us"].(float64) <= 0 {
+			t.Fatalf("event %q has non-positive start %v", ev["name"], ev["ts_us"])
 		}
 	}
+}
+
+// TestTraceLineGolden pins the -trace line: the field names, their order
+// and which are omitted when empty are what offline tooling parses.
+func TestTraceLineGolden(t *testing.T) {
+	start := time.UnixMicro(1_700_000_000_000_123)
+	for _, c := range []struct {
+		ev   SpanEvent
+		want string
+	}{
+		{SpanEvent{Name: "tile.optimize", TraceID: "t1", SpanID: "s2", ParentID: "s1", Start: start,
+			Dur: 1500 * time.Microsecond, Attrs: []Attr{Int("tile", 2), String("tile.cache", "miss")}},
+			`{"name":"tile.optimize","ts_us":1700000000000123,"dur_us":1500,"trace_id":"t1","span_id":"s2","parent_id":"s1","ph":"span","attrs":{"tile":2,"tile.cache":"miss"}}`},
+		{SpanEvent{Name: "ilt.iter", TraceID: "t1", ParentID: "s2", Start: start, Instant: true,
+			Attrs: []Attr{Float("objective", 0.25)}},
+			`{"name":"ilt.iter","ts_us":1700000000000123,"dur_us":0,"trace_id":"t1","parent_id":"s2","ph":"instant","attrs":{"objective":0.25}}`},
+		{SpanEvent{Name: "ilt.iteration", Start: start, Dur: 4 * time.Millisecond},
+			`{"name":"ilt.iteration","ts_us":1700000000000123,"dur_us":4000,"ph":"span"}`},
+	} {
+		if got, _ := json.Marshal(c.ev); string(got) != c.want {
+			t.Errorf("trace line\n got %s\nwant %s", got, c.want)
+		}
+	}
+}
+
+// countingReader counts the reads that reach crypto/rand.
+type countingReader struct {
+	r io.Reader
+	n *int
+}
+
+func (c countingReader) Read(p []byte) (int, error) { *c.n++; return c.r.Read(p) }
+
+// TestUnobservedSpanIsATimer holds the hot-loop cost down: with no buffer
+// on the context and no sink, a span is one allocation, reads no random
+// bytes and leaves the context alone.
+func TestUnobservedSpanIsATimer(t *testing.T) {
+	reads := 0
+	defer func(r io.Reader) { rand.Reader = r }(rand.Reader)
+	rand.Reader = countingReader{rand.Reader, &reads}
+
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		c, sp := StartSpan(ctx, SimAerial[PlaneOf("nominal")])
+		if c != ctx || sp.Context() != (TraceContext{}) {
+			t.Fatal("an unobserved span derived a context or drew IDs")
+		}
+		sp.End()
+	})
+	if allocs > 1 {
+		t.Errorf("unobserved StartSpan+End allocates %v times, want at most 1 (the span)", allocs)
+	}
+	if reads != 0 {
+		t.Errorf("unobserved spans read crypto/rand %d times", reads)
+	}
+	// Under a buffer the same call is observed: IDs, a derived context.
+	c, sp := StartSpan(ContextWithBuffer(ctx, NewSpanBuffer(0)), SimAerial[PlaneOf("nominal")])
+	if c == ctx || len(sp.Context().SpanID) != 16 || reads == 0 {
+		t.Errorf("a span under a buffer was not observed (%d reads of crypto/rand)", reads)
+	}
+	sp.End()
 }
 
 func TestServeDebugEndpoints(t *testing.T) {
@@ -242,5 +313,52 @@ func TestLoggerLevels(t *testing.T) {
 	}
 	if !strings.Contains(out, "visible") || !strings.Contains(out, "debug-visible") {
 		t.Fatalf("expected messages missing:\n%s", out)
+	}
+}
+
+// TestReadmeDocumentsNames pins the README "Span and event names" table to
+// the name table: every name the program can emit is a row of the right
+// kind, and every row is a name the program can emit.
+func TestReadmeDocumentsNames(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatalf("reading README: %v", err)
+	}
+	_, section, ok := strings.Cut(string(raw), "### Span and event names")
+	if !ok {
+		t.Fatal(`README has no "### Span and event names" section`)
+	}
+	if i := strings.Index(section, "\n#"); i >= 0 {
+		section = section[:i] // the table ends at the next heading
+	}
+	docs := map[string]string{} // name -> kind
+	row := regexp.MustCompile("(?m)^\\| `([a-z_.]+)(\\.<plane>)?` \\| (span|instant) \\|")
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		if m[2] == "" {
+			docs[m[1]] = m[3]
+			continue
+		}
+		for _, label := range planeLabels {
+			if !strings.Contains(section, "`"+label+"`") {
+				t.Errorf("README does not list the plane label %q", label)
+			}
+			docs[m[1]+"."+label] = m[3]
+		}
+	}
+	if len(docs) == 0 {
+		t.Fatal("README name table has no parseable rows")
+	}
+	for _, n := range names {
+		kind := "instant"
+		if n.hist != nil {
+			kind = "span"
+		}
+		if docs[n.name] != kind {
+			t.Errorf("%s %q is in the obs name table but the README table says %q", kind, n.name, docs[n.name])
+		}
+		delete(docs, n.name)
+	}
+	for name := range docs {
+		t.Errorf("README documents %q but the obs name table has no such name", name)
 	}
 }

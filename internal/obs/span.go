@@ -1,84 +1,187 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"io"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// spanHists caches the per-span-name histogram so Span stays allocation-
-// free after first use of a name.
-var spanHists sync.Map // string -> *Histogram
-
-// spanHistName maps a dotted span name to its Prometheus series name:
-// "optics.kernels" -> "span_optics_kernels_seconds".
-func spanHistName(name string) string {
-	return "span_" + strings.NewReplacer(".", "_", "-", "_", " ", "_").Replace(name) + "_seconds"
+// Span is a started timed region; finish it with End.
+type Span struct {
+	name     *Name        // nil for the root a buffer or a remote trace hangs on
+	tc       TraceContext // zero when nobody was listening at the start
+	buf      *SpanBuffer
+	start    time.Time
+	excluded time.Duration
+	attrs    []Attr
+	dur      time.Duration // set by the first End
+	ended    bool
 }
 
-func spanHist(name string) *Histogram {
-	if h, ok := spanHists.Load(name); ok {
-		return h.(*Histogram)
+// spanKey is the one context value of the package: the innermost span.
+type spanKey struct{}
+
+// noSpan is the parent of a span started on a context that carries none.
+var noSpan = new(Span)
+
+func parentSpan(ctx context.Context) *Span {
+	if sp, ok := ctx.Value(spanKey{}).(*Span); ok {
+		return sp
 	}
-	h := NewHistogram(spanHistName(name))
-	spanHists.Store(name, h)
-	return h
+	return noSpan
 }
 
-// SpanTimer measures one timed region. Use obs.Span(name) ... End().
-type SpanTimer struct {
-	name  string
-	hist  *Histogram
-	start time.Time
+// ContextWithBuffer attaches a SpanBuffer to ctx. Spans started under the
+// returned context (and their descendants) are collected into buf, in the
+// trace ctx carries, if any.
+func ContextWithBuffer(ctx context.Context, buf *SpanBuffer) context.Context {
+	return ContextWithRemote(ctx, parentSpan(ctx).tc, buf)
 }
 
-// Span starts timing a named region. End records the duration into the
-// span's histogram (span_<name>_seconds) and, when tracing is enabled,
-// appends a JSONL trace event.
-func Span(name string) SpanTimer {
-	return SpanTimer{name: name, hist: spanHist(name), start: time.Now()}
+// ContextWithRemote adopts a trace context received from another process
+// (e.g. a parsed traceparent header) and collects local spans into buf.
+// Spans started under the returned context become children of tc's span in
+// tc's trace.
+func ContextWithRemote(ctx context.Context, tc TraceContext, buf *SpanBuffer) context.Context {
+	return context.WithValue(ctx, spanKey{}, &Span{tc: tc, buf: buf})
 }
 
-// End stops the span and returns its duration.
-func (s SpanTimer) End() time.Duration {
-	d := time.Since(s.start)
-	s.hist.Observe(d.Seconds())
-	if traceEnabled.Load() {
-		traceEmit(s.name, s.start, d)
+// StartSpan starts a named span under ctx. If ctx already carries a trace,
+// the span joins it as a child of the current span; otherwise it roots a
+// new trace. The returned context carries the new span, so descendants
+// nest under it. End feeds the duration to span_<name>_seconds and emits
+// the completed span to the context's SpanBuffer and the JSONL trace.
+//
+// A span nobody listens to — nothing on ctx, no JSONL sink — only times:
+// it draws no IDs and returns ctx as it came, so a hot loop with no
+// context of its own starts one on context.Background() for the price of
+// a clock read.
+func StartSpan(ctx context.Context, name *Name, attrs ...Attr) (context.Context, *Span) {
+	parent := parentSpan(ctx)
+	sp := &Span{name: name, buf: parent.buf, start: time.Now(), attrs: attrs}
+	if parent == noSpan && !traceEnabled.Load() {
+		return ctx, sp
 	}
-	return d
+	sp.tc = TraceContext{TraceID: parent.tc.TraceID, ParentID: parent.tc.SpanID, SpanID: newID(8)}
+	if sp.tc.TraceID == "" {
+		sp.tc.TraceID = newID(16)
+	}
+	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
-// ObserveSpan records an externally measured duration under a span name —
-// for regions whose wall time is assembled from parts (e.g. an optimizer
-// iteration minus its diagnostic evaluation). start is the region's true
-// wall-clock start, so trace events interleave in real order rather than
-// being back-dated from the observation time.
-func ObserveSpan(name string, start time.Time, d time.Duration) {
-	spanHist(name).Observe(d.Seconds())
-	if traceEnabled.Load() {
-		traceEmit(name, start, d)
+// CurrentSpan returns the innermost span started (in this process) under
+// ctx, or nil. It lets a layer annotate the span it runs inside — e.g.
+// the cache decorator stamping tile.cache onto the scheduler's
+// tile.optimize span — without threading the *Span through every
+// interface. Annotate only from the goroutine tree that will end the
+// span; SetAttrs is not synchronized against End.
+func CurrentSpan(ctx context.Context) *Span {
+	if sp := parentSpan(ctx); sp.name != nil {
+		return sp
+	}
+	return nil
+}
+
+// Context returns the span's trace position (for stamping onto wire
+// headers or results); it is zero for a span nobody listens to.
+func (s *Span) Context() TraceContext { return s.tc }
+
+// SetAttrs appends attributes to the span before it ends.
+func (s *Span) SetAttrs(attrs ...Attr) {
+	if s != nil {
+		s.attrs = append(s.attrs, attrs...)
 	}
 }
 
-// TraceEvent is one line of the JSONL trace: a completed span or instant
-// event with its wall-clock start (µs since the Unix epoch) and duration
-// (µs). Flat obs.Span regions carry only name/ts/dur; spans started with
-// StartSpan additionally carry correlation IDs, a phase ("span" or
-// "instant"), and attributes.
-type TraceEvent struct {
-	Name     string         `json:"name"`
-	StartUS  int64          `json:"ts_us"`
-	DurUS    int64          `json:"dur_us"`
-	TraceID  string         `json:"trace_id,omitempty"`
-	SpanID   string         `json:"span_id,omitempty"`
-	ParentID string         `json:"parent_id,omitempty"`
-	Phase    string         `json:"ph,omitempty"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
+// Exclude takes d out of the duration End will report: time that passed
+// inside the region but is not its own (an optimizer iteration's
+// diagnostic evaluation). The span keeps its true wall-clock start.
+func (s *Span) Exclude(d time.Duration) { s.excluded += d }
+
+// End completes the span, records its histogram observation, and emits it
+// to the buffer and the JSONL trace. End is idempotent: extra calls return
+// the first call's duration without re-emitting.
+func (s *Span) End() time.Duration {
+	if s == nil {
+		return 0
+	}
+	if !s.ended {
+		s.ended = true
+		s.dur = time.Since(s.start) - s.excluded
+		s.name.hist.Observe(s.dur.Seconds())
+		emit(s.buf, SpanEvent{
+			Name:     s.name.name,
+			TraceID:  s.tc.TraceID,
+			SpanID:   s.tc.SpanID,
+			ParentID: s.tc.ParentID,
+			Start:    s.start,
+			Dur:      s.dur,
+			Attrs:    s.attrs,
+		})
+	}
+	return s.dur
+}
+
+// Event emits an instant event under the current span in ctx. With no
+// buffer on ctx and no JSONL sink it goes nowhere, so hot loops call it
+// unconditionally.
+func Event(ctx context.Context, name *Name, attrs ...Attr) {
+	parent := parentSpan(ctx)
+	emit(parent.buf, SpanEvent{
+		Name:     name.name,
+		TraceID:  parent.tc.TraceID,
+		ParentID: parent.tc.SpanID,
+		Start:    time.Now(),
+		Instant:  true,
+		Attrs:    attrs,
+	})
+}
+
+// EmitShipped replays span events produced elsewhere (e.g. shipped back
+// from a worker) into ctx's buffer and the JSONL trace, preserving their
+// original IDs and timestamps.
+func EmitShipped(ctx context.Context, evs []SpanEvent) {
+	buf := parentSpan(ctx).buf
+	for _, ev := range evs {
+		emit(buf, ev)
+	}
+}
+
+// emit is the one way an event leaves: into the job's buffer, if there is
+// one, and onto the JSONL sink, if one is open.
+func emit(buf *SpanBuffer, ev SpanEvent) {
+	buf.Emit(ev)
+	if !traceEnabled.Load() {
+		return
+	}
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	if traceEnc != nil {
+		traceEnc.Encode(ev)
+	}
+}
+
+// MarshalJSON renders the event as its line of the JSONL trace: wall-clock
+// start (µs since the Unix epoch), duration (µs), the correlation IDs it
+// has, its phase ("span" or "instant") and its attributes.
+func (ev SpanEvent) MarshalJSON() ([]byte, error) {
+	phase := "span"
+	if ev.Instant {
+		phase = "instant"
+	}
+	return json.Marshal(struct {
+		Name     string         `json:"name"`
+		StartUS  int64          `json:"ts_us"`
+		DurUS    int64          `json:"dur_us"`
+		TraceID  string         `json:"trace_id,omitempty"`
+		SpanID   string         `json:"span_id,omitempty"`
+		ParentID string         `json:"parent_id,omitempty"`
+		Phase    string         `json:"ph"`
+		Attrs    map[string]any `json:"attrs,omitempty"`
+	}{ev.Name, ev.Start.UnixMicro(), ev.Dur.Microseconds(), ev.TraceID, ev.SpanID, ev.ParentID, phase, AttrMap(ev.Attrs)})
 }
 
 var (
@@ -88,8 +191,8 @@ var (
 	traceCloser  io.Closer
 )
 
-// StartTrace begins emitting one JSON object per completed span to w.
-// Any previously active trace is stopped first.
+// StartTrace begins emitting one JSON object per completed span or instant
+// to w. Any previously active trace is stopped first.
 func StartTrace(w io.Writer) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
@@ -99,16 +202,6 @@ func StartTrace(w io.Writer) {
 		traceCloser = c
 	}
 	traceEnabled.Store(true)
-}
-
-// StartTraceFile begins tracing into a newly created file at path.
-func StartTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	StartTrace(f)
-	return nil
 }
 
 // StopTrace stops tracing and closes the trace sink if it is closable.
@@ -127,35 +220,4 @@ func closeTraceLocked() error {
 		traceCloser = nil
 	}
 	return err
-}
-
-func traceEmit(name string, start time.Time, d time.Duration) {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if traceEnc == nil {
-		return
-	}
-	traceEnc.Encode(TraceEvent{Name: name, StartUS: start.UnixMicro(), DurUS: d.Microseconds()})
-}
-
-func traceEmitEvent(ev SpanEvent) {
-	te := TraceEvent{
-		Name:     ev.Name,
-		StartUS:  ev.Start.UnixMicro(),
-		DurUS:    ev.Dur.Microseconds(),
-		TraceID:  ev.TraceID,
-		SpanID:   ev.SpanID,
-		ParentID: ev.ParentID,
-		Phase:    "span",
-		Attrs:    AttrMap(ev.Attrs),
-	}
-	if ev.Instant {
-		te.Phase = "instant"
-	}
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if traceEnc == nil {
-		return
-	}
-	traceEnc.Encode(te)
 }

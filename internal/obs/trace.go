@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -167,162 +166,4 @@ func (b *SpanBuffer) Dropped() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dropped
-}
-
-type traceCtxKey struct{}
-type spanBufKey struct{}
-type activeSpanKey struct{}
-
-// ContextWithBuffer attaches a SpanBuffer to ctx. Spans started under the
-// returned context (and their descendants) are collected into buf.
-func ContextWithBuffer(ctx context.Context, buf *SpanBuffer) context.Context {
-	return context.WithValue(ctx, spanBufKey{}, buf)
-}
-
-// ContextWithRemote adopts a trace context received from another process
-// (e.g. a parsed traceparent header) and collects local spans into buf.
-// Spans started under the returned context become children of tc's span in
-// tc's trace.
-func ContextWithRemote(ctx context.Context, tc TraceContext, buf *SpanBuffer) context.Context {
-	ctx = context.WithValue(ctx, traceCtxKey{}, tc)
-	return context.WithValue(ctx, spanBufKey{}, buf)
-}
-
-// ContextTrace returns the current trace position in ctx, if any.
-func ContextTrace(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok
-}
-
-// ContextBuffer returns the SpanBuffer attached to ctx, if any.
-func ContextBuffer(ctx context.Context) *SpanBuffer {
-	buf, _ := ctx.Value(spanBufKey{}).(*SpanBuffer)
-	return buf
-}
-
-// ActiveSpan is a started hierarchical span; finish it with End.
-type ActiveSpan struct {
-	name  string
-	tc    TraceContext
-	buf   *SpanBuffer
-	hist  *Histogram
-	start time.Time
-	attrs []Attr
-	ended bool
-}
-
-// StartSpan starts a named span under ctx. If ctx already carries a trace,
-// the span joins it as a child of the current span; otherwise it roots a
-// new trace. The returned context carries the new span, so descendants
-// nest under it. Like obs.Span, the duration feeds span_<name>_seconds on
-// End; additionally the completed span lands in the context's SpanBuffer
-// and the JSONL trace.
-func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *ActiveSpan) {
-	parent, _ := ContextTrace(ctx)
-	tc := TraceContext{TraceID: parent.TraceID, ParentID: parent.SpanID, SpanID: newID(8)}
-	if tc.TraceID == "" {
-		tc.TraceID = newID(16)
-	}
-	sp := &ActiveSpan{
-		name:  name,
-		tc:    tc,
-		buf:   ContextBuffer(ctx),
-		hist:  spanHist(name),
-		start: time.Now(),
-		attrs: attrs,
-	}
-	ctx = context.WithValue(ctx, traceCtxKey{}, tc)
-	return context.WithValue(ctx, activeSpanKey{}, sp), sp
-}
-
-// CurrentSpan returns the innermost span started (in this process) under
-// ctx, or nil. It lets a layer annotate the span it runs inside — e.g.
-// the cache decorator stamping tile.cache onto the scheduler's
-// tile.optimize span — without threading the *ActiveSpan through every
-// interface. Annotate only from the goroutine tree that will end the
-// span; SetAttrs is not synchronized against End.
-func CurrentSpan(ctx context.Context) *ActiveSpan {
-	sp, _ := ctx.Value(activeSpanKey{}).(*ActiveSpan)
-	return sp
-}
-
-// Context returns the span's trace position (for stamping onto wire
-// headers or results).
-func (s *ActiveSpan) Context() TraceContext { return s.tc }
-
-// SetAttrs appends attributes to the span before it ends.
-func (s *ActiveSpan) SetAttrs(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
-}
-
-// End completes the span, records its histogram observation, and emits it
-// to the buffer and the JSONL trace. End is idempotent; extra calls return
-// the original duration without re-emitting.
-func (s *ActiveSpan) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	if s.ended {
-		return 0
-	}
-	s.ended = true
-	d := time.Since(s.start)
-	s.hist.Observe(d.Seconds())
-	ev := SpanEvent{
-		Name:     s.name,
-		TraceID:  s.tc.TraceID,
-		SpanID:   s.tc.SpanID,
-		ParentID: s.tc.ParentID,
-		Start:    s.start,
-		Dur:      d,
-		Attrs:    s.attrs,
-	}
-	s.buf.Emit(ev)
-	if traceEnabled.Load() {
-		traceEmitEvent(ev)
-	}
-	return d
-}
-
-// Event emits an instant event under the current span in ctx. It is a
-// no-op when ctx carries no buffer and JSONL tracing is off, so hot loops
-// can call it unconditionally.
-func Event(ctx context.Context, name string, attrs ...Attr) {
-	buf := ContextBuffer(ctx)
-	if buf == nil && !traceEnabled.Load() {
-		return
-	}
-	tc, _ := ContextTrace(ctx)
-	ev := SpanEvent{
-		Name:     name,
-		TraceID:  tc.TraceID,
-		ParentID: tc.SpanID,
-		Start:    time.Now(),
-		Instant:  true,
-		Attrs:    attrs,
-	}
-	buf.Emit(ev)
-	if traceEnabled.Load() {
-		traceEmitEvent(ev)
-	}
-}
-
-// EmitShipped replays span events produced elsewhere (e.g. shipped back
-// from a worker) into ctx's buffer and the JSONL trace, preserving their
-// original IDs and timestamps.
-func EmitShipped(ctx context.Context, evs []SpanEvent) {
-	buf := ContextBuffer(ctx)
-	jsonl := traceEnabled.Load()
-	if buf == nil && !jsonl {
-		return
-	}
-	for _, ev := range evs {
-		buf.Emit(ev)
-		if jsonl {
-			traceEmitEvent(ev)
-		}
-	}
 }

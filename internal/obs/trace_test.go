@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -14,7 +13,7 @@ import (
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	_, sp := StartSpan(context.Background(), "root")
+	_, sp := StartSpan(ContextWithBuffer(context.Background(), NewSpanBuffer(0)), ServeJob)
 	defer sp.End()
 	tc := sp.Context()
 	if len(tc.TraceID) != 32 || len(tc.SpanID) != 16 {
@@ -54,9 +53,9 @@ func TestSpanHierarchy(t *testing.T) {
 	buf := NewSpanBuffer(0)
 	ctx := ContextWithBuffer(context.Background(), buf)
 
-	ctx, root := StartSpan(ctx, "job", String("job", "j1"))
-	cctx, child := StartSpan(ctx, "tile", Int("tile", 2))
-	Event(cctx, "iter", Int("iter", 1), Float("objective", 0.5))
+	ctx, root := StartSpan(ctx, ServeJob, String("job", "j1"))
+	cctx, child := StartSpan(ctx, TileOptimize, Int("tile", 2))
+	Event(cctx, IltIter, Int("iter", 1), Float("objective", 0.5))
 	child.End()
 	root.End()
 
@@ -66,7 +65,7 @@ func TestSpanHierarchy(t *testing.T) {
 	}
 	// Spans land in the buffer at End, so innermost-first.
 	iter, tile, job := evs[0], evs[1], evs[2]
-	if iter.Name != "iter" || tile.Name != "tile" || job.Name != "job" {
+	if iter.Name != "ilt.iter" || tile.Name != "tile.optimize" || job.Name != "serve.job" {
 		t.Fatalf("unexpected event order: %q %q %q", iter.Name, tile.Name, job.Name)
 	}
 	if job.TraceID == "" || tile.TraceID != job.TraceID || iter.TraceID != job.TraceID {
@@ -87,7 +86,7 @@ func TestSpanHierarchy(t *testing.T) {
 }
 
 func TestRemoteContextAdoptsTrace(t *testing.T) {
-	_, parent := StartSpan(context.Background(), "dispatch")
+	_, parent := StartSpan(ContextWithBuffer(context.Background(), NewSpanBuffer(0)), ClusterDispatch)
 	defer parent.End()
 	tc, err := ParseTraceparent(parent.Context().Traceparent())
 	if err != nil {
@@ -96,7 +95,7 @@ func TestRemoteContextAdoptsTrace(t *testing.T) {
 
 	buf := NewSpanBuffer(0)
 	ctx := ContextWithRemote(context.Background(), tc, buf)
-	_, sp := StartSpan(ctx, "worker.tile")
+	_, sp := StartSpan(ctx, WorkerTile)
 	sp.End()
 
 	evs := buf.Events()
@@ -114,9 +113,12 @@ func TestRemoteContextAdoptsTrace(t *testing.T) {
 func TestSpanEndIdempotent(t *testing.T) {
 	buf := NewSpanBuffer(0)
 	ctx := ContextWithBuffer(context.Background(), buf)
-	_, sp := StartSpan(ctx, "once")
-	sp.End()
-	sp.End()
+	_, sp := StartSpan(ctx, TileEvaluate)
+	time.Sleep(time.Millisecond)
+	d := sp.End()
+	if again := sp.End(); again != d || d < time.Millisecond {
+		t.Errorf("second End returned %v, want the first call's %v", again, d)
+	}
 	if n := buf.Len(); n != 1 {
 		t.Fatalf("double End emitted %d events, want 1", n)
 	}
@@ -152,8 +154,8 @@ func TestTraceConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				ctx, sp := StartSpan(root, "work", Int("goroutine", g))
-				Event(ctx, "tick", Int("i", i))
+				ctx, sp := StartSpan(root, TileOptimize, Int("goroutine", g))
+				Event(ctx, TileDone, Int("i", i))
 				sp.End()
 			}
 		}(g)
@@ -173,23 +175,26 @@ func TestTraceConcurrency(t *testing.T) {
 }
 
 // TestObserveSpanTrueStart locks in the fix for back-dated trace events:
-// the emitted ts must be the start the caller measured, not now-minus-dur.
+// a span that excludes part of its interval (ilt.iteration minus its
+// diagnostics) keeps the start it measured; only the duration shrinks.
 func TestObserveSpanTrueStart(t *testing.T) {
 	var out syncBuffer
 	StartTrace(&out)
-	start := time.Now().Add(-500 * time.Millisecond)
-	ObserveSpan("region", start, 10*time.Millisecond)
+	_, sp := StartSpan(context.Background(), IltIteration)
+	sp.start = sp.start.Add(-500 * time.Millisecond)
+	sp.Exclude(490 * time.Millisecond)
+	d := sp.End()
 	StopTrace()
 
-	var ev TraceEvent
-	if err := json.Unmarshal(out.Bytes(), &ev); err != nil {
-		t.Fatalf("trace line %q: %v", out.Bytes(), err)
+	if d < 10*time.Millisecond || d > 400*time.Millisecond {
+		t.Errorf("End returned %v, want the elapsed 500 ms less the excluded 490", d)
 	}
-	if ev.StartUS != start.UnixMicro() {
-		t.Errorf("ts_us %d, want the measured start %d", ev.StartUS, start.UnixMicro())
+	ev := traceLines(t, out.Bytes())[0]
+	if int64(ev["ts_us"].(float64)) != sp.start.UnixMicro() {
+		t.Errorf("ts_us %v, want the measured start %d", ev["ts_us"], sp.start.UnixMicro())
 	}
-	if ev.DurUS != 10_000 {
-		t.Errorf("dur_us %d, want 10000", ev.DurUS)
+	if int64(ev["dur_us"].(float64)) != d.Microseconds() {
+		t.Errorf("dur_us %v, want %d", ev["dur_us"], d.Microseconds())
 	}
 }
 
@@ -215,35 +220,27 @@ func (s *syncBuffer) Bytes() []byte {
 func TestJSONLTraceCarriesIDs(t *testing.T) {
 	var out syncBuffer
 	StartTrace(&out)
-	ctx, sp := StartSpan(context.Background(), "traced", String("k", "v"))
-	Event(ctx, "mark")
+	ctx, sp := StartSpan(context.Background(), IltRun, String("k", "v"))
+	Event(ctx, IltIter)
 	sp.End()
 	StopTrace()
 
-	sc := bufio.NewScanner(bytes.NewReader(out.Bytes()))
-	var evs []TraceEvent
-	for sc.Scan() {
-		var ev TraceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("trace line %q: %v", sc.Text(), err)
-		}
-		evs = append(evs, ev)
-	}
+	evs := traceLines(t, out.Bytes())
 	if len(evs) != 2 {
 		t.Fatalf("got %d trace lines, want 2", len(evs))
 	}
 	mark, span := evs[0], evs[1]
-	if mark.Phase != "instant" || span.Phase != "span" {
-		t.Errorf("phases %q/%q, want instant/span", mark.Phase, span.Phase)
+	if mark["ph"] != "instant" || span["ph"] != "span" {
+		t.Errorf("phases %q/%q, want instant/span", mark["ph"], span["ph"])
 	}
-	if span.TraceID == "" || span.TraceID != mark.TraceID {
-		t.Errorf("trace IDs %q vs %q", span.TraceID, mark.TraceID)
+	if span["trace_id"] == nil || span["trace_id"] != mark["trace_id"] {
+		t.Errorf("trace IDs %q vs %q", span["trace_id"], mark["trace_id"])
 	}
-	if mark.ParentID != span.SpanID {
-		t.Errorf("instant parent %q, want %q", mark.ParentID, span.SpanID)
+	if mark["parent_id"] != span["span_id"] {
+		t.Errorf("instant parent %q, want %q", mark["parent_id"], span["span_id"])
 	}
-	if span.Attrs["k"] != "v" {
-		t.Errorf("span attrs %v, want k=v", span.Attrs)
+	if attrs, _ := span["attrs"].(map[string]any); attrs["k"] != "v" {
+		t.Errorf("span attrs %v, want k=v", span["attrs"])
 	}
 }
 

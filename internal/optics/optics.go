@@ -13,6 +13,7 @@
 package optics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -339,7 +340,7 @@ func BuildKernels(c Config, defocusNM float64) (*KernelSet, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	sp := obs.Span("optics.build_kernels")
+	_, sp := obs.StartSpan(context.Background(), obs.OpticsBuildKernels)
 	tcc := newSparseTCC(c, defocusNM)
 	nk := c.Kernels
 	if nk > tcc.Dim() {

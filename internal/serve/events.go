@@ -49,24 +49,22 @@ func newJobTelemetry() *jobTelemetry {
 	return t
 }
 
+// eventTypes names the job event each instant of the obs name table is
+// published as.
+var eventTypes = map[string]string{
+	obs.IltIter.String():             "iteration",
+	obs.TileDone.String():            "tile",
+	obs.ClusterReassign.String():     "tile_reassigned",
+	obs.ClusterLeaseExpired.String(): "lease_expired",
+}
+
 // observe translates trace events into the job's public event stream.
-// Span completions stay trace-only; the instants below are the curated
+// Span completions stay trace-only; the instants are the curated
 // telemetry surface.
 func (t *jobTelemetry) observe(ev obs.SpanEvent) {
-	var typ string
-	switch ev.Name {
-	case "ilt.iter":
-		typ = "iteration"
-	case "tile.done":
-		typ = "tile"
-	case "cluster.reassign":
-		typ = "tile_reassigned"
-	case "cluster.lease_expired":
-		typ = "lease_expired"
-	default:
-		return
+	if typ, ok := eventTypes[ev.Name]; ok {
+		t.publish(typ, obs.AttrMap(ev.Attrs))
 	}
-	t.publish(typ, obs.AttrMap(ev.Attrs))
 }
 
 // publish appends one event to the ring and offers it to every live

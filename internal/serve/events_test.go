@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mosaic/internal/obs"
 )
 
 func TestJobTelemetryPublishSubscribe(t *testing.T) {
@@ -285,6 +287,47 @@ func TestTraceEndpointAndStatusTelemetry(t *testing.T) {
 	r404e.Body.Close()
 	if r404e.StatusCode != http.StatusNotFound {
 		t.Errorf("events of unknown job: status %d, want 404", r404e.StatusCode)
+	}
+}
+
+// TestTruncatedTraceSaysSo: a trace that outgrew the job's span buffer is
+// exported with the number of events it is short of, not silently.
+func TestTruncatedTraceSaysSo(t *testing.T) {
+	s, err := New(testServerConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	st, err := s.Submit(JobSpec{Layout: testLayoutText, MaxIter: 1, Grid: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, s, st.ID, 30*time.Second, func(st *Status) bool { return st.State == StateDone })
+
+	dropped := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get("Trace-Dropped-Events")
+	}
+	if got := dropped(); got != "0" {
+		t.Errorf("complete trace: Trace-Dropped-Events %q, want 0", got)
+	}
+	j, err := s.lookup(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := j.tel.buf.Len()
+	for i := 0; i < obs.DefaultSpanBufferCap+7; i++ {
+		j.tel.buf.Emit(obs.SpanEvent{Name: "worker.tile"})
+	}
+	if got, want := dropped(), strconv.Itoa(held+7); got != want {
+		t.Errorf("truncated trace: Trace-Dropped-Events %q, want %s", got, want)
 	}
 }
 

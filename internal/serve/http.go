@@ -474,6 +474,8 @@ func writeSSE(w http.ResponseWriter, ev JobEvent) error {
 
 // handleTrace exports the job's assembled span tree — local spans plus
 // those shipped back from workers — as Chrome/Perfetto trace_event JSON.
+// The buffer is bounded; Trace-Dropped-Events says how many events the
+// export is short of.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, err := s.lookup(r.PathValue("id"))
 	if err != nil {
@@ -483,6 +485,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	out := obs.PerfettoTrace("coordinator", j.tel.buf.Events())
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="trace-`+j.id+`.json"`)
+	w.Header().Set("Trace-Dropped-Events", strconv.FormatInt(j.tel.buf.Dropped(), 10))
 	w.Write(out)
 }
 

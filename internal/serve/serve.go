@@ -525,7 +525,7 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	// job's telemetry buffer under one trace ID.
 	ctx = obs.ContextWithBuffer(ctx, j.tel.buf)
 	mode, _ := mosaic.ParseMode(j.spec.Mode) // newJob has refused what does not parse
-	ctx, sp := obs.StartSpan(ctx, "serve.job",
+	ctx, sp := obs.StartSpan(ctx, obs.ServeJob,
 		obs.String("job", j.id), obs.String("mode", mode.String()))
 	j.tel.setTraceID(sp.Context().TraceID)
 	j.tel.publish("state", map[string]any{"state": string(StateRunning)})

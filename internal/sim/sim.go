@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"mosaic/internal/fft"
@@ -29,14 +30,10 @@ type Corner struct {
 // Nominal returns the nominal process condition (best focus, unit dose).
 func Nominal() Corner { return Corner{Name: "nominal", DefocusNM: 0, Dose: 1} }
 
-// SpanLabel names the timing spans of the focus plane the corner leads;
-// unnamed ad-hoc corners share one label so the metric set stays bounded.
-func (c Corner) SpanLabel() string {
-	if c.Name == "" {
-		return "custom"
-	}
-	return c.Name
-}
+// SpanLabel names the timing spans of the focus plane the corner leads:
+// the paper's corner names (ProcessCorners) have a label of their own,
+// every other corner shares one, so the metric set stays bounded.
+func (c Corner) SpanLabel() obs.Plane { return obs.PlaneOf(c.Name) }
 
 // ProcessCorners returns the corner set used throughout the paper's
 // experiments: nominal plus the two extreme corners of a +/-defocusNM,
@@ -172,7 +169,8 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer obs.Span("sim.aerial." + c.SpanLabel()).End()
+	_, sp := obs.StartSpan(context.Background(), obs.SimAerial[c.SpanLabel()])
+	defer sp.End()
 	return s.image(mask, ks.K, ks.Freqs, ks.Weights), nil
 }
 
@@ -184,7 +182,8 @@ func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, err
 	if err != nil {
 		return nil, err
 	}
-	defer obs.Span("sim.aerial_combined." + c.SpanLabel()).End()
+	_, sp := obs.StartSpan(context.Background(), obs.SimAerialCombined[c.SpanLabel()])
+	defer sp.End()
 	return s.image(mask, ks.K, []*grid.CField{ks.Combined()}, []float64{1}), nil
 }
 

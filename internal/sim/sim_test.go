@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mosaic/internal/grid"
+	"mosaic/internal/obs"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 )
@@ -293,5 +295,37 @@ func TestBuildPlanesReturnsPlaneError(t *testing.T) {
 	err := (&Simulator{Cfg: bad}).BuildPlanes(ProcessCorners(25, 0.02))
 	if err == nil || !strings.Contains(err.Error(), "0 nm defocus") || !strings.Contains(err.Error(), "NA must be positive") {
 		t.Fatalf("err = %v, want the nominal plane's build error", err)
+	}
+}
+
+// TestCornerNamesDoNotGrowMetrics: a corner's name is a caller's string
+// and must never become a series. A hundred distinct names image under
+// the shared custom label; at the parent each registered its own
+// span_sim_aerial_<name>_seconds for the life of the process.
+func TestCornerNamesDoNotGrowMetrics(t *testing.T) {
+	s := testSim(t)
+	m := lineMask(64, 8)
+	series := func() int { return strings.Count(obs.MetricsText(), "# TYPE ") }
+	custom := obs.NewHistogram("span_sim_aerial_custom_seconds")
+	before, observed := series(), custom.Count()
+	for i := 0; i < 100; i++ {
+		c := Corner{Name: fmt.Sprintf("sweep-%d", i), Dose: 1}
+		if _, err := s.Aerial(m, c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AerialCombined(m, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := series(); got != before {
+		t.Errorf("%d metric series after a hundred corner names, %d before", got, before)
+	}
+	if got := custom.Count() - observed; got != 100 {
+		t.Errorf("span_sim_aerial_custom_seconds took %d observations, want 100", got)
+	}
+	for _, c := range ProcessCorners(25, 0.02) {
+		if got := obs.SimAerial[c.SpanLabel()].String(); got != "sim.aerial."+c.Name {
+			t.Errorf("corner %q times under %q", c.Name, got)
+		}
 	}
 }

@@ -269,7 +269,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	if err := p.checkWindowSim(ws); err != nil {
 		return nil, err
 	}
-	ctx, runSpan := obs.StartSpan(ctx, "tile.pipeline",
+	ctx, runSpan := obs.StartSpan(ctx, obs.TilePipeline,
 		obs.String("layout", p.Layout.Name), obs.Int("tiles", len(p.Tiles)))
 	defer runSpan.End()
 	start := time.Now()
@@ -355,7 +355,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 					continue // adopted from the journal
 				}
 				t := &p.Tiles[i]
-				tctx, sp := obs.StartSpan(ctx, "tile.optimize",
+				tctx, sp := obs.StartSpan(ctx, obs.TileOptimize,
 					obs.Int("tile", i), obs.Int("col", t.Col), obs.Int("row", t.Row))
 				// provs[i] is race-free: exactly one worker claims index i
 				// (next.Add), and the slice is read only after wg.Wait.
@@ -388,7 +388,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 				tileOpts.Inc()
 				tileSeconds.Observe(sp.End().Seconds())
 				n := int(done.Add(1))
-				obs.Event(ctx, "tile.done",
+				obs.Event(ctx, obs.TileDone,
 					obs.Int("tile", i), obs.Int("done", n), obs.Int("total", len(p.Tiles)),
 					obs.Float("objective", res.Objective), obs.Int("iterations", res.Iterations))
 				if opts.OnTile != nil {

@@ -185,7 +185,7 @@ func (p *Plan) Evaluate(ws *sim.Simulator, mask *grid.Field, mp metrics.Params, 
 // EvaluateCtx is Evaluate under a context; cancellation is honored between
 // process-corner simulations.
 func (p *Plan) EvaluateCtx(ctx context.Context, ws *sim.Simulator, mask *grid.Field, mp metrics.Params, runtimeSec float64) (*metrics.Report, error) {
-	ctx, sp := obs.StartSpan(ctx, "tile.evaluate",
+	ctx, sp := obs.StartSpan(ctx, obs.TileEvaluate,
 		obs.String("layout", p.Layout.Name), obs.Int("tiles", len(p.Tiles)))
 	defer sp.End()
 	aerial := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
