@@ -89,7 +89,7 @@ warmstart-smoke:
 # archives the benchstat-compatible text under results/, stamped with
 # today's date. It is the Table 2/3 score record and the profiling entry
 # point, not a speed gate: a speed claim rests on bench-e2e-pairs below.
-BENCH_PATTERN ?= Table2|Table3|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels
+BENCH_PATTERN ?= Table2|Table3|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

@@ -85,7 +85,9 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	// Pruned row pass: inverse-transform the 2k+1 nonzero spectrum rows
 	// into a small resident workspace, then scatter the workspace into the
 	// band columns of dst so that dst holds the intermediate in transposed
-	// layout and the second pass streams rows.
+	// layout and the second pass streams rows. Both fills write through
+	// p.rev, so neither pass starts with a bit-reversal swap.
+	rev := p.rev
 	rows := 2*k + 1
 	ws := grid.GetC(n, rows)
 	rowPass := func(lo, hi int) {
@@ -96,27 +98,25 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 				row[i] = 0
 			}
 			for dx := -k; dx <= k; dx++ {
-				row[(dx+n)%n] = blk.At(dx+k, dy+k)
+				row[rev[(dx+n)%n]] = blk.At(dx+k, dy+k)
 			}
-			transform(row, p, true)
+			butterflies(row, p, true)
 		}
 	}
 	chunked(n*n, rows, rowPass)
-	// Cache-blocked scatter: walking dst row-major (x outer) writes each
-	// destination row's 2k+1 band entries as two contiguous runs, and the
-	// workspace columns it reads span only 2k+1 cache lines that are
-	// reused across consecutive x. The previous per-band-row scatter
-	// instead made 2k+1 full stride-n passes over dst, touching every
-	// cache line of a 512^2/1024^2 grid once per band row.
-	// Band row bi holds frequency bi-k: the negative ones land in the last
-	// k entries of the destination row, the rest in the first k+1.
+	// Scatter, walking dst row-major (x outer): the workspace columns it
+	// reads span only 2k+1 cache lines that are reused across consecutive
+	// x, where a per-band-row scatter made 2k+1 full stride-n passes over
+	// dst. Band row bi holds frequency bi-k: the negative ones belong in
+	// the last k entries of the destination row, the rest in the first
+	// k+1.
 	for x := 0; x < n; x++ {
 		d := dst.Data[x*n : x*n+n]
 		for bi := 0; bi < k; bi++ {
-			d[n-k+bi] = ws.Data[bi*n+x]
+			d[rev[n-k+bi]] = ws.Data[bi*n+x]
 		}
 		for bi := k; bi < rows; bi++ {
-			d[bi-k] = ws.Data[bi*n+x]
+			d[rev[bi-k]] = ws.Data[bi*n+x]
 		}
 	}
 	grid.PutC(ws)
@@ -126,7 +126,7 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	pass := func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			r := dst.Row(y)
-			transform(r, p, true)
+			butterflies(r, p, true)
 			for i := range r {
 				r[i] *= inv
 			}
@@ -171,6 +171,7 @@ func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
 // of the row-transformed field ws, extracting the band rows into blk.
 func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
 	ph := getPlan(ws.H)
+	rev := ph.rev
 	w, h := ws.W, ws.H
 	pass := func(lo, hi int) {
 		scratch := grid.GetC(h, 1)
@@ -179,9 +180,9 @@ func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
 			dx := bi - k
 			sx := (dx + w) % w
 			for y := 0; y < h; y++ {
-				col[y] = ws.Data[y*w+sx]
+				col[rev[y]] = ws.Data[y*w+sx]
 			}
-			transform(col, ph, false)
+			butterflies(col, ph, false)
 			for dy := -k; dy <= k; dy++ {
 				blk.Set(dx+k, dy+k, col[(dy+h)%h])
 			}

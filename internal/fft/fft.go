@@ -1,9 +1,16 @@
 // Package fft implements the fast Fourier transforms used by the optical
-// simulator: an iterative radix-2 complex FFT, 2-D transforms over
-// grid.CField, fftshift helpers, and band-limited embedding/extraction of
-// low-frequency blocks (the imaging system is heavily band-limited, so
-// optical kernels live on a small central frequency patch of the full mask
-// spectrum).
+// simulator: a radix-2 complex FFT, 2-D transforms over grid.CField, and
+// band-limited embedding/extraction of low-frequency blocks (the imaging
+// system is heavily band-limited, so optical kernels live on a small
+// central frequency patch of the full mask spectrum).
+//
+// Every transform in the package ends in one 1-D kernel, butterflies: the
+// radix-2 decimation-in-time FFT with its levels executed two to a pass
+// over twiddles the plan stores in the order the passes read them. The
+// fusion reorders independent butterflies and nothing else, so the output
+// is bit-equal to the one-level-a-pass loop (kept as the test oracle), and
+// the passes that fill a line themselves write it in bit-reversed order
+// and skip the permutation.
 //
 // The band-limit is also exploited computationally: InverseBandLimited,
 // ForwardBandLimited and ForwardBandLimitedReal in bandlimited.go prune
@@ -37,13 +44,19 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// plan caches twiddle factors and the bit-reversal permutation for a given
-// transform length.
+// plan caches what a transform of one length reads: the bit-reversal
+// permutation, the twiddle table, and the same twiddles laid out in the
+// order the fused passes of butterflies consume them.
 type plan struct {
 	n    int
 	rev  []int
 	wFwd []complex128 // forward twiddles, w[k] = exp(-2*pi*i*k/n), k < n/2
 	wInv []complex128 // inverse twiddles
+	// Per two-level pass (quarter length h = 4, 16, 64, ...), h triples
+	// laid end to end: entry j holds the first level's twiddle for offset
+	// j and the second level's for offsets j and j+h. The values are
+	// copies of wFwd / wInv entries, never recomputed.
+	twFwd, twInv [][3]complex128
 }
 
 // The plan cache is read on every transform and written a handful of times
@@ -83,73 +96,141 @@ func buildPlan(n int) *plan {
 		p.wFwd[k] = complex(c, s)
 		p.wInv[k] = complex(c, -s)
 	}
+	p.twFwd = passTwiddles(p.wFwd, n)
+	p.twInv = passTwiddles(p.wInv, n)
 	plans.Store(n, p)
 	return p
 }
 
-// transform runs an in-place iterative radix-2 FFT over x using the plan's
-// twiddles. inverse selects the conjugate twiddles; scaling by 1/n for the
-// inverse is done by the caller.
-//
-// The first two levels are specialized: their twiddle factors are exactly
-// 1 and -+i, so they reduce to additions and component swaps with no
-// complex multiplies (and no rounding from the Sincos-derived twiddle
-// table). Each remaining level unrolls its k=0 butterfly the same way.
-// Together these drop roughly a quarter of the complex multiplies of the
-// plain radix-2 loop, which is where the per-tile numeric floor lives.
+// passTwiddles lays the table w of a length-n plan out pass by pass: the
+// pass of quarter length h runs the levels of size 2h (table stride n/2h)
+// and 4h (stride n/4h).
+func passTwiddles(w []complex128, n int) [][3]complex128 {
+	var tw [][3]complex128
+	for h := 4; 4*h <= n; h *= 4 {
+		s1, s2 := n/(2*h), n/(4*h)
+		for j := 0; j < h; j++ {
+			tw = append(tw, [3]complex128{w[j*s1], w[j*s2], w[(j+h)*s2]})
+		}
+	}
+	return tw
+}
+
+// check panics unless x is a line of the plan's length. Without it a
+// longer line has a prefix transformed in silence and a shorter one dies on
+// an index in the middle of a pass.
+func (p *plan) check(x []complex128) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("fft: line of %d for a plan of %d", len(x), p.n))
+	}
+}
+
+// transform runs an in-place FFT over x, a line of the plan's length in
+// natural order. inverse selects the conjugate twiddles; scaling by 1/n
+// for the inverse is done by the caller.
 func transform(x []complex128, p *plan, inverse bool) {
-	n := p.n
+	p.check(x)
 	for i, j := range p.rev {
 		if i < j {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	if n >= 2 {
-		// size=2: twiddle is exactly 1.
-		for off := 0; off < n; off += 2 {
-			u, v := x[off], x[off+1]
-			x[off], x[off+1] = u+v, u-v
+	butterflies(x, p, inverse)
+}
+
+// butterflies is transform for a line already in bit-reversed order
+// (element i of the natural-order line at x[p.rev[i]]): a caller that
+// fills the line itself writes through p.rev and skips the swap pass.
+//
+// It is the decimation-in-time radix-2 FFT with its levels executed two
+// to a pass. A radix-2 level of size s combines x[j] and x[j+s/2]*w into
+// their sum and difference; the levels of size s and 2s touch the same
+// four elements x[j], x[j+s/2], x[j+s], x[j+3s/2], so one pass over four
+// quarter-slices runs both while the operands are in registers, and the
+// line is read and written log2(n)/2 times, not log2(n). A pass executes
+// the floating-point operations of the two levels it replaces on the same
+// operands in the same order — only independent butterflies interleave —
+// so every output bit is the one-level-a-pass loop's
+// (TestTransformBitsEqualRadix2). That is why the second level still
+// multiplies by the table's w[n/4] instead of rotating by -+i: the
+// Sincos-derived entry is not exactly -+i, and the one-level loop
+// multiplies by it. What is exact there is exact here: sizes 2 and 4
+// (twiddles 1 and -+i by construction, additions and component swaps
+// only) and the offset-0 butterfly of every level (twiddle 1, no
+// multiply).
+func butterflies(x []complex128, p *plan, inverse bool) {
+	p.check(x)
+	n := p.n
+	if n < 4 {
+		if n == 2 {
+			x[0], x[1] = x[0]+x[1], x[0]-x[1]
 		}
+		return
 	}
-	if n >= 4 {
-		// size=4: twiddles are exactly 1 and -i (forward) / +i (inverse).
-		if inverse {
-			for off := 0; off < n; off += 4 {
-				u, v := x[off], x[off+2]
-				x[off], x[off+2] = u+v, u-v
-				u, v = x[off+1], x[off+3]
-				v = complex(-imag(v), real(v)) // i * v
-				x[off+1], x[off+3] = u+v, u-v
-			}
-		} else {
-			for off := 0; off < n; off += 4 {
-				u, v := x[off], x[off+2]
-				x[off], x[off+2] = u+v, u-v
-				u, v = x[off+1], x[off+3]
-				v = complex(imag(v), -real(v)) // -i * v
-				x[off+1], x[off+3] = u+v, u-v
-			}
-		}
-	}
-	w := p.wFwd
+	// Sizes 2 and 4.
+	w, tw := p.wFwd, p.twFwd
 	if inverse {
-		w = p.wInv
+		w, tw = p.wInv, p.twInv
+		for q := x; len(q) >= 4; q = q[4:] {
+			a, b, c, d := q[0], q[1], q[2], q[3]
+			a, b = a+b, a-b
+			c, d = c+d, c-d
+			d = complex(-imag(d), real(d)) // i * d
+			q[0], q[2] = a+c, a-c
+			q[1], q[3] = b+d, b-d
+		}
+	} else {
+		for q := x; len(q) >= 4; q = q[4:] {
+			a, b, c, d := q[0], q[1], q[2], q[3]
+			a, b = a+b, a-b
+			c, d = c+d, c-d
+			d = complex(imag(d), -real(d)) // -i * d
+			q[0], q[2] = a+c, a-c
+			q[1], q[3] = b+d, b-d
+		}
 	}
-	for size := 8; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			// k=0 butterfly: twiddle exactly 1.
-			u, v := x[start], x[start+half]
-			x[start], x[start+half] = u+v, u-v
-			k := step
-			for off := start + 1; off < start+half; off++ {
-				u := x[off]
-				v := x[off+half] * w[k]
-				x[off] = u + v
-				x[off+half] = u - v
-				k += step
+	// Sizes 2h and 4h, h = 4, 16, 64, ... The quarter-slices and the
+	// pass's twiddles are cut to one length so the inner loop indexes all
+	// five without a bounds check.
+	h := 4
+	for ; 4*h <= n; h *= 4 {
+		t := tw[:h]
+		tw = tw[h:]
+		for blk := x; len(blk) >= 4*h; blk = blk[4*h:] {
+			q0 := blk[:len(t)]
+			q1 := blk[h:][:len(t)]
+			q2 := blk[2*h:][:len(t)]
+			q3 := blk[3*h:][:len(t)]
+			// Offset 0: the first level's twiddle and the second level's
+			// for q0/q2 are exactly 1; q1/q3 take w[n/4].
+			a, b, c, d := q0[0], q1[0], q2[0], q3[0]
+			a, b = a+b, a-b
+			c, d = c+d, c-d
+			d *= t[0][2]
+			q0[0], q2[0] = a+c, a-c
+			q1[0], q3[0] = b+d, b-d
+			for j := 1; j < len(t); j++ {
+				tj := &t[j]
+				a, b, c, d := q0[j], q1[j]*tj[0], q2[j], q3[j]*tj[0]
+				a, b = a+b, a-b
+				c, d = c+d, c-d
+				c *= tj[1]
+				d *= tj[2]
+				q0[j], q2[j] = a+c, a-c
+				q1[j], q3[j] = b+d, b-d
 			}
+		}
+	}
+	// An odd level count leaves the level of size n = 2h, whose twiddles
+	// are the table itself at stride 1.
+	if 2*h == n {
+		w = w[:h]
+		lo, hi := x[:len(w)], x[h:][:len(w)]
+		u, v := lo[0], hi[0]
+		lo[0], hi[0] = u+v, u-v
+		for j := 1; j < len(w); j++ {
+			u, v := lo[j], hi[j]*w[j]
+			lo[j], hi[j] = u+v, u-v
 		}
 	}
 }

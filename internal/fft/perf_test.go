@@ -1,30 +1,12 @@
 package fft
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mosaic/internal/grid"
 )
-
-// oldTransform2D is the pre-transpose column-scratch implementation, kept
-// here only to guard against performance regressions in the square path.
-func oldTransform2D(c *grid.CField, inverse bool) {
-	pw := getPlan(c.W)
-	ph := getPlan(c.H)
-	for y := 0; y < c.H; y++ {
-		transform(c.Row(y), pw, inverse)
-	}
-	col := make([]complex128, c.H)
-	for x := 0; x < c.W; x++ {
-		for y := 0; y < c.H; y++ {
-			col[y] = c.Data[y*c.W+x]
-		}
-		transform(col, ph, inverse)
-		for y := 0; y < c.H; y++ {
-			c.Data[y*c.W+x] = col[y]
-		}
-	}
-}
 
 func BenchmarkFFT512Transpose(b *testing.B) {
 	c := grid.NewC(512, 512)
@@ -35,12 +17,23 @@ func BenchmarkFFT512Transpose(b *testing.B) {
 	}
 }
 
-func BenchmarkFFT512ColumnScratch(b *testing.B) {
-	c := grid.NewC(512, 512)
-	c.Data[5] = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oldTransform2D(c, false)
+// BenchmarkTransform1D is the 1-D kernel alone at the line lengths the
+// solver runs: 64 (imaging grid), 128 (benchmark mask grid, whose real
+// forward also runs 64), 512 (the paper's mask grid), 32 for the trend. The
+// copy that refreshes the line (forward transforms of one line overflow in
+// a few hundred rounds) is inside the loop and a few percent of it.
+func BenchmarkTransform1D(b *testing.B) {
+	for _, n := range []int{32, 64, 128, 512} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			p := getPlan(n)
+			src := randVec(n, rand.New(rand.NewSource(1)))
+			x := make([]complex128, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				transform(x, p, false)
+			}
+		})
 	}
 }
 

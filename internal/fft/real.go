@@ -19,12 +19,13 @@ package fft
 func realForwardInto(dst []complex128, src []float64, pn, ph *plan) {
 	n := pn.n
 	m := n / 2
-	// Pack even/odd samples and run the half-length transform in place.
-	for j := 0; j < m; j++ {
-		dst[j] = complex(src[2*j], src[2*j+1])
-	}
+	// Pack even/odd samples, in the half-length transform's bit-reversed
+	// order, and run it in place.
 	z := dst[:m]
-	transform(z, ph, false)
+	for j, r := range ph.rev {
+		z[r] = complex(src[2*j], src[2*j+1])
+	}
+	butterflies(z, ph, false)
 	// Untangle: with E/O the spectra of the even/odd samples,
 	//   E[k] = (Z[k] + conj(Z[m-k]))/2
 	//   O[k] = (Z[k] - conj(Z[m-k])) * -i/2
