@@ -10,8 +10,13 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The second vet type-checks the arm64 build (a cross-build of a pure-Go
+# module needs no download): the float kernels are compiled differently
+# there (fused multiply-add, ROADMAP item 11) and no session has the
+# hardware, so this is the half of that item a box can check.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # staticcheck is best-effort locally (the binary may not be installed and
 # check must work offline); CI installs it, so there it always runs.

@@ -13,20 +13,28 @@ import (
 // frequency block, so every convolution in the hot loop transforms a
 // spectrum that is zero almost everywhere (inverse direction) or whose
 // output is discarded almost everywhere (forward direction). A separable
-// 2-D FFT lets both directions skip one full pass:
+// 2-D FFT lets both directions skip most of one pass:
 //
 //   - Inverse: only 2k+1 spectrum rows are nonzero, so the row pass runs
 //     2k+1 length-W FFTs instead of H. The column pass still needs all W
-//     transforms because the spatial output is dense. Work drops from
-//     (H + W) 1-D FFTs to (2k+1 + W), a bit under half for k << H, and one
-//     of the two cache-blocked transposes disappears because the pruned
-//     row pass scatters directly into transposed layout.
+//     transforms because the spatial output is dense.
 //   - Forward: the caller only consumes the central block, so after the
 //     dense row pass the column pass runs 2k+1 FFTs instead of W, and no
 //     transposes are needed at all.
-//   - Real input (the mask): two real rows pack into one complex transform
-//     (a + i*b), unpacked through conjugate symmetry, halving the dense row
-//     pass of the forward transform on top of the column pruning.
+//
+// A real field — the mask, a focus plane's intensity, a sensitivity, the
+// gradient — has a Hermitian spectrum, S(-fx, -fy) = conj(S(fx, fy)), and
+// the transforms in real.go run half of each pass on the strength of it:
+//
+//   - Half-length real rows (forward): a real row of n samples is one
+//     complex FFT of n/2, untangled into the band's fx >= 0 bins only.
+//   - fx >= 0 columns (forward): the column pass runs k+1 FFTs and fills
+//     the fx < 0 half of the block by conjugate mirror, so the block is
+//     Hermitian bit for bit.
+//   - Paired real output columns (inverse): the row pass runs the fy >= 0
+//     rows of the symmetrised block (k+1 FFTs), and two real output
+//     columns ride one complex column FFT as its real and imaginary parts
+//     (W/2 FFTs), stored straight into the real destination.
 //
 // EmbedCenter + Inverse2D (and Forward2D + ExtractCenter) remain the
 // reference implementations; the equivalence tests pin the pruned paths to
@@ -54,6 +62,14 @@ func checkBlock(blk *grid.CField, w, h int) int {
 		panic(fmt.Sprintf("fft: band block %dx%d exceeds grid %dx%d", blk.W, blk.H, w, h))
 	}
 	return k
+}
+
+// checkBand is checkBlock for the forward transforms, whose caller names the
+// half-width: a block of another one would be filled in part or past its end.
+func checkBand(blk *grid.CField, k, w, h int) {
+	if checkBlock(blk, w, h) != k {
+		panic(fmt.Sprintf("fft: band block %dx%d is not of half-width %d", blk.W, blk.H, k))
+	}
 }
 
 // InverseBandLimited computes the normalized inverse 2-D FFT of the w x h
@@ -86,19 +102,20 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	// into a small resident workspace, then scatter the workspace into the
 	// band columns of dst so that dst holds the intermediate in transposed
 	// layout and the second pass streams rows. Both fills write through
-	// p.rev, so neither pass starts with a bit-reversal swap.
+	// p.rev, so neither pass starts with a bit-reversal swap, and the first
+	// folds in the 1/(W*H) normalization: a power of two, so scaling the
+	// (2k+1)^2 block gives the bits that scaling the n^2 output gave.
 	rev := p.rev
 	rows := 2*k + 1
+	inv := 1 / float64(n*n)
 	ws := grid.GetC(n, rows)
 	rowPass := func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
-			dy := bi - k
 			row := ws.Row(bi)
-			for i := range row {
-				row[i] = 0
-			}
+			clear(row)
 			for dx := -k; dx <= k; dx++ {
-				row[rev[(dx+n)%n]] = blk.At(dx+k, dy+k)
+				v := blk.At(dx+k, bi)
+				row[rev[(dx+n)%n]] = complex(real(v)*inv, imag(v)*inv)
 			}
 			butterflies(row, p, true)
 		}
@@ -120,16 +137,10 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 		}
 	}
 	grid.PutC(ws)
-	// Dense column pass (as rows of the transposed intermediate), with the
-	// 1/(W*H) normalization folded in.
-	inv := complex(1/float64(n*n), 0)
+	// Dense column pass (as rows of the transposed intermediate).
 	pass := func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			r := dst.Row(y)
-			butterflies(r, p, true)
-			for i := range r {
-				r[i] *= inv
-			}
+			butterflies(dst.Row(y), p, true)
 		}
 	}
 	chunked(n*n, n, pass)
@@ -154,7 +165,7 @@ func embedInto(dst *grid.CField, blk *grid.CField, k int) {
 // holds unspecified contents afterwards. It is equivalent to
 // ExtractCenter(Forward2D(src), k) without materializing the full spectrum.
 func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
-	checkBlock(blk, src.W, src.H)
+	checkBand(blk, k, src.W, src.H)
 	prunedForward.Inc()
 	prunedPoints.Add(int64(src.W * src.H))
 	pw := getPlan(src.W)
@@ -190,35 +201,4 @@ func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
 		grid.PutC(scratch)
 	}
 	chunked(w*h, 2*k+1, pass)
-}
-
-// ForwardBandLimitedReal computes the central band-limited block of the
-// forward 2-D FFT of the real field f into blk ((2k+1)^2). The dense row
-// pass uses the real-input specialization (realForwardInto: one
-// half-length complex transform plus an untangling butterfly per row,
-// halving its cost with no cross-row coupling or per-pair scratch), and
-// the column pass prunes to the 2k+1 band columns. f is not modified.
-func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
-	checkBlock(blk, f.W, f.H)
-	prunedForward.Inc()
-	prunedPoints.Add(int64(f.W * f.H))
-	ws := grid.GetC(f.W, f.H)
-	pn := getPlan(f.W)
-	var ph *plan
-	if f.W >= 2 {
-		ph = getPlan(f.W / 2)
-	}
-	rowPass := func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			if ph == nil {
-				// Degenerate 1-wide grid: nothing to transform.
-				ws.Row(y)[0] = complex(f.Row(y)[0], 0)
-				continue
-			}
-			realForwardInto(ws.Row(y), f.Row(y), pn, ph)
-		}
-	}
-	chunked(f.W*f.H, f.H, rowPass)
-	bandColumns(ws, k, blk)
-	grid.PutC(ws)
 }

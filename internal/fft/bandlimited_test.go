@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"strings"
@@ -75,11 +76,9 @@ func TestForwardBandLimitedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestForwardBandLimitedRealMatchesReference pins the packed real-input
-// forward transform to the complex reference on random masks, including an
-// odd (non-paired) trailing row count via h=1 grids... heights here are
-// powers of two, so the pairing always divides evenly; the h=1 case
-// exercises the single-row tail.
+// TestForwardBandLimitedRealMatchesReference pins the real-input forward
+// transform to the complex reference on random binary masks, square and
+// rectangular.
 func TestForwardBandLimitedRealMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	cases := []struct{ w, h, k int }{
@@ -101,6 +100,78 @@ func TestForwardBandLimitedRealMatchesReference(t *testing.T) {
 			t.Errorf("%dx%d k=%d: real packed forward differs from reference by %g", tc.w, tc.h, tc.k, d)
 		}
 	}
+}
+
+// maxAbsC returns the largest modulus in c, the scale a relative tolerance
+// is taken against.
+func maxAbsC(c *grid.CField) float64 {
+	m := 0.0
+	for _, v := range c.Data {
+		m = math.Max(m, cmplx.Abs(v))
+	}
+	return m
+}
+
+// everyBand calls fn for every grid side n in {2, 4, ..., 256} and every
+// band half-width k the side can hold, 2k+1 <= n.
+func everyBand(fn func(n, k int)) {
+	for n := 2; n <= 256; n *= 2 {
+		for k := 0; k <= (n-1)/2; k++ {
+			fn(n, k)
+		}
+	}
+}
+
+// TestInverseBandLimitedRealMatchesReference: on random blocks — general
+// ones, whose dense inverse has an imaginary part to drop, not only
+// Hermitian ones — the real-output inverse equals the real part of
+// EmbedCenter + Inverse2D to 1e-12 of the field's scale, for every (n, k),
+// into a dirty destination.
+func TestInverseBandLimitedRealMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	everyBand(func(n, k int) {
+		blk := randBlock(k, rng)
+		want := EmbedCenter(blk, n, n)
+		Inverse2D(want)
+		dst := grid.New(n, n).Fill(rng.NormFloat64()) // dirty
+		InverseBandLimitedReal(blk, n, dst)
+		worst := 0.0
+		for i, v := range want.Data {
+			worst = math.Max(worst, math.Abs(dst.Data[i]-real(v)))
+		}
+		if tol := 1e-12 * maxAbsC(want); worst > tol {
+			t.Errorf("n=%d k=%d: real inverse differs from Re(reference) by %g, tolerance %g", n, k, worst, tol)
+		}
+	})
+}
+
+// TestForwardBandLimitedRealIsHermitian: for every (n, k) the real-input
+// forward block equals Forward2D + ExtractCenter to 1e-12 of the spectrum's
+// scale, and its two halves are each other's conjugate exactly — the
+// inverse's symmetrisation of such a block is then exact too.
+func TestForwardBandLimitedRealIsHermitian(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	everyBand(func(n, k int) {
+		f := grid.New(n, n)
+		for i := range f.Data {
+			f.Data[i] = rng.NormFloat64()
+		}
+		ref := grid.ToComplex(f)
+		Forward2D(ref)
+		want := ExtractCenter(ref, k)
+		blk := randBlock(k, rng) // dirty
+		ForwardBandLimitedReal(f, k, blk)
+		if d, tol := maxAbsDiff(blk, want), 1e-12*maxAbsC(want); d > tol {
+			t.Errorf("n=%d k=%d: real forward differs from reference by %g, tolerance %g", n, k, d, tol)
+		}
+		for fy := -k; fy <= k; fy++ {
+			for fx := -k; fx <= k; fx++ {
+				if a, b := blk.At(k+fx, k+fy), blk.At(k-fx, k-fy); a != cmplx.Conj(b) {
+					t.Fatalf("n=%d k=%d: blk(%d,%d) = %v but blk(%d,%d) = %v", n, k, fx, fy, a, -fx, -fy, b)
+				}
+			}
+		}
+	})
 }
 
 // TestBandLimitedRoundTrip: forward band extraction followed by the pruned
@@ -125,6 +196,13 @@ func TestInverseBandLimitedPanics(t *testing.T) {
 		"block>grid":  func() { InverseBandLimited(grid.NewC(9, 9), 8, 8, grid.NewC(8, 8)) },
 		"wrong dst":   func() { InverseBandLimited(grid.NewC(3, 3), 16, 16, grid.NewC(8, 8)) },
 		"fwd mistfit": func() { ForwardBandLimited(grid.NewC(16, 16), 3, grid.NewC(5, 5)) },
+
+		"real even block":  func() { InverseBandLimitedReal(grid.NewC(4, 4), 16, grid.New(16, 16)) },
+		"real rect block":  func() { InverseBandLimitedReal(grid.NewC(3, 5), 16, grid.New(16, 16)) },
+		"real block>grid":  func() { InverseBandLimitedReal(grid.NewC(9, 9), 8, grid.New(8, 8)) },
+		"real wrong dst":   func() { InverseBandLimitedReal(grid.NewC(3, 3), 16, grid.New(8, 8)) },
+		"real fwd misfit":  func() { ForwardBandLimitedReal(grid.New(16, 16), 1, grid.NewC(5, 5)) },
+		"real fwd too big": func() { ForwardBandLimitedReal(grid.New(8, 8), 4, grid.NewC(9, 9)) },
 	} {
 		func() {
 			defer func() {
@@ -147,6 +225,7 @@ func TestPrunedCountersVisible(t *testing.T) {
 	InverseBandLimited(blk, 16, 16, dst)
 	ForwardBandLimited(dst, 1, blk)
 	ForwardBandLimitedReal(grid.New(8, 8), 1, blk)
+	InverseBandLimitedReal(blk, 32, grid.New(32, 32))
 	txt := obs.MetricsText()
 	for _, name := range []string{"fft_pruned_inverse_total", "fft_pruned_forward_total", "fft_pruned_points_total"} {
 		if !strings.Contains(txt, name) {
@@ -157,7 +236,7 @@ func TestPrunedCountersVisible(t *testing.T) {
 		t.Error("pruned counters did not advance")
 	}
 	// One w*h per pruned call, whatever its direction or size.
-	if got, want := prunedPoints.Value()-pts0, int64(16*16+16*16+8*8); got != want {
+	if got, want := prunedPoints.Value()-pts0, int64(16*16+16*16+8*8+32*32); got != want {
 		t.Errorf("pruned points advanced by %d, want %d", got, want)
 	}
 }

@@ -12,11 +12,13 @@
 // the passes that fill a line themselves write it in bit-reversed order
 // and skip the permutation.
 //
-// The band-limit is also exploited computationally: InverseBandLimited,
-// ForwardBandLimited and ForwardBandLimitedReal in bandlimited.go prune
-// the transform passes that only touch zero (or discarded) frequencies,
-// roughly halving the FFT work per convolution, and large transforms
-// parallelize their row/column passes across cores.
+// The band-limit is also exploited computationally: InverseBandLimited and
+// ForwardBandLimited in bandlimited.go prune the transform passes that only
+// touch zero (or discarded) frequencies, roughly halving the FFT work per
+// convolution; ForwardBandLimitedReal and InverseBandLimitedReal in real.go
+// halve it again for a real field through the Hermitian symmetry of its
+// spectrum; and large transforms parallelize their row/column passes across
+// cores.
 //
 // All transform lengths must be powers of two; NextPow2 rounds sizes up.
 package fft

@@ -72,6 +72,22 @@ func BenchmarkConvolveInversePruned(b *testing.B) {
 	}
 }
 
+// BenchmarkConvolveInverseRealPruned is the real-output inverse at the block
+// sim.ImagingGrid.resample hands it (half-width 2K, 4K+1 = 57 entries a
+// side), on the benchmark's mask grid and on the paper's.
+func BenchmarkConvolveInverseRealPruned(b *testing.B) {
+	for _, n := range []int{128, 512} {
+		b.Run(fmt.Sprintf("%dpx", n), func(b *testing.B) {
+			blk := randBlock(2*convK, rand.New(rand.NewSource(1)))
+			dst := grid.New(n, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				InverseBandLimitedReal(blk, n, dst)
+			}
+		})
+	}
+}
+
 func BenchmarkConvolveForwardReference(b *testing.B) {
 	mask := grid.New(convN, convN)
 	for i := range mask.Data {

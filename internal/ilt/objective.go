@@ -431,7 +431,7 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusMode
 		par.For(len(m.freqs), func(ki int) {
 			term := grid.GetC(nc, nc)
 			for i, av := range fs.fields[ki].Data {
-				term.Data[i] = av * complex(wc.Data[i], 0)
+				term.Data[i] = complex(real(av)*wc.Data[i], imag(av)*wc.Data[i])
 			}
 			blk := grid.GetC(bw, bw)
 			fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
@@ -448,16 +448,11 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusMode
 			grid.PutC(blk)
 		}
 	}
-	field := grid.GetC(n, n)
-	fft.InverseBandLimited(gradBlk, n, n, field)
-	grid.PutC(gradBlk)
 	// The returned gradient comes from the workspace pool; runRaster
 	// releases it at the end of the iteration.
 	grad := grid.Get(n, n)
-	for i, v := range field.Data {
-		grad.Data[i] = real(v)
-	}
-	grid.PutC(field)
+	fft.InverseBandLimitedReal(gradBlk, n, grad)
+	grid.PutC(gradBlk)
 	if cfg.SmoothWeight > 0 {
 		smoothGradient(grad, mask, cfg.SmoothWeight)
 	}

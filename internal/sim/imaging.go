@@ -84,25 +84,27 @@ func (g ImagingGrid) Image(specBand *grid.CField, freqs []*grid.CField, weights 
 // returned as is when the two grids coincide); the result is the caller's,
 // to keep or to release with grid.Put.
 func (g ImagingGrid) Interpolate(ic *grid.Field) *grid.Field {
-	if g.Nc == g.N {
-		return ic
-	}
-	return g.resample(ic, g.N, float64(g.N*g.N)/float64(g.Nc*g.Nc))
+	return g.resample(ic, g.Nc, g.N, float64(g.N*g.N)/float64(g.Nc*g.Nc))
 }
 
 // Restrict is the transpose of Interpolate: it carries a mask-grid
 // sensitivity dF/dI back to the imaging grid, <Interpolate(x), y> =
 // <x, Restrict(y)>. Ownership follows Interpolate.
 func (g ImagingGrid) Restrict(w *grid.Field) *grid.Field {
-	if g.Nc == g.N {
-		return w
-	}
-	return g.resample(w, g.Nc, 1)
+	return g.resample(w, g.N, g.Nc, 1)
 }
 
-// resample moves the +/-2K band of src to an n x n grid, scaling the
-// spectrum by scale, and releases src.
-func (g ImagingGrid) resample(src *grid.Field, n int, scale float64) *grid.Field {
+// resample moves the +/-2K band of src, which must be from x from, to a
+// to x to grid, scaling the spectrum by scale, and releases src. Both
+// transforms are the real-field ones: the forward block is Hermitian, so
+// the inverse's real part is all of its output.
+func (g ImagingGrid) resample(src *grid.Field, from, to int, scale float64) *grid.Field {
+	if src.W != from || src.H != from {
+		panic(fmt.Sprintf("sim: resampling %d -> %d px got a %dx%d field, want %dx%d", from, to, src.W, src.H, from, from))
+	}
+	if from == to {
+		return src
+	}
 	bw := 4*g.K + 1
 	blk := grid.GetC(bw, bw)
 	fft.ForwardBandLimitedReal(src, 2*g.K, blk)
@@ -110,13 +112,8 @@ func (g ImagingGrid) resample(src *grid.Field, n int, scale float64) *grid.Field
 	for i, v := range blk.Data {
 		blk.Data[i] = complex(real(v)*scale, imag(v)*scale)
 	}
-	field := grid.GetC(n, n)
-	fft.InverseBandLimited(blk, n, n, field)
+	out := grid.Get(to, to)
+	fft.InverseBandLimitedReal(blk, to, out)
 	grid.PutC(blk)
-	out := grid.Get(n, n)
-	for i, v := range field.Data {
-		out.Data[i] = real(v)
-	}
-	grid.PutC(field)
 	return out
 }

@@ -35,12 +35,24 @@ func randField(w int, rng *rand.Rand) *grid.Field {
 	return f
 }
 
+// resamplingGrids returns the imaging grids of the configurations the repo
+// runs plus count random (N, K) pairs whose imaging grid is smaller than the
+// mask grid, 4K+1 <= N/2.
+func resamplingGrids(rng *rand.Rand, count int) []ImagingGrid {
+	igs := []ImagingGrid{NewImagingGrid(128, 14), NewImagingGrid(256, 14), NewImagingGrid(256, 16), NewImagingGrid(64, 7)}
+	for len(igs) < 4+count {
+		n := 16 << rng.Intn(5) // 16 ... 256
+		igs = append(igs, NewImagingGrid(n, 1+rng.Intn((n/2-1)/4)))
+	}
+	return igs
+}
+
 // TestResamplingIsAdjointPair: Restrict is the transpose of Interpolate,
 // <U x, y> = <x, U^T y>, on arbitrary (not band-limited) fields. Both calls
 // consume their argument, hence the clones.
 func TestResamplingIsAdjointPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, ig := range []ImagingGrid{NewImagingGrid(128, 14), NewImagingGrid(256, 14), NewImagingGrid(256, 16), NewImagingGrid(64, 7)} {
+	for _, ig := range resamplingGrids(rng, 12) {
 		if ig.Nc == ig.N {
 			t.Fatalf("%+v does not resample", ig)
 		}
@@ -59,6 +71,39 @@ func TestResamplingIsAdjointPair(t *testing.T) {
 	}
 }
 
+// denseResample is the reference for both resamplings: the full forward
+// transform of src, its +/-2K band scaled and embedded in a to x to
+// spectrum, the full inverse, the real part.
+func denseResample(src *grid.Field, k, to int, scale float64) *grid.Field {
+	spec := grid.ToComplex(src)
+	fft.Forward2D(spec)
+	full := fft.EmbedCenter(fft.ExtractCenter(spec, 2*k).ScaleC(complex(scale, 0)), to, to)
+	fft.Inverse2D(full)
+	out := grid.New(to, to)
+	for i, v := range full.Data {
+		out.Data[i] = real(v)
+	}
+	return out
+}
+
+// TestResamplingMatchesDenseReference pins Interpolate and Restrict, which
+// run the real-field transforms, to the dense complex path at 1e-12 of the
+// result's scale on arbitrary fields.
+func TestResamplingMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, ig := range resamplingGrids(rng, 12) {
+		x, y := randField(ig.Nc, rng), randField(ig.N, rng)
+		up := denseResample(x, ig.K, ig.N, float64(ig.N*ig.N)/float64(ig.Nc*ig.Nc))
+		if got := ig.Interpolate(x); !got.Equal(up, 1e-12*maxAbs(up)) {
+			t.Errorf("%+v: Interpolate differs from the dense reference", ig)
+		}
+		down := denseResample(y, ig.K, ig.Nc, 1)
+		if got := ig.Restrict(y); !got.Equal(down, 1e-12*maxAbs(down)) {
+			t.Errorf("%+v: Restrict differs from the dense reference", ig)
+		}
+	}
+}
+
 // TestResamplingSkippedWhenGridsCoincide: with Nc == N both resamplings
 // hand their argument back untouched.
 func TestResamplingSkippedWhenGridsCoincide(t *testing.T) {
@@ -66,6 +111,32 @@ func TestResamplingSkippedWhenGridsCoincide(t *testing.T) {
 	f := randField(64, rand.New(rand.NewSource(1)))
 	if ig.Interpolate(f) != f || ig.Restrict(f) != f {
 		t.Fatal("resampling on coinciding grids must be the identity")
+	}
+}
+
+// TestResamplingRefusesWrongSizedSource: a field that is not of the side
+// the resampling starts from — a mask-grid field handed to Interpolate, an
+// imaging-grid one to Restrict, either to a pass-through grid — used to be
+// resampled onto a result of the wrong scale, or handed back, in silence.
+func TestResamplingRefusesWrongSizedSource(t *testing.T) {
+	up, same := NewImagingGrid(128, 14), NewImagingGrid(64, 14)
+	for name, tc := range map[string]struct {
+		call func()
+		want string
+	}{
+		"Interpolate":              {func() { up.Interpolate(grid.New(128, 128)) }, "sim: resampling 64 -> 128 px got a 128x128 field, want 64x64"},
+		"Restrict":                 {func() { up.Restrict(grid.New(64, 64)) }, "sim: resampling 128 -> 64 px got a 64x64 field, want 128x128"},
+		"Interpolate pass-through": {func() { same.Interpolate(grid.New(32, 32)) }, "sim: resampling 64 -> 64 px got a 32x32 field, want 64x64"},
+		"Restrict pass-through":    {func() { same.Restrict(grid.New(64, 32)) }, "sim: resampling 64 -> 64 px got a 64x32 field, want 64x64"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", name, got, tc.want)
+				}
+			}()
+			tc.call()
+		}()
 	}
 }
 
