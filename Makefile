@@ -47,7 +47,7 @@ loc:
 # executions, not time: the default 60 s per new corpus entry would eat a
 # 5 s budget whole.
 FUZZ_TIME ?= 5s
-FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult ilt:FuzzSnapshot \
+FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
 	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse serve:FuzzAdmit
 

@@ -179,8 +179,6 @@ func TestTileJobCodecRoundTrip(t *testing.T) {
 	want := env.cfg
 	want.TrackMetrics = false
 	want.OnIter = nil
-	want.OnSnapshot = nil
-	want.Resume = nil
 	if job.Cfg.Mode != want.Mode || job.Cfg.Alpha != want.Alpha || job.Cfg.Beta != want.Beta ||
 		job.Cfg.MaxIter != want.MaxIter || job.Cfg.GradKernels != want.GradKernels ||
 		job.Cfg.EPESampleNM != want.EPESampleNM || job.Cfg.DefocusNM != want.DefocusNM ||

@@ -40,9 +40,10 @@ type tileJob struct {
 	Samples   []geom.Sample
 }
 
-// encodeTileJob serializes a scheduler request into a job payload. Hooks
-// (OnIter, OnSnapshot, Resume) do not cross the wire — the scheduler has
-// already forced them off for tiled runs.
+// encodeTileJob serializes a scheduler request into a job payload. The
+// OnIter hook does not cross the wire — the scheduler has already forced
+// it off for tiled runs, and a window's ilt.iter instants come back with
+// its result.
 func encodeTileJob(req *tile.Request) []byte {
 	seed := req.Cfg.SeedMask
 	n := 4096 // scalars, name and a typical window's geometry; grows if not

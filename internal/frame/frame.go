@@ -1,8 +1,8 @@
 // Package frame is the one binary envelope and the one scalar encoding
 // behind everything the service persists or ships: cache entries (MTCE),
 // warm-start entries (MWLE), artifact blobs, anchors and rasters
-// (MTAB/MTAN/MTGF), journal records (MJRN), snapshots (MSNP) and the
-// cluster wire (MTJB/MTRS). A frame is
+// (MTAB/MTAN/MTGF), journal records (MJRN) and the cluster wire
+// (MTJB/MTRS). A frame is
 //
 //	[4] magic   (uint32 LE; names the format)
 //	[4] length  (uint32 LE; payload bytes)

@@ -19,8 +19,6 @@ import (
 var notBits = map[string]bool{
 	"Config.TrackMetrics": true,
 	"Config.OnIter":       true,
-	"Config.OnSnapshot":   true,
-	"Config.Resume":       true,
 }
 
 func testBits() (Bits, func() []byte) {
@@ -177,27 +175,6 @@ func FuzzReadResult(f *testing.F) {
 		}
 		if !bytes.Equal(encodeResult(res), payload) {
 			t.Fatal("decoded result does not re-encode to its bytes")
-		}
-	})
-}
-
-// FuzzSnapshot: error or exact round-trip, never a panic.
-func FuzzSnapshot(f *testing.F) {
-	g := codecResult(2).MaskGray
-	full, _ := (&Snapshot{Iter: 3, P: g, Velocity: g, BestGray: g, Step: 0.5, Jumps: 1, Stall: 1, Seeded: true,
-		History: []IterStats{{Iter: 0, Objective: 2}, {Iter: 1, Score: 7}}}).MarshalBinary()
-	bare, _ := (&Snapshot{P: g}).MarshalBinary()
-	f.Add(full)
-	f.Add(bare)
-	f.Add(full[:len(full)-9])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Snapshot
-		if s.UnmarshalBinary(data) != nil {
-			return
-		}
-		again, err := s.MarshalBinary()
-		if err != nil || !bytes.Equal(again, data) {
-			t.Fatalf("decoded snapshot does not re-encode to its bytes (err %v)", err)
 		}
 	})
 }

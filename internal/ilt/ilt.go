@@ -97,8 +97,7 @@ type Config struct {
 	// surrogate objective probes no worse than the default
 	// initialization's after the Eq. 8 round trip; a rejected seed falls
 	// back to the rule-based init and the run is bit-identical to an
-	// unseeded one. Must match the simulator grid. Ignored when Resume is
-	// set (a checkpoint already carries its own P state).
+	// unseeded one. Must match the simulator grid.
 	SeedMask *grid.Field
 
 	// ObjTol, when positive, adds a plateau stop: once the best proxy
@@ -131,20 +130,6 @@ type Config struct {
 	// logs) instead of waiting for Result.History. The callback runs on
 	// the optimizer's goroutine; keep it cheap.
 	OnIter func(IterStats)
-
-	// OnSnapshot, when non-nil, receives a deep-copied checkpoint of the
-	// descent state after every completed iteration that leaves work
-	// remaining. A caller that keeps the latest snapshot can kill the run
-	// (cancel its context) and later resume bit-identically via Resume.
-	// The callback runs on the optimizer's goroutine.
-	OnSnapshot func(*Snapshot)
-
-	// Resume, when non-nil, seeds the descent loop from a checkpoint
-	// instead of the initial mask: the run continues at Snapshot.Iter and
-	// replays the remaining iterations exactly as the uninterrupted run
-	// would have. The snapshot must match the simulator grid and should
-	// come from a run with this same configuration.
-	Resume *Snapshot
 }
 
 // ConfigError reports an invalid Config value; Field names the offending
@@ -343,8 +328,7 @@ func (o *Optimizer) Run(layout *geom.Layout) (*Result, error) {
 
 // RunCtx is Run under a context: the descent loop checks ctx between
 // iterations, so cancellation (or a deadline) stops the run within one
-// iteration and returns an error wrapping ctx.Err(). Pair with
-// Config.OnSnapshot to checkpoint the state a cancelled run abandoned.
+// iteration and returns an error wrapping ctx.Err().
 func (o *Optimizer) RunCtx(ctx context.Context, layout *geom.Layout) (*Result, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("ilt: invalid layout: %w", err)
@@ -406,47 +390,23 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	step := cfg.StepSize
 	jumps := cfg.Jumps
 	var velocity *grid.Field // heavy-ball state, allocated on first use
-	var p, mask *grid.Field
-	iter := 0
-	stall := 0 // consecutive iterations without an ObjTol-sized improvement
+	stall := 0               // consecutive iterations without an ObjTol-sized improvement
 
-	if snap := cfg.Resume; snap != nil {
-		// Restore the loop state exactly as the checkpoint left it; the
-		// remaining iterations then replay bit-identically.
-		if err := snap.validate(o.Sim.Cfg.GridSize); err != nil {
-			return nil, err
-		}
-		p = snap.P.Clone()
-		mask = maskFromParams(p, cfg.ThetaM)
-		step = snap.Step
-		jumps = snap.Jumps
-		stall = snap.Stall
-		if snap.Velocity != nil {
-			velocity = snap.Velocity.Clone()
-		}
-		best.Seeded = snap.Seeded
-		best.Objective = snap.BestObjective
-		bestSurrogate = snap.BestSurrogate
-		if snap.BestGray != nil {
-			best.MaskGray = snap.BestGray.Clone()
-		}
-		best.History = append([]IterStats(nil), snap.History...)
-		iter = snap.Iter
+	// Alg. 1 lines 2-3: initial mask and unconstrained variables P with
+	// M = sig(theta_M * P) (Eq. 8). A warm-start seed replaces the
+	// rule-based mask only when its probe objective is no worse; a
+	// rejected seed leaves the run bit-identical to an unseeded one.
+	var p *grid.Field
+	m0 := o.InitialMask(target)
+	if cfg.SeedMask != nil && o.probeSeed(cfg.SeedMask, m0, models, target, samples) {
+		best.Seeded = true
+		p = paramsFromMask(cfg.SeedMask, cfg.ThetaM, seedEps)
 	} else {
-		// Alg. 1 lines 2-3: initial mask and unconstrained variables P with
-		// M = sig(theta_M * P) (Eq. 8). A warm-start seed replaces the
-		// rule-based mask only when its probe objective is no worse; a
-		// rejected seed leaves the run bit-identical to an unseeded one.
-		m0 := o.InitialMask(target)
-		if cfg.SeedMask != nil && o.probeSeed(cfg.SeedMask, m0, models, target, samples) {
-			best.Seeded = true
-			p = paramsFromMask(cfg.SeedMask, cfg.ThetaM, seedEps)
-		} else {
-			p = paramsFromMask(m0, cfg.ThetaM, initEps)
-		}
-		mask = maskFromParams(p, cfg.ThetaM)
+		p = paramsFromMask(m0, cfg.ThetaM, initEps)
 	}
+	mask := maskFromParams(p, cfg.ThetaM)
 
+	iter := 0
 	for ; iter < cfg.MaxIter; iter++ {
 		// Honor cancellation between iterations: the forward model and
 		// gradient of one iteration are the atomic unit of work, so a
@@ -574,12 +534,6 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		step *= cfg.StepDecay
 		maskFromParamsInto(mask, p, cfg.ThetaM)
 		endIter()
-		// Checkpoint the state entering the next iteration (iter+1
-		// iterations are now complete). Runs that exit the loop above via
-		// break are finished and need no snapshot.
-		if cfg.OnSnapshot != nil && iter+1 < cfg.MaxIter {
-			cfg.OnSnapshot(snapshot(iter+1, p, velocity, step, jumps, stall, best, bestSurrogate))
-		}
 	}
 
 	if best.MaskGray == nil {

@@ -2,9 +2,12 @@ package ilt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
@@ -384,5 +387,40 @@ func TestRuntimeExcludesDiagnostics(t *testing.T) {
 	}
 	if res2.RuntimeSec < 0 {
 		t.Fatalf("RuntimeSec = %g went negative after excluding diagnostics", res2.RuntimeSec)
+	}
+}
+
+// TestCancelFromAnotherGoroutine cancels a running optimization from a
+// separate goroutine (as the job service does) and checks the run stops
+// promptly with the context error. Run under -race this also verifies the
+// cancellation path is data-race free.
+func TestCancelFromAnotherGoroutine(t *testing.T) {
+	o, layout := testOptimizer(t, ModeFast)
+	o.Cfg.MaxIter = 1000 // far more than will run before the cancel lands
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	var once bool
+	o.Cfg.OnIter = func(IterStats) {
+		if !once {
+			once = true
+			close(started)
+		}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := o.RunCtx(ctx, layout)
+		errc <- err
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not stop within one iteration's worth of time")
 	}
 }

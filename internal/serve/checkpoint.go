@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"mosaic"
 	"mosaic/internal/cache"
 	"mosaic/internal/cas"
 	"mosaic/internal/obs"
@@ -18,31 +17,29 @@ import (
 
 // Checkpoint layout under Config.CheckpointDir:
 //
-//	<id>.job     — JSON job metadata (spec, priority, submit time, and the
-//	               numeric generation the other two files were computed under)
-//	<id>.snap    — latest ilt snapshot of a one-window run (one MSNP frame)
-//	<id>.journal — tile journal of the run (appended as tiles complete)
+//	<id>.job     — JSON job metadata (spec, submit time, and the numeric
+//	               generation the journal was computed under)
+//	<id>.journal — tile journal of the run (appended as windows complete)
 //
-// A drain writes .job for every queued and running job and .snap for
-// running jobs that have a snapshot (only a one-window job's optimizer
-// emits them), each through a temp file and a rename so a crash mid-drain
-// leaves a whole file or none; every job journals while it runs. New
-// scans the directory and re-queues every .job it finds; completed tiles
-// and finished iterations are not recomputed — unless another numeric
-// generation computed them, in which case the job starts over.
+// A drain writes .job for every queued and running job, through a temp
+// file and a rename so a crash mid-drain leaves a whole file or none;
+// every job journals while it runs. New scans the directory and re-queues
+// every .job it finds. The window is the one restart unit: a journaled
+// window is adopted — unless another numeric generation computed it, in
+// which case the job starts over — and every other window runs through the
+// warm-start, cache and runner chain a fresh submission takes.
 
 type checkpointMeta struct {
 	ID          string    `json:"id"`
 	Spec        JobSpec   `json:"spec"`
-	Priority    int       `json:"priority"`
 	SubmittedAt time.Time `json:"submitted_at"`
 	// DigestVersion is the cache.DigestVersion of the build that wrote the
-	// job's .snap and .journal.
+	// job's .journal.
 	DigestVersion int `json:"digest_version"`
 }
 
-// checkpointLocked persists a job's checkpoint files; the caller holds
-// j.mu. It reports whether the job can be resumed by a restarted server.
+// checkpointLocked persists a job's .job file; the caller holds j.mu. It
+// reports whether the job can be resumed by a restarted server.
 func (s *Server) checkpointLocked(j *job) bool {
 	if s.cfg.CheckpointDir == "" {
 		return false
@@ -50,7 +47,6 @@ func (s *Server) checkpointLocked(j *job) bool {
 	meta := checkpointMeta{
 		ID:            j.id,
 		Spec:          j.spec,
-		Priority:      j.spec.Priority,
 		SubmittedAt:   j.submitted,
 		DigestVersion: cache.DigestVersion,
 	}
@@ -62,17 +58,6 @@ func (s *Server) checkpointLocked(j *job) bool {
 	if err := cas.WriteFile(s.checkpointPath(j.id, ".job"), data, false); err != nil {
 		obs.Logger().Warn("serve: writing checkpoint meta", "job", j.id, "err", err)
 		return false
-	}
-	if j.snap != nil {
-		blob, err := j.snap.MarshalBinary()
-		if err == nil {
-			err = cas.WriteFile(s.checkpointPath(j.id, ".snap"), blob, false)
-		}
-		if err != nil {
-			// The snapshot is an optimization: without it the job restarts
-			// from iteration zero, still correct.
-			obs.Logger().Warn("serve: writing snapshot", "job", j.id, "err", err)
-		}
 	}
 	return true
 }
@@ -107,13 +92,10 @@ func (s *Server) restore() error {
 	return nil
 }
 
-// restoreOne rebuilds a job from its .job meta file, picking up a .snap
-// checkpoint when one exists. Progress checkpointed by a build of another
-// numeric generation (or by one that did not say) is discarded: replaying
-// its snapshot would continue that build's trajectory with this build's
-// numerics and cache the mix under this build's content key, and adopting
-// its journal would stitch its tiles beside this build's under one Merkle
-// root.
+// restoreOne rebuilds a job from its .job meta file. Windows journaled by a
+// build of another numeric generation (or by one that did not say) are
+// discarded: adopting them would stitch that build's tiles beside this
+// build's under one Merkle root.
 func (s *Server) restoreOne(path string) (*job, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -132,20 +114,10 @@ func (s *Server) restoreOne(path string) (*job, error) {
 	}
 	j.resumed = true
 	if meta.DigestVersion != cache.DigestVersion {
-		obs.Logger().Warn("serve: checkpoint is of another numeric generation; restarting the job from iteration 0",
+		obs.Logger().Warn("serve: checkpoint is of another numeric generation; recomputing every window",
 			"job", meta.ID, "digest_version", meta.DigestVersion, "want", cache.DigestVersion)
-		for _, ext := range []string{".snap", ".journal"} {
-			if err := os.Remove(s.checkpointPath(meta.ID, ext)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("discarding stale %s: %w", ext, err)
-			}
-		}
-	}
-	if blob, err := os.ReadFile(s.checkpointPath(meta.ID, ".snap")); err == nil {
-		var sn mosaic.Snapshot
-		if err := sn.UnmarshalBinary(blob); err != nil {
-			obs.Logger().Warn("serve: ignoring corrupt snapshot", "job", meta.ID, "err", err)
-		} else {
-			j.resume = &sn
+		if err := os.Remove(s.checkpointPath(meta.ID, ".journal")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("discarding stale journal: %w", err)
 		}
 	}
 	return j, nil
@@ -156,7 +128,8 @@ func (s *Server) checkpointPath(id, ext string) string {
 	return filepath.Join(s.cfg.CheckpointDir, id+ext)
 }
 
-// removeCheckpoint deletes a finished job's checkpoint files.
+// removeCheckpoint deletes a finished job's checkpoint files, and the
+// per-iteration snapshot an older build may have left beside them.
 func (s *Server) removeCheckpoint(id string) {
 	if s.cfg.CheckpointDir == "" {
 		return

@@ -30,12 +30,14 @@ type JobEvent struct {
 
 // jobTelemetry fans one job's trace stream out to its SSE subscribers,
 // retains a ring of recent events for reconnects and the status timeline,
-// and buffers the raw span tree for the Perfetto export.
+// keeps the job's Progress, and buffers the raw span tree for the Perfetto
+// export.
 type jobTelemetry struct {
 	buf *obs.SpanBuffer // the job's span tree, fed via context
 
 	mu      sync.Mutex
 	traceID string
+	prog    Progress
 	ring    []JobEvent // seq-ordered; len <= eventRingCap
 	seq     int64
 	closed  bool
@@ -58,13 +60,49 @@ var eventTypes = map[string]string{
 	obs.ClusterLeaseExpired.String(): "lease_expired",
 }
 
-// observe translates trace events into the job's public event stream.
-// Span completions stay trace-only; the instants are the curated
-// telemetry surface.
+// observe translates trace events into the job's public event stream and
+// its Progress. Span completions stay trace-only; the instants are the
+// curated telemetry surface.
 func (t *jobTelemetry) observe(ev obs.SpanEvent) {
-	if typ, ok := eventTypes[ev.Name]; ok {
-		t.publish(typ, obs.AttrMap(ev.Attrs))
+	typ, ok := eventTypes[ev.Name]
+	if !ok {
+		return
 	}
+	data := obs.AttrMap(ev.Attrs)
+	// A shipped event is a worker's word: an attribute of another type than
+	// this build emits moves nothing.
+	num := func(key string) int {
+		n, _ := data[key].(int64)
+		return int(n)
+	}
+	t.mu.Lock()
+	switch typ {
+	case "iteration":
+		t.prog.Iter = num("iter") + 1
+		t.prog.Objective, _ = data["score"].(float64)
+	case "tile":
+		// Completions are numbered before they are emitted, so two workers
+		// can deliver theirs out of order; the count only rises.
+		if done := num("done"); done > t.prog.TilesDone {
+			t.prog.TilesDone, t.prog.TilesTotal = done, num("total")
+		}
+	}
+	t.mu.Unlock()
+	t.publish(typ, data)
+}
+
+// setMaxIter records the iteration budget the job runs under.
+func (t *jobTelemetry) setMaxIter(n int) {
+	t.mu.Lock()
+	t.prog.MaxIter = n
+	t.mu.Unlock()
+}
+
+// progress returns the job's live position.
+func (t *jobTelemetry) progress() Progress {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.prog
 }
 
 // publish appends one event to the ring and offers it to every live

@@ -2,9 +2,9 @@
 // with bounded workers, priorities, deadlines and cancellation, exposed
 // over a small HTTP API (submit a layout, poll progress, fetch the result
 // mask and report, cancel). A server given a checkpoint directory drains
-// gracefully — in-flight jobs checkpoint (an ilt snapshot for untiled
-// runs, the tile journal for sharded runs) and a restarted server resumes
-// them bit-identically.
+// gracefully — every job journals its completed windows, a drain records
+// the jobs still queued or running, and a restarted server resumes them
+// bit-identically, recomputing at most the windows that were in flight.
 package serve
 
 import (
@@ -117,10 +117,12 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Progress is the live position of a running job.
+// Progress is the live position of a running job, derived from the
+// ilt.iter and tile.done instants of the job's trace — wherever the window
+// that emitted them ran.
 type Progress struct {
-	// Iter counts completed optimizer iterations (per tile for a sharded
-	// run, where it tracks the most recent tile callback).
+	// Iter counts completed optimizer iterations of the window that
+	// reported last (a sharded run has several in flight).
 	Iter int `json:"iter"`
 	// MaxIter is the configured iteration budget.
 	MaxIter int `json:"max_iter"`
@@ -203,13 +205,10 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	prog      Progress
 	err       error
 	result    *mosaic.LayoutResult
 	eval      evaluation
-	snap      *mosaic.Snapshot // latest checkpoint while running (untiled)
-	resume    *mosaic.Snapshot // restored checkpoint to seed the next run
-	cancel    func(error)      // cancels the running context with a cause
+	cancel    func(error) // cancels the running context with a cause
 }
 
 // status snapshots the job for external consumption.
@@ -220,7 +219,6 @@ func (j *job) status() *Status {
 		ID:          j.id,
 		State:       j.state,
 		Spec:        j.spec,
-		Progress:    j.prog,
 		Resumed:     j.resumed,
 		SubmittedAt: j.submitted,
 	}
@@ -240,6 +238,7 @@ func (j *job) status() *Status {
 		st.MerkleRoot = j.result.Artifact.Root.String()
 	}
 	if j.tel != nil {
+		st.Progress = j.tel.progress()
 		st.TraceID = j.tel.TraceID()
 		st.Timeline = j.tel.timeline()
 	}

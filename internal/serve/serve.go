@@ -564,7 +564,6 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 		j.mu.Lock()
 		j.result = result
 		j.eval = eval
-		j.prog.TilesDone = j.prog.TilesTotal
 		j.mu.Unlock()
 	case canceled && errors.Is(context.Cause(ctx), errDrained):
 		// Graceful drain: checkpoint what we have and let a restarted
@@ -590,50 +589,20 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, eva
 	if s.cfg.Tune != nil {
 		s.cfg.Tune(&cfg)
 	}
-	tunedIter := cfg.OnIter // a Tune-installed observer keeps firing
-	cfg.OnIter = func(st mosaic.IterStats) {
-		j.mu.Lock()
-		j.prog.Iter = st.Iter + 1
-		j.prog.MaxIter = cfg.MaxIter
-		j.prog.Objective = st.ProxyScore
-		j.mu.Unlock()
-		if tunedIter != nil {
-			tunedIter(st)
-		}
-	}
+	j.tel.setMaxIter(cfg.MaxIter)
 
 	topts := s.tileOptions(&j.spec)
 	topts.ArtifactJob = j.id
-	topts.OnTile = func(done, total int) {
-		j.mu.Lock()
-		j.prog.TilesDone = done
-		j.prog.TilesTotal = total
-		j.mu.Unlock()
-	}
-
 	if s.cfg.CheckpointDir != "" {
-		// Both checkpoint mechanisms are always armed. The journal records
-		// every completed window, so a crash or drain loses at most the
-		// windows in flight; the latest per-iteration snapshot is kept in
-		// memory for a drain to persist. The snapshot hook only reaches the
-		// optimizer of a one-window job — the only kind that has a single
-		// optimizer to resume.
+		// The journal records every completed window, so a crash or drain
+		// loses at most the windows in flight.
 		jl, err := mosaic.OpenTileJournal(s.checkpointPath(j.id, ".journal"))
 		if err != nil {
 			return nil, evaluation{}, fmt.Errorf("opening tile journal: %w", err)
 		}
 		defer jl.Close()
 		topts.Journal = jl
-		cfg.OnSnapshot = func(sn *mosaic.Snapshot) {
-			j.mu.Lock()
-			j.snap = sn
-			j.mu.Unlock()
-		}
 	}
-	j.mu.Lock()
-	cfg.Resume = j.resume
-	j.prog.MaxIter = cfg.MaxIter
-	j.mu.Unlock()
 
 	res, err := setup.OptimizeLayout(ctx, cfg, j.layout, topts)
 	if err != nil {

@@ -71,6 +71,19 @@ func shutdown(t *testing.T, s *Server) {
 	}
 }
 
+// finished waits for a job to end, requires it done and returns its result.
+func finished(t *testing.T, s *Server, id, what string) *mosaic.LayoutResult {
+	t.Helper()
+	if fin := waitFor(t, s, id, 60*time.Second, func(st *Status) bool { return st.State.terminal() }); fin.State != StateDone {
+		t.Fatalf("%s finished %s (%s), want done", what, fin.State, fin.Error)
+	}
+	res, err := s.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestHTTPRoundTrip(t *testing.T) {
 	s, err := New(testServerConfig(""))
 	if err != nil {
@@ -489,9 +502,9 @@ func TestQueueOrdersByPriority(t *testing.T) {
 
 // drainMidRun submits spec to a server of *cfg, drains the server while
 // the job is between its third and fourth iteration, and returns the
-// job's id once the .job and .snap checkpoints are on disk. It gates the
-// optimizer through cfg.Tune; the gate stays open afterwards, so a
-// restarted server takes the same cfg.
+// job's id once its checkpoint — the .job and the (empty) journal, nothing
+// else — is on disk. It gates the optimizer through cfg.Tune; the gate
+// stays open afterwards, so a restarted server takes the same cfg.
 func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
 	t.Helper()
 	// Gate the optimizer at the end of its third iteration so the drain
@@ -543,17 +556,17 @@ func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
 	if got.State != StateInterrupted {
 		t.Fatalf("drained job is %s, want interrupted", got.State)
 	}
-	for _, ext := range []string{".job", ".snap"} {
-		if _, err := os.Stat(filepath.Join(cfg.CheckpointDir, st.ID+ext)); err != nil {
-			t.Fatalf("drain left no %s checkpoint: %v", ext, err)
-		}
+	files, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, st.ID+".*"))
+	want := []string{filepath.Join(cfg.CheckpointDir, st.ID+".job"), filepath.Join(cfg.CheckpointDir, st.ID+".journal")}
+	if !reflect.DeepEqual(files, want) {
+		t.Fatalf("drain left %v, want %v", files, want)
 	}
 	return st.ID
 }
 
 // coldRun is the reference of the checkpoint tests: spec run
-// uninterrupted under cfg's optics and tuning, in this same process,
-// through the library directly.
+// uninterrupted under cfg's optics, tuning and warm-start library, in this
+// same process, through the library directly.
 func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 	t.Helper()
 	opt := cfg.Optics
@@ -569,7 +582,7 @@ func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 	ref := mosaic.DefaultConfig(mosaic.ModeFast)
 	ref.MaxIter = spec.MaxIter
 	cfg.Tune(&ref)
-	want, err := setup.OptimizeLayout(context.Background(), ref, layout, mosaic.TileOptions{})
+	want, err := setup.OptimizeLayout(context.Background(), ref, layout, mosaic.TileOptions{WarmStart: cfg.WarmStart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,8 +591,9 @@ func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 
 // TestDrainResumeBitIdentical is the acceptance test of the serving
 // layer's fault tolerance: a drained server checkpoints its in-flight
-// job, a restarted server resumes it, and the final mask is bit-identical
-// to an uninterrupted run of the same configuration.
+// job, a restarted server resumes it — the window that was in flight runs
+// again, all six iterations — and the final mask is bit-identical to an
+// uninterrupted run of the same configuration.
 func TestDrainResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testServerConfig(dir)
@@ -628,10 +642,8 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	}
 
 	// The finished job's checkpoint files are gone.
-	for _, ext := range []string{".job", ".snap", ".journal"} {
-		if _, err := os.Stat(filepath.Join(dir, id+ext)); err == nil {
-			t.Fatalf("finished job left %s checkpoint behind", ext)
-		}
+	if files, _ := filepath.Glob(filepath.Join(dir, id+".*")); len(files) != 0 {
+		t.Fatalf("finished job left checkpoint files behind: %v", files)
 	}
 
 	// The resumed job anchored the same work as a cold, uninterrupted job
@@ -665,15 +677,17 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 
 // TestCheckpointOfAnotherGenerationRestarts: a checkpoint whose meta names
 // another numeric generation — or none, as every build before the field
-// did — must not resume. The snapshot on disk is nudged to stand in for
-// that generation's numerics; the restarted job has to ignore it, run from
-// iteration 0, and leave the gray mask and the cache entry of a cold run.
+// did — must not resume. A journal record whose gray mask is nudged stands
+// in for that generation's numerics; the restarted job has to discard it,
+// recompute the window, and leave the gray mask and the cache entry of a
+// cold run. The control keeps the generation: the same record is adopted.
 func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
 	var want *mosaic.LayoutResult
 	for name, rewrite := range map[string]func(meta map[string]any){
 		"differs": func(meta map[string]any) { meta["digest_version"] = cache.DigestVersion - 1 },
 		"absent":  func(meta map[string]any) { delete(meta, "digest_version") },
+		"same":    nil,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -688,6 +702,23 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 				want = coldRun(t, cfg, spec)
 			}
 
+			jl, err := mosaic.OpenTileJournal(filepath.Join(dir, id+".journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign := want.MaskGray.Clone()
+			for i := range foreign.Data {
+				foreign.Data[i] += 0.25
+			}
+			tile := want.Tiles[0]
+			err = jl.Record(0, &mosaic.Result{Mask: tile.Mask, MaskGray: foreign, Objective: tile.Objective, Iterations: tile.Iterations})
+			if err == nil {
+				err = jl.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
 			metaPath := filepath.Join(dir, id+".job")
 			data, err := os.ReadFile(metaPath)
 			if err != nil {
@@ -700,30 +731,14 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 			if v, _ := meta["digest_version"].(float64); int(v) != cache.DigestVersion {
 				t.Fatalf("drained meta carries digest_version %v, want %d", meta["digest_version"], cache.DigestVersion)
 			}
-			rewrite(meta)
-			if data, err = json.Marshal(meta); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(metaPath, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			snapPath := filepath.Join(dir, id+".snap")
-			blob, err := os.ReadFile(snapPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sn mosaic.Snapshot
-			if err := sn.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-			for i := range sn.P.Data {
-				sn.P.Data[i] += 0.25
-			}
-			if blob, err = sn.MarshalBinary(); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(snapPath, blob, 0o644); err != nil {
-				t.Fatal(err)
+			if rewrite != nil {
+				rewrite(meta)
+				if data, err = json.Marshal(meta); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(metaPath, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			s2, err := New(cfg)
@@ -731,23 +746,15 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer shutdown(t, s2)
-			if _, err := os.Stat(snapPath); err == nil {
-				t.Fatal("the other generation's snapshot survived the restart")
+			if rewrite == nil {
+				if res := finished(t, s2, id, "restarted job"); !res.MaskGray.Equal(foreign, 0) {
+					t.Fatal("a journal record of this generation was not adopted: the test's record is not one a restart reads")
+				}
+				return
 			}
-			sameGray := func(id, what string) {
-				t.Helper()
-				if fin := waitFor(t, s2, id, 60*time.Second, func(st *Status) bool { return st.State.terminal() }); fin.State != StateDone {
-					t.Fatalf("%s finished %s (%s), want done", what, fin.State, fin.Error)
-				}
-				res, err := s2.Result(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.MaskGray.Equal(want.MaskGray, 0) {
-					t.Fatalf("%s: gray mask differs from a cold run's", what)
-				}
+			if res := finished(t, s2, id, "restarted job"); !res.MaskGray.Equal(want.MaskGray, 0) {
+				t.Fatal("restarted job: gray mask differs from a cold run's")
 			}
-			sameGray(id, "restarted job")
 			// The entry the restarted job stored is what the next repeat is
 			// served: resubmit and require a hit with the same bits.
 			hits := store.Stats().Hits
@@ -755,12 +762,100 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameGray(again.ID, "cached repeat")
+			if res := finished(t, s2, again.ID, "cached repeat"); !res.MaskGray.Equal(want.MaskGray, 0) {
+				t.Fatal("cached repeat: gray mask differs from a cold run's")
+			}
 			if got := store.Stats().Hits - hits; got != 1 {
 				t.Fatalf("repeat took %d cache hits, want 1", got)
 			}
 		})
 	}
+}
+
+// TestResumedJobIsServedItsOwnKey: a drained job comes back through the
+// chain a fresh submission takes, so what it stores under its cache key is
+// what any computation of that key produces. Job B — a cell placed 8 nm off
+// its base — is drained while it runs cold; before the restart the library
+// learns the base cell, so the restarted B is handed a seed. The mask it
+// finishes with, the one a repeat is served from the cache, and the one a
+// server with the same library and an empty cache computes must be one
+// mask. (A B continued from a per-iteration snapshot of its cold trajectory
+// ignored the seed it was keyed under: 10 unseeded iterations stored where
+// the honest run is 3 seeded ones.)
+func TestResumedJobIsServedItsOwnKey(t *testing.T) {
+	const (
+		baseCell = "CLIP cell 512\nRECT 160 144 96 224\nRECT 312 144 56 224\n"
+		jittered = "CLIP cell-jittered 512\nRECT 168 144 96 224\nRECT 320 144 56 224\n"
+	)
+	spec := JobSpec{Layout: jittered, MaxIter: 12}
+	lib, err := mosaic.OpenWarmStartLibrary(t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := mosaic.OpenTileCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testServerConfig(t.TempDir())
+	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit, c.Jumps = 1, false, 0 }
+	tune := cfg.Tune // drainMidRun adds its gate to cfg's
+	cfg.TileCache, cfg.WarmStart = store, lib
+
+	id := drainMidRun(t, &cfg, spec)
+
+	// The library learns B's base cell, in this goroutine: no second server
+	// whose worker could wait on a one-core pool.
+	coldRun(t, Config{Optics: cfg.Optics, Tune: tune, WarmStart: lib}, JobSpec{Layout: baseCell, MaxIter: 12})
+
+	type outcome struct {
+		gray  *mosaic.Field
+		iters int
+		seed  string
+	}
+	finish := func(s *Server, id, what string) outcome {
+		t.Helper()
+		res := finished(t, s, id, what)
+		return outcome{res.MaskGray, res.Iterations, res.Provenance[0].Seed}
+	}
+	same := func(got, want outcome, what string) {
+		t.Helper()
+		if got.iters != want.iters || got.seed != want.seed || !got.gray.Equal(want.gray, 0) {
+			t.Fatalf("%s: %d iterations from seed %q, the resumed job %d from %q (gray masks equal: %v)",
+				what, got.iters, got.seed, want.iters, want.seed, got.gray.Equal(want.gray, 0))
+		}
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s2)
+	resumed := finish(s2, id, "resumed job")
+	if resumed.seed == "" {
+		t.Fatal("the resumed job was not seeded from the base cell the library learned")
+	}
+	hits := store.Stats().Hits
+	again, err := s2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same(finish(s2, again.ID, "cached repeat"), resumed, "cached repeat")
+	if got := store.Stats().Hits - hits; got != 1 {
+		t.Fatalf("repeat took %d cache hits, want 1", got)
+	}
+
+	fresh := testServerConfig("")
+	fresh.Tune, fresh.WarmStart = tune, lib
+	s3, err := New(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s3)
+	st, err := s3.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same(finish(s3, st.ID, "fresh computation"), resumed, "fresh computation of the same key")
 }
 
 // sidecars maps each quality side-car under an artifact dir (by its path
@@ -802,6 +897,11 @@ func TestTiledJobJournals(t *testing.T) {
 	if fin.Progress.TilesDone != fin.Progress.TilesTotal || fin.Progress.TilesTotal != 4 {
 		t.Fatalf("tile progress %d/%d, want 4/4", fin.Progress.TilesDone, fin.Progress.TilesTotal)
 	}
+	// Progress is read off the windows' ilt.iter instants, which a sharded
+	// run emits like a one-window run (the OnIter hook is off across several).
+	if fin.Progress.Iter != 2 || fin.Progress.MaxIter != 2 {
+		t.Fatalf("iteration progress %d/%d, want that of the window that reported last, 2/2", fin.Progress.Iter, fin.Progress.MaxIter)
+	}
 	sum, err := s.Summary(st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -819,12 +919,21 @@ func TestTiledJobJournals(t *testing.T) {
 // the intact checkpoint next to it is restored and runs to completion.
 func TestRestoreSkipsTornCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	meta, err := json.Marshal(checkpointMeta{
+	// The intact checkpoint is an older build's: its .job repeats the
+	// priority beside the spec, and a per-iteration snapshot no build reads
+	// any more lies next to it.
+	meta, err := json.Marshal(struct {
+		checkpointMeta
+		Priority int `json:"priority"`
+	}{checkpointMeta: checkpointMeta{
 		ID:          "job-intact",
 		Spec:        JobSpec{Layout: testLayoutText, MaxIter: 2},
 		SubmittedAt: time.Now(),
-	})
+	}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-intact.snap"), []byte("a snapshot of a build long gone"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "job-intact.job"), meta, 0o644); err != nil {
@@ -845,5 +954,8 @@ func TestRestoreSkipsTornCheckpoint(t *testing.T) {
 	fin := waitFor(t, s, "job-intact", 60*time.Second, func(st *Status) bool { return st.State.terminal() })
 	if fin.State != StateDone || !fin.Resumed {
 		t.Fatalf("intact checkpoint finished %s (resumed=%v, %s), want a resumed done job", fin.State, fin.Resumed, fin.Error)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "job-intact.*")); len(files) != 0 {
+		t.Fatalf("finished job left checkpoint files behind: %v", files)
 	}
 }

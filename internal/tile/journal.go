@@ -10,24 +10,13 @@ import (
 	"mosaic/internal/obs"
 )
 
-// Journal persists per-tile results as a sharded run completes them, so a
+// FileJournal persists per-tile results as a run completes them, so a
 // rerun after a crash (or a drained daemon) restarts only the unfinished
-// tiles. Implementations must be safe for concurrent Record calls from
-// the scheduler's workers.
-type Journal interface {
-	// Load returns the journaled results keyed by tile index. Records that
-	// do not match the plan's window size are ignored (a journal from a
-	// different decomposition must not poison a run).
-	Load(p *Plan) (map[int]*ilt.Result, error)
-	// Record persists tile index's result.
-	Record(index int, res *ilt.Result) error
-}
-
-// FileJournal is an append-only on-disk Journal. Each record is one MJRN
-// frame holding the tile index and the shared result body
-// (ilt.NewResultFrame); a torn tail (the record a crashed worker was
-// mid-write on) is detected and ignored on load, so a journal survives
-// kill -9 semantics without recovery tooling.
+// tiles. It is an append-only file, safe for concurrent Record calls from
+// the scheduler's workers. Each record is one MJRN frame holding the tile
+// index and the shared result body (ilt.NewResultFrame); a torn tail (the
+// record a crashed worker was mid-write on) is detected and ignored on
+// load, so a journal survives kill -9 semantics without recovery tooling.
 type FileJournal struct {
 	mu   sync.Mutex
 	path string

@@ -205,7 +205,7 @@ type Options struct {
 	// tiles a previous run already finished, so a restarted run optimizes
 	// only the remainder. Journaled results are stitched exactly as
 	// freshly computed ones, preserving bit-identical output.
-	Journal Journal
+	Journal *FileJournal
 
 	// Runner executes individual tiles; nil runs them in-process on the
 	// window simulator. A cluster coordinator plugs in here to dispatch
@@ -255,12 +255,12 @@ func (p *Plan) resolveWorkers(workers int) int {
 // Optimize runs one ilt.Optimizer per tile on a bounded worker pool and
 // stitches the results into a full-layout mask. ws must be the window
 // simulator (grid = Plan.WindowPx at Plan.PixelNM); cfg is the per-tile
-// optimizer configuration. Its per-optimizer hooks (TrackMetrics, OnIter,
-// OnSnapshot, Resume) reach the optimizer only when the plan has a single
-// window; across several they would interleave, so a multi-window run
-// forces them off — use Options.OnTile for progress and Options.Journal
-// for checkpoints. The SOCS kernel stacks for every process corner are
-// built once before the pool starts and shared read-only by all workers.
+// optimizer configuration. Its per-optimizer hooks (TrackMetrics, OnIter)
+// reach the optimizer only when the plan has a single window; across
+// several they would interleave, so a multi-window run forces them off —
+// use Options.OnTile for progress. The SOCS kernel stacks for every
+// process corner are built once before the pool starts and shared
+// read-only by all workers.
 //
 // Results are deterministic in plan order regardless of scheduling. The
 // first tile error cancels the remaining work and is returned; ctx
@@ -283,15 +283,12 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	}
 
 	// Per-tile configuration: with more than one window the diagnostics
-	// and checkpoint hooks go off (they would interleave across workers —
-	// such runs checkpoint through the journal instead); a one-window plan
-	// is the clip-level optimizer run and keeps them.
+	// hooks go off (they would interleave across workers); a one-window
+	// plan is the clip-level optimizer run and keeps them.
 	tcfg := cfg
 	if len(p.Tiles) > 1 {
 		tcfg.TrackMetrics = false
 		tcfg.OnIter = nil
-		tcfg.OnSnapshot = nil
-		tcfg.Resume = nil
 	}
 
 	samples := p.splitSamples(p.Layout.SamplePoints(cfg.EPESampleNM))

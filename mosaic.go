@@ -76,9 +76,6 @@ type (
 	PWPoint = metrics.PWPoint
 	// TraceBuffer collects the span events of one trace for export.
 	TraceBuffer = obs.SpanBuffer
-	// Snapshot is an optimizer checkpoint: emitted via Config.OnSnapshot,
-	// consumed via Config.Resume for bit-identical kill/resume.
-	Snapshot = ilt.Snapshot
 	// TileRunner executes one tile of a sharded run; the default runs
 	// in-process, internal/cluster's Coordinator runs on a worker fleet
 	// (see TileOptions.Runner).
@@ -249,8 +246,6 @@ func (s *Setup) Optimize(cfg Config, layout *Layout) (*Result, error) {
 // between iterations, so cancellation (from another goroutine, a timeout,
 // a serving layer) stops the run within one iteration. A canceled run
 // returns an error wrapping both ErrCanceled and the context error.
-// Snapshot/resume checkpointing is reached through Config.OnSnapshot and
-// Config.Resume.
 func (s *Setup) OptimizeCtx(ctx context.Context, cfg Config, layout *Layout) (*Result, error) {
 	if err := s.checkFits(layout); err != nil {
 		return nil, err
@@ -334,7 +329,7 @@ type TileOptions struct {
 	// Journal, when non-nil, records completed tiles and lets a restarted
 	// run skip tiles a previous (crashed or drained) run already
 	// finished. See OpenTileJournal.
-	Journal tile.Journal
+	Journal *tile.FileJournal
 	// Runner, when non-nil, executes tiles in place of the in-process
 	// optimizer — e.g. a cluster.Coordinator dispatching to a worker
 	// fleet. Scheduling, retries, journaling, and stitching are unchanged,
@@ -449,10 +444,10 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 // one full-layout mask. A layout that fits the setup grid (and is not
 // explicitly sharded smaller by opts.TileNM) is a one-window plan — the
 // result is bit-identical to Optimize, and cfg's per-optimizer hooks
-// (TrackMetrics, OnIter, OnSnapshot, Resume) reach the optimizer, which
-// across several windows they cannot. ctx cancels the run within one
-// optimizer iteration. A request Admit would refuse is refused here, with
-// the same *ConfigError, before anything is planned or built.
+// (TrackMetrics, OnIter) reach the optimizer, which across several
+// windows they cannot. ctx cancels the run within one optimizer
+// iteration. A request Admit would refuse is refused here, with the same
+// *ConfigError, before anything is planned or built.
 func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, opts TileOptions) (*LayoutResult, error) {
 	if err := admit(s.Sim.Cfg, layout, &cfg, opts); err != nil {
 		return nil, err

@@ -139,26 +139,4 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 		}
 	})
 
-	t.Run("OnSnapshot and Resume", func(t *testing.T) {
-		const k = 3
-		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var snap *Snapshot
-		interrupted := cfg
-		interrupted.OnSnapshot = func(sn *Snapshot) {
-			if sn.Iter == k {
-				snap = sn
-				cancel()
-			}
-		}
-		if _, err := s.OptimizeLayout(cctx, interrupted, layout, TileOptions{}); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("interrupted run returned %v, want ErrCanceled", err)
-		}
-		if snap == nil {
-			t.Fatalf("no snapshot reached the caller at iteration %d", k)
-		}
-		resumed := cfg
-		resumed.Resume = snap
-		run(t, ctx, resumed, TileOptions{})
-	})
 }

@@ -69,6 +69,8 @@ done
 
 stop_daemon "$PID" "$LOG"
 [ -f "$DIR/ckpt/$ID2.job" ] || { echo "smoke: drain left no checkpoint for $ID2" >&2; exit 1; }
+# The window is the one restart unit: no per-iteration snapshot is written.
+[ ! -e "$DIR/ckpt/$ID2.snap" ] || { echo "smoke: drain wrote a snapshot for $ID2" >&2; exit 1; }
 echo "smoke: drained with job $ID2 checkpointed"
 
 start
