@@ -37,7 +37,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", 1, "concurrently running jobs (or, in -worker mode, concurrently served tiles, each holding one core reservation while it computes); 0 is taken as 1")
 	fs.IntVar(&o.queue, "queue", 64, "maximum queued jobs")
 	fs.IntVar(&o.grid, "grid", 512, "default simulation grid size (power of two); jobs may override")
-	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for drain checkpoints and tile journals (empty = no fault tolerance)")
+	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for drain checkpoints; needs -cache-dir, where a resumed job finds its finished windows (empty = no fault tolerance)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 60*time.Second, "how long a shutdown waits for in-flight jobs to checkpoint")
 	fs.IntVar(&o.tileRetries, "tile-retries", 1, "extra attempts a failed tile gets in sharded jobs")
 	fs.BoolVar(&o.worker, "worker", false, "run as a cluster worker serving tile jobs (requires -join)")

@@ -1,16 +1,17 @@
 // Command mosaicd serves mosaic optimization as a long-running job
 // service: submit layouts over HTTP, poll progress, fetch the optimized
-// mask and its contest metrics, cancel jobs. A SIGTERM (or SIGINT) drains
-// gracefully — in-flight jobs checkpoint into -checkpoint-dir and a
-// restarted daemon resumes them bit-identically. A content-addressed
+// mask and its contest metrics, cancel jobs. A content-addressed
 // tile-result cache (-cache-mem, plus -cache-dir for a tier that
 // survives restarts) is shared by every job: repeated cells and
 // resubmitted clips are optimized once and served from the cache
-// afterwards, bit-identically.
+// afterwards, bit-identically. A SIGTERM (or SIGINT) drains gracefully —
+// in-flight jobs checkpoint into -checkpoint-dir and a restarted daemon
+// resumes them bit-identically, served the windows they finished from the
+// -cache-dir tier, which -checkpoint-dir therefore requires.
 //
 // Usage:
 //
-//	mosaicd -addr :8080 -workers 2 -checkpoint-dir /var/lib/mosaicd
+//	mosaicd -addr :8080 -workers 2 -checkpoint-dir /var/lib/mosaicd/ckpt -cache-dir /var/lib/mosaicd/cache
 //
 // A daemon doubles as a cluster coordinator: worker nodes started with
 //

@@ -80,10 +80,10 @@ type Store struct {
 }
 
 // Open opens (creating if needed) a store rooted at dir and replays
-// the anchor log into the index. Replay is torn-tail tolerant, like
-// the tile journal: a record half-written by a crash is truncated away
-// and everything before it is kept — its blobs remain on disk and are
-// re-anchored for free (deduplicated) when the job re-commits.
+// the anchor log into the index. Replay is torn-tail tolerant: a record
+// half-written by a crash is truncated away and everything before it is
+// kept — its blobs remain on disk and are re-anchored for free
+// (deduplicated) when the job re-commits.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: store needs a directory")

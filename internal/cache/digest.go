@@ -10,8 +10,9 @@
 // optional durable on-disk tier (sharded by digest prefix, atomic-rename
 // writes, corrupt entries quarantined and recomputed — a damaged cache
 // can cost time, never correctness). Runner wraps any tile.Runner with
-// the cache, leaving the scheduler, retries, journaling, and stitching
-// untouched.
+// the cache, leaving the scheduler, retries, and stitching untouched. The
+// disk tier is also where a resumed job finds the windows it finished
+// before a drain: it asks for them under their keys like any repeat does.
 package cache
 
 import (

@@ -3,7 +3,6 @@ package cache
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -122,95 +121,6 @@ func TestOptimizeCachedBitIdentical(t *testing.T) {
 	if st := store.Stats(); st.Misses != 1 || st.Hits != 3 {
 		t.Fatalf("fully warm run stats %+v: want 0 new misses, 2 new hits", st)
 	}
-}
-
-// openJournal opens a fresh on-disk tile journal, closed with the test.
-func openJournal(t *testing.T) *tile.FileJournal {
-	t.Helper()
-	j, err := tile.OpenFileJournal(filepath.Join(t.TempDir(), "run.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
-	return j
-}
-
-// failingRunner trips the test if the scheduler ever reaches it.
-type failingRunner struct{ t *testing.T }
-
-func (f *failingRunner) RunTile(context.Context, *tile.Request) (*ilt.Result, error) {
-	f.t.Error("runner invoked for a journaled tile")
-	return nil, errors.New("should not run")
-}
-
-// TestJournaledTilesBypassCache pins the journal/cache precedence: tiles
-// a journal already holds are adopted before the runner is consulted, so
-// a resumed run neither re-optimizes nor re-persists them — the cache
-// sees no traffic at all.
-func TestJournaledTilesBypassCache(t *testing.T) {
-	p, ws, cfg := e2ePlan(t)
-	ctx := context.Background()
-	j := openJournal(t)
-	cold, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store := mustOpen(t, Options{})
-	resumed, err := p.Optimize(ctx, ws, cfg, tile.Options{
-		Workers: 1,
-		Journal: j,
-		Runner:  NewRunner(store, &failingRunner{t}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMasks(t, cold, resumed)
-	if st := store.Stats(); st != (Stats{}) {
-		t.Fatalf("journaled resume produced cache traffic: %+v", st)
-	}
-}
-
-// TestCacheHitsStillJournaled is the other direction: a tile served from
-// the cache goes through the scheduler's normal completion path, so the
-// journal records it and a later resume works without cache or compute.
-func TestCacheHitsStillJournaled(t *testing.T) {
-	p, ws, cfg := e2ePlan(t)
-	ctx := context.Background()
-
-	store := mustOpen(t, Options{})
-	if _, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil)}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm cache, fresh journal: every tile is served without optimizing,
-	// yet every tile must land in the journal.
-	j := openJournal(t)
-	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Journal: j, Runner: NewRunner(store, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := store.Stats(); st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("warm journaling run stats %+v: want +2 hits, +0 misses", st)
-	}
-	prior, err := j.Load(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prior) != len(p.Tiles) {
-		t.Fatalf("journal holds %d of %d tiles after a cache-served run", len(prior), len(p.Tiles))
-	}
-
-	// The journal alone now reconstructs the run bit-identically.
-	resumed, err := p.Optimize(ctx, ws, cfg, tile.Options{
-		Workers: 1,
-		Journal: j,
-		Runner:  &failingRunner{t},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMasks(t, warm, resumed)
 }
 
 // TestOptimizeCachePersistsAcrossStores is the durable tier through the

@@ -13,8 +13,7 @@ import (
 // inner runner that also saves the network round-trip — the lookup runs
 // on the coordinator, before dispatch); a miss runs the inner runner and
 // persists its result. The scheduler sees an ordinary Runner, so
-// retries, journaling, stitching, and the bit-identity guarantee are
-// untouched.
+// retries, stitching, and the bit-identity guarantee are untouched.
 type Runner struct {
 	store *Store
 	inner tile.Runner

@@ -88,6 +88,10 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// Dir returns the durable tier's directory; "" for a memory-only store,
+// whose entries end with the process.
+func (s *Store) Dir() string { return s.dir }
+
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

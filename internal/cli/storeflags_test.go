@@ -49,12 +49,14 @@ func TestWarmFlagsOpen(t *testing.T) {
 func TestWarmFlagsInvalid(t *testing.T) {
 	var cerr *ilt.ConfigError
 
-	f := parseWarm(t, "-warm-lib", t.TempDir(), "-warm-max-dist", "-0.5")
-	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
-		t.Fatalf("negative -warm-max-dist: got %v, want ConfigError on WarmStart.MaxDist", err)
+	for _, d := range []string{"-0.5", "NaN"} {
+		f := parseWarm(t, "-warm-lib", t.TempDir(), "-warm-max-dist", d)
+		if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
+			t.Fatalf("-warm-max-dist %s: got %v, want ConfigError on WarmStart.MaxDist", d, err)
+		}
 	}
 	// With warm-start off nothing reads the distance.
-	f = parseWarm(t, "-warm-max-dist", "-1")
+	f := parseWarm(t, "-warm-max-dist", "-1")
 	if st, err := f.Open(); err != nil || st.WarmStart != nil {
 		t.Fatalf("a distance with warm-start off: got %+v, %v", st, err)
 	}

@@ -6,7 +6,7 @@
 // to a local one:
 //
 //   - The coordinator owns the plan. Decomposition, EPE-sample routing,
-//     the retry/journal scheduler, seam stitching, and full-layout
+//     the retrying scheduler, seam stitching, and full-layout
 //     evaluation all run exactly as in a single-process run — the
 //     Coordinator merely plugs into the scheduler as its tile.Runner.
 //   - Workers are stateless executors. Each tile job arrives as a
@@ -16,10 +16,9 @@
 //     runner uses, so a tile produces the same bits wherever it runs.
 //   - Fault tolerance is lease-based. A dispatched tile holds a lease
 //     that expires if the worker hangs; a worker that misses heartbeats
-//     is declared dead and its leases are canceled. Either way the tile
-//     is reassigned (to another worker, or run locally when the fleet is
-//     empty) and the tile journal (tile.FileJournal) guarantees
-//     completed tiles are never recomputed.
+//     is declared dead and its leases are canceled. Either way only that
+//     tile is reassigned (to another worker, or run locally when the fleet
+//     is empty); tiles already completed are never recomputed.
 //
 // The control plane (join, heartbeat, leave, worker listing) is small
 // JSON; the data plane (tile jobs and results, dominated by float64

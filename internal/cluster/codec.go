@@ -175,8 +175,8 @@ func decodeSpans(r *frame.Reader) []obs.SpanEvent {
 
 // encodeTileResult serializes one tile's optimization outcome plus the
 // worker's buffered trace spans. Only the fields the coordinator stitches
-// and journals cross the wire; History is per-tile diagnostics and stays
-// on the worker.
+// and caches cross the wire; History is per-tile diagnostics and stays on
+// the worker.
 func encodeTileResult(index int, res *ilt.Result, spans []obs.SpanEvent) ([]byte, error) {
 	if res == nil || res.MaskGray == nil {
 		return nil, fmt.Errorf("cluster: tile %d result has no gray mask", index)

@@ -1,8 +1,7 @@
 // Package frame is the one binary envelope and the one scalar encoding
 // behind everything the service persists or ships: cache entries (MTCE),
 // warm-start entries (MWLE), artifact blobs, anchors and rasters
-// (MTAB/MTAN/MTGF), journal records (MJRN) and the cluster wire
-// (MTJB/MTRS). A frame is
+// (MTAB/MTAN/MTGF) and the cluster wire (MTJB/MTRS). A frame is
 //
 //	[4] magic   (uint32 LE; names the format)
 //	[4] length  (uint32 LE; payload bytes)
@@ -39,8 +38,8 @@ const (
 
 // SquareFits reports whether an n x n float64 raster fits one frame
 // (n <= 8192 for a power of two). A window result beyond it can be
-// neither journaled, cached, anchored nor dispatched, so planners and
-// validators refuse such a grid before anything is allocated.
+// neither cached, anchored nor dispatched, so planners and validators
+// refuse such a grid before anything is allocated.
 func SquareFits(n int) bool {
 	return n > 0 && n <= MaxFieldDim && 8*n*n <= MaxPayload
 }

@@ -109,7 +109,7 @@ func (res *Result) scalars() []any {
 
 // NewResultFrame starts a frame with the one layout every store and hop
 // gives a result: a leading scalar — an entry version or a tile index,
-// all the four formats differ in — then window size, objective,
+// all that the three formats differ in — then window size, objective,
 // iterations, runtime, the seeded flag and the continuous mask, written
 // once into a buffer sized for them. History and diagnostics stay with
 // the run that produced them. The result must carry a square MaskGray.

@@ -2,7 +2,11 @@ package ilt
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mosaic/internal/frame"
@@ -98,6 +102,57 @@ func TestBitsFieldsClassifyEveryField(t *testing.T) {
 		if _, ok := reflect.TypeOf(Config{}).FieldByName(name); !ok {
 			t.Errorf("notBits lists %s, which Config no longer has", path)
 		}
+	}
+}
+
+// TestValidateRefusesNonFiniteFloats walks the optimizer rows of
+// Bits.Fields: each float set to NaN or an infinity is a *ConfigError
+// naming that field, so no bound is passed by a value that compares false
+// with everything.
+func TestValidateRefusesNonFiniteFloats(t *testing.T) {
+	b, _ := testBits()
+	// The Go name of each Config float, by address: what a ConfigError says.
+	names := map[*float64]string{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if path != "" {
+					name = path + "." + name
+				}
+				walk(v.Field(i), name)
+			}
+		case reflect.Float64:
+			names[v.Addr().Interface().(*float64)] = path
+		}
+	}
+	walk(reflect.ValueOf(b.Cfg).Elem(), "")
+
+	probed := 0
+	b.Fields(func(section, key string, p any) {
+		f, ok := p.(*float64)
+		if section != "optimizer" || !ok {
+			return
+		}
+		probed++
+		old := *f
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			*f = bad
+			err := b.Cfg.Validate(b.Optics.GridSize)
+			var cerr *ConfigError
+			if !errors.As(err, &cerr) || !slices.Contains(strings.Split(cerr.Field, ","), names[f]) {
+				t.Errorf("%s = %g: Validate = %v, want a *ConfigError on %s", key, bad, err, names[f])
+			}
+		}
+		*f = old
+	})
+	if probed != len(names) {
+		t.Errorf("probed %d optimizer floats, Config has %d", probed, len(names))
+	}
+	if err := b.Cfg.Validate(b.Optics.GridSize); err != nil {
+		t.Fatalf("the restored defaults fail Validate: %v", err)
 	}
 }
 

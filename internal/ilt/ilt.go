@@ -262,8 +262,25 @@ type Optimizer struct {
 // Validate reports the first optimizer rule cfg breaks as a *ConfigError
 // naming the field; gridSize is the grid of the simulator the run descends
 // on. It is the one home of these rules: New applies it, and the admission
-// gate (mosaic.Admit) applies it before any simulator exists.
+// gate (mosaic.Admit) applies it before any simulator exists. Every float
+// must be finite first, so no rule below is passed by a NaN.
 func (cfg *Config) Validate(gridSize int) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Alpha", cfg.Alpha}, {"Beta", cfg.Beta}, {"Gamma", cfg.Gamma}, {"SmoothWeight", cfg.SmoothWeight},
+		{"ThetaM", cfg.ThetaM}, {"ThetaEPE", cfg.ThetaEPE}, {"StepSize", cfg.StepSize}, {"StepDecay", cfg.StepDecay},
+		{"Momentum", cfg.Momentum}, {"GradTol", cfg.GradTol}, {"JumpFactor", cfg.JumpFactor},
+		{"SRAFRules.BiasNM", cfg.SRAFRules.BiasNM}, {"SRAFRules.SRAFDistNM", cfg.SRAFRules.SRAFDistNM},
+		{"SRAFRules.SRAFWidthNM", cfg.SRAFRules.SRAFWidthNM}, {"SRAFRules.SRAFMinLenNM", cfg.SRAFRules.SRAFMinLenNM},
+		{"EPEThresholdNM", cfg.EPEThresholdNM}, {"EPESampleNM", cfg.EPESampleNM}, {"DefocusNM", cfg.DefocusNM},
+		{"DoseDelta", cfg.DoseDelta}, {"ObjTol", cfg.ObjTol},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be finite, got %g", f.v)}
+		}
+	}
 	switch {
 	case cfg.Alpha < 0 || cfg.Beta < 0 || cfg.Alpha+cfg.Beta == 0:
 		return &ConfigError{Field: "Alpha,Beta", Reason: fmt.Sprintf("objective weights alpha=%g beta=%g must be non-negative and not both zero", cfg.Alpha, cfg.Beta)}

@@ -203,6 +203,9 @@ func TestEveryEndIsOneEnd(t *testing.T) {
 				dir = t.TempDir()
 			}
 			cfg := testServerConfig(dir)
+			if tc.dir {
+				cfg.TileCache = diskCache(t)
+			}
 			if tc.tune != nil {
 				cfg.Tune = tc.tune
 			}

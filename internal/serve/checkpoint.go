@@ -3,39 +3,32 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"mosaic/internal/cache"
 	"mosaic/internal/cas"
 	"mosaic/internal/obs"
 )
 
-// Checkpoint layout under Config.CheckpointDir:
-//
-//	<id>.job     — JSON job metadata (spec, submit time, and the numeric
-//	               generation the journal was computed under)
-//	<id>.journal — tile journal of the run (appended as windows complete)
-//
-// A drain writes .job for every queued and running job, through a temp
-// file and a rename so a crash mid-drain leaves a whole file or none;
-// every job journals while it runs. New scans the directory and re-queues
-// every .job it finds. The window is the one restart unit: a journaled
-// window is adopted — unless another numeric generation computed it, in
-// which case the job starts over — and every other window runs through the
-// warm-start, cache and runner chain a fresh submission takes.
+// Checkpoint layout under Config.CheckpointDir: one <id>.job per job, its
+// JSON metadata (spec and submit time). A drain writes it for every queued
+// and running job, through a temp file and a rename so a crash mid-drain
+// leaves a whole file or none. New scans the directory and re-queues every
+// .job it finds, and the resumed job runs every window through the
+// warm-start, cache and runner chain a fresh submission takes. The
+// windows it finished before the drain are in the tile cache's disk tier,
+// which New requires beside a checkpoint directory; they are served from
+// there under their keys, so resumed == fresh holds by construction, and
+// a build of another numeric generation (cache.DigestVersion, folded into
+// every key) is never served this one's windows.
 
 type checkpointMeta struct {
 	ID          string    `json:"id"`
 	Spec        JobSpec   `json:"spec"`
 	SubmittedAt time.Time `json:"submitted_at"`
-	// DigestVersion is the cache.DigestVersion of the build that wrote the
-	// job's .journal.
-	DigestVersion int `json:"digest_version"`
 }
 
 // checkpointLocked persists a job's .job file; the caller holds j.mu. It
@@ -44,12 +37,7 @@ func (s *Server) checkpointLocked(j *job) bool {
 	if s.cfg.CheckpointDir == "" {
 		return false
 	}
-	meta := checkpointMeta{
-		ID:            j.id,
-		Spec:          j.spec,
-		SubmittedAt:   j.submitted,
-		DigestVersion: cache.DigestVersion,
-	}
+	meta := checkpointMeta{ID: j.id, Spec: j.spec, SubmittedAt: j.submitted}
 	data, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		obs.Logger().Warn("serve: encoding checkpoint meta", "job", j.id, "err", err)
@@ -92,10 +80,7 @@ func (s *Server) restore() error {
 	return nil
 }
 
-// restoreOne rebuilds a job from its .job meta file. Windows journaled by a
-// build of another numeric generation (or by one that did not say) are
-// discarded: adopting them would stitch that build's tiles beside this
-// build's under one Merkle root.
+// restoreOne rebuilds a job from its .job meta file.
 func (s *Server) restoreOne(path string) (*job, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -113,13 +98,6 @@ func (s *Server) restoreOne(path string) (*job, error) {
 		return nil, err
 	}
 	j.resumed = true
-	if meta.DigestVersion != cache.DigestVersion {
-		obs.Logger().Warn("serve: checkpoint is of another numeric generation; recomputing every window",
-			"job", meta.ID, "digest_version", meta.DigestVersion, "want", cache.DigestVersion)
-		if err := os.Remove(s.checkpointPath(meta.ID, ".journal")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("discarding stale journal: %w", err)
-		}
-	}
 	return j, nil
 }
 
@@ -128,8 +106,9 @@ func (s *Server) checkpointPath(id, ext string) string {
 	return filepath.Join(s.cfg.CheckpointDir, id+ext)
 }
 
-// removeCheckpoint deletes a finished job's checkpoint files, and the
-// per-iteration snapshot an older build may have left beside them.
+// removeCheckpoint deletes a finished job's checkpoint file, and the
+// per-iteration snapshot and tile journal an older build may have left
+// beside it.
 func (s *Server) removeCheckpoint(id string) {
 	if s.cfg.CheckpointDir == "" {
 		return

@@ -263,8 +263,6 @@ type CacheAttribution struct {
 	Computed int `json:"computed"`
 	// Empty counts windows short-circuited for having no geometry.
 	Empty int `json:"empty"`
-	// Journal counts tiles adopted from a crash/drain resume journal.
-	Journal int `json:"journal"`
 	// Remote counts tiles computed on cluster workers.
 	Remote int `json:"remote"`
 	// Report tells where the job's scores came from: "hit" when the
@@ -293,8 +291,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 			body.Cache.Hits++
 		case tile.ClassEmpty:
 			body.Cache.Empty++
-		case tile.ClassJournal:
-			body.Cache.Journal++
 		case tile.ClassComputed:
 			body.Cache.Computed++
 		}

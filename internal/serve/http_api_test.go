@@ -280,7 +280,7 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	if len(prov.Leaves) != 4 { // 512 nm layout at 256 nm tiles = 2x2
 		t.Fatalf("provenance has %d leaves, want 4", len(prov.Leaves))
 	}
-	counted := prov.Cache.Hits + prov.Cache.Computed + prov.Cache.Empty + prov.Cache.Journal
+	counted := prov.Cache.Hits + prov.Cache.Computed + prov.Cache.Empty
 	if counted != 4 {
 		t.Fatalf("cache attribution %+v does not cover all 4 leaves", prov.Cache)
 	}
@@ -295,7 +295,7 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 			}
 		}
 		want := CacheAttribution{Hits: byClass[tile.ClassHit], Computed: byClass[tile.ClassComputed],
-			Empty: byClass[tile.ClassEmpty], Journal: byClass[tile.ClassJournal], Remote: remote, Report: p.Cache.Report}
+			Empty: byClass[tile.ClassEmpty], Remote: remote, Report: p.Cache.Report}
 		if p.Cache != want {
 			t.Fatalf("%s: rollup %+v, the leaves classify as %+v", what, p.Cache, want)
 		}

@@ -2,9 +2,10 @@
 // with bounded workers, priorities, deadlines and cancellation, exposed
 // over a small HTTP API (submit a layout, poll progress, fetch the result
 // mask and report, cancel). A server given a checkpoint directory drains
-// gracefully — every job journals its completed windows, a drain records
-// the jobs still queued or running, and a restarted server resumes them
-// bit-identically, recomputing at most the windows that were in flight.
+// gracefully — a drain records the jobs still queued or running, and a
+// restarted server resumes them bit-identically, served the windows they
+// finished from the tile cache and recomputing the ones that were in
+// flight.
 package serve
 
 import (

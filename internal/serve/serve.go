@@ -94,9 +94,11 @@ type Config struct {
 	// the pixel size is re-derived per job so the grid covers the
 	// layout (or one tile of a sharded run).
 	Optics mosaic.OpticsConfig
-	// CheckpointDir, when non-empty, enables fault tolerance: jobs
-	// journal completed tiles continuously, Shutdown checkpoints queued
-	// and in-flight jobs, and New resumes them.
+	// CheckpointDir, when non-empty, enables fault tolerance: Shutdown
+	// checkpoints queued and in-flight jobs, and New resumes them. A
+	// resumed job finds the windows it finished before the drain in
+	// TileCache's disk tier, so New refuses a CheckpointDir unless
+	// TileCache has one.
 	CheckpointDir string
 	// TileRetries is the number of extra attempts a failed tile of any
 	// job gets (see mosaic.TileOptions.Retries); a clip job is one tile.
@@ -148,8 +150,12 @@ type Server struct {
 }
 
 // New builds a server, resumes any jobs checkpointed in cfg.CheckpointDir
-// by a previous drain, and starts the workers.
+// by a previous drain, and starts the workers. A CheckpointDir without a
+// disk-backed TileCache is a *mosaic.ConfigError.
 func New(cfg Config) (*Server, error) {
+	if cfg.CheckpointDir != "" && (cfg.TileCache == nil || cfg.TileCache.Dir() == "") {
+		return nil, &mosaic.ConfigError{Field: "CheckpointDir", Reason: "needs a TileCache with a disk tier: a resumed job is served the windows it finished from there"}
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -593,17 +599,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*mosaic.LayoutResult, eva
 
 	topts := s.tileOptions(&j.spec)
 	topts.ArtifactJob = j.id
-	if s.cfg.CheckpointDir != "" {
-		// The journal records every completed window, so a crash or drain
-		// loses at most the windows in flight.
-		jl, err := mosaic.OpenTileJournal(s.checkpointPath(j.id, ".journal"))
-		if err != nil {
-			return nil, evaluation{}, fmt.Errorf("opening tile journal: %w", err)
-		}
-		defer jl.Close()
-		topts.Journal = jl
-	}
-
 	res, err := setup.OptimizeLayout(ctx, cfg, j.layout, topts)
 	if err != nil {
 		return nil, evaluation{}, err

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +21,9 @@ import (
 
 	"mosaic"
 	"mosaic/internal/cache"
+	"mosaic/internal/ilt"
+	"mosaic/internal/obs"
+	"mosaic/internal/tile"
 )
 
 // testLayoutText is a two-bar 512 nm clip in the text layout format.
@@ -41,6 +45,17 @@ func testServerConfig(dir string) Config {
 		CheckpointDir: dir,
 		Tune:          func(c *mosaic.Config) { c.GradKernels = 1 },
 	}
+}
+
+// diskCache opens a tile cache with a disk tier, which New requires beside
+// a checkpoint directory.
+func diskCache(t *testing.T) *mosaic.TileCache {
+	t.Helper()
+	store, err := mosaic.OpenTileCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
 }
 
 // waitFor polls a job's status until cond accepts it.
@@ -364,7 +379,9 @@ func TestDaemonSurvivesItsInput(t *testing.T) {
 // past the retention bound (their IDs answer 404) and nothing else —
 // queued, running and interrupted jobs stay however old they are.
 func TestFinishedJobsAreBounded(t *testing.T) {
-	s, err := New(testServerConfig(t.TempDir()))
+	cfg := testServerConfig(t.TempDir())
+	cfg.TileCache = diskCache(t)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,9 +519,9 @@ func TestQueueOrdersByPriority(t *testing.T) {
 
 // drainMidRun submits spec to a server of *cfg, drains the server while
 // the job is between its third and fourth iteration, and returns the
-// job's id once its checkpoint — the .job and the (empty) journal, nothing
-// else — is on disk. It gates the optimizer through cfg.Tune; the gate
-// stays open afterwards, so a restarted server takes the same cfg.
+// job's id once its checkpoint — the .job, nothing else — is on disk. It
+// gates the optimizer through cfg.Tune; the gate stays open afterwards, so
+// a restarted server takes the same cfg.
 func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
 	t.Helper()
 	// Gate the optimizer at the end of its third iteration so the drain
@@ -556,12 +573,17 @@ func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
 	if got.State != StateInterrupted {
 		t.Fatalf("drained job is %s, want interrupted", got.State)
 	}
-	files, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, st.ID+".*"))
-	want := []string{filepath.Join(cfg.CheckpointDir, st.ID+".job"), filepath.Join(cfg.CheckpointDir, st.ID+".journal")}
-	if !reflect.DeepEqual(files, want) {
+	checkpointed(t, cfg.CheckpointDir, st.ID)
+	return st.ID
+}
+
+// checkpointed fails unless a drain left exactly the job's .job in dir.
+func checkpointed(t *testing.T, dir, id string) {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, id+".*"))
+	if want := []string{filepath.Join(dir, id+".job")}; !reflect.DeepEqual(files, want) {
 		t.Fatalf("drain left %v, want %v", files, want)
 	}
-	return st.ID
 }
 
 // coldRun is the reference of the checkpoint tests: spec run
@@ -569,20 +591,19 @@ func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
 // same process, through the library directly.
 func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 	t.Helper()
-	opt := cfg.Optics
-	opt.PixelNM = 512.0 / float64(opt.GridSize)
-	setup, err := mosaic.NewSetup(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	layout, err := (&spec).resolveLayout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := mosaic.DefaultConfig(mosaic.ModeFast)
-	ref.MaxIter = spec.MaxIter
+	opt, _ := mosaic.JobOptics(cfg.Optics, spec.Grid, layout, spec.TileNM)
+	setup, err := mosaic.NewSetup(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := spec.config()
 	cfg.Tune(&ref)
-	want, err := setup.OptimizeLayout(context.Background(), ref, layout, mosaic.TileOptions{WarmStart: cfg.WarmStart})
+	want, err := setup.OptimizeLayout(context.Background(), ref, layout,
+		mosaic.TileOptions{TileNM: spec.TileNM, HaloNM: spec.HaloNM, WarmStart: cfg.WarmStart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,6 +618,7 @@ func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 func TestDrainResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testServerConfig(dir)
+	cfg.TileCache = diskCache(t)
 	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
 	artDir := t.TempDir()
 	art, err := mosaic.OpenArtifactStore(artDir)
@@ -675,47 +697,40 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointOfAnotherGenerationRestarts: a checkpoint whose meta names
-// another numeric generation — or none, as every build before the field
-// did — must not resume. A journal record whose gray mask is nudged stands
-// in for that generation's numerics; the restarted job has to discard it,
-// recompute the window, and leave the gray mask and the cache entry of a
-// cold run. The control keeps the generation: the same record is adopted.
+// TestCheckpointOfAnotherGenerationRestarts: a checkpoint an older build
+// left — a .job whose meta names a numeric generation (another one, this
+// one, or none) and a tile journal beside it — resumes like any other. The
+// journal is never read: its one record, a window whose gray mask is
+// nudged, would show in the result if it were adopted. It is deleted with
+// the job's other checkpoint files, and the job ends with the gray mask
+// and the cache entry of a cold run.
 func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
 	var want *mosaic.LayoutResult
-	for name, rewrite := range map[string]func(meta map[string]any){
-		"differs": func(meta map[string]any) { meta["digest_version"] = cache.DigestVersion - 1 },
-		"absent":  func(meta map[string]any) { delete(meta, "digest_version") },
-		"same":    nil,
+	for name, version := range map[string]any{
+		"differs": cache.DigestVersion - 1,
+		"absent":  nil,
+		"same":    cache.DigestVersion,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := testServerConfig(dir)
-			store, err := mosaic.OpenTileCache("", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			store := diskCache(t)
 			cfg.TileCache = store
 			id := drainMidRun(t, &cfg, spec)
 			if want == nil {
 				want = coldRun(t, cfg, spec)
 			}
 
-			jl, err := mosaic.OpenTileJournal(filepath.Join(dir, id+".journal"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The older build's journal: one MJRN frame holding window 0.
 			foreign := want.MaskGray.Clone()
 			for i := range foreign.Data {
 				foreign.Data[i] += 0.25
 			}
-			tile := want.Tiles[0]
-			err = jl.Record(0, &mosaic.Result{Mask: tile.Mask, MaskGray: foreign, Objective: tile.Objective, Iterations: tile.Iterations})
-			if err == nil {
-				err = jl.Close()
-			}
-			if err != nil {
+			w0 := want.Tiles[0]
+			record := ilt.NewResultFrame(0, &mosaic.Result{Mask: w0.Mask, MaskGray: foreign, Objective: w0.Objective, Iterations: w0.Iterations})
+			journal := filepath.Join(dir, id+".journal")
+			if err := os.WriteFile(journal, record.Seal(0x4d4a524e), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -728,11 +743,11 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 			if err := json.Unmarshal(data, &meta); err != nil {
 				t.Fatal(err)
 			}
-			if v, _ := meta["digest_version"].(float64); int(v) != cache.DigestVersion {
-				t.Fatalf("drained meta carries digest_version %v, want %d", meta["digest_version"], cache.DigestVersion)
+			if v, ok := meta["digest_version"]; ok {
+				t.Fatalf("drained meta carries digest_version %v: the cache keys are the generation guard", v)
 			}
-			if rewrite != nil {
-				rewrite(meta)
+			if version != nil {
+				meta["digest_version"] = version
 				if data, err = json.Marshal(meta); err != nil {
 					t.Fatal(err)
 				}
@@ -746,12 +761,6 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer shutdown(t, s2)
-			if rewrite == nil {
-				if res := finished(t, s2, id, "restarted job"); !res.MaskGray.Equal(foreign, 0) {
-					t.Fatal("a journal record of this generation was not adopted: the test's record is not one a restart reads")
-				}
-				return
-			}
 			if res := finished(t, s2, id, "restarted job"); !res.MaskGray.Equal(want.MaskGray, 0) {
 				t.Fatal("restarted job: gray mask differs from a cold run's")
 			}
@@ -767,6 +776,11 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 			}
 			if got := store.Stats().Hits - hits; got != 1 {
 				t.Fatalf("repeat took %d cache hits, want 1", got)
+			}
+			// The one worker ended the restarted job before it took the
+			// repeat, checkpoint files included.
+			if _, err := os.Stat(journal); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("the older build's journal outlived its job: %v", err)
 			}
 		})
 	}
@@ -858,6 +872,194 @@ func TestResumedJobIsServedItsOwnKey(t *testing.T) {
 	same(finish(s3, st.ID, "fresh computation"), resumed, "fresh computation of the same key")
 }
 
+// twoWindowSpec is a sharded job whose first two windows hold distinct
+// cells, each out of the other's halo (128 nm once the 64 px window is
+// rounded), and whose last two are empty.
+var twoWindowSpec = JobSpec{
+	Layout:      "CLIP two-cells 512\nRECT 16 24 96 72\nRECT 400 16 72 96\n",
+	MaxIter:     12,
+	Grid:        32,
+	TileNM:      256,
+	HaloNM:      64,
+	TileWorkers: 1,
+}
+
+// gateRunner computes windows in-process, except that it holds one window
+// until its run is canceled.
+type gateRunner struct {
+	window  int
+	reached chan struct{} // closed when the held window arrives
+}
+
+func (g gateRunner) RunTile(ctx context.Context, req *tile.Request) (*mosaic.Result, error) {
+	if req.Tile.Index != g.window {
+		return tile.LocalRunner{}.RunTile(ctx, req)
+	}
+	close(g.reached)
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// drainInWindow submits spec to a server of cfg, drains the server once
+// window 0 is done and window 1 is in flight, and returns the job's id
+// once its checkpoint is on disk. The gate is a TileRunner: Plan.Optimize
+// strips OnIter from a sharded run, so drainMidRun's cannot stop one.
+func drainInWindow(t *testing.T, cfg Config, spec JobSpec) string {
+	t.Helper()
+	reached := make(chan struct{})
+	cfg.TileRunner = gateRunner{window: 1, reached: reached}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	shutdown(t, s1)
+	if got, err := s1.Status(st.ID); err != nil || got.State != StateInterrupted {
+		t.Fatalf("drained job: %+v, %v; want it interrupted", got, err)
+	}
+	checkpointed(t, cfg.CheckpointDir, st.ID)
+	return st.ID
+}
+
+// TestNewRefusesCheckpointDirWithoutDiskCache: a resumed job finds the
+// windows it finished in the tile cache's disk tier, so a checkpoint dir
+// without one is refused up front, naming the field.
+func TestNewRefusesCheckpointDirWithoutDiskCache(t *testing.T) {
+	memOnly, err := mosaic.OpenTileCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]*mosaic.TileCache{"no cache": nil, "memory only": memOnly} {
+		cfg := testServerConfig(t.TempDir())
+		cfg.TileCache = store
+		var ce *mosaic.ConfigError
+		if s, err := New(cfg); !errors.As(err, &ce) || ce.Field != "CheckpointDir" {
+			if s != nil {
+				shutdown(t, s)
+			}
+			t.Errorf("%s: New = %v, want a *ConfigError on CheckpointDir", name, err)
+		}
+	}
+}
+
+// TestResumedWindowsComeFromTheDiskTier: without warm-start, the window a
+// drained job finished is served to the restarted server from the disk
+// tier of a fresh store over the same directory, the window that was in
+// flight is computed, and the stitched mask is a cold run's.
+func TestResumedWindowsComeFromTheDiskTier(t *testing.T) {
+	cacheDir := t.TempDir()
+	cfg := testServerConfig(t.TempDir())
+	var err error
+	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
+		t.Fatal(err)
+	}
+	id := drainInWindow(t, cfg, twoWindowSpec)
+
+	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
+		t.Fatal(err)
+	}
+	misses := obs.NewCounter("cache_misses_total")
+	before := misses.Value()
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s2)
+	res := finished(t, s2, id, "resumed job")
+	var tiers []string
+	for _, p := range res.Provenance {
+		tiers = append(tiers, p.Tier)
+	}
+	if want := []string{"disk", "miss", "empty", "empty"}; !reflect.DeepEqual(tiers, want) {
+		t.Fatalf("resumed windows served from %v, want %v", tiers, want)
+	}
+	if got := misses.Value() - before; got != 1 {
+		t.Fatalf("cache_misses_total rose by %v, want 1", got)
+	}
+	if !res.MaskGray.Equal(coldRun(t, cfg, twoWindowSpec).MaskGray, 0) {
+		t.Fatal("resumed gray mask differs from a cold run's")
+	}
+}
+
+// TestResumedShardedJobEqualsFresh: under a harvesting library, a drained
+// job's finished window comes back the way a fresh submission computes it.
+// The window harvested before the drain seeds itself on both servers, so
+// the resumed job is a short seeded run of it, not the cold mask the drain
+// left behind.
+func TestResumedShardedJobEqualsFresh(t *testing.T) {
+	libDir := t.TempDir()
+	lib, err := mosaic.OpenWarmStartLibrary(libDir, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testServerConfig(t.TempDir())
+	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit, c.Jumps = 1, false, 0 }
+	cfg.TileCache, cfg.WarmStart = diskCache(t), lib
+	id := drainInWindow(t, cfg, twoWindowSpec)
+
+	libCopy := t.TempDir()
+	copyTree(t, libDir, libCopy)
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s2)
+	resumed := finished(t, s2, id, "resumed job")
+
+	fresh := testServerConfig("")
+	fresh.Tune = cfg.Tune
+	if fresh.WarmStart, err = mosaic.OpenWarmStartLibrary(libCopy, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := New(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s3)
+	st, err := s3.Submit(twoWindowSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := finished(t, s3, st.ID, "fresh submission")
+	if want.Provenance[0].Seed == "" {
+		t.Fatal("the fresh submission did not seed window 0 from the library: the test shows nothing")
+	}
+	for i := range want.Provenance {
+		if got, w := resumed.Provenance[i].Seed, want.Provenance[i].Seed; got != w {
+			t.Errorf("window %d: resumed from seed %q, fresh from %q", i, got, w)
+		}
+	}
+	if !resumed.MaskGray.Equal(want.MaskGray, 0) {
+		t.Fatal("resumed gray mask differs from a fresh submission's")
+	}
+}
+
+// copyTree copies the regular files under src to the same paths under dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sidecars maps each quality side-car under an artifact dir (by its path
 // below the dir) to its bytes.
 func sidecars(t *testing.T, artifactDir string) map[string]string {
@@ -875,11 +1077,13 @@ func sidecars(t *testing.T, artifactDir string) map[string]string {
 	return out
 }
 
-// TestTiledJobJournals runs a sharded job end to end under a checkpoint
-// dir (exercising the journal wiring) and checks the result is tiled.
-func TestTiledJobJournals(t *testing.T) {
+// TestTiledJobUnderCheckpointDir runs a sharded job end to end under a
+// checkpoint dir and checks the result is tiled, its progress complete and
+// its checkpoint dir empty.
+func TestTiledJobUnderCheckpointDir(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testServerConfig(dir)
+	cfg.TileCache = diskCache(t)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -909,8 +1113,8 @@ func TestTiledJobJournals(t *testing.T) {
 	if !sum.Tiled || sum.MaskW != 64 {
 		t.Fatalf("summary %+v, want a tiled 64 px result", sum)
 	}
-	if _, err := os.Stat(filepath.Join(dir, st.ID+".journal")); err == nil {
-		t.Fatal("finished tiled job left its journal behind")
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Fatalf("finished tiled job left %v in its checkpoint dir", files)
 	}
 }
 
@@ -943,7 +1147,9 @@ func TestRestoreSkipsTornCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(testServerConfig(dir))
+	cfg := testServerConfig(dir)
+	cfg.TileCache = diskCache(t)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,22 +60,20 @@ type Provenance struct {
 
 // Provenance.Tier values.
 const (
-	TierMem     = "mem"     // served from the cache's memory tier
-	TierDisk    = "disk"    // served from the cache's disk tier (promoted to memory)
-	TierFlight  = "flight"  // served by waiting on a concurrent computation
-	TierMiss    = "miss"    // computed after a cache lookup missed
-	TierJournal = "journal" // adopted from a resume journal
-	TierEmpty   = "empty"   // window with no geometry: nothing to optimize
+	TierMem    = "mem"    // served from the cache's memory tier
+	TierDisk   = "disk"   // served from the cache's disk tier (promoted to memory)
+	TierFlight = "flight" // served by waiting on a concurrent computation
+	TierMiss   = "miss"   // computed after a cache lookup missed
+	TierEmpty  = "empty"  // window with no geometry: nothing to optimize
 )
 
 // Class is what producing a tile cost the run that reports it.
 type Class int
 
 const (
-	ClassComputed Class = iota // optimized for this run (Tier "" or TierMiss)
+	ClassComputed Class = iota // optimized for this run: Tier "", TierMiss or an unknown one (an old record's "journal")
 	ClassHit                   // served by the tile cache, any tier
 	ClassEmpty                 // short-circuited for having no geometry
-	ClassJournal               // adopted from a resume journal
 )
 
 // Class classifies the tile by its Tier.
@@ -85,15 +83,13 @@ func (p Provenance) Class() Class {
 		return ClassHit
 	case TierEmpty:
 		return ClassEmpty
-	case TierJournal:
-		return ClassJournal
 	}
 	return ClassComputed
 }
 
 // Runner executes one tile optimization. The scheduler is runner-agnostic:
-// retries, journaling, progress, and stitching are identical whether tiles
-// run in-process (the default) or are dispatched to remote workers (see
+// retries, progress, and stitching are identical whether tiles run
+// in-process (the default) or are dispatched to remote workers (see
 // internal/cluster). Implementations must be safe for concurrent calls and
 // must return results that depend only on the request, never on where or
 // when they ran — the bit-identity guarantee of a sharded run rests on it.
@@ -115,8 +111,8 @@ func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, erro
 // allocating two windowPx² grids per empty tile dwarfed the cost of
 // skipping the optimization; every empty window of a size now serves the
 // same immutable result, like a degenerate-key cache entry. Safe because
-// tile results are consumed read-only (stitching, journaling, and the
-// codecs never write into them).
+// tile results are consumed read-only (stitching and the codecs never
+// write into them).
 var emptyResults sync.Map // int -> *ilt.Result
 
 // emptyWindowResult returns the shared all-dark result for a window size.
@@ -143,10 +139,9 @@ func emptyWindowResult(windowPx int) *ilt.Result {
 // tokens, so the tile level claims cores first and a process never runs
 // more tiles than cores, whichever jobs — or, on a worker, whichever
 // coordinator requests — they belong to. Everything in front of this call
-// (a cache hit, a journal adoption, a remote dispatch, an empty window)
-// computes nothing here and so never queues behind a tile that does. The
-// wait for a core is part of what the caller times (tile_seconds, the
-// tile.optimize span).
+// (a cache hit, a remote dispatch, an empty window) computes nothing here
+// and so never queues behind a tile that does. The wait for a core is part
+// of what the caller times (tile_seconds, the tile.optimize span).
 func RunWindow(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, layout *geom.Layout, windowPx int, pixelNM float64, samples []geom.Sample) (*ilt.Result, error) {
 	if len(layout.Polys) == 0 {
 		tileEmpty.Inc()
@@ -166,15 +161,13 @@ func RunWindow(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, layout *g
 }
 
 // Scheduler metrics: tiles optimized, the per-tile wall-time
-// distribution, transient-failure retries, tiles skipped because a
-// journal already held their result, and windows short-circuited because
-// they contained no geometry.
+// distribution, transient-failure retries, and windows short-circuited
+// because they contained no geometry.
 var (
-	tileOpts        = obs.NewCounter("tile_opt_total")
-	tileSeconds     = obs.NewHistogram("tile_seconds")
-	tileRetries     = obs.NewCounter("tile_retries_total")
-	tileJournalHits = obs.NewCounter("tile_journal_hits_total")
-	tileEmpty       = obs.NewCounter("tile_empty_total")
+	tileOpts    = obs.NewCounter("tile_opt_total")
+	tileSeconds = obs.NewHistogram("tile_seconds")
+	tileRetries = obs.NewCounter("tile_retries_total")
+	tileEmpty   = obs.NewCounter("tile_empty_total")
 )
 
 // Options tunes one Plan.Optimize run.
@@ -201,21 +194,15 @@ type Options struct {
 	// interruptible by context cancellation, which is never retried.
 	Retries int
 
-	// Journal, when non-nil, records each completed tile and pre-loads
-	// tiles a previous run already finished, so a restarted run optimizes
-	// only the remainder. Journaled results are stitched exactly as
-	// freshly computed ones, preserving bit-identical output.
-	Journal *FileJournal
-
 	// Runner executes individual tiles; nil runs them in-process on the
 	// window simulator. A cluster coordinator plugs in here to dispatch
-	// tiles to remote workers while the scheduler, journal, and stitching
-	// stay unchanged.
+	// tiles to remote workers while the scheduler and stitching stay
+	// unchanged.
 	Runner Runner
 
 	// tileFault, when non-nil, is consulted before each optimization
 	// attempt of a tile; a non-nil return fails that attempt. Test hook
-	// for the retry and journal paths.
+	// for the retry path.
 	tileFault func(index, attempt int) error
 
 	// backoff, when positive, replaces retryBackoff. Test hook: a retry
@@ -292,28 +279,8 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	}
 
 	samples := p.splitSamples(p.Layout.SamplePoints(cfg.EPESampleNM))
-
-	// Resume: tiles a previous run journaled are adopted as-is; only the
-	// remainder is scheduled.
 	results := make([]*ilt.Result, len(p.Tiles))
 	provs := make([]Provenance, len(p.Tiles))
-	resumed := 0
-	if opts.Journal != nil {
-		prior, err := opts.Journal.Load(p)
-		if err != nil {
-			return nil, fmt.Errorf("tile: loading journal: %w", err)
-		}
-		for i, res := range prior {
-			results[i] = res
-			provs[i] = Provenance{Tier: TierJournal}
-			resumed++
-			tileJournalHits.Inc()
-		}
-		if resumed > 0 {
-			obs.Logger().Info("tile journal resume",
-				"layout", p.Layout.Name, "done", resumed, "total", len(p.Tiles))
-		}
-	}
 
 	runner := opts.Runner
 	if runner == nil {
@@ -331,7 +298,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		notifyMu sync.Mutex
 		wg       sync.WaitGroup
 	)
-	done.Store(int64(resumed))
 	fail := func(err error) {
 		errOnce.Do(func() {
 			firstErr = err
@@ -347,9 +313,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 				i := int(next.Add(1)) - 1
 				if i >= len(p.Tiles) || ctx.Err() != nil {
 					return
-				}
-				if results[i] != nil {
-					continue // adopted from the journal
 				}
 				t := &p.Tiles[i]
 				tctx, sp := obs.StartSpan(ctx, obs.TileOptimize,
@@ -370,13 +333,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 					sp.End()
 					fail(fmt.Errorf("tile: optimizing tile (%d,%d): %w", t.Col, t.Row, err))
 					return
-				}
-				if opts.Journal != nil {
-					if err := opts.Journal.Record(i, res); err != nil {
-						sp.End()
-						fail(fmt.Errorf("tile: journaling tile (%d,%d): %w", t.Col, t.Row, err))
-						return
-					}
 				}
 				results[i] = res
 				if len(t.Layout.Polys) == 0 && provs[i].Tier == "" {
@@ -409,9 +365,9 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	mask, gray, seamNM := p.Stitch(results, p.HaloNM/2)
 	// TrackMetrics evaluations are diagnostics, not synthesis: like the
 	// optimizer's own RuntimeSec, the run's excludes the time this run
-	// spent in them. A result adopted from a journal or served by a cache
-	// may carry the DiagnosticsSec of the run that computed it; only
-	// fresh computations count.
+	// spent in them. A result served by a cache may carry the
+	// DiagnosticsSec of the run that computed it; only fresh computations
+	// count.
 	runtimeSec := time.Since(start).Seconds()
 	for i, r := range results {
 		if provs[i].Class() == ClassComputed {

@@ -3,12 +3,64 @@ package tile
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"mosaic/internal/ilt"
 )
+
+// TestRetryRecoversTransientFault injects a fault that fails each tile's
+// first attempt and checks the run succeeds with retries enabled and the
+// result is identical to a fault-free run.
+func TestRetryRecoversTransientFault(t *testing.T) {
+	l := testLayout()
+	p, err := NewPlan(l, 8, 512, DefaultHaloNM(testOptics(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := testSim(t, p.WindowPx)
+	cfg := testConfig()
+
+	ref, err := p.Optimize(context.Background(), ws, cfg, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := p.Optimize(context.Background(), ws, cfg, Options{
+		Workers: 2,
+		Retries: 2,
+		backoff: time.Millisecond,
+		tileFault: func(index, attempt int) error {
+			if attempt == 0 {
+				return fmt.Errorf("injected transient fault on tile %d", index)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("retries did not recover the transient fault: %v", err)
+	}
+	for i, v := range ref.Mask.Data {
+		if res.Mask.Data[i] != v {
+			t.Fatal("retried mask differs from fault-free run")
+		}
+	}
+
+	// A persistent fault must still fail once attempts are exhausted.
+	_, err = p.Optimize(context.Background(), ws, cfg, Options{
+		Workers: 1,
+		Retries: 1,
+		backoff: time.Millisecond,
+		tileFault: func(index, attempt int) error {
+			return errors.New("injected persistent fault")
+		},
+	})
+	if err == nil {
+		t.Fatal("persistent fault did not fail the run")
+	}
+}
 
 // TestNegativeRetriesMeansNone is the regression test for the nil result a
 // negative retry budget used to produce: the attempt loop ran zero times,

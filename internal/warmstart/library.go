@@ -76,7 +76,7 @@ type Options struct {
 	Dir string
 
 	// MaxDist is the retrieval threshold on signature distance; 0 selects
-	// DefaultMaxDist, negative is rejected.
+	// DefaultMaxDist, a negative or non-finite one is rejected.
 	MaxDist float64
 
 	// Harvest enables writing converged masks back into the library.
@@ -157,8 +157,8 @@ func Open(opts Options) (*Library, error) {
 	if opts.Dir == "" {
 		return nil, &ilt.ConfigError{Field: "WarmStart.Dir", Reason: "library directory must be non-empty"}
 	}
-	if opts.MaxDist < 0 {
-		return nil, &ilt.ConfigError{Field: "WarmStart.MaxDist", Reason: fmt.Sprintf("signature distance threshold must be >= 0, got %g", opts.MaxDist)}
+	if !(opts.MaxDist >= 0) || math.IsInf(opts.MaxDist, 1) {
+		return nil, &ilt.ConfigError{Field: "WarmStart.MaxDist", Reason: fmt.Sprintf("signature distance threshold must be finite and >= 0, got %g", opts.MaxDist)}
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, &ilt.ConfigError{Field: "WarmStart.Dir", Reason: fmt.Sprintf("creating library dir: %v", err)}

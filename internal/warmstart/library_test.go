@@ -3,6 +3,7 @@ package warmstart
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -97,8 +98,12 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{Dir: ""}); !errors.As(err, &cerr) || cerr.Field != "WarmStart.Dir" {
 		t.Fatalf("empty dir: got %v, want ConfigError on WarmStart.Dir", err)
 	}
-	if _, err := Open(Options{Dir: t.TempDir(), MaxDist: -0.1}); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
-		t.Fatalf("negative MaxDist: got %v, want ConfigError on WarmStart.MaxDist", err)
+	// A NaN threshold made every lookup a hit at any distance: the bound
+	// it must fail is written so that it does.
+	for _, d := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Open(Options{Dir: t.TempDir(), MaxDist: d}); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
+			t.Fatalf("MaxDist %g: got %v, want ConfigError on WarmStart.MaxDist", d, err)
+		}
 	}
 
 	// A path under a regular file cannot be created (ENOTDIR), which holds

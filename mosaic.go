@@ -109,10 +109,6 @@ type (
 	WarmStartLibrary = warmstart.Library
 )
 
-// OpenTileJournal opens (creating if absent) an on-disk tile journal for
-// TileOptions.Journal; close it when the run finishes.
-func OpenTileJournal(path string) (*tile.FileJournal, error) { return tile.OpenFileJournal(path) }
-
 // OpenTileCache opens a content-addressed tile-result cache for
 // TileOptions.Cache. dir is the durable tier's directory ("" keeps the
 // cache memory-only); memBytes is the in-process tier's byte budget
@@ -299,9 +295,9 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 // decomposed into halo-padded core tiles that are optimized concurrently
 // and stitched into one mask (see internal/tile). Every option applies to
 // every run — a layout that fits the simulation grid is a one-window plan
-// and is scheduled, retried, journaled, cached, seeded, dispatched and
-// anchored like any tile. A negative TileNM, HaloNM, Workers or Retries is
-// a *ConfigError (see Admit); zero is each one's default.
+// and is scheduled, retried, cached, seeded, dispatched and anchored like
+// any tile. A negative TileNM, HaloNM, Workers or Retries is a
+// *ConfigError (see Admit); zero is each one's default.
 type TileOptions struct {
 	// TileNM is the core tile pitch in nm. 0 derives it from the setup:
 	// GridSize * PixelNM (one grid's worth of layout per tile).
@@ -326,14 +322,10 @@ type TileOptions struct {
 	// its error fails the run, each after a jittered wait that starts at
 	// up to 100 ms and doubles; 0 fails fast.
 	Retries int
-	// Journal, when non-nil, records completed tiles and lets a restarted
-	// run skip tiles a previous (crashed or drained) run already
-	// finished. See OpenTileJournal.
-	Journal *tile.FileJournal
 	// Runner, when non-nil, executes tiles in place of the in-process
 	// optimizer — e.g. a cluster.Coordinator dispatching to a worker
-	// fleet. Scheduling, retries, journaling, and stitching are unchanged,
-	// so any Runner that reproduces tile.RunWindow's bits keeps the run
+	// fleet. Scheduling, retries, and stitching are unchanged, so any
+	// Runner that reproduces tile.RunWindow's bits keeps the run
 	// bit-identical to a local one.
 	Runner TileRunner
 	// Cache, when non-nil, serves tiles whose content address — the
@@ -440,7 +432,7 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 // OptimizeLayout optimizes a layout of arbitrary extent through one
 // pipeline: the layout is decomposed into halo-padded windows, each window
 // runs under warm-start, cache and opts.Runner on the scheduler (retries,
-// journal, compute-pool reservations), and the windows are stitched into
+// compute-pool reservations), and the windows are stitched into
 // one full-layout mask. A layout that fits the setup grid (and is not
 // explicitly sharded smaller by opts.TileNM) is a one-window plan — the
 // result is bit-identical to Optimize, and cfg's per-optimizer hooks
@@ -474,7 +466,6 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 		Workers: opts.Workers,
 		OnTile:  opts.OnTile,
 		Retries: opts.Retries,
-		Journal: opts.Journal,
 		Runner:  runner,
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package mosaic
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,19 +73,6 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 			}
 			if got := run(t, ctx, cfg, TileOptions{Cache: store}).Provenance[0].Tier; got != want {
 				t.Fatalf("served from tier %q, want %q", got, want)
-			}
-		}
-	})
-
-	t.Run("Journal", func(t *testing.T) {
-		jl, err := OpenTileJournal(filepath.Join(t.TempDir(), "run.journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer jl.Close()
-		for _, want := range []string{"", "journal"} {
-			if got := run(t, ctx, cfg, TileOptions{Journal: jl}).Provenance[0].Tier; got != want {
-				t.Fatalf("tier %q, want %q", got, want)
 			}
 		}
 	})

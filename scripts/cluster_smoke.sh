@@ -51,7 +51,8 @@ same_masks() {
 
 # ---- Reference: the same daemon with no workers joined (local fallback).
 start_daemon "$PORT_C" "$DIR/ref.log" -grid 64 \
-    -checkpoint-dir "$DIR/ckpt-ref" -artifact-dir "$DIR/art-ref" -log-level info
+    -checkpoint-dir "$DIR/ckpt-ref" -cache-dir "$DIR/cache-ref" -artifact-dir "$DIR/art-ref" \
+    -log-level info
 
 ID=$(submit "$SPEC")
 echo "cluster-smoke: reference job $ID running locally"
@@ -64,7 +65,7 @@ stop_daemon "$PID" "$DIR/ref.log"
 
 # ---- Cluster: coordinator + 2 workers, one of which dies mid-run.
 start_daemon "$PORT_C" "$DIR/coord.log" -grid 64 \
-    -checkpoint-dir "$DIR/ckpt-cluster" -artifact-dir "$DIR/art-cluster" \
+    -checkpoint-dir "$DIR/ckpt-cluster" -cache-dir "$DIR/cache-cluster" -artifact-dir "$DIR/art-cluster" \
     -heartbeat-ttl 3s -log-level info
 COORD_PID=$PID
 

@@ -3,8 +3,9 @@
 # local port, submit a tiny optimization over HTTP, poll it to completion,
 # assert a numeric score and a PGM mask, resubmit it and require a cache
 # hit with the same mask bytes, then shut the daemon down with SIGTERM
-# mid-job and require a clean drain and a resumed job. Needs only curl
-# and a POSIX shell.
+# after the first window of a sharded job and require a clean drain, a
+# resumed job and that window served from the cache's disk tier. Needs
+# only curl and a POSIX shell.
 set -eu
 
 . "$(dirname "$0")/lib.sh"
@@ -14,8 +15,18 @@ BASE="http://127.0.0.1:$PORT"
 smoke_init smoke
 LOG="$DIR/mosaicd.log"
 
+# A checkpoint dir needs a disk cache, where a resumed job finds the
+# windows it finished: without -cache-dir the daemon refuses to start.
+if "$DIR/mosaicd" -addr "127.0.0.1:$PORT" -grid 64 -checkpoint-dir "$DIR/ckpt" >"$DIR/alone.log" 2>&1; then
+    die "-checkpoint-dir without -cache-dir started a daemon"
+fi
+grep CheckpointDir "$DIR/alone.log" >/dev/null || {
+    cat "$DIR/alone.log" >&2; die "-checkpoint-dir alone failed without naming CheckpointDir"; }
+echo "smoke: -checkpoint-dir without -cache-dir refused at startup"
+
 start() {
-    start_daemon "$PORT" "$LOG" -grid 64 -checkpoint-dir "$DIR/ckpt" -log-level warn
+    start_daemon "$PORT" "$LOG" -grid 64 -checkpoint-dir "$DIR/ckpt" \
+        -cache-dir "$DIR/cache" -artifact-dir "$DIR/art" -log-level warn
 }
 
 start
@@ -56,28 +67,40 @@ echo "smoke: resubmitted clip served from cache (hits $HITS1 -> $HITS2), mask by
 curl -fsS "$BASE/metrics" | grep serve_jobs_done_total >/dev/null || {
     echo "smoke: /metrics lacks serve counters" >&2; exit 1; }
 
-# Phase 2: drain mid-job and resume. Submit a long job, SIGTERM the daemon
-# while it runs, and check a restarted daemon picks the job up from its
-# checkpoint and finishes it.
-ID2=$(submit '{"benchmark":"B1","mode":"fast","max_iter":1000}')
-for _ in $(seq 1 100); do
-    STATE=$(job_state "$ID2")
-    [ "$STATE" = running ] && break
+# Phase 2: drain a sharded job and resume it. Its windows run one at a
+# time; SIGTERM the daemon once the first is done, and check a restarted
+# daemon picks the job up from its checkpoint, is served that window from
+# the disk cache and finishes the rest.
+ID2=$(submit '{"benchmark":"B1","mode":"fast","max_iter":400,"tile_nm":512,"tile_workers":1}')
+DONE=0
+for _ in $(seq 1 600); do
+    DONE=$(json_num "$(curl -fsS "$BASE/v1/jobs/$ID2")" tiles_done)
+    [ "${DONE:-0}" -ge 1 ] && break
     sleep 0.1
 done
-[ "$STATE" = running ] || { echo "smoke: long job never started ($STATE)" >&2; exit 1; }
+[ "${DONE:-0}" -ge 1 ] || die "sharded job never finished a window"
+[ "$(job_state "$ID2")" = running ] || die "sharded job finished before the drain; raise max_iter"
 
 stop_daemon "$PID" "$LOG"
 [ -f "$DIR/ckpt/$ID2.job" ] || { echo "smoke: drain left no checkpoint for $ID2" >&2; exit 1; }
-# The window is the one restart unit: no per-iteration snapshot is written.
-[ ! -e "$DIR/ckpt/$ID2.snap" ] || { echo "smoke: drain wrote a snapshot for $ID2" >&2; exit 1; }
-echo "smoke: drained with job $ID2 checkpointed"
+# Finished windows live in the cache: the drain writes the .job and nothing
+# beside it, no per-iteration snapshot and no tile journal.
+for ext in snap journal; do
+    [ ! -e "$DIR/ckpt/$ID2.$ext" ] || die "drain wrote a .$ext for $ID2"
+done
+echo "smoke: drained with job $ID2 checkpointed after $DONE window(s)"
 
 start
 wait_done "$ID2"
 curl -fsS "$BASE/v1/jobs/$ID2" | grep '"resumed":true' >/dev/null || {
     echo "smoke: finished job does not report resumed:true" >&2; exit 1; }
-echo "smoke: job $ID2 resumed after restart and finished"
+LEAF0=$(curl -fsS "$BASE/v1/jobs/$ID2/provenance" | grep -o '"index":0,[^}]*') || true
+case "$LEAF0" in
+    *'"tier":"disk"'*) ;;
+    *) die "resumed job's first window was not served from the disk cache: $LEAF0" ;;
+esac
+[ -z "$(find "$DIR/ckpt" -name '*.journal')" ] || die "a tile journal was written"
+echo "smoke: job $ID2 resumed after restart, its first window a disk-cache hit"
 
 stop_daemon "$PID" "$LOG"
 echo "smoke: ok"
