@@ -31,7 +31,7 @@ func checkGrid(n int) error {
 // layout under cfg and opts on the optics JobOptics derives from base and
 // gridSize, and refuses with a *ConfigError naming the library field
 // otherwise. Every rule a layer below would apply is here: the grid and the
-// optics, non-negative TileNM / HaloNM / Workers / Retries, the window
+// optics, non-negative TileNM / HaloNM / Workers, the window
 // geometry tile.NewPlan derives (tile.NewGeometry) and the optimizer's
 // rules (ilt.Config.Validate). OptimizeLayout applies it to its own
 // arguments; a front-end calls it so that what it queues, or builds a
@@ -61,8 +61,6 @@ func admit(o OpticsConfig, layout *Layout, cfg *Config, opts TileOptions) error 
 		return refuse("TileOptions.HaloNM", "must be >= 0 (0 = the λ/NA ambit), got %g", opts.HaloNM)
 	case opts.Workers < 0:
 		return refuse("TileOptions.Workers", "must be >= 0 (0 = compute pool capacity), got %d", opts.Workers)
-	case opts.Retries < 0:
-		return refuse("TileOptions.Retries", "must be >= 0 (0 = fail fast), got %d", opts.Retries)
 	}
 	if err := checkGrid(o.GridSize); err != nil {
 		return err

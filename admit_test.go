@@ -29,7 +29,6 @@ type inadmissible struct {
 		TileWorkers int     `json:"tile_workers"`
 		Benchmark   string  `json:"benchmark"`
 	}
-	Retries int
 }
 
 func inadmissibleRows(t *testing.T) []inadmissible {
@@ -61,7 +60,7 @@ func TestAdmitRefusals(t *testing.T) {
 		if row.Job.MaxIter != 0 {
 			cfg.MaxIter = row.Job.MaxIter
 		}
-		opts := TileOptions{TileNM: row.Job.TileNM, HaloNM: row.Job.HaloNM, Workers: row.Job.TileWorkers, Retries: row.Retries}
+		opts := TileOptions{TileNM: row.Job.TileNM, HaloNM: row.Job.HaloNM, Workers: row.Job.TileWorkers}
 		check := func(via string, err error) {
 			t.Helper()
 			var ce *ConfigError
@@ -111,7 +110,7 @@ func TestAdmitBounds(t *testing.T) {
 		field  string // "" = admitted
 	}{
 		{"zero options", 0, b1, fast, TileOptions{}, ""},
-		{"explicit tiling", 64, b1, fast, TileOptions{TileNM: 512, HaloNM: 160, Workers: 1, Retries: 2}, ""},
+		{"explicit tiling", 64, b1, fast, TileOptions{TileNM: 512, HaloNM: 160, Workers: 1}, ""},
 		{"a pitch the layout fits inside", 64, b1, fast, TileOptions{TileNM: 2048}, ""},
 		{"smallest grid that calibrates", 4, b1, fast, TileOptions{}, ""},
 		{"largest grid one frame holds", 8192, b1, fast, TileOptions{}, ""},

@@ -93,7 +93,6 @@ func TestAdmitFlags(t *testing.T) {
 	var rows []struct {
 		Name, Field string
 		Job         map[string]any
-		Retries     *int // the command has no retry flag
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber() // a flag value is the number as the file spells it
@@ -105,9 +104,6 @@ func TestAdmitFlags(t *testing.T) {
 	misses := obs.NewCounter("optics_kernel_cache_misses_total")
 	before, ran := misses.Value(), 0
 	for _, row := range rows {
-		if row.Retries != nil {
-			continue
-		}
 		var args []string
 		for key, val := range row.Job {
 			args = append(args, "-"+flagOf[key], fmt.Sprint(val))

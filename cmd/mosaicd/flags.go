@@ -19,7 +19,6 @@ type options struct {
 	grid          int
 	checkpointDir string
 	drainTimeout  time.Duration
-	tileRetries   int
 	worker        bool
 	join          string
 	advertise     string
@@ -39,7 +38,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.grid, "grid", 512, "default simulation grid size (power of two); jobs may override")
 	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for drain checkpoints; needs -cache-dir, where a resumed job finds its finished windows (empty = no fault tolerance)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 60*time.Second, "how long a shutdown waits for in-flight jobs to checkpoint")
-	fs.IntVar(&o.tileRetries, "tile-retries", 1, "extra attempts a failed tile gets in sharded jobs")
 	fs.BoolVar(&o.worker, "worker", false, "run as a cluster worker serving tile jobs (requires -join)")
 	fs.StringVar(&o.join, "join", "", "coordinator base URL to join in -worker mode, e.g. http://host:8080")
 	fs.StringVar(&o.advertise, "advertise", "", "base URL the coordinator dials for this worker (default: derived from -addr)")
@@ -51,13 +49,12 @@ func defineFlags(fs *flag.FlagSet) *options {
 }
 
 // validate rejects the flag values neither serving mode can honour. The
-// numbers every job inherits (-grid, -tile-retries) are mosaic.Admit's to
-// judge, asked about the plainest job there is, a contest-size clip with
+// number every job inherits (-grid) is mosaic.Admit's to judge, asked about the plainest job there is, a contest-size clip with
 // no options: a daemon that refuses it would answer 400 to everything.
 func (o *options) validate() error {
 	if o.workers < 0 {
 		return &mosaic.ConfigError{Field: "workers", Reason: fmt.Sprintf("must be >= 0 (0 is taken as 1), got %d", o.workers)}
 	}
 	return mosaic.Admit(mosaic.DefaultOptics(), o.grid, &mosaic.Layout{Name: "probe", SizeNM: 1024},
-		mosaic.DefaultConfig(mosaic.ModeFast), mosaic.TileOptions{Retries: o.tileRetries})
+		mosaic.DefaultConfig(mosaic.ModeFast), mosaic.TileOptions{})
 }

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -77,8 +76,8 @@ func TestReadmeDocumentsFlags(t *testing.T) {
 // TestValidateFlags: negative counts are typed errors; zero is legal and
 // the -workers help says what it does (serve.New and cluster.NewWorker
 // both run one at a time), not what the tile-level hint of the same name
-// does. What every job inherits from the flags (-grid, -tile-retries) is
-// refused as mosaic.Admit refuses it: the rows of the shared table
+// does. What every job inherits from the flags (-grid) is refused as
+// mosaic.Admit refuses it: the rows of the shared table
 // (testdata/inadmissible.json, see the root package's TestAdmitRefusals)
 // the daemon's flags can spell get the same field here.
 func TestValidateFlags(t *testing.T) {
@@ -88,7 +87,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	cases := []flagCase{
 		{nil, ""},
-		{[]string{"-workers", "0", "-tile-retries", "0", "-grid", "64"}, ""},
+		{[]string{"-workers", "0", "-grid", "64"}, ""},
 		{[]string{"-workers", "-1"}, "workers"},
 	}
 	raw, err := os.ReadFile("../../testdata/inadmissible.json")
@@ -96,9 +95,8 @@ func TestValidateFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rows []struct {
-		Field   string
-		Job     struct{ Grid json.Number }
-		Retries *int
+		Field string
+		Job   struct{ Grid json.Number }
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
@@ -106,15 +104,12 @@ func TestValidateFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		switch {
-		case row.Retries != nil:
-			cases = append(cases, flagCase{[]string{"-tile-retries", strconv.Itoa(*row.Retries)}, row.Field})
-		case row.Field == "OpticsConfig.GridSize":
+		if row.Field == "OpticsConfig.GridSize" {
 			cases = append(cases, flagCase{[]string{"-grid", row.Job.Grid.String()}, row.Field})
 		}
 	}
 	if len(cases) < 8 {
-		t.Fatalf("only %d cases: the shared table lost its grid and retry rows", len(cases))
+		t.Fatalf("only %d cases: the shared table lost its grid rows", len(cases))
 	}
 	for _, tc := range cases {
 		fs := flag.NewFlagSet("mosaicd", flag.ContinueOnError)

@@ -107,7 +107,6 @@ func main() {
 		QueueLimit:    o.queue,
 		Optics:        optics,
 		CheckpointDir: o.checkpointDir,
-		TileRetries:   o.tileRetries,
 		TileRunner:    coord,
 		TileCache:     stores.Cache,
 		ArtifactStore: stores.Artifact,

@@ -10,7 +10,7 @@
 // optional durable on-disk tier (sharded by digest prefix, atomic-rename
 // writes, corrupt entries quarantined and recomputed — a damaged cache
 // can cost time, never correctness). Runner wraps any tile.Runner with
-// the cache, leaving the scheduler, retries, and stitching untouched. The
+// the cache, leaving the scheduler and stitching untouched. The
 // disk tier is also where a resumed job finds the windows it finished
 // before a drain: it asks for them under their keys like any repeat does.
 package cache
@@ -31,7 +31,7 @@ import (
 // changes, codec changes — so stale entries miss instead of serving the
 // old bits. The rule: if a change would fail a bit-identity test against
 // the previous build, it needs a version bump.
-const DigestVersion = 6
+const DigestVersion = 7
 
 // Key is the content address of one tile result: a SHA-256 over the
 // canonical encoding of the request (see RequestKey).

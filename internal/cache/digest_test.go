@@ -83,7 +83,6 @@ func TestRequestKeySensitivity(t *testing.T) {
 		{"defocus", func(r *tile.Request) { r.Cfg.DefocusNM += 5 }},
 		{"srafInit", func(r *tile.Request) { r.Cfg.SRAFInit = !r.Cfg.SRAFInit }},
 		{"gradKernels", func(r *tile.Request) { r.Cfg.GradKernels++ }},
-		{"objTol", func(r *tile.Request) { r.Cfg.ObjTol = 1e-6 }},
 		{"seedMask", func(r *tile.Request) {
 			seed := grid.New(r.Plan.WindowPx, r.Plan.WindowPx)
 			seed.Data[0] = 0.5

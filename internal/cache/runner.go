@@ -13,7 +13,8 @@ import (
 // inner runner that also saves the network round-trip — the lookup runs
 // on the coordinator, before dispatch); a miss runs the inner runner and
 // persists its result. The scheduler sees an ordinary Runner, so
-// retries, stitching, and the bit-identity guarantee are untouched.
+// stitching and the bit-identity guarantee are untouched, and it never
+// hands a runner an empty window, so those are never cache traffic.
 type Runner struct {
 	store *Store
 	inner tile.Runner
@@ -29,12 +30,9 @@ func NewRunner(store *Store, inner tile.Runner) *Runner {
 	return &Runner{store: store, inner: inner}
 }
 
-// RunTile serves the request from the cache when possible. Empty windows
-// bypass the cache entirely — RunWindow short-circuits them to a shared
-// all-dark mask far cheaper than a lookup, and counting them as hits
-// would inflate the hit rate on sparse layouts.
+// RunTile serves the request from the cache when possible.
 func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	if r.store == nil || len(req.Tile.Layout.Polys) == 0 {
+	if r.store == nil {
 		return r.inner.RunTile(ctx, req)
 	}
 	key := RequestKey(req)

@@ -64,23 +64,23 @@ func TestRunnerServesRepeatsFromCache(t *testing.T) {
 
 // TestRunnerEmptyWindowBypassesCache: windows with no geometry are the
 // scheduler's short-circuit, not cache traffic — no lookup, no entry, no
-// hit-rate inflation on sparse layouts.
+// hit-rate inflation on sparse layouts. The scheduler never hands them to
+// the runner, so the e2e plan's two empty windows leave the store with
+// exactly its two non-empty windows' traffic.
 func TestRunnerEmptyWindowBypassesCache(t *testing.T) {
+	p, ws, cfg := e2ePlan(t)
 	store := mustOpen(t, Options{})
-	inner := &countingRunner{res: fakeResult(8, 2)}
-	r := NewRunner(store, inner)
-	req := digestReq(func(q *tile.Request) { q.Tile.Layout.Polys = nil })
-
-	for i := 0; i < 2; i++ {
-		if _, err := r.RunTile(context.Background(), req); err != nil {
-			t.Fatal(err)
+	res, err := p.Optimize(context.Background(), ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Misses+st.Hits != 2 || st.Entries != 1 {
+		t.Fatalf("store stats %+v: want the two non-empty windows' lookups and one entry", st)
+	}
+	for i, pv := range res.Prov {
+		if empty := len(p.Tiles[i].Layout.Polys) == 0; empty != (pv.Tier == tile.TierEmpty) || (empty && pv.Key != "") {
+			t.Fatalf("tile %d (empty %v) attributed %+v", i, empty, pv)
 		}
-	}
-	if got := inner.calls.Load(); got != 2 {
-		t.Fatalf("empty window went through the cache: %d inner calls, want 2", got)
-	}
-	if st := store.Stats(); st != (Stats{}) {
-		t.Fatalf("empty window left cache traffic behind: %+v", st)
 	}
 }
 

@@ -141,7 +141,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 		s.flights[key] = f
 		s.mu.Unlock()
 		// Released in a defer: a compute that panics must not leave the
-		// key wedged for its own retry and every later job.
+		// key wedged for every later job.
 		defer func() {
 			s.mu.Lock()
 			delete(s.flights, key)

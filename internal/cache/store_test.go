@@ -191,7 +191,7 @@ func TestSingleflightLeaderErrorNotCached(t *testing.T) {
 }
 
 // TestPanickingLeaderReleasesFlight: a compute that panics (the tile
-// scheduler recovers it and retries the tile) must not leave its key
+// scheduler recovers it as that tile's error) must not leave its key
 // wedged. A waiter that was parked on the flight, and a later lookup,
 // both compute for themselves; at the parent both blocked until their
 // context ended.

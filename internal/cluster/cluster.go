@@ -6,9 +6,10 @@
 // to a local one:
 //
 //   - The coordinator owns the plan. Decomposition, EPE-sample routing,
-//     the retrying scheduler, seam stitching, and full-layout
-//     evaluation all run exactly as in a single-process run — the
-//     Coordinator merely plugs into the scheduler as its tile.Runner.
+//     the scheduler (which keeps empty windows local), seam stitching,
+//     and full-layout evaluation all run exactly as in a single-process
+//     run — the Coordinator merely plugs into the scheduler as its
+//     tile.Runner.
 //   - Workers are stateless executors. Each tile job arrives as a
 //     self-contained binary frame (window geometry, EPE samples, imaging
 //     and optimizer configuration, the calibrated resist model) and is
@@ -18,7 +19,9 @@
 //     that expires if the worker hangs; a worker that misses heartbeats
 //     is declared dead and its leases are canceled. Either way only that
 //     tile is reassigned (to another worker, or run locally when the fleet
-//     is empty); tiles already completed are never recomputed.
+//     is empty); tiles already completed are never recomputed. This
+//     reassignment is the only re-run a tile ever gets: a failure of the
+//     optimization itself depends only on the request, so it fails the run.
 //
 // The control plane (join, heartbeat, leave, worker listing) is small
 // JSON; the data plane (tile jobs and results, dominated by float64

@@ -213,10 +213,10 @@ func TestTileJobCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTileJobCodecSeedRoundTrip pins that a warm-start seed and its
-// plateau tolerance survive the wire bit-exactly: a coordinator that
-// retrieved a library match must hand remote workers the identical
-// starting point, or distributed runs diverge from local ones.
+// TestTileJobCodecSeedRoundTrip pins that a warm-start seed survives the
+// wire bit-exactly: a coordinator that retrieved a library match must hand
+// remote workers the identical starting point, or distributed runs
+// diverge from local ones.
 func TestTileJobCodecSeedRoundTrip(t *testing.T) {
 	env := sharedEnv(t)
 	seed := grid.New(env.plan.WindowPx, env.plan.WindowPx)
@@ -225,16 +225,12 @@ func TestTileJobCodecSeedRoundTrip(t *testing.T) {
 		seed.Data[i] = vals[i%len(vals)]
 	}
 	cfg := env.cfg
-	cfg.ObjTol = 1e-6
 	cfg.SeedMask = seed
 	req := &tile.Request{Plan: env.plan, Tile: &env.plan.Tiles[0], Sim: env.ws, Cfg: cfg}
 
 	job, err := decodeTileJob(encodeTileJob(req))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if job.Cfg.ObjTol != cfg.ObjTol {
-		t.Fatalf("ObjTol did not round trip: %g != %g", job.Cfg.ObjTol, cfg.ObjTol)
 	}
 	if job.Cfg.SeedMask == nil || job.Cfg.SeedMask.W != seed.W || job.Cfg.SeedMask.H != seed.H {
 		t.Fatalf("seed mask did not round trip: %+v", job.Cfg.SeedMask)
@@ -416,6 +412,107 @@ func TestLeaseExpiryReassignsHangingWorker(t *testing.T) {
 	for _, ws := range c.Workers() {
 		if ws.Addr == hang.URL {
 			t.Fatalf("hanging worker still in the fleet: %+v", c.Workers())
+		}
+	}
+}
+
+// TestReaperCancelsHungDispatch covers what the heartbeat reaper is for:
+// a worker that takes a tile and then goes silent — no answer, no
+// heartbeat — is declared dead long before its lease would expire, and
+// removing it cancels the dispatch it holds, so the tile is reassigned
+// within seconds, not after LeaseTTL.
+func TestReaperCancelsHungDispatch(t *testing.T) {
+	env := sharedEnv(t)
+	c := newTestCoordinator(t, Config{LeaseTTL: time.Hour, HeartbeatTTL: 200 * time.Millisecond})
+	alive := startWorker(t, 2)
+	var hung atomic.Int32
+	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hung.Add(1)
+		io.Copy(io.Discard, r.Body) // see TestLeaseExpiryReassignsHangingWorker
+		<-r.Context().Done()
+	}))
+	t.Cleanup(hang.Close)
+	reply, err := c.Join(alive.URL, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Join(hang.URL, 1); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { // the live worker keeps beating; the hung one never does
+		tick := time.NewTicker(40 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				c.Heartbeat(reply.WorkerID)
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	res, err := env.plan.Optimize(ctx, env.ws, env.cfg, tile.Options{Workers: 4, Runner: c})
+	if err != nil {
+		t.Fatalf("run did not finish after %s: %v (the hung dispatch was not canceled)", time.Since(start), err)
+	}
+	mustMatchRef(t, env, res)
+	if hung.Load() == 0 {
+		t.Fatal("the hung worker was never handed a tile")
+	}
+	if got := c.Workers(); len(got) != 1 || got[0].Addr != alive.URL {
+		t.Fatalf("fleet after the run: %+v, want only the live worker", got)
+	}
+}
+
+// TestEmptyWindowsNeverReachTheFleet: the scheduler routes an empty
+// window to the local RunWindow itself, so cluster_tiles_local_total
+// counts only tiles the coordinator ran for want of a worker — nothing
+// ran for an empty window.
+func TestEmptyWindowsNeverReachTheFleet(t *testing.T) {
+	env := sharedEnv(t)
+	sparse := &geom.Layout{Name: "corner", SizeNM: 1024, Polys: []geom.Polygon{
+		geom.Rect{X: 40, Y: 40, W: 120, H: 96}.Polygon(),
+	}}
+	plan, err := tile.NewPlan(sparse, env.plan.PixelNM, env.plan.CoreNM, env.plan.HaloNM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for i := range plan.Tiles {
+		if len(plan.Tiles[i].Layout.Polys) > 0 {
+			full++
+		}
+	}
+	if full != 1 || len(plan.Tiles) != 4 {
+		t.Fatalf("want 1 of 4 windows holding geometry, got %d of %d", full, len(plan.Tiles))
+	}
+	ref, err := plan.Optimize(context.Background(), env.ws, env.cfg, tile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoordinator(t, Config{})
+	before := mTilesLocal.Value()
+	res, err := plan.Optimize(context.Background(), env.ws, env.cfg, tile.Options{Runner: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mTilesLocal.Value() - before; got != int64(full) {
+		t.Fatalf("cluster_tiles_local_total rose by %d, want %d (the non-empty tiles)", got, full)
+	}
+	for i, pv := range res.Prov {
+		if empty := len(plan.Tiles[i].Layout.Polys) == 0; empty != (pv.Tier == tile.TierEmpty) {
+			t.Fatalf("tile %d (empty %v) attributed tier %q", i, empty, pv.Tier)
+		}
+	}
+	for i, v := range ref.MaskGray.Data {
+		if res.MaskGray.Data[i] != v {
+			t.Fatalf("gray mask differs from the local run at pixel %d", i)
 		}
 	}
 }

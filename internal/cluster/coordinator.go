@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,8 +52,6 @@ type Coordinator struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	workers map[string]*remoteWorker
-	leases  map[int64]*lease
-	seq     int64
 	closed  bool
 	stop    chan struct{}
 }
@@ -66,14 +65,11 @@ type remoteWorker struct {
 	joined   time.Time
 	lastBeat time.Time
 	done     int64 // tiles completed on this worker
-}
 
-// lease is one dispatched tile's claim on a worker. The reaper cancels
-// the dispatch context when the holding worker dies; the context deadline
-// enforces expiry when the worker merely hangs.
-type lease struct {
-	workerID string
-	cancel   context.CancelFunc
+	// ctx is canceled when the worker leaves the fleet (removeWorker,
+	// Close), and with it every dispatch it holds, which then reassigns.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // WorkerStatus is the externally visible record of one worker (the
@@ -117,7 +113,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		client:  cfg.Client,
 		workers: make(map[string]*remoteWorker),
-		leases:  make(map[int64]*lease),
 		stop:    make(chan struct{}),
 	}
 	if c.client == nil {
@@ -133,27 +128,18 @@ func NewCoordinator(cfg Config) *Coordinator {
 // local execution (their run is being drained anyway).
 func (c *Coordinator) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
 	close(c.stop)
-	var cancels []context.CancelFunc
-	for _, l := range c.leases {
-		if l.cancel != nil {
-			cancels = append(cancels, l.cancel)
-		}
-	}
-	for id := range c.workers {
+	for id, w := range c.workers {
+		w.cancel()
 		delete(c.workers, id)
 	}
 	mWorkersAlive.Set(0)
 	c.cond.Broadcast()
-	c.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
 }
 
 // newWorkerID returns a 12-hex-digit worker ID.
@@ -187,6 +173,7 @@ func (c *Coordinator) Join(addr string, capacity int) (*JoinReply, error) {
 		joined:   time.Now(),
 		lastBeat: time.Now(),
 	}
+	w.ctx, w.cancel = context.WithCancel(context.Background())
 	c.workers[w.id] = w
 	mWorkerJoins.Inc()
 	mWorkersAlive.Set(float64(len(c.workers)))
@@ -284,22 +271,13 @@ func (c *Coordinator) removeWorker(id, reason string) {
 		return
 	}
 	delete(c.workers, id)
+	w.cancel()
 	mWorkersAlive.Set(float64(len(c.workers)))
-	var cancels []context.CancelFunc
-	tiles := 0
-	for _, l := range c.leases {
-		if l.workerID == id && l.cancel != nil {
-			cancels = append(cancels, l.cancel)
-			tiles++
-		}
-	}
+	tiles := w.inflight
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	obs.Logger().Warn("cluster: worker removed",
 		"worker", id, "addr", w.addr, "reason", reason, "leases_canceled", tiles)
-	for _, cancel := range cancels {
-		cancel()
-	}
 }
 
 // maxDispatchAttempts bounds how many distinct remote dispatches one tile
@@ -311,15 +289,13 @@ const maxDispatchAttempts = 4
 // RunTile implements tile.Runner: it dispatches the tile to the
 // least-loaded worker with a free slot, blocking for backpressure when
 // the whole fleet is at its in-flight caps. Worker failure or lease
-// expiry reassigns the tile; an empty fleet (or repeated dispatch
-// failure) runs it locally on the coordinator. Results are identical to
-// local execution by construction — workers run the same tile.RunWindow
-// path on a bit-equal work order.
+// expiry reassigns the tile — the only re-run a tile ever gets; an empty
+// fleet (or repeated dispatch failure) runs it locally on the
+// coordinator. Results are identical to local execution by construction —
+// workers run the same tile.RunWindow path on a bit-equal work order.
 func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	// Empty windows are cheaper to run than to ship.
-	ship := len(req.Tile.Layout.Polys) > 0
 	var payload []byte // encoded lazily: local-only runs never pay for it
-	for attempt := 0; ship && attempt < maxDispatchAttempts; attempt++ {
+	for attempt := 0; attempt < maxDispatchAttempts; attempt++ {
 		w, err := c.acquire(ctx)
 		if err != nil {
 			return nil, err
@@ -343,7 +319,7 @@ func (c *Coordinator) RunTile(ctx context.Context, req *tile.Request) (*ilt.Resu
 		}
 		if derr.permanent {
 			// The optimization itself failed; it would fail identically
-			// anywhere. Surface it to the scheduler's retry policy.
+			// anywhere, so it fails the run.
 			return nil, derr.err
 		}
 		if derr.removeWorker {
@@ -405,26 +381,22 @@ type dispatchError struct {
 }
 
 // dispatch sends one tile job to a worker under a lease and decodes the
-// result. The lease deadline bounds the HTTP exchange; the reaper cancels
-// it early if the worker dies.
+// result. The lease deadline bounds the HTTP exchange; the worker's
+// context cancels it early if the worker leaves the fleet (the reaper
+// declares it dead, it leaves, or the coordinator closes).
 func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int, payload []byte) (*ilt.Result, *dispatchError) {
 	dctx, cancel := context.WithDeadline(ctx, time.Now().Add(c.cfg.LeaseTTL))
+	defer cancel()
+	defer context.AfterFunc(w.ctx, cancel)()
 	// The dispatch span is the remote subtree's parent: its identity goes
 	// out on the Traceparent header, and the worker's shipped spans come
 	// back as its children.
 	dctx, dspan := obs.StartSpan(dctx, obs.ClusterDispatch,
 		obs.Int("tile", tileIdx), obs.String("worker", w.id), obs.String("worker_addr", w.addr))
 	defer dspan.End()
-	c.mu.Lock()
-	c.seq++
-	id := c.seq
-	c.leases[id] = &lease{workerID: w.id, cancel: cancel}
-	c.mu.Unlock()
 	mLeasesGranted.Inc()
 	defer func() {
-		cancel()
 		c.mu.Lock()
-		delete(c.leases, id)
 		w.inflight--
 		c.cond.Broadcast()
 		c.mu.Unlock()
@@ -442,7 +414,8 @@ func (c *Coordinator) dispatch(ctx context.Context, w *remoteWorker, tileIdx int
 	resp, err := c.client.Do(httpReq)
 	mBytesSent.Add(int64(len(job)))
 	if err != nil {
-		if dctx.Err() != nil && ctx.Err() == nil {
+		// The lease ran out; a worker that left the fleet canceled it instead.
+		if errors.Is(dctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
 			mLeasesExpired.Inc()
 			obs.Event(dctx, obs.ClusterLeaseExpired,
 				obs.Int("tile", tileIdx), obs.String("worker", w.id))

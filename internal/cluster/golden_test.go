@@ -46,7 +46,6 @@ func goldenRequest(seeded bool) *tile.Request {
 			MaxIter: 20, GradTol: 1e-5, Jumps: 2, JumpFactor: 4, SRAFInit: true,
 			SRAFRules:   sraf.Rules{BiasNM: 4, SRAFDistNM: 70, SRAFWidthNM: 20, SRAFMinLenNM: 80},
 			GradKernels: 8, EPEThresholdNM: 15, EPESampleNM: 40, DefocusNM: 25, DoseDelta: 0.02,
-			ObjTol: 1e-6,
 		},
 		Samples: []geom.Sample{
 			{Pt: geom.Point{X: 16, Y: 40}, InwardX: 1},
@@ -85,8 +84,10 @@ func sha(b []byte) string {
 // the commit before the shared encoding kernel landed; if one moves, the
 // format changed — bump its version instead of re-pinning. The two
 // RequestKey values are the exception by design: cache.DigestVersion is
-// their first field, so they are re-pinned at each of its bumps, last to 6
-// (the other three did not move).
+// their first field, so they are re-pinned at each of its bumps. At 7 the
+// two MTJB payloads were re-pinned with them: the ilt.Bits stream lost the
+// plateau tolerance, and a worker of another DigestVersion is refused at
+// join, so no fleet mixes the two work orders (MTRS and MTCE did not move).
 func TestGoldenBytes(t *testing.T) {
 	check := func(name, got, want string) {
 		t.Helper()
@@ -94,10 +95,10 @@ func TestGoldenBytes(t *testing.T) {
 			t.Errorf("%s = %s, want %s", name, got, want)
 		}
 	}
-	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "bd7474dc09bd6acde8e0e2406c45e7f2627deda78fbaddc57ab9ce70aaf96f16")
-	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "c1c43219b4a06eaceb6eff2915ae9b87c68af7b9753eae1d61ee004e315431da")
-	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "84b4118aeb1480e97519cae4701a7d52ccf42bcfefd7886d741f262e6fde2357")
-	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "c04976243a251af72faaf96cf5ebfa286623b90bd25f1db97db6432ddc855b5d")
+	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "5d8c194f23cf0658c5fefaaef40fe179912043a596e4133f9c81e5605874ddd9")
+	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "f3b4df77173029f3d4e6e18ca0392496e4afb95399c4134fb38b7f9441031d42")
+	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "99606b8406581b1c68ebb135bce1074a739fb7a345f05d05a0619a2bc12e94e6")
+	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "7a0eab3a84f5efd933ae92b4788e87feb658cea59de1286593edd667a0b4cff6")
 
 	spans := []obs.SpanEvent{{
 		Name: "worker.tile", TraceID: "00112233445566778899aabbccddeeff", SpanID: "0123456789abcdef", ParentID: "fedcba9876543210",

@@ -64,7 +64,6 @@ func (b Bits) Fields(visit func(section, name string, p any)) {
 	visit("optimizer", "epe_sample_nm", &c.EPESampleNM)
 	visit("optimizer", "defocus_nm", &c.DefocusNM)
 	visit("optimizer", "dose_delta", &c.DoseDelta)
-	visit("optimizer", "obj_tol", &c.ObjTol)
 }
 
 // Append writes every field to the canonical scalar stream.

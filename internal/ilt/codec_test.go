@@ -158,7 +158,7 @@ func TestValidateRefusesNonFiniteFloats(t *testing.T) {
 
 func TestBitsReadRoundTrip(t *testing.T) {
 	b, _ := testBits()
-	b.Cfg.Mode, b.Cfg.SRAFInit, b.Cfg.ObjTol, b.Optics.Kernels = ModeExact, false, 1e-6, 7
+	b.Cfg.Mode, b.Cfg.SRAFInit, b.Optics.Kernels = ModeExact, false, 7
 	var oc optics.Config
 	var rm resist.Model
 	var cfg Config
@@ -172,8 +172,8 @@ func TestBitsReadRoundTrip(t *testing.T) {
 	if oc != *b.Optics || rm != *b.Resist || !reflect.DeepEqual(cfg, *b.Cfg) {
 		t.Fatalf("Read(Append) drifted:\n%+v\n%+v", cfg, *b.Cfg)
 	}
-	if _, ok := b.Sections()["optimizer"]["obj_tol"]; !ok || len(b.Sections()) != 3 {
-		t.Fatalf("Sections = %v, want optics/resist/optimizer with obj_tol", b.Sections())
+	if _, ok := b.Sections()["optimizer"]["dose_delta"]; !ok || len(b.Sections()) != 3 {
+		t.Fatalf("Sections = %v, want optics/resist/optimizer with dose_delta", b.Sections())
 	}
 }
 

@@ -154,9 +154,15 @@ func TestMergedAdjointMatchesPerCornerReference(t *testing.T) {
 // 1024 nm clip. The kernel cache is process-wide, so tests share one build.
 func benchSim(t *testing.T) *sim.Simulator {
 	t.Helper()
+	return benchSimAt(t, 128)
+}
+
+// benchSimAt is benchSim on an n-px grid over the same clip.
+func benchSimAt(t *testing.T, n int) *sim.Simulator {
+	t.Helper()
 	c := optics.Default()
-	c.GridSize = 128
-	c.PixelNM = bench.ClipNM / 128
+	c.GridSize = n
+	c.PixelNM = bench.ClipNM / float64(n)
 	s, err := sim.New(c, resist.Default())
 	if err != nil {
 		t.Fatal(err)

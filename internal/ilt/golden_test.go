@@ -7,6 +7,7 @@ import (
 
 	"mosaic/internal/bench"
 	"mosaic/internal/grid"
+	"mosaic/internal/sim"
 )
 
 // goldenMasks pins the SHA-256 of the binarized B1-B10 masks at the
@@ -27,6 +28,13 @@ var goldenMasks = map[string][2]string{
 	"B10": {"24899a9b84c83fc28ab6b36df2fb5334344efbf86e90dab181d6362f943ced14", "d470c9713beb95c0791b93b8af594bfd93163ddd1b88f9871225a6778be0df5d"},
 }
 
+// goldenMasksPaperGrid pins one clip per mode on the grid of the archived
+// tables, 512 px at 2 nm, where the imaging grid is an eighth of the mask
+// grid and a pixel is a seventh of th_epe rather than half of it.
+var goldenMasksPaperGrid = map[string][2]string{
+	"B4": {"2656043079319ee4d7b881e42c3a57add42351256e96f9895d4feb6b294ecad3", "97a4e3ec8a4064110cc0aa91fbadfb9da5fdab9227802a3db287bd54bba824b2"},
+}
+
 // maskSHA hashes a binary mask as its dimensions plus one byte per pixel.
 func maskSHA(m *grid.Field) string {
 	buf := make([]byte, 0, 2+len(m.Data))
@@ -44,26 +52,33 @@ func maskSHA(m *grid.Field) string {
 
 func TestGoldenBenchmarkMasks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("20 full optimizations")
+		t.Skip("22 full optimizations")
 	}
-	s := benchSim(t)
-	for _, name := range bench.Names() {
-		layout, err := bench.Layout(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for mi, mode := range []Mode{ModeFast, ModeExact} {
-			o, err := New(s, DefaultConfig(mode))
+	check := func(s *sim.Simulator, golden map[string][2]string) {
+		for _, name := range bench.Names() {
+			want, ok := golden[name]
+			if !ok {
+				continue
+			}
+			layout, err := bench.Layout(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := o.Run(layout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := maskSHA(res.Mask), goldenMasks[name][mi]; got != want {
-				t.Errorf("%s %v: mask sha256 %s, want %s", name, mode, got, want)
+			for mi, mode := range []Mode{ModeFast, ModeExact} {
+				o, err := New(s, DefaultConfig(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := o.Run(layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := maskSHA(res.Mask); got != want[mi] {
+					t.Errorf("%s %v at %d px: mask sha256 %s, want %s", name, mode, s.Cfg.GridSize, got, want[mi])
+				}
 			}
 		}
 	}
+	check(benchSim(t), goldenMasks)
+	check(benchSimAt(t, 512), goldenMasksPaperGrid)
 }

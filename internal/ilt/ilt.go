@@ -97,17 +97,9 @@ type Config struct {
 	// surrogate objective probes no worse than the default
 	// initialization's after the Eq. 8 round trip; a rejected seed falls
 	// back to the rule-based init and the run is bit-identical to an
-	// unseeded one. Must match the simulator grid.
+	// unseeded one. An adopted seed adds the plateau stop (plateauTol).
+	// Must match the simulator grid.
 	SeedMask *grid.Field
-
-	// ObjTol, when positive, adds a plateau stop: once the best proxy
-	// objective has failed to improve by more than ObjTol for two
-	// consecutive iterations the run takes the GradTol exit (consuming
-	// jumps the same way), so a warm-started run that begins near its
-	// optimum stops after a few iterations instead of exhausting MaxIter.
-	// 0 disables it (the paper's behavior, bit-identical to builds
-	// without the knob).
-	ObjTol float64
 
 	// GradKernels selects the imaging fidelity inside the descent loop:
 	// 0 uses the Eq. 21 combined single kernel (the paper's convolution
@@ -275,7 +267,7 @@ func (cfg *Config) Validate(gridSize int) error {
 		{"SRAFRules.BiasNM", cfg.SRAFRules.BiasNM}, {"SRAFRules.SRAFDistNM", cfg.SRAFRules.SRAFDistNM},
 		{"SRAFRules.SRAFWidthNM", cfg.SRAFRules.SRAFWidthNM}, {"SRAFRules.SRAFMinLenNM", cfg.SRAFRules.SRAFMinLenNM},
 		{"EPEThresholdNM", cfg.EPEThresholdNM}, {"EPESampleNM", cfg.EPESampleNM}, {"DefocusNM", cfg.DefocusNM},
-		{"DoseDelta", cfg.DoseDelta}, {"ObjTol", cfg.ObjTol},
+		{"DoseDelta", cfg.DoseDelta},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be finite, got %g", f.v)}
@@ -300,8 +292,6 @@ func (cfg *Config) Validate(gridSize int) error {
 		return &ConfigError{Field: "EPEThresholdNM", Reason: "must be positive"}
 	case cfg.EPESampleNM <= 0:
 		return &ConfigError{Field: "EPESampleNM", Reason: "must be positive"}
-	case cfg.ObjTol < 0:
-		return &ConfigError{Field: "ObjTol", Reason: fmt.Sprintf("plateau tolerance must be >= 0, got %g", cfg.ObjTol)}
 	case cfg.SeedMask != nil && (cfg.SeedMask.W != gridSize || cfg.SeedMask.H != gridSize):
 		return &ConfigError{Field: "SeedMask", Reason: fmt.Sprintf("seed raster is %dx%d but the simulator grid is %dx%d", cfg.SeedMask.W, cfg.SeedMask.H, gridSize, gridSize)}
 	}
@@ -407,7 +397,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	step := cfg.StepSize
 	jumps := cfg.Jumps
 	var velocity *grid.Field // heavy-ball state, allocated on first use
-	stall := 0               // consecutive iterations without an ObjTol-sized improvement
+	stall := 0               // consecutive iterations without a plateauTol-sized improvement
 
 	// Alg. 1 lines 2-3: initial mask and unconstrained variables P with
 	// M = sig(theta_M * P) (Eq. 8). A warm-start seed replaces the
@@ -492,7 +482,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		// Alg. 1 line 9: remember the iterate with the lowest objective
 		// value, measured as the Eq. 7 quantity (proxy score) with the
 		// surrogate F breaking ties.
-		improved := proxyScore < best.Objective-cfg.ObjTol
+		improved := proxyScore < best.Objective-plateauTol
 		if proxyScore < best.Objective ||
 			(proxyScore == best.Objective && state.objective < bestSurrogate) {
 			best.Objective = proxyScore
@@ -500,11 +490,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			best.MaskGray = mask.Clone()
 		}
 
-		// Plateau detection (ObjTol): two consecutive iterations without a
-		// better-than-tolerance improvement of the best objective count as
-		// converged and take the same exit as GradTol below.
+		// Plateau detection (seeded runs only): two consecutive iterations
+		// without a better-than-plateauTol improvement of the best objective
+		// count as converged and take the same exit as GradTol below.
 		plateau := false
-		if cfg.ObjTol > 0 {
+		if best.Seeded {
 			if improved {
 				stall = 0
 			} else {
@@ -568,6 +558,14 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		"objective", best.Objective)
 	return best, nil
 }
+
+// plateauTol is the plateau stop of a run that adopted its seed: any
+// measurable proxy-objective improvement resets the plateau, so a seeded
+// run that begins near its optimum stops after a few iterations instead of
+// exhausting MaxIter, and stops only once the descent has literally
+// nothing left to gain. A cold run, and a run whose seed the probe
+// rejected, has no plateau stop: it is the paper's descent, bit for bit.
+const plateauTol = 1e-6
 
 // probeSeed compares the surrogate objective of the warm-start seed
 // against the default initialization's, both after the Eq. 8 round trip

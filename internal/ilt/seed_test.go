@@ -16,13 +16,6 @@ func TestSeedMaskValidation(t *testing.T) {
 	if !errors.As(err, &cerr) || cerr.Field != "SeedMask" {
 		t.Fatalf("mis-sized SeedMask: got %v, want ConfigError on SeedMask", err)
 	}
-
-	cfg = o.Cfg
-	cfg.ObjTol = -1
-	_, err = New(o.Sim, cfg)
-	if !errors.As(err, &cerr) || cerr.Field != "ObjTol" {
-		t.Fatalf("negative ObjTol: got %v, want ConfigError on ObjTol", err)
-	}
 }
 
 // TestSeedRejectedBitIdentical: a seed that probes worse than the default
@@ -89,9 +82,10 @@ func TestSeedAcceptedConverges(t *testing.T) {
 	}
 }
 
-// TestObjTolPlateauStops: with a plateau tolerance and a converged seed,
-// the run must stop well before MaxIter; with ObjTol zero it must run
-// the full budget (GradTol is far below reach in so few iterations).
+// TestObjTolPlateauStops: a run that adopts a converged seed must stop on
+// the plateau (no plateauTol-sized objective improvement) well before
+// MaxIter; a cold run has no plateau stop and runs the full budget
+// (GradTol is far below reach in so few iterations).
 func TestObjTolPlateauStops(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	cold, err := o.Run(layout)
@@ -105,7 +99,6 @@ func TestObjTolPlateauStops(t *testing.T) {
 	cfg := o.Cfg
 	cfg.MaxIter = 20
 	cfg.Jumps = 0
-	cfg.ObjTol = 1e-6
 	cfg.SeedMask = cold.MaskGray
 	seeded, err := New(o.Sim, cfg)
 	if err != nil {

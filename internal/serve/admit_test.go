@@ -53,7 +53,6 @@ func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	type row struct {
 		Name, Field string
 		Job         json.RawMessage
-		Retries     int
 	}
 	var rows []row
 	if err := json.Unmarshal(raw, &rows); err != nil {
@@ -70,9 +69,7 @@ func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	misses := obs.NewCounter("optics_kernel_cache_misses_total")
 	before, submitted := misses.Value(), mJobsSubmitted.Value()
 	for _, row := range rows {
-		cfg := testServerConfig("")
-		cfg.TileRetries = row.Retries
-		s, err := New(cfg)
+		s, err := New(testServerConfig(""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,19 +277,19 @@ func fuzzServer() *Server {
 // *mosaic.ConfigError from the gate; the API's own refusals of a body are
 // the only untyped ones), or it runs to completion and, as a one-window
 // plan, leaves the mask Optimize leaves. Every crash of this surface found
-// by hand so far is a seed: PR 15's Retries -1, PR 17's three bodies,
-// PR 20's grids 1 and 2, and the three bodies PR 22 turned from failed
-// jobs into 400s. What is admitted is run only when it is small (the
+// by hand so far is a seed: three bodies that killed or wedged the daemon,
+// grids 1 and 2, and three bodies that were accepted and then failed in a
+// worker. What is admitted is run only when it is small (the
 // window at most 64 px, at most 16 tiles, one iteration).
 func FuzzAdmit(f *testing.F) {
 	for _, seed := range []struct {
-		body             string
-		grid, iter       int
-		tileNM, haloNM   float64
-		workers, retries int
+		body           string
+		grid, iter     int
+		tileNM, haloNM float64
+		workers        int
 	}{
 		{body: `{"benchmark":"B1"}`, grid: 16},
-		{body: `{"layout":"CLIP t 512\nRECT 64 120 384 80\n","grid":16,"tile_nm":256,"max_iter":2}`, grid: 16, tileNM: 512, haloNM: 64, workers: 1, retries: 1},
+		{body: `{"layout":"CLIP t 512\nRECT 64 120 384 80\n","grid":16,"tile_nm":256,"max_iter":2}`, grid: 16, tileNM: 512, haloNM: 64, workers: 1},
 		{body: `{"benchmark":"B1","tile_nm":300}`, grid: 64, tileNM: 300},
 		{body: `{"benchmark":"B1","tile_nm":1}`, grid: 64, tileNM: 1},
 		{body: `{"benchmark":"B1","tile_nm":512,"halo_nm":100000}`, grid: 64, tileNM: 512, haloNM: 100000},
@@ -301,19 +298,18 @@ func FuzzAdmit(f *testing.F) {
 		{body: `{"benchmark":"B1","grid":64,"tile_nm":1e-9}`, grid: 64, tileNM: 1e-9},
 		{body: `{"benchmark":"B1","grid":1}`, grid: 1},
 		{body: `{"benchmark":"B1","grid":2}`, grid: 2},
-		{body: `{"benchmark":"B1","grid":16,"tile_nm":256}`, grid: 16, tileNM: 256, retries: -1},
+		{body: `{"benchmark":"B1","grid":16,"tile_nm":256}`, grid: 16, tileNM: 256},
 		{body: `{"benchmark":"B1","max_iter":-3,"tile_workers":-1,"deadline_ms":-1}`, grid: 16, iter: -3, workers: -1},
 		{body: `{"benchmark":"B1","layout":"CLIP x 512"}`, grid: -16},
 	} {
-		f.Add([]byte(seed.body), seed.grid, seed.iter, seed.tileNM, seed.haloNM, seed.workers, seed.retries)
+		f.Add([]byte(seed.body), seed.grid, seed.iter, seed.tileNM, seed.haloNM, seed.workers)
 	}
 	b1, err := mosaic.Benchmark("B1")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, body []byte, grid, iter int, tileNM, haloNM float64, workers, retries int) {
+	f.Fuzz(func(t *testing.T, body []byte, grid, iter int, tileNM, haloNM float64, workers int) {
 		s := fuzzServer()
-		s.cfg.TileRetries = retries
 
 		// The job API's way in.
 		var spec JobSpec
@@ -335,7 +331,7 @@ func FuzzAdmit(f *testing.F) {
 		if iter != 0 {
 			cfg.MaxIter = iter
 		}
-		opts := mosaic.TileOptions{TileNM: tileNM, HaloNM: haloNM, Workers: workers, Retries: retries}
+		opts := mosaic.TileOptions{TileNM: tileNM, HaloNM: haloNM, Workers: workers}
 		err := mosaic.Admit(s.cfg.Optics, grid, b1, cfg, opts)
 		var ce *mosaic.ConfigError
 		switch {
@@ -366,7 +362,6 @@ func runAdmitted(t *testing.T, base mosaic.OpticsConfig, grid int, layout *mosai
 	}
 	cfg.MaxIter = 1
 	cfg.GradKernels = 1
-	opts.Retries = min(opts.Retries, 1)
 	setup, err := mosaic.NewSetup(optics)
 	if err != nil {
 		t.Fatalf("admitted, but NewSetup(%+v) = %v", optics, err)

@@ -100,9 +100,6 @@ type Config struct {
 	// TileCache's disk tier, so New refuses a CheckpointDir unless
 	// TileCache has one.
 	CheckpointDir string
-	// TileRetries is the number of extra attempts a failed tile of any
-	// job gets (see mosaic.TileOptions.Retries); a clip job is one tile.
-	TileRetries int
 	// Tune, when non-nil, adjusts every job's optimizer configuration
 	// after the spec has been applied (test determinism, site policy).
 	Tune func(*mosaic.Config)
@@ -204,7 +201,6 @@ func (s *Server) tileOptions(sp *JobSpec) mosaic.TileOptions {
 		TileNM:    sp.TileNM,
 		HaloNM:    sp.HaloNM,
 		Workers:   sp.TileWorkers,
-		Retries:   s.cfg.TileRetries,
 		Runner:    s.cfg.TileRunner,
 		Cache:     s.cfg.TileCache,
 		Artifact:  s.cfg.ArtifactStore,

@@ -3,7 +3,6 @@ package tile
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,9 +30,7 @@ type Request struct {
 	// Prov, when non-nil, is filled in by whoever produces the result:
 	// the cache decorator records the tier and content key it served
 	// from, and the cluster coordinator records which worker computed
-	// the tile. The scheduler owns the pointed-to value and resets it
-	// before each retry attempt, so a failed remote attempt never
-	// leaves stale attribution on the result that finally lands.
+	// the tile. The scheduler owns the pointed-to value.
 	Prov *Provenance
 }
 
@@ -88,18 +85,22 @@ func (p Provenance) Class() Class {
 }
 
 // Runner executes one tile optimization. The scheduler is runner-agnostic:
-// retries, progress, and stitching are identical whether tiles run
-// in-process (the default) or are dispatched to remote workers (see
-// internal/cluster). Implementations must be safe for concurrent calls and
-// must return results that depend only on the request, never on where or
-// when they ran — the bit-identity guarantee of a sharded run rests on it.
+// progress and stitching are identical whether tiles run in-process (the
+// default) or are dispatched to remote workers (see internal/cluster), and
+// it hands a runner only windows that hold geometry. Implementations must
+// be safe for concurrent calls and must return results that depend only on
+// the request, never on where or when they ran — the bit-identity
+// guarantee of a sharded run rests on it. So does a failure: the scheduler
+// calls a runner once per window, and a runner that can recover from a
+// transient fault (the cluster coordinator reassigns) does so itself.
 type Runner interface {
 	RunTile(ctx context.Context, req *Request) (*ilt.Result, error)
 }
 
 // LocalRunner optimizes tiles in-process on the window simulator: the
-// scheduler's default, what the cache and warm-start decorators wrap
-// when given no inner runner, and the cluster coordinator's fallback.
+// scheduler's default and its route for empty windows, what the cache and
+// warm-start decorators wrap when given no inner runner, and the cluster
+// coordinator's fallback.
 type LocalRunner struct{}
 
 func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
@@ -127,11 +128,12 @@ func emptyWindowResult(windowPx int) *ilt.Result {
 
 // RunWindow runs the clip-level optimizer on one halo-padded window. It is
 // the single execution path shared by the local runner and remote workers,
-// so a tile produces the same bits wherever it runs. Windows with no
-// geometry short-circuit to a shared all-dark mask: nothing prints there,
-// and sparse full-chip layouts are mostly empty windows. Empty windows
-// are counted under tile_empty_total — not as cache traffic — so hit-rate
-// stats reflect real optimizations avoided.
+// so a tile produces the same bits wherever it runs. It is also the one
+// definition of an empty window's result: a window with no geometry is a
+// shared all-dark mask, counted under tile_empty_total. Nothing prints
+// there, sparse full-chip layouts are mostly empty windows, and the
+// scheduler routes them here directly, past the cache, the warm-start
+// library and the cluster.
 //
 // It is also the one place a tile takes a core: a window that computes
 // holds one reservation in the global compute pool (par.Reserve) for as
@@ -161,12 +163,11 @@ func RunWindow(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, layout *g
 }
 
 // Scheduler metrics: tiles optimized, the per-tile wall-time
-// distribution, transient-failure retries, and windows short-circuited
-// because they contained no geometry.
+// distribution, and windows short-circuited because they contained no
+// geometry.
 var (
 	tileOpts    = obs.NewCounter("tile_opt_total")
 	tileSeconds = obs.NewHistogram("tile_seconds")
-	tileRetries = obs.NewCounter("tile_retries_total")
 	tileEmpty   = obs.NewCounter("tile_empty_total")
 )
 
@@ -187,31 +188,12 @@ type Options struct {
 	// lock (never concurrently), with the number of tiles done so far.
 	OnTile func(done, total int)
 
-	// Retries is the number of additional attempts a failed tile gets
-	// before its error fails the whole run. 0 keeps the previous fail-fast
-	// behavior. The wait before the first retry is drawn from
-	// retryBackoff, doubling on each subsequent attempt, and is
-	// interruptible by context cancellation, which is never retried.
-	Retries int
-
-	// Runner executes individual tiles; nil runs them in-process on the
-	// window simulator. A cluster coordinator plugs in here to dispatch
-	// tiles to remote workers while the scheduler and stitching stay
-	// unchanged.
+	// Runner executes the windows that hold geometry; nil runs them
+	// in-process on the window simulator. A cluster coordinator plugs in
+	// here to dispatch tiles to remote workers while the scheduler and
+	// stitching stay unchanged. Empty windows always run on LocalRunner.
 	Runner Runner
-
-	// tileFault, when non-nil, is consulted before each optimization
-	// attempt of a tile; a non-nil return fails that attempt. Test hook
-	// for the retry path.
-	tileFault func(index, attempt int) error
-
-	// backoff, when positive, replaces retryBackoff. Test hook: a retry
-	// test need not wait out production's interval.
-	backoff time.Duration
 }
-
-// retryBackoff is the base wait before a failed tile's first retry.
-const retryBackoff = 100 * time.Millisecond
 
 // Result is the outcome of a tiled optimization run.
 type Result struct {
@@ -320,11 +302,18 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 				// provs[i] is race-free: exactly one worker claims index i
 				// (next.Add), and the slice is read only after wg.Wait.
 				req := &Request{Plan: p, Tile: t, Sim: ws, Cfg: tcfg, Samples: samples[i], Prov: &provs[i]}
+				r := runner
+				if len(t.Layout.Polys) == 0 {
+					// Nothing to optimize, cache, seed or ship: RunWindow
+					// serves the shared dark result.
+					r = LocalRunner{}
+					provs[i].Tier = TierEmpty
+				}
 				var res *ilt.Result
 				var err error
 				// A panicking runner is this tile's error: left alone it
 				// would end the process from a goroutine nobody can recover.
-				if pe := par.Catch(func() { res, err = p.optimizeTileRetry(tctx, runner, req, opts) }); pe != nil {
+				if pe := par.Catch(func() { res, err = r.RunTile(tctx, req) }); pe != nil {
 					obs.Logger().Error("tile: runner panicked", "tile", i, "panic", pe.Value, "stack", string(pe.Stack))
 					err = fmt.Errorf("panic: %v", pe.Value)
 				}
@@ -335,9 +324,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 					return
 				}
 				results[i] = res
-				if len(t.Layout.Polys) == 0 && provs[i].Tier == "" {
-					provs[i].Tier = TierEmpty
-				}
 				tileOpts.Inc()
 				tileSeconds.Observe(sp.End().Seconds())
 				n := int(done.Add(1))
@@ -389,66 +375,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		"window_px", p.WindowPx, "halo_nm", p.HaloNM, "seam_nm", seamNM,
 		"runtime_sec", out.RuntimeSec)
 	return out, nil
-}
-
-// optimizeTileRetry runs the runner with the Options retry policy:
-// transient failures are retried with exponential backoff under full
-// jitter; cancellation is returned immediately (a canceled run must not
-// burn backoff time).
-func (p *Plan) optimizeTileRetry(ctx context.Context, runner Runner, req *Request, opts Options) (*ilt.Result, error) {
-	backoff := opts.backoff
-	if backoff <= 0 {
-		backoff = retryBackoff
-	}
-	var lastErr error
-	// The first attempt always runs: a negative budget (mosaic.Admit refuses
-	// one) is no retries, never a nil result.
-	for attempt := 0; attempt == 0 || attempt <= opts.Retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if attempt > 0 {
-			tileRetries.Inc()
-			wait := fullJitter(backoff)
-			obs.Logger().Warn("retrying tile",
-				"tile", req.Tile.Index, "attempt", attempt, "backoff", wait, "err", lastErr)
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(wait):
-			}
-			backoff *= 2
-		}
-		if req.Prov != nil {
-			*req.Prov = Provenance{} // drop stale attribution from a failed attempt
-		}
-		if opts.tileFault != nil {
-			if err := opts.tileFault(req.Tile.Index, attempt); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		res, err := runner.RunTile(ctx, req)
-		if err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// fullJitter draws a uniformly random wait in (0, d]. Simultaneous tile
-// failures — a dead remote worker fails every tile it held at once —
-// would otherwise retry in lockstep and hammer whatever replaced it;
-// jittering the whole interval spreads the retry wave out.
-func fullJitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(rand.Int64N(int64(d))) + 1
 }
 
 // checkWindowSim validates that ws simulates exactly one plan window.

@@ -2,113 +2,81 @@ package tile
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
+	"mosaic/internal/geom"
 	"mosaic/internal/ilt"
 )
 
-// TestRetryRecoversTransientFault injects a fault that fails each tile's
-// first attempt and checks the run succeeds with retries enabled and the
-// result is identical to a fault-free run.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	l := testLayout()
+// countingRunner records the tiles it is handed and runs them in-process.
+type countingRunner struct {
+	mu    sync.Mutex
+	tiles []int
+}
+
+func (r *countingRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
+	r.mu.Lock()
+	r.tiles = append(r.tiles, req.Tile.Index)
+	r.mu.Unlock()
+	return LocalRunner{}.RunTile(ctx, req)
+}
+
+// TestEmptyWindowsBypassRunner: the scheduler decides emptiness once and
+// routes an empty window to RunWindow itself, so the runner — a cache, a
+// warm-start library, a cluster — is only handed windows that hold
+// geometry, each exactly once, and every empty window is attributed
+// TierEmpty and counted under tile_empty_total.
+func TestEmptyWindowsBypassRunner(t *testing.T) {
+	l := &geom.Layout{Name: "sparse", SizeNM: 1024, Polys: []geom.Polygon{
+		geom.Rect{X: 100, Y: 100, W: 160, H: 96}.Polygon(),
+	}}
 	p, err := NewPlan(l, 8, 512, DefaultHaloNM(testOptics(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	empties := 0
+	for i := range p.Tiles {
+		if len(p.Tiles[i].Layout.Polys) == 0 {
+			empties++
+		}
+	}
+	if empties == 0 || empties == len(p.Tiles) {
+		t.Fatalf("want a plan with empty and non-empty windows, got %d of %d empty", empties, len(p.Tiles))
+	}
 	ws := testSim(t, p.WindowPx)
-	cfg := testConfig()
-
-	ref, err := p.Optimize(context.Background(), ws, cfg, Options{Workers: 2})
+	r := &countingRunner{}
+	before := tileEmpty.Value()
+	res, err := p.Optimize(context.Background(), ws, testConfig(), Options{Workers: 2, Runner: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	res, err := p.Optimize(context.Background(), ws, cfg, Options{
-		Workers: 2,
-		Retries: 2,
-		backoff: time.Millisecond,
-		tileFault: func(index, attempt int) error {
-			if attempt == 0 {
-				return fmt.Errorf("injected transient fault on tile %d", index)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("retries did not recover the transient fault: %v", err)
+	if got := tileEmpty.Value() - before; got != int64(empties) {
+		t.Fatalf("tile_empty_total rose by %d, want %d", got, empties)
 	}
-	for i, v := range ref.Mask.Data {
-		if res.Mask.Data[i] != v {
-			t.Fatal("retried mask differs from fault-free run")
+	if len(r.tiles) != len(p.Tiles)-empties {
+		t.Fatalf("runner handed tiles %v, want each of the %d non-empty windows once", r.tiles, len(p.Tiles)-empties)
+	}
+	for _, i := range r.tiles {
+		if len(p.Tiles[i].Layout.Polys) == 0 {
+			t.Fatalf("runner handed empty tile %d", i)
+		}
+	}
+	for i, pv := range res.Prov {
+		if empty := len(p.Tiles[i].Layout.Polys) == 0; empty != (pv.Tier == TierEmpty) {
+			t.Fatalf("tile %d (empty %v) attributed tier %q", i, empty, pv.Tier)
 		}
 	}
 
-	// A persistent fault must still fail once attempts are exhausted.
-	_, err = p.Optimize(context.Background(), ws, cfg, Options{
-		Workers: 1,
-		Retries: 1,
-		backoff: time.Millisecond,
-		tileFault: func(index, attempt int) error {
-			return errors.New("injected persistent fault")
-		},
-	})
-	if err == nil {
-		t.Fatal("persistent fault did not fail the run")
-	}
-}
-
-// TestNegativeRetriesMeansNone is the regression test for the nil result a
-// negative retry budget used to produce: the attempt loop ran zero times,
-// returned (nil, nil), and the scheduler dereferenced it. mosaic.Admit
-// refuses such a budget before a plan exists; a caller that skips the gate
-// gets one attempt per tile and that attempt's error.
-func TestNegativeRetriesMeansNone(t *testing.T) {
-	p, err := NewPlan(testLayout(), 8, 512, DefaultHaloNM(testOptics(64)))
+	ref, err := p.Optimize(context.Background(), ws, testConfig(), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts := 0
-	fault := errors.New("injected")
-	res, err := p.Optimize(context.Background(), testSim(t, p.WindowPx), testConfig(), Options{
-		Retries: -1, Workers: 1,
-		tileFault: func(index, attempt int) error { attempts++; return fault },
-	})
-	if !errors.Is(err, fault) || res != nil || attempts != 1 {
-		t.Fatalf("Retries -1 returned (%v, %v) after %d attempts, want the first attempt's error", res, err, attempts)
-	}
-}
-
-// TestFullJitterBounds checks the retry jitter stays in (0, d] and
-// actually spreads — a degenerate constant wait would put simultaneous
-// tile failures right back in lockstep.
-func TestFullJitterBounds(t *testing.T) {
-	if got := fullJitter(0); got != 0 {
-		t.Fatalf("fullJitter(0) = %s, want 0", got)
-	}
-	if got := fullJitter(-time.Second); got != 0 {
-		t.Fatalf("fullJitter(-1s) = %s, want 0", got)
-	}
-	const d = 80 * time.Millisecond
-	lo, hi := d, time.Duration(0)
-	for i := 0; i < 2000; i++ {
-		w := fullJitter(d)
-		if w <= 0 || w > d {
-			t.Fatalf("fullJitter(%s) = %s, want a wait in (0, %s]", d, w, d)
+	for i, v := range ref.MaskGray.Data {
+		if res.MaskGray.Data[i] != v {
+			t.Fatal("a run through a runner differs from the default in-process run")
 		}
-		if w < lo {
-			lo = w
-		}
-		if w > hi {
-			hi = w
-		}
-	}
-	if hi-lo < d/4 {
-		t.Fatalf("2000 draws spanned only [%s, %s]; the jitter is not spreading", lo, hi)
 	}
 }
 

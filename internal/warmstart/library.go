@@ -20,18 +20,9 @@ import (
 // libVersion is folded into every family digest and entry frame. Bump it
 // whenever the signature definition, distance inputs, or entry encoding
 // change, so stale libraries miss instead of seeding from incompatible
-// descriptors. 2: the family digest is the full ilt.Bits stream (gains
-// ObjTol).
-const libVersion = 2
-
-// DefaultObjTol is the plateau tolerance attached to a window's optimizer
-// config when — and only when — a seed is attached and the config names
-// none: any measurable proxy-objective improvement resets the plateau, so
-// a seeded run only stops early once the descent has literally nothing
-// left to gain — early exit can cut iterations but never the best-iterate
-// score. Misses and disabled libraries never touch the config, keeping
-// those runs bit-identical to unseeded ones.
-const DefaultObjTol = 1e-6
+// descriptors. 2: the family digest is the full ilt.Bits stream. 3: that
+// stream lost the plateau tolerance (a seeded run's is ilt's constant).
+const libVersion = 3
 
 // Family partitions the library by everything that determines a
 // converged mask's bits apart from the window geometry itself: imaging,
@@ -302,8 +293,10 @@ type Attempt struct {
 // seeded) optimizer configuration plus the attempt to finish with the
 // window's result. A nil library, empty window, or descriptor-sized
 // mismatch returns cfg untouched and a nil attempt; so does a miss —
-// only an actual hit modifies the config (seed plus plateau tolerance),
-// keeping empty-library runs bit-identical to disabled ones.
+// only an actual hit modifies the config (it attaches the seed), keeping
+// empty-library runs bit-identical to disabled ones. The scheduler never
+// hands a runner an empty window; the guards stay because Prepare is
+// exported.
 //
 // epoch is the value of Epoch() captured once per run; see Epoch.
 func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, windowPx int, pixelNM float64, layout *geom.Layout) (ilt.Config, *Attempt) {
@@ -332,9 +325,6 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 			l.stats.Hits++
 			l.mu.Unlock()
 			cfg.SeedMask = seed
-			if cfg.ObjTol == 0 {
-				cfg.ObjTol = DefaultObjTol
-			}
 			att.SeedKey = e.key
 			att.Dist = dist
 		}

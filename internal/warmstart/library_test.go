@@ -171,9 +171,6 @@ func TestHarvestRetrieveRoundTrip(t *testing.T) {
 	if runCfg.SeedMask == nil {
 		t.Fatal("hit did not attach a seed")
 	}
-	if runCfg.ObjTol != DefaultObjTol {
-		t.Fatalf("hit attached ObjTol %g, want default %g", runCfg.ObjTol, DefaultObjTol)
-	}
 	want := Translate(mask, 64/testPixelNM, 8/testPixelNM)
 	if !runCfg.SeedMask.Equal(want, 0) {
 		t.Fatal("retrieved seed is not the stored mask translated into the new frame")

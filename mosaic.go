@@ -295,9 +295,10 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 // decomposed into halo-padded core tiles that are optimized concurrently
 // and stitched into one mask (see internal/tile). Every option applies to
 // every run — a layout that fits the simulation grid is a one-window plan
-// and is scheduled, retried, cached, seeded, dispatched and anchored like
-// any tile. A negative TileNM, HaloNM, Workers or Retries is a
-// *ConfigError (see Admit); zero is each one's default.
+// and is scheduled, cached, seeded, dispatched and anchored like any tile.
+// A window runs once: the first tile error fails the run. A negative
+// TileNM, HaloNM or Workers is a *ConfigError (see Admit); zero is each
+// one's default.
 type TileOptions struct {
 	// TileNM is the core tile pitch in nm. 0 derives it from the setup:
 	// GridSize * PixelNM (one grid's worth of layout per tile).
@@ -318,15 +319,11 @@ type TileOptions struct {
 	Workers int
 	// OnTile, when non-nil, observes tile completions (for progress).
 	OnTile func(done, total int)
-	// Retries is the number of extra attempts a failed tile gets before
-	// its error fails the run, each after a jittered wait that starts at
-	// up to 100 ms and doubles; 0 fails fast.
-	Retries int
 	// Runner, when non-nil, executes tiles in place of the in-process
 	// optimizer — e.g. a cluster.Coordinator dispatching to a worker
-	// fleet. Scheduling, retries, and stitching are unchanged, so any
-	// Runner that reproduces tile.RunWindow's bits keeps the run
-	// bit-identical to a local one.
+	// fleet. Scheduling and stitching are unchanged, so any Runner that
+	// reproduces tile.RunWindow's bits keeps the run bit-identical to a
+	// local one. It is handed only windows that hold geometry.
 	Runner TileRunner
 	// Cache, when non-nil, serves tiles whose content address — the
 	// window's geometry in window-local coordinates plus the full
@@ -431,9 +428,9 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 
 // OptimizeLayout optimizes a layout of arbitrary extent through one
 // pipeline: the layout is decomposed into halo-padded windows, each window
-// runs under warm-start, cache and opts.Runner on the scheduler (retries,
-// compute-pool reservations), and the windows are stitched into
-// one full-layout mask. A layout that fits the setup grid (and is not
+// that holds geometry runs once under warm-start, cache and opts.Runner on
+// the scheduler (compute-pool reservations), and the windows are stitched
+// into one full-layout mask. A layout that fits the setup grid (and is not
 // explicitly sharded smaller by opts.TileNM) is a one-window plan — the
 // result is bit-identical to Optimize, and cfg's per-optimizer hooks
 // (TrackMetrics, OnIter) reach the optimizer, which across several
@@ -465,7 +462,6 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 	res, err := plan.Optimize(ctx, ws, cfg, tile.Options{
 		Workers: opts.Workers,
 		OnTile:  opts.OnTile,
-		Retries: opts.Retries,
 		Runner:  runner,
 	})
 	if err != nil {

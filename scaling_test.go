@@ -131,21 +131,6 @@ func TestOptimizeLayoutRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestOptimizeLayoutRejectsNegativeRetries pins the typed validation of
-// the retry budget; before it, TileOptions{TileNM: 256, Retries: -1}
-// crashed the process in the tile scheduler.
-func TestOptimizeLayoutRejectsNegativeRetries(t *testing.T) {
-	s, err := NewSetup(smallOptics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.OptimizeLayout(context.Background(), DefaultConfig(ModeFast), smallLayout(), TileOptions{TileNM: 256, Retries: -1})
-	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Field != "TileOptions.Retries" {
-		t.Fatalf("got %v (%T), want a *ConfigError on TileOptions.Retries", err, err)
-	}
-}
-
 // TestTileGeometryOptionsRejectNegative: a negative TileNM or HaloNM used to
 // mean "default" without a word (the untiled and λ/NA fallbacks matched
 // <= 0); both are typed errors of the gate every path that plans tiles goes

@@ -10,8 +10,10 @@
 # it must run remotely and still equal the local mask. Both daemons anchor
 # their jobs in an artifact store, and the quality side-cars the cluster
 # run leaves beside its records must be the files the local run left: same
-# names (same Merkle roots and manifests), same bytes. Needs only curl,
-# cmp, diff, and a POSIX shell.
+# names (same Merkle roots and manifests), same bytes. Last, a sharded job
+# whose geometry sits in one corner ships only that window: its three empty
+# windows are served without counting as tiles run locally. Needs only
+# curl, cmp, diff, and a POSIX shell.
 #
 # The cluster run also exercises the tracing surface: a live SSE
 # subscriber must observe per-iteration telemetry, and the assembled
@@ -34,6 +36,18 @@ SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 
 
 # The same clip untiled: one window covering the whole 1024 nm field.
 CLIP_SPEC='{"layout":"CLIP cluster-smoke 1024\nRECT 300 470 424 84\nRECT 100 100 160 90\nRECT 700 760 180 96\nRECT 680 180 110 110\nRECT 140 720 130 100\n","mode":"fast","max_iter":20}'
+
+# A 2x2 sharding whose one RECT lies within 150 nm of a corner: the other
+# three windows (which start 256 nm from it at -grid 64) hold no geometry.
+CORNER_SPEC='{"layout":"CLIP cluster-corner 1024\nRECT 40 40 90 80\n","mode":"fast","max_iter":4,"tile_nm":512}'
+
+# A window runs once: the scheduler's retry knob is gone, and the flag that
+# set it is refused (-version makes a daemon that still took it exit 0).
+for knob in retries; do
+    if "$DIR/mosaicd" "-tile-$knob" 1 -version >"$DIR/gone.log" 2>&1; then
+        die "mosaicd accepted -tile-$knob"
+    fi
+done
 
 # fetch_masks ID STEM: the job's binary mask as $DIR/STEM.pgm and its raw
 # continuous mask (one MTGF frame of float64 bits) as $DIR/STEM.gray.
@@ -191,6 +205,16 @@ grep -q '"name":"cluster.reassign"' "$TRACE_OUT" || {
     exit 1
 }
 echo "cluster-smoke: assembled trace covers all tiles under one trace ID ($TRACE_OUT)"
+
+# ---- Empty windows are routed once, by the scheduler: never shipped,
+# never counted as tiles the coordinator ran for want of a worker.
+EMPTY1=$(metric tile_empty_total); REMOTE1=$(metric cluster_tiles_remote_total); LOCAL1=$(metric cluster_tiles_local_total)
+IDE=$(submit "$CORNER_SPEC")
+wait_done "$IDE"
+EMPTY2=$(metric tile_empty_total); REMOTE2=$(metric cluster_tiles_remote_total); LOCAL2=$(metric cluster_tiles_local_total)
+[ $((EMPTY2 - EMPTY1)) -eq 3 ] && [ $((REMOTE2 - REMOTE1)) -eq 1 ] && [ "$LOCAL2" -eq "$LOCAL1" ] ||
+    die "corner job: tile_empty_total +$((EMPTY2 - EMPTY1)) (want 3), cluster_tiles_remote_total +$((REMOTE2 - REMOTE1)) (want 1), cluster_tiles_local_total +$((LOCAL2 - LOCAL1)) (want 0)"
+echo "cluster-smoke: corner job shipped its one window, served its three empty ones without running them"
 
 kill -TERM "$W2_PID" 2>/dev/null || true
 stop_daemon "$COORD_PID" "$DIR/coord.log"

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"mosaic/internal/obs"
 )
 
 // warmCfg is the shared optimizer configuration for the warm-start façade
@@ -267,5 +269,65 @@ func TestAnchoredLeavesAreTheTileProvenance(t *testing.T) {
 	rec, ok := reopened.Resolve(res.Artifact.Root)
 	if !ok || !reflect.DeepEqual(rec.Leaves, res.Artifact.Leaves) {
 		t.Fatalf("replayed leaves %+v, anchored %+v", rec, res.Artifact.Leaves)
+	}
+}
+
+// TestWarmStartRejectedSeedRunsCold: a seed the optimizer's probe rejects
+// leaves the run the cold run — no seed provenance, one fallback counted,
+// every gray pixel and the iteration count equal. The library's only entry
+// for the window is an all-open mask, which lights the whole window and so
+// probes worse than the default init, and the budget is long enough for the
+// descent to plateau: a rejected seed that still carried the seeded run's
+// plateau stop ended such a run early, on another mask.
+func TestWarmStartRejectedSeedRunsCold(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := warmCfg(20)
+	layout := smallLayout()
+	ctx := context.Background()
+	cold, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lib, err := OpenWarmStartLibrary(t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.Sim.Cfg.GridSize
+	_, att := lib.Prepare(lib.Epoch(), cfg, s.Sim, n, s.Sim.Cfg.PixelNM, layout)
+	if att == nil {
+		t.Fatal("the window was not looked up")
+	}
+	open := &Field{W: n, H: n, Data: make([]float64, n*n)}
+	for i := range open.Data {
+		open.Data[i] = 1
+	}
+	att.Finish(&Result{MaskGray: open})
+
+	fallbacks := obs.NewCounter("warmstart_fallbacks_total")
+	before, hits := fallbacks.Value(), lib.Stats().Hits
+	res, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{Workers: 1, WarmStart: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lib.Stats().Hits != hits+1 {
+		t.Fatalf("the all-open entry was not retrieved: %+v", lib.Stats())
+	}
+	if res.Provenance[0].Seed != "" {
+		t.Fatalf("rejected seed left provenance %+v", res.Provenance[0])
+	}
+	if got := fallbacks.Value() - before; got != 1 {
+		t.Fatalf("warmstart_fallbacks_total rose by %d, want 1", got)
+	}
+	if res.Iterations != cold.Iterations {
+		t.Errorf("fallback run took %d iterations, cold %d", res.Iterations, cold.Iterations)
+	}
+	for i, v := range cold.MaskGray.Data {
+		if res.MaskGray.Data[i] != v {
+			t.Fatalf("fallback run differs from the cold run at pixel %d", i)
+		}
 	}
 }
