@@ -134,3 +134,61 @@ func TestDesignEquationMapNamesCode(t *testing.T) {
 		t.Fatalf("checked %d identifiers; was the table's format changed?", checked)
 	}
 }
+
+// TestDesignLayoutListsTheTree holds the file map of DESIGN.md § 6 to the
+// tree: every path it names exists, and its cmd/{…} and internal/{…}
+// groups list exactly the directories under cmd/ and internal/.
+func TestDesignLayoutListsTheTree(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## 6. Repository layout\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## 6. Repository layout" section`)
+	}
+	_, block, ok := strings.Cut(section, "```\n")
+	if !ok {
+		t.Fatal("DESIGN.md § 6 has no code block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	block = regexp.MustCompile(`#.*`).ReplaceAllString(block, "")
+
+	// Expand each parent/{a,b,...}/ group, which may span lines, into
+	// one path per name.
+	listed := map[string]map[string]bool{}
+	var paths []string
+	group := regexp.MustCompile(`([\w.]+)/\{([^}]*)\}/?`)
+	for _, m := range group.FindAllStringSubmatch(block, -1) {
+		names := map[string]bool{}
+		for _, name := range strings.Split(m[2], ",") {
+			name = strings.TrimSpace(name)
+			names[name] = true
+			paths = append(paths, filepath.Join(m[1], name))
+		}
+		listed[m[1]] = names
+	}
+	paths = append(paths, strings.Fields(group.ReplaceAllString(block, ""))...)
+	for _, p := range paths {
+		if p == "..." {
+			continue
+		}
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("DESIGN.md § 6 lists %s, which does not exist", p)
+		}
+	}
+	for _, parent := range []string{"cmd", "internal"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() && !listed[parent][e.Name()] {
+				t.Errorf("DESIGN.md § 6 does not list %s/%s", parent, e.Name())
+			}
+		}
+	}
+	if len(listed["cmd"]) == 0 || len(listed["internal"]) == 0 {
+		t.Fatalf("found no cmd/{…} or internal/{…} group in DESIGN.md § 6: %v", listed)
+	}
+}

@@ -186,17 +186,13 @@ func encodeTileResult(index int, res *ilt.Result, spans []obs.SpanEvent) ([]byte
 	return w.Payload(), nil
 }
 
-// decodeTileResult rebuilds a tile result and its shipped spans. A
-// payload ending at the mask data (no span section) decodes with nil
-// spans, so pre-tracing peers interoperate.
+// decodeTileResult rebuilds a tile result and its shipped spans. The span
+// section is part of the layout: every peer join admits writes one.
 func decodeTileResult(payload []byte) (int, *ilt.Result, []obs.SpanEvent, error) {
 	r := frame.NewReader(payload)
 	idx := int(r.I64())
 	res := ilt.ReadResult(r)
-	var spans []obs.SpanEvent
-	if r.Len() > 0 {
-		spans = decodeSpans(r)
-	}
+	spans := decodeSpans(r)
 	if err := r.Done(); err != nil {
 		return 0, nil, nil, fmt.Errorf("cluster: decoding tile result: %w", err)
 	}

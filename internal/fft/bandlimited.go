@@ -40,17 +40,15 @@ import (
 // reference implementations; the equivalence tests pin the pruned paths to
 // them at 1e-12.
 
-// Pruned-transform counters: how often the engine skipped work versus fell
-// back to a full transform (rectangular grids take the reference path), and
-// how many grid points the pruned transforms covered (w*h per call, both
+// Pruned-transform counters: how often the engine skipped work, and how
+// many grid points the pruned transforms covered (w*h per call, both
 // directions). Callers run transforms of different sizes — the per-kernel
 // ones on the imaging grid, the resampling ones on the mask grid — so the
 // call counts alone do not measure work; the points do.
 var (
-	prunedInverse  = obs.NewCounter("fft_pruned_inverse_total")
-	prunedForward  = obs.NewCounter("fft_pruned_forward_total")
-	prunedFallback = obs.NewCounter("fft_pruned_fallback_total")
-	prunedPoints   = obs.NewCounter("fft_pruned_points_total")
+	prunedInverse = obs.NewCounter("fft_pruned_inverse_total")
+	prunedForward = obs.NewCounter("fft_pruned_forward_total")
+	prunedPoints  = obs.NewCounter("fft_pruned_points_total")
 )
 
 func checkBlock(blk *grid.CField, w, h int) int {
@@ -75,23 +73,18 @@ func checkBand(blk *grid.CField, k, w, h int) {
 // InverseBandLimited computes the normalized inverse 2-D FFT of the w x h
 // spectrum whose only nonzero entries are the central band-limited block
 // blk (indexed as produced by ExtractCenter, frequencies in [-k, k]),
-// writing the spatial-domain field into dst. dst must be w x h; its prior
+// writing the spatial-domain field into dst. The grid must be square
+// (w == h), as every imaging and mask grid is, and dst w x h; its prior
 // contents are ignored and fully overwritten. It is equivalent to
 // Inverse2D(EmbedCenter(blk, w, h)) without the embedding allocation and
 // with the all-zero row transforms skipped.
 func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
+	if w != h {
+		panic(fmt.Sprintf("fft: InverseBandLimited grid %dx%d is not square", w, h))
+	}
 	k := checkBlock(blk, w, h)
 	if dst.W != w || dst.H != h {
 		panic(fmt.Sprintf("fft: InverseBandLimited dst is %dx%d, want %dx%d", dst.W, dst.H, w, h))
-	}
-	if w != h {
-		// Rectangular grids cannot reuse the in-place square transpose;
-		// they are rare (masks are square), so take the reference path.
-		prunedFallback.Inc()
-		dst.Zero()
-		embedInto(dst, blk, k)
-		Inverse2D(dst)
-		return
 	}
 	prunedInverse.Inc()
 	prunedPoints.Add(int64(w * h))
@@ -145,17 +138,6 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	}
 	chunked(n*n, n, pass)
 	transposeSquare(dst)
-}
-
-// embedInto writes blk into the centered low-frequency positions of the
-// zeroed spectrum dst (the in-place form of EmbedCenter).
-func embedInto(dst *grid.CField, blk *grid.CField, k int) {
-	for dy := -k; dy <= k; dy++ {
-		sy := (dy + dst.H) % dst.H
-		for dx := -k; dx <= k; dx++ {
-			dst.Set((dx+dst.W)%dst.W, sy, blk.At(dx+k, dy+k))
-		}
-	}
 }
 
 // ForwardBandLimited computes the central band-limited block (half-width

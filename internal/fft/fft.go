@@ -251,12 +251,12 @@ func Inverse(x []complex128) {
 	}
 }
 
-// Forward2D computes the in-place 2-D forward FFT of c. Both dimensions
-// must be powers of two.
+// Forward2D computes the in-place 2-D forward FFT of c, which must be
+// square with a power-of-two side.
 func Forward2D(c *grid.CField) { transform2D(c, false) }
 
 // Inverse2D computes the in-place 2-D inverse FFT of c, including the
-// 1/(W*H) normalization.
+// 1/(W*H) normalization. c must be square with a power-of-two side.
 func Inverse2D(c *grid.CField) {
 	transform2D(c, true)
 	inv := complex(1/float64(c.W*c.H), 0)
@@ -292,44 +292,27 @@ func chunked(elems, n int, pass func(lo, hi int)) {
 	par.For(chunks, func(c int) { pass(c*n/chunks, (c+1)*n/chunks) })
 }
 
+// transform2D runs the rows, transposes, runs the rows again and transposes
+// back, so both passes stream memory sequentially instead of striding down
+// columns.
 func transform2D(c *grid.CField, inverse bool) {
+	if c.W != c.H {
+		panic(fmt.Sprintf("fft: 2-D transform of a %dx%d field, want a square", c.W, c.H))
+	}
 	tf2dTotal.Inc()
 	tf2dPoints.Add(int64(c.W * c.H))
-	pw := getPlan(c.W)
-	ph := getPlan(c.H)
-	rows := func(p *plan) {
+	p := getPlan(c.W)
+	rows := func() {
 		chunked(c.W*c.H, c.H, func(lo, hi int) {
 			for y := lo; y < hi; y++ {
 				transform(c.Row(y), p, inverse)
 			}
 		})
 	}
-	rows(pw)
-	if c.W == c.H {
-		// Square grids (the common case): transpose, FFT rows again,
-		// transpose back. Both passes then stream memory sequentially,
-		// which is substantially faster than strided column access.
-		transposeSquare(c)
-		rows(ph) // pw == ph on a square grid
-		transposeSquare(c)
-		return
-	}
-	// Rectangular fallback: columns via a pooled scratch buffer (one per
-	// worker chunk).
-	chunked(c.W*c.H, c.W, func(lo, hi int) {
-		scratch := grid.GetC(c.H, 1)
-		col := scratch.Data
-		for x := lo; x < hi; x++ {
-			for y := 0; y < c.H; y++ {
-				col[y] = c.Data[y*c.W+x]
-			}
-			transform(col, ph, inverse)
-			for y := 0; y < c.H; y++ {
-				c.Data[y*c.W+x] = col[y]
-			}
-		}
-		grid.PutC(scratch)
-	})
+	rows()
+	transposeSquare(c)
+	rows()
+	transposeSquare(c)
 }
 
 // transposeSquare transposes a square field in place with cache blocking.

@@ -185,7 +185,6 @@ func benchSimAt(t *testing.T, n int) *sim.Simulator {
 func TestFFTBudgetPerIteration(t *testing.T) {
 	inverse := obs.NewCounter("fft_pruned_inverse_total")
 	forward := obs.NewCounter("fft_pruned_forward_total")
-	fallback := obs.NewCounter("fft_pruned_fallback_total")
 	points := obs.NewCounter("fft_pruned_points_total")
 	layout, err := bench.Layout("B1")
 	if err != nil {
@@ -219,7 +218,7 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if _, err := o.buildModels(); err != nil {
 			t.Fatal(err)
 		}
-		inv0, fwd0, fb0, pts0, it0 := inverse.Value(), forward.Value(), fallback.Value(), points.Value(), iterations.Value()
+		inv0, fwd0, pts0, it0 := inverse.Value(), forward.Value(), points.Value(), iterations.Value()
 		if _, err := o.Run(layout); err != nil {
 			t.Fatal(err)
 		}
@@ -236,9 +235,6 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		wantPts := 2*tc.d*(tc.g+1)*nc*nc + 2*(tc.d+1)*n*n
 		if got := points.Value() - pts0; got != wantPts*iters {
 			t.Errorf("%s: %d pruned-transform points over %d iterations, want %d per iteration", tc.name, got, iters, wantPts)
-		}
-		if got := fallback.Value() - fb0; got != 0 {
-			t.Errorf("%s: %d pruned-transform fallbacks, want 0", tc.name, got)
 		}
 	}
 }

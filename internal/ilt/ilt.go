@@ -21,7 +21,9 @@
 // pixel variables P. Gradients are computed in closed form (Eq. 14-17)
 // using the combined-kernel convolution of Eq. 21 when Config.GradKernels
 // is 0, or the top Config.GradKernels kernels of the SOCS stack otherwise
-// (8 for MOSAIC_fast, the whole stack for MOSAIC_exact).
+// (8 for MOSAIC_fast, the whole stack for MOSAIC_exact). The best iterate
+// (Alg. 1 line 9) is ranked on the same stack's images: the proxy
+// violation count and band of IterStats, not Eq. 21 unless GradKernels is 0.
 package ilt
 
 import (
@@ -179,8 +181,10 @@ type IterStats struct {
 	FPvb      float64 // F_pvb (unweighted)
 	GradRMS   float64
 
-	// Cheap estimates of the true Eq. 7 objective from the combined-kernel
-	// corner images, available every iteration. Alg. 1 line 9 keeps the
+	// Cheap estimates of the true Eq. 7 objective from the corner images
+	// the descent itself computes — through GradKernels SOCS kernels (8 in
+	// MOSAIC_fast, all in MOSAIC_exact; the Eq. 21 combined kernel only at
+	// GradKernels 0) — available every iteration. Alg. 1 line 9 keeps the
 	// iterate with the lowest objective *value* — the violation count and
 	// band, not their differentiable relaxations — so best-iterate
 	// selection uses ProxyScore.

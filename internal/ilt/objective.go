@@ -337,11 +337,12 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 	return f, weights
 }
 
-// proxyMetrics estimates the true Eq. 7 quantities from the iteration's
-// combined-kernel intensities: EPE violations measured on the nominal
-// aerial image and the PV-band area from hard prints at every corner.
-// These track the full-SOCS contest metrics closely at a tiny fraction of
-// their cost, and drive best-iterate selection (Alg. 1 line 9).
+// proxyMetrics estimates the true Eq. 7 quantities from the intensities
+// evalState imaged through the descent's own kernel stack (GradKernels
+// SOCS kernels; Eq. 21 only at GradKernels 0): EPE violations measured on
+// the nominal aerial image and the PV-band area from hard prints at every
+// corner. They cost no extra transform, and drive best-iterate selection
+// (Alg. 1 line 9).
 func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int, pvbNM2 float64) {
 	px := o.Sim.Cfg.PixelNM
 	mp := o.metricParams()
