@@ -29,21 +29,21 @@ import (
 
 // pipelineFlags are the flags only the MOSAIC pipeline reads. A -method
 // baseline is one whole-clip pass that prints its scores — no mode, no
-// tiles, no stores, no span tree, no output files — and would silently
+// tiles, no stores, no output files — and would silently
 // ignore them.
 var pipelineFlags = []string{
-	"mode", "iter", "converge", "tile-nm", "halo-nm", "tile-workers", "trace-perfetto",
+	"mode", "iter", "converge", "tile-nm", "halo-nm", "tile-workers",
 	"cache-dir", "cache-mem", "warm-lib", "warm-max-dist", "warm-harvest", "artifact-dir", "out",
 }
 
 // options is every mosaic flag destination.
 type options struct {
-	testcase, layoutPath, mode, method, out, tracePerfetto string
-	grid, iter, tileWorkers                                int
-	tileNM, haloNM                                         float64
-	converge                                               bool
-	stores                                                 *cli.StoreFlags
-	obs                                                    *cli.ObsFlags
+	testcase, layoutPath, mode, method, out string
+	grid, iter, tileWorkers                 int
+	tileNM, haloNM                          float64
+	converge                                bool
+	stores                                  *cli.StoreFlags
+	obs                                     *cli.ObsFlags
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
@@ -59,7 +59,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.haloNM, "halo-nm", 0, "minimum optical halo around each tile core in nm (0 = lambda/NA)")
 	fs.IntVar(&o.tileWorkers, "tile-workers", 0, "core-reservation hint: concurrent tile optimizations, bounded by the compute pool (0 = pool capacity)")
 	fs.StringVar(&o.out, "out", "mosaic-out", "output directory")
-	fs.StringVar(&o.tracePerfetto, "trace-perfetto", "", "write the run's span tree as Perfetto trace_event JSON to this file")
 	o.stores = cli.AddStoreFlags(fs, 0) // memory tier off unless asked for: one-shot runs mostly benefit via -cache-dir
 	o.obs = cli.AddObsFlags(fs)
 	return o
@@ -175,15 +174,7 @@ func main() {
 			"elapsed", time.Since(runStart).Round(time.Millisecond))
 	}
 
-	// With -trace-perfetto the whole run is collected as one correlated
-	// span tree and exported for ui.perfetto.dev.
 	ctx := context.Background()
-	var traceBuf *mosaic.TraceBuffer
-	if o.tracePerfetto != "" {
-		traceBuf = mosaic.NewTraceBuffer(0)
-		ctx = mosaic.WithTraceBuffer(ctx, traceBuf)
-	}
-
 	res, err := setup.OptimizeLayout(ctx, optCfg, layout, topts)
 	if err != nil {
 		log.Fatal(err)
@@ -194,12 +185,6 @@ func main() {
 	}
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		log.Fatal(err)
-	}
-	if traceBuf != nil {
-		if err := os.WriteFile(o.tracePerfetto, mosaic.PerfettoTrace("mosaic", traceBuf.Events()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("perfetto trace (%d events, %d dropped) written to %s\n", traceBuf.Len(), traceBuf.Dropped(), o.tracePerfetto)
 	}
 	must := func(err error) {
 		if err != nil {

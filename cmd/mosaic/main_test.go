@@ -65,7 +65,6 @@ func TestCheckFlags(t *testing.T) {
 		{"baseline with -converge", []string{"-method", "modelbased", "-converge"}, "converge"},
 		{"baseline with -halo-nm", []string{"-method", "modelbased", "-halo-nm", "160"}, "halo-nm"},
 		{"baseline with -tile-workers", []string{"-method", "modelbased", "-tile-workers", "2"}, "tile-workers"},
-		{"baseline with -trace-perfetto", []string{"-method", "plainilt", "-trace-perfetto", "t.json"}, "trace-perfetto"},
 		{"baseline with -out", []string{"-method", "plainilt", "-out", "o"}, "out"},
 	} {
 		wantField(t, tc.name, admitArgs(t, append([]string{"-testcase", "B1"}, tc.args...)...), tc.field)

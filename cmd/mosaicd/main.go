@@ -39,7 +39,7 @@
 //	POST /v1/cluster/leave       graceful worker exit (coordinator)
 //	GET  /v1/cluster/workers     fleet listing (coordinator)
 //	POST /v1/cluster/tile        binary tile job frame (worker)
-//	GET  /healthz, /metrics, /debug/pprof/...
+//	GET  /healthz, /metrics, /debug/pprof/...   (coordinator and worker)
 package main
 
 import (
@@ -57,6 +57,7 @@ import (
 
 	"mosaic"
 	"mosaic/internal/cluster"
+	"mosaic/internal/obs"
 	"mosaic/internal/serve"
 )
 
@@ -172,13 +173,7 @@ func runWorker(addr, join, advertise string, capacity int, drainTimeout time.Dur
 	// Name the worker by its advertised URL so spans it ships back are
 	// attributed to a recognizable process lane in assembled traces.
 	wk := cluster.NewWorker(cluster.WorkerConfig{Capacity: capacity, Name: advertise})
-	mux := http.NewServeMux()
-	mux.Handle("/v1/cluster/", wk.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"status":"ok"}` + "\n"))
-	})
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: workerHandler(wk)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -214,6 +209,22 @@ func runWorker(addr, join, advertise string, capacity int, drainTimeout time.Dur
 		log.Printf("http shutdown: %v", err)
 	}
 	log.Print("worker drained")
+}
+
+// workerHandler is a worker's mux: the tile endpoint, /healthz, and the
+// obs debug surface — /metrics, where the cluster_worker_* counters are
+// read, and /debug/pprof/ — as on the coordinator's API port.
+func workerHandler(wk *cluster.Worker) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/cluster/", wk.Handler())
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"status":"ok"}` + "\n"))
+	})
+	debug := obs.DebugHandler()
+	mux.Handle("/debug/", debug)
+	mux.Handle("/metrics", debug)
+	return mux
 }
 
 // deriveAdvertise turns the bound listener address into a dialable base

@@ -1,7 +1,9 @@
 package cli
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"log/slog"
@@ -58,7 +60,7 @@ func TestObsFlagsDefaults(t *testing.T) {
 }
 
 func TestObsFlagsSetup(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	trace := filepath.Join(t.TempDir(), "trace.json")
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := AddObsFlags(fs)
 	if err := fs.Parse([]string{"-v", "-pprof", "127.0.0.1:0", "-trace", trace}); err != nil {
@@ -89,8 +91,43 @@ func TestObsFlagsSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"name":"optics.build_kernels"`) {
+	var evs []struct{ Name, Ph string }
+	if err := json.Unmarshal(data, &evs); err != nil {
+		t.Fatalf("trace file is not a JSON array: %v\n%s", err, data)
+	}
+	found := false
+	for _, ev := range evs {
+		found = found || ev.Name == "optics.build_kernels" && ev.Ph == "X"
+	}
+	if !found {
 		t.Fatalf("trace file missing span event:\n%s", data)
+	}
+}
+
+// TestTraceOnAFullDiskWarns: a -trace file the disk could not hold is cut
+// short, and the cleanup says so at warn instead of passing it off as a
+// whole trace.
+func TestTraceOnAFullDiskWarns(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var logged bytes.Buffer
+	obs.SetLogger(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer obs.SetLogger(nil)
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	f := AddObsFlags(fs)
+	if err := fs.Parse([]string{"-log-level", "warn", "-trace", "/dev/full"}); err != nil {
+		t.Fatal(err)
+	}
+	cleanup, err := f.Setup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sp := obs.StartSpan(context.Background(), obs.OpticsBuildKernels)
+	sp.End()
+	cleanup()
+	if out := logged.String(); !strings.Contains(out, "level=WARN") || !strings.Contains(out, "/dev/full") {
+		t.Errorf("cleanup of a trace that could not be written logged %q, want a warning naming the file", out)
 	}
 }
 

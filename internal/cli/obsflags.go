@@ -14,8 +14,8 @@ import (
 //
 //	-v                 shorthand for -log-level debug
 //	-log-level LEVEL   debug, info, warn or error (default info)
-//	-pprof ADDR        serve net/http/pprof, /metrics and /debug/vars
-//	-trace FILE        write a JSONL span trace
+//	-pprof ADDR        serve net/http/pprof and /metrics
+//	-trace FILE        write every span and instant as Perfetto trace_event JSON
 //	-version           print build info and exit
 //
 // Register with AddObsFlags before flag.Parse, then call Setup once after
@@ -38,8 +38,8 @@ func AddObsFlags(fs *flag.FlagSet) *ObsFlags {
 	f := &ObsFlags{}
 	fs.BoolVar(&f.Verbose, "v", false, "verbose logging (shorthand for -log-level debug)")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn, error")
-	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof, /metrics and /debug/vars on this address (e.g. :6060)")
-	fs.StringVar(&f.Trace, "trace", "", "write a JSONL span trace to this file")
+	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
+	fs.StringVar(&f.Trace, "trace", "", "write every span and instant to this file as Perfetto trace_event JSON")
 	fs.BoolVar(&f.Version, "version", false, "print version and build info, then exit")
 	return f
 }
@@ -62,7 +62,8 @@ func ParseLogLevel(s string) (slog.Level, error) {
 
 // Setup applies the parsed flags: sets the process log level, starts the
 // debug HTTP server, and opens the trace file. The returned cleanup stops
-// tracing (flushing the file) and must be deferred by the caller.
+// tracing (closing the file's JSON array) and must be deferred by the
+// caller; a trace the sink failed to write is logged at warn.
 func (f *ObsFlags) Setup() (cleanup func(), err error) {
 	if f.Version {
 		fmt.Println(obs.ReadBuild())
@@ -83,7 +84,7 @@ func (f *ObsFlags) Setup() (cleanup func(), err error) {
 		}
 		f.Addr = addr
 		obs.Logger().Info("debug server listening",
-			"addr", addr, "endpoints", "/debug/pprof/ /debug/vars /metrics")
+			"addr", addr, "endpoints", "/debug/pprof/ /metrics")
 	}
 	if f.Trace != "" {
 		file, err := os.Create(f.Trace)
@@ -93,5 +94,9 @@ func (f *ObsFlags) Setup() (cleanup func(), err error) {
 		obs.StartTrace(file)
 		obs.Logger().Info("span trace enabled", "file", f.Trace)
 	}
-	return func() { obs.StopTrace() }, nil
+	return func() {
+		if err := obs.StopTrace(); err != nil {
+			obs.Logger().Warn("trace file is incomplete", "file", f.Trace, "err", err)
+		}
+	}, nil
 }

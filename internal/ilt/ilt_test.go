@@ -233,21 +233,20 @@ func TestIterationSpanExcludesDiagnostics(t *testing.T) {
 	}
 	type stamp struct{ ts, dur int64 }
 	var iters, diags []stamp
-	dec := json.NewDecoder(&trace)
-	for dec.More() {
-		var ev struct {
-			Name  string `json:"name"`
-			TS    int64  `json:"ts_us"`
-			DurUS int64  `json:"dur_us"`
-		}
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
+	var evs []struct {
+		Name string `json:"name"`
+		TS   int64  `json:"ts"`
+		Dur  int64  `json:"dur"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
 		switch ev.Name {
 		case "ilt.iteration":
-			iters = append(iters, stamp{ev.TS, ev.DurUS})
+			iters = append(iters, stamp{ev.TS, ev.Dur})
 		case "ilt.track_metrics":
-			diags = append(diags, stamp{ev.TS, ev.DurUS})
+			diags = append(diags, stamp{ev.TS, ev.Dur})
 		}
 	}
 	if len(iters) != 4 || len(diags) != 4 {

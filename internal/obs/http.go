@@ -1,15 +1,13 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
 )
 
 // DebugHandler returns the debug mux served by ServeDebug: live profiling
-// under /debug/pprof/, the expvar JSON dump at /debug/vars, and the
-// Prometheus text dump at /metrics.
+// under /debug/pprof/ and the Prometheus text dump at /metrics.
 func DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -17,7 +15,6 @@ func DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteMetrics(w)

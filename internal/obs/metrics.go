@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -17,12 +16,11 @@ import (
 // registered as one kind cannot be re-registered as another.
 var (
 	regMu sync.Mutex
-	reg   = map[string]expvar.Var{}
+	reg   = map[string]any{}
 )
 
-// register returns the existing metric for name or creates one with mk,
-// publishing new metrics to expvar as a side effect.
-func register[T expvar.Var](name string, mk func() T) T {
+// register returns the existing metric for name or creates one with mk.
+func register[T any](name string, mk func() T) T {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if v, ok := reg[name]; ok {
@@ -34,7 +32,6 @@ func register[T expvar.Var](name string, mk func() T) T {
 	}
 	t := mk()
 	reg[name] = t
-	expvar.Publish(name, t)
 	return t
 }
 
@@ -56,9 +53,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// String implements expvar.Var.
-func (c *Counter) String() string { return strconv.FormatInt(c.v.Load(), 10) }
-
 // Gauge is an atomic float64 that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
 
@@ -73,9 +67,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// String implements expvar.Var.
-func (g *Gauge) String() string { return strconv.FormatFloat(g.Value(), 'g', -1, 64) }
 
 // Info is a constant gauge of value 1 whose labels carry the payload — the
 // Prometheus idiom for build/runtime metadata (e.g. mosaic_build_info).
@@ -93,9 +84,9 @@ func NewInfo(name string, labels map[string]string) *Info {
 	})
 }
 
-// render walks the label set in key order and joins the pairs, each
-// printed with pair, inside braces.
-func (i *Info) render(pair string) string {
+// labelString renders the label set in Prometheus {k="v",...} form, in
+// key order.
+func (i *Info) labelString() string {
 	keys := make([]string, 0, len(i.labels))
 	for k := range i.labels {
 		keys = append(keys, k)
@@ -107,17 +98,11 @@ func (i *Info) render(pair string) string {
 		if j > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, pair, k, i.labels[k])
+		fmt.Fprintf(&sb, "%s=%q", k, i.labels[k])
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
-
-// labelString renders the label set in Prometheus {k="v",...} form.
-func (i *Info) labelString() string { return i.render("%s=%q") }
-
-// String implements expvar.Var with a JSON object of the labels.
-func (i *Info) String() string { return i.render("%q:%q") }
 
 // Histogram counts observations into fixed buckets with inclusive upper
 // bounds (Prometheus "le" semantics); an implicit +Inf bucket catches the
@@ -182,32 +167,13 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	return bounds, counts
 }
 
-// String implements expvar.Var with a JSON summary.
-func (h *Histogram) String() string {
-	var sb strings.Builder
-	bounds, counts := h.Buckets()
-	fmt.Fprintf(&sb, `{"count":%d,"sum":%g,"buckets":{`, h.Count(), h.Sum())
-	for i, c := range counts {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		le := "+Inf"
-		if i < len(bounds) {
-			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-		}
-		fmt.Fprintf(&sb, `"%s":%d`, le, c)
-	}
-	sb.WriteString("}}")
-	return sb.String()
-}
-
 // WriteMetrics dumps every registered metric in Prometheus text format,
 // sorted by name. Histograms emit cumulative _bucket series plus _sum and
 // _count.
 func WriteMetrics(w io.Writer) error {
 	regMu.Lock()
 	names := make([]string, 0, len(reg))
-	vars := make(map[string]expvar.Var, len(reg))
+	vars := make(map[string]any, len(reg))
 	for n, v := range reg {
 		names = append(names, n)
 		vars[n] = v
@@ -240,8 +206,6 @@ func WriteMetrics(w io.Writer) error {
 				}
 			}
 			_, err = fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", n, v.Sum(), n, v.Count())
-		default:
-			_, err = fmt.Fprintf(w, "%s %s\n", n, v.String())
 		}
 		if err != nil {
 			return err

@@ -1,8 +1,9 @@
 // Package obs is the observability backbone of the pipeline: a
 // process-wide metrics registry (atomic counters, gauges and fixed-bucket
-// histograms) exposed through expvar and a Prometheus-style text dump,
-// lightweight span timing that feeds the histograms and can emit a JSONL
-// trace file, and a leveled log/slog logger shared by every layer.
+// histograms) exposed as a Prometheus text dump, lightweight span timing
+// that feeds the histograms and can stream a Perfetto trace_event file —
+// the encoding a job's GET /v1/jobs/{id}/trace serves — and a leveled
+// log/slog logger shared by every layer.
 //
 // Everything is stdlib-only and safe for concurrent use. The hot layers
 // (optics, fft, sim, ilt) record into package-level metrics; the cost of a

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -45,9 +45,6 @@ func TestGauge(t *testing.T) {
 	g.Set(3.5)
 	if g.Value() != 3.5 {
 		t.Fatalf("gauge = %g", g.Value())
-	}
-	if g.String() != "3.5" {
-		t.Fatalf("gauge String = %q", g.String())
 	}
 }
 
@@ -152,22 +149,24 @@ func TestSpanFeedsHistogram(t *testing.T) {
 	}
 }
 
-// traceLines decodes a JSONL trace into one map per line.
-func traceLines(t *testing.T, data []byte) []map[string]any {
+// traceEvents decodes a closed trace file — a Perfetto trace_event JSON
+// array — into its span and instant events, the lane records left out.
+func traceEvents(t *testing.T, data []byte) []map[string]any {
 	t.Helper()
-	var lines []map[string]any
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, m)
+	var all []map[string]any
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatalf("trace is not a JSON array: %v\n%s", err, data)
 	}
-	return lines
+	var evs []map[string]any
+	for _, ev := range all {
+		if ev["ph"] != "M" {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
 }
 
-func TestTraceJSONLRoundTrip(t *testing.T) {
+func TestTraceFileRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	StartTrace(&buf)
 	_, sp := StartSpan(context.Background(), OpticsBuildKernels)
@@ -182,43 +181,76 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	_, sp = StartSpan(context.Background(), IltRun)
 	sp.End()
 
-	events := traceLines(t, buf.Bytes())
+	events := traceEvents(t, buf.Bytes())
 	if len(events) != 2 {
 		t.Fatalf("got %d trace events, want 2: %+v", len(events), events)
 	}
 	if events[0]["name"] != "optics.build_kernels" || events[1]["name"] != "ilt.iteration" {
 		t.Fatalf("event names: %+v", events)
 	}
-	if events[0]["dur_us"].(float64) < 1000 {
-		t.Fatalf("first span duration %v µs, want >= 1000", events[0]["dur_us"])
+	if events[0]["dur"].(float64) < 1000 {
+		t.Fatalf("first span duration %v µs, want >= 1000", events[0]["dur"])
 	}
 	for _, ev := range events {
-		if ev["ts_us"].(float64) <= 0 {
-			t.Fatalf("event %q has non-positive start %v", ev["name"], ev["ts_us"])
+		if ev["ts"].(float64) <= 0 || ev["ph"] != "X" {
+			t.Fatalf("event %q: start %v, phase %v", ev["name"], ev["ts"], ev["ph"])
 		}
 	}
 }
 
-// TestTraceLineGolden pins the -trace line: the field names, their order
-// and which are omitted when empty are what offline tooling parses.
+// TestTraceLineGolden pins the one encoding a -trace file and a job's
+// GET /v1/jobs/{id}/trace share: the array brackets on lines of their own,
+// the process lane declared where it first appears, then one event a line.
 func TestTraceLineGolden(t *testing.T) {
 	start := time.UnixMicro(1_700_000_000_000_123)
-	for _, c := range []struct {
-		ev   SpanEvent
-		want string
-	}{
-		{SpanEvent{Name: "tile.optimize", TraceID: "t1", SpanID: "s2", ParentID: "s1", Start: start,
-			Dur: 1500 * time.Microsecond, Attrs: []Attr{Int("tile", 2), String("tile.cache", "miss")}},
-			`{"name":"tile.optimize","ts_us":1700000000000123,"dur_us":1500,"trace_id":"t1","span_id":"s2","parent_id":"s1","ph":"span","attrs":{"tile":2,"tile.cache":"miss"}}`},
-		{SpanEvent{Name: "ilt.iter", TraceID: "t1", ParentID: "s2", Start: start, Instant: true,
-			Attrs: []Attr{Float("objective", 0.25)}},
-			`{"name":"ilt.iter","ts_us":1700000000000123,"dur_us":0,"trace_id":"t1","parent_id":"s2","ph":"instant","attrs":{"objective":0.25}}`},
-		{SpanEvent{Name: "ilt.iteration", Start: start, Dur: 4 * time.Millisecond},
-			`{"name":"ilt.iteration","ts_us":1700000000000123,"dur_us":4000,"ph":"span"}`},
-	} {
-		if got, _ := json.Marshal(c.ev); string(got) != c.want {
-			t.Errorf("trace line\n got %s\nwant %s", got, c.want)
-		}
+	var out bytes.Buffer
+	p := newPerfettoWriter(&out, "mosaic")
+	p.event(SpanEvent{Name: "tile.optimize", TraceID: "t1", SpanID: "s2", ParentID: "s1", Start: start,
+		Dur: 1500 * time.Microsecond, Attrs: []Attr{Int("tile", 2), String("tile.cache", "miss")}})
+	p.event(SpanEvent{Name: "ilt.iter", TraceID: "t1", ParentID: "s2", Start: start, Instant: true,
+		Attrs: []Attr{Float("objective", 0.25)}})
+	if err := p.close(); err != nil {
+		t.Fatal(err)
+	}
+	want := `[
+{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"mosaic"}},
+{"name":"tile.optimize","ph":"X","ts":1700000000000123,"dur":1500,"pid":1,"tid":3,"args":{"parent_id":"s1","span_id":"s2","tile":2,"tile.cache":"miss","trace_id":"t1"}},
+{"name":"ilt.iter","ph":"i","ts":1700000000000123,"pid":1,"tid":0,"s":"t","args":{"objective":0.25,"parent_id":"s2","trace_id":"t1"}}
+]
+`
+	if out.String() != want {
+		t.Errorf("trace\n got %s\nwant %s", out.String(), want)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write: a disk that fills up.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		w := f.n
+		f.n = 0
+		return w, errors.New("no space left on device")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestTraceWriteErrorIsReturned: a trace sink that stops taking bytes is
+// not a whole trace; StopTrace says so with the sink's first error.
+func TestTraceWriteErrorIsReturned(t *testing.T) {
+	StartTrace(&failAfter{n: 100})
+	for i := 0; i < 4; i++ {
+		_, sp := StartSpan(context.Background(), IltIteration)
+		sp.End()
+	}
+	if err := StopTrace(); err == nil || !strings.Contains(err.Error(), "no space") {
+		t.Errorf("StopTrace after a failed write returned %v, want the write error", err)
+	}
+	// A trace whose sink took every byte closes cleanly.
+	StartTrace(io.Discard)
+	if err := StopTrace(); err != nil {
+		t.Errorf("StopTrace of a whole trace: %v", err)
 	}
 }
 
@@ -283,13 +315,6 @@ func TestServeDebugEndpoints(t *testing.T) {
 	}
 	if body := get("/metrics"); !strings.Contains(body, "test_http_total 1") {
 		t.Fatalf("/metrics missing counter:\n%s", body)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["test_http_total"]; !ok {
-		t.Fatal("/debug/vars missing published metric")
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Fatal("/debug/pprof/ index missing profiles")

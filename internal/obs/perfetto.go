@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
-	"sort"
+	"io"
 )
 
 // perfettoEvent is one entry of a Chrome/Perfetto trace_event JSON array.
@@ -18,108 +19,119 @@ type perfettoEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-type perfettoTrace struct {
-	TraceEvents []perfettoEvent `json:"traceEvents"`
-	DisplayUnit string          `json:"displayTimeUnit"`
+// perfettoWriter streams span events as the JSON array form of Chrome
+// trace_event, loadable in ui.perfetto.dev or chrome://tracing: "[" first,
+// then one event a line, each in one Write, and "]" at close — so a file
+// whose process died before the close still loads. Events are grouped
+// into one "process" lane per originating OS process — the event's "proc"
+// attribute, or the writer's local process (always pid 1) for events that
+// carry none — declared by an "M" record where the lane first appears, and
+// into one "thread" lane per tile (the "tile" attribute, tid tile+1;
+// tileless events on tid 0). Correlation IDs and the other attributes
+// become args, so traces stay greppable.
+type perfettoWriter struct {
+	w     io.Writer
+	local string
+	pids  map[string]int // declared lanes
+	next  int            // the last pid handed out
+	sep   string         // what goes before the next line
+	err   error          // the first write error; nothing is written after it
 }
 
-// PerfettoTrace renders span events as Chrome trace_event JSON loadable in
-// ui.perfetto.dev or chrome://tracing. Events are grouped into one Perfetto
-// "process" lane per originating OS process — identified by each event's
-// "proc" attribute, with localProc naming events that carry none — and
-// into one "thread" lane per tile (the "tile" attribute), with tileless
-// events on tid 0. Correlation IDs and remaining attributes become event
-// args so traces stay greppable after export.
+func newPerfettoWriter(w io.Writer, local string) *perfettoWriter {
+	p := &perfettoWriter{w: w, local: local, pids: map[string]int{}, next: 1, sep: "\n"}
+	p.write([]byte("["))
+	return p
+}
+
+func (p *perfettoWriter) write(b []byte) {
+	if p.err == nil {
+		_, p.err = p.w.Write(b)
+	}
+}
+
+// line writes one array element on a line of its own. An event that does
+// not encode (a non-finite float attribute) is left out of the trace.
+func (p *perfettoWriter) line(pe perfettoEvent) {
+	b, err := json.Marshal(pe)
+	if err != nil {
+		return
+	}
+	p.write(append([]byte(p.sep), b...))
+	p.sep = ",\n"
+}
+
+// event writes ev, after its process lane's "M" record if it is the lane's
+// first event.
+func (p *perfettoWriter) event(ev SpanEvent) {
+	pe := perfettoEvent{Name: ev.Name, Phase: "X", TS: ev.Start.UnixMicro(), Dur: ev.Dur.Microseconds()}
+	proc := p.local
+	args := map[string]any{}
+	for _, a := range ev.Attrs {
+		if a.Key == "proc" {
+			if s, ok := a.Value.(string); ok && s != "" {
+				proc = s
+			}
+			continue
+		}
+		if t, ok := a.Value.(int64); ok && a.Key == "tile" {
+			pe.TID = int(t) + 1
+		}
+		args[a.Key] = a.Value
+	}
+	if ev.TraceID != "" {
+		args["trace_id"] = ev.TraceID
+	}
+	if ev.SpanID != "" {
+		args["span_id"] = ev.SpanID
+	}
+	if ev.ParentID != "" {
+		args["parent_id"] = ev.ParentID
+	}
+	if len(args) > 0 {
+		pe.Args = args
+	}
+	if ev.Instant {
+		pe.Phase, pe.Dur, pe.Scope = "i", 0, "t"
+	}
+	pid, ok := p.pids[proc]
+	if !ok {
+		pid = 1
+		if proc != p.local {
+			p.next++
+			pid = p.next
+		}
+		p.pids[proc] = pid
+		p.line(perfettoEvent{Name: "process_name", Phase: "M", PID: pid, Args: map[string]any{"name": proc}})
+	}
+	pe.PID = pid
+	p.line(pe)
+}
+
+// close writes the closing "]", closes the destination if it is an
+// io.Closer, and returns the first error of the writer's life.
+func (p *perfettoWriter) close() error {
+	p.write([]byte("\n]\n"))
+	if c, ok := p.w.(io.Closer); ok {
+		if err := c.Close(); p.err == nil {
+			p.err = err
+		}
+	}
+	return p.err
+}
+
+// PerfettoTrace renders span events as the object form of Chrome
+// trace_event JSON, {"traceEvents":[…]}: the array a -trace file holds,
+// written by the same writer, localProc naming the lane of events that
+// carry no "proc". The same events render to the same bytes.
 func PerfettoTrace(localProc string, evs []SpanEvent) []byte {
-	if localProc == "" {
-		localProc = "local"
-	}
-	procOf := func(ev SpanEvent) string {
-		for _, a := range ev.Attrs {
-			if a.Key == "proc" {
-				if s, ok := a.Value.(string); ok && s != "" {
-					return s
-				}
-			}
-		}
-		return localProc
-	}
-
-	// Assign stable pids: the local process first, then the rest in name
-	// order so repeated exports of the same trace are byte-identical.
-	seen := map[string]bool{}
-	var names []string
+	var b bytes.Buffer
+	b.WriteString(`{"traceEvents":`)
+	p := newPerfettoWriter(&b, localProc)
 	for _, ev := range evs {
-		if p := procOf(ev); !seen[p] {
-			seen[p] = true
-			names = append(names, p)
-		}
+		p.event(ev)
 	}
-	sort.Strings(names)
-	ordered := make([]string, 0, len(names))
-	if seen[localProc] {
-		ordered = append(ordered, localProc)
-	}
-	for _, n := range names {
-		if n != localProc {
-			ordered = append(ordered, n)
-		}
-	}
-	procs := make(map[string]int, len(ordered))
-	out := make([]perfettoEvent, 0, len(evs)+len(ordered))
-	for i, n := range ordered {
-		procs[n] = i + 1
-		out = append(out, perfettoEvent{
-			Name:  "process_name",
-			Phase: "M",
-			PID:   i + 1,
-			Args:  map[string]any{"name": n},
-		})
-	}
-
-	for _, ev := range evs {
-		pe := perfettoEvent{
-			Name:  ev.Name,
-			Phase: "X",
-			TS:    ev.Start.UnixMicro(),
-			Dur:   ev.Dur.Microseconds(),
-			PID:   procs[procOf(ev)],
-		}
-		args := map[string]any{}
-		for _, a := range ev.Attrs {
-			if a.Key == "proc" {
-				continue
-			}
-			if a.Key == "tile" {
-				if t, ok := a.Value.(int64); ok {
-					pe.TID = int(t) + 1
-				}
-			}
-			args[a.Key] = a.Value
-		}
-		if ev.TraceID != "" {
-			args["trace_id"] = ev.TraceID
-		}
-		if ev.SpanID != "" {
-			args["span_id"] = ev.SpanID
-		}
-		if ev.ParentID != "" {
-			args["parent_id"] = ev.ParentID
-		}
-		if len(args) > 0 {
-			pe.Args = args
-		}
-		if ev.Instant {
-			pe.Phase = "i"
-			pe.Dur = 0
-			pe.Scope = "t"
-		}
-		out = append(out, pe)
-	}
-
-	b, err := json.Marshal(perfettoTrace{TraceEvents: out, DisplayUnit: "ms"})
-	if err != nil { // unreachable: all arg values are JSON-encodable scalars
-		return []byte(`{"traceEvents":[]}`)
-	}
-	return b
+	p.close()
+	b.WriteString(`,"displayTimeUnit":"ms"}`)
+	return b.Bytes()
 }

@@ -2,8 +2,9 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +54,9 @@ func ContextWithRemote(ctx context.Context, tc TraceContext, buf *SpanBuffer) co
 // the span joins it as a child of the current span; otherwise it roots a
 // new trace. The returned context carries the new span, so descendants
 // nest under it. End feeds the duration to span_<name>_seconds and emits
-// the completed span to the context's SpanBuffer and the JSONL trace.
+// the completed span to the context's SpanBuffer and the trace file.
 //
-// A span nobody listens to — nothing on ctx, no JSONL sink — only times:
+// A span nobody listens to — nothing on ctx, no trace file — only times:
 // it draws no IDs and returns ctx as it came, so a hot loop with no
 // context of its own starts one on context.Background() for the price of
 // a clock read.
@@ -102,7 +103,7 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 func (s *Span) Exclude(d time.Duration) { s.excluded += d }
 
 // End completes the span, records its histogram observation, and emits it
-// to the buffer and the JSONL trace. End is idempotent: extra calls return
+// to the buffer and the trace file. End is idempotent: extra calls return
 // the first call's duration without re-emitting.
 func (s *Span) End() time.Duration {
 	if s == nil {
@@ -126,7 +127,7 @@ func (s *Span) End() time.Duration {
 }
 
 // Event emits an instant event under the current span in ctx. With no
-// buffer on ctx and no JSONL sink it goes nowhere, so hot loops call it
+// buffer on ctx and no trace file it goes nowhere, so hot loops call it
 // unconditionally.
 func Event(ctx context.Context, name *Name, attrs ...Attr) {
 	parent := parentSpan(ctx)
@@ -141,7 +142,7 @@ func Event(ctx context.Context, name *Name, attrs ...Attr) {
 }
 
 // EmitShipped replays span events produced elsewhere (e.g. shipped back
-// from a worker) into ctx's buffer and the JSONL trace, preserving their
+// from a worker) into ctx's buffer and the trace file, preserving their
 // original IDs and timestamps.
 func EmitShipped(ctx context.Context, evs []SpanEvent) {
 	buf := parentSpan(ctx).buf
@@ -151,7 +152,7 @@ func EmitShipped(ctx context.Context, evs []SpanEvent) {
 }
 
 // emit is the one way an event leaves: into the job's buffer, if there is
-// one, and onto the JSONL sink, if one is open.
+// one, and into the trace file, if one is open.
 func emit(buf *SpanBuffer, ev SpanEvent) {
 	buf.Emit(ev)
 	if !traceEnabled.Load() {
@@ -159,52 +160,32 @@ func emit(buf *SpanBuffer, ev SpanEvent) {
 	}
 	traceMu.Lock()
 	defer traceMu.Unlock()
-	if traceEnc != nil {
-		traceEnc.Encode(ev)
+	if traceOut != nil {
+		traceOut.event(ev)
 	}
-}
-
-// MarshalJSON renders the event as its line of the JSONL trace: wall-clock
-// start (µs since the Unix epoch), duration (µs), the correlation IDs it
-// has, its phase ("span" or "instant") and its attributes.
-func (ev SpanEvent) MarshalJSON() ([]byte, error) {
-	phase := "span"
-	if ev.Instant {
-		phase = "instant"
-	}
-	return json.Marshal(struct {
-		Name     string         `json:"name"`
-		StartUS  int64          `json:"ts_us"`
-		DurUS    int64          `json:"dur_us"`
-		TraceID  string         `json:"trace_id,omitempty"`
-		SpanID   string         `json:"span_id,omitempty"`
-		ParentID string         `json:"parent_id,omitempty"`
-		Phase    string         `json:"ph"`
-		Attrs    map[string]any `json:"attrs,omitempty"`
-	}{ev.Name, ev.Start.UnixMicro(), ev.Dur.Microseconds(), ev.TraceID, ev.SpanID, ev.ParentID, phase, AttrMap(ev.Attrs)})
 }
 
 var (
 	traceEnabled atomic.Bool
 	traceMu      sync.Mutex
-	traceEnc     *json.Encoder
-	traceCloser  io.Closer
+	traceOut     *perfettoWriter
 )
 
-// StartTrace begins emitting one JSON object per completed span or instant
-// to w. Any previously active trace is stopped first.
+// StartTrace begins writing every completed span or instant to w as
+// Perfetto trace_event JSON in array form (see PerfettoTrace), the events
+// without a "proc" attribute on a lane named after the executable. Any
+// previously active trace is stopped first.
 func StartTrace(w io.Writer) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	closeTraceLocked()
-	traceEnc = json.NewEncoder(w)
-	if c, ok := w.(io.Closer); ok {
-		traceCloser = c
-	}
+	traceOut = newPerfettoWriter(w, filepath.Base(os.Args[0]))
 	traceEnabled.Store(true)
 }
 
-// StopTrace stops tracing and closes the trace sink if it is closable.
+// StopTrace stops tracing, writes the closing "]" and closes the sink if
+// it is closable. It returns the first error the sink gave, so a trace cut
+// short by a full disk is not mistaken for a whole one.
 func StopTrace() error {
 	traceMu.Lock()
 	defer traceMu.Unlock()
@@ -213,11 +194,10 @@ func StopTrace() error {
 
 func closeTraceLocked() error {
 	traceEnabled.Store(false)
-	traceEnc = nil
-	var err error
-	if traceCloser != nil {
-		err = traceCloser.Close()
-		traceCloser = nil
+	if traceOut == nil {
+		return nil
 	}
+	err := traceOut.close()
+	traceOut = nil
 	return err
 }

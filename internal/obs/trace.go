@@ -147,16 +147,6 @@ func (b *SpanBuffer) Events() []SpanEvent {
 	return append([]SpanEvent(nil), b.events...)
 }
 
-// Len returns the number of buffered events.
-func (b *SpanBuffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
-}
-
 // Dropped returns how many events were discarded because the buffer was
 // full.
 func (b *SpanBuffer) Dropped() int64 {

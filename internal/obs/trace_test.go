@@ -119,7 +119,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 	if again := sp.End(); again != d || d < time.Millisecond {
 		t.Errorf("second End returned %v, want the first call's %v", again, d)
 	}
-	if n := buf.Len(); n != 1 {
+	if n := len(buf.Events()); n != 1 {
 		t.Fatalf("double End emitted %d events, want 1", n)
 	}
 }
@@ -131,8 +131,8 @@ func TestSpanBufferOverflow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		buf.Emit(SpanEvent{Name: "e"})
 	}
-	if buf.Len() != 4 {
-		t.Errorf("Len %d, want 4", buf.Len())
+	if n := len(buf.Events()); n != 4 {
+		t.Errorf("%d events held, want 4", n)
 	}
 	if buf.Dropped() != 6 {
 		t.Errorf("Dropped %d, want 6", buf.Dropped())
@@ -169,8 +169,8 @@ func TestTraceConcurrency(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if buf.Len() != 8*50*2 {
-		t.Errorf("buffered %d events, want %d", buf.Len(), 8*50*2)
+	if n := len(buf.Events()); n != 8*50*2 {
+		t.Errorf("buffered %d events, want %d", n, 8*50*2)
 	}
 }
 
@@ -189,12 +189,12 @@ func TestObserveSpanTrueStart(t *testing.T) {
 	if d < 10*time.Millisecond || d > 400*time.Millisecond {
 		t.Errorf("End returned %v, want the elapsed 500 ms less the excluded 490", d)
 	}
-	ev := traceLines(t, out.Bytes())[0]
-	if int64(ev["ts_us"].(float64)) != sp.start.UnixMicro() {
-		t.Errorf("ts_us %v, want the measured start %d", ev["ts_us"], sp.start.UnixMicro())
+	ev := traceEvents(t, out.Bytes())[0]
+	if int64(ev["ts"].(float64)) != sp.start.UnixMicro() {
+		t.Errorf("ts %v, want the measured start %d", ev["ts"], sp.start.UnixMicro())
 	}
-	if int64(ev["dur_us"].(float64)) != d.Microseconds() {
-		t.Errorf("dur_us %v, want %d", ev["dur_us"], d.Microseconds())
+	if int64(ev["dur"].(float64)) != d.Microseconds() {
+		t.Errorf("dur %v, want %d", ev["dur"], d.Microseconds())
 	}
 }
 
@@ -217,7 +217,7 @@ func (s *syncBuffer) Bytes() []byte {
 	return append([]byte(nil), s.b.Bytes()...)
 }
 
-func TestJSONLTraceCarriesIDs(t *testing.T) {
+func TestTraceFileCarriesIDs(t *testing.T) {
 	var out syncBuffer
 	StartTrace(&out)
 	ctx, sp := StartSpan(context.Background(), IltRun, String("k", "v"))
@@ -225,13 +225,13 @@ func TestJSONLTraceCarriesIDs(t *testing.T) {
 	sp.End()
 	StopTrace()
 
-	evs := traceLines(t, out.Bytes())
+	evs := traceEvents(t, out.Bytes())
 	if len(evs) != 2 {
-		t.Fatalf("got %d trace lines, want 2", len(evs))
+		t.Fatalf("got %d trace events, want 2", len(evs))
 	}
-	mark, span := evs[0], evs[1]
-	if mark["ph"] != "instant" || span["ph"] != "span" {
-		t.Errorf("phases %q/%q, want instant/span", mark["ph"], span["ph"])
+	mark, span := evs[0]["args"].(map[string]any), evs[1]["args"].(map[string]any)
+	if evs[0]["ph"] != "i" || evs[1]["ph"] != "X" {
+		t.Errorf("phases %q/%q, want i/X", evs[0]["ph"], evs[1]["ph"])
 	}
 	if span["trace_id"] == nil || span["trace_id"] != mark["trace_id"] {
 		t.Errorf("trace IDs %q vs %q", span["trace_id"], mark["trace_id"])
@@ -239,8 +239,8 @@ func TestJSONLTraceCarriesIDs(t *testing.T) {
 	if mark["parent_id"] != span["span_id"] {
 		t.Errorf("instant parent %q, want %q", mark["parent_id"], span["span_id"])
 	}
-	if attrs, _ := span["attrs"].(map[string]any); attrs["k"] != "v" {
-		t.Errorf("span attrs %v, want k=v", span["attrs"])
+	if span["k"] != "v" {
+		t.Errorf("span args %v, want k=v", span)
 	}
 }
 

@@ -322,7 +322,7 @@ func TestTruncatedTraceSaysSo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := j.tel.buf.Len()
+	held := len(j.tel.buf.Events())
 	for i := 0; i < obs.DefaultSpanBufferCap+7; i++ {
 		j.tel.buf.Emit(obs.SpanEvent{Name: "worker.tile"})
 	}

@@ -74,8 +74,6 @@ type (
 	Cutline = metrics.Cutline
 	// PWPoint is one (defocus, dose, CD) sample of a Bossung matrix.
 	PWPoint = metrics.PWPoint
-	// TraceBuffer collects the span events of one trace for export.
-	TraceBuffer = obs.SpanBuffer
 	// TileRunner executes one tile of a sharded run; the default runs
 	// in-process, internal/cluster's Coordinator runs on a worker fleet
 	// (see TileOptions.Runner).
@@ -165,24 +163,6 @@ func Logger() *slog.Logger { return obs.Logger() }
 
 // MetricsText returns every pipeline metric in Prometheus text format.
 func MetricsText() string { return obs.MetricsText() }
-
-// NewTraceBuffer returns a buffer retaining at most max span events
-// (a default cap when max <= 0).
-func NewTraceBuffer(max int) *TraceBuffer { return obs.NewSpanBuffer(max) }
-
-// WithTraceBuffer attaches a trace buffer to ctx: hierarchical spans
-// started under the returned context (the optimizer run, its tiles, any
-// remote dispatches) collect into buf.
-func WithTraceBuffer(ctx context.Context, buf *TraceBuffer) context.Context {
-	return obs.ContextWithBuffer(ctx, buf)
-}
-
-// PerfettoTrace renders collected span events as Chrome/Perfetto
-// trace_event JSON (loadable in ui.perfetto.dev). localProc names the
-// lane for events produced by this process.
-func PerfettoTrace(localProc string, evs []obs.SpanEvent) []byte {
-	return obs.PerfettoTrace(localProc, evs)
-}
 
 // DefaultOptics returns the paper's imaging configuration (193 nm, NA
 // 1.35, annular 0.6/0.9, 24 SOCS kernels) on a 512-pixel grid covering the

@@ -12,8 +12,9 @@
 # run leaves beside its records must be the files the local run left: same
 # names (same Merkle roots and manifests), same bytes. Last, a sharded job
 # whose geometry sits in one corner ships only that window: its three empty
-# windows are served without counting as tiles run locally. Needs only
-# curl, cmp, diff, and a POSIX shell.
+# windows are served without counting as tiles run locally. The surviving
+# worker's own /metrics must count the tiles it ran. Needs only curl, cmp,
+# diff, and a POSIX shell.
 #
 # The cluster run also exercises the tracing surface: a live SSE
 # subscriber must observe per-iteration telemetry, and the assembled
@@ -141,6 +142,11 @@ curl -fsS "$BASE/metrics" | grep -E 'cluster_tiles_remote_total [1-9]' >/dev/nul
     exit 1
 }
 echo "cluster-smoke: lease reassignment and remote execution confirmed"
+
+# A worker serves its own counters on its own port, as the coordinator does.
+W2_TILES=$(BASE="http://127.0.0.1:$PORT_W2"; metric cluster_worker_tiles_total)
+[ "$W2_TILES" -ge 1 ] || die "surviving worker's /metrics reads cluster_worker_tiles_total $W2_TILES, want >= 1"
+echo "cluster-smoke: surviving worker's /metrics counts $W2_TILES tile(s)"
 
 # ---- An untiled job is dispatched too (worker 2 is still in the fleet).
 REMOTE1=$(metric cluster_tiles_remote_total)

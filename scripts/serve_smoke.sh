@@ -4,8 +4,10 @@
 # assert a numeric score and a PGM mask, resubmit it and require a cache
 # hit with the same mask bytes, then shut the daemon down with SIGTERM
 # after the first window of a sharded job and require a clean drain, a
-# resumed job and that window served from the cache's disk tier. Needs
-# only curl and a POSIX shell.
+# resumed job and that window served from the cache's disk tier. The
+# daemon runs with -trace: after the drain its file must be a closed
+# Perfetto array holding the jobs' serve.job spans. Needs only curl, grep
+# and a POSIX shell.
 set -eu
 
 . "$(dirname "$0")/lib.sh"
@@ -26,7 +28,8 @@ echo "smoke: -checkpoint-dir without -cache-dir refused at startup"
 
 start() {
     start_daemon "$PORT" "$LOG" -grid 64 -checkpoint-dir "$DIR/ckpt" \
-        -cache-dir "$DIR/cache" -artifact-dir "$DIR/art" -log-level warn
+        -cache-dir "$DIR/cache" -artifact-dir "$DIR/art" -log-level warn \
+        -trace "$DIR/trace.json"
 }
 
 start
@@ -89,6 +92,15 @@ for ext in snap journal; do
     [ ! -e "$DIR/ckpt/$ID2.$ext" ] || die "drain wrote a .$ext for $ID2"
 done
 echo "smoke: drained with job $ID2 checkpointed after $DONE window(s)"
+
+# The drain ran the daemon's exit path, so -trace closed its array: "[" and
+# "]" on lines of their own, the spans of the jobs it ran in between.
+TRACE="$DIR/trace.json"
+LAST=$(grep -c '' "$TRACE")
+[ "$(grep -n -x '\[' "$TRACE")" = "1:[" ] && [ "$(grep -n -x ']' "$TRACE")" = "$LAST:]" ] ||
+    die "-trace file does not open with [ and close with ]"
+grep '"name":"serve.job"' "$TRACE" >/dev/null || die "-trace file holds no serve.job span"
+echo "smoke: -trace file is a closed Perfetto array with serve.job spans"
 
 start
 wait_done "$ID2"
