@@ -5,52 +5,6 @@ import (
 	"testing"
 )
 
-// TestAnalysisWrappers exercises the process-window and manufacturability
-// facade functions end to end on a small grid.
-func TestAnalysisWrappers(t *testing.T) {
-	s, err := NewSetup(smallOptics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout := smallLayout()
-	mask := layout.Rasterize(64, 8)
-
-	// Cut through the first bar (x 160..256, mid-height).
-	cut := Cutline{X: 208, Y: 256, Horizontal: true}
-	points, err := s.ProcessWindow(mask, cut, []float64{-25, 0, 25}, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("%d points", len(points))
-	}
-	var nominal float64
-	for _, p := range points {
-		if p.DefocusNM == 0 {
-			nominal = p.CDNM
-		}
-	}
-	if nominal <= 0 {
-		t.Fatal("bar does not print")
-	}
-	lo, hi, ok := DepthOfFocus(points, nominal, 0.2)
-	if !ok || lo > 0 || hi < 0 {
-		t.Fatalf("DoF [%g, %g] ok=%v", lo, hi, ok)
-	}
-
-	c := MaskComplexity(mask)
-	if c.Fragments != 2 {
-		t.Fatalf("two-bar mask has %d fragments", c.Fragments)
-	}
-	// The 56 nm bar violates a 64 nm width rule but not a 40 nm one.
-	if len(MRC(mask, 8, 64, 8)) == 0 {
-		t.Fatal("64 nm width rule not triggered")
-	}
-	if len(MRC(mask, 8, 40, 8)) != 0 {
-		t.Fatal("40 nm width rule falsely triggered")
-	}
-}
-
 // TestSmoothedOptimizeAPI drives the mask-smoothness extension through the
 // public Config.
 func TestSmoothedOptimizeAPI(t *testing.T) {

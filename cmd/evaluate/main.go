@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"mosaic"
 	"mosaic/internal/cli"
@@ -25,8 +26,8 @@ func main() {
 	layoutPath := flag.String("layout", "", "layout file (alternative to -testcase)")
 	maskPath := flag.String("mask", "", "mask PGM to evaluate (required)")
 	runtime := flag.Float64("runtime", 0, "optimization runtime in seconds to fold into the score")
-	tileNM := flag.Float64("tile-nm", 0, "evaluate by tiled simulation with this core pitch in nm (for masks larger than one FFT grid)")
-	haloNM := flag.Float64("halo-nm", 0, "minimum optical halo for tiled evaluation in nm (0 = lambda/NA)")
+	tileNM := flag.Float64("tile-nm", 0, "core tile pitch in nm of the run that made the mask (evaluates by tiled simulation when it shards the layout)")
+	haloNM := flag.Float64("halo-nm", 0, "minimum optical halo in nm of the run that made the mask (0 = lambda/NA)")
 	obsFlags := cli.AddObsFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -47,36 +48,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if mask.W != mask.H {
-		log.Fatalf("mask must be square, got %dx%d", mask.W, mask.H)
-	}
-
-	// The mask raster covers the layout: its width is the grid.
-	cfg, _ := mosaic.JobOptics(mosaic.DefaultOptics(), mask.W, layout, 0)
-	var rep *mosaic.Report
-	if *tileNM > 0 {
-		// Tiled evaluation: the mask grid need not be a valid FFT size;
-		// the tile planner sizes the simulation windows. Calibrate the
-		// resist on a window-scale grid.
-		cfg.GridSize = 256
-		setup, err := mosaic.NewSetup(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err = setup.EvaluateLayout(mask, layout,
-			mosaic.TileOptions{TileNM: *tileNM, HaloNM: *haloNM}, *runtime)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		setup, err := mosaic.NewSetup(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err = setup.Evaluate(mask, layout, *runtime)
-		if err != nil {
-			log.Fatal(err)
-		}
+	rep, err := evaluate(layout, mask, mosaic.TileOptions{TileNM: *tileNM, HaloNM: *haloNM}, *runtime)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("testcase:       %s\n", layout.Name)
 	fmt.Printf("EPE violations: %d / %d samples\n", rep.EPEViolations, len(rep.EPEResults))
@@ -84,4 +58,31 @@ func main() {
 	fmt.Printf("shape viol.:    %d\n", rep.ShapeViolations)
 	fmt.Printf("runtime:        %.1f s\n", rep.RuntimeSec)
 	fmt.Printf("score:          %.0f\n", rep.Score)
+}
+
+// evaluate scores mask against layout on the optics maskOptics derives, so
+// a mask written by cmd/mosaic with the same -tile-nm / -halo-nm is scored
+// as the run that made it scored it. EvaluateLayout refuses a mask that
+// does not cover the layout on both axes.
+func evaluate(layout *mosaic.Layout, mask *mosaic.Field, opts mosaic.TileOptions, runtimeSec float64) (*mosaic.Report, error) {
+	setup, err := mosaic.NewSetup(maskOptics(layout, mask.W, opts.TileNM))
+	if err != nil {
+		return nil, err
+	}
+	return setup.EvaluateLayout(mask, layout, opts, runtimeSec)
+}
+
+// maskOptics returns the imaging configuration of the run that produced a
+// mask of maskPx pixels a side over layout, as cmd/mosaic derives it
+// (mosaic.JobOptics): the mask's pixel size on a grid covering one core
+// tile when tileNM shards the layout, the whole layout otherwise. The
+// resist threshold is calibrated on that grid and depends on its extent,
+// so any other grid scores the mask with a resist the run never used.
+func maskOptics(layout *mosaic.Layout, maskPx int, tileNM float64) mosaic.OpticsConfig {
+	cfg, sharded := mosaic.JobOptics(mosaic.DefaultOptics(), maskPx, layout, tileNM)
+	if sharded {
+		px := layout.SizeNM / float64(maskPx)
+		cfg, _ = mosaic.JobOptics(mosaic.DefaultOptics(), int(math.Round(tileNM/px)), layout, tileNM)
+	}
+	return cfg
 }

@@ -55,7 +55,7 @@ func TestCheckFlags(t *testing.T) {
 		{"converge sharded", []string{"-tile-nm", "512", "-converge"}, "converge"},
 		{"mode in capitals", []string{"-mode", "EXACT"}, ""},
 		{"unknown mode", []string{"-mode", "quick"}, "mode"},
-		{"baseline", []string{"-method", "rulebased", "-grid", "64", "-v"}, ""},
+		{"baseline", []string{"-method", "rulebased", "-grid", "64", "-log-level", "debug"}, ""},
 		{"pipeline flags without -method", []string{"-tile-nm", "512", "-cache-dir", "c", "-out", "o"}, ""},
 		// The reproduced command line: -tile-nm shrank the pixel under a
 		// baseline that never tiles, and the stores were opened for nothing.

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // declared indexes what the Go files of internal/<pkg> (tests included:
@@ -132,6 +133,29 @@ func TestDesignEquationMapNamesCode(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Fatalf("checked %d identifiers; was the table's format changed?", checked)
+	}
+}
+
+// TestDocsStayWithinTheirCaps holds the caps of ROADMAP item 7: README.md
+// at most 700 lines, DESIGN.md at most 800, and each CHANGES.md line (one
+// a PR) at most 600 characters.
+func TestDocsStayWithinTheirCaps(t *testing.T) {
+	read := func(name string) []string {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	}
+	for name, limit := range map[string]int{"README.md": 700, "DESIGN.md": 800} {
+		if n := len(read(name)); n > limit {
+			t.Errorf("%s has %d lines, over its cap of %d", name, n, limit)
+		}
+	}
+	for i, line := range read("CHANGES.md") {
+		if n := utf8.RuneCountInString(line); n > 600 {
+			t.Errorf("CHANGES.md line %d has %d characters, over its cap of 600", i+1, n)
+		}
 	}
 }
 

@@ -78,25 +78,3 @@ func ExampleTraceMask() {
 	// Output:
 	// 2 polygons, 2 rectangles
 }
-
-// Measure the process window of a printed feature.
-func ExampleSetup_ProcessWindow() {
-	setup, err := mosaic.NewSetup(exampleOptics())
-	if err != nil {
-		log.Fatal(err)
-	}
-	layout, err := mosaic.Benchmark("B1") // 100 nm line centered at x=512
-	if err != nil {
-		log.Fatal(err)
-	}
-	mask := layout.Rasterize(128, 8)
-	cut := mosaic.Cutline{X: 512, Y: 512, Horizontal: true}
-	points, err := setup.ProcessWindow(mask, cut, []float64{-25, 0, 25}, []float64{1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	lo, hi, ok := mosaic.DepthOfFocus(points, 100, 0.15)
-	fmt.Printf("usable focus range: [%.0f, %.0f] nm (ok=%v)\n", lo, hi, ok)
-	// Output:
-	// usable focus range: [-25, 25] nm (ok=true)
-}

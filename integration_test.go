@@ -58,64 +58,6 @@ func TestIntegrationPipeline(t *testing.T) {
 	}
 }
 
-// TestIntegrationProcessWindowAnalysis runs the Bossung analysis on an
-// optimized mask and checks physical sanity: CD grows with dose and the
-// in-focus CD is within the EPE budget of the drawn width.
-func TestIntegrationProcessWindowAnalysis(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test skipped in -short mode")
-	}
-	cfg := DefaultOptics()
-	cfg.GridSize = 128
-	cfg.PixelNM = 8
-	setup, err := NewSetup(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := Benchmark("B2") // 60 nm isolated line at x 482..542
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := setup.OptimizeFast(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := Cutline{X: 512, Y: 512, Horizontal: true}
-	points, err := setup.ProcessWindow(res.Mask, cut,
-		[]float64{-25, 0, 25}, []float64{0.98, 1, 1.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cdNominal, cdUnder, cdOver float64
-	for _, p := range points {
-		if p.DefocusNM == 0 {
-			switch p.Dose {
-			case 1:
-				cdNominal = p.CDNM
-			case 0.98:
-				cdUnder = p.CDNM
-			case 1.02:
-				cdOver = p.CDNM
-			}
-		}
-	}
-	if cdNominal == 0 {
-		t.Fatal("optimized line does not print")
-	}
-	if !(cdUnder <= cdNominal && cdNominal <= cdOver) {
-		t.Fatalf("CD not monotone in dose: %g %g %g", cdUnder, cdNominal, cdOver)
-	}
-	// 60 nm drawn, 15 nm EPE budget per edge.
-	if math.Abs(cdNominal-60) > 30 {
-		t.Fatalf("nominal CD %g too far from drawn 60 nm", cdNominal)
-	}
-	// Mask manufacturability measures are well-formed.
-	c := MaskComplexity(res.Mask)
-	if c.AreaPixels <= 0 || c.EdgePixels <= 0 || c.Fragments <= 0 {
-		t.Fatalf("degenerate complexity: %+v", c)
-	}
-}
-
 // TestSuiteStress runs MOSAIC_fast over the entire B1-B10 suite at a small
 // grid, asserting that every clip optimizes without error, produces a
 // binary mask, and never regresses the contest score relative to no OPC.

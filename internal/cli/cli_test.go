@@ -49,7 +49,7 @@ func TestObsFlagsDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.LogLevel != "info" || f.Verbose || f.Pprof != "" || f.Trace != "" {
+	if f.LogLevel != "info" || f.Pprof != "" || f.Trace != "" {
 		t.Fatalf("unexpected defaults: %+v", f)
 	}
 	cleanup, err := f.Setup()
@@ -63,7 +63,7 @@ func TestObsFlagsSetup(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := AddObsFlags(fs)
-	if err := fs.Parse([]string{"-v", "-pprof", "127.0.0.1:0", "-trace", trace}); err != nil {
+	if err := fs.Parse([]string{"-log-level", "debug", "-pprof", "127.0.0.1:0", "-trace", trace}); err != nil {
 		t.Fatal(err)
 	}
 	cleanup, err := f.Setup()

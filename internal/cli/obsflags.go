@@ -12,7 +12,6 @@ import (
 
 // ObsFlags is the observability flag set shared by every command:
 //
-//	-v                 shorthand for -log-level debug
 //	-log-level LEVEL   debug, info, warn or error (default info)
 //	-pprof ADDR        serve net/http/pprof and /metrics
 //	-trace FILE        write every span and instant as Perfetto trace_event JSON
@@ -21,7 +20,6 @@ import (
 // Register with AddObsFlags before flag.Parse, then call Setup once after
 // parsing and defer the returned cleanup.
 type ObsFlags struct {
-	Verbose  bool
 	LogLevel string
 	Pprof    string
 	Trace    string
@@ -36,7 +34,6 @@ type ObsFlags struct {
 // the destination struct.
 func AddObsFlags(fs *flag.FlagSet) *ObsFlags {
 	f := &ObsFlags{}
-	fs.BoolVar(&f.Verbose, "v", false, "verbose logging (shorthand for -log-level debug)")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
 	fs.StringVar(&f.Trace, "trace", "", "write every span and instant to this file as Perfetto trace_event JSON")
@@ -72,9 +69,6 @@ func (f *ObsFlags) Setup() (cleanup func(), err error) {
 	lvl, err := ParseLogLevel(f.LogLevel)
 	if err != nil {
 		return nil, err
-	}
-	if f.Verbose {
-		lvl = slog.LevelDebug
 	}
 	obs.SetLogLevel(lvl)
 	if f.Pprof != "" {

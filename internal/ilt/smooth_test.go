@@ -5,6 +5,7 @@ import (
 
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
+	"mosaic/internal/vectorize"
 )
 
 func TestSmoothObjectiveValues(t *testing.T) {
@@ -24,7 +25,9 @@ func TestSmoothObjectiveValues(t *testing.T) {
 }
 
 func TestSmoothWeightTradesComplexityForFidelity(t *testing.T) {
-	run := func(w float64) (metrics.Complexity, float64) {
+	// run returns the mask's VSB shot count — the exact rectangle cover
+	// cmd/mosaic prints — and its contest score.
+	run := func(w float64) (int, float64) {
 		o, layout := testOptimizer(t, ModeFast)
 		o.Cfg.SmoothWeight = w
 		o.Cfg.MaxIter = 12
@@ -36,15 +39,15 @@ func TestSmoothWeightTradesComplexityForFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return metrics.MaskComplexity(res.Mask), rep.Score
+		return len(vectorize.Rectangles(res.Mask, o.Sim.Cfg.PixelNM)), rep.Score
 	}
-	// A strong weight must visibly smooth the mask; mild weights are in
+	// A strong weight must visibly simplify the mask; mild weights are in
 	// the per-run noise on this coarse test grid.
 	rough, roughScore := run(0)
 	smooth, smoothScore := run(32)
-	if smooth.EdgePixels >= rough.EdgePixels {
-		t.Fatalf("regularizer did not reduce edges: %d -> %d",
-			rough.EdgePixels, smooth.EdgePixels)
+	t.Logf("λ = 0: %d shots, score %g; λ = 32: %d shots, score %g", rough, roughScore, smooth, smoothScore)
+	if smooth >= rough {
+		t.Fatalf("regularizer did not reduce mask shots: %d -> %d", rough, smooth)
 	}
 	// ...and it costs image fidelity: the unregularized run scores better.
 	if roughScore >= smoothScore {

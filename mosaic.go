@@ -70,10 +70,6 @@ type (
 	Method = opc.Method
 	// RunResult is one (method, testcase) harness outcome.
 	RunResult = opc.RunResult
-	// Cutline locates a CD measurement for process-window analysis.
-	Cutline = metrics.Cutline
-	// PWPoint is one (defocus, dose, CD) sample of a Bossung matrix.
-	PWPoint = metrics.PWPoint
 	// TileRunner executes one tile of a sharded run; the default runs
 	// in-process, internal/cluster's Coordinator runs on a worker fleet
 	// (see TileOptions.Runner).
@@ -558,28 +554,6 @@ func Methods() []Method {
 		opc.NewMOSAIC(ilt.ModeFast),
 		opc.NewMOSAIC(ilt.ModeExact),
 	}
-}
-
-// ProcessWindow measures the critical dimension at a cutline through a
-// defocus x dose matrix (Bossung data) for a mask — the analysis behind
-// the process-window term the optimizer minimizes.
-func (s *Setup) ProcessWindow(mask *Field, cut Cutline, defocusNM, doses []float64) ([]PWPoint, error) {
-	return metrics.ProcessWindow(s.Sim, mask, cut, defocusNM, doses)
-}
-
-// DepthOfFocus extracts the usable defocus range from Bossung data: the
-// contiguous range around best focus where the unit-dose CD stays within
-// tol (fractional) of targetCD.
-func DepthOfFocus(points []PWPoint, targetCD, tol float64) (lo, hi float64, ok bool) {
-	return metrics.DepthOfFocus(points, targetCD, tol)
-}
-
-// MaskComplexity measures a binarized mask's manufacturing complexity.
-func MaskComplexity(mask *Field) metrics.Complexity { return metrics.MaskComplexity(mask) }
-
-// MRC checks a mask against minimum-width and minimum-space rules.
-func MRC(mask *Field, pixelNM, minWidthNM, minSpaceNM float64) []metrics.MRCViolation {
-	return metrics.MRC(mask, pixelNM, minWidthNM, minSpaceNM)
 }
 
 // TraceMask vectorizes a binary mask into rectilinear polygons (outer
