@@ -41,15 +41,17 @@ loc:
 # fuzz-smoke runs every fuzz target for FUZZ_TIME each: the binary
 # decoders behind internal/frame (error or exact round-trip, never a
 # panic, never an allocation sized by a length field beyond the input),
-# the two text/stream layout parsers, and the admission gate (a job body
-# or a TileOptions is refused with a typed error, or runs to completion).
+# the two text/stream layout parsers, the admission gate (a job body or a
+# TileOptions is refused with a typed error, or runs to completion) and the
+# optimizer's float fields (refused, or a short run to a finite mask).
 # go test takes one -fuzz target per run. Minimization is capped in
 # executions, not time: the default 60 s per new corpus entry would eat a
 # 5 s budget whole.
 FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
-	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse serve:FuzzAdmit
+	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse serve:FuzzAdmit \
+	ilt:FuzzConfigValidate
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -94,7 +96,7 @@ warmstart-smoke:
 # archives the benchstat-compatible text under results/, stamped with
 # today's date. It is the Table 2/3 score record and the profiling entry
 # point, not a speed gate: a speed claim rests on bench-e2e-pairs below.
-BENCH_PATTERN ?= Table2|Table3|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
+BENCH_PATTERN ?= Table2|Table3|ClipOperation|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

@@ -73,7 +73,7 @@ func admit(o OpticsConfig, layout *Layout, cfg *Config, opts TileOptions) error 
 	if err != nil {
 		return err
 	}
-	return cfg.Validate(g.WindowPx)
+	return cfg.Validate(g.WindowPx, o.PixelNM)
 }
 
 // fitsGrid reports whether layout covers exactly the grid of o, i.e.

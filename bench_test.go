@@ -120,6 +120,40 @@ func benchmarkRuntime(b *testing.B, mode Mode) {
 func BenchmarkTable3RuntimeFast(b *testing.B)  { benchmarkRuntime(b, ModeFast) }
 func BenchmarkTable3RuntimeExact(b *testing.B) { benchmarkRuntime(b, ModeExact) }
 
+// BenchmarkClipOperation is an in-process copy of the repo benchmark's
+// clips_fast / clips_exact operation: one op is one B-suite clip, B1 to B10
+// in turn, optimized untiled through OptimizeLayout with the paper's
+// configuration and scored with Evaluate, at 128 px / 8 nm. OptimizeLayout
+// runs the clip as one window under a compute-pool reservation, as the
+// benchmark's op does; Table3Runtime* call Optimize, which takes none, so a
+// -cpu 1,2 profile of them sees another pool than this op.
+func BenchmarkClipOperation(b *testing.B) {
+	s := benchSetup(b)
+	var layouts []*Layout
+	for _, name := range BenchmarkNames() {
+		layouts = append(layouts, benchLayout(b, name))
+	}
+	for _, m := range []struct {
+		name string
+		mode Mode
+	}{{"fast", ModeFast}, {"exact", ModeExact}} {
+		b.Run(m.name, func(b *testing.B) {
+			cfg := DefaultConfig(m.mode)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layout := layouts[i%len(layouts)]
+				res, err := s.OptimizeLayout(context.Background(), cfg, layout, TileOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Evaluate(res.Mask, layout, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Fig. 2: sigmoid resist curve ---------------------------------------
 
 func BenchmarkFig2Sigmoid(b *testing.B) {

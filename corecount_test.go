@@ -2,6 +2,9 @@ package mosaic
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -15,8 +18,11 @@ import (
 // paper's multi-kernel gradients into a fresh cache and artifact store,
 // must arrive at the same tile-cache keys, the same manifest and the same
 // Merkle root — so a cache directory, an artifact store or a cluster worker
-// can move between hosts of different sizes. Not parallel: it sets
-// GOMAXPROCS for the whole process, and restores it.
+// can move between hosts of different sizes. An untiled one-window
+// OptimizeLayout, the benchmark's clip operation — one pool reservation,
+// its focus-plane tasks on whatever tokens are left — must reach the same
+// gray-mask bits too. Not parallel: it sets GOMAXPROCS for the whole
+// process, and restores it.
 func TestBitsIndependentOfCoreCount(t *testing.T) {
 	par.Capacity() // size the pool on the whole machine before GOMAXPROCS drops to 1
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -28,6 +34,7 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 		Threshold      float64
 		Keys           []string
 		Manifest, Root string
+		ClipGray       [sha256.Size]byte // digest of the untiled run's gray-mask bit patterns
 	}
 	measure := func() anchored {
 		s, err := NewSetup(smallOptics())
@@ -51,6 +58,15 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 		for _, p := range res.Provenance {
 			got.Keys = append(got.Keys, p.Key)
 		}
+		clip, err := s.OptimizeLayout(context.Background(), cfg, smallLayout(), TileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []byte
+		for _, v := range clip.MaskGray.Data {
+			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(v))
+		}
+		got.ClipGray = sha256.Sum256(bits)
 		return got
 	}
 
@@ -70,6 +86,7 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 			{"tile-cache keys", got.Keys, want.Keys},
 			{"manifest digest", got.Manifest, want.Manifest},
 			{"Merkle root", got.Root, want.Root},
+			{"untiled gray mask", got.ClipGray, want.ClipGray},
 		} {
 			if !reflect.DeepEqual(row.got, row.want) {
 				t.Errorf("%s: GOMAXPROCS=%d has %v, GOMAXPROCS=1 has %v", row.name, procs, row.got, row.want)

@@ -140,7 +140,7 @@ func TestValidateRefusesNonFiniteFloats(t *testing.T) {
 		old := *f
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			*f = bad
-			err := b.Cfg.Validate(b.Optics.GridSize)
+			err := b.Cfg.Validate(b.Optics.GridSize, b.Optics.PixelNM)
 			var cerr *ConfigError
 			if !errors.As(err, &cerr) || !slices.Contains(strings.Split(cerr.Field, ","), names[f]) {
 				t.Errorf("%s = %g: Validate = %v, want a *ConfigError on %s", key, bad, err, names[f])
@@ -151,7 +151,7 @@ func TestValidateRefusesNonFiniteFloats(t *testing.T) {
 	if probed != len(names) {
 		t.Errorf("probed %d optimizer floats, Config has %d", probed, len(names))
 	}
-	if err := b.Cfg.Validate(b.Optics.GridSize); err != nil {
+	if err := b.Cfg.Validate(b.Optics.GridSize, b.Optics.PixelNM); err != nil {
 		t.Fatalf("the restored defaults fail Validate: %v", err)
 	}
 }

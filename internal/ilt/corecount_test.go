@@ -83,8 +83,8 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 				}
 				samples := layout.SamplePoints(cfg.EPESampleNM)
 				mask := maskFromParams(paramsFromMask(target, cfg.ThetaM, initEps), cfg.ThetaM)
-				st := o.evalState(mask, models, target, samples)
-				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask, models, target, samples))})
+				st := o.evalState(mask, models, target, samples, true)
+				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask))})
 				st.release()
 			}
 			res, err := o.Run(layout)

@@ -129,8 +129,8 @@ func TestMergedAdjointMatchesPerCornerReference(t *testing.T) {
 				for i, tv := range target.Data {
 					mask.Data[i] = 0.2 + 0.6*(0.5*tv+0.5*rng.Float64())
 				}
-				st := o.evalState(mask, models, target, samples)
-				got := o.gradient(st, mask, models, target, samples)
+				st := o.evalState(mask, models, target, samples, true)
+				got := o.gradient(st, mask)
 				want := referenceGradient(o, st, mask, target)
 				lo, hi := want.MinMax()
 				scale := math.Max(math.Abs(lo), math.Abs(hi))
@@ -182,6 +182,9 @@ func benchSimAt(t *testing.T, n int) *sim.Simulator {
 // the mask spectrum and the merged gradient inverse on the mask grid. An
 // accidental extra transform, or a per-kernel one that slipped back onto the
 // mask grid, fails here instead of showing up as an unexplained slowdown.
+// A seeded run adds its warm-start probe: two forward-only passes, the
+// seed's and the default init's, of D*(G+1) inverses and D+1 forwards each
+// and, together, one iteration's points — no adjoint.
 func TestFFTBudgetPerIteration(t *testing.T) {
 	inverse := obs.NewCounter("fft_pruned_inverse_total")
 	forward := obs.NewCounter("fft_pruned_forward_total")
@@ -201,15 +204,22 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		defocus float64
 		d, g    int64
 		calls   int64 // D*(G+2)+1, each direction
+		seeded  bool
 	}{
-		{"fast", ModeFast, 25, 2, 8, 21},
-		{"exact", ModeExact, 25, 2, 24, 53},
-		{"fast-one-plane", ModeFast, 0, 1, 8, 11},
+		{"fast", ModeFast, 25, 2, 8, 21, false},
+		{"exact", ModeExact, 25, 2, 24, 53, false},
+		{"fast-one-plane", ModeFast, 0, 1, 8, 11, false},
+		{"fast-seeded", ModeFast, 25, 2, 8, 21, true},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(tc.mode)
 		cfg.DefocusNM = tc.defocus
 		cfg.MaxIter = 3
+		var probeInv, probeFwd, probePts int64
+		if tc.seeded {
+			cfg.SeedMask = layout.Rasterize(n, s.Cfg.PixelNM)
+			probeInv, probeFwd = 2*tc.d*(tc.g+1), 2*(tc.d+1)
+		}
 		o, err := New(s, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -226,15 +236,18 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if iters != 3 {
 			t.Fatalf("%s: %d iterations, want 3", tc.name, iters)
 		}
-		if got := inverse.Value() - inv0; got != tc.calls*iters {
-			t.Errorf("%s: %d pruned inverses over %d iterations, want %d per iteration", tc.name, got, iters, tc.calls)
+		if got := inverse.Value() - inv0; got != tc.calls*iters+probeInv {
+			t.Errorf("%s: %d pruned inverses over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, tc.calls, probeInv)
 		}
-		if got := forward.Value() - fwd0; got != tc.calls*iters {
-			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per iteration", tc.name, got, iters, tc.calls)
+		if got := forward.Value() - fwd0; got != tc.calls*iters+probeFwd {
+			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, tc.calls, probeFwd)
 		}
 		wantPts := 2*tc.d*(tc.g+1)*nc*nc + 2*(tc.d+1)*n*n
-		if got := points.Value() - pts0; got != wantPts*iters {
-			t.Errorf("%s: %d pruned-transform points over %d iterations, want %d per iteration", tc.name, got, iters, wantPts)
+		if tc.seeded {
+			probePts = wantPts
+		}
+		if got := points.Value() - pts0; got != wantPts*iters+probePts {
+			t.Errorf("%s: %d pruned-transform points over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, wantPts, probePts)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func testOptimizer(t *testing.T, mode Mode) (*Optimizer, *geom.Layout) {
 // parameter field p.
 func objectiveAt(o *Optimizer, p *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) float64 {
 	mask := maskFromParams(p, o.Cfg.ThetaM)
-	return o.evalState(mask, models, target, samples).objective
+	return o.evalState(mask, models, target, samples, false).objective
 }
 
 // checkGradient compares the analytic dF/dP against central finite
@@ -78,8 +78,8 @@ func checkGradientAt(t *testing.T, o *Optimizer, layout *geom.Layout, probes [][
 
 	p := paramsFromMask(target, o.Cfg.ThetaM, initEps)
 	mask := maskFromParams(p, o.Cfg.ThetaM)
-	st := o.evalState(mask, models, target, samples)
-	grad := o.gradient(st, mask, models, target, samples)
+	st := o.evalState(mask, models, target, samples, true)
+	grad := o.gradient(st, mask)
 	for i, g := range grad.Data {
 		mv := mask.Data[i]
 		grad.Data[i] = g * o.Cfg.ThetaM * mv * (1 - mv)

@@ -256,11 +256,12 @@ type Optimizer struct {
 }
 
 // Validate reports the first optimizer rule cfg breaks as a *ConfigError
-// naming the field; gridSize is the grid of the simulator the run descends
-// on. It is the one home of these rules: New applies it, and the admission
-// gate (mosaic.Admit) applies it before any simulator exists. Every float
-// must be finite first, so no rule below is passed by a NaN.
-func (cfg *Config) Validate(gridSize int) error {
+// naming the field; gridSize and pixelNM are the grid and pixel of the
+// simulator the run descends on. It is the one home of these rules: New
+// applies it, and the admission gate (mosaic.Admit) applies it before any
+// simulator exists. Every float must be finite first, so no rule below is
+// passed by a NaN.
+func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -280,27 +281,49 @@ func (cfg *Config) Validate(gridSize int) error {
 	switch {
 	case cfg.Alpha < 0 || cfg.Beta < 0 || cfg.Alpha+cfg.Beta == 0:
 		return &ConfigError{Field: "Alpha,Beta", Reason: fmt.Sprintf("objective weights alpha=%g beta=%g must be non-negative and not both zero", cfg.Alpha, cfg.Beta)}
-	case cfg.Gamma < 2 || int(cfg.Gamma)%2 != 0:
-		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be a positive even integer >= 2, got %g", cfg.Gamma)}
+	case cfg.Gamma < 2 || cfg.Gamma > maxGamma || cfg.Gamma != math.Trunc(cfg.Gamma) || int(cfg.Gamma)%2 != 0:
+		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be an even integer in [2, %d], got %g", maxGamma, cfg.Gamma)}
+	case cfg.SmoothWeight < 0:
+		return &ConfigError{Field: "SmoothWeight", Reason: fmt.Sprintf("must be >= 0 (0 disables the regularizer), got %g", cfg.SmoothWeight)}
 	case cfg.ThetaM <= 0:
 		return &ConfigError{Field: "ThetaM", Reason: "sigmoid steepness must be positive"}
 	case cfg.ThetaEPE <= 0:
 		return &ConfigError{Field: "ThetaEPE", Reason: "sigmoid steepness must be positive"}
 	case cfg.StepSize <= 0:
 		return &ConfigError{Field: "StepSize", Reason: "must be positive"}
+	case cfg.StepDecay <= 0:
+		return &ConfigError{Field: "StepDecay", Reason: fmt.Sprintf("must be positive, got %g", cfg.StepDecay)}
+	case cfg.GradTol < 0:
+		return &ConfigError{Field: "GradTol", Reason: fmt.Sprintf("must be >= 0, got %g", cfg.GradTol)}
+	case cfg.Jumps < 0:
+		return &ConfigError{Field: "Jumps", Reason: fmt.Sprintf("must be >= 0, got %d", cfg.Jumps)}
+	case cfg.JumpFactor <= 0:
+		return &ConfigError{Field: "JumpFactor", Reason: fmt.Sprintf("must be positive, got %g", cfg.JumpFactor)}
 	case cfg.MaxIter <= 0:
 		return &ConfigError{Field: "MaxIter", Reason: fmt.Sprintf("must be positive, got %d", cfg.MaxIter)}
 	case cfg.Momentum < 0 || cfg.Momentum >= 1:
 		return &ConfigError{Field: "Momentum", Reason: fmt.Sprintf("must be in [0, 1), got %g", cfg.Momentum)}
-	case cfg.EPEThresholdNM <= 0:
-		return &ConfigError{Field: "EPEThresholdNM", Reason: "must be positive"}
-	case cfg.EPESampleNM <= 0:
-		return &ConfigError{Field: "EPESampleNM", Reason: "must be positive"}
+	case cfg.EPEThresholdNM <= 0 || cfg.EPEThresholdNM > float64(gridSize)*pixelNM:
+		// Each EPE sample scans 2*th_epe of image, in pixels.
+		return &ConfigError{Field: "EPEThresholdNM", Reason: fmt.Sprintf("must be positive and within the %g-nm field, got %g", float64(gridSize)*pixelNM, cfg.EPEThresholdNM)}
+	case cfg.EPESampleNM < minEPESampleNM:
+		return &ConfigError{Field: "EPESampleNM", Reason: fmt.Sprintf("must be >= %g nm, got %g", minEPESampleNM, cfg.EPESampleNM)}
+	case cfg.DoseDelta < 0 || cfg.DoseDelta >= 1:
+		return &ConfigError{Field: "DoseDelta", Reason: fmt.Sprintf("must be in [0, 1) so every corner prints at a positive dose, got %g", cfg.DoseDelta)}
 	case cfg.SeedMask != nil && (cfg.SeedMask.W != gridSize || cfg.SeedMask.H != gridSize):
 		return &ConfigError{Field: "SeedMask", Reason: fmt.Sprintf("seed raster is %dx%d but the simulator grid is %dx%d", cfg.SeedMask.W, cfg.SeedMask.H, gridSize, gridSize)}
 	}
 	return nil
 }
+
+// Bounds of Validate that keep the work of a run finite. Each power of
+// Gamma costs one multiply per pixel in the objective and its gradient (the
+// paper uses 4). The EPE sample count is an edge's length over the pitch,
+// which is held to the paper's 1-nm pixel.
+const (
+	maxGamma       = 64
+	minEPESampleNM = 1.0
+)
 
 // New validates the configuration (Config.Validate) and returns an
 // Optimizer.
@@ -308,7 +331,7 @@ func New(s *sim.Simulator, cfg Config) (*Optimizer, error) {
 	if s == nil {
 		return nil, fmt.Errorf("ilt: nil simulator")
 	}
-	if err := cfg.Validate(s.Cfg.GridSize); err != nil {
+	if err := cfg.Validate(s.Cfg.GridSize, s.Cfg.PixelNM); err != nil {
 		return nil, err
 	}
 	return &Optimizer{Sim: s, Cfg: cfg}, nil
@@ -435,8 +458,8 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			iterSpan.End()
 			iterations.Inc()
 		}
-		state := o.evalState(mask, models, target, samples)
-		grad := o.gradient(state, mask, models, target, samples)
+		state := o.evalState(mask, models, target, samples, true)
+		grad := o.gradient(state, mask)
 
 		// Chain through the mask relaxation: dM/dP = theta_M * M * (1-M).
 		for i, g := range grad.Data {
@@ -445,7 +468,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		}
 		gradRMS := grad.RMS()
 
-		proxyEPE, proxyPVB := o.proxyMetrics(state, samples)
+		proxyEPE, proxyPVB := o.proxyMetrics(state)
 		state.release() // pooled forward buffers are done for this iteration
 		proxyScore := metrics.Score(0, proxyPVB, proxyEPE, 0)
 		st := IterStats{
@@ -576,15 +599,16 @@ const plateauTol = 1e-6
 // the descent applies (paramsFromMask clamps to (eps, 1-eps), so each
 // probe evaluates exactly the mask iteration 0 would see). Ties go to
 // the seed: an exact repeat of a library pattern then starts from its
-// converged mask.
+// converged mask. Both probes are forward-only passes: the objective needs
+// no adjoint.
 func (o *Optimizer) probeSeed(seed, def *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) bool {
 	cfg := o.Cfg
 	sm := maskFromParams(paramsFromMask(seed, cfg.ThetaM, seedEps), cfg.ThetaM)
-	ss := o.evalState(sm, models, target, samples)
+	ss := o.evalState(sm, models, target, samples, false)
 	seedObj := ss.objective
 	ss.release()
 	dm := maskFromParams(paramsFromMask(def, cfg.ThetaM, initEps), cfg.ThetaM)
-	ds := o.evalState(dm, models, target, samples)
+	ds := o.evalState(dm, models, target, samples, false)
 	defObj := ds.objective
 	ds.release()
 	return seedObj <= defObj

@@ -13,6 +13,9 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
+	"mosaic/internal/optics"
+	"mosaic/internal/resist"
+	"mosaic/internal/sim"
 )
 
 func TestModeString(t *testing.T) {
@@ -47,24 +50,99 @@ func TestDefaultConfigModes(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	o, _ := testOptimizer(t, ModeFast)
 	s := o.Sim
-	bad := []Config{
-		{}, // all zero
-		func() Config { c := DefaultConfig(ModeFast); c.Alpha, c.Beta = 0, 0; return c }(),
-		func() Config { c := DefaultConfig(ModeFast); c.Gamma = 3; return c }(), // odd
-		func() Config { c := DefaultConfig(ModeFast); c.Gamma = 0; return c }(), // zero
-		func() Config { c := DefaultConfig(ModeFast); c.ThetaM = -1; return c }(),
-		func() Config { c := DefaultConfig(ModeFast); c.StepSize = 0; return c }(),
-		func() Config { c := DefaultConfig(ModeFast); c.MaxIter = 0; return c }(),
-		func() Config { c := DefaultConfig(ModeFast); c.EPEThresholdNM = 0; return c }(),
+	with := func(tweak func(*Config)) Config {
+		c := DefaultConfig(ModeFast)
+		tweak(&c)
+		return c
 	}
-	for i, cfg := range bad {
-		if _, err := New(s, cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for i, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Alpha,Beta", Config{}}, // all zero
+		{"Alpha,Beta", with(func(c *Config) { c.Alpha, c.Beta = 0, 0 })},
+		{"Gamma", with(func(c *Config) { c.Gamma = 3 })},   // odd
+		{"Gamma", with(func(c *Config) { c.Gamma = 0 })},   // zero
+		{"Gamma", with(func(c *Config) { c.Gamma = 4.5 })}, // truncated to 4
+		{"Gamma", with(func(c *Config) { c.Gamma = 1e300 })},
+		{"ThetaM", with(func(c *Config) { c.ThetaM = -1 })},
+		{"StepSize", with(func(c *Config) { c.StepSize = 0 })},
+		{"MaxIter", with(func(c *Config) { c.MaxIter = 0 })},
+		{"EPEThresholdNM", with(func(c *Config) { c.EPEThresholdNM = 0 })},
+		{"EPEThresholdNM", with(func(c *Config) { c.EPEThresholdNM = 1e15 })}, // hangs scanning its window
+		{"EPESampleNM", with(func(c *Config) { c.EPESampleNM = 1e-9 })},       // 1e11 samples an edge
+		{"SmoothWeight", with(func(c *Config) { c.SmoothWeight = -1 })},       // silently ignored
+		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},                     // unbounded jumps
+		{"StepDecay", with(func(c *Config) { c.StepDecay = 0 })},              // zero steps
+		{"StepDecay", with(func(c *Config) { c.StepDecay = -0.97 })},          // uphill every other step
+		{"JumpFactor", with(func(c *Config) { c.JumpFactor = 0 })},            // a jump that stands still
+		{"JumpFactor", with(func(c *Config) { c.JumpFactor = -4 })},           // an uphill jump
+		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},              // never converges
+		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })},          // corners swap
+		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},              // inner corner at dose 0
+		{"SmoothWeight", with(func(c *Config) { c.SmoothWeight = math.NaN() })},
+	} {
+		_, err := New(s, tc.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("bad config %d: got %v, want a *ConfigError on %s", i, err, tc.field)
 		}
 	}
 	if _, err := New(nil, DefaultConfig(ModeFast)); err == nil {
 		t.Error("nil simulator accepted")
 	}
+}
+
+// FuzzConfigValidate: an optimizer config with arbitrary float fields is
+// either refused with a *ConfigError or runs — two iterations on a 32-px
+// simulator — to a finite gray mask. A NaN, a hang or a panic from a value
+// Validate let through fails.
+func FuzzConfigValidate(f *testing.F) {
+	for _, mode := range []Mode{ModeFast, ModeExact} {
+		d := DefaultConfig(mode)
+		f.Add(mode == ModeExact, d.Alpha, d.Beta, d.Gamma, d.SmoothWeight, d.ThetaM, d.ThetaEPE, d.StepSize,
+			d.StepDecay, d.Momentum, d.GradTol, d.JumpFactor, d.EPEThresholdNM, d.EPESampleNM, d.DefocusNM, d.DoseDelta)
+	}
+	f.Add(false, 1.0, 0.35, 6.0, 0.5, 4.0, 2.0, 8.0, 1.5, 0.9, 0.0, 0.5, 15.0, 40.0, 0.0, 0.0)
+	c := optics.Default()
+	c.GridSize = 32
+	c.PixelNM = 16
+	s, err := sim.New(c, resist.Default())
+	if err != nil {
+		f.Fatal(err)
+	}
+	layout := &geom.Layout{Name: "fuzz", SizeNM: 512, Polys: []geom.Polygon{
+		geom.Rect{X: 160, Y: 144, W: 96, H: 224}.Polygon(),
+		geom.Rect{X: 304, Y: 144, W: 48, H: 224}.Polygon(),
+	}}
+	f.Fuzz(func(t *testing.T, exact bool, alpha, beta, gamma, smooth, thetaM, thetaEPE, step, decay, momentum, gradTol, jumpFactor, epeTh, epeSample, defocus, doseDelta float64) {
+		cfg := DefaultConfig(ModeFast)
+		if exact {
+			cfg = DefaultConfig(ModeExact)
+		}
+		cfg.MaxIter = 2
+		cfg.Alpha, cfg.Beta, cfg.Gamma, cfg.SmoothWeight = alpha, beta, gamma, smooth
+		cfg.ThetaM, cfg.ThetaEPE, cfg.StepSize, cfg.StepDecay = thetaM, thetaEPE, step, decay
+		cfg.Momentum, cfg.GradTol, cfg.JumpFactor = momentum, gradTol, jumpFactor
+		cfg.EPEThresholdNM, cfg.EPESampleNM, cfg.DefocusNM, cfg.DoseDelta = epeTh, epeSample, defocus, doseDelta
+		o, err := New(s, cfg)
+		if err != nil {
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("refused without a *ConfigError: %v", err)
+			}
+			return
+		}
+		res, err := o.Run(layout)
+		if err != nil {
+			t.Fatalf("admitted config failed: %v", err)
+		}
+		for i, v := range res.MaskGray.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("admitted config made a non-finite mask pixel %d: %g", i, v)
+			}
+		}
+	})
 }
 
 func TestMaskParamsRoundTrip(t *testing.T) {

@@ -86,21 +86,27 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 	return m, nil
 }
 
-// focusState is the forward state at one focus plane for the current mask.
+// focusState is one focus plane's share of an iteration for the current
+// mask: its forward state and, in a descent step, its adjoint band blocks.
 type focusState struct {
 	model  focusModel
 	fields []*grid.CField // A_k = M conv h_k on the imaging grid, one per gradient kernel
 	i      *grid.Field    // aerial intensity (before dose) on the mask grid
+	blks   []*grid.CField // adjoint band block per kernel; nil when no corner of the plane is live
 }
 
-// iterState is everything the objective and gradient share in one
-// iteration. Every grid buffer it holds comes from the workspace pool;
-// release returns them once the iteration is done with the state.
+// iterState is everything one iteration computes from the current mask.
+// Every grid buffer it holds comes from the workspace pool; release
+// returns them once the iteration is done with the state.
 type iterState struct {
 	specBand *grid.CField // band-limited FFT of the current mask
 	planes   []focusState
 	z        []*grid.Field // sigmoid printed pattern per corner (Eq. 4, dose applied), in corner-list order
+	pvb      []float64     // F_pvb term per corner; slot 0, the nominal, stays 0
 	epeW     *grid.Field   // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
+
+	printed  []*grid.Field // descent step: hard print per corner, for the proxy PV band
+	proxyEPE int           // descent step: EPE violations on the nominal aerial image
 
 	objective float64
 	fTarget   float64
@@ -121,15 +127,21 @@ func (st *iterState) release() {
 			grid.PutC(f)
 		}
 		fs.fields = nil
+		for _, b := range fs.blks {
+			grid.PutC(b)
+		}
+		fs.blks = nil
 		if fs.i != nil {
 			grid.Put(fs.i)
 			fs.i = nil
 		}
 	}
-	for i, z := range st.z {
-		if z != nil {
-			grid.Put(z)
-			st.z[i] = nil
+	for _, fs := range [][]*grid.Field{st.z, st.printed} {
+		for i, f := range fs {
+			if f != nil {
+				grid.Put(f)
+				fs[i] = nil
+			}
 		}
 	}
 	if st.epeW != nil {
@@ -138,15 +150,18 @@ func (st *iterState) release() {
 	}
 }
 
-// evalState runs the forward model once per focus plane, prints every
-// corner of the plane from the shared intensity at its own dose, and
-// evaluates the objective of the configured mode.
-func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *iterState {
+// evalState runs one task per focus plane and evaluates the objective of
+// the configured mode. A plane's task images it, prints its corners at
+// their doses and computes its objective terms; with adjoint set (a
+// descent step, not the warm-start probe) it also runs the plane's adjoint
+// products into its own band blocks and makes its proxy prints. The planes
+// share only the read-only mask spectrum and each task writes its own
+// slots, so they run concurrently; every sum — the SOCS one inside Image,
+// the corner terms below, the band blocks in gradient — is folded serially
+// and in index order, so the bits do not depend on the core count.
+func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample, adjoint bool) *iterState {
 	// All models share the optics configuration, hence the same frequency
-	// block half-width. The per-plane forward passes are independent (they
-	// only read the shared mask spectrum) and each writes its own pre-sized
-	// slots, so the planes run concurrently; every sum — the SOCS one inside
-	// Image, the objective below — is serial and in index order.
+	// block half-width.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].ig.K)}
 	st.planes = make([]focusState, len(models))
 	corners := 0
@@ -154,27 +169,16 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 		corners += len(m.Members)
 	}
 	st.z = make([]*grid.Field, corners)
+	st.pvb = make([]float64, corners)
+	if adjoint {
+		st.printed = make([]*grid.Field, corners)
+	}
 	par.For(len(models), func(mi int) {
-		m := models[mi]
-		_, fsp := obs.StartSpan(context.Background(), obs.IltForward[m.Lead.SpanLabel()])
-		fs := focusState{model: m}
-		fs.fields, fs.i = m.ig.Image(st.specBand, m.freqs, m.weights)
-		for j, ci := range m.Members {
-			st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, m.doses[j])
-		}
-		st.planes[mi] = fs
-		fsp.End()
+		st.planes[mi] = o.plane(st, models[mi], mask, target, samples, adjoint)
 	})
 
-	zNom := st.z[0]
-	switch o.Cfg.Mode {
-	case ModeFast:
-		st.fTarget = o.idObjective(zNom, target)
-	case ModeExact:
-		st.fTarget, st.epeW = o.epeObjective(zNom, target, samples)
-	}
-	for _, z := range st.z[1:] {
-		st.fPvb += o.pvbTerm(z, target)
+	for _, f := range st.pvb[1:] {
+		st.fPvb += f
 	}
 	st.objective = o.Cfg.Alpha*st.fTarget + o.Cfg.Beta*st.fPvb
 	if o.Cfg.SmoothWeight > 0 {
@@ -182,6 +186,46 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 		st.objective += o.Cfg.SmoothWeight * st.fSmooth
 	}
 	return st
+}
+
+// plane is the task of one focus plane in evalState. The plane holding
+// corner 0, the nominal condition, owns the design-target term, the EPE
+// weight map and the proxy violation count.
+func (o *Optimizer) plane(st *iterState, m focusModel, mask, target *grid.Field, samples []geom.Sample, adjoint bool) focusState {
+	_, fsp := obs.StartSpan(context.Background(), obs.IltForward[m.Lead.SpanLabel()])
+	fs := focusState{model: m}
+	fs.fields, fs.i = m.ig.Image(st.specBand, m.freqs, m.weights)
+	for j, ci := range m.Members {
+		st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, m.doses[j])
+	}
+	fsp.End()
+
+	for _, ci := range m.Members {
+		switch {
+		case ci > 0:
+			st.pvb[ci] = o.pvbTerm(st.z[ci], target)
+		case o.Cfg.Mode == ModeFast:
+			st.fTarget = o.idObjective(st.z[0], target)
+		case o.Cfg.Mode == ModeExact:
+			st.fTarget, st.epeW = o.epeObjective(st.z[0], target, samples)
+		}
+	}
+	if !adjoint {
+		return fs
+	}
+	fs.blks = o.adjoint(st, fs, target)
+
+	// Proxy metrics (see proxyMetrics): hard prints of the plane's corners
+	// and, on the nominal plane, the EPE violations of its aerial image.
+	px := o.Sim.Cfg.PixelNM
+	for j, ci := range m.Members {
+		st.printed[ci] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, m.doses[j])
+		if ci == 0 {
+			res := metrics.MeasureEPE(fs.i, 1, o.Sim.Resist.Threshold, px, samples, o.metricParams())
+			st.proxyEPE = metrics.CountViolations(res)
+		}
+	}
+	return fs
 }
 
 // smoothObjective evaluates the mask-smoothness regularizer
@@ -280,8 +324,8 @@ func (o *Optimizer) pvbTerm(z, target *grid.Field) float64 {
 //	dF/dM    = sum_p W(p) * dD(p)/dM
 //
 // so the closed form of Eq. 14 reduces to the standard quadratic
-// image-difference gradient weighted per pixel by W, which evalState's
-// caller applies in gradient().
+// image-difference gradient weighted per pixel by W, which adjoint
+// applies.
 func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (float64, *grid.Field) {
 	px := o.Sim.Cfg.PixelNM
 	w := int(math.Round(o.Cfg.EPEThresholdNM / px))
@@ -338,32 +382,18 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 }
 
 // proxyMetrics estimates the true Eq. 7 quantities from the intensities
-// evalState imaged through the descent's own kernel stack (GradKernels
-// SOCS kernels; Eq. 21 only at GradKernels 0): EPE violations measured on
-// the nominal aerial image and the PV-band area from hard prints at every
-// corner. They cost no extra transform, and drive best-iterate selection
-// (Alg. 1 line 9).
-func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int, pvbNM2 float64) {
-	px := o.Sim.Cfg.PixelNM
-	mp := o.metricParams()
-	// The nominal condition is corner 0, which leads plane 0.
-	res := metrics.MeasureEPE(st.planes[0].i, 1, o.Sim.Resist.Threshold, px, samples, mp)
-	epe = metrics.CountViolations(res)
-	printed := make([]*grid.Field, len(st.z))
-	for _, fs := range st.planes {
-		for j, ci := range fs.model.Members {
-			printed[ci] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, fs.model.doses[j])
-		}
-	}
-	pvbNM2 = metrics.PVBandArea(printed, px)
-	for _, p := range printed {
-		grid.Put(p)
-	}
-	return epe, pvbNM2
+// a descent step imaged through the descent's own kernel stack
+// (GradKernels SOCS kernels; Eq. 21 only at GradKernels 0): EPE violations
+// measured on the nominal aerial image and the PV-band area from hard
+// prints at every corner, both made by the plane tasks of evalState. They
+// cost no extra transform, and drive best-iterate selection (Alg. 1
+// line 9).
+func (o *Optimizer) proxyMetrics(st *iterState) (epe int, pvbNM2 float64) {
+	return st.proxyEPE, metrics.PVBandArea(st.printed, o.Sim.Cfg.PixelNM)
 }
 
-// gradient computes dF/dM for the current state (before the Eq. 8 chain
-// through the mask relaxation, which the caller applies).
+// adjoint is one focus plane's share of the gradient dF/dM, run in the
+// plane's task of a descent step.
 //
 // Every objective term has the form sum_p phi(Z_c(p)); backpropagation
 // through the resist sigmoid (Eq. 4) and the coherent convolution gives
@@ -377,85 +407,96 @@ func (o *Optimizer) proxyMetrics(st *iterState, samples []geom.Sample) (epe int,
 //
 // The adjoint is linear in W_c, and the corners of one focus plane share
 // A, H and the renormalized kernel weights, so their W_c are summed first
-// and each plane costs one adjoint pass however many corners it holds.
-func (o *Optimizer) gradient(st *iterState, mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) *grid.Field {
+// and each plane costs one adjoint pass however many corners it holds. It
+// returns the plane's band blocks, one per kernel, or nil when no corner of
+// the plane contributes.
+func (o *Optimizer) adjoint(st *iterState, fs focusState, target *grid.Field) []*grid.CField {
 	cfg := o.Cfg
 	thetaZ := o.Sim.Resist.ThetaZ
-	n := mask.W
-	bw := 2*models[0].ig.K + 1
-	// Sum over planes and kernels of the adjoint band blocks; every model
-	// shares the optics, hence the block size.
-	gradBlk := grid.GetC(bw, bw).Zero()
+	m := fs.model
+	n := m.ig.N
 
-	for _, fs := range st.planes {
-		// W = sum over the plane's corners of dF/dZ * theta_Z * Z(1-Z) * dose.
-		w := grid.Get(n, n).Zero()
-		live := false
-		for j, ci := range fs.model.Members {
-			z, dose := st.z[ci].Data, fs.model.doses[j]
-			switch {
-			case ci > 0 && cfg.Beta != 0:
-				for i, zv := range z {
-					w.Data[i] += cfg.Beta * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
-				}
-			case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeFast:
-				g := int(cfg.Gamma)
-				for i, zv := range z {
-					w.Data[i] += cfg.Alpha * float64(g) * ipow(zv-target.Data[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
-				}
-			case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeExact:
-				for i, zv := range z {
-					w.Data[i] += cfg.Alpha * st.epeW.Data[i] * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
-				}
-			default:
-				continue
+	// W = sum over the plane's corners of dF/dZ * theta_Z * Z(1-Z) * dose.
+	w := grid.Get(n, n).Zero()
+	live := false
+	for j, ci := range m.Members {
+		z, dose := st.z[ci].Data, m.doses[j]
+		switch {
+		case ci > 0 && cfg.Beta != 0:
+			for i, zv := range z {
+				w.Data[i] += cfg.Beta * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
 			}
-			live = true
-		}
-		if !live {
-			grid.Put(w)
+		case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeFast:
+			g := int(cfg.Gamma)
+			for i, zv := range z {
+				w.Data[i] += cfg.Alpha * float64(g) * ipow(zv-target.Data[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
+			}
+		case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeExact:
+			for i, zv := range z {
+				w.Data[i] += cfg.Alpha * st.epeW.Data[i] * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
+			}
+		default:
 			continue
 		}
+		live = true
+	}
+	if !live {
+		grid.Put(w)
+		return nil
+	}
 
-		// Adjoint pass, on the imaging grid: W is carried there once by the
-		// transpose of the forward interpolation, and each kernel contributes
-		//   2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W .* A_ki) ) }
-		// The inverse transform is linear, so the per-kernel band blocks
-		// accumulate in the frequency domain — across kernels here and across
-		// planes below — and ONE mask-grid inverse per iteration replaces one
-		// per kernel and plane. The kernels map in parallel, each into its own
-		// band block; the blocks fold serially, in kernel then plane order.
-		m := fs.model
-		nc := m.ig.Nc
-		wc := m.ig.Restrict(w)
-		blks := make([]*grid.CField, len(m.freqs))
-		par.For(len(m.freqs), func(ki int) {
-			term := grid.GetC(nc, nc)
-			for i, av := range fs.fields[ki].Data {
-				term.Data[i] = complex(real(av)*wc.Data[i], imag(av)*wc.Data[i])
-			}
-			blk := grid.GetC(bw, bw)
-			fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
-			grid.PutC(term)
-			scale := complex(2*m.weights[ki], 0)
-			for i, kv := range m.freqs[ki].Data {
-				blk.Data[i] = blk.Data[i] * complex(real(kv), -imag(kv)) * scale
-			}
-			blks[ki] = blk
-		})
-		grid.Put(wc)
-		for _, blk := range blks {
+	// Adjoint pass, on the imaging grid: W is carried there once by the
+	// transpose of the forward interpolation, and each kernel contributes
+	//   2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W .* A_ki) ) }
+	// The inverse transform is linear, so the per-kernel band blocks
+	// accumulate in the frequency domain (gradient folds them) and ONE
+	// mask-grid inverse per iteration replaces one per kernel and plane.
+	// The kernels map in parallel, each into its own band block.
+	nc, bw := m.ig.Nc, 2*m.ig.K+1
+	wc := m.ig.Restrict(w)
+	blks := make([]*grid.CField, len(m.freqs))
+	par.For(len(m.freqs), func(ki int) {
+		term := grid.GetC(nc, nc)
+		for i, av := range fs.fields[ki].Data {
+			term.Data[i] = complex(real(av)*wc.Data[i], imag(av)*wc.Data[i])
+		}
+		blk := grid.GetC(bw, bw)
+		fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
+		grid.PutC(term)
+		scale := complex(2*m.weights[ki], 0)
+		for i, kv := range m.freqs[ki].Data {
+			blk.Data[i] = blk.Data[i] * complex(real(kv), -imag(kv)) * scale
+		}
+		blks[ki] = blk
+	})
+	grid.Put(wc)
+	return blks
+}
+
+// gradient computes dF/dM for a descent step's state (before the Eq. 8
+// chain through the mask relaxation, which the caller applies): it folds
+// the planes' adjoint band blocks serially, in plane then kernel order, and
+// runs the one mask-grid inverse of the iteration.
+func (o *Optimizer) gradient(st *iterState, mask *grid.Field) *grid.Field {
+	n := mask.W
+	// Every model shares the optics, hence the block size.
+	bw := 2*st.planes[0].model.ig.K + 1
+	gradBlk := grid.GetC(bw, bw).Zero()
+	for i := range st.planes {
+		fs := &st.planes[i]
+		for _, blk := range fs.blks {
 			gradBlk.AddC(blk)
 			grid.PutC(blk)
 		}
+		fs.blks = nil
 	}
 	// The returned gradient comes from the workspace pool; runRaster
 	// releases it at the end of the iteration.
 	grad := grid.Get(n, n)
 	fft.InverseBandLimitedReal(gradBlk, n, grad)
 	grid.PutC(gradBlk)
-	if cfg.SmoothWeight > 0 {
-		smoothGradient(grad, mask, cfg.SmoothWeight)
+	if o.Cfg.SmoothWeight > 0 {
+		smoothGradient(grad, mask, o.Cfg.SmoothWeight)
 	}
 	return grad
 }
