@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build loc fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build loc paper fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -37,6 +37,14 @@ build:
 # benchmark/, scripts/*.sh, check.yml and this file.
 loc:
 	@./scripts/loc.sh
+
+# paper re-archives the paper's evaluation into results/ at 512 px / 2 nm:
+# Tables 2-3, Figs 1-6, the B4 ablations and the process-window weight
+# sweep, with table2.csv stamped by its numeric generation. cmd/experiments'
+# tests hold a fresh Table 2 to that archive and EXPERIMENTS.md to its
+# numbers. About 70 s on two cores.
+paper:
+	$(GO) run ./cmd/experiments -out results -ablations
 
 # fuzz-smoke runs every fuzz target for FUZZ_TIME each: the binary
 # decoders behind internal/frame (error or exact round-trip, never a
@@ -92,11 +100,12 @@ provenance-smoke:
 warmstart-smoke:
 	./scripts/warmstart_smoke.sh
 
-# bench runs the paper-table and convolution-engine testing.B rows and
-# archives the benchstat-compatible text under results/, stamped with
-# today's date. It is the Table 2/3 score record and the profiling entry
-# point, not a speed gate: a speed claim rests on bench-e2e-pairs below.
-BENCH_PATTERN ?= Table2|Table3|ClipOperation|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
+# bench runs the profiling testing.B rows (the clip operation, the
+# convolution engine, the tile pipeline) and archives the
+# benchstat-compatible text under results/, stamped with today's date. It
+# is not a speed gate: a speed claim rests on bench-e2e-pairs below, and
+# the paper's tables are make paper's.
+BENCH_PATTERN ?= ClipOperation|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

@@ -1,13 +1,9 @@
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (Sec. 4), plus the DESIGN.md ablations and
-// micro-benchmarks of the computational kernels.
-//
-// Benchmarks run on a reduced grid (128 px over the 1024 nm clip) so the
-// whole suite completes in minutes on one core; cmd/experiments runs the
-// same code at the paper's full resolution and writes the results/ tables.
-// Each benchmark reports the paper's metrics (EPE violations, PV band,
-// score) as custom b.ReportMetric values, so the harness regenerates the
-// table *rows*, not just timings.
+// Profiling entry points: in-process copies of the repo benchmark's clip
+// operation, micro-benchmarks of the computational kernels, and the tile,
+// cache and warm-start pipelines, on a reduced grid (128 px over the
+// 1024 nm clip). They are not the paper's tables: cmd/experiments writes
+// those into results/ at 512 px / 2 nm, and its tests re-run Table 2
+// against that archive.
 package mosaic
 
 import (
@@ -15,9 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"mosaic/internal/grid"
-	"mosaic/internal/metrics"
-	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 )
 
@@ -60,73 +53,13 @@ func benchLayout(b *testing.B, name string) *Layout {
 	return l
 }
 
-// reportQuality attaches the contest metrics to the benchmark output.
-func reportQuality(b *testing.B, rep *Report) {
-	b.Helper()
-	b.ReportMetric(float64(rep.EPEViolations), "EPEviol")
-	b.ReportMetric(rep.PVBandNM2, "PVB-nm2")
-	b.ReportMetric(rep.Score, "score")
-}
-
-// --- Table 2 / Table 3: one benchmark per method over the suite ---------
-//
-// Table 2's quality columns are the reported EPEviol/PVB-nm2/score metrics;
-// Table 3's runtime column is the benchmark's ns/op.
-
-func benchmarkMethodSuite(b *testing.B, methodIdx int, cases []string) {
-	s := benchSetup(b)
-	m := Methods()[methodIdx]
-	for i := 0; i < b.N; i++ {
-		var epe, pvb, score float64
-		for _, name := range cases {
-			rr, err := s.Run(m, benchLayout(b, name))
-			if err != nil {
-				b.Fatal(err)
-			}
-			epe += float64(rr.Report.EPEViolations)
-			pvb += rr.Report.PVBandNM2
-			score += rr.Report.Score
-		}
-		b.ReportMetric(epe, "EPEviol")
-		b.ReportMetric(pvb, "PVB-nm2")
-		b.ReportMetric(score, "score")
-	}
-}
-
-// Representative three-case subset (sparse, dense, 2-D) keeps each method
-// benchmark under a minute; run cmd/experiments for all ten.
-var table2Cases = []string{"B2", "B4", "B8"}
-
-func BenchmarkTable2RuleBased(b *testing.B)   { benchmarkMethodSuite(b, 0, table2Cases) }
-func BenchmarkTable2ModelBased(b *testing.B)  { benchmarkMethodSuite(b, 1, table2Cases) }
-func BenchmarkTable2PlainILT(b *testing.B)    { benchmarkMethodSuite(b, 2, table2Cases) }
-func BenchmarkTable2MOSAICFast(b *testing.B)  { benchmarkMethodSuite(b, 3, table2Cases) }
-func BenchmarkTable2MOSAICExact(b *testing.B) { benchmarkMethodSuite(b, 4, table2Cases) }
-
-// Table 3 is the ns/op of the optimization alone (no evaluation), the
-// paper's runtime comparison.
-func benchmarkRuntime(b *testing.B, mode Mode) {
-	s := benchSetup(b)
-	layout := benchLayout(b, "B4")
-	cfg := DefaultConfig(mode)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Optimize(cfg, layout); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3RuntimeFast(b *testing.B)  { benchmarkRuntime(b, ModeFast) }
-func BenchmarkTable3RuntimeExact(b *testing.B) { benchmarkRuntime(b, ModeExact) }
-
 // BenchmarkClipOperation is an in-process copy of the repo benchmark's
 // clips_fast / clips_exact operation: one op is one B-suite clip, B1 to B10
 // in turn, optimized untiled through OptimizeLayout with the paper's
 // configuration and scored with Evaluate, at 128 px / 8 nm. OptimizeLayout
 // runs the clip as one window under a compute-pool reservation, as the
-// benchmark's op does; Table3Runtime* call Optimize, which takes none, so a
-// -cpu 1,2 profile of them sees another pool than this op.
+// benchmark's op does; Optimize takes none, so a -cpu 1,2 profile of a loop
+// over Optimize sees another pool than this op.
 func BenchmarkClipOperation(b *testing.B) {
 	s := benchSetup(b)
 	var layouts []*Layout
@@ -153,141 +86,6 @@ func BenchmarkClipOperation(b *testing.B) {
 		})
 	}
 }
-
-// --- Fig. 2: sigmoid resist curve ---------------------------------------
-
-func BenchmarkFig2Sigmoid(b *testing.B) {
-	rm := resist.Model{Threshold: 0.5, ThetaZ: 50}
-	img := grid.New(benchGrid, benchGrid)
-	for i := range img.Data {
-		img.Data[i] = float64(i) / float64(len(img.Data))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rm.PrintSigmoid(img, 1)
-	}
-}
-
-// --- Fig. 3: EPE sampling and measurement -------------------------------
-
-func BenchmarkFig3EPEMeasurement(b *testing.B) {
-	s := benchSetup(b)
-	layout := benchLayout(b, "B5")
-	mask := layout.Rasterize(benchGrid, s.Sim.Cfg.PixelNM)
-	aerial, err := s.Sim.Aerial(mask, sim.Nominal())
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := layout.SamplePoints(s.Params.EPESampleNM)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := metrics.MeasureEPE(aerial, 1, s.Sim.Resist.Threshold, s.Sim.Cfg.PixelNM, samples, s.Params)
-		if len(res) != len(samples) {
-			b.Fatal("sample count mismatch")
-		}
-	}
-}
-
-// --- Fig. 4: PV band construction ---------------------------------------
-
-func BenchmarkFig4PVBand(b *testing.B) {
-	s := benchSetup(b)
-	layout := benchLayout(b, "B4")
-	mask := layout.Rasterize(benchGrid, s.Sim.Cfg.PixelNM)
-	corners := sim.ProcessCorners(s.Params.DefocusNM, s.Params.DoseDelta)
-	printed := make([]*grid.Field, len(corners))
-	for i, c := range corners {
-		aerial, err := s.Sim.Aerial(mask, c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printed[i] = s.Sim.PrintHard(aerial, c)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, area := metrics.PVBand(printed, s.Sim.Cfg.PixelNM)
-		if area <= 0 {
-			b.Fatal("no band")
-		}
-	}
-}
-
-// --- Fig. 5: full MOSAIC_exact runs on the showcase clips ---------------
-
-func BenchmarkFig5ShowcaseB4(b *testing.B) { benchmarkShowcase(b, "B4") }
-func BenchmarkFig5ShowcaseB6(b *testing.B) { benchmarkShowcase(b, "B6") }
-
-func benchmarkShowcase(b *testing.B, name string) {
-	s := benchSetup(b)
-	layout := benchLayout(b, name)
-	for i := 0; i < b.N; i++ {
-		res, err := s.OptimizeExact(layout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := s.Evaluate(res.Mask, layout, res.RuntimeSec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportQuality(b, rep)
-	}
-}
-
-// --- Fig. 6: convergence tracking ----------------------------------------
-
-func BenchmarkFig6Convergence(b *testing.B) {
-	s := benchSetup(b)
-	layout := benchLayout(b, "B4")
-	cfg := DefaultConfig(ModeExact)
-	cfg.TrackMetrics = true
-	for i := 0; i < b.N; i++ {
-		res, err := s.Optimize(cfg, layout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.History) == 0 {
-			b.Fatal("no history")
-		}
-		last := res.History[len(res.History)-1]
-		b.ReportMetric(float64(last.EPEViolations), "finalEPE")
-		b.ReportMetric(last.PVBandNM2, "finalPVB")
-	}
-}
-
-// --- Ablations (DESIGN.md Sec. 5) ----------------------------------------
-
-func benchmarkAblation(b *testing.B, mutate func(*Config)) {
-	s := benchSetup(b)
-	layout := benchLayout(b, "B4")
-	cfg := DefaultConfig(ModeFast)
-	mutate(&cfg)
-	for i := 0; i < b.N; i++ {
-		res, err := s.Optimize(cfg, layout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := s.Evaluate(res.Mask, layout, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportQuality(b, rep)
-	}
-}
-
-func BenchmarkAblationGamma2(b *testing.B) { benchmarkAblation(b, func(c *Config) { c.Gamma = 2 }) }
-func BenchmarkAblationGamma4(b *testing.B) { benchmarkAblation(b, func(c *Config) { c.Gamma = 4 }) }
-func BenchmarkAblationGamma6(b *testing.B) { benchmarkAblation(b, func(c *Config) { c.Gamma = 6 }) }
-func BenchmarkAblationCombinedKernel(b *testing.B) {
-	benchmarkAblation(b, func(c *Config) { c.GradKernels = 0 }) // Eq. 21
-}
-func BenchmarkAblationFullKernels(b *testing.B) {
-	benchmarkAblation(b, func(c *Config) { c.GradKernels = 1 << 30 })
-}
-func BenchmarkAblationPVB(b *testing.B) { benchmarkAblation(b, func(c *Config) { c.Beta = 0 }) }
-func BenchmarkAblationSRAF(b *testing.B) {
-	benchmarkAblation(b, func(c *Config) { c.SRAFInit = false })
-}
-func BenchmarkAblationJump(b *testing.B) { benchmarkAblation(b, func(c *Config) { c.Jumps = 0 }) }
 
 // --- Micro-benchmarks of the computational kernels ------------------------
 
@@ -477,22 +275,6 @@ func BenchmarkTileCacheWarm(b *testing.B) {
 		b.ReportMetric(float64(st.Hits-base.Hits)/float64(b.N), "hits/op")
 		b.ReportMetric(0, "misses/op")
 	})
-}
-
-func init() {
-	// Keep the suite deterministic across -benchtime settings: verify the
-	// benchmark grid divides the clip exactly.
-	if 1024%benchGrid != 0 {
-		panic(fmt.Sprintf("benchGrid %d must divide 1024", benchGrid))
-	}
-}
-
-func BenchmarkAblationSmooth(b *testing.B) {
-	benchmarkAblation(b, func(c *Config) { c.SmoothWeight = 8 })
-}
-
-func BenchmarkAblationMomentum(b *testing.B) {
-	benchmarkAblation(b, func(c *Config) { c.Momentum = 0.8 })
 }
 
 // BenchmarkWarmStartSeeded measures what the warm-start pattern library

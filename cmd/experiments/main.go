@@ -10,14 +10,16 @@
 //	Fig. 5  target / OPC mask / nominal image / PV band for B4 and B6
 //	Fig. 6  convergence of EPE violations, PV band and score for B4 and B6
 //
-// plus the ablation studies listed in DESIGN.md (-ablations).
+// plus the ablation studies listed in DESIGN.md and the process-window
+// weight sweep (-ablations). Table 2 is stamped with the numeric generation
+// (cache.DigestVersion) it was made under, which the package's tests read
+// to judge a fresh run against the archive.
 //
 // Usage:
 //
-//	experiments -out results                 # everything except ablations
+//	experiments -out results -ablations      # the archive (make paper)
 //	experiments -out results -grid 256       # faster, coarser
 //	experiments -only table2,fig6            # subset
-//	experiments -ablations                   # add the ablation table
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"mosaic"
+	"mosaic/internal/cache"
 	"mosaic/internal/cli"
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
@@ -47,13 +50,32 @@ type harness struct {
 	runs  []*mosaic.RunResult // Table 2/3 results, reused by Fig. 5
 }
 
+// paperGrid is the archive's grid: 512 px over the 1024 nm clip, 2 nm/px.
+const paperGrid = 512
+
+// newHarness calibrates the optics for a gridSize-pixel grid over the
+// 1024 nm clip and writes into out.
+func newHarness(out string, gridSize int) (*harness, error) {
+	cfg := mosaic.DefaultOptics()
+	cfg.GridSize = gridSize
+	cfg.PixelNM = 1024.0 / float64(gridSize)
+	setup, err := mosaic.NewSetup(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return nil, err
+	}
+	return &harness{setup: setup, out: out, grid: gridSize, px: cfg.PixelNM}, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	out := flag.String("out", "results", "output directory")
-	gridSize := flag.Int("grid", 512, "simulation grid size (power of two)")
+	gridSize := flag.Int("grid", paperGrid, "simulation grid size (power of two)")
 	only := flag.String("only", "", "comma-separated subset: fig1,fig2,fig3,fig4,table2,table3,fig5,fig6")
-	ablations := flag.Bool("ablations", false, "also run the DESIGN.md ablation studies (slow)")
+	ablations := flag.Bool("ablations", false, "also run the DESIGN.md ablation studies and the process-window weight sweep")
 	obsFlags := cli.AddObsFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -63,21 +85,9 @@ func main() {
 	}
 	defer obsCleanup()
 
-	cfg := mosaic.DefaultOptics()
-	cfg.GridSize = *gridSize
-	cfg.PixelNM = 1024.0 / float64(*gridSize)
-	setup, err := mosaic.NewSetup(cfg)
+	h, err := newHarness(*out, *gridSize)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	h := &harness{
-		setup: setup,
-		out:   *out,
-		grid:  *gridSize,
-		px:    cfg.PixelNM,
 	}
 
 	want := map[string]bool{}
@@ -107,6 +117,7 @@ func main() {
 	run("fig6", h.fig6)
 	if *ablations {
 		run("ablations", h.ablations)
+		run("ablation_pw", h.ablationPW)
 	}
 	log.Printf("all outputs in %s", *out)
 }
@@ -217,7 +228,8 @@ func (h *harness) fig4() error {
 }
 
 // tables23 runs the full method x testcase matrix and writes Table 2
-// (quality) and Table 3 (runtime).
+// (quality), the numeric generation it was made under, and Table 3
+// (runtime).
 func (h *harness) tables23() error {
 	layouts, err := mosaic.Benchmarks()
 	if err != nil {
@@ -239,8 +251,15 @@ func (h *harness) tables23() error {
 	if err := h.writeTable2(layouts, methods); err != nil {
 		return err
 	}
+	if err := os.WriteFile(h.path(digestVersionFile), []byte(fmt.Sprintln(cache.DigestVersion)), 0o644); err != nil {
+		return err
+	}
 	return h.writeTable3(layouts, methods)
 }
+
+// digestVersionFile holds the cache.DigestVersion table2.csv was made
+// under: within one generation a fresh run must reproduce every cell.
+const digestVersionFile = "digest_version.txt"
 
 func (h *harness) find(method, testcase string) *mosaic.RunResult {
 	for _, r := range h.runs {
@@ -467,4 +486,35 @@ func (h *harness) ablations() error {
 	}
 	sort.Strings(rows[1:]) // keep baseline first, rest alphabetical
 	return h.writeCSV("ablations_B4.csv", "variant,epe_violations,pvband_nm2,score,runtime_sec", rows)
+}
+
+// ablationPW sweeps the process-window weight β of Eq. 19/20 over the
+// whole suite in both modes (ROADMAP item 18): one row a (β, mode, clip),
+// scored without runtime. The paper's claim is that ΣPVB falls as β rises
+// at no worse ΣEPE; β = 0.35 is the default, Table 2's MOSAIC columns.
+func (h *harness) ablationPW() error {
+	layouts, err := mosaic.Benchmarks()
+	if err != nil {
+		return err
+	}
+	var rows []string
+	for _, beta := range []float64{0, 0.35, 1} {
+		for _, mode := range []mosaic.Mode{mosaic.ModeFast, mosaic.ModeExact} {
+			cfg := mosaic.DefaultConfig(mode)
+			cfg.Beta = beta
+			for _, layout := range layouts {
+				res, err := h.setup.Optimize(cfg, layout)
+				if err != nil {
+					return err
+				}
+				rep, err := h.setup.Evaluate(res.Mask, layout, 0)
+				if err != nil {
+					return err
+				}
+				rows = append(rows, fmt.Sprintf("%g,%s,%s,%d,%g,%d,%g", beta, mode, layout.Name,
+					rep.EPEViolations, rep.PVBandNM2, rep.ShapeViolations, rep.Score))
+			}
+		}
+	}
+	return h.writeCSV("ablation_pw.csv", "beta,mode,testcase,epe_violations,pvband_nm2,shape_violations,score", rows)
 }

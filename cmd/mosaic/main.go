@@ -76,9 +76,9 @@ type run struct {
 // admit turns the parsed flags into a run, or into the typed error of the
 // first thing that could not be honoured — before any kernel is built or
 // directory created. The command's own rules are here (a -method baseline
-// reads no pipeline flag, a sharded run writes no converge.csv); every
-// rule about the numbers is mosaic.Admit's. set holds the names of the
-// flags the command line gave.
+// reads no pipeline flag, a sharded or disk-cached run writes no
+// converge.csv); every rule about the numbers is mosaic.Admit's. set holds
+// the names of the flags the command line gave.
 func (o *options) admit(set map[string]bool) (*run, error) {
 	layout, err := cli.LoadLayoutArg(o.testcase, o.layoutPath)
 	if err != nil {
@@ -97,6 +97,9 @@ func (o *options) admit(set map[string]bool) (*run, error) {
 	optics, tiled := mosaic.JobOptics(mosaic.DefaultOptics(), o.grid, layout, o.tileNM)
 	if o.converge && tiled {
 		return nil, &mosaic.ConfigError{Field: "converge", Reason: "a sharded run has one convergence history per tile and writes no converge.csv; drop -converge or -tile-nm"}
+	}
+	if o.converge && o.stores.CacheDir != "" {
+		return nil, &mosaic.ConfigError{Field: "converge", Reason: "a window served from the disk cache carries no convergence history and would write an empty converge.csv; drop -converge or -cache-dir"}
 	}
 	mode, err := mosaic.ParseMode(strings.ToLower(o.mode))
 	if err != nil {

@@ -40,8 +40,8 @@ func wantField(t *testing.T, name string, err error, field string) {
 }
 
 // TestCheckFlags: the command's own rules — a -method baseline reads no
-// pipeline flag, a sharded run writes no converge.csv — are typed errors
-// before the kernel build; zero keeps meaning "default".
+// pipeline flag, a sharded or disk-cached run writes no converge.csv — are
+// typed errors before the kernel build; zero keeps meaning "default".
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -53,6 +53,10 @@ func TestCheckFlags(t *testing.T) {
 		{"converge untiled", []string{"-converge"}, ""},
 		{"converge with a tile pitch that does not shard", []string{"-tile-nm", "2048", "-converge"}, ""},
 		{"converge sharded", []string{"-tile-nm", "512", "-converge"}, "converge"},
+		// A disk hit has no History: the second of two such runs wrote a
+		// header-only converge.csv.
+		{"converge with a disk cache", []string{"-converge", "-cache-dir", "c"}, "converge"},
+		{"converge with a memory cache", []string{"-converge", "-cache-mem", "64"}, ""},
 		{"mode in capitals", []string{"-mode", "EXACT"}, ""},
 		{"unknown mode", []string{"-mode", "quick"}, "mode"},
 		{"baseline", []string{"-method", "rulebased", "-grid", "64", "-log-level", "debug"}, ""},
