@@ -59,7 +59,7 @@ FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
 	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse serve:FuzzAdmit \
-	ilt:FuzzConfigValidate
+	ilt:FuzzConfigValidate optics:FuzzConfigValidate
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -105,7 +105,7 @@ warmstart-smoke:
 # benchstat-compatible text under results/, stamped with today's date. It
 # is not a speed gate: a speed claim rests on bench-e2e-pairs below, and
 # the paper's tables are make paper's.
-BENCH_PATTERN ?= ClipOperation|MicroIteration|Convolve|Smooth|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
+BENCH_PATTERN ?= ClipOperation|MicroIteration|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

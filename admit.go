@@ -53,8 +53,8 @@ func admit(o OpticsConfig, layout *Layout, cfg *Config, opts TileOptions) error 
 	switch {
 	case layout == nil:
 		return refuse("Layout", "is nil")
-	case !(layout.SizeNM > 0): // the pixel size is derived from it
-		return refuse("Layout.SizeNM", "must be positive, got %g", layout.SizeNM)
+	case !(layout.SizeNM > 0) || math.IsInf(layout.SizeNM, 1): // the pixel size is derived from it
+		return refuse("Layout.SizeNM", "must be positive and finite, got %g", layout.SizeNM)
 	case !(opts.TileNM >= 0):
 		return refuse("TileOptions.TileNM", "must be >= 0 (0 = one grid per tile), got %g", opts.TileNM)
 	case !(opts.HaloNM >= 0):

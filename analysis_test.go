@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-// TestSmoothedOptimizeAPI drives the mask-smoothness extension through the
-// public Config.
-func TestSmoothedOptimizeAPI(t *testing.T) {
-	s, err := NewSetup(smallOptics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout := smallLayout()
-	cfg := DefaultConfig(ModeFast)
-	cfg.MaxIter = 6
-	cfg.SmoothWeight = 8
-	res, err := s.Optimize(cfg, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mask.Sum() == 0 {
-		t.Fatal("smoothed run erased the mask")
-	}
-}
-
 // TestOptimizeExactAPI covers the exact-mode facade path at small scale.
 func TestOptimizeExactAPI(t *testing.T) {
 	s, err := NewSetup(smallOptics())

@@ -465,8 +465,6 @@ func (h *harness) ablations() error {
 	add("no_pvb_term", func(c *mosaic.Config) { c.Beta = 0 })
 	add("no_sraf_init", func(c *mosaic.Config) { c.SRAFInit = false })
 	add("no_jump", func(c *mosaic.Config) { c.Jumps = 0 })
-	add("momentum_0.8", func(c *mosaic.Config) { c.Momentum = 0.8 })
-	add("smooth_8", func(c *mosaic.Config) { c.SmoothWeight = 8 })
 
 	var rows []string
 	for _, v := range vs {

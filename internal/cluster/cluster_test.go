@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/httpapi"
@@ -589,6 +590,41 @@ func TestWorkerBusyAnswers503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed frame answered %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestWorkerRefusesNonFiniteWorkOrder: a tile job whose optics or resist
+// carries a NaN — which passes every comparison-only bound — is answered
+// with a bad_request envelope, and the slot it took is free again: no
+// panic in the kernel build, no hang.
+func TestWorkerRefusesNonFiniteWorkOrder(t *testing.T) {
+	wk := NewWorker(WorkerConfig{Capacity: 1})
+	srv := httptest.NewServer(wk.Handler())
+	t.Cleanup(srv.Close)
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	for _, tc := range []struct {
+		name  string
+		spoil func(*tile.Request)
+	}{
+		{"NA", func(r *tile.Request) { r.Sim.Cfg.NA = math.NaN() }},
+		{"WavelengthNM", func(r *tile.Request) { r.Sim.Cfg.WavelengthNM = math.Inf(1) }},
+		{"Threshold", func(r *tile.Request) { r.Sim.Resist.Threshold = math.NaN() }},
+	} {
+		req := goldenRequest(false)
+		tc.spoil(req)
+		job := frame.Encode(magicTileJob, encodeTileJob(req))
+		resp, err := client.Post(srv.URL+"/v1/cluster/tile", "application/octet-stream", bytes.NewReader(job))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if code := clusterErrorCode(t, resp); code != httpapi.CodeBadRequest {
+			t.Fatalf("%s: code %q, want %q", tc.name, code, httpapi.CodeBadRequest)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
-	"mosaic/internal/sraf"
 	"mosaic/internal/tile"
 	"mosaic/internal/warmstart"
 )
@@ -41,10 +40,9 @@ func goldenRequest(seeded bool) *tile.Request {
 			Resist: resist.Model{Threshold: 0.2265625, ThetaZ: 50},
 		},
 		Cfg: ilt.Config{
-			Mode: ilt.ModeExact, Alpha: 1, Beta: 0.35, Gamma: 4, SmoothWeight: 0.015625,
-			ThetaM: 4, ThetaEPE: 2, StepSize: 1.5, StepDecay: 0.97, Momentum: 0.25,
+			Mode: ilt.ModeExact, Alpha: 1, Beta: 0.35, Gamma: 4,
+			ThetaM: 4, ThetaEPE: 2, StepSize: 1.5, StepDecay: 0.97,
 			MaxIter: 20, GradTol: 1e-5, Jumps: 2, JumpFactor: 4, SRAFInit: true,
-			SRAFRules:   sraf.Rules{BiasNM: 4, SRAFDistNM: 70, SRAFWidthNM: 20, SRAFMinLenNM: 80},
 			GradKernels: 8, EPEThresholdNM: 15, EPESampleNM: 40, DefocusNM: 25, DoseDelta: 0.02,
 		},
 		Samples: []geom.Sample{
@@ -88,6 +86,9 @@ func sha(b []byte) string {
 // two MTJB payloads were re-pinned with them: the ilt.Bits stream lost the
 // plateau tolerance, and a worker of another DigestVersion is refused at
 // join, so no fleet mixes the two work orders (MTRS and MTCE did not move).
+// At 8 the same four were re-pinned: the stream lost six optimizer rows
+// (smooth weight, momentum and the four SRAF rule lengths, now the
+// constant sraf.DefaultRules); MTRS and MTCE again did not move.
 func TestGoldenBytes(t *testing.T) {
 	check := func(name, got, want string) {
 		t.Helper()
@@ -95,10 +96,10 @@ func TestGoldenBytes(t *testing.T) {
 			t.Errorf("%s = %s, want %s", name, got, want)
 		}
 	}
-	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "5d8c194f23cf0658c5fefaaef40fe179912043a596e4133f9c81e5605874ddd9")
-	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "f3b4df77173029f3d4e6e18ca0392496e4afb95399c4134fb38b7f9441031d42")
-	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "99606b8406581b1c68ebb135bce1074a739fb7a345f05d05a0619a2bc12e94e6")
-	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "7a0eab3a84f5efd933ae92b4788e87feb658cea59de1286593edd667a0b4cff6")
+	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "3feef54818334c4051d4af5a7184c8190a87a407c3a7766a2be10815f8e9aee8")
+	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "7b442ead024e24bafd1e1665fe340e98f978848acb85d433d5d9bdbac283a507")
+	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "e8caa4fcadf122ec0e327300dbb64442abfac0362d2c664215021949ae6358e9")
+	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "39e504f0855cd9e33684b141477c16784216bed254d52ad735080ec4ed639f4b")
 
 	spans := []obs.SpanEvent{{
 		Name: "worker.tile", TraceID: "00112233445566778899aabbccddeeff", SpanID: "0123456789abcdef", ParentID: "fedcba9876543210",

@@ -98,10 +98,11 @@ func (w *Worker) handleTile(rw http.ResponseWriter, r *http.Request) {
 	}
 	// The resist model arrives calibrated from the coordinator, so workers
 	// never recalibrate (a recalibration could diverge and break
-	// bit-identity); kernel sets are memoised process-wide by optics.
+	// bit-identity); kernel sets are memoised process-wide by optics. A
+	// work order whose optics or resist sim.New refuses is a bad request.
 	ws, err := sim.New(job.Optics, job.Resist)
 	if err != nil {
-		httpapi.Error(rw, http.StatusInternalServerError, httpapi.CodeInternal, "building simulator: "+err.Error())
+		httpapi.Error(rw, http.StatusBadRequest, httpapi.CodeBadRequest, "building simulator: "+err.Error())
 		return
 	}
 

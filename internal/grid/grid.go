@@ -94,14 +94,6 @@ func (f *Field) Add(g *Field) *Field {
 	return f
 }
 
-// Scale multiplies every element by s and returns f.
-func (f *Field) Scale(s float64) *Field {
-	for i := range f.Data {
-		f.Data[i] *= s
-	}
-	return f
-}
-
 // AddScaled sets f = f + s*g element-wise and returns f.
 func (f *Field) AddScaled(g *Field, s float64) *Field {
 	f.check(g)

@@ -59,9 +59,6 @@ func TestArithmetic(t *testing.T) {
 	if got := a.Clone().Add(b).At(1, 1); got != 44 {
 		t.Errorf("Add: %g", got)
 	}
-	if got := a.Clone().Scale(2).At(1, 0); got != 4 {
-		t.Errorf("Scale: %g", got)
-	}
 	if got := a.Clone().AddScaled(b, 0.5).At(0, 0); got != 6 {
 		t.Errorf("AddScaled: %g", got)
 	}

@@ -44,21 +44,15 @@ func (b Bits) Fields(visit func(section, name string, p any)) {
 	visit("optimizer", "alpha", &c.Alpha)
 	visit("optimizer", "beta", &c.Beta)
 	visit("optimizer", "gamma", &c.Gamma)
-	visit("optimizer", "smooth_weight", &c.SmoothWeight)
 	visit("optimizer", "theta_m", &c.ThetaM)
 	visit("optimizer", "theta_epe", &c.ThetaEPE)
 	visit("optimizer", "step_size", &c.StepSize)
 	visit("optimizer", "step_decay", &c.StepDecay)
-	visit("optimizer", "momentum", &c.Momentum)
 	visit("optimizer", "max_iter", &c.MaxIter)
 	visit("optimizer", "grad_tol", &c.GradTol)
 	visit("optimizer", "jumps", &c.Jumps)
 	visit("optimizer", "jump_factor", &c.JumpFactor)
 	visit("optimizer", "sraf_init", &c.SRAFInit)
-	visit("optimizer", "bias_nm", &c.SRAFRules.BiasNM)
-	visit("optimizer", "sraf_dist_nm", &c.SRAFRules.SRAFDistNM)
-	visit("optimizer", "sraf_width_nm", &c.SRAFRules.SRAFWidthNM)
-	visit("optimizer", "sraf_min_len_nm", &c.SRAFRules.SRAFMinLenNM)
 	visit("optimizer", "grad_kernels", &c.GradKernels)
 	visit("optimizer", "epe_threshold_nm", &c.EPEThresholdNM)
 	visit("optimizer", "epe_sample_nm", &c.EPESampleNM)

@@ -84,7 +84,7 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 				samples := layout.SamplePoints(cfg.EPESampleNM)
 				mask := maskFromParams(paramsFromMask(target, cfg.ThetaM, initEps), cfg.ThetaM)
 				st := o.evalState(mask, models, target, samples, true)
-				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask))})
+				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask.W))})
 				st.release()
 			}
 			res, err := o.Run(layout)

@@ -79,7 +79,7 @@ func checkGradientAt(t *testing.T, o *Optimizer, layout *geom.Layout, probes [][
 	p := paramsFromMask(target, o.Cfg.ThetaM, initEps)
 	mask := maskFromParams(p, o.Cfg.ThetaM)
 	st := o.evalState(mask, models, target, samples, true)
-	grad := o.gradient(st, mask)
+	grad := o.gradient(st, n)
 	for i, g := range grad.Data {
 		mv := mask.Data[i]
 		grad.Data[i] = g * o.Cfg.ThetaM * mv * (1 - mv)
@@ -146,21 +146,9 @@ func TestGradientFiniteDifferencePVBOnly(t *testing.T) {
 	checkGradient(t, o, layout)
 }
 
-func TestGradientFiniteDifferenceSmooth(t *testing.T) {
-	o, layout := testOptimizer(t, ModeFast)
-	o.Cfg.SmoothWeight = 0.5
-	checkGradient(t, o, layout)
-}
-
 func TestGradientFiniteDifferenceTruncatedKernels(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	o.Cfg.GradKernels = 3 // truncated, renormalized stack
-	checkGradient(t, o, layout)
-}
-
-func TestGradientFiniteDifferenceExactWithSmooth(t *testing.T) {
-	o, layout := testOptimizer(t, ModeExact)
-	o.Cfg.SmoothWeight = 0.25
 	checkGradient(t, o, layout)
 }
 
@@ -178,7 +166,6 @@ func TestGradientFiniteDifference128(t *testing.T) {
 		{"exact", ModeExact, func(*Config) {}},
 		{"combined-kernel", ModeFast, func(c *Config) { c.GradKernels = 0 }},
 		{"pvb-only", ModeFast, func(c *Config) { c.Alpha, c.Beta = 0, 1 }},
-		{"exact-smooth", ModeExact, func(c *Config) { c.SmoothWeight = 0.25 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			small, layout := testOptimizer(t, tc.mode)

@@ -72,26 +72,17 @@ type Config struct {
 	Beta  float64 // weight of the process-window term (Eq. 7)
 	Gamma float64 // image-difference exponent, paper: 4 (Sec. 3.3)
 
-	// SmoothWeight adds an optional mask-smoothness regularizer
-	// lambda * sum |grad M|^2 to the objective. The paper's masks are
-	// unconstrained pixels; this extension trades a little image fidelity
-	// for fewer mask edges (lower e-beam shot count, ref. [6] of the
-	// paper). 0 disables it (the paper's setting).
-	SmoothWeight float64
-
 	ThetaM   float64 // mask relaxation steepness (Eq. 8)
 	ThetaEPE float64 // EPE-violation sigmoid steepness (Eq. 11)
 
 	StepSize   float64 // descent step on P, applied to the inf-norm-normalized gradient
 	StepDecay  float64 // multiplicative step decay per iteration (1 = none)
-	Momentum   float64 // heavy-ball momentum coefficient in [0, 1); 0 disables (the paper's plain descent)
 	MaxIter    int     // th_iter, paper: 20
 	GradTol    float64 // th_g: stop when RMS(gradient) < GradTol
 	Jumps      int     // jump technique: extra enlarged steps after convergence
 	JumpFactor float64 // step multiplier for a jump
 
-	SRAFInit  bool       // seed with rule-based SRAF mask (Alg. 1 line 2)
-	SRAFRules sraf.Rules // rules used when SRAFInit is set
+	SRAFInit bool // seed with the sraf.DefaultRules mask (Alg. 1 line 2)
 
 	// SeedMask, when non-nil, warm-starts the descent from a retrieved
 	// continuous mask (e.g. a pattern-library hit) instead of the Alg. 1
@@ -158,7 +149,6 @@ func DefaultConfig(mode Mode) Config {
 		Jumps:          2,
 		JumpFactor:     4,
 		SRAFInit:       true,
-		SRAFRules:      sraf.DefaultRules(),
 		GradKernels:    8,
 		EPEThresholdNM: 15,
 		EPESampleNM:    40,
@@ -266,11 +256,9 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		name string
 		v    float64
 	}{
-		{"Alpha", cfg.Alpha}, {"Beta", cfg.Beta}, {"Gamma", cfg.Gamma}, {"SmoothWeight", cfg.SmoothWeight},
+		{"Alpha", cfg.Alpha}, {"Beta", cfg.Beta}, {"Gamma", cfg.Gamma},
 		{"ThetaM", cfg.ThetaM}, {"ThetaEPE", cfg.ThetaEPE}, {"StepSize", cfg.StepSize}, {"StepDecay", cfg.StepDecay},
-		{"Momentum", cfg.Momentum}, {"GradTol", cfg.GradTol}, {"JumpFactor", cfg.JumpFactor},
-		{"SRAFRules.BiasNM", cfg.SRAFRules.BiasNM}, {"SRAFRules.SRAFDistNM", cfg.SRAFRules.SRAFDistNM},
-		{"SRAFRules.SRAFWidthNM", cfg.SRAFRules.SRAFWidthNM}, {"SRAFRules.SRAFMinLenNM", cfg.SRAFRules.SRAFMinLenNM},
+		{"GradTol", cfg.GradTol}, {"JumpFactor", cfg.JumpFactor},
 		{"EPEThresholdNM", cfg.EPEThresholdNM}, {"EPESampleNM", cfg.EPESampleNM}, {"DefocusNM", cfg.DefocusNM},
 		{"DoseDelta", cfg.DoseDelta},
 	} {
@@ -283,8 +271,6 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		return &ConfigError{Field: "Alpha,Beta", Reason: fmt.Sprintf("objective weights alpha=%g beta=%g must be non-negative and not both zero", cfg.Alpha, cfg.Beta)}
 	case cfg.Gamma < 2 || cfg.Gamma > maxGamma || cfg.Gamma != math.Trunc(cfg.Gamma) || int(cfg.Gamma)%2 != 0:
 		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be an even integer in [2, %d], got %g", maxGamma, cfg.Gamma)}
-	case cfg.SmoothWeight < 0:
-		return &ConfigError{Field: "SmoothWeight", Reason: fmt.Sprintf("must be >= 0 (0 disables the regularizer), got %g", cfg.SmoothWeight)}
 	case cfg.ThetaM <= 0:
 		return &ConfigError{Field: "ThetaM", Reason: "sigmoid steepness must be positive"}
 	case cfg.ThetaEPE <= 0:
@@ -301,8 +287,6 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		return &ConfigError{Field: "JumpFactor", Reason: fmt.Sprintf("must be positive, got %g", cfg.JumpFactor)}
 	case cfg.MaxIter <= 0:
 		return &ConfigError{Field: "MaxIter", Reason: fmt.Sprintf("must be positive, got %d", cfg.MaxIter)}
-	case cfg.Momentum < 0 || cfg.Momentum >= 1:
-		return &ConfigError{Field: "Momentum", Reason: fmt.Sprintf("must be in [0, 1), got %g", cfg.Momentum)}
 	case cfg.EPEThresholdNM <= 0 || cfg.EPEThresholdNM > float64(gridSize)*pixelNM:
 		// Each EPE sample scans 2*th_epe of image, in pixels.
 		return &ConfigError{Field: "EPEThresholdNM", Reason: fmt.Sprintf("must be positive and within the %g-nm field, got %g", float64(gridSize)*pixelNM, cfg.EPEThresholdNM)}
@@ -344,11 +328,11 @@ func (o *Optimizer) corners() []sim.Corner {
 }
 
 // InitialMask returns the descent's starting mask for a rasterized target:
-// the target itself, or the rule-based SRAF mask when configured (Alg. 1
-// line 2).
+// the target itself, or the rule-based SRAF mask (sraf.DefaultRules) when
+// configured (Alg. 1 line 2).
 func (o *Optimizer) InitialMask(target *grid.Field) *grid.Field {
 	if o.Cfg.SRAFInit {
-		return sraf.Apply(target, o.Sim.Cfg.PixelNM, o.Cfg.SRAFRules)
+		return sraf.Apply(target, o.Sim.Cfg.PixelNM, sraf.DefaultRules())
 	}
 	return target.Clone()
 }
@@ -423,8 +407,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	bestSurrogate := math.Inf(1)
 	step := cfg.StepSize
 	jumps := cfg.Jumps
-	var velocity *grid.Field // heavy-ball state, allocated on first use
-	stall := 0               // consecutive iterations without a plateauTol-sized improvement
+	stall := 0 // consecutive iterations without a plateauTol-sized improvement
 
 	// Alg. 1 lines 2-3: initial mask and unconstrained variables P with
 	// M = sig(theta_M * P) (Eq. 8). A warm-start seed replaces the
@@ -459,7 +442,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			iterations.Inc()
 		}
 		state := o.evalState(mask, models, target, samples, true)
-		grad := o.gradient(state, mask)
+		grad := o.gradient(state, mask.W)
 
 		// Chain through the mask relaxation: dM/dP = theta_M * M * (1-M).
 		for i, g := range grad.Data {
@@ -554,16 +537,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			endIter()
 			break
 		}
-		if cfg.Momentum > 0 {
-			// Heavy-ball update: v <- mu*v - step*ghat; P <- P + v.
-			if velocity == nil {
-				velocity = grid.NewLike(p)
-			}
-			velocity.Scale(cfg.Momentum).AddScaled(grad, -step/scale)
-			p.Add(velocity)
-		} else {
-			p.AddScaled(grad, -step/scale)
-		}
+		p.AddScaled(grad, -step/scale)
 		grid.Put(grad)
 		step *= cfg.StepDecay
 		maskFromParamsInto(mask, p, cfg.ThetaM)

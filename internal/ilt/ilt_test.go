@@ -71,7 +71,6 @@ func TestNewValidation(t *testing.T) {
 		{"EPEThresholdNM", with(func(c *Config) { c.EPEThresholdNM = 0 })},
 		{"EPEThresholdNM", with(func(c *Config) { c.EPEThresholdNM = 1e15 })}, // hangs scanning its window
 		{"EPESampleNM", with(func(c *Config) { c.EPESampleNM = 1e-9 })},       // 1e11 samples an edge
-		{"SmoothWeight", with(func(c *Config) { c.SmoothWeight = -1 })},       // silently ignored
 		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},                     // unbounded jumps
 		{"StepDecay", with(func(c *Config) { c.StepDecay = 0 })},              // zero steps
 		{"StepDecay", with(func(c *Config) { c.StepDecay = -0.97 })},          // uphill every other step
@@ -80,7 +79,7 @@ func TestNewValidation(t *testing.T) {
 		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},              // never converges
 		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })},          // corners swap
 		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},              // inner corner at dose 0
-		{"SmoothWeight", with(func(c *Config) { c.SmoothWeight = math.NaN() })},
+		{"StepSize", with(func(c *Config) { c.StepSize = math.NaN() })},
 	} {
 		_, err := New(s, tc.cfg)
 		var ce *ConfigError
@@ -100,10 +99,10 @@ func TestNewValidation(t *testing.T) {
 func FuzzConfigValidate(f *testing.F) {
 	for _, mode := range []Mode{ModeFast, ModeExact} {
 		d := DefaultConfig(mode)
-		f.Add(mode == ModeExact, d.Alpha, d.Beta, d.Gamma, d.SmoothWeight, d.ThetaM, d.ThetaEPE, d.StepSize,
-			d.StepDecay, d.Momentum, d.GradTol, d.JumpFactor, d.EPEThresholdNM, d.EPESampleNM, d.DefocusNM, d.DoseDelta)
+		f.Add(mode == ModeExact, d.Alpha, d.Beta, d.Gamma, d.ThetaM, d.ThetaEPE, d.StepSize,
+			d.StepDecay, d.GradTol, d.JumpFactor, d.EPEThresholdNM, d.EPESampleNM, d.DefocusNM, d.DoseDelta)
 	}
-	f.Add(false, 1.0, 0.35, 6.0, 0.5, 4.0, 2.0, 8.0, 1.5, 0.9, 0.0, 0.5, 15.0, 40.0, 0.0, 0.0)
+	f.Add(false, 1.0, 0.35, 6.0, 4.0, 2.0, 8.0, 1.5, 0.0, 0.5, 15.0, 40.0, 0.0, 0.0)
 	c := optics.Default()
 	c.GridSize = 32
 	c.PixelNM = 16
@@ -115,15 +114,15 @@ func FuzzConfigValidate(f *testing.F) {
 		geom.Rect{X: 160, Y: 144, W: 96, H: 224}.Polygon(),
 		geom.Rect{X: 304, Y: 144, W: 48, H: 224}.Polygon(),
 	}}
-	f.Fuzz(func(t *testing.T, exact bool, alpha, beta, gamma, smooth, thetaM, thetaEPE, step, decay, momentum, gradTol, jumpFactor, epeTh, epeSample, defocus, doseDelta float64) {
+	f.Fuzz(func(t *testing.T, exact bool, alpha, beta, gamma, thetaM, thetaEPE, step, decay, gradTol, jumpFactor, epeTh, epeSample, defocus, doseDelta float64) {
 		cfg := DefaultConfig(ModeFast)
 		if exact {
 			cfg = DefaultConfig(ModeExact)
 		}
 		cfg.MaxIter = 2
-		cfg.Alpha, cfg.Beta, cfg.Gamma, cfg.SmoothWeight = alpha, beta, gamma, smooth
+		cfg.Alpha, cfg.Beta, cfg.Gamma = alpha, beta, gamma
 		cfg.ThetaM, cfg.ThetaEPE, cfg.StepSize, cfg.StepDecay = thetaM, thetaEPE, step, decay
-		cfg.Momentum, cfg.GradTol, cfg.JumpFactor = momentum, gradTol, jumpFactor
+		cfg.GradTol, cfg.JumpFactor = gradTol, jumpFactor
 		cfg.EPEThresholdNM, cfg.EPESampleNM, cfg.DefocusNM, cfg.DoseDelta = epeTh, epeSample, defocus, doseDelta
 		o, err := New(s, cfg)
 		if err != nil {
@@ -373,42 +372,6 @@ func TestPlainQuadraticConfig(t *testing.T) {
 	o.Cfg.MaxIter = 3
 	if _, err := o.Run(layout); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMomentumValidation(t *testing.T) {
-	o, _ := testOptimizer(t, ModeFast)
-	cfg := DefaultConfig(ModeFast)
-	cfg.Momentum = 1.0
-	if _, err := New(o.Sim, cfg); err == nil {
-		t.Fatal("momentum 1.0 accepted")
-	}
-	cfg.Momentum = -0.1
-	if _, err := New(o.Sim, cfg); err == nil {
-		t.Fatal("negative momentum accepted")
-	}
-	cfg.Momentum = 0.9
-	if _, err := New(o.Sim, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMomentumAcceleratesShortRuns(t *testing.T) {
-	// With a tight iteration budget, heavy-ball momentum must reach a
-	// better iterate than plain descent on the deterministic test clip.
-	run := func(mu float64) float64 {
-		o, layout := testOptimizer(t, ModeFast)
-		o.Cfg.Momentum = mu
-		res, err := o.Run(layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Objective
-	}
-	plain := run(0)
-	fast := run(0.8)
-	if fast >= plain {
-		t.Fatalf("momentum did not accelerate: %g vs %g", fast, plain)
 	}
 }
 

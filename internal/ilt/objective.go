@@ -111,7 +111,6 @@ type iterState struct {
 	objective float64
 	fTarget   float64
 	fPvb      float64
-	fSmooth   float64
 }
 
 // release returns every pooled buffer held by the state to the workspace
@@ -181,10 +180,6 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 		st.fPvb += f
 	}
 	st.objective = o.Cfg.Alpha*st.fTarget + o.Cfg.Beta*st.fPvb
-	if o.Cfg.SmoothWeight > 0 {
-		st.fSmooth = smoothObjective(mask)
-		st.objective += o.Cfg.SmoothWeight * st.fSmooth
-	}
 	return st
 }
 
@@ -226,65 +221,6 @@ func (o *Optimizer) plane(st *iterState, m focusModel, mask, target *grid.Field,
 		}
 	}
 	return fs
-}
-
-// smoothObjective evaluates the mask-smoothness regularizer
-// sum (M(x+1,y)-M(x,y))^2 + (M(x,y+1)-M(x,y))^2 (forward differences,
-// Neumann boundary). The loops run over row slices — the horizontal pass
-// within one row, the vertical pass over adjacent row pairs — so the inner
-// loops are bounds-check-friendly slice walks with no per-pixel index
-// arithmetic.
-func smoothObjective(m *grid.Field) float64 {
-	s := 0.0
-	for y := 0; y < m.H; y++ {
-		row := m.Row(y)
-		for x := 0; x+1 < len(row); x++ {
-			d := row[x+1] - row[x]
-			s += d * d
-		}
-		if y+1 < m.H {
-			next := m.Row(y + 1)
-			for x, v := range row {
-				d := next[x] - v
-				s += d * d
-			}
-		}
-	}
-	return s
-}
-
-// smoothGradient accumulates w * dF_smooth/dM into grad: the discrete
-// Laplacian form 2*(degree*M - sum of neighbors) with Neumann boundaries,
-// walking row slices (current, up, down) instead of At/Set per pixel.
-func smoothGradient(grad, m *grid.Field, w float64) {
-	w2 := 2 * w
-	for y := 0; y < m.H; y++ {
-		row := m.Row(y)
-		g := grad.Row(y)
-		var up, down []float64
-		if y > 0 {
-			up = m.Row(y - 1)
-		}
-		if y+1 < m.H {
-			down = m.Row(y + 1)
-		}
-		for x, v := range row {
-			acc := 0.0
-			if x+1 < len(row) {
-				acc += v - row[x+1]
-			}
-			if x > 0 {
-				acc += v - row[x-1]
-			}
-			if down != nil {
-				acc += v - down[x]
-			}
-			if up != nil {
-				acc += v - up[x]
-			}
-			g[x] += w2 * acc
-		}
-	}
 }
 
 // idObjective evaluates F_id = sum (Z_nom - Z_t)^gamma (Eq. 16).
@@ -477,8 +413,7 @@ func (o *Optimizer) adjoint(st *iterState, fs focusState, target *grid.Field) []
 // chain through the mask relaxation, which the caller applies): it folds
 // the planes' adjoint band blocks serially, in plane then kernel order, and
 // runs the one mask-grid inverse of the iteration.
-func (o *Optimizer) gradient(st *iterState, mask *grid.Field) *grid.Field {
-	n := mask.W
+func (o *Optimizer) gradient(st *iterState, n int) *grid.Field {
 	// Every model shares the optics, hence the block size.
 	bw := 2*st.planes[0].model.ig.K + 1
 	gradBlk := grid.GetC(bw, bw).Zero()
@@ -495,9 +430,6 @@ func (o *Optimizer) gradient(st *iterState, mask *grid.Field) *grid.Field {
 	grad := grid.Get(n, n)
 	fft.InverseBandLimitedReal(gradBlk, n, grad)
 	grid.PutC(gradBlk)
-	if o.Cfg.SmoothWeight > 0 {
-		smoothGradient(grad, mask, o.Cfg.SmoothWeight)
-	}
 	return grad
 }
 

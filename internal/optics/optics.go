@@ -51,8 +51,20 @@ func Default() Config {
 }
 
 // Validate reports a descriptive error for physically or numerically
-// invalid configurations.
+// invalid configurations. Every float must be finite first, so no bound
+// below is passed by a NaN.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"WavelengthNM", c.WavelengthNM}, {"NA", c.NA}, {"SigmaIn", c.SigmaIn},
+		{"SigmaOut", c.SigmaOut}, {"PixelNM", c.PixelNM},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("optics: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.WavelengthNM <= 0:
 		return fmt.Errorf("optics: wavelength must be positive, got %g", c.WavelengthNM)
@@ -81,14 +93,16 @@ func (c Config) freqStep() float64 { return 1 / c.FieldNM() }
 
 // BandLimitK returns the half-width (in frequency samples) of the central
 // spectrum block that can carry nonzero amplitude through the imaging
-// system: |f| <= (1+sigma_out) * NA / lambda.
+// system: |f| <= (1+sigma_out) * NA / lambda, at most the (GridSize-1)/2
+// the grid holds. The bound is taken before the conversion to int, so a
+// band that overflows a float64 is clamped rather than converted.
 func (c Config) BandLimitK() int {
 	fmax := (1 + c.SigmaOut) * c.NA / c.WavelengthNM
-	k := int(math.Ceil(fmax / c.freqStep()))
-	if 2*k+1 > c.GridSize {
-		k = (c.GridSize - 1) / 2
+	k := math.Ceil(fmax / c.freqStep())
+	if maxK := (c.GridSize - 1) / 2; !(k <= float64(maxK)) {
+		return maxK
 	}
-	return k
+	return int(k)
 }
 
 // Pupil evaluates the scalar pupil function at spatial frequency (fx, fy)

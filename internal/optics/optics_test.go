@@ -3,6 +3,7 @@ package optics
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,26 @@ func TestValidate(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// A non-finite float passes every comparison-only bound (a NaN fails
+	// each <=), so each field is refused by name.
+	for _, f := range []struct {
+		name string
+		p    func(*Config) *float64
+	}{
+		{"WavelengthNM", func(c *Config) *float64 { return &c.WavelengthNM }},
+		{"NA", func(c *Config) *float64 { return &c.NA }},
+		{"SigmaIn", func(c *Config) *float64 { return &c.SigmaIn }},
+		{"SigmaOut", func(c *Config) *float64 { return &c.SigmaOut }},
+		{"PixelNM", func(c *Config) *float64 { return &c.PixelNM }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := Default()
+			*f.p(&c) = v
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), f.name+" must be finite") {
+				t.Errorf("%s = %g: err = %v, want it refused by name", f.name, v, err)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@
 package resist
 
 import (
+	"fmt"
 	"math"
 
 	"mosaic/internal/grid"
@@ -18,6 +19,20 @@ import (
 type Model struct {
 	Threshold float64 // print threshold th_r on normalized intensity
 	ThetaZ    float64 // sigmoid steepness theta_Z (Eq. 4), paper: 50
+}
+
+// Validate refuses a model no print can be computed with: a threshold or
+// steepness that is not finite, or a steepness that is not positive.
+func (m Model) Validate() error {
+	switch {
+	case math.IsNaN(m.Threshold) || math.IsInf(m.Threshold, 0):
+		return fmt.Errorf("resist: Threshold must be finite, got %g", m.Threshold)
+	case math.IsNaN(m.ThetaZ) || math.IsInf(m.ThetaZ, 0):
+		return fmt.Errorf("resist: ThetaZ must be finite, got %g", m.ThetaZ)
+	case m.ThetaZ <= 0:
+		return fmt.Errorf("resist: ThetaZ (steepness) must be positive, got %g", m.ThetaZ)
+	}
+	return nil
 }
 
 // Default returns the paper's resist parameters with a conventional

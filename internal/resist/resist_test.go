@@ -2,11 +2,36 @@ package resist
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"mosaic/internal/grid"
 )
+
+func TestValidate(t *testing.T) {
+	if err := Default().Validate(); err != nil {
+		t.Fatalf("default model invalid: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		m     Model
+	}{
+		{"Threshold", Model{Threshold: nan, ThetaZ: 50}},
+		{"Threshold", Model{Threshold: inf, ThetaZ: 50}},
+		{"Threshold", Model{Threshold: -inf, ThetaZ: 50}},
+		{"ThetaZ", Model{Threshold: 0.225, ThetaZ: nan}},
+		{"ThetaZ", Model{Threshold: 0.225, ThetaZ: inf}},
+		{"ThetaZ", Model{Threshold: 0.225, ThetaZ: -inf}},
+		{"ThetaZ", Model{Threshold: 0.225, ThetaZ: 0}},
+		{"ThetaZ", Model{Threshold: 0.225, ThetaZ: -50}},
+	} {
+		if err := tc.m.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: err = %v, want it refused naming %s", tc.m, err, tc.field)
+		}
+	}
+}
 
 func TestSigmoidAtThreshold(t *testing.T) {
 	m := Default()

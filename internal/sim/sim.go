@@ -82,13 +82,13 @@ type Simulator struct {
 	Resist resist.Model
 }
 
-// New validates cfg and returns a Simulator.
+// New validates cfg and rm and returns a Simulator.
 func New(cfg optics.Config, rm resist.Model) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if rm.ThetaZ <= 0 {
-		return nil, fmt.Errorf("sim: resist steepness must be positive, got %g", rm.ThetaZ)
+	if err := rm.Validate(); err != nil {
+		return nil, err
 	}
 	return &Simulator{Cfg: cfg, Resist: rm}, nil
 }

@@ -284,6 +284,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(c, resist.Model{Threshold: 0.2, ThetaZ: 0}); err == nil {
 		t.Fatal("zero resist steepness accepted")
 	}
+	// A NaN passes every comparison-only bound; both validators refuse it.
+	c.NA = math.NaN()
+	if _, err := New(c, resist.Default()); err == nil || !strings.Contains(err.Error(), "NA") {
+		t.Fatalf("NaN NA: err = %v, want it refused naming NA", err)
+	}
+	c = optics.Default()
+	for _, rm := range []resist.Model{{Threshold: math.NaN(), ThetaZ: 50}, {Threshold: 0.2, ThetaZ: math.NaN()}} {
+		if _, err := New(c, rm); err == nil {
+			t.Fatalf("resist %+v accepted", rm)
+		}
+	}
 }
 
 // TestBuildPlanesReturnsPlaneError: no optics.Config that New accepts
