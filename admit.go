@@ -31,7 +31,7 @@ func checkGrid(n int) error {
 // layout under cfg and opts on the optics JobOptics derives from base and
 // gridSize, and refuses with a *ConfigError naming the library field
 // otherwise. Every rule a layer below would apply is here: the grid and the
-// optics, non-negative TileNM / HaloNM / Workers, the window
+// optics, non-negative TileNM / Workers, the window
 // geometry tile.NewPlan derives (tile.NewGeometry) and the optimizer's
 // rules (ilt.Config.Validate). OptimizeLayout applies it to its own
 // arguments; a front-end calls it so that what it queues, or builds a
@@ -57,8 +57,6 @@ func admit(o OpticsConfig, layout *Layout, cfg *Config, opts TileOptions) error 
 		return refuse("Layout.SizeNM", "must be positive and finite, got %g", layout.SizeNM)
 	case !(opts.TileNM >= 0):
 		return refuse("TileOptions.TileNM", "must be >= 0 (0 = one grid per tile), got %g", opts.TileNM)
-	case !(opts.HaloNM >= 0):
-		return refuse("TileOptions.HaloNM", "must be >= 0 (0 = the λ/NA ambit), got %g", opts.HaloNM)
 	case opts.Workers < 0:
 		return refuse("TileOptions.Workers", "must be >= 0 (0 = compute pool capacity), got %d", opts.Workers)
 	}
@@ -92,17 +90,15 @@ func shards(layout *Layout, tileNM float64) bool {
 // planned with at optics o. A layout that fits the grid and is not sharded
 // smaller by opts.TileNM is the degenerate plan: one zero-halo window that
 // is the grid, so the clip-level optimizer runs on it unchanged. Otherwise
-// zero means the default: one grid per core, the λ/NA ambit.
+// the halo is the λ/NA ambit of the optics, and a zero pitch is one grid
+// per core.
 func tileExtent(o OpticsConfig, layout *Layout, opts TileOptions) (coreNM, haloNM float64) {
 	if fitsGrid(o, layout) && !shards(layout, opts.TileNM) {
 		return layout.SizeNM, 0
 	}
-	coreNM, haloNM = opts.TileNM, opts.HaloNM
+	coreNM = opts.TileNM
 	if coreNM == 0 {
 		coreNM = o.FieldNM()
 	}
-	if haloNM == 0 {
-		haloNM = tile.DefaultHaloNM(o)
-	}
-	return coreNM, haloNM
+	return coreNM, tile.DefaultHaloNM(o)
 }

@@ -25,7 +25,6 @@ type inadmissible struct {
 		Grid        int     `json:"grid"`
 		MaxIter     int     `json:"max_iter"`
 		TileNM      float64 `json:"tile_nm"`
-		HaloNM      float64 `json:"halo_nm"`
 		TileWorkers int     `json:"tile_workers"`
 		Benchmark   string  `json:"benchmark"`
 	}
@@ -60,7 +59,7 @@ func TestAdmitRefusals(t *testing.T) {
 		if row.Job.MaxIter != 0 {
 			cfg.MaxIter = row.Job.MaxIter
 		}
-		opts := TileOptions{TileNM: row.Job.TileNM, HaloNM: row.Job.HaloNM, Workers: row.Job.TileWorkers}
+		opts := TileOptions{TileNM: row.Job.TileNM, Workers: row.Job.TileWorkers}
 		check := func(via string, err error) {
 			t.Helper()
 			var ce *ConfigError
@@ -110,7 +109,7 @@ func TestAdmitBounds(t *testing.T) {
 		field  string // "" = admitted
 	}{
 		{"zero options", 0, b1, fast, TileOptions{}, ""},
-		{"explicit tiling", 64, b1, fast, TileOptions{TileNM: 512, HaloNM: 160, Workers: 1}, ""},
+		{"explicit tiling", 64, b1, fast, TileOptions{TileNM: 512, Workers: 1}, ""},
 		{"a pitch the layout fits inside", 64, b1, fast, TileOptions{TileNM: 2048}, ""},
 		{"smallest grid that calibrates", 4, b1, fast, TileOptions{}, ""},
 		{"largest grid one frame holds", 8192, b1, fast, TileOptions{}, ""},
@@ -118,8 +117,6 @@ func TestAdmitBounds(t *testing.T) {
 		{"a seed of another grid", 64, b1, seeded, TileOptions{}, "SeedMask"},
 		{"an optimizer rule", 64, b1, gamma, TileOptions{}, "Gamma"},
 		{"NaN tile pitch", 64, b1, fast, TileOptions{TileNM: math.NaN()}, "TileOptions.TileNM"},
-		{"NaN halo", 64, b1, fast, TileOptions{TileNM: 512, HaloNM: math.NaN()}, "TileOptions.HaloNM"},
-		{"infinite halo", 64, b1, fast, TileOptions{TileNM: 512, HaloNM: math.Inf(1)}, "TileOptions.HaloNM"},
 		{"infinite tile pitch is a pitch the layout fits inside", 64, b1, fast, TileOptions{TileNM: math.Inf(1)}, ""},
 		{"nil layout", 64, nil, fast, TileOptions{}, "Layout"},
 		{"layout without an extent", 64, &Layout{Name: "flat"}, fast, TileOptions{}, "Layout.SizeNM"},

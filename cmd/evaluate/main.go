@@ -1,9 +1,13 @@
-// Command evaluate scores an existing mask against a target layout with
-// the contest metrics (Eq. 22): EPE violations at th_epe = 15 nm, PV band
-// over the ±25 nm / ±2% process window, and shape violations.
+// Command evaluate scores a mask against a target layout with the contest
+// metrics (Eq. 22): EPE violations at th_epe = 15 nm, PV band over the
+// ±25 nm / ±2% process window, and shape violations. Without -mask it
+// scores the layout's rasterized target — lithography without any OPC, the
+// forward pipeline of Fig. 1. With -out it writes the report's rasters:
+// the nominal aerial image and print, the PV band and an overlay.
 //
 // Usage:
 //
+//	evaluate -testcase B4 -out out/
 //	evaluate -testcase B4 -mask out/mask.pgm
 //	evaluate -layout clip.layout -mask mask.pgm -runtime 42
 package main
@@ -11,59 +15,98 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	"mosaic"
 	"mosaic/internal/cli"
 	"mosaic/internal/render"
 )
 
+// options is every evaluate flag destination.
+type options struct {
+	testcase, layoutPath, maskPath, out string
+	runtime, tileNM                     float64
+	obs                                 *cli.ObsFlags
+}
+
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.testcase, "testcase", "", "built-in benchmark name (B1..B10)")
+	fs.StringVar(&o.layoutPath, "layout", "", "layout file (alternative to -testcase)")
+	fs.StringVar(&o.maskPath, "mask", "", "mask PGM to evaluate (empty = the rasterized target, i.e. no OPC)")
+	fs.Float64Var(&o.runtime, "runtime", 0, "optimization runtime in seconds to fold into the score")
+	fs.Float64Var(&o.tileNM, "tile-nm", 0, "core tile pitch in nm of the run that made the mask (evaluates by tiled simulation when it shards the layout)")
+	fs.StringVar(&o.out, "out", "", "write the aerial, printed, PV band and overlay images into this directory (empty = none)")
+	o.obs = cli.AddObsFlags(fs)
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("evaluate: ")
-	testcase := flag.String("testcase", "", "built-in benchmark name (B1..B10)")
-	layoutPath := flag.String("layout", "", "layout file (alternative to -testcase)")
-	maskPath := flag.String("mask", "", "mask PGM to evaluate (required)")
-	runtime := flag.Float64("runtime", 0, "optimization runtime in seconds to fold into the score")
-	tileNM := flag.Float64("tile-nm", 0, "core tile pitch in nm of the run that made the mask (evaluates by tiled simulation when it shards the layout)")
-	haloNM := flag.Float64("halo-nm", 0, "minimum optical halo in nm of the run that made the mask (0 = lambda/NA)")
-	obsFlags := cli.AddObsFlags(flag.CommandLine)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	obsCleanup, err := obsFlags.Setup()
+	obsCleanup, err := o.obs.Setup()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer obsCleanup()
+	if _, err := o.run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	if *maskPath == "" {
-		log.Fatal("-mask is required")
-	}
-	layout, err := cli.LoadLayoutArg(*testcase, *layoutPath)
+// run scores what the flags name, prints the report to w and, under -out,
+// writes its rasters.
+func (o *options) run(w io.Writer) (*mosaic.Report, error) {
+	layout, err := cli.LoadLayoutArg(o.testcase, o.layoutPath)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	mask, err := render.LoadMask(*maskPath)
+	var mask *mosaic.Field
+	if o.maskPath != "" {
+		if mask, err = render.LoadMask(o.maskPath); err != nil {
+			return nil, err
+		}
+	} else {
+		mask = noOPCMask(layout, o.tileNM)
+	}
+	rep, err := evaluate(layout, mask, mosaic.TileOptions{TileNM: o.tileNM}, o.runtime)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	rep, err := evaluate(layout, mask, mosaic.TileOptions{TileNM: *tileNM, HaloNM: *haloNM}, *runtime)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Fprintf(w, "testcase:       %s\n", layout.Name)
+	fmt.Fprintf(w, "EPE violations: %d / %d samples\n", rep.EPEViolations, len(rep.EPEResults))
+	fmt.Fprintf(w, "PV band:        %.0f nm^2\n", rep.PVBandNM2)
+	fmt.Fprintf(w, "shape viol.:    %d\n", rep.ShapeViolations)
+	fmt.Fprintf(w, "runtime:        %.1f s\n", rep.RuntimeSec)
+	fmt.Fprintf(w, "score:          %.0f\n", rep.Score)
+	if o.out != "" {
+		px := maskOptics(layout, mask.W, o.tileNM).PixelNM
+		if err := cli.SaveReportImages(o.out, layout.Rasterize(mask.W, px), rep); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "images in %s\n", o.out)
 	}
-	fmt.Printf("testcase:       %s\n", layout.Name)
-	fmt.Printf("EPE violations: %d / %d samples\n", rep.EPEViolations, len(rep.EPEResults))
-	fmt.Printf("PV band:        %.0f nm^2\n", rep.PVBandNM2)
-	fmt.Printf("shape viol.:    %d\n", rep.ShapeViolations)
-	fmt.Printf("runtime:        %.1f s\n", rep.RuntimeSec)
-	fmt.Printf("score:          %.0f\n", rep.Score)
+	return rep, nil
+}
+
+// noOPCMask is the layout's target rasterized at the pixel size of a
+// cmd/mosaic run at its default -grid and the same -tile-nm: the mask of
+// lithography without OPC, scored on the optics that run would use.
+func noOPCMask(layout *mosaic.Layout, tileNM float64) *mosaic.Field {
+	optics, _ := mosaic.JobOptics(mosaic.DefaultOptics(), 0, layout, tileNM)
+	return layout.Rasterize(int(math.Round(layout.SizeNM/optics.PixelNM)), optics.PixelNM)
 }
 
 // evaluate scores mask against layout on the optics maskOptics derives, so
-// a mask written by cmd/mosaic with the same -tile-nm / -halo-nm is scored
-// as the run that made it scored it. EvaluateLayout refuses a mask that
-// does not cover the layout on both axes.
+// a mask written by cmd/mosaic with the same -tile-nm is scored as the run
+// that made it scored it. EvaluateLayout refuses a mask that does not
+// cover the layout on both axes.
 func evaluate(layout *mosaic.Layout, mask *mosaic.Field, opts mosaic.TileOptions, runtimeSec float64) (*mosaic.Report, error) {
 	setup, err := mosaic.NewSetup(maskOptics(layout, mask.W, opts.TileNM))
 	if err != nil {

@@ -7,9 +7,9 @@
 //	mosaic -layout clip.layout -mode fast -grid 512
 //	mosaic -testcase B1 -method modelbased
 //
-// Outputs: the optimized mask (PGM + PNG), the nominal printed image, the
-// PV band, a target/printed/band overlay, and a per-iteration convergence
-// CSV when -converge is set.
+// Outputs: the optimized mask (PGM + PNG + GDSII), the nominal aerial and
+// printed images, the PV band, a target/printed/band overlay, and a
+// per-iteration convergence CSV when -converge is set.
 package main
 
 import (
@@ -32,15 +32,15 @@ import (
 // tiles, no stores, no output files — and would silently
 // ignore them.
 var pipelineFlags = []string{
-	"mode", "iter", "converge", "tile-nm", "halo-nm", "tile-workers",
-	"cache-dir", "cache-mem", "warm-lib", "warm-max-dist", "warm-harvest", "artifact-dir", "out",
+	"mode", "iter", "converge", "tile-nm", "tile-workers",
+	"cache-dir", "cache-mem", "warm-lib", "artifact-dir", "out",
 }
 
 // options is every mosaic flag destination.
 type options struct {
 	testcase, layoutPath, mode, method, out string
 	grid, iter, tileWorkers                 int
-	tileNM, haloNM                          float64
+	tileNM                                  float64
 	converge                                bool
 	stores                                  *cli.StoreFlags
 	obs                                     *cli.ObsFlags
@@ -56,7 +56,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.iter, "iter", 0, "override max iterations (0 = paper default)")
 	fs.BoolVar(&o.converge, "converge", false, "track full metrics per iteration (slow) and write converge.csv")
 	fs.Float64Var(&o.tileNM, "tile-nm", 0, "shard the layout into core tiles of this pitch in nm (0 = untiled)")
-	fs.Float64Var(&o.haloNM, "halo-nm", 0, "minimum optical halo around each tile core in nm (0 = lambda/NA)")
 	fs.IntVar(&o.tileWorkers, "tile-workers", 0, "core-reservation hint: concurrent tile optimizations, bounded by the compute pool (0 = pool capacity)")
 	fs.StringVar(&o.out, "out", "mosaic-out", "output directory")
 	o.stores = cli.AddStoreFlags(fs, 0) // memory tier off unless asked for: one-shot runs mostly benefit via -cache-dir
@@ -110,7 +109,7 @@ func (o *options) admit(set map[string]bool) (*run, error) {
 		cfg.MaxIter = o.iter
 	}
 	cfg.TrackMetrics = o.converge
-	topts := mosaic.TileOptions{TileNM: o.tileNM, HaloNM: o.haloNM, Workers: o.tileWorkers}
+	topts := mosaic.TileOptions{TileNM: o.tileNM, Workers: o.tileWorkers}
 	if err := mosaic.Admit(mosaic.DefaultOptics(), o.grid, layout, cfg, topts); err != nil {
 		return nil, err
 	}
@@ -200,10 +199,7 @@ func main() {
 	traced := mosaic.TraceMask(layout.Name+"_mask", res.Mask, optics.PixelNM)
 	must(mosaic.SaveGDS(filepath.Join(o.out, "mask.gds"), traced, 1))
 	shots := len(mosaic.MaskRectangles(res.Mask, optics.PixelNM))
-	must(render.SaveField(filepath.Join(o.out, "printed_nominal.png"), rep.PrintedNominal))
-	must(render.SaveField(filepath.Join(o.out, "pvband.png"), rep.PVBand))
-	target := layout.Rasterize(res.Mask.W, optics.PixelNM)
-	must(render.SavePNG(filepath.Join(o.out, "overlay.png"), render.Overlay(target, rep.PrintedNominal, rep.PVBand)))
+	must(cli.SaveReportImages(o.out, layout.Rasterize(res.Mask.W, optics.PixelNM), rep))
 
 	if o.converge {
 		f, err := os.Create(filepath.Join(o.out, "converge.csv"))

@@ -49,7 +49,7 @@ func TestCheckFlags(t *testing.T) {
 		field string // "" = accepted
 	}{
 		{"defaults", nil, ""},
-		{"sharded", []string{"-tile-nm", "512", "-halo-nm", "160", "-tile-workers", "2"}, ""},
+		{"sharded", []string{"-tile-nm", "512", "-tile-workers", "2"}, ""},
 		{"converge untiled", []string{"-converge"}, ""},
 		{"converge with a tile pitch that does not shard", []string{"-tile-nm", "2048", "-converge"}, ""},
 		{"converge sharded", []string{"-tile-nm", "512", "-converge"}, "converge"},
@@ -67,7 +67,6 @@ func TestCheckFlags(t *testing.T) {
 		{"baseline with -mode", []string{"-method", "modelbased", "-mode", "exact"}, "mode"},
 		{"baseline with -iter", []string{"-method", "modelbased", "-iter", "3"}, "iter"},
 		{"baseline with -converge", []string{"-method", "modelbased", "-converge"}, "converge"},
-		{"baseline with -halo-nm", []string{"-method", "modelbased", "-halo-nm", "160"}, "halo-nm"},
 		{"baseline with -tile-workers", []string{"-method", "modelbased", "-tile-workers", "2"}, "tile-workers"},
 		{"baseline with -out", []string{"-method", "plainilt", "-out", "o"}, "out"},
 	} {
@@ -80,6 +79,36 @@ func TestCheckFlags(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) {
 		err := admitArgs(t, "-testcase", "B1", "-method", "rulebased", "-"+f.Name+"="+f.DefValue)
 		wantField(t, "-method with -"+f.Name, err, f.Name)
+	})
+}
+
+// TestPipelineFlagsAreTheRegisteredOnes holds pipelineFlags to
+// defineFlags: every name listed is a registered flag, and every registered
+// flag is listed or is one a -method baseline reads (the target, the grid,
+// the method and the shared observability flags). A flag deleted from the
+// command but not from the list, or added to it but not to the list, fails
+// here instead of leaving a stale entry or a silently ignored flag.
+func TestPipelineFlagsAreTheRegisteredOnes(t *testing.T) {
+	fs := flag.NewFlagSet("mosaic", flag.ContinueOnError)
+	defineFlags(fs)
+	read := map[string]bool{"testcase": true, "layout": true, "grid": true, "method": true}
+	obsFlags := flag.NewFlagSet("obs", flag.ContinueOnError)
+	cli.AddObsFlags(obsFlags)
+	obsFlags.VisitAll(func(f *flag.Flag) { read[f.Name] = true })
+	listed := map[string]bool{}
+	for _, name := range pipelineFlags {
+		listed[name] = true
+		if fs.Lookup(name) == nil {
+			t.Errorf("pipelineFlags lists -%s, which is not registered", name)
+		}
+		if read[name] {
+			t.Errorf("pipelineFlags lists -%s, which a -method baseline reads", name)
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !listed[f.Name] && !read[f.Name] {
+			t.Errorf("-%s is registered but neither in pipelineFlags nor read by a -method baseline", f.Name)
+		}
 	})
 }
 
@@ -103,7 +132,7 @@ func TestAdmitFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	flagOf := map[string]string{"benchmark": "testcase", "grid": "grid", "max_iter": "iter",
-		"tile_nm": "tile-nm", "halo_nm": "halo-nm", "tile_workers": "tile-workers"}
+		"tile_nm": "tile-nm", "tile_workers": "tile-workers"}
 	misses := obs.NewCounter("optics_kernel_cache_misses_total")
 	before, ran := misses.Value(), 0
 	for _, row := range rows {

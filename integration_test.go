@@ -105,7 +105,7 @@ func TestSuiteStress(t *testing.T) {
 }
 
 // TestTraceFileHoldsTheRunTree: what -trace FILE leaves on every binary
-// (all six go through cli.ObsFlags) is a Perfetto trace_event array with
+// (all five go through cli.ObsFlags) is a Perfetto trace_event array with
 // the hot-path timers and the run's span tree: tile.pipeline over ilt.run
 // under one trace ID, and the ilt.iter instants parented to ilt.run.
 func TestTraceFileHoldsTheRunTree(t *testing.T) {

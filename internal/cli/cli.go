@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"mosaic/internal/bench"
 	"mosaic/internal/gds"
 	"mosaic/internal/geom"
+	"mosaic/internal/grid"
+	"mosaic/internal/metrics"
+	"mosaic/internal/render"
 )
 
 // LoadLayoutArg resolves the -testcase / -layout flag pair every tool
@@ -44,4 +48,28 @@ func LoadLayoutArg(testcase, path string) (*geom.Layout, error) {
 	default:
 		return nil, fmt.Errorf("one of -testcase or -layout is required")
 	}
+}
+
+// SaveReportImages writes the rasters of a scored mask into dir, creating
+// it: the nominal aerial image and print (aerial_nominal.png,
+// printed_nominal.png), the PV band (pvband.png) and the target in gray
+// under the print in green and the band in red (overlay.png). target is
+// the layout rasterized on the report's grid.
+func SaveReportImages(dir string, target *grid.Field, rep *metrics.Report) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name  string
+		field *grid.Field
+	}{
+		{"aerial_nominal.png", rep.AerialNominal},
+		{"printed_nominal.png", rep.PrintedNominal},
+		{"pvband.png", rep.PVBand},
+	} {
+		if err := render.SaveField(filepath.Join(dir, f.name), f.field); err != nil {
+			return err
+		}
+	}
+	return render.SavePNG(filepath.Join(dir, "overlay.png"), render.Overlay(target, rep.PrintedNominal, rep.PVBand))
 }

@@ -18,10 +18,8 @@ import (
 //	-cache-mem MIB      in-process cache byte budget in MiB; 0 disables
 //	                    the memory tier
 //	-warm-lib DIR       warm-start pattern library directory (same
-//	                    layout and quarantine policy)
-//	-warm-max-dist D    signature distance threshold for retrieval;
-//	                    0 = warmstart.DefaultMaxDist
-//	-warm-harvest       write converged masks back into the library
+//	                    layout and quarantine policy), opened with the
+//	                    default retrieval distance and harvesting on
 //	-artifact-dir DIR   Merkle-anchored provenance store directory
 //
 // Each store is off when its directory is unset — except the cache, which
@@ -31,8 +29,6 @@ type StoreFlags struct {
 	CacheDir    string
 	CacheMemMiB int64
 	WarmLib     string
-	WarmMaxDist float64
-	WarmHarvest bool
 	ArtifactDir string
 }
 
@@ -54,23 +50,20 @@ func (s Stores) Close() {
 
 // AddStoreFlags registers the store flags on fs. defaultCacheMemMiB seeds
 // -cache-mem: the daemon defaults the memory tier on (jobs share it),
-// one-shot tools default it off. Harvesting defaults on: a library that
-// only reads never pays off.
+// one-shot tools default it off.
 func AddStoreFlags(fs *flag.FlagSet, defaultCacheMemMiB int64) *StoreFlags {
 	f := &StoreFlags{}
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "durable tile-result cache directory (empty = no disk tier)")
 	fs.Int64Var(&f.CacheMemMiB, "cache-mem", defaultCacheMemMiB, "in-process tile-result cache budget in MiB (0 = no memory tier)")
 	fs.StringVar(&f.WarmLib, "warm-lib", "", "warm-start pattern library directory (empty = warm-start off)")
-	fs.Float64Var(&f.WarmMaxDist, "warm-max-dist", 0, "max signature distance for a warm-start match (0 = default)")
-	fs.BoolVar(&f.WarmHarvest, "warm-harvest", true, "harvest converged masks into the warm-start library")
 	fs.StringVar(&f.ArtifactDir, "artifact-dir", "", "directory for the Merkle-anchored artifact store; every completed job commits a verifiable provenance record (empty = no provenance)")
 	return f
 }
 
-// Open opens the stores the parsed flags describe. What the warm-start
-// library refuses — a negative distance, an unwritable directory — is its
-// *ilt.ConfigError, naming the library's field (WarmStart.MaxDist,
-// WarmStart.Dir). Close the result when done.
+// Open opens the stores the parsed flags describe. The warm-start library
+// harvests what it is given (one that only reads never pays off) and
+// retrieves within warmstart.DefaultMaxDist; a directory it cannot write
+// is its *ilt.ConfigError on WarmStart.Dir. Close the result when done.
 func (f *StoreFlags) Open() (Stores, error) {
 	var s Stores
 	var err error
@@ -84,7 +77,7 @@ func (f *StoreFlags) Open() (Stores, error) {
 		}
 	}
 	if f.WarmLib != "" {
-		if s.WarmStart, err = warmstart.Open(warmstart.Options{Dir: f.WarmLib, MaxDist: f.WarmMaxDist, Harvest: f.WarmHarvest}); err != nil {
+		if s.WarmStart, err = warmstart.Open(warmstart.Options{Dir: f.WarmLib, Harvest: true}); err != nil {
 			return Stores{}, fmt.Errorf("opening warm-start library: %w", err)
 		}
 	}

@@ -21,11 +21,7 @@ func parseWarm(t *testing.T, args ...string) *StoreFlags {
 }
 
 func TestWarmFlagsOff(t *testing.T) {
-	f := parseWarm(t)
-	if !f.WarmHarvest {
-		t.Fatal("harvesting must default on")
-	}
-	st, err := f.Open()
+	st, err := parseWarm(t).Open()
 	if err != nil || st != (Stores{}) {
 		t.Fatalf("unset flags must open no store: %+v err=%v", st, err)
 	}
@@ -33,7 +29,7 @@ func TestWarmFlagsOff(t *testing.T) {
 
 func TestWarmFlagsOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "lib")
-	f := parseWarm(t, "-warm-lib", dir, "-warm-max-dist", "0.1")
+	f := parseWarm(t, "-warm-lib", dir)
 	st, err := f.Open()
 	if err != nil || st.WarmStart == nil {
 		t.Fatalf("valid flags failed to open a library: %v", err)
@@ -48,25 +44,12 @@ func TestWarmFlagsOpen(t *testing.T) {
 // kept in step with them.
 func TestWarmFlagsInvalid(t *testing.T) {
 	var cerr *ilt.ConfigError
-
-	for _, d := range []string{"-0.5", "NaN"} {
-		f := parseWarm(t, "-warm-lib", t.TempDir(), "-warm-max-dist", d)
-		if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "WarmStart.MaxDist" {
-			t.Fatalf("-warm-max-dist %s: got %v, want ConfigError on WarmStart.MaxDist", d, err)
-		}
-	}
-	// With warm-start off nothing reads the distance.
-	f := parseWarm(t, "-warm-max-dist", "-1")
-	if st, err := f.Open(); err != nil || st.WarmStart != nil {
-		t.Fatalf("a distance with warm-start off: got %+v, %v", st, err)
-	}
-
 	// An unusable directory (a path under a regular file).
 	file := filepath.Join(t.TempDir(), "plain")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f = parseWarm(t, "-warm-lib", filepath.Join(file, "lib"))
+	f := parseWarm(t, "-warm-lib", filepath.Join(file, "lib"))
 	if _, err := f.Open(); !errors.As(err, &cerr) || cerr.Field != "WarmStart.Dir" {
 		t.Fatalf("unusable -warm-lib: got %v, want ConfigError on WarmStart.Dir", err)
 	}

@@ -38,8 +38,8 @@ func postJob(t *testing.T, url, body string) (int, httpapi.ErrorBody) {
 }
 
 // TestSubmitRefusesWhatCannotRun: a job no layer can run is a 400 naming
-// the library field, never a queued job. The three bodies of the issue
-// were answered 202, took a worker, built and pinned a Setup for a pixel
+// the library field, never a queued job. The two bodies below were
+// answered 202, took a worker, built and pinned a Setup for a pixel
 // size nothing else uses and then failed with an untyped string; with them
 // go the rows of the shared table (testdata/inadmissible.json, see the
 // root package's TestAdmitRefusals). Nothing is enqueued and no kernel set
@@ -61,7 +61,6 @@ func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	for _, body := range []string{
 		`{"benchmark":"B1","tile_nm":300}`,
 		`{"benchmark":"B1","tile_nm":1}`,
-		`{"benchmark":"B1","tile_nm":512,"halo_nm":100000}`,
 	} {
 		rows = append(rows, row{Name: body, Job: json.RawMessage(body)})
 	}
@@ -277,24 +276,26 @@ func fuzzServer() *Server {
 // *mosaic.ConfigError from the gate; the API's own refusals of a body are
 // the only untyped ones), or it runs to completion and, as a one-window
 // plan, leaves the mask Optimize leaves. Every crash of this surface found
-// by hand so far is a seed: three bodies that killed or wedged the daemon,
-// grids 1 and 2, and three bodies that were accepted and then failed in a
-// worker. What is admitted is run only when it is small (the
+// by hand so far that a body can spell is a seed: two bodies that killed
+// or wedged the daemon, grids 1 and 2, bodies that were accepted and then
+// failed in a worker, and the two raster bounds a grid and tile_nm reach
+// through the λ/NA halo (a window beyond one frame, a halo beyond any
+// raster). What is admitted is run only when it is small (the
 // window at most 64 px, at most 16 tiles, one iteration).
 func FuzzAdmit(f *testing.F) {
 	for _, seed := range []struct {
-		body           string
-		grid, iter     int
-		tileNM, haloNM float64
-		workers        int
+		body       string
+		grid, iter int
+		tileNM     float64
+		workers    int
 	}{
 		{body: `{"benchmark":"B1"}`, grid: 16},
-		{body: `{"layout":"CLIP t 512\nRECT 64 120 384 80\n","grid":16,"tile_nm":256,"max_iter":2}`, grid: 16, tileNM: 512, haloNM: 64, workers: 1},
+		{body: `{"layout":"CLIP t 512\nRECT 64 120 384 80\n","grid":16,"tile_nm":256,"max_iter":2}`, grid: 16, tileNM: 512, workers: 1},
 		{body: `{"benchmark":"B1","tile_nm":300}`, grid: 64, tileNM: 300},
 		{body: `{"benchmark":"B1","tile_nm":1}`, grid: 64, tileNM: 1},
-		{body: `{"benchmark":"B1","tile_nm":512,"halo_nm":100000}`, grid: 64, tileNM: 512, haloNM: 100000},
+		{body: `{"benchmark":"B1","grid":8192,"tile_nm":512}`, grid: 8192, tileNM: 512},
+		{body: `{"layout":"CLIP t 100\nRECT 10 10 40 40\n","grid":8192,"tile_nm":25}`, grid: 8192, tileNM: 25},
 		{body: `{"benchmark":"B1","grid":1073741824}`, grid: 1 << 30},
-		{body: `{"benchmark":"B1","grid":64,"tile_nm":512,"halo_nm":1e12}`, grid: 64, tileNM: 512, haloNM: 1e12},
 		{body: `{"benchmark":"B1","grid":64,"tile_nm":1e-9}`, grid: 64, tileNM: 1e-9},
 		{body: `{"benchmark":"B1","grid":1}`, grid: 1},
 		{body: `{"benchmark":"B1","grid":2}`, grid: 2},
@@ -302,20 +303,18 @@ func FuzzAdmit(f *testing.F) {
 		{body: `{"benchmark":"B1","max_iter":-3,"tile_workers":-1,"deadline_ms":-1}`, grid: 16, iter: -3, workers: -1},
 		{body: `{"benchmark":"B1","layout":"CLIP x 512"}`, grid: -16},
 	} {
-		f.Add([]byte(seed.body), seed.grid, seed.iter, seed.tileNM, seed.haloNM, seed.workers)
+		f.Add([]byte(seed.body), seed.grid, seed.iter, seed.tileNM, seed.workers)
 	}
 	b1, err := mosaic.Benchmark("B1")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, body []byte, grid, iter int, tileNM, haloNM float64, workers int) {
+	f.Fuzz(func(t *testing.T, body []byte, grid, iter int, tileNM float64, workers int) {
 		s := fuzzServer()
 
 		// The job API's way in.
 		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&spec) == nil {
+		if decodeSpec(bytes.NewReader(body), &spec) == nil {
 			j, err := s.newJob("fuzz", spec, time.Time{})
 			var ce *mosaic.ConfigError
 			switch {
@@ -331,7 +330,7 @@ func FuzzAdmit(f *testing.F) {
 		if iter != 0 {
 			cfg.MaxIter = iter
 		}
-		opts := mosaic.TileOptions{TileNM: tileNM, HaloNM: haloNM, Workers: workers}
+		opts := mosaic.TileOptions{TileNM: tileNM, Workers: workers}
 		err := mosaic.Admit(s.cfg.Optics, grid, b1, cfg, opts)
 		var ce *mosaic.ConfigError
 		switch {
@@ -352,9 +351,7 @@ func runAdmitted(t *testing.T, base mosaic.OpticsConfig, grid int, layout *mosai
 	optics, sharded := mosaic.JobOptics(base, grid, layout, opts.TileNM)
 	halo, tiles := 0.0, 1.0
 	if sharded {
-		if halo = opts.HaloNM; halo == 0 {
-			halo = tile.DefaultHaloNM(optics)
-		}
+		halo = tile.DefaultHaloNM(optics)
 		tiles = layout.SizeNM / opts.TileNM
 	}
 	if optics.GridSize > 32 || halo/optics.PixelNM > 16 || tiles > 4 {

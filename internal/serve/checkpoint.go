@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -80,20 +82,30 @@ func (s *Server) restore() error {
 	return nil
 }
 
-// restoreOne rebuilds a job from its .job meta file.
+// restoreOne rebuilds a job from its .job meta file. The spec is decoded
+// as a submission is: one holding a field this build does not have asked
+// for an option no code path would honour, and is refused. Around the
+// spec, a key an older build wrote (digest_version) is ignored.
 func (s *Server) restoreOne(path string) (*job, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var meta checkpointMeta
+	var meta struct {
+		checkpointMeta
+		Spec json.RawMessage `json:"spec"`
+	}
 	if err := json.Unmarshal(data, &meta); err != nil {
 		return nil, err
 	}
 	if meta.ID == "" {
 		return nil, errors.New("checkpoint meta lacks a job id")
 	}
-	j, err := s.newJob(meta.ID, meta.Spec, meta.SubmittedAt)
+	var spec JobSpec
+	if err := decodeSpec(bytes.NewReader(meta.Spec), &spec); err != nil {
+		return nil, fmt.Errorf("checkpoint spec: %w", err)
+	}
+	j, err := s.newJob(meta.ID, spec, meta.SubmittedAt)
 	if err != nil {
 		return nil, err
 	}

@@ -108,9 +108,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeSpec(http.MaxBytesReader(w, r.Body, 16<<20), &spec); err != nil {
 		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, "decoding spec: "+err.Error())
 		return
 	}

@@ -9,7 +9,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -42,8 +44,6 @@ type JobSpec struct {
 	// smaller than the layout; 0 runs untiled. A pitch that leaves the
 	// layout off the TileNM/Grid pixel grid is rejected at submission.
 	TileNM float64 `json:"tile_nm,omitempty"`
-	// HaloNM overrides the optical guard band of a sharded run.
-	HaloNM float64 `json:"halo_nm,omitempty"`
 	// TileWorkers is the job's core-reservation hint: how many tiles it
 	// tries to run concurrently, each holding one reservation in the
 	// process-global compute pool while it computes (a cached tile holds
@@ -56,6 +56,15 @@ type JobSpec struct {
 	// DeadlineMS bounds the job's wall time once it starts running; 0
 	// means no deadline. A job that overruns fails with a deadline error.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
+}
+
+// decodeSpec decodes a spec as POST /v1/jobs takes it and a restarted
+// server reads it back: a field JobSpec does not have is an error, never an
+// option dropped without a word.
+func decodeSpec(r io.Reader, sp *JobSpec) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(sp)
 }
 
 // validate rejects what is the job API's own to reject: the target, the

@@ -199,7 +199,6 @@ func newID() string {
 func (s *Server) tileOptions(sp *JobSpec) mosaic.TileOptions {
 	return mosaic.TileOptions{
 		TileNM:    sp.TileNM,
-		HaloNM:    sp.HaloNM,
 		Workers:   sp.TileWorkers,
 		Runner:    s.cfg.TileRunner,
 		Cache:     s.cfg.TileCache,

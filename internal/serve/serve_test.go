@@ -274,7 +274,7 @@ func TestJobSpecValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero options", JobSpec{Benchmark: "B1"}, true},
-		{"explicit tiling", JobSpec{Benchmark: "B1", Grid: 64, TileNM: 512, HaloNM: 160, TileWorkers: 1}, true},
+		{"explicit tiling", JobSpec{Benchmark: "B1", Grid: 64, TileNM: 512, TileWorkers: 1}, true},
 		{"largest grid one frame holds", JobSpec{Benchmark: "B1", Grid: 8192}, true},
 		{"grid beyond one frame", JobSpec{Benchmark: "B1", Grid: 16384}, false},
 		{"grid that overflows", JobSpec{Benchmark: "B1", Grid: 1 << 62}, false},
@@ -284,7 +284,6 @@ func TestJobSpecValidate(t *testing.T) {
 		{"grid without a pixel inside the calibration line", JobSpec{Benchmark: "B1", Grid: 2}, false},
 		{"smallest grid that calibrates", JobSpec{Benchmark: "B1", Grid: 4}, true},
 		{"negative tile_nm", JobSpec{Benchmark: "B1", TileNM: -5}, false},
-		{"negative halo_nm", JobSpec{Benchmark: "B1", TileNM: 512, HaloNM: -1}, false},
 		{"negative tile_workers", JobSpec{Benchmark: "B1", TileWorkers: -1}, false},
 		{"negative max_iter", JobSpec{Benchmark: "B1", MaxIter: -3}, false},
 		{"negative deadline_ms", JobSpec{Benchmark: "B1", DeadlineMS: -1}, false},
@@ -305,8 +304,8 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
-// TestDaemonSurvivesItsInput is the regression test for three job bodies
-// that took the whole process down (two panicked with makeslice on a worker
+// TestDaemonSurvivesItsInput is the regression test for two job bodies
+// that took the whole process down (one panicked with makeslice on a worker
 // goroutine, one never left the tile planner) and for the net under them:
 // whatever validation misses — here a Tune hook that panics — fails one job
 // and the server keeps serving.
@@ -330,7 +329,6 @@ func TestDaemonSurvivesItsInput(t *testing.T) {
 
 	for _, body := range []string{
 		`{"benchmark":"B1","grid":1073741824}`,
-		`{"benchmark":"B1","grid":64,"tile_nm":512,"halo_nm":1e12}`,
 		`{"benchmark":"B1","grid":64,"tile_nm":1e-9}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -603,7 +601,7 @@ func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 	ref := spec.config()
 	cfg.Tune(&ref)
 	want, err := setup.OptimizeLayout(context.Background(), ref, layout,
-		mosaic.TileOptions{TileNM: spec.TileNM, HaloNM: spec.HaloNM, WarmStart: cfg.WarmStart})
+		mosaic.TileOptions{TileNM: spec.TileNM, WarmStart: cfg.WarmStart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -873,14 +871,15 @@ func TestResumedJobIsServedItsOwnKey(t *testing.T) {
 }
 
 // twoWindowSpec is a sharded job whose first two windows hold distinct
-// cells, each out of the other's halo (128 nm once the 64 px window is
-// rounded), and whose last two are empty.
+// cells, each out of the other's halo, and whose last two are empty. At
+// 16 nm pixels the λ/NA halo (143 nm, 9 px) pads a 32 px core to a 64 px
+// window, a 256 nm halo: window 0 ends at x = 768 nm, window 1 starts at
+// 256 nm and the second row at y = 256 nm.
 var twoWindowSpec = JobSpec{
-	Layout:      "CLIP two-cells 512\nRECT 16 24 96 72\nRECT 400 16 72 96\n",
+	Layout:      "CLIP two-cells 1024\nRECT 32 48 192 144\nRECT 800 32 144 192\n",
 	MaxIter:     12,
 	Grid:        32,
-	TileNM:      256,
-	HaloNM:      64,
+	TileNM:      512,
 	TileWorkers: 1,
 }
 
@@ -1164,4 +1163,53 @@ func TestRestoreSkipsTornCheckpoint(t *testing.T) {
 	if files, _ := filepath.Glob(filepath.Join(dir, "job-intact.*")); len(files) != 0 {
 		t.Fatalf("finished job left checkpoint files behind: %v", files)
 	}
+}
+
+// TestRestoreRefusesAnOptionItCannotHonour: a .job whose spec holds a field
+// JobSpec does not have — an option an older build accepted and this one
+// dropped — is skipped like a torn one, not resumed under options nobody
+// submitted; POST /v1/jobs refuses the same spec. The valid .job beside it
+// resumes: exactly one job comes back.
+func TestRestoreRefusesAnOptionItCannotHonour(t *testing.T) {
+	dir := t.TempDir()
+	known := checkpointMeta{ID: "job-known", Spec: JobSpec{Layout: testLayoutText, MaxIter: 2}, SubmittedAt: time.Now()}
+	type olderSpec struct {
+		JobSpec
+		SeamNM float64 `json:"seam_nm"`
+	}
+	foreign := struct {
+		checkpointMeta
+		Spec olderSpec `json:"spec"`
+	}{checkpointMeta{ID: "job-foreign", SubmittedAt: known.SubmittedAt}, olderSpec{known.Spec, 160}}
+	for id, meta := range map[string]any{known.ID: known, foreign.ID: foreign} {
+		data, err := json.Marshal(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".job"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cfg := testServerConfig(dir)
+	cfg.TileCache = diskCache(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	page, _, err := s.ListPage("", 0, "")
+	if err != nil || len(page) != 1 || page[0].ID != known.ID || !page[0].Resumed {
+		t.Fatalf("restored %+v (%v), want the one resumed job %s", page, err, known.ID)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(foreign.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := postJob(t, ts.URL, string(body)); code != http.StatusBadRequest {
+		t.Errorf("POST of the foreign spec: status %d, want 400", code)
+	}
+	waitFor(t, s, known.ID, 60*time.Second, func(st *Status) bool { return st.State == StateDone })
 }

@@ -98,7 +98,9 @@ type Geometry struct {
 // optics/FFT grid constraint), which only ever enlarges the halo. The
 // layout must be a whole number of pixels; layout, halo and window must
 // fit the rasters of internal/frame. A refusal is an *ilt.ConfigError
-// naming the library field the number came from.
+// naming the library field the number came from: the halo is the λ/NA
+// ambit of the optics (DefaultHaloNM), and its width in pixels follows
+// from the tile pitch.
 func NewGeometry(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (Geometry, error) {
 	refuse := func(field, format string, args ...any) (Geometry, error) {
 		return Geometry{}, &ilt.ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
@@ -114,7 +116,7 @@ func NewGeometry(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (Geometry
 		return refuse("TileOptions.TileNM", "core tile size must be positive, got %g", coreNM)
 	}
 	if !(haloNM >= 0) {
-		return refuse("TileOptions.HaloNM", "must be >= 0, got %g", haloNM)
+		return refuse("OpticsConfig", "halo must be >= 0, got %g nm", haloNM)
 	}
 	// Sizes are bounded as floats first: converting an out-of-range float
 	// to int is undefined, and nextPow2 and NewPlan's tile loop never end
@@ -123,7 +125,7 @@ func NewGeometry(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (Geometry
 		return refuse("Layout.SizeNM", "%g nm at %g nm pixels exceeds the %d px raster bound", layout.SizeNM, pixelNM, frame.MaxFieldDim)
 	}
 	if !(haloNM/pixelNM <= frame.MaxFieldDim) {
-		return refuse("TileOptions.HaloNM", "%g nm at %g nm pixels exceeds the %d px raster bound", haloNM, pixelNM, frame.MaxFieldDim)
+		return refuse("TileOptions.TileNM", "a %g nm halo at %g nm pixels exceeds the %d px raster bound", haloNM, pixelNM, frame.MaxFieldDim)
 	}
 	fullPx := int(math.Round(layout.SizeNM / pixelNM))
 	if fullPx < 1 || math.Abs(float64(fullPx)*pixelNM-layout.SizeNM) > 1e-6 {
@@ -139,7 +141,7 @@ func NewGeometry(layout *geom.Layout, pixelNM, coreNM, haloNM float64) (Geometry
 	haloMinPx := int(math.Ceil(haloNM/pixelNM - 1e-9))
 	windowPx := nextPow2(corePx + 2*haloMinPx)
 	if !frame.SquareFits(windowPx) {
-		return refuse("TileOptions.TileNM,TileOptions.HaloNM", "a %d px window (core %g nm + 2 x halo %g nm at %g nm pixels) does not fit a %d-byte frame", windowPx, coreNM, haloNM, pixelNM, frame.MaxPayload)
+		return refuse("TileOptions.TileNM", "a %d px window (core %g nm + 2 x halo %g nm at %g nm pixels) does not fit a %d-byte frame", windowPx, coreNM, haloNM, pixelNM, frame.MaxPayload)
 	}
 	return Geometry{CorePx: corePx, HaloPx: (windowPx - corePx) / 2, WindowPx: windowPx, FullPx: fullPx}, nil
 }

@@ -272,17 +272,14 @@ func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, ru
 // and stitched into one mask (see internal/tile). Every option applies to
 // every run — a layout that fits the simulation grid is a one-window plan
 // and is scheduled, cached, seeded, dispatched and anchored like any tile.
-// A window runs once: the first tile error fails the run. A negative
-// TileNM, HaloNM or Workers is a *ConfigError (see Admit); zero is each
+// A window runs once: the first tile error fails the run. Each window is
+// padded by at least the λ/NA ambit of the optics (tile.DefaultHaloNM). A
+// negative TileNM or Workers is a *ConfigError (see Admit); zero is each
 // one's default.
 type TileOptions struct {
 	// TileNM is the core tile pitch in nm. 0 derives it from the setup:
 	// GridSize * PixelNM (one grid's worth of layout per tile).
 	TileNM float64
-	// HaloNM is the minimum optical guard band around each core. 0 uses
-	// the imaging configuration's λ/NA ambit. The padded window rounds up
-	// to a power-of-two grid, which only widens the halo.
-	HaloNM float64
 	// Workers is a core-reservation hint: how many tiles the scheduler
 	// tries to run concurrently, each holding one reservation in the
 	// process-global compute pool while it computes in-process (a tile
@@ -501,8 +498,7 @@ func (s *Setup) recordArtifact(opts TileOptions, cfg Config, layout *Layout, out
 // EvaluateLayout scores a mask covering a layout of arbitrary extent:
 // directly on the setup simulator when the layout fits its grid, otherwise
 // by tiled full-SOCS simulation under the same decomposition OptimizeLayout
-// would use (opts.TileNM / opts.HaloNM must match for the grids to line
-// up). The mask raster must cover the layout exactly at the setup's pixel
+// would use (opts.TileNM must match for the grids to line up). The mask raster must cover the layout exactly at the setup's pixel
 // size on both axes; a mismatch returns ErrGridMismatch on either path
 // instead of a silently mis-scored report.
 func (s *Setup) EvaluateLayout(mask *Field, layout *Layout, opts TileOptions, runtimeSec float64) (*Report, error) {

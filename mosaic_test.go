@@ -285,8 +285,8 @@ func TestLayoutFileRoundTrip(t *testing.T) {
 }
 
 // TestJobOptics pins the imaging configuration every front-end runs a job
-// at — cmd/mosaic, cmd/litho, cmd/evaluate and the daemon each derived it
-// by hand before — to the values those copies produced.
+// at — cmd/mosaic, cmd/evaluate and the daemon each derived it by hand
+// before — to the values those copies produced.
 func TestJobOptics(t *testing.T) {
 	base := DefaultOptics() // 512 px
 	served := smallOptics() // a daemon started with -grid 64

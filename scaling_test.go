@@ -131,10 +131,10 @@ func TestOptimizeLayoutRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestTileGeometryOptionsRejectNegative: a negative TileNM or HaloNM used to
-// mean "default" without a word (the untiled and λ/NA fallbacks matched
-// <= 0); both are typed errors of the gate every path that plans tiles goes
-// through, and zero is still the documented default.
+// TestTileGeometryOptionsRejectNegative: a negative TileNM used to mean
+// "default" without a word (the untiled fallback matched <= 0); it is a
+// typed error of the gate every path that plans tiles goes through, and
+// zero is still the documented default.
 func TestTileGeometryOptionsRejectNegative(t *testing.T) {
 	s, err := NewSetup(smallOptics())
 	if err != nil {
@@ -151,8 +151,6 @@ func TestTileGeometryOptionsRejectNegative(t *testing.T) {
 		{"zero on a sharded layout", wide, TileOptions{}, ""},
 		{"negative TileNM, one window", smallLayout(), TileOptions{TileNM: -5}, "TileOptions.TileNM"},
 		{"negative TileNM, sharded", wide, TileOptions{TileNM: -5}, "TileOptions.TileNM"},
-		{"negative HaloNM, one window", smallLayout(), TileOptions{HaloNM: -1}, "TileOptions.HaloNM"},
-		{"negative HaloNM, sharded", wide, TileOptions{TileNM: 512, HaloNM: -1}, "TileOptions.HaloNM"},
 	} {
 		cfg := DefaultConfig(ModeFast)
 		err := admit(s.Sim.Cfg, tc.layout, &cfg, tc.opts)
@@ -166,7 +164,7 @@ func TestTileGeometryOptionsRejectNegative(t *testing.T) {
 	}
 	// The two entry points that plan tiles both surface it.
 	var ce *ConfigError
-	if _, err := s.OptimizeLayout(context.Background(), DefaultConfig(ModeFast), smallLayout(), TileOptions{HaloNM: -1}); !errors.As(err, &ce) {
+	if _, err := s.OptimizeLayout(context.Background(), DefaultConfig(ModeFast), smallLayout(), TileOptions{TileNM: -5}); !errors.As(err, &ce) {
 		t.Errorf("OptimizeLayout: got %v, want a *ConfigError", err)
 	}
 	if _, err := s.EvaluateLayout(&Field{W: 128, H: 128, Data: make([]float64, 128*128)}, wide, TileOptions{TileNM: -5}, 0); !errors.As(err, &ce) {
