@@ -144,13 +144,17 @@ func (l *lcg) float() float64 {
 // modified in place) by the cyclic Jacobi method. It returns the
 // eigenvalues and the matrix of eigenvectors (column j corresponds to
 // eigenvalue j), unsorted.
+//
+// The eigenvectors are accumulated transposed, one per row, so a rotation
+// updates two contiguous rows instead of two strided columns; each element
+// sees the same operations either way.
 func JacobiSym(a []float64, n int) (eig []float64, vecs []float64) {
 	if len(a) != n*n {
 		panic("linalg: JacobiSym size mismatch")
 	}
-	v := make([]float64, n*n)
+	vt := make([]float64, n*n) // row j is eigenvector j
 	for i := 0; i < n; i++ {
-		v[i*n+i] = 1
+		vt[i*n+i] = 1
 	}
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -185,25 +189,31 @@ func JacobiSym(a []float64, n int) (eig []float64, vecs []float64) {
 					a[k*n+p] = c*akp - s*akq
 					a[k*n+q] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a[p*n+k], a[q*n+k]
-					a[p*n+k] = c*apk - s*aqk
-					a[q*n+k] = s*apk + c*aqk
-				}
+				rotate(a[p*n:p*n+n], a[q*n:q*n+n], c, s)
 				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp, vkq := v[k*n+p], v[k*n+q]
-					v[k*n+p] = c*vkp - s*vkq
-					v[k*n+q] = s*vkp + c*vkq
-				}
+				rotate(vt[p*n:p*n+n], vt[q*n:q*n+n], c, s)
 			}
 		}
 	}
 	eig = make([]float64, n)
+	vecs = make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		eig[i] = a[i*n+i]
+		for k, x := range vt[i*n : i*n+n] {
+			vecs[k*n+i] = x
+		}
 	}
-	return eig, v
+	return eig, vecs
+}
+
+// rotate applies the plane rotation (c, s) to the rows x and y in place.
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = c*xk - s*yk
+		y[k] = s*xk + c*yk
+	}
 }
 
 // HermEigSmall computes the full eigendecomposition of a small dense
@@ -278,10 +288,41 @@ func HermEigSmall(h *CMatrix) (eig []float64, vecs [][]complex128) {
 }
 
 // HermOp is a Hermitian linear operator on complex vectors. Dim returns the
-// vector length and Apply computes y = A x into a fresh slice.
+// vector length and Apply computes ys[i] = A xs[i] for every i, into the
+// caller's slices of length Dim. An operator may serve several vectors per
+// pass over its entries, but every output must carry the bits of a
+// single-vector product.
 type HermOp interface {
 	Dim() int
-	Apply(x []complex128) []complex128
+	Apply(xs, ys [][]complex128)
+}
+
+// rayleigh returns the b x b projection S = V^H A V, S[i][j] = Dot(v[i],
+// av[j]). A row of S takes four columns per pass over v[i], with one
+// accumulator each that sums in Dot's order, so every entry has Dot's bits.
+func rayleigh(v, av [][]complex128) *CMatrix {
+	b := len(v)
+	s := NewCMatrix(b, b)
+	for i, vi := range v {
+		row := s.Row(i)
+		j := 0
+		for ; j+4 <= b; j += 4 {
+			a0, a1, a2, a3 := av[j][:len(vi)], av[j+1][:len(vi)], av[j+2][:len(vi)], av[j+3][:len(vi)]
+			var s0, s1, s2, s3 complex128
+			for t, x := range vi {
+				c := cmplx.Conj(x)
+				s0 += c * a0[t]
+				s1 += c * a1[t]
+				s2 += c * a2[t]
+				s3 += c * a3[t]
+			}
+			row[j], row[j+1], row[j+2], row[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b; j++ {
+			row[j] = Dot(vi, av[j])
+		}
+	}
+	return s
 }
 
 // HermEigTopK computes the k algebraically largest eigenpairs of the
@@ -301,59 +342,52 @@ func HermEigTopK(op HermOp, k, maxIter int, tol float64) (eig []float64, vecs []
 	}
 	rng := newLCG(0xC0FFEE123456789)
 	v := make([][]complex128, b)
+	av := make([][]complex128, b)
 	for i := range v {
 		v[i] = make([]complex128, n)
 		for j := range v[i] {
 			v[i][j] = complex(rng.float(), rng.float())
 		}
+		av[i] = make([]complex128, n)
 	}
 	Orthonormalize(v)
 
-	av := make([][]complex128, b)
+	// Each round's Rayleigh-Ritz pairs on the current span track
+	// convergence; the converged round's pairs are the answer.
+	var ev []float64
+	var u [][]complex128
 	prev := make([]float64, b)
-	for iter := 0; iter < maxIter; iter++ {
-		for i := range v {
-			av[i] = op.Apply(v[i])
-		}
-		// Rayleigh-Ritz values on the current span, for convergence tracking.
-		s := NewCMatrix(b, b)
-		for i := 0; i < b; i++ {
-			for j := 0; j < b; j++ {
-				s.Set(i, j, Dot(v[i], av[j]))
-			}
-		}
-		ev, _ := HermEigSmall(s)
-		done := iter > 0
+	converged := false
+	for iter := 0; iter < maxIter && !converged; iter++ {
+		op.Apply(v, av)
+		ev, u = HermEigSmall(rayleigh(v, av))
+		converged = iter > 0
 		for i := 0; i < k; i++ {
 			ref := math.Abs(ev[0])
 			if ref < 1e-300 {
 				ref = 1
 			}
 			if math.Abs(ev[i]-prev[i]) > tol*ref {
-				done = false
+				converged = false
 			}
 		}
 		copy(prev, ev)
-		if done {
-			break
-		}
-		// Power step: advance the subspace to span(A V) and re-orthonormalize.
-		for i := range v {
-			copy(v[i], av[i])
-		}
-		Orthonormalize(v)
-	}
-	// Final Rayleigh-Ritz rotation aligns the basis with the eigenvectors.
-	for i := range v {
-		av[i] = op.Apply(v[i])
-	}
-	s := NewCMatrix(b, b)
-	for i := 0; i < b; i++ {
-		for j := 0; j < b; j++ {
-			s.Set(i, j, Dot(v[i], av[j]))
+		if !converged {
+			// Power step: advance the subspace to span(A V) and
+			// re-orthonormalize.
+			for i := range v {
+				copy(v[i], av[i])
+			}
+			Orthonormalize(v)
 		}
 	}
-	ev, u := HermEigSmall(s)
+	if !converged {
+		// Out of iterations: the last power step left a span no round
+		// has projected onto yet.
+		op.Apply(v, av)
+		ev, u = HermEigSmall(rayleigh(v, av))
+	}
+	// The Rayleigh-Ritz rotation aligns the basis with the eigenvectors.
 	eig = make([]float64, k)
 	vecs = make([][]complex128, k)
 	for i := 0; i < k; i++ {

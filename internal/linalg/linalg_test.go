@@ -1,6 +1,10 @@
 package linalg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -210,19 +214,97 @@ func TestHermEigTopK(t *testing.T) {
 	}
 }
 
+// tcc is the reference operator: a dense Hermitian matrix applied with
+// CMatrix.MatVec, one vector at a time.
 type tcc struct{ m *CMatrix }
 
-func (t tcc) Dim() int                          { return t.m.R }
-func (t tcc) Apply(x []complex128) []complex128 { return t.m.MatVec(x) }
+func (t tcc) Dim() int { return t.m.R }
 
-func TestHermEigTopKDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	h := randPSD(20, rng)
-	e1, _ := HermEigTopK(tcc{h}, 3, 200, 1e-10)
-	e2, _ := HermEigTopK(tcc{h}, 3, 200, 1e-10)
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("non-deterministic eigenvalue %d: %g vs %g", i, e1[i], e2[i])
+func (t tcc) Apply(xs, ys [][]complex128) {
+	for i, x := range xs {
+		copy(ys[i], t.m.MatVec(x))
+	}
+}
+
+// eigSum is the SHA-256 of an eigensolve's output as IEEE-754 bit
+// patterns: every eigenvalue, then every vector.
+func eigSum(eig []float64, vecs [][]complex128) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, e := range eig {
+		put(e)
+	}
+	for _, v := range vecs {
+		for _, x := range v {
+			put(real(x))
+			put(imag(x))
 		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHermEigTopKBitsPinned holds both exits of the subspace iteration to
+// the bits they had when every product was a single-vector sum and the
+// converged round was projected twice (recorded at commit 7adcb8e): maxIter
+// 200 converges (400 gives the same bits), maxIter 3 runs out and takes the
+// post-loop Rayleigh-Ritz round. The block size is 5 + 2 + 2 = 9, so the
+// blocked sums meet a remainder too.
+func TestHermEigTopKBitsPinned(t *testing.T) {
+	h := randPSD(24, rand.New(rand.NewSource(6)))
+	for _, tc := range []struct {
+		maxIter int
+		want    string
+	}{
+		{200, "2e3443faa83167bb0d7e82528b5ac41043269bced810b0c3d1f13dd41700fea5"},
+		{400, "2e3443faa83167bb0d7e82528b5ac41043269bced810b0c3d1f13dd41700fea5"},
+		{3, "3c23e198599e2701386f58f93bf943b018bd89a4cfc6c8f245c1b699e1bba57a"},
+	} {
+		if got := eigSum(HermEigTopK(tcc{h}, 5, tc.maxIter, 1e-10)); got != tc.want {
+			t.Errorf("maxIter %d: eigenpairs hash to %s, want %s", tc.maxIter, got, tc.want)
+		}
+	}
+}
+
+// TestRayleighMatchesDot checks the blocked projection entry by entry
+// against Dot at every block size mod 4, on vectors with signed zeros and
+// subnormal components.
+func TestRayleighMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 37
+	vec := func() []complex128 {
+		x := make([]complex128, n)
+		for i := range x {
+			switch rng.Intn(6) {
+			case 0:
+				x[i] = complex(math.Copysign(0, -1), 0)
+			case 1:
+				x[i] = complex(rng.NormFloat64()*1e-310, rng.NormFloat64())
+			default:
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+		return x
+	}
+	for _, b := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+		t.Run(fmt.Sprint(b), func(t *testing.T) {
+			v, av := make([][]complex128, b), make([][]complex128, b)
+			for i := range v {
+				v[i], av[i] = vec(), vec()
+			}
+			s := rayleigh(v, av)
+			for i := range v {
+				for j := range av {
+					got, want := s.At(i, j), Dot(v[i], av[j])
+					if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+						math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+						t.Fatalf("S[%d][%d] = %v, Dot gives %v", i, j, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -232,19 +232,41 @@ type sparseTCC struct {
 
 func (t *sparseTCC) Dim() int { return len(t.rowPtr) - 1 }
 
-// Apply computes y = T x into a fresh slice (linalg.HermOp).
-func (t *sparseTCC) Apply(x []complex128) []complex128 {
-	y := make([]complex128, t.Dim())
-	for i := range y {
-		lo, hi := t.rowPtr[i], t.rowPtr[i+1]
-		cols := t.cols[lo:hi]
-		var s complex128
-		for p, v := range t.vals[lo:hi] {
-			s += v * x[cols[p]]
+// Apply computes ys[i] = T xs[i] (linalg.HermOp). It reads a row once for
+// four vectors, into four accumulators that each sum as the single-vector
+// row does, so a vector's product has the same bits at any block width.
+func (t *sparseTCC) Apply(xs, ys [][]complex128) {
+	j := 0
+	for ; j+4 <= len(xs); j += 4 {
+		x0, x1, x2, x3 := xs[j], xs[j+1], xs[j+2], xs[j+3]
+		y0, y1, y2, y3 := ys[j], ys[j+1], ys[j+2], ys[j+3]
+		for i := range y0 {
+			lo, hi := t.rowPtr[i], t.rowPtr[i+1]
+			cols := t.cols[lo:hi]
+			vals := t.vals[lo:hi][:len(cols)]
+			var s0, s1, s2, s3 complex128
+			for p, c := range cols {
+				v := vals[p]
+				s0 += v * x0[c]
+				s1 += v * x1[c]
+				s2 += v * x2[c]
+				s3 += v * x3[c]
+			}
+			y0[i], y1[i], y2[i], y3[i] = s0, s1, s2, s3
 		}
-		y[i] = s
 	}
-	return y
+	for ; j < len(xs); j++ {
+		x, y := xs[j], ys[j]
+		for i := range y {
+			lo, hi := t.rowPtr[i], t.rowPtr[i+1]
+			cols := t.cols[lo:hi]
+			var s complex128
+			for p, v := range t.vals[lo:hi] {
+				s += v * x[cols[p]]
+			}
+			y[i] = s
+		}
+	}
 }
 
 // newSparseTCC assembles the TCC source point by source point over the
