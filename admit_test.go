@@ -6,8 +6,10 @@ import (
 	"errors"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
+	"mosaic/internal/geom"
 	"mosaic/internal/obs"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
@@ -27,6 +29,7 @@ type inadmissible struct {
 		TileNM      float64 `json:"tile_nm"`
 		TileWorkers int     `json:"tile_workers"`
 		Benchmark   string  `json:"benchmark"`
+		Layout      string  `json:"layout"`
 	}
 }
 
@@ -52,6 +55,9 @@ func TestAdmitRefusals(t *testing.T) {
 	before := misses.Value()
 	for _, row := range inadmissibleRows(t) {
 		layout, err := Benchmark(row.Job.Benchmark)
+		if row.Job.Layout != "" {
+			layout, err = geom.Parse(strings.NewReader(row.Job.Layout))
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

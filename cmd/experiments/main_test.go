@@ -160,13 +160,14 @@ func TestArchivedTable2HoldsThePaperShape(t *testing.T) {
 	}
 }
 
-// TestFreshTable2MatchesTheArchive re-runs Table 2 at the archive's grid
-// into a temporary directory. The fresh table must hold the paper's shape.
-// Made under the archive's numeric generation (digest_version.txt), it must
-// also reproduce every #EPE, PV band and shape cell of results/table2.csv,
-// and a cell that differs fails by name. Across a cache.DigestVersion bump
-// the moved cells are logged, old → new, for the change that bumps it to
-// judge before it re-archives (make paper).
+// TestFreshTable2MatchesTheArchive re-runs Table 2 and the B4 ablations at
+// the archive's grid into a temporary directory. The fresh Table 2 must
+// hold the paper's shape. Made under the archive's numeric generation
+// (digest_version.txt), each fresh table must also reproduce every #EPE,
+// PV band and shape cell of its results/ CSV, and a cell that differs
+// fails by name. Across a cache.DigestVersion bump the moved cells are
+// logged, old → new, for the change that bumps it to judge before it
+// re-archives (make paper).
 func TestFreshTable2MatchesTheArchive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a fresh Table 2 takes about half a minute")
@@ -178,12 +179,6 @@ func TestFreshTable2MatchesTheArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.tables23(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := readRows(t, h.path("table2.csv"))
-	checkPaperShape(t, "fresh Table 2", fresh)
-
 	raw, err := os.ReadFile(filepath.Join(archive, digestVersionFile))
 	if err != nil {
 		t.Fatal(err)
@@ -195,33 +190,59 @@ func TestFreshTable2MatchesTheArchive(t *testing.T) {
 	differ := t.Errorf
 	if gen != cache.DigestVersion {
 		differ = t.Logf
-		t.Logf("results/table2.csv was made under DigestVersion %d, this build is %d: moved cells are logged, not failed", gen, cache.DigestVersion)
+		t.Logf("results/ was made under DigestVersion %d, this build is %d: moved cells are logged, not failed", gen, cache.DigestVersion)
 	}
-	key := func(row map[string]string) string { return row["testcase"] + " " + row["method"] }
-	byCell := func(rows []map[string]string) map[string]map[string]string {
-		m := map[string]map[string]string{}
-		for _, row := range rows {
-			m[key(row)] = row
+	for _, tc := range []struct {
+		file  string
+		run   func() error
+		key   []string // the columns that name a row
+		cells []string // the runtime-free columns judged
+		check func(*testing.T, string, []map[string]string)
+	}{
+		{"table2.csv", h.tables23, []string{"testcase", "method"},
+			[]string{"epe_violations", "pvband_nm2", "shape_violations"}, checkPaperShape},
+		{"ablations_B4.csv", h.ablations, []string{"variant"},
+			[]string{"epe_violations", "pvband_nm2"}, nil},
+	} {
+		if err := tc.run(); err != nil {
+			t.Fatal(err)
 		}
-		return m
-	}
-	archived := readRows(t, filepath.Join(archive, "table2.csv"))
-	old, cur := byCell(archived), byCell(fresh)
-	for _, o := range archived {
-		c, ok := cur[key(o)]
-		if !ok {
-			differ("%s: in results/table2.csv, not in the fresh run", key(o))
-			continue
+		fresh := readRows(t, h.path(tc.file))
+		if tc.check != nil {
+			tc.check(t, "fresh "+tc.file, fresh)
 		}
-		for _, col := range []string{"epe_violations", "pvband_nm2", "shape_violations"} {
-			if a, b := num(t, o, col), num(t, c, col); a != b {
-				differ("%s %s: results/table2.csv %g → fresh %g", key(o), col, a, b)
+		key := func(row map[string]string) string {
+			var k []string
+			for _, col := range tc.key {
+				k = append(k, row[col])
+			}
+			return strings.Join(k, " ")
+		}
+		byCell := func(rows []map[string]string) map[string]map[string]string {
+			m := map[string]map[string]string{}
+			for _, row := range rows {
+				m[key(row)] = row
+			}
+			return m
+		}
+		archived := readRows(t, filepath.Join(archive, tc.file))
+		old, cur := byCell(archived), byCell(fresh)
+		for _, o := range archived {
+			c, ok := cur[key(o)]
+			if !ok {
+				differ("%s: in results/%s, not in the fresh run", key(o), tc.file)
+				continue
+			}
+			for _, col := range tc.cells {
+				if a, b := num(t, o, col), num(t, c, col); a != b {
+					differ("%s %s: results/%s %g → fresh %g", key(o), col, tc.file, a, b)
+				}
 			}
 		}
-	}
-	for _, c := range fresh {
-		if _, ok := old[key(c)]; !ok {
-			differ("%s: in the fresh run, not in results/table2.csv", key(c))
+		for _, c := range fresh {
+			if _, ok := old[key(c)]; !ok {
+				differ("%s: in the fresh run, not in results/%s", key(c), tc.file)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"mosaic"
@@ -131,13 +132,20 @@ func TestAdmitFlags(t *testing.T) {
 	if err := dec.Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
-	flagOf := map[string]string{"benchmark": "testcase", "grid": "grid", "max_iter": "iter",
+	flagOf := map[string]string{"benchmark": "testcase", "layout": "layout", "grid": "grid", "max_iter": "iter",
 		"tile_nm": "tile-nm", "tile_workers": "tile-workers"}
 	misses := obs.NewCounter("optics_kernel_cache_misses_total")
 	before, ran := misses.Value(), 0
 	for _, row := range rows {
 		var args []string
 		for key, val := range row.Job {
+			if key == "layout" { // the job's text; the command line takes a file
+				path := filepath.Join(t.TempDir(), "clip.txt")
+				if err := os.WriteFile(path, []byte(val.(string)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				val = path
+			}
 			args = append(args, "-"+flagOf[key], fmt.Sprint(val))
 		}
 		wantField(t, row.Name, admitArgs(t, args...), row.Field)

@@ -42,7 +42,7 @@ type Manifest struct {
 	Optics map[string]any `json:"optics"`
 	Resist map[string]any `json:"resist"`
 	Opt    map[string]any `json:"optimizer"`
-	// Seed is the digest of Config.SeedMask (ilt.AppendSeed stream) when
+	// Seed is the digest of Config.SeedMask (frame.Writer.Field) when
 	// the run was handed one; per-tile library seeds are attributed on
 	// the tile provenance instead.
 	Seed   *Digest        `json:"seed,omitempty"`
@@ -101,7 +101,7 @@ func NewManifest(layout *geom.Layout, ws *sim.Simulator, cfg ilt.Config, plan *t
 	sections := ilt.Bits{Optics: &ws.Cfg, Resist: &ws.Resist, Cfg: &cfg}.Sections()
 	m.Optics, m.Resist, m.Opt = sections["optics"], sections["resist"], sections["optimizer"]
 	if cfg.SeedMask != nil {
-		d := Digest(frame.Digest(func(w *frame.Writer) { ilt.AppendSeed(w, cfg.SeedMask) }))
+		d := Digest(frame.Digest(func(w *frame.Writer) { w.Field(cfg.SeedMask) }))
 		m.Seed = &d
 	}
 	return m

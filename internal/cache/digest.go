@@ -31,7 +31,7 @@ import (
 // changes, codec changes — so stale entries miss instead of serving the
 // old bits. The rule: if a change would fail a bit-identity test against
 // the previous build, it needs a version bump.
-const DigestVersion = 8
+const DigestVersion = 9
 
 // Key is the content address of one tile result: a SHA-256 over the
 // canonical encoding of the request (see RequestKey).
@@ -66,7 +66,7 @@ func RequestKey(req *tile.Request) Key {
 		w.I64(int64(req.Plan.WindowPx))
 		w.F64(req.Plan.PixelNM)
 		ilt.Bits{Optics: &req.Sim.Cfg, Resist: &req.Sim.Resist, Cfg: &req.Cfg}.Append(w)
-		ilt.AppendSeed(w, req.Cfg.SeedMask)
+		w.Field(req.Cfg.SeedMask)
 		req.Tile.Layout.AppendBits(w)
 		geom.AppendSamples(w, req.Samples)
 	})

@@ -6,6 +6,7 @@ import (
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/metrics"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
@@ -79,7 +80,6 @@ func TestRequestKeySensitivity(t *testing.T) {
 		{"resistThetaZ", func(r *tile.Request) { r.Sim.Resist.ThetaZ += 1 }},
 		{"mode", func(r *tile.Request) { r.Cfg.Mode = ilt.ModeExact }},
 		{"maxIter", func(r *tile.Request) { r.Cfg.MaxIter++ }},
-		{"stepSize", func(r *tile.Request) { r.Cfg.StepSize *= 1.5 }},
 		{"defocus", func(r *tile.Request) { r.Cfg.DefocusNM += 5 }},
 		{"srafInit", func(r *tile.Request) { r.Cfg.SRAFInit = !r.Cfg.SRAFInit }},
 		{"gradKernels", func(r *tile.Request) { r.Cfg.GradKernels++ }},
@@ -164,7 +164,7 @@ func TestRequestKeyPlanSharing(t *testing.T) {
 	}
 
 	cfg := ilt.DefaultConfig(ilt.ModeFast)
-	full := l.SamplePoints(cfg.EPESampleNM)
+	full := l.SamplePoints(metrics.DefaultParams().EPESampleNM)
 	ws := &sim.Simulator{Cfg: optics.Default(), Resist: resist.Default()}
 	keyOf := func(idx int) Key {
 		tl := &p.Tiles[idx]

@@ -180,9 +180,9 @@ func TestTileJobCodecRoundTrip(t *testing.T) {
 	want := env.cfg
 	want.TrackMetrics = false
 	want.OnIter = nil
-	if job.Cfg.Mode != want.Mode || job.Cfg.Alpha != want.Alpha || job.Cfg.Beta != want.Beta ||
+	if job.Cfg.Mode != want.Mode || job.Cfg.Beta != want.Beta ||
 		job.Cfg.MaxIter != want.MaxIter || job.Cfg.GradKernels != want.GradKernels ||
-		job.Cfg.EPESampleNM != want.EPESampleNM || job.Cfg.DefocusNM != want.DefocusNM ||
+		job.Cfg.DefocusNM != want.DefocusNM ||
 		job.Cfg.DoseDelta != want.DoseDelta || job.Cfg.SRAFInit != want.SRAFInit {
 		t.Fatalf("optimizer config did not round trip: %+v", job.Cfg)
 	}

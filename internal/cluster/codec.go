@@ -58,17 +58,9 @@ func encodeTileJob(req *tile.Request) []byte {
 	w.Str(req.Tile.Layout.Name)
 	req.Tile.Layout.AppendBits(w)
 	geom.AppendSamples(w, req.Samples)
-
-	// Warm-start seed: the retrieved mask must cross the wire so a remote
-	// worker starts its descent exactly where a local run would. Its
-	// square-only (flag, side, samples) form predates ilt.AppendSeed and
-	// is kept because join admits any build of this cache.DigestVersion:
-	// the frame's bytes are what such a fleet shares (TestGoldenBytes).
-	w.Bool(seed != nil)
-	if seed != nil {
-		w.I64(int64(seed.W))
-		w.Floats(seed.Data)
-	}
+	// The warm-start seed crosses the wire so a remote worker starts its
+	// descent exactly where a local run would.
+	w.Field(seed)
 	return w.Payload()
 }
 
@@ -83,10 +75,7 @@ func decodeTileJob(payload []byte) (*tileJob, error) {
 	j.Layout.Name = r.Str()
 	j.Layout.ReadBits(r)
 	j.Samples = geom.ReadSamples(r)
-	if r.Bool() {
-		side := r.I64()
-		j.Cfg.SeedMask = r.Grid(side, side)
-	}
+	j.Cfg.SeedMask = r.Field()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("cluster: decoding tile job: %w", err)
 	}

@@ -40,10 +40,9 @@ func goldenRequest(seeded bool) *tile.Request {
 			Resist: resist.Model{Threshold: 0.2265625, ThetaZ: 50},
 		},
 		Cfg: ilt.Config{
-			Mode: ilt.ModeExact, Alpha: 1, Beta: 0.35, Gamma: 4,
-			ThetaM: 4, ThetaEPE: 2, StepSize: 1.5, StepDecay: 0.97,
-			MaxIter: 20, GradTol: 1e-5, Jumps: 2, JumpFactor: 4, SRAFInit: true,
-			GradKernels: 8, EPEThresholdNM: 15, EPESampleNM: 40, DefocusNM: 25, DoseDelta: 0.02,
+			Mode: ilt.ModeExact, Beta: 0.35, Gamma: 4,
+			MaxIter: 20, GradTol: 1e-5, Jumps: 2, SRAFInit: true,
+			GradKernels: 8, DefocusNM: 25, DoseDelta: 0.02,
 		},
 		Samples: []geom.Sample{
 			{Pt: geom.Point{X: 16, Y: 40}, InwardX: 1},
@@ -89,6 +88,11 @@ func sha(b []byte) string {
 // At 8 the same four were re-pinned: the stream lost six optimizer rows
 // (smooth weight, momentum and the four SRAF rule lengths, now the
 // constant sraf.DefaultRules); MTRS and MTCE again did not move.
+// At 9 the same four were re-pinned: the stream lost eight optimizer rows
+// (alpha, theta_m, theta_epe, the step size, decay and jump factor, now
+// constants, and th_epe and the EPE pitch, now metrics.DefaultParams'),
+// and the seed is written as one frame.Writer.Field in the key and the
+// work order; MTRS and MTCE did not move.
 func TestGoldenBytes(t *testing.T) {
 	check := func(name, got, want string) {
 		t.Helper()
@@ -96,10 +100,10 @@ func TestGoldenBytes(t *testing.T) {
 			t.Errorf("%s = %s, want %s", name, got, want)
 		}
 	}
-	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "3feef54818334c4051d4af5a7184c8190a87a407c3a7766a2be10815f8e9aee8")
-	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "7b442ead024e24bafd1e1665fe340e98f978848acb85d433d5d9bdbac283a507")
-	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "e8caa4fcadf122ec0e327300dbb64442abfac0362d2c664215021949ae6358e9")
-	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "39e504f0855cd9e33684b141477c16784216bed254d52ad735080ec4ed639f4b")
+	check("RequestKey(unseeded)", cache.RequestKey(goldenRequest(false)).String(), "5d0de2e51155637fffd3351a214c2b0e145463930198a5b2b5918159a8960dd6")
+	check("RequestKey(seeded)", cache.RequestKey(goldenRequest(true)).String(), "27a6edee8f6d3a2060a50bf223df9c1106e1560e4b8a4f6b8c6e1217373ac493")
+	check("MTJB payload (unseeded)", sha(encodeTileJob(goldenRequest(false))), "59bf65baa88f23c24bd0567a730c00c5d83916a316f794448045cc9d5e3687ec")
+	check("MTJB payload (seeded)", sha(encodeTileJob(goldenRequest(true))), "eb5a0e8be0f0b5892ea654bf0fe197d2f887fbd91fb4866493084bd68a96c74a")
 
 	spans := []obs.SpanEvent{{
 		Name: "worker.tile", TraceID: "00112233445566778899aabbccddeeff", SpanID: "0123456789abcdef", ParentID: "fedcba9876543210",

@@ -4,7 +4,6 @@ import (
 	"reflect"
 
 	"mosaic/internal/frame"
-	"mosaic/internal/grid"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 )
@@ -26,7 +25,8 @@ type Bits struct {
 // key, and a pointer whose type (*float64, *int, *bool) is its kind. The
 // order is the byte order of the cache key and the MTJB payload: it must
 // not change, and a new row needs a cache.DigestVersion bump.
-// Config.SeedMask also determines the bits but is a raster: see AppendSeed.
+// Config.SeedMask also determines the bits but is a raster: the key, the
+// work order and the manifest write it with frame.Writer.Field.
 func (b Bits) Fields(visit func(section, name string, p any)) {
 	o, r, c := b.Optics, b.Resist, b.Cfg
 	visit("optics", "wavelength_nm", &o.WavelengthNM)
@@ -41,21 +41,13 @@ func (b Bits) Fields(visit func(section, name string, p any)) {
 	visit("resist", "theta_z", &r.ThetaZ)
 
 	visit("optimizer", "mode", (*int)(&c.Mode))
-	visit("optimizer", "alpha", &c.Alpha)
 	visit("optimizer", "beta", &c.Beta)
 	visit("optimizer", "gamma", &c.Gamma)
-	visit("optimizer", "theta_m", &c.ThetaM)
-	visit("optimizer", "theta_epe", &c.ThetaEPE)
-	visit("optimizer", "step_size", &c.StepSize)
-	visit("optimizer", "step_decay", &c.StepDecay)
 	visit("optimizer", "max_iter", &c.MaxIter)
 	visit("optimizer", "grad_tol", &c.GradTol)
 	visit("optimizer", "jumps", &c.Jumps)
-	visit("optimizer", "jump_factor", &c.JumpFactor)
 	visit("optimizer", "sraf_init", &c.SRAFInit)
 	visit("optimizer", "grad_kernels", &c.GradKernels)
-	visit("optimizer", "epe_threshold_nm", &c.EPEThresholdNM)
-	visit("optimizer", "epe_sample_nm", &c.EPESampleNM)
 	visit("optimizer", "defocus_nm", &c.DefocusNM)
 	visit("optimizer", "dose_delta", &c.DoseDelta)
 }
@@ -82,17 +74,6 @@ func (b Bits) Sections() map[string]map[string]any {
 		out[section][name] = reflect.ValueOf(p).Elem().Interface()
 	})
 	return out
-}
-
-// AppendSeed writes the warm-start seed — the one bits-determining input
-// of Config that is not a scalar — as a presence flag plus the raster.
-// A seed determines the whole descent trajectory, so seeded and unseeded
-// runs of one window must never share a cache entry or a manifest.
-func AppendSeed(w *frame.Writer, seed *grid.Field) {
-	w.Bool(seed != nil)
-	if seed != nil {
-		w.Field(seed)
-	}
 }
 
 // scalars lists the result body's fixed-size fields in payload order.

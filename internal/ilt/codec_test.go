@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
 	"mosaic/internal/frame"
@@ -18,7 +16,7 @@ import (
 // notBits are the Config fields that do not determine a run's bits:
 // diagnostics and the hooks the scheduler forces off for tiled runs. A
 // new field of Config, optics.Config or resist.Model belongs either in
-// Bits.Fields (or AppendSeed) or here; TestBitsFieldsClassifyEveryField
+// Bits.Fields (the seed aside) or here; TestBitsFieldsClassifyEveryField
 // fails until it is one of the two.
 var notBits = map[string]bool{
 	"Config.TrackMetrics": true,
@@ -31,7 +29,7 @@ func testBits() (Bits, func() []byte) {
 	return b, func() []byte {
 		w := frame.NewFrame(0)
 		b.Append(w)
-		AppendSeed(w, cfg.SeedMask)
+		w.Field(cfg.SeedMask)
 		return w.Payload()
 	}
 }
@@ -142,7 +140,7 @@ func TestValidateRefusesNonFiniteFloats(t *testing.T) {
 			*f = bad
 			err := b.Cfg.Validate(b.Optics.GridSize, b.Optics.PixelNM)
 			var cerr *ConfigError
-			if !errors.As(err, &cerr) || !slices.Contains(strings.Split(cerr.Field, ","), names[f]) {
+			if !errors.As(err, &cerr) || cerr.Field != names[f] {
 				t.Errorf("%s = %g: Validate = %v, want a *ConfigError on %s", key, bad, err, names[f])
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
+	"mosaic/internal/metrics"
 	"mosaic/internal/optics"
 	"mosaic/internal/par"
 	"mosaic/internal/resist"
@@ -81,8 +82,8 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				samples := layout.SamplePoints(cfg.EPESampleNM)
-				mask := maskFromParams(paramsFromMask(target, cfg.ThetaM, initEps), cfg.ThetaM)
+				samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
+				mask := maskFromParams(paramsFromMask(target, initEps))
 				st := o.evalState(mask, models, target, samples, true)
 				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask.W))})
 				st.release()

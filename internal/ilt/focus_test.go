@@ -8,6 +8,7 @@ import (
 	"mosaic/internal/bench"
 	"mosaic/internal/fft"
 	"mosaic/internal/grid"
+	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
@@ -34,9 +35,6 @@ func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *g
 			fields[ki] = o.Sim.FieldFromSpectrum(spec, kf, k)
 		}
 		for j, ci := range m.Members {
-			if ci == 0 && cfg.Alpha == 0 {
-				continue
-			}
 			if ci > 0 && cfg.Beta == 0 {
 				continue
 			}
@@ -47,11 +45,11 @@ func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *g
 				case ModeFast:
 					g := int(cfg.Gamma)
 					for i, v := range z.Data {
-						dFdZ.Data[i] = cfg.Alpha * float64(g) * ipow(v-target.Data[i], g-1)
+						dFdZ.Data[i] = float64(g) * ipow(v-target.Data[i], g-1)
 					}
 				case ModeExact:
 					for i, v := range z.Data {
-						dFdZ.Data[i] = cfg.Alpha * st.epeW.Data[i] * 2 * (v - target.Data[i])
+						dFdZ.Data[i] = st.epeW.Data[i] * 2 * (v - target.Data[i])
 					}
 				}
 			} else {
@@ -99,7 +97,7 @@ func TestMergedAdjointMatchesPerCornerReference(t *testing.T) {
 		{"fast", ModeFast, 2, func(*Config) {}},
 		{"exact", ModeExact, 2, func(*Config) {}},
 		{"combined-kernel", ModeFast, 2, func(c *Config) { c.GradKernels = 0 }},
-		{"alpha0", ModeFast, 2, func(c *Config) { c.Alpha, c.Beta = 0, 1 }},
+		{"pvb-dominated", ModeFast, 2, func(c *Config) { c.Beta = 100 }},
 		{"beta0", ModeExact, 2, func(c *Config) { c.Beta = 0 }},
 		{"one-plane", ModeFast, 1, func(c *Config) { c.DefocusNM = 0 }},
 		{"one-plane-exact", ModeExact, 1, func(c *Config) { c.DefocusNM = 0 }},
@@ -110,7 +108,7 @@ func TestMergedAdjointMatchesPerCornerReference(t *testing.T) {
 			tc.tweak(&o.Cfg)
 			n := o.Sim.Cfg.GridSize
 			target := layout.Rasterize(n, o.Sim.Cfg.PixelNM)
-			samples := layout.SamplePoints(o.Cfg.EPESampleNM)
+			samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
 			models, err := o.buildModels()
 			if err != nil {
 				t.Fatal(err)

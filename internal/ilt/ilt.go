@@ -2,10 +2,11 @@
 // mask optimization by gradient descent (Alg. 1) with simultaneous design
 // target and process-window optimization (Eq. 7):
 //
-//	minimize F = alpha * #EPE_Violation + beta * PV_Band
+//	minimize F = #EPE_Violation + beta * PV_Band
 //	subject to M(x,y) in {0,1}
 //
-// Two differentiable surrogates of the first term are provided:
+// with the paper's alpha = 1 on the design-target term. Two differentiable
+// surrogates of that term are provided:
 //
 //   - ModeExact (MOSAIC_exact): the EPE-violation count relaxed through
 //     sigmoids of windowed image-difference sums Dsum at the EPE sample
@@ -63,24 +64,20 @@ func (m Mode) String() string {
 	}
 }
 
-// Config collects every optimizer parameter. DefaultConfig supplies the
-// paper's values.
+// Config collects the optimizer parameters a caller varies. DefaultConfig
+// supplies the paper's values. The values the paper fixes are constants:
+// alpha = 1 (Eq. 7), thetaM (Eq. 8), thetaEPE (Eq. 11) and the step
+// schedule of Alg. 1; th_epe and the EPE sample pitch are the scorer's,
+// metrics.DefaultParams.
 type Config struct {
 	Mode Mode
 
-	Alpha float64 // weight of the design-target term (Eq. 7)
-	Beta  float64 // weight of the process-window term (Eq. 7)
+	Beta  float64 // weight of the process-window term (Eq. 7; the design-target term weighs 1)
 	Gamma float64 // image-difference exponent, paper: 4 (Sec. 3.3)
 
-	ThetaM   float64 // mask relaxation steepness (Eq. 8)
-	ThetaEPE float64 // EPE-violation sigmoid steepness (Eq. 11)
-
-	StepSize   float64 // descent step on P, applied to the inf-norm-normalized gradient
-	StepDecay  float64 // multiplicative step decay per iteration (1 = none)
-	MaxIter    int     // th_iter, paper: 20
-	GradTol    float64 // th_g: stop when RMS(gradient) < GradTol
-	Jumps      int     // jump technique: extra enlarged steps after convergence
-	JumpFactor float64 // step multiplier for a jump
+	MaxIter int     // th_iter, paper: 20
+	GradTol float64 // th_g: stop when RMS(gradient) < GradTol
+	Jumps   int     // jump technique: extra enlarged steps after convergence
 
 	SRAFInit bool // seed with the sraf.DefaultRules mask (Alg. 1 line 2)
 
@@ -101,10 +98,8 @@ type Config struct {
 	// against the full SOCS model regardless of this setting.
 	GradKernels int
 
-	EPEThresholdNM float64 // th_epe, paper: 15 nm
-	EPESampleNM    float64 // EPE sample pitch, paper: 40 nm
-	DefocusNM      float64 // process corner defocus, paper: 25 nm
-	DoseDelta      float64 // process corner dose range, paper: 0.02
+	DefocusNM float64 // process corner defocus, paper: 25 nm
+	DoseDelta float64 // process corner dose range, paper: 0.02
 
 	TrackMetrics bool // evaluate full contest metrics every iteration (Fig. 6); slow
 
@@ -118,8 +113,8 @@ type Config struct {
 }
 
 // ConfigError reports an invalid Config value; Field names the offending
-// Config field (or comma-separated fields when a constraint couples
-// several). Retrieve it with errors.As.
+// Config field, or "window" when the simulator's field is too narrow for
+// the EPE scan. Retrieve it with errors.As.
 type ConfigError struct {
 	Field  string
 	Reason string
@@ -136,24 +131,16 @@ func (e *ConfigError) Error() string {
 // achieves the best final quality.
 func DefaultConfig(mode Mode) Config {
 	cfg := Config{
-		Mode:           mode,
-		Alpha:          1,
-		Beta:           0.35,
-		Gamma:          4,
-		ThetaM:         4,
-		ThetaEPE:       2,
-		StepSize:       1.0,
-		StepDecay:      0.97,
-		MaxIter:        20,
-		GradTol:        1e-5,
-		Jumps:          2,
-		JumpFactor:     4,
-		SRAFInit:       true,
-		GradKernels:    8,
-		EPEThresholdNM: 15,
-		EPESampleNM:    40,
-		DefocusNM:      25,
-		DoseDelta:      0.02,
+		Mode:        mode,
+		Beta:        0.35,
+		Gamma:       4,
+		MaxIter:     20,
+		GradTol:     1e-5,
+		Jumps:       2,
+		SRAFInit:    true,
+		GradKernels: 8,
+		DefocusNM:   25,
+		DoseDelta:   0.02,
 	}
 	if mode == ModeExact {
 		cfg.GradKernels = 1 << 30 // clamped to the SOCS order at run time
@@ -256,42 +243,28 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		name string
 		v    float64
 	}{
-		{"Alpha", cfg.Alpha}, {"Beta", cfg.Beta}, {"Gamma", cfg.Gamma},
-		{"ThetaM", cfg.ThetaM}, {"ThetaEPE", cfg.ThetaEPE}, {"StepSize", cfg.StepSize}, {"StepDecay", cfg.StepDecay},
-		{"GradTol", cfg.GradTol}, {"JumpFactor", cfg.JumpFactor},
-		{"EPEThresholdNM", cfg.EPEThresholdNM}, {"EPESampleNM", cfg.EPESampleNM}, {"DefocusNM", cfg.DefocusNM},
-		{"DoseDelta", cfg.DoseDelta},
+		{"Beta", cfg.Beta}, {"Gamma", cfg.Gamma}, {"GradTol", cfg.GradTol},
+		{"DefocusNM", cfg.DefocusNM}, {"DoseDelta", cfg.DoseDelta},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return &ConfigError{Field: f.name, Reason: fmt.Sprintf("must be finite, got %g", f.v)}
 		}
 	}
+	windowNM, thEPE := float64(gridSize)*pixelNM, metrics.DefaultParams().EPEThresholdNM
 	switch {
-	case cfg.Alpha < 0 || cfg.Beta < 0 || cfg.Alpha+cfg.Beta == 0:
-		return &ConfigError{Field: "Alpha,Beta", Reason: fmt.Sprintf("objective weights alpha=%g beta=%g must be non-negative and not both zero", cfg.Alpha, cfg.Beta)}
+	case cfg.Beta < 0:
+		return &ConfigError{Field: "Beta", Reason: fmt.Sprintf("process-window weight must be >= 0, got %g", cfg.Beta)}
 	case cfg.Gamma < 2 || cfg.Gamma > maxGamma || cfg.Gamma != math.Trunc(cfg.Gamma) || int(cfg.Gamma)%2 != 0:
 		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be an even integer in [2, %d], got %g", maxGamma, cfg.Gamma)}
-	case cfg.ThetaM <= 0:
-		return &ConfigError{Field: "ThetaM", Reason: "sigmoid steepness must be positive"}
-	case cfg.ThetaEPE <= 0:
-		return &ConfigError{Field: "ThetaEPE", Reason: "sigmoid steepness must be positive"}
-	case cfg.StepSize <= 0:
-		return &ConfigError{Field: "StepSize", Reason: "must be positive"}
-	case cfg.StepDecay <= 0:
-		return &ConfigError{Field: "StepDecay", Reason: fmt.Sprintf("must be positive, got %g", cfg.StepDecay)}
 	case cfg.GradTol < 0:
 		return &ConfigError{Field: "GradTol", Reason: fmt.Sprintf("must be >= 0, got %g", cfg.GradTol)}
 	case cfg.Jumps < 0:
 		return &ConfigError{Field: "Jumps", Reason: fmt.Sprintf("must be >= 0, got %d", cfg.Jumps)}
-	case cfg.JumpFactor <= 0:
-		return &ConfigError{Field: "JumpFactor", Reason: fmt.Sprintf("must be positive, got %g", cfg.JumpFactor)}
 	case cfg.MaxIter <= 0:
 		return &ConfigError{Field: "MaxIter", Reason: fmt.Sprintf("must be positive, got %d", cfg.MaxIter)}
-	case cfg.EPEThresholdNM <= 0 || cfg.EPEThresholdNM > float64(gridSize)*pixelNM:
+	case windowNM < thEPE:
 		// Each EPE sample scans 2*th_epe of image, in pixels.
-		return &ConfigError{Field: "EPEThresholdNM", Reason: fmt.Sprintf("must be positive and within the %g-nm field, got %g", float64(gridSize)*pixelNM, cfg.EPEThresholdNM)}
-	case cfg.EPESampleNM < minEPESampleNM:
-		return &ConfigError{Field: "EPESampleNM", Reason: fmt.Sprintf("must be >= %g nm, got %g", minEPESampleNM, cfg.EPESampleNM)}
+		return &ConfigError{Field: "window", Reason: fmt.Sprintf("the %g-nm window is narrower than th_epe = %g nm", windowNM, thEPE)}
 	case cfg.DoseDelta < 0 || cfg.DoseDelta >= 1:
 		return &ConfigError{Field: "DoseDelta", Reason: fmt.Sprintf("must be in [0, 1) so every corner prints at a positive dose, got %g", cfg.DoseDelta)}
 	case cfg.SeedMask != nil && (cfg.SeedMask.W != gridSize || cfg.SeedMask.H != gridSize):
@@ -300,14 +273,10 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 	return nil
 }
 
-// Bounds of Validate that keep the work of a run finite. Each power of
-// Gamma costs one multiply per pixel in the objective and its gradient (the
-// paper uses 4). The EPE sample count is an edge's length over the pitch,
-// which is held to the paper's 1-nm pixel.
-const (
-	maxGamma       = 64
-	minEPESampleNM = 1.0
-)
+// maxGamma is the bound of Validate that keeps the work of a run finite:
+// each power of Gamma costs one multiply per pixel in the objective and
+// its gradient (the paper uses 4).
+const maxGamma = 64
 
 // New validates the configuration (Config.Validate) and returns an
 // Optimizer.
@@ -339,7 +308,7 @@ func (o *Optimizer) InitialMask(target *grid.Field) *grid.Field {
 
 // Run optimizes the mask for layout and returns the result. The layout is
 // rasterized onto the simulator grid; EPE samples are generated at the
-// configured pitch.
+// scorer's pitch (metrics.DefaultParams).
 func (o *Optimizer) Run(layout *geom.Layout) (*Result, error) {
 	return o.RunCtx(context.Background(), layout)
 }
@@ -357,7 +326,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, layout *geom.Layout) (*Result, e
 		return nil, fmt.Errorf("ilt: grid covers %g nm but layout clip is %g nm", got, layout.SizeNM)
 	}
 	target := layout.Rasterize(n, px)
-	samples := layout.SamplePoints(o.Cfg.EPESampleNM)
+	samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
 	return o.runRaster(ctx, layout, target, samples)
 }
 
@@ -405,7 +374,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 
 	best := &Result{Objective: math.Inf(1)}
 	bestSurrogate := math.Inf(1)
-	step := cfg.StepSize
+	step := stepSize
 	jumps := cfg.Jumps
 	stall := 0 // consecutive iterations without a plateauTol-sized improvement
 
@@ -417,11 +386,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	m0 := o.InitialMask(target)
 	if cfg.SeedMask != nil && o.probeSeed(cfg.SeedMask, m0, models, target, samples) {
 		best.Seeded = true
-		p = paramsFromMask(cfg.SeedMask, cfg.ThetaM, seedEps)
+		p = paramsFromMask(cfg.SeedMask, seedEps)
 	} else {
-		p = paramsFromMask(m0, cfg.ThetaM, initEps)
+		p = paramsFromMask(m0, initEps)
 	}
-	mask := maskFromParams(p, cfg.ThetaM)
+	mask := maskFromParams(p)
 
 	iter := 0
 	for ; iter < cfg.MaxIter; iter++ {
@@ -447,7 +416,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		// Chain through the mask relaxation: dM/dP = theta_M * M * (1-M).
 		for i, g := range grad.Data {
 			mv := mask.Data[i]
-			grad.Data[i] = g * cfg.ThetaM * mv * (1 - mv)
+			grad.Data[i] = g * thetaM * mv * (1 - mv)
 		}
 		gradRMS := grad.RMS()
 
@@ -524,11 +493,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			}
 			jumps--
 			stall = 0
-			step = cfg.StepSize * cfg.JumpFactor
+			step = stepSize * jumpFactor
 		}
 
 		// Alg. 1 line 6: descend along the negative gradient. The gradient is
-		// inf-norm normalized so StepSize is expressed directly in P units.
+		// inf-norm normalized so stepSize is expressed directly in P units.
 		lo, hi := grad.MinMax()
 		scale := math.Max(math.Abs(lo), math.Abs(hi))
 		if scale < 1e-300 {
@@ -539,8 +508,8 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		}
 		p.AddScaled(grad, -step/scale)
 		grid.Put(grad)
-		step *= cfg.StepDecay
-		maskFromParamsInto(mask, p, cfg.ThetaM)
+		step *= stepDecay
+		maskFromParamsInto(mask, p)
 		endIter()
 	}
 
@@ -560,6 +529,16 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	return best, nil
 }
 
+// The step schedule of Alg. 1 line 6: the first step moves the
+// inf-norm-normalized gradient by stepSize in P units, each iteration
+// multiplies the step by stepDecay, and a jump (the technique of [12])
+// restarts it at stepSize * jumpFactor.
+const (
+	stepSize   = 1.0
+	stepDecay  = 0.97
+	jumpFactor = 4.0
+)
+
 // plateauTol is the plateau stop of a run that adopted its seed: any
 // measurable proxy-objective improvement resets the plateau, so a seeded
 // run that begins near its optimum stops after a few iterations instead of
@@ -576,12 +555,11 @@ const plateauTol = 1e-6
 // converged mask. Both probes are forward-only passes: the objective needs
 // no adjoint.
 func (o *Optimizer) probeSeed(seed, def *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample) bool {
-	cfg := o.Cfg
-	sm := maskFromParams(paramsFromMask(seed, cfg.ThetaM, seedEps), cfg.ThetaM)
+	sm := maskFromParams(paramsFromMask(seed, seedEps))
 	ss := o.evalState(sm, models, target, samples, false)
 	seedObj := ss.objective
 	ss.release()
-	dm := maskFromParams(paramsFromMask(def, cfg.ThetaM, initEps), cfg.ThetaM)
+	dm := maskFromParams(paramsFromMask(def, initEps))
 	ds := o.evalState(dm, models, target, samples, false)
 	defObj := ds.objective
 	ds.release()
@@ -590,8 +568,6 @@ func (o *Optimizer) probeSeed(seed, def *grid.Field, models []focusModel, target
 
 func (o *Optimizer) metricParams() metrics.Params {
 	p := metrics.DefaultParams()
-	p.EPEThresholdNM = o.Cfg.EPEThresholdNM
-	p.EPESampleNM = o.Cfg.EPESampleNM
 	p.DefocusNM = o.Cfg.DefocusNM
 	p.DoseDelta = o.Cfg.DoseDelta
 	return p
@@ -609,9 +585,13 @@ const (
 	seedEps = 1e-12
 )
 
+// thetaM is the steepness of the mask relaxation M = sig(thetaM * P)
+// (Eq. 8), paper: 4.
+const thetaM = 4.0
+
 // paramsFromMask inverts Eq. 8 on a (possibly binary) mask, clamping to
 // (eps, 1-eps) so the logit stays finite.
-func paramsFromMask(m *grid.Field, thetaM, eps float64) *grid.Field {
+func paramsFromMask(m *grid.Field, eps float64) *grid.Field {
 	p := grid.NewLike(m)
 	for i, v := range m.Data {
 		if v < eps {
@@ -625,14 +605,14 @@ func paramsFromMask(m *grid.Field, thetaM, eps float64) *grid.Field {
 }
 
 // maskFromParams applies Eq. 8.
-func maskFromParams(p *grid.Field, thetaM float64) *grid.Field {
-	return maskFromParamsInto(grid.NewLike(p), p, thetaM)
+func maskFromParams(p *grid.Field) *grid.Field {
+	return maskFromParamsInto(grid.NewLike(p), p)
 }
 
 // maskFromParamsInto applies Eq. 8 into dst, letting the descent loop
 // reuse one mask buffer across iterations instead of allocating N^2 per
 // step.
-func maskFromParamsInto(dst, p *grid.Field, thetaM float64) *grid.Field {
+func maskFromParamsInto(dst, p *grid.Field) *grid.Field {
 	for i, v := range p.Data {
 		dst.Data[i] = 1 / (1 + math.Exp(-thetaM*v))
 	}

@@ -39,7 +39,7 @@ func TestDefaultConfigModes(t *testing.T) {
 	if exact.GradKernels <= fast.GradKernels {
 		t.Fatal("exact mode must use a deeper kernel stack than fast")
 	}
-	if fast.MaxIter != 20 || fast.EPEThresholdNM != 15 || fast.EPESampleNM != 40 {
+	if fast.MaxIter != 20 {
 		t.Fatal("paper constants wrong")
 	}
 	if fast.DefocusNM != 25 || fast.DoseDelta != 0.02 {
@@ -59,33 +59,30 @@ func TestNewValidation(t *testing.T) {
 		field string
 		cfg   Config
 	}{
-		{"Alpha,Beta", Config{}}, // all zero
-		{"Alpha,Beta", with(func(c *Config) { c.Alpha, c.Beta = 0, 0 })},
+		{"Gamma", Config{}}, // all zero
+		{"Beta", with(func(c *Config) { c.Beta = -1 })},
 		{"Gamma", with(func(c *Config) { c.Gamma = 3 })},   // odd
 		{"Gamma", with(func(c *Config) { c.Gamma = 0 })},   // zero
 		{"Gamma", with(func(c *Config) { c.Gamma = 4.5 })}, // truncated to 4
 		{"Gamma", with(func(c *Config) { c.Gamma = 1e300 })},
-		{"ThetaM", with(func(c *Config) { c.ThetaM = -1 })},
-		{"StepSize", with(func(c *Config) { c.StepSize = 0 })},
 		{"MaxIter", with(func(c *Config) { c.MaxIter = 0 })},
-		{"EPEThresholdNM", with(func(c *Config) { c.EPEThresholdNM = 0 })},
-		{"EPEThresholdNM", with(func(c *Config) { c.EPEThresholdNM = 1e15 })}, // hangs scanning its window
-		{"EPESampleNM", with(func(c *Config) { c.EPESampleNM = 1e-9 })},       // 1e11 samples an edge
-		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},                     // unbounded jumps
-		{"StepDecay", with(func(c *Config) { c.StepDecay = 0 })},              // zero steps
-		{"StepDecay", with(func(c *Config) { c.StepDecay = -0.97 })},          // uphill every other step
-		{"JumpFactor", with(func(c *Config) { c.JumpFactor = 0 })},            // a jump that stands still
-		{"JumpFactor", with(func(c *Config) { c.JumpFactor = -4 })},           // an uphill jump
-		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},              // never converges
-		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })},          // corners swap
-		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},              // inner corner at dose 0
-		{"StepSize", with(func(c *Config) { c.StepSize = math.NaN() })},
+		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},            // unbounded jumps
+		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},     // never converges
+		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })}, // corners swap
+		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},     // inner corner at dose 0
 	} {
 		_, err := New(s, tc.cfg)
 		var ce *ConfigError
 		if !errors.As(err, &ce) || ce.Field != tc.field {
 			t.Errorf("bad config %d: got %v, want a *ConfigError on %s", i, err, tc.field)
 		}
+	}
+	// An 8-nm window is narrower than th_epe: the EPE scan of a sample
+	// would reach past the field.
+	cfg := DefaultConfig(ModeFast)
+	var ce *ConfigError
+	if err := cfg.Validate(4, 2); !errors.As(err, &ce) || ce.Field != "window" {
+		t.Errorf("8-nm window: got %v, want a *ConfigError on window", err)
 	}
 	if _, err := New(nil, DefaultConfig(ModeFast)); err == nil {
 		t.Error("nil simulator accepted")
@@ -99,10 +96,9 @@ func TestNewValidation(t *testing.T) {
 func FuzzConfigValidate(f *testing.F) {
 	for _, mode := range []Mode{ModeFast, ModeExact} {
 		d := DefaultConfig(mode)
-		f.Add(mode == ModeExact, d.Alpha, d.Beta, d.Gamma, d.ThetaM, d.ThetaEPE, d.StepSize,
-			d.StepDecay, d.GradTol, d.JumpFactor, d.EPEThresholdNM, d.EPESampleNM, d.DefocusNM, d.DoseDelta)
+		f.Add(mode == ModeExact, d.Beta, d.Gamma, d.GradTol, d.DefocusNM, d.DoseDelta)
 	}
-	f.Add(false, 1.0, 0.35, 6.0, 4.0, 2.0, 8.0, 1.5, 0.0, 0.5, 15.0, 40.0, 0.0, 0.0)
+	f.Add(false, 0.35, 6.0, 0.0, 0.0, 0.0)
 	c := optics.Default()
 	c.GridSize = 32
 	c.PixelNM = 16
@@ -114,16 +110,14 @@ func FuzzConfigValidate(f *testing.F) {
 		geom.Rect{X: 160, Y: 144, W: 96, H: 224}.Polygon(),
 		geom.Rect{X: 304, Y: 144, W: 48, H: 224}.Polygon(),
 	}}
-	f.Fuzz(func(t *testing.T, exact bool, alpha, beta, gamma, thetaM, thetaEPE, step, decay, gradTol, jumpFactor, epeTh, epeSample, defocus, doseDelta float64) {
+	f.Fuzz(func(t *testing.T, exact bool, beta, gamma, gradTol, defocus, doseDelta float64) {
 		cfg := DefaultConfig(ModeFast)
 		if exact {
 			cfg = DefaultConfig(ModeExact)
 		}
 		cfg.MaxIter = 2
-		cfg.Alpha, cfg.Beta, cfg.Gamma = alpha, beta, gamma
-		cfg.ThetaM, cfg.ThetaEPE, cfg.StepSize, cfg.StepDecay = thetaM, thetaEPE, step, decay
-		cfg.GradTol, cfg.JumpFactor = gradTol, jumpFactor
-		cfg.EPEThresholdNM, cfg.EPESampleNM, cfg.DefocusNM, cfg.DoseDelta = epeTh, epeSample, defocus, doseDelta
+		cfg.Beta, cfg.Gamma, cfg.GradTol = beta, gamma, gradTol
+		cfg.DefocusNM, cfg.DoseDelta = defocus, doseDelta
 		o, err := New(s, cfg)
 		if err != nil {
 			var ce *ConfigError
@@ -146,14 +140,14 @@ func FuzzConfigValidate(f *testing.F) {
 
 func TestMaskParamsRoundTrip(t *testing.T) {
 	m := grid.FromRows([][]float64{{0.1, 0.5}, {0.9, 0.3}})
-	p := paramsFromMask(m, 4, initEps)
-	back := maskFromParams(p, 4)
+	p := paramsFromMask(m, initEps)
+	back := maskFromParams(p)
 	if !back.Equal(m, 1e-9) {
 		t.Fatalf("round trip: %v vs %v", back.Data, m.Data)
 	}
 	// Binary masks are clamped, not infinite.
 	b := grid.FromRows([][]float64{{0, 1}})
-	pb := paramsFromMask(b, 4, initEps)
+	pb := paramsFromMask(b, initEps)
 	for _, v := range pb.Data {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatal("logit blew up on binary input")
@@ -235,7 +229,7 @@ func TestRunExactMode(t *testing.T) {
 	}
 	// The exact objective is a sum of per-sample sigmoids, bounded by the
 	// sample count.
-	nSamples := len(layout.SamplePoints(o.Cfg.EPESampleNM))
+	nSamples := len(layout.SamplePoints(metrics.DefaultParams().EPESampleNM))
 	for _, st := range res.History {
 		if st.FTarget < 0 || st.FTarget > float64(nSamples) {
 			t.Fatalf("F_epe %g outside [0, %d]", st.FTarget, nSamples)

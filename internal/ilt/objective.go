@@ -179,7 +179,7 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 	for _, f := range st.pvb[1:] {
 		st.fPvb += f
 	}
-	st.objective = o.Cfg.Alpha*st.fTarget + o.Cfg.Beta*st.fPvb
+	st.objective = st.fTarget + o.Cfg.Beta*st.fPvb
 	return st
 }
 
@@ -244,6 +244,9 @@ func (o *Optimizer) pvbTerm(z, target *grid.Field) float64 {
 	return s
 }
 
+// thetaEPE is the steepness of the EPE-violation sigmoid (Eq. 11), paper: 2.
+const thetaEPE = 2.0
+
 // epeObjective evaluates F_epe (Eq. 12) and simultaneously builds the
 // per-pixel weight map used by its gradient.
 //
@@ -261,10 +264,11 @@ func (o *Optimizer) pvbTerm(z, target *grid.Field) float64 {
 //
 // so the closed form of Eq. 14 reduces to the standard quadratic
 // image-difference gradient weighted per pixel by W, which adjoint
-// applies.
+// applies. th_epe is the scorer's (metrics.DefaultParams), so the relaxed
+// count and the proxy count of proxyMetrics judge the same violation.
 func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (float64, *grid.Field) {
 	px := o.Sim.Cfg.PixelNM
-	w := int(math.Round(o.Cfg.EPEThresholdNM / px))
+	w := int(math.Round(metrics.DefaultParams().EPEThresholdNM / px))
 	if w < 1 {
 		w = 1
 	}
@@ -295,9 +299,9 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 				dsum += d * d
 			}
 		}
-		g := resist.Sig(dsum, float64(w), o.Cfg.ThetaEPE)
+		g := resist.Sig(dsum, float64(w), thetaEPE)
 		f += g
-		dw := o.Cfg.ThetaEPE * g * (1 - g)
+		dw := thetaEPE * g * (1 - g)
 		if s.Horizontal {
 			for dy := -w; dy <= w; dy++ {
 				y := sy + dy
@@ -362,14 +366,14 @@ func (o *Optimizer) adjoint(st *iterState, fs focusState, target *grid.Field) []
 			for i, zv := range z {
 				w.Data[i] += cfg.Beta * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
 			}
-		case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeFast:
+		case ci == 0 && cfg.Mode == ModeFast:
 			g := int(cfg.Gamma)
 			for i, zv := range z {
-				w.Data[i] += cfg.Alpha * float64(g) * ipow(zv-target.Data[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
+				w.Data[i] += float64(g) * ipow(zv-target.Data[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
 			}
-		case ci == 0 && cfg.Alpha != 0 && cfg.Mode == ModeExact:
+		case ci == 0 && cfg.Mode == ModeExact:
 			for i, zv := range z {
-				w.Data[i] += cfg.Alpha * st.epeW.Data[i] * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
+				w.Data[i] += st.epeW.Data[i] * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
 			}
 		default:
 			continue

@@ -37,6 +37,16 @@ func syntheticAerial(n int, pixelNM, edgeNM, thr float64) *grid.Field {
 	return f
 }
 
+// TestDefaultParamsArePapers: th_epe and the EPE sample pitch are the
+// ICCAD 2013 rules the paper takes. The optimizer's surrogate and proxy
+// EPE read them from here too, so this is their one home.
+func TestDefaultParamsArePapers(t *testing.T) {
+	p := DefaultParams()
+	if p.EPEThresholdNM != 15 || p.EPESampleNM != 40 {
+		t.Fatalf("th_epe %g nm, sample pitch %g nm; the paper's are 15 and 40", p.EPEThresholdNM, p.EPESampleNM)
+	}
+}
+
 func TestMeasureEPEExactEdge(t *testing.T) {
 	p := DefaultParams()
 	thr := 0.3

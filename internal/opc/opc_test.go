@@ -196,7 +196,7 @@ func TestMethodsRejectInvalidLayout(t *testing.T) {
 func TestMOSAICInvalidConfig(t *testing.T) {
 	s, layout := testEnv(t)
 	m := NewMOSAIC(ilt.ModeFast)
-	m.Cfg.Alpha, m.Cfg.Beta = 0, 0
+	m.Cfg.Beta = -1
 	if _, err := m.Optimize(s, layout); err == nil {
 		t.Fatal("invalid optimizer config accepted")
 	}

@@ -10,6 +10,7 @@ import (
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
 	"mosaic/internal/par"
 	"mosaic/internal/sim"
@@ -260,7 +261,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		tcfg.OnIter = nil
 	}
 
-	samples := p.splitSamples(p.Layout.SamplePoints(cfg.EPESampleNM))
+	samples := p.splitSamples(p.Layout.SamplePoints(metrics.DefaultParams().EPESampleNM))
 	results := make([]*ilt.Result, len(p.Tiles))
 	provs := make([]Provenance, len(p.Tiles))
 
