@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build loc paper fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cluster-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build loc paper fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cache-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -57,9 +57,8 @@ paper:
 # 5 s budget whole.
 FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
-	cluster:FuzzDecodeTileJob cluster:FuzzDecodeTileResult warmstart:FuzzDecodeEntry \
-	artifact:FuzzDecodeQuality geom:FuzzParse gds:FuzzParse serve:FuzzAdmit \
-	ilt:FuzzConfigValidate optics:FuzzConfigValidate
+	warmstart:FuzzDecodeEntry artifact:FuzzDecodeQuality geom:FuzzParse \
+	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -72,12 +71,6 @@ fuzz-smoke:
 # through the HTTP API end to end (submit, poll, result, mask, drain).
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# cluster-smoke runs a sharded job on a coordinator with two worker
-# processes, SIGKILLs one worker mid-tile, and requires the stitched mask
-# to be byte-identical to a local (no-worker) run of the same job.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
 
 # cache-smoke runs the same repeated-cell sharded job twice against a
 # mosaicd with a cache directory: the second run must be served from the

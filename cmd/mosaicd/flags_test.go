@@ -73,10 +73,10 @@ func TestReadmeDocumentsFlags(t *testing.T) {
 	}
 }
 
-// TestValidateFlags: negative counts are typed errors; zero is legal and
-// the -workers help says what it does (serve.New and cluster.NewWorker
-// both run one at a time), not what the tile-level hint of the same name
-// does. What every job inherits from the flags (-grid) is refused as
+// TestValidateFlags: negative counts and a drain timeout that is not
+// positive are typed errors; zero counts are legal and the help says what
+// they do (serve.New runs one job at a time and queues 64), not what the
+// tile-level hint of the same name does. What every job inherits from the flags (-grid) is refused as
 // mosaic.Admit refuses it: the rows of the shared table
 // (testdata/inadmissible.json, see the root package's TestAdmitRefusals)
 // the daemon's flags can spell get the same field here.
@@ -89,6 +89,10 @@ func TestValidateFlags(t *testing.T) {
 		{nil, ""},
 		{[]string{"-workers", "0", "-grid", "64"}, ""},
 		{[]string{"-workers", "-1"}, "workers"},
+		{[]string{"-queue", "0", "-drain-timeout", "1ms"}, ""},
+		{[]string{"-queue", "-1"}, "queue"},
+		{[]string{"-drain-timeout", "0s"}, "drain-timeout"},
+		{[]string{"-drain-timeout", "-5s"}, "drain-timeout"},
 	}
 	raw, err := os.ReadFile("../../testdata/inadmissible.json")
 	if err != nil {
@@ -108,7 +112,7 @@ func TestValidateFlags(t *testing.T) {
 			cases = append(cases, flagCase{[]string{"-grid", row.Job.Grid.String()}, row.Field})
 		}
 	}
-	if len(cases) < 8 {
+	if len(cases) < 12 {
 		t.Fatalf("only %d cases: the shared table lost its grid rows", len(cases))
 	}
 	for _, tc := range cases {
@@ -130,5 +134,8 @@ func TestValidateFlags(t *testing.T) {
 	defineFlags(fs)
 	if usage := fs.Lookup("workers").Usage; strings.Contains(usage, "pool capacity") || !strings.Contains(usage, "0 is taken as 1") {
 		t.Errorf("-workers help %q does not say that 0 runs one at a time", usage)
+	}
+	if usage := fs.Lookup("queue").Usage; !strings.Contains(usage, "0 is taken as 64") {
+		t.Errorf("-queue help %q does not say that 0 queues 64", usage)
 	}
 }

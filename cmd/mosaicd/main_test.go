@@ -1,8 +1,6 @@
 package main
 
 import (
-	"io"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
@@ -10,31 +8,7 @@ import (
 	"testing"
 
 	"mosaic"
-	"mosaic/internal/cluster"
 )
-
-// TestWorkerServesMetrics: a worker's own counters are read on its own
-// port, as the coordinator's are on the API port — not only through a
-// second -pprof listener.
-func TestWorkerServesMetrics(t *testing.T) {
-	ts := httptest.NewServer(workerHandler(cluster.NewWorker(cluster.WorkerConfig{Capacity: 1})))
-	defer ts.Close()
-	for path, want := range map[string]string{
-		"/metrics":      "# TYPE cluster_worker_tiles_total counter",
-		"/healthz":      `"status":"ok"`,
-		"/debug/pprof/": "goroutine",
-	} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 || !strings.Contains(string(body), want) {
-			t.Errorf("worker GET %s: %d, body lacks %q", path, resp.StatusCode, want)
-		}
-	}
-}
 
 // expandBraces spells out a documented name's brace groups:
 // "a_{b,c}_{d,e}" is a_b_d, a_b_e, a_c_d, a_c_e.
@@ -71,11 +45,10 @@ func TestDesignDocumentsMetricNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notMetrics := map[string]bool{"tile_reassigned": true} // an SSE event type
 	documented := map[string]bool{}
 	name := regexp.MustCompile("`([a-z][a-z0-9]*)(_[a-z0-9_]*(?:\\{[a-z0-9_,]+\\}[a-z0-9_]*)*)`")
 	for _, m := range name.FindAllStringSubmatch(string(raw), -1) {
-		if prefixes[m[1]] && !notMetrics[m[1]+m[2]] {
+		if prefixes[m[1]] {
 			for _, n := range expandBraces(m[1] + m[2]) {
 				documented[n] = true
 			}
@@ -100,7 +73,7 @@ func TestDesignDocumentsMetricNames(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("named in DESIGN.md but not on /metrics: %v", stale)
 	}
-	if len(registered) < 60 {
+	if len(registered) < 50 {
 		t.Errorf("only %d metric families registered: the binary lost a package", len(registered))
 	}
 }

@@ -17,8 +17,8 @@ import (
 // calibrated) under each GOMAXPROCS, then a 2 x 2 OptimizeLayout with the
 // paper's multi-kernel gradients into a fresh cache and artifact store,
 // must arrive at the same tile-cache keys, the same manifest and the same
-// Merkle root — so a cache directory, an artifact store or a cluster worker
-// can move between hosts of different sizes. An untiled one-window
+// Merkle root — so a cache directory or an artifact store can move between
+// hosts of different sizes. An untiled one-window
 // OptimizeLayout, the benchmark's clip operation — one pool reservation,
 // its focus-plane tasks on whatever tokens are left — must reach the same
 // gray-mask bits too. Not parallel: it sets GOMAXPROCS for the whole

@@ -13,16 +13,16 @@
 //     imaging/resist/optimizer configuration, tiling, digest
 //     generation, build);
 //   - one MTAN record appended to the anchor log: job ID, manifest
-//     digest, Merkle root, and the per-leaf attribution (which worker
-//     computed it, which cache tier served it).
+//     digest, Merkle root, and the per-leaf attribution (which cache
+//     tier served it, which seed it started from).
 //
 // Commit is durable when it returns, and concurrent commits are
 // batched so one fsync covers a burst of job completions. Verify
 // re-proves a stored artifact from raw bytes to the anchored root, so
 // a single flipped bit anywhere in a stored result is detected and
 // attributed to its leaf. Because blob payloads exclude runtimes and
-// the manifest excludes IDs and timestamps, a cold run, a cached warm
-// run, and a distributed run of the same work anchor the same digests.
+// the manifest excludes IDs and timestamps, a cold run and a cached warm
+// run of the same work anchor the same digests.
 package artifact
 
 import (

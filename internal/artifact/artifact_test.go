@@ -186,7 +186,7 @@ func TestStoreCommitAndLookup(t *testing.T) {
 	manifest := []byte(`{"schema":1}`)
 	// Leaves arrive out of order; Commit must sort by index.
 	rec, err := s.Commit("job-1", manifest, []Leaf{
-		{Index: 1, Blob: b2, Provenance: tile.Provenance{Worker: "w2", Tier: tile.TierMiss}},
+		{Index: 1, Blob: b2, Provenance: tile.Provenance{Seed: "seedkey", Tier: tile.TierMiss}},
 		{Index: 0, Blob: b1, Provenance: tile.Provenance{Tier: tile.TierDisk, Key: "cachekey"}},
 	})
 	if err != nil {
@@ -276,16 +276,18 @@ func TestStoreReopenReplaysAnchors(t *testing.T) {
 }
 
 // TestAnchorLogOfThePreviousBuildReplays: a leaf gained "seed" when it
-// began embedding tile.Provenance, and nothing else about its wire form
-// moved — an unseeded leaf encodes to the bytes the previous build wrote,
-// and a log of such records (no seed field) replays with the attribution
-// it has.
+// began embedding tile.Provenance and lost "worker" with the cluster, and
+// nothing else about its wire form moved — an unseeded leaf encodes to the
+// bytes the previous build wrote for a tile computed in-process, and a log
+// of records with no seed field and a worker's address replays with the
+// attribution this build has, the address ignored.
 func TestAnchorLogOfThePreviousBuildReplays(t *testing.T) {
 	blob, man, root := testDigest(1), testDigest(2), testDigest(3)
+	const localLeaf = `{"index":0,"blob":"%s","key":"cachekey","tier":"disk"}`
 	const oldLeaf = `{"index":0,"blob":"%s","key":"cachekey","worker":"10.0.0.7:8081","tier":"disk"}`
-	leaf := Leaf{Blob: blob, Provenance: tile.Provenance{Key: "cachekey", Worker: "10.0.0.7:8081", Tier: tile.TierDisk}}
-	if got, err := json.Marshal(leaf); err != nil || string(got) != fmt.Sprintf(oldLeaf, blob) {
-		t.Fatalf("unseeded leaf encodes as %s (%v), the previous build wrote "+oldLeaf, got, err, blob)
+	leaf := Leaf{Blob: blob, Provenance: tile.Provenance{Key: "cachekey", Tier: tile.TierDisk}}
+	if got, err := json.Marshal(leaf); err != nil || string(got) != fmt.Sprintf(localLeaf, blob) {
+		t.Fatalf("unseeded leaf encodes as %s (%v), the previous build wrote "+localLeaf, got, err, blob)
 	}
 	seeded := leaf
 	seeded.Seed = "entrykey"
@@ -511,7 +513,7 @@ func TestManifestDigestDeterminism(t *testing.T) {
 	}
 
 	// The geometry digest must move the manifest digest (every parameter
-	// field is perturbed in turn by cluster.TestBitsFieldSensitivity).
+	// field is perturbed in turn by internal/cache's TestBitsFieldSensitivity).
 	m3 := testManifest()
 	m3.Layout.Geometry = testDigest(7)
 	p4, _ := m3.Encode()

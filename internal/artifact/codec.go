@@ -23,9 +23,9 @@ const resultVersion = 2
 // payload: version, then the shared result body. The encoding is
 // deliberately runtime-free — RuntimeSec and Seeded are zeroed, so it
 // covers the result's bits and nothing about where, when or from what
-// starting point they were computed — so a cold run, a cached warm run,
-// and a remote run of the same request produce byte-identical blobs, and
-// therefore the same leaf digest and Merkle root.
+// starting point they were computed — so a cold run and a cached warm run
+// of the same request produce byte-identical blobs, and therefore the same
+// leaf digest and Merkle root.
 func EncodeResult(res *ilt.Result) ([]byte, error) {
 	if res == nil || res.MaskGray == nil || res.MaskGray.W != res.MaskGray.H || res.MaskGray.W <= 0 {
 		return nil, fmt.Errorf("artifact: result has no square gray mask")

@@ -21,12 +21,11 @@ const ManifestSchema = 2
 // Manifest is the canonical record of every input that determined a
 // run's bits: the target geometry, the imaging and resist models and the
 // full optimizer parameter set (rendered from ilt.Bits, the same list
-// the tile-cache digest and the cluster wire codec are derived from),
-// any warm-start seed, the tiling decomposition, the cache digest
-// generation, and the build that ran it. It deliberately
-// excludes job IDs, timestamps, worker counts, and runtimes: two runs
-// of the same work must anchor the same manifest digest whether they
-// were cold, cached, local, or distributed.
+// the tile-cache digest is derived from), any warm-start seed, the tiling
+// decomposition, the cache digest generation, and the build that ran it.
+// It deliberately excludes job IDs, timestamps, worker counts, and
+// runtimes: two runs of the same work must anchor the same manifest
+// digest whether they were cold or cached, on one host or another.
 //
 // The payload is the manifest's JSON — Go's json.Marshal is
 // deterministic for a fixed struct (field order, shortest-round-trip

@@ -21,9 +21,8 @@ import (
 // Leaf is one anchored tile result: the content address of its stored
 // blob plus the attribution of where the bits came from. Attribution
 // travels on the anchor record, not in the blob, because it must not
-// affect the content digest — the same cell computed by any worker,
-// served from any cache tier or started from any seed anchors the same
-// leaf.
+// affect the content digest — the same cell served from any cache tier
+// or started from any seed anchors the same leaf.
 type Leaf struct {
 	// Index is the tile's plan (row-major) position; an untiled run
 	// anchors one leaf at index 0.
@@ -32,7 +31,7 @@ type Leaf struct {
 	// Merkle leaf digest.
 	Blob Digest `json:"blob"`
 	// Provenance is the tile's attribution as the scheduler recorded it
-	// (key, worker, tier, seed), flattened into the leaf's JSON; Key
+	// (key, tier, seed), flattened into the leaf's JSON; Key
 	// cross-links the artifact to the cache entry that can reproduce it.
 	tile.Provenance
 }

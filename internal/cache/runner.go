@@ -9,10 +9,8 @@ import (
 )
 
 // Runner wraps any tile.Runner with a content-addressed cache: a hit
-// decodes the stored mask and skips optimization entirely (for a remote
-// inner runner that also saves the network round-trip — the lookup runs
-// on the coordinator, before dispatch); a miss runs the inner runner and
-// persists its result. The scheduler sees an ordinary Runner, so
+// decodes the stored mask and skips optimization entirely; a miss runs the
+// inner runner and persists its result. The scheduler sees an ordinary Runner, so
 // stitching and the bit-identity guarantee are untouched, and it never
 // hands a runner an empty window, so those are never cache traffic.
 type Runner struct {
@@ -46,8 +44,8 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 	if req.Prov != nil {
 		// Attribute the serving tier and the content key so the artifact
 		// store can cross-link the anchored leaf to its cache entry. A
-		// miss keeps whatever the inner runner recorded (e.g. the remote
-		// worker address) and adds the tier on top.
+		// miss keeps whatever the inner runner recorded (the warm-start
+		// seed) and adds the tier on top.
 		req.Prov.Tier = tier
 		req.Prov.Key = key.String()
 	}

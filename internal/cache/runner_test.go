@@ -13,8 +13,8 @@ import (
 	"mosaic/internal/tile"
 )
 
-// countingRunner is a fake inner runner standing in for the cluster
-// coordinator: every call counted.
+// countingRunner is a fake inner runner standing in for the local one:
+// every call counted.
 type countingRunner struct {
 	calls atomic.Int64
 	res   *ilt.Result

@@ -1,7 +1,7 @@
 // Package frame is the one binary envelope and the one scalar encoding
-// behind everything the service persists or ships: cache entries (MTCE),
-// warm-start entries (MWLE), artifact blobs, anchors and rasters
-// (MTAB/MTAN/MTGF) and the cluster wire (MTJB/MTRS). A frame is
+// behind everything the service persists or serves: cache entries (MTCE),
+// warm-start entries (MWLE), and artifact blobs, anchors and rasters
+// (MTAB/MTAN/MTGF). A frame is
 //
 //	[4] magic   (uint32 LE; names the format)
 //	[4] length  (uint32 LE; payload bytes)
@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 const (
@@ -38,7 +37,7 @@ const (
 
 // SquareFits reports whether an n x n float64 raster fits one frame
 // (n <= 8192 for a power of two). A window result beyond it can be
-// neither cached, anchored nor dispatched, so planners and validators
+// neither cached nor anchored, so planners and validators
 // refuse such a grid before anything is allocated.
 func SquareFits(n int) bool {
 	return n > 0 && n <= MaxFieldDim && 8*n*n <= MaxPayload
@@ -104,32 +103,6 @@ func Decode(magic uint32, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
-}
-
-// Read reads one frame from a stream and returns its payload and the
-// total bytes consumed.
-func Read(r io.Reader, magic uint32) ([]byte, int, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("frame: reading header: %w", err)
-	}
-	n, crc, err := parseHeader(hdr[:], magic)
-	if err != nil {
-		return nil, 0, err
-	}
-	// ReadAll grows with the bytes that actually arrive, so a declared
-	// length longer than the stream allocates nothing for the missing part.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && len(payload) != n {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("frame: reading payload: %w", err)
-	}
-	if err := checkCRC(payload, crc); err != nil {
-		return nil, 0, err
-	}
-	return payload, HeaderLen + n, nil
 }
 
 // Scan walks an append-only log, calling fn with each payload (aliasing

@@ -11,9 +11,10 @@ import (
 	"mosaic/internal/grid"
 )
 
+// Two magics for the tests: any format's would do.
 const (
-	magicA uint32 = 0x424a544d // "MTJB"
-	magicB uint32 = 0x5352544d // "MTRS"
+	magicA uint32 = 0x424a544d
+	magicB uint32 = 0x5352544d
 )
 
 func TestFrameRoundTripAndCorruption(t *testing.T) {
@@ -21,13 +22,6 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 	fr := Encode(magicA, payload)
 	if len(fr) != HeaderLen+len(payload) {
 		t.Fatalf("frame is %d bytes, want %d", len(fr), HeaderLen+len(payload))
-	}
-	got, rn, err := Read(bytes.NewReader(fr), magicA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn != len(fr) || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip read %d bytes %q, want %d bytes %q", rn, got, len(fr), payload)
 	}
 	if got, err := Decode(magicA, fr); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("Decode = %q, %v", got, err)
@@ -51,9 +45,6 @@ func TestFrameRoundTripAndCorruption(t *testing.T) {
 		{"short header", fr[:7], magicA, ""},
 		{"oversized length", huge, magicA, "cap"},
 	} {
-		if _, _, err := Read(bytes.NewReader(tc.data), tc.magic); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Read(%s): %v, want an error naming %q", tc.name, err, tc.want)
-		}
 		if _, err := Decode(tc.magic, tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Decode(%s): %v, want an error naming %q", tc.name, err, tc.want)
 		}
@@ -223,9 +214,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(Encode(magicA, payload), data) {
 			t.Fatal("decoded frame does not re-encode to its bytes")
-		}
-		if got, n, err := Read(bytes.NewReader(data), magicA); err != nil || n != len(data) || !bytes.Equal(got, payload) {
-			t.Fatalf("Read disagrees with Decode: %v", err)
 		}
 	})
 }

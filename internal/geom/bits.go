@@ -20,24 +20,6 @@ func (l *Layout) AppendBits(w *frame.Writer) {
 	}
 }
 
-// ReadBits fills SizeNM and Polys from a stream written by AppendBits;
-// errors latch in r.
-func (l *Layout) ReadBits(r *frame.Reader) {
-	l.SizeNM = r.F64()
-	l.Polys = nil
-	for n := r.Count(8); n > 0 && r.Err() == nil; n-- {
-		poly := make(Polygon, r.Count(16))
-		for k := range poly {
-			poly[k].X = r.F64()
-			poly[k].Y = r.F64()
-		}
-		l.Polys = append(l.Polys, poly)
-	}
-}
-
-// sampleBytes is the encoded size of one Sample.
-const sampleBytes = 5 * 8
-
 // scalars lists a sample's fields in payload order.
 func (s *Sample) scalars() []any {
 	return []any{&s.Pt.X, &s.Pt.Y, &s.Horizontal, &s.InwardX, &s.InwardY}
@@ -49,13 +31,4 @@ func AppendSamples(w *frame.Writer, samples []Sample) {
 	for i := range samples {
 		w.Put(samples[i].scalars()...)
 	}
-}
-
-// ReadSamples reads samples written by AppendSamples; errors latch in r.
-func ReadSamples(r *frame.Reader) []Sample {
-	samples := make([]Sample, r.Count(sampleBytes))
-	for i := range samples {
-		r.Get(samples[i].scalars()...)
-	}
-	return samples
 }

@@ -1,6 +1,6 @@
 // Package httpapi is the shared HTTP wire vocabulary for every mosaic
-// endpoint: the serve job API, the artifact/provenance API, and the
-// cluster control plane all speak the same JSON error envelope,
+// endpoint: the serve job API and the artifact/provenance API speak the
+// same JSON error envelope,
 //
 //	{"error": {"code": "...", "message": "...", "retry_after": 2}}
 //
@@ -29,12 +29,7 @@ const (
 	CodeNotAcceptable   = "not_acceptable"   // no representation satisfies the Accept header
 	CodeNoArtifacts     = "no_artifacts"     // no artifact store configured, or job anchored nothing
 	CodeCorruptArtifact = "corrupt_artifact" // stored blob failed its integrity proof on read
-	CodeCanceled        = "canceled"         // work was canceled before it finished
 	CodeInternal        = "internal"         // unexpected server-side failure
-	CodeUnknownWorker   = "unknown_worker"   // cluster: heartbeat from an unregistered worker
-	CodeClusterClosed   = "cluster_closed"   // cluster: coordinator is shutting down
-	CodeWorkerBusy      = "worker_busy"      // cluster: worker is at its tile capacity
-	CodeVersionMismatch = "version_mismatch" // cluster: joining worker's numeric generation differs from the coordinator's
 )
 
 // ErrorBody is the inner error object.

@@ -10,9 +10,9 @@ import (
 
 // Bits is the parameter set that, with a window's geometry and EPE
 // samples, determines the bits a run produces. Fields is the one place
-// that enumerates it: the tile-cache key, the warm-start family, the
-// cluster work order and the provenance manifest are all derived from
-// that list, so a new parameter is added once — and
+// that enumerates it: the tile-cache key, the warm-start family and the
+// provenance manifest are all derived from that list, so a new parameter
+// is added once — and
 // TestBitsFieldsClassifyEveryField fails until it is either listed there
 // or declared not to affect the bits.
 type Bits struct {
@@ -23,10 +23,10 @@ type Bits struct {
 
 // Fields visits every bits-determining scalar: its manifest section and
 // key, and a pointer whose type (*float64, *int, *bool) is its kind. The
-// order is the byte order of the cache key and the MTJB payload: it must
-// not change, and a new row needs a cache.DigestVersion bump.
-// Config.SeedMask also determines the bits but is a raster: the key, the
-// work order and the manifest write it with frame.Writer.Field.
+// order is the byte order of the cache key: it must not change, and a new
+// row needs a cache.DigestVersion bump. Config.SeedMask also determines
+// the bits but is a raster: the key and the manifest write it with
+// frame.Writer.Field.
 func (b Bits) Fields(visit func(section, name string, p any)) {
 	o, r, c := b.Optics, b.Resist, b.Cfg
 	visit("optics", "wavelength_nm", &o.WavelengthNM)
@@ -57,11 +57,6 @@ func (b Bits) Append(w *frame.Writer) {
 	b.Fields(func(_, _ string, p any) { w.Put(p) })
 }
 
-// Read fills every field from a stream written by Append; errors latch in r.
-func (b Bits) Read(r *frame.Reader) {
-	b.Fields(func(_, _ string, p any) { r.Get(p) })
-}
-
 // Sections groups the field values by section and manifest key — the
 // "optics", "resist" and "optimizer" objects of the provenance manifest
 // (encoding/json sorts the keys, so the rendering is canonical).
@@ -81,11 +76,11 @@ func (res *Result) scalars() []any {
 	return []any{&res.Objective, &res.Iterations, &res.RuntimeSec, &res.Seeded}
 }
 
-// NewResultFrame starts a frame with the one layout every store and hop
-// gives a result: a leading scalar — an entry version or a tile index,
-// all that the three formats differ in — then window size, objective,
-// iterations, runtime, the seeded flag and the continuous mask, written
-// once into a buffer sized for them. History and diagnostics stay with
+// NewResultFrame starts a frame with the one layout every store gives a
+// result: a leading scalar — the entry version, all that the two formats
+// differ in — then window size, objective, iterations, runtime, the
+// seeded flag and the continuous mask, written once into a buffer sized
+// for them. History and diagnostics stay with
 // the run that produced them. The result must carry a square MaskGray.
 func NewResultFrame(lead int64, res *Result) *frame.Writer {
 	w := frame.NewFrame(48 + 8*len(res.MaskGray.Data))
@@ -99,8 +94,8 @@ func NewResultFrame(lead int64, res *Result) *frame.Writer {
 // ReadResult rebuilds the result behind the leading scalar of a
 // NewResultFrame payload; errors latch in r, and a failed read returns nil. The binary mask is
 // re-derived by thresholding the continuous one, exactly as the
-// optimizer produced it, so a stored or shipped result is
-// indistinguishable from a freshly computed one.
+// optimizer produced it, so a stored result is indistinguishable from a
+// freshly computed one.
 func ReadResult(r *frame.Reader) *Result {
 	res := &Result{}
 	w := r.I64()

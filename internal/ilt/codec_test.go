@@ -163,7 +163,7 @@ func TestBitsReadRoundTrip(t *testing.T) {
 	w := frame.NewFrame(0)
 	b.Append(w)
 	r := frame.NewReader(w.Payload())
-	Bits{Optics: &oc, Resist: &rm, Cfg: &cfg}.Read(r)
+	Bits{Optics: &oc, Resist: &rm, Cfg: &cfg}.Fields(func(_, _ string, p any) { r.Get(p) })
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}

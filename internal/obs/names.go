@@ -64,8 +64,6 @@ var (
 	TilePipeline       = span("tile.pipeline")
 	TileOptimize       = span("tile.optimize")
 	TileEvaluate       = span("tile.evaluate")
-	ClusterDispatch    = span("cluster.dispatch")
-	WorkerTile         = span("worker.tile")
 	OpticsBuildKernels = span("optics.build_kernels")
 	IltRun             = span("ilt.run")
 	IltIteration       = span("ilt.iteration")
@@ -77,8 +75,6 @@ var (
 
 // The instants; internal/serve publishes each on a job's event stream.
 var (
-	IltIter             = instant("ilt.iter")
-	TileDone            = instant("tile.done")
-	ClusterReassign     = instant("cluster.reassign")
-	ClusterLeaseExpired = instant("cluster.lease_expired")
+	IltIter  = instant("ilt.iter")
+	TileDone = instant("tile.done")
 )

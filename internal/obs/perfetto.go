@@ -22,24 +22,21 @@ type perfettoEvent struct {
 // perfettoWriter streams span events as the JSON array form of Chrome
 // trace_event, loadable in ui.perfetto.dev or chrome://tracing: "[" first,
 // then one event a line, each in one Write, and "]" at close — so a file
-// whose process died before the close still loads. Events are grouped
-// into one "process" lane per originating OS process — the event's "proc"
-// attribute, or the writer's local process (always pid 1) for events that
-// carry none — declared by an "M" record where the lane first appears, and
-// into one "thread" lane per tile (the "tile" attribute, tid tile+1;
-// tileless events on tid 0). Correlation IDs and the other attributes
+// whose process died before the close still loads. Every event is on one
+// "process" lane (pid 1, named local by an "M" record before the first
+// event) and on one "thread" lane per tile (the "tile" attribute, tid
+// tile+1; tileless events on tid 0). Correlation IDs and the attributes
 // become args, so traces stay greppable.
 type perfettoWriter struct {
-	w     io.Writer
-	local string
-	pids  map[string]int // declared lanes
-	next  int            // the last pid handed out
-	sep   string         // what goes before the next line
-	err   error          // the first write error; nothing is written after it
+	w        io.Writer
+	local    string // the process lane's name
+	declared bool   // the lane's "M" record is written
+	sep      string // what goes before the next line
+	err      error  // the first write error; nothing is written after it
 }
 
 func newPerfettoWriter(w io.Writer, local string) *perfettoWriter {
-	p := &perfettoWriter{w: w, local: local, pids: map[string]int{}, next: 1, sep: "\n"}
+	p := &perfettoWriter{w: w, local: local, sep: "\n"}
 	p.write([]byte("["))
 	return p
 }
@@ -61,19 +58,12 @@ func (p *perfettoWriter) line(pe perfettoEvent) {
 	p.sep = ",\n"
 }
 
-// event writes ev, after its process lane's "M" record if it is the lane's
+// event writes ev, after the process lane's "M" record if it is the
 // first event.
 func (p *perfettoWriter) event(ev SpanEvent) {
-	pe := perfettoEvent{Name: ev.Name, Phase: "X", TS: ev.Start.UnixMicro(), Dur: ev.Dur.Microseconds()}
-	proc := p.local
+	pe := perfettoEvent{Name: ev.Name, Phase: "X", TS: ev.Start.UnixMicro(), Dur: ev.Dur.Microseconds(), PID: 1}
 	args := map[string]any{}
 	for _, a := range ev.Attrs {
-		if a.Key == "proc" {
-			if s, ok := a.Value.(string); ok && s != "" {
-				proc = s
-			}
-			continue
-		}
 		if t, ok := a.Value.(int64); ok && a.Key == "tile" {
 			pe.TID = int(t) + 1
 		}
@@ -94,17 +84,10 @@ func (p *perfettoWriter) event(ev SpanEvent) {
 	if ev.Instant {
 		pe.Phase, pe.Dur, pe.Scope = "i", 0, "t"
 	}
-	pid, ok := p.pids[proc]
-	if !ok {
-		pid = 1
-		if proc != p.local {
-			p.next++
-			pid = p.next
-		}
-		p.pids[proc] = pid
-		p.line(perfettoEvent{Name: "process_name", Phase: "M", PID: pid, Args: map[string]any{"name": proc}})
+	if !p.declared {
+		p.declared = true
+		p.line(perfettoEvent{Name: "process_name", Phase: "M", PID: 1, Args: map[string]any{"name": p.local}})
 	}
-	pe.PID = pid
 	p.line(pe)
 }
 
@@ -122,12 +105,12 @@ func (p *perfettoWriter) close() error {
 
 // PerfettoTrace renders span events as the object form of Chrome
 // trace_event JSON, {"traceEvents":[…]}: the array a -trace file holds,
-// written by the same writer, localProc naming the lane of events that
-// carry no "proc". The same events render to the same bytes.
-func PerfettoTrace(localProc string, evs []SpanEvent) []byte {
+// written by the same writer, local naming the process lane. The same
+// events render to the same bytes.
+func PerfettoTrace(local string, evs []SpanEvent) []byte {
 	var b bytes.Buffer
 	b.WriteString(`{"traceEvents":`)
-	p := newPerfettoWriter(&b, localProc)
+	p := newPerfettoWriter(&b, local)
 	for _, ev := range evs {
 		p.event(ev)
 	}

@@ -12,7 +12,7 @@ import (
 
 // Span is a started timed region; finish it with End.
 type Span struct {
-	name     *Name        // nil for the root a buffer or a remote trace hangs on
+	name     *Name        // nil for the root a buffer hangs on
 	tc       TraceContext // zero when nobody was listening at the start
 	buf      *SpanBuffer
 	start    time.Time
@@ -37,17 +37,9 @@ func parentSpan(ctx context.Context) *Span {
 
 // ContextWithBuffer attaches a SpanBuffer to ctx. Spans started under the
 // returned context (and their descendants) are collected into buf, in the
-// trace ctx carries, if any.
+// trace ctx carries, if any, as children of its current span.
 func ContextWithBuffer(ctx context.Context, buf *SpanBuffer) context.Context {
-	return ContextWithRemote(ctx, parentSpan(ctx).tc, buf)
-}
-
-// ContextWithRemote adopts a trace context received from another process
-// (e.g. a parsed traceparent header) and collects local spans into buf.
-// Spans started under the returned context become children of tc's span in
-// tc's trace.
-func ContextWithRemote(ctx context.Context, tc TraceContext, buf *SpanBuffer) context.Context {
-	return context.WithValue(ctx, spanKey{}, &Span{tc: tc, buf: buf})
+	return context.WithValue(ctx, spanKey{}, &Span{tc: parentSpan(ctx).tc, buf: buf})
 }
 
 // StartSpan starts a named span under ctx. If ctx already carries a trace,
@@ -86,8 +78,8 @@ func CurrentSpan(ctx context.Context) *Span {
 	return nil
 }
 
-// Context returns the span's trace position (for stamping onto wire
-// headers or results); it is zero for a span nobody listens to.
+// Context returns the span's trace position; it is zero for a span nobody
+// listens to.
 func (s *Span) Context() TraceContext { return s.tc }
 
 // SetAttrs appends attributes to the span before it ends.
@@ -141,16 +133,6 @@ func Event(ctx context.Context, name *Name, attrs ...Attr) {
 	})
 }
 
-// EmitShipped replays span events produced elsewhere (e.g. shipped back
-// from a worker) into ctx's buffer and the trace file, preserving their
-// original IDs and timestamps.
-func EmitShipped(ctx context.Context, evs []SpanEvent) {
-	buf := parentSpan(ctx).buf
-	for _, ev := range evs {
-		emit(buf, ev)
-	}
-}
-
 // emit is the one way an event leaves: into the job's buffer, if there is
 // one, and into the trace file, if one is open.
 func emit(buf *SpanBuffer, ev SpanEvent) {
@@ -172,9 +154,8 @@ var (
 )
 
 // StartTrace begins writing every completed span or instant to w as
-// Perfetto trace_event JSON in array form (see PerfettoTrace), the events
-// without a "proc" attribute on a lane named after the executable. Any
-// previously active trace is stopped first.
+// Perfetto trace_event JSON in array form (see PerfettoTrace), on a lane
+// named after the executable. Any previously active trace is stopped first.
 func StartTrace(w io.Writer) {
 	traceMu.Lock()
 	defer traceMu.Unlock()

@@ -3,43 +3,17 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
 
-// TraceContext identifies a position in a distributed trace: the trace the
-// work belongs to, the span doing the work, and that span's parent. IDs are
+// TraceContext identifies a position in a trace: the trace the work
+// belongs to, the span doing the work, and that span's parent. IDs are
 // lowercase hex (W3C trace-context sizes: 16-byte trace ID, 8-byte span ID).
 type TraceContext struct {
 	TraceID  string
 	SpanID   string
 	ParentID string
-}
-
-// Traceparent renders the context as a W3C traceparent header value:
-// "00-<trace-id>-<span-id>-01".
-func (tc TraceContext) Traceparent() string {
-	return "00-" + tc.TraceID + "-" + tc.SpanID + "-01"
-}
-
-// ParseTraceparent parses a W3C traceparent header value. The parsed span ID
-// becomes the ParentID of any span started under the returned context.
-func ParseTraceparent(s string) (TraceContext, error) {
-	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) != 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
-		return TraceContext{}, fmt.Errorf("obs: malformed traceparent %q", s)
-	}
-	for _, p := range parts[:3] {
-		if _, err := hex.DecodeString(p); err != nil {
-			return TraceContext{}, fmt.Errorf("obs: malformed traceparent %q: %w", s, err)
-		}
-	}
-	if parts[1] == strings.Repeat("0", 32) || parts[2] == strings.Repeat("0", 16) {
-		return TraceContext{}, fmt.Errorf("obs: all-zero traceparent %q", s)
-	}
-	return TraceContext{TraceID: parts[1], SpanID: parts[2]}, nil
 }
 
 func newID(bytes int) string {
@@ -90,8 +64,7 @@ type SpanEvent struct {
 	Attrs    []Attr
 }
 
-// SpanBuffer collects the SpanEvents of one trace (or one process's share
-// of it). It is safe for concurrent use. When the buffer is full, further
+// SpanBuffer collects the SpanEvents of one trace. It is safe for concurrent use. When the buffer is full, further
 // events increment a drop counter instead of growing it, so a runaway
 // iteration loop cannot exhaust memory.
 type SpanBuffer struct {

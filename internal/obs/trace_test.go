@@ -4,50 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestTraceparentRoundTrip(t *testing.T) {
-	_, sp := StartSpan(ContextWithBuffer(context.Background(), NewSpanBuffer(0)), ServeJob)
-	defer sp.End()
-	tc := sp.Context()
-	if len(tc.TraceID) != 32 || len(tc.SpanID) != 16 {
-		t.Fatalf("StartSpan produced invalid trace context %+v", tc)
-	}
-	hdr := tc.Traceparent()
-	got, err := ParseTraceparent(hdr)
-	if err != nil {
-		t.Fatalf("ParseTraceparent(%q): %v", hdr, err)
-	}
-	if got.TraceID != tc.TraceID {
-		t.Errorf("TraceID %q, want %q", got.TraceID, tc.TraceID)
-	}
-	// The remote end sees our span as its parent.
-	if got.SpanID != tc.SpanID {
-		t.Errorf("SpanID %q, want %q", got.SpanID, tc.SpanID)
-	}
-}
-
-func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-abc-def-01",
-		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("a", 16) + "-01", // all-zero trace
-		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("0", 16) + "-01", // all-zero span
-		"00-" + strings.Repeat("g", 32) + "-" + strings.Repeat("a", 16) + "-01", // non-hex
-		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16),         // missing flags
-	}
-	for _, s := range bad {
-		if _, err := ParseTraceparent(s); err == nil {
-			t.Errorf("ParseTraceparent(%q) accepted malformed input", s)
-		}
-	}
-}
 
 func TestSpanHierarchy(t *testing.T) {
 	buf := NewSpanBuffer(0)
@@ -85,17 +47,15 @@ func TestSpanHierarchy(t *testing.T) {
 	}
 }
 
+// TestRemoteContextAdoptsTrace: a buffer attached under a span of another
+// buffer collects the spans started under it, and they join the span's
+// trace as its children.
 func TestRemoteContextAdoptsTrace(t *testing.T) {
-	_, parent := StartSpan(ContextWithBuffer(context.Background(), NewSpanBuffer(0)), ClusterDispatch)
+	pctx, parent := StartSpan(ContextWithBuffer(context.Background(), NewSpanBuffer(0)), TileOptimize)
 	defer parent.End()
-	tc, err := ParseTraceparent(parent.Context().Traceparent())
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	buf := NewSpanBuffer(0)
-	ctx := ContextWithRemote(context.Background(), tc, buf)
-	_, sp := StartSpan(ctx, WorkerTile)
+	_, sp := StartSpan(ContextWithBuffer(pctx, buf), IltRun)
 	sp.End()
 
 	evs := buf.Events()
@@ -103,10 +63,10 @@ func TestRemoteContextAdoptsTrace(t *testing.T) {
 		t.Fatalf("got %d events, want 1", len(evs))
 	}
 	if evs[0].TraceID != parent.Context().TraceID {
-		t.Errorf("worker span trace %q, want %q", evs[0].TraceID, parent.Context().TraceID)
+		t.Errorf("span trace %q, want %q", evs[0].TraceID, parent.Context().TraceID)
 	}
 	if evs[0].ParentID != parent.Context().SpanID {
-		t.Errorf("worker span parent %q, want dispatch span %q", evs[0].ParentID, parent.Context().SpanID)
+		t.Errorf("span parent %q, want %q", evs[0].ParentID, parent.Context().SpanID)
 	}
 }
 
@@ -248,13 +208,12 @@ func TestPerfettoTrace(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	evs := []SpanEvent{
 		{Name: "serve.job", TraceID: "t1", SpanID: "s1", Start: base, Dur: 3 * time.Second},
-		{Name: "worker.tile", TraceID: "t1", SpanID: "s2", ParentID: "s1",
-			Start: base.Add(time.Second), Dur: time.Second,
-			Attrs: []Attr{String("proc", "http://w1"), Int("tile", 2)}},
+		{Name: "tile.optimize", TraceID: "t1", SpanID: "s2", ParentID: "s1",
+			Start: base.Add(time.Second), Dur: time.Second, Attrs: []Attr{Int("tile", 2)}},
 		{Name: "ilt.iter", TraceID: "t1", ParentID: "s2", Start: base.Add(1500 * time.Millisecond),
-			Instant: true, Attrs: []Attr{String("proc", "http://w1"), Int("iter", 7), Float("objective", 0.25)}},
+			Instant: true, Attrs: []Attr{Int("iter", 7), Float("objective", 0.25)}},
 	}
-	raw := PerfettoTrace("coordinator", evs)
+	raw := PerfettoTrace("mosaicd", evs)
 
 	var doc struct {
 		TraceEvents []struct {
@@ -275,46 +234,34 @@ func TestPerfettoTrace(t *testing.T) {
 	if doc.DisplayUnit != "ms" {
 		t.Errorf("displayTimeUnit %q, want ms", doc.DisplayUnit)
 	}
-	// 2 metadata lanes + 3 events.
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("got %d trace events, want 5:\n%s", len(doc.TraceEvents), raw)
+	// 1 metadata lane + 3 events.
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("got %d trace events, want 4:\n%s", len(doc.TraceEvents), raw)
 	}
-
+	if lane := doc.TraceEvents[0]; lane.Phase != "M" || lane.Name != "process_name" || lane.PID != 1 || lane.Args["name"] != "mosaicd" {
+		t.Errorf("first event %+v, want the process lane mosaicd on pid 1", lane)
+	}
 	byName := map[string]int{}
-	lanes := map[int]string{}
-	for i, ev := range doc.TraceEvents {
-		if ev.Phase == "M" {
-			if ev.Name != "process_name" {
-				t.Errorf("metadata event %d named %q", i, ev.Name)
-			}
-			lanes[ev.PID] = fmt.Sprint(ev.Args["name"])
-			continue
+	for i, ev := range doc.TraceEvents[1:] {
+		if ev.PID != 1 {
+			t.Errorf("event %q on pid %d, want 1", ev.Name, ev.PID)
 		}
-		byName[ev.Name] = i
-	}
-	if lanes[1] != "coordinator" {
-		t.Errorf("pid 1 lane %q, want coordinator (local process first)", lanes[1])
-	}
-	if lanes[2] != "http://w1" {
-		t.Errorf("pid 2 lane %q, want http://w1", lanes[2])
+		byName[ev.Name] = i + 1
 	}
 
 	job := doc.TraceEvents[byName["serve.job"]]
-	if job.Phase != "X" || job.PID != 1 || job.Dur != 3_000_000 {
+	if job.Phase != "X" || job.Dur != 3_000_000 {
 		t.Errorf("serve.job event wrong: %+v", job)
 	}
 	if job.Args["trace_id"] != "t1" || job.Args["span_id"] != "s1" {
 		t.Errorf("serve.job args missing IDs: %v", job.Args)
 	}
-	wt := doc.TraceEvents[byName["worker.tile"]]
-	if wt.PID != 2 || wt.TID != 3 {
-		t.Errorf("worker.tile lanes pid=%d tid=%d, want pid=2 tid=3 (tile 2 + 1)", wt.PID, wt.TID)
+	opt := doc.TraceEvents[byName["tile.optimize"]]
+	if opt.TID != 3 {
+		t.Errorf("tile.optimize on tid %d, want 3 (tile 2 + 1)", opt.TID)
 	}
-	if wt.Args["parent_id"] != "s1" {
-		t.Errorf("worker.tile args %v, want parent_id s1", wt.Args)
-	}
-	if _, ok := wt.Args["proc"]; ok {
-		t.Errorf("proc attr leaked into args: %v", wt.Args)
+	if opt.Args["parent_id"] != "s1" {
+		t.Errorf("tile.optimize args %v, want parent_id s1", opt.Args)
 	}
 	it := doc.TraceEvents[byName["ilt.iter"]]
 	if it.Phase != "i" || it.Scope != "t" || it.Dur != 0 {
@@ -325,7 +272,7 @@ func TestPerfettoTrace(t *testing.T) {
 	}
 
 	// Determinism: a second export of the same events is byte-identical.
-	if again := PerfettoTrace("coordinator", evs); !bytes.Equal(raw, again) {
+	if again := PerfettoTrace("mosaicd", evs); !bytes.Equal(raw, again) {
 		t.Error("PerfettoTrace output is not deterministic")
 	}
 }

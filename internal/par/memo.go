@@ -3,8 +3,7 @@ package par
 import "sync"
 
 // Memo builds one value per key and keeps it: the SOCS kernel sets, the
-// serving layer's setups and a cluster worker's simulators each cost
-// seconds to build and are asked for by many goroutines at once. Builds
+// serving layer's setups each cost seconds to build and are asked for by many goroutines at once. Builds
 // are single-flight per key — concurrent callers of one key share one
 // build — while distinct keys build in parallel. A build that returns an
 // error or panics is not kept: the callers that waited on it see its

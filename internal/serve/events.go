@@ -54,10 +54,8 @@ func newJobTelemetry() *jobTelemetry {
 // eventTypes names the job event each instant of the obs name table is
 // published as.
 var eventTypes = map[string]string{
-	obs.IltIter.String():             "iteration",
-	obs.TileDone.String():            "tile",
-	obs.ClusterReassign.String():     "tile_reassigned",
-	obs.ClusterLeaseExpired.String(): "lease_expired",
+	obs.IltIter.String():  "iteration",
+	obs.TileDone.String(): "tile",
 }
 
 // observe translates trace events into the job's public event stream and
@@ -69,8 +67,6 @@ func (t *jobTelemetry) observe(ev obs.SpanEvent) {
 		return
 	}
 	data := obs.AttrMap(ev.Attrs)
-	// A shipped event is a worker's word: an attribute of another type than
-	// this build emits moves nothing.
 	num := func(key string) int {
 		n, _ := data[key].(int64)
 		return int(n)
@@ -81,7 +77,7 @@ func (t *jobTelemetry) observe(ev obs.SpanEvent) {
 		t.prog.Iter = num("iter") + 1
 		t.prog.Objective, _ = data["score"].(float64)
 	case "tile":
-		// Completions are numbered before they are emitted, so two workers
+		// Completions are numbered before they are emitted, so two tiles
 		// can deliver theirs out of order; the count only rises.
 		if done := num("done"); done > t.prog.TilesDone {
 			t.prog.TilesDone, t.prog.TilesTotal = done, num("total")

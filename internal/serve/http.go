@@ -261,8 +261,6 @@ type CacheAttribution struct {
 	Computed int `json:"computed"`
 	// Empty counts windows short-circuited for having no geometry.
 	Empty int `json:"empty"`
-	// Remote counts tiles computed on cluster workers.
-	Remote int `json:"remote"`
 	// Report tells where the job's scores came from: "hit" when the
 	// store's quality side-car already held this anchored run's
 	// evaluation, "miss" when the job evaluated the mask itself.
@@ -291,9 +289,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 			body.Cache.Empty++
 		case tile.ClassComputed:
 			body.Cache.Computed++
-		}
-		if l.Worker != "" {
-			body.Cache.Remote++
 		}
 	}
 	httpapi.JSON(w, http.StatusOK, body)
@@ -466,8 +461,8 @@ func writeSSE(w http.ResponseWriter, ev JobEvent) error {
 	return err
 }
 
-// handleTrace exports the job's assembled span tree — local spans plus
-// those shipped back from workers — as Chrome/Perfetto trace_event JSON.
+// handleTrace exports the job's span tree as Chrome/Perfetto trace_event
+// JSON.
 // The buffer is bounded; Trace-Dropped-Events says how many events the
 // export is short of.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -476,7 +471,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	out := obs.PerfettoTrace("coordinator", j.tel.buf.Events())
+	out := obs.PerfettoTrace("mosaicd", j.tel.buf.Events())
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="trace-`+j.id+`.json"`)
 	w.Header().Set("Trace-Dropped-Events", strconv.FormatInt(j.tel.buf.Dropped(), 10))

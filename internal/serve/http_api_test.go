@@ -16,6 +16,7 @@ import (
 
 	"mosaic"
 	"mosaic/internal/artifact"
+	"mosaic/internal/frame"
 	"mosaic/internal/httpapi"
 	"mosaic/internal/tile"
 )
@@ -287,15 +288,12 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	// The rollup is tile.Provenance.Class's answer on the served leaves.
 	sameRollup := func(what string, p ProvenanceBody) {
 		t.Helper()
-		byClass, remote := map[tile.Class]int{}, 0
+		byClass := map[tile.Class]int{}
 		for _, l := range p.Leaves {
 			byClass[l.Class()]++
-			if l.Worker != "" {
-				remote++
-			}
 		}
 		want := CacheAttribution{Hits: byClass[tile.ClassHit], Computed: byClass[tile.ClassComputed],
-			Empty: byClass[tile.ClassEmpty], Remote: remote, Report: p.Cache.Report}
+			Empty: byClass[tile.ClassEmpty], Report: p.Cache.Report}
 		if p.Cache != want {
 			t.Fatalf("%s: rollup %+v, the leaves classify as %+v", what, p.Cache, want)
 		}
@@ -515,6 +513,126 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	}
 	if !bv.OK {
 		t.Fatalf("untouched sibling blob failed verification: %s", raw)
+	}
+}
+
+// TestClusterAnchoredRecordStillReads: a daemon that dispatched its tiles
+// to cluster workers anchored every leaf with a "worker" field, the
+// worker's address, and this build has no such field. An anchor log
+// holding such a record, written as that build wrote it, still opens; the
+// record is listed under its blobs, resolves by its root and verifies
+// clean, the field ignored. A Merkle leaf is the blob digest, so the same
+// job run here anchors the same root, and GET /v1/jobs/{id}/provenance
+// serves it with the evaluation the first run left beside that root.
+func TestClusterAnchoredRecordStillReads(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Layout: testLayoutText, MaxIter: 2, TileNM: 256}
+	// run starts a daemon on the store in dir, runs spec to the end and
+	// returns the job's anchored record and its /provenance body.
+	run := func() (*mosaic.ArtifactRecord, ProvenanceBody) {
+		t.Helper()
+		store, err := mosaic.OpenArtifactStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		cache, err := mosaic.OpenTileCache("", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testServerConfig("")
+		cfg.ArtifactStore = store
+		cfg.TileCache = cache
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdown(t, s)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitFor(t, s, st.ID, 120*time.Second, func(st *Status) bool { return st.State.terminal() }); st.State != StateDone {
+			t.Fatalf("job ended %s: %s", st.State, st.Error)
+		}
+		rec, _, err := s.Provenance(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prov ProvenanceBody
+		raw, _ := readAll(t, mustGet(t, ts.URL+"/v1/jobs/"+st.ID+"/provenance"))
+		if err := json.Unmarshal(raw, &prov); err != nil {
+			t.Fatal(err)
+		}
+		return rec, prov
+	}
+
+	// The blobs and the manifest a cluster run stored are this build's:
+	// a tile's bits do not depend on where it ran.
+	rec, _ := run()
+	if len(rec.Leaves) != 4 {
+		t.Fatalf("record has %d leaves, want 4", len(rec.Leaves))
+	}
+
+	// The record that run anchored, as the cluster build wrote it: the
+	// leaf's fields in that build's order, each naming its worker.
+	type clusterLeaf struct {
+		Index  int             `json:"index"`
+		Blob   artifact.Digest `json:"blob"`
+		Key    string          `json:"key,omitempty"`
+		Worker string          `json:"worker,omitempty"`
+		Tier   string          `json:"tier,omitempty"`
+		Seed   string          `json:"seed,omitempty"`
+	}
+	old := struct {
+		JobID     string          `json:"job_id"`
+		Manifest  artifact.Digest `json:"manifest"`
+		Root      artifact.Digest `json:"root"`
+		Leaves    []clusterLeaf   `json:"leaves"`
+		CreatedAt time.Time       `json:"created_at"`
+	}{JobID: "cluster-job", Manifest: rec.Manifest, Root: rec.Root, CreatedAt: rec.CreatedAt}
+	for _, l := range rec.Leaves {
+		old.Leaves = append(old.Leaves, clusterLeaf{Index: l.Index, Blob: l.Blob, Key: l.Key,
+			Worker: fmt.Sprintf("http://127.0.0.1:%d", 8081+l.Index%2), Tier: l.Tier, Seed: l.Seed})
+	}
+	payload, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload, []byte(`","worker":"http://127.0.0.1:8081","tier":"miss"}`)) {
+		t.Fatalf("the cluster build's leaf is not what it wrote: %s", payload)
+	}
+	const anchorMagic = 0x4e41544d // "MTAN"
+	if err := os.WriteFile(filepath.Join(dir, "anchors.log"), frame.Encode(anchorMagic, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := mosaic.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatalf("a log holding a cluster run's record does not open: %v", err)
+	}
+	got, ok := store.Resolve(rec.Root)
+	if !ok || got.JobID != "cluster-job" || !reflect.DeepEqual(got.Leaves, rec.Leaves) {
+		t.Fatalf("the cluster run's record resolves to %+v (%v), want job cluster-job with leaves %+v", got, ok, rec.Leaves)
+	}
+	for _, l := range rec.Leaves {
+		if refs := store.ByBlob(l.Blob); !reflect.DeepEqual(refs, []artifact.BlobRef{{JobID: "cluster-job", Leaf: l.Index}}) {
+			t.Errorf("leaf %d is listed under %+v", l.Index, refs)
+		}
+	}
+	if rep := store.Verify(got); !rep.OK {
+		t.Errorf("the cluster run's record fails verification: %+v", rep)
+	}
+	store.Close()
+
+	again, prov := run()
+	if again.Root != rec.Root || prov.MerkleRoot != rec.Root.String() {
+		t.Fatalf("the job anchors root %s here, the cluster run anchored %s", prov.MerkleRoot, rec.Root)
+	}
+	if n := prov.Cache.Hits + prov.Cache.Computed + prov.Cache.Empty; n != 4 || prov.Cache.Report != "hit" {
+		t.Fatalf("provenance attribution %+v, want 4 leaves and the first run's evaluation", prov.Cache)
 	}
 }
 

@@ -160,7 +160,7 @@ type Status struct {
 	ManifestDigest string `json:"manifest_digest,omitempty"`
 	MerkleRoot     string `json:"merkle_root,omitempty"`
 
-	// TraceID is the job's distributed trace identifier, set once the job
+	// TraceID is the job's trace identifier, set once the job
 	// starts running. GET /v1/jobs/{id}/trace exports the full span tree.
 	TraceID string `json:"trace_id,omitempty"`
 	// Timeline is the tail of the job's telemetry event log; the full

@@ -103,15 +103,14 @@ type Config struct {
 	// Tune, when non-nil, adjusts every job's optimizer configuration
 	// after the spec has been applied (test determinism, site policy).
 	Tune func(*mosaic.Config)
-	// TileRunner, when non-nil, executes every job's tiles — e.g. a
-	// cluster.Coordinator dispatching to a worker fleet. Nil runs tiles
-	// in-process.
+	// TileRunner, when non-nil, executes every job's tiles in place of
+	// the in-process optimizer. Nil runs tiles in-process.
 	TileRunner mosaic.TileRunner
 	// TileCache, when non-nil, is shared by every job: tiles
 	// whose content address was optimized before — by any job, any
 	// tenant, any earlier process when the cache has a disk tier — are
-	// served from the cache instead of being optimized (or dispatched to
-	// the cluster). See mosaic.OpenTileCache.
+	// served from the cache instead of being optimized. See
+	// mosaic.OpenTileCache.
 	TileCache *mosaic.TileCache
 	// ArtifactStore, when non-nil, anchors every completed job: tile
 	// results become content-addressed blobs under a Merkle root bound
@@ -521,8 +520,7 @@ func (s *Server) worker() {
 
 // runJob executes one job and ends it (end) by how execute returned.
 func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
-	// Root the job's distributed trace: every span and event below —
-	// including spans shipped back from remote workers — collects into the
+	// Root the job's trace: every span and event below collects into the
 	// job's telemetry buffer under one trace ID.
 	ctx = obs.ContextWithBuffer(ctx, j.tel.buf)
 	mode, _ := mosaic.ParseMode(j.spec.Mode) // newJob has refused what does not parse

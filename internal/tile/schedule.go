@@ -16,11 +16,8 @@ import (
 	"mosaic/internal/sim"
 )
 
-// Request carries everything needed to optimize one tile, independent of
-// where the optimization runs. Sim is the coordinator-side window
-// simulator: the local runner uses it directly, while a remote runner
-// serializes its configuration (optics plus the calibrated resist model)
-// so a worker rebuilds an identical forward model.
+// Request carries everything needed to optimize one tile. Sim is the
+// window simulator the local runner optimizes on.
 type Request struct {
 	Plan    *Plan
 	Tile    *Tile
@@ -30,23 +27,22 @@ type Request struct {
 
 	// Prov, when non-nil, is filled in by whoever produces the result:
 	// the cache decorator records the tier and content key it served
-	// from, and the cluster coordinator records which worker computed
-	// the tile. The scheduler owns the pointed-to value.
+	// from, the warm-start decorator the seed. The scheduler owns the
+	// pointed-to value.
 	Prov *Provenance
 }
 
-// Provenance attributes one tile result: where it was computed and how
-// it was served. All fields are optional — an in-process, uncached run
+// Provenance attributes one tile result: how it was served and what it
+// started from. All fields are optional — an uncached, unseeded run
 // legitimately attributes nothing. It is the one attribution record: the
 // scheduler fills it, LayoutResult reports it and an anchored artifact
-// leaf embeds it, so the JSON names are the leaf's wire names.
+// leaf embeds it, so the JSON names are the leaf's wire names. An older
+// record's "worker" field (the cluster worker that computed the tile) is
+// ignored on read.
 type Provenance struct {
 	// Key is the tile-cache content address of the request (hex), set
 	// when a cache decorator was consulted.
 	Key string `json:"key,omitempty"`
-	// Worker is the cluster worker (advertised address) that computed
-	// the tile; empty means this process.
-	Worker string `json:"worker,omitempty"`
 	// Tier is how the result was obtained: one of the Tier constants, or
 	// "" for a fresh computation with no cache in play.
 	Tier string `json:"tier,omitempty"`
@@ -86,22 +82,21 @@ func (p Provenance) Class() Class {
 }
 
 // Runner executes one tile optimization. The scheduler is runner-agnostic:
-// progress and stitching are identical whether tiles run in-process (the
-// default) or are dispatched to remote workers (see internal/cluster), and
-// it hands a runner only windows that hold geometry. Implementations must
-// be safe for concurrent calls and must return results that depend only on
-// the request, never on where or when they ran — the bit-identity
-// guarantee of a sharded run rests on it. So does a failure: the scheduler
-// calls a runner once per window, and a runner that can recover from a
-// transient fault (the cluster coordinator reassigns) does so itself.
+// progress and stitching are identical whatever runner the tiles go
+// through (the cache and warm-start decorators wrap one), and it hands a
+// runner only windows that hold geometry. Implementations must be safe for
+// concurrent calls and must return results that depend only on the
+// request, never on when they ran — the bit-identity guarantee of a
+// sharded run rests on it. So does a failure: the scheduler calls a runner
+// once per window, and a runner that can recover from a transient fault
+// does so itself.
 type Runner interface {
 	RunTile(ctx context.Context, req *Request) (*ilt.Result, error)
 }
 
 // LocalRunner optimizes tiles in-process on the window simulator: the
-// scheduler's default and its route for empty windows, what the cache and
-// warm-start decorators wrap when given no inner runner, and the cluster
-// coordinator's fallback.
+// scheduler's default and its route for empty windows, and what the cache
+// and warm-start decorators wrap when given no inner runner.
 type LocalRunner struct{}
 
 func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
@@ -127,22 +122,19 @@ func emptyWindowResult(windowPx int) *ilt.Result {
 	return r.(*ilt.Result)
 }
 
-// RunWindow runs the clip-level optimizer on one halo-padded window. It is
-// the single execution path shared by the local runner and remote workers,
-// so a tile produces the same bits wherever it runs. It is also the one
-// definition of an empty window's result: a window with no geometry is a
-// shared all-dark mask, counted under tile_empty_total. Nothing prints
-// there, sparse full-chip layouts are mostly empty windows, and the
-// scheduler routes them here directly, past the cache, the warm-start
-// library and the cluster.
+// RunWindow runs the clip-level optimizer on one halo-padded window: the
+// local runner's one execution path. It is also the one definition of an
+// empty window's result: a window with no geometry is a shared all-dark
+// mask, counted under tile_empty_total. Nothing prints there, sparse
+// full-chip layouts are mostly empty windows, and the scheduler routes them
+// here directly, past the cache and the warm-start library.
 //
 // It is also the one place a tile takes a core: a window that computes
 // holds one reservation in the global compute pool (par.Reserve) for as
 // long as it runs. Reservations have priority over inner (ilt/fft) helper
 // tokens, so the tile level claims cores first and a process never runs
-// more tiles than cores, whichever jobs — or, on a worker, whichever
-// coordinator requests — they belong to. Everything in front of this call
-// (a cache hit, a remote dispatch, an empty window) computes nothing here
+// more tiles than cores, whichever jobs they belong to. Everything in
+// front of this call (a cache hit, an empty window) computes nothing here
 // and so never queues behind a tile that does. The wait for a core is part
 // of what the caller times (tile_seconds, the tile.optimize span).
 func RunWindow(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, layout *geom.Layout, windowPx int, pixelNM float64, samples []geom.Sample) (*ilt.Result, error) {
@@ -190,9 +182,9 @@ type Options struct {
 	OnTile func(done, total int)
 
 	// Runner executes the windows that hold geometry; nil runs them
-	// in-process on the window simulator. A cluster coordinator plugs in
-	// here to dispatch tiles to remote workers while the scheduler and
-	// stitching stay unchanged. Empty windows always run on LocalRunner.
+	// in-process on the window simulator. The cache and warm-start
+	// decorators plug in here while the scheduler and stitching stay
+	// unchanged. Empty windows always run on LocalRunner.
 	Runner Runner
 }
 
@@ -305,7 +297,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 				req := &Request{Plan: p, Tile: t, Sim: ws, Cfg: tcfg, Samples: samples[i], Prov: &provs[i]}
 				r := runner
 				if len(t.Layout.Polys) == 0 {
-					// Nothing to optimize, cache, seed or ship: RunWindow
+					// Nothing to optimize, cache or seed: RunWindow
 					// serves the shared dark result.
 					r = LocalRunner{}
 					provs[i].Tier = TierEmpty

@@ -24,8 +24,8 @@ func (r *countingRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result
 }
 
 // TestEmptyWindowsBypassRunner: the scheduler decides emptiness once and
-// routes an empty window to RunWindow itself, so the runner — a cache, a
-// warm-start library, a cluster — is only handed windows that hold
+// routes an empty window to RunWindow itself, so the runner — a cache or a
+// warm-start library — is only handed windows that hold
 // geometry, each exactly once, and every empty window is attributed
 // TierEmpty and counted under tile_empty_total.
 func TestEmptyWindowsBypassRunner(t *testing.T) {

@@ -36,8 +36,8 @@ func NewRunner(lib *Library, inner tile.Runner) *Runner {
 
 // RunTile consults the library, runs the (possibly seeded) request, and
 // finishes the attempt — histograms, fallback accounting, harvest. The
-// seed rides Config.SeedMask, so it crosses the cluster wire to remote
-// workers and participates in the cache key like any other config field.
+// seed rides Config.SeedMask, so it participates in the cache key like
+// any other config field.
 func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
 	if r.lib == nil {
 		return r.inner.RunTile(ctx, req)

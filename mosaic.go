@@ -71,8 +71,7 @@ type (
 	// RunResult is one (method, testcase) harness outcome.
 	RunResult = opc.RunResult
 	// TileRunner executes one tile of a sharded run; the default runs
-	// in-process, internal/cluster's Coordinator runs on a worker fleet
-	// (see TileOptions.Runner).
+	// in-process (see TileOptions.Runner).
 	TileRunner = tile.Runner
 	// TileCache is a content-addressed tile-result store: repeated
 	// windows — the same cell geometry under the same configuration,
@@ -92,8 +91,8 @@ type (
 	// VerifyReport is the outcome of re-proving a stored artifact from
 	// leaf bytes to its anchored Merkle root.
 	VerifyReport = artifact.VerifyReport
-	// TileProvenance attributes one tile result: the worker that
-	// computed it and the cache tier that served it.
+	// TileProvenance attributes one tile result: the cache tier that
+	// served it and the warm-start seed it started from.
 	TileProvenance = tile.Provenance
 	// WarmStartLibrary is a durable pattern library of (target-pattern
 	// signature -> converged continuous mask) pairs: new windows whose
@@ -282,9 +281,8 @@ type TileOptions struct {
 	TileNM float64
 	// Workers is a core-reservation hint: how many tiles the scheduler
 	// tries to run concurrently, each holding one reservation in the
-	// process-global compute pool while it computes in-process (a tile
-	// served from the cache or dispatched to a worker holds none). 0 means
-	// the pool capacity (GOMAXPROCS).
+	// process-global compute pool while it computes (a tile served from
+	// the cache holds none). 0 means the pool capacity (GOMAXPROCS).
 	// It is an upper bound, not a demand — actual concurrency never
 	// exceeds the pool, and cores the tile level leaves idle are soaked up
 	// by inner (optimizer/FFT) parallelism. Results are bit-identical for
@@ -293,17 +291,15 @@ type TileOptions struct {
 	// OnTile, when non-nil, observes tile completions (for progress).
 	OnTile func(done, total int)
 	// Runner, when non-nil, executes tiles in place of the in-process
-	// optimizer — e.g. a cluster.Coordinator dispatching to a worker
-	// fleet. Scheduling and stitching are unchanged, so any Runner that
-	// reproduces tile.RunWindow's bits keeps the run bit-identical to a
-	// local one. It is handed only windows that hold geometry.
+	// optimizer. Scheduling and stitching are unchanged, so any Runner
+	// that reproduces tile.RunWindow's bits keeps the run bit-identical to
+	// a local one. It is handed only windows that hold geometry.
 	Runner TileRunner
 	// Cache, when non-nil, serves tiles whose content address — the
 	// window's geometry in window-local coordinates plus the full
 	// imaging/resist/optimizer configuration — was optimized before,
-	// skipping the optimization (and, with a cluster Runner, the remote
-	// dispatch). Cached results are bit-identical to cold ones, so every
-	// other guarantee is unchanged. See OpenTileCache.
+	// skipping the optimization. Cached results are bit-identical to cold
+	// ones, so every other guarantee is unchanged. See OpenTileCache.
 	Cache *TileCache
 	// Artifact, when non-nil, commits the completed run to the
 	// provenance store: every tile result becomes a content-addressed
@@ -341,7 +337,7 @@ type LayoutResult struct {
 	RuntimeSec float64
 
 	// Provenance attributes each tile result (parallel to Tiles): the
-	// worker that computed it, the cache tier that served it.
+	// cache tier that served it, the seed it started from.
 	Provenance []TileProvenance
 	// Artifact is the anchored provenance record when TileOptions.
 	// Artifact was set; nil otherwise.
@@ -422,14 +418,13 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 	if opts.Cache != nil {
 		// The cache decorates whatever runner the options name (the
 		// in-process default when nil), so a hit short-circuits before any
-		// local optimization or remote dispatch.
+		// optimization.
 		runner = cache.NewRunner(opts.Cache, runner)
 	}
 	if opts.WarmStart != nil {
 		// Warm-start wraps outermost: the seed is attached to the request
 		// before the cache computes its content key (seeded and unseeded
-		// runs of a window are distinct entries) and before any remote
-		// dispatch (the seed crosses the wire inside the config).
+		// runs of a window are distinct entries).
 		runner = warmstart.NewRunner(opts.WarmStart, runner)
 	}
 	res, err := plan.Optimize(ctx, ws, cfg, tile.Options{
