@@ -20,7 +20,7 @@ import (
 // Merkle root — so a cache directory or an artifact store can move between
 // hosts of different sizes. An untiled one-window
 // OptimizeLayout, the benchmark's clip operation — one pool reservation,
-// its focus-plane tasks on whatever tokens are left — must reach the same
+// its task lists on whatever tokens are left — must reach the same
 // gray-mask bits too. Not parallel: it sets GOMAXPROCS for the whole
 // process, and restores it.
 func TestBitsIndependentOfCoreCount(t *testing.T) {

@@ -31,7 +31,7 @@ import (
 // changes, codec changes — so stale entries miss instead of serving the
 // old bits. The rule: if a change would fail a bit-identity test against
 // the previous build, it needs a version bump.
-const DigestVersion = 9
+const DigestVersion = 10
 
 // Key is the content address of one tile result: a SHA-256 over the
 // canonical encoding of the request (see RequestKey).

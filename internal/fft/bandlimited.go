@@ -141,23 +141,37 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 }
 
 // ForwardBandLimited computes the central band-limited block (half-width
-// k) of the forward 2-D FFT of src into blk, which must be (2k+1)^2. Only
-// the band columns are transformed in the second pass, cutting the work
-// roughly in half for k << W. src is used as scratch for the row pass and
-// holds unspecified contents afterwards. It is equivalent to
-// ExtractCenter(Forward2D(src), k) without materializing the full spectrum.
-func ForwardBandLimited(src *grid.CField, k int, blk *grid.CField) {
+// k) of the forward 2-D FFT of the product src .* w — a complex field
+// weighted by a real one of the same size, the adjoint term of a kernel
+// field — into blk, which must be (2k+1)^2. The row pass writes each
+// product straight into the bit-reversed order of its row transform, so
+// the product is never stored in natural order and no swap pass runs; only
+// the band columns are transformed in the second pass, cutting that pass
+// roughly in half for k << W. src and w are not modified. It is equivalent
+// to ExtractCenter(Forward2D(src .* w), k) without materializing the
+// product or the full spectrum.
+func ForwardBandLimited(src *grid.CField, w *grid.Field, k int, blk *grid.CField) {
 	checkBand(blk, k, src.W, src.H)
+	if w.W != src.W || w.H != src.H {
+		panic(fmt.Sprintf("fft: ForwardBandLimited weight is %dx%d, want %dx%d", w.W, w.H, src.W, src.H))
+	}
 	prunedForward.Inc()
 	prunedPoints.Add(int64(src.W * src.H))
 	pw := getPlan(src.W)
+	ws := grid.GetC(src.W, src.H)
 	rowPass := func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			transform(src.Row(y), pw, false)
+			row, s, wr := ws.Row(y), src.Row(y), w.Row(y)
+			for x, r := range pw.rev {
+				v, wv := s[x], wr[x]
+				row[r] = complex(real(v)*wv, imag(v)*wv)
+			}
+			butterflies(row, pw, false)
 		}
 	}
 	chunked(src.W*src.H, src.H, rowPass)
-	bandColumns(src, k, blk)
+	bandColumns(ws, k, blk)
+	grid.PutC(ws)
 }
 
 // bandColumns runs the forward column transforms for the 2k+1 band columns

@@ -19,6 +19,16 @@ func randBlock(k int, rng *rand.Rand) *grid.CField {
 	return blk
 }
 
+// ones returns the n x n all-ones weight: ForwardBandLimited of a field
+// weighted by it is the field's plain band transform.
+func ones(n int) *grid.Field {
+	f := grid.New(n, n)
+	for i := range f.Data {
+		f.Data[i] = 1
+	}
+	return f
+}
+
 func maxAbsDiff(a, b *grid.CField) float64 {
 	m := 0.0
 	for i := range a.Data {
@@ -73,7 +83,8 @@ func separable2D(c *grid.CField) {
 }
 
 // TestForwardBandLimitedMatchesReference pins the pruned forward transform
-// to the separable DFT + ExtractCenter.
+// of a weighted field to the separable DFT of the product + ExtractCenter,
+// and requires it to leave both operands as they were.
 func TestForwardBandLimitedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cases := []struct{ w, h, k int }{
@@ -81,16 +92,23 @@ func TestForwardBandLimitedMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		src := grid.NewC(tc.w, tc.h)
+		w := grid.New(tc.w, tc.h)
+		ref := grid.NewC(tc.w, tc.h)
 		for i := range src.Data {
 			src.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			w.Data[i] = rng.NormFloat64()
+			ref.Data[i] = src.Data[i] * complex(w.Data[i], 0)
 		}
-		ref := src.Clone()
+		src0, w0 := src.Clone(), w.Clone()
 		separable2D(ref)
 		want := ExtractCenter(ref, tc.k)
 		blk := grid.NewC(2*tc.k+1, 2*tc.k+1)
-		ForwardBandLimited(src, tc.k, blk) // destroys src
+		ForwardBandLimited(src, w, tc.k, blk)
 		if d := maxAbsDiff(blk, want); d > 1e-9 {
 			t.Errorf("%dx%d k=%d: pruned forward differs from reference by %g", tc.w, tc.h, tc.k, d)
+		}
+		if !src.EqualC(src0, 0) || !w.Equal(w0, 0) {
+			t.Errorf("%dx%d k=%d: pruned forward modified its operands", tc.w, tc.h, tc.k)
 		}
 	}
 }
@@ -202,7 +220,7 @@ func TestBandLimitedRoundTrip(t *testing.T) {
 	field := grid.NewC(n, n)
 	InverseBandLimited(blk, n, n, field)
 	back := grid.NewC(2*k+1, 2*k+1)
-	ForwardBandLimited(field, k, back) // destroys field
+	ForwardBandLimited(field, ones(n), k, back)
 	if d := maxAbsDiff(back, blk); d > 1e-12 {
 		t.Fatalf("band round trip error %g", d)
 	}
@@ -217,7 +235,8 @@ func TestInverseBandLimitedPanics(t *testing.T) {
 		"block>grid":  func() { InverseBandLimited(grid.NewC(9, 9), 8, 8, grid.NewC(8, 8)) },
 		"wrong dst":   func() { InverseBandLimited(grid.NewC(3, 3), 16, 16, grid.NewC(8, 8)) },
 		"rect grid":   func() { InverseBandLimited(grid.NewC(3, 3), 32, 16, grid.NewC(32, 16)) },
-		"fwd mistfit": func() { ForwardBandLimited(grid.NewC(16, 16), 3, grid.NewC(5, 5)) },
+		"fwd mistfit": func() { ForwardBandLimited(grid.NewC(16, 16), grid.New(16, 16), 3, grid.NewC(5, 5)) },
+		"fwd weight":  func() { ForwardBandLimited(grid.NewC(16, 16), grid.New(8, 16), 2, grid.NewC(5, 5)) },
 
 		"rect Forward2D": func() { Forward2D(grid.NewC(8, 16)) },
 		"rect Inverse2D": func() { Inverse2D(grid.NewC(32, 16)) },
@@ -248,7 +267,7 @@ func TestPrunedCountersVisible(t *testing.T) {
 	dst := grid.NewC(16, 16)
 	pts0 := prunedPoints.Value()
 	InverseBandLimited(blk, 16, 16, dst)
-	ForwardBandLimited(dst, 1, blk)
+	ForwardBandLimited(dst, ones(16), 1, blk)
 	ForwardBandLimitedReal(grid.New(8, 8), 1, blk)
 	InverseBandLimitedReal(blk, 32, grid.New(32, 32))
 	txt := obs.MetricsText()

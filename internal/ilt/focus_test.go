@@ -30,8 +30,8 @@ func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *g
 	for _, fs := range st.planes {
 		m := fs.model
 		k := m.ig.K
-		fields := make([]*grid.CField, len(m.freqs))
-		for ki, kf := range m.freqs {
+		fields := make([]*grid.CField, len(m.stack.Freqs))
+		for ki, kf := range m.stack.Freqs {
 			fields[ki] = o.Sim.FieldFromSpectrum(spec, kf, k)
 		}
 		for j, ci := range m.Members {
@@ -63,13 +63,13 @@ func referenceGradient(o *Optimizer, st *iterState, mask, target *grid.Field) *g
 			}
 
 			cornerSpec := grid.NewC(n, n)
-			for ki, kf := range m.freqs {
+			for ki, kf := range m.stack.Freqs {
 				term := grid.NewC(n, n)
 				for i, av := range fields[ki].Data {
 					term.Data[i] = av * complex(dFdZ.Data[i], 0)
 				}
 				fft.Forward2D(term)
-				scale := complex(2*m.weights[ki], 0)
+				scale := complex(2*m.stack.Weights[ki], 0)
 				for dy := -k; dy <= k; dy++ {
 					for dx := -k; dx <= k; dx++ {
 						sx, sy := (dx+n)%n, (dy+n)%n
@@ -169,17 +169,20 @@ func benchSimAt(t *testing.T, n int) *sim.Simulator {
 }
 
 // TestFFTBudgetPerIteration pins the transform budget of one descent
-// iteration for D focus planes and G gradient kernels on an N-px mask grid
-// with an Nc-px imaging grid (Nc < N): D*(G+2)+1 pruned inverses and as many
-// pruned forwards, covering 2*D*(G+1)*Nc^2 + 2*(D+1)*N^2 grid points — per
-// plane G field inverses, G adjoint forwards and one resampling transform
-// each way on the imaging grid, plus the plane's two resampling transforms,
-// the mask spectrum and the merged gradient inverse on the mask grid. An
-// accidental extra transform, or a per-kernel one that slipped back onto the
-// mask grid, fails here instead of showing up as an unexplained slowdown.
-// A seeded run adds its warm-start probe: two forward-only passes, the
-// seed's and the default init's, of D*(G+1) inverses and D+1 forwards each
-// and, together, one iteration's points — no adjoint.
+// iteration on an N-px mask grid with an Nc-px imaging grid (Nc < N), in
+// transform units: a plane of U units (G kernels on a defocused plane,
+// ceil(r/2) pairs at best focus, r the stack's real rank) makes U field
+// inverses, U adjoint forwards and one resampling transform each way on the
+// imaging grid, plus its two resampling transforms on the mask grid; the
+// mask spectrum and the merged gradient inverse add one each. That is
+// sum_p (U_p+2) + 1 pruned inverses and as many pruned forwards, covering
+// 2*sum_p (U_p+1)*Nc^2 + 2*(D+1)*N^2 grid points for D planes. An
+// accidental extra transform, a per-kernel one that slipped back onto the
+// mask grid, or a best-focus plane that stopped pairing fails here instead
+// of showing up as an unexplained slowdown. A seeded run adds its
+// warm-start probe: two forward-only passes, the seed's and the default
+// init's, of sum_p (U_p+1) inverses and D+1 forwards each and, together,
+// one iteration's points — no adjoint.
 func TestFFTBudgetPerIteration(t *testing.T) {
 	inverse := obs.NewCounter("fft_pruned_inverse_total")
 	forward := obs.NewCounter("fft_pruned_forward_total")
@@ -197,31 +200,45 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		name    string
 		mode    Mode
 		defocus float64
-		d, g    int64
-		calls   int64 // D*(G+2)+1, each direction
+		units   []int64 // per plane: best focus paired, 25 nm one unit a kernel
+		calls   int64   // sum_p (U_p+2) + 1, each direction
 		seeded  bool
 	}{
-		{"fast", ModeFast, 25, 2, 8, 21, false},
-		{"exact", ModeExact, 25, 2, 24, 53, false},
-		{"fast-one-plane", ModeFast, 0, 1, 8, 11, false},
-		{"fast-seeded", ModeFast, 25, 2, 8, 21, true},
+		{"fast", ModeFast, 25, []int64{4, 8}, 17, false},
+		{"exact", ModeExact, 25, []int64{16, 24}, 45, false},
+		{"fast-one-plane", ModeFast, 0, []int64{4}, 7, false},
+		{"fast-seeded", ModeFast, 25, []int64{4, 8}, 17, true},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(tc.mode)
 		cfg.DefocusNM = tc.defocus
 		cfg.MaxIter = 3
+		d, fieldPasses := int64(len(tc.units)), int64(0) // fieldPasses: sum_p (U_p+1)
+		for _, u := range tc.units {
+			fieldPasses += u + 1
+		}
+		if calls := fieldPasses + d + 1; calls != tc.calls {
+			t.Fatalf("%s: units %v make %d calls, the table says %d", tc.name, tc.units, calls, tc.calls)
+		}
 		var probeInv, probeFwd, probePts int64
 		if tc.seeded {
 			cfg.SeedMask = layout.Rasterize(n, s.Cfg.PixelNM)
-			probeInv, probeFwd = 2*tc.d*(tc.g+1), 2*(tc.d+1)
+			probeInv, probeFwd = 2*fieldPasses, 2*(d+1)
 		}
 		o, err := New(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Build the kernel sets outside the counted window.
-		if _, err := o.buildModels(); err != nil {
+		// Build the kernel sets and their real forms outside the counted
+		// window.
+		models, err := o.buildModels()
+		if err != nil {
 			t.Fatal(err)
+		}
+		for p, m := range models {
+			if got := int64(len(m.stack.Units())); got != tc.units[p] {
+				t.Errorf("%s: plane %d has %d transform units, want %d", tc.name, p, got, tc.units[p])
+			}
 		}
 		inv0, fwd0, pts0, it0 := inverse.Value(), forward.Value(), points.Value(), iterations.Value()
 		if _, err := o.Run(layout); err != nil {
@@ -237,7 +254,7 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if got := forward.Value() - fwd0; got != tc.calls*iters+probeFwd {
 			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, tc.calls, probeFwd)
 		}
-		wantPts := 2*tc.d*(tc.g+1)*nc*nc + 2*(tc.d+1)*n*n
+		wantPts := 2*fieldPasses*nc*nc + 2*(d+1)*n*n
 		if tc.seeded {
 			probePts = wantPts
 		}

@@ -158,17 +158,21 @@ func TestGradientFiniteDifferenceTruncatedKernels(t *testing.T) {
 // TestGradientFiniteDifference128 repeats the finite-difference check on a
 // 128-px grid over the paper's 1024 nm field, where the imaging grid (64) is
 // half the mask grid and has the benchmark's K = 14: testOptimizer's layout
-// and probes at twice the size.
+// and probes at twice the size. Its best-focus plane runs paired in both
+// modes, so the check covers the untangled adjoint of sim.ImagingGrid.Adjoint
+// next to the defocused plane's one-kernel-a-unit path; the Eq. 21 kernel
+// is never paired.
 func TestGradientFiniteDifference128(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		mode  Mode
-		tweak func(*Config)
+		name   string
+		mode   Mode
+		tweak  func(*Config)
+		paired bool // the nominal plane's stack
 	}{
-		{"fast", ModeFast, func(*Config) {}},
-		{"exact", ModeExact, func(*Config) {}},
-		{"combined-kernel", ModeFast, func(c *Config) { c.GradKernels = 0 }},
-		{"pvb-dominated", ModeFast, func(c *Config) { c.Beta = 100 }},
+		{"fast", ModeFast, func(*Config) {}, true},
+		{"exact", ModeExact, func(*Config) {}, true},
+		{"combined-kernel", ModeFast, func(c *Config) { c.GradKernels = 0 }, false},
+		{"pvb-dominated", ModeFast, func(c *Config) { c.Beta = 100 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			small, layout := testOptimizer(t, tc.mode)
@@ -201,6 +205,16 @@ func TestGradientFiniteDifference128(t *testing.T) {
 			if err := big.Validate(); err != nil {
 				t.Fatal(err)
 			}
+			models, err := o.buildModels()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := models[0].stack.Paired(); models[0].Lead.DefocusNM != 0 || got != tc.paired {
+				t.Fatalf("plane 0 at %g nm: paired %v, want best focus and paired %v", models[0].Lead.DefocusNM, got, tc.paired)
+			}
+			if models[1].stack.Paired() {
+				t.Fatalf("the defocused plane is paired")
+			}
 			checkGradientAt(t, o, big, [][2]int{
 				{48, 64}, {40, 64}, {52, 40}, {60, 64}, {76, 60}, {80, 36}, {88, 80}, {20, 20},
 			})
@@ -219,9 +233,9 @@ func TestTruncatedStackOpenFrameUnit(t *testing.T) {
 	}
 	m := models[0]
 	dc := 0.0
-	for i, f := range m.freqs {
+	for i, f := range m.stack.Freqs {
 		v := f.At(m.ig.K, m.ig.K)
-		dc += m.weights[i] * (real(v)*real(v) + imag(v)*imag(v))
+		dc += m.stack.Weights[i] * (real(v)*real(v) + imag(v)*imag(v))
 	}
 	if diff := dc - 1; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("truncated open-frame intensity %g, want 1", dc)

@@ -19,14 +19,14 @@ import (
 // stack the descent loop images them through: either the single Eq. 21
 // combined kernel or the top-GradKernels SOCS kernels with weights
 // renormalized to unit open-frame intensity (so the resist threshold keeps
-// its meaning under truncation). The corners of a plane differ only in
-// dose, which enters at the resist step, so they share everything here.
+// its meaning under truncation) — paired at best focus, where its real rank
+// allows (sim.Stack). The corners of a plane differ only in dose, which
+// enters at the resist step, so they share everything here.
 type focusModel struct {
 	sim.FocusGroup                 // Members index the process corner list; 0 is the nominal condition
 	doses          []float64       // dose of each member
-	ig             sim.ImagingGrid // grid the kernel fields live on; ig.K is the frequency block half-width
-	freqs          []*grid.CField
-	weights        []float64
+	ig             sim.ImagingGrid // grid the unit fields live on; ig.K is the frequency block half-width
+	stack          *sim.Stack
 }
 
 // buildModels resolves the gradient kernel stack of every focus plane of
@@ -61,15 +61,10 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 		m.doses = append(m.doses, corners[ci].Dose)
 	}
 	if o.Cfg.GradKernels <= 0 {
-		m.freqs = []*grid.CField{ks.Combined()}
-		m.weights = []float64{1}
+		m.stack = sim.CombinedStack(ks)
 		return m, nil
 	}
-	n := o.Cfg.GradKernels
-	if n > len(ks.Freqs) {
-		n = len(ks.Freqs)
-	}
-	m.freqs = ks.Freqs[:n]
+	n := min(o.Cfg.GradKernels, len(ks.Freqs))
 	// Renormalize the truncated stack to unit open-frame intensity.
 	dc := 0.0
 	for i := 0; i < n; i++ {
@@ -79,10 +74,7 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 	if dc <= 0 {
 		return focusModel{}, fmt.Errorf("ilt: truncated kernel stack has zero open-frame intensity")
 	}
-	m.weights = make([]float64, n)
-	for i := 0; i < n; i++ {
-		m.weights[i] = ks.Weights[i] / dc
-	}
+	m.stack = sim.SOCSStack(ks, n).Scaled(dc)
 	return m, nil
 }
 
@@ -90,9 +82,9 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 // mask: its forward state and, in a descent step, its adjoint band blocks.
 type focusState struct {
 	model  focusModel
-	fields []*grid.CField // A_k = M conv h_k on the imaging grid, one per gradient kernel
+	fields []*grid.CField // the field of each transform unit of model.stack, on the imaging grid
 	i      *grid.Field    // aerial intensity (before dose) on the mask grid
-	blks   []*grid.CField // adjoint band block per kernel; nil when no corner of the plane is live
+	blks   []*grid.CField // adjoint band block per unit; nil when no corner of the plane is live
 }
 
 // iterState is everything one iteration computes from the current mask.
@@ -149,78 +141,119 @@ func (st *iterState) release() {
 	}
 }
 
-// evalState runs one task per focus plane and evaluates the objective of
-// the configured mode. A plane's task images it, prints its corners at
-// their doses and computes its objective terms; with adjoint set (a
-// descent step, not the warm-start probe) it also runs the plane's adjoint
-// products into its own band blocks and makes its proxy prints. The planes
-// share only the read-only mask spectrum and each task writes its own
-// slots, so they run concurrently; every sum — the SOCS one inside Image,
-// the corner terms below, the band blocks in gradient — is folded serially
-// and in index order, so the bits do not depend on the core count.
+// evalState evaluates the objective of the configured mode for mask and,
+// with adjoint set (a descent step, not the warm-start probe), the band
+// blocks of its gradient and the proxy prints. It runs five task lists in
+// turn, each parallel over outputs its tasks write alone:
+//
+//  1. the field of every transform unit of every plane, one list;
+//  2. per plane, the fold of its fields and the interpolation to the mask
+//     grid (sim.ImagingGrid.Fold);
+//  3. per corner, the sigmoid print at its dose and its objective term and,
+//     in a descent step, its hard print;
+//  4. per plane, its corners' summed sensitivity restricted to the imaging
+//     grid;
+//  5. the adjoint band block of every unit of every live plane, one list.
+//
+// One list over all planes' units lets a paired best-focus plane, which has
+// fewer units, share the cores with the others instead of finishing first
+// and idling. Every sum — a plane's fold, the corner terms below, the band
+// blocks in gradient — is folded serially and in index order, so the bits
+// do not depend on the core count.
 func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample, adjoint bool) *iterState {
 	// All models share the optics configuration, hence the same frequency
 	// block half-width.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].ig.K)}
 	st.planes = make([]focusState, len(models))
+	var units []planeIndex // every transform unit, plane by plane
 	corners := 0
 	for _, m := range models {
 		corners += len(m.Members)
+	}
+	cornerOf := make([]planeIndex, corners) // plane and member of each corner
+	for p, m := range models {
+		st.planes[p] = focusState{model: m, fields: make([]*grid.CField, len(m.stack.Units()))}
+		for u := range m.stack.Units() {
+			units = append(units, planeIndex{p, u})
+		}
+		for j, ci := range m.Members {
+			cornerOf[ci] = planeIndex{p, j}
+		}
 	}
 	st.z = make([]*grid.Field, corners)
 	st.pvb = make([]float64, corners)
 	if adjoint {
 		st.printed = make([]*grid.Field, corners)
 	}
-	par.For(len(models), func(mi int) {
-		st.planes[mi] = o.plane(st, models[mi], mask, target, samples, adjoint)
-	})
 
+	par.For(len(units), func(i int) {
+		fs, u := &st.planes[units[i].plane], units[i].i
+		fs.fields[u] = fs.model.ig.Field(st.specBand, fs.model.stack.Units()[u])
+	})
+	par.For(len(models), func(p int) {
+		fs := &st.planes[p]
+		_, sp := obs.StartSpan(context.Background(), obs.IltForward[fs.model.Lead.SpanLabel()])
+		fs.i = fs.model.ig.Fold(fs.model.stack, fs.fields)
+		sp.End()
+	})
+	par.For(corners, func(ci int) {
+		o.corner(st, ci, &st.planes[cornerOf[ci].plane], cornerOf[ci].i, target, samples, adjoint)
+	})
 	for _, f := range st.pvb[1:] {
 		st.fPvb += f
 	}
 	st.objective = st.fTarget + o.Cfg.Beta*st.fPvb
+	if !adjoint {
+		return st
+	}
+
+	wcs := make([]*grid.Field, len(models)) // each plane's sensitivity on the imaging grid, nil if not live
+	par.For(len(models), func(p int) {
+		if wcs[p] = o.sensitivity(st, &st.planes[p], target); wcs[p] != nil {
+			st.planes[p].blks = make([]*grid.CField, len(st.planes[p].fields))
+		}
+	})
+	par.For(len(units), func(i int) {
+		p, u := units[i].plane, units[i].i
+		if fs := &st.planes[p]; wcs[p] != nil {
+			fs.blks[u] = fs.model.ig.Adjoint(fs.model.stack, u, fs.fields[u], wcs[p])
+		}
+	})
+	for _, wc := range wcs {
+		if wc != nil {
+			grid.Put(wc)
+		}
+	}
 	return st
 }
 
-// plane is the task of one focus plane in evalState. The plane holding
-// corner 0, the nominal condition, owns the design-target term, the EPE
-// weight map and the proxy violation count.
-func (o *Optimizer) plane(st *iterState, m focusModel, mask, target *grid.Field, samples []geom.Sample, adjoint bool) focusState {
-	_, fsp := obs.StartSpan(context.Background(), obs.IltForward[m.Lead.SpanLabel()])
-	fs := focusState{model: m}
-	fs.fields, fs.i = m.ig.Image(st.specBand, m.freqs, m.weights)
-	for j, ci := range m.Members {
-		st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(mask.W, mask.H), fs.i, m.doses[j])
-	}
-	fsp.End()
+// planeIndex names the i-th unit or member of a focus plane.
+type planeIndex struct{ plane, i int }
 
-	for _, ci := range m.Members {
-		switch {
-		case ci > 0:
-			st.pvb[ci] = o.pvbTerm(st.z[ci], target)
-		case o.Cfg.Mode == ModeFast:
-			st.fTarget = o.idObjective(st.z[0], target)
-		case o.Cfg.Mode == ModeExact:
-			st.fTarget, st.epeW = o.epeObjective(st.z[0], target, samples)
-		}
+// corner is the task of corner ci, member j of plane fs, in evalState: its
+// sigmoid print and objective term and, in a descent step, its hard print
+// for the proxy PV band (see proxyMetrics). Corner 0, the nominal
+// condition, owns the design-target term, the EPE weight map and the proxy
+// violation count.
+func (o *Optimizer) corner(st *iterState, ci int, fs *focusState, j int, target *grid.Field, samples []geom.Sample, adjoint bool) {
+	dose := fs.model.doses[j]
+	st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(fs.i.W, fs.i.H), fs.i, dose)
+	switch {
+	case ci > 0:
+		st.pvb[ci] = o.pvbTerm(st.z[ci], target)
+	case o.Cfg.Mode == ModeFast:
+		st.fTarget = o.idObjective(st.z[0], target)
+	case o.Cfg.Mode == ModeExact:
+		st.fTarget, st.epeW = o.epeObjective(st.z[0], target, samples)
 	}
 	if !adjoint {
-		return fs
+		return
 	}
-	fs.blks = o.adjoint(st, fs, target)
-
-	// Proxy metrics (see proxyMetrics): hard prints of the plane's corners
-	// and, on the nominal plane, the EPE violations of its aerial image.
-	px := o.Sim.Cfg.PixelNM
-	for j, ci := range m.Members {
-		st.printed[ci] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, m.doses[j])
-		if ci == 0 {
-			res := metrics.MeasureEPE(fs.i, 1, o.Sim.Resist.Threshold, px, samples, o.metricParams())
-			st.proxyEPE = metrics.CountViolations(res)
-		}
+	st.printed[ci] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, dose)
+	if ci == 0 {
+		res := metrics.MeasureEPE(fs.i, 1, o.Sim.Resist.Threshold, o.Sim.Cfg.PixelNM, samples, o.metricParams())
+		st.proxyEPE = metrics.CountViolations(res)
 	}
-	return fs
 }
 
 // idObjective evaluates F_id = sum (Z_nom - Z_t)^gamma (Eq. 16).
@@ -325,15 +358,15 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 // a descent step imaged through the descent's own kernel stack
 // (GradKernels SOCS kernels; Eq. 21 only at GradKernels 0): EPE violations
 // measured on the nominal aerial image and the PV-band area from hard
-// prints at every corner, both made by the plane tasks of evalState. They
+// prints at every corner, both made by the corner tasks of evalState. They
 // cost no extra transform, and drive best-iterate selection (Alg. 1
 // line 9).
 func (o *Optimizer) proxyMetrics(st *iterState) (epe int, pvbNM2 float64) {
 	return st.proxyEPE, metrics.PVBandArea(st.printed, o.Sim.Cfg.PixelNM)
 }
 
-// adjoint is one focus plane's share of the gradient dF/dM, run in the
-// plane's task of a descent step.
+// sensitivity is one focus plane's share of the gradient dF/dM up to the
+// kernels, the plane's task in the fourth list of evalState.
 //
 // Every objective term has the form sum_p phi(Z_c(p)); backpropagation
 // through the resist sigmoid (Eq. 4) and the coherent convolution gives
@@ -343,14 +376,16 @@ func (o *Optimizer) proxyMetrics(st *iterState) (epe int, pvbNM2 float64) {
 //
 // which is exactly the closed forms of Eq. 14/15 (exact mode, with the EPE
 // weight map folded into dF/dZ) and Eq. 17 (fast mode). The correlation is
-// evaluated in the frequency domain using the same band-limited kernels.
+// evaluated in the frequency domain using the same band-limited kernels,
+// one sim.ImagingGrid.Adjoint per transform unit.
 //
 // The adjoint is linear in W_c, and the corners of one focus plane share
 // A, H and the renormalized kernel weights, so their W_c are summed first
 // and each plane costs one adjoint pass however many corners it holds. It
-// returns the plane's band blocks, one per kernel, or nil when no corner of
-// the plane contributes.
-func (o *Optimizer) adjoint(st *iterState, fs focusState, target *grid.Field) []*grid.CField {
+// returns the summed W carried to the imaging grid once, by the transpose
+// of the forward interpolation, or nil when no corner of the plane
+// contributes.
+func (o *Optimizer) sensitivity(st *iterState, fs *focusState, target *grid.Field) *grid.Field {
 	cfg := o.Cfg
 	thetaZ := o.Sim.Resist.ThetaZ
 	m := fs.model
@@ -384,39 +419,17 @@ func (o *Optimizer) adjoint(st *iterState, fs focusState, target *grid.Field) []
 		grid.Put(w)
 		return nil
 	}
-
-	// Adjoint pass, on the imaging grid: W is carried there once by the
-	// transpose of the forward interpolation, and each kernel contributes
-	//   2*w_ki * Re{ IFFT( conj(Kf_ki) . FFT(W .* A_ki) ) }
-	// The inverse transform is linear, so the per-kernel band blocks
-	// accumulate in the frequency domain (gradient folds them) and ONE
-	// mask-grid inverse per iteration replaces one per kernel and plane.
-	// The kernels map in parallel, each into its own band block.
-	nc, bw := m.ig.Nc, 2*m.ig.K+1
-	wc := m.ig.Restrict(w)
-	blks := make([]*grid.CField, len(m.freqs))
-	par.For(len(m.freqs), func(ki int) {
-		term := grid.GetC(nc, nc)
-		for i, av := range fs.fields[ki].Data {
-			term.Data[i] = complex(real(av)*wc.Data[i], imag(av)*wc.Data[i])
-		}
-		blk := grid.GetC(bw, bw)
-		fft.ForwardBandLimited(term, m.ig.K, blk) // term becomes scratch
-		grid.PutC(term)
-		scale := complex(2*m.weights[ki], 0)
-		for i, kv := range m.freqs[ki].Data {
-			blk.Data[i] = blk.Data[i] * complex(real(kv), -imag(kv)) * scale
-		}
-		blks[ki] = blk
-	})
-	grid.Put(wc)
-	return blks
+	return m.ig.Restrict(w)
 }
 
 // gradient computes dF/dM for a descent step's state (before the Eq. 8
 // chain through the mask relaxation, which the caller applies): it folds
-// the planes' adjoint band blocks serially, in plane then kernel order, and
-// runs the one mask-grid inverse of the iteration.
+// the planes' adjoint band blocks serially, in plane then unit order, and
+// runs the one mask-grid inverse of the iteration. The inverse's real part
+// is the transform of the summed blocks' Hermitian part, which untangles
+// the paired units (sim.ImagingGrid.Adjoint). The inverse transform is
+// linear, so the per-unit blocks accumulate in the frequency domain and one
+// mask-grid inverse per iteration replaces one per unit and plane.
 func (o *Optimizer) gradient(st *iterState, n int) *grid.Field {
 	// Every model shares the optics, hence the block size.
 	bw := 2*st.planes[0].model.ig.K + 1

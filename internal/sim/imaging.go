@@ -58,23 +58,74 @@ func (g ImagingGrid) Field(specBand, kf *grid.CField) *grid.CField {
 	return out
 }
 
-// Image is the SOCS sum of Eq. 2, I = sum_k w_k |M conv h_k|^2, and the one
-// place the forward model is written: the kernel fields are computed in
-// parallel, each into its own buffer, their squared moduli are folded
-// serially in kernel order on the imaging grid, and the sum is interpolated
-// to the mask grid once. Parallel over outputs, serial over sums: the bits do
-// not depend on how many cores ran it. Fields and image come from the
-// workspace pool; release them with grid.PutC and grid.Put.
-func (g ImagingGrid) Image(specBand *grid.CField, freqs []*grid.CField, weights []float64) ([]*grid.CField, *grid.Field) {
-	fields := make([]*grid.CField, len(freqs))
-	par.For(len(freqs), func(k int) {
-		fields[k] = g.Field(specBand, freqs[k])
+// Image is the SOCS sum of Eq. 2, I = sum_k w_k |M conv h_k|^2, for the
+// forward-only callers: the stack's unit fields are computed in parallel,
+// each into its own buffer, and Fold sums them. Parallel over outputs,
+// serial over sums: the bits do not depend on how many cores ran it. The
+// image comes from the workspace pool; release it with grid.Put.
+func (g ImagingGrid) Image(specBand *grid.CField, s *Stack) *grid.Field {
+	units := s.Units()
+	fields := make([]*grid.CField, len(units))
+	par.For(len(units), func(u int) {
+		fields[u] = g.Field(specBand, units[u])
 	})
-	ic := grid.Get(g.Nc, g.Nc).Zero()
-	for k, f := range fields {
-		f.AccumAbs2(ic, weights[k])
+	img := g.Fold(s, fields)
+	for _, f := range fields {
+		grid.PutC(f)
 	}
-	return fields, g.Interpolate(ic)
+	return img
+}
+
+// Fold is the one place the forward model's sum is written: it folds the
+// stack's unit fields serially, in unit order, on the imaging grid —
+// w_k*|A_k|^2 per kernel, or mu_a*Re^2 + mu_b*Im^2 per pair — and
+// interpolates the sum to the mask grid once. The fields stay the caller's; the image comes from the
+// workspace pool.
+func (g ImagingGrid) Fold(s *Stack, fields []*grid.CField) *grid.Field {
+	ic := grid.Get(g.Nc, g.Nc).Zero()
+	for u, f := range fields {
+		if !s.Paired() {
+			f.AccumAbs2(ic, s.Weights[u])
+			continue
+		}
+		ma, mb := s.mu[2*u], s.mu[2*u+1]
+		for i, v := range f.Data {
+			re, im := real(v), imag(v)
+			ic.Data[i] += ma*re*re + mb*im*im
+		}
+	}
+	return g.Interpolate(ic)
+}
+
+// Adjoint returns unit u's band block of the gradient: the +/-K band of
+// FFT(wc .* A_u), for the unit's field A_u and an imaging-grid sensitivity
+// wc (Restrict's), times 2*w_k*conj(H_k) — or, for a pair, times
+// 2*conj(mu_a*E_a + i*mu_b*E_b). The gradient is the real part of the
+// inverse of the summed blocks, the inverse of their Hermitian part, and
+// that part untangles a pair by Hermitian symmetry: with X_a and X_b the
+// Hermitian spectra of wc.*Re A_u and wc.*Im A_u, the one forward block is
+// X_a + i*X_b, and the Hermitian part of its product is
+// 2*mu_a*conj(E_a)*X_a + 2*mu_b*conj(E_b)*X_b — each real kernel's own
+// adjoint term — while the cross terms are anti-Hermitian and drop out. The
+// block comes from the workspace pool.
+func (g ImagingGrid) Adjoint(s *Stack, u int, field *grid.CField, wc *grid.Field) *grid.CField {
+	bw := 2*g.K + 1
+	blk := grid.GetC(bw, bw)
+	fft.ForwardBandLimited(field, wc, g.K, blk)
+	if !s.Paired() {
+		scale := complex(2*s.Weights[u], 0)
+		for i, kv := range s.Freqs[u].Data {
+			blk.Data[i] = blk.Data[i] * complex(real(kv), -imag(kv)) * scale
+		}
+		return blk
+	}
+	ma, mb := 2*s.mu[2*u], 2*s.mu[2*u+1]
+	a, b := s.real[2*u].Data, s.real[2*u+1].Data
+	for i, av := range a {
+		bv := b[i]
+		blk.Data[i] *= complex(ma*real(av)-mb*imag(bv), -(ma*imag(av) + mb*real(bv)))
+	}
+	return blk
 }
 
 // Interpolate Fourier-interpolates a real field of bandwidth 2K — a focus

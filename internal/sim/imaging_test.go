@@ -243,12 +243,8 @@ func TestImagingGridAliasBoundary(t *testing.T) {
 		fft.Forward2D(term)
 		want := fft.ExtractCenter(term, tc.k)
 		wc := ig.Restrict(w)
-		termC := ac.Clone()
-		for i := range termC.Data {
-			termC.Data[i] *= complex(wc.Data[i], 0)
-		}
 		got := grid.NewC(bw, bw)
-		fft.ForwardBandLimited(termC, tc.k, got)
+		fft.ForwardBandLimited(ac, wc, tc.k, got)
 		scale := 0.0
 		for _, v := range want.Data {
 			scale = math.Max(scale, cmplx.Abs(v))

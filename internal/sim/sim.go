@@ -161,9 +161,10 @@ func (s *Simulator) FieldFromSpectrum(spec *grid.CField, kf *grid.CField, k int)
 
 // Aerial computes the aerial image with the full SOCS stack (Eq. 2):
 // I = sum_k w_k |M conv h_k|^2 at the corner's defocus. Dose is NOT applied
-// here; it scales intensity at the resist step. The sum is ImagingGrid.Image,
-// whose bits depend on the mask and the kernels only — not on the core count
-// or on how the kernel convolutions were scheduled.
+// here; it scales intensity at the resist step. The sum is ImagingGrid.Image
+// of the kernel set's SOCSStack — paired at best focus — whose bits depend
+// on the mask and the kernels only, not on the core count or on how the
+// unit convolutions were scheduled.
 func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	ks, err := s.Kernels(c.DefocusNM)
 	if err != nil {
@@ -171,7 +172,7 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	}
 	_, sp := obs.StartSpan(context.Background(), obs.SimAerial[c.SpanLabel()])
 	defer sp.End()
-	return s.image(mask, ks.K, ks.Freqs, ks.Weights), nil
+	return s.image(mask, ks.K, SOCSStack(ks, len(ks.Freqs))), nil
 }
 
 // AerialCombined computes the aerial image with the combined single kernel
@@ -184,18 +185,14 @@ func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, err
 	}
 	_, sp := obs.StartSpan(context.Background(), obs.SimAerialCombined[c.SpanLabel()])
 	defer sp.End()
-	return s.image(mask, ks.K, []*grid.CField{ks.Combined()}, []float64{1}), nil
+	return s.image(mask, ks.K, CombinedStack(ks)), nil
 }
 
-// image runs ImagingGrid.Image on the mask's band-limited spectrum and
-// keeps only the intensity.
-func (s *Simulator) image(mask *grid.Field, k int, freqs []*grid.CField, weights []float64) *grid.Field {
+// image runs ImagingGrid.Image on the mask's band-limited spectrum.
+func (s *Simulator) image(mask *grid.Field, k int, st *Stack) *grid.Field {
 	spec := s.SpectrumBand(mask, k)
-	fields, img := NewImagingGrid(s.Cfg.GridSize, k).Image(spec, freqs, weights)
+	img := NewImagingGrid(s.Cfg.GridSize, k).Image(spec, st)
 	grid.PutC(spec)
-	for _, f := range fields {
-		grid.PutC(f)
-	}
 	return img
 }
 
