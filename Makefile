@@ -50,15 +50,17 @@ paper:
 # decoders behind internal/frame (error or exact round-trip, never a
 # panic, never an allocation sized by a length field beyond the input),
 # the two text/stream layout parsers, the admission gate (a job body or a
-# TileOptions is refused with a typed error, or runs to completion) and the
-# optimizer's float fields (refused, or a short run to a finite mask).
+# TileOptions is refused with a typed error, or runs to completion), the
+# optimizer's float fields (refused, or a short run to a finite mask) and
+# the optimizer's corner list (bit-equal to its serial oracle).
 # go test takes one -fuzz target per run. Minimization is capped in
 # executions, not time: the default 60 s per new corpus entry would eat a
 # 5 s budget whole.
 FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	warmstart:FuzzDecodeEntry artifact:FuzzDecodeQuality geom:FuzzParse \
-	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate
+	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate \
+	ilt:FuzzCornerList
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -135,10 +137,12 @@ bench-e2e-compare:
 # interleaved seeds, the side that goes first alternating; the merged run
 # sets land in results/E2E_<STAMP>_parent.json and _change.json (STAMP
 # defaults to today) and bench-e2e-compare's verdicts are printed last.
-# ~4 min a pair.
+# ~4 min a pair. CPUS=0 runs both sides under `taskset -c 0`, so every
+# workload runs at GOMAXPROCS 1: a claim's one-CPU addendum.
 PAIRS ?= 10
+CPUS ?=
 
 bench-e2e-pairs:
 	@if [ -z "$(PARENT)" ]; then \
-		echo "bench-e2e-pairs: need PARENT=<rev> [PAIRS=10] [STAMP=yyyymmdd]"; exit 2; fi
-	PAIRS=$(PAIRS) ./scripts/e2e_pairs.sh $(PARENT)
+		echo "bench-e2e-pairs: need PARENT=<rev> [PAIRS=10] [STAMP=yyyymmdd] [CPUS=<list>]"; exit 2; fi
+	PAIRS=$(PAIRS) CPUS=$(CPUS) ./scripts/e2e_pairs.sh $(PARENT)

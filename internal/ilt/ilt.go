@@ -38,6 +38,7 @@ import (
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
+	"mosaic/internal/par"
 	"mosaic/internal/sim"
 	"mosaic/internal/sraf"
 )
@@ -258,6 +259,9 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be an even integer in [2, %d], got %g", maxGamma, cfg.Gamma)}
 	case cfg.GradTol < 0:
 		return &ConfigError{Field: "GradTol", Reason: fmt.Sprintf("must be >= 0, got %g", cfg.GradTol)}
+	case cfg.GradKernels < 0:
+		// Every negative count would run as 0, under a cache key of its own.
+		return &ConfigError{Field: "GradKernels", Reason: fmt.Sprintf("must be >= 0 (0 is the Eq. 21 combined kernel), got %d", cfg.GradKernels)}
 	case cfg.Jumps < 0:
 		return &ConfigError{Field: "Jumps", Reason: fmt.Sprintf("must be >= 0, got %d", cfg.Jumps)}
 	case cfg.MaxIter <= 0:
@@ -440,6 +444,8 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			iterSpan.Exclude(diagDur)
 			diagSec += diagDur.Seconds()
 			if err != nil {
+				grid.Put(grad)
+				endIter()
 				return nil, err
 			}
 			st.EPEViolations = rep.EPEViolations
@@ -506,10 +512,18 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			endIter()
 			break
 		}
-		p.AddScaled(grad, -step/scale)
+		// The step and Eq. 8, one pass over each row band.
+		s := -step / scale
+		par.For(pixelBands, func(b int) {
+			lo, hi := band(b, mask.W)
+			pb, g := p.Data[lo:hi], grad.Data[lo:hi]
+			for i, gv := range g {
+				pb[i] += s * gv
+			}
+			maskFromParamsInto(mask.Data[lo:hi], pb)
+		})
 		grid.Put(grad)
 		step *= stepDecay
-		maskFromParamsInto(mask, p)
 		endIter()
 	}
 
@@ -606,15 +620,27 @@ func paramsFromMask(m *grid.Field, eps float64) *grid.Field {
 
 // maskFromParams applies Eq. 8.
 func maskFromParams(p *grid.Field) *grid.Field {
-	return maskFromParamsInto(grid.NewLike(p), p)
+	m := grid.NewLike(p)
+	maskFromParamsInto(m.Data, p.Data)
+	return m
 }
 
-// maskFromParamsInto applies Eq. 8 into dst, letting the descent loop
-// reuse one mask buffer across iterations instead of allocating N^2 per
-// step.
-func maskFromParamsInto(dst, p *grid.Field) *grid.Field {
-	for i, v := range p.Data {
-		dst.Data[i] = 1 / (1 + math.Exp(-thetaM*v))
+// maskFromParamsInto applies Eq. 8 to the pixels p into dst, letting the
+// descent loop reuse one mask buffer across iterations, a row band at a
+// time.
+func maskFromParamsInto(dst, p []float64) {
+	for i, v := range p {
+		dst[i] = 1 / (1 + math.Exp(-thetaM*v))
 	}
-	return dst
+}
+
+// pixelBands is the number of fixed row bands the proxy band count and the
+// step are split into. It is a constant, not the core count: a band is the
+// unit a core claims, every pixel is one band's alone, and the only sum
+// across bands is an integer count, so no bit depends on it.
+const pixelBands = 8
+
+// band returns the pixel range [lo, hi) of row band b of an n x n grid.
+func band(b, n int) (lo, hi int) {
+	return b * n / pixelBands * n, (b + 1) * n / pixelBands * n
 }

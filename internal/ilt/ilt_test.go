@@ -66,10 +66,11 @@ func TestNewValidation(t *testing.T) {
 		{"Gamma", with(func(c *Config) { c.Gamma = 4.5 })}, // truncated to 4
 		{"Gamma", with(func(c *Config) { c.Gamma = 1e300 })},
 		{"MaxIter", with(func(c *Config) { c.MaxIter = 0 })},
-		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},            // unbounded jumps
-		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},     // never converges
-		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })}, // corners swap
-		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},     // inner corner at dose 0
+		{"GradKernels", with(func(c *Config) { c.GradKernels = -1 })}, // runs as 0 under another key
+		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},             // unbounded jumps
+		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},      // never converges
+		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })},  // corners swap
+		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},      // inner corner at dose 0
 	} {
 		_, err := New(s, tc.cfg)
 		var ce *ConfigError
@@ -89,16 +90,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// FuzzConfigValidate: an optimizer config with arbitrary float fields is
-// either refused with a *ConfigError or runs — two iterations on a 32-px
-// simulator — to a finite gray mask. A NaN, a hang or a panic from a value
-// Validate let through fails.
+// FuzzConfigValidate: an optimizer config with arbitrary float fields and
+// gradient kernel count is either refused with a *ConfigError or runs —
+// two iterations on a 32-px simulator — to a finite gray mask. A NaN, a
+// hang or a panic from a value Validate let through fails.
 func FuzzConfigValidate(f *testing.F) {
 	for _, mode := range []Mode{ModeFast, ModeExact} {
 		d := DefaultConfig(mode)
-		f.Add(mode == ModeExact, d.Beta, d.Gamma, d.GradTol, d.DefocusNM, d.DoseDelta)
+		f.Add(mode == ModeExact, d.Beta, d.Gamma, d.GradTol, d.DefocusNM, d.DoseDelta, d.GradKernels)
 	}
-	f.Add(false, 0.35, 6.0, 0.0, 0.0, 0.0)
+	f.Add(false, 0.35, 6.0, 0.0, 0.0, 0.0, 0)
+	f.Add(false, 0.35, 4.0, 1e-5, 25.0, 0.02, -1)
 	c := optics.Default()
 	c.GridSize = 32
 	c.PixelNM = 16
@@ -110,7 +112,7 @@ func FuzzConfigValidate(f *testing.F) {
 		geom.Rect{X: 160, Y: 144, W: 96, H: 224}.Polygon(),
 		geom.Rect{X: 304, Y: 144, W: 48, H: 224}.Polygon(),
 	}}
-	f.Fuzz(func(t *testing.T, exact bool, beta, gamma, gradTol, defocus, doseDelta float64) {
+	f.Fuzz(func(t *testing.T, exact bool, beta, gamma, gradTol, defocus, doseDelta float64, gradKernels int) {
 		cfg := DefaultConfig(ModeFast)
 		if exact {
 			cfg = DefaultConfig(ModeExact)
@@ -118,6 +120,7 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.MaxIter = 2
 		cfg.Beta, cfg.Gamma, cfg.GradTol = beta, gamma, gradTol
 		cfg.DefocusNM, cfg.DoseDelta = defocus, doseDelta
+		cfg.GradKernels = gradKernels
 		o, err := New(s, cfg)
 		if err != nil {
 			var ce *ConfigError

@@ -60,7 +60,7 @@ func (o *Optimizer) buildFocusModel(corners []sim.Corner, g sim.FocusGroup) (foc
 	for _, ci := range g.Members {
 		m.doses = append(m.doses, corners[ci].Dose)
 	}
-	if o.Cfg.GradKernels <= 0 {
+	if o.Cfg.GradKernels == 0 {
 		m.stack = sim.CombinedStack(ks)
 		return m, nil
 	}
@@ -97,8 +97,8 @@ type iterState struct {
 	pvb      []float64     // F_pvb term per corner; slot 0, the nominal, stays 0
 	epeW     *grid.Field   // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
 
-	printed  []*grid.Field // descent step: hard print per corner, for the proxy PV band
-	proxyEPE int           // descent step: EPE violations on the nominal aerial image
+	bandPx   int // descent step: pixels whose hard prints disagree across the corners (the proxy PV band)
+	proxyEPE int // descent step: EPE violations on the nominal aerial image
 
 	objective float64
 	fTarget   float64
@@ -127,12 +127,10 @@ func (st *iterState) release() {
 			fs.i = nil
 		}
 	}
-	for _, fs := range [][]*grid.Field{st.z, st.printed} {
-		for i, f := range fs {
-			if f != nil {
-				grid.Put(f)
-				fs[i] = nil
-			}
+	for i, f := range st.z {
+		if f != nil {
+			grid.Put(f)
+			st.z[i] = nil
 		}
 	}
 	if st.epeW != nil {
@@ -143,14 +141,15 @@ func (st *iterState) release() {
 
 // evalState evaluates the objective of the configured mode for mask and,
 // with adjoint set (a descent step, not the warm-start probe), the band
-// blocks of its gradient and the proxy prints. It runs five task lists in
+// blocks of its gradient and the proxy metrics. It runs five task lists in
 // turn, each parallel over outputs its tasks write alone:
 //
 //  1. the field of every transform unit of every plane, one list;
 //  2. per plane, the fold of its fields and the interpolation to the mask
 //     grid (sim.ImagingGrid.Fold);
 //  3. per corner, the sigmoid print at its dose and its objective term and,
-//     in a descent step, its hard print;
+//     in a descent step, the proxy band count of each of the pixelBands
+//     row bands (cornerList);
 //  4. per plane, its corners' summed sensitivity restricted to the imaging
 //     grid;
 //  5. the adjoint band block of every unit of every live plane, one list.
@@ -158,32 +157,20 @@ func (st *iterState) release() {
 // One list over all planes' units lets a paired best-focus plane, which has
 // fewer units, share the cores with the others instead of finishing first
 // and idling. Every sum — a plane's fold, the corner terms below, the band
-// blocks in gradient — is folded serially and in index order, so the bits
-// do not depend on the core count.
+// blocks in gradient — is folded serially and in index order, and the
+// proxy band's are integer counts, so the bits do not depend on the core
+// count.
 func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample, adjoint bool) *iterState {
 	// All models share the optics configuration, hence the same frequency
 	// block half-width.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].ig.K)}
 	st.planes = make([]focusState, len(models))
 	var units []planeIndex // every transform unit, plane by plane
-	corners := 0
-	for _, m := range models {
-		corners += len(m.Members)
-	}
-	cornerOf := make([]planeIndex, corners) // plane and member of each corner
 	for p, m := range models {
 		st.planes[p] = focusState{model: m, fields: make([]*grid.CField, len(m.stack.Units()))}
 		for u := range m.stack.Units() {
 			units = append(units, planeIndex{p, u})
 		}
-		for j, ci := range m.Members {
-			cornerOf[ci] = planeIndex{p, j}
-		}
-	}
-	st.z = make([]*grid.Field, corners)
-	st.pvb = make([]float64, corners)
-	if adjoint {
-		st.printed = make([]*grid.Field, corners)
 	}
 
 	par.For(len(units), func(i int) {
@@ -196,13 +183,7 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 		fs.i = fs.model.ig.Fold(fs.model.stack, fs.fields)
 		sp.End()
 	})
-	par.For(corners, func(ci int) {
-		o.corner(st, ci, &st.planes[cornerOf[ci].plane], cornerOf[ci].i, target, samples, adjoint)
-	})
-	for _, f := range st.pvb[1:] {
-		st.fPvb += f
-	}
-	st.objective = st.fTarget + o.Cfg.Beta*st.fPvb
+	o.cornerList(st, target, samples, adjoint)
 	if !adjoint {
 		return st
 	}
@@ -230,11 +211,55 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 // planeIndex names the i-th unit or member of a focus plane.
 type planeIndex struct{ plane, i int }
 
+// cornerList is the third task list of evalState, run once every plane's
+// intensity is on the mask grid: every corner's task (corner) and, in a
+// descent step, after them, the proxy band count of each of the pixelBands
+// row bands, which the corner tasks leave a core for (three corners on two
+// cores). It sums the objective from the corner terms.
+func (o *Optimizer) cornerList(st *iterState, target *grid.Field, samples []geom.Sample, adjoint bool) {
+	corners := 0
+	for _, fs := range st.planes {
+		corners += len(fs.model.Members)
+	}
+	cornerOf := make([]planeIndex, corners) // plane and member of each corner
+	for p, fs := range st.planes {
+		for j, ci := range fs.model.Members {
+			cornerOf[ci] = planeIndex{p, j}
+		}
+	}
+	st.z = make([]*grid.Field, corners)
+	st.pvb = make([]float64, corners)
+	var exps []metrics.Exposure // descent step: every corner's intensity and dose, in corner order
+	var counts []int            // descent step: the proxy band's pixels per row band
+	if adjoint {
+		exps = make([]metrics.Exposure, corners)
+		for ci, pj := range cornerOf {
+			fs := &st.planes[pj.plane]
+			exps[ci] = metrics.Exposure{I: fs.i.Data, Dose: fs.model.doses[pj.i]}
+		}
+		counts = make([]int, pixelBands)
+	}
+	par.For(corners+len(counts), func(t int) {
+		if t < corners {
+			o.corner(st, t, &st.planes[cornerOf[t].plane], cornerOf[t].i, target, samples, adjoint)
+			return
+		}
+		lo, hi := band(t-corners, target.W)
+		counts[t-corners] = metrics.BandPixels(o.Sim.Resist, exps, lo, hi)
+	})
+	for _, c := range counts {
+		st.bandPx += c
+	}
+	for _, f := range st.pvb[1:] {
+		st.fPvb += f
+	}
+	st.objective = st.fTarget + o.Cfg.Beta*st.fPvb
+}
+
 // corner is the task of corner ci, member j of plane fs, in evalState: its
-// sigmoid print and objective term and, in a descent step, its hard print
-// for the proxy PV band (see proxyMetrics). Corner 0, the nominal
-// condition, owns the design-target term, the EPE weight map and the proxy
-// violation count.
+// sigmoid print and objective term. Corner 0, the nominal condition, owns
+// the design-target term, the EPE weight map and, in a descent step, the
+// proxy violation count (see proxyMetrics).
 func (o *Optimizer) corner(st *iterState, ci int, fs *focusState, j int, target *grid.Field, samples []geom.Sample, adjoint bool) {
 	dose := fs.model.doses[j]
 	st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(fs.i.W, fs.i.H), fs.i, dose)
@@ -246,11 +271,7 @@ func (o *Optimizer) corner(st *iterState, ci int, fs *focusState, j int, target 
 	case o.Cfg.Mode == ModeExact:
 		st.fTarget, st.epeW = o.epeObjective(st.z[0], target, samples)
 	}
-	if !adjoint {
-		return
-	}
-	st.printed[ci] = o.Sim.Resist.PrintInto(grid.Get(fs.i.W, fs.i.H), fs.i, dose)
-	if ci == 0 {
+	if adjoint && ci == 0 {
 		res := metrics.MeasureEPE(fs.i, 1, o.Sim.Resist.Threshold, o.Sim.Cfg.PixelNM, samples, o.metricParams())
 		st.proxyEPE = metrics.CountViolations(res)
 	}
@@ -357,12 +378,13 @@ func (o *Optimizer) epeObjective(z, target *grid.Field, samples []geom.Sample) (
 // proxyMetrics estimates the true Eq. 7 quantities from the intensities
 // a descent step imaged through the descent's own kernel stack
 // (GradKernels SOCS kernels; Eq. 21 only at GradKernels 0): EPE violations
-// measured on the nominal aerial image and the PV-band area from hard
-// prints at every corner, both made by the corner tasks of evalState. They
+// measured on the nominal aerial image and the PV-band area of the hard
+// prints at every corner, both counted in evalState's corner list. They
 // cost no extra transform, and drive best-iterate selection (Alg. 1
 // line 9).
 func (o *Optimizer) proxyMetrics(st *iterState) (epe int, pvbNM2 float64) {
-	return st.proxyEPE, metrics.PVBandArea(st.printed, o.Sim.Cfg.PixelNM)
+	px := o.Sim.Cfg.PixelNM
+	return st.proxyEPE, float64(st.bandPx) * px * px
 }
 
 // sensitivity is one focus plane's share of the gradient dF/dM up to the

@@ -176,17 +176,32 @@ func PVBand(printed []*grid.Field, pixelNM float64) (band *grid.Field, areaNM2 f
 	return band, float64(count) * pixelNM * pixelNM
 }
 
-// PVBandArea is PVBand without the band image: only the area in nm^2, for
-// callers that score every iteration and would discard the field.
-func PVBandArea(printed []*grid.Field, pixelNM float64) float64 {
-	if len(printed) == 0 {
-		panic("metrics: PVBandArea needs at least one printed image")
+// Exposure is one process corner's aerial intensity (before dose) and its
+// dose: the inputs of the corner's hard print (resist.Model.Prints).
+type Exposure struct {
+	I    []float64
+	Dose float64
+}
+
+// BandPixels counts the pixels of [lo, hi) that rm prints under some but
+// not all of the exposures: the pixels of PVBand's band over the images
+// rm.Print would make, counted over a row range without printing them.
+func BandPixels(rm resist.Model, exps []Exposure, lo, hi int) int {
+	count := 0
+	for i := lo; i < hi; i++ {
+		on := rm.Prints(exps[0].I[i], exps[0].Dose)
+		for _, e := range exps[1:] {
+			if rm.Prints(e.I[i], e.Dose) != on {
+				count++
+				break
+			}
+		}
 	}
-	return float64(bandPixels(printed, nil)) * pixelNM * pixelNM
+	return count
 }
 
 // bandPixels counts the pixels printed under some but not all of the
-// images and, when mark is non-nil, sets mark to 1 at each of them.
+// images and sets mark to 1 at each of them.
 func bandPixels(printed []*grid.Field, mark []float64) int {
 	count := 0
 	for i, v := range printed[0].Data {
@@ -198,9 +213,7 @@ func bandPixels(printed []*grid.Field, mark []float64) int {
 		}
 		if some && !all {
 			count++
-			if mark != nil {
-				mark[i] = 1
-			}
+			mark[i] = 1
 		}
 	}
 	return count

@@ -157,24 +157,26 @@ func TestPVBandIdenticalCorners(t *testing.T) {
 	}
 }
 
-// TestPVBandAreaMatchesPVBand pins the count-only form to the band image:
-// the same pixels, hence the same area bit for bit, on random prints.
-func TestPVBandAreaMatchesPVBand(t *testing.T) {
+// TestBandPixelsMatchesPVBand pins the count over intensities to the band
+// image over hard prints: on random intensities and doses, PVBand's band
+// holds exactly the pixels printed under some but not all of the corners,
+// and BandPixels counts the same pixels in any row range, so the whole
+// grid's count gives PVBand's area bit for bit.
+func TestBandPixelsMatchesPVBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	rm := resist.Default()
 	for trial := 0; trial < 20; trial++ {
-		printed := make([]*grid.Field, 1+rng.Intn(4))
-		for i := range printed {
-			printed[i] = grid.New(16, 16)
-			for j := range printed[i].Data {
-				if rng.Intn(2) == 1 {
-					printed[i].Data[j] = 1
-				}
+		exps := make([]Exposure, 1+rng.Intn(4))
+		printed := make([]*grid.Field, len(exps))
+		for c := range exps {
+			in := grid.New(16, 16)
+			for j := range in.Data {
+				in.Data[j] = 2 * rm.Threshold * rng.Float64()
 			}
+			exps[c] = Exposure{I: in.Data, Dose: 0.9 + 0.2*rng.Float64()}
+			printed[c] = rm.Print(in, exps[c].Dose)
 		}
 		band, area := PVBand(printed, 3)
-		if got := PVBandArea(printed, 3); got != area {
-			t.Fatalf("trial %d: PVBandArea %g, PVBand area %g", trial, got, area)
-		}
 		for j := range band.Data {
 			some, all := false, true
 			for _, z := range printed {
@@ -188,6 +190,18 @@ func TestPVBandAreaMatchesPVBand(t *testing.T) {
 			if band.Data[j] != want {
 				t.Fatalf("trial %d pixel %d: band %g, want %g", trial, j, band.Data[j], want)
 			}
+		}
+		if got := float64(BandPixels(rm, exps, 0, len(band.Data))) * 3 * 3; got != area {
+			t.Fatalf("trial %d: BandPixels area %g, PVBand area %g", trial, got, area)
+		}
+		lo := 16 * rng.Intn(16)
+		hi := lo + 16*rng.Intn(17-lo/16)
+		want := 0
+		for _, v := range band.Data[lo:hi] {
+			want += int(v)
+		}
+		if got := BandPixels(rm, exps, lo, hi); got != want {
+			t.Fatalf("trial %d: BandPixels over [%d, %d) is %d, the band holds %d", trial, lo, hi, got, want)
 		}
 	}
 }

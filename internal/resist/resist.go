@@ -45,6 +45,10 @@ func (m Model) Sigmoid(i float64) float64 {
 	return 1 / (1 + math.Exp(-m.ThetaZ*(i-m.Threshold)))
 }
 
+// Prints reports whether the resist prints at intensity i under dose: the
+// hard threshold of Eq. 3 at a single pixel.
+func (m Model) Prints(i, dose float64) bool { return i*dose > m.Threshold }
+
 // Print applies the hard threshold of Eq. 3 to an aerial image scaled by
 // dose, producing a binary printed pattern.
 func (m Model) Print(i *grid.Field, dose float64) *grid.Field {
@@ -57,9 +61,8 @@ func (m Model) PrintInto(dst, i *grid.Field, dose float64) *grid.Field {
 	if dst.W != i.W || dst.H != i.H {
 		panic("resist: dimension mismatch in PrintInto")
 	}
-	thr := m.Threshold
 	for idx, v := range i.Data {
-		if v*dose > thr {
+		if m.Prints(v, dose) {
 			dst.Data[idx] = 1
 		} else {
 			dst.Data[idx] = 0

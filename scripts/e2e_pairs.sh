@@ -16,15 +16,19 @@
 # run from scratch directories because the checkout's side of a 1.5 ms
 # median read ≈ 8 % slow against an archived parent (PRs 17–20).
 #
-# Environment: PAIRS (10) and STAMP (the output name; today, yyyymmdd).
-# Every run is the full benchmark — all four workloads at its own run
-# length. Needs git, tar, awk and a POSIX shell.
+# Environment: PAIRS (10), STAMP (the output name; today, yyyymmdd) and
+# CPUS, a `taskset -c` CPU list (e.g. CPUS=0) both sides then run under:
+# the harness sizes itself by the affinity mask, so with one CPU every
+# workload runs at GOMAXPROCS 1 — the one-CPU addendum of a claim. Every
+# run is the full benchmark — all four workloads at its own run length.
+# Needs git, tar, awk and a POSIX shell, and taskset when CPUS is set.
 set -eu
 
 PARENT="${1:?usage: scripts/e2e_pairs.sh PARENT_REV}"
 PAIRS="${PAIRS:-10}"
 SEED0=1601
 STAMP="${STAMP:-$(date +%Y%m%d)}"
+CPUS="${CPUS:-}"
 cd "$(dirname "$0")/.."
 OUT_PARENT="results/E2E_${STAMP}_parent.json"
 OUT_CHANGE="results/E2E_${STAMP}_change.json"
@@ -42,10 +46,10 @@ trap 'rm -rf "$TMP"' EXIT INT TERM
 mkdir "$TMP/parent" "$TMP/change" "$TMP/sets"
 git archive "$PARENT" | tar -x -C "$TMP/parent"
 git archive "$CHANGE" | tar -x -C "$TMP/change"
-echo "e2e-pairs: parent $(git rev-parse --short "$PARENT") and change $(git rev-parse --short "$CHANGE") under $TMP, $PAIRS pairs from seed $SEED0"
+echo "e2e-pairs: parent $(git rev-parse --short "$PARENT") and change $(git rev-parse --short "$CHANGE") under $TMP, $PAIRS pairs from seed $SEED0${CPUS:+, on CPUs $CPUS}"
 
 run_side() { # $1 = parent|change, $2 = pair, $3 = seed
-    bash "$TMP/$1/benchmark/run.sh" run --seeds "$3" --out "$TMP/sets/$1_$2.json" 2>&1 | sed "s/^/  $1: /"
+    ${CPUS:+taskset -c "$CPUS"} bash "$TMP/$1/benchmark/run.sh" run --seeds "$3" --out "$TMP/sets/$1_$2.json" 2>&1 | sed "s/^/  $1: /"
     [ -s "$TMP/sets/$1_$2.json" ] || { echo "e2e-pairs: $1 run of pair $2 failed" >&2; exit 1; }
 }
 
