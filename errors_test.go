@@ -3,7 +3,12 @@ package mosaic
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
+
+	"mosaic/internal/opc"
+	"mosaic/internal/sim"
+	"mosaic/internal/tile"
 )
 
 func TestErrUnknownBenchmark(t *testing.T) {
@@ -118,5 +123,104 @@ func TestEvaluateCtxCanceled(t *testing.T) {
 	cancel()
 	if _, err := s.EvaluateCtx(ctx, mask, layout, 0); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
+	}
+}
+
+// TestEveryEntryPointRefusesABadLayout: one gate for every clip-level and
+// layout-level call. A nil layout and one Layout.Validate refuses are a
+// *ConfigError on Layout from each of them, as from OptimizeLayout; none
+// panics and none scores what it cannot run.
+func TestEveryEntryPointRefusesABadLayout(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := DefaultConfig(ModeFast)
+	mask := smallLayout().Rasterize(s.Sim.Cfg.GridSize, s.Sim.Cfg.PixelNM)
+	calls := map[string]func(*Layout) error{
+		"OptimizeLayout": func(l *Layout) error { _, err := s.OptimizeLayout(ctx, cfg, l, TileOptions{}); return err },
+		"Optimize":       func(l *Layout) error { _, err := s.Optimize(cfg, l); return err },
+		"OptimizeCtx":    func(l *Layout) error { _, err := s.OptimizeCtx(ctx, cfg, l); return err },
+		"Evaluate":       func(l *Layout) error { _, err := s.Evaluate(mask, l, 0); return err },
+		"EvaluateCtx":    func(l *Layout) error { _, err := s.EvaluateCtx(ctx, mask, l, 0); return err },
+		"EvaluateLayout": func(l *Layout) error { _, err := s.EvaluateLayout(mask, l, TileOptions{}, 0); return err },
+		"EvaluateLayoutCtx": func(l *Layout) error {
+			_, err := s.EvaluateLayoutCtx(ctx, mask, l, TileOptions{}, 0)
+			return err
+		},
+		"Run": func(l *Layout) error { _, err := s.Run(Methods()[0], l); return err },
+	}
+	skewed := &Layout{Name: "skewed", SizeNM: 512, Polys: []Polygon{
+		{{X: 0, Y: 0}, {X: 40, Y: 40}, {X: 40, Y: 0}, {X: 0, Y: 40}},
+	}}
+	for name, call := range calls {
+		for _, l := range []*Layout{nil, skewed} {
+			var ce *ConfigError
+			if err := call(l); !errors.As(err, &ce) || ce.Field != "Layout" {
+				t.Errorf("%s(%v): got %v, want a *ConfigError on Layout", name, l, err)
+			}
+		}
+	}
+}
+
+// TestEvaluateLayoutScoresThePlan: a sharding TileNM on a layout the setup
+// grid covers is scored under that plan, as OptimizeLayout made the mask —
+// bit for bit the plan's own tiled report, never the untiled one.
+func TestEvaluateLayoutScoresThePlan(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := smallLayout()
+	opts := TileOptions{TileNM: layout.SizeNM / 2}
+	res, err := s.OptimizeLayout(context.Background(), warmCfg(2), layout, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Tiled {
+		t.Fatal("the run was not sharded")
+	}
+	got, err := s.EvaluateLayout(res.Mask, layout, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tile.NewPlan(layout, s.Sim.Cfg.PixelNM, opts.TileNM, tile.DefaultHaloNM(s.Sim.Cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := sim.New(plan.WindowOptics(s.Sim.Cfg), s.Sim.Resist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.Evaluate(ws, res.Mask, s.Params, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.EPEViolations != want.EPEViolations || got.PVBandNM2 != want.PVBandNM2 ||
+		got.ShapeViolations != want.ShapeViolations || got.Score != want.Score {
+		t.Fatalf("EvaluateLayout: EPE %d PVB %g shape %d score %g; the plan: EPE %d PVB %g shape %d score %g",
+			got.EPEViolations, got.PVBandNM2, got.ShapeViolations, got.Score,
+			want.EPEViolations, want.PVBandNM2, want.ShapeViolations, want.Score)
+	}
+	for i, v := range want.AerialNominal.Data {
+		if got.AerialNominal.Data[i] != v {
+			t.Fatalf("nominal aerial image differs from the plan's at pixel %d", i)
+		}
+	}
+}
+
+// TestRunAndEvaluateErrorWrapping: a method's failure is Run's error,
+// naming the method and the clip.
+func TestRunAndEvaluateErrorWrapping(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := opc.NewModelBased()
+	m.MaxIter = 0
+	_, err = s.Run(m, smallLayout())
+	if err == nil || !strings.Contains(err.Error(), "ModelBased on api-test") {
+		t.Fatalf("got %v, want the method's error naming ModelBased and api-test", err)
 	}
 }

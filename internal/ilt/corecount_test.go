@@ -88,7 +88,7 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask.W))})
 				st.release()
 			}
-			res, err := o.Run(layout)
+			res, err := run(o, layout)
 			if err != nil {
 				t.Fatal(err)
 			}

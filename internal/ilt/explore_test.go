@@ -12,7 +12,7 @@ func TestExploreConvergence(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	o.Cfg.TrackMetrics = true
 	o.Cfg.MaxIter = 15
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}

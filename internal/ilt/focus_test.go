@@ -241,7 +241,7 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 			}
 		}
 		inv0, fwd0, pts0, it0 := inverse.Value(), forward.Value(), points.Value(), iterations.Value()
-		if _, err := o.Run(layout); err != nil {
+		if _, err := run(o, layout); err != nil {
 			t.Fatal(err)
 		}
 		iters := iterations.Value() - it0

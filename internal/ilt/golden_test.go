@@ -69,7 +69,7 @@ func TestGoldenBenchmarkMasks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := o.Run(layout)
+				res, err := run(o, layout)
 				if err != nil {
 					t.Fatal(err)
 				}

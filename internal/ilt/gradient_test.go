@@ -1,6 +1,7 @@
 package ilt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,6 +12,19 @@ import (
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 )
+
+// run optimizes a clip o's grid covers as tile.RunWindow does a
+// one-window plan: RunRasterCtx on the clip's raster and its EPE samples
+// at the scorer's pitch.
+func run(o *Optimizer, layout *geom.Layout) (*Result, error) {
+	return runCtx(context.Background(), o, layout)
+}
+
+// runCtx is run under a context.
+func runCtx(ctx context.Context, o *Optimizer, layout *geom.Layout) (*Result, error) {
+	target := layout.Rasterize(o.Sim.Cfg.GridSize, o.Sim.Cfg.PixelNM)
+	return o.RunRasterCtx(ctx, layout, target, layout.SamplePoints(metrics.DefaultParams().EPESampleNM))
+}
 
 func testOptimizer(t *testing.T, mode Mode) (*Optimizer, *geom.Layout) {
 	t.Helper()

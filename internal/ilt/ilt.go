@@ -310,36 +310,14 @@ func (o *Optimizer) InitialMask(target *grid.Field) *grid.Field {
 	return target.Clone()
 }
 
-// Run optimizes the mask for layout and returns the result. The layout is
-// rasterized onto the simulator grid; EPE samples are generated at the
-// scorer's pitch (metrics.DefaultParams).
-func (o *Optimizer) Run(layout *geom.Layout) (*Result, error) {
-	return o.RunCtx(context.Background(), layout)
-}
-
-// RunCtx is Run under a context: the descent loop checks ctx between
+// RunRasterCtx optimizes against a pre-rasterized target and an explicit
+// EPE sample set, both on the simulator grid: the optimizer's one entry
+// point, reached through tile.RunWindow, which rasterizes each clipped
+// window itself and assigns full-layout samples to windows — resampling
+// the clipped geometry would let artificial cut edges at window borders
+// spawn spurious EPE constraints. The descent loop checks ctx between
 // iterations, so cancellation (or a deadline) stops the run within one
 // iteration and returns an error wrapping ctx.Err().
-func (o *Optimizer) RunCtx(ctx context.Context, layout *geom.Layout) (*Result, error) {
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("ilt: invalid layout: %w", err)
-	}
-	n := o.Sim.Cfg.GridSize
-	px := o.Sim.Cfg.PixelNM
-	if got := float64(n) * px; math.Abs(got-layout.SizeNM) > 1e-9 {
-		return nil, fmt.Errorf("ilt: grid covers %g nm but layout clip is %g nm", got, layout.SizeNM)
-	}
-	target := layout.Rasterize(n, px)
-	samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
-	return o.runRaster(ctx, layout, target, samples)
-}
-
-// RunRasterCtx optimizes against a pre-rasterized target and an explicit
-// EPE sample set, both on the simulator grid, with RunCtx's cancellation
-// semantics. It is the entry point for the tile scheduler, which
-// rasterizes each clipped window itself and assigns full-layout samples to
-// windows — resampling the clipped geometry would let artificial cut edges
-// at window borders spawn spurious EPE constraints.
 func (o *Optimizer) RunRasterCtx(ctx context.Context, layout *geom.Layout, target *grid.Field, samples []geom.Sample) (*Result, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, fmt.Errorf("ilt: invalid layout: %w", err)

@@ -129,7 +129,7 @@ func FuzzConfigValidate(f *testing.F) {
 			}
 			return
 		}
-		res, err := o.Run(layout)
+		res, err := run(o, layout)
 		if err != nil {
 			t.Fatalf("admitted config failed: %v", err)
 		}
@@ -172,13 +172,16 @@ func TestInitialMask(t *testing.T) {
 	}
 }
 
+// TestRunGridMismatch: a target raster off the simulator grid is refused.
+// A clip the grid does not cover is the façade's to refuse (ErrGridMismatch
+// from mosaic.Setup's checkFits); the optimizer checks what it is handed.
 func TestRunGridMismatch(t *testing.T) {
-	o, _ := testOptimizer(t, ModeFast)
-	wrong := &geom.Layout{Name: "w", SizeNM: 999, Polys: []geom.Polygon{
-		geom.Rect{X: 100, Y: 100, W: 50, H: 50}.Polygon(),
-	}}
-	if _, err := o.Run(wrong); err == nil {
-		t.Fatal("grid/layout size mismatch accepted")
+	o, layout := testOptimizer(t, ModeFast)
+	n := o.Sim.Cfg.GridSize
+	for i, target := range []*grid.Field{nil, grid.New(n/2, n/2), grid.New(n, n/2)} {
+		if _, err := o.RunRasterCtx(context.Background(), layout, target, nil); err == nil {
+			t.Errorf("target raster %d accepted on a %dx%d grid", i, n, n)
+		}
 	}
 }
 
@@ -187,14 +190,14 @@ func TestRunInvalidLayout(t *testing.T) {
 	bad := &geom.Layout{Name: "b", SizeNM: 512, Polys: []geom.Polygon{
 		{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 0}, {X: 2, Y: 2}},
 	}}
-	if _, err := o.Run(bad); err == nil {
+	if _, err := run(o, bad); err == nil {
 		t.Fatal("invalid layout accepted")
 	}
 }
 
 func TestRunImprovesOverNoOPC(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestRunImprovesOverNoOPC(t *testing.T) {
 func TestRunExactMode(t *testing.T) {
 	o, layout := testOptimizer(t, ModeExact)
 	o.Cfg.MaxIter = 10
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestRunExactMode(t *testing.T) {
 
 func TestBestIterateSelection(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +261,7 @@ func TestBestIterateSelection(t *testing.T) {
 func TestHistoryIterNumbers(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	o.Cfg.MaxIter = 5
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +282,7 @@ func TestTrackMetricsFillsStats(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	o.Cfg.MaxIter = 3
 	o.Cfg.TrackMetrics = true
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +303,7 @@ func TestIterationSpanExcludesDiagnostics(t *testing.T) {
 	o.Cfg.TrackMetrics = true
 	var trace bytes.Buffer
 	obs.StartTrace(&trace)
-	_, err := o.Run(layout)
+	_, err := run(o, layout)
 	obs.StopTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +347,7 @@ func TestJumpKeepsSearching(t *testing.T) {
 	o.Cfg.GradTol = 1e12
 	o.Cfg.Jumps = 3
 	o.Cfg.MaxIter = 10
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +355,7 @@ func TestJumpKeepsSearching(t *testing.T) {
 		t.Fatalf("iterations %d, want 4 (1 + 3 jumps)", res.Iterations)
 	}
 	o.Cfg.Jumps = 0
-	res, err = o.Run(layout)
+	res, err = run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +370,7 @@ func TestPlainQuadraticConfig(t *testing.T) {
 	o.Cfg.Gamma = 2
 	o.Cfg.Beta = 0
 	o.Cfg.MaxIter = 3
-	if _, err := o.Run(layout); err != nil {
+	if _, err := run(o, layout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -376,7 +379,7 @@ func TestOnIterFiresPerIteration(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	var got []IterStats
 	o.Cfg.OnIter = func(st IterStats) { got = append(got, st) }
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +404,7 @@ func TestOnIterFiresPerIteration(t *testing.T) {
 func TestRuntimeExcludesDiagnostics(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	o.Cfg.MaxIter = 3
-	res, err := o.Run(layout)
+	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +418,7 @@ func TestRuntimeExcludesDiagnostics(t *testing.T) {
 	o2, layout2 := testOptimizer(t, ModeFast)
 	o2.Cfg.MaxIter = 3
 	o2.Cfg.TrackMetrics = true
-	res2, err := o2.Run(layout2)
+	res2, err := run(o2, layout2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +450,7 @@ func TestCancelFromAnotherGoroutine(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := o.RunCtx(ctx, layout)
+		_, err := runCtx(ctx, o, layout)
 		errc <- err
 	}()
 	<-started

@@ -30,21 +30,19 @@ type focusModel struct {
 }
 
 // buildModels resolves the gradient kernel stack of every focus plane of
-// the process corner set. The builds are independent (the kernel cache is
-// single-flight per defocus), so cold-cache construction overlaps across
-// planes.
+// the process corner set. A run through a tile plan or a mosaic.Setup
+// finds both planes built (sim.BuildPlanes) and the stacks memoised, so
+// each lookup is a cache hit and a plain loop is all it takes.
 func (o *Optimizer) buildModels() ([]focusModel, error) {
 	corners := o.corners()
 	groups := sim.FocusGroups(corners)
 	models := make([]focusModel, len(groups))
-	errs := make([]error, len(groups))
-	par.For(len(groups), func(i int) {
-		models[i], errs[i] = o.buildFocusModel(corners, groups[i])
-	})
-	for _, err := range errs {
+	for i, g := range groups {
+		m, err := o.buildFocusModel(corners, g)
 		if err != nil {
 			return nil, err
 		}
+		models[i] = m
 	}
 	return models, nil
 }

@@ -23,7 +23,7 @@ func TestSeedMaskValidation(t *testing.T) {
 // rejected, and the run must be bit-identical to an unseeded one.
 func TestSeedRejectedBitIdentical(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	cold, err := o.Run(layout)
+	cold, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSeedRejectedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := seeded.Run(layout)
+	res, err := run(seeded, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSeedRejectedBitIdentical(t *testing.T) {
 // init) and must not score worse than the cold run.
 func TestSeedAcceptedConverges(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	cold, err := o.Run(layout)
+	cold, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSeedAcceptedConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := seeded.Run(layout)
+	res, err := run(seeded, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSeedAcceptedConverges(t *testing.T) {
 // (GradTol is far below reach in so few iterations).
 func TestObjTolPlateauStops(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	cold, err := o.Run(layout)
+	cold, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestObjTolPlateauStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := seeded.Run(layout)
+	res, err := run(seeded, layout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,17 +279,11 @@ type AerialFunc func(mask *grid.Field, c sim.Corner) (*grid.Field, error)
 // the optimization wall time to be folded into the score (pass 0 to score
 // quality only).
 func Evaluate(s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
-	return EvaluateCtx(context.Background(), s, mask, layout, p, runtimeSec)
+	return EvaluateWithCtx(context.Background(), s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
 }
 
-// EvaluateCtx is Evaluate under a context: cancellation is honored between
-// focus-plane simulations, so a canceled evaluation stops within one
-// plane's worth of work.
-func EvaluateCtx(ctx context.Context, s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
-	return EvaluateWithCtx(ctx, s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
-}
-
-// EvaluateWithCtx is EvaluateCtx with the forward imaging injected: aerial
+// EvaluateWithCtx is Evaluate with the forward imaging injected, under a
+// context: cancellation is honored between focus-plane simulations. aerial
 // forms the image at each corner, rm thresholds it, pixelNM scales areas
 // and EPE measurements. mask and the images aerial returns must share one
 // grid that covers layout at pixelNM resolution. Corners that share a

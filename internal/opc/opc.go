@@ -15,9 +15,9 @@
 package opc
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
@@ -25,6 +25,7 @@ import (
 	"mosaic/internal/metrics"
 	"mosaic/internal/sim"
 	"mosaic/internal/sraf"
+	"mosaic/internal/tile"
 )
 
 // Method is one mask synthesis approach: it turns a target layout into a
@@ -228,93 +229,41 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// PlainILT is the prior-work ILT baseline: gradient-descent pixel ILT with
-// the quadratic image-difference objective only (gamma = 2, beta = 0),
-// combined-kernel gradients and no SRAF seeding. It represents the class
-// of approaches in refs. [9]-[14] that "only optimized image contour".
-type PlainILT struct {
-	MaxIter int
+// ILT adapts an ilt configuration to the Method interface, so MOSAIC and
+// the PlainILT baseline run through one harness: each is tile.RunWindow,
+// the optimizer's one entry point, on the whole clip.
+type ILT struct {
+	Label string
+	Cfg   ilt.Config
 }
 
-// NewPlainILT returns the baseline with the paper's iteration budget.
-func NewPlainILT() *PlainILT { return &PlainILT{MaxIter: 20} }
-
-// Name implements Method.
-func (p *PlainILT) Name() string { return "PlainILT" }
-
-// Optimize implements Method.
-func (p *PlainILT) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Field, error) {
+// NewPlainILT returns the prior-work ILT baseline: gradient-descent pixel
+// ILT with the quadratic image-difference objective only (gamma = 2,
+// beta = 0), combined-kernel gradients and no SRAF seeding, under the
+// paper's iteration budget. It represents the class of approaches in refs.
+// [9]-[14] that "only optimized image contour".
+func NewPlainILT() *ILT {
 	cfg := ilt.DefaultConfig(ilt.ModeFast)
 	cfg.Gamma = 2
 	cfg.Beta = 0
 	cfg.SRAFInit = false
 	cfg.GradKernels = 0 // Eq. 21 combined kernel, as in prior fast-ILT work
-	if p.MaxIter > 0 {
-		cfg.MaxIter = p.MaxIter
-	}
-	o, err := ilt.New(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.Run(layout)
-	if err != nil {
-		return nil, err
-	}
-	return res.Mask, nil
-}
-
-// MOSAIC adapts an ilt configuration to the Method interface so MOSAIC and
-// the baselines run through one harness.
-type MOSAIC struct {
-	Cfg ilt.Config
+	return &ILT{Label: "PlainILT", Cfg: cfg}
 }
 
 // NewMOSAIC returns the paper's configuration for the given mode.
-func NewMOSAIC(mode ilt.Mode) *MOSAIC { return &MOSAIC{Cfg: ilt.DefaultConfig(mode)} }
+func NewMOSAIC(mode ilt.Mode) *ILT { return &ILT{Label: mode.String(), Cfg: ilt.DefaultConfig(mode)} }
 
 // Name implements Method.
-func (m *MOSAIC) Name() string { return m.Cfg.Mode.String() }
+func (m *ILT) Name() string { return m.Label }
 
-// Optimize implements Method.
-func (m *MOSAIC) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Field, error) {
-	o, err := ilt.New(s, m.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.Run(layout)
+// Optimize implements Method. A layout without polygons gets RunWindow's
+// shared, read-only all-dark mask.
+func (m *ILT) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Field, error) {
+	samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
+	res, err := tile.RunWindow(context.Background(), s, m.Cfg, layout, s.Cfg.GridSize, s.Cfg.PixelNM, samples)
 	if err != nil {
 		return nil, err
 	}
 	return res.Mask, nil
-}
-
-// RunResult is one (method, testcase) evaluation.
-type RunResult struct {
-	Method     string
-	Testcase   string
-	Mask       *grid.Field
-	RuntimeSec float64
-	Report     *metrics.Report
-}
-
-// RunAndEvaluate optimizes layout with method, times it, and evaluates the
-// mask with the full contest metrics.
-func RunAndEvaluate(s *sim.Simulator, method Method, layout *geom.Layout, p metrics.Params) (*RunResult, error) {
-	start := time.Now()
-	mask, err := method.Optimize(s, layout)
-	if err != nil {
-		return nil, fmt.Errorf("opc: %s on %s: %w", method.Name(), layout.Name, err)
-	}
-	elapsed := time.Since(start).Seconds()
-	rep, err := metrics.Evaluate(s, mask, layout, p, elapsed)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Method:     method.Name(),
-		Testcase:   layout.Name,
-		Mask:       mask,
-		RuntimeSec: elapsed,
-		Report:     rep,
-	}, nil
 }

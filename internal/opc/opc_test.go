@@ -100,7 +100,7 @@ func TestModelBasedValidation(t *testing.T) {
 func TestPlainILTRuns(t *testing.T) {
 	s, layout := testEnv(t)
 	p := NewPlainILT()
-	p.MaxIter = 5
+	p.Cfg.MaxIter = 5
 	mask, err := p.Optimize(s, layout)
 	if err != nil {
 		t.Fatal(err)
@@ -122,23 +122,6 @@ func TestMOSAICMethod(t *testing.T) {
 		if v != 0 && v != 1 {
 			t.Fatal("MOSAIC mask not binary")
 		}
-	}
-}
-
-func TestRunAndEvaluate(t *testing.T) {
-	s, layout := testEnv(t)
-	rr, err := RunAndEvaluate(s, NewRuleBased(), layout, metrics.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Method != "RuleBased" || rr.Testcase != "opc-test" {
-		t.Fatalf("identification wrong: %+v", rr)
-	}
-	if rr.RuntimeSec < 0 || rr.Report == nil {
-		t.Fatal("missing runtime or report")
-	}
-	if rr.Report.RuntimeSec != rr.RuntimeSec {
-		t.Fatal("runtime not threaded into the report")
 	}
 }
 
@@ -199,15 +182,5 @@ func TestMOSAICInvalidConfig(t *testing.T) {
 	m.Cfg.Beta = -1
 	if _, err := m.Optimize(s, layout); err == nil {
 		t.Fatal("invalid optimizer config accepted")
-	}
-}
-
-func TestRunAndEvaluateErrorWrapping(t *testing.T) {
-	s, _ := testEnv(t)
-	bad := &geom.Layout{Name: "bad", SizeNM: 512, Polys: []geom.Polygon{
-		{{X: 0, Y: 0}, {X: 5, Y: 5}, {X: 5, Y: 0}, {X: 0, Y: 5}},
-	}}
-	if _, err := RunAndEvaluate(s, NewRuleBased(), bad, metrics.DefaultParams()); err == nil {
-		t.Fatal("error not propagated")
 	}
 }

@@ -15,6 +15,8 @@ import (
 
 	"mosaic"
 	"mosaic/internal/httpapi"
+	"mosaic/internal/ilt"
+	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
 	"mosaic/internal/tile"
 )
@@ -302,6 +304,7 @@ func FuzzAdmit(f *testing.F) {
 		{body: `{"benchmark":"B1","grid":16,"tile_nm":256}`, grid: 16, tileNM: 256},
 		{body: `{"benchmark":"B1","max_iter":-3,"tile_workers":-1,"deadline_ms":-1}`, grid: 16, iter: -3, workers: -1},
 		{body: `{"benchmark":"B1","layout":"CLIP x 512"}`, grid: -16},
+		{body: `{"benchmark":"B1","deadline_ms":10000000000000}`, grid: 16},
 	} {
 		f.Add([]byte(seed.body), seed.grid, seed.iter, seed.tileNM, seed.workers)
 	}
@@ -319,6 +322,9 @@ func FuzzAdmit(f *testing.F) {
 			var ce *mosaic.ConfigError
 			switch {
 			case err == nil:
+				if d := spec.deadline(); d < 0 {
+					t.Fatalf("newJob(%s) admitted a deadline whose duration is %v", body, d)
+				}
 				runAdmitted(t, s.cfg.Optics, spec.Grid, j.layout, spec.config(), s.tileOptions(&spec))
 			case !errors.As(err, &ce) && spec.validate() == nil && !strings.HasPrefix(err.Error(), "parsing layout: ") && !errors.Is(err, mosaic.ErrUnknownBenchmark):
 				t.Fatalf("newJob(%s) refused with an untyped error that is not the API's own: %v", body, err)
@@ -343,7 +349,8 @@ func FuzzAdmit(f *testing.F) {
 }
 
 // runAdmitted holds Admit to its word on a request it let through: the run
-// completes, and a run of one window equals Optimize. Requests whose plan
+// completes, and a run of one window with geometry equals the bare
+// optimizer (ilt.New + RunRasterCtx) on the clip. Requests whose plan
 // is not small are left alone — admitted, but a fuzz iteration cannot
 // afford them.
 func runAdmitted(t *testing.T, base mosaic.OpticsConfig, grid int, layout *mosaic.Layout, cfg mosaic.Config, opts mosaic.TileOptions) {
@@ -367,16 +374,21 @@ func runAdmitted(t *testing.T, base mosaic.OpticsConfig, grid int, layout *mosai
 	if err != nil {
 		t.Fatalf("admitted, but OptimizeLayout(%+v, %+v) = %v", optics, opts, err)
 	}
-	if res.Tiled {
+	if res.Tiled || len(layout.Polys) == 0 {
 		return
 	}
-	want, err := setup.Optimize(cfg, layout)
+	o, err := ilt.New(setup.Sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := layout.Rasterize(optics.GridSize, optics.PixelNM)
+	want, err := o.RunRasterCtx(context.Background(), layout, target, layout.SamplePoints(metrics.DefaultParams().EPESampleNM))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range want.MaskGray.Data {
 		if res.MaskGray.Data[i] != v {
-			t.Fatalf("one-window run differs from Optimize at pixel %d (%+v, %+v)", i, optics, opts)
+			t.Fatalf("one-window run differs from the bare optimizer at pixel %d (%+v, %+v)", i, optics, opts)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -82,8 +83,20 @@ func (sp *JobSpec) validate() error {
 		return modeErr
 	case sp.DeadlineMS < 0:
 		return fmt.Errorf("deadline_ms %d is negative", sp.DeadlineMS)
+	case int64(sp.DeadlineMS) > maxDeadlineMS:
+		return fmt.Errorf("deadline_ms %d exceeds the longest deadline a job can hold, %d ms", sp.DeadlineMS, maxDeadlineMS)
 	}
 	return nil
+}
+
+// maxDeadlineMS is the longest deadline whose time.Duration does not
+// overflow: beyond it the duration wraps negative and the job would fail
+// the moment it starts.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// deadline is the spec's deadline as a duration; 0 means none.
+func (sp *JobSpec) deadline() time.Duration {
+	return time.Duration(sp.DeadlineMS) * time.Millisecond
 }
 
 // resolveLayout materializes the spec's target clip.

@@ -540,7 +540,7 @@ func (s *Server) runJob(ctx context.Context, cancel func(error), j *job) {
 	runCtx := ctx
 	if j.spec.DeadlineMS > 0 {
 		var stop context.CancelFunc
-		runCtx, stop = context.WithTimeout(ctx, time.Duration(j.spec.DeadlineMS)*time.Millisecond)
+		runCtx, stop = context.WithTimeout(ctx, j.spec.deadline())
 		defer stop()
 	}
 

@@ -287,6 +287,9 @@ func TestJobSpecValidate(t *testing.T) {
 		{"negative tile_workers", JobSpec{Benchmark: "B1", TileWorkers: -1}, false},
 		{"negative max_iter", JobSpec{Benchmark: "B1", MaxIter: -3}, false},
 		{"negative deadline_ms", JobSpec{Benchmark: "B1", DeadlineMS: -1}, false},
+		{"longest deadline_ms", JobSpec{Benchmark: "B1", DeadlineMS: int(maxDeadlineMS)}, true},
+		{"deadline_ms whose duration overflows", JobSpec{Benchmark: "B1", DeadlineMS: int(maxDeadlineMS) + 1}, false},
+		{"deadline_ms of 10^13", JobSpec{Benchmark: "B1", DeadlineMS: 1e13}, false},
 		{"neither benchmark nor layout", JobSpec{}, false},
 		{"both benchmark and layout", JobSpec{Benchmark: "B1", Layout: testLayoutText}, false},
 		{"any priority", JobSpec{Benchmark: "B1", Priority: -7}, true},

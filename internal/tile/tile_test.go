@@ -15,6 +15,23 @@ import (
 	"mosaic/internal/sim"
 )
 
+// bareRun is the bare optimizer on a clip s's grid covers — ilt.New and
+// RunRasterCtx on the clip's raster and EPE samples — the reference a
+// one-window plan reproduces.
+func bareRun(t *testing.T, s *sim.Simulator, cfg ilt.Config, l *geom.Layout) *ilt.Result {
+	t.Helper()
+	o, err := ilt.New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := l.Rasterize(s.Cfg.GridSize, s.Cfg.PixelNM)
+	res, err := o.RunRasterCtx(context.Background(), l, target, l.SamplePoints(metrics.DefaultParams().EPESampleNM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // testLayout is a 1024 nm clip with features crossing both interior seams
 // of a 2x2 tiling at 512 nm pitch, plus isolated features per quadrant.
 func testLayout() *geom.Layout {
@@ -335,14 +352,7 @@ func TestSingleTileBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o, err := ilt.New(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := o.Run(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := bareRun(t, s, cfg, l)
 	for i, v := range ref.Mask.Data {
 		if tiled.Mask.Data[i] != v {
 			t.Fatalf("single-tile mask differs from untiled at pixel %d", i)
@@ -388,14 +398,7 @@ func TestHaloSufficiency(t *testing.T) {
 
 	// Untiled reference: the whole 1024 nm layout on one 128 px grid.
 	full := testSim(t, 128)
-	o, err := ilt.New(full, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := o.Run(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := bareRun(t, full, cfg, l)
 	mp := metrics.DefaultParams()
 	refRep, err := metrics.Evaluate(full, ref.Mask, l, mp, 0)
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"time"
 
 	"mosaic/internal/artifact"
 	"mosaic/internal/bench"
@@ -68,8 +69,6 @@ type (
 	Report = metrics.Report
 	// Method is any mask synthesis approach (MOSAIC or a baseline).
 	Method = opc.Method
-	// RunResult is one (method, testcase) harness outcome.
-	RunResult = opc.RunResult
 	// TileRunner executes one tile of a sharded run; the default runs
 	// in-process (see TileOptions.Runner).
 	TileRunner = tile.Runner
@@ -208,7 +207,10 @@ func NewSetup(cfg OpticsConfig) (*Setup, error) {
 	return &Setup{Sim: s, Params: params}, nil
 }
 
-// Optimize runs the ILT optimizer with an explicit configuration.
+// Optimize runs the ILT optimizer with an explicit configuration on a
+// layout the setup grid covers: the one-window plan of OptimizeLayout, so
+// every rule and every bit is the pipeline's. A layout without polygons
+// gets the pipeline's shared, read-only all-dark result.
 func (s *Setup) Optimize(cfg Config, layout *Layout) (*Result, error) {
 	return s.OptimizeCtx(context.Background(), cfg, layout)
 }
@@ -221,12 +223,11 @@ func (s *Setup) OptimizeCtx(ctx context.Context, cfg Config, layout *Layout) (*R
 	if err := s.checkFits(layout); err != nil {
 		return nil, err
 	}
-	o, err := ilt.New(s.Sim, cfg)
+	res, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := o.RunCtx(ctx, layout)
-	return res, wrapCanceled(err)
+	return res.Tiles[0], nil
 }
 
 // OptimizeFast runs MOSAIC_fast with the paper's parameters.
@@ -247,23 +248,15 @@ func (s *Setup) Evaluate(mask *Field, layout *Layout, runtimeSec float64) (*Repo
 }
 
 // EvaluateCtx is Evaluate under a context: cancellation is honored between
-// process-corner simulations. The mask raster must match the setup's
-// simulation grid exactly; a mismatch returns ErrGridMismatch instead of a
-// silently mis-scored report.
+// process-corner simulations. The layout must fit the setup grid and the
+// mask raster must match it exactly; a mismatch returns ErrGridMismatch
+// instead of a silently mis-scored report. It scores through
+// EvaluateLayoutCtx's one-window plan.
 func (s *Setup) EvaluateCtx(ctx context.Context, mask *Field, layout *Layout, runtimeSec float64) (*Report, error) {
-	n := s.Sim.Cfg.GridSize
-	if mask == nil || mask.W != n || mask.H != n {
-		w, h := -1, -1
-		if mask != nil {
-			w, h = mask.W, mask.H
-		}
-		return nil, gridMismatch("mask raster is %dx%d but the simulation grid is %dx%d", w, h, n, n)
-	}
 	if err := s.checkFits(layout); err != nil {
 		return nil, err
 	}
-	rep, err := metrics.EvaluateCtx(ctx, s.Sim, mask, layout, s.Params, runtimeSec)
-	return rep, wrapCanceled(err)
+	return s.EvaluateLayoutCtx(ctx, mask, layout, TileOptions{}, runtimeSec)
 }
 
 // TileOptions configures OptimizeLayout's pipeline: the layout is
@@ -344,11 +337,18 @@ type LayoutResult struct {
 	Artifact *ArtifactRecord
 }
 
-// checkFits returns an ErrGridMismatch for a layout fitsGrid refuses: the
-// clip-level calls would rasterize it on a grid covering another extent.
-// A nil layout is left for the callee to reject.
+// checkFits is the clip-level calls' gate: a nil layout or one
+// Layout.Validate refuses is a *ConfigError on Layout, and a layout
+// fitsGrid refuses is an ErrGridMismatch — those calls would rasterize it
+// on a grid covering another extent.
 func (s *Setup) checkFits(layout *Layout) error {
-	if layout == nil || fitsGrid(s.Sim.Cfg, layout) {
+	if layout == nil {
+		return &ConfigError{Field: "Layout", Reason: "is nil"}
+	}
+	if err := layout.Validate(); err != nil {
+		return &ConfigError{Field: "Layout", Reason: err.Error()}
+	}
+	if fitsGrid(s.Sim.Cfg, layout) {
 		return nil
 	}
 	return gridMismatch("simulation grid covers %g nm but layout clip %q is %g nm (OptimizeLayout and EvaluateLayout take any extent)",
@@ -401,11 +401,12 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 // the scheduler (compute-pool reservations), and the windows are stitched
 // into one full-layout mask. A layout that fits the setup grid (and is not
 // explicitly sharded smaller by opts.TileNM) is a one-window plan — the
-// result is bit-identical to Optimize, and cfg's per-optimizer hooks
-// (TrackMetrics, OnIter) reach the optimizer, which across several
-// windows they cannot. ctx cancels the run within one optimizer
-// iteration. A request Admit would refuse is refused here, with the same
-// *ConfigError, before anything is planned or built.
+// run Optimize makes, bit-identical to the bare optimizer on the clip —
+// and cfg's per-optimizer hooks (TrackMetrics, OnIter) reach the
+// optimizer, which across several windows they cannot. ctx cancels the
+// run within one optimizer iteration. A request Admit would refuse is
+// refused here, with the same *ConfigError, before anything is planned or
+// built.
 func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, opts TileOptions) (*LayoutResult, error) {
 	if err := admit(s.Sim.Cfg, layout, &cfg, opts); err != nil {
 		return nil, err
@@ -490,12 +491,13 @@ func (s *Setup) recordArtifact(opts TileOptions, cfg Config, layout *Layout, out
 	return nil
 }
 
-// EvaluateLayout scores a mask covering a layout of arbitrary extent:
-// directly on the setup simulator when the layout fits its grid, otherwise
-// by tiled full-SOCS simulation under the same decomposition OptimizeLayout
-// would use (opts.TileNM must match for the grids to line up). The mask raster must cover the layout exactly at the setup's pixel
-// size on both axes; a mismatch returns ErrGridMismatch on either path
-// instead of a silently mis-scored report.
+// EvaluateLayout scores a mask covering a layout of arbitrary extent by
+// full-SOCS simulation under the decomposition OptimizeLayout would use
+// (opts.TileNM must match for the grids to line up): a layout the setup
+// grid covers and opts does not shard is one window whose crop is the
+// identity. The mask raster must cover the layout exactly at the setup's
+// pixel size on both axes; a mismatch returns ErrGridMismatch instead of a
+// silently mis-scored report. A nil layout is a *ConfigError on Layout.
 func (s *Setup) EvaluateLayout(mask *Field, layout *Layout, opts TileOptions, runtimeSec float64) (*Report, error) {
 	return s.EvaluateLayoutCtx(context.Background(), mask, layout, opts, runtimeSec)
 }
@@ -503,6 +505,9 @@ func (s *Setup) EvaluateLayout(mask *Field, layout *Layout, opts TileOptions, ru
 // EvaluateLayoutCtx is EvaluateLayout under a context: cancellation is
 // honored between process-corner simulations.
 func (s *Setup) EvaluateLayoutCtx(ctx context.Context, mask *Field, layout *Layout, opts TileOptions, runtimeSec float64) (*Report, error) {
+	if layout == nil {
+		return nil, &ConfigError{Field: "Layout", Reason: "is nil"}
+	}
 	px := s.Sim.Cfg.PixelNM
 	fullPx := int(math.Round(layout.SizeNM / px))
 	if mask == nil || mask.W != fullPx || mask.H != fullPx {
@@ -512,9 +517,6 @@ func (s *Setup) EvaluateLayoutCtx(ctx context.Context, mask *Field, layout *Layo
 		}
 		return nil, gridMismatch("mask raster is %dx%d but layout %q needs %dx%d at %g nm/px", w, h, layout.Name, fullPx, fullPx, px)
 	}
-	if fitsGrid(s.Sim.Cfg, layout) {
-		return s.EvaluateCtx(ctx, mask, layout, runtimeSec)
-	}
 	plan, ws, err := s.tilePlan(layout, opts)
 	if err != nil {
 		return nil, err
@@ -523,15 +525,35 @@ func (s *Setup) EvaluateLayoutCtx(ctx context.Context, mask *Field, layout *Layo
 	return rep, wrapCanceled(err)
 }
 
-// Run executes any Method (MOSAIC or a baseline) on a layout and evaluates
-// the resulting mask, timing the synthesis. Methods work on the whole
-// clip: a layout the setup grid does not cover exactly returns
-// ErrGridMismatch instead of a silently mis-scored report.
+// RunResult is one (method, testcase) outcome of Run.
+type RunResult struct {
+	Method     string
+	Testcase   string
+	Mask       *Field
+	RuntimeSec float64
+	Report     *Report
+}
+
+// Run executes any Method (MOSAIC or a baseline) on a layout, timing the
+// synthesis, and scores the mask through Evaluate. Methods work on the
+// whole clip: a layout the setup grid does not cover exactly returns
+// ErrGridMismatch instead of a silently mis-scored report, and a nil or
+// invalid one is a *ConfigError on Layout.
 func (s *Setup) Run(m Method, layout *Layout) (*RunResult, error) {
 	if err := s.checkFits(layout); err != nil {
 		return nil, err
 	}
-	return opc.RunAndEvaluate(s.Sim, m, layout, s.Params)
+	start := time.Now()
+	mask, err := m.Optimize(s.Sim, layout)
+	if err != nil {
+		return nil, fmt.Errorf("mosaic: %s on %s: %w", m.Name(), layout.Name, err)
+	}
+	elapsed := time.Since(start).Seconds()
+	rep, err := s.Evaluate(mask, layout, elapsed)
+	if err != nil {
+		return nil, err
+	}
+	return &RunResult{Method: m.Name(), Testcase: layout.Name, Mask: mask, RuntimeSec: elapsed, Report: rep}, nil
 }
 
 // Methods returns the paper's comparison set in Table 2/3 row order:

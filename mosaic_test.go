@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
 	"mosaic/internal/par"
 	"mosaic/internal/sim"
@@ -170,6 +171,10 @@ func TestOptimizeAndEvaluate(t *testing.T) {
 	}
 }
 
+// TestOptimizeLayoutUntiledDelegation: a layout that fits the setup grid
+// with tiling unset is the one-window plan, whose mask is the bare
+// optimizer's and whose score is the bare scorer's (metrics.Evaluate on the
+// setup simulator), bit for bit: the plan's crop is the identity.
 func TestOptimizeLayoutUntiledDelegation(t *testing.T) {
 	s, err := NewSetup(smallOptics())
 	if err != nil {
@@ -178,8 +183,6 @@ func TestOptimizeLayoutUntiledDelegation(t *testing.T) {
 	layout := smallLayout()
 	cfg := DefaultConfig(ModeFast)
 	cfg.MaxIter = 6
-	// A layout that fits the setup grid with tiling unset must take the
-	// exact untiled code path.
 	res, err := s.OptimizeLayout(context.Background(), cfg, layout, TileOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,29 +191,28 @@ func TestOptimizeLayoutUntiledDelegation(t *testing.T) {
 		t.Fatalf("expected untiled delegation, got tiled=%v tiles=%d workers=%d",
 			res.Tiled, len(res.Tiles), res.Workers)
 	}
-	ref, err := s.Optimize(cfg, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mask.Data) != len(ref.Mask.Data) {
-		t.Fatalf("mask size mismatch: %d vs %d", len(res.Mask.Data), len(ref.Mask.Data))
-	}
+	ref := bareOptimize(t, s, cfg, layout)
 	for i := range res.Mask.Data {
 		if res.Mask.Data[i] != ref.Mask.Data[i] {
-			t.Fatalf("delegated mask differs from Optimize at pixel %d", i)
+			t.Fatalf("delegated mask differs from the bare optimizer at pixel %d", i)
 		}
 	}
 	rep, err := s.EvaluateLayout(res.Mask, layout, TileOptions{}, res.RuntimeSec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := s.Evaluate(ref.Mask, layout, res.RuntimeSec)
+	ref2, err := metrics.Evaluate(s.Sim, ref.Mask, layout, s.Params, res.RuntimeSec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Score != ref2.Score || rep.EPEViolations != ref2.EPEViolations {
-		t.Fatalf("EvaluateLayout diverged from Evaluate: score %g vs %g, EPE %d vs %d",
-			rep.Score, ref2.Score, rep.EPEViolations, ref2.EPEViolations)
+	if rep.Score != ref2.Score || rep.EPEViolations != ref2.EPEViolations || rep.PVBandNM2 != ref2.PVBandNM2 {
+		t.Fatalf("EvaluateLayout diverged from the bare scorer: score %g vs %g, EPE %d vs %d, PVB %g vs %g",
+			rep.Score, ref2.Score, rep.EPEViolations, ref2.EPEViolations, rep.PVBandNM2, ref2.PVBandNM2)
+	}
+	for i, v := range ref2.AerialNominal.Data {
+		if rep.AerialNominal.Data[i] != v {
+			t.Fatalf("nominal aerial image differs from the bare scorer's at pixel %d", i)
+		}
 	}
 }
 
@@ -262,6 +264,28 @@ func TestRunMethod(t *testing.T) {
 	}
 	if rr.Report == nil || rr.Method != "RuleBased" {
 		t.Fatalf("%+v", rr)
+	}
+}
+
+// TestRunAndEvaluate: Run identifies the method and the clip, times the
+// synthesis and threads that runtime into the report.
+func TestRunAndEvaluate(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := s.Run(Methods()[0], smallLayout()) // RuleBased
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Method != "RuleBased" || rr.Testcase != "api-test" {
+		t.Fatalf("identification wrong: %+v", rr)
+	}
+	if rr.RuntimeSec < 0 || rr.Report == nil {
+		t.Fatal("missing runtime or report")
+	}
+	if rr.Report.RuntimeSec != rr.RuntimeSec {
+		t.Fatal("runtime not threaded into the report")
 	}
 }
 

@@ -3,12 +3,54 @@ package mosaic
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mosaic/internal/ilt"
+	"mosaic/internal/metrics"
 	"mosaic/internal/tile"
 )
+
+// bareOptimize is the bare optimizer on a clip the setup grid covers —
+// ilt.New and RunRasterCtx on the clip's raster and EPE samples — the
+// reference every one-window run reproduces bit for bit.
+func bareOptimize(t *testing.T, s *Setup, cfg Config, layout *Layout) *Result {
+	t.Helper()
+	o, err := ilt.New(s.Sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := layout.Rasterize(s.Sim.Cfg.GridSize, s.Sim.Cfg.PixelNM)
+	res, err := o.RunRasterCtx(context.Background(), layout, target, layout.SamplePoints(metrics.DefaultParams().EPESampleNM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameRun reports the first way got differs from the bare optimizer's
+// result want: its iteration count, its history or a gray-mask pixel.
+func sameRun(got, want *Result) string {
+	switch {
+	case got.Iterations != want.Iterations:
+		return fmt.Sprintf("%d iterations, the bare optimizer took %d", got.Iterations, want.Iterations)
+	case len(got.History) != len(want.History):
+		return fmt.Sprintf("%d history entries, the bare optimizer has %d", len(got.History), len(want.History))
+	}
+	for i := range want.History {
+		if got.History[i] != want.History[i] {
+			return fmt.Sprintf("history entry %d differs: %+v vs %+v", i, got.History[i], want.History[i])
+		}
+	}
+	for i, v := range want.MaskGray.Data {
+		if got.MaskGray.Data[i] != v {
+			return fmt.Sprintf("continuous mask differs at pixel %d", i)
+		}
+	}
+	return ""
+}
 
 // flakyRunner is an in-process TileRunner that counts its calls and fails
 // the first failures of them.
@@ -26,7 +68,7 @@ func (r *flakyRunner) RunTile(ctx context.Context, req *tile.Request) (*Result, 
 // TestOneWindowRunHonoursEveryOption pins that a layout fitting the setup
 // grid goes through the same pipeline as a sharded one: every TileOptions
 // field and every per-optimizer Config hook the call accepts takes effect,
-// and whatever served the window, the bits are those of Setup.Optimize.
+// and whatever served the window, the bits are the bare optimizer's.
 func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 	s, err := NewSetup(smallOptics())
 	if err != nil {
@@ -35,10 +77,7 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 	layout := smallLayout()
 	cfg := warmCfg(6)
 	ctx := context.Background()
-	ref, err := s.Optimize(cfg, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := bareOptimize(t, s, cfg, layout)
 	// run is OptimizeLayout plus the invariants of any one-window result.
 	run := func(t *testing.T, ctx context.Context, cfg Config, opts TileOptions) *LayoutResult {
 		t.Helper()
@@ -51,11 +90,11 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 				res.Tiled, res.Workers, res.SeamNM, len(res.Tiles), len(res.Provenance))
 		}
 		if res.Iterations != ref.Iterations {
-			t.Fatalf("%d iterations, Optimize took %d", res.Iterations, ref.Iterations)
+			t.Fatalf("%d iterations, the bare optimizer took %d", res.Iterations, ref.Iterations)
 		}
 		for i, v := range ref.MaskGray.Data {
 			if res.MaskGray.Data[i] != v {
-				t.Fatalf("continuous mask differs from Optimize at pixel %d", i)
+				t.Fatalf("continuous mask differs from the bare optimizer at pixel %d", i)
 			}
 		}
 		return res
@@ -122,5 +161,34 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 				res.RuntimeSec, tr.RuntimeSec, wall, tr.DiagnosticsSec)
 		}
 	})
+}
 
+// TestOptimizeIsTheBareOptimizer pins Setup.Optimize, a one-window plan of
+// the tile pipeline, to the bare optimizer on every benchmark clip in both
+// modes: the same iterations, history and continuous mask, bit for bit.
+func TestOptimizeIsTheBareOptimizer(t *testing.T) {
+	o := DefaultOptics()
+	o.GridSize = 64
+	o.PixelNM = 16
+	s, err := NewSetup(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts, err := Benchmarks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeFast, ModeExact} {
+		cfg := DefaultConfig(mode)
+		cfg.MaxIter = 3
+		for _, layout := range layouts {
+			got, err := s.Optimize(cfg, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameRun(got, bareOptimize(t, s, cfg, layout)); diff != "" {
+				t.Errorf("%s %s: %s", layout.Name, mode, diff)
+			}
+		}
+	}
 }
