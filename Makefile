@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck test build loc paper fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke cache-smoke provenance-smoke warmstart-smoke
+.PHONY: check fmt vet staticcheck test build loc paper fuzz-smoke bench bench-e2e bench-e2e-compare bench-e2e-pairs serve-smoke provenance-smoke warmstart-smoke
 
 # check is the tier-1 verification: formatting, static analysis, and the
 # full test suite under the race detector.
@@ -49,8 +49,8 @@ paper:
 # fuzz-smoke runs every fuzz target for FUZZ_TIME each: the binary
 # decoders behind internal/frame (error or exact round-trip, never a
 # panic, never an allocation sized by a length field beyond the input),
-# the two text/stream layout parsers, the admission gate (a job body or a
-# TileOptions is refused with a typed error, or runs to completion), the
+# the two layout parsers and the PGM mask reader, the admission gate (a
+# job body or a TileOptions is refused with a typed error, or runs), the
 # optimizer's float fields (refused, or a short run to a finite mask) and
 # the optimizer's corner list (bit-equal to its serial oracle).
 # go test takes one -fuzz target per run. Minimization is capped in
@@ -60,7 +60,7 @@ FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	warmstart:FuzzDecodeEntry artifact:FuzzDecodeQuality geom:FuzzParse \
 	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate \
-	ilt:FuzzCornerList
+	ilt:FuzzCornerList render:FuzzReadPGM
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -74,17 +74,11 @@ fuzz-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# cache-smoke runs the same repeated-cell sharded job twice against a
-# mosaicd with a cache directory: the second run must be served from the
-# tile-result cache with a byte-identical mask, and a corrupted on-disk
-# entry must be quarantined and recomputed across a daemon restart.
-cache-smoke:
-	./scripts/cache_smoke.sh
-
-# provenance-smoke runs sharded jobs against a mosaicd with an artifact
-# dir: cold and warm runs must anchor identical manifest/Merkle digests,
-# and a byte flipped in one stored blob must fail /verify naming the
-# leaf across a restart while an untouched artifact verifies clean.
+# provenance-smoke runs sharded jobs against a mosaicd with a cache dir
+# and an artifact dir: the warm run must be served from the cache and
+# anchor the cold run's manifest/Merkle digests; across a restart a byte
+# flipped in a stored blob must fail /verify naming the leaf, and a
+# corrupted cache entry must be quarantined and recomputed to the same root.
 provenance-smoke:
 	./scripts/provenance_smoke.sh
 

@@ -12,7 +12,7 @@ func TestOptimizeExactAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := smallLayout()
-	res, err := s.OptimizeExact(layout)
+	res, err := s.Optimize(DefaultConfig(ModeExact), layout)
 	if err != nil {
 		t.Fatal(err)
 	}

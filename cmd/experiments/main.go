@@ -373,7 +373,7 @@ func (h *harness) fig5() error {
 		if rr := h.find("MOSAIC_exact", name); rr != nil {
 			mask, rep = rr.Mask, rr.Report
 		} else {
-			res, err := h.setup.OptimizeExact(layout)
+			res, err := h.setup.Optimize(mosaic.DefaultConfig(mosaic.ModeExact), layout)
 			if err != nil {
 				return err
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"mosaic/internal/opc"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
 )
@@ -210,6 +209,15 @@ func TestEvaluateLayoutScoresThePlan(t *testing.T) {
 	}
 }
 
+// failingMethod is a Method whose every run fails.
+type failingMethod struct{}
+
+var errNoMask = errors.New("no mask today")
+
+func (failingMethod) Name() string { return "Failing" }
+
+func (failingMethod) Optimize(*sim.Simulator, *Layout) (*Field, error) { return nil, errNoMask }
+
 // TestRunAndEvaluateErrorWrapping: a method's failure is Run's error,
 // naming the method and the clip.
 func TestRunAndEvaluateErrorWrapping(t *testing.T) {
@@ -217,10 +225,8 @@ func TestRunAndEvaluateErrorWrapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := opc.NewModelBased()
-	m.MaxIter = 0
-	_, err = s.Run(m, smallLayout())
-	if err == nil || !strings.Contains(err.Error(), "ModelBased on api-test") {
-		t.Fatalf("got %v, want the method's error naming ModelBased and api-test", err)
+	_, err = s.Run(failingMethod{}, smallLayout())
+	if !errors.Is(err, errNoMask) || !strings.Contains(err.Error(), "Failing on api-test") {
+		t.Fatalf("got %v, want the method's error naming Failing and api-test", err)
 	}
 }

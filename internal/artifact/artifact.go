@@ -16,8 +16,7 @@
 //     digest, Merkle root, and the per-leaf attribution (which cache
 //     tier served it, which seed it started from).
 //
-// Commit is durable when it returns, and concurrent commits are
-// batched so one fsync covers a burst of job completions. Verify
+// Commit is durable when it returns: one fsync a record. Verify
 // re-proves a stored artifact from raw bytes to the anchored root, so
 // a single flipped bit anywhere in a stored result is detected and
 // attributed to its leaf. Because blob payloads exclude runtimes and
@@ -46,16 +45,15 @@ var (
 	ErrClosed = errors.New("artifact: store is closed")
 )
 
-// Store metrics: blob traffic, anchor batching (batches per record
-// measures the fsync amortization), and verification outcomes.
+// Store metrics: blob traffic, anchored records, and verification
+// outcomes.
 var (
-	mBlobsWritten  = obs.NewCounter("artifact_blobs_written_total")
-	mBlobsDeduped  = obs.NewCounter("artifact_blobs_deduped_total")
-	mBlobBytes     = obs.NewCounter("artifact_blob_bytes_total")
-	mRecords       = obs.NewCounter("artifact_records_total")
-	mAnchorBatches = obs.NewCounter("artifact_anchor_batches_total")
-	mVerifies      = obs.NewCounter("artifact_verify_total")
-	mVerifyFailed  = obs.NewCounter("artifact_verify_failed_total")
+	mBlobsWritten = obs.NewCounter("artifact_blobs_written_total")
+	mBlobsDeduped = obs.NewCounter("artifact_blobs_deduped_total")
+	mBlobBytes    = obs.NewCounter("artifact_blob_bytes_total")
+	mRecords      = obs.NewCounter("artifact_records_total")
+	mVerifies     = obs.NewCounter("artifact_verify_total")
+	mVerifyFailed = obs.NewCounter("artifact_verify_failed_total")
 )
 
 // Digest is a SHA-256 content address: of a stored blob's payload, of

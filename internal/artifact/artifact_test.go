@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -362,46 +363,112 @@ func TestStoreReopenTruncatesTornTail(t *testing.T) {
 	}
 }
 
-func TestConcurrentCommitsBatchFsyncs(t *testing.T) {
-	s, err := Open(t.TempDir())
+// TestConcurrentCommitsAreEachDurable: the anchor log takes one commit at
+// a time. 64 racing commits all resolve and all replay after a reopen;
+// with Close racing a second burst, each commit is durable (it replays)
+// or ErrClosed (it does not), and the log reopens with no torn frame to
+// truncate.
+func TestConcurrentCommitsAreEachDurable(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "anchors.log")
+	const jobs = 64
+	// burst commits jobs single-leaf records concurrently, runs during
+	// while they are in flight, and returns each job's leaf and outcome.
+	burst := func(s *Store, name string, during func()) ([]Digest, []error) {
+		blobs, errs := make([]Digest, jobs), make([]error, jobs)
+		var wg sync.WaitGroup
+		for i := 0; i < jobs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				job := fmt.Sprintf("%s-%d", name, i)
+				if blobs[i], errs[i] = s.PutBlob([]byte("tile of " + job)); errs[i] == nil {
+					_, errs[i] = s.Commit(job, []byte("{"+job+"}"), []Leaf{{Index: 0, Blob: blobs[i]}})
+				}
+			}(i)
+		}
+		during()
+		wg.Wait()
+		return blobs, errs
+	}
+	// reopen opens the store again and requires the replay to keep every
+	// byte of the log: a torn frame would be truncated away.
+	reopen := func() *Store {
+		t.Helper()
+		before, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := os.Stat(logPath); after.Size() != before.Size() {
+			t.Fatalf("reopen truncated the anchor log %d -> %d bytes: a frame was torn", before.Size(), after.Size())
+		}
+		return s
+	}
+	anchored := func(s *Store, name string, i int, blob Digest) bool {
+		refs := s.ByBlob(blob)
+		return len(refs) == 1 && refs[0].JobID == fmt.Sprintf("%s-%d", name, i)
+	}
+
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	const jobs = 64
-	batchesBefore := mAnchorBatches.Value()
-	var wg sync.WaitGroup
-	errs := make([]error, jobs)
-	recs := make([]*Record, jobs)
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b, err := s.PutBlob([]byte(fmt.Sprintf("tile-%d", i)))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			recs[i], errs[i] = s.Commit(fmt.Sprintf("job-%d", i), []byte(fmt.Sprintf("{m%d}", i)), []Leaf{{Index: 0, Blob: b}})
-		}(i)
-	}
-	wg.Wait()
+	blobsA, errs := burst(s, "a", func() {})
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
+			t.Fatalf("commit a-%d: %v", i, err)
+		}
+		if !anchored(s, "a", i, blobsA[i]) {
+			t.Fatalf("a-%d does not resolve after its commit", i)
 		}
 	}
-	for i := 0; i < jobs; i++ {
-		if _, ok := s.Resolve(recs[i].Root); !ok {
-			t.Fatalf("job-%d missing after concurrent commit", i)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = reopen()
+	for i, b := range blobsA {
+		if !anchored(s, "a", i, b) {
+			t.Fatalf("a-%d did not replay", i)
 		}
 	}
-	batches := mAnchorBatches.Value() - batchesBefore
-	if batches == 0 || batches > jobs {
-		t.Fatalf("anchor batches = %d for %d commits", batches, jobs)
+	// Close once a quarter of the burst is anchored, so it lands mid-burst.
+	records := mRecords.Value()
+	blobsB, errs := burst(s, "b", func() {
+		for mRecords.Value() < records+jobs/4 {
+			runtime.Gosched()
+		}
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	durable := 0
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Fatalf("commit b-%d racing Close: %v, want success or ErrClosed", i, err)
+		}
+		if err == nil {
+			durable++
+		}
 	}
-	t.Logf("%d commits flushed in %d batches", jobs, batches)
+
+	s = reopen()
+	defer s.Close()
+	for i, b := range blobsA {
+		if !anchored(s, "a", i, b) {
+			t.Fatalf("a-%d did not replay the second time", i)
+		}
+	}
+	for i, b := range blobsB {
+		if got := anchored(s, "b", i, b); got != (errs[i] == nil) {
+			t.Fatalf("b-%d: replayed=%v after a commit that returned %v", i, got, errs[i])
+		}
+	}
+	t.Logf("%d of %d commits racing Close were durable", durable, jobs)
 }
 
 func TestVerifyCleanAndCorrupt(t *testing.T) {

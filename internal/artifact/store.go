@@ -57,19 +57,16 @@ type BlobRef struct {
 
 // Store is the durable provenance store: content-addressed blobs under
 // dir/blobs, an append-only MTAN anchor log, and an in-memory index
-// rebuilt from the log on Open. Safe for concurrent use; concurrent
-// Commits batch their fsyncs.
+// rebuilt from the log on Open. Safe for concurrent use.
 type Store struct {
-	blobs   cas.Dir  // dir/blobs/<2-hex>/<sha256>.blob, fsynced MTAB frames
-	quality cas.Dir  // dir/quality/<2-hex>/<key>.mtq, see quality.go
-	log     *os.File // anchors.log; writes serialized through the batcher
+	blobs   cas.Dir // dir/blobs/<2-hex>/<sha256>.blob, fsynced MTAB frames
+	quality cas.Dir // dir/quality/<2-hex>/<key>.mtq, see quality.go
 
-	// wmu guards the anchor batcher state below.
-	wmu       sync.Mutex
-	flushDone *sync.Cond
-	pending   []*pendingAnchor
-	flushing  bool
-	closed    bool
+	// wmu serializes the anchor log: a commit writes and fsyncs its record
+	// under it, and Close takes it to wait out a commit in flight.
+	wmu    sync.Mutex
+	log    *os.File // anchors.log
+	closed bool
 
 	// imu guards the index maps.
 	imu        sync.Mutex
@@ -97,7 +94,6 @@ func Open(dir string) (*Store, error) {
 		byRoot:     make(map[Digest][]*Record),
 		byBlob:     make(map[Digest][]BlobRef),
 	}
-	s.flushDone = sync.NewCond(&s.wmu)
 	f, err := os.OpenFile(filepath.Join(dir, "anchors.log"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: opening anchor log: %w", err)
@@ -157,23 +153,28 @@ func (s *Store) index(rec *Record) {
 // readers only ever see whole frames.
 func (s *Store) PutBlob(payload []byte) (Digest, error) {
 	d := HashBlob(payload)
+	return d, s.putBlob(d, payload)
+}
+
+// putBlob is PutBlob for a payload whose digest d the caller holds.
+func (s *Store) putBlob(d Digest, payload []byte) error {
 	key := d.String()
 	if s.blobs.Has(key) {
 		mBlobsDeduped.Inc()
-		return d, nil
+		return nil
 	}
 	if _, err := s.blobs.Put(key, frame.Encode(blobMagic, payload)); err != nil {
-		return d, fmt.Errorf("artifact: writing blob %s: %w", d, err)
+		return fmt.Errorf("artifact: writing blob %s: %w", d, err)
 	}
 	mBlobsWritten.Inc()
 	mBlobBytes.Add(int64(len(payload)))
-	return d, nil
+	return nil
 }
 
 // PutResult stores a tile result as the blob of its EncodeResult payload
 // and returns its leaf digest. The digest is memoised on the result, so a
-// result the tile cache serves to job after job is encoded and hashed for
-// the first of them; the rest pay the dedup stat.
+// result the tile cache serves to job after job is encoded and hashed once,
+// for the first of them; the rest pay the dedup stat.
 func (s *Store) PutResult(res *ilt.Result) (Digest, error) {
 	var payload []byte
 	d, err := res.LeafDigest(func(r *ilt.Result) (d [32]byte, err error) {
@@ -194,7 +195,7 @@ func (s *Store) PutResult(res *ilt.Result) (Digest, error) {
 			return d, err
 		}
 	}
-	return s.PutBlob(payload)
+	return d, s.putBlob(d, payload)
 }
 
 // Blob returns the stored payload behind a digest, proving it on the
@@ -230,11 +231,8 @@ func (s *Store) rawBlob(d Digest) ([]byte, error) {
 // Commit anchors one completed job: the manifest payload is stored as
 // its own blob, the Merkle root is computed over the leaf digests and
 // bound to the manifest digest, and the record is appended to the
-// anchor log. The record is durable when Commit returns. Concurrent
-// commits are batched MerkleBatcher-style: the first committer in
-// becomes the flusher and one fsync covers every record that piled up
-// while the disk was busy, so a burst of job completions costs one or
-// two syncs, not one each.
+// anchor log. The record is durable when Commit returns: each record is
+// one write and one fsync.
 func (s *Store) Commit(jobID string, manifest []byte, leaves []Leaf) (*Record, error) {
 	if jobID == "" {
 		return nil, fmt.Errorf("artifact: commit needs a job id")
@@ -277,59 +275,15 @@ func (s *Store) Commit(jobID string, manifest []byte, leaves []Leaf) (*Record, e
 	return rec, nil
 }
 
-// pendingAnchor is one commit waiting for its batch to reach disk.
-type pendingAnchor struct {
-	frame []byte
-	done  chan error
-}
-
 // appendAnchor appends one framed record to the anchor log and returns
-// once it is fsynced. The first caller in becomes the flusher: it
-// drains the pending queue in batches, writing every queued frame and
-// issuing a single Sync per batch, while later callers just wait on
-// their done channel — the fsync amortization that makes concurrent
-// job completions cheap.
+// once it is fsynced.
 func (s *Store) appendAnchor(fr []byte) error {
-	p := &pendingAnchor{frame: fr, done: make(chan error, 1)}
 	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
-		s.wmu.Unlock()
 		return ErrClosed
 	}
-	s.pending = append(s.pending, p)
-	if s.flushing {
-		s.wmu.Unlock()
-		return <-p.done
-	}
-	s.flushing = true
-	for len(s.pending) > 0 {
-		batch := s.pending
-		s.pending = nil
-		s.wmu.Unlock()
-		err := s.writeBatch(batch)
-		for _, q := range batch {
-			q.done <- err
-		}
-		s.wmu.Lock()
-	}
-	s.flushing = false
-	s.flushDone.Broadcast()
-	s.wmu.Unlock()
-	return <-p.done
-}
-
-// writeBatch writes a batch of frames and syncs once.
-func (s *Store) writeBatch(batch []*pendingAnchor) error {
-	mAnchorBatches.Inc()
-	n := 0
-	for _, q := range batch {
-		n += len(q.frame)
-	}
-	buf := make([]byte, 0, n)
-	for _, q := range batch {
-		buf = append(buf, q.frame...)
-	}
-	if _, err := s.log.Write(buf); err != nil {
+	if _, err := s.log.Write(fr); err != nil {
 		return fmt.Errorf("artifact: appending anchor: %w", err)
 	}
 	if err := s.log.Sync(); err != nil {
@@ -338,19 +292,15 @@ func (s *Store) writeBatch(batch []*pendingAnchor) error {
 	return nil
 }
 
-// Close flushes in-flight commits and closes the anchor log. Commits
+// Close waits for a commit in flight and closes the anchor log. Commits
 // arriving after Close fail with ErrClosed.
 func (s *Store) Close() error {
 	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
-		s.wmu.Unlock()
 		return nil
 	}
 	s.closed = true
-	for s.flushing {
-		s.flushDone.Wait()
-	}
-	s.wmu.Unlock()
 	return s.log.Close()
 }
 

@@ -76,9 +76,6 @@ func (s *Store) diskGet(key Key) (*ilt.Result, bool) {
 // quarantine moves a defective entry aside so the next lookup recomputes
 // and re-persists a clean one.
 func (s *Store) quarantine(key Key, cause error) {
-	s.mu.Lock()
-	s.stats.Corrupt++
-	s.mu.Unlock()
 	mCorrupt.Inc()
 	obs.Logger().Warn("cache: quarantining corrupt entry", "key", key, "err", cause)
 	s.disk().Quarantine(key.String())

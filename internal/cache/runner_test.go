@@ -74,8 +74,8 @@ func TestRunnerEmptyWindowBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Misses+st.Hits != 2 || st.Entries != 1 {
-		t.Fatalf("store stats %+v: want the two non-empty windows' lookups and one entry", st)
+	if n := tiers(res); n[tile.TierMiss] != 1 || n[tile.TierEmpty] != 2 || n[tile.TierMem]+n[tile.TierFlight] != 1 {
+		t.Fatalf("windows served %v: want the repeated cell computed once and the two empty windows not looked up", n)
 	}
 	for i, pv := range res.Prov {
 		if empty := len(p.Tiles[i].Layout.Polys) == 0; empty != (pv.Tier == tile.TierEmpty) || (empty && pv.Key != "") {

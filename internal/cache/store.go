@@ -44,19 +44,6 @@ type Store struct {
 	mu      sync.Mutex
 	mem     *lru.Cache[Key, *ilt.Result] // the memory tier
 	flights map[Key]*flight
-	stats   Stats
-}
-
-// Stats is a point-in-time snapshot of one store's activity. The
-// process-wide cache_* metrics aggregate across stores; Stats is
-// per-store, for tests and status endpoints.
-type Stats struct {
-	Hits      int64 // lookups served without running the optimizer
-	Misses    int64 // lookups that ran the optimizer
-	Evictions int64 // memory-tier entries dropped for the byte budget
-	Corrupt   int64 // disk entries quarantined
-	Entries   int   // memory-tier entries resident now
-	Bytes     int64 // memory-tier bytes resident now
 }
 
 // flight is one in-progress computation; concurrent requests for the
@@ -92,16 +79,6 @@ func Open(opts Options) (*Store, error) {
 // whose entries end with the process.
 func (s *Store) Dir() string { return s.dir }
 
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = s.mem.Len()
-	st.Bytes = s.mem.Bytes()
-	return st
-}
-
 // GetOrCompute returns the result for key, running compute at most once
 // across concurrent callers when the store has no entry. The returned
 // tier says how the call was served (tile.TierMem/TierDisk/TierFlight on
@@ -113,7 +90,6 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 	for {
 		s.mu.Lock()
 		if res, ok := s.mem.Get(key); ok {
-			s.stats.Hits++
 			s.mu.Unlock()
 			mHits.Inc()
 			return res, tile.TierMem, nil
@@ -131,9 +107,6 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 				// becoming the leader); our own cancellation exits above.
 				continue
 			}
-			s.mu.Lock()
-			s.stats.Hits++
-			s.mu.Unlock()
 			mHits.Inc()
 			return f.res, tile.TierFlight, nil
 		}
@@ -160,9 +133,6 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 func (s *Store) lead(key Key, compute func() (*ilt.Result, error)) (*ilt.Result, string, error) {
 	if res, ok := s.diskGet(key); ok {
 		s.memAdd(key, res)
-		s.mu.Lock()
-		s.stats.Hits++
-		s.mu.Unlock()
 		mHits.Inc()
 		return res, tile.TierDisk, nil
 	}
@@ -171,9 +141,6 @@ func (s *Store) lead(key Key, compute func() (*ilt.Result, error)) (*ilt.Result,
 		return nil, "", err
 	}
 	s.Put(key, res)
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
 	mMisses.Inc()
 	return res, tile.TierMiss, nil
 }
@@ -212,7 +179,6 @@ func (s *Store) memAdd(key Key, res *ilt.Result) {
 	if !added {
 		return
 	}
-	s.stats.Evictions += int64(evicted)
 	mEvictions.Add(int64(evicted))
 	mEntries.Set(float64(s.mem.Len()))
 	mBytes.Set(float64(s.mem.Bytes()))

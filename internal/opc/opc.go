@@ -16,7 +16,6 @@ package opc
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"mosaic/internal/geom"
@@ -38,14 +37,12 @@ type Method interface {
 }
 
 // RuleBased is OPC by fixed rules only: uniform edge bias plus scatter
-// bars. It needs no simulation and is nearly free, but cannot adapt to
-// local imaging context.
-type RuleBased struct {
-	Rules sraf.Rules
-}
+// bars (sraf.DefaultRules). It needs no simulation and is nearly free, but
+// cannot adapt to local imaging context.
+type RuleBased struct{}
 
-// NewRuleBased returns the baseline with default rules.
-func NewRuleBased() *RuleBased { return &RuleBased{Rules: sraf.DefaultRules()} }
+// NewRuleBased returns the rule-based baseline.
+func NewRuleBased() *RuleBased { return &RuleBased{} }
 
 // Name implements Method.
 func (r *RuleBased) Name() string { return "RuleBased" }
@@ -56,7 +53,7 @@ func (r *RuleBased) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Field
 		return nil, err
 	}
 	target := layout.Rasterize(s.Cfg.GridSize, s.Cfg.PixelNM)
-	return sraf.Apply(target, s.Cfg.PixelNM, r.Rules), nil
+	return sraf.Apply(target, s.Cfg.PixelNM, sraf.DefaultRules()), nil
 }
 
 // fragment is one movable piece of a feature edge in the model-based
@@ -70,27 +67,20 @@ type fragment struct {
 // ModelBased is conventional forward model-based OPC: every feature edge is
 // fragmented, each fragment carries a bias, and the biases are updated
 // iteratively from the simulated edge placement error at the fragment's
-// control point until the pattern prints on target.
-type ModelBased struct {
-	MaxIter    int     // bias update iterations
-	FragmentNM float64 // fragment length (one control point each)
-	StepFactor float64 // bias update gain on the measured signed EPE
-	MaxBiasNM  float64 // bias clamp (mask rule surrogate)
-	WithSRAF   bool    // add scatter bars before edge movement
-	Rules      sraf.Rules
-}
+// control point until the pattern prints on target. Scatter bars
+// (sraf.DefaultRules) go on before any edge moves.
+type ModelBased struct{}
 
-// NewModelBased returns the baseline with conventional settings.
-func NewModelBased() *ModelBased {
-	return &ModelBased{
-		MaxIter:    8,
-		FragmentNM: 40,
-		StepFactor: 0.6,
-		MaxBiasNM:  32,
-		WithSRAF:   true,
-		Rules:      sraf.DefaultRules(),
-	}
-}
+// The model-based engine's conventional settings.
+const (
+	mbMaxIter    = 8   // bias update iterations
+	mbFragmentNM = 40  // fragment length (one control point each)
+	mbStepFactor = 0.6 // bias update gain on the measured signed EPE
+	mbMaxBiasNM  = 32  // bias clamp (mask rule surrogate)
+)
+
+// NewModelBased returns the model-based baseline.
+func NewModelBased() *ModelBased { return &ModelBased{} }
 
 // Name implements Method.
 func (m *ModelBased) Name() string { return "ModelBased" }
@@ -100,22 +90,14 @@ func (m *ModelBased) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Fiel
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	if m.MaxIter <= 0 || m.FragmentNM <= 0 {
-		return nil, fmt.Errorf("opc: ModelBased needs positive MaxIter and FragmentNM")
-	}
 	px := s.Cfg.PixelNM
-	n := s.Cfg.GridSize
-	target := layout.Rasterize(n, px)
-	frags := fragments(layout, m.FragmentNM)
-
-	base := target
-	if m.WithSRAF {
-		base = sraf.Apply(target, px, m.Rules)
-	}
+	target := layout.Rasterize(s.Cfg.GridSize, px)
+	frags := fragments(layout, mbFragmentNM)
+	base := sraf.Apply(target, px, sraf.DefaultRules())
 
 	mp := metrics.DefaultParams()
 	mask := base.Clone()
-	for iter := 0; iter < m.MaxIter; iter++ {
+	for iter := 0; iter < mbMaxIter; iter++ {
 		aerial, err := s.Aerial(mask, sim.Nominal())
 		if err != nil {
 			return nil, err
@@ -138,7 +120,7 @@ func (m *ModelBased) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Fiel
 			}
 			// Positive signed EPE means the printed edge sits inside the
 			// feature (under-printing): move the mask edge outward.
-			nb := clamp(frags[i].biasNM+m.StepFactor*e, -m.MaxBiasNM, m.MaxBiasNM)
+			nb := clamp(frags[i].biasNM+mbStepFactor*e, -mbMaxBiasNM, mbMaxBiasNM)
 			if nb != frags[i].biasNM {
 				frags[i].biasNM = nb
 				moved = true
@@ -152,7 +134,7 @@ func (m *ModelBased) Optimize(s *sim.Simulator, layout *geom.Layout) (*grid.Fiel
 	return mask, nil
 }
 
-// fragments cuts every layout edge into FragmentNM pieces with a control
+// fragments cuts every layout edge into fragNM pieces with a control
 // point at each piece's midpoint.
 func fragments(layout *geom.Layout, fragNM float64) []fragment {
 	var out []fragment

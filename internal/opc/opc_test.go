@@ -88,15 +88,6 @@ func TestModelBasedImprovesEPE(t *testing.T) {
 	}
 }
 
-func TestModelBasedValidation(t *testing.T) {
-	s, layout := testEnv(t)
-	m := NewModelBased()
-	m.MaxIter = 0
-	if _, err := m.Optimize(s, layout); err == nil {
-		t.Fatal("zero iterations accepted")
-	}
-}
-
 func TestPlainILTRuns(t *testing.T) {
 	s, layout := testEnv(t)
 	p := NewPlainILT()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/grid"
 )
 
@@ -41,7 +42,10 @@ func SavePGM(path string, f *grid.Field) error {
 }
 
 // ReadPGM reads a binary (P5) 8-bit PGM into a field with values in
-// [0, 1].
+// [0, 1]. Nothing in the input is trusted: a side beyond
+// frame.MaxFieldDim and a pixel above the header's max are refused, and
+// the raster is read as it arrives, so a header promising more pixels
+// than the input holds allocates only what came.
 func ReadPGM(r io.Reader) (*grid.Field, error) {
 	br := bufio.NewReader(r)
 	var magic string
@@ -52,20 +56,27 @@ func ReadPGM(r io.Reader) (*grid.Field, error) {
 	if magic != "P5" {
 		return nil, fmt.Errorf("render: unsupported PGM magic %q (want P5)", magic)
 	}
-	if w <= 0 || h <= 0 || maxv <= 0 || maxv > 255 {
-		return nil, fmt.Errorf("render: bad PGM dimensions %dx%d max %d", w, h, maxv)
+	hdr := fmt.Sprintf("%s %d %d %d", magic, w, h, maxv)
+	if w <= 0 || h <= 0 || w > frame.MaxFieldDim || h > frame.MaxFieldDim || maxv <= 0 || maxv > 255 {
+		return nil, fmt.Errorf("render: PGM header %q: want sides in 1..%d and max in 1..255", hdr, frame.MaxFieldDim)
 	}
 	// Single whitespace byte after the header.
 	if _, err := br.ReadByte(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("render: PGM header %q: %w", hdr, err)
 	}
-	buf := make([]byte, w*h)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("render: truncated PGM data: %w", err)
+	buf, err := io.ReadAll(io.LimitReader(br, int64(w*h)))
+	if err == nil && len(buf) < w*h {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("render: PGM header %q: %d of %d pixels read: %w", hdr, len(buf), w*h, err)
 	}
 	f := grid.New(w, h)
 	inv := 1 / float64(maxv)
 	for i, b := range buf {
+		if int(b) > maxv {
+			return nil, fmt.Errorf("render: PGM header %q: pixel %d is %d, above the max", hdr, i, b)
+		}
 		f.Data[i] = float64(b) * inv
 	}
 	return f, nil

@@ -8,7 +8,7 @@
 //
 //	setup, err := mosaic.NewSetup(mosaic.DefaultOptics())
 //	layout, err := mosaic.Benchmark("B4")
-//	result, err := setup.OptimizeExact(layout)
+//	result, err := setup.Optimize(mosaic.DefaultConfig(mosaic.ModeExact), layout)
 //	report, err := setup.Evaluate(result.Mask, layout, result.RuntimeSec)
 //	fmt.Printf("EPE=%d PVB=%.0f score=%.0f\n",
 //	        report.EPEViolations, report.PVBandNM2, report.Score)
@@ -228,16 +228,6 @@ func (s *Setup) OptimizeCtx(ctx context.Context, cfg Config, layout *Layout) (*R
 		return nil, err
 	}
 	return res.Tiles[0], nil
-}
-
-// OptimizeFast runs MOSAIC_fast with the paper's parameters.
-func (s *Setup) OptimizeFast(layout *Layout) (*Result, error) {
-	return s.Optimize(ilt.DefaultConfig(ilt.ModeFast), layout)
-}
-
-// OptimizeExact runs MOSAIC_exact with the paper's parameters.
-func (s *Setup) OptimizeExact(layout *Layout) (*Result, error) {
-	return s.Optimize(ilt.DefaultConfig(ilt.ModeExact), layout)
 }
 
 // Evaluate computes the full contest metrics (EPE violations, PV band,

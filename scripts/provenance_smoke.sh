@@ -1,12 +1,15 @@
 #!/bin/sh
-# Smoke test of the Merkle-anchored artifact store behind mosaicd:
-# run a sharded job against a daemon with -artifact-dir and assert its
-# provenance record verifies clean end-to-end; re-run the same spec and
-# assert the warm run anchors the *same* manifest digest and Merkle
-# root (reproducible provenance); then corrupt one stored blob while
-# the daemon is down and assert, across the restart, that /verify
-# detects the damage naming the offending leaf while an untouched
-# artifact still verifies clean. Needs only curl and a POSIX shell.
+# Smoke test of the two durable stores behind mosaicd, the tile cache
+# (-cache-dir) and the Merkle-anchored artifact store (-artifact-dir):
+# run a sharded job and assert it fills the cache and its provenance
+# record verifies clean end-to-end; re-run the same spec and assert the
+# warm run is served from the cache and anchors the *same* manifest
+# digest and Merkle root (reproducible provenance); then, while the
+# daemon is down, corrupt one stored blob and one cache entry, and
+# assert across the restart that /verify detects the damage naming the
+# offending leaf while an untouched artifact still verifies clean, and
+# that a re-run quarantines the entry and recomputes the same root.
+# Needs only curl and a POSIX shell.
 set -eu
 
 . "$(dirname "$0")/lib.sh"
@@ -49,6 +52,9 @@ case $(curl -fsS "$BASE/v1/artifacts/$ROOT_A/verify") in
     *'"ok":true'*) ;;
     *) echo "provenance-smoke: clean artifact failed verification" >&2; exit 1 ;;
 esac
+MISSES1=$(metric cache_misses_total)
+HITS1=$(metric cache_hits_total)
+[ "$MISSES1" -gt 0 ] || die "cold run populated no cache entry"
 echo "provenance-smoke: cold run anchored and verified (root ${ROOT_A%"${ROOT_A#????????}"}…)"
 
 # Warm run: same spec, fresh job, identical digests — provenance
@@ -67,7 +73,9 @@ case $(curl -fsS "$BASE/v1/jobs/$JOB_A2/provenance") in
 esac
 [ "$(find "$DIR/artifacts/quality" -name '*.mtq' | wc -l)" -eq 1 ] || {
     echo "provenance-smoke: expected one quality side-car for the one anchored run" >&2; exit 1; }
-echo "provenance-smoke: warm run reproduced the digests bit-for-bit and read its scores from the side-car"
+[ "$(metric cache_misses_total)" -eq "$MISSES1" ] || die "warm run re-optimized tiles"
+[ "$(metric cache_hits_total)" -gt "$HITS1" ] || die "warm run missed the cache"
+echo "provenance-smoke: warm run served from the cache, reproduced the digests bit-for-bit and read its scores from the side-car"
 
 # A second, different job — the untouched control artifact.
 JOB_B=$(run_job "$LAYOUT_B")
@@ -91,7 +99,13 @@ BLOB="$DIR/artifacts/blobs/$(echo "$VICTIM" | cut -c1-2)/$VICTIM.blob"
 [ -f "$BLOB" ] || { echo "provenance-smoke: blob $BLOB not on disk" >&2; exit 1; }
 SIZE=$(wc -c <"$BLOB")
 printf '\377' | dd of="$BLOB" bs=1 seek=$((SIZE / 2)) conv=notrunc 2>/dev/null
-echo "provenance-smoke: flipped one byte in leaf blob $VICTIM"
+# ...and damage the cache entry of one of job A's leaves: the restart
+# empties the memory tier, so a re-run must read it from disk.
+KEY=$(echo "$PROV_A" | grep -o '"key":"[0-9a-f]*"' | head -1 | sed 's/.*"key":"\(.*\)"/\1/')
+ENTRY="$DIR/cache/$(echo "$KEY" | cut -c1-2)/$KEY.mtc"
+[ -f "$ENTRY" ] || die "cache entry $ENTRY not on disk"
+printf 'CORRUPT' >>"$ENTRY"
+echo "provenance-smoke: flipped one byte in leaf blob $VICTIM and damaged cache entry $KEY"
 
 # Across the restart: the damaged artifact fails verification naming
 # the leaf; the untouched artifact still proves clean from its bytes.
@@ -113,6 +127,14 @@ case $(curl -fsS "$BASE/v1/artifacts/$ROOT_B/verify") in
     *) echo "provenance-smoke: untouched artifact failed verification" >&2; exit 1 ;;
 esac
 echo "provenance-smoke: corruption detected at the named leaf; untouched artifact verifies clean"
+
+# The damaged cache entry is quarantined and recomputed bit-identically.
+JOB_A3=$(run_job "$LAYOUT_A")
+[ "$(metric cache_corrupt_total)" -gt 0 ] || die "corrupt cache entry was not detected"
+[ -f "$ENTRY.corrupt" ] || die "corrupt cache entry was not quarantined"
+[ "$(json_str "$(curl -fsS "$BASE/v1/jobs/$JOB_A3")" merkle_root)" = "$ROOT_A" ] ||
+    die "the recompute after quarantine anchored another root"
+echo "provenance-smoke: corrupt cache entry quarantined and recomputed to the same root"
 
 stop_daemon "$PID" "$LOG"
 echo "provenance-smoke: ok"
