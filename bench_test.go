@@ -211,9 +211,10 @@ func BenchmarkTilePipeline(b *testing.B) {
 // buys on a repeated layout: "cold" optimizes the 4-tile B4x4 workload
 // into a fresh cache every iteration (every tile misses), "warm" reuses
 // one primed cache (every tile hits and no optimizer runs). The gap is
-// the per-layout cost the cache removes; hits/op and misses/op are
-// reported so the archived text carries the hit rate alongside the
-// timing.
+// the per-layout cost the cache removes; "warm-seeded" is "warm" behind a
+// read-only warm-start library, so every tile is seeded before its key is
+// taken. hits/op and misses/op are reported so the archived text carries
+// the hit rate alongside the timing.
 func BenchmarkTileCacheWarm(b *testing.B) {
 	s := benchSetup(b)
 	layout := tileBenchLayout(b)
@@ -273,6 +274,45 @@ func BenchmarkTileCacheWarm(b *testing.B) {
 				b.Fatalf("warm run %d recomputed %d tiles", i, m)
 			}
 			hits += h
+		}
+		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		b.ReportMetric(0, "misses/op")
+	})
+	// warm-seeded is the route of a resubmitted job behind a warm-start
+	// library: a harvesting pass fills the library, which is then opened
+	// read-only in front of a primed cache, so every tile is seeded before
+	// its key is taken and then served from the cache.
+	b.Run("warm-seeded", func(b *testing.B) {
+		dir := b.TempDir()
+		harvest, err := OpenWarmStartLibrary(dir, 0, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := opts
+		o.WarmStart = harvest
+		run(b, o)
+		frozen, err := OpenWarmStartLibrary(dir, 0, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := OpenTileCache("", 256<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o.Cache, o.WarmStart = store, frozen
+		run(b, o) // prime the cache with the seeded windows
+		b.ResetTimer()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			h, m := run(b, o)
+			if m != 0 {
+				b.Fatalf("warm seeded run %d recomputed %d tiles", i, m)
+			}
+			hits += h
+		}
+		b.StopTimer()
+		if st := frozen.Stats(); st.Hits == 0 || st.Misses != 0 {
+			b.Fatalf("the frozen library did not seed every window: %+v", st)
 		}
 		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
 		b.ReportMetric(0, "misses/op")

@@ -363,6 +363,147 @@ func TestStoreReopenTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// failingLog is an anchor log whose next write puts down only half its
+// bytes and fails (a disk that fills mid-record), and whose truncate can
+// be made to fail too.
+type failingLog struct {
+	*os.File
+	failWrite    bool
+	failTruncate bool
+}
+
+var errInjected = errors.New("injected fault")
+
+func (f *failingLog) Write(p []byte) (int, error) {
+	if !f.failWrite {
+		return f.File.Write(p)
+	}
+	f.failWrite = false
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, errInjected
+}
+
+func (f *failingLog) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.File.Truncate(size)
+}
+
+// TestFailedAppendLeavesNoTornFrame: a commit whose write fails part-way
+// fails, and the log is cut back to where that record began, so the next
+// acknowledged commit is not left behind torn bytes that replay would
+// truncate it away with. A log that cannot be cut back refuses every
+// later commit instead of acknowledging records it would lose.
+func TestFailedAppendLeavesNoTornFrame(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := s.PutBlob([]byte("alpha"))
+	commit := func(job string) (*Record, error) {
+		return s.Commit(job, []byte("{"+job+"}"), []Leaf{{Index: 0, Blob: blob}})
+	}
+	recA, err := commit("job-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &failingLog{File: s.log.(*os.File), failWrite: true}
+	s.log = fl
+	if _, err := commit("job-torn"); !errors.Is(err, errInjected) {
+		t.Fatalf("commit over a failing write: %v, want the write's error", err)
+	}
+	recB, err := commit("job-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*Record{recA, recB} {
+		if got, ok := s2.Resolve(rec.Root); !ok || got.JobID != rec.JobID {
+			t.Fatalf("acknowledged %s did not survive the reopen", rec.JobID)
+		}
+	}
+
+	// The cut-back itself fails: the log is unusable and says so.
+	fl = &failingLog{File: s2.log.(*os.File), failWrite: true, failTruncate: true}
+	s2.log = fl
+	if _, err := s2.Commit("job-c", []byte("{c}"), []Leaf{{Index: 0, Blob: blob}}); !errors.Is(err, errInjected) {
+		t.Fatalf("commit over a failing write: %v", err)
+	}
+	if _, err := s2.Commit("job-d", []byte("{d}"), []Leaf{{Index: 0, Blob: blob}}); err == nil {
+		t.Fatal("a log left with a torn frame acknowledged another commit")
+	}
+	s2.Close()
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if _, ok := s3.Resolve(recB.Root); !ok {
+		t.Fatal("the last acknowledged record was lost")
+	}
+}
+
+// TestCorruptBlobIsRewritten: a blob a verified read found damaged is not
+// deduped against — the next put of its bytes replaces it — while an
+// intact one still costs only the stat.
+func TestCorruptBlobIsRewritten(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	payload := []byte("the bytes a later job holds again")
+	d, err := s.PutBlob(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.blobs.Path(d.String())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Until a verified read looks, the damage is unknown and dedup holds.
+	if _, err := s.PutBlob(payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Fatal("an unverified blob was rewritten: dedup must stay one stat")
+	}
+	rec, err := s.Commit("job-r", []byte("{r}"), []Leaf{{Index: 0, Blob: d}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Verify(rec); rep.OK {
+		t.Fatal("verify passed on a damaged blob")
+	}
+	if _, err := s.Blob(d); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged blob read: %v, want ErrCorrupt until it is rewritten", err)
+	}
+	if _, err := s.PutBlob(payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Blob(d); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("rewritten blob reads %q, %v", got, err)
+	}
+	if rep := s.Verify(rec); !rep.OK {
+		t.Fatalf("verify after the rewrite: %+v", rep)
+	}
+	if s.corrupt[d] {
+		t.Fatal("a rewritten blob is still marked damaged")
+	}
+}
+
 // TestConcurrentCommitsAreEachDurable: the anchor log takes one commit at
 // a time. 64 racing commits all resolve and all replay after a reopen;
 // with Close racing a second burst, each commit is durable (it replays)

@@ -100,7 +100,7 @@ func NewManifest(layout *geom.Layout, ws *sim.Simulator, cfg ilt.Config, plan *t
 	sections := ilt.Bits{Optics: &ws.Cfg, Resist: &ws.Resist, Cfg: &cfg}.Sections()
 	m.Optics, m.Resist, m.Opt = sections["optics"], sections["resist"], sections["optimizer"]
 	if cfg.SeedMask != nil {
-		d := Digest(frame.Digest(func(w *frame.Writer) { w.Field(cfg.SeedMask) }))
+		d := Digest(frame.FieldDigest(cfg.SeedMask))
 		m.Seed = &d
 	}
 	return m

@@ -65,14 +65,32 @@ type Store struct {
 	// wmu serializes the anchor log: a commit writes and fsyncs its record
 	// under it, and Close takes it to wait out a commit in flight.
 	wmu    sync.Mutex
-	log    *os.File // anchors.log
+	log    anchorLog // anchors.log
+	end    int64     // bytes of whole records in the log: where the next one goes
+	broken error     // a failed append the log could not be cut back from
 	closed bool
+
+	// cmu guards corrupt: the blobs a verified read (Blob, Verify) found
+	// damaged on disk. putBlob rewrites those instead of deduping against
+	// the damage.
+	cmu     sync.Mutex
+	corrupt map[Digest]bool
 
 	// imu guards the index maps.
 	imu        sync.Mutex
 	byManifest map[Digest][]*Record
 	byRoot     map[Digest][]*Record
 	byBlob     map[Digest][]BlobRef
+}
+
+// anchorLog is what the store needs of anchors.log: an *os.File, or in a
+// test one that fails on cue.
+type anchorLog interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
 }
 
 // Open opens (creating if needed) a store rooted at dir and replays
@@ -93,6 +111,7 @@ func Open(dir string) (*Store, error) {
 		byManifest: make(map[Digest][]*Record),
 		byRoot:     make(map[Digest][]*Record),
 		byBlob:     make(map[Digest][]BlobRef),
+		corrupt:    make(map[Digest]bool),
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "anchors.log"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -132,6 +151,7 @@ func (s *Store) replay(f *os.File) error {
 	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
 		return fmt.Errorf("artifact: seeking anchor log: %w", err)
 	}
+	s.end = int64(off)
 	return nil
 }
 
@@ -156,19 +176,39 @@ func (s *Store) PutBlob(payload []byte) (Digest, error) {
 	return d, s.putBlob(d, payload)
 }
 
-// putBlob is PutBlob for a payload whose digest d the caller holds.
+// putBlob is PutBlob for a payload whose digest d the caller holds. A
+// blob a verified read found damaged is rewritten (temp file + rename)
+// rather than deduped against.
 func (s *Store) putBlob(d Digest, payload []byte) error {
-	key := d.String()
-	if s.blobs.Has(key) {
+	if s.stored(d) {
 		mBlobsDeduped.Inc()
 		return nil
 	}
-	if _, err := s.blobs.Put(key, frame.Encode(blobMagic, payload)); err != nil {
+	if err := s.blobs.Write(d.String(), frame.Encode(blobMagic, payload)); err != nil {
 		return fmt.Errorf("artifact: writing blob %s: %w", d, err)
 	}
+	s.cmu.Lock()
+	delete(s.corrupt, d)
+	s.cmu.Unlock()
 	mBlobsWritten.Inc()
 	mBlobBytes.Add(int64(len(payload)))
 	return nil
+}
+
+// stored reports whether blob d is on disk and not known to be damaged:
+// one stat, and a map lookup.
+func (s *Store) stored(d Digest) bool {
+	s.cmu.Lock()
+	damaged := s.corrupt[d]
+	s.cmu.Unlock()
+	return !damaged && s.blobs.Has(d.String())
+}
+
+// noteCorrupt records that a verified read found blob d damaged.
+func (s *Store) noteCorrupt(d Digest) {
+	s.cmu.Lock()
+	s.corrupt[d] = true
+	s.cmu.Unlock()
 }
 
 // PutResult stores a tile result as the blob of its EncodeResult payload
@@ -187,7 +227,7 @@ func (s *Store) PutResult(res *ilt.Result) (Digest, error) {
 		return d, err
 	}
 	if payload == nil { // digest memoised by an earlier job
-		if s.blobs.Has(Digest(d).String()) {
+		if s.stored(d) {
 			mBlobsDeduped.Inc()
 			return d, nil
 		}
@@ -208,19 +248,22 @@ func (s *Store) Blob(d Digest) ([]byte, error) {
 		return nil, err
 	}
 	if HashBlob(payload) != d {
+		s.noteCorrupt(d)
 		return nil, fmt.Errorf("%w: blob %s content does not hash to its address", ErrCorrupt, d)
 	}
 	return payload, nil
 }
 
 // rawBlob reads and unframes a blob file without checking the content
-// address — Verify re-derives digests itself from these bytes.
+// address — Verify re-derives digests itself from these bytes. A blob
+// that does not unframe is noted as damaged.
 func (s *Store) rawBlob(d Digest) ([]byte, error) {
 	payload, err := s.blobs.Get(d.String())
 	switch {
 	case errors.Is(err, cas.ErrNotFound):
 		return nil, fmt.Errorf("%w: blob %s", ErrNotFound, d)
 	case errors.Is(err, cas.ErrCorrupt):
+		s.noteCorrupt(d)
 		return nil, fmt.Errorf("%w: blob %s: %v", ErrCorrupt, d, err)
 	case err != nil:
 		return nil, fmt.Errorf("artifact: reading blob %s: %w", d, err)
@@ -276,19 +319,34 @@ func (s *Store) Commit(jobID string, manifest []byte, leaves []Leaf) (*Record, e
 }
 
 // appendAnchor appends one framed record to the anchor log and returns
-// once it is fsynced.
+// once it is fsynced. A failed write or fsync cuts the log back to where
+// the record began, so no partial frame is left for a later record to
+// land behind (replay would truncate that record away with the torn
+// bytes); if the log cannot be cut back, every later commit is refused.
 func (s *Store) appendAnchor(fr []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if _, err := s.log.Write(fr); err != nil {
-		return fmt.Errorf("artifact: appending anchor: %w", err)
+	if s.broken != nil {
+		return fmt.Errorf("artifact: anchor log unusable since a failed append: %w", s.broken)
 	}
-	if err := s.log.Sync(); err != nil {
-		return fmt.Errorf("artifact: syncing anchor log: %w", err)
+	_, err := s.log.Write(fr)
+	if err != nil {
+		err = fmt.Errorf("artifact: appending anchor: %w", err)
+	} else if err = s.log.Sync(); err != nil {
+		err = fmt.Errorf("artifact: syncing anchor log: %w", err)
 	}
+	if err != nil {
+		if terr := s.log.Truncate(s.end); terr != nil {
+			s.broken = terr
+		} else if _, serr := s.log.Seek(s.end, io.SeekStart); serr != nil {
+			s.broken = serr
+		}
+		return err
+	}
+	s.end += int64(len(fr))
 	return nil
 }
 

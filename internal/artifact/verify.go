@@ -59,6 +59,7 @@ func (s *Store) Verify(rec *Record) *VerifyReport {
 		}
 		got := HashBlob(payload)
 		if got != want {
+			s.noteCorrupt(want)
 			fail(index, want, "content does not hash to the anchored digest")
 		}
 		return got

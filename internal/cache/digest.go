@@ -48,7 +48,7 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 //   - the imaging configuration and calibrated resist model
 //   - every optimizer parameter ilt.Bits lists (hooks and diagnostics
 //     excluded, exactly as the scheduler forces them off for tiled runs)
-//     and the warm-start seed, if any
+//     and the warm-start seed, if any, by its size and digest
 //   - the window's clipped geometry in window-local coordinates, and its
 //     window-local EPE samples, both in order
 //
@@ -60,13 +60,30 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // an order that depends on it (TestBitsIndependentOfCoreCount).
 // Polygon and sample order are hashed as given rather than sorted: a
 // reordering changes the key and costs a recompute, never a wrong hit.
+//
+// A seed enters as its W, H and frame.FieldDigest, not as its samples:
+// the digest the request carries (tile.Request.SeedDigest, hashed by the
+// warm-start library when it made the seed), or one computed here from
+// the bits, so both routes write the same bytes. An unseeded key writes
+// the -1 of a nil Writer.Field, as it always has.
 func RequestKey(req *tile.Request) Key {
 	return frame.Digest(func(w *frame.Writer) {
 		w.I64(DigestVersion)
 		w.I64(int64(req.Plan.WindowPx))
 		w.F64(req.Plan.PixelNM)
 		ilt.Bits{Optics: &req.Sim.Cfg, Resist: &req.Sim.Resist, Cfg: &req.Cfg}.Append(w)
-		w.Field(req.Cfg.SeedMask)
+		if seed := req.Cfg.SeedMask; seed == nil {
+			w.Field(nil)
+		} else {
+			d := req.SeedDigest
+			if d == nil {
+				fd := frame.FieldDigest(seed)
+				d = &fd
+			}
+			w.I64(int64(seed.W))
+			w.I64(int64(seed.H))
+			w.Raw(d[:])
+		}
 		req.Tile.Layout.AppendBits(w)
 		geom.AppendSamples(w, req.Samples)
 	})

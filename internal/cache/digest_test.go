@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"testing"
 
+	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
@@ -118,6 +120,37 @@ func TestRequestKeySeedBits(t *testing.T) {
 	}
 	if seeded(0.5) == seeded(0.25) {
 		t.Fatal("two different seeds collided on one cache key")
+	}
+}
+
+// TestRequestKeySeedDigestCarriedOrComputed: a seed enters the key by its
+// size and digest, and the key is the same whether the request carries
+// the digest (as the warm-start runner hands it over) or the key hashes
+// the seed's bits itself. A carried digest is taken as given, so one that
+// does not match the seed moves the key — the carrier owns the match.
+func TestRequestKeySeedDigestCarriedOrComputed(t *testing.T) {
+	seed := grid.New(64, 64)
+	for i := range seed.Data {
+		seed.Data[i] = float64(i%13) / 13
+	}
+	d := frame.FieldDigest(seed)
+	key := func(digest *[sha256.Size]byte) Key {
+		return RequestKey(digestReq(func(r *tile.Request) {
+			r.Cfg.SeedMask = seed
+			r.SeedDigest = digest
+		}))
+	}
+	computed, carried := key(nil), key(&d)
+	if computed != carried {
+		t.Fatalf("a carried seed digest wrote another key than one computed from the bits:\n  %s\n  %s", computed, carried)
+	}
+	other := d
+	other[0] ^= 1
+	if key(&other) == computed {
+		t.Fatal("the key ignored the carried seed digest")
+	}
+	if RequestKey(digestReq(func(r *tile.Request) { r.SeedDigest = &d })) != RequestKey(digestReq(nil)) {
+		t.Fatal("a digest with no seed moved an unseeded key")
 	}
 }
 

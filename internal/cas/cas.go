@@ -54,11 +54,17 @@ func (d Dir) Put(key string, data []byte) (bool, error) {
 	if d.Has(key) {
 		return false, nil
 	}
+	return true, d.Write(key, data)
+}
+
+// Write installs a sealed frame under key whether or not an entry is
+// there: the way to replace one known to be damaged.
+func (d Dir) Write(key string, data []byte) error {
 	path := d.Path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return false, fmt.Errorf("cas: creating shard: %w", err)
+		return fmt.Errorf("cas: creating shard: %w", err)
 	}
-	return true, WriteFile(path, data, d.Sync)
+	return WriteFile(path, data, d.Sync)
 }
 
 // Get reads key's entry and returns its frame payload. A missing entry

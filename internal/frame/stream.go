@@ -44,6 +44,12 @@ func Digest(write func(*Writer)) (sum [sha256.Size]byte) {
 	return sum
 }
 
+// FieldDigest is the Digest of one raster's Field stream: the seed digest
+// a manifest records and a tile-cache key folds in.
+func FieldDigest(f *grid.Field) [sha256.Size]byte {
+	return Digest(func(w *Writer) { w.Field(f) })
+}
+
 // Raw writes bytes as they are, with no length prefix.
 func (w *Writer) Raw(p []byte) {
 	if w.h != nil {

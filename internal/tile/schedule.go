@@ -2,6 +2,7 @@ package tile
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,13 @@ type Request struct {
 	Sim     *sim.Simulator
 	Cfg     ilt.Config
 	Samples []geom.Sample
+
+	// SeedDigest, when non-nil, is the digest of Cfg.SeedMask (the
+	// frame.Digest of its Writer.Field), set by whoever attached the seed
+	// and hashed its bits: the cache key takes the seed by it instead of
+	// re-reading its samples. A seed that arrives without one is hashed
+	// where it is needed.
+	SeedDigest *[sha256.Size]byte
 
 	// Prov, when non-nil, is filled in by whoever produces the result:
 	// the cache decorator records the tier and content key it served

@@ -33,39 +33,28 @@ func (p *Plan) Stitch(results []*ilt.Result, seamNM float64) (mask, gray *grid.F
 		seamPx = 0
 	}
 
-	// Per-axis tile weights; rows and columns share the profile (the plan
-	// is square and the core pitch is common).
+	// Per-axis tile weights and the span each is nonzero over, within the
+	// tile's window; rows and columns share the profile (the plan is square
+	// and the core pitch is common).
 	wAxis := make([][]float64, p.Cols)
+	span := make([][2]int, p.Cols)
 	for c := range wAxis {
 		wAxis[c] = p.axisWeights(c, seamPx)
+		span[c] = p.weightSpan(c, wAxis[c])
 	}
 
 	gray = grid.New(p.FullPx, p.FullPx)
 	for i := range p.Tiles {
 		t := &p.Tiles[i]
 		g := results[i].MaskGray
-		wx, wy := wAxis[t.Col], wAxis[t.Row]
-		for y := 0; y < p.FullPx; y++ {
+		x0, x1 := span[t.Col][0], span[t.Col][1]
+		wx, wy := wAxis[t.Col][x0:x1], wAxis[t.Row]
+		for y := span[t.Row][0]; y < span[t.Row][1]; y++ {
 			vy := wy[y]
-			if vy == 0 {
-				continue
-			}
-			ly := y - t.WinY0
-			if ly < 0 || ly >= p.WindowPx {
-				continue
-			}
-			src := g.Row(ly)
-			dst := gray.Row(y)
-			for x := 0; x < p.FullPx; x++ {
-				vx := wx[x]
-				if vx == 0 {
-					continue
-				}
-				lx := x - t.WinX0
-				if lx < 0 || lx >= p.WindowPx {
-					continue
-				}
-				dst[x] += vx * vy * src[lx]
+			src := g.Row(y - t.WinY0)[x0-t.WinX0 : x1-t.WinX0]
+			dst := gray.Row(y)[x0:x1]
+			for x, vx := range wx {
+				dst[x] += vx * vy * src[x]
 			}
 		}
 	}
@@ -93,6 +82,22 @@ func (p *Plan) axisWeights(c int, seamPx float64) []float64 {
 		w[x] = wl * wr
 	}
 	return w
+}
+
+// weightSpan returns the full-grid pixels [lo, hi) at which tile column
+// (or row) c contributes: its window, narrowed to where w is nonzero. The
+// ramps rise and fall monotonically, so the nonzero weights are one run
+// and the span walks exactly the pixels a per-pixel zero test would keep.
+func (p *Plan) weightSpan(c int, w []float64) [2]int {
+	lo := max(0, c*p.CorePx-p.HaloPx)
+	hi := min(p.FullPx, c*p.CorePx-p.HaloPx+p.WindowPx)
+	for lo < hi && w[lo] == 0 {
+		lo++
+	}
+	for hi > lo && w[hi-1] == 0 {
+		hi--
+	}
+	return [2]int{lo, hi}
 }
 
 // rampUp is the raised-cosine step centered on b with half-width h: zero

@@ -3,6 +3,7 @@ package tile
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -217,6 +218,86 @@ func TestStitchPartitionOfUnity(t *testing.T) {
 		want := float64(i + 1)
 		if got := gv.At(tl.CoreX0, tl.CoreY0); got != want {
 			t.Fatalf("tile %d core corner = %g, want %g", i, got, want)
+		}
+	}
+}
+
+// stitchReference is Stitch's blend as it was before each tile walked
+// only its weights' nonzero span: every full-grid pixel, tested against
+// the weights and the window bounds one by one.
+func stitchReference(p *Plan, results []*ilt.Result, seamPx float64) *grid.Field {
+	wAxis := make([][]float64, p.Cols)
+	for c := range wAxis {
+		wAxis[c] = p.axisWeights(c, seamPx)
+	}
+	gray := grid.New(p.FullPx, p.FullPx)
+	for i := range p.Tiles {
+		t := &p.Tiles[i]
+		g := results[i].MaskGray
+		wx, wy := wAxis[t.Col], wAxis[t.Row]
+		for y := 0; y < p.FullPx; y++ {
+			vy := wy[y]
+			if vy == 0 {
+				continue
+			}
+			ly := y - t.WinY0
+			if ly < 0 || ly >= p.WindowPx {
+				continue
+			}
+			src := g.Row(ly)
+			dst := gray.Row(y)
+			for x := 0; x < p.FullPx; x++ {
+				vx := wx[x]
+				if vx == 0 {
+					continue
+				}
+				lx := x - t.WinX0
+				if lx < 0 || lx >= p.WindowPx {
+					continue
+				}
+				dst[x] += vx * vy * src[lx]
+			}
+		}
+	}
+	return gray
+}
+
+// TestStitchMatchesReference pins Stitch bit for bit to the per-pixel loop
+// it replaced, on random plans from 1x1 to 3x3 (a last core cut short
+// included) at seams from none to past the clamp.
+func TestStitchMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 60; trial++ {
+		const px = 8
+		cols := 1 + trial%3
+		corePx := 8 + r.Intn(25)
+		fullPx := (cols-1)*corePx + 1 + r.Intn(corePx)
+		l := &geom.Layout{Name: "stitch", SizeNM: float64(fullPx * px)}
+		p, err := NewPlan(l, px, float64(corePx*px), float64(r.Intn(20)*px))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Cols != cols && fullPx > corePx {
+			t.Fatalf("trial %d: want %d columns, got %d", trial, cols, p.Cols)
+		}
+		results := make([]*ilt.Result, len(p.Tiles))
+		for i := range results {
+			g := grid.New(p.WindowPx, p.WindowPx)
+			for j := range g.Data {
+				g.Data[j] = r.Float64()
+			}
+			results[i] = &ilt.Result{MaskGray: g}
+		}
+		maxSeam := float64(min(2*p.HaloPx, p.CorePx))
+		for _, seamPx := range []float64{0, r.Float64() * maxSeam, maxSeam, maxSeam + 5} {
+			_, gray, used := p.Stitch(results, seamPx*px)
+			want := stitchReference(p, results, used/px)
+			for i, v := range gray.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("trial %d (%dx%d tiles, core %d px, halo %d px, seam %g px): pixel %d = %v, the per-pixel loop gives %v",
+						trial, p.Cols, p.Rows, p.CorePx, p.HaloPx, used/px, i, v, want.Data[i])
+				}
+			}
 		}
 	}
 }

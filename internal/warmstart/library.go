@@ -113,18 +113,52 @@ type Library struct {
 
 	// Recently prepared seeds: a window that repeats — every tile of a
 	// resubmitted job — is handed the seed it was handed before instead of
-	// a fresh read, decode and translation of the entry. A prepared seed
-	// is shared by every run handed it and never written.
-	seeds *lru.Cache[seedID, *grid.Field]
+	// a fresh read, decode and translation of the entry, and the digest its
+	// bits were hashed to when it was made. A prepared seed is shared by
+	// every run handed it and never written.
+	seeds *lru.Cache[seedID, *prepared]
+
+	// Recently computed signatures: Compute is a pure function of the
+	// window geometry, window px and pitch, so a repeated window looks its
+	// signature up by the digest of its geometry instead of rasterizing
+	// it again. A memoised signature is shared and never written.
+	sigs *lru.Cache[sigID, signed]
 }
 
-// seedMemoBytes bounds the prepared seeds a library keeps in memory.
-const seedMemoBytes = 64 << 20
+const (
+	// seedMemoBytes bounds the prepared seeds a library keeps in memory.
+	seedMemoBytes = 64 << 20
+	// sigMemoBytes bounds the memoised signatures: about 2 000 windows.
+	sigMemoBytes = 4 << 20
+	// sigBytes is what one memoised signature is charged: the descriptor
+	// and its four summary stats.
+	sigBytes = 8 * (SignatureK*SignatureK + 4)
+)
 
 // seedID names one prepared seed: a stored mask in one window frame.
 type seedID struct {
 	entry  string
 	dx, dy int
+}
+
+// prepared is one memoised seed and its frame.FieldDigest.
+type prepared struct {
+	seed   *grid.Field
+	digest [sha256.Size]byte
+}
+
+// sigID names one signature: a window geometry (the frame.Digest of its
+// Layout.AppendBits) at a window size and pitch.
+type sigID struct {
+	geom     [sha256.Size]byte
+	windowPx int
+	pixelNM  float64
+}
+
+// signed is one memoised Compute result.
+type signed struct {
+	sig        *Signature
+	offX, offY int
 }
 
 var (
@@ -168,7 +202,8 @@ func Open(opts Options) (*Library, error) {
 		harvest: opts.Harvest,
 		byFam:   make(map[Family][]*entry),
 		keys:    make(map[string]bool),
-		seeds:   lru.New[seedID, *grid.Field](seedMemoBytes),
+		seeds:   lru.New[seedID, *prepared](seedMemoBytes),
+		sigs:    lru.New[sigID, signed](sigMemoBytes),
 	}
 	if l.maxDist == 0 {
 		l.maxDist = DefaultMaxDist
@@ -285,6 +320,9 @@ type Attempt struct {
 	// SeedKey is the content key of the library entry the window was
 	// seeded from; empty when the lookup missed.
 	SeedKey string
+	// SeedDigest is the frame.FieldDigest of the seed attached behind
+	// SeedKey, for tile.Request.SeedDigest; nil when the lookup missed.
+	SeedDigest *[sha256.Size]byte
 	// Dist is the signature distance of the match behind SeedKey.
 	Dist float64
 }
@@ -305,7 +343,7 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 		return cfg, nil
 	}
 	fam := FamilyKey(ws, windowPx, pixelNM, cfg)
-	sig, offX, offY := Compute(layout, windowPx, pixelNM)
+	sig, offX, offY := l.signature(layout, windowPx, pixelNM)
 	att := &Attempt{lib: l, fam: fam, sig: sig, offX: offX, offY: offY, windowPx: windowPx, pixelNM: pixelNM}
 
 	mLookups.Inc()
@@ -324,8 +362,9 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 			l.mu.Lock()
 			l.stats.Hits++
 			l.mu.Unlock()
-			cfg.SeedMask = seed
+			cfg.SeedMask = seed.seed
 			att.SeedKey = e.key
+			att.SeedDigest = &seed.digest
 			att.Dist = dist
 		}
 	}
@@ -338,16 +377,37 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 	return cfg, att
 }
 
+// signature returns Compute's result for one window: memoised under the
+// digest of the window's geometry, which is all Compute reads of it.
+func (l *Library) signature(layout *geom.Layout, windowPx int, pixelNM float64) (*Signature, int, int) {
+	id := sigID{geom: frame.Digest(layout.AppendBits), windowPx: windowPx, pixelNM: pixelNM}
+	l.mu.Lock()
+	s, ok := l.sigs.Get(id)
+	l.mu.Unlock()
+	if !ok {
+		s.sig, s.offX, s.offY = Compute(layout, windowPx, pixelNM)
+		l.mu.Lock()
+		if first, ok := l.sigs.Get(id); ok { // a concurrent window signed it first
+			s = first
+		} else {
+			l.sigs.Add(id, s, sigBytes)
+		}
+		l.mu.Unlock()
+	}
+	return s.sig, s.offX, s.offY
+}
+
 // seedFor returns entry e's stored mask translated by (dx, dy) into a
-// windowPx frame: the memoised seed when this library prepared it
-// recently, otherwise read from disk, verified, translated and memoised.
-func (l *Library) seedFor(e *entry, dx, dy, windowPx int) (*grid.Field, error) {
+// windowPx frame, with its digest: the memoised seed when this library
+// prepared it recently, otherwise read from disk, verified, translated,
+// hashed and memoised.
+func (l *Library) seedFor(e *entry, dx, dy, windowPx int) (*prepared, error) {
 	id := seedID{entry: e.key, dx: dx, dy: dy}
 	l.mu.Lock()
-	seed, ok := l.seeds.Get(id)
+	p, ok := l.seeds.Get(id)
 	l.mu.Unlock()
 	if ok {
-		return seed, nil
+		return p, nil
 	}
 
 	_, mask, err := l.readEntry(e.key)
@@ -357,15 +417,16 @@ func (l *Library) seedFor(e *entry, dx, dy, windowPx int) (*grid.Field, error) {
 	if mask.W != windowPx {
 		return nil, fmt.Errorf("entry mask is %d px, window wants %d px", mask.W, windowPx)
 	}
-	seed = Translate(mask, dx, dy)
+	seed := Translate(mask, dx, dy)
+	p = &prepared{seed: seed, digest: frame.FieldDigest(seed)}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if first, ok := l.seeds.Get(id); ok { // a concurrent window prepared it first
 		return first, nil
 	}
-	l.seeds.Add(id, seed, 8*int64(len(seed.Data)))
-	return seed, nil
+	l.seeds.Add(id, p, 8*int64(len(seed.Data))+sha256.Size)
+	return p, nil
 }
 
 // Finish completes an attempt: it observes the seeded/cold iteration

@@ -2,6 +2,8 @@ package warmstart
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"errors"
 	"math"
 	"os"
@@ -13,9 +15,11 @@ import (
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/metrics"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
+	"mosaic/internal/tile"
 )
 
 const (
@@ -226,9 +230,108 @@ func TestPreparedSeedIsShared(t *testing.T) {
 	if shifted.SeedMask == seeds[0] || !shifted.SeedMask.Equal(Translate(mask, 64/testPixelNM, 8/testPixelNM), 0) {
 		t.Fatal("another frame of the entry must get its own translated seed")
 	}
-	if n, b := l.seeds.Len(), l.seeds.Bytes(); n != 2 || b != 2*8*int64(len(mask.Data)) || b > seedMemoBytes {
+	if n, b := l.seeds.Len(), l.seeds.Bytes(); n != 2 || b != 2*(8*int64(len(mask.Data))+sha256.Size) || b > seedMemoBytes {
 		t.Fatalf("memo holds %d seeds, %d bytes", n, b)
 	}
+}
+
+// TestRepeatedWindowIsALookup: N repeats of a seeded window cost one
+// Compute and one seed digest. Every attempt shares the signature the
+// first one computed and the seed and digest the first hit prepared; the
+// digest is the seed's own frame.FieldDigest, and another frame of the
+// entry is signed and hashed for itself.
+func TestRepeatedWindowIsALookup(t *testing.T) {
+	ws := testSim(t)
+	cfg := ilt.DefaultConfig(ilt.ModeFast)
+	mask := grid.New(testWindowPx, testWindowPx)
+	for i := range mask.Data {
+		mask.Data[i] = float64(i%3) / 3
+	}
+	l, err := Open(Options{Dir: t.TempDir(), Harvest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := harvestOne(t, l, ws, cfg, testLayout(0, 0), mask, l.Epoch())
+	epoch := l.Epoch()
+
+	const n = 6
+	var seed *grid.Field
+	var digest *[sha256.Size]byte
+	for i := 0; i < n; i++ {
+		runCfg, att := l.Prepare(epoch, cfg, ws, testWindowPx, testPixelNM, testLayout(0, 0))
+		if att == nil || att.SeedKey == "" || att.SeedDigest == nil {
+			t.Fatalf("repeat %d was not seeded: %+v", i, att)
+		}
+		if att.sig != first.sig {
+			t.Fatalf("repeat %d computed its signature again", i)
+		}
+		if i == 0 {
+			seed, digest = runCfg.SeedMask, att.SeedDigest
+		}
+		if runCfg.SeedMask != seed || att.SeedDigest != digest {
+			t.Fatalf("repeat %d was handed another seed or digest than repeat 0", i)
+		}
+	}
+	if *digest != frame.FieldDigest(seed) {
+		t.Fatal("the carried digest is not the seed's FieldDigest")
+	}
+	if l.sigs.Len() != 1 || l.seeds.Len() != 1 {
+		t.Fatalf("memos hold %d signatures and %d seeds after %d repeats of one window, want 1 and 1", l.sigs.Len(), l.seeds.Len(), n)
+	}
+
+	runCfg, att := l.Prepare(epoch, cfg, ws, testWindowPx, testPixelNM, testLayout(64, 8))
+	if att == nil || att.sig == first.sig || runCfg.SeedMask == seed || *att.SeedDigest != frame.FieldDigest(runCfg.SeedMask) {
+		t.Fatal("another frame of the entry must be signed and hashed for itself")
+	}
+	if l.sigs.Bytes() != 2*sigBytes {
+		t.Fatalf("signature memo charged %d bytes for two windows, want %d", l.sigs.Bytes(), 2*sigBytes)
+	}
+}
+
+// TestSeededRunLeavesSeedUnchanged: the seed memo shares one raster and
+// its digest among every run handed it, so a seeded run through the real
+// optimizer must leave the seed's bits as they were hashed.
+func TestSeededRunLeavesSeedUnchanged(t *testing.T) {
+	ws := testSim(t)
+	cfg := ilt.DefaultConfig(ilt.ModeFast)
+	cfg.MaxIter = 3
+	l, err := Open(Options{Dir: t.TempDir(), Harvest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := testLayout(0, 0)
+	req := &tile.Request{
+		Plan:    &tile.Plan{WindowPx: testWindowPx, PixelNM: testPixelNM},
+		Tile:    &tile.Tile{Layout: layout},
+		Sim:     ws,
+		Cfg:     cfg,
+		Samples: layout.SamplePoints(metrics.DefaultParams().EPESampleNM),
+	}
+	ctx := context.Background()
+	if _, err := NewRunner(l, nil).RunTile(ctx, req); err != nil { // cold: harvests
+		t.Fatal(err)
+	}
+	var handed *tile.Request
+	capture := runnerFunc(func(ctx context.Context, r *tile.Request) (*ilt.Result, error) {
+		handed = r
+		return tile.LocalRunner{}.RunTile(ctx, r)
+	})
+	res, err := NewRunner(l, capture).RunTile(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if handed.Cfg.SeedMask == nil || handed.SeedDigest == nil {
+		t.Fatal("the repeat was not handed a seed and its digest")
+	}
+	if frame.FieldDigest(handed.Cfg.SeedMask) != *handed.SeedDigest {
+		t.Fatalf("a seeded run (adopted: %v) wrote into the shared seed", res.Seeded)
+	}
+}
+
+type runnerFunc func(context.Context, *tile.Request) (*ilt.Result, error)
+
+func (f runnerFunc) RunTile(ctx context.Context, r *tile.Request) (*ilt.Result, error) {
+	return f(ctx, r)
 }
 
 func TestEpochGuardHidesInRunHarvests(t *testing.T) {

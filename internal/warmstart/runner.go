@@ -36,8 +36,8 @@ func NewRunner(lib *Library, inner tile.Runner) *Runner {
 
 // RunTile consults the library, runs the (possibly seeded) request, and
 // finishes the attempt — histograms, fallback accounting, harvest. The
-// seed rides Config.SeedMask, so it participates in the cache key like
-// any other config field.
+// seed rides Config.SeedMask and its digest Request.SeedDigest, so the
+// cache key takes the seed by the digest the library hashed it to once.
 func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
 	if r.lib == nil {
 		return r.inner.RunTile(ctx, req)
@@ -48,6 +48,7 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 	}
 	seeded := *req
 	seeded.Cfg = cfg
+	seeded.SeedDigest = att.SeedDigest
 	res, err := r.inner.RunTile(ctx, &seeded)
 	if err != nil {
 		return nil, err

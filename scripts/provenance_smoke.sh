@@ -8,7 +8,8 @@
 # daemon is down, corrupt one stored blob and one cache entry, and
 # assert across the restart that /verify detects the damage naming the
 # offending leaf while an untouched artifact still verifies clean, and
-# that a re-run quarantines the entry and recomputes the same root.
+# that a re-run quarantines the entry, recomputes the same root and
+# rewrites the damaged blob, so the artifact verifies clean again.
 # Needs only curl and a POSIX shell.
 set -eu
 
@@ -135,6 +136,13 @@ JOB_A3=$(run_job "$LAYOUT_A")
 [ "$(json_str "$(curl -fsS "$BASE/v1/jobs/$JOB_A3")" merkle_root)" = "$ROOT_A" ] ||
     die "the recompute after quarantine anchored another root"
 echo "provenance-smoke: corrupt cache entry quarantined and recomputed to the same root"
+# The re-run held the damaged leaf's bytes again, and /verify had named
+# it: the blob is rewritten rather than deduped against the damage.
+case $(curl -fsS "$BASE/v1/artifacts/$ROOT_A/verify") in
+    *'"ok":true'*) ;;
+    *) die "the re-run left the damaged blob in place: /verify still fails" ;;
+esac
+echo "provenance-smoke: the re-run rewrote the damaged blob; the artifact verifies clean again"
 
 stop_daemon "$PID" "$LOG"
 echo "provenance-smoke: ok"
