@@ -85,7 +85,8 @@ provenance-smoke:
 # warmstart-smoke drives the warm-start pattern library end-to-end behind
 # mosaicd (tile cache off): an empty library must be byte-identical to
 # disabled, a translated repeat must be seeded and score no worse, and a
-# corrupt entry must be quarantined and recomputed across a restart.
+# corrupt entry must be quarantined and recomputed across a restart; then,
+# beside a disk cache, an exact repeat must compute nothing.
 warmstart-smoke:
 	./scripts/warmstart_smoke.sh
 

@@ -10,9 +10,11 @@
 // optional durable on-disk tier (sharded by digest prefix, atomic-rename
 // writes, corrupt entries quarantined and recomputed — a damaged cache
 // can cost time, never correctness). Runner wraps any tile.Runner with
-// the cache, leaving the scheduler and stitching untouched. The
-// disk tier is also where a resumed job finds the windows it finished
-// before a drain: it asks for them under their keys like any repeat does.
+// the cache, leaving the scheduler and stitching untouched; LookupRunner
+// goes outside the warm-start runner, so a window is asked for under its
+// unseeded key before a seed can change that key. The disk tier is also
+// where a resumed job finds the windows it finished before a drain: it
+// asks for them under their keys like any repeat does.
 package cache
 
 import (

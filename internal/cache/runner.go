@@ -40,14 +40,47 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 	if err != nil {
 		return nil, err
 	}
+	attribute(ctx, req, key, tier)
+	return res, nil
+}
+
+// attribute records how a window was served: the span's tile.cache
+// attribute and, when the request carries provenance, the serving tier
+// and the content key, so the artifact store can cross-link the anchored
+// leaf to its cache entry. A miss keeps whatever the inner runners
+// recorded (the warm-start seed) and adds the tier on top.
+func attribute(ctx context.Context, req *tile.Request, key Key, tier string) {
 	obs.CurrentSpan(ctx).SetAttrs(obs.String("tile.cache", tier))
 	if req.Prov != nil {
-		// Attribute the serving tier and the content key so the artifact
-		// store can cross-link the anchored leaf to its cache entry. A
-		// miss keeps whatever the inner runner recorded (the warm-start
-		// seed) and adds the tier on top.
 		req.Prov.Tier = tier
 		req.Prov.Key = key.String()
 	}
+}
+
+// LookupRunner serves a window the store already holds under the key of
+// the request as it arrives, and hands every other window to inner
+// unchanged. It goes outside the warm-start runner, which attaches a seed
+// and so changes the key: an exact repeat of a window is then a lookup of
+// its unseeded key rather than a seeded descent from its own converged
+// mask. The lookup never computes or stores a result; a miss runs inner
+// (library, then the cache Runner) exactly as it would without it.
+type LookupRunner struct {
+	store *Store
+	inner tile.Runner
+}
+
+// NewLookupRunner wraps inner with a lookup in store.
+func NewLookupRunner(store *Store, inner tile.Runner) *LookupRunner {
+	return &LookupRunner{store: store, inner: inner}
+}
+
+// RunTile answers from the store on a hit and runs inner on a miss.
+func (r *LookupRunner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
+	key := RequestKey(req)
+	res, tier, ok := r.store.Lookup(key)
+	if !ok {
+		return r.inner.RunTile(ctx, req)
+	}
+	attribute(ctx, req, key, tier)
 	return res, nil
 }

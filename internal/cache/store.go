@@ -131,9 +131,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key Key, compute func() (*ilt.
 // lead is the flight leader's path: probe the disk tier, then compute
 // and persist. Exactly one goroutine runs it per in-flight key.
 func (s *Store) lead(key Key, compute func() (*ilt.Result, error)) (*ilt.Result, string, error) {
-	if res, ok := s.diskGet(key); ok {
-		s.memAdd(key, res)
-		mHits.Inc()
+	if res, ok := s.diskHit(key); ok {
 		return res, tile.TierDisk, nil
 	}
 	res, err := compute()
@@ -143,6 +141,35 @@ func (s *Store) lead(key Key, compute func() (*ilt.Result, error)) (*ilt.Result,
 	s.Put(key, res)
 	mMisses.Inc()
 	return res, tile.TierMiss, nil
+}
+
+// Lookup returns key's stored result, trying the memory tier and then the
+// disk tier, and never computes or persists one. A hit counts under
+// cache_hits_total and a disk hit is promoted to memory, as in
+// GetOrCompute; a miss counts nothing, because the caller goes on to a
+// GetOrCompute of its own, which counts that window once.
+func (s *Store) Lookup(key Key) (*ilt.Result, string, bool) {
+	s.mu.Lock()
+	res, ok := s.mem.Get(key)
+	s.mu.Unlock()
+	if ok {
+		mHits.Inc()
+		return res, tile.TierMem, true
+	}
+	if res, ok := s.diskHit(key); ok {
+		return res, tile.TierDisk, true
+	}
+	return nil, "", false
+}
+
+// diskHit serves key from the disk tier, promoting the entry to memory.
+func (s *Store) diskHit(key Key) (*ilt.Result, bool) {
+	res, ok := s.diskGet(key)
+	if ok {
+		s.memAdd(key, res)
+		mHits.Inc()
+	}
+	return res, ok
 }
 
 // Put stores a result under key in both tiers. Results entering the

@@ -20,15 +20,18 @@ func (l *Layout) AppendBits(w *frame.Writer) {
 	}
 }
 
-// scalars lists a sample's fields in payload order.
-func (s *Sample) scalars() []any {
-	return []any{&s.Pt.X, &s.Pt.Y, &s.Horizontal, &s.InwardX, &s.InwardY}
-}
-
-// AppendSamples writes EPE samples to the canonical scalar stream.
+// AppendSamples writes EPE samples to the canonical scalar stream: the
+// count, then each sample's Pt.X, Pt.Y, Horizontal, InwardX and InwardY.
+// The writes are typed rather than one Writer.Put a sample, whose []any
+// of pointers cost most of a cache key's time.
 func AppendSamples(w *frame.Writer, samples []Sample) {
 	w.I64(int64(len(samples)))
 	for i := range samples {
-		w.Put(samples[i].scalars()...)
+		s := &samples[i]
+		w.F64(s.Pt.X)
+		w.F64(s.Pt.Y)
+		w.Bool(s.Horizontal)
+		w.F64(s.InwardX)
+		w.F64(s.InwardY)
 	}
 }

@@ -960,13 +960,38 @@ func TestNewRefusesCheckpointDirWithoutDiskCache(t *testing.T) {
 // tier of a fresh store over the same directory, the window that was in
 // flight is computed, and the stitched mask is a cold run's.
 func TestResumedWindowsComeFromTheDiskTier(t *testing.T) {
+	resumeFromTheDiskTier(t, nil)
+}
+
+// TestResumedWindowsUnderALibraryAreDiskHits: the same under a harvesting
+// library, which learned the finished window before the drain. The window
+// is looked up under its unseeded key before the library may seed it, so
+// it is a disk hit rather than a seeded re-descent from its own harvest
+// into a key nothing was stored under.
+func TestResumedWindowsUnderALibraryAreDiskHits(t *testing.T) {
+	lib, err := mosaic.OpenWarmStartLibrary(t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeFromTheDiskTier(t, lib)
+}
+
+// resumeFromTheDiskTier drains twoWindowSpec with window 0 done, resumes it
+// on a server whose cache is a fresh store over the same directory and
+// whose library is lib (nil: none), and requires window 0 off disk, one
+// window computed, and a cold run's mask.
+func resumeFromTheDiskTier(t *testing.T, lib *mosaic.WarmStartLibrary) {
 	cacheDir := t.TempDir()
 	cfg := testServerConfig(t.TempDir())
+	cfg.WarmStart = lib
 	var err error
 	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	id := drainInWindow(t, cfg, twoWindowSpec)
+	if lib != nil && lib.Stats().Harvested != 1 {
+		t.Fatalf("library %+v before the restart: want window 0 harvested, or the test shows nothing", lib.Stats())
+	}
 
 	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
 		t.Fatal(err)
@@ -989,29 +1014,39 @@ func TestResumedWindowsComeFromTheDiskTier(t *testing.T) {
 	if got := misses.Value() - before; got != 1 {
 		t.Fatalf("cache_misses_total rose by %v, want 1", got)
 	}
-	if !res.MaskGray.Equal(coldRun(t, cfg, twoWindowSpec).MaskGray, 0) {
+	cold := cfg
+	cold.WarmStart = nil
+	if !res.MaskGray.Equal(coldRun(t, cold, twoWindowSpec).MaskGray, 0) {
 		t.Fatal("resumed gray mask differs from a cold run's")
 	}
 }
 
 // TestResumedShardedJobEqualsFresh: under a harvesting library, a drained
-// job's finished window comes back the way a fresh submission computes it.
-// The window harvested before the drain seeds itself on both servers, so
-// the resumed job is a short seeded run of it, not the cold mask the drain
-// left behind.
+// job comes back the way a fresh submission computes it against the same
+// stores. The fresh server runs on copies of the library and the cache
+// directory taken at the drain, so on both sides the window finished
+// before the drain is a disk hit under its unseeded key and the window
+// that was in flight is computed from the same library.
 func TestResumedShardedJobEqualsFresh(t *testing.T) {
-	libDir := t.TempDir()
+	libDir, cacheDir := t.TempDir(), t.TempDir()
 	lib, err := mosaic.OpenWarmStartLibrary(libDir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testServerConfig(t.TempDir())
 	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit, c.Jumps = 1, false, 0 }
-	cfg.TileCache, cfg.WarmStart = diskCache(t), lib
+	cfg.WarmStart = lib
+	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
+		t.Fatal(err)
+	}
 	id := drainInWindow(t, cfg, twoWindowSpec)
 
-	libCopy := t.TempDir()
+	libCopy, cacheCopy := t.TempDir(), t.TempDir()
 	copyTree(t, libDir, libCopy)
+	copyTree(t, cacheDir, cacheCopy)
+	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
+		t.Fatal(err)
+	}
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1024,6 +1059,9 @@ func TestResumedShardedJobEqualsFresh(t *testing.T) {
 	if fresh.WarmStart, err = mosaic.OpenWarmStartLibrary(libCopy, 0, true); err != nil {
 		t.Fatal(err)
 	}
+	if fresh.TileCache, err = mosaic.OpenTileCache(cacheCopy, 0); err != nil {
+		t.Fatal(err)
+	}
 	s3, err := New(fresh)
 	if err != nil {
 		t.Fatal(err)
@@ -1034,8 +1072,8 @@ func TestResumedShardedJobEqualsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := finished(t, s3, st.ID, "fresh submission")
-	if want.Provenance[0].Seed == "" {
-		t.Fatal("the fresh submission did not seed window 0 from the library: the test shows nothing")
+	if got, w := resumed.Provenance[0].Tier, want.Provenance[0].Tier; got != tile.TierDisk || w != tile.TierDisk {
+		t.Fatalf("window 0 served %q resumed and %q fresh, want a disk hit on both sides", got, w)
 	}
 	for i := range want.Provenance {
 		if got, w := resumed.Provenance[i].Seed, want.Provenance[i].Seed; got != w {

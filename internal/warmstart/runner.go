@@ -14,7 +14,9 @@ import (
 // the stored mask; after the window completes, its converged mask is
 // harvested back. It composes outside the cache runner — the seed is
 // attached before the cache computes its content key, so seeded and
-// unseeded runs of one window occupy distinct cache entries.
+// unseeded runs of one window occupy distinct cache entries — and inside
+// cache.LookupRunner, so a window the cache already holds under its
+// unseeded key is served from there and never seeded.
 type Runner struct {
 	lib   *Library
 	inner tile.Runner

@@ -5,7 +5,9 @@
 // seeds the ILT descent from the retrieved mask instead of the rule-based
 // SRAF init. The tile cache only helps on exact repeats; warm-start helps
 // on *similar* patterns — the common case in real layouts — by trading a
-// retrieval for most of the descent iterations.
+// retrieval for most of the descent iterations. Where both are on, the
+// cache is asked first: a window it holds under its unseeded key is
+// served from there and never reaches the library (cache.LookupRunner).
 //
 // The stored mask is the relaxed P-field mask (MaskGray, pre-threshold):
 // seeding resumes the relaxed optimization where a past run converged,

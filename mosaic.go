@@ -301,7 +301,9 @@ type TileOptions struct {
 	// converged window back into it. Seeded windows must score no worse
 	// than cold ones — the optimizer's probe and best-iterate selection
 	// guarantee it — but are not bit-identical to them; with an empty or
-	// absent library the run is bit-identical to an unseeded one. See
+	// absent library the run is bit-identical to an unseeded one. With
+	// a Cache as well, a window the cache holds under its unseeded key is
+	// served from there before the library is consulted. See
 	// OpenWarmStartLibrary.
 	WarmStart *WarmStartLibrary
 }
@@ -387,16 +389,16 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 
 // OptimizeLayout optimizes a layout of arbitrary extent through one
 // pipeline: the layout is decomposed into halo-padded windows, each window
-// that holds geometry runs once under warm-start, cache and opts.Runner on
-// the scheduler (compute-pool reservations), and the windows are stitched
-// into one full-layout mask. A layout that fits the setup grid (and is not
-// explicitly sharded smaller by opts.TileNM) is a one-window plan — the
-// run Optimize makes, bit-identical to the bare optimizer on the clip —
-// and cfg's per-optimizer hooks (TrackMetrics, OnIter) reach the
-// optimizer, which across several windows they cannot. ctx cancels the
-// run within one optimizer iteration. A request Admit would refuse is
-// refused here, with the same *ConfigError, before anything is planned or
-// built.
+// that holds geometry runs once under a lookup of its unseeded cache key,
+// warm-start, cache and opts.Runner on the scheduler (compute-pool
+// reservations), and the windows are stitched into one full-layout mask.
+// A layout that fits the setup grid (and is not explicitly sharded
+// smaller by opts.TileNM) is a one-window plan — the run Optimize makes,
+// bit-identical to the bare optimizer on the clip — and cfg's
+// per-optimizer hooks (TrackMetrics, OnIter) reach the optimizer, which
+// across several windows they cannot. ctx cancels the run within one
+// optimizer iteration. A request Admit would refuse is refused here,
+// with the same *ConfigError, before anything is planned or built.
 func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, opts TileOptions) (*LayoutResult, error) {
 	if err := admit(s.Sim.Cfg, layout, &cfg, opts); err != nil {
 		return nil, err
@@ -413,10 +415,17 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 		runner = cache.NewRunner(opts.Cache, runner)
 	}
 	if opts.WarmStart != nil {
-		// Warm-start wraps outermost: the seed is attached to the request
+		// Warm-start wraps the cache: the seed is attached to the request
 		// before the cache computes its content key (seeded and unseeded
 		// runs of a window are distinct entries).
 		runner = warmstart.NewRunner(opts.WarmStart, runner)
+		if opts.Cache != nil {
+			// Outermost, the window is looked up under its unseeded key
+			// first: an exact repeat is served the result stored there
+			// instead of being seeded from its own harvest into a key
+			// that misses.
+			runner = cache.NewLookupRunner(opts.Cache, runner)
+		}
 	}
 	res, err := plan.Optimize(ctx, ws, cfg, tile.Options{
 		Workers: opts.Workers,

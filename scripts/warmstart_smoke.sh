@@ -4,10 +4,13 @@
 # warm-start disabled; a translated repeat of a harvested cell must be
 # seeded from the library (hit counters rise) and score no worse than
 # the cold run, runtime aside; a corrupt on-disk entry must be quarantined across a
-# restart and recomputed, never failing a job. The daemon runs with the
-# tile cache fully off (-cache-mem 0, no -cache-dir) so cache hits
-# cannot mask what the warm-start path does. Needs only curl and a
-# POSIX shell.
+# restart and recomputed, never failing a job. Those three steps run the
+# daemon with the tile cache fully off (-cache-mem 0, no -cache-dir) so
+# cache hits cannot mask what the warm-start path does. A last step
+# restarts it with a disk cache and a fresh library beside it: an exact
+# repeat of a job must then be served from the cache (its /provenance
+# reads computed: 0) with the first job's mask, not seeded from its own
+# harvest. Needs only curl and a POSIX shell.
 set -eu
 
 . "$(dirname "$0")/lib.sh"
@@ -17,8 +20,8 @@ BASE="http://127.0.0.1:$PORT"
 smoke_init warmstart-smoke
 LOG="$DIR/mosaicd.log"
 
-# start [extra flags...]: the tile cache stays off in every
-# configuration; warm-start flags are appended by the caller.
+# start [extra flags...]: the tile cache's memory tier stays off in every
+# configuration; warm-start and store flags are appended by the caller.
 start() {
     start_daemon "$PORT" "$LOG" -grid 64 -cache-mem 0 -log-level warn "$@"
 }
@@ -88,6 +91,20 @@ REHARVESTED=$(metric warmstart_harvested_total)
 [ "$REHARVESTED" -gt 0 ] || {
     echo "warmstart-smoke: quarantined pattern was not recomputed and re-harvested" >&2; exit 1; }
 echo "warmstart-smoke: corrupt entry quarantined (warmstart_corrupt_total=$CORRUPT), job recomputed cleanly"
+
+stop_daemon "$PID" "$LOG"
+
+# --- 4. Exact repeat beside a cache: a lookup, the same mask -------------
+start -cache-dir "$DIR/cache" -artifact-dir "$DIR/artifacts" -warm-lib "$DIR/lib-cached"
+run_job "$LAYOUT_BASE" "$DIR/mask-first.pgm" >/dev/null
+run_job "$LAYOUT_BASE" "$DIR/mask-repeat.pgm" >/dev/null # leaves its job id in ID
+PROV=$(curl -fsS "$BASE/v1/jobs/$ID/provenance")
+case "$PROV" in
+    *'"computed":0,'*) ;;
+    *) die "exact repeat recomputed beside a cache: $PROV" ;;
+esac
+cmp "$DIR/mask-first.pgm" "$DIR/mask-repeat.pgm" || die "exact repeat's mask differs from the first job's"
+echo "warmstart-smoke: exact repeat served from the cache (computed: 0), mask identical"
 
 stop_daemon "$PID" "$LOG"
 echo "warmstart-smoke: ok"

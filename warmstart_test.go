@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mosaic/internal/cache"
 	"mosaic/internal/obs"
+	"mosaic/internal/tile"
 )
 
 // warmCfg is the shared optimizer configuration for the warm-start façade
@@ -329,5 +331,141 @@ func TestWarmStartRejectedSeedRunsCold(t *testing.T) {
 		if res.MaskGray.Data[i] != v {
 			t.Fatalf("fallback run differs from the cold run at pixel %d", i)
 		}
+	}
+}
+
+// cacheTraffic reads cache_hits_total + cache_misses_total.
+func cacheTraffic() int64 {
+	return obs.NewCounter("cache_hits_total").Value() + obs.NewCounter("cache_misses_total").Value()
+}
+
+// TestExactRepeatIsALookup: with a cache and a harvesting library, a second
+// identical run computes no window and returns the first run's bits. Its
+// windows are looked up under their unseeded keys before the library is
+// consulted; seeded from their own harvest, they would miss and descend
+// again. Either way each window counts once in the cache's traffic.
+func TestExactRepeatIsALookup(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := warmCfg(6)
+	layout := cacheLayout()
+	ctx := context.Background()
+	lib, err := OpenWarmStartLibrary(t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenTileCache("", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topts := TileOptions{TileNM: 512, Workers: 1, Cache: store, WarmStart: lib}
+
+	traffic := cacheTraffic()
+	first, err := s.OptimizeLayout(ctx, cfg, layout, topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tierCounts(first); n["miss"] != 4 {
+		t.Fatalf("first run served its windows %v, want 4 computed", n)
+	}
+	if got := cacheTraffic() - traffic; got != 4 {
+		t.Fatalf("first run: cache hits + misses rose by %d, want one a window (4)", got)
+	}
+
+	traffic, lookups := cacheTraffic(), lib.Stats().Lookups
+	again, err := s.OptimizeLayout(ctx, cfg, layout, topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tierCounts(again); n["mem"] != 4 {
+		t.Fatalf("repeat served its windows %v, want all 4 from the memory tier", n)
+	}
+	if got := cacheTraffic() - traffic; got != 4 {
+		t.Fatalf("repeat: cache hits + misses rose by %d, want one a window (4)", got)
+	}
+	if got := lib.Stats().Lookups; got != lookups {
+		t.Fatalf("repeat consulted the library %d times, want none", got-lookups)
+	}
+	for i, p := range again.Provenance {
+		if p.Seed != "" || p.Key != first.Provenance[i].Key {
+			t.Fatalf("window %d: repeat provenance %+v, first run %+v", i, p, first.Provenance[i])
+		}
+	}
+	if !again.MaskGray.Equal(first.MaskGray, 0) || !again.Mask.Equal(first.Mask, 0) {
+		t.Fatal("repeat's mask differs from the first run's")
+	}
+}
+
+// seedRecorder computes windows in-process and keeps the last request it
+// was handed: under a cache, the request as the warm-start runner seeded it.
+type seedRecorder struct{ last tile.Request }
+
+func (r *seedRecorder) RunTile(ctx context.Context, req *tile.Request) (*Result, error) {
+	r.last = *req
+	return tile.LocalRunner{}.RunTile(ctx, req)
+}
+
+// TestNearRepeatIsStillSeeded: a translated repeat of a harvested cell
+// misses the unseeded lookup and is seeded as before (provenance and the
+// span's tile.warmstart attribute say so), counts once in the cache's
+// traffic, and its result is stored under its seeded key only: the unseeded key of the same window still misses,
+// so a cold request is never served a seeded mask.
+func TestNearRepeatIsStillSeeded(t *testing.T) {
+	s, err := NewSetup(smallOptics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := warmCfg(6)
+	ctx := context.Background()
+	lib, err := OpenWarmStartLibrary(t.TempDir(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OptimizeLayout(ctx, cfg, smallLayout(), TileOptions{Workers: 1, WarmStart: lib}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenTileCache("", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &seedRecorder{}
+	buf := obs.NewSpanBuffer(0)
+	traffic := cacheTraffic()
+	res, err := s.OptimizeLayout(obs.ContextWithBuffer(ctx, buf), cfg, translated(smallLayout(), 8, 0),
+		TileOptions{Workers: 1, Cache: store, WarmStart: lib, Runner: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := res.Provenance[0]; p.Seed == "" || p.Tier != tile.TierMiss {
+		t.Fatalf("translated repeat: provenance %+v, want a seeded miss", p)
+	}
+	if got := cacheTraffic() - traffic; got != 1 {
+		t.Fatalf("cache hits + misses rose by %d for one window looked up twice, want 1", got)
+	}
+	state := ""
+	for _, ev := range buf.Events() {
+		for _, a := range ev.Attrs {
+			if ev.Name == "tile.optimize" && a.Key == "tile.warmstart" {
+				state, _ = a.Value.(string)
+			}
+		}
+	}
+	if state != "seeded" {
+		t.Fatalf("tile.optimize span reads tile.warmstart=%q, want seeded", state)
+	}
+
+	seeded := rec.last
+	if seeded.Cfg.SeedMask == nil {
+		t.Fatal("the runner was handed an unseeded request")
+	}
+	if _, _, ok := store.Lookup(cache.RequestKey(&seeded)); !ok {
+		t.Fatal("the seeded result is not under its seeded key")
+	}
+	unseeded := seeded
+	unseeded.Cfg.SeedMask, unseeded.SeedDigest = nil, nil
+	if _, tier, ok := store.Lookup(cache.RequestKey(&unseeded)); ok {
+		t.Fatalf("the seeded result is also served under the window's unseeded key (tier %s)", tier)
 	}
 }
