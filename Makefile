@@ -91,12 +91,13 @@ warmstart-smoke:
 	./scripts/warmstart_smoke.sh
 
 # bench runs the profiling testing.B rows (the clip operation, one
-# best-focus SOCS image, the convolution engine, the tile pipeline) and
+# best-focus SOCS image, the convolution engine, the tile pipeline, the
+# compute pool's cold and warm fork latency) and
 # archives the
 # benchstat-compatible text under results/, stamped with today's date. It
 # is not a speed gate: a speed claim rests on bench-e2e-pairs below, and
 # the paper's tables are make paper's.
-BENCH_PATTERN ?= ClipOperation|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D
+BENCH_PATTERN ?= ClipOperation|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

@@ -33,7 +33,7 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 	if r.store == nil {
 		return r.inner.RunTile(ctx, req)
 	}
-	key := RequestKey(req)
+	key := keyOf(req)
 	res, tier, err := r.store.GetOrCompute(ctx, key, func() (*ilt.Result, error) {
 		return r.inner.RunTile(ctx, req)
 	})
@@ -42,6 +42,15 @@ func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, e
 	}
 	attribute(ctx, req, key, tier)
 	return res, nil
+}
+
+// keyOf is RequestKey(req), or the key req.Key carries while no seed
+// has been attached since the lookup hashed it.
+func keyOf(req *tile.Request) Key {
+	if req.Key != (Key{}) && req.Cfg.SeedMask == nil {
+		return req.Key
+	}
+	return RequestKey(req)
 }
 
 // attribute records how a window was served: the span's tile.cache
@@ -63,7 +72,8 @@ func attribute(ctx context.Context, req *tile.Request, key Key, tier string) {
 // and so changes the key: an exact repeat of a window is then a lookup of
 // its unseeded key rather than a seeded descent from its own converged
 // mask. The lookup never computes or stores a result; a miss runs inner
-// (library, then the cache Runner) exactly as it would without it.
+// (library, then the cache Runner) exactly as it would without it, the
+// key riding on req.Key so that an unseeded miss is hashed once.
 type LookupRunner struct {
 	store *Store
 	inner tile.Runner
@@ -79,6 +89,7 @@ func (r *LookupRunner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Res
 	key := RequestKey(req)
 	res, tier, ok := r.store.Lookup(key)
 	if !ok {
+		req.Key = key
 		return r.inner.RunTile(ctx, req)
 	}
 	attribute(ctx, req, key, tier)

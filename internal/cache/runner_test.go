@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mosaic/internal/geom"
+	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
@@ -123,5 +124,53 @@ func TestRunnerNilInnerRunsWindow(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty window produced a non-dark mask")
 		}
+	}
+}
+
+// TestUnseededMissIsKeyedOnce: on a miss the lookup hands its key to the
+// cache runner on the request, and the runner files the result under that
+// key without hashing the request again — a key planted on the request is
+// where the result goes — unless a seed was attached after the lookup,
+// which changes the key and is hashed anew.
+func TestUnseededMissIsKeyedOnce(t *testing.T) {
+	inner := &countingRunner{res: fakeResult(8, 1)}
+	store := mustOpen(t, Options{})
+	bg := context.Background()
+
+	req := digestReq(nil)
+	want := RequestKey(req)
+	if _, err := NewLookupRunner(store, NewRunner(store, inner)).RunTile(bg, req); err != nil {
+		t.Fatal(err)
+	}
+	if req.Key != want {
+		t.Fatalf("the lookup left Key %x on the request, want its RequestKey %s", req.Key, want)
+	}
+	if _, _, ok := store.Lookup(want); !ok {
+		t.Fatal("the miss was not filed under its unseeded key")
+	}
+
+	for _, seeded := range []bool{false, true} {
+		planted := Key{1}
+		if seeded {
+			planted = Key{2}
+		}
+		q := digestReq(func(q *tile.Request) {
+			q.Tile.Layout.Polys[0][0].X += 16
+			q.Key = planted
+			if seeded {
+				q.Cfg.SeedMask = grid.New(64, 64)
+			}
+		})
+		if _, err := NewRunner(store, inner).RunTile(bg, q); err != nil {
+			t.Fatal(err)
+		}
+		_, _, underPlanted := store.Lookup(planted)
+		_, _, underHashed := store.Lookup(RequestKey(q))
+		if underPlanted == seeded || underHashed != seeded {
+			t.Fatalf("seeded=%v: filed under the carried key %v, under a fresh hash %v", seeded, underPlanted, underHashed)
+		}
+	}
+	if got := inner.calls.Load(); got != 3 {
+		t.Fatalf("inner runner ran %d times for three misses, want 3", got)
 	}
 }

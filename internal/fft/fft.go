@@ -276,7 +276,9 @@ var (
 // parallelElems is the field size (in elements) above which the row and
 // column passes of a 2-D transform fan out across cores. Below it,
 // goroutine overhead beats the win; the threshold corresponds to a 256x256
-// grid, where a full pass costs hundreds of microseconds.
+// grid, where a full pass costs hundreds of microseconds. With the pool's
+// helpers warm inside a descent, 1<<14 (the 128x128 spectrum and gradient
+// transforms) was measured too and gained nothing (results/README.md).
 const parallelElems = 1 << 16
 
 // chunked runs pass over the n rows or columns of a transform of elems

@@ -8,14 +8,16 @@
 // with no goroutine overhead. The loops parallelize over outputs only —
 // every task writes its own — and callers fold sums serially, in index
 // order, so no result depends on the core count or the pool's state.
+// While a window's descent holds a reservation, helpers that finished a
+// loop poll for the next one instead of exiting (helper.go).
 package par
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // PanicError is re-panicked on the caller's goroutine when a task panics:
@@ -73,43 +75,91 @@ func For(n int, fn func(i int)) {
 	forN(runtime.GOMAXPROCS(0), n, fn)
 }
 
-// forN is For with an explicit bound: the caller and up to workers-1 helper
-// goroutines, each backed by a pool token, run the same claim-next loop — a
-// plain in-order loop on the caller when the pool is saturated. Every task
-// runs; the first panic caught is re-raised once all have.
+// forN is For with an explicit bound: the caller and up to workers-1
+// helpers (helper.go), each backed by a pool token, run the same claim-next
+// loop — a plain in-order loop on the caller when the pool is saturated.
+// Every task runs; the first panic caught is re-raised once all have.
 func forN(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	helpers := acquireTokens(min(workers, n) - 1)
-	if helpers == 0 {
+	tokens := acquireTokens(min(workers, n) - 1)
+	l := &loop{n: n, fn: fn, seats: make([]atomic.Bool, tokens)}
+	l.busy.Store(int64(tokens))
+	sent := 0
+	for sent < tokens && dispatch(l, sent) {
+		sent++
+	}
+	for range tokens - sent { // no helper left to carry these tokens
+		releaseToken()
+	}
+	l.busy.Add(int64(sent - tokens))
+	if sent == 0 {
 		poolInlineTotal.Inc()
 	}
-	poolHelpersTotal.Add(int64(helpers))
+	poolHelpersTotal.Add(int64(sent))
 
-	var next atomic.Int64
-	var first atomic.Pointer[PanicError]
-	body := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if pe := call(i, fn); pe != nil {
-				first.CompareAndSwap(nil, pe)
-			}
+	l.body() // the caller's own core always participates
+	l.join(sent)
+	if pe := l.first.Load(); pe != nil {
+		panic(pe)
+	}
+}
+
+// loop is one forN call as its caller and helpers share it.
+type loop struct {
+	n     int
+	fn    func(int)
+	next  atomic.Int64               // the next task index to claim
+	first atomic.Pointer[PanicError] // the first panic caught
+	// seats[s] is taken by helper s when it starts on the loop, or by the
+	// caller when it finds that helper not started once every task is
+	// claimed; whichever takes it owns the seat's token.
+	seats []atomic.Bool
+	busy  atomic.Int64                  // seats whose token is not back yet
+	wake  atomic.Pointer[chan struct{}] // set once the caller parks
+}
+
+// body claims and runs tasks until none is left.
+func (l *loop) body() {
+	for i := int(l.next.Add(1)) - 1; i < l.n; i = int(l.next.Add(1)) - 1 {
+		if pe := call(i, l.fn); pe != nil {
+			l.first.CompareAndSwap(nil, pe)
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for h := 0; h < helpers; h++ {
-		go func() {
-			// The token returns before wg.Done (LIFO defers), so every
-			// helper token is back by the time forN returns.
-			defer wg.Done()
-			defer releaseToken()
-			body()
-		}()
+}
+
+// leave marks one seat's token as back and wakes a parked caller when it
+// was the last.
+func (l *loop) leave() {
+	if l.busy.Add(-1) == 0 {
+		if w := l.wake.Load(); w != nil {
+			close(*w)
+		}
 	}
-	body() // the caller's own core always participates
-	wg.Wait()
-	if pe := first.Load(); pe != nil {
-		panic(pe)
+}
+
+// join waits for the helpers of the first sent seats. A helper that has
+// not started by now would find no task: its seat is taken back with its
+// token rather than waited for. The caller spins for the rest — a parked
+// caller lets its core halt, and the helpers it would wake next arrive
+// late — and parks only once the wait outlasts warmWindow, as it does
+// behind the long tasks of a kernel build.
+func (l *loop) join(sent int) {
+	for s := range sent {
+		if l.seats[s].CompareAndSwap(false, true) {
+			releaseToken()
+			l.leave()
+		}
+	}
+	for start := time.Now(); l.busy.Load() > 0; runtime.Gosched() {
+		if time.Since(start) > warmWindow {
+			w := make(chan struct{})
+			l.wake.Store(&w)
+			if l.busy.Load() > 0 {
+				<-w
+			}
+			return
+		}
 	}
 }

@@ -39,6 +39,10 @@ func TestForNSequentialFallback(t *testing.T) {
 }
 
 func TestForNWorkerPanicRepanicsOnCaller(t *testing.T) {
+	withAndWithoutReservation(t, workerPanicRepanicsOnCaller)
+}
+
+func workerPanicRepanicsOnCaller(t *testing.T) {
 	defer func() {
 		v := recover()
 		pe, ok := v.(*PanicError)

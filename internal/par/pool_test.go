@@ -14,6 +14,10 @@ import (
 // before the PanicError reaches the caller. Leaked tokens would silently
 // serialize every later parallel loop in the process.
 func TestForNPanicReturnsTokens(t *testing.T) {
+	withAndWithoutReservation(t, panicReturnsTokens)
+}
+
+func panicReturnsTokens(t *testing.T) {
 	base := TokensInUse()
 	for round := 0; round < 50; round++ {
 		func() {

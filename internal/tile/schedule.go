@@ -33,6 +33,12 @@ type Request struct {
 	// where it is needed.
 	SeedDigest *[sha256.Size]byte
 
+	// Key, when not all zero, is the tile-cache key of this request
+	// hashed while no seed was attached (by cache.LookupRunner): the cache
+	// runner takes it instead of hashing the request again, and ignores it
+	// once Cfg.SeedMask is set, since a seed changes the key.
+	Key [sha256.Size]byte
+
 	// Prov, when non-nil, is filled in by whoever produces the result:
 	// the cache decorator records the tier and content key it served
 	// from, the warm-start decorator the seed. The scheduler owns the
