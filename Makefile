@@ -12,8 +12,8 @@ fmt:
 
 # The second vet type-checks the arm64 build (a cross-build of a pure-Go
 # module needs no download): the float kernels are compiled differently
-# there (fused multiply-add, ROADMAP item 11) and no session has the
-# hardware, so this is the half of that item a box can check.
+# there (fused multiply-add, ROADMAP item 11), and it is the build that
+# runs the Go butterflies and sigmoid in place of the amd64 assembly.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -33,8 +33,9 @@ test:
 build:
 	$(GO) build ./...
 
-# loc prints what ROADMAP item 7 tracks: non-test Go lines outside benchmark/,
-# scripts/*.sh, check.yml and this file, and the flags cmd/* + internal/cli register.
+# loc prints what ROADMAP item 7 tracks: non-test Go and assembly lines outside
+# benchmark/, scripts/*.sh, check.yml and this file, and the flags cmd/* +
+# internal/cli register.
 loc:
 	@./scripts/loc.sh
 
@@ -51,8 +52,9 @@ paper:
 # panic, never an allocation sized by a length field beyond the input),
 # the two layout parsers and the PGM mask reader, the admission gate (a
 # job body or a TileOptions is refused with a typed error, or runs), the
-# optimizer's float fields (refused, or a short run to a finite mask) and
-# the optimizer's corner list (bit-equal to its serial oracle).
+# optimizer's float fields (refused, or a short run to a finite mask),
+# the optimizer's corner list (bit-equal to its serial oracle) and the two
+# vector kernels (bit-equal to their Go loops).
 # go test takes one -fuzz target per run. Minimization is capped in
 # executions, not time: the default 60 s per new corpus entry would eat a
 # 5 s budget whole.
@@ -60,7 +62,7 @@ FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	warmstart:FuzzDecodeEntry artifact:FuzzDecodeQuality geom:FuzzParse \
 	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate \
-	ilt:FuzzCornerList render:FuzzReadPGM
+	ilt:FuzzCornerList render:FuzzReadPGM fft:FuzzButterflies resist:FuzzSigmoid
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -92,12 +94,12 @@ warmstart-smoke:
 
 # bench runs the profiling testing.B rows (the clip operation, one
 # best-focus SOCS image, the convolution engine, the tile pipeline, the
-# compute pool's cold and warm fork latency) and
-# archives the
-# benchstat-compatible text under results/, stamped with today's date. It
-# is not a speed gate: a speed claim rests on bench-e2e-pairs below, and
-# the paper's tables are make paper's.
-BENCH_PATTERN ?= ClipOperation|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork
+# compute pool's cold and warm fork latency, the 1-D FFT and the sigmoid
+# on their Go and vector paths) and archives the benchstat-compatible text
+# under results/, stamped with today's date. It is not a speed gate: a
+# speed claim rests on bench-e2e-pairs below, and the paper's tables are
+# make paper's.
+BENCH_PATTERN ?= ClipOperation|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork|Sigmoid
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"sync"
 
+	"mosaic/internal/cpuid"
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 	"mosaic/internal/par"
@@ -59,6 +60,9 @@ type plan struct {
 	// j and the second level's for offsets j and j+h. The values are
 	// copies of wFwd / wInv entries, never recomputed.
 	twFwd, twInv [][3]complex128
+	// The same twiddles split and lane-duplicated for the AVX passes
+	// (vecTwiddles), built only where they run.
+	vecFwd, vecInv []float64
 }
 
 // The plan cache is read on every transform and written a handful of times
@@ -100,6 +104,10 @@ func buildPlan(n int) *plan {
 	}
 	p.twFwd = passTwiddles(p.wFwd, n)
 	p.twInv = passTwiddles(p.wInv, n)
+	if cpuid.AVX {
+		p.vecFwd = vecTwiddles(p.twFwd, p.wFwd, n)
+		p.vecInv = vecTwiddles(p.twInv, p.wInv, n)
+	}
 	plans.Store(n, p)
 	return p
 }
@@ -116,6 +124,34 @@ func passTwiddles(w []complex128, n int) [][3]complex128 {
 		}
 	}
 	return tw
+}
+
+// vecTwiddles lays a plan's pass twiddles out for the AVX passes, which
+// run offsets j and j+1 side by side in one register: per pass and per
+// offset pair, each of the triple's twiddles as four real parts
+// (re_j, re_j, re_j+1, re_j+1) then four imaginary parts, and after the
+// two-level passes the odd level's table w the same way, one twiddle a
+// pair. Duplicating here keeps every shuffle out of the passes.
+func vecTwiddles(tw [][3]complex128, w []complex128, n int) []float64 {
+	var v []float64
+	dup := func(a, b complex128) {
+		v = append(v, real(a), real(a), real(b), real(b), imag(a), imag(a), imag(b), imag(b))
+	}
+	h := 4
+	for ; 4*h <= n; h *= 4 {
+		for j := 0; j < h; j += 2 {
+			for k := range 3 {
+				dup(tw[j][k], tw[j+1][k])
+			}
+		}
+		tw = tw[h:]
+	}
+	if 2*h == n {
+		for j := 0; j < h; j += 2 {
+			dup(w[j], w[j+1])
+		}
+	}
+	return v
 }
 
 // check panics unless x is a line of the plan's length. Without it a
@@ -160,8 +196,25 @@ func transform(x []complex128, p *plan, inverse bool) {
 // (twiddles 1 and -+i by construction, additions and component swaps
 // only) and the offset-0 butterfly of every level (twiddle 1, no
 // multiply).
+//
+// Where the CPU has AVX (vector), butterfliesAVX runs the same passes two
+// offsets a register in amd64 assembly; butterfliesGo is its bit oracle and
+// the path everywhere else.
 func butterflies(x []complex128, p *plan, inverse bool) {
 	p.check(x)
+	if vector && p.n >= 4 {
+		butterfliesAVX(x, p, inverse)
+		return
+	}
+	butterfliesGo(x, p, inverse)
+}
+
+// vector selects the AVX passes: cpuid.AVX, read once. Tests clear it to
+// hold the passes to the Go loops.
+var vector = cpuid.AVX
+
+// butterfliesGo is butterflies in Go, one complex128 at a time.
+func butterfliesGo(x []complex128, p *plan, inverse bool) {
 	n := p.n
 	if n < 4 {
 		if n == 2 {

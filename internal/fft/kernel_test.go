@@ -1,11 +1,14 @@
 package fft
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"mosaic/internal/cpuid"
 )
 
 // transformRadix2 is the textbook kernel transform replaced: bit-reversal
@@ -89,9 +92,13 @@ type oracleLine struct {
 
 // oracleLines are the shapes the callers feed a length-n transform: a
 // dense random line, the band-sparse line of every pruned pass (non-zero
-// only in [0,k] and [n-k,n)), and lines of signed zeros, where an addition
+// only in [0,k] and [n-k,n)), lines of signed zeros, where an addition
 // and a subtraction — or a subtraction with its operands swapped — differ
-// in the sign of the zero they produce and in nothing else.
+// in the sign of the zero they produce and in nothing else, and a line
+// with two infinities. The all -0 and the infinite lines are the ones a
+// product by the exact-1 twiddle 1-0i changes (the imaginary part of
+// (-0-0i)(1-0i) is (-0)(-0) + (-0)(1) = +0, and ∞·0 is NaN), so they pin
+// every offset-0 butterfly unmultiplied.
 func oracleLines(n int, rng *rand.Rand) []oracleLine {
 	lines := []oracleLine{{"random", randVec(n, rng)}}
 	for _, k := range []int{0, 1, 3, 14} {
@@ -114,14 +121,44 @@ func oracleLines(n int, rng *rand.Rand) []oracleLine {
 			mixed[i] = complex(rng.NormFloat64(), imag(zeros[i]))
 		}
 	}
-	return append(lines, oracleLine{"zeros", zeros}, oracleLine{"zeros+values", mixed})
+	negZeros := make([]complex128, n)
+	inf := randVec(n, rng)
+	for i := range negZeros {
+		negZeros[i] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	}
+	inf[rng.Intn(n)] = complex(math.Inf(1), 0)
+	inf[rng.Intn(n)] = complex(1, math.Inf(-1))
+	return append(lines, oracleLine{"zeros", zeros}, oracleLine{"zeros+values", mixed},
+		oracleLine{"-zeros", negZeros}, oracleLine{"inf", inf})
+}
+
+// paths lists the 1-D kernels butterflies can run on this host: the Go
+// loops, and the AVX passes where the CPU has them.
+func paths() []string {
+	if cpuid.AVX {
+		return []string{"go", "vector"}
+	}
+	return []string{"go"}
+}
+
+// onPath runs f with butterflies held to one of paths().
+func onPath(path string, f func()) {
+	defer func(v bool) { vector = v }(vector)
+	vector = path == "vector"
+	f()
 }
 
 // TestTransformBitsEqualRadix2 is the pin under every golden mask: the
 // fused kernel and the pre-permuted entry reproduce the radix-2 loop bit
 // for bit, at every length the plan cache can hold in a test's time, in
-// both directions.
+// both directions, on the Go loops and on the vector passes.
 func TestTransformBitsEqualRadix2(t *testing.T) {
+	for _, path := range paths() {
+		t.Run(path, func(t *testing.T) { onPath(path, func() { bitsEqualRadix2(t) }) })
+	}
+}
+
+func bitsEqualRadix2(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for n := 1; n <= 1024; n <<= 1 {
 		p := getPlan(n)
@@ -171,4 +208,51 @@ func TestTransformRefusesMismatchedLine(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// FuzzButterflies: on any line — a power-of-two length up to 1024 picked
+// by the input, either direction, arbitrary float64 bit patterns (signed
+// zeros, subnormals, infinities, NaNs) — the vector passes equal the Go
+// loops bit for bit, a NaN matching any NaN.
+func FuzzButterflies(f *testing.F) {
+	bits := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(uint8(3), false, bits(1, 2, 3, 4, 5, 6, 7, 8))
+	f.Add(uint8(5), true, bits(0, negZero, negZero, 0, 5e-324, -5e-324, math.Inf(1), 0))
+	f.Add(uint8(10), false, bits(math.Inf(-1), math.NaN(), 1e308, -1e308))
+	f.Fuzz(func(t *testing.T, logn uint8, inverse bool, data []byte) {
+		if !cpuid.AVX {
+			t.Skip("no AVX: the Go loops are the only path")
+		}
+		n := 1 << (logn % 11)
+		line := make([]complex128, n)
+		for i := range line {
+			var v [2]float64
+			for k := range v {
+				if off := (2*i + k) * 8; off+8 <= len(data) {
+					v[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+				}
+			}
+			line[i] = complex(v[0], v[1])
+		}
+		p := getPlan(n)
+		want := append([]complex128(nil), line...)
+		onPath("go", func() { butterflies(want, p, inverse) })
+		got := append([]complex128(nil), line...)
+		onPath("vector", func() { butterflies(got, p, inverse) })
+		same := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+		}
+		for i := range got {
+			if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+				t.Fatalf("n=%d inverse=%v: vector[%d] = %v, Go %v", n, inverse, i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -19,21 +19,27 @@ func BenchmarkFFT512Transpose(b *testing.B) {
 
 // BenchmarkTransform1D is the 1-D kernel alone at the line lengths the
 // solver runs: 64 (imaging grid), 128 (benchmark mask grid, whose real
-// forward also runs 64), 512 (the paper's mask grid), 32 for the trend. The
-// copy that refreshes the line (forward transforms of one line overflow in
-// a few hundred rounds) is inside the loop and a few percent of it.
+// forward also runs 64), 512 (the paper's mask grid), 32 for the trend, on
+// the Go loops and on the vector passes (go/n against vector/n is the
+// kernel's speed-up). The copy that refreshes the line (forward transforms
+// of one line overflow in a few hundred rounds) is inside the loop and a
+// few percent of it.
 func BenchmarkTransform1D(b *testing.B) {
-	for _, n := range []int{32, 64, 128, 512} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			p := getPlan(n)
-			src := randVec(n, rand.New(rand.NewSource(1)))
-			x := make([]complex128, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(x, src)
-				transform(x, p, false)
-			}
-		})
+	for _, path := range paths() {
+		for _, n := range []int{32, 64, 128, 512} {
+			b.Run(fmt.Sprintf("%s/%d", path, n), func(b *testing.B) {
+				p := getPlan(n)
+				src := randVec(n, rand.New(rand.NewSource(1)))
+				x := make([]complex128, n)
+				onPath(path, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						copy(x, src)
+						transform(x, p, false)
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
 	"mosaic/internal/par"
+	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/sraf"
 )
@@ -605,11 +606,10 @@ func maskFromParams(p *grid.Field) *grid.Field {
 
 // maskFromParamsInto applies Eq. 8 to the pixels p into dst, letting the
 // descent loop reuse one mask buffer across iterations, a row band at a
-// time.
+// time. It is the resist's sigmoid kernel at s = 1, t = 0, whose
+// x*1 - 0 is x bit for bit: 1/(1+exp(-thetaM*v)).
 func maskFromParamsInto(dst, p []float64) {
-	for i, v := range p {
-		dst[i] = 1 / (1 + math.Exp(-thetaM*v))
-	}
+	resist.SigmoidInto(dst, p, 1, 0, thetaM)
 }
 
 // pixelBands is the number of fixed row bands the proxy band count and the

@@ -123,3 +123,14 @@ func TestExpMatchesOneAmd64Sequence(t *testing.T) {
 		t.Fatal("math.Exp matches neither transliteration of math/exp_amd64.s")
 	}
 }
+
+// TestExpProbesSplitTheSequences: at every argument of expProbes the fused
+// and the unfused sequence give different sigmoids, so the kernel (always
+// fused) agrees with math.Exp on them only when math.Exp runs fused too.
+func TestExpProbesSplitTheSequences(t *testing.T) {
+	for _, y := range expProbes {
+		if f, p := 1/(1+expAsm(y, true)), 1/(1+expAsm(y, false)); f == p {
+			t.Errorf("probe %v: both sequences give %v", y, f)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"mosaic/internal/cpuid"
 	"mosaic/internal/grid"
 )
 
@@ -83,10 +84,54 @@ func (m Model) PrintSigmoidInto(dst, i *grid.Field, dose float64) *grid.Field {
 	if dst.W != i.W || dst.H != i.H {
 		panic("resist: dimension mismatch in PrintSigmoidInto")
 	}
-	for idx, v := range i.Data {
-		dst.Data[idx] = m.Sigmoid(v * dose)
-	}
+	SigmoidInto(dst.Data, i.Data, dose, m.Threshold, m.ThetaZ)
 	return dst
+}
+
+// SigmoidInto writes dst[i] = 1/(1+exp(-theta*(x[i]*s - t))): the resist
+// of Eq. 4 at dose s and threshold t (Model.PrintSigmoidInto) and, with
+// s = 1 and t = 0, the mask of Eq. 8. Every element equals Model.Sigmoid's
+// bits: on AVX2+FMA (vector) a kernel runs four pixels at a time with
+// math.Exp's own fused sequence, and math.Exp itself takes the tail and
+// each block of four with an argument outside the kernel's range.
+func SigmoidInto(dst, x []float64, s, t, theta float64) {
+	if len(dst) != len(x) {
+		panic("resist: length mismatch in SigmoidInto")
+	}
+	nt := -theta
+	i := 0
+	for vector && len(x)-i >= 4 {
+		i += sigmoidAVX2(dst[i:], x[i:], s, t, nt)
+		for end := min(i+4, len(x)); i < end; i++ {
+			dst[i] = 1 / (1 + math.Exp(nt*(x[i]*s-t)))
+		}
+	}
+	for ; i < len(x); i++ {
+		dst[i] = 1 / (1 + math.Exp(nt*(x[i]*s-t)))
+	}
+}
+
+// vector selects SigmoidInto's kernel: cpuid.AVX2FMA, read once, and the
+// kernel agreeing with math.Exp on expProbes, arguments at which
+// math/exp_amd64.s's fused and unfused sequences give different sigmoids
+// (resist.TestExpProbesSplitTheSequences) — so a math.Exp held to its
+// unfused branch by GODEBUG=cpu.fma=off keeps the kernel off too. Tests
+// clear it to hold the kernel to the Go loop.
+var vector = cpuid.AVX2FMA && kernelAgrees()
+
+var expProbes = []float64{-2.9998904, -2.9995479, -2.9987259, -2.9970956}
+
+func kernelAgrees() bool {
+	got := make([]float64, len(expProbes))
+	if sigmoidAVX2(got, expProbes, 1, 0, 1) != len(expProbes) {
+		return false
+	}
+	for i, y := range expProbes {
+		if got[i] != 1/(1+math.Exp(y)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sig is the generic logistic function 1/(1+exp(-theta*(x-x0))) used for

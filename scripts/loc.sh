@@ -1,11 +1,12 @@
 #!/bin/sh
-# The four line counts and the flag count ROADMAP item 7 and every
+# The five line counts and the flag count ROADMAP item 7 and every
 # simplicity PR quote, so they are a command instead of arithmetic redone
 # by hand (make loc).
 set -eu
 cd "$(dirname "$0")/.."
 count() { cat "$@" | wc -l | tr -d ' '; }
 echo "non-test Go outside benchmark/: $(count $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'))"
+echo "non-test assembly outside benchmark/: $(count /dev/null $(find . -name '*.s' ! -path './benchmark/*' ! -path './.bench_build/*'))"
 echo "scripts/*.sh:                   $(count scripts/*.sh)"
 echo ".github/workflows/check.yml:    $(count .github/workflows/check.yml)"
 echo "Makefile:                       $(count Makefile)"
