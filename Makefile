@@ -92,14 +92,14 @@ provenance-smoke:
 warmstart-smoke:
 	./scripts/warmstart_smoke.sh
 
-# bench runs the profiling testing.B rows (the clip operation, one
-# best-focus SOCS image, the convolution engine, the tile pipeline, the
+# bench runs the profiling testing.B rows (the clip operation and its
+# evaluation, untiled and tiled, one best-focus SOCS image, the convolution engine, the tile pipeline, the
 # compute pool's cold and warm fork latency, the 1-D FFT and the sigmoid
 # on their Go and vector paths) and archives the benchstat-compatible text
 # under results/, stamped with today's date. It is not a speed gate: a
 # speed claim rests on bench-e2e-pairs below, and the paper's tables are
 # make paper's.
-BENCH_PATTERN ?= ClipOperation|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork|Sigmoid
+BENCH_PATTERN ?= ClipOperation|Evaluate|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork|Sigmoid
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

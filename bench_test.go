@@ -87,6 +87,37 @@ func BenchmarkClipOperation(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluate is the scoring half of the clip operation: one B-suite
+// clip's optimized mask (B4, MOSAIC_fast, made once outside the timer)
+// scored at 128 px / 8 nm by Evaluate — the one-window plan the benchmark's
+// op scores through — and by EvaluateLayout as a 2 x 2 plan of 512 nm
+// tiles, whose windows each image both focus planes.
+func BenchmarkEvaluate(b *testing.B) {
+	s := benchSetup(b)
+	layout := benchLayout(b, "B4")
+	res, err := s.OptimizeLayout(context.Background(), DefaultConfig(ModeFast), layout, TileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		tileNM float64
+	}{{"untiled", 0}, {"tiled-2x2", 512}} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := TileOptions{TileNM: c.tileNM}
+			if _, err := s.EvaluateLayout(res.Mask, layout, opts, 0); err != nil { // builds the window kernels
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.EvaluateLayout(res.Mask, layout, opts, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Micro-benchmarks of the computational kernels ------------------------
 
 func BenchmarkMicroForwardSOCS(b *testing.B) {
@@ -123,14 +154,15 @@ func BenchmarkMicroRasterize(b *testing.B) {
 }
 
 func BenchmarkMicroIteration(b *testing.B) {
-	// One full gradient-descent iteration (fast mode): the unit the
-	// paper's runtime scales with. Both grids cover the same 1024 nm clip,
+	// A two-iteration run (fast mode): one full gradient-descent
+	// iteration, the unit the paper's runtime scales with, and the
+	// forward-only last iterate every run ends on. Both grids cover the same 1024 nm clip,
 	// hence share one imaging grid (64): the per-kernel transforms cost the
 	// same on both and only the per-plane resampling and the pixel loops
 	// grow with the pixel count.
 	layout := benchLayout(b, "B4")
 	cfg := DefaultConfig(ModeFast)
-	cfg.MaxIter = 1
+	cfg.MaxIter = 2
 	cfg.Jumps = 0
 	cfg.SRAFInit = false
 	for _, px := range []int{benchGrid, 2 * benchGrid} {

@@ -21,7 +21,8 @@ import (
 // hosts of different sizes. An untiled one-window
 // OptimizeLayout, the benchmark's clip operation — one pool reservation,
 // its task lists on whatever tokens are left — must reach the same
-// gray-mask bits too. Not parallel: it sets GOMAXPROCS for the whole
+// gray-mask bits too, and the evaluation of each mask — the untiled
+// Evaluate and the 2 x 2 EvaluateLayout — the same report. Not parallel: it sets GOMAXPROCS for the whole
 // process, and restores it.
 func TestBitsIndependentOfCoreCount(t *testing.T) {
 	par.Capacity() // size the pool on the whole machine before GOMAXPROCS drops to 1
@@ -35,6 +36,8 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 		Keys           []string
 		Manifest, Root string
 		ClipGray       [sha256.Size]byte // digest of the untiled run's gray-mask bit patterns
+		ClipReport     evaluated         // untiled Evaluate of the clip's mask
+		LayoutReport   evaluated         // 2 x 2 EvaluateLayout of the tiled mask
 	}
 	measure := func() anchored {
 		s, err := NewSetup(smallOptics())
@@ -62,11 +65,16 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bits []byte
-		for _, v := range clip.MaskGray.Data {
-			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(v))
+		got.ClipGray = fieldDigest(clip.MaskGray)
+		rep, err := s.Evaluate(clip.Mask, smallLayout(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got.ClipGray = sha256.Sum256(bits)
+		got.ClipReport = evaluatedOf(rep)
+		if rep, err = s.EvaluateLayout(res.Mask, layout, TileOptions{TileNM: 512}, 0); err != nil {
+			t.Fatal(err)
+		}
+		got.LayoutReport = evaluatedOf(rep)
 		return got
 	}
 
@@ -87,10 +95,33 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 			{"manifest digest", got.Manifest, want.Manifest},
 			{"Merkle root", got.Root, want.Root},
 			{"untiled gray mask", got.ClipGray, want.ClipGray},
+			{"untiled evaluation", got.ClipReport, want.ClipReport},
+			{"2 x 2 evaluation", got.LayoutReport, want.LayoutReport},
 		} {
 			if !reflect.DeepEqual(row.got, row.want) {
 				t.Errorf("%s: GOMAXPROCS=%d has %v, GOMAXPROCS=1 has %v", row.name, procs, row.got, row.want)
 			}
 		}
 	}
+}
+
+// evaluated is the part of a Report TestBitsIndependentOfCoreCount pins:
+// the three counts of Eq. 22 and the bits of the nominal aerial image.
+type evaluated struct {
+	EPE, Shapes   int
+	PVBandNM2     float64
+	AerialNominal [sha256.Size]byte
+}
+
+func evaluatedOf(r *Report) evaluated {
+	return evaluated{EPE: r.EPEViolations, Shapes: r.ShapeViolations, PVBandNM2: r.PVBandNM2, AerialNominal: fieldDigest(r.AerialNominal)}
+}
+
+// fieldDigest hashes the bit patterns of f's samples.
+func fieldDigest(f *Field) [sha256.Size]byte {
+	var bits []byte
+	for _, v := range f.Data {
+		bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(v))
+	}
+	return sha256.Sum256(bits)
 }

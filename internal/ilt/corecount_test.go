@@ -85,6 +85,7 @@ func TestBitsIndependentOfCoreCount(t *testing.T) {
 				samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
 				mask := maskFromParams(paramsFromMask(target, initEps))
 				st := o.evalState(mask, models, target, samples, true)
+				o.adjoint(st, target)
 				rows = append(rows, row{"ilt gradient", bitsOf(o.gradient(st, mask.W))})
 				st.release()
 			}

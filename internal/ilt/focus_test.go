@@ -125,6 +125,7 @@ func TestMergedAdjointMatchesPerCornerReference(t *testing.T) {
 					mask.Data[i] = 0.2 + 0.6*(0.5*tv+0.5*rng.Float64())
 				}
 				st := o.evalState(mask, models, target, samples, true)
+				o.adjoint(st, target)
 				got := o.gradient(st, n)
 				want := referenceGradient(o, st, mask, target)
 				lo, hi := want.MinMax()
@@ -179,10 +180,11 @@ func benchSimAt(t *testing.T, n int) *sim.Simulator {
 // 2*sum_p (U_p+1)*Nc^2 + 2*(D+1)*N^2 grid points for D planes. An
 // accidental extra transform, a per-kernel one that slipped back onto the
 // mask grid, or a best-focus plane that stopped pairing fails here instead
-// of showing up as an unexplained slowdown. A seeded run adds its
-// warm-start probe: two forward-only passes, the seed's and the default
-// init's, of sum_p (U_p+1) inverses and D+1 forwards each and, together,
-// one iteration's points — no adjoint.
+// of showing up as an unexplained slowdown. The run's last iterate is a
+// forward-only pass: sum_p (U_p+1) inverses and D+1 forwards, half an
+// iteration's points — no adjoint, no gradient inverse. A seeded run adds
+// its warm-start probe: two more forward-only passes, the seed's and the
+// default init's.
 func TestFFTBudgetPerIteration(t *testing.T) {
 	inverse := obs.NewCounter("fft_pruned_inverse_total")
 	forward := obs.NewCounter("fft_pruned_forward_total")
@@ -220,10 +222,11 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if calls := fieldPasses + d + 1; calls != tc.calls {
 			t.Fatalf("%s: units %v make %d calls, the table says %d", tc.name, tc.units, calls, tc.calls)
 		}
-		var probeInv, probeFwd, probePts int64
+		// A forward-only pass: the last iterate's, and each probe's.
+		passes := int64(1)
 		if tc.seeded {
 			cfg.SeedMask = layout.Rasterize(n, s.Cfg.PixelNM)
-			probeInv, probeFwd = 2*fieldPasses, 2*(d+1)
+			passes += 2
 		}
 		o, err := New(s, cfg)
 		if err != nil {
@@ -248,18 +251,16 @@ func TestFFTBudgetPerIteration(t *testing.T) {
 		if iters != 3 {
 			t.Fatalf("%s: %d iterations, want 3", tc.name, iters)
 		}
-		if got := inverse.Value() - inv0; got != tc.calls*iters+probeInv {
-			t.Errorf("%s: %d pruned inverses over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, tc.calls, probeInv)
+		full := iters - 1 // every iterate but the last runs its adjoint
+		if got := inverse.Value() - inv0; got != tc.calls*full+passes*fieldPasses {
+			t.Errorf("%s: %d pruned inverses over %d iterations, want %d per full iteration and %d per forward-only pass (%d passes)", tc.name, got, iters, tc.calls, fieldPasses, passes)
 		}
-		if got := forward.Value() - fwd0; got != tc.calls*iters+probeFwd {
-			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, tc.calls, probeFwd)
+		if got := forward.Value() - fwd0; got != tc.calls*full+passes*(d+1) {
+			t.Errorf("%s: %d pruned forwards over %d iterations, want %d per full iteration and %d per forward-only pass (%d passes)", tc.name, got, iters, tc.calls, d+1, passes)
 		}
 		wantPts := 2*fieldPasses*nc*nc + 2*(d+1)*n*n
-		if tc.seeded {
-			probePts = wantPts
-		}
-		if got := points.Value() - pts0; got != wantPts*iters+probePts {
-			t.Errorf("%s: %d pruned-transform points over %d iterations, want %d per iteration and %d for the probe", tc.name, got, iters, wantPts, probePts)
+		if got := points.Value() - pts0; got != wantPts*full+passes*wantPts/2 {
+			t.Errorf("%s: %d pruned-transform points over %d iterations, want %d per full iteration and %d per forward-only pass (%d passes)", tc.name, got, iters, wantPts, wantPts/2, passes)
 		}
 	}
 }

@@ -94,6 +94,7 @@ func checkGradientAt(t *testing.T, o *Optimizer, layout *geom.Layout, probes [][
 	p := paramsFromMask(target, initEps)
 	mask := maskFromParams(p)
 	st := o.evalState(mask, models, target, samples, true)
+	o.adjoint(st, target)
 	grad := o.gradient(st, n)
 	for i, g := range grad.Data {
 		mv := mask.Data[i]

@@ -158,7 +158,11 @@ type IterStats struct {
 	Objective float64 // F (Eq. 19 or Eq. 20)
 	FTarget   float64 // F_epe or F_id (unweighted)
 	FPvb      float64 // F_pvb (unweighted)
-	GradRMS   float64
+	// GradRMS is the RMS of dF/dP. It is 0 on a forward-only last iterate
+	// (MaxIter, or a seeded plateau stop with no jump left), whose gradient
+	// is never computed; a GradTol or zero-gradient stop reports the RMS it
+	// computed.
+	GradRMS float64
 
 	// Cheap estimates of the true Eq. 7 objective from the corner images
 	// the descent itself computes — through GradKernels SOCS kernels (8 in
@@ -394,18 +398,46 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			iterations.Inc()
 		}
 		state := o.evalState(mask, models, target, samples, true)
-		grad := o.gradient(state, mask.W)
-
-		// Chain through the mask relaxation: dM/dP = theta_M * M * (1-M).
-		for i, g := range grad.Data {
-			mv := mask.Data[i]
-			grad.Data[i] = g * thetaM * mv * (1 - mv)
-		}
-		gradRMS := grad.RMS()
-
 		proxyEPE, proxyPVB := o.proxyMetrics(state)
-		state.release() // pooled forward buffers are done for this iteration
 		proxyScore := metrics.Score(0, proxyPVB, proxyEPE, 0)
+
+		// Alg. 1 line 9: remember the iterate with the lowest objective
+		// value, measured as the Eq. 7 quantity (proxy score) with the
+		// surrogate F breaking ties.
+		improved := proxyScore < best.Objective-plateauTol
+		if proxyScore < best.Objective ||
+			(proxyScore == best.Objective && state.objective < bestSurrogate) {
+			best.Objective = proxyScore
+			bestSurrogate = state.objective
+			best.MaskGray = mask.Clone()
+		}
+
+		// Plateau detection (seeded runs only): two consecutive iterations
+		// without a better-than-plateauTol improvement of the best objective
+		// count as converged and take the same exit as GradTol below.
+		plateau := false
+		if best.Seeded {
+			if improved {
+				stall = 0
+			} else {
+				stall++
+			}
+			plateau = stall >= 2
+		}
+
+		// The run's last iterate — at MaxIter, or at a plateau stop with no
+		// jump left — is forward only: no later iterate reads its adjoint,
+		// gradient or step, so they are not computed and its GradRMS is 0.
+		// A GradTol stop is not known before the gradient is.
+		final := iter == cfg.MaxIter-1 || (plateau && jumps == 0)
+		var grad *grid.Field
+		var gradRMS, lo, hi float64
+		if !final {
+			o.adjoint(state, target)
+			grad = o.gradient(state, mask.W)
+			gradRMS, lo, hi = chainRule(grad, mask)
+		}
+		state.release() // pooled forward buffers are done for this iteration
 		st := IterStats{
 			Iter:           iter,
 			Objective:      state.objective,
@@ -442,29 +474,10 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			obs.Int("epe", st.ProxyEPE),
 			obs.Float("pvband_nm2", st.ProxyPVBandNM2),
 			obs.Float("score", st.ProxyScore))
-
-		// Alg. 1 line 9: remember the iterate with the lowest objective
-		// value, measured as the Eq. 7 quantity (proxy score) with the
-		// surrogate F breaking ties.
-		improved := proxyScore < best.Objective-plateauTol
-		if proxyScore < best.Objective ||
-			(proxyScore == best.Objective && state.objective < bestSurrogate) {
-			best.Objective = proxyScore
-			bestSurrogate = state.objective
-			best.MaskGray = mask.Clone()
-		}
-
-		// Plateau detection (seeded runs only): two consecutive iterations
-		// without a better-than-plateauTol improvement of the best objective
-		// count as converged and take the same exit as GradTol below.
-		plateau := false
-		if best.Seeded {
-			if improved {
-				stall = 0
-			} else {
-				stall++
-			}
-			plateau = stall >= 2
+		if final {
+			iter++
+			endIter()
+			break
 		}
 
 		// Alg. 1 line 8: stop at a local optimum... unless a jump is left
@@ -483,7 +496,6 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 
 		// Alg. 1 line 6: descend along the negative gradient. The gradient is
 		// inf-norm normalized so stepSize is expressed directly in P units.
-		lo, hi := grad.MinMax()
 		scale := math.Max(math.Abs(lo), math.Abs(hi))
 		if scale < 1e-300 {
 			grid.Put(grad)
@@ -583,16 +595,21 @@ const (
 const thetaM = 4.0
 
 // paramsFromMask inverts Eq. 8 on a (possibly binary) mask, clamping to
-// (eps, 1-eps) so the logit stays finite.
+// (eps, 1-eps) so the logit stays finite. The logit is taken once for each run of equal clamped values: a binary
+// rule-based mask has two such values, and equal inputs give equal bits.
 func paramsFromMask(m *grid.Field, eps float64) *grid.Field {
 	p := grid.NewLike(m)
+	last, logit := math.NaN(), 0.0 // NaN equals nothing, so pixel 0 takes its logit
 	for i, v := range m.Data {
 		if v < eps {
 			v = eps
 		} else if v > 1-eps {
 			v = 1 - eps
 		}
-		p.Data[i] = math.Log(v/(1-v)) / thetaM
+		if v != last {
+			last, logit = v, math.Log(v/(1-v))/thetaM
+		}
+		p.Data[i] = logit
 	}
 	return p
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -397,6 +398,88 @@ func TestOnIterFiresPerIteration(t *testing.T) {
 	for i := range got {
 		if got[i] != res.History[i] {
 			t.Fatalf("OnIter stats %d differ from History: %+v vs %+v", i, got[i], res.History[i])
+		}
+	}
+	// This run ends at MaxIter, so its last iterate runs forward only: it
+	// has no gradient, and reports GradRMS 0 (never NaN, which no JSON event
+	// could carry).
+	if res.Iterations != o.Cfg.MaxIter {
+		t.Fatalf("run took %d iterations, want MaxIter = %d", res.Iterations, o.Cfg.MaxIter)
+	}
+	for i, st := range got {
+		if last := i == len(got)-1; last != (st.GradRMS == 0) {
+			t.Fatalf("iterate %d of %d reports GradRMS %v; want 0 exactly on the last", i, len(got), st.GradRMS)
+		}
+	}
+
+	// A GradTol stop is known only from the gradient, so its last iterate
+	// computed one and reports its RMS.
+	o.Cfg.GradTol, o.Cfg.Jumps = 1e300, 0
+	got = nil
+	if res, err = run(o, layout); err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 1 || len(got) != 1 || got[0].GradRMS <= 0 {
+		t.Fatalf("GradTol stop: %d iterations, %d OnIter calls, last GradRMS %v; want 1, 1 and > 0", res.Iterations, len(got), got[len(got)-1].GradRMS)
+	}
+}
+
+// TestPixelPassesKeepTheirBits holds the descent's rewritten pixel passes
+// to the loops they replace, bit for bit: the one-pass chain rule to the
+// chain, grid.Field.RMS and grid.Field.MinMax (±0 and NaN included), the
+// unrolled ipow to its loop, and the run-memoised logit of paramsFromMask
+// to one logit a pixel.
+func TestPixelPassesKeepTheirBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, math.NaN(), math.Inf(1), 1e-300, 0.5}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(40)
+		grad, mask := grid.New(n, 1), grid.New(n, 1)
+		for i := range grad.Data {
+			grad.Data[i], mask.Data[i] = rng.NormFloat64(), rng.Float64()
+			if trial%2 == 1 && rng.Intn(4) == 0 {
+				grad.Data[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		want := grad.Clone()
+		for i, g := range want.Data {
+			mv := mask.Data[i]
+			want.Data[i] = g * thetaM * mv * (1 - mv)
+		}
+		wantLo, wantHi := want.MinMax()
+		rms, lo, hi := chainRule(grad, mask)
+		if i := sameBits(grad.Data, want.Data); i >= 0 {
+			t.Fatalf("trial %d: chained pixel %d is %v, want %v", trial, i, grad.Data[i], want.Data[i])
+		}
+		if sameBits([]float64{rms, lo, hi}, []float64{want.RMS(), wantLo, wantHi}) >= 0 {
+			t.Fatalf("trial %d: RMS, min, max %v %v %v, want %v %v %v", trial, rms, lo, hi, want.RMS(), wantLo, wantHi)
+		}
+	}
+	for _, x := range append(specials, -0.37, 2.5, 1e-80, -3e100) {
+		for k := 0; k <= 6; k++ {
+			want := 1.0
+			for j := 0; j < k; j++ {
+				want *= x
+			}
+			if got := ipow(x, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ipow(%v, %d) = %v, the loop gives %v", x, k, got, want)
+			}
+		}
+	}
+	m := grid.New(64, 1)
+	for i := range m.Data {
+		m.Data[i] = []float64{0, 1, 0.3, math.NaN(), 1e-13}[rng.Intn(5)]
+	}
+	for _, eps := range []float64{initEps, seedEps} {
+		got := paramsFromMask(m, eps)
+		for i, v := range m.Data {
+			v = math.Min(math.Max(v, eps), 1-eps)
+			if math.IsNaN(m.Data[i]) {
+				v = m.Data[i]
+			}
+			if want := math.Log(v/(1-v)) / thetaM; math.Float64bits(got.Data[i]) != math.Float64bits(want) {
+				t.Fatalf("eps %g: pixel %d (%v) has P %v, want %v", eps, i, m.Data[i], got.Data[i], want)
+			}
 		}
 	}
 }

@@ -91,6 +91,7 @@ type focusState struct {
 type iterState struct {
 	specBand *grid.CField // band-limited FFT of the current mask
 	planes   []focusState
+	units    []planeIndex  // every transform unit, plane by plane
 	z        []*grid.Field // sigmoid printed pattern per corner (Eq. 4, dose applied), in corner-list order
 	pvb      []float64     // F_pvb term per corner; slot 0, the nominal, stays 0
 	epeW     *grid.Field   // exact mode: dF_epe/dD per pixel (weight-map form of Eq. 14)
@@ -138,41 +139,37 @@ func (st *iterState) release() {
 }
 
 // evalState evaluates the objective of the configured mode for mask and,
-// with adjoint set (a descent step, not the warm-start probe), the band
-// blocks of its gradient and the proxy metrics. It runs five task lists in
+// in a descent step (descent set; not the warm-start probe), the proxy
+// metrics. It runs the forward three of an iteration's five task lists in
 // turn, each parallel over outputs its tasks write alone:
 //
 //  1. the field of every transform unit of every plane, one list;
 //  2. per plane, the fold of its fields and the interpolation to the mask
 //     grid (sim.ImagingGrid.Fold);
 //  3. per corner, the sigmoid print at its dose and its objective term and,
-//     in a descent step, the proxy band count of each of the pixelBands
-//     row bands (cornerList);
-//  4. per plane, its corners' summed sensitivity restricted to the imaging
-//     grid;
-//  5. the adjoint band block of every unit of every live plane, one list.
+//     in a descent step, the nominal plane's proxy EPE count and the proxy
+//     band count of each of the pixelBands row bands (cornerList).
 //
-// One list over all planes' units lets a paired best-focus plane, which has
-// fewer units, share the cores with the others instead of finishing first
-// and idling. Every sum — a plane's fold, the corner terms below, the band
-// blocks in gradient — is folded serially and in index order, and the
-// proxy band's are integer counts, so the bits do not depend on the core
-// count.
-func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample, adjoint bool) *iterState {
+// adjoint runs the other two. One list over all planes' units lets a paired
+// best-focus plane, which has fewer units, share the cores with the others
+// instead of finishing first and idling. Every sum — a plane's fold, the
+// corner terms below, the band blocks in gradient — is folded serially and
+// in index order, and the proxy counts are integers, so the bits do not
+// depend on the core count.
+func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *grid.Field, samples []geom.Sample, descent bool) *iterState {
 	// All models share the optics configuration, hence the same frequency
 	// block half-width.
 	st := &iterState{specBand: o.Sim.SpectrumBand(mask, models[0].ig.K)}
 	st.planes = make([]focusState, len(models))
-	var units []planeIndex // every transform unit, plane by plane
 	for p, m := range models {
 		st.planes[p] = focusState{model: m, fields: make([]*grid.CField, len(m.stack.Units()))}
 		for u := range m.stack.Units() {
-			units = append(units, planeIndex{p, u})
+			st.units = append(st.units, planeIndex{p, u})
 		}
 	}
 
-	par.For(len(units), func(i int) {
-		fs, u := &st.planes[units[i].plane], units[i].i
+	par.For(len(st.units), func(i int) {
+		fs, u := &st.planes[st.units[i].plane], st.units[i].i
 		fs.fields[u] = fs.model.ig.Field(st.specBand, fs.model.stack.Units()[u])
 	})
 	par.For(len(models), func(p int) {
@@ -181,19 +178,25 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 		fs.i = fs.model.ig.Fold(fs.model.stack, fs.fields)
 		sp.End()
 	})
-	o.cornerList(st, target, samples, adjoint)
-	if !adjoint {
-		return st
-	}
+	o.cornerList(st, target, samples, descent)
+	return st
+}
 
-	wcs := make([]*grid.Field, len(models)) // each plane's sensitivity on the imaging grid, nil if not live
-	par.For(len(models), func(p int) {
+// adjoint runs the last two task lists of a descent step on evalState's
+// state, filling the band blocks gradient folds:
+//
+//  4. per plane, its corners' summed sensitivity restricted to the imaging
+//     grid;
+//  5. the adjoint band block of every unit of every live plane, one list.
+func (o *Optimizer) adjoint(st *iterState, target *grid.Field) {
+	wcs := make([]*grid.Field, len(st.planes)) // each plane's sensitivity on the imaging grid, nil if not live
+	par.For(len(st.planes), func(p int) {
 		if wcs[p] = o.sensitivity(st, &st.planes[p], target); wcs[p] != nil {
 			st.planes[p].blks = make([]*grid.CField, len(st.planes[p].fields))
 		}
 	})
-	par.For(len(units), func(i int) {
-		p, u := units[i].plane, units[i].i
+	par.For(len(st.units), func(i int) {
+		p, u := st.units[i].plane, st.units[i].i
 		if fs := &st.planes[p]; wcs[p] != nil {
 			fs.blks[u] = fs.model.ig.Adjoint(fs.model.stack, u, fs.fields[u], wcs[p])
 		}
@@ -203,7 +206,6 @@ func (o *Optimizer) evalState(mask *grid.Field, models []focusModel, target *gri
 			grid.Put(wc)
 		}
 	}
-	return st
 }
 
 // planeIndex names the i-th unit or member of a focus plane.
@@ -211,10 +213,11 @@ type planeIndex struct{ plane, i int }
 
 // cornerList is the third task list of evalState, run once every plane's
 // intensity is on the mask grid: every corner's task (corner) and, in a
-// descent step, after them, the proxy band count of each of the pixelBands
-// row bands, which the corner tasks leave a core for (three corners on two
-// cores). It sums the objective from the corner terms.
-func (o *Optimizer) cornerList(st *iterState, target *grid.Field, samples []geom.Sample, adjoint bool) {
+// descent step, after them, the proxy EPE count on the nominal plane and
+// the proxy band count of each of the pixelBands row bands, which the
+// corner tasks leave a core for (three corners on two cores). It sums the
+// objective from the corner terms.
+func (o *Optimizer) cornerList(st *iterState, target *grid.Field, samples []geom.Sample, descent bool) {
 	corners := 0
 	for _, fs := range st.planes {
 		corners += len(fs.model.Members)
@@ -229,21 +232,29 @@ func (o *Optimizer) cornerList(st *iterState, target *grid.Field, samples []geom
 	st.pvb = make([]float64, corners)
 	var exps []metrics.Exposure // descent step: every corner's intensity and dose, in corner order
 	var counts []int            // descent step: the proxy band's pixels per row band
-	if adjoint {
+	proxy := 0                  // descent step: the proxy EPE task
+	if descent {
 		exps = make([]metrics.Exposure, corners)
 		for ci, pj := range cornerOf {
 			fs := &st.planes[pj.plane]
 			exps[ci] = metrics.Exposure{I: fs.i.Data, Dose: fs.model.doses[pj.i]}
 		}
 		counts = make([]int, pixelBands)
+		proxy = 1
 	}
-	par.For(corners+len(counts), func(t int) {
-		if t < corners {
-			o.corner(st, t, &st.planes[cornerOf[t].plane], cornerOf[t].i, target, samples, adjoint)
-			return
+	par.For(corners+proxy+len(counts), func(t int) {
+		switch {
+		case t < corners:
+			o.corner(st, t, &st.planes[cornerOf[t].plane], cornerOf[t].i, target, samples)
+		case t < corners+proxy:
+			// EPE violations on the nominal aerial image (see proxyMetrics).
+			nominal := st.planes[cornerOf[0].plane].i
+			res := metrics.MeasureEPE(nominal, 1, o.Sim.Resist.Threshold, o.Sim.Cfg.PixelNM, samples, o.metricParams())
+			st.proxyEPE = metrics.CountViolations(res)
+		default:
+			lo, hi := band(t-corners-proxy, target.W)
+			counts[t-corners-proxy] = metrics.BandPixels(o.Sim.Resist, exps, lo, hi)
 		}
-		lo, hi := band(t-corners, target.W)
-		counts[t-corners] = metrics.BandPixels(o.Sim.Resist, exps, lo, hi)
 	})
 	for _, c := range counts {
 		st.bandPx += c
@@ -256,9 +267,8 @@ func (o *Optimizer) cornerList(st *iterState, target *grid.Field, samples []geom
 
 // corner is the task of corner ci, member j of plane fs, in evalState: its
 // sigmoid print and objective term. Corner 0, the nominal condition, owns
-// the design-target term, the EPE weight map and, in a descent step, the
-// proxy violation count (see proxyMetrics).
-func (o *Optimizer) corner(st *iterState, ci int, fs *focusState, j int, target *grid.Field, samples []geom.Sample, adjoint bool) {
+// the design-target term and the EPE weight map.
+func (o *Optimizer) corner(st *iterState, ci int, fs *focusState, j int, target *grid.Field, samples []geom.Sample) {
 	dose := fs.model.doses[j]
 	st.z[ci] = o.Sim.Resist.PrintSigmoidInto(grid.Get(fs.i.W, fs.i.H), fs.i, dose)
 	switch {
@@ -268,10 +278,6 @@ func (o *Optimizer) corner(st *iterState, ci int, fs *focusState, j int, target 
 		st.fTarget = o.idObjective(st.z[0], target)
 	case o.Cfg.Mode == ModeExact:
 		st.fTarget, st.epeW = o.epeObjective(st.z[0], target, samples)
-	}
-	if adjoint && ci == 0 {
-		res := metrics.MeasureEPE(fs.i, 1, o.Sim.Resist.Threshold, o.Sim.Cfg.PixelNM, samples, o.metricParams())
-		st.proxyEPE = metrics.CountViolations(res)
 	}
 }
 
@@ -470,8 +476,44 @@ func (o *Optimizer) gradient(st *iterState, n int) *grid.Field {
 	return grad
 }
 
-// ipow computes x^k for small non-negative integer k.
+// chainRule chains a descent step's gradient dF/dM through the mask
+// relaxation, dM/dP = theta_M * M * (1-M), in place, and returns the
+// result's RMS and extremes from the same pass. It keeps the serial
+// summation order of grid.Field.RMS and compares extremes as
+// grid.Field.MinMax does, so its bits, ±0 and NaN included, are theirs.
+func chainRule(grad, mask *grid.Field) (rms, lo, hi float64) {
+	g, m := grad.Data, mask.Data
+	mv := m[0]
+	v := g[0] * thetaM * mv * (1 - mv)
+	g[0] = v
+	s := v * v
+	lo, hi = v, v
+	for i := 1; i < len(g); i++ {
+		mv := m[i]
+		v := g[i] * thetaM * mv * (1 - mv)
+		g[i] = v
+		s += v * v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return math.Sqrt(s / float64(len(g))), lo, hi
+}
+
+// ipow computes x^k for small non-negative integer k. The exponents the
+// objective uses (gamma = 4 and its derivative's 3) are unrolled in the
+// loop's own multiply order, ((x*x)*x)*x: its first product, 1*x, is x
+// exactly.
 func ipow(x float64, k int) float64 {
+	switch k {
+	case 3:
+		return x * x * x
+	case 4:
+		return x * x * x * x
+	}
 	r := 1.0
 	for ; k > 0; k-- {
 		r *= x

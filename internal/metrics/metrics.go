@@ -14,6 +14,7 @@ import (
 	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
+	"mosaic/internal/par"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 )
@@ -267,46 +268,55 @@ func (q Quality) Score(runtimeSec float64) float64 {
 	return Score(runtimeSec, q.PVBandNM2, q.EPEViolations, q.ShapeViolations)
 }
 
-// AerialFunc produces the aerial image of a mask at one process corner,
-// before dose (which the resist step applies).
-// Evaluation is expressed against it so the metrics stay agnostic of how
-// the image is formed — a plain simulator whose grid covers the mask, or
-// the tile pipeline's stitched full-layout simulation.
-type AerialFunc func(mask *grid.Field, c sim.Corner) (*grid.Field, error)
+// PlanesFunc images a mask at every focus plane of corners, one image per
+// plane in sim.FocusGroups order, before dose (which the resist step
+// applies). Evaluation is expressed against it so the metrics stay
+// agnostic of how the images are formed — a plain simulator whose grid
+// covers the mask (sim.Simulator.AerialPlanes), or the tile pipeline's
+// stitched full-layout simulation. The images are handed over: the
+// evaluation keeps the nominal one in its Report and returns the others to
+// the workspace pool.
+type PlanesFunc func(mask *grid.Field, corners []sim.Corner) ([]*grid.Field, error)
 
 // Evaluate runs the full-SOCS forward simulation of mask at every process
 // corner and produces the contest metrics against layout. runtimeSec is
 // the optimization wall time to be folded into the score (pass 0 to score
 // quality only).
 func Evaluate(s *sim.Simulator, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
-	return EvaluateWithCtx(context.Background(), s.Aerial, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
+	return EvaluateWithCtx(context.Background(), s.AerialPlanes, s.Resist, s.Cfg.PixelNM, mask, layout, p, runtimeSec)
 }
 
 // EvaluateWithCtx is Evaluate with the forward imaging injected, under a
-// context: cancellation is honored between focus-plane simulations. aerial
-// forms the image at each corner, rm thresholds it, pixelNM scales areas
-// and EPE measurements. mask and the images aerial returns must share one
+// context: cancellation is honored before the imaging, and inside it as
+// far as planes honors it (tile.Plan.AerialPlanes checks before each
+// window). planes forms the image of every focus plane in one call, rm
+// thresholds them, pixelNM scales areas and EPE measurements. mask and the images must share one
 // grid that covers layout at pixelNM resolution. Corners that share a
-// focus plane differ only in dose, which the resist applies, so aerial is
-// called once per plane (with the plane's first corner) and every corner of
-// the plane prints from that one image.
-func EvaluateWithCtx(ctx context.Context, aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
+// focus plane differ only in dose, which the resist applies, so every
+// corner of a plane prints from the plane's one image. The rest runs as
+// two task lists, each parallel over outputs its tasks write alone: the
+// EPE measurement on the nominal image and every corner's print, then the
+// PV band and the shape count of the prints.
+func EvaluateWithCtx(ctx context.Context, planes PlanesFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
-	printed := make([]*grid.Field, len(corners))
+	groups := sim.FocusGroups(corners)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("metrics: evaluation canceled before imaging: %w", err)
+	}
+	imgs, err := planes(mask, corners)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: imaging %d focus planes: %w", len(groups), err)
+	}
+	if len(imgs) != len(groups) {
+		return nil, fmt.Errorf("metrics: imaging returned %d images for %d focus planes", len(imgs), len(groups))
+	}
+	exposed := make([]*grid.Field, len(corners)) // each corner's plane image
 	var aerialNominal *grid.Field
-	for _, g := range sim.FocusGroups(corners) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("metrics: evaluation canceled before corner %s: %w", g.Lead.Name, err)
-		}
-		img, err := aerial(mask, g.Lead)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: simulating corner %s: %w", g.Lead.Name, err)
-		}
+	for gi, g := range groups {
 		for _, ci := range g.Members {
-			c := corners[ci]
-			printed[ci] = rm.Print(img, c.Dose)
-			if c.DefocusNM == 0 && c.Dose == 1 {
-				aerialNominal = img
+			exposed[ci] = imgs[gi]
+			if c := corners[ci]; c.DefocusNM == 0 && c.Dose == 1 {
+				aerialNominal = imgs[gi]
 			}
 		}
 	}
@@ -314,9 +324,31 @@ func EvaluateWithCtx(ctx context.Context, aerial AerialFunc, rm resist.Model, pi
 		return nil, fmt.Errorf("metrics: corner set lacks the nominal condition")
 	}
 	samples := layout.SamplePoints(p.EPESampleNM)
-	epes := MeasureEPE(aerialNominal, 1, rm.Threshold, pixelNM, samples, p)
-	band, area := PVBand(printed, pixelNM)
-	shape := ShapeViolations(printed[0])
+	printed := make([]*grid.Field, len(corners))
+	var epes []EPEResult
+	// The EPE scan is the longest task: it goes first.
+	par.For(1+len(corners), func(t int) {
+		if t == 0 {
+			epes = MeasureEPE(aerialNominal, 1, rm.Threshold, pixelNM, samples, p)
+			return
+		}
+		printed[t-1] = rm.Print(exposed[t-1], corners[t-1].Dose)
+	})
+	for _, img := range imgs {
+		if img != aerialNominal {
+			grid.Put(img)
+		}
+	}
+	var band *grid.Field
+	var area float64
+	var shape int
+	par.For(2, func(t int) {
+		if t == 0 {
+			band, area = PVBand(printed, pixelNM)
+		} else {
+			shape = ShapeViolations(printed[0])
+		}
+	})
 	nEPE := CountViolations(epes)
 	return &Report{
 		Testcase:        layout.Name,

@@ -298,9 +298,10 @@ func TestBilinearInterpolation(t *testing.T) {
 }
 
 // evaluateUnshared is the evaluation as it ran before corners of one focus
-// plane shared an aerial image: every corner is imaged on its own. It
+// plane shared an aerial image and the planes were imaged in one call:
+// every corner is imaged on its own, and every step runs serially. It
 // exists only as the reference the shared evaluation is pinned to.
-func evaluateUnshared(aerial AerialFunc, rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
+func evaluateUnshared(aerial func(*grid.Field, sim.Corner) (*grid.Field, error), rm resist.Model, pixelNM float64, mask *grid.Field, layout *geom.Layout, p Params, runtimeSec float64) (*Report, error) {
 	corners := sim.ProcessCorners(p.DefocusNM, p.DoseDelta)
 	printed := make([]*grid.Field, len(corners))
 	var aerialNominal *grid.Field
@@ -336,10 +337,11 @@ func evaluateUnshared(aerial AerialFunc, rm resist.Model, pixelNM float64, mask 
 	}, nil
 }
 
-// TestEvaluateImagesEachFocusPlaneOnce: the evaluation calls its
-// AerialFunc once per focus plane (2 for the paper's window, 1 at zero
-// defocus) and still reports exactly what imaging every corner would, on
-// the whole benchmark suite at the repo benchmark's resolution.
+// TestEvaluateImagesEachFocusPlaneOnce: the evaluation makes one imaging
+// call, which asks for every process corner and returns one image per
+// focus plane (2 for the paper's window, 1 at zero defocus), and still
+// reports exactly what imaging every corner on its own would, on the whole
+// benchmark suite at the repo benchmark's resolution.
 func TestEvaluateImagesEachFocusPlaneOnce(t *testing.T) {
 	c := optics.Default()
 	c.GridSize = 128
@@ -365,16 +367,20 @@ func TestEvaluateImagesEachFocusPlaneOnce(t *testing.T) {
 		for _, layout := range layouts {
 			mask := layout.Rasterize(c.GridSize, c.PixelNM)
 			calls := 0
-			counting := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
+			counting := func(m *grid.Field, corners []sim.Corner) ([]*grid.Field, error) {
 				calls++
-				return s.Aerial(m, c)
+				imgs, err := s.AerialPlanes(m, corners)
+				if len(imgs) != planes {
+					t.Fatalf("%s defocus %g: %d images, want %d", layout.Name, defocus, len(imgs), planes)
+				}
+				return imgs, err
 			}
 			got, err := EvaluateWithCtx(context.Background(), counting, s.Resist, c.PixelNM, mask, layout, p, 1.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if calls != planes {
-				t.Fatalf("%s defocus %g: %d aerial calls, want %d", layout.Name, defocus, calls, planes)
+			if calls != 1 {
+				t.Fatalf("%s defocus %g: %d imaging calls, want 1", layout.Name, defocus, calls)
 			}
 			want, err := evaluateUnshared(s.Aerial, s.Resist, c.PixelNM, mask, layout, p, 1.5)
 			if err != nil {

@@ -71,6 +71,7 @@ var (
 	IltForward         = perPlane("ilt.forward")
 	SimAerial          = perPlane("sim.aerial")
 	SimAerialCombined  = perPlane("sim.aerial_combined")
+	SimAerialPlanes    = span("sim.aerial_planes")
 )
 
 // The instants; internal/serve publishes each on a job's event stream.

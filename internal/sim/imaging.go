@@ -58,22 +58,37 @@ func (g ImagingGrid) Field(specBand, kf *grid.CField) *grid.CField {
 	return out
 }
 
-// Image is the SOCS sum of Eq. 2, I = sum_k w_k |M conv h_k|^2, for the
-// forward-only callers: the stack's unit fields are computed in parallel,
-// each into its own buffer, and Fold sums them. Parallel over outputs,
-// serial over sums: the bits do not depend on how many cores ran it. The
-// image comes from the workspace pool; release it with grid.Put.
-func (g ImagingGrid) Image(specBand *grid.CField, s *Stack) *grid.Field {
-	units := s.Units()
-	fields := make([]*grid.CField, len(units))
-	par.For(len(units), func(u int) {
-		fields[u] = g.Field(specBand, units[u])
-	})
-	img := g.Fold(s, fields)
-	for _, f := range fields {
-		grid.PutC(f)
+// Image is the SOCS sum of Eq. 2, I = sum_k w_k |M conv h_k|^2, of each
+// stack, for the forward-only callers: one image per stack, in order. The
+// unit fields of every stack are computed in one parallel list, each into
+// its own buffer, so a stack with fewer units (the paired best-focus plane)
+// shares the cores with the others instead of finishing first and idling;
+// then the stacks fold in parallel. Parallel over outputs, serial over
+// sums: the bits do not depend on how many cores ran it or on which stacks
+// were imaged together. The images come from the workspace pool; release
+// them with grid.Put.
+func (g ImagingGrid) Image(specBand *grid.CField, stacks []*Stack) []*grid.Field {
+	type unit struct{ stack, u int }
+	var units []unit
+	fields := make([][]*grid.CField, len(stacks))
+	for si, st := range stacks {
+		fields[si] = make([]*grid.CField, len(st.Units()))
+		for u := range fields[si] {
+			units = append(units, unit{si, u})
+		}
 	}
-	return img
+	par.For(len(units), func(i int) {
+		si, u := units[i].stack, units[i].u
+		fields[si][u] = g.Field(specBand, stacks[si].Units()[u])
+	})
+	imgs := make([]*grid.Field, len(stacks))
+	par.For(len(stacks), func(si int) {
+		imgs[si] = g.Fold(stacks[si], fields[si])
+		for _, f := range fields[si] {
+			grid.PutC(f)
+		}
+	})
+	return imgs
 }
 
 // Fold is the one place the forward model's sum is written: it folds the

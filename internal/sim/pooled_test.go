@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -145,6 +146,46 @@ func TestConvolutionCountersVisible(t *testing.T) {
 	} {
 		if !strings.Contains(txt, name) {
 			t.Errorf("metrics dump missing %s", name)
+		}
+	}
+}
+
+// TestAerialPlanesMatchesAerial pins the one-list imaging of every focus
+// plane to Aerial at each plane's lead corner, bit for bit: a paired
+// best-focus plane and a complex defocused one, on a grid whose imaging
+// grid equals it and on one where it is coarser (both resamplings run).
+func TestAerialPlanesMatchesAerial(t *testing.T) {
+	for _, n := range []int{32, 128} { // one 512-nm field: Nc = 32 for both
+		s := testSim(t)
+		s.Cfg.GridSize, s.Cfg.PixelNM = n, 512/float64(n)
+		if k := s.Cfg.BandLimitK(); NewImagingGrid(n, k).Nc != 32 {
+			t.Fatalf("%d px: imaging grid %d, want 32", n, NewImagingGrid(n, k).Nc)
+		}
+		corners := ProcessCorners(25, 0.02)
+		planes := FocusGroups(corners)
+		if ks, err := s.Kernels(0); err != nil || !SOCSStack(ks, len(ks.Freqs)).Paired() {
+			t.Fatalf("%d px: the best-focus stack is not paired (err %v)", n, err)
+		}
+		for seed := int64(0); seed < 2; seed++ {
+			mask := randMask(n, seed)
+			got, err := s.AerialPlanes(mask, corners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(planes) {
+				t.Fatalf("%d px: %d images for %d planes", n, len(got), len(planes))
+			}
+			for p, g := range planes {
+				want, err := s.Aerial(mask, g.Lead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range want.Data {
+					if math.Float64bits(got[p].Data[i]) != math.Float64bits(v) {
+						t.Fatalf("%d px seed %d plane %s: pixel %d is %v, Aerial has %v", n, seed, g.Lead.Name, i, got[p].Data[i], v)
+					}
+				}
+			}
 		}
 	}
 }

@@ -172,7 +172,29 @@ func (s *Simulator) Aerial(mask *grid.Field, c Corner) (*grid.Field, error) {
 	}
 	_, sp := obs.StartSpan(context.Background(), obs.SimAerial[c.SpanLabel()])
 	defer sp.End()
-	return s.image(mask, ks.K, SOCSStack(ks, len(ks.Freqs))), nil
+	return s.image(mask, ks.K, SOCSStack(ks, len(ks.Freqs)))[0], nil
+}
+
+// AerialPlanes images mask at every focus plane of corners, one image per
+// plane (FocusGroups order), from one band-limited mask spectrum in one
+// ImagingGrid.Image call: each image is the one Aerial returns for the
+// plane's lead corner, bit for bit. Dose is not applied. The call is timed
+// whole under sim.aerial_planes. The images come from the workspace pool;
+// release them with grid.Put when done.
+func (s *Simulator) AerialPlanes(mask *grid.Field, corners []Corner) ([]*grid.Field, error) {
+	planes := FocusGroups(corners)
+	stacks := make([]*Stack, len(planes))
+	k := 0 // every kernel set of one optics configuration has the same block half-width
+	for p, g := range planes {
+		ks, err := s.Kernels(g.Lead.DefocusNM)
+		if err != nil {
+			return nil, err
+		}
+		stacks[p], k = SOCSStack(ks, len(ks.Freqs)), ks.K
+	}
+	_, sp := obs.StartSpan(context.Background(), obs.SimAerialPlanes)
+	defer sp.End()
+	return s.image(mask, k, stacks...), nil
 }
 
 // AerialCombined computes the aerial image with the combined single kernel
@@ -185,15 +207,16 @@ func (s *Simulator) AerialCombined(mask *grid.Field, c Corner) (*grid.Field, err
 	}
 	_, sp := obs.StartSpan(context.Background(), obs.SimAerialCombined[c.SpanLabel()])
 	defer sp.End()
-	return s.image(mask, ks.K, CombinedStack(ks)), nil
+	return s.image(mask, ks.K, CombinedStack(ks))[0], nil
 }
 
-// image runs ImagingGrid.Image on the mask's band-limited spectrum.
-func (s *Simulator) image(mask *grid.Field, k int, st *Stack) *grid.Field {
+// image runs ImagingGrid.Image of stacks on the mask's band-limited
+// spectrum, one image per stack.
+func (s *Simulator) image(mask *grid.Field, k int, stacks ...*Stack) []*grid.Field {
 	spec := s.SpectrumBand(mask, k)
-	img := NewImagingGrid(s.Cfg.GridSize, k).Image(spec, st)
+	imgs := NewImagingGrid(s.Cfg.GridSize, k).Image(spec, stacks)
 	grid.PutC(spec)
-	return img
+	return imgs
 }
 
 // PrintHard applies the hard-threshold resist (Eq. 3) at the corner's dose.

@@ -66,8 +66,8 @@ func TestPairedStackImagesLikeComplex(t *testing.T) {
 					s.FieldFromSpectrum(spec, kf, ks.K).AccumAbs2(want, ks.Weights[i])
 				}
 				tol := 1e-12 * maxAbs(want)
-				got := ig.Image(band, st)
-				cplx := ig.Image(band, complexOf(st))
+				imgs := ig.Image(band, []*Stack{st, complexOf(st)})
+				got, cplx := imgs[0], imgs[1]
 				if !got.Equal(want, tol) || !got.Equal(cplx, tol) || !cplx.Equal(want, tol) {
 					t.Errorf("%d px %g nm top-%d: stack image, complex-stack image and mask-grid reference differ by more than %g", n, defocus, order, tol)
 				}

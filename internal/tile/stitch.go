@@ -138,63 +138,79 @@ func (p *Plan) windowCrop(f *grid.Field, t *Tile) *grid.Field {
 	return w
 }
 
-// Aerial computes the full-layout aerial image of a full-grid mask at one
-// process corner by tiled simulation: each padded window is imaged
-// independently with the full SOCS stack and only its core is kept. The
-// halo absorbs both the optical interaction with neighboring tiles and the
-// FFT's cyclic wrap-around, so the cores assemble into the open-boundary
-// full-layout image.
-func (p *Plan) Aerial(ws *sim.Simulator, mask *grid.Field, c sim.Corner) (*grid.Field, error) {
+// AerialPlanes computes the full-layout aerial image of a full-grid mask
+// at every focus plane of corners (sim.FocusGroups order) by tiled
+// simulation: each padded window is imaged once, for all of its planes,
+// with the full SOCS stack (sim.Simulator.AerialPlanes), and only its core
+// is kept. The halo absorbs both the optical interaction with neighboring
+// tiles and the FFT's cyclic wrap-around, so the cores assemble into the
+// open-boundary full-layout image. Cancellation is honored before each
+// window's imaging. The images come from the workspace pool.
+func (p *Plan) AerialPlanes(ctx context.Context, ws *sim.Simulator, mask *grid.Field, corners []sim.Corner) ([]*grid.Field, error) {
 	if err := p.checkWindowSim(ws); err != nil {
 		return nil, err
 	}
 	if mask.W != p.FullPx || mask.H != p.FullPx {
 		return nil, fmt.Errorf("tile: mask %dx%d does not match the %d px full grid", mask.W, mask.H, p.FullPx)
 	}
-	if _, err := ws.Kernels(c.DefocusNM); err != nil {
+	if err := ws.BuildPlanes(corners); err != nil {
 		return nil, err
 	}
-	out := grid.New(p.FullPx, p.FullPx)
+	// Cores partition the full grid, so every pixel of every image is
+	// written, and concurrent writes are disjoint.
+	outs := make([]*grid.Field, len(sim.FocusGroups(corners)))
+	for i := range outs {
+		outs[i] = grid.Get(p.FullPx, p.FullPx)
+	}
 	errs := make([]error, len(p.Tiles))
 	par.For(len(p.Tiles), func(i int) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = fmt.Errorf("tile: evaluation canceled before window %d: %w", i, err)
+			return
+		}
 		t := &p.Tiles[i]
 		crop := p.windowCrop(mask, t)
-		img, err := ws.Aerial(crop, c)
+		imgs, err := ws.AerialPlanes(crop, corners)
 		grid.Put(crop)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		// Cores partition the full grid, so concurrent writes are disjoint.
-		for gy := t.CoreY0; gy < t.CoreY1; gy++ {
-			src := img.Row(gy - t.WinY0)
-			copy(out.Row(gy)[t.CoreX0:t.CoreX1], src[t.CoreX0-t.WinX0:t.CoreX1-t.WinX0])
+		for pl, img := range imgs {
+			for gy := t.CoreY0; gy < t.CoreY1; gy++ {
+				src := img.Row(gy - t.WinY0)
+				copy(outs[pl].Row(gy)[t.CoreX0:t.CoreX1], src[t.CoreX0-t.WinX0:t.CoreX1-t.WinX0])
+			}
+			grid.Put(img)
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
+			for _, out := range outs {
+				grid.Put(out)
+			}
 			return nil, err
 		}
 	}
-	return out, nil
+	return outs, nil
 }
 
 // Evaluate produces the full-layout contest metrics for a stitched mask:
-// the standard evaluation pipeline with the aerial image formed by tiled
+// the standard evaluation pipeline with the aerial images formed by tiled
 // simulation, so EPE, PV band, and shape terms report on the whole stitched
 // result rather than per tile.
 func (p *Plan) Evaluate(ws *sim.Simulator, mask *grid.Field, mp metrics.Params, runtimeSec float64) (*metrics.Report, error) {
 	return p.EvaluateCtx(context.Background(), ws, mask, mp, runtimeSec)
 }
 
-// EvaluateCtx is Evaluate under a context; cancellation is honored between
-// process-corner simulations.
+// EvaluateCtx is Evaluate under a context; cancellation is honored before
+// each window's imaging.
 func (p *Plan) EvaluateCtx(ctx context.Context, ws *sim.Simulator, mask *grid.Field, mp metrics.Params, runtimeSec float64) (*metrics.Report, error) {
 	ctx, sp := obs.StartSpan(ctx, obs.TileEvaluate,
 		obs.String("layout", p.Layout.Name), obs.Int("tiles", len(p.Tiles)))
 	defer sp.End()
-	aerial := func(m *grid.Field, c sim.Corner) (*grid.Field, error) {
-		return p.Aerial(ws, m, c)
+	planes := func(m *grid.Field, corners []sim.Corner) ([]*grid.Field, error) {
+		return p.AerialPlanes(ctx, ws, m, corners)
 	}
-	return metrics.EvaluateWithCtx(ctx, aerial, ws.Resist, p.PixelNM, mask, p.Layout, mp, runtimeSec)
+	return metrics.EvaluateWithCtx(ctx, planes, ws.Resist, p.PixelNM, mask, p.Layout, mp, runtimeSec)
 }

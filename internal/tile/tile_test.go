@@ -2,6 +2,7 @@ package tile
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -567,5 +568,66 @@ func TestNewPlanBoundsItsRasters(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: NewPlan is still running", tc.name)
 		}
+	}
+}
+
+// TestAerialPlanesMatchesPerCornerWindows pins a 2x2 plan's one-call
+// imaging — each window imaged once for every focus plane — to the
+// per-corner assembly it replaced, bit for bit: every window imaged by
+// sim.Simulator.Aerial at each plane's lead corner, its core copied out.
+func TestAerialPlanesMatchesPerCornerWindows(t *testing.T) {
+	l := testLayout()
+	ws := testSim(t, 128)
+	p, err := NewPlan(l, 8, 512, DefaultHaloNM(ws.Cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Tiles) != 4 || p.WindowPx != 128 {
+		t.Fatalf("plan has %d tiles of %d px, want 4 of 128", len(p.Tiles), p.WindowPx)
+	}
+	mask := l.Rasterize(p.FullPx, p.PixelNM)
+	corners := sim.ProcessCorners(25, 0.02)
+	got, err := p.AerialPlanes(context.Background(), ws, mask, corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planes := sim.FocusGroups(corners)
+	if len(got) != len(planes) {
+		t.Fatalf("%d images for %d planes", len(got), len(planes))
+	}
+	for pl, g := range planes {
+		want := grid.New(p.FullPx, p.FullPx)
+		for i := range p.Tiles {
+			tl := &p.Tiles[i]
+			img, err := ws.Aerial(p.windowCrop(mask, tl), g.Lead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gy := tl.CoreY0; gy < tl.CoreY1; gy++ {
+				copy(want.Row(gy)[tl.CoreX0:tl.CoreX1], img.Row(gy - tl.WinY0)[tl.CoreX0-tl.WinX0:tl.CoreX1-tl.WinX0])
+			}
+		}
+		for i, v := range want.Data {
+			if math.Float64bits(got[pl].Data[i]) != math.Float64bits(v) {
+				t.Fatalf("plane %s: pixel %d is %v, the per-corner windows give %v", g.Lead.Name, i, got[pl].Data[i], v)
+			}
+		}
+	}
+}
+
+// TestAerialPlanesHonorsCancellation: a plan's imaging checks its context
+// before each window, so a canceled evaluation images none.
+func TestAerialPlanesHonorsCancellation(t *testing.T) {
+	l := testLayout()
+	ws := testSim(t, 128)
+	p, err := NewPlan(l, 8, 512, DefaultHaloNM(ws.Cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	mask := l.Rasterize(p.FullPx, p.PixelNM)
+	if _, err := p.AerialPlanes(ctx, ws, mask, sim.ProcessCorners(25, 0.02)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled plan imaging returned %v, want context.Canceled", err)
 	}
 }

@@ -237,8 +237,8 @@ func (s *Setup) Evaluate(mask *Field, layout *Layout, runtimeSec float64) (*Repo
 	return s.EvaluateCtx(context.Background(), mask, layout, runtimeSec)
 }
 
-// EvaluateCtx is Evaluate under a context: cancellation is honored between
-// process-corner simulations. The layout must fit the setup grid and the
+// EvaluateCtx is Evaluate under a context: cancellation is honored before
+// the imaging. The layout must fit the setup grid and the
 // mask raster must match it exactly; a mismatch returns ErrGridMismatch
 // instead of a silently mis-scored report. It scores through
 // EvaluateLayoutCtx's one-window plan.
@@ -502,7 +502,7 @@ func (s *Setup) EvaluateLayout(mask *Field, layout *Layout, opts TileOptions, ru
 }
 
 // EvaluateLayoutCtx is EvaluateLayout under a context: cancellation is
-// honored between process-corner simulations.
+// honored before each window's imaging.
 func (s *Setup) EvaluateLayoutCtx(ctx context.Context, mask *Field, layout *Layout, opts TileOptions, runtimeSec float64) (*Report, error) {
 	if layout == nil {
 		return nil, &ConfigError{Field: "Layout", Reason: "is nil"}
