@@ -136,6 +136,45 @@ func TestDesignEquationMapNamesCode(t *testing.T) {
 	}
 }
 
+// TestDocsNameDeclaredCode holds every code name DESIGN.md and README.md
+// cite to the code, as § 3's table is held above: each back-quoted
+// pkg.Name or pkg.Type.Member whose pkg is a directory under internal/ and
+// whose Name is exported must be declared there. Test, fuzz and benchmark
+// globs (a Test* name) and brace forms are not of that shape and are not
+// read; a lower-case pkg.name is a span or metric name.
+func TestDocsNameDeclaredCode(t *testing.T) {
+	ref := regexp.MustCompile("`([a-z]+)\\.([A-Z]\\w*)(?:\\.(\\w+))?`")
+	pkgs := map[string]map[string]bool{}
+	checked := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(raw), -1) {
+			names, seen := pkgs[m[1]]
+			if !seen {
+				names = declared(t, m[1])
+				pkgs[m[1]] = names
+			}
+			if names == nil { // not a package under internal/
+				continue
+			}
+			name := m[2]
+			if m[3] != "" {
+				name += "." + m[3]
+			}
+			checked++
+			if !names[name] {
+				t.Errorf("%s cites %s, which internal/%s does not declare", doc, m[0], m[1])
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("checked %d names; was the pattern broken?", checked)
+	}
+}
+
 // TestDocsStayWithinTheirCaps holds the caps of ROADMAP item 7: README.md
 // at most 700 lines, DESIGN.md at most 800, and each CHANGES.md line (one
 // a PR) at most 600 characters.

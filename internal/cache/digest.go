@@ -9,12 +9,12 @@
 // The store has two tiers: an in-process LRU with a byte budget, and an
 // optional durable on-disk tier (sharded by digest prefix, atomic-rename
 // writes, corrupt entries quarantined and recomputed — a damaged cache
-// can cost time, never correctness). Runner wraps any tile.Runner with
-// the cache, leaving the scheduler and stitching untouched; LookupRunner
-// goes outside the warm-start runner, so a window is asked for under its
-// unseeded key before a seed can change that key. The disk tier is also
-// where a resumed job finds the windows it finished before a drain: it
-// asks for them under their keys like any repeat does.
+// can cost time, never correctness). Runner is the one window policy: it
+// wraps any tile.Runner, looks a window up under its unseeded key, lets
+// the warm-start library seed a miss, and files what it computes, leaving
+// the scheduler and stitching untouched. The disk tier is also where a
+// resumed job finds the windows it finished before a drain: it asks for
+// them under their keys like any repeat does.
 package cache
 
 import (
@@ -63,12 +63,16 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // Polygon and sample order are hashed as given rather than sorted: a
 // reordering changes the key and costs a recompute, never a wrong hit.
 //
-// A seed enters as its W, H and frame.FieldDigest, not as its samples:
-// the digest the request carries (tile.Request.SeedDigest, hashed by the
-// warm-start library when it made the seed), or one computed here from
-// the bits, so both routes write the same bytes. An unseeded key writes
-// the -1 of a nil Writer.Field, as it always has.
-func RequestKey(req *tile.Request) Key {
+// A seed enters as its W, H and frame.FieldDigest, not as its samples,
+// hashed here from the bits. An unseeded key writes the -1 of a nil
+// Writer.Field, as it always has.
+func RequestKey(req *tile.Request) Key { return requestKey(req, nil) }
+
+// requestKey is RequestKey with the seed taken by seedDigest, the
+// frame.FieldDigest its maker already hashed (the warm-start library's
+// Attempt.SeedDigest); nil hashes the seed's bits. Both routes write the
+// same bytes.
+func requestKey(req *tile.Request, seedDigest *[sha256.Size]byte) Key {
 	return frame.Digest(func(w *frame.Writer) {
 		w.I64(DigestVersion)
 		w.I64(int64(req.Plan.WindowPx))
@@ -77,7 +81,7 @@ func RequestKey(req *tile.Request) Key {
 		if seed := req.Cfg.SeedMask; seed == nil {
 			w.Field(nil)
 		} else {
-			d := req.SeedDigest
+			d := seedDigest
 			if d == nil {
 				fd := frame.FieldDigest(seed)
 				d = &fd

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"crypto/sha256"
 	"testing"
 
 	"mosaic/internal/frame"
@@ -124,32 +123,27 @@ func TestRequestKeySeedBits(t *testing.T) {
 }
 
 // TestRequestKeySeedDigestCarriedOrComputed: a seed enters the key by its
-// size and digest, and the key is the same whether the request carries
-// the digest (as the warm-start runner hands it over) or the key hashes
-// the seed's bits itself. A carried digest is taken as given, so one that
-// does not match the seed moves the key — the carrier owns the match.
+// size and digest, and the key is the same whether the digest is handed
+// in (as Runner hands on the one the warm-start library took) or hashed
+// from the seed's bits. A handed-in digest is taken as given, so one that
+// does not match the seed moves the key — the caller owns the match — and
+// with no seed attached it is ignored.
 func TestRequestKeySeedDigestCarriedOrComputed(t *testing.T) {
 	seed := grid.New(64, 64)
 	for i := range seed.Data {
 		seed.Data[i] = float64(i%13) / 13
 	}
 	d := frame.FieldDigest(seed)
-	key := func(digest *[sha256.Size]byte) Key {
-		return RequestKey(digestReq(func(r *tile.Request) {
-			r.Cfg.SeedMask = seed
-			r.SeedDigest = digest
-		}))
-	}
-	computed, carried := key(nil), key(&d)
-	if computed != carried {
-		t.Fatalf("a carried seed digest wrote another key than one computed from the bits:\n  %s\n  %s", computed, carried)
+	req := digestReq(func(r *tile.Request) { r.Cfg.SeedMask = seed })
+	if requestKey(req, &d) != RequestKey(req) {
+		t.Fatalf("a carried seed digest wrote another key than one computed from the bits:\n  %s\n  %s", requestKey(req, &d), RequestKey(req))
 	}
 	other := d
 	other[0] ^= 1
-	if key(&other) == computed {
+	if requestKey(req, &other) == RequestKey(req) {
 		t.Fatal("the key ignored the carried seed digest")
 	}
-	if RequestKey(digestReq(func(r *tile.Request) { r.SeedDigest = &d })) != RequestKey(digestReq(nil)) {
+	if unseeded := digestReq(nil); requestKey(unseeded, &d) != RequestKey(unseeded) {
 		t.Fatal("a digest with no seed moved an unseeded key")
 	}
 }

@@ -110,7 +110,7 @@ func TestOptimizeCachedBitIdentical(t *testing.T) {
 	}
 
 	store := mustOpen(t, Options{})
-	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil)})
+	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestOptimizeCachedBitIdentical(t *testing.T) {
 	}
 
 	// Fully warm: every non-empty tile is a hit, nothing recomputes.
-	warm2, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil)})
+	warm2, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,13 @@ func TestOptimizeCachePersistsAcrossStores(t *testing.T) {
 	dir := t.TempDir()
 
 	s1 := mustOpen(t, Options{Dir: dir})
-	first, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(s1, nil)})
+	first, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(s1, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := mustOpen(t, Options{Dir: dir})
-	second, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(s2, nil)})
+	second, err := p.Optimize(ctx, ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(s2, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestOptimizeCachePersistsAcrossStores(t *testing.T) {
 func TestCachedRunTakesNoCore(t *testing.T) {
 	p, ws, cfg := e2ePlan(t)
 	store := mustOpen(t, Options{})
-	cold, err := p.Optimize(context.Background(), ws, cfg, tile.Options{Runner: NewRunner(store, nil)})
+	cold, err := p.Optimize(context.Background(), ws, cfg, tile.Options{Runner: NewRunner(store, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCachedRunTakesNoCore(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Runner: NewRunner(store, nil)})
+	warm, err := p.Optimize(ctx, ws, cfg, tile.Options{Runner: NewRunner(store, nil, nil)})
 	if err != nil {
 		t.Fatalf("all-hit run with the pool saturated: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestCachedRunTakesNoCore(t *testing.T) {
 	// A miss does wait for a core.
 	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := p.Optimize(ctx, ws, cfg, tile.Options{Runner: NewRunner(mustOpen(t, Options{}), nil)}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := p.Optimize(ctx, ws, cfg, tile.Options{Runner: NewRunner(mustOpen(t, Options{}), nil, nil)}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cold run with the pool saturated: %v, want it to wait for a reservation", err)
 	}
 }

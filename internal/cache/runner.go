@@ -6,92 +6,103 @@ import (
 	"mosaic/internal/ilt"
 	"mosaic/internal/obs"
 	"mosaic/internal/tile"
+	"mosaic/internal/warmstart"
 )
 
-// Runner wraps any tile.Runner with a content-addressed cache: a hit
-// decodes the stored mask and skips optimization entirely; a miss runs the
-// inner runner and persists its result. The scheduler sees an ordinary Runner, so
-// stitching and the bit-identity guarantee are untouched, and it never
-// hands a runner an empty window, so those are never cache traffic.
+// Runner is the one policy that decides how a window runs: served from
+// the tile cache, computed seeded from the warm-start library, or
+// computed cold, and a computed result filed in the cache. The scheduler
+// sees an ordinary tile.Runner, so stitching and the bit-identity
+// guarantee are untouched, and it never hands a runner an empty window,
+// so those are never cache or library traffic.
 type Runner struct {
 	store *Store
+	lib   *warmstart.Library
+	epoch int64
 	inner tile.Runner
 }
 
-// NewRunner wraps inner with store. A nil inner is the in-process
-// tile.LocalRunner, the scheduler's default; a nil store returns inner's
-// results uncached.
-func NewRunner(store *Store, inner tile.Runner) *Runner {
+// NewRunner wraps inner with store and lib. A nil inner is the in-process
+// tile.LocalRunner, the scheduler's default; a nil store computes every
+// window uncached, and a nil lib never seeds one. The library epoch is
+// captured here, once per run: entries harvested while this runner is in
+// flight stay invisible to it, keeping a run against an initially-empty
+// library bit-identical to a disabled one.
+func NewRunner(store *Store, lib *warmstart.Library, inner tile.Runner) *Runner {
 	if inner == nil {
 		inner = tile.LocalRunner{}
 	}
-	return &Runner{store: store, inner: inner}
+	return &Runner{store: store, lib: lib, epoch: lib.Epoch(), inner: inner}
 }
 
-// RunTile serves the request from the cache when possible.
+// RunTile serves one window. A window the store holds under the key of
+// the request as it arrives is returned from there, and never reaches
+// the library: an exact repeat is a lookup, not a descent seeded from its
+// own harvest into a key nothing was stored under. Any other window may
+// be seeded, which changes its key, so seeded and unseeded runs of one
+// window are distinct entries; it is computed by inner (or joins a
+// concurrent computation of its key), filed, and harvested back into the
+// library.
 func (r *Runner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	if r.store == nil {
-		return r.inner.RunTile(ctx, req)
+	var key Key
+	if r.store != nil {
+		key = RequestKey(req)
+		if res, tier, ok := r.store.Lookup(key); ok {
+			attribute(ctx, req, key, tier)
+			return res, nil
+		}
 	}
-	key := keyOf(req)
-	res, tier, err := r.store.GetOrCompute(ctx, key, func() (*ilt.Result, error) {
-		return r.inner.RunTile(ctx, req)
-	})
+	run := req
+	cfg, att := r.lib.Prepare(r.epoch, req.Cfg, req.Sim, req.Plan.WindowPx, req.Plan.PixelNM, req.Tile.Layout)
+	if att != nil && att.SeedKey != "" {
+		seeded := *req
+		seeded.Cfg = cfg
+		run = &seeded
+		if r.store != nil {
+			key = requestKey(run, att.SeedDigest)
+		}
+	}
+	var res *ilt.Result
+	var err error
+	if r.store == nil {
+		res, err = r.inner.RunTile(ctx, run)
+	} else {
+		var tier string
+		res, tier, err = r.store.GetOrCompute(ctx, key, func() (*ilt.Result, error) {
+			return r.inner.RunTile(ctx, run)
+		})
+		if err == nil {
+			attribute(ctx, req, key, tier)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	attribute(ctx, req, key, tier)
+	if att != nil {
+		state := "miss"
+		if att.SeedKey != "" {
+			state = "fallback"
+			if res.Seeded {
+				state = "seeded"
+				if req.Prov != nil {
+					req.Prov.Seed = att.SeedKey
+				}
+			}
+		}
+		obs.CurrentSpan(ctx).SetAttrs(obs.String("tile.warmstart", state))
+		att.Finish(res)
+	}
 	return res, nil
 }
 
-// keyOf is RequestKey(req), or the key req.Key carries while no seed
-// has been attached since the lookup hashed it.
-func keyOf(req *tile.Request) Key {
-	if req.Key != (Key{}) && req.Cfg.SeedMask == nil {
-		return req.Key
-	}
-	return RequestKey(req)
-}
-
-// attribute records how a window was served: the span's tile.cache
+// attribute records how the store served a window: the span's tile.cache
 // attribute and, when the request carries provenance, the serving tier
 // and the content key, so the artifact store can cross-link the anchored
-// leaf to its cache entry. A miss keeps whatever the inner runners
-// recorded (the warm-start seed) and adds the tier on top.
+// leaf to its cache entry.
 func attribute(ctx context.Context, req *tile.Request, key Key, tier string) {
 	obs.CurrentSpan(ctx).SetAttrs(obs.String("tile.cache", tier))
 	if req.Prov != nil {
 		req.Prov.Tier = tier
 		req.Prov.Key = key.String()
 	}
-}
-
-// LookupRunner serves a window the store already holds under the key of
-// the request as it arrives, and hands every other window to inner
-// unchanged. It goes outside the warm-start runner, which attaches a seed
-// and so changes the key: an exact repeat of a window is then a lookup of
-// its unseeded key rather than a seeded descent from its own converged
-// mask. The lookup never computes or stores a result; a miss runs inner
-// (library, then the cache Runner) exactly as it would without it, the
-// key riding on req.Key so that an unseeded miss is hashed once.
-type LookupRunner struct {
-	store *Store
-	inner tile.Runner
-}
-
-// NewLookupRunner wraps inner with a lookup in store.
-func NewLookupRunner(store *Store, inner tile.Runner) *LookupRunner {
-	return &LookupRunner{store: store, inner: inner}
-}
-
-// RunTile answers from the store on a hit and runs inner on a miss.
-func (r *LookupRunner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
-	key := RequestKey(req)
-	res, tier, ok := r.store.Lookup(key)
-	if !ok {
-		req.Key = key
-		return r.inner.RunTile(ctx, req)
-	}
-	attribute(ctx, req, key, tier)
-	return res, nil
 }

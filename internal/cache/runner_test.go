@@ -2,16 +2,19 @@ package cache
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"mosaic/internal/geom"
-	"mosaic/internal/grid"
 	"mosaic/internal/ilt"
+	"mosaic/internal/obs"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
 	"mosaic/internal/tile"
+	"mosaic/internal/warmstart"
 )
 
 // countingRunner is a fake inner runner standing in for the local one:
@@ -28,7 +31,7 @@ func (c *countingRunner) RunTile(ctx context.Context, req *tile.Request) (*ilt.R
 
 func TestRunnerServesRepeatsFromCache(t *testing.T) {
 	inner := &countingRunner{res: fakeResult(8, 1)}
-	r := NewRunner(mustOpen(t, Options{}), inner)
+	r := NewRunner(mustOpen(t, Options{}), nil, inner)
 	bg := context.Background()
 
 	a := digestReq(nil)
@@ -71,7 +74,7 @@ func TestRunnerServesRepeatsFromCache(t *testing.T) {
 func TestRunnerEmptyWindowBypassesCache(t *testing.T) {
 	p, ws, cfg := e2ePlan(t)
 	store := mustOpen(t, Options{})
-	res, err := p.Optimize(context.Background(), ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil)})
+	res, err := p.Optimize(context.Background(), ws, cfg, tile.Options{Workers: 1, Runner: NewRunner(store, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +88,11 @@ func TestRunnerEmptyWindowBypassesCache(t *testing.T) {
 	}
 }
 
-// TestRunnerNilStorePassThrough: a disabled cache is a transparent
-// decorator.
+// TestRunnerNilStorePassThrough: with no store and no library the runner
+// is transparent.
 func TestRunnerNilStorePassThrough(t *testing.T) {
 	inner := &countingRunner{res: fakeResult(8, 3)}
-	r := NewRunner(nil, inner)
+	r := NewRunner(nil, nil, inner)
 	req := digestReq(nil)
 	for i := 0; i < 2; i++ {
 		res, err := r.RunTile(context.Background(), req)
@@ -102,11 +105,11 @@ func TestRunnerNilStorePassThrough(t *testing.T) {
 	}
 }
 
-// TestRunnerNilInnerRunsWindow: with no inner runner the decorator falls
+// TestRunnerNilInnerRunsWindow: with no inner runner the runner falls
 // back to tile.RunWindow; for an empty window that is the shared all-dark
 // mask, needing no forward model at all.
 func TestRunnerNilInnerRunsWindow(t *testing.T) {
-	r := NewRunner(mustOpen(t, Options{}), nil)
+	r := NewRunner(mustOpen(t, Options{}), nil, nil)
 	req := &tile.Request{
 		Plan: &tile.Plan{WindowPx: 16, PixelNM: 8},
 		Tile: &tile.Tile{Layout: &geom.Layout{Name: "empty", SizeNM: 128}},
@@ -127,50 +130,148 @@ func TestRunnerNilInnerRunsWindow(t *testing.T) {
 	}
 }
 
-// TestUnseededMissIsKeyedOnce: on a miss the lookup hands its key to the
-// cache runner on the request, and the runner files the result under that
-// key without hashing the request again — a key planted on the request is
-// where the result goes — unless a seed was attached after the lookup,
-// which changes the key and is hashed anew.
-func TestUnseededMissIsKeyedOnce(t *testing.T) {
-	inner := &countingRunner{res: fakeResult(8, 1)}
-	store := mustOpen(t, Options{})
+// recordingRunner is a fake inner runner that keeps every request it is
+// handed and returns a window-sized result, seeded exactly when the
+// request is.
+type recordingRunner struct {
+	mu     sync.Mutex
+	handed []tile.Request
+}
+
+func (r *recordingRunner) RunTile(ctx context.Context, req *tile.Request) (*ilt.Result, error) {
+	r.mu.Lock()
+	r.handed = append(r.handed, *req)
+	r.mu.Unlock()
+	res := fakeResult(req.Plan.WindowPx, 1)
+	res.Seeded = req.Cfg.SeedMask != nil
+	return res, nil
+}
+
+// TestRunnerPolicy is the window policy as a table over {store, nil} x
+// {library, nil} x {an entry under the window's unseeded key, a library
+// hit, a library miss}. An entry is served before the library is asked
+// (no lookup, no harvest, no inner call); any other window is seeded when
+// the library holds a near pattern, computed by inner, filed under the
+// key of the request inner was handed (a seeded result under its seeded
+// key only) and harvested. A nil store serves and files nothing, and a
+// nil library seeds nothing. The caller's request is never seeded.
+func TestRunnerPolicy(t *testing.T) {
+	lookups := obs.NewCounter("warmstart_lookups_total")
+	harvested := obs.NewCounter("warmstart_harvested_total")
 	bg := context.Background()
+	for _, withStore := range []bool{true, false} {
+		for _, withLib := range []bool{true, false} {
+			for _, state := range []string{"entry", "library-hit", "library-miss"} {
+				name := fmt.Sprintf("store=%v/library=%v/%s", withStore, withLib, state)
+				t.Run(name, func(t *testing.T) {
+					req := digestReq(nil)
+					var store *Store
+					var stored *ilt.Result
+					if withStore {
+						store = mustOpen(t, Options{})
+						if state == "entry" {
+							stored = fakeResult(64, 9)
+							store.Put(RequestKey(req), stored)
+						}
+					}
+					var lib *warmstart.Library
+					seedKey := ""
+					if withLib {
+						var err error
+						if lib, err = warmstart.Open(warmstart.Options{Dir: t.TempDir(), Harvest: true}); err != nil {
+							t.Fatal(err)
+						}
+						if state != "library-miss" {
+							seedKey = plantNearPattern(t, lib, req)
+						}
+					}
+					served := withStore && state == "entry"
+					seeded := !served && seedKey != ""
+					wantCalls, wantAsked := 1, int64(0)
+					if served {
+						wantCalls = 0
+					} else if withLib {
+						wantAsked = 1
+					}
+					wantTier, wantSeed := "", ""
+					if withStore {
+						wantTier = tile.TierMiss
+					}
+					if served {
+						wantTier = tile.TierMem
+					}
+					if seeded {
+						wantSeed = seedKey
+					}
 
-	req := digestReq(nil)
-	want := RequestKey(req)
-	if _, err := NewLookupRunner(store, NewRunner(store, inner)).RunTile(bg, req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Key != want {
-		t.Fatalf("the lookup left Key %x on the request, want its RequestKey %s", req.Key, want)
-	}
-	if _, _, ok := store.Lookup(want); !ok {
-		t.Fatal("the miss was not filed under its unseeded key")
-	}
+					inner := &recordingRunner{}
+					lookups0, harvested0 := lookups.Value(), harvested.Value()
+					var prov tile.Provenance
+					req.Prov = &prov
+					res, err := NewRunner(store, lib, inner).RunTile(bg, req)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-	for _, seeded := range []bool{false, true} {
-		planted := Key{1}
-		if seeded {
-			planted = Key{2}
-		}
-		q := digestReq(func(q *tile.Request) {
-			q.Tile.Layout.Polys[0][0].X += 16
-			q.Key = planted
-			if seeded {
-				q.Cfg.SeedMask = grid.New(64, 64)
+					if len(inner.handed) != wantCalls {
+						t.Fatalf("inner ran %d times, want %d", len(inner.handed), wantCalls)
+					}
+					if served && res != stored {
+						t.Fatal("the entry under the unseeded key was not what was served")
+					}
+					if !served && (inner.handed[0].Cfg.SeedMask != nil) != seeded {
+						t.Fatalf("inner was handed a seed: %v, want %v", !seeded, seeded)
+					}
+					if req.Cfg.SeedMask != nil {
+						t.Fatal("the caller's request was seeded")
+					}
+					if prov.Tier != wantTier || prov.Seed != wantSeed {
+						t.Errorf("provenance tier %q seed %q, want %q and %q", prov.Tier, prov.Seed, wantTier, wantSeed)
+					}
+					if got := lookups.Value() - lookups0; got != wantAsked {
+						t.Errorf("library looked up %d times, want %d", got, wantAsked)
+					}
+					if got := harvested.Value() - harvested0; got != wantAsked {
+						t.Errorf("library harvested %d windows, want %d", got, wantAsked)
+					}
+					if !withStore {
+						if prov.Key != "" {
+							t.Errorf("no store, but Prov.Key %q", prov.Key)
+						}
+						return
+					}
+					// The key of the request inner ran, seeded or not, or
+					// of the unseeded request an entry was served under.
+					filed := req
+					if !served {
+						filed = &inner.handed[0]
+					}
+					if prov.Key != RequestKey(filed).String() {
+						t.Errorf("Prov.Key %q, want %s", prov.Key, RequestKey(filed))
+					}
+					if _, _, ok := store.Lookup(RequestKey(filed)); !ok {
+						t.Error("the result is not filed under the key of the request inner ran")
+					}
+					if _, _, ok := store.Lookup(RequestKey(req)); ok == seeded {
+						t.Errorf("result seeded %v: filed under the unseeded key %v", seeded, ok)
+					}
+				})
 			}
-		})
-		if _, err := NewRunner(store, inner).RunTile(bg, q); err != nil {
-			t.Fatal(err)
-		}
-		_, _, underPlanted := store.Lookup(planted)
-		_, _, underHashed := store.Lookup(RequestKey(q))
-		if underPlanted == seeded || underHashed != seeded {
-			t.Fatalf("seeded=%v: filed under the carried key %v, under a fresh hash %v", seeded, underPlanted, underHashed)
 		}
 	}
-	if got := inner.calls.Load(); got != 3 {
-		t.Fatalf("inner runner ran %d times for three misses, want 3", got)
+}
+
+// plantNearPattern harvests into lib a pattern near req's window but not
+// the same (its second rect one pixel shorter), so that req is seeded
+// from it and its own harvest is a new entry, and returns the entry's key.
+func plantNearPattern(t *testing.T, lib *warmstart.Library, req *tile.Request) string {
+	t.Helper()
+	near := digestReq(func(q *tile.Request) { q.Tile.Layout.Polys[1] = geom.Rect{X: 312, Y: 144, W: 56, H: 216}.Polygon() })
+	_, att := lib.Prepare(lib.Epoch(), near.Cfg, near.Sim, 64, 8, near.Tile.Layout)
+	att.Finish(fakeResult(64, 2))
+	_, probe := lib.Prepare(lib.Epoch(), req.Cfg, req.Sim, 64, 8, req.Tile.Layout)
+	if probe == nil || probe.SeedKey == "" {
+		t.Fatal("the planted pattern is not near enough to seed the window")
 	}
+	return probe.SeedKey
 }

@@ -67,7 +67,7 @@ func StartSpan(ctx context.Context, name *Name, attrs ...Attr) (context.Context,
 
 // CurrentSpan returns the innermost span started (in this process) under
 // ctx, or nil. It lets a layer annotate the span it runs inside — e.g.
-// the cache decorator stamping tile.cache onto the scheduler's
+// cache.Runner stamping tile.cache onto the scheduler's
 // tile.optimize span — without threading the *Span through every
 // interface. Annotate only from the goroutine tree that will end the
 // span; SetAttrs is not synchronized against End.

@@ -20,7 +20,7 @@ import (
 // and running job, through a temp file and a rename so a crash mid-drain
 // leaves a whole file or none. New scans the directory and re-queues every
 // .job it finds, and the resumed job runs every window through the
-// warm-start, cache and runner chain a fresh submission takes. The
+// cache.Runner policy (lookup, seed, compute) a fresh submission takes. The
 // windows it finished before the drain are in the tile cache's disk tier,
 // which New requires beside a checkpoint directory; they are served from
 // there under their keys, so resumed == fresh holds by construction, and

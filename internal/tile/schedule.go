@@ -2,7 +2,6 @@ package tile
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,23 +25,9 @@ type Request struct {
 	Cfg     ilt.Config
 	Samples []geom.Sample
 
-	// SeedDigest, when non-nil, is the digest of Cfg.SeedMask (the
-	// frame.Digest of its Writer.Field), set by whoever attached the seed
-	// and hashed its bits: the cache key takes the seed by it instead of
-	// re-reading its samples. A seed that arrives without one is hashed
-	// where it is needed.
-	SeedDigest *[sha256.Size]byte
-
-	// Key, when not all zero, is the tile-cache key of this request
-	// hashed while no seed was attached (by cache.LookupRunner): the cache
-	// runner takes it instead of hashing the request again, and ignores it
-	// once Cfg.SeedMask is set, since a seed changes the key.
-	Key [sha256.Size]byte
-
 	// Prov, when non-nil, is filled in by whoever produces the result:
-	// the cache decorator records the tier and content key it served
-	// from, the warm-start decorator the seed. The scheduler owns the
-	// pointed-to value.
+	// cache.Runner records the tier and content key it served from and
+	// the warm-start seed. The scheduler owns the pointed-to value.
 	Prov *Provenance
 }
 
@@ -55,7 +40,7 @@ type Request struct {
 // ignored on read.
 type Provenance struct {
 	// Key is the tile-cache content address of the request (hex), set
-	// when a cache decorator was consulted.
+	// when a cache was consulted.
 	Key string `json:"key,omitempty"`
 	// Tier is how the result was obtained: one of the Tier constants, or
 	// "" for a fresh computation with no cache in play.
@@ -97,20 +82,20 @@ func (p Provenance) Class() Class {
 
 // Runner executes one tile optimization. The scheduler is runner-agnostic:
 // progress and stitching are identical whatever runner the tiles go
-// through (the cache and warm-start decorators wrap one), and it hands a
-// runner only windows that hold geometry. Implementations must be safe for
-// concurrent calls and must return results that depend only on the
-// request, never on when they ran — the bit-identity guarantee of a
-// sharded run rests on it. So does a failure: the scheduler calls a runner
-// once per window, and a runner that can recover from a transient fault
-// does so itself.
+// through (cache.Runner, the cache and warm-start policy, wraps one), and
+// it hands a runner only windows that hold geometry. Implementations must
+// be safe for concurrent calls and must return results that depend only
+// on the request, never on when they ran — the bit-identity guarantee of
+// a sharded run rests on it. So does a failure: the scheduler calls a
+// runner once per window, and a runner that can recover from a transient
+// fault does so itself.
 type Runner interface {
 	RunTile(ctx context.Context, req *Request) (*ilt.Result, error)
 }
 
 // LocalRunner optimizes tiles in-process on the window simulator: the
-// scheduler's default and its route for empty windows, and what the cache
-// and warm-start decorators wrap when given no inner runner.
+// scheduler's default and its route for empty windows, and what
+// cache.Runner wraps when given no inner runner.
 type LocalRunner struct{}
 
 func (LocalRunner) RunTile(ctx context.Context, req *Request) (*ilt.Result, error) {
@@ -196,9 +181,9 @@ type Options struct {
 	OnTile func(done, total int)
 
 	// Runner executes the windows that hold geometry; nil runs them
-	// in-process on the window simulator. The cache and warm-start
-	// decorators plug in here while the scheduler and stitching stay
-	// unchanged. Empty windows always run on LocalRunner.
+	// in-process on the window simulator. cache.Runner, the cache and
+	// warm-start policy, plugs in here while the scheduler and stitching
+	// stay unchanged. Empty windows always run on LocalRunner.
 	Runner Runner
 }
 

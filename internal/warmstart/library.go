@@ -76,17 +76,6 @@ type Options struct {
 	Harvest bool
 }
 
-// Stats is a point-in-time snapshot of library activity.
-type Stats struct {
-	Lookups   int64
-	Hits      int64
-	Misses    int64
-	Harvested int64 // entries written by this process
-	Fallbacks int64 // seeds rejected by the optimizer's probe
-	Corrupt   int64 // entries quarantined
-	Entries   int   // live in-memory index size
-}
-
 // entry is the in-memory index record of one stored pattern; the mask
 // itself stays on disk and is re-read on retrieval.
 type entry struct {
@@ -109,7 +98,6 @@ type Library struct {
 	seq   int64
 	byFam map[Family][]*entry
 	keys  map[string]bool
-	stats Stats
 
 	// Recently prepared seeds: a window that repeats — every tile of a
 	// resubmitted job — is handed the seed it was handed before instead of
@@ -248,18 +236,6 @@ func (l *Library) Epoch() int64 {
 	return l.seq
 }
 
-// Stats returns a snapshot of library activity.
-func (l *Library) Stats() Stats {
-	if l == nil {
-		return Stats{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.stats
-	st.Entries = len(l.keys)
-	return st
-}
-
 // lookup returns the nearest in-threshold entry of fam with seq <= epoch.
 func (l *Library) lookup(fam Family, sig *Signature, epoch int64) (*entry, float64, bool) {
 	l.mu.Lock()
@@ -297,9 +273,6 @@ func (l *Library) drop(e *entry, cause error) {
 }
 
 func (l *Library) quarantine(key string, cause error) {
-	l.mu.Lock()
-	l.stats.Corrupt++
-	l.mu.Unlock()
 	mCorrupt.Inc()
 	obs.Logger().Warn("warmstart: quarantining corrupt entry", "key", key, "err", cause)
 	l.disk().Quarantine(key)
@@ -321,7 +294,8 @@ type Attempt struct {
 	// seeded from; empty when the lookup missed.
 	SeedKey string
 	// SeedDigest is the frame.FieldDigest of the seed attached behind
-	// SeedKey, for tile.Request.SeedDigest; nil when the lookup missed.
+	// SeedKey, which the cache key takes instead of hashing the seed's
+	// bits again; nil when the lookup missed.
 	SeedDigest *[sha256.Size]byte
 	// Dist is the signature distance of the match behind SeedKey.
 	Dist float64
@@ -347,9 +321,6 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 	att := &Attempt{lib: l, fam: fam, sig: sig, offX: offX, offY: offY, windowPx: windowPx, pixelNM: pixelNM}
 
 	mLookups.Inc()
-	l.mu.Lock()
-	l.stats.Lookups++
-	l.mu.Unlock()
 
 	e, dist, ok := l.lookup(fam, sig, epoch)
 	if ok {
@@ -359,9 +330,6 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 			ok = false
 		} else {
 			mHits.Inc()
-			l.mu.Lock()
-			l.stats.Hits++
-			l.mu.Unlock()
 			cfg.SeedMask = seed.seed
 			att.SeedKey = e.key
 			att.SeedDigest = &seed.digest
@@ -370,9 +338,6 @@ func (l *Library) Prepare(epoch int64, cfg ilt.Config, ws *sim.Simulator, window
 	}
 	if !ok {
 		mMisses.Inc()
-		l.mu.Lock()
-		l.stats.Misses++
-		l.mu.Unlock()
 	}
 	return cfg, att
 }
@@ -443,9 +408,6 @@ func (a *Attempt) Finish(res *ilt.Result) {
 			// A retrieved seed probed worse than the rule-based init and
 			// was rejected by the optimizer.
 			mFallbacks.Inc()
-			a.lib.mu.Lock()
-			a.lib.stats.Fallbacks++
-			a.lib.mu.Unlock()
 		}
 		mColdIters.Observe(float64(res.Iterations))
 	}
@@ -471,7 +433,6 @@ func (l *Library) harvestEntry(fam Family, sig *Signature, offX, offY, windowPx 
 	l.seq++
 	e := &entry{key: key, fam: fam, sig: *sig, offX: offX, offY: offY, seq: l.seq}
 	l.byFam[fam] = append(l.byFam[fam], e)
-	l.stats.Harvested++
 	l.mu.Unlock()
 	mHarvested.Inc()
 	l.writeEntry(e, windowPx, pixelNM, mask)

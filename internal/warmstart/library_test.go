@@ -121,6 +121,28 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
+// counters is a snapshot of the library's six counters, which are
+// process-wide: a test reads what moved since a snapshot.
+type counters struct{ lookups, hits, misses, harvested, fallbacks, corrupt int64 }
+
+func snapshot() counters {
+	return counters{mLookups.Value(), mHits.Value(), mMisses.Value(), mHarvested.Value(), mFallbacks.Value(), mCorrupt.Value()}
+}
+
+// since is what the counters moved by after c was taken.
+func (c counters) since() counters {
+	n := snapshot()
+	return counters{n.lookups - c.lookups, n.hits - c.hits, n.misses - c.misses,
+		n.harvested - c.harvested, n.fallbacks - c.fallbacks, n.corrupt - c.corrupt}
+}
+
+// entries is the size of l's in-memory index.
+func entries(l *Library) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.keys)
+}
+
 // harvestOne pushes one fabricated converged window through the real
 // Prepare/Finish path and returns the attempt.
 func harvestOne(t *testing.T, l *Library, ws *sim.Simulator, cfg ilt.Config, layout *geom.Layout, mask *grid.Field, epoch int64) *Attempt {
@@ -147,12 +169,13 @@ func TestHarvestRetrieveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := snapshot()
 	att := harvestOne(t, l, ws, cfg, testLayout(0, 0), mask, l.Epoch())
 	if att.SeedKey != "" {
 		t.Fatal("first window hit an empty library")
 	}
-	if st := l.Stats(); st.Harvested != 1 || st.Entries != 1 || st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("after harvest: %+v", st)
+	if d := before.since(); d.harvested != 1 || entries(l) != 1 || d.hits != 0 || d.misses != 1 {
+		t.Fatalf("after harvest: counters moved %+v, %d entries", d, entries(l))
 	}
 
 	// Re-open from disk: the entry must survive the process boundary, and
@@ -162,8 +185,8 @@ func TestHarvestRetrieveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := l2.Stats(); st.Entries != 1 {
-		t.Fatalf("reloaded library has %d entries, want 1", st.Entries)
+	if n := entries(l2); n != 1 {
+		t.Fatalf("reloaded library has %d entries, want 1", n)
 	}
 	runCfg, att2 := l2.Prepare(l2.Epoch(), cfg, ws, testWindowPx, testPixelNM, testLayout(64, 8))
 	if att2 == nil || att2.SeedKey == "" {
@@ -182,9 +205,10 @@ func TestHarvestRetrieveRoundTrip(t *testing.T) {
 
 	// Harvesting the translated copy dedups: the anchor offset is not part
 	// of the content key.
+	before = snapshot()
 	att2.Finish(&ilt.Result{MaskGray: mask, Iterations: 2, Seeded: true})
-	if st := l2.Stats(); st.Entries != 1 || st.Harvested != 0 {
-		t.Fatalf("translated repeat was not deduped: %+v", st)
+	if d := before.since(); entries(l2) != 1 || d.harvested != 0 {
+		t.Fatalf("translated repeat was not deduped: counters moved %+v, %d entries", d, entries(l2))
 	}
 }
 
@@ -300,38 +324,24 @@ func TestSeededRunLeavesSeedUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := testLayout(0, 0)
-	req := &tile.Request{
-		Plan:    &tile.Plan{WindowPx: testWindowPx, PixelNM: testPixelNM},
-		Tile:    &tile.Tile{Layout: layout},
-		Sim:     ws,
-		Cfg:     cfg,
-		Samples: layout.SamplePoints(metrics.DefaultParams().EPESampleNM),
+	samples := layout.SamplePoints(metrics.DefaultParams().EPESampleNM)
+	run := func() (ilt.Config, *Attempt, *ilt.Result) {
+		runCfg, att := l.Prepare(l.Epoch(), cfg, ws, testWindowPx, testPixelNM, layout)
+		res, err := tile.RunWindow(context.Background(), ws, runCfg, layout, testWindowPx, testPixelNM, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att.Finish(res)
+		return runCfg, att, res
 	}
-	ctx := context.Background()
-	if _, err := NewRunner(l, nil).RunTile(ctx, req); err != nil { // cold: harvests
-		t.Fatal(err)
-	}
-	var handed *tile.Request
-	capture := runnerFunc(func(ctx context.Context, r *tile.Request) (*ilt.Result, error) {
-		handed = r
-		return tile.LocalRunner{}.RunTile(ctx, r)
-	})
-	res, err := NewRunner(l, capture).RunTile(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if handed.Cfg.SeedMask == nil || handed.SeedDigest == nil {
+	run() // cold: harvests
+	runCfg, att, res := run()
+	if runCfg.SeedMask == nil || att.SeedDigest == nil {
 		t.Fatal("the repeat was not handed a seed and its digest")
 	}
-	if frame.FieldDigest(handed.Cfg.SeedMask) != *handed.SeedDigest {
+	if frame.FieldDigest(runCfg.SeedMask) != *att.SeedDigest {
 		t.Fatalf("a seeded run (adopted: %v) wrote into the shared seed", res.Seeded)
 	}
-}
-
-type runnerFunc func(context.Context, *tile.Request) (*ilt.Result, error)
-
-func (f runnerFunc) RunTile(ctx context.Context, r *tile.Request) (*ilt.Result, error) {
-	return f(ctx, r)
 }
 
 func TestEpochGuardHidesInRunHarvests(t *testing.T) {
@@ -390,13 +400,13 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 
 	// Load-time: the corrupt entry is quarantined, never indexed, and the
 	// library stays usable.
+	before := snapshot()
 	l2, err := Open(Options{Dir: dir, Harvest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := l2.Stats()
-	if st.Entries != 0 || st.Corrupt != 1 {
-		t.Fatalf("corrupt entry not quarantined at load: %+v", st)
+	if d := before.since(); entries(l2) != 0 || d.corrupt != 1 {
+		t.Fatalf("corrupt entry not quarantined at load: counters moved %+v, %d entries", d, entries(l2))
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
@@ -405,12 +415,13 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 		t.Fatalf("corrupt entry still in place: %v", err)
 	}
 	// The window recomputes cold and re-harvests the pattern.
+	before = snapshot()
 	att := harvestOne(t, l2, ws, cfg, testLayout(0, 0), mask, l2.Epoch())
 	if att.SeedKey != "" {
 		t.Fatal("quarantined entry still matched")
 	}
-	if st := l2.Stats(); st.Entries != 1 || st.Harvested != 1 {
-		t.Fatalf("recompute did not re-harvest: %+v", st)
+	if d := before.since(); entries(l2) != 1 || d.harvested != 1 {
+		t.Fatalf("recompute did not re-harvest: counters moved %+v, %d entries", d, entries(l2))
 	}
 }
 
@@ -441,13 +452,13 @@ func TestCorruptEntryDroppedOnRetrieval(t *testing.T) {
 
 	// The index still matches, but the read fails: the entry is dropped,
 	// the window runs cold, and the run keeps going.
+	before := snapshot()
 	_, att := l.Prepare(l.Epoch(), cfg, ws, testWindowPx, testPixelNM, testLayout(0, 0))
 	if att == nil || att.SeedKey != "" {
 		t.Fatalf("corrupt entry seeded anyway: %+v", att)
 	}
-	st := l.Stats()
-	if st.Corrupt != 1 || st.Entries != 0 {
-		t.Fatalf("retrieval-time corruption not dropped: %+v", st)
+	if d := before.since(); d.corrupt != 1 || entries(l) != 0 {
+		t.Fatalf("retrieval-time corruption not dropped: counters moved %+v, %d entries", d, entries(l))
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
@@ -469,9 +480,10 @@ func TestFinishFallbackAccounting(t *testing.T) {
 		t.Fatalf("expected a hit: %+v", att)
 	}
 	// The optimizer's probe rejected the seed: Result.Seeded is false.
+	before := snapshot()
 	att.Finish(&ilt.Result{MaskGray: mask, Iterations: 8, Seeded: false})
-	if st := l.Stats(); st.Fallbacks != 1 {
-		t.Fatalf("probe rejection not counted as fallback: %+v", st)
+	if d := before.since(); d.fallbacks != 1 {
+		t.Fatalf("probe rejection not counted as fallback: counters moved %+v", d)
 	}
 }
 
@@ -482,9 +494,10 @@ func TestHarvestDisabled(t *testing.T) {
 	}
 	ws := testSim(t)
 	cfg := ilt.DefaultConfig(ilt.ModeFast)
+	before := snapshot()
 	harvestOne(t, l, ws, cfg, testLayout(0, 0), grid.New(testWindowPx, testWindowPx), l.Epoch())
-	if st := l.Stats(); st.Harvested != 0 || st.Entries != 0 {
-		t.Fatalf("read-only library harvested anyway: %+v", st)
+	if d := before.since(); d.harvested != 0 || entries(l) != 0 {
+		t.Fatalf("read-only library harvested anyway: counters moved %+v, %d entries", d, entries(l))
 	}
 }
 

@@ -5,9 +5,10 @@
 // seeds the ILT descent from the retrieved mask instead of the rule-based
 // SRAF init. The tile cache only helps on exact repeats; warm-start helps
 // on *similar* patterns — the common case in real layouts — by trading a
-// retrieval for most of the descent iterations. Where both are on, the
-// cache is asked first: a window it holds under its unseeded key is
-// served from there and never reaches the library (cache.LookupRunner).
+// retrieval for most of the descent iterations. cache.Runner is the one
+// policy that consults the library: where a cache is on as well, it asks
+// the cache first, and a window held under its unseeded key is served
+// from there and never reaches the library.
 //
 // The stored mask is the relaxed P-field mask (MaskGray, pre-threshold):
 // seeding resumes the relaxed optimization where a past run converged,

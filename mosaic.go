@@ -303,8 +303,9 @@ type TileOptions struct {
 	// guarantee it — but are not bit-identical to them; with an empty or
 	// absent library the run is bit-identical to an unseeded one. With
 	// a Cache as well, a window the cache holds under its unseeded key is
-	// served from there before the library is consulted. See
-	// OpenWarmStartLibrary.
+	// served from there before the library is consulted, and a seeded
+	// result is filed under its seeded key only (cache.Runner is the one
+	// policy). See OpenWarmStartLibrary.
 	WarmStart *WarmStartLibrary
 }
 
@@ -389,9 +390,10 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 
 // OptimizeLayout optimizes a layout of arbitrary extent through one
 // pipeline: the layout is decomposed into halo-padded windows, each window
-// that holds geometry runs once under a lookup of its unseeded cache key,
-// warm-start, cache and opts.Runner on the scheduler (compute-pool
-// reservations), and the windows are stitched into one full-layout mask.
+// that holds geometry runs once through cache.Runner (cache lookup,
+// warm-start seed, compute and store) around opts.Runner on the scheduler
+// (compute-pool reservations), and the windows are stitched into one
+// full-layout mask.
 // A layout that fits the setup grid (and is not explicitly sharded
 // smaller by opts.TileNM) is a one-window plan — the run Optimize makes,
 // bit-identical to the bare optimizer on the clip — and cfg's
@@ -407,30 +409,10 @@ func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, 
 	if err != nil {
 		return nil, err
 	}
-	runner := opts.Runner
-	if opts.Cache != nil {
-		// The cache decorates whatever runner the options name (the
-		// in-process default when nil), so a hit short-circuits before any
-		// optimization.
-		runner = cache.NewRunner(opts.Cache, runner)
-	}
-	if opts.WarmStart != nil {
-		// Warm-start wraps the cache: the seed is attached to the request
-		// before the cache computes its content key (seeded and unseeded
-		// runs of a window are distinct entries).
-		runner = warmstart.NewRunner(opts.WarmStart, runner)
-		if opts.Cache != nil {
-			// Outermost, the window is looked up under its unseeded key
-			// first: an exact repeat is served the result stored there
-			// instead of being seeded from its own harvest into a key
-			// that misses.
-			runner = cache.NewLookupRunner(opts.Cache, runner)
-		}
-	}
 	res, err := plan.Optimize(ctx, ws, cfg, tile.Options{
 		Workers: opts.Workers,
 		OnTile:  opts.OnTile,
-		Runner:  runner,
+		Runner:  cache.NewRunner(opts.Cache, opts.WarmStart, opts.Runner),
 	})
 	if err != nil {
 		return nil, wrapCanceled(err)

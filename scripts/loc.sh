@@ -1,7 +1,7 @@
 #!/bin/sh
-# The five line counts and the flag count ROADMAP item 7 and every
-# simplicity PR quote, so they are a command instead of arithmetic redone
-# by hand (make loc).
+# The five line counts, the flag count and the exported-declaration count
+# ROADMAP item 7 and every simplicity PR quote, so they are a command
+# instead of arithmetic redone by hand (make loc).
 set -eu
 cd "$(dirname "$0")/.."
 count() { cat "$@" | wc -l | tr -d ' '; }
@@ -14,3 +14,10 @@ echo "Makefile:                       $(count Makefile)"
 # it is registered, so the shared store and observability sets count once.
 echo "flags in cmd/* and internal/cli: $(cat $(find cmd internal/cli -name '*.go' ! -name '*_test.go') |
 	grep -cE '(^|[^A-Za-z0-9_])(fs|flag)\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(')"
+# Exported declarations in non-test Go outside benchmark/: top-level
+# exported funcs, methods, types, vars and consts, the entries of a
+# grouped const/var/type block and the fields and methods of an exported
+# struct or interface: the surface a simplicity PR removes, beside its lines.
+echo "exported declarations outside benchmark/: $(cat $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*') |
+	awk '/^(const|var|type) \($/ { g = 1 } g && /^\)/ { g = 0 } /^type [A-Z][A-Za-z0-9_]* (struct|interface) \{$/ { b = 1 } b && /^\}/ { b = 0 }
+		/^(func (\([^)]*\) )?|type |var |const )[A-Z]/ || ((g || b) && /^	[A-Z]/) { n++ } END { print n }')"

@@ -56,6 +56,7 @@ func TestWarmStartEmptyLibraryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lookups, hits, harvested := libCounter("lookups"), libCounter("hits"), libCounter("harvested")
 	empty, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{Workers: 1, WarmStart: lib})
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +69,9 @@ func TestWarmStartEmptyLibraryBitIdentical(t *testing.T) {
 	if base.Iterations != empty.Iterations {
 		t.Fatalf("empty-library run took %d iterations, disabled took %d", empty.Iterations, base.Iterations)
 	}
-	st := lib.Stats()
-	if st.Hits != 0 || st.Harvested != 1 || st.Lookups != 1 {
-		t.Fatalf("empty-library run stats %+v: want 1 lookup, 0 hits, 1 harvest", st)
+	lookups, hits, harvested = libCounter("lookups")-lookups, libCounter("hits")-hits, libCounter("harvested")-harvested
+	if hits != 0 || harvested != 1 || lookups != 1 {
+		t.Fatalf("empty-library run: %d lookups, %d hits, %d harvests; want 1, 0, 1", lookups, hits, harvested)
 	}
 	if empty.Provenance[0].Seed != "" {
 		t.Fatalf("unseeded run carries seed provenance %q", empty.Provenance[0].Seed)
@@ -113,13 +114,13 @@ func TestWarmStartIterationCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits := lib.Stats().Hits
+		hits := libCounter("hits")
 		warm, err := s.OptimizeLayout(ctx, cfg, jittered, TileOptions{Workers: 1, WarmStart: lib})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lib.Stats().Hits != hits+1 || warm.Provenance[0].Seed == "" {
-			t.Fatalf("jitter %v: translated repeat was not seeded: %+v, provenance %+v", j, lib.Stats(), warm.Provenance[0])
+		if hits = libCounter("hits") - hits; hits != 1 || warm.Provenance[0].Seed == "" {
+			t.Fatalf("jitter %v: translated repeat was not seeded: %d library hits, provenance %+v", j, hits, warm.Provenance[0])
 		}
 		coldIters += cold.Iterations
 		seededIters += warm.Iterations
@@ -150,7 +151,7 @@ func TestWarmStartIterationCut(t *testing.T) {
 }
 
 // TestWarmStartTiled drives the library through the tiled scheduler path
-// (the warm-start runner decorating the tile runner): a second run over a
+// (cache.Runner seeding each window it runs): a second run over a
 // repeated-cell layout must seed every window from the first run's
 // harvest and never score worse.
 func TestWarmStartTiled(t *testing.T) {
@@ -167,6 +168,7 @@ func TestWarmStartTiled(t *testing.T) {
 	}
 	topts := TileOptions{TileNM: 512, Workers: 1, WarmStart: lib}
 
+	hits, harvested := libCounter("hits"), libCounter("harvested")
 	cold, err := s.OptimizeLayout(ctx, cfg, layout, topts)
 	if err != nil {
 		t.Fatal(err)
@@ -176,18 +178,17 @@ func TestWarmStartTiled(t *testing.T) {
 	}
 	// The epoch is captured at run start: in-run harvests are invisible,
 	// so the first run is all misses even where windows repeat.
-	st := lib.Stats()
-	if st.Hits != 0 || st.Harvested == 0 {
-		t.Fatalf("cold tiled run stats %+v: want misses only, with harvests", st)
+	if hits, harvested = libCounter("hits")-hits, libCounter("harvested")-harvested; hits != 0 || harvested == 0 {
+		t.Fatalf("cold tiled run: %d library hits, %d harvests; want misses only, with harvests", hits, harvested)
 	}
 
+	hits = libCounter("hits")
 	warm, err := s.OptimizeLayout(ctx, cfg, layout, topts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = lib.Stats()
-	if st.Hits != 4 {
-		t.Fatalf("second tiled run stats %+v: want every window seeded", st)
+	if hits = libCounter("hits") - hits; hits != 4 {
+		t.Fatalf("second tiled run: %d library hits, want every window seeded (4)", hits)
 	}
 	seeded := 0
 	for _, p := range warm.Provenance {
@@ -310,13 +311,13 @@ func TestWarmStartRejectedSeedRunsCold(t *testing.T) {
 	att.Finish(&Result{MaskGray: open})
 
 	fallbacks := obs.NewCounter("warmstart_fallbacks_total")
-	before, hits := fallbacks.Value(), lib.Stats().Hits
+	before, hits := fallbacks.Value(), libCounter("hits")
 	res, err := s.OptimizeLayout(ctx, cfg, layout, TileOptions{Workers: 1, WarmStart: lib})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lib.Stats().Hits != hits+1 {
-		t.Fatalf("the all-open entry was not retrieved: %+v", lib.Stats())
+	if hits = libCounter("hits") - hits; hits != 1 {
+		t.Fatalf("the all-open entry was not retrieved: %d library hits, want 1", hits)
 	}
 	if res.Provenance[0].Seed != "" {
 		t.Fatalf("rejected seed left provenance %+v", res.Provenance[0])
@@ -332,6 +333,12 @@ func TestWarmStartRejectedSeedRunsCold(t *testing.T) {
 			t.Fatalf("fallback run differs from the cold run at pixel %d", i)
 		}
 	}
+}
+
+// libCounter reads the warm-start library's process-wide counter
+// warmstart_<name>_total.
+func libCounter(name string) int64 {
+	return obs.NewCounter("warmstart_" + name + "_total").Value()
 }
 
 // cacheTraffic reads cache_hits_total + cache_misses_total.
@@ -374,7 +381,7 @@ func TestExactRepeatIsALookup(t *testing.T) {
 		t.Fatalf("first run: cache hits + misses rose by %d, want one a window (4)", got)
 	}
 
-	traffic, lookups := cacheTraffic(), lib.Stats().Lookups
+	traffic, lookups := cacheTraffic(), libCounter("lookups")
 	again, err := s.OptimizeLayout(ctx, cfg, layout, topts)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +392,7 @@ func TestExactRepeatIsALookup(t *testing.T) {
 	if got := cacheTraffic() - traffic; got != 4 {
 		t.Fatalf("repeat: cache hits + misses rose by %d, want one a window (4)", got)
 	}
-	if got := lib.Stats().Lookups; got != lookups {
+	if got := libCounter("lookups"); got != lookups {
 		t.Fatalf("repeat consulted the library %d times, want none", got-lookups)
 	}
 	for i, p := range again.Provenance {
@@ -399,7 +406,7 @@ func TestExactRepeatIsALookup(t *testing.T) {
 }
 
 // seedRecorder computes windows in-process and keeps the last request it
-// was handed: under a cache, the request as the warm-start runner seeded it.
+// was handed: the request as cache.Runner seeded it.
 type seedRecorder struct{ last tile.Request }
 
 func (r *seedRecorder) RunTile(ctx context.Context, req *tile.Request) (*Result, error) {
@@ -464,7 +471,7 @@ func TestNearRepeatIsStillSeeded(t *testing.T) {
 		t.Fatal("the seeded result is not under its seeded key")
 	}
 	unseeded := seeded
-	unseeded.Cfg.SeedMask, unseeded.SeedDigest = nil, nil
+	unseeded.Cfg.SeedMask = nil
 	if _, tier, ok := store.Lookup(cache.RequestKey(&unseeded)); ok {
 		t.Fatalf("the seeded result is also served under the window's unseeded key (tier %s)", tier)
 	}
