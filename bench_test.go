@@ -163,7 +163,6 @@ func BenchmarkMicroIteration(b *testing.B) {
 	layout := benchLayout(b, "B4")
 	cfg := DefaultConfig(ModeFast)
 	cfg.MaxIter = 2
-	cfg.Jumps = 0
 	cfg.SRAFInit = false
 	for _, px := range []int{benchGrid, 2 * benchGrid} {
 		b.Run(fmt.Sprintf("grid=%d", px), func(b *testing.B) {
@@ -365,7 +364,6 @@ func BenchmarkWarmStartSeeded(b *testing.B) {
 	cfg.MaxIter = 12
 	cfg.GradKernels = 1
 	cfg.SRAFInit = false
-	cfg.Jumps = 0
 
 	cell := func(dx, dy float64) *Layout {
 		return &Layout{

@@ -464,7 +464,6 @@ func (h *harness) ablations() error {
 	add("kernels_full", func(c *mosaic.Config) { c.GradKernels = 1 << 30 })
 	add("no_pvb_term", func(c *mosaic.Config) { c.Beta = 0 })
 	add("no_sraf_init", func(c *mosaic.Config) { c.SRAFInit = false })
-	add("no_jump", func(c *mosaic.Config) { c.Jumps = 0 })
 
 	var rows []string
 	for _, v := range vs {

@@ -13,14 +13,13 @@ import (
 // from main so the flag-docs test can instantiate the flag set and
 // cross-check it against the README table.
 type options struct {
-	addr          string
-	workers       int
-	queue         int
-	grid          int
-	checkpointDir string
-	drainTimeout  time.Duration
-	stores        *cli.StoreFlags
-	obs           *cli.ObsFlags
+	addr         string
+	workers      int
+	queue        int
+	grid         int
+	drainTimeout time.Duration
+	stores       *cli.StoreFlags
+	obs          *cli.ObsFlags
 }
 
 // defineFlags registers every mosaicd flag on fs, including the shared
@@ -31,9 +30,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", 1, "concurrently running jobs; 0 is taken as 1")
 	fs.IntVar(&o.queue, "queue", 64, "maximum queued jobs; 0 is taken as 64")
 	fs.IntVar(&o.grid, "grid", 512, "default simulation grid size (power of two); jobs may override")
-	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for drain checkpoints; needs -cache-dir, where a resumed job finds its finished windows (empty = no fault tolerance)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 60*time.Second, "how long a shutdown waits for in-flight jobs to checkpoint")
 	o.stores = cli.AddStoreFlags(fs, 256) // jobs share the daemon cache: memory tier on by default
+	fs.Lookup("cache-dir").Usage += "; a drain checkpoints queued and running jobs into its jobs/ directory, and a restarted daemon resumes them"
 	o.obs = cli.AddObsFlags(fs)
 	return o
 }

@@ -4,14 +4,14 @@
 // tile-result cache (-cache-mem, plus -cache-dir for a tier that
 // survives restarts) is shared by every job: repeated cells and
 // resubmitted clips are optimized once and served from the cache
-// afterwards, bit-identically. A SIGTERM (or SIGINT) drains gracefully —
-// in-flight jobs checkpoint into -checkpoint-dir and a restarted daemon
-// resumes them bit-identically, served the windows they finished from the
-// -cache-dir tier, which -checkpoint-dir therefore requires.
+// afterwards, bit-identically. With -cache-dir, a SIGTERM (or SIGINT)
+// drains gracefully — in-flight jobs checkpoint into <cache-dir>/jobs and
+// a restarted daemon resumes them bit-identically, served the windows they
+// finished from the cache's disk tier.
 //
 // Usage:
 //
-//	mosaicd -addr :8080 -workers 2 -checkpoint-dir /var/lib/mosaicd/ckpt -cache-dir /var/lib/mosaicd/cache
+//	mosaicd -addr :8080 -workers 2 -cache-dir /var/lib/mosaicd/cache
 //
 // API (see internal/serve):
 //
@@ -75,7 +75,6 @@ func main() {
 		Workers:       o.workers,
 		QueueLimit:    o.queue,
 		Optics:        optics,
-		CheckpointDir: o.checkpointDir,
 		TileCache:     stores.Cache,
 		ArtifactStore: stores.Artifact,
 		WarmStart:     stores.WarmStart,
@@ -94,8 +93,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	log.Printf("listening on %s (workers=%d grid=%d checkpoint-dir=%q cache-dir=%q cache-mem=%dMiB)",
-		ln.Addr(), o.workers, o.grid, o.checkpointDir, o.stores.CacheDir, o.stores.CacheMemMiB)
+	log.Printf("listening on %s (workers=%d grid=%d cache-dir=%q cache-mem=%dMiB)",
+		ln.Addr(), o.workers, o.grid, o.stores.CacheDir, o.stores.CacheMemMiB)
 
 	select {
 	case err := <-errc:

@@ -175,6 +175,76 @@ func TestDocsNameDeclaredCode(t *testing.T) {
 	}
 }
 
+// TestDocsNameRegisteredFlags holds every flag DESIGN.md and README.md
+// name in prose to the commands, as the mosaicd flag table is held to its
+// flag set: each -flag token of an inline code span (fenced blocks are not
+// read) must be registered by a command under cmd/ or by the shared sets
+// of internal/cli, or be a go tool flag. A flag that went would otherwise
+// live on in the sentences outside the table.
+func TestDocsNameRegisteredFlags(t *testing.T) {
+	registers := map[string]bool{"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+		"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true, "Int64": true, "Int64Var": true,
+		"String": true, "StringVar": true, "TextVar": true, "Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true}
+	flags := map[string]bool{}
+	sources, _ := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	cli, _ := filepath.Glob(filepath.Join("internal", "cli", "*.go"))
+	for _, path := range append(sources, cli...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !registers[sel.Sel.Name] {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || (x.Name != "fs" && x.Name != "flag") {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					flags[strings.Trim(lit.Value, "`\"")] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	if len(flags) < 20 {
+		t.Fatalf("found %d registered flags; was the registration pattern changed?", len(flags))
+	}
+	// go test and gofmt flags the docs quote in their commands.
+	goTool := regexp.MustCompile(`^(race|run|count|cpu|short|v|l|bench\w*|fuzz\w*)$`)
+	fenced := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`([^`\n]+)`")
+	flag := regexp.MustCompile(`(?:^|\s)-([a-zA-Z][\w.-]*)`)
+	checked := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllStringSubmatch(fenced.ReplaceAllString(string(raw), ""), -1) {
+			for _, m := range flag.FindAllStringSubmatch(s[1], -1) {
+				checked++
+				if !flags[m[1]] && !goTool.MatchString(m[1]) {
+					t.Errorf("%s names -%s (in `%s`), which no command registers", doc, m[1], s[1])
+				}
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("checked %d flags; was the pattern broken?", checked)
+	}
+}
+
 // TestDocsStayWithinTheirCaps holds the caps of ROADMAP item 7: README.md
 // at most 700 lines, DESIGN.md at most 800, and each CHANGES.md line (one
 // a PR) at most 600 characters.

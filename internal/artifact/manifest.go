@@ -13,10 +13,16 @@ import (
 	"mosaic/internal/tile"
 )
 
-// ManifestSchema versions the manifest JSON layout. 2: the parameter
-// sections are derived from ilt.Bits (gaining obj_tol, optics.pixel_nm
-// and optics.grid_size) and a seeded run records its seed's digest.
-const ManifestSchema = 2
+// ManifestSchema versions the manifest JSON layout. 1: hand-listed
+// parameter sections. 2: the sections are derived from ilt.Bits (gaining
+// obj_tol, optics.pixel_nm and optics.grid_size) and a seeded run records
+// its seed's digest; the optimizer section later shed, under the same
+// number, every row whose parameter became a constant (obj_tol, momentum,
+// smooth_weight, the four SRAF rules, alpha, theta_m, theta_epe, the step
+// schedule and the two EPE lengths). 3: the optimizer section also loses
+// grad_tol and jumps, leaving mode, beta, gamma, max_iter, sraf_init,
+// grad_kernels, defocus_nm and dose_delta.
+const ManifestSchema = 3
 
 // Manifest is the canonical record of every input that determined a
 // run's bits: the target geometry, the imaging and resist models and the

@@ -44,8 +44,6 @@ func (b Bits) Fields(visit func(section, name string, p any)) {
 	visit("optimizer", "beta", &c.Beta)
 	visit("optimizer", "gamma", &c.Gamma)
 	visit("optimizer", "max_iter", &c.MaxIter)
-	visit("optimizer", "grad_tol", &c.GradTol)
-	visit("optimizer", "jumps", &c.Jumps)
 	visit("optimizer", "sraf_init", &c.SRAFInit)
 	visit("optimizer", "grad_kernels", &c.GradKernels)
 	visit("optimizer", "defocus_nm", &c.DefocusNM)

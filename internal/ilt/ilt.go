@@ -69,7 +69,7 @@ func (m Mode) String() string {
 // Config collects the optimizer parameters a caller varies. DefaultConfig
 // supplies the paper's values. The values the paper fixes are constants:
 // alpha = 1 (Eq. 7), thetaM (Eq. 8), thetaEPE (Eq. 11) and the step
-// schedule of Alg. 1; th_epe and the EPE sample pitch are the scorer's,
+// schedule, th_g and jump count of Alg. 1; th_epe and the EPE sample pitch are the scorer's,
 // metrics.DefaultParams.
 type Config struct {
 	Mode Mode
@@ -77,9 +77,7 @@ type Config struct {
 	Beta  float64 // weight of the process-window term (Eq. 7; the design-target term weighs 1)
 	Gamma float64 // image-difference exponent, paper: 4 (Sec. 3.3)
 
-	MaxIter int     // th_iter, paper: 20
-	GradTol float64 // th_g: stop when RMS(gradient) < GradTol
-	Jumps   int     // jump technique: extra enlarged steps after convergence
+	MaxIter int // th_iter, paper: 20
 
 	SRAFInit bool // seed with the sraf.DefaultRules mask (Alg. 1 line 2)
 
@@ -137,8 +135,6 @@ func DefaultConfig(mode Mode) Config {
 		Beta:        0.35,
 		Gamma:       4,
 		MaxIter:     20,
-		GradTol:     1e-5,
-		Jumps:       2,
 		SRAFInit:    true,
 		GradKernels: 8,
 		DefocusNM:   25,
@@ -160,7 +156,7 @@ type IterStats struct {
 	FPvb      float64 // F_pvb (unweighted)
 	// GradRMS is the RMS of dF/dP. It is 0 on a forward-only last iterate
 	// (MaxIter, or a seeded plateau stop with no jump left), whose gradient
-	// is never computed; a GradTol or zero-gradient stop reports the RMS it
+	// is never computed; a th_g or zero-gradient stop reports the RMS it
 	// computed.
 	GradRMS float64
 
@@ -249,7 +245,7 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		name string
 		v    float64
 	}{
-		{"Beta", cfg.Beta}, {"Gamma", cfg.Gamma}, {"GradTol", cfg.GradTol},
+		{"Beta", cfg.Beta}, {"Gamma", cfg.Gamma},
 		{"DefocusNM", cfg.DefocusNM}, {"DoseDelta", cfg.DoseDelta},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -262,13 +258,9 @@ func (cfg *Config) Validate(gridSize int, pixelNM float64) error {
 		return &ConfigError{Field: "Beta", Reason: fmt.Sprintf("process-window weight must be >= 0, got %g", cfg.Beta)}
 	case cfg.Gamma < 2 || cfg.Gamma > maxGamma || cfg.Gamma != math.Trunc(cfg.Gamma) || int(cfg.Gamma)%2 != 0:
 		return &ConfigError{Field: "Gamma", Reason: fmt.Sprintf("must be an even integer in [2, %d], got %g", maxGamma, cfg.Gamma)}
-	case cfg.GradTol < 0:
-		return &ConfigError{Field: "GradTol", Reason: fmt.Sprintf("must be >= 0, got %g", cfg.GradTol)}
 	case cfg.GradKernels < 0:
 		// Every negative count would run as 0, under a cache key of its own.
 		return &ConfigError{Field: "GradKernels", Reason: fmt.Sprintf("must be >= 0 (0 is the Eq. 21 combined kernel), got %d", cfg.GradKernels)}
-	case cfg.Jumps < 0:
-		return &ConfigError{Field: "Jumps", Reason: fmt.Sprintf("must be >= 0, got %d", cfg.Jumps)}
 	case cfg.MaxIter <= 0:
 		return &ConfigError{Field: "MaxIter", Reason: fmt.Sprintf("must be positive, got %d", cfg.MaxIter)}
 	case windowNM < thEPE:
@@ -362,7 +354,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	best := &Result{Objective: math.Inf(1)}
 	bestSurrogate := math.Inf(1)
 	step := stepSize
-	jumps := cfg.Jumps
+	jumps := maxJumps
 	stall := 0 // consecutive iterations without a plateauTol-sized improvement
 
 	// Alg. 1 lines 2-3: initial mask and unconstrained variables P with
@@ -414,7 +406,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 
 		// Plateau detection (seeded runs only): two consecutive iterations
 		// without a better-than-plateauTol improvement of the best objective
-		// count as converged and take the same exit as GradTol below.
+		// count as converged and take the same exit as th_g below.
 		plateau := false
 		if best.Seeded {
 			if improved {
@@ -428,7 +420,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		// The run's last iterate — at MaxIter, or at a plateau stop with no
 		// jump left — is forward only: no later iterate reads its adjoint,
 		// gradient or step, so they are not computed and its GradRMS is 0.
-		// A GradTol stop is not known before the gradient is.
+		// A th_g stop is not known before the gradient is.
 		final := iter == cfg.MaxIter-1 || (plateau && jumps == 0)
 		var grad *grid.Field
 		var gradRMS, lo, hi float64
@@ -482,7 +474,7 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 
 		// Alg. 1 line 8: stop at a local optimum... unless a jump is left
 		// (the jump technique of [12] enlarges the step to escape).
-		if gradRMS < cfg.GradTol || plateau {
+		if gradRMS < gradTol || plateau {
 			if jumps == 0 {
 				grid.Put(grad)
 				iter++
@@ -537,11 +529,18 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 // The step schedule of Alg. 1 line 6: the first step moves the
 // inf-norm-normalized gradient by stepSize in P units, each iteration
 // multiplies the step by stepDecay, and a jump (the technique of [12])
-// restarts it at stepSize * jumpFactor.
+// restarts it at stepSize * jumpFactor, at most maxJumps times a run.
+// Alg. 1 line 8 jumps, or stops with no jump left, once the gradient RMS
+// falls below th_g = gradTol, or at a seeded run's plateau (plateauTol).
+// th_g fires only where the gradient vanishes, as on MOSAIC_exact at
+// β = 0 (the β = 0 exact row of the process-window sweep); no run at the
+// default β reaches it.
 const (
 	stepSize   = 1.0
 	stepDecay  = 0.97
 	jumpFactor = 4.0
+	maxJumps   = 2
+	gradTol    = 1e-5
 )
 
 // plateauTol is the plateau stop of a run that adopted its seed: any

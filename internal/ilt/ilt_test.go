@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mosaic/internal/bench"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
@@ -68,8 +69,6 @@ func TestNewValidation(t *testing.T) {
 		{"Gamma", with(func(c *Config) { c.Gamma = 1e300 })},
 		{"MaxIter", with(func(c *Config) { c.MaxIter = 0 })},
 		{"GradKernels", with(func(c *Config) { c.GradKernels = -1 })}, // runs as 0 under another key
-		{"Jumps", with(func(c *Config) { c.Jumps = -1 })},             // unbounded jumps
-		{"GradTol", with(func(c *Config) { c.GradTol = -1e-5 })},      // never converges
 		{"DoseDelta", with(func(c *Config) { c.DoseDelta = -0.02 })},  // corners swap
 		{"DoseDelta", with(func(c *Config) { c.DoseDelta = 1 })},      // inner corner at dose 0
 	} {
@@ -98,10 +97,10 @@ func TestNewValidation(t *testing.T) {
 func FuzzConfigValidate(f *testing.F) {
 	for _, mode := range []Mode{ModeFast, ModeExact} {
 		d := DefaultConfig(mode)
-		f.Add(mode == ModeExact, d.Beta, d.Gamma, d.GradTol, d.DefocusNM, d.DoseDelta, d.GradKernels)
+		f.Add(mode == ModeExact, d.Beta, d.Gamma, d.DefocusNM, d.DoseDelta, d.GradKernels)
 	}
-	f.Add(false, 0.35, 6.0, 0.0, 0.0, 0.0, 0)
-	f.Add(false, 0.35, 4.0, 1e-5, 25.0, 0.02, -1)
+	f.Add(false, 0.35, 6.0, 0.0, 0.0, 0)
+	f.Add(false, 0.35, 4.0, 25.0, 0.02, -1)
 	c := optics.Default()
 	c.GridSize = 32
 	c.PixelNM = 16
@@ -113,13 +112,13 @@ func FuzzConfigValidate(f *testing.F) {
 		geom.Rect{X: 160, Y: 144, W: 96, H: 224}.Polygon(),
 		geom.Rect{X: 304, Y: 144, W: 48, H: 224}.Polygon(),
 	}}
-	f.Fuzz(func(t *testing.T, exact bool, beta, gamma, gradTol, defocus, doseDelta float64, gradKernels int) {
+	f.Fuzz(func(t *testing.T, exact bool, beta, gamma, defocus, doseDelta float64, gradKernels int) {
 		cfg := DefaultConfig(ModeFast)
 		if exact {
 			cfg = DefaultConfig(ModeExact)
 		}
 		cfg.MaxIter = 2
-		cfg.Beta, cfg.Gamma, cfg.GradTol = beta, gamma, gradTol
+		cfg.Beta, cfg.Gamma = beta, gamma
 		cfg.DefocusNM, cfg.DoseDelta = defocus, doseDelta
 		cfg.GradKernels = gradKernels
 		o, err := New(s, cfg)
@@ -341,27 +340,41 @@ func TestIterationSpanExcludesDiagnostics(t *testing.T) {
 	}
 }
 
+// TestJumpKeepsSearching: a plateau — two iterations without a
+// plateauTol-sized improvement of the best proxy score — jumps while a
+// jump is left and stops the run once none is. A run seeded with its own
+// converged mask is the only run that plateaus, so it must jump exactly
+// twice (maxJumps) and stop on its third plateau, its last iterate.
 func TestJumpKeepsSearching(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	// Force "convergence" instantly: with a huge tolerance every iteration
-	// looks converged, so the loop may only continue via jumps.
-	o.Cfg.GradTol = 1e12
-	o.Cfg.Jumps = 3
-	o.Cfg.MaxIter = 10
+	cold, err := run(o, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Cfg.MaxIter = 40
+	o.Cfg.SeedMask = cold.MaskGray
 	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 4 { // initial + 3 jumps
-		t.Fatalf("iterations %d, want 4 (1 + 3 jumps)", res.Iterations)
+	if !res.Seeded {
+		t.Fatal("converged seed rejected")
 	}
-	o.Cfg.Jumps = 0
-	res, err = run(o, layout)
-	if err != nil {
-		t.Fatal(err)
+	best, stall, plateaus := math.Inf(1), 0, []int{}
+	for _, st := range res.History {
+		if st.ProxyScore < best-plateauTol {
+			stall = 0
+		} else {
+			stall++
+		}
+		best = math.Min(best, st.ProxyScore)
+		if stall >= 2 {
+			plateaus, stall = append(plateaus, st.Iter), 0
+		}
 	}
-	if res.Iterations != 1 {
-		t.Fatalf("without jumps: %d iterations, want 1", res.Iterations)
+	if len(plateaus) != 3 || plateaus[2] != res.Iterations-1 || res.Iterations >= o.Cfg.MaxIter {
+		t.Fatalf("plateaus at iterations %v of a %d-iteration run (MaxIter %d); want 2 jumps, then a stop on the last iterate",
+			plateaus, res.Iterations, o.Cfg.MaxIter)
 	}
 }
 
@@ -412,15 +425,32 @@ func TestOnIterFiresPerIteration(t *testing.T) {
 		}
 	}
 
-	// A GradTol stop is known only from the gradient, so its last iterate
-	// computed one and reports its RMS.
-	o.Cfg.GradTol, o.Cfg.Jumps = 1e300, 0
-	got = nil
+	// A th_g stop is known only from the gradient, so its last iterate
+	// computed one and reports its RMS. B1 in MOSAIC_exact at β = 0 is a
+	// run whose gradient vanishes: it falls below th_g three times, jumps
+	// on the first two and stops on the third.
+	layout, err = bench.Layout("B1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(ModeExact)
+	cfg.Beta = 0
+	got, cfg.OnIter = nil, o.Cfg.OnIter
+	if o, err = New(benchSimAt(t, 256), cfg); err != nil {
+		t.Fatal(err)
+	}
 	if res, err = run(o, layout); err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 1 || len(got) != 1 || got[0].GradRMS <= 0 {
-		t.Fatalf("GradTol stop: %d iterations, %d OnIter calls, last GradRMS %v; want 1, 1 and > 0", res.Iterations, len(got), got[len(got)-1].GradRMS)
+	below := 0
+	for _, st := range got {
+		if st.GradRMS > 0 && st.GradRMS < gradTol {
+			below++
+		}
+	}
+	if last := got[len(got)-1]; res.Iterations >= cfg.MaxIter || below != maxJumps+1 || last.GradRMS <= 0 || last.GradRMS >= gradTol {
+		t.Fatalf("th_g stop: %d of %d iterations, %d iterates below th_g, last GradRMS %v; want a stop on the third, which reports its RMS",
+			res.Iterations, cfg.MaxIter, below, last.GradRMS)
 	}
 }
 

@@ -83,9 +83,9 @@ func TestSeedAcceptedConverges(t *testing.T) {
 }
 
 // TestObjTolPlateauStops: a run that adopts a converged seed must stop on
-// the plateau (no plateauTol-sized objective improvement) well before
-// MaxIter; a cold run has no plateau stop and runs the full budget
-// (GradTol is far below reach in so few iterations).
+// the plateau (no plateauTol-sized objective improvement, after its
+// maxJumps jumps) well before MaxIter; a cold run has no plateau stop and
+// runs the full budget.
 func TestObjTolPlateauStops(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	cold, err := run(o, layout)
@@ -98,7 +98,6 @@ func TestObjTolPlateauStops(t *testing.T) {
 
 	cfg := o.Cfg
 	cfg.MaxIter = 20
-	cfg.Jumps = 0
 	cfg.SeedMask = cold.MaskGray
 	seeded, err := New(o.Sim, cfg)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mosaic"
-	"mosaic/internal/httpapi"
 	"mosaic/internal/ilt"
 	"mosaic/internal/metrics"
 	"mosaic/internal/obs"
@@ -23,14 +22,14 @@ import (
 
 // postJob submits a raw body and returns the status code and, for an
 // error, the envelope.
-func postJob(t *testing.T, url, body string) (int, httpapi.ErrorBody) {
+func postJob(t *testing.T, url, body string) (int, errorDetail) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var env httpapi.Envelope
+	var env envelope
 	if resp.StatusCode >= 400 {
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			t.Fatalf("POST %s: status %d without an error envelope: %v", body, resp.StatusCode, err)
@@ -70,14 +69,14 @@ func TestSubmitRefusesWhatCannotRun(t *testing.T) {
 	misses := obs.NewCounter("optics_kernel_cache_misses_total")
 	before, submitted := misses.Value(), mJobsSubmitted.Value()
 	for _, row := range rows {
-		s, err := New(testServerConfig(""))
+		s, err := New(testServerConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(s.Handler())
 		code, env := postJob(t, ts.URL, string(row.Job))
-		if code != http.StatusBadRequest || env.Code != httpapi.CodeBadRequest {
-			t.Errorf("%s: status %d code %q, want 400 %s", row.Name, code, env.Code, httpapi.CodeBadRequest)
+		if code != http.StatusBadRequest || env.Code != codeBadRequest {
+			t.Errorf("%s: status %d code %q, want 400 %s", row.Name, code, env.Code, codeBadRequest)
 		}
 		if row.Field != "" && !strings.Contains(env.Message, ": "+row.Field+": ") {
 			t.Errorf("%s: message %q does not name %s", row.Name, env.Message, row.Field)
@@ -118,7 +117,8 @@ func lastStateEvent(j *job) map[string]any {
 
 // TestEveryEndIsOneEnd: whichever way a job ends — canceled in the queue or
 // on a worker, failed, past its deadline, done, or drained with and
-// without a checkpoint directory — the observable end is the same one:
+// without a checkpoint directory (a tile cache with a disk tier, and one
+// with only a memory tier) — the observable end is the same one:
 // the state event carries the error the status reports, the event log is
 // closed exactly for terminal states, a terminal job leaves no checkpoint
 // file and is retired, an interrupted one keeps its files, its log and
@@ -152,7 +152,7 @@ func TestEveryEndIsOneEnd(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		dir  bool // with a checkpoint directory
+		dir  bool // with a checkpoint directory: a disk-tier tile cache
 		tune func(*mosaic.Config)
 		run  func(t *testing.T, s *Server) []end
 	}{
@@ -196,13 +196,16 @@ func TestEveryEndIsOneEnd(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := ""
-			if tc.dir {
-				dir = t.TempDir()
-			}
-			cfg := testServerConfig(dir)
+			cfg, dir := testServerConfig(), ""
 			if tc.dir {
 				cfg.TileCache = diskCache(t)
+				dir = jobsDir(cfg)
+			} else {
+				memOnly, err := mosaic.OpenTileCache("", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.TileCache = memOnly
 			}
 			if tc.tune != nil {
 				cfg.Tune = tc.tune

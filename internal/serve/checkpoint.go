@@ -15,17 +15,18 @@ import (
 	"mosaic/internal/obs"
 )
 
-// Checkpoint layout under Config.CheckpointDir: one <id>.job per job, its
+// Checkpoint layout under <tile cache dir>/jobs: one <id>.job per job, its
 // JSON metadata (spec and submit time). A drain writes it for every queued
-// and running job, through a temp file and a rename so a crash mid-drain
-// leaves a whole file or none. New scans the directory and re-queues every
-// .job it finds, and the resumed job runs every window through the
-// cache.Runner policy (lookup, seed, compute) a fresh submission takes. The
-// windows it finished before the drain are in the tile cache's disk tier,
-// which New requires beside a checkpoint directory; they are served from
-// there under their keys, so resumed == fresh holds by construction, and
-// a build of another numeric generation (cache.DigestVersion, folded into
-// every key) is never served this one's windows.
+// and running job, fsynced through a temp file and a rename so a crash
+// mid-drain, or the host restart a drain usually precedes, leaves a whole
+// file or none. New scans the directory and re-queues every .job it finds,
+// and the resumed job runs every window through the cache.Runner policy
+// (lookup, seed, compute) a fresh submission takes. The windows it
+// finished before the drain are in the same cache's disk tier; they are
+// served from there under their keys, so resumed == fresh holds by
+// construction, and a build of another numeric generation
+// (cache.DigestVersion, folded into every key) is never served this one's
+// windows. A server whose cache has no disk tier checkpoints nothing.
 
 type checkpointMeta struct {
 	ID          string    `json:"id"`
@@ -36,7 +37,7 @@ type checkpointMeta struct {
 // checkpointLocked persists a job's .job file; the caller holds j.mu. It
 // reports whether the job can be resumed by a restarted server.
 func (s *Server) checkpointLocked(j *job) bool {
-	if s.cfg.CheckpointDir == "" {
+	if s.ckptDir == "" {
 		return false
 	}
 	meta := checkpointMeta{ID: j.id, Spec: j.spec, SubmittedAt: j.submitted}
@@ -45,7 +46,7 @@ func (s *Server) checkpointLocked(j *job) bool {
 		obs.Logger().Warn("serve: encoding checkpoint meta", "job", j.id, "err", err)
 		return false
 	}
-	if err := cas.WriteFile(s.checkpointPath(j.id, ".job"), data, false); err != nil {
+	if err := cas.WriteFile(s.checkpointPath(j.id, ".job"), data, true); err != nil {
 		obs.Logger().Warn("serve: writing checkpoint meta", "job", j.id, "err", err)
 		return false
 	}
@@ -55,13 +56,13 @@ func (s *Server) checkpointLocked(j *job) bool {
 // restore scans the checkpoint directory and re-queues every job a
 // previous server left behind.
 func (s *Server) restore() error {
-	if s.cfg.CheckpointDir == "" {
+	if s.ckptDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(s.cfg.CheckpointDir, 0o755); err != nil {
+	if err := os.MkdirAll(s.ckptDir, 0o755); err != nil {
 		return err
 	}
-	entries, err := os.ReadDir(s.cfg.CheckpointDir)
+	entries, err := os.ReadDir(s.ckptDir)
 	if err != nil {
 		return err
 	}
@@ -69,7 +70,7 @@ func (s *Server) restore() error {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job") {
 			continue
 		}
-		path := filepath.Join(s.cfg.CheckpointDir, e.Name())
+		path := filepath.Join(s.ckptDir, e.Name())
 		j, err := s.restoreOne(path)
 		if err != nil {
 			obs.Logger().Warn("serve: skipping unreadable checkpoint", "path", path, "err", err)
@@ -115,14 +116,14 @@ func (s *Server) restoreOne(path string) (*job, error) {
 
 // checkpointPath names one of a job's checkpoint files.
 func (s *Server) checkpointPath(id, ext string) string {
-	return filepath.Join(s.cfg.CheckpointDir, id+ext)
+	return filepath.Join(s.ckptDir, id+ext)
 }
 
 // removeCheckpoint deletes a finished job's checkpoint file, and the
 // per-iteration snapshot and tile journal an older build may have left
 // beside it.
 func (s *Server) removeCheckpoint(id string) {
-	if s.cfg.CheckpointDir == "" {
+	if s.ckptDir == "" {
 		return
 	}
 	for _, ext := range []string{".job", ".snap", ".journal"} {

@@ -114,7 +114,7 @@ func readSSE(t *testing.T, r *bufio.Reader, n int) []sseFrame {
 }
 
 func TestSSEStreamAndResume(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSSEStreamAndResume(t *testing.T) {
 }
 
 func TestTraceEndpointAndStatusTelemetry(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestTraceEndpointAndStatusTelemetry(t *testing.T) {
 // TestTruncatedTraceSaysSo: a trace that outgrew the job's span buffer is
 // exported with the number of events it is short of, not silently.
 func TestTruncatedTraceSaysSo(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestTruncatedTraceSaysSo(t *testing.T) {
 // TestSSECanceledJobCloses ensures a canceled job terminates its streams
 // rather than leaving subscribers hanging.
 func TestSSECanceledJobCloses(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"mosaic"
 	"mosaic/internal/artifact"
-	"mosaic/internal/httpapi"
 	"mosaic/internal/obs"
 	"mosaic/internal/render"
 	"mosaic/internal/tile"
@@ -42,7 +41,7 @@ import (
 //
 // GET /metrics and /debug/... expose the obs debug surface (Prometheus,
 // pprof). Errors are the shared envelope
-// {"error":{"code","message","retry_after?"}} — see internal/httpapi.
+// {"error":{"code","message","retry_after?"}} — see the package doc.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
@@ -88,28 +87,28 @@ func writeError(w http.ResponseWriter, err error) {
 	var qf *QueueFullError
 	switch {
 	case errors.Is(err, ErrNotFound):
-		httpapi.Error(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error())
+		httpError(w, http.StatusNotFound, codeNotFound, err.Error())
 	case errors.Is(err, ErrNoProvenance):
-		httpapi.Error(w, http.StatusNotFound, httpapi.CodeNoArtifacts, err.Error())
+		httpError(w, http.StatusNotFound, codeNoArtifacts, err.Error())
 	case errors.Is(err, ErrNotDone), errors.Is(err, ErrFinished):
-		httpapi.Error(w, http.StatusConflict, httpapi.CodeConflict, err.Error())
+		httpError(w, http.StatusConflict, codeConflict, err.Error())
 	case errors.As(err, &qf):
-		httpapi.RetryError(w, http.StatusTooManyRequests, httpapi.CodeQueueFull, err.Error(), qf.RetryAfter)
+		retryError(w, http.StatusTooManyRequests, codeQueueFull, err.Error(), qf.RetryAfter)
 	case errors.Is(err, ErrDraining):
-		httpapi.Error(w, http.StatusServiceUnavailable, httpapi.CodeDraining, err.Error())
+		httpError(w, http.StatusServiceUnavailable, codeDraining, err.Error())
 	default:
-		httpapi.Error(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
+		httpError(w, http.StatusInternalServerError, codeInternal, err.Error())
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	httpapi.JSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	if err := decodeSpec(http.MaxBytesReader(w, r.Body, 16<<20), &spec); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, "decoding spec: "+err.Error())
+		httpError(w, http.StatusBadRequest, codeBadRequest, "decoding spec: "+err.Error())
 		return
 	}
 	st, err := s.Submit(spec)
@@ -117,11 +116,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining) {
 			writeError(w, err)
 		} else {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+			httpError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		}
 		return
 	}
-	httpapi.JSON(w, http.StatusAccepted, st)
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // JobPage is the paginated body of GET /v1/jobs: a page of statuses in
@@ -143,7 +142,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		switch filter {
 		case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateInterrupted:
 		default:
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+			httpError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("unknown status %q", v))
 			return
 		}
@@ -152,7 +151,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+			httpError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("limit %q is not a positive integer", v))
 			return
 		}
@@ -160,13 +159,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs, next, err := s.ListPage(filter, limit, q.Get("cursor"))
 	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		httpError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	if jobs == nil {
 		jobs = []*Status{}
 	}
-	httpapi.JSON(w, http.StatusOK, JobPage{Jobs: jobs, NextCursor: next})
+	writeJSON(w, http.StatusOK, JobPage{Jobs: jobs, NextCursor: next})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -175,7 +174,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	httpapi.JSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -184,7 +183,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	httpapi.JSON(w, http.StatusOK, sum)
+	writeJSON(w, http.StatusOK, sum)
 }
 
 // Mask media types: the PGM image (the default, human-toolable) and the
@@ -229,7 +228,7 @@ func (s *Server) handleMask(w http.ResponseWriter, r *http.Request) {
 	}
 	mt := negotiateMask(r.Header.Get("Accept"))
 	if mt == "" {
-		httpapi.Error(w, http.StatusNotAcceptable, httpapi.CodeNotAcceptable,
+		httpError(w, http.StatusNotAcceptable, codeNotAcceptable,
 			fmt.Sprintf("mask is available as %s or %s", pgmMediaType, maskGrayMediaType))
 		return
 	}
@@ -291,14 +290,14 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 			body.Cache.Computed++
 		}
 	}
-	httpapi.JSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // artifactStore returns the configured store, answering the standard
 // 404 when the server runs without one.
 func (s *Server) artifactStore(w http.ResponseWriter) *mosaic.ArtifactStore {
 	if s.cfg.ArtifactStore == nil {
-		httpapi.Error(w, http.StatusNotFound, httpapi.CodeNoArtifacts,
+		httpError(w, http.StatusNotFound, codeNoArtifacts,
 			"this server has no artifact store configured")
 		return nil
 	}
@@ -316,19 +315,19 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := artifact.ParseDigest(r.PathValue("digest"))
 	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		httpError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	payload, err := store.Blob(d)
 	switch {
 	case errors.Is(err, artifact.ErrNotFound):
-		httpapi.Error(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error())
+		httpError(w, http.StatusNotFound, codeNotFound, err.Error())
 		return
 	case errors.Is(err, artifact.ErrCorrupt):
-		httpapi.Error(w, http.StatusInternalServerError, httpapi.CodeCorruptArtifact, err.Error())
+		httpError(w, http.StatusInternalServerError, codeCorruptArtifact, err.Error())
 		return
 	case err != nil:
-		httpapi.Error(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
+		httpError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
 	ct := "application/octet-stream"
@@ -363,17 +362,17 @@ func (s *Server) handleArtifactVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := artifact.ParseDigest(r.PathValue("digest"))
 	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		httpError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	if rec, ok := store.Resolve(d); ok {
-		httpapi.JSON(w, http.StatusOK, store.Verify(rec))
+		writeJSON(w, http.StatusOK, store.Verify(rec))
 		return
 	}
 	if len(store.ByBlob(d)) == 0 {
 		// Not a root, not a manifest, not an anchored blob: unknown.
 		if _, err := store.Blob(d); errors.Is(err, artifact.ErrNotFound) {
-			httpapi.Error(w, http.StatusNotFound, httpapi.CodeNotFound, err.Error())
+			httpError(w, http.StatusNotFound, codeNotFound, err.Error())
 			return
 		}
 	}
@@ -382,7 +381,7 @@ func (s *Server) handleArtifactVerify(w http.ResponseWriter, r *http.Request) {
 		body.OK = false
 		body.Reason = err.Error()
 	}
-	httpapi.JSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleEvents streams a job's telemetry as Server-Sent Events. Each frame
@@ -398,7 +397,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		httpapi.Error(w, http.StatusInternalServerError, httpapi.CodeInternal, "streaming unsupported")
+		httpError(w, http.StatusInternalServerError, codeInternal, "streaming unsupported")
 		return
 	}
 	var after int64
@@ -484,5 +483,5 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	httpapi.JSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, st)
 }

@@ -17,7 +17,6 @@ import (
 	"mosaic"
 	"mosaic/internal/artifact"
 	"mosaic/internal/frame"
-	"mosaic/internal/httpapi"
 	"mosaic/internal/tile"
 )
 
@@ -25,7 +24,7 @@ import (
 // cheaply reachable error path. Clients switch on these codes; changing
 // one is a breaking API change and must be deliberate.
 func TestErrorEnvelopeCodes(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,40 +46,40 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"unknown job status", func() *http.Response { return get("/v1/jobs/nope") }, 404, httpapi.CodeNotFound},
-		{"unknown job result", func() *http.Response { return get("/v1/jobs/nope/result") }, 404, httpapi.CodeNotFound},
-		{"unknown job mask", func() *http.Response { return get("/v1/jobs/nope/mask") }, 404, httpapi.CodeNotFound},
-		{"unknown job provenance", func() *http.Response { return get("/v1/jobs/nope/provenance") }, 404, httpapi.CodeNotFound},
+		{"unknown job status", func() *http.Response { return get("/v1/jobs/nope") }, 404, codeNotFound},
+		{"unknown job result", func() *http.Response { return get("/v1/jobs/nope/result") }, 404, codeNotFound},
+		{"unknown job mask", func() *http.Response { return get("/v1/jobs/nope/mask") }, 404, codeNotFound},
+		{"unknown job provenance", func() *http.Response { return get("/v1/jobs/nope/provenance") }, 404, codeNotFound},
 		{"malformed submit", func() *http.Response {
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{broken"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, 400, httpapi.CodeBadRequest},
+		}, 400, codeBadRequest},
 		{"invalid spec", func() *http.Response {
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{}"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, 400, httpapi.CodeBadRequest},
-		{"unknown list status", func() *http.Response { return get("/v1/jobs?status=bogus") }, 400, httpapi.CodeBadRequest},
-		{"bad list limit", func() *http.Response { return get("/v1/jobs?limit=zero") }, 400, httpapi.CodeBadRequest},
-		{"bad list cursor", func() *http.Response { return get("/v1/jobs?cursor=@@@") }, 400, httpapi.CodeBadRequest},
+		}, 400, codeBadRequest},
+		{"unknown list status", func() *http.Response { return get("/v1/jobs?status=bogus") }, 400, codeBadRequest},
+		{"bad list limit", func() *http.Response { return get("/v1/jobs?limit=zero") }, 400, codeBadRequest},
+		{"bad list cursor", func() *http.Response { return get("/v1/jobs?cursor=@@@") }, 400, codeBadRequest},
 		{"artifact without store", func() *http.Response {
 			return get("/v1/artifacts/" + strings.Repeat("ab", 32))
-		}, 404, httpapi.CodeNoArtifacts},
+		}, 404, codeNoArtifacts},
 		{"verify without store", func() *http.Response {
 			return get("/v1/artifacts/" + strings.Repeat("ab", 32) + "/verify")
-		}, 404, httpapi.CodeNoArtifacts},
+		}, 404, codeNoArtifacts},
 		{"cancel unknown job", func() *http.Response {
 			resp, err := http.Post(ts.URL+"/v1/jobs/nope/cancel", "application/json", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
-		}, 404, httpapi.CodeNotFound},
+		}, 404, codeNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,7 +98,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 // list on one default-sized page with no parameters, narrowed and walked
 // under ?status=, ?limit=, ?cursor=.
 func TestListPagination(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := testServerConfig("")
+	cfg := testServerConfig()
 	cfg.ArtifactStore = store
 	cfg.TileCache = cache
 	s, err := New(cfg)
@@ -463,14 +462,14 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 400 || errorCode(t, resp) != httpapi.CodeBadRequest {
+	if resp.StatusCode != 400 || errorCode(t, resp) != codeBadRequest {
 		t.Fatalf("bad digest: status %d", resp.StatusCode)
 	}
 	resp, err = http.Get(ts.URL + "/v1/artifacts/" + strings.Repeat("00", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 404 || errorCode(t, resp) != httpapi.CodeNotFound {
+	if resp.StatusCode != 404 || errorCode(t, resp) != codeNotFound {
 		t.Fatalf("unknown digest: status %d", resp.StatusCode)
 	}
 
@@ -502,7 +501,7 @@ func TestArtifactProvenanceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 500 || errorCode(t, resp) != httpapi.CodeCorruptArtifact {
+	if resp.StatusCode != 500 || errorCode(t, resp) != codeCorruptArtifact {
 		t.Fatalf("corrupt blob fetch: status %d", resp.StatusCode)
 	}
 	// An untouched sibling blob still verifies clean in isolation.
@@ -540,7 +539,7 @@ func TestClusterAnchoredRecordStillReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := testServerConfig("")
+		cfg := testServerConfig()
 		cfg.ArtifactStore = store
 		cfg.TileCache = cache
 		s, err := New(cfg)
@@ -648,7 +647,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // TestMaskContentNegotiation covers GET /v1/jobs/{id}/mask (Accept
 // selects PGM or the raw MTGF frame).
 func TestMaskContentNegotiation(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +715,7 @@ func TestMaskContentNegotiation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotAcceptable {
 		t.Fatalf("Accept text/html: status %d, want 406", resp.StatusCode)
 	}
-	if code := errorCode(t, resp); code != httpapi.CodeNotAcceptable {
+	if code := errorCode(t, resp); code != codeNotAcceptable {
 		t.Fatalf("406 code %q", code)
 	}
 

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mosaic/internal/httpapi"
 )
 
 // errorBody decodes the shared {"error":{"code","message"}} envelope
@@ -27,7 +25,7 @@ func errorCode(t *testing.T, resp *http.Response) string {
 	return errorEnvelope(t, resp).Error.Code
 }
 
-func errorEnvelope(t *testing.T, resp *http.Response) httpapi.Envelope {
+func errorEnvelope(t *testing.T, resp *http.Response) envelope {
 	t.Helper()
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
@@ -35,7 +33,7 @@ func errorEnvelope(t *testing.T, resp *http.Response) httpapi.Envelope {
 	}
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
-	var env httpapi.Envelope
+	var env envelope
 	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
 		t.Fatalf("error body %q is not the shared envelope: %v", buf.Bytes(), err)
 	}
@@ -46,7 +44,7 @@ func errorEnvelope(t *testing.T, resp *http.Response) httpapi.Envelope {
 }
 
 func TestHTTPErrorPaths(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +132,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 // Retry-After hint) from drain (503): a client should retry the former
 // against the same instance and fail over on the latter.
 func TestHTTPQueueFullAnswers429(t *testing.T) {
-	cfg := testServerConfig("")
+	cfg := testServerConfig()
 	cfg.QueueLimit = 1
 	s, err := New(cfg)
 	if err != nil {
@@ -172,7 +170,7 @@ func TestHTTPQueueFullAnswers429(t *testing.T) {
 }
 
 func TestHTTPDrainingAnswers503(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

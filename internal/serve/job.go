@@ -1,11 +1,20 @@
 // Package serve runs mosaic optimizations as jobs: an in-process queue
 // with bounded workers, priorities, deadlines and cancellation, exposed
 // over a small HTTP API (submit a layout, poll progress, fetch the result
-// mask and report, cancel). A server given a checkpoint directory drains
-// gracefully — a drain records the jobs still queued or running, and a
-// restarted server resumes them bit-identically, served the windows they
-// finished from the tile cache and recomputing the ones that were in
-// flight.
+// mask and report, cancel) and the artifact/provenance API beside it. A
+// server whose tile cache has a disk tier drains gracefully — a drain
+// records the jobs still queued or running, and a restarted server
+// resumes them bit-identically, served the windows they finished from
+// that tier and recomputing the ones that were in flight.
+//
+// Every error on every endpoint is one JSON envelope,
+//
+//	{"error": {"code": "...", "message": "...", "retry_after": 2}}
+//
+// so a client needs exactly one error decoder. The code is a stable
+// machine-readable symbol (clients switch on it; the message is for
+// humans and may change), and retry_after appears only on throttling
+// errors, mirrored in a standard Retry-After header.
 package serve
 
 import (

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,12 +95,6 @@ type Config struct {
 	// the pixel size is re-derived per job so the grid covers the
 	// layout (or one tile of a sharded run).
 	Optics mosaic.OpticsConfig
-	// CheckpointDir, when non-empty, enables fault tolerance: Shutdown
-	// checkpoints queued and in-flight jobs, and New resumes them. A
-	// resumed job finds the windows it finished before the drain in
-	// TileCache's disk tier, so New refuses a CheckpointDir unless
-	// TileCache has one.
-	CheckpointDir string
 	// Tune, when non-nil, adjusts every job's optimizer configuration
 	// after the spec has been applied (test determinism, site policy).
 	Tune func(*mosaic.Config)
@@ -110,7 +105,10 @@ type Config struct {
 	// whose content address was optimized before — by any job, any
 	// tenant, any earlier process when the cache has a disk tier — are
 	// served from the cache instead of being optimized. See
-	// mosaic.OpenTileCache.
+	// mosaic.OpenTileCache. A disk tier also enables fault tolerance:
+	// Shutdown checkpoints queued and in-flight jobs into its jobs/
+	// directory, and New resumes them, served the windows they finished
+	// before the drain from that tier.
 	TileCache *mosaic.TileCache
 	// ArtifactStore, when non-nil, anchors every completed job: tile
 	// results become content-addressed blobs under a Merkle root bound
@@ -127,7 +125,8 @@ type Config struct {
 
 // Server owns the job queue and its workers.
 type Server struct {
-	cfg Config
+	cfg     Config
+	ckptDir string // <TileCache.Dir()>/jobs, or "" with no disk tier: no checkpoints
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -145,13 +144,10 @@ type Server struct {
 	setups par.Memo[mosaic.OpticsConfig, *mosaic.Setup]
 }
 
-// New builds a server, resumes any jobs checkpointed in cfg.CheckpointDir
-// by a previous drain, and starts the workers. A CheckpointDir without a
-// disk-backed TileCache is a *mosaic.ConfigError.
+// New builds a server, resumes any jobs a previous drain checkpointed in
+// the jobs/ directory of cfg.TileCache's disk tier, and starts the
+// workers.
 func New(cfg Config) (*Server, error) {
-	if cfg.CheckpointDir != "" && (cfg.TileCache == nil || cfg.TileCache.Dir() == "") {
-		return nil, &mosaic.ConfigError{Field: "CheckpointDir", Reason: "needs a TileCache with a disk tier: a resumed job is served the windows it finished from there"}
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -165,6 +161,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:    cfg,
 		jobs:   make(map[string]*job),
 		retain: retainJobs,
+	}
+	if cfg.TileCache != nil && cfg.TileCache.Dir() != "" {
+		s.ckptDir = filepath.Join(cfg.TileCache.Dir(), "jobs")
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.restore(); err != nil {
@@ -638,8 +637,8 @@ func (s *Server) evaluate(ctx context.Context, setup *mosaic.Setup, j *job, res 
 }
 
 // Shutdown drains the server: running jobs are canceled with a drain
-// cause (and checkpoint themselves when a checkpoint directory is
-// configured), queued jobs are checkpointed as interrupted, and workers
+// cause (and checkpoint themselves when the tile cache has a disk
+// tier), queued jobs are checkpointed as interrupted, and workers
 // exit. ctx bounds the wait for in-flight jobs to stop.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -680,7 +679,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	var firstErr error
 	for _, j := range queued { // a job canceled while it waited is no longer queued: end skips it
-		if s.end(j, StateQueued, StateInterrupted, errDrained) == StateCanceled && s.cfg.CheckpointDir != "" && firstErr == nil {
+		if s.end(j, StateQueued, StateInterrupted, errDrained) == StateCanceled && s.ckptDir != "" && firstErr == nil {
 			firstErr = fmt.Errorf("serve: checkpointing queued job %s failed", j.id)
 		}
 	}

@@ -34,21 +34,26 @@ RECT 64 312 384 80
 
 // testServerConfig is a small server: 64 px grid, 6 SOCS kernels,
 // single-kernel gradients.
-func testServerConfig(dir string) Config {
+func testServerConfig() Config {
 	opt := mosaic.DefaultOptics()
 	opt.GridSize = 64
 	opt.PixelNM = 8
 	opt.Kernels = 6
 	return Config{
-		Workers:       1,
-		Optics:        opt,
-		CheckpointDir: dir,
-		Tune:          func(c *mosaic.Config) { c.GradKernels = 1 },
+		Workers: 1,
+		Optics:  opt,
+		Tune:    func(c *mosaic.Config) { c.GradKernels = 1 },
 	}
 }
 
-// diskCache opens a tile cache with a disk tier, which New requires beside
-// a checkpoint directory.
+// jobsDir is where a server of cfg checkpoints: the jobs/ directory of its
+// tile cache's disk tier.
+func jobsDir(cfg Config) string {
+	return filepath.Join(cfg.TileCache.Dir(), "jobs")
+}
+
+// diskCache opens a tile cache with a disk tier, which gives a server its
+// checkpoint directory.
 func diskCache(t *testing.T) *mosaic.TileCache {
 	t.Helper()
 	store, err := mosaic.OpenTileCache(t.TempDir(), 0)
@@ -112,7 +117,7 @@ func requireCacheHit(t *testing.T, res *mosaic.LayoutResult) {
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +213,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 }
 
 func TestCancelFreesWorker(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +260,7 @@ func TestCancelFreesWorker(t *testing.T) {
 }
 
 func TestDeadlineFailsJob(t *testing.T) {
-	s, err := New(testServerConfig(""))
+	s, err := New(testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +330,7 @@ func TestJobSpecValidate(t *testing.T) {
 // whatever validation misses — here a Tune hook that panics — fails one job
 // and the server keeps serving.
 func TestDaemonSurvivesItsInput(t *testing.T) {
-	cfg := testServerConfig("")
+	cfg := testServerConfig()
 	tune := cfg.Tune
 	var bug atomic.Bool
 	cfg.Tune = func(c *mosaic.Config) {
@@ -392,7 +397,7 @@ func TestDaemonSurvivesItsInput(t *testing.T) {
 // past the retention bound (their IDs answer 404) and nothing else —
 // queued, running and interrupted jobs stay however old they are.
 func TestFinishedJobsAreBounded(t *testing.T) {
-	cfg := testServerConfig(t.TempDir())
+	cfg := testServerConfig()
 	cfg.TileCache = diskCache(t)
 	s, err := New(cfg)
 	if err != nil {
@@ -481,7 +486,7 @@ func TestFinishedJobsAreBounded(t *testing.T) {
 }
 
 func TestQueueLimit(t *testing.T) {
-	cfg := testServerConfig("")
+	cfg := testServerConfig()
 	cfg.QueueLimit = 2
 	s, err := New(cfg)
 	if err != nil {
@@ -586,7 +591,7 @@ func drainMidRun(t *testing.T, cfg *Config, spec JobSpec) string {
 	if got.State != StateInterrupted {
 		t.Fatalf("drained job is %s, want interrupted", got.State)
 	}
-	checkpointed(t, cfg.CheckpointDir, st.ID)
+	checkpointed(t, jobsDir(*cfg), st.ID)
 	return st.ID
 }
 
@@ -629,9 +634,9 @@ func coldRun(t *testing.T, cfg Config, spec JobSpec) *mosaic.LayoutResult {
 // again, all six iterations — and the final mask is bit-identical to an
 // uninterrupted run of the same configuration.
 func TestDrainResumeBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testServerConfig(dir)
+	cfg := testServerConfig()
 	cfg.TileCache = diskCache(t)
+	dir := jobsDir(cfg)
 	spec := JobSpec{Layout: testLayoutText, MaxIter: 6}
 	artDir := t.TempDir()
 	art, err := mosaic.OpenArtifactStore(artDir)
@@ -690,7 +695,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coldArt.Close()
-	coldCfg := testServerConfig("")
+	coldCfg := testServerConfig()
 	coldCfg.ArtifactStore = coldArt
 	s3, err := New(coldCfg)
 	if err != nil {
@@ -726,10 +731,9 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 		"same":    cache.DigestVersion,
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := testServerConfig(dir)
-			store := diskCache(t)
-			cfg.TileCache = store
+			cfg := testServerConfig()
+			cfg.TileCache = diskCache(t)
+			dir := jobsDir(cfg)
 			id := drainMidRun(t, &cfg, spec)
 			if want == nil {
 				want = coldRun(t, cfg, spec)
@@ -806,7 +810,7 @@ func TestCheckpointOfAnotherGenerationRestarts(t *testing.T) {
 // server with the same library and an empty cache computes must be one
 // mask. (A B continued from a per-iteration snapshot of its cold trajectory
 // ignored the seed it was keyed under: 10 unseeded iterations stored where
-// the honest run is 3 seeded ones.)
+// the honest run is 7 seeded ones.)
 func TestResumedJobIsServedItsOwnKey(t *testing.T) {
 	const (
 		baseCell = "CLIP cell 512\nRECT 160 144 96 224\nRECT 312 144 56 224\n"
@@ -821,8 +825,8 @@ func TestResumedJobIsServedItsOwnKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testServerConfig(t.TempDir())
-	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit, c.Jumps = 1, false, 0 }
+	cfg := testServerConfig()
+	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit = 1, false }
 	tune := cfg.Tune // drainMidRun adds its gate to cfg's
 	cfg.TileCache, cfg.WarmStart = store, lib
 
@@ -866,7 +870,7 @@ func TestResumedJobIsServedItsOwnKey(t *testing.T) {
 	same(finish(s2, again.ID, "cached repeat"), resumed, "cached repeat")
 	requireCacheHit(t, finished(t, s2, again.ID, "cached repeat"))
 
-	fresh := testServerConfig("")
+	fresh := testServerConfig()
 	fresh.Tune, fresh.WarmStart = tune, lib
 	s3, err := New(fresh)
 	if err != nil {
@@ -930,29 +934,8 @@ func drainInWindow(t *testing.T, cfg Config, spec JobSpec) string {
 	if got, err := s1.Status(st.ID); err != nil || got.State != StateInterrupted {
 		t.Fatalf("drained job: %+v, %v; want it interrupted", got, err)
 	}
-	checkpointed(t, cfg.CheckpointDir, st.ID)
+	checkpointed(t, jobsDir(cfg), st.ID)
 	return st.ID
-}
-
-// TestNewRefusesCheckpointDirWithoutDiskCache: a resumed job finds the
-// windows it finished in the tile cache's disk tier, so a checkpoint dir
-// without one is refused up front, naming the field.
-func TestNewRefusesCheckpointDirWithoutDiskCache(t *testing.T) {
-	memOnly, err := mosaic.OpenTileCache("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, store := range map[string]*mosaic.TileCache{"no cache": nil, "memory only": memOnly} {
-		cfg := testServerConfig(t.TempDir())
-		cfg.TileCache = store
-		var ce *mosaic.ConfigError
-		if s, err := New(cfg); !errors.As(err, &ce) || ce.Field != "CheckpointDir" {
-			if s != nil {
-				shutdown(t, s)
-			}
-			t.Errorf("%s: New = %v, want a *ConfigError on CheckpointDir", name, err)
-		}
-	}
 }
 
 // TestResumedWindowsComeFromTheDiskTier: without warm-start, the window a
@@ -982,7 +965,7 @@ func TestResumedWindowsUnderALibraryAreDiskHits(t *testing.T) {
 // window computed, and a cold run's mask.
 func resumeFromTheDiskTier(t *testing.T, lib *mosaic.WarmStartLibrary) {
 	cacheDir := t.TempDir()
-	cfg := testServerConfig(t.TempDir())
+	cfg := testServerConfig()
 	cfg.WarmStart = lib
 	var err error
 	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
@@ -1035,8 +1018,8 @@ func TestResumedShardedJobEqualsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testServerConfig(t.TempDir())
-	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit, c.Jumps = 1, false, 0 }
+	cfg := testServerConfig()
+	cfg.Tune = func(c *mosaic.Config) { c.GradKernels, c.SRAFInit = 1, false }
 	cfg.WarmStart = lib
 	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
 		t.Fatal(err)
@@ -1046,6 +1029,10 @@ func TestResumedShardedJobEqualsFresh(t *testing.T) {
 	libCopy, cacheCopy := t.TempDir(), t.TempDir()
 	copyTree(t, libDir, libCopy)
 	copyTree(t, cacheDir, cacheCopy)
+	// The copy is a cache, not a second home of the drained job.
+	if err := os.RemoveAll(filepath.Join(cacheCopy, "jobs")); err != nil {
+		t.Fatal(err)
+	}
 	if cfg.TileCache, err = mosaic.OpenTileCache(cacheDir, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -1056,7 +1043,7 @@ func TestResumedShardedJobEqualsFresh(t *testing.T) {
 	defer shutdown(t, s2)
 	resumed := finished(t, s2, id, "resumed job")
 
-	fresh := testServerConfig("")
+	fresh := testServerConfig()
 	fresh.Tune = cfg.Tune
 	if fresh.WarmStart, err = mosaic.OpenWarmStartLibrary(libCopy, 0, true); err != nil {
 		t.Fatal(err)
@@ -1130,9 +1117,9 @@ func sidecars(t *testing.T, artifactDir string) map[string]string {
 // checkpoint dir and checks the result is tiled, its progress complete and
 // its checkpoint dir empty.
 func TestTiledJobUnderCheckpointDir(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testServerConfig(dir)
+	cfg := testServerConfig()
 	cfg.TileCache = diskCache(t)
+	dir := jobsDir(cfg)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1171,7 +1158,12 @@ func TestTiledJobUnderCheckpointDir(t *testing.T) {
 // a non-atomic checkpoint write used to leave) must cost only itself —
 // the intact checkpoint next to it is restored and runs to completion.
 func TestRestoreSkipsTornCheckpoint(t *testing.T) {
-	dir := t.TempDir()
+	cfg := testServerConfig()
+	cfg.TileCache = diskCache(t)
+	dir := jobsDir(cfg)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	// The intact checkpoint is an older build's: its .job repeats the
 	// priority beside the spec, and a per-iteration snapshot no build reads
 	// any more lies next to it.
@@ -1196,8 +1188,6 @@ func TestRestoreSkipsTornCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := testServerConfig(dir)
-	cfg.TileCache = diskCache(t)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1221,7 +1211,12 @@ func TestRestoreSkipsTornCheckpoint(t *testing.T) {
 // submitted; POST /v1/jobs refuses the same spec. The valid .job beside it
 // resumes: exactly one job comes back.
 func TestRestoreRefusesAnOptionItCannotHonour(t *testing.T) {
-	dir := t.TempDir()
+	cfg := testServerConfig()
+	cfg.TileCache = diskCache(t)
+	dir := jobsDir(cfg)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	known := checkpointMeta{ID: "job-known", Spec: JobSpec{Layout: testLayoutText, MaxIter: 2}, SubmittedAt: time.Now()}
 	type olderSpec struct {
 		JobSpec
@@ -1241,8 +1236,6 @@ func TestRestoreRefusesAnOptionItCannotHonour(t *testing.T) {
 		}
 	}
 
-	cfg := testServerConfig(dir)
-	cfg.TileCache = diskCache(t)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 #!/bin/sh
-# The five line counts, the flag count and the exported-declaration count
-# ROADMAP item 7 and every simplicity PR quote, so they are a command
-# instead of arithmetic redone by hand (make loc).
+# The five line counts, the flag count, the exported-declaration count and
+# the settable-field count ROADMAP item 7 and every simplicity PR quote, so
+# they are a command instead of arithmetic redone by hand (make loc).
 set -eu
 cd "$(dirname "$0")/.."
 count() { cat "$@" | wc -l | tr -d ' '; }
@@ -21,3 +21,15 @@ echo "flags in cmd/* and internal/cli: $(cat $(find cmd internal/cli -name '*.go
 echo "exported declarations outside benchmark/: $(cat $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*') |
 	awk '/^(const|var|type) \($/ { g = 1 } g && /^\)/ { g = 0 } /^type [A-Z][A-Za-z0-9_]* (struct|interface) \{$/ { b = 1 } b && /^\}/ { b = 0 }
 		/^(func (\([^)]*\) )?|type |var |const )[A-Z]/ || ((g || b) && /^	[A-Z]/) { n++ } END { print n }')"
+# Settable fields: the exported fields of the three structs a caller
+# configures a run or a server with (A, B T counts two), the knobs a
+# simplicity PR removes beside its flags.
+fields() {
+	awk -v t="$2" '$0 == "type " t " struct {" { b = 1; next } b && /^}/ { b = 0 }
+		b && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { s = substr($0, RSTART, RLENGTH); n += gsub(/,/, "", s) + 1 }
+		END { print n + 0 }' "$1"
+}
+ilt=$(fields internal/ilt/ilt.go Config)
+opts=$(fields mosaic.go TileOptions)
+srv=$(fields internal/serve/serve.go Config)
+echo "settable fields (ilt.Config + mosaic.TileOptions + serve.Config): $ilt + $opts + $srv = $((ilt + opts + srv))"

@@ -4,7 +4,8 @@
 # assert a numeric score and a PGM mask, resubmit it and require a cache
 # hit with the same mask bytes, then shut the daemon down with SIGTERM
 # after the first window of a sharded job and require a clean drain, a
-# resumed job and that window served from the cache's disk tier. The
+# resumed job (checkpointed under <cache-dir>/jobs) and that window served
+# from the cache's disk tier. The
 # daemon runs with -trace: after the drain its file must be a closed
 # Perfetto array holding the jobs' serve.job spans. Needs only curl, grep
 # and a POSIX shell.
@@ -17,17 +18,12 @@ BASE="http://127.0.0.1:$PORT"
 smoke_init smoke
 LOG="$DIR/mosaicd.log"
 
-# A checkpoint dir needs a disk cache, where a resumed job finds the
-# windows it finished: without -cache-dir the daemon refuses to start.
-if "$DIR/mosaicd" -addr "127.0.0.1:$PORT" -grid 64 -checkpoint-dir "$DIR/ckpt" >"$DIR/alone.log" 2>&1; then
-    die "-checkpoint-dir without -cache-dir started a daemon"
-fi
-grep CheckpointDir "$DIR/alone.log" >/dev/null || {
-    cat "$DIR/alone.log" >&2; die "-checkpoint-dir alone failed without naming CheckpointDir"; }
-echo "smoke: -checkpoint-dir without -cache-dir refused at startup"
+# A drain checkpoints into the jobs/ directory of the -cache-dir tier, where
+# a resumed job also finds the windows it finished.
+CKPT="$DIR/cache/jobs"
 
 start() {
-    start_daemon "$PORT" "$LOG" -grid 64 -checkpoint-dir "$DIR/ckpt" \
+    start_daemon "$PORT" "$LOG" -grid 64 \
         -cache-dir "$DIR/cache" -artifact-dir "$DIR/art" -log-level warn \
         -trace "$DIR/trace.json"
 }
@@ -85,11 +81,11 @@ done
 [ "$(job_state "$ID2")" = running ] || die "sharded job finished before the drain; raise max_iter"
 
 stop_daemon "$PID" "$LOG"
-[ -f "$DIR/ckpt/$ID2.job" ] || { echo "smoke: drain left no checkpoint for $ID2" >&2; exit 1; }
+[ -f "$CKPT/$ID2.job" ] || { echo "smoke: drain left no checkpoint for $ID2" >&2; exit 1; }
 # Finished windows live in the cache: the drain writes the .job and nothing
 # beside it, no per-iteration snapshot and no tile journal.
 for ext in snap journal; do
-    [ ! -e "$DIR/ckpt/$ID2.$ext" ] || die "drain wrote a .$ext for $ID2"
+    [ ! -e "$CKPT/$ID2.$ext" ] || die "drain wrote a .$ext for $ID2"
 done
 echo "smoke: drained with job $ID2 checkpointed after $DONE window(s)"
 
@@ -111,7 +107,7 @@ case "$LEAF0" in
     *'"tier":"disk"'*) ;;
     *) die "resumed job's first window was not served from the disk cache: $LEAF0" ;;
 esac
-[ -z "$(find "$DIR/ckpt" -name '*.journal')" ] || die "a tile journal was written"
+[ -z "$(find "$CKPT" -name '*.journal')" ] || die "a tile journal was written"
 echo "smoke: job $ID2 resumed after restart, its first window a disk-cache hit"
 
 stop_daemon "$PID" "$LOG"

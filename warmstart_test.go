@@ -11,14 +11,12 @@ import (
 )
 
 // warmCfg is the shared optimizer configuration for the warm-start façade
-// tests: single-kernel gradients keep runs cheap, and the fixed iteration
-// budget (no SRAF seeding, no jumps) makes iteration counts deterministic.
+// tests: single-kernel gradients and no SRAF seeding keep runs cheap.
 func warmCfg(maxIter int) Config {
 	cfg := DefaultConfig(ModeFast)
 	cfg.MaxIter = maxIter
 	cfg.GradKernels = 1
 	cfg.SRAFInit = false
-	cfg.Jumps = 0
 	return cfg
 }
 
@@ -87,7 +85,7 @@ func TestWarmStartEmptyLibraryBitIdentical(t *testing.T) {
 // placement) is for platforms, not for noise: a move means the optimizer or
 // the seeding changed, which is when someone should look.
 func TestWarmStartIterationCut(t *testing.T) {
-	const wantCold, wantSeeded = 72, 18
+	const wantCold, wantSeeded = 72, 42
 	jitters := [][2]float64{{8, 0}, {0, 8}, {8, 8}, {16, 8}, {8, 16}, {24, 0}}
 
 	s, err := NewSetup(smallOptics())
