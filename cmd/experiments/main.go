@@ -409,7 +409,8 @@ func (h *harness) fig5() error {
 // clip: the default SRAF-seeded run, and a target-seeded run
 // ("_noseed") whose initial mask is barely printable — the regime the
 // paper's Fig. 6 plots ("in the first few iterations, the mask patterns
-// are nearly non-printable").
+// are nearly non-printable"). OnIter lends each iterate's continuous mask;
+// its clone is scored after the run, binarized, as Table 2 scores a mask.
 func (h *harness) fig6() error {
 	for _, name := range []string{"B4", "B6"} {
 		layout, err := mosaic.Benchmark(name)
@@ -421,16 +422,23 @@ func (h *harness) fig6() error {
 			sraf   bool
 		}{{"", true}, {"_noseed", false}} {
 			cfg := mosaic.DefaultConfig(mosaic.ModeExact)
-			cfg.TrackMetrics = true
 			cfg.SRAFInit = v.sraf
-			res, err := h.setup.Optimize(cfg, layout)
-			if err != nil {
+			var iters []mosaic.IterStats
+			cfg.OnIter = func(st mosaic.IterStats) {
+				st.MaskGray = st.MaskGray.Clone()
+				iters = append(iters, st)
+			}
+			if _, err := h.setup.Optimize(cfg, layout); err != nil {
 				return err
 			}
 			var rows []string
-			for _, st := range res.History {
+			for _, st := range iters {
+				rep, err := h.setup.Evaluate(st.MaskGray.Threshold(0.5), layout, 0)
+				if err != nil {
+					return err
+				}
 				rows = append(rows, fmt.Sprintf("%d,%d,%g,%g,%g,%g",
-					st.Iter, st.EPEViolations, st.PVBandNM2, st.Score, st.Objective, st.GradRMS))
+					st.Iter, rep.EPEViolations, rep.PVBandNM2, rep.Score, st.Objective, st.GradRMS))
 			}
 			if err := h.writeCSV("fig6_"+name+v.suffix+".csv",
 				"iter,epe_violations,pvband_nm2,score,objective,grad_rms", rows); err != nil {

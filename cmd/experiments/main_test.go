@@ -160,20 +160,19 @@ func TestArchivedTable2HoldsThePaperShape(t *testing.T) {
 	}
 }
 
-// TestFreshTable2MatchesTheArchive re-runs Table 2 and the B4 ablations at
-// the archive's grid into a temporary directory. The fresh Table 2 must
-// hold the paper's shape. Made under the archive's numeric generation
-// (digest_version.txt), each fresh table must also reproduce every #EPE,
-// PV band and shape cell of its results/ CSV, and a cell that differs
-// fails by name. Across a cache.DigestVersion bump the moved cells are
-// logged, old → new, for the change that bumps it to judge before it
-// re-archives (make paper).
-func TestFreshTable2MatchesTheArchive(t *testing.T) {
+// freshHarness returns a harness at the archive's grid over a temporary
+// directory, and the reporter of a fresh cell that differs from its
+// archived one: t.Errorf under the archive's numeric generation
+// (digest_version.txt), t.Logf across a cache.DigestVersion bump, whose
+// moved cells the change that bumps it judges before it re-archives
+// (make paper). what names the run a skip message times.
+func freshHarness(t *testing.T, what string) (*harness, func(string, ...any)) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("a fresh Table 2 takes about half a minute")
+		t.Skip(what + " takes too long for -short")
 	}
 	if raceEnabled {
-		t.Skip("a fresh Table 2 takes over four minutes under the race detector")
+		t.Skip(what + " takes minutes under the race detector")
 	}
 	h, err := newHarness(t.TempDir(), paperGrid)
 	if err != nil {
@@ -187,63 +186,84 @@ func TestFreshTable2MatchesTheArchive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("results/%s: %v", digestVersionFile, err)
 	}
-	differ := t.Errorf
 	if gen != cache.DigestVersion {
-		differ = t.Logf
 		t.Logf("results/ was made under DigestVersion %d, this build is %d: moved cells are logged, not failed", gen, cache.DigestVersion)
+		return h, t.Logf
 	}
-	for _, tc := range []struct {
-		file  string
-		run   func() error
-		key   []string // the columns that name a row
-		cells []string // the runtime-free columns judged
-		check func(*testing.T, string, []map[string]string)
-	}{
-		{"table2.csv", h.tables23, []string{"testcase", "method"},
-			[]string{"epe_violations", "pvband_nm2", "shape_violations"}, checkPaperShape},
-		{"ablations_B4.csv", h.ablations, []string{"variant"},
-			[]string{"epe_violations", "pvband_nm2"}, nil},
-	} {
-		if err := tc.run(); err != nil {
-			t.Fatal(err)
+	return h, t.Errorf
+}
+
+// judgeFresh holds the CSV file a fresh run wrote into h to its results/
+// copy: each row, named by its key columns, must be in both, and each of
+// its cells columns must be equal. differ reports what is not.
+func judgeFresh(t *testing.T, h *harness, differ func(string, ...any), file string, keyCols, cells []string) {
+	t.Helper()
+	key := func(row map[string]string) string {
+		var k []string
+		for _, col := range keyCols {
+			k = append(k, row[col])
 		}
-		fresh := readRows(t, h.path(tc.file))
-		if tc.check != nil {
-			tc.check(t, "fresh "+tc.file, fresh)
+		return strings.Join(k, " ")
+	}
+	byKey := func(rows []map[string]string) map[string]map[string]string {
+		m := map[string]map[string]string{}
+		for _, row := range rows {
+			m[key(row)] = row
 		}
-		key := func(row map[string]string) string {
-			var k []string
-			for _, col := range tc.key {
-				k = append(k, row[col])
-			}
-			return strings.Join(k, " ")
+		return m
+	}
+	archived, fresh := readRows(t, filepath.Join(archive, file)), readRows(t, h.path(file))
+	old, cur := byKey(archived), byKey(fresh)
+	for _, o := range archived {
+		c, ok := cur[key(o)]
+		if !ok {
+			differ("%s: in results/%s, not in the fresh run", key(o), file)
+			continue
 		}
-		byCell := func(rows []map[string]string) map[string]map[string]string {
-			m := map[string]map[string]string{}
-			for _, row := range rows {
-				m[key(row)] = row
-			}
-			return m
-		}
-		archived := readRows(t, filepath.Join(archive, tc.file))
-		old, cur := byCell(archived), byCell(fresh)
-		for _, o := range archived {
-			c, ok := cur[key(o)]
-			if !ok {
-				differ("%s: in results/%s, not in the fresh run", key(o), tc.file)
-				continue
-			}
-			for _, col := range tc.cells {
-				if a, b := num(t, o, col), num(t, c, col); a != b {
-					differ("%s %s: results/%s %g → fresh %g", key(o), col, tc.file, a, b)
-				}
+		for _, col := range cells {
+			if a, b := num(t, o, col), num(t, c, col); a != b {
+				differ("%s %s: results/%s %g → fresh %g", key(o), col, file, a, b)
 			}
 		}
-		for _, c := range fresh {
-			if _, ok := old[key(c)]; !ok {
-				differ("%s: in the fresh run, not in results/%s", key(c), tc.file)
-			}
+	}
+	for _, c := range fresh {
+		if _, ok := old[key(c)]; !ok {
+			differ("%s: in the fresh run, not in results/%s", key(c), file)
 		}
+	}
+}
+
+// TestFreshTable2MatchesTheArchive re-runs Table 2 and the B4 ablations at
+// the archive's grid into a temporary directory. The fresh Table 2 must
+// hold the paper's shape, and each fresh table is judged against its
+// results/ CSV on every #EPE, PV band and shape cell (judgeFresh).
+func TestFreshTable2MatchesTheArchive(t *testing.T) {
+	h, differ := freshHarness(t, "a fresh Table 2")
+	if err := h.tables23(); err != nil {
+		t.Fatal(err)
+	}
+	checkPaperShape(t, "fresh table2.csv", readRows(t, h.path("table2.csv")))
+	judgeFresh(t, h, differ, "table2.csv", []string{"testcase", "method"},
+		[]string{"epe_violations", "pvband_nm2", "shape_violations"})
+	if err := h.ablations(); err != nil {
+		t.Fatal(err)
+	}
+	judgeFresh(t, h, differ, "ablations_B4.csv", []string{"variant"},
+		[]string{"epe_violations", "pvband_nm2"})
+}
+
+// TestFreshFig6MatchesTheArchive re-runs Fig. 6 at the archive's grid and
+// judges every column of its four convergence CSVs against results/: the
+// descent and its per-iteration scores are deterministic, so the surrogate
+// objective and the gradient RMS must reproduce too.
+func TestFreshFig6MatchesTheArchive(t *testing.T) {
+	h, differ := freshHarness(t, "a fresh Fig. 6")
+	if err := h.fig6(); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"fig6_B4.csv", "fig6_B4_noseed.csv", "fig6_B6.csv", "fig6_B6_noseed.csv"} {
+		judgeFresh(t, h, differ, file, []string{"iter"},
+			[]string{"epe_violations", "pvband_nm2", "score", "objective", "grad_rms"})
 	}
 }
 

@@ -54,7 +54,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.method, "method", "", "run a baseline instead: rulebased, modelbased, plainilt")
 	fs.IntVar(&o.grid, "grid", 512, "simulation grid size (power of two); with -tile-nm it sets the core tile resolution")
 	fs.IntVar(&o.iter, "iter", 0, "override max iterations (0 = paper default)")
-	fs.BoolVar(&o.converge, "converge", false, "track full metrics per iteration (slow) and write converge.csv")
+	fs.BoolVar(&o.converge, "converge", false, "score every iterate's mask after the run and write converge.csv")
 	fs.Float64Var(&o.tileNM, "tile-nm", 0, "shard the layout into core tiles of this pitch in nm (0 = untiled)")
 	fs.IntVar(&o.tileWorkers, "tile-workers", 0, "core-reservation hint: concurrent tile optimizations, bounded by the compute pool (0 = pool capacity)")
 	fs.StringVar(&o.out, "out", "mosaic-out", "output directory")
@@ -98,7 +98,7 @@ func (o *options) admit(set map[string]bool) (*run, error) {
 		return nil, &mosaic.ConfigError{Field: "converge", Reason: "a sharded run has one convergence history per tile and writes no converge.csv; drop -converge or -tile-nm"}
 	}
 	if o.converge && o.stores.CacheDir != "" {
-		return nil, &mosaic.ConfigError{Field: "converge", Reason: "a window served from the disk cache carries no convergence history and would write an empty converge.csv; drop -converge or -cache-dir"}
+		return nil, &mosaic.ConfigError{Field: "converge", Reason: "a window served from the disk cache runs no iteration and would write an empty converge.csv; drop -converge or -cache-dir"}
 	}
 	mode, err := mosaic.ParseMode(strings.ToLower(o.mode))
 	if err != nil {
@@ -108,7 +108,6 @@ func (o *options) admit(set map[string]bool) (*run, error) {
 	if o.iter != 0 {
 		cfg.MaxIter = o.iter
 	}
-	cfg.TrackMetrics = o.converge
 	topts := mosaic.TileOptions{TileNM: o.tileNM, Workers: o.tileWorkers}
 	if err := mosaic.Admit(mosaic.DefaultOptics(), o.grid, layout, cfg, topts); err != nil {
 		return nil, err
@@ -159,9 +158,15 @@ func main() {
 	topts.Cache, topts.WarmStart, topts.Artifact = stores.Cache, stores.WarmStart, stores.Artifact
 
 	// Stream convergence so long runs are not silent: one line per
-	// iteration at the default (info) log level.
+	// iteration at the default (info) log level. Under -converge each
+	// iterate's lent mask is also cloned, to be scored after the run.
 	runStart := time.Now()
+	var iters []mosaic.IterStats
 	optCfg.OnIter = func(st mosaic.IterStats) {
+		if o.converge {
+			st.MaskGray = st.MaskGray.Clone()
+			iters = append(iters, st)
+		}
 		mosaic.Logger().Info("iter",
 			"iter", st.Iter,
 			"objective", fmt.Sprintf("%.4g", st.Objective),
@@ -207,10 +212,14 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(f, "iter,objective,f_target,f_pvb,grad_rms,epe,pvband_nm2,score")
-		for _, st := range res.Tiles[0].History {
+		for _, st := range iters {
+			r, err := setup.EvaluateCtx(ctx, st.MaskGray.Threshold(0.5), layout, 0)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Fprintf(f, "%d,%g,%g,%g,%g,%d,%g,%g\n",
 				st.Iter, st.Objective, st.FTarget, st.FPvb, st.GradRMS,
-				st.EPEViolations, st.PVBandNM2, st.Score)
+				r.EPEViolations, r.PVBandNM2, r.Score)
 		}
 		must(f.Close())
 	}

@@ -54,8 +54,8 @@ func TestCheckFlags(t *testing.T) {
 		{"converge untiled", []string{"-converge"}, ""},
 		{"converge with a tile pitch that does not shard", []string{"-tile-nm", "2048", "-converge"}, ""},
 		{"converge sharded", []string{"-tile-nm", "512", "-converge"}, "converge"},
-		// A disk hit has no History: the second of two such runs wrote a
-		// header-only converge.csv.
+		// A disk hit runs no iteration: the second of two such runs would
+		// write a header-only converge.csv.
 		{"converge with a disk cache", []string{"-converge", "-cache-dir", "c"}, "converge"},
 		{"converge with a memory cache", []string{"-converge", "-cache-mem", "64"}, ""},
 		{"mode in capitals", []string{"-mode", "EXACT"}, ""},

@@ -48,8 +48,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 //   - the digest version (numeric-path generation)
 //   - window grid size and pixel pitch
 //   - the imaging configuration and calibrated resist model
-//   - every optimizer parameter ilt.Bits lists (hooks and diagnostics
-//     excluded, exactly as the scheduler forces them off for tiled runs)
+//   - every optimizer parameter ilt.Bits lists (the OnIter hook
+//     excluded, exactly as the scheduler forces it off for tiled runs)
 //     and the warm-start seed, if any, by its size and digest
 //   - the window's clipped geometry in window-local coordinates, and its
 //     window-local EPE samples, both in order

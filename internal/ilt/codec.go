@@ -78,8 +78,8 @@ func (res *Result) scalars() []any {
 // result: a leading scalar — the entry version, all that the two formats
 // differ in — then window size, objective, iterations, runtime, the
 // seeded flag and the continuous mask, written once into a buffer sized
-// for them. History and diagnostics stay with
-// the run that produced them. The result must carry a square MaskGray.
+// for them: every field of a Result but the Mask ReadResult derives. The
+// result must carry a square MaskGray.
 func NewResultFrame(lead int64, res *Result) *frame.Writer {
 	w := frame.NewFrame(48 + 8*len(res.MaskGray.Data))
 	w.I64(lead)

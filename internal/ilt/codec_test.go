@@ -13,14 +13,13 @@ import (
 	"mosaic/internal/resist"
 )
 
-// notBits are the Config fields that do not determine a run's bits:
-// diagnostics and the hooks the scheduler forces off for tiled runs. A
+// notBits are the Config fields that do not determine a run's bits: the
+// hook the scheduler forces off for tiled runs. A
 // new field of Config, optics.Config or resist.Model belongs either in
 // Bits.Fields (the seed aside) or here; TestBitsFieldsClassifyEveryField
 // fails until it is one of the two.
 var notBits = map[string]bool{
-	"Config.TrackMetrics": true,
-	"Config.OnIter":       true,
+	"Config.OnIter": true,
 }
 
 func testBits() (Bits, func() []byte) {
@@ -197,7 +196,6 @@ func TestResultCodec(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	in.History, in.DiagnosticsSec = nil, 0
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip drifted:\n%+v\n%+v", in, out)
 	}

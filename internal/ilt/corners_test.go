@@ -52,7 +52,7 @@ func referenceCorners(o *Optimizer, models []focusModel, in []*grid.Field, targe
 		}
 	}
 	_, ref.bandNM2 = metrics.PVBand(printed, o.Sim.Cfg.PixelNM)
-	res := metrics.MeasureEPE(in[0], 1, rm.Threshold, o.Sim.Cfg.PixelNM, samples, o.metricParams())
+	res := metrics.MeasureEPE(in[0], 1, rm.Threshold, o.Sim.Cfg.PixelNM, samples, metrics.DefaultParams())
 	ref.epe = metrics.CountViolations(res)
 	return ref
 }

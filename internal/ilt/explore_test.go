@@ -10,23 +10,22 @@ import (
 // trajectory; it asserts only weakly. Run with -v to inspect.
 func TestExploreConvergence(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
-	o.Cfg.TrackMetrics = true
 	o.Cfg.MaxIter = 15
+	o.Cfg.OnIter = func(st IterStats) {
+		t.Logf("iter %2d F=%10.3f Ftgt=%9.3f Fpvb=%9.3f gradRMS=%9.2e proxy EPE=%d PVB=%.0f score=%.0f",
+			st.Iter, st.Objective, st.FTarget, st.FPvb, st.GradRMS, st.ProxyEPE, st.ProxyPVBandNM2, st.ProxyScore)
+	}
 	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range res.History {
-		t.Logf("iter %2d F=%10.3f Ftgt=%9.3f Fpvb=%9.3f gradRMS=%9.2e EPE=%d PVB=%.0f score=%.0f",
-			st.Iter, st.Objective, st.FTarget, st.FPvb, st.GradRMS, st.EPEViolations, st.PVBandNM2, st.Score)
-	}
 	// Baseline: target as mask.
 	target := layout.Rasterize(o.Sim.Cfg.GridSize, o.Sim.Cfg.PixelNM)
-	rep0, err := metrics.Evaluate(o.Sim, target, layout, o.metricParams(), 0)
+	rep0, err := metrics.Evaluate(o.Sim, target, layout, metrics.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repOpt, err := metrics.Evaluate(o.Sim, res.Mask, layout, o.metricParams(), 0)
+	repOpt, err := metrics.Evaluate(o.Sim, res.Mask, layout, metrics.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

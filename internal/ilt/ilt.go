@@ -101,14 +101,13 @@ type Config struct {
 	DefocusNM float64 // process corner defocus, paper: 25 nm
 	DoseDelta float64 // process corner dose range, paper: 0.02
 
-	TrackMetrics bool // evaluate full contest metrics every iteration (Fig. 6); slow
-
 	// OnIter, when non-nil, is called synchronously after every descent
 	// iteration with that iteration's statistics — exactly
 	// Result.Iterations times per run, with IterStats.Iter increasing
-	// from 0. It lets callers stream convergence (progress bars, live
-	// logs) instead of waiting for Result.History. The callback runs on
-	// the optimizer's goroutine; keep it cheap.
+	// from 0. It is the one per-iteration channel: progress bars and live
+	// logs stream from it, and Fig. 6 clones each iterate's mask here to
+	// score it after the run. The callback runs on the optimizer's
+	// goroutine, and its time counts toward RuntimeSec; keep it cheap.
 	OnIter func(IterStats)
 }
 
@@ -146,9 +145,7 @@ func DefaultConfig(mode Mode) Config {
 	return cfg
 }
 
-// IterStats records the optimizer state after one iteration. When
-// Config.TrackMetrics is set the contest metrics are also filled in, which
-// is what Fig. 6 plots.
+// IterStats records the optimizer state after one iteration.
 type IterStats struct {
 	Iter      int
 	Objective float64 // F (Eq. 19 or Eq. 20)
@@ -171,13 +168,16 @@ type IterStats struct {
 	ProxyPVBandNM2 float64
 	ProxyScore     float64
 
-	// Full-SOCS contest metrics; only valid when TrackMetrics was set.
-	EPEViolations int
-	PVBandNM2     float64
-	Score         float64
+	// MaskGray is the continuous mask M = sig(theta_M * P) the iteration
+	// evaluated. It is lent for the duration of the OnIter call: the step
+	// overwrites it afterwards, so a caller that keeps it clones it.
+	MaskGray *grid.Field
 }
 
-// Result is the outcome of one optimization run.
+// Result is the outcome of one optimization run: what NewResultFrame
+// stores, and the binary Mask derived from it. A run's per-iteration
+// statistics go to Config.OnIter, not here, so a result is the same
+// whichever cache tier serves it.
 type Result struct {
 	Mask       *grid.Field // binarized optimized mask (the deliverable)
 	MaskGray   *grid.Field // continuous relaxed mask at the best iterate
@@ -187,13 +187,7 @@ type Result struct {
 	// warm-start probe accepted the seed. False when no seed was given or
 	// the probe fell back to the rule-based init.
 	Seeded     bool
-	History    []IterStats
-	RuntimeSec float64
-	// DiagnosticsSec is the time spent in the full-SOCS TrackMetrics
-	// evaluation (Fig. 6 data collection). It is diagnostic-only and
-	// excluded from RuntimeSec so the reported runtime — and any Eq. 22
-	// score it feeds — reflects the optimization itself.
-	DiagnosticsSec float64
+	RuntimeSec float64 // wall time of the run
 
 	// leaf memoises LeafDigest. It makes a Result non-copyable (go vet
 	// flags it): build a variant field by field.
@@ -341,7 +335,6 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	ctx, runSpan := obs.StartSpan(ctx, obs.IltRun, obs.String("layout", layout.Name))
 	defer runSpan.End()
 	start := time.Now()
-	var diagSec float64 // TrackMetrics evaluation time, excluded from RuntimeSec
 	cfg := o.Cfg
 
 	// Pre-fetch the gradient model of every focus plane: either the Eq. 21
@@ -383,8 +376,8 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 		// ctx each would land in the job's span buffer beside the ilt.iter
 		// instant that already marks the iteration there.
 		_, iterSpan := obs.StartSpan(context.Background(), obs.IltIteration)
-		// endIter records the iteration's optimizer time (diagnostic
-		// evaluation excluded) and must run on every loop exit path.
+		// endIter records the iteration's time and must run on every loop
+		// exit path.
 		endIter := func() {
 			iterSpan.End()
 			iterations.Inc()
@@ -439,23 +432,8 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 			ProxyEPE:       proxyEPE,
 			ProxyPVBandNM2: proxyPVB,
 			ProxyScore:     proxyScore,
+			MaskGray:       mask,
 		}
-		if cfg.TrackMetrics {
-			_, dsp := obs.StartSpan(context.Background(), obs.IltTrackMetrics)
-			rep, err := metrics.Evaluate(o.Sim, mask.Threshold(0.5), layout, o.metricParams(), 0)
-			diagDur := dsp.End()
-			iterSpan.Exclude(diagDur)
-			diagSec += diagDur.Seconds()
-			if err != nil {
-				grid.Put(grad)
-				endIter()
-				return nil, err
-			}
-			st.EPEViolations = rep.EPEViolations
-			st.PVBandNM2 = rep.PVBandNM2
-			st.Score = rep.Score
-		}
-		best.History = append(best.History, st)
 		if cfg.OnIter != nil {
 			cfg.OnIter(st)
 		}
@@ -516,13 +494,11 @@ func (o *Optimizer) runRaster(ctx context.Context, layout *geom.Layout, target *
 	best.Mask = best.MaskGray.Threshold(0.5)
 	best.Iterations = iter
 	iterHist.Observe(float64(iter))
-	best.RuntimeSec = time.Since(start).Seconds() - diagSec
-	best.DiagnosticsSec = diagSec
+	best.RuntimeSec = time.Since(start).Seconds()
 	runSpan.End()
 	obs.Logger().Debug("optimization finished",
 		"mode", cfg.Mode.String(), "layout", layout.Name, "iterations", iter,
-		"runtime_sec", best.RuntimeSec, "diagnostics_sec", diagSec,
-		"objective", best.Objective)
+		"runtime_sec", best.RuntimeSec, "objective", best.Objective)
 	return best, nil
 }
 
@@ -568,13 +544,6 @@ func (o *Optimizer) probeSeed(seed, def *grid.Field, models []focusModel, target
 	defObj := ds.objective
 	ds.release()
 	return seedObj <= defObj
-}
-
-func (o *Optimizer) metricParams() metrics.Params {
-	p := metrics.DefaultParams()
-	p.DefocusNM = o.Cfg.DefocusNM
-	p.DoseDelta = o.Cfg.DoseDelta
-	return p
 }
 
 // The two clamps of paramsFromMask. The rule-based init is binary and

@@ -1,9 +1,7 @@
 package ilt
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -14,7 +12,6 @@ import (
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
 	"mosaic/internal/metrics"
-	"mosaic/internal/obs"
 	"mosaic/internal/optics"
 	"mosaic/internal/resist"
 	"mosaic/internal/sim"
@@ -210,11 +207,11 @@ func TestRunImprovesOverNoOPC(t *testing.T) {
 		}
 	}
 	target := layout.Rasterize(o.Sim.Cfg.GridSize, o.Sim.Cfg.PixelNM)
-	rep0, err := metrics.Evaluate(o.Sim, target, layout, o.metricParams(), 0)
+	rep0, err := metrics.Evaluate(o.Sim, target, layout, metrics.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := metrics.Evaluate(o.Sim, res.Mask, layout, o.metricParams(), 0)
+	rep, err := metrics.Evaluate(o.Sim, res.Mask, layout, metrics.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,48 +223,72 @@ func TestRunImprovesOverNoOPC(t *testing.T) {
 func TestRunExactMode(t *testing.T) {
 	o, layout := testOptimizer(t, ModeExact)
 	o.Cfg.MaxIter = 10
-	res, err := run(o, layout)
-	if err != nil {
+	iters := record(o)
+	if _, err := run(o, layout); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.History) == 0 {
-		t.Fatal("no history")
+	if len(*iters) == 0 {
+		t.Fatal("no iteration reported")
 	}
 	// The exact objective is a sum of per-sample sigmoids, bounded by the
 	// sample count.
 	nSamples := len(layout.SamplePoints(metrics.DefaultParams().EPESampleNM))
-	for _, st := range res.History {
+	for _, st := range *iters {
 		if st.FTarget < 0 || st.FTarget > float64(nSamples) {
 			t.Fatalf("F_epe %g outside [0, %d]", st.FTarget, nSamples)
 		}
 	}
 }
 
+// record sets o's OnIter to collect the run's iterations, each lent mask
+// cloned, into the returned slice.
+func record(o *Optimizer) *[]IterStats {
+	var iters []IterStats
+	o.Cfg.OnIter = func(st IterStats) {
+		st.MaskGray = st.MaskGray.Clone()
+		iters = append(iters, st)
+	}
+	return &iters
+}
+
+// TestBestIterateSelection: the result is the iterate Alg. 1 line 9
+// keeps — the lowest ProxyScore, the surrogate Objective breaking ties,
+// the first of equals — and its MaskGray is that iterate's mask as OnIter
+// lent it, bit for bit.
 func TestBestIterateSelection(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
+	iters := record(o)
 	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	minProxy := math.Inf(1)
-	for _, st := range res.History {
-		minProxy = math.Min(minProxy, st.ProxyScore)
+	best := (*iters)[0]
+	for _, st := range (*iters)[1:] {
+		if st.ProxyScore < best.ProxyScore || (st.ProxyScore == best.ProxyScore && st.Objective < best.Objective) {
+			best = st
+		}
 	}
-	if res.Objective != minProxy {
-		t.Fatalf("best objective %g != min proxy %g", res.Objective, minProxy)
+	if res.Objective != best.ProxyScore {
+		t.Fatalf("best objective %g, iterate %d has the lowest proxy score %g", res.Objective, best.Iter, best.ProxyScore)
+	}
+	for i, v := range best.MaskGray.Data {
+		if math.Float64bits(res.MaskGray.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("Result.MaskGray differs from iterate %d's lent mask at pixel %d", best.Iter, i)
+		}
 	}
 }
 
 func TestHistoryIterNumbers(t *testing.T) {
 	o, layout := testOptimizer(t, ModeFast)
 	o.Cfg.MaxIter = 5
+	iters := record(o)
 	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range res.History {
+	for i, st := range *iters {
 		if st.Iter != i {
-			t.Fatalf("history[%d].Iter = %d", i, st.Iter)
+			t.Fatalf("OnIter call %d carried Iter %d", i, st.Iter)
 		}
 		if st.GradRMS < 0 {
 			t.Fatal("negative gradient RMS")
@@ -275,68 +296,6 @@ func TestHistoryIterNumbers(t *testing.T) {
 	}
 	if res.RuntimeSec <= 0 {
 		t.Fatal("runtime not measured")
-	}
-}
-
-func TestTrackMetricsFillsStats(t *testing.T) {
-	o, layout := testOptimizer(t, ModeFast)
-	o.Cfg.MaxIter = 3
-	o.Cfg.TrackMetrics = true
-	res, err := run(o, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range res.History {
-		if st.Score <= 0 {
-			t.Fatalf("iteration %d: tracked score %g", st.Iter, st.Score)
-		}
-	}
-}
-
-// TestIterationSpanExcludesDiagnostics: span_ilt_iteration_seconds is the
-// optimizer's time. An iteration's span and its ilt.track_metrics span
-// must both fit before the next iteration starts; if the first still
-// contained the second they would overrun it by the diagnostic's length.
-func TestIterationSpanExcludesDiagnostics(t *testing.T) {
-	o, layout := testOptimizer(t, ModeFast)
-	o.Cfg.MaxIter = 4
-	o.Cfg.TrackMetrics = true
-	var trace bytes.Buffer
-	obs.StartTrace(&trace)
-	_, err := run(o, layout)
-	obs.StopTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	type stamp struct{ ts, dur int64 }
-	var iters, diags []stamp
-	var evs []struct {
-		Name string `json:"name"`
-		TS   int64  `json:"ts"`
-		Dur  int64  `json:"dur"`
-	}
-	if err := json.Unmarshal(trace.Bytes(), &evs); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range evs {
-		switch ev.Name {
-		case "ilt.iteration":
-			iters = append(iters, stamp{ev.TS, ev.Dur})
-		case "ilt.track_metrics":
-			diags = append(diags, stamp{ev.TS, ev.Dur})
-		}
-	}
-	if len(iters) != 4 || len(diags) != 4 {
-		t.Fatalf("%d ilt.iteration and %d ilt.track_metrics lines, want 4 and 4", len(iters), len(diags))
-	}
-	for i := 0; i+1 < len(iters); i++ {
-		if diags[i].dur <= 0 {
-			t.Fatalf("iteration %d: diagnostic took %d µs", i, diags[i].dur)
-		}
-		if room := iters[i+1].ts - iters[i].ts; iters[i].dur+diags[i].dur > room {
-			t.Errorf("iteration %d: span %d µs + diagnostics %d µs exceed the %d µs to the next iteration",
-				i, iters[i].dur, diags[i].dur, room)
-		}
 	}
 }
 
@@ -353,6 +312,7 @@ func TestJumpKeepsSearching(t *testing.T) {
 	}
 	o.Cfg.MaxIter = 40
 	o.Cfg.SeedMask = cold.MaskGray
+	iters := record(o)
 	res, err := run(o, layout)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +321,7 @@ func TestJumpKeepsSearching(t *testing.T) {
 		t.Fatal("converged seed rejected")
 	}
 	best, stall, plateaus := math.Inf(1), 0, []int{}
-	for _, st := range res.History {
+	for _, st := range *iters {
 		if st.ProxyScore < best-plateauTol {
 			stall = 0
 		} else {
@@ -405,12 +365,11 @@ func TestOnIterFiresPerIteration(t *testing.T) {
 			t.Fatalf("OnIter call %d carried Iter %d; want monotonically increasing from 0", i, st.Iter)
 		}
 	}
-	if len(got) != len(res.History) {
-		t.Fatalf("OnIter fired %d times but History has %d entries", len(got), len(res.History))
-	}
-	for i := range got {
-		if got[i] != res.History[i] {
-			t.Fatalf("OnIter stats %d differ from History: %+v vs %+v", i, got[i], res.History[i])
+	// The mask is lent: every call carries the one buffer the step
+	// overwrites.
+	for i, st := range got {
+		if st.MaskGray == nil || st.MaskGray != got[0].MaskGray {
+			t.Fatalf("OnIter call %d lent mask %p, call 0 lent %p", i, st.MaskGray, got[0].MaskGray)
 		}
 	}
 	// This run ends at MaxIter, so its last iterate runs forward only: it
@@ -511,35 +470,6 @@ func TestPixelPassesKeepTheirBits(t *testing.T) {
 				t.Fatalf("eps %g: pixel %d (%v) has P %v, want %v", eps, i, m.Data[i], got.Data[i], want)
 			}
 		}
-	}
-}
-
-func TestRuntimeExcludesDiagnostics(t *testing.T) {
-	o, layout := testOptimizer(t, ModeFast)
-	o.Cfg.MaxIter = 3
-	res, err := run(o, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DiagnosticsSec != 0 {
-		t.Fatalf("DiagnosticsSec = %g without TrackMetrics, want 0", res.DiagnosticsSec)
-	}
-	if res.RuntimeSec <= 0 {
-		t.Fatalf("RuntimeSec = %g, want > 0", res.RuntimeSec)
-	}
-
-	o2, layout2 := testOptimizer(t, ModeFast)
-	o2.Cfg.MaxIter = 3
-	o2.Cfg.TrackMetrics = true
-	res2, err := run(o2, layout2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.DiagnosticsSec <= 0 {
-		t.Fatalf("DiagnosticsSec = %g with TrackMetrics, want > 0", res2.DiagnosticsSec)
-	}
-	if res2.RuntimeSec < 0 {
-		t.Fatalf("RuntimeSec = %g went negative after excluding diagnostics", res2.RuntimeSec)
 	}
 }
 

@@ -249,7 +249,7 @@ func (o *Optimizer) cornerList(st *iterState, target *grid.Field, samples []geom
 		case t < corners+proxy:
 			// EPE violations on the nominal aerial image (see proxyMetrics).
 			nominal := st.planes[cornerOf[0].plane].i
-			res := metrics.MeasureEPE(nominal, 1, o.Sim.Resist.Threshold, o.Sim.Cfg.PixelNM, samples, o.metricParams())
+			res := metrics.MeasureEPE(nominal, 1, o.Sim.Resist.Threshold, o.Sim.Cfg.PixelNM, samples, metrics.DefaultParams())
 			st.proxyEPE = metrics.CountViolations(res)
 		default:
 			lo, hi := band(t-corners-proxy, target.W)

@@ -67,7 +67,6 @@ var (
 	OpticsBuildKernels = span("optics.build_kernels")
 	IltRun             = span("ilt.run")
 	IltIteration       = span("ilt.iteration")
-	IltTrackMetrics    = span("ilt.track_metrics")
 	IltForward         = perPlane("ilt.forward")
 	SimAerial          = perPlane("sim.aerial")
 	SimAerialCombined  = perPlane("sim.aerial_combined")

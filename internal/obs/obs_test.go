@@ -133,12 +133,12 @@ func TestRegisterKindMismatchPanics(t *testing.T) {
 }
 
 func TestSpanFeedsHistogram(t *testing.T) {
-	h := IltTrackMetrics.hist
-	if h != NewHistogram("span_ilt_track_metrics_seconds") {
+	h := IltRun.hist
+	if h != NewHistogram("span_ilt_run_seconds") {
 		t.Fatal("span histogram is not registered under span_<name>_seconds")
 	}
 	before := h.Count()
-	_, sp := StartSpan(context.Background(), IltTrackMetrics)
+	_, sp := StartSpan(context.Background(), IltRun)
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d < time.Millisecond {

@@ -12,14 +12,13 @@ import (
 
 // Span is a started timed region; finish it with End.
 type Span struct {
-	name     *Name        // nil for the root a buffer hangs on
-	tc       TraceContext // zero when nobody was listening at the start
-	buf      *SpanBuffer
-	start    time.Time
-	excluded time.Duration
-	attrs    []Attr
-	dur      time.Duration // set by the first End
-	ended    bool
+	name  *Name        // nil for the root a buffer hangs on
+	tc    TraceContext // zero when nobody was listening at the start
+	buf   *SpanBuffer
+	start time.Time
+	attrs []Attr
+	dur   time.Duration // set by the first End
+	ended bool
 }
 
 // spanKey is the one context value of the package: the innermost span.
@@ -89,11 +88,6 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 	}
 }
 
-// Exclude takes d out of the duration End will report: time that passed
-// inside the region but is not its own (an optimizer iteration's
-// diagnostic evaluation). The span keeps its true wall-clock start.
-func (s *Span) Exclude(d time.Duration) { s.excluded += d }
-
 // End completes the span, records its histogram observation, and emits it
 // to the buffer and the trace file. End is idempotent: extra calls return
 // the first call's duration without re-emitting.
@@ -103,7 +97,7 @@ func (s *Span) End() time.Duration {
 	}
 	if !s.ended {
 		s.ended = true
-		s.dur = time.Since(s.start) - s.excluded
+		s.dur = time.Since(s.start)
 		s.name.hist.Observe(s.dur.Seconds())
 		emit(s.buf, SpanEvent{
 			Name:     s.name.name,

@@ -134,20 +134,18 @@ func TestTraceConcurrency(t *testing.T) {
 	}
 }
 
-// TestObserveSpanTrueStart locks in the fix for back-dated trace events:
-// a span that excludes part of its interval (ilt.iteration minus its
-// diagnostics) keeps the start it measured; only the duration shrinks.
+// TestObserveSpanTrueStart: a span's trace event carries the start the
+// span measured and the duration End returned.
 func TestObserveSpanTrueStart(t *testing.T) {
 	var out syncBuffer
 	StartTrace(&out)
 	_, sp := StartSpan(context.Background(), IltIteration)
 	sp.start = sp.start.Add(-500 * time.Millisecond)
-	sp.Exclude(490 * time.Millisecond)
 	d := sp.End()
 	StopTrace()
 
-	if d < 10*time.Millisecond || d > 400*time.Millisecond {
-		t.Errorf("End returned %v, want the elapsed 500 ms less the excluded 490", d)
+	if d < 500*time.Millisecond {
+		t.Errorf("End returned %v, want at least the elapsed 500 ms", d)
 	}
 	ev := traceEvents(t, out.Bytes())[0]
 	if int64(ev["ts"].(float64)) != sp.start.UnixMicro() {

@@ -196,7 +196,7 @@ type Result struct {
 	Prov       []Provenance  // per-tile attribution, parallel to Tiles
 	Workers    int           // worker bound actually used
 	SeamNM     float64       // seam band actually used (after clamping)
-	RuntimeSec float64       // wall time of the whole pipeline run, less tile DiagnosticsSec
+	RuntimeSec float64       // wall time of the whole pipeline run
 }
 
 // resolveWorkers applies the Options default and tile-count clamp.
@@ -216,10 +216,10 @@ func (p *Plan) resolveWorkers(workers int) int {
 // Optimize runs one ilt.Optimizer per tile on a bounded worker pool and
 // stitches the results into a full-layout mask. ws must be the window
 // simulator (grid = Plan.WindowPx at Plan.PixelNM); cfg is the per-tile
-// optimizer configuration. Its per-optimizer hooks (TrackMetrics, OnIter)
-// reach the optimizer only when the plan has a single window; across
-// several they would interleave, so a multi-window run forces them off —
-// use Options.OnTile for progress. The SOCS kernel stacks for every
+// optimizer configuration. Its OnIter hook reaches the optimizer only
+// when the plan has a single window; across several windows the calls
+// would interleave, so a multi-window run forces it off — use
+// Options.OnTile for progress. The SOCS kernel stacks for every
 // process corner are built once before the pool starts and shared
 // read-only by all workers.
 //
@@ -243,12 +243,11 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		return nil, err
 	}
 
-	// Per-tile configuration: with more than one window the diagnostics
-	// hooks go off (they would interleave across workers); a one-window
-	// plan is the clip-level optimizer run and keeps them.
+	// Per-tile configuration: with more than one window OnIter goes off
+	// (its calls would interleave across workers); a one-window plan is
+	// the clip-level optimizer run and keeps it.
 	tcfg := cfg
 	if len(p.Tiles) > 1 {
-		tcfg.TrackMetrics = false
 		tcfg.OnIter = nil
 	}
 
@@ -341,17 +340,6 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 	// The cross-fade band is half the effective halo, clamped by Stitch to
 	// what the window overlap holds.
 	mask, gray, seamNM := p.Stitch(results, p.HaloNM/2)
-	// TrackMetrics evaluations are diagnostics, not synthesis: like the
-	// optimizer's own RuntimeSec, the run's excludes the time this run
-	// spent in them. A result served by a cache may carry the
-	// DiagnosticsSec of the run that computed it; only fresh computations
-	// count.
-	runtimeSec := time.Since(start).Seconds()
-	for i, r := range results {
-		if provs[i].Class() == ClassComputed {
-			runtimeSec -= r.DiagnosticsSec
-		}
-	}
 	out := &Result{
 		Mask:       mask,
 		MaskGray:   gray,
@@ -359,7 +347,7 @@ func (p *Plan) Optimize(ctx context.Context, ws *sim.Simulator, cfg ilt.Config, 
 		Prov:       provs,
 		Workers:    workers,
 		SeamNM:     seamNM,
-		RuntimeSec: runtimeSec,
+		RuntimeSec: time.Since(start).Seconds(),
 	}
 	runSpan.End()
 	obs.Logger().Debug("tile pipeline finished",

@@ -61,7 +61,7 @@ type (
 	Config = ilt.Config
 	// Mode selects MOSAIC_fast or MOSAIC_exact.
 	Mode = ilt.Mode
-	// Result is an optimization outcome (mask + history).
+	// Result is an optimization outcome: the best mask and its score.
 	Result = ilt.Result
 	// IterStats is one optimization iteration's record.
 	IterStats = ilt.IterStats
@@ -396,9 +396,8 @@ func (s *Setup) tilePlan(layout *Layout, opts TileOptions) (*tile.Plan, *sim.Sim
 // full-layout mask.
 // A layout that fits the setup grid (and is not explicitly sharded
 // smaller by opts.TileNM) is a one-window plan — the run Optimize makes,
-// bit-identical to the bare optimizer on the clip — and cfg's
-// per-optimizer hooks (TrackMetrics, OnIter) reach the optimizer, which
-// across several windows they cannot. ctx cancels the run within one
+// bit-identical to the bare optimizer on the clip — and cfg.OnIter
+// reaches the optimizer, which across several windows it cannot. ctx cancels the run within one
 // optimizer iteration. A request Admit would refuse is refused here,
 // with the same *ConfigError, before anything is planned or built.
 func (s *Setup) OptimizeLayout(ctx context.Context, cfg Config, layout *Layout, opts TileOptions) (*LayoutResult, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,23 +31,49 @@ func bareOptimize(t *testing.T, s *Setup, cfg Config, layout *Layout) *Result {
 	return res
 }
 
-// sameRun reports the first way got differs from the bare optimizer's
-// result want: its iteration count, its history or a gray-mask pixel.
-func sameRun(got, want *Result) string {
+// logIters returns cfg with an OnIter that collects the run's iterations,
+// each lent mask cloned, into the returned slice.
+func logIters(cfg Config) (Config, *[]IterStats) {
+	iters := new([]IterStats)
+	cfg.OnIter = func(st IterStats) {
+		st.MaskGray = st.MaskGray.Clone()
+		*iters = append(*iters, st)
+	}
+	return cfg, iters
+}
+
+// sameRun reports the first way a run differs from the bare optimizer's:
+// its iteration count, an iteration's statistics or lent mask in the two
+// OnIter streams, or a pixel of the result's continuous mask.
+func sameRun(got, want *Result, gotIters, wantIters []IterStats) string {
 	switch {
 	case got.Iterations != want.Iterations:
 		return fmt.Sprintf("%d iterations, the bare optimizer took %d", got.Iterations, want.Iterations)
-	case len(got.History) != len(want.History):
-		return fmt.Sprintf("%d history entries, the bare optimizer has %d", len(got.History), len(want.History))
+	case len(gotIters) != len(wantIters):
+		return fmt.Sprintf("OnIter fired %d times, for the bare optimizer %d", len(gotIters), len(wantIters))
 	}
-	for i := range want.History {
-		if got.History[i] != want.History[i] {
-			return fmt.Sprintf("history entry %d differs: %+v vs %+v", i, got.History[i], want.History[i])
+	for i, w := range wantIters {
+		g := gotIters[i]
+		if !reflect.DeepEqual(g.MaskGray.Data, w.MaskGray.Data) {
+			return fmt.Sprintf("iteration %d lent a different mask", i)
+		}
+		if g.MaskGray, w.MaskGray = nil, nil; g != w {
+			return fmt.Sprintf("iteration %d differs: %+v vs %+v", i, g, w)
 		}
 	}
-	for i, v := range want.MaskGray.Data {
-		if got.MaskGray.Data[i] != v {
-			return fmt.Sprintf("continuous mask differs at pixel %d", i)
+	if !reflect.DeepEqual(got.MaskGray.Data, want.MaskGray.Data) {
+		return "continuous mask differs"
+	}
+	return ""
+}
+
+// differingField names the first exported field in which two results
+// differ, or returns "".
+func differingField(a, b *Result) string {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if f := va.Type().Field(i); f.IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return f.Name
 		}
 	}
 	return ""
@@ -100,9 +127,12 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 		return res
 	}
 
+	// Whichever tier serves the window, the result is the cold one, field
+	// by field; only the provenance names the tier.
 	t.Run("Cache", func(t *testing.T) {
 		dir := t.TempDir()
 		var store *TileCache
+		var cold *Result
 		for _, want := range []string{"miss", "mem", "disk"} {
 			if want != "mem" { // cold, and again for the disk tier: a fresh store over the directory
 				var err error
@@ -110,8 +140,14 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := run(t, ctx, cfg, TileOptions{Cache: store}).Provenance[0].Tier; got != want {
+			res := run(t, ctx, cfg, TileOptions{Cache: store})
+			if got := res.Provenance[0].Tier; got != want {
 				t.Fatalf("served from tier %q, want %q", got, want)
+			}
+			if cold == nil {
+				cold = res.Tiles[0]
+			} else if f := differingField(res.Tiles[0], cold); f != "" {
+				t.Fatalf("the %s hit differs from the cold result in %s", want, f)
 			}
 		}
 	})
@@ -136,36 +172,26 @@ func TestOneWindowRunHonoursEveryOption(t *testing.T) {
 		}
 	})
 
-	t.Run("OnIter and TrackMetrics", func(t *testing.T) {
-		hooked := cfg
-		hooked.TrackMetrics = true
-		fired := 0
-		hooked.OnIter = func(IterStats) { fired++ }
+	t.Run("OnIter", func(t *testing.T) {
+		hooked, iters := logIters(cfg)
 		start := time.Now()
 		res := run(t, ctx, hooked, TileOptions{})
 		wall := time.Since(start).Seconds()
-		if fired != res.Iterations {
-			t.Fatalf("OnIter fired %d times over %d iterations", fired, res.Iterations)
+		refCfg, refIters := logIters(cfg)
+		if diff := sameRun(res.Tiles[0], bareOptimize(t, s, refCfg, layout), *iters, *refIters); diff != "" {
+			t.Fatal(diff)
 		}
-		tr := res.Tiles[0]
-		if len(tr.History) != res.Iterations {
-			t.Fatalf("%d history entries over %d iterations", len(tr.History), res.Iterations)
-		}
-		if last := tr.History[len(tr.History)-1]; last.Score == 0 || tr.DiagnosticsSec <= 0 {
-			t.Fatalf("TrackMetrics did not run: last score %g, diagnostics %gs", last.Score, tr.DiagnosticsSec)
-		}
-		// The run's runtime is the pipeline's wall time less the time spent
-		// in diagnostics, as the optimizer's own is.
-		if res.RuntimeSec < tr.RuntimeSec || res.RuntimeSec > wall-tr.DiagnosticsSec {
-			t.Fatalf("RuntimeSec %g outside [optimizer %g, wall %g - diagnostics %g]",
-				res.RuntimeSec, tr.RuntimeSec, wall, tr.DiagnosticsSec)
+		// The run's runtime is the pipeline's wall time, which holds the
+		// optimizer's.
+		if tr := res.Tiles[0]; res.RuntimeSec < tr.RuntimeSec || res.RuntimeSec > wall {
+			t.Fatalf("RuntimeSec %g outside [optimizer %g, wall %g]", res.RuntimeSec, tr.RuntimeSec, wall)
 		}
 	})
 }
 
 // TestOptimizeIsTheBareOptimizer pins Setup.Optimize, a one-window plan of
 // the tile pipeline, to the bare optimizer on every benchmark clip in both
-// modes: the same iterations, history and continuous mask, bit for bit.
+// modes: the same OnIter streams and continuous mask, bit for bit.
 func TestOptimizeIsTheBareOptimizer(t *testing.T) {
 	o := DefaultOptics()
 	o.GridSize = 64
@@ -182,11 +208,13 @@ func TestOptimizeIsTheBareOptimizer(t *testing.T) {
 		cfg := DefaultConfig(mode)
 		cfg.MaxIter = 3
 		for _, layout := range layouts {
-			got, err := s.Optimize(cfg, layout)
+			gotCfg, gotIters := logIters(cfg)
+			got, err := s.Optimize(gotCfg, layout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diff := sameRun(got, bareOptimize(t, s, cfg, layout)); diff != "" {
+			wantCfg, wantIters := logIters(cfg)
+			if diff := sameRun(got, bareOptimize(t, s, wantCfg, layout), *gotIters, *wantIters); diff != "" {
 				t.Errorf("%s %s: %s", layout.Name, mode, diff)
 			}
 		}
