@@ -53,8 +53,9 @@ paper:
 # the two layout parsers and the PGM mask reader, the admission gate (a
 # job body or a TileOptions is refused with a typed error, or runs), the
 # optimizer's float fields (refused, or a short run to a finite mask),
-# the optimizer's corner list (bit-equal to its serial oracle) and the two
-# vector kernels (bit-equal to their Go loops).
+# the optimizer's corner list (bit-equal to its serial oracle) and the
+# vector kernels (bit-equal to their Go loops): the FFT's butterflies and
+# line fill/store, the sigmoid, W's terms, the band count and the folds.
 # go test takes one -fuzz target per run. Minimization is capped in
 # executions, not time: the default 60 s per new corpus entry would eat a
 # 5 s budget whole.
@@ -62,7 +63,8 @@ FUZZ_TIME ?= 5s
 FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	warmstart:FuzzDecodeEntry artifact:FuzzDecodeQuality geom:FuzzParse \
 	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate \
-	ilt:FuzzCornerList render:FuzzReadPGM fft:FuzzButterflies resist:FuzzSigmoid
+	ilt:FuzzCornerList render:FuzzReadPGM fft:FuzzButterflies resist:FuzzSigmoid \
+	ilt:FuzzSensitivity metrics:FuzzBandPixels grid:FuzzAccumAbs2 sim:FuzzFold fft:FuzzLines
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -94,12 +96,12 @@ warmstart-smoke:
 
 # bench runs the profiling testing.B rows (the clip operation and its
 # evaluation, untiled and tiled, one best-focus SOCS image, the convolution engine, the tile pipeline, the
-# compute pool's cold and warm fork latency, the 1-D FFT and the sigmoid
-# on their Go and vector paths) and archives the benchstat-compatible text
+# compute pool's cold and warm fork latency, the 1-D FFT, the sigmoid and
+# the per-pixel passes, BenchmarkPass*, on their Go and vector paths) and archives the benchstat-compatible text
 # under results/, stamped with today's date. It is not a speed gate: a
 # speed claim rests on bench-e2e-pairs below, and the paper's tables are
 # make paper's.
-BENCH_PATTERN ?= ClipOperation|Evaluate|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork|Sigmoid
+BENCH_PATTERN ?= ClipOperation|Evaluate|MicroIteration|MicroForwardSOCS|Convolve|TilePipeline|TileCache|WarmStart|BuildKernels|Transform1D|ForFork|Sigmoid|Pass
 BENCH_TIME ?= 1s
 BENCH_STAMP := $(shell date +%Y%m%d)
 

@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 
+	"mosaic/internal/cpuid"
 	"mosaic/internal/grid"
 	"mosaic/internal/obs"
 )
@@ -161,17 +162,31 @@ func ForwardBandLimited(src *grid.CField, w *grid.Field, k int, blk *grid.CField
 	ws := grid.GetC(src.W, src.H)
 	rowPass := func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			row, s, wr := ws.Row(y), src.Row(y), w.Row(y)
-			for x, r := range pw.rev {
-				v, wv := s[x], wr[x]
-				row[r] = complex(real(v)*wv, imag(v)*wv)
-			}
+			row := ws.Row(y)
+			weightedFill(row, src.Row(y), w.Row(y), pw.rev)
 			butterflies(row, pw, false)
 		}
 	}
 	chunked(src.W*src.H, src.H, rowPass)
 	bandColumns(ws, k, blk)
 	grid.PutC(ws)
+}
+
+// weightedFill writes the product of a complex line and a real one, both
+// in natural order, into row in bit-reversed order: row[rev[x]] =
+// src[x]*w[x], each part times the weight. Where cpuid.PixelAVX holds,
+// fillAVX runs it: rev[x+n/2] is rev[x]+1, so entries x and x+n/2 are
+// adjacent in row and go out in one 32-byte store.
+func weightedFill(row, src []complex128, w []float64, rev []int) {
+	src, w = src[:len(rev)], w[:len(rev)]
+	if cpuid.PixelAVX && len(row) == len(rev) && len(rev) >= 2 {
+		fillAVX(row, src, w, rev)
+		return
+	}
+	for x, r := range rev {
+		v, wv := src[x], w[x]
+		row[r] = complex(real(v)*wv, imag(v)*wv)
+	}
 }
 
 // bandColumns runs the forward column transforms for the 2k+1 band columns

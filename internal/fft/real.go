@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 
+	"mosaic/internal/cpuid"
 	"mosaic/internal/grid"
 )
 
@@ -164,16 +165,30 @@ func InverseBandLimitedReal(blk *grid.CField, n int, dst *grid.Field) {
 				}
 				butterflies(z, p, true)
 			}
-			for y := 0; y < n; y++ {
-				d := dst.Data[y*n+2*j0:]
-				for q := 0; q < np; q++ {
-					v := lines.Data[q*n+y]
-					d[2*q], d[2*q+1] = real(v), imag(v)
-				}
-			}
+			storePairs(dst.Data[2*j0:], lines.Data, n, np)
 		}
 		grid.PutC(lines)
 	}
 	chunked(n*n, (half+pairBlock-1)/pairBlock, colPass)
 	grid.PutC(ws)
+}
+
+// storePairs moves entry y of each of the np lines of n, laid end to end in
+// lines, into row y of dst (row stride n): line q's real and imaginary
+// parts to columns 2q and 2q+1. Where cpuid.PixelAVX holds and the block
+// is full, storeAVX moves two rows a step, a 2x2 transpose of complex128
+// pairs per two lines: pure moves, so every bit is kept.
+func storePairs(dst []float64, lines []complex128, n, np int) {
+	_, _ = dst[(n-1)*n+2*np-1], lines[np*n-1]
+	if cpuid.PixelAVX && np == pairBlock && n%2 == 0 {
+		storeAVX(dst, lines, n)
+		return
+	}
+	for y := 0; y < n; y++ {
+		d := dst[y*n:]
+		for q := 0; q < np; q++ {
+			v := lines[q*n+y]
+			d[2*q], d[2*q+1] = real(v), imag(v)
+		}
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"mosaic/internal/cpuid"
 )
 
 func sqrt(v float64) float64 { return math.Sqrt(v) }
@@ -102,11 +104,18 @@ func (c *CField) Abs2() *Field {
 }
 
 // AccumAbs2 adds w*|c|^2 element-wise into dst. Dimensions must match.
+// Where cpuid.PixelAVX holds, accumAbs2AVX runs four elements a step and
+// the Go loop the tail, with the same bits.
 func (c *CField) AccumAbs2(dst *Field, w float64) {
 	if c.W != dst.W || c.H != dst.H {
 		panic("grid: dimension mismatch in AccumAbs2")
 	}
-	for i, v := range c.Data {
+	i := 0
+	if cpuid.PixelAVX {
+		i = accumAbs2AVX(dst.Data, c.Data, w)
+	}
+	for ; i < len(c.Data); i++ {
+		v := c.Data[i]
 		re, im := real(v), imag(v)
 		dst.Data[i] += w * (re*re + im*im)
 	}

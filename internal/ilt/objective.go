@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"mosaic/internal/cpuid"
 	"mosaic/internal/fft"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
@@ -424,18 +425,11 @@ func (o *Optimizer) sensitivity(st *iterState, fs *focusState, target *grid.Fiel
 		z, dose := st.z[ci].Data, m.doses[j]
 		switch {
 		case ci > 0 && cfg.Beta != 0:
-			for i, zv := range z {
-				w.Data[i] += cfg.Beta * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
-			}
+			wBeta(w.Data, z, target.Data, cfg.Beta*2, thetaZ, dose)
 		case ci == 0 && cfg.Mode == ModeFast:
-			g := int(cfg.Gamma)
-			for i, zv := range z {
-				w.Data[i] += float64(g) * ipow(zv-target.Data[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
-			}
+			wFast(w.Data, z, target.Data, int(cfg.Gamma), thetaZ, dose)
 		case ci == 0 && cfg.Mode == ModeExact:
-			for i, zv := range z {
-				w.Data[i] += st.epeW.Data[i] * 2 * (zv - target.Data[i]) * (thetaZ * zv * (1 - zv) * dose)
-			}
+			wExact(w.Data, z, target.Data, st.epeW.Data, thetaZ, dose)
 		default:
 			continue
 		}
@@ -446,6 +440,50 @@ func (o *Optimizer) sensitivity(st *iterState, fs *focusState, target *grid.Fiel
 		return nil
 	}
 	return m.ig.Restrict(w)
+}
+
+// The terms of W, one corner's each: w[i] += c_i * (theta_Z*z*(1-z)*dose)
+// over the corner's sigmoid print z, target t and the term's c_i — Beta's
+// 2*Beta*(z-t), the fast image difference's gamma*(z-t)^(gamma-1), the
+// exact EPE weight's 2*epeW*(z-t). Where cpuid.PixelAVX holds, a kernel
+// (sensitivity_amd64.s) runs four pixels a step with the Go loop's
+// products in its order, unfused, and the Go loop runs the tail; the fast
+// kernel only for gamma 4, ipow's unrolled cube.
+
+func wBeta(w, z, t []float64, c, thetaZ, dose float64) {
+	z, t = z[:len(w)], t[:len(w)]
+	i := 0
+	if cpuid.PixelAVX {
+		i = wBetaAVX(w, z, t, c, thetaZ, dose)
+	}
+	for ; i < len(w); i++ {
+		zv := z[i]
+		w[i] += c * (zv - t[i]) * (thetaZ * zv * (1 - zv) * dose)
+	}
+}
+
+func wFast(w, z, t []float64, g int, thetaZ, dose float64) {
+	z, t = z[:len(w)], t[:len(w)]
+	i := 0
+	if cpuid.PixelAVX && g == 4 {
+		i = wCubeAVX(w, z, t, 4, thetaZ, dose)
+	}
+	for ; i < len(w); i++ {
+		zv := z[i]
+		w[i] += float64(g) * ipow(zv-t[i], g-1) * (thetaZ * zv * (1 - zv) * dose)
+	}
+}
+
+func wExact(w, z, t, epeW []float64, thetaZ, dose float64) {
+	z, t, epeW = z[:len(w)], t[:len(w)], epeW[:len(w)]
+	i := 0
+	if cpuid.PixelAVX {
+		i = wEpeAVX(w, z, t, epeW, thetaZ, dose)
+	}
+	for ; i < len(w); i++ {
+		zv := z[i]
+		w[i] += epeW[i] * 2 * (zv - t[i]) * (thetaZ * zv * (1 - zv) * dose)
+	}
 }
 
 // gradient computes dF/dM for a descent step's state (before the Eq. 8

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"mosaic/internal/cpuid"
 	"mosaic/internal/frame"
 	"mosaic/internal/geom"
 	"mosaic/internal/grid"
@@ -187,8 +188,15 @@ type Exposure struct {
 // BandPixels counts the pixels of [lo, hi) that rm prints under some but
 // not all of the exposures: the pixels of PVBand's band over the images
 // rm.Print would make, counted over a row range without printing them.
+// Where cpuid.PixelAVX holds, bandAVX counts four pixels a step and the Go
+// loop the tail.
 func BandPixels(rm resist.Model, exps []Exposure, lo, hi int) int {
 	count := 0
+	if cpuid.PixelAVX && len(exps) > 0 && lo >= 0 && hi-lo >= 4 && covers(exps, hi) {
+		end := hi - (hi-lo)%4
+		count = bandAVX(exps, lo, end, rm.Threshold)
+		lo = end
+	}
 	for i := lo; i < hi; i++ {
 		on := rm.Prints(exps[0].I[i], exps[0].Dose)
 		for _, e := range exps[1:] {
@@ -199,6 +207,17 @@ func BandPixels(rm resist.Model, exps []Exposure, lo, hi int) int {
 		}
 	}
 	return count
+}
+
+// covers reports whether every exposure holds pixel hi-1, as bandAVX
+// assumes; a short one is left to the Go loop's bounds check.
+func covers(exps []Exposure, hi int) bool {
+	for _, e := range exps {
+		if len(e.I) < hi {
+			return false
+		}
+	}
+	return true
 }
 
 // bandPixels counts the pixels printed under some but not all of the
