@@ -54,8 +54,9 @@ paper:
 # job body or a TileOptions is refused with a typed error, or runs), the
 # optimizer's float fields (refused, or a short run to a finite mask),
 # the optimizer's corner list (bit-equal to its serial oracle) and the
-# vector kernels (bit-equal to their Go loops): the FFT's butterflies and
-# line fill/store, the sigmoid, W's terms, the band count and the folds.
+# vector kernels (bit-equal to their Go loops): the FFT's butterflies,
+# column passes and line fill, the sigmoid, W's terms, the band count and
+# the folds.
 # go test takes one -fuzz target per run. Minimization is capped in
 # executions, not time: the default 60 s per new corpus entry would eat a
 # 5 s budget whole.
@@ -64,7 +65,8 @@ FUZZ_TARGETS := frame:FuzzDecode frame:FuzzScan ilt:FuzzReadResult \
 	warmstart:FuzzDecodeEntry artifact:FuzzDecodeQuality geom:FuzzParse \
 	gds:FuzzParse serve:FuzzAdmit ilt:FuzzConfigValidate optics:FuzzConfigValidate \
 	ilt:FuzzCornerList render:FuzzReadPGM fft:FuzzButterflies resist:FuzzSigmoid \
-	ilt:FuzzSensitivity metrics:FuzzBandPixels grid:FuzzAccumAbs2 sim:FuzzFold fft:FuzzLines
+	ilt:FuzzSensitivity metrics:FuzzBandPixels grid:FuzzAccumAbs2 sim:FuzzFold fft:FuzzLines \
+	fft:FuzzColumns
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

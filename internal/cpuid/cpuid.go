@@ -5,7 +5,8 @@
 // other architecture every feature reads false and the pure-Go loops run.
 package cpuid
 
-// AVX reports 256-bit AVX with the OS saving YMM state: the FFT passes.
+// AVX reports 256-bit AVX with the OS saving YMM state: the FFT's line
+// and column passes.
 // AVX2FMA reports AVX2 and FMA besides: the sigmoid's exp, fused exactly
 // as math.Exp's own FMA branch (math.useFMA = AVX && FMA) is.
 var AVX, AVX2FMA = detect()
@@ -18,8 +19,7 @@ var AVX, AVX2FMA = detect()
 //     16-entry table, not POPCNT);
 //   - grid.CField.AccumAbs2 and sim.ImagingGrid.Fold's paired sum
 //     (VINSERTF128, VHADDPD);
-//   - fft's weighted bit-reversed fill (VMOVDDUP, VINSERTF128) and paired
-//     column store (VPERM2F128).
+//   - fft's weighted bit-reversed fill (VMOVDDUP, VINSERTF128).
 //
 // It is AVX, read once; each kernel reads it at every call, so a test
 // clears it to hold all of them to their Go loops at once.

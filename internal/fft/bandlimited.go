@@ -20,8 +20,12 @@ import (
 //     2k+1 length-W FFTs instead of H. The column pass still needs all W
 //     transforms because the spatial output is dense.
 //   - Forward: the caller only consumes the central block, so after the
-//     dense row pass the column pass runs 2k+1 FFTs instead of W, and no
-//     transposes are needed at all.
+//     dense row pass the column pass runs 2k+1 FFTs instead of W.
+//
+// Every column pass runs down the rows of a row-major block (columns.go):
+// each row pass writes its output row y to row rev[y] of the block, so the
+// block's columns are already the bit-reversed lines of the column
+// transforms, and nothing is gathered, scattered or transposed.
 //
 // A real field — the mask, a focus plane's intensity, a sensitivity, the
 // gradient — has a Hermitian spectrum, S(-fx, -fy) = conj(S(fx, fy)), and
@@ -35,7 +39,7 @@ import (
 //   - Paired real output columns (inverse): the row pass runs the fy >= 0
 //     rows of the symmetrised block (k+1 FFTs), and two real output
 //     columns ride one complex column FFT as its real and imaginary parts
-//     (W/2 FFTs), stored straight into the real destination.
+//     (W/2 FFTs), run in the real destination itself read as complex.
 //
 // EmbedCenter + Inverse2D (and Forward2D + ExtractCenter) remain the
 // reference implementations; the equivalence tests pin the pruned paths to
@@ -91,54 +95,40 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 	prunedPoints.Add(int64(w * h))
 	n := w
 	p := getPlan(n)
-	dst.Zero()
-	// Pruned row pass: inverse-transform the 2k+1 nonzero spectrum rows
-	// into a small resident workspace, then scatter the workspace into the
-	// band columns of dst so that dst holds the intermediate in transposed
-	// layout and the second pass streams rows. Both fills write through
-	// p.rev, so neither pass starts with a bit-reversal swap, and the first
-	// folds in the 1/(W*H) normalization: a power of two, so scaling the
-	// (2k+1)^2 block gives the bits that scaling the n^2 output gave.
+	// Pruned row pass: the spectrum row of frequency fy is transformed in
+	// row rev[fy mod n] of dst, where the column pass reads entry fy of
+	// every column's bit-reversed line, and the other n-(2k+1) rows, the
+	// zero frequencies, are cleared. The fill writes through p.rev, so no
+	// row starts with a bit-reversal swap, and folds in the 1/(W*H)
+	// normalization: a power of two, so scaling the (2k+1)^2 block gives
+	// the bits that scaling the n^2 output gave.
 	rev := p.rev
-	rows := 2*k + 1
 	inv := 1 / float64(n*n)
-	ws := grid.GetC(n, rows)
 	rowPass := func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			row := ws.Row(bi)
+		for r := lo; r < hi; r++ {
+			row := dst.Row(r)
 			clear(row)
-			for dx := -k; dx <= k; dx++ {
-				v := blk.At(dx+k, bi)
-				row[rev[(dx+n)%n]] = complex(real(v)*inv, imag(v)*inv)
+			fy := rev[r]
+			if fy > k && fy < n-k {
+				continue
+			}
+			if fy > k {
+				fy -= n
+			}
+			src := blk.Row(fy + k)
+			for dx := -k; dx < 0; dx++ {
+				v := src[dx+k]
+				row[rev[n+dx]] = complex(real(v)*inv, imag(v)*inv)
+			}
+			for dx := 0; dx <= k; dx++ {
+				v := src[dx+k]
+				row[rev[dx]] = complex(real(v)*inv, imag(v)*inv)
 			}
 			butterflies(row, p, true)
 		}
 	}
-	chunked(n*n, rows, rowPass)
-	// Scatter, walking dst row-major (x outer): the workspace columns it
-	// reads span only 2k+1 cache lines that are reused across consecutive
-	// x, where a per-band-row scatter made 2k+1 full stride-n passes over
-	// dst. Band row bi holds frequency bi-k: the negative ones belong in
-	// the last k entries of the destination row, the rest in the first
-	// k+1.
-	for x := 0; x < n; x++ {
-		d := dst.Data[x*n : x*n+n]
-		for bi := 0; bi < k; bi++ {
-			d[rev[n-k+bi]] = ws.Data[bi*n+x]
-		}
-		for bi := k; bi < rows; bi++ {
-			d[rev[bi-k]] = ws.Data[bi*n+x]
-		}
-	}
-	grid.PutC(ws)
-	// Dense column pass (as rows of the transposed intermediate).
-	pass := func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			butterflies(dst.Row(y), p, true)
-		}
-	}
-	chunked(n*n, n, pass)
-	transposeSquare(dst)
+	chunked(n*n, n, rowPass)
+	columnPass(n*n, dst.Data, n, n, p, true)
 }
 
 // ForwardBandLimited computes the central band-limited block (half-width
@@ -146,11 +136,12 @@ func InverseBandLimited(blk *grid.CField, w, h int, dst *grid.CField) {
 // weighted by a real one of the same size, the adjoint term of a kernel
 // field — into blk, which must be (2k+1)^2. The row pass writes each
 // product straight into the bit-reversed order of its row transform, so
-// the product is never stored in natural order and no swap pass runs; only
-// the band columns are transformed in the second pass, cutting that pass
-// roughly in half for k << W. src and w are not modified. It is equivalent
-// to ExtractCenter(Forward2D(src .* w), k) without materializing the
-// product or the full spectrum.
+// the product is never stored in natural order and no swap pass runs, and
+// keeps only the 2k+1 band entries of each transformed row, as row rev[y]
+// of a compact block; the column pass runs on that block alone, cutting
+// that pass roughly in half for k << W. src and w are not modified. It is
+// equivalent to ExtractCenter(Forward2D(src .* w), k) without
+// materializing the product or the full spectrum.
 func ForwardBandLimited(src *grid.CField, w *grid.Field, k int, blk *grid.CField) {
 	checkBand(blk, k, src.W, src.H)
 	if w.W != src.W || w.H != src.H {
@@ -158,18 +149,31 @@ func ForwardBandLimited(src *grid.CField, w *grid.Field, k int, blk *grid.CField
 	}
 	prunedForward.Inc()
 	prunedPoints.Add(int64(src.W * src.H))
-	pw := getPlan(src.W)
-	ws := grid.GetC(src.W, src.H)
+	pw, ph := getPlan(src.W), getPlan(src.H)
+	// Band column dx+k holds frequency dx: the last k entries of a row
+	// transform, then its first k+1. The width is padded to even with a
+	// zero column, so the vector pass runs every column in pairs.
+	band := 2*k + 1
+	cols := grid.GetC(band+1, src.H)
 	rowPass := func(lo, hi int) {
+		line := grid.GetC(src.W, 1)
+		row := line.Data
 		for y := lo; y < hi; y++ {
-			row := ws.Row(y)
 			weightedFill(row, src.Row(y), w.Row(y), pw.rev)
 			butterflies(row, pw, false)
+			c := cols.Row(ph.rev[y])
+			copy(c, row[src.W-k:])
+			copy(c[k:], row[:k+1])
+			c[band] = 0
 		}
+		grid.PutC(line)
 	}
 	chunked(src.W*src.H, src.H, rowPass)
-	bandColumns(ws, k, blk)
-	grid.PutC(ws)
+	columnPass(src.W*src.H, cols.Data, cols.W, cols.W, ph, false)
+	for dy := -k; dy <= k; dy++ {
+		copy(blk.Row(dy+k), cols.Row((dy + src.H) % src.H)[:band])
+	}
+	grid.PutC(cols)
 }
 
 // weightedFill writes the product of a complex line and a real one, both
@@ -187,29 +191,4 @@ func weightedFill(row, src []complex128, w []float64, rev []int) {
 		v, wv := src[x], w[x]
 		row[r] = complex(real(v)*wv, imag(v)*wv)
 	}
-}
-
-// bandColumns runs the forward column transforms for the 2k+1 band columns
-// of the row-transformed field ws, extracting the band rows into blk.
-func bandColumns(ws *grid.CField, k int, blk *grid.CField) {
-	ph := getPlan(ws.H)
-	rev := ph.rev
-	w, h := ws.W, ws.H
-	pass := func(lo, hi int) {
-		scratch := grid.GetC(h, 1)
-		col := scratch.Data
-		for bi := lo; bi < hi; bi++ {
-			dx := bi - k
-			sx := (dx + w) % w
-			for y := 0; y < h; y++ {
-				col[rev[y]] = ws.Data[y*w+sx]
-			}
-			butterflies(col, ph, false)
-			for dy := -k; dy <= k; dy++ {
-				blk.Set(dx+k, dy+k, col[(dy+h)%h])
-			}
-		}
-		grid.PutC(scratch)
-	}
-	chunked(w*h, 2*k+1, pass)
 }

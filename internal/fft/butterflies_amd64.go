@@ -42,3 +42,43 @@ func butterfliesAVX(x []complex128, p *plan, inverse bool) {
 		radix2AVX(x, tw[:2*n])
 	}
 }
+
+// The column passes of columnsAVX, in butterflies_amd64.s: the passes above
+// with a block's rows in place of a line's elements, two columns to a
+// register and each twiddle broadcast to both. x holds n rows of w entries,
+// stride apart; w is even and at least 2, n the plan's length.
+
+// colSize4AVX runs the first pass (sizes 2 and 4), n a multiple of 4.
+//
+//go:noescape
+func colSize4AVX(x []complex128, n, w, stride int, inverse bool)
+
+// colRadix4AVX runs the two-level pass of quarter length h, n a multiple of
+// 4h, reading the pass's h triples from tw.
+//
+//go:noescape
+func colRadix4AVX(x []complex128, n, w, stride, h int, tw [][3]complex128)
+
+// colRadix2AVX runs the odd last level over 2h rows, reading the plan's
+// table w[:h] from tw.
+//
+//go:noescape
+func colRadix2AVX(x []complex128, h, w, stride int, tw []complex128)
+
+// columnsAVX is columnsGo on the AVX passes, for n >= 4 and an even w >= 2.
+func columnsAVX(x []complex128, w, stride int, p *plan, inverse bool) {
+	n := p.n
+	wt, tw := p.wFwd, p.twFwd
+	if inverse {
+		wt, tw = p.wInv, p.twInv
+	}
+	colSize4AVX(x, n, w, stride, inverse)
+	h := 4
+	for ; 4*h <= n; h *= 4 {
+		colRadix4AVX(x, n, w, stride, h, tw[:h])
+		tw = tw[h:]
+	}
+	if 2*h == n {
+		colRadix2AVX(x, h, w, stride, wt[:h])
+	}
+}

@@ -195,3 +195,190 @@ r2pairs:
 r2done:
 	VZEROUPPER
 	RET
+
+// The column passes (see columnsAVX). A block holds one line per column:
+// row r is entry r of every column's bit-reversed line, rows DX bytes
+// apart, and a register holds one row's entries for two adjacent columns.
+// Each butterfly is the one above with rows in place of the line's
+// elements, so a column sees the operations butterflies performs on its
+// line; a twiddle is broadcast to both columns by VBROADCASTSD.
+
+// colRotFwd and colRotInv, applied after the swap of each complex128's
+// parts, turn d into -i*d = (im, -re) and i*d = (-im, re).
+DATA colRotFwd<>+0(SB)/8, $0
+DATA colRotFwd<>+8(SB)/8, $0x8000000000000000
+DATA colRotFwd<>+16(SB)/8, $0
+DATA colRotFwd<>+24(SB)/8, $0x8000000000000000
+GLOBL colRotFwd<>(SB), RODATA|NOPTR, $32
+
+DATA colRotInv<>+0(SB)/8, $0x8000000000000000
+DATA colRotInv<>+8(SB)/8, $0
+DATA colRotInv<>+16(SB)/8, $0x8000000000000000
+DATA colRotInv<>+24(SB)/8, $0
+GLOBL colRotInv<>(SB), RODATA|NOPTR, $32
+
+// func colSize4AVX(x []complex128, n, w, stride int, inverse bool)
+//
+// Sizes 2 and 4 over each group of four rows: a, b = a+b, a-b and
+// c, d = c+d, c-d, d rotated by -+i, then (a+c, b+d, a-c, b-d).
+TEXT ·colSize4AVX(SB), NOSPLIT, $0-49
+	MOVQ x_base+0(FP), DI
+	MOVQ n+24(FP), BX
+	MOVQ w+32(FP), R9
+	MOVQ stride+40(FP), R8
+	SHLQ $4, R8
+	LEAQ (R8)(R8*2), R10
+	SHRQ $1, R9
+	SHRQ $2, BX
+	VMOVUPD colRotFwd<>(SB), Y12
+	CMPB inverse+48(FP), $0
+	JEQ  c4group
+	VMOVUPD colRotInv<>(SB), Y12
+
+c4group:
+	MOVQ DI, AX
+	MOVQ R9, CX
+
+c4pair:
+	R4LOAD
+	R4SUMS
+	VPERMILPD $5, Y7, Y7
+	VXORPD    Y12, Y7, Y7
+	R4STORE
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  c4pair
+	LEAQ (DI)(R8*4), DI
+	DECQ BX
+	JNZ  c4group
+	VZEROUPPER
+	RET
+
+// func colRadix4AVX(x []complex128, n, w, stride, h int, tw [][3]complex128)
+//
+// The levels of sizes 2h and 4h over each block of 4h rows, offset j
+// running rows j, j+h, j+2h and j+3h with the triple tw[j] (48 bytes at
+// SI) broadcast into Y10..Y15. Offset 0 multiplies d alone, by tw[0][2].
+TEXT ·colRadix4AVX(SB), NOSPLIT, $0-80
+	MOVQ  x_base+0(FP), DI
+	MOVQ  n+24(FP), R12
+	MOVQ  w+32(FP), R9
+	MOVQ  stride+40(FP), DX
+	MOVQ  h+48(FP), R8
+	MOVQ  tw_base+56(FP), R11
+	SHLQ  $4, DX
+	SHRQ  $1, R9
+	IMULQ DX, R8
+	LEAQ  (R8)(R8*2), R10
+	IMULQ DX, R12
+	ADDQ  DI, R12
+
+cr4block:
+	VBROADCASTSD 32(R11), Y14
+	VBROADCASTSD 40(R11), Y15
+	MOVQ DI, AX
+	MOVQ R9, CX
+
+cr4zero:
+	R4LOAD
+	R4SUMS
+	CMUL(Y14, Y15, Y7, Y9)
+	R4STORE
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  cr4zero
+	LEAQ (DI)(DX*1), BX
+	LEAQ (DI)(R8*1), R13
+	LEAQ 48(R11), SI
+
+cr4offset:
+	CMPQ BX, R13
+	JAE  cr4next
+	VBROADCASTSD 0(SI), Y10
+	VBROADCASTSD 8(SI), Y11
+	VBROADCASTSD 16(SI), Y12
+	VBROADCASTSD 24(SI), Y13
+	VBROADCASTSD 32(SI), Y14
+	VBROADCASTSD 40(SI), Y15
+	MOVQ BX, AX
+	MOVQ R9, CX
+
+cr4pair:
+	R4LOAD
+	CMUL(Y10, Y11, Y1, Y8)
+	CMUL(Y10, Y11, Y3, Y9)
+	R4SUMS
+	CMUL(Y12, Y13, Y6, Y8)
+	CMUL(Y14, Y15, Y7, Y9)
+	R4STORE
+	ADDQ $32, AX
+	DECQ CX
+	JNZ  cr4pair
+	ADDQ DX, BX
+	ADDQ $48, SI
+	JMP  cr4offset
+
+cr4next:
+	LEAQ (DI)(R8*4), DI
+	CMPQ DI, R12
+	JB   cr4block
+	VZEROUPPER
+	RET
+
+// func colRadix2AVX(x []complex128, h, w, stride int, tw []complex128)
+//
+// The odd last level over the 2h rows: rows j and j+h, the lower one
+// times tw[j] (16 bytes at SI), into their sum and difference; offset 0
+// multiplies nothing.
+TEXT ·colRadix2AVX(SB), NOSPLIT, $0-72
+	MOVQ  x_base+0(FP), DI
+	MOVQ  h+24(FP), R8
+	MOVQ  w+32(FP), R9
+	MOVQ  stride+40(FP), DX
+	MOVQ  tw_base+48(FP), SI
+	SHLQ  $4, DX
+	SHRQ  $1, R9
+	IMULQ DX, R8
+	MOVQ  DI, AX
+	MOVQ  R9, CX
+
+cr2zero:
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R8*1), Y1
+	VADDPD  Y1, Y0, Y2
+	VSUBPD  Y1, Y0, Y3
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y3, (AX)(R8*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     cr2zero
+	LEAQ    (DI)(DX*1), BX
+	LEAQ    (DI)(R8*1), R13
+	ADDQ    $16, SI
+
+cr2offset:
+	CMPQ         BX, R13
+	JAE          cr2done
+	VBROADCASTSD 0(SI), Y10
+	VBROADCASTSD 8(SI), Y11
+	MOVQ         BX, AX
+	MOVQ         R9, CX
+
+cr2pair:
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R8*1), Y1
+	CMUL(Y10, Y11, Y1, Y8)
+	VADDPD  Y1, Y0, Y2
+	VSUBPD  Y1, Y0, Y3
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y3, (AX)(R8*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     cr2pair
+	ADDQ    DX, BX
+	ADDQ    $16, SI
+	JMP     cr2offset
+
+cr2done:
+	VZEROUPPER
+	RET

@@ -2,5 +2,10 @@
 
 package fft
 
-// butterfliesAVX is never selected off amd64 (cpuid.AVX is false).
+// The AVX passes are never selected off amd64 (cpuid.AVX is false).
+
 func butterfliesAVX(x []complex128, p *plan, inverse bool) { butterfliesGo(x, p, inverse) }
+
+func columnsAVX(x []complex128, w, stride int, p *plan, inverse bool) {
+	columnsGo(x, w, stride, p, inverse)
+}

@@ -10,7 +10,8 @@
 // fusion reorders independent butterflies and nothing else, so the output
 // is bit-equal to the one-level-a-pass loop (kept as the test oracle), and
 // the passes that fill a line themselves write it in bit-reversed order
-// and skip the permutation.
+// and skip the permutation. A 2-D transform's column pass runs the same
+// passes down the rows of a block, one column to a lane (columns.go).
 //
 // The band-limit is also exploited computationally: InverseBandLimited and
 // ForwardBandLimited in bandlimited.go prune the transform passes that only
@@ -334,8 +335,8 @@ var (
 // transforms) was measured too and gained nothing (results/README.md).
 const parallelElems = 1 << 16
 
-// chunked runs pass over the n rows or columns of a transform of elems
-// elements: as one call below parallelElems, as at most GOMAXPROCS
+// chunked runs pass over the n rows (or column pairs) of a transform of
+// elems elements: as one call below parallelElems, as at most GOMAXPROCS
 // contiguous chunks in parallel from there up. Each row or column is its
 // own output, so the chunk boundaries never reach the bits.
 func chunked(elems, n int, pass func(lo, hi int)) {
@@ -347,9 +348,9 @@ func chunked(elems, n int, pass func(lo, hi int)) {
 	par.For(chunks, func(c int) { pass(c*n/chunks, (c+1)*n/chunks) })
 }
 
-// transform2D runs the rows, transposes, runs the rows again and transposes
-// back, so both passes stream memory sequentially instead of striding down
-// columns.
+// transform2D runs the rows, permutes them into bit-reversed order and
+// runs the column pass down them (columns.go), so no pass strides down a
+// column and nothing is transposed.
 func transform2D(c *grid.CField, inverse bool) {
 	if c.W != c.H {
 		panic(fmt.Sprintf("fft: 2-D transform of a %dx%d field, want a square", c.W, c.H))
@@ -357,46 +358,20 @@ func transform2D(c *grid.CField, inverse bool) {
 	tf2dTotal.Inc()
 	tf2dPoints.Add(int64(c.W * c.H))
 	p := getPlan(c.W)
-	rows := func() {
-		chunked(c.W*c.H, c.H, func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				transform(c.Row(y), p, inverse)
-			}
-		})
-	}
-	rows()
-	transposeSquare(c)
-	rows()
-	transposeSquare(c)
-}
-
-// transposeSquare transposes a square field in place with cache blocking.
-func transposeSquare(c *grid.CField) {
-	const blk = 32
-	n := c.W
-	d := c.Data
-	for by := 0; by < n; by += blk {
-		yEnd := by + blk
-		if yEnd > n {
-			yEnd = n
+	chunked(c.W*c.H, c.H, func(lo, hi int) {
+		for y := lo; y < hi; y++ {
+			transform(c.Row(y), p, inverse)
 		}
-		for bx := by; bx < n; bx += blk {
-			xEnd := bx + blk
-			if xEnd > n {
-				xEnd = n
-			}
-			for y := by; y < yEnd; y++ {
-				xStart := bx
-				if bx == by {
-					xStart = y + 1 // skip the diagonal block's lower half
-				}
-				for x := xStart; x < xEnd; x++ {
-					i, j := y*n+x, x*n+y
-					d[i], d[j] = d[j], d[i]
-				}
+	})
+	for i, j := range p.rev {
+		if i < j {
+			a, b := c.Row(i), c.Row(j)
+			for x := range a {
+				a[x], b[x] = b[x], a[x]
 			}
 		}
 	}
+	columnPass(c.W*c.H, c.Data, c.W, c.W, p, inverse)
 }
 
 // ExtractCenter pulls the centered (2k+1) x (2k+1) low-frequency block out

@@ -230,29 +230,6 @@ func TestConvolutionTheorem(t *testing.T) {
 	}
 }
 
-func TestTransposeSquare(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 2, 16, 33, 64} {
-		c := grid.NewC(n, n)
-		for i := range c.Data {
-			c.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		orig := c.Clone()
-		transposeSquare(c)
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				if c.At(x, y) != orig.At(y, x) {
-					t.Fatalf("n=%d: (%d,%d) not transposed", n, x, y)
-				}
-			}
-		}
-		transposeSquare(c)
-		if !c.EqualC(orig, 0) {
-			t.Fatalf("n=%d: transpose not involutive", n)
-		}
-	}
-}
-
 // TestChunkedCoversAllDisjoint: from parallelElems up the passes cover
 // [0, n) exactly once with no empty chunk; below it there is exactly one
 // pass(0, n), a plain call.

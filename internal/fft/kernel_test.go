@@ -246,11 +246,8 @@ func FuzzButterflies(f *testing.F) {
 		onPath("go", func() { butterflies(want, p, inverse) })
 		got := append([]complex128(nil), line...)
 		onPath("vector", func() { butterflies(got, p, inverse) })
-		same := func(a, b float64) bool {
-			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
-		}
 		for i := range got {
-			if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+			if !sameNaN(real(got[i]), real(want[i])) || !sameNaN(imag(got[i]), imag(want[i])) {
 				t.Fatalf("n=%d inverse=%v: vector[%d] = %v, Go %v", n, inverse, i, got[i], want[i])
 			}
 		}

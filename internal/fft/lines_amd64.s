@@ -34,39 +34,3 @@ fill:
 	JB          fill
 	VZEROUPPER
 	RET
-
-// func storeAVX(dst []float64, lines []complex128, n int)
-//
-// Y0..Y3 hold entries y and y+1 of lines 0..3 (stride R8 = 16n bytes);
-// VPERM2F128 pairs their low halves into row y and their high halves into
-// row y+1 (stride R10 = 8n bytes).
-TEXT ·storeAVX(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ lines_base+24(FP), SI
-	MOVQ n+48(FP), CX
-	MOVQ CX, R8
-	SHLQ $4, R8
-	LEAQ (R8)(R8*2), R9
-	MOVQ CX, R10
-	SHLQ $3, R10
-	SHRQ $1, CX
-
-store:
-	VMOVUPD    (SI), Y0
-	VMOVUPD    (SI)(R8*1), Y1
-	VMOVUPD    (SI)(R8*2), Y2
-	VMOVUPD    (SI)(R9*1), Y3
-	VPERM2F128 $0x20, Y1, Y0, Y4
-	VPERM2F128 $0x20, Y3, Y2, Y5
-	VPERM2F128 $0x31, Y1, Y0, Y6
-	VPERM2F128 $0x31, Y3, Y2, Y7
-	VMOVUPD    Y4, (DI)
-	VMOVUPD    Y5, 32(DI)
-	VMOVUPD    Y6, (DI)(R10*1)
-	VMOVUPD    Y7, 32(DI)(R10*1)
-	ADDQ       $32, SI
-	LEAQ       (DI)(R10*2), DI
-	DECQ       CX
-	JNZ        store
-	VZEROUPPER
-	RET

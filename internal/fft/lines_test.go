@@ -13,9 +13,8 @@ import (
 // zeros, subnormals, infinities and NaN.
 var edgeValues = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, math.Inf(1), math.Inf(-1), math.NaN()}
 
-// checkLines holds weightedFill and storePairs over a line of n to their
-// Go loops: the fill bit for bit with NaN by NaN-ness (it multiplies), the
-// store every bit, NaN payloads included (it only moves).
+// checkLines holds weightedFill over a line of n to its Go loop, bit for
+// bit with NaN by NaN-ness (it multiplies).
 func checkLines(t *testing.T, n int, next func() float64) {
 	t.Helper()
 	defer func(v bool) { cpuid.PixelAVX = v }(cpuid.PixelAVX)
@@ -23,38 +22,28 @@ func checkLines(t *testing.T, n int, next func() float64) {
 	for x := range src {
 		src[x], w[x] = complex(next(), next()), next()
 	}
-	lines := make([]complex128, pairBlock*n)
-	for i := range lines {
-		lines[i] = complex(next(), next())
-	}
-	run := func(on bool) ([]complex128, []float64) {
+	run := func(on bool) []complex128 {
 		cpuid.PixelAVX = on
 		row := make([]complex128, n)
 		weightedFill(row, src, w, getPlan(n).rev)
-		dst := make([]float64, n*max(n, 2*pairBlock))
-		storePairs(dst, lines, n, pairBlock)
-		return row, dst
+		return row
 	}
-	wantRow, wantDst := run(false)
-	gotRow, gotDst := run(cpuid.AVX)
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
-	}
-	for i, g := range gotRow {
-		if !same(real(g), real(wantRow[i])) || !same(imag(g), imag(wantRow[i])) {
-			t.Fatalf("fill n=%d: vector [%d] = %v, Go %v", n, i, g, wantRow[i])
-		}
-	}
-	for i, g := range gotDst {
-		if math.Float64bits(g) != math.Float64bits(wantDst[i]) {
-			t.Fatalf("store n=%d: vector [%d] = %#x, Go %#x", n, i, math.Float64bits(g), math.Float64bits(wantDst[i]))
+	want, got := run(false), run(cpuid.AVX)
+	for i, g := range got {
+		if !sameNaN(real(g), real(want[i])) || !sameNaN(imag(g), imag(want[i])) {
+			t.Fatalf("fill n=%d: vector [%d] = %v, Go %v", n, i, g, want[i])
 		}
 	}
 }
 
+// sameNaN reports whether a and b have the same bits or are both NaN.
+func sameNaN(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
 // TestLineKernelsMatchGo: at every power-of-two length from 2 to 1024,
-// with values salted with edgeValues, the weighted bit-reversed fill and
-// the paired column store give the Go loops' bits.
+// with values salted with edgeValues, the weighted bit-reversed fill gives
+// the Go loop's bits.
 func TestLineKernelsMatchGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	next := func() float64 {
@@ -68,9 +57,8 @@ func TestLineKernelsMatchGo(t *testing.T) {
 	}
 }
 
-// FuzzLines: for arbitrary bits in the lines and weights and a
-// power-of-two length from 2 to 1024, the fill and the store give the Go
-// loops' bits.
+// FuzzLines: for arbitrary bits in the line and weights and a
+// power-of-two length from 2 to 1024, the fill gives the Go loop's bits.
 func FuzzLines(f *testing.F) {
 	bits := func(vs ...float64) []byte {
 		var b []byte
@@ -100,9 +88,7 @@ func FuzzLines(f *testing.F) {
 }
 
 // BenchmarkPassFill is one adjoint row fill of the benchmark's 64-px
-// imaging grid, and BenchmarkPassStore one block of four column pairs
-// stored into a 128-px mask-grid raster, each on the Go loop and the
-// kernel.
+// imaging grid, on the Go loop and the kernel.
 func BenchmarkPassFill(b *testing.B) {
 	const n = 64
 	rng := rand.New(rand.NewSource(1))
@@ -114,22 +100,19 @@ func BenchmarkPassFill(b *testing.B) {
 	benchPaths(b, func() { weightedFill(row, src, w, rev) })
 }
 
-func BenchmarkPassStore(b *testing.B) {
-	const n = 128
-	lines, dst := randVec(pairBlock*n, rand.New(rand.NewSource(1))), make([]float64, n*n)
-	benchPaths(b, func() { storePairs(dst, lines, n, pairBlock) })
-}
-
 // benchPaths runs f as a go and, where the host has AVX, a vector
-// sub-benchmark.
+// sub-benchmark, with both switches (cpuid.PixelAVX and vector) held to
+// the path.
 func benchPaths(b *testing.B, f func()) {
 	defer func(v bool) { cpuid.PixelAVX = v }(cpuid.PixelAVX)
 	for _, path := range paths() {
 		b.Run(path, func(b *testing.B) {
 			cpuid.PixelAVX = path == "vector"
-			for b.Loop() {
-				f()
-			}
+			onPath(path, func() {
+				for b.Loop() {
+					f()
+				}
+			})
 		})
 	}
 }

@@ -2,8 +2,8 @@ package fft
 
 import (
 	"fmt"
+	"unsafe"
 
-	"mosaic/internal/cpuid"
 	"mosaic/internal/grid"
 )
 
@@ -24,10 +24,10 @@ import (
 // decimation-in-time split), the half-length spectrum untangles into the
 // even/odd-sample subspectra through conjugate symmetry, and one twiddled
 // butterfly per bin recombines them — for the bins fx in [0, k] only, since
-// the mirror supplies fx < 0. Each row's k+1 bins go to a (k+1) x H
-// workspace, one line per fx, in the column transform's bit-reversed order.
-// Column pass: k+1 FFTs in place on those lines, of which the band rows and
-// their mirror images are kept.
+// the mirror supplies fx < 0. Row y's k+1 bins go to row rev[y] of a block
+// of H rows, one column per fx, padded to an even width. Column pass: the
+// block's columns in place, of which the band rows and their mirror images
+// are kept.
 func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
 	checkBand(blk, k, f.W, f.H)
 	prunedForward.Inc()
@@ -35,12 +35,13 @@ func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
 	w, h := f.W, f.H
 	m := w / 2
 	pcol := getPlan(h)
-	ws := grid.GetC(h, k+1)
+	cols := grid.GetC((k+2)&^1, h)
 	rowPass := func(lo, hi int) {
 		if m == 0 {
 			// Degenerate 1-wide grid: a row is its own spectrum.
 			for y := lo; y < hi; y++ {
-				ws.Data[pcol.rev[y]] = complex(f.Data[y], 0)
+				out := cols.Row(pcol.rev[y])
+				out[0], out[1] = complex(f.Data[y], 0), 0
 			}
 			return
 		}
@@ -61,44 +62,37 @@ func ForwardBandLimitedReal(f *grid.Field, k int, blk *grid.CField) {
 			//   X[fx] = E[fx] + tw[fx] * O[fx]
 			// and X[0] = Re Z[0] + Im Z[0], exactly real. 2k+1 <= n keeps
 			// fx < m.
-			out := ws.Data[pcol.rev[y]:]
+			out := cols.Row(pcol.rev[y])
 			out[0] = complex(real(z[0])+imag(z[0]), 0)
 			for fx := 1; fx <= k; fx++ {
 				zk, zr := z[fx], z[m-fx]
 				e := complex(0.5*(real(zk)+real(zr)), 0.5*(imag(zk)-imag(zr)))
 				o := complex(0.5*(imag(zk)+imag(zr)), -0.5*(real(zk)-real(zr)))
-				out[fx*h] = e + tw[fx]*o
+				out[fx] = e + tw[fx]*o
 			}
+			clear(out[k+1:])
 		}
 		grid.PutC(scratch)
 	}
 	chunked(w*h, h, rowPass)
-	colPass := func(lo, hi int) {
-		for fx := lo; fx < hi; fx++ {
-			col := ws.Row(fx)
-			butterflies(col, pcol, false)
-			// Column 0 mirrors onto itself: its fy >= 0 half is kept and
-			// written over the other, and its DC bin, a sum of reals, is
-			// its own conjugate.
-			fy := -k
-			if fx == 0 {
-				fy = 0
+	columnPass(w*h, cols.Data, cols.W, cols.W, pcol, false)
+	// Band row fy goes to blk row k+fy from column k on and, conjugated,
+	// to row k-fy from column k back. Column 0 mirrors onto itself: its
+	// fy >= 0 half is kept and written over the other, and its DC bin, a
+	// sum of reals, is its own conjugate.
+	for fy := -k; fy <= k; fy++ {
+		src := cols.Row((fy + h) % h)[:k+1]
+		pos, neg := blk.Row(k + fy)[k:], blk.Row(k - fy)[:k+1]
+		for fx, v := range src {
+			if fx == 0 && fy < 0 {
+				continue
 			}
-			for ; fy <= k; fy++ {
-				v := col[(fy+h)%h]
-				blk.Set(k+fx, k+fy, v)
-				blk.Set(k-fx, k-fy, complex(real(v), -imag(v)))
-			}
+			pos[fx] = v
+			neg[k-fx] = complex(real(v), -imag(v))
 		}
 	}
-	chunked(w*h, k+1, colPass)
-	grid.PutC(ws)
+	grid.PutC(cols)
 }
-
-// pairBlock is how many pairs of output columns InverseBandLimitedReal
-// transforms before it stores them: four pairs are eight float64, one cache
-// line of every destination row.
-const pairBlock = 4
 
 // InverseBandLimitedReal computes the real part of the normalized inverse
 // 2-D FFT of the n x n spectrum whose only nonzero entries are the central
@@ -117,8 +111,10 @@ const pairBlock = 4
 // inverse transform of the Hermitian line G[.][x], hence real, so two
 // columns share one complex FFT: Z[fy] = G[fy][x0] + i*G[fy][x1] and
 // Z[-fy] = conj(G[fy][x0]) + i*conj(G[fy][x1]) transform to
-// out[.][x0] + i*out[.][x1]. The pairs are always (2j, 2j+1), so the bits
-// do not depend on how the passes were chunked across cores.
+// out[.][x0] + i*out[.][x1]. The pairs are (2j, 2j+1), which is dst's
+// own layout read as n x n/2 complex128: Z[fy] and Z[-fy] are written as
+// rows rev[fy] and rev[n-fy] of that view, the other rows cleared, and the
+// column pass leaves row y holding out[y][2j] + i*out[y][2j+1] in place.
 func InverseBandLimitedReal(blk *grid.CField, n int, dst *grid.Field) {
 	k := checkBlock(blk, n, n)
 	if dst.W != n || dst.H != n {
@@ -133,62 +129,52 @@ func InverseBandLimitedReal(blk *grid.CField, n int, dst *grid.Field) {
 	p := getPlan(n)
 	rev := p.rev
 	scale := 1 / float64(2*n*n)
-	ws := grid.GetC(n, k+1)
-	rowPass := func(lo, hi int) {
-		for fy := lo; fy < hi; fy++ {
-			row := ws.Row(fy)
-			clear(row)
-			up, down := blk.Row(k+fy), blk.Row(k-fy)
-			for fx := -k; fx <= k; fx++ {
-				v, c := up[k+fx], down[k-fx]
-				row[rev[(fx+n)%n]] = complex((real(v)+real(c))*scale, (imag(v)-imag(c))*scale)
-			}
-			butterflies(row, p, true)
-		}
-	}
-	chunked(n*n, k+1, rowPass)
 	half := n / 2
-	colPass := func(lo, hi int) {
-		lines := grid.GetC(n, pairBlock)
-		for j0 := lo * pairBlock; j0 < min(hi*pairBlock, half); j0 += pairBlock {
-			np := min(pairBlock, half-j0)
-			for q := 0; q < np; q++ {
-				z := lines.Row(q)
-				clear(z)
-				g := ws.Data[2*(j0+q):]
-				// G[0] is real up to roundoff; its real part is used.
-				z[0] = complex(real(g[0]), real(g[1]))
-				for fy := 1; fy <= k; fy++ {
-					a, b := g[fy*n], g[fy*n+1]
-					z[rev[fy]] = complex(real(a)-imag(b), imag(a)+real(b))
-					z[rev[n-fy]] = complex(real(a)+imag(b), real(b)-imag(a))
+	// A complex128 is two float64 with float64's alignment, so the n*n
+	// float64 of dst are n*n/2 complex128, entry (y, j) the pair of
+	// columns 2j and 2j+1 of row y.
+	z := unsafe.Slice((*complex128)(unsafe.Pointer(unsafe.SliceData(dst.Data))), n*half)
+	zrow := func(r int) []complex128 { return z[r*half:][:half] }
+	rowPass := func(lo, hi int) {
+		line := grid.GetC(n, 1)
+		g := line.Data
+		for r := lo; r < hi; r++ {
+			fy := rev[r]
+			if fy > k {
+				// Rows of fy < 0 are written with their partner fy > 0.
+				if fy < n-k {
+					clear(zrow(r))
 				}
-				butterflies(z, p, true)
+				continue
 			}
-			storePairs(dst.Data[2*j0:], lines.Data, n, np)
+			clear(g)
+			up, down := blk.Row(k+fy), blk.Row(k-fy)
+			for fx := -k; fx < 0; fx++ {
+				v, c := up[k+fx], down[k-fx]
+				g[rev[n+fx]] = complex((real(v)+real(c))*scale, (imag(v)-imag(c))*scale)
+			}
+			for fx := 0; fx <= k; fx++ {
+				v, c := up[k+fx], down[k-fx]
+				g[rev[fx]] = complex((real(v)+real(c))*scale, (imag(v)-imag(c))*scale)
+			}
+			butterflies(g, p, true)
+			if fy == 0 {
+				// G[0] is real up to roundoff; its real part is used.
+				dc := zrow(r)
+				for j := range dc {
+					dc[j] = complex(real(g[2*j]), real(g[2*j+1]))
+				}
+				continue
+			}
+			pos, neg := zrow(r), zrow(rev[n-fy])
+			for j := range pos {
+				a, b := g[2*j], g[2*j+1]
+				pos[j] = complex(real(a)-imag(b), imag(a)+real(b))
+				neg[j] = complex(real(a)+imag(b), real(b)-imag(a))
+			}
 		}
-		grid.PutC(lines)
+		grid.PutC(line)
 	}
-	chunked(n*n, (half+pairBlock-1)/pairBlock, colPass)
-	grid.PutC(ws)
-}
-
-// storePairs moves entry y of each of the np lines of n, laid end to end in
-// lines, into row y of dst (row stride n): line q's real and imaginary
-// parts to columns 2q and 2q+1. Where cpuid.PixelAVX holds and the block
-// is full, storeAVX moves two rows a step, a 2x2 transpose of complex128
-// pairs per two lines: pure moves, so every bit is kept.
-func storePairs(dst []float64, lines []complex128, n, np int) {
-	_, _ = dst[(n-1)*n+2*np-1], lines[np*n-1]
-	if cpuid.PixelAVX && np == pairBlock && n%2 == 0 {
-		storeAVX(dst, lines, n)
-		return
-	}
-	for y := 0; y < n; y++ {
-		d := dst[y*n:]
-		for q := 0; q < np; q++ {
-			v := lines[q*n+y]
-			d[2*q], d[2*q+1] = real(v), imag(v)
-		}
-	}
+	chunked(n*n, n, rowPass)
+	columnPass(n*n, z, half, half, p, true)
 }
